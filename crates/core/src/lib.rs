@@ -57,6 +57,7 @@
 #![forbid(unsafe_code)]
 
 mod bootstrap;
+mod commitlog;
 mod config;
 mod facade;
 mod log_method;
@@ -68,14 +69,15 @@ mod store;
 mod stream;
 
 pub use bootstrap::BootstrappedTable;
+pub use commitlog::{CommitLog, DirCommitLog};
 pub use config::CoreConfig;
 pub use facade::{DynamicHashTable, TradeoffTarget};
 pub use log_method::LogMethodTable;
 pub use media::{DirMedia, SimMedia, StoreMedia};
 pub use mem_table::MemTable;
 pub use service::{
-    BatchRecord, CommitLog, DirCommitLog, DirServiceMedia, Effect, ServiceMedia, ServiceStats,
-    ShardBatchHistory, ShardedKvStore, SimServiceMedia, WriteOp,
+    BatchRecord, DirServiceMedia, Effect, ServiceMedia, ServiceStats, ShardBatchHistory,
+    ShardedKvStore, SimServiceMedia, WriteOp,
 };
 pub use sharded::ShardedTable;
 pub use store::{CompactionStats, KvStore, ManifestIoStats};

@@ -57,7 +57,8 @@
 //! The annotated walk of one write through this machinery (enqueue →
 //! batch → apply → coalesced sync → ack epoch) is
 //! `docs/COMMIT_PATH.md`; the durability contract is
-//! `docs/GUARANTEES.md`.
+//! `docs/GUARANTEES.md`. The commit log itself — device trait, record
+//! codec, replay — lives in `crate::commitlog`.
 //!
 //! ## Batch atomicity
 //!
@@ -93,8 +94,9 @@ use dxh_extmem::{ExtMemError, Key, Result, SimEnv, Value, KEY_TOMBSTONE, VALUE_T
 use dxh_hashfn::IdealFn;
 use dxh_tables::ExternalDictionary;
 
+use crate::commitlog::{encode_log_record, replay_log, CommitLog, DirCommitLog, SimCommitLog};
 use crate::config::CoreConfig;
-use crate::media::{commit_file_atomic, sync_dir, DirMedia, SimMedia, StoreMedia};
+use crate::media::{commit_file_atomic, DirMedia, SimMedia, StoreMedia};
 use crate::sharded::{shard_of_key, shard_router};
 use crate::store::KvStore;
 
@@ -404,10 +406,9 @@ struct BufState {
     /// (the manifest covers everything applied before the harden).
     last_applied_seq: u64,
     /// Set by the coordinator when this shard's turn in a **checkpoint
-    /// rotation** (or the shutdown handshake) comes up: it owes a
-    /// manifest harden, aligning its fsync stages through the carried
-    /// rendezvous. Steady-state log rounds never set this.
-    harden_request: Option<Arc<RoundSync>>,
+    /// rotation** comes up: it owes a manifest harden. Steady-state log
+    /// rounds never set this.
+    harden_request: bool,
     /// Set by the service's drop: drain, final-sync, and exit.
     shutdown: bool,
     /// Set when a group commit failed: the shard stops accepting work
@@ -455,78 +456,6 @@ struct Shard<M: StoreMedia> {
     /// The persistent store; held by the committer for the length of one
     /// apply or harden, and by readers that miss the overlay.
     store: Mutex<KvStore<M>>,
-}
-
-/// A sync round's stage rendezvous. Hardening is fsync-bound, and on
-/// one journaled filesystem N *staggered* fsyncs serialize at one
-/// device commit each — which would make an N-shard round N times the
-/// cost of a 1-shard round and turn sharding into a regression. The
-/// participants of a round therefore align before each fsync-heavy
-/// stage (data `fdatasync`; manifest commit) and issue them
-/// simultaneously, letting the journal merge them into ~one commit per
-/// stage: the round's cost stays near a single shard's, whatever its
-/// width. Purely a performance device — correctness never depends on
-/// alignment, so stragglers are released by a timeout and a shard that
-/// skips or aborts its harden just [`RoundSync::leave`]s.
-struct RoundSync {
-    m: Mutex<RoundSyncState>,
-    cv: Condvar,
-}
-
-struct RoundSyncState {
-    /// Participants still in the round (leavers drop out of every
-    /// remaining stage).
-    members: usize,
-    /// Members arrived at the current stage gate.
-    arrived: usize,
-    /// Stage generation; bumping it releases the waiters.
-    stage: u64,
-}
-
-impl RoundSync {
-    fn new(members: usize) -> Self {
-        RoundSync {
-            m: Mutex::new(RoundSyncState { members, arrived: 0, stage: 0 }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Blocks until every current member reached this stage gate (or a
-    /// straggler timeout fires — alignment is best-effort).
-    fn align(&self) {
-        let mut st = self.m.lock();
-        let gen = st.stage;
-        st.arrived += 1;
-        if st.arrived >= st.members {
-            st.arrived = 0;
-            st.stage = gen + 1;
-            self.cv.notify_all();
-            return;
-        }
-        while st.stage == gen {
-            let (g, timeout) = self.cv.wait_timeout(st, std::time::Duration::from_millis(5));
-            st = g;
-            if timeout.timed_out() && st.stage == gen {
-                st.arrived = 0;
-                st.stage = gen + 1;
-                self.cv.notify_all();
-                break;
-            }
-        }
-    }
-
-    /// This participant performs no further stages (its harden is a
-    /// skip, or aborted partway): stop counting it, and release the
-    /// gate if it was the last one out.
-    fn leave(&self) {
-        let mut st = self.m.lock();
-        st.members = st.members.saturating_sub(1);
-        if st.members > 0 && st.arrived >= st.members {
-            st.arrived = 0;
-            st.stage += 1;
-            self.cv.notify_all();
-        }
-    }
 }
 
 /// The shared commit clock: committers funnel their durability points
@@ -577,8 +506,6 @@ struct CoordState {
     /// dead-shard skip may report for the same shard without
     /// double-counting.
     pending_done: Vec<bool>,
-    /// Id of the round being (or last) run; strictly increasing.
-    round: u64,
     /// Completed rounds — the service's durability epoch.
     epoch: u64,
     shutdown: bool,
@@ -590,7 +517,6 @@ impl SyncCoordinator {
             state: Mutex::new(CoordState {
                 dirty: vec![false; shards],
                 pending_done: vec![false; shards],
-                round: 0,
                 epoch: 0,
                 shutdown: false,
             }),
@@ -627,7 +553,7 @@ impl SyncCoordinator {
 
 /// Commit-log bytes that trigger a checkpoint rotation: big enough
 /// that steady-state rounds almost never pay per-shard manifest
-/// hardens — a full rotation costs one staged harden *per shard*, so
+/// hardens — a full rotation costs one manifest harden *per shard*, so
 /// its price scales with the shard count while log rounds stay flat —
 /// small enough to bound reopen-time replay work (4 MiB replays in
 /// well under a second even on modest disks; at 25 bytes per logged op
@@ -808,9 +734,7 @@ fn commit_round<M: StoreMedia, L: CommitLog>(
                 }
                 shard.ack_cv.notify_all();
             }
-            let mut st = coord.state.lock();
-            st.round += 1;
-            st.epoch = st.round;
+            coord.state.lock().epoch += 1;
         }
         Err(e) => {
             let why = e.to_string();
@@ -856,27 +780,18 @@ fn staggered_checkpoint<M: StoreMedia>(
         let mut st = coord.state.lock();
         st.pending_done[si] = true;
     }
-    // A one-member rendezvous: the harden's stage gates align with
-    // nobody and pass straight through — the staging machinery stays on
-    // one code path for solo turns and the shutdown handshake alike.
-    let sync = Arc::new(RoundSync::new(1));
     let shard = &shards[si];
     let dead = {
         let mut buf = shard.buf.lock();
-        if buf.committer_dead {
-            true
-        } else {
-            buf.harden_request = Some(sync.clone());
-            false
-        }
+        buf.harden_request = !buf.committer_dead;
+        buf.committer_dead
     };
     if dead {
         // No committer will ever take the request: report on the
-        // shard's behalf and drop it out of the rendezvous. (If the
-        // committer dies *after* taking a request, its panic guard
-        // does the same — reports are idempotent, so the race
-        // between this check and a concurrent death is harmless.)
-        sync.leave();
+        // shard's behalf. (If the committer dies *after* taking a
+        // request, its panic guard does the same — reports are
+        // idempotent, so the race between this check and a concurrent
+        // death is harmless.)
         coord.report_done(si);
     } else {
         shard.work_cv.notify_all();
@@ -886,8 +801,7 @@ fn staggered_checkpoint<M: StoreMedia>(
         while st.pending_done[si] {
             st = coord.cv.wait(st);
         }
-        st.round += 1;
-        st.epoch = st.round;
+        st.epoch += 1;
     }
     let buf = shard.buf.lock();
     buf.wedged.is_none() && !buf.committer_dead
@@ -911,17 +825,15 @@ impl<M: StoreMedia> Drop for CommitterPanicGuard<'_, M> {
         if !std::thread::panicking() {
             return;
         }
-        let (owed_round, already_wedged) = {
+        let already_wedged = {
             let mut buf = self.shard.buf.lock();
             buf.committer_dead = true;
-            (buf.harden_request.take(), buf.wedged.is_some())
+            buf.harden_request = false;
+            buf.wedged.is_some()
         };
-        // If a checkpoint round was waiting on this shard, release it:
-        // drop out of the fsync rendezvous and report done (idempotent,
-        // so racing the coordinator's own dead-shard skip is fine).
-        if let Some(sync) = owed_round {
-            sync.leave();
-        }
+        // If a checkpoint round was waiting on this shard, release it
+        // (idempotent, so racing the coordinator's own dead-shard skip
+        // is fine).
         self.coord.report_done(self.si);
         if already_wedged {
             // Keep the original failure cause; just make sure nobody
@@ -938,7 +850,7 @@ impl<M: StoreMedia> Drop for CommitterPanicGuard<'_, M> {
 fn committer_loop<M: StoreMedia>(shard: Arc<Shard<M>>, coord: Arc<SyncCoordinator>, si: usize) {
     enum Todo {
         Apply,
-        Harden(Arc<RoundSync>),
+        Harden,
         Exit,
     }
     let _panic_guard = CommitterPanicGuard { shard: &shard, coord: &coord, si };
@@ -948,10 +860,10 @@ fn committer_loop<M: StoreMedia>(shard: Arc<Shard<M>>, coord: Arc<SyncCoordinato
             let mut spins = 4u32;
             loop {
                 // A harden request outranks new arrivals: a hot shard
-                // must not hold the whole round's rendezvous open. (One
+                // must not keep the coordinator's round waiting. (One
                 // drain still folds into the harden below.)
-                if let Some(sync) = buf.harden_request.take() {
-                    break Todo::Harden(sync);
+                if std::mem::take(&mut buf.harden_request) {
+                    break Todo::Harden;
                 }
                 if buf.wedged.is_none() && !buf.pending.is_empty() {
                     break Todo::Apply;
@@ -982,7 +894,7 @@ fn committer_loop<M: StoreMedia>(shard: Arc<Shard<M>>, coord: Arc<SyncCoordinato
                     coord.mark_dirty(si);
                 }
             }
-            Todo::Harden(sync) => {
+            Todo::Harden => {
                 // This shard's turn in a checkpoint rotation: fold one
                 // last drain into this manifest harden (no dirty mark —
                 // the harden right here is its durability point), then
@@ -992,14 +904,14 @@ fn committer_loop<M: StoreMedia>(shard: Arc<Shard<M>>, coord: Arc<SyncCoordinato
                 // always reported, so a poisoned shard can never hang
                 // the rotation.
                 apply_pending(&shard);
-                harden_shard(&shard, false, Some(&sync));
+                harden_shard(&shard, false);
                 coord.report_done(si);
             }
             Todo::Exit => {
                 // Drain-then-sync handshake: the wait loop only chooses
                 // Exit once pending is empty and no round is owed; the
                 // final harden also writes the CLEAN marker back.
-                harden_shard(&shard, true, None);
+                harden_shard(&shard, true);
                 return;
             }
         }
@@ -1145,20 +1057,13 @@ fn apply_pending<M: StoreMedia>(shard: &Shard<M>) -> bool {
 
 /// The manifest half of a shard's durability (checkpoint and shutdown
 /// rounds; steady-state durability is the commit log's): harden the
-/// store — its own staged manifest commit — then acknowledge every
-/// applied batch still waiting on an epoch (manifest durability is
-/// durability too). A failure wedges the shard instead. No-ops on a
-/// wedged shard, which leaves the rendezvous so siblings never wait on
-/// a shard that will do no work; otherwise `sync` aligns the harden's
-/// fsync stages with the other participants so the journal can merge
-/// them (see [`RoundSync`]).
-fn harden_shard<M: StoreMedia>(shard: &Shard<M>, set_marker: bool, sync: Option<&RoundSync>) {
+/// store, then acknowledge every applied batch still waiting on an
+/// epoch (manifest durability is durability too). A failure wedges the
+/// shard instead. No-ops on a wedged shard.
+fn harden_shard<M: StoreMedia>(shard: &Shard<M>, set_marker: bool) {
     let last_seq = {
         let buf = shard.buf.lock();
         if buf.wedged.is_some() {
-            if let Some(s) = sync {
-                s.leave();
-            }
             return;
         }
         buf.last_applied_seq
@@ -1171,26 +1076,8 @@ fn harden_shard<M: StoreMedia>(shard: &Shard<M>, set_marker: bool, sync: Option<
         // watermark so reopen-time log replay skips those batches
         // instead of reapplying stale records over the newer fold.
         store.set_replay_watermark(last_seq);
-        let mut stages_left = 2u32;
-        let mut gate = || {
-            if let Some(s) = sync {
-                s.align();
-            }
-            stages_left -= 1;
-        };
-        let r = (|| {
-            store.harden_flush()?;
-            gate(); // all participants issue their data fdatasync together
-            store.harden_data_sync()?;
-            gate(); // ...and their manifest commits together
-            store.harden_commit(set_marker)
-        })();
+        let r = store.harden(set_marker);
         if r.is_err() {
-            if stages_left > 0 {
-                if let Some(s) = sync {
-                    s.leave();
-                }
-            }
             // A failed harden may have flushed part of the batch set
             // toward disk; poisoning forbids any later manifest from
             // committing it.
@@ -1247,356 +1134,6 @@ fn wedge<M: StoreMedia>(shard: &Shard<M>, why: String, mid_apply: &[Arc<OpCell>]
         buf.wedged = Some(why);
     }
     shard.ack_cv.notify_all();
-}
-
-/// Commit-log file name inside a service root (the active segment).
-const COMMITLOG: &str = "COMMITLOG";
-
-/// The sealed segment: the commit log's previous contents, set aside
-/// when a checkpoint rotation starts and discarded once every shard's
-/// manifest covers it (kept across a crash or a tainted rotation, and
-/// replayed — watermark-skipped — before the active segment).
-const COMMITLOG_OLD: &str = "COMMITLOG.OLD";
-
-/// The service-wide **commit log** — the shared durability device that
-/// lets `N` shards pay **one** physical fsync per sync round instead of
-/// `N` manifest commits. A log round frames one checksummed record per
-/// acknowledged batch and calls [`CommitLog::commit`]; per-shard
-/// manifests only catch up at checkpoint rounds, after which the log is
-/// truncated. On reopen the surviving records are replayed — in append
-/// order, idempotently (a put is an upsert, a delete of an absent key
-/// is a miss) — over the recovered per-shard manifests, so everything
-/// acknowledged through the log survives a crash even though no
-/// manifest recorded it yet.
-pub trait CommitLog: Send {
-    /// Appends `bytes` and makes everything appended so far durable —
-    /// the round's single physical sync. All-or-nothing at round
-    /// granularity: on `Err`, this call's bytes must never become
-    /// durable later (the sim twin's whole-blob write is atomic; the
-    /// file twin truncates itself back, poisoning the log if even that
-    /// fails).
-    fn commit(&mut self, bytes: &[u8]) -> Result<()>;
-
-    /// Bytes currently in the log (drives the checkpoint threshold).
-    fn size(&self) -> u64;
-
-    /// The log's surviving content, for reopen-time replay: the sealed
-    /// segment (if any) followed by the active one, in append order.
-    fn read_all(&mut self) -> Result<Vec<u8>>;
-
-    /// Durably empties the log — both segments (a full checkpoint made
-    /// them redundant).
-    fn truncate(&mut self) -> Result<()>;
-
-    /// Atomically moves the active segment aside as the sealed segment
-    /// and starts a fresh, empty active one. Called when a staggered
-    /// checkpoint rotation begins: new rounds keep appending (to the
-    /// fresh segment) while the shards' manifests catch up on the
-    /// sealed one. Errors if a sealed segment already exists — the
-    /// caller must [`CommitLog::discard_sealed`] first. No extra data
-    /// fsync is owed before the move: every byte in the active segment
-    /// was already synced by the [`CommitLog::commit`] that wrote it.
-    fn seal(&mut self) -> Result<()>;
-
-    /// Whether a sealed segment exists (possibly left over from a
-    /// crashed or tainted rotation).
-    fn has_sealed(&self) -> bool;
-
-    /// Durably removes the sealed segment: every shard's manifest now
-    /// covers it. A no-op when none exists.
-    fn discard_sealed(&mut self) -> Result<()>;
-}
-
-/// FNV-1a 64 over a record payload — the log's torn-tail detector.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Appends one framed log record: `len u32 | fnv64 | payload`, with
-/// payload `shard u32 | seq u64 | nops u32 | op*`, all little-endian.
-/// Each op is `key u64 | tag u8 | body`: tag `0` (delete) and tag `1`
-/// (word put) carry a fixed 8-byte body — the layout every pre-payload
-/// log used, byte for byte — while tag `2` (byte-payload put) carries
-/// `len u32 | bytes`, so records are variable-stride only when byte ops
-/// are present. The checksum makes a torn tail (a crash mid-append on
-/// the file log) detectable, and a batch indivisible: replay takes a
-/// record wholly or not at all. `seq` is the shard's batch sequence
-/// number; replay skips records at or below the shard manifest's
-/// watermark, so a record surviving past its checkpoint (in the sealed
-/// segment) cannot replay stale state over a newer manifest.
-fn encode_log_record(out: &mut Vec<u8>, shard: u32, seq: u64, effects: &[(Key, Option<Effect>)]) {
-    let mut payload = Vec::with_capacity(16 + effects.len() * 17);
-    payload.extend_from_slice(&shard.to_le_bytes());
-    payload.extend_from_slice(&seq.to_le_bytes());
-    payload.extend_from_slice(&(effects.len() as u32).to_le_bytes());
-    for (k, eff) in effects {
-        payload.extend_from_slice(&k.to_le_bytes());
-        match eff {
-            Some(Effect::Word(v)) => {
-                payload.push(1);
-                payload.extend_from_slice(&v.to_le_bytes());
-            }
-            Some(Effect::Bytes(b)) => {
-                payload.push(2);
-                payload.extend_from_slice(&(b.len() as u32).to_le_bytes());
-                payload.extend_from_slice(b);
-            }
-            None => {
-                payload.push(0);
-                payload.extend_from_slice(&0u64.to_le_bytes());
-            }
-        }
-    }
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-}
-
-/// One decoded commit-log record: the shard it belongs to, the shard's
-/// batch sequence number, and the batch's per-key effects (`None` =
-/// delete) in application order.
-type LogRecord = (u32, u64, Vec<(Key, Option<Effect>)>);
-
-/// Parses the ops of one checksum-verified record payload; `None` when
-/// the structure is malformed (an unknown tag or a length running past
-/// the payload — corruption the checksum cannot have produced, so the
-/// caller stops replay there like it does at a torn frame).
-fn decode_record_ops(payload: &[u8], nops: usize) -> Option<Vec<(Key, Option<Effect>)>> {
-    let mut effects = Vec::with_capacity(nops);
-    let mut at = 16usize;
-    for _ in 0..nops {
-        let k = u64::from_le_bytes(payload.get(at..at + 8)?.try_into().unwrap());
-        let tag = *payload.get(at + 8)?;
-        at += 9;
-        let eff = match tag {
-            0 | 1 => {
-                let v = u64::from_le_bytes(payload.get(at..at + 8)?.try_into().unwrap());
-                at += 8;
-                (tag == 1).then_some(Effect::Word(v))
-            }
-            2 => {
-                let len = u32::from_le_bytes(payload.get(at..at + 4)?.try_into().unwrap()) as usize;
-                let bytes = payload.get(at + 4..at + 4 + len)?;
-                at += 4 + len;
-                Some(Effect::Bytes(Arc::from(bytes)))
-            }
-            _ => return None,
-        };
-        effects.push((k, eff));
-    }
-    (at == payload.len()).then_some(effects)
-}
-
-/// Parses every intact record of a log image as `(shard, seq,
-/// effects)`, stopping at the first torn or corrupt frame — everything
-/// at or behind a bad frame was never acknowledged (acks happen only
-/// after the log's sync) and is dropped wholesale.
-fn decode_log_records(bytes: &[u8]) -> Vec<LogRecord> {
-    let mut out = Vec::new();
-    let mut at = 0usize;
-    while let Some(header) = bytes.get(at..at + 12) {
-        let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
-        let sum = u64::from_le_bytes(header[4..12].try_into().unwrap());
-        let Some(payload) = bytes.get(at + 12..at + 12 + len) else { break };
-        if len < 16 || fnv1a64(payload) != sum {
-            break;
-        }
-        let shard = u32::from_le_bytes(payload[0..4].try_into().unwrap());
-        let seq = u64::from_le_bytes(payload[4..12].try_into().unwrap());
-        let nops = u32::from_le_bytes(payload[12..16].try_into().unwrap()) as usize;
-        let Some(effects) = decode_record_ops(payload, nops) else { break };
-        out.push((shard, seq, effects));
-        at += 12 + len;
-    }
-    out
-}
-
-/// [`CommitLog`] on a real file (`COMMITLOG` in the service root):
-/// buffered appends plus one `fdatasync` per round. A failed commit
-/// truncates the file back to its pre-round length so the round's
-/// records cannot surface later; if even that fails the log is poisoned
-/// and every later round errors (wedging its shards) until the service
-/// is reopened. Sealing renames the file to `COMMITLOG.OLD` and opens
-/// a fresh active one; both survive reopen until the checkpoint
-/// rotation that sealed the old segment completes cleanly.
-pub struct DirCommitLog {
-    dir: PathBuf,
-    file: fs::File,
-    len: u64,
-    sealed_len: u64,
-    poisoned: bool,
-}
-
-impl CommitLog for DirCommitLog {
-    fn commit(&mut self, bytes: &[u8]) -> Result<()> {
-        use std::io::{Seek, SeekFrom, Write};
-        if self.poisoned {
-            return Err(ExtMemError::Io(std::io::Error::other(
-                "commit log poisoned by an earlier failed round",
-            )));
-        }
-        let r = (|| {
-            self.file.seek(SeekFrom::Start(self.len))?;
-            self.file.write_all(bytes)?;
-            self.file.sync_data()
-        })();
-        match r {
-            Ok(()) => {
-                self.len += bytes.len() as u64;
-                Ok(())
-            }
-            Err(e) => {
-                if self.file.set_len(self.len).is_err() {
-                    self.poisoned = true;
-                }
-                Err(e.into())
-            }
-        }
-    }
-
-    fn size(&self) -> u64 {
-        self.len + self.sealed_len
-    }
-
-    fn read_all(&mut self) -> Result<Vec<u8>> {
-        use std::io::{Read, Seek, SeekFrom};
-        let mut out = Vec::with_capacity((self.sealed_len + self.len) as usize);
-        if self.sealed_len > 0 {
-            fs::File::open(self.dir.join(COMMITLOG_OLD))?.read_to_end(&mut out)?;
-        }
-        self.file.seek(SeekFrom::Start(0))?;
-        self.file.read_to_end(&mut out)?;
-        Ok(out)
-    }
-
-    fn truncate(&mut self) -> Result<()> {
-        if self.sealed_len > 0 {
-            self.discard_sealed()?;
-        }
-        self.file.set_len(0)?;
-        self.file.sync_data()?;
-        self.len = 0;
-        Ok(())
-    }
-
-    fn seal(&mut self) -> Result<()> {
-        if self.sealed_len > 0 {
-            return Err(ExtMemError::Io(std::io::Error::other(
-                "commit log already has a sealed segment",
-            )));
-        }
-        // Every byte of the active segment was already fdatasync'd by
-        // the commit that appended it, so the rename needs no data
-        // fsync of its own — only the dir fsync that makes the new
-        // names durable. Hence the documented exemption from the
-        // `std::fs::rename` clippy ban (see crates/core/clippy.toml).
-        #[allow(clippy::disallowed_methods)]
-        fs::rename(self.dir.join(COMMITLOG), self.dir.join(COMMITLOG_OLD))?;
-        let fresh = fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(self.dir.join(COMMITLOG))?;
-        sync_dir(&self.dir)?;
-        self.sealed_len = self.len;
-        self.len = 0;
-        self.file = fresh;
-        Ok(())
-    }
-
-    fn has_sealed(&self) -> bool {
-        self.sealed_len > 0
-    }
-
-    fn discard_sealed(&mut self) -> Result<()> {
-        match fs::remove_file(self.dir.join(COMMITLOG_OLD)) {
-            Ok(()) => sync_dir(&self.dir)?,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
-        }
-        self.sealed_len = 0;
-        Ok(())
-    }
-}
-
-/// [`CommitLog`] on a [`SimEnv`]: each segment is one metadata blob
-/// (`COMMITLOG` active, `COMMITLOG.OLD` sealed), the active one
-/// rewritten atomically per round — one faultable I/O op, the single
-/// shared sync the round pays on the simulated machine. A failed or
-/// crashed commit leaves the previous blob intact, so a partial round
-/// can never surface at replay (the file twin's torn tail has no sim
-/// analogue; the frame checksums cover it there).
-pub struct SimCommitLog {
-    env: SimEnv,
-    buf: Vec<u8>,
-    sealed: Vec<u8>,
-}
-
-impl CommitLog for SimCommitLog {
-    fn commit(&mut self, bytes: &[u8]) -> Result<()> {
-        let mut next = Vec::with_capacity(self.buf.len() + bytes.len());
-        next.extend_from_slice(&self.buf);
-        next.extend_from_slice(bytes);
-        self.env.meta_write(COMMITLOG, &next)?;
-        self.buf = next;
-        Ok(())
-    }
-
-    fn size(&self) -> u64 {
-        (self.buf.len() + self.sealed.len()) as u64
-    }
-
-    fn read_all(&mut self) -> Result<Vec<u8>> {
-        let mut out = Vec::with_capacity(self.sealed.len() + self.buf.len());
-        out.extend_from_slice(&self.sealed);
-        out.extend_from_slice(&self.buf);
-        Ok(out)
-    }
-
-    fn truncate(&mut self) -> Result<()> {
-        if !self.sealed.is_empty() {
-            self.discard_sealed()?;
-        }
-        self.env.meta_remove(COMMITLOG)?;
-        self.buf.clear();
-        Ok(())
-    }
-
-    fn seal(&mut self) -> Result<()> {
-        if !self.sealed.is_empty() {
-            return Err(ExtMemError::Io(std::io::Error::other(
-                "commit log already has a sealed segment",
-            )));
-        }
-        // Two atomic metadata ops stand in for the file twin's rename:
-        // write the sealed blob, then drop the active one. A crash
-        // between them leaves the records in both blobs — replay sees
-        // them twice, which the watermark skip (and idempotent effects)
-        // absorbs.
-        self.env.meta_write(COMMITLOG_OLD, &self.buf)?;
-        self.env.meta_remove(COMMITLOG)?;
-        self.sealed = std::mem::take(&mut self.buf);
-        Ok(())
-    }
-
-    fn has_sealed(&self) -> bool {
-        !self.sealed.is_empty()
-    }
-
-    fn discard_sealed(&mut self) -> Result<()> {
-        if self.sealed.is_empty() {
-            return Ok(());
-        }
-        self.env.meta_remove(COMMITLOG_OLD)?;
-        self.sealed.clear();
-        Ok(())
-    }
 }
 
 /// Where a [`ShardedKvStore`] keeps its shards: a service manifest (the
@@ -1669,28 +1206,7 @@ impl ServiceMedia for DirServiceMedia {
     }
 
     fn open_log(&mut self) -> Result<DirCommitLog> {
-        let path = self.root.join(COMMITLOG);
-        let fresh = !path.exists();
-        let file = fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&path)?;
-        if fresh {
-            // Make the log's dirent durable before anything is
-            // acknowledged through it: without this, a crash could
-            // drop the whole file even though its contents were
-            // fdatasync'd (the fd sync does not cover the name).
-            sync_dir(&self.root)?;
-        }
-        let len = file.metadata()?.len();
-        let sealed_len = match fs::metadata(self.root.join(COMMITLOG_OLD)) {
-            Ok(m) => m.len(),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => 0,
-            Err(e) => return Err(e.into()),
-        };
-        Ok(DirCommitLog { dir: self.root.clone(), file, len, sealed_len, poisoned: false })
+        DirCommitLog::open(&self.root)
     }
 }
 
@@ -1733,9 +1249,7 @@ impl ServiceMedia for SimServiceMedia {
     }
 
     fn open_log(&mut self) -> Result<SimCommitLog> {
-        let buf = self.env.meta_read(COMMITLOG)?.unwrap_or_default();
-        let sealed = self.env.meta_read(COMMITLOG_OLD)?.unwrap_or_default();
-        Ok(SimCommitLog { env: self.env.clone(), buf, sealed })
+        SimCommitLog::open(&self.env)
     }
 }
 
@@ -2190,7 +1704,7 @@ impl<M: StoreMedia> ShardedKvStore<M> {
     /// fence. Every acknowledged write is already durable through the
     /// commit log; this additionally brings each shard's own manifest
     /// current (applied batches live in the tables, so the stores'
-    /// staged hardens cover them), which is the barrier lower-level
+    /// hardens cover them), which is the barrier lower-level
     /// access through [`ShardedKvStore::with_shard`] needs — such
     /// mutations bypass the group-commit buffer *and* the log.
     ///
@@ -2393,49 +1907,6 @@ impl<M: StoreMedia> Drop for ShardedKvStore<M> {
             }
         }
     }
-}
-
-/// Replays every surviving commit-log record over the freshly opened
-/// shard stores (reopen-time recovery, phase two), then hardens them
-/// and empties the log. Records at or below a shard manifest's
-/// persisted watermark are skipped: their effects are already in the
-/// manifest fold, and with staggered checkpoints the sealed segment
-/// routinely outlives the manifests that cover it, so replaying such a
-/// record could fold **stale** state (an old value of a key the shard
-/// since rewrote) over a newer manifest. Above the watermark replay is
-/// idempotent — a put is an upsert, a delete of an absent key a miss —
-/// and per-shard record order equals the original apply order, so the
-/// last write per key still wins.
-fn replay_log<M: StoreMedia>(log: &mut impl CommitLog, stores: &mut [KvStore<M>]) -> Result<()> {
-    let image = log.read_all()?;
-    let records = decode_log_records(&image);
-    if records.is_empty() {
-        // Nothing to fold in, but a torn tail or a leftover sealed
-        // segment still needs clearing.
-        return if log.size() == 0 { Ok(()) } else { log.truncate() };
-    }
-    for (si, seq, effects) in records {
-        let store = stores.get_mut(si as usize).ok_or_else(|| {
-            ExtMemError::Corrupt("commit log references a shard outside the service".into())
-        })?;
-        if seq <= store.replay_watermark() {
-            continue;
-        }
-        for (k, eff) in effects {
-            match eff {
-                Some(Effect::Word(v)) => store.insert(k, v)?,
-                Some(Effect::Bytes(b)) => store.put_bytes(k, &b)?,
-                None => {
-                    store.delete(k)?;
-                }
-            }
-        }
-        store.set_replay_watermark(seq);
-    }
-    for s in stores.iter_mut() {
-        s.harden(true)?;
-    }
-    log.truncate()
 }
 
 /// Parsed service manifest contents.

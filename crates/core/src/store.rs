@@ -26,9 +26,10 @@
 //!   region. Written atomically (tmp + rename, then a directory fsync so
 //!   the rename itself is durable) by [`KvStore::sync`];
 //! * `MANIFEST.DELTA` — a chain of checksummed incremental manifest
-//!   frames appended by marker-less hardens (`harden(false)`, the
-//!   service committers' steady state): each frame records only what
-//!   changed since the last commit, so a checkpoint harden writes
+//!   frames ([`dxh_extmem::frame`]) appended by marker-less hardens
+//!   (`harden(false)`, the service committers' steady state): each
+//!   frame carries the same state lines as the manifest, but only those
+//!   that changed since the last commit, so a checkpoint harden writes
 //!   O(changed state) instead of rewriting the whole manifest. Reopen
 //!   folds the intact chain prefix over the base manifest; every full
 //!   rewrite (sync, compact, rollover) supersedes and clears the chain;
@@ -78,9 +79,10 @@
 
 use std::path::{Path, PathBuf};
 
+use dxh_extmem::frame::{push_frame, Frames};
 use dxh_extmem::{
-    fnv1a64, BlobLog, BlockId, Disk, ExtMemError, IoCostModel, IoSnapshot, Key, PersistentBackend,
-    Result, Value, BLOB_TAG, KEY_TOMBSTONE, VALUE_TOMBSTONE,
+    BlobLog, BlockId, Disk, ExtMemError, IoCostModel, IoSnapshot, Key, PersistentBackend, Result,
+    Value, BLOB_TAG, KEY_TOMBSTONE, VALUE_TOMBSTONE,
 };
 use dxh_hashfn::IdealFn;
 use dxh_tables::ExternalDictionary;
@@ -101,9 +103,6 @@ const MAGIC: &str = "dxh-store v2";
 /// was an ordinary value then — see [`scan_reserved_values`].
 const MAGIC_V1: &str = "dxh-store v1";
 
-/// Bytes of a delta frame's header: payload length (u32 LE) followed by
-/// the payload's FNV-1a64 checksum (u64 LE).
-const DELTA_HEADER: usize = 12;
 /// Delta frames after which the next commit compacts the chain into a
 /// full manifest rewrite — bounds both reopen's chain replay and the
 /// chain's disk footprint without giving up O(changed-state) commits in
@@ -334,7 +333,7 @@ impl<M: StoreMedia> KvStore<M> {
         // intact frame is a commit point newer than the base manifest
         // (torn tails, broken sequences, and stale-epoch frames are
         // discarded inside).
-        let applied = apply_manifest_deltas(&mut m, &media.read_manifest_deltas()?);
+        let applied = apply_manifest_deltas(&mut m, &media.read_manifest_deltas()?)?;
         if m.cfg.b != expected_b {
             return Err(ExtMemError::BadConfig(format!(
                 "store was created with b = {}, caller asked for b = {expected_b}",
@@ -451,58 +450,15 @@ impl<M: StoreMedia> KvStore<M> {
     /// walk, G3), which reconstructs exactly the hardened manifest's
     /// state — the marker only selects *how* the live set is recomputed,
     /// never *what* it is.
-    pub fn harden(&mut self, set_marker: bool) -> Result<()> {
-        self.harden_flush()?;
-        self.harden_data_sync()?;
-        self.harden_commit(set_marker)
-    }
-
-    /// Stage 1 of a staged harden: push `H0` to the disk levels. These
-    /// are buffered writes — no fsync is issued. No-op when clean.
-    ///
-    /// The three stages exist so a multi-store caller (the service's
-    /// sync rounds) can rendezvous sibling stores between them and issue
-    /// every store's fsync of a given kind *simultaneously* — the
-    /// journal then merges them into one device commit instead of
-    /// serializing N. Calling the stages back to back is exactly
-    /// [`KvStore::harden`]; each stage individually no-ops on a clean
-    /// store, so an interleaved caller needs no dirty-awareness.
-    pub(crate) fn harden_flush(&mut self) -> Result<()> {
-        self.check_poisoned()?;
-        if !self.dirty {
-            return Ok(());
-        }
-        self.table.flush_memory()
-    }
-
-    /// Stage 2: `fdatasync` the payload blob log (payload mode only),
-    /// then the block file, making stage 1's writes (and every append
-    /// and block write since the last commit) durable. No-op when clean.
-    ///
-    /// The blob sync runs **before** stage 3's manifest commit can — the
-    /// `blob-sync-before-index-commit` durability rule: the index words
-    /// a manifest commits point into the log, so the pointed-at bytes
-    /// must be durable first or a crash could commit dangling offsets.
-    pub(crate) fn harden_data_sync(&mut self) -> Result<()> {
-        self.check_poisoned()?;
-        if !self.dirty {
-            return Ok(());
-        }
-        self.blob_sync()?;
-        self.table.disk_mut().flush()
-    }
-
-    /// Stage 3: the commit point — commit the index durably, then write
-    /// the `CLEAN` marker back if `set_marker`.
     ///
     /// Steady-state `harden(false)` commits by appending one checksummed
     /// **delta frame** to the `MANIFEST.DELTA` chain — O(changed state)
     /// per commit instead of a full manifest rewrite. A marker-setting
-    /// harden, and every [`DELTA_ROLLOVER`]th commit, compacts the chain
-    /// into a full rewrite instead. The marker may only ever sit over a
-    /// full manifest: reopen trusts the manifest's free list under the
-    /// marker, and delta frames deliberately carry none.
-    pub(crate) fn harden_commit(&mut self, set_marker: bool) -> Result<()> {
+    /// harden, and every `DELTA_ROLLOVER`th (64th) commit, compacts the
+    /// chain into a full rewrite instead. The marker may only ever sit
+    /// over a full manifest: reopen trusts the manifest's free list
+    /// under the marker, and delta frames deliberately carry none.
+    pub fn harden(&mut self, set_marker: bool) -> Result<()> {
         self.check_poisoned()?;
         if !self.dirty {
             // Nothing to commit, but a `harden(true)` after a run of
@@ -519,6 +475,16 @@ impl<M: StoreMedia> KvStore<M> {
             }
             return Ok(());
         }
+        // `H0` to the disk levels (buffered writes), then the fsyncs
+        // that make them — and every append and block write since the
+        // last commit — durable. The blob log syncs **before** the
+        // index can commit (`blob-sync-before-index-commit`): the index
+        // words a manifest commits point into the log, so a crash must
+        // never find committed offsets dangling.
+        self.table.flush_memory()?;
+        self.blob_sync()?;
+        self.table.disk_mut().flush()?;
+        // The commit point.
         if set_marker || self.delta_seq >= DELTA_ROLLOVER {
             self.write_manifest()?;
         } else {
@@ -541,7 +507,7 @@ impl<M: StoreMedia> KvStore<M> {
     /// persists: every service log record with `seq <= w` for this
     /// shard is covered by that manifest and must be skipped at replay.
     /// Called by the service committer (under its store lock) right
-    /// before the harden stages; meaningless outside a service.
+    /// before the harden; meaningless outside a service.
     pub(crate) fn set_replay_watermark(&mut self, w: u64) {
         self.watermark = w;
     }
@@ -588,8 +554,7 @@ impl<M: StoreMedia> KvStore<M> {
 
     /// The sync choke point of the payload write path: `fdatasync`s the
     /// blob log (no-op on a raw store). Ordered before every index
-    /// commit by [`KvStore::harden_data_sync`] and
-    /// [`KvStore::compact`].
+    /// commit by [`KvStore::harden`] and [`KvStore::compact`].
     fn blob_sync(&mut self) -> Result<()> {
         match self.blob.as_mut() {
             Some(log) => log.sync(),
@@ -655,6 +620,7 @@ impl<M: StoreMedia> KvStore<M> {
         // blob sync before this commit (`blob-sync-before-index-commit`).
         let blob_len = self.blob.as_ref().map(|log| log.len());
         let backend = self.table.disk_mut().backend_mut();
+        let (slots, free) = (backend.slots(), backend.free_list());
         let mut out = String::new();
         out.push_str(MAGIC);
         out.push('\n');
@@ -675,26 +641,8 @@ impl<M: StoreMedia> KvStore<M> {
         // delta frames.
         out.push_str(&format!("epoch {}\n", self.epoch + 1));
         out.push_str(&format!("data {}\n", self.data_gen));
-        if let Some(len) = blob_len {
-            // Forward-compatible: older parsers ignore the line (and a
-            // payload store refuses a raw reopen anyway).
-            out.push_str(&format!("blob {len}\n"));
-        }
-        if self.watermark > 0 {
-            // Service-managed stores only (see `set_replay_watermark`);
-            // older parsers ignore the line (forward-compatible).
-            out.push_str(&format!("watermark {}\n", self.watermark));
-        }
-        out.push_str(&format!("slots {}\n", backend.slots()));
-        let free: Vec<String> = backend.free_list().iter().map(|id| id.to_string()).collect();
-        out.push_str(&format!("free {}\n", free.join(",")));
         let levels = self.table.persisted_levels();
-        out.push_str(&format!("levels {}\n", levels.len()));
-        for (k, slot) in levels.iter().enumerate() {
-            if let Some(r) = slot {
-                out.push_str(&format!("level {k} {} {} {}\n", r.base.raw(), r.buckets, r.items));
-            }
-        }
+        push_state_lines(&mut out, blob_len, self.watermark, slots, Some(&free), levels, &[]);
         // The media's commit is atomic and durable (tmp + rename + dir
         // fsync on the real filesystem): the commit point.
         self.media.commit_manifest(&out)?;
@@ -717,41 +665,20 @@ impl<M: StoreMedia> KvStore<M> {
     /// service checkpoint harden writes O(changed state), not O(table).
     /// The free list is deliberately absent: only a marker-setting
     /// harden lets reopen trust a free list, and those always take the
-    /// full-rewrite path (see [`KvStore::harden_commit`]); a reopen over
+    /// full-rewrite path (see [`KvStore::harden`]); a reopen over
     /// deltas takes the recovery region walk, which recomputes liveness
     /// exactly.
     fn write_manifest_delta(&mut self) -> Result<()> {
         let seq = self.delta_seq + 1;
         let mut out = String::new();
         out.push_str(&format!("delta {} {seq}\n", self.epoch));
-        if let Some(len) = self.blob.as_ref().map(|log| log.len()) {
-            out.push_str(&format!("blob {len}\n"));
-        }
-        if self.watermark > 0 {
-            out.push_str(&format!("watermark {}\n", self.watermark));
-        }
-        out.push_str(&format!("slots {}\n", self.table.disk_mut().backend_mut().slots()));
+        let blob_len = self.blob.as_ref().map(|log| log.len());
+        let slots = self.table.disk_mut().backend_mut().slots();
         let levels = self.table.persisted_levels().to_vec();
-        if levels.len() != self.committed_levels.len() {
-            out.push_str(&format!("levels {}\n", levels.len()));
-        }
-        for k in 0..levels.len().max(self.committed_levels.len()) {
-            let now = levels.get(k).copied().flatten();
-            let then = self.committed_levels.get(k).copied().flatten();
-            if now == then {
-                continue;
-            }
-            match now {
-                Some(r) => {
-                    out.push_str(&format!("level {k} {} {} {}\n", r.base.raw(), r.buckets, r.items))
-                }
-                None => out.push_str(&format!("clearlevel {k}\n")),
-            }
-        }
-        let mut frame = Vec::with_capacity(DELTA_HEADER + out.len());
-        frame.extend_from_slice(&(out.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&fnv1a64(out.as_bytes()).to_le_bytes());
-        frame.extend_from_slice(out.as_bytes());
+        let base = &self.committed_levels;
+        push_state_lines(&mut out, blob_len, self.watermark, slots, None, &levels, base);
+        let mut frame = Vec::new();
+        push_frame(&mut frame, out.as_bytes());
         self.media.append_manifest_delta(&frame)?;
         self.delta_seq = seq;
         self.committed_levels = levels;
@@ -1176,15 +1103,63 @@ impl<M: StoreMedia> ExternalDictionary for KvStore<M> {
     }
 }
 
+/// Appends the manifest's **state lines** — the one writer behind both
+/// commit forms. A full rewrite states the whole state: it diffs
+/// against the empty store (`base = &[]`, so every region differs and
+/// no `clearlevel` can arise) and alone carries the free list. A delta
+/// frame diffs against the last committed snapshot and writes only the
+/// levels that changed. Lines older parsers do not know are ignored by
+/// them (forward-compatible), so optional ones are simply left out:
+/// `blob` is present exactly in payload mode, `watermark` only on
+/// service-managed stores (see `set_replay_watermark`).
+fn push_state_lines(
+    out: &mut String,
+    blob_len: Option<u64>,
+    watermark: u64,
+    slots: u64,
+    free: Option<&[u64]>,
+    levels: &[Option<Region>],
+    base: &[Option<Region>],
+) {
+    if let Some(len) = blob_len {
+        out.push_str(&format!("blob {len}\n"));
+    }
+    if watermark > 0 {
+        out.push_str(&format!("watermark {watermark}\n"));
+    }
+    out.push_str(&format!("slots {slots}\n"));
+    if let Some(free) = free {
+        let ids: Vec<String> = free.iter().map(|id| id.to_string()).collect();
+        out.push_str(&format!("free {}\n", ids.join(",")));
+    }
+    if levels.len() != base.len() {
+        out.push_str(&format!("levels {}\n", levels.len()));
+    }
+    for k in 0..levels.len().max(base.len()) {
+        let now = levels.get(k).copied().flatten();
+        if now == base.get(k).copied().flatten() {
+            continue;
+        }
+        match now {
+            Some(r) => {
+                out.push_str(&format!("level {k} {} {} {}\n", r.base.raw(), r.buckets, r.items))
+            }
+            None => out.push_str(&format!("clearlevel {k}\n")),
+        }
+    }
+}
+
+/// Splits a manifest line into its key, first value and the remaining
+/// fields; `None` for a line with fewer than two fields.
+fn split_line(line: &str) -> Option<(&str, &str, std::str::SplitWhitespace<'_>)> {
+    let mut parts = line.split_whitespace();
+    Some((parts.next()?, parts.next()?, parts))
+}
+
 /// Parses a delta frame's `delta <epoch> <seq>` head line.
 fn parse_delta_head(line: &str) -> Option<(u64, u64)> {
-    let mut parts = line.split_whitespace();
-    if parts.next() != Some("delta") {
-        return None;
-    }
-    let epoch = parts.next()?.parse().ok()?;
-    let seq = parts.next()?.parse().ok()?;
-    Some((epoch, seq))
+    let ("delta", epoch, mut rest) = split_line(line)? else { return None };
+    Some((epoch.parse().ok()?, rest.next()?.parse().ok()?))
 }
 
 /// Folds the surviving `MANIFEST.DELTA` chain into a parsed base
@@ -1194,20 +1169,16 @@ fn parse_delta_head(line: &str) -> Option<(u64, u64)> {
 /// chain — everything at and behind it was never acknowledged as
 /// committed. Frames quoting a *different* epoch are stale survivors of
 /// a best-effort chain clear and are skipped without ending the chain.
-/// Returns the number of frames applied (the reopened handle's
-/// `delta_seq`); when nonzero, the base's free list has been cleared —
-/// it predates the chain and must not be trusted.
-fn apply_manifest_deltas(m: &mut Manifest, chain: &[u8]) -> u64 {
-    let mut at = 0usize;
+/// An intact in-sequence frame is a commit point and must apply in
+/// full: a state line in it that does not parse is
+/// [`ExtMemError::Corrupt`], never a half-applied frame. Returns the
+/// number of frames applied (the reopened handle's `delta_seq`); when
+/// nonzero, the base's free list has been cleared — it predates the
+/// chain and must not be trusted.
+fn apply_manifest_deltas(m: &mut Manifest, chain: &[u8]) -> Result<u64> {
+    let payload_mode = m.blob.is_some();
     let mut applied = 0u64;
-    while let Some(header) = chain.get(at..at + DELTA_HEADER) {
-        let len = u32::from_le_bytes(header[..4].try_into().expect("4 header bytes")) as usize;
-        let sum = u64::from_le_bytes(header[4..].try_into().expect("8 header bytes"));
-        let Some(payload) = chain.get(at + DELTA_HEADER..at + DELTA_HEADER + len) else { break };
-        if fnv1a64(payload) != sum {
-            break;
-        }
-        at += DELTA_HEADER + len;
+    for (_, payload) in Frames::new(chain) {
         let Ok(text) = std::str::from_utf8(payload) else { break };
         let mut lines = text.lines();
         let Some((epoch, seq)) = lines.next().and_then(parse_delta_head) else { break };
@@ -1218,58 +1189,19 @@ fn apply_manifest_deltas(m: &mut Manifest, chain: &[u8]) -> u64 {
             break;
         }
         for line in lines {
-            let mut parts = line.split_whitespace();
-            let (Some(key), Some(v)) = (parts.next(), parts.next()) else { continue };
-            match key {
-                "watermark" => {
-                    if let Ok(w) = v.parse() {
-                        m.watermark = w;
-                    }
-                }
-                // Only meaningful in payload mode; a frame cannot
-                // switch the store's representation.
-                "blob" if m.blob.is_some() => {
-                    if let Ok(l) = v.parse() {
-                        m.blob = Some(l);
-                    }
-                }
-                "slots" => {
-                    if let Ok(s) = v.parse() {
-                        m.slots = s;
-                    }
-                }
-                "levels" => {
-                    if let Ok(n) = v.parse::<usize>() {
-                        if n <= 64 {
-                            m.levels.resize(n.max(1), None);
-                        }
-                    }
-                }
-                "level" => {
-                    let Ok(k) = v.parse::<usize>() else { continue };
-                    let nums: Vec<u64> = parts.filter_map(|p| p.parse().ok()).collect();
-                    let [base, buckets, items] = nums[..] else { continue };
-                    if k > 0 && k < m.levels.len() {
-                        m.levels[k] =
-                            Some(Region { base: BlockId(base), buckets, items: items as usize });
-                    }
-                }
-                "clearlevel" => {
-                    if let Ok(k) = v.parse::<usize>() {
-                        if k > 0 && k < m.levels.len() {
-                            m.levels[k] = None;
-                        }
-                    }
-                }
-                _ => {} // forward-compatible, like the manifest itself
-            }
+            m.apply_line(line)?;
+        }
+        if m.blob.is_some() != payload_mode {
+            return Err(ExtMemError::Corrupt(
+                "manifest: a delta frame cannot switch the store's representation".into(),
+            ));
         }
         applied += 1;
     }
     if applied > 0 {
         m.free.clear();
     }
-    applied
+    Ok(applied)
 }
 
 /// Parsed manifest contents.
@@ -1298,15 +1230,21 @@ struct Manifest {
     epoch: u64,
 }
 
+fn corrupt(why: &str) -> ExtMemError {
+    ExtMemError::Corrupt(format!("manifest: {why}"))
+}
+
 impl Manifest {
     fn parse(text: &str) -> Result<Self> {
-        let corrupt = |why: &str| ExtMemError::Corrupt(format!("manifest: {why}"));
         let mut lines = text.lines();
         let v1 = match lines.next() {
             Some(l) if l == MAGIC => false,
             Some(l) if l == MAGIC_V1 => true,
             _ => return Err(corrupt("bad magic")),
         };
+        // The creation-time parameters, which only a full rewrite
+        // states; the state lines go through the parser delta frames
+        // share, below.
         let mut b = None;
         let mut m = None;
         let mut gamma = None;
@@ -1315,16 +1253,8 @@ impl Manifest {
         let mut seed = None;
         let mut data_gen = 0u64;
         let mut epoch = 0u64;
-        let mut watermark = 0u64;
-        let mut blob = None;
-        let mut slots = None;
-        let mut free = Vec::new();
-        let mut levels: Vec<Option<Region>> = Vec::new();
-        for line in lines {
-            let mut parts = line.split_whitespace();
-            let (Some(key), Some(v)) = (parts.next(), parts.next()) else {
-                continue;
-            };
+        let mut has_slots = false;
+        for (key, v, _) in lines.clone().filter_map(split_line) {
             match key {
                 "b" => b = v.parse().ok(),
                 "m" => m = v.parse().ok(),
@@ -1340,48 +1270,82 @@ impl Manifest {
                 "seed" => seed = v.parse().ok(),
                 "data" => data_gen = v.parse().map_err(|_| corrupt("bad data generation"))?,
                 "epoch" => epoch = v.parse().map_err(|_| corrupt("bad epoch"))?,
-                "watermark" => watermark = v.parse().map_err(|_| corrupt("bad watermark"))?,
-                "blob" => blob = Some(v.parse().map_err(|_| corrupt("bad blob length"))?),
-                "slots" => slots = v.parse().ok(),
-                "free" => {
-                    for id in v.split(',').filter(|s| !s.is_empty()) {
-                        free.push(id.parse().map_err(|_| corrupt("bad free id"))?);
-                    }
-                }
-                "levels" => {
-                    let n: usize = v.parse().map_err(|_| corrupt("bad level count"))?;
-                    // Levels grow geometrically (γ ≥ 2), so even a store
-                    // holding every key in the 63-bit space needs < 64 of
-                    // them; anything larger is corruption, not scale.
-                    if n > 64 {
-                        return Err(corrupt("implausible level count"));
-                    }
-                    levels = vec![None; n.max(1)];
-                }
-                "level" => {
-                    let k: usize = v.parse().map_err(|_| corrupt("bad level index"))?;
-                    let nums: Vec<u64> = parts
-                        .map(|p| p.parse().map_err(|_| corrupt("bad level field")))
-                        .collect::<Result<_>>()?;
-                    let [base, buckets, items] = nums[..] else {
-                        return Err(corrupt("level needs base/buckets/items"));
-                    };
-                    if k == 0 || k >= levels.len() {
-                        return Err(corrupt("level index out of range"));
-                    }
-                    levels[k] =
-                        Some(Region { base: BlockId(base), buckets, items: items as usize });
-                }
-                _ => {} // forward-compatible: unknown keys are ignored
+                "slots" => has_slots = true,
+                _ => {}
             }
         }
-        let (Some(b), Some(m), Some(gamma), Some(beta), Some(seed), Some(slots)) =
-            (b, m, gamma, beta, seed, slots)
+        let (Some(b), Some(m), Some(gamma), Some(beta), Some(seed), true) =
+            (b, m, gamma, beta, seed, has_slots)
         else {
             return Err(corrupt("missing required field"));
         };
         let cfg = CoreConfig::custom(b, m, gamma, beta)?.cost_model(cost);
-        Ok(Manifest { cfg, seed, data_gen, slots, free, levels, v1, watermark, blob, epoch })
+        let mut manifest = Manifest {
+            cfg,
+            seed,
+            data_gen,
+            slots: 0,
+            free: Vec::new(),
+            levels: Vec::new(),
+            v1,
+            watermark: 0,
+            blob: None,
+            epoch,
+        };
+        for line in lines {
+            manifest.apply_line(line)?;
+        }
+        Ok(manifest)
+    }
+
+    /// Applies one state line (the lines [`push_state_lines`] writes) —
+    /// the one parser behind the full manifest and every delta frame. A
+    /// known key whose fields do not parse is [`ExtMemError::Corrupt`];
+    /// unknown keys (and lines too short to carry a value) are ignored
+    /// (forward-compatible).
+    fn apply_line(&mut self, line: &str) -> Result<()> {
+        let Some((key, v, rest)) = split_line(line) else { return Ok(()) };
+        let level_index = |levels: &[Option<Region>]| match v.parse::<usize>() {
+            Ok(k) if k > 0 && k < levels.len() => Ok(k),
+            _ => Err(corrupt("level index out of range")),
+        };
+        match key {
+            "watermark" => self.watermark = v.parse().map_err(|_| corrupt("bad watermark"))?,
+            "blob" => self.blob = Some(v.parse().map_err(|_| corrupt("bad blob length"))?),
+            "slots" => self.slots = v.parse().map_err(|_| corrupt("bad slot count"))?,
+            "free" => {
+                for id in v.split(',').filter(|s| !s.is_empty()) {
+                    self.free.push(id.parse().map_err(|_| corrupt("bad free id"))?);
+                }
+            }
+            "levels" => {
+                let n: usize = v.parse().map_err(|_| corrupt("bad level count"))?;
+                // Levels grow geometrically (γ ≥ 2), so even a store
+                // holding every key in the 63-bit space needs < 64 of
+                // them; anything larger is corruption, not scale.
+                if n > 64 {
+                    return Err(corrupt("implausible level count"));
+                }
+                self.levels.resize(n.max(1), None);
+            }
+            "level" => {
+                let k = level_index(&self.levels)?;
+                let nums: Vec<u64> = rest
+                    .map(|p| p.parse().map_err(|_| corrupt("bad level field")))
+                    .collect::<Result<_>>()?;
+                let [base, buckets, items] = nums[..] else {
+                    return Err(corrupt("level needs base/buckets/items"));
+                };
+                self.levels[k] =
+                    Some(Region { base: BlockId(base), buckets, items: items as usize });
+            }
+            "clearlevel" => {
+                let k = level_index(&self.levels)?;
+                self.levels[k] = None;
+            }
+            _ => {}
+        }
+        Ok(())
     }
 }
 
@@ -2303,9 +2267,7 @@ mod tests {
     /// Frames a delta payload exactly like `write_manifest_delta`.
     fn delta_frame(text: &str) -> Vec<u8> {
         let mut frame = Vec::new();
-        frame.extend_from_slice(&(text.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&fnv1a64(text.as_bytes()).to_le_bytes());
-        frame.extend_from_slice(text.as_bytes());
+        push_frame(&mut frame, text.as_bytes());
         frame
     }
 
@@ -2324,31 +2286,101 @@ mod tests {
         // Sequence gap (2 missing): the chain's own order is broken —
         // nothing past this point was acknowledged in this order.
         chain.extend_from_slice(&delta_frame("delta 3 3\nslots 8\n"));
-        assert_eq!(apply_manifest_deltas(&mut m, &chain), 1);
+        assert_eq!(apply_manifest_deltas(&mut m, &chain).unwrap(), 1);
         assert_eq!(m.slots, 7, "frame 1 applied, stale and gapped frames discarded");
         assert_eq!(m.watermark, 11);
         assert!(m.free.is_empty(), "an applied chain invalidates the base free list");
 
-        // A checksum-corrupt frame ends the chain even with intact
-        // frames behind it.
-        let mut m = Manifest::parse(&text).unwrap();
-        let mut chain = delta_frame("delta 3 1\nslots 7\n");
-        let mut bad = delta_frame("delta 3 2\nslots 9\n");
-        let flip = bad.len() - 1;
-        bad[flip] ^= 0xff;
-        chain.extend_from_slice(&bad);
-        chain.extend_from_slice(&delta_frame("delta 3 3\nslots 10\n"));
-        assert_eq!(apply_manifest_deltas(&mut m, &chain), 1);
-        assert_eq!(m.slots, 7);
-
         // Level edits: resize, replace, clear.
         let mut m = Manifest::parse(&text).unwrap();
         let chain = delta_frame("delta 3 1\nslots 12\nlevels 3\nlevel 2 4 8 9\nclearlevel 1\n");
-        assert_eq!(apply_manifest_deltas(&mut m, &chain), 1);
+        assert_eq!(apply_manifest_deltas(&mut m, &chain).unwrap(), 1);
         assert_eq!(m.levels.len(), 3);
         assert!(m.levels[1].is_none(), "clearlevel drops the region");
         let r = m.levels[2].unwrap();
         assert_eq!((r.base.raw(), r.buckets, r.items), (4, 8, 9));
+    }
+
+    /// A checksum-valid, in-sequence frame is a commit point: a state
+    /// line in it that does not parse fails the reopen instead of being
+    /// silently half-applied. Unknown keys stay ignored.
+    #[test]
+    fn malformed_line_in_an_intact_delta_frame_is_corrupt_not_half_applied() {
+        let text = format!(
+            "{MAGIC}\nb 8\nm 128\ngamma 2\nbeta 2\nseed 1\nepoch 3\nslots 4\nfree 1,2\n\
+             levels 2\nlevel 1 0 2 5\n"
+        );
+        for bad in [
+            "slots 9\nlevel 1 0 x 5\n", // the shown case: slots applied, level dropped
+            "level 7 0 2 5\n",
+            "level 1 0 2\n",
+            "clearlevel 0\n",
+            "levels 65\n",
+            "slots many\n",
+            "watermark -1\n",
+            "blob 10\n", // a raw store cannot turn into a payload store
+        ] {
+            let mut m = Manifest::parse(&text).unwrap();
+            let chain = delta_frame(&format!("delta 3 1\n{bad}"));
+            let r = apply_manifest_deltas(&mut m, &chain);
+            assert!(matches!(r, Err(ExtMemError::Corrupt(_))), "{bad:?} must be corrupt");
+        }
+        let mut m = Manifest::parse(&text).unwrap();
+        let chain = delta_frame("delta 3 1\nslots 9\nfuture-key 1 2 3\n");
+        assert_eq!(apply_manifest_deltas(&mut m, &chain).unwrap(), 1);
+        assert_eq!(m.slots, 9);
+    }
+
+    proptest::proptest! {
+        /// Arbitrary chains, and arbitrary text inside an intact
+        /// in-sequence frame, fold or fail — never panic.
+        #[test]
+        fn delta_chain_replay_is_total(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..120),
+        ) {
+            let base = format!("{MAGIC}\nb 8\nm 128\ngamma 2\nbeta 2\nseed 1\nslots 4\nlevels 2\n");
+            let _ = apply_manifest_deltas(&mut Manifest::parse(&base).unwrap(), &bytes);
+            let text = format!("delta 0 1\n{}", String::from_utf8_lossy(&bytes));
+            let chain = delta_frame(&text);
+            let _ = apply_manifest_deltas(&mut Manifest::parse(&base).unwrap(), &chain);
+        }
+    }
+
+    /// The manifest and delta-frame bytes for one fixed state, recorded
+    /// at the commit before both writers moved onto `push_state_lines`
+    /// and `dxh_extmem::frame`: on-disk formats are checked, not claimed.
+    #[test]
+    fn manifest_and_delta_frame_bytes_are_pinned() {
+        use crate::media::SimMedia;
+        use dxh_extmem::SimEnv;
+        let env = SimEnv::new();
+        let mut s = KvStore::open_payload_on(SimMedia::open(&env).unwrap(), cfg(), 7).unwrap();
+        for k in 0..150u64 {
+            s.put_bytes(k, &payload_for(k)).unwrap();
+        }
+        s.set_replay_watermark(5);
+        s.sync().unwrap();
+        let free = "0,1,2,3,4,5,6,7,8,9,10,11,32,12,13,14,15,16,17,18,33,19,20,21,22,23,24,25,\
+                    26,27,28,29,30,31,34,35,36,37,38,39,40,41,42,43,44,45,66,46,47,48,49,50,51,\
+                    52,67,53,54,55,56,57,58,59,60,61,62,63,68,64,65";
+        assert_eq!(
+            s.media.read_manifest().unwrap().unwrap(),
+            format!(
+                "dxh-store v2\nb 8\nm 128\ngamma 2\nbeta 2\ncost seek\nseed 7\nepoch 2\ndata 0\n\
+                 blob 8445\nwatermark 5\nslots 133\nfree {free}\nlevels 3\nlevel 2 69 64 150\n"
+            )
+        );
+        for k in 150..400u64 {
+            s.put_bytes(k, &payload_for(k)).unwrap();
+        }
+        s.set_replay_watermark(9);
+        s.harden(false).unwrap();
+        let mut golden = vec![103, 0, 0, 0, 242, 68, 27, 148, 240, 51, 84, 186];
+        golden.extend_from_slice(
+            b"delta 2 1\nblob 22900\nwatermark 9\nslots 359\nlevels 4\nlevel 1 327 32 58\n\
+              clearlevel 2\nlevel 3 199 128 342\n",
+        );
+        assert_eq!(s.media.read_manifest_deltas().unwrap(), golden);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! dictionaries of Conway et al.) keeps the hash table as an **index**
 //! and the payloads in an append-only data log. [`BlobLog`] is that log:
 //!
-//! * every record is **length-framed and checksummed** —
-//!   `len: u32 | fnv1a64(payload): u64 | payload` — so a torn tail can
-//!   never be mistaken for data;
+//! * every record is one length-framed, checksummed
+//!   [`crate::frame`] frame, so a torn tail can never be mistaken for
+//!   data;
 //! * [`BlobLog::append`] returns `(offset, len)`; the caller stores
 //!   `BLOB_TAG | offset` as the index word (see [`crate::BLOB_TAG`]);
 //! * [`BlobLog::get`] is **zero-copy**: a borrowed `&[u8]` view over the
@@ -34,11 +34,8 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use crate::error::{ExtMemError, Result};
+use crate::frame::{self, FRAME_HEADER};
 use crate::item::MAX_BLOB_OFFSET;
-use crate::sim_disk::fnv1a64;
-
-/// Bytes of framing before each payload: `len: u32 LE | fnv1a64: u64 LE`.
-pub const BLOB_FRAME_HEADER: usize = 12;
 
 /// The byte-level storage a [`BlobLog`] runs on: an append-only file
 /// with explicit sync. Implementations: [`FileBlob`] (a real file) and
@@ -165,8 +162,14 @@ impl<F: BlobFile> BlobLog<F> {
                 region.len()
             )));
         }
-        verify_frames(&region[..committed_len as usize])?;
-        let keep = committed_len as usize + valid_prefix(&region[committed_len as usize..]);
+        let committed = committed_len as usize;
+        let intact = frame::valid_prefix(&region[..committed]);
+        if intact < committed {
+            return Err(ExtMemError::Corrupt(format!(
+                "blob log's committed prefix has a torn or corrupt record at offset {intact}"
+            )));
+        }
+        let keep = committed + frame::valid_prefix(&region[committed..]);
         if keep < region.len() {
             file.truncate(keep as u64)?;
             region.truncate(keep);
@@ -178,7 +181,7 @@ impl<F: BlobFile> BlobLog<F> {
     /// the offset to store (tagged) in the index word and the framed
     /// length on disk. Volatile until [`BlobLog::sync`].
     pub fn append(&mut self, payload: &[u8]) -> Result<(u64, u32)> {
-        let frame_len = BLOB_FRAME_HEADER
+        let frame_len = FRAME_HEADER
             .checked_add(payload.len())
             .filter(|&n| n <= u32::MAX as usize)
             .ok_or_else(|| {
@@ -189,10 +192,8 @@ impl<F: BlobFile> BlobLog<F> {
             // Offsets must stay below the index word's tag bit headroom.
             return Err(ExtMemError::BadConfig("blob log exceeds the offset bound".into()));
         }
-        let mut frame = Vec::with_capacity(frame_len);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
+        let mut frame = Vec::new();
+        frame::push_frame(&mut frame, payload);
         self.file.append(&frame)?;
         self.region.extend_from_slice(&frame);
         self.unsynced += frame_len as u64;
@@ -205,44 +206,24 @@ impl<F: BlobFile> BlobLog<F> {
     /// at open; appends made through this handle are the process's own
     /// bytes). Errors on an offset that does not frame a record.
     pub fn get(&self, offset: u64) -> Result<&[u8]> {
-        let (start, len) = self.frame_bounds(offset)?;
-        Ok(&self.region[start..start + len])
+        let payload =
+            usize::try_from(offset).ok().and_then(|at| frame::payload_at(&self.region, at));
+        payload.ok_or_else(|| {
+            ExtMemError::Corrupt(format!("blob offset {offset} frames no record inside the log"))
+        })
     }
 
     /// The copying read path: re-verifies the record's checksum and
     /// returns an owned copy — what a caller crossing a thread or
     /// trust boundary uses, and the `exp_blob` bench's comparison arm.
     pub fn get_verified(&self, offset: u64) -> Result<Vec<u8>> {
-        let (start, len) = self.frame_bounds(offset)?;
-        let header = offset as usize;
-        let mut sum = [0u8; 8];
-        sum.copy_from_slice(&self.region[header + 4..header + 12]);
-        let payload = &self.region[start..start + len];
-        if fnv1a64(payload) != u64::from_le_bytes(sum) {
-            return Err(ExtMemError::Corrupt(format!(
+        self.get(offset)?;
+        match frame::Frames::new(&self.region[offset as usize..]).next() {
+            Some((_, payload)) => Ok(payload.to_vec()),
+            None => Err(ExtMemError::Corrupt(format!(
                 "blob record at offset {offset} fails its checksum"
-            )));
+            ))),
         }
-        Ok(payload.to_vec())
-    }
-
-    /// Bounds-checks the frame at `offset`; returns the payload's
-    /// `(start, len)` within the region.
-    fn frame_bounds(&self, offset: u64) -> Result<(usize, usize)> {
-        let at = usize::try_from(offset)
-            .ok()
-            .filter(|&at| at + BLOB_FRAME_HEADER <= self.region.len())
-            .ok_or_else(|| ExtMemError::Corrupt(format!("blob offset {offset} outside the log")))?;
-        let mut len4 = [0u8; 4];
-        len4.copy_from_slice(&self.region[at..at + 4]);
-        let len = u32::from_le_bytes(len4) as usize;
-        let start = at + BLOB_FRAME_HEADER;
-        if start + len > self.region.len() {
-            return Err(ExtMemError::Corrupt(format!(
-                "blob record at offset {offset} overruns the log"
-            )));
-        }
-        Ok((start, len))
     }
 
     /// `fdatasync`: every append so far becomes durable. The caller's
@@ -268,62 +249,6 @@ impl<F: BlobFile> BlobLog<F> {
     /// Bytes appended since the last [`BlobLog::sync`].
     pub fn unsynced_bytes(&self) -> u64 {
         self.unsynced
-    }
-}
-
-/// Walks `region` frame by frame, checking length framing and every
-/// record's checksum — the open-time integrity pass that lets
-/// [`BlobLog::get`] skip per-read verification.
-fn verify_frames(region: &[u8]) -> Result<()> {
-    let mut at = 0usize;
-    while at < region.len() {
-        if at + BLOB_FRAME_HEADER > region.len() {
-            return Err(ExtMemError::Corrupt(format!(
-                "blob log truncated mid-header at offset {at}"
-            )));
-        }
-        let mut len4 = [0u8; 4];
-        len4.copy_from_slice(&region[at..at + 4]);
-        let len = u32::from_le_bytes(len4) as usize;
-        let mut sum8 = [0u8; 8];
-        sum8.copy_from_slice(&region[at + 4..at + 12]);
-        let start = at + BLOB_FRAME_HEADER;
-        let end = start.checked_add(len).filter(|&e| e <= region.len()).ok_or_else(|| {
-            ExtMemError::Corrupt(format!("blob log truncated mid-record at offset {at}"))
-        })?;
-        if fnv1a64(&region[start..end]) != u64::from_le_bytes(sum8) {
-            return Err(ExtMemError::Corrupt(format!(
-                "blob record at offset {at} fails its checksum"
-            )));
-        }
-        at = end;
-    }
-    Ok(())
-}
-
-/// Byte length of the longest prefix of `tail` made of whole,
-/// checksum-valid frames — recovery's keep boundary for the bytes past
-/// the committed length (commits land on frame boundaries, so `tail`
-/// always starts at one).
-fn valid_prefix(tail: &[u8]) -> usize {
-    let mut at = 0usize;
-    loop {
-        if at + BLOB_FRAME_HEADER > tail.len() {
-            return at;
-        }
-        let mut len4 = [0u8; 4];
-        len4.copy_from_slice(&tail[at..at + 4]);
-        let len = u32::from_le_bytes(len4) as usize;
-        let start = at + BLOB_FRAME_HEADER;
-        let Some(end) = start.checked_add(len).filter(|&e| e <= tail.len()) else {
-            return at;
-        };
-        let mut sum8 = [0u8; 8];
-        sum8.copy_from_slice(&tail[at + 4..at + 12]);
-        if fnv1a64(&tail[start..end]) != u64::from_le_bytes(sum8) {
-            return at;
-        }
-        at = end;
     }
 }
 
@@ -369,7 +294,7 @@ mod tests {
         let (o2, _) = log.append(b"").unwrap();
         let (o3, _) = log.append(&[0xFF; 8]).unwrap();
         assert_eq!(o1, 0);
-        assert_eq!(l1 as usize, BLOB_FRAME_HEADER + 5);
+        assert_eq!(l1 as usize, FRAME_HEADER + 5);
         assert_eq!(o2, l1 as u64);
         assert_eq!(log.get(o1).unwrap(), b"hello");
         assert_eq!(log.get(o2).unwrap(), b"");
@@ -384,23 +309,6 @@ mod tests {
         assert!(log.get(o + 1).is_ok() || log.get(o + 1).is_err()); // never panics
         assert!(log.get(10_000).is_err(), "past the end");
         assert!(log.get_verified(o + 3).is_err(), "misaligned offset fails the checksum");
-    }
-
-    #[test]
-    fn open_truncates_the_torn_tail_and_verifies_the_prefix() {
-        let mut file = MemBlob::default();
-        {
-            let mut log = BlobLog::create(MemBlob::default()).unwrap();
-            let _ = log.append(b"alpha").unwrap();
-            let _ = log.append(b"beta").unwrap();
-            file.bytes = log.region.clone();
-        }
-        let committed = file.len();
-        // A torn half-append past the committed length.
-        file.append(&[9, 0, 0, 0, 1, 2]).unwrap();
-        let log = BlobLog::open(file, committed).unwrap();
-        assert_eq!(log.len(), committed, "torn tail discarded");
-        assert_eq!(log.get(0).unwrap(), b"alpha");
     }
 
     /// A whole valid frame past the commit point survives recovery: the
@@ -421,7 +329,7 @@ mod tests {
         assert_eq!(log.get(tail_off).unwrap(), b"durable but uncommitted");
         assert_eq!(
             log.len(),
-            tail_off + (BLOB_FRAME_HEADER + b"durable but uncommitted".len()) as u64,
+            tail_off + (FRAME_HEADER + b"durable but uncommitted".len()) as u64,
             "the torn half-append is cut, the valid frame kept"
         );
     }
@@ -485,5 +393,19 @@ mod tests {
         assert_eq!(log.len(), committed);
         assert!(log.get(committed).is_err(), "the discarded tail is unreachable");
         let _ = std::fs::remove_file(&path);
+    }
+
+    proptest::proptest! {
+        /// Any file image at any claimed commit length opens to an
+        /// error or to a log no longer than the image — never a panic.
+        #[test]
+        fn open_is_total(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..120),
+            committed in 0u64..140,
+        ) {
+            if let Ok(log) = BlobLog::open(MemBlob { bytes: bytes.clone() }, committed) {
+                proptest::prop_assert!(committed <= log.len() && log.len() <= bytes.len() as u64);
+            }
+        }
     }
 }

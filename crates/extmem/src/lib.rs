@@ -50,6 +50,7 @@ mod config;
 mod disk;
 mod error;
 mod file_disk;
+pub mod frame;
 mod item;
 mod mem_disk;
 mod pool;
@@ -57,17 +58,18 @@ mod sim_disk;
 mod stats;
 
 pub use backend::{PersistentBackend, StorageBackend};
-pub use blob::{BlobFile, BlobLog, FileBlob, BLOB_FRAME_HEADER};
+pub use blob::{BlobFile, BlobLog, FileBlob};
 pub use block::{Block, BlockId};
 pub use budget::{Enforcement, MemoryBudget};
 pub use config::{ExtMemConfig, PoolConfig};
 pub use disk::Disk;
 pub use error::{ExtMemError, Result};
 pub use file_disk::FileDisk;
+pub use frame::fnv1a64;
 pub use item::{Item, Key, Value, BLOB_TAG, KEY_TOMBSTONE, MAX_BLOB_OFFSET, VALUE_TOMBSTONE};
 pub use mem_disk::MemDisk;
 pub use pool::{BufferPool, EvictionPolicy, PoolStats};
-pub use sim_disk::{fnv1a64, FaultPlan, IoEvent, SimBlob, SimDisk, SimEnv};
+pub use sim_disk::{FaultPlan, IoEvent, SimBlob, SimDisk, SimEnv};
 pub use stats::{IoCostModel, IoSnapshot, IoStats};
 
 /// Convenience constructor: an accounting [`Disk`] over an in-memory

@@ -48,6 +48,7 @@ use crate::backend::{PersistentBackend, SlotAllocator, StorageBackend};
 use crate::blob::BlobFile;
 use crate::block::{Block, BlockId};
 use crate::error::{ExtMemError, Result};
+use crate::frame::fnv1a64;
 
 /// When and how a [`SimEnv`] fails. All indices are global I/O-clock
 /// values (see [`SimEnv::ops`]).
@@ -134,17 +135,6 @@ pub enum IoEvent {
         /// Content fingerprint where meaningful, 0 otherwise.
         fingerprint: u64,
     },
-}
-
-/// FNV-1a over `bytes` — the content fold used by trace fingerprints
-/// (exported so downstream fingerprints stay comparable to the trace's).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// SplitMix64 step — drives the crash write-survival lottery without

@@ -106,8 +106,9 @@ pub struct Report {
     pub fingerprints: Vec<u64>,
 }
 
-/// FNV-1a 64-bit over a byte stream — the repo's standard cheap
-/// fingerprint (matches `IoEvent` trace and commit-log checksums).
+/// FNV-1a 64-bit over a byte stream — a schedule fingerprint, not an
+/// on-disk checksum (that one is `dxh_extmem::frame::fnv1a64`). Kept
+/// local because `dxh-sync` is deliberately dependency-free.
 fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in bytes {
@@ -292,8 +293,7 @@ impl Checker {
     /// the budget, timeouts still fire as a last resort when nothing
     /// else can run, so timeout-driven polling never falsely
     /// deadlocks). Set to 0 to disable timeouts entirely and prove a
-    /// protocol deadlock-free *without* its timeout escape hatches
-    /// (e.g. the round barrier's straggler release).
+    /// protocol deadlock-free *without* its timeout escape hatches.
     pub fn timeout_budget(mut self, n: u32) -> Self {
         self.timeout_budget = n;
         self

@@ -53,8 +53,10 @@ const TARGETS: &[&str] = &[
     "crates/core/src/store.rs",
     "crates/core/src/media.rs",
     "crates/core/src/service.rs",
+    "crates/core/src/commitlog.rs",
     "crates/core/src/facade.rs",
     "crates/extmem/src/blob.rs",
+    "crates/extmem/src/frame.rs",
     "crates/extmem/src/file_disk.rs",
     "crates/extmem/src/sim_disk.rs",
 ];
@@ -427,7 +429,7 @@ pub fn run(root: Option<&str>) -> ExitCode {
     }
     // Anchor floors: the real corpus has (at least) the manifest commit
     // and the log seal renames, two ack sites, the CLEAN and sealed-log
-    // unlinks, and the staged-harden / log / blob-log fsyncs (the blob
+    // unlinks, and the harden / log / blob-log fsyncs (the blob
     // sinks `.blob_append(`/`.blob_sync(` alone contribute several data
     // fsyncs). Fewer means the scanner lost its tokens, not that the
     // code got cleaner.

@@ -7,17 +7,15 @@
 //! `crates/core/src/sharded.rs` and enforces, per function body:
 //!
 //! 1. **Lock-order hierarchy.** Acquiring a guard while another is
-//!    live is only legal for the whitelisted nestings:
-//!    `Buf → Cell` (ack cells are filled under the buffer lock — that
-//!    is what makes the writers' check-then-park race-free) and
-//!    `Store → Round` (the harden's stage gates run under the store
-//!    lock). Everything else — above all `Buf → Store` or its
-//!    inversion — is a violation.
+//!    live is only legal for the one whitelisted nesting, `Buf → Cell`
+//!    (ack cells are filled under the buffer lock — that is what makes
+//!    the writers' check-then-park race-free). Everything else — above
+//!    all `Buf → Store` or its inversion — is a violation.
 //!
-//! 2. **No fsync-class call under a hot guard.** `Buf`, `CoordState`,
-//!    `Cell` and `Round` guards are on the writers' latency path; a
-//!    physical sync (`log.commit`, `log.truncate()`, `store.sync()`,
-//!    `harden*`) must never run while one is live. The `Store` (and
+//! 2. **No fsync-class call under a hot guard.** `Buf`, `CoordState`
+//!    and `Cell` guards are on the writers' latency path; a physical
+//!    sync (`log.commit`, `log.truncate()`, `store.sync()`,
+//!    `store.harden`) must never run while one is live. The `Store` (and
 //!    sharded `Table`) guards *are* the store's own serialization and
 //!    legitimately span their hardens.
 //!
@@ -50,8 +48,6 @@ enum GuardClass {
     Store,
     /// `SyncCoordinator::state` — dirty set, epoch, shutdown.
     Coord,
-    /// `RoundSync::m` — the harden stage barrier.
-    Round,
     /// `OpCell::0` — a writer's ack slot.
     Cell,
     /// `ShardedKvStore` table locks (sharded.rs): plain per-shard
@@ -65,7 +61,6 @@ impl fmt::Display for GuardClass {
             GuardClass::Buf => "Buf",
             GuardClass::Store => "Store",
             GuardClass::Coord => "CoordState",
-            GuardClass::Round => "RoundSync",
             GuardClass::Cell => "Cell",
             GuardClass::Table => "Table",
         };
@@ -73,25 +68,16 @@ impl fmt::Display for GuardClass {
     }
 }
 
-/// The only guard pairs allowed to nest (outer, inner).
-const ALLOWED_NESTINGS: &[(GuardClass, GuardClass)] =
-    &[(GuardClass::Buf, GuardClass::Cell), (GuardClass::Store, GuardClass::Round)];
+/// The only guard pair allowed to nest (outer, inner).
+const ALLOWED_NESTINGS: &[(GuardClass, GuardClass)] = &[(GuardClass::Buf, GuardClass::Cell)];
 
 /// Calls that reach a physical sync (or frame one): forbidden while
 /// any hot-path guard is live.
-const FSYNC_TOKENS: &[&str] = &[
-    ".commit(",
-    ".truncate()",
-    ".sync()",
-    ".harden(",
-    ".harden_flush(",
-    ".harden_data_sync(",
-    ".harden_commit(",
-];
+const FSYNC_TOKENS: &[&str] = &[".commit(", ".truncate()", ".sync()", ".harden("];
 
 /// Guards that must never span an fsync-class call.
 fn fsync_forbidden(class: GuardClass) -> bool {
-    matches!(class, GuardClass::Buf | GuardClass::Coord | GuardClass::Cell | GuardClass::Round)
+    matches!(class, GuardClass::Buf | GuardClass::Coord | GuardClass::Cell)
 }
 
 fn classify(recv: &str, table_file: bool) -> Option<GuardClass> {
@@ -104,8 +90,6 @@ fn classify(recv: &str, table_file: bool) -> Option<GuardClass> {
         Some(GuardClass::Store)
     } else if recv.ends_with("state") {
         Some(GuardClass::Coord)
-    } else if recv == "m" || recv.ends_with(".m") {
-        Some(GuardClass::Round)
     } else if table_file {
         Some(GuardClass::Table)
     } else {
@@ -182,7 +166,7 @@ fn scan_source(src: &str, table_file: bool) -> (Vec<Violation>, usize) {
                                     what: format!(
                                         "{outer} guard `{outer_name}` still live while \
                                          acquiring {class} (`{recv}`): only \
-                                         Buf→Cell and Store→RoundSync may nest"
+                                         Buf→Cell may nest"
                                     ),
                                 });
                             }
@@ -303,7 +287,7 @@ mod tests {
     fn strings_and_comments_are_invisible() {
         let src = r#"
             fn f(s: &S) {
-                // let g = s.buf.lock(); s.store.harden_flush();
+                // let g = s.buf.lock(); s.store.harden(true);
                 let msg = "holding buf.lock() across .commit( here";
                 let why = 'x';
             }
@@ -343,7 +327,7 @@ mod tests {
                     let buf = s.buf.lock();
                 }
                 let mut store = s.store.lock();
-                store.harden_flush()?;
+                store.harden(false)?;
             }
         ";
         assert!(scan(src).is_empty(), "{:?}", scan(src));
@@ -379,9 +363,7 @@ mod tests {
         let src = "
             fn f(s: &S) {
                 let mut store = s.store.lock();
-                store.harden_flush()?;
-                store.harden_data_sync()?;
-                store.harden_commit(set_marker)?;
+                store.harden(set_marker)?;
             }
         ";
         assert!(scan(src).is_empty(), "{:?}", scan(src));
