@@ -1,20 +1,19 @@
-//! The service-wide **commit log**: the [`CommitLog`] device trait, the
-//! record codec, its two implementations (a real file and the crash
-//! simulator's metadata blob) and reopen-time replay.
+//! The service-wide **commit log**: the log device ([`CommitLog`],
+//! written once over the [`StoreMedia`] seam — the same code runs on a
+//! real directory and under the crash simulator), the record codec and
+//! reopen-time replay.
 //!
 //! A log round appends one record per acknowledged batch and pays one
 //! physical sync for the lot (see `crate::service`). Records are
 //! `dxh_extmem::frame` frames; only the payload layout is defined here.
 
-use std::fs;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use dxh_extmem::frame::{push_frame, Frames};
-use dxh_extmem::{ExtMemError, Key, Result, SimEnv};
+use dxh_extmem::{BlobFile, ExtMemError, Key, Result};
 use dxh_tables::ExternalDictionary;
 
-use crate::media::{sync_dir, StoreMedia};
+use crate::media::StoreMedia;
 use crate::service::Effect;
 use crate::store::KvStore;
 
@@ -37,43 +36,124 @@ const COMMITLOG_OLD: &str = "COMMITLOG.OLD";
 /// is a miss) — over the recovered per-shard manifests, so everything
 /// acknowledged through the log survives a crash even though no
 /// manifest recorded it yet.
-pub trait CommitLog: Send {
+///
+/// The log is two byte files in the service root: `COMMITLOG` (the
+/// active segment: appends plus one `fdatasync` per round) and, during a
+/// checkpoint rotation, `COMMITLOG.OLD` (the sealed segment). Both
+/// survive reopen until the rotation that sealed the old segment
+/// completes cleanly.
+pub(crate) struct CommitLog<M: StoreMedia> {
+    root: M,
+    file: M::File,
+    sealed_len: u64,
+    poisoned: bool,
+}
+
+impl<M: StoreMedia> CommitLog<M> {
+    /// Opens (creating if needed) the log in the service root `root`.
+    pub(crate) fn open(mut root: M) -> Result<Self> {
+        let file = match root.open_file(COMMITLOG)? {
+            Some(file) => file,
+            None => {
+                let file = root.create_file(COMMITLOG)?;
+                // Make the log's dirent durable before anything is
+                // acknowledged through it: without this, a crash could
+                // drop the whole file even though its contents were
+                // fdatasync'd (the fd sync does not cover the name).
+                root.sync_dir()?;
+                file
+            }
+        };
+        let sealed_len = root.open_file(COMMITLOG_OLD)?.map_or(0, |sealed| sealed.len());
+        Ok(CommitLog { root, file, sealed_len, poisoned: false })
+    }
+
     /// Appends `bytes` and makes everything appended so far durable —
     /// the round's single physical sync. All-or-nothing at round
     /// granularity: on `Err`, this call's bytes must never become
-    /// durable later (the sim twin's whole-blob write is atomic; the
-    /// file twin truncates itself back, poisoning the log if even that
-    /// fails).
-    fn commit(&mut self, bytes: &[u8]) -> Result<()>;
+    /// durable later, so a failed round truncates the file back to its
+    /// pre-round length; if even that fails the log is poisoned and
+    /// every later round errors (wedging its shards) until the service
+    /// is reopened.
+    pub(crate) fn commit(&mut self, bytes: &[u8]) -> Result<()> {
+        if self.poisoned {
+            return Err(ExtMemError::Io(std::io::Error::other(
+                "commit log poisoned by an earlier failed round",
+            )));
+        }
+        let len = self.file.len();
+        let round = self.file.append(bytes).and_then(|()| self.file.sync());
+        if round.is_err() && self.file.truncate(len).is_err() {
+            self.poisoned = true;
+        }
+        round
+    }
 
     /// Bytes currently in the log (drives the checkpoint threshold).
-    fn size(&self) -> u64;
+    pub(crate) fn size(&self) -> u64 {
+        self.file.len() + self.sealed_len
+    }
 
     /// The log's surviving content, for reopen-time replay: the sealed
     /// segment (if any) followed by the active one, in append order.
-    fn read_all(&mut self) -> Result<Vec<u8>>;
+    pub(crate) fn read_all(&mut self) -> Result<Vec<u8>> {
+        let mut out = match self.sealed_len {
+            0 => Vec::new(),
+            _ => self.root.read_file(COMMITLOG_OLD)?.unwrap_or_default(),
+        };
+        out.extend(self.file.read_all()?);
+        Ok(out)
+    }
 
     /// Durably empties the log — both segments (a full checkpoint made
     /// them redundant).
-    fn truncate(&mut self) -> Result<()>;
+    pub(crate) fn truncate(&mut self) -> Result<()> {
+        self.discard_sealed()?;
+        self.file.truncate(0)?;
+        self.file.sync()
+    }
 
     /// Atomically moves the active segment aside as the sealed segment
     /// and starts a fresh, empty active one. Called when a staggered
     /// checkpoint rotation begins: new rounds keep appending (to the
     /// fresh segment) while the shards' manifests catch up on the
     /// sealed one. Errors if a sealed segment already exists — the
-    /// caller must [`CommitLog::discard_sealed`] first. No extra data
-    /// fsync is owed before the move: every byte in the active segment
-    /// was already synced by the [`CommitLog::commit`] that wrote it.
-    fn seal(&mut self) -> Result<()>;
+    /// caller must [`CommitLog::discard_sealed`] first.
+    pub(crate) fn seal(&mut self) -> Result<()> {
+        if self.sealed_len > 0 {
+            return Err(ExtMemError::Io(std::io::Error::other(
+                "commit log already has a sealed segment",
+            )));
+        }
+        // Every byte of the active segment was already fdatasync'd by
+        // the commit that appended it, so the rename needs no data
+        // fsync of its own — only the dir fsync that makes the new
+        // names durable.
+        let sealed_len = self.file.len();
+        self.root.rename(COMMITLOG, COMMITLOG_OLD)?;
+        let fresh = self.root.create_file(COMMITLOG)?;
+        self.root.sync_dir()?;
+        self.sealed_len = sealed_len;
+        self.file = fresh;
+        Ok(())
+    }
 
     /// Whether a sealed segment exists (possibly left over from a
     /// crashed or tainted rotation).
-    fn has_sealed(&self) -> bool;
+    pub(crate) fn has_sealed(&self) -> bool {
+        self.sealed_len > 0
+    }
 
     /// Durably removes the sealed segment: every shard's manifest now
     /// covers it. A no-op when none exists.
-    fn discard_sealed(&mut self) -> Result<()>;
+    pub(crate) fn discard_sealed(&mut self) -> Result<()> {
+        if self.sealed_len > 0 && self.root.remove(COMMITLOG_OLD)? {
+            // Durable before the next rotation can seal over the name.
+            self.root.sync_dir()?;
+        }
+        self.sealed_len = 0;
+        Ok(())
+    }
 }
 
 /// Bytes of a record payload before its ops: `shard u32 | seq u64 |
@@ -178,226 +258,6 @@ fn decode_log_records(bytes: &[u8]) -> Vec<LogRecord> {
     Frames::new(bytes).map_while(|(_, payload)| decode_record(payload)).collect()
 }
 
-/// [`CommitLog`] on a real file (`COMMITLOG` in the service root):
-/// buffered appends plus one `fdatasync` per round. A failed commit
-/// truncates the file back to its pre-round length so the round's
-/// records cannot surface later; if even that fails the log is poisoned
-/// and every later round errors (wedging its shards) until the service
-/// is reopened. Sealing renames the file to `COMMITLOG.OLD` and opens
-/// a fresh active one; both survive reopen until the checkpoint
-/// rotation that sealed the old segment completes cleanly.
-pub struct DirCommitLog {
-    dir: PathBuf,
-    file: fs::File,
-    len: u64,
-    sealed_len: u64,
-    poisoned: bool,
-}
-
-impl DirCommitLog {
-    /// Opens (creating if needed) the log under the service root `dir`.
-    pub(crate) fn open(dir: &Path) -> Result<Self> {
-        let path = dir.join(COMMITLOG);
-        let fresh = !path.exists();
-        let file = fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&path)?;
-        if fresh {
-            // Make the log's dirent durable before anything is
-            // acknowledged through it: without this, a crash could
-            // drop the whole file even though its contents were
-            // fdatasync'd (the fd sync does not cover the name).
-            sync_dir(dir)?;
-        }
-        let len = file.metadata()?.len();
-        let sealed_len = match fs::metadata(dir.join(COMMITLOG_OLD)) {
-            Ok(m) => m.len(),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => 0,
-            Err(e) => return Err(e.into()),
-        };
-        Ok(DirCommitLog { dir: dir.to_path_buf(), file, len, sealed_len, poisoned: false })
-    }
-}
-
-impl CommitLog for DirCommitLog {
-    fn commit(&mut self, bytes: &[u8]) -> Result<()> {
-        use std::io::{Seek, SeekFrom, Write};
-        if self.poisoned {
-            return Err(ExtMemError::Io(std::io::Error::other(
-                "commit log poisoned by an earlier failed round",
-            )));
-        }
-        let r = (|| {
-            self.file.seek(SeekFrom::Start(self.len))?;
-            self.file.write_all(bytes)?;
-            self.file.sync_data()
-        })();
-        match r {
-            Ok(()) => {
-                self.len += bytes.len() as u64;
-                Ok(())
-            }
-            Err(e) => {
-                if self.file.set_len(self.len).is_err() {
-                    self.poisoned = true;
-                }
-                Err(e.into())
-            }
-        }
-    }
-
-    fn size(&self) -> u64 {
-        self.len + self.sealed_len
-    }
-
-    fn read_all(&mut self) -> Result<Vec<u8>> {
-        use std::io::{Read, Seek, SeekFrom};
-        let mut out = Vec::with_capacity((self.sealed_len + self.len) as usize);
-        if self.sealed_len > 0 {
-            fs::File::open(self.dir.join(COMMITLOG_OLD))?.read_to_end(&mut out)?;
-        }
-        self.file.seek(SeekFrom::Start(0))?;
-        self.file.read_to_end(&mut out)?;
-        Ok(out)
-    }
-
-    fn truncate(&mut self) -> Result<()> {
-        if self.sealed_len > 0 {
-            self.discard_sealed()?;
-        }
-        self.file.set_len(0)?;
-        self.file.sync_data()?;
-        self.len = 0;
-        Ok(())
-    }
-
-    fn seal(&mut self) -> Result<()> {
-        if self.sealed_len > 0 {
-            return Err(ExtMemError::Io(std::io::Error::other(
-                "commit log already has a sealed segment",
-            )));
-        }
-        // Every byte of the active segment was already fdatasync'd by
-        // the commit that appended it, so the rename needs no data
-        // fsync of its own — only the dir fsync that makes the new
-        // names durable. Hence the documented exemption from the
-        // `std::fs::rename` clippy ban (see crates/core/clippy.toml).
-        #[allow(clippy::disallowed_methods)]
-        fs::rename(self.dir.join(COMMITLOG), self.dir.join(COMMITLOG_OLD))?;
-        let fresh = fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(self.dir.join(COMMITLOG))?;
-        sync_dir(&self.dir)?;
-        self.sealed_len = self.len;
-        self.len = 0;
-        self.file = fresh;
-        Ok(())
-    }
-
-    fn has_sealed(&self) -> bool {
-        self.sealed_len > 0
-    }
-
-    fn discard_sealed(&mut self) -> Result<()> {
-        match fs::remove_file(self.dir.join(COMMITLOG_OLD)) {
-            Ok(()) => sync_dir(&self.dir)?,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
-        }
-        self.sealed_len = 0;
-        Ok(())
-    }
-}
-
-/// [`CommitLog`] on a [`SimEnv`]: each segment is one metadata blob
-/// (`COMMITLOG` active, `COMMITLOG.OLD` sealed), the active one
-/// rewritten atomically per round — one faultable I/O op, the single
-/// shared sync the round pays on the simulated machine. A failed or
-/// crashed commit leaves the previous blob intact, so a partial round
-/// can never surface at replay (the file twin's torn tail has no sim
-/// analogue; the frame checksums cover it there).
-pub struct SimCommitLog {
-    env: SimEnv,
-    buf: Vec<u8>,
-    sealed: Vec<u8>,
-}
-
-impl SimCommitLog {
-    /// Opens the log on `env` (both segments start empty when absent).
-    pub(crate) fn open(env: &SimEnv) -> Result<Self> {
-        let buf = env.meta_read(COMMITLOG)?.unwrap_or_default();
-        let sealed = env.meta_read(COMMITLOG_OLD)?.unwrap_or_default();
-        Ok(SimCommitLog { env: env.clone(), buf, sealed })
-    }
-}
-
-impl CommitLog for SimCommitLog {
-    fn commit(&mut self, bytes: &[u8]) -> Result<()> {
-        let mut next = Vec::with_capacity(self.buf.len() + bytes.len());
-        next.extend_from_slice(&self.buf);
-        next.extend_from_slice(bytes);
-        self.env.meta_write(COMMITLOG, &next)?;
-        self.buf = next;
-        Ok(())
-    }
-
-    fn size(&self) -> u64 {
-        (self.buf.len() + self.sealed.len()) as u64
-    }
-
-    fn read_all(&mut self) -> Result<Vec<u8>> {
-        let mut out = Vec::with_capacity(self.sealed.len() + self.buf.len());
-        out.extend_from_slice(&self.sealed);
-        out.extend_from_slice(&self.buf);
-        Ok(out)
-    }
-
-    fn truncate(&mut self) -> Result<()> {
-        if !self.sealed.is_empty() {
-            self.discard_sealed()?;
-        }
-        self.env.meta_remove(COMMITLOG)?;
-        self.buf.clear();
-        Ok(())
-    }
-
-    fn seal(&mut self) -> Result<()> {
-        if !self.sealed.is_empty() {
-            return Err(ExtMemError::Io(std::io::Error::other(
-                "commit log already has a sealed segment",
-            )));
-        }
-        // Two atomic metadata ops stand in for the file twin's rename:
-        // write the sealed blob, then drop the active one. A crash
-        // between them leaves the records in both blobs — replay sees
-        // them twice, which the watermark skip (and idempotent effects)
-        // absorbs.
-        self.env.meta_write(COMMITLOG_OLD, &self.buf)?;
-        self.env.meta_remove(COMMITLOG)?;
-        self.sealed = std::mem::take(&mut self.buf);
-        Ok(())
-    }
-
-    fn has_sealed(&self) -> bool {
-        !self.sealed.is_empty()
-    }
-
-    fn discard_sealed(&mut self) -> Result<()> {
-        if self.sealed.is_empty() {
-            return Ok(());
-        }
-        self.env.meta_remove(COMMITLOG_OLD)?;
-        self.sealed.clear();
-        Ok(())
-    }
-}
-
 /// Replays every surviving commit-log record over the freshly opened
 /// shard stores (reopen-time recovery, phase two), then hardens them
 /// and empties the log. Records at or below a shard manifest's
@@ -410,7 +270,7 @@ impl CommitLog for SimCommitLog {
 /// and per-shard record order equals the original apply order, so the
 /// last write per key still wins.
 pub(crate) fn replay_log<M: StoreMedia>(
-    log: &mut impl CommitLog,
+    log: &mut CommitLog<M>,
     stores: &mut [KvStore<M>],
 ) -> Result<()> {
     let image = log.read_all()?;
@@ -447,7 +307,8 @@ pub(crate) fn replay_log<M: StoreMedia>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CoreConfig, ShardedKvStore, SimServiceMedia};
+    use crate::{CoreConfig, ShardedKvStore, SimMedia};
+    use dxh_extmem::SimEnv;
     use proptest::prelude::*;
 
     fn record(shard: u32, seq: u64, effects: &[(Key, Option<Effect>)]) -> Vec<u8> {
@@ -516,7 +377,7 @@ mod tests {
         let env = SimEnv::new();
         let open = || {
             let cfg = CoreConfig::lemma5(8, 128, 2).unwrap();
-            ShardedKvStore::open_on(SimServiceMedia::new(&env), 2, cfg, 1).unwrap()
+            ShardedKvStore::open_on(SimMedia::unlocked(&env), 2, cfg, 1).unwrap()
         };
         open().put(1, 10).unwrap();
         let mut crafted = vec![0u8; RECORD_HEAD];
@@ -524,9 +385,174 @@ mod tests {
         crafted[12..].copy_from_slice(&u32::MAX.to_le_bytes());
         let crafted = framed(&crafted);
         assert_eq!(crafted.len(), 28);
-        env.meta_write(COMMITLOG, &crafted).unwrap();
+        env.open_file(COMMITLOG).unwrap().unwrap().append(&crafted).unwrap();
         assert_eq!(open().get(1).unwrap(), Some(10));
-        assert_eq!(env.meta_read(COMMITLOG).unwrap(), None, "the bad log was truncated away");
+        assert_eq!(
+            env.read_file(COMMITLOG).unwrap().unwrap(),
+            b"",
+            "the bad log was truncated away"
+        );
+    }
+
+    fn word(shard: u32, seq: u64) -> Vec<u8> {
+        record(shard, seq, &[(seq, Some(Effect::Word(seq * 10)))])
+    }
+
+    fn seqs(log: &mut CommitLog<SimMedia>) -> Vec<u64> {
+        decode_log_records(&log.read_all().unwrap()).iter().map(|r| r.1).collect()
+    }
+
+    /// The failure path under injection: a round whose append or sync
+    /// fails is rolled back — its bytes never surface at replay, in this
+    /// process or after a crash — and the next round succeeds.
+    #[test]
+    fn failed_round_is_rolled_back_and_the_next_one_commits() {
+        use dxh_extmem::FaultPlan;
+        for fail_sync in [false, true] {
+            let env = SimEnv::new();
+            let mut log = CommitLog::open(SimMedia::unlocked(&env)).unwrap();
+            log.commit(&word(0, 1)).unwrap();
+            let at = env.ops() + u64::from(fail_sync);
+            env.set_plan(FaultPlan { fail_at: vec![at], ..Default::default() });
+            assert!(log.commit(&word(0, 2)).is_err(), "the injected fault fails the round");
+            assert_eq!(seqs(&mut log), vec![1], "the failed round left nothing behind");
+            log.commit(&word(0, 3)).unwrap();
+            assert_eq!(seqs(&mut log), vec![1, 3]);
+            drop(log);
+            env.set_plan(FaultPlan::crash(env.ops(), 5));
+            assert!(env.sync_dir("").is_err());
+            env.power_cycle();
+            let mut log = CommitLog::open(SimMedia::unlocked(&env)).unwrap();
+            assert_eq!(seqs(&mut log), vec![1, 3], "fail_sync {fail_sync}: after the crash");
+        }
+    }
+
+    /// When even the roll-back fails, the failed round's bytes may still
+    /// reach the disk behind the caller's back — so the log refuses
+    /// every later round instead of acknowledging records behind them.
+    #[test]
+    fn failed_roll_back_poisons_the_log() {
+        use dxh_extmem::FaultPlan;
+        let env = SimEnv::new();
+        let mut log = CommitLog::open(SimMedia::unlocked(&env)).unwrap();
+        log.commit(&word(0, 1)).unwrap();
+        // The sync and the truncate that would undo the append both fail.
+        let at = env.ops();
+        env.set_plan(FaultPlan { fail_at: vec![at + 1, at + 2], ..Default::default() });
+        assert!(log.commit(&word(0, 2)).is_err());
+        for seq in 3..6 {
+            let err = log.commit(&word(0, seq)).unwrap_err();
+            assert!(err.to_string().contains("poisoned"), "round {seq}: {err}");
+        }
+        assert_eq!(seqs(&mut log), vec![1, 2], "nothing was appended behind the failed round");
+    }
+
+    /// One checkpoint rotation, driven by hand: log rounds over two
+    /// shards, `seal`, staggered `harden(false)`s (one shard per round),
+    /// `discard_sealed`, more rounds. Pushes onto `acked` every `(shard,
+    /// key, value)` whose round committed; errors where `env` crashes.
+    fn rotation(env: &SimEnv, acked: &mut Vec<(usize, Key, u64)>) -> Result<()> {
+        let cfg = CoreConfig::lemma5(4, 96, 2).unwrap();
+        let root = SimMedia::unlocked(env);
+        let mut stores = Vec::new();
+        for si in 0..2 {
+            stores.push(KvStore::open_on(root.sub(&format!("shard-{si:03}"))?, cfg.clone(), 7)?);
+        }
+        let mut log = CommitLog::open(root)?;
+        replay_log(&mut log, &mut stores)?;
+        let mut seq = [0u64; 2];
+        let mut owed: Vec<usize> = Vec::new();
+        for round in 0..9u64 {
+            let mut bytes = Vec::new();
+            let mut riding = Vec::new();
+            for (si, store) in stores.iter_mut().enumerate() {
+                let (k, v) = (round * 2 + si as u64, round + 100);
+                seq[si] = seq[si].max(store.replay_watermark()) + 1;
+                store.insert(k, v)?;
+                encode_log_record(&mut bytes, si as u32, seq[si], &[(k, Some(Effect::Word(v)))]);
+                riding.push((si, k, v));
+            }
+            log.commit(&bytes)?;
+            acked.extend(riding);
+            if round == 2 {
+                log.seal()?;
+                owed = vec![1, 0];
+            }
+            if let Some(si) = owed.pop() {
+                stores[si].set_replay_watermark(seq[si]);
+                stores[si].harden(false)?;
+                if owed.is_empty() {
+                    log.discard_sealed()?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Crash at **every** I/O index of a first-ever open (shard creates,
+    /// `SERVICE`-less root, the log's create + dir-sync) and of a whole
+    /// rotation; after each, reopen + replay must recover every record
+    /// whose round committed. The sweep's traces must show the windows
+    /// it exists for: a torn `COMMITLOG` tail, a lost un-dir-synced
+    /// dirent, and a crash between a rename and its dir-sync.
+    #[test]
+    fn rotation_and_first_open_crash_sweep_loses_no_committed_record() {
+        use dxh_extmem::{FaultPlan, IoEvent};
+        let total = {
+            let env = SimEnv::new();
+            let mut acked = Vec::new();
+            rotation(&env, &mut acked).unwrap();
+            assert_eq!(acked.len(), 18, "the crash-free rotation completes");
+            env.ops()
+        };
+        let (mut torn_log, mut lost_dirents, mut mid_rename) = (0, 0, 0);
+        for k in 0..total {
+            let env = SimEnv::new();
+            env.set_plan(FaultPlan::crash(k, 0xC0FFEE ^ k.rotate_left(17)));
+            let mut acked = Vec::new();
+            // `Ok` when the crash fell inside the stores' drop-time syncs.
+            let run = rotation(&env, &mut acked);
+            assert!(env.crashed(), "crash_at {k}: no crash fired, run returned {run:?}");
+            env.power_cycle();
+            let trace = env.take_trace();
+            let labels: Vec<&str> = trace
+                .iter()
+                .filter_map(|e| match e {
+                    IoEvent::Meta { label, .. } => Some(label.as_str()),
+                    _ => None,
+                })
+                .collect();
+            torn_log += labels.iter().filter(|l| **l == "crash-tear COMMITLOG").count();
+            lost_dirents +=
+                labels.iter().filter(|l| l.starts_with("crash-undo file-create")).count();
+            let pending_rename = labels
+                .iter()
+                .rev()
+                .take_while(|l| !l.starts_with("dir-sync"))
+                .any(|l| l.starts_with("file-rename"));
+            mid_rename += usize::from(pending_rename);
+
+            let root = SimMedia::unlocked(&env);
+            let cfg = CoreConfig::lemma5(4, 96, 2).unwrap();
+            let mut stores: Vec<_> = (0..2)
+                .map(|si| {
+                    let shard = root.sub(&format!("shard-{si:03}")).unwrap();
+                    KvStore::open_on(shard, cfg.clone(), 7).unwrap()
+                })
+                .collect();
+            let mut log = CommitLog::open(root).unwrap();
+            replay_log(&mut log, &mut stores).unwrap();
+            for (si, key, v) in acked {
+                assert_eq!(
+                    stores[si].lookup(key).unwrap(),
+                    Some(v),
+                    "crash_at {k}: committed record (shard {si}, key {key}) lost"
+                );
+            }
+        }
+        assert!(torn_log > 0, "no crash tore the COMMITLOG tail");
+        assert!(lost_dirents > 0, "no crash lost an un-dir-synced dirent");
+        assert!(mid_rename > 0, "no crash fell between a rename and its dir-sync");
     }
 
     proptest! {

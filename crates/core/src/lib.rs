@@ -69,16 +69,12 @@ mod store;
 mod stream;
 
 pub use bootstrap::BootstrappedTable;
-pub use commitlog::{CommitLog, DirCommitLog};
 pub use config::CoreConfig;
 pub use facade::{DynamicHashTable, TradeoffTarget};
 pub use log_method::LogMethodTable;
 pub use media::{DirMedia, SimMedia, StoreMedia};
 pub use mem_table::MemTable;
-pub use service::{
-    BatchRecord, DirServiceMedia, Effect, ServiceMedia, ServiceStats, ShardBatchHistory,
-    ShardedKvStore, SimServiceMedia, WriteOp,
-};
+pub use service::{BatchRecord, Effect, ServiceStats, ShardBatchHistory, ShardedKvStore, WriteOp};
 pub use sharded::ShardedTable;
 pub use store::{CompactionStats, KvStore, ManifestIoStats};
 

@@ -1,14 +1,18 @@
-//! The store's persistence seam: *where* a [`crate::KvStore`]'s
-//! directory lives.
+//! The store's persistence seam: *where* a [`crate::KvStore`]'s (or a
+//! [`crate::ShardedKvStore`]'s) directory lives.
 //!
-//! [`StoreMedia`] abstracts everything the store touches outside the
-//! block device proper — manifest commits, the clean marker, data-file
-//! creation and stale-file cleanup, mutual exclusion — so the same
-//! open/sync/recover/compact protocol runs against a real directory
-//! ([`DirMedia`], the default) or the deterministic crash-simulation
-//! environment ([`crate::SimMedia`]). The protocol itself stays in
-//! `store.rs`; implementations of this trait only answer "make this
-//! durable now" and "what survived".
+//! [`StoreMedia`] is a **file-altitude** seam: block files, byte files
+//! (create / open / read / rename / remove), a directory sync, a listing
+//! and child directories — the system calls, nothing more. Two
+//! implementations sit below it: a real directory ([`DirMedia`], the
+//! default) and the deterministic crash-simulation environment
+//! ([`SimMedia`]). Every durable *protocol* is written once above it, as
+//! generic code: the tmp + fsync + rename + dir-fsync commit
+//! ([`commit_file_atomic`], for the store manifest and the service
+//! manifest alike), the clean marker, stale-generation cleanup (all in
+//! this module), the delta chain (`store.rs`) and the commit log
+//! (`commitlog.rs`). The crash sweeps therefore run the code that ships,
+//! down to each fsync and rename.
 
 use std::fs;
 use std::io::Write as _;
@@ -39,76 +43,35 @@ fn is_blob_file(name: &str) -> bool {
     name.starts_with("store") && name.ends_with(".blob")
 }
 
-/// The persistence environment a [`crate::KvStore`] runs on: a block
-/// backend factory plus the small durable metadata the recovery
-/// protocol leans on.
+/// One directory of a persistence environment: a block-backend factory
+/// plus the byte-file system calls the durable protocols are built
+/// from. Names are plain file names inside the directory.
 ///
-/// Contract (what `store.rs` assumes of every implementation):
+/// Contract (what the protocols above assume of every implementation):
 ///
-/// * **Mutual exclusion** is acquired when the media handle is
-///   constructed and released when it drops — at most one live handle
-///   per store, with a crashed owner's lock released by the
+/// * **Mutual exclusion** of a store directory is acquired when its
+///   media handle is constructed ([`DirMedia::open`], [`SimMedia::open`],
+///   [`StoreMedia::sub`]) and released when it drops — at most one live
+///   handle per store, with a crashed owner's lock released by the
 ///   environment, never reclaimed by guesswork.
-/// * [`StoreMedia::commit_manifest`] is **atomic and durable**: after it
-///   returns, a reopen sees the new manifest; interrupted, a reopen sees
-///   the old one — never a mix. This is the store's single commit point,
-///   for both `sync` and the marker-less `harden(false)` durability
-///   points the service committers use: "make durable" is the manifest
-///   commit, never the marker.
-/// * Marker writes/removals are durable when they return. For a marker
-///   **write** an interrupted call is recoverable either way (a lost
-///   write merely forces recovery mode), but a marker **removal** must
-///   reach durability before the caller's next block write does: a lost
-///   removal would let a later reopen trust a manifest whose data the
-///   crash-interrupted writes have already diverged from. Removing an
-///   already-absent marker must be a cheap no-op (no durability work) —
-///   `harden(false)` leaves the marker absent across many rounds, and
-///   every round's first mutation re-runs the clean→dirty transition.
+/// * **Nothing is durable by itself.** A byte file's appends are
+///   durable after its [`BlobFile::sync`]; a create, rename or remove is
+///   durable after the directory's [`StoreMedia::sync_dir`] — a file's
+///   own sync does not persist its name.
+/// * [`StoreMedia::rename`] is atomic: at any crash the target names the
+///   whole old file or the whole new one.
 /// * Data files created by [`StoreMedia::create_data`] start empty; the
 ///   returned backend follows [`PersistentBackend`]'s deferred-recycling
 ///   protocol.
-pub trait StoreMedia {
+pub trait StoreMedia: Sized {
     /// The block backend this media serves.
     type Backend: PersistentBackend;
 
-    /// The append-only blob file this media serves (the payload log's
-    /// storage; see `dxh_extmem::BlobLog`). `Send` so a payload-mode
-    /// store can live behind the service's per-shard committer threads.
-    type Blob: BlobFile + Send;
-
-    /// Reads the manifest; `None` when the store has never committed one
-    /// (the create path).
-    fn read_manifest(&mut self) -> Result<Option<String>>;
-
-    /// Atomically replaces the manifest and makes the swap durable.
-    fn commit_manifest(&mut self, text: &str) -> Result<()>;
-
-    /// Appends one framed record to the manifest delta chain and makes
-    /// the append durable before returning. Each delta is a real index
-    /// commit point (the incremental twin of
-    /// [`StoreMedia::commit_manifest`]): after it returns, a reopen must
-    /// see the frame; interrupted, a reopen may see a torn tail, which
-    /// the store's frame checksums detect and discard.
-    fn append_manifest_delta(&mut self, frame: &[u8]) -> Result<()>;
-
-    /// Every surviving byte of the delta chain, in append order (empty
-    /// when no chain exists). Torn tails are the store's problem, not
-    /// the media's.
-    fn read_manifest_deltas(&mut self) -> Result<Vec<u8>>;
-
-    /// Best-effort removal of the delta chain after a full manifest
-    /// rewrite made it redundant. No durability obligation: surviving
-    /// stale frames quote a superseded epoch and are skipped at reopen.
-    fn clear_manifest_deltas(&mut self);
-
-    /// Whether the clean-shutdown marker is present.
-    fn clean_marker(&mut self) -> Result<bool>;
-
-    /// Writes the clean-shutdown marker.
-    fn set_clean_marker(&mut self) -> Result<()>;
-
-    /// Removes the clean-shutdown marker (absent is not an error).
-    fn clear_clean_marker(&mut self) -> Result<()>;
+    /// An open byte file of this media — the payload log's storage (see
+    /// `dxh_extmem::BlobLog`) and the handle under every metadata
+    /// protocol. `Send` so a store can live behind the service's
+    /// per-shard committer threads.
+    type File: BlobFile + Send;
 
     /// Creates (truncating) data file `name` and opens a backend on it.
     fn create_data(&mut self, name: &str, block_capacity: usize) -> Result<Self::Backend>;
@@ -121,29 +84,32 @@ pub trait StoreMedia {
     /// reporting, not a correctness input.
     fn data_len(&mut self, name: &str) -> u64;
 
-    /// Best-effort removal of data file `name` (a failed compaction's
-    /// half-written generation).
-    fn remove_data(&mut self, name: &str);
+    /// Creates (truncating) byte file `name`.
+    fn create_file(&mut self, name: &str) -> Result<Self::File>;
 
-    /// Best-effort removal of every data file except `keep` — strays
-    /// from a compaction interrupted on either side of its commit. Only
-    /// called with the store lock held.
-    fn remove_stale_data(&mut self, keep: &str);
+    /// Opens existing byte file `name` without truncating; `None` when
+    /// absent.
+    fn open_file(&mut self, name: &str) -> Result<Option<Self::File>>;
 
-    /// Creates (truncating) blob file `name`.
-    fn create_blob(&mut self, name: &str) -> Result<Self::Blob>;
+    /// Reads the whole of byte file `name`; `None` when absent.
+    fn read_file(&mut self, name: &str) -> Result<Option<Vec<u8>>>;
 
-    /// Opens existing blob file `name` without truncating.
-    fn open_blob(&mut self, name: &str) -> Result<Self::Blob>;
+    /// Atomically renames `from` over `to`.
+    fn rename(&mut self, from: &str, to: &str) -> Result<()>;
 
-    /// Best-effort removal of blob file `name` (a failed compaction's
-    /// half-written generation).
-    fn remove_blob(&mut self, name: &str);
+    /// Removes file `name` (data or byte); `false` when it was absent.
+    fn remove(&mut self, name: &str) -> Result<bool>;
 
-    /// Best-effort removal of every blob file except `keep` — the blob
-    /// twin of [`StoreMedia::remove_stale_data`]. Only called with the
-    /// store lock held.
-    fn remove_stale_blobs(&mut self, keep: &str);
+    /// Makes every create, rename and remove in this directory durable.
+    fn sync_dir(&mut self) -> Result<()>;
+
+    /// The file names in this directory (empty when it cannot be read —
+    /// only best-effort cleanup consumes the listing).
+    fn names(&mut self) -> Vec<String>;
+
+    /// Opens (creating if needed) child directory `name` as a store
+    /// directory of its own, acquiring its exclusive lock.
+    fn sub(&self, name: &str) -> Result<Self>;
 
     /// Filesystem path of file `name`, for media that have one.
     fn file_path(&self, name: &str) -> Option<PathBuf>;
@@ -156,33 +122,81 @@ pub trait StoreMedia {
 /// here — named, greppable, and documented at each call site.
 pub(crate) fn best_effort<T, E>(_: std::result::Result<T, E>) {}
 
-/// Atomically (tmp + rename + directory fsync) replaces `name` in `dir`
-/// with `text` — the commit primitive behind every durable metadata file
-/// on the real filesystem (the store manifest, the service manifest).
-/// The one place a bare data-path `fs::rename` is allowed (clippy's
-/// disallowed-methods ban points everyone else here or to the service
-/// log's `seal`).
-#[allow(clippy::disallowed_methods)]
-pub(crate) fn commit_file_atomic(dir: &Path, name: &str, text: &str) -> Result<()> {
-    let tmp = dir.join(format!("{name}.tmp"));
-    let mut f = fs::File::create(&tmp)?;
-    f.write_all(text.as_bytes())?;
-    f.sync_data()?;
-    fs::rename(&tmp, dir.join(name))?;
+/// Atomically replaces `name` on `media` with `text`: write a tmp file,
+/// fdatasync it, rename it over `name`, fsync the directory — the commit
+/// primitive behind every durable metadata file (the store manifest,
+/// the service manifest). After it returns a reopen sees the new
+/// contents; interrupted, a reopen sees the old ones — never a mix.
+pub(crate) fn commit_file_atomic<M: StoreMedia>(
+    media: &mut M,
+    name: &str,
+    text: &str,
+) -> Result<()> {
+    let tmp = format!("{name}.tmp");
+    let mut f = media.create_file(&tmp)?;
+    f.append(text.as_bytes())?;
+    f.sync()?;
+    drop(f);
+    media.rename(&tmp, name)?;
     // The rename is only durable once the directory entry is: fsync the
     // dir, or a power failure could resurrect the old contents under
     // data written after the commit.
-    sync_dir(dir)
+    media.sync_dir()
 }
 
-/// Fsyncs `dir` so a just-renamed directory entry survives power loss
-/// (`rename(2)` alone only orders against the file's own data).
-pub(crate) fn sync_dir(dir: &Path) -> Result<()> {
-    #[cfg(unix)]
-    fs::File::open(dir)?.sync_all()?;
-    #[cfg(not(unix))]
-    let _ = dir;
+/// Reads metadata file `name` as text; `None` when it was never
+/// committed.
+pub(crate) fn read_text<M: StoreMedia>(media: &mut M, name: &str) -> Result<Option<String>> {
+    match media.read_file(name)? {
+        Some(bytes) => String::from_utf8(bytes)
+            .map(Some)
+            .map_err(|_| ExtMemError::Corrupt(format!("{name} is not UTF-8"))),
+        None => Ok(None),
+    }
+}
+
+/// Whether the clean-shutdown marker is present.
+pub(crate) fn clean_marker<M: StoreMedia>(media: &mut M) -> Result<bool> {
+    Ok(media.open_file(CLEAN)?.is_some())
+}
+
+/// Writes the clean-shutdown marker. Deliberately not synced: a marker
+/// lost to a crash merely forces recovery mode at the next reopen.
+pub(crate) fn set_clean_marker<M: StoreMedia>(media: &mut M) -> Result<()> {
+    media.create_file(CLEAN)?.append(b"clean\n")
+}
+
+/// Removes the clean-shutdown marker; an absent marker is a cheap no-op
+/// (`harden(false)` leaves it absent across many rounds, and every
+/// round's first mutation comes through here).
+pub(crate) fn clear_clean_marker<M: StoreMedia>(media: &mut M) -> Result<()> {
+    if media.remove(CLEAN)? {
+        // The unlink must be durable before any block write lands: a
+        // power loss that persisted post-sync block writes but
+        // resurrected the marker would make the next reopen trust a
+        // manifest that no longer matches the file. One directory fsync
+        // per clean→dirty transition (not per write) buys that ordering.
+        media.sync_dir()?;
+    }
     Ok(())
+}
+
+/// Best-effort removal of every data file except `data_keep` and, in
+/// payload mode, every blob log except `blob_keep` — strays from a
+/// compaction interrupted on either side of its commit. Only called with
+/// the store lock held; no durability owed (the next reopen re-runs it).
+pub(crate) fn remove_stale_generations<M: StoreMedia>(
+    media: &mut M,
+    data_keep: &str,
+    blob_keep: Option<&str>,
+) {
+    for name in media.names() {
+        let stale = (is_data_file(&name) && name != data_keep)
+            || blob_keep.is_some_and(|keep| is_blob_file(&name) && name != keep);
+        if stale {
+            let _ = media.remove(&name);
+        }
+    }
 }
 
 /// Whether `file`'s open inode is still the one `path` names — false
@@ -282,100 +296,53 @@ impl Drop for DirLock {
 }
 
 /// The real thing: a directory on the local filesystem, exactly the
-/// on-disk layout documented on [`crate::KvStore`]. Construction
+/// on-disk layout documented on [`crate::KvStore`]. [`DirMedia::open`]
 /// acquires the directory lock; dropping the media releases it.
 pub struct DirMedia {
     dir: PathBuf,
     /// Held for the media's lifetime; the OS releases it with the
-    /// process on a crash.
-    _lock: DirLock,
+    /// process on a crash. `None` for a service root, whose mutual
+    /// exclusion rides its shards' locks.
+    _lock: Option<DirLock>,
 }
 
 impl DirMedia {
     /// Locks `dir` (creating it first if needed) and returns the media.
     /// Fails fast when another live handle holds the lock.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self> {
-        let dir = dir.as_ref();
-        fs::create_dir_all(dir)?;
-        let lock = DirLock::acquire(dir)?;
-        Ok(DirMedia { dir: dir.to_path_buf(), _lock: lock })
+        let mut media = Self::unlocked(dir)?;
+        media._lock = Some(DirLock::acquire(&media.dir)?);
+        Ok(media)
     }
 
-    /// The store directory.
+    /// A handle on `dir` (created if needed) that takes **no lock** and
+    /// writes no `LOCK` file — a service root: the service opens every
+    /// shard ([`StoreMedia::sub`], each behind its own lock) before it
+    /// touches the root's commit log.
+    pub fn unlocked(dir: impl AsRef<Path>) -> Result<Self> {
+        let dir = dir.as_ref();
+        fs::create_dir_all(dir)?;
+        Ok(DirMedia { dir: dir.to_path_buf(), _lock: None })
+    }
+
+    /// The directory.
     pub fn dir(&self) -> &Path {
         &self.dir
     }
 }
 
+/// `Ok(None)` for a `NotFound`, the error otherwise.
+fn absent_is_none<T>(r: std::io::Result<T>) -> Result<Option<T>> {
+    match r {
+        Ok(v) => Ok(Some(v)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e.into()),
+    }
+}
+
 impl StoreMedia for DirMedia {
     type Backend = FileDisk;
-    type Blob = FileBlob;
-
-    fn read_manifest(&mut self) -> Result<Option<String>> {
-        match fs::read_to_string(self.dir.join(MANIFEST)) {
-            Ok(text) => Ok(Some(text)),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    fn commit_manifest(&mut self, text: &str) -> Result<()> {
-        commit_file_atomic(&self.dir, MANIFEST, text)
-    }
-
-    fn append_manifest_delta(&mut self, frame: &[u8]) -> Result<()> {
-        let path = self.dir.join(MANIFEST_DELTA);
-        let fresh = !path.exists();
-        let mut f = fs::OpenOptions::new().append(true).create(true).open(&path)?;
-        f.write_all(frame)?;
-        f.sync_data()?;
-        if fresh {
-            // The chain file's dirent must be durable too: commit-log
-            // segments sealed against this delta may already be
-            // discarded, so losing the whole chain to a lost dirent
-            // would lose acknowledged batches. One directory fsync per
-            // chain lifetime (creation), not per append.
-            sync_dir(&self.dir)?;
-        }
-        Ok(())
-    }
-
-    fn read_manifest_deltas(&mut self) -> Result<Vec<u8>> {
-        match fs::read(self.dir.join(MANIFEST_DELTA)) {
-            Ok(bytes) => Ok(bytes),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    fn clear_manifest_deltas(&mut self) {
-        // Deliberately not fsynced: a resurrected chain's frames quote
-        // the pre-rewrite epoch and are skipped at reopen.
-        let _ = fs::remove_file(self.dir.join(MANIFEST_DELTA));
-    }
-
-    fn clean_marker(&mut self) -> Result<bool> {
-        Ok(self.dir.join(CLEAN).exists())
-    }
-
-    fn set_clean_marker(&mut self) -> Result<()> {
-        fs::write(self.dir.join(CLEAN), b"clean\n")?;
-        Ok(())
-    }
-
-    fn clear_clean_marker(&mut self) -> Result<()> {
-        match fs::remove_file(self.dir.join(CLEAN)) {
-            // The unlink must be durable before any block write lands:
-            // a power loss that persisted post-sync block writes but
-            // resurrected the marker would make the next reopen trust a
-            // manifest that no longer matches the file. One directory
-            // fsync per clean→dirty transition (not per write) buys
-            // that ordering.
-            Ok(()) => sync_dir(&self.dir),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e.into()),
-        }
-    }
+    type File = FileBlob;
 
     fn create_data(&mut self, name: &str, block_capacity: usize) -> Result<FileDisk> {
         FileDisk::create(&self.dir.join(name), block_capacity)
@@ -389,42 +356,50 @@ impl StoreMedia for DirMedia {
         fs::metadata(self.dir.join(name)).map(|m| m.len()).unwrap_or(0)
     }
 
-    fn remove_data(&mut self, name: &str) {
-        let _ = fs::remove_file(self.dir.join(name));
-    }
-
-    fn remove_stale_data(&mut self, keep: &str) {
-        let Ok(entries) = fs::read_dir(&self.dir) else { return };
-        for e in entries.flatten() {
-            let name = e.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if name != keep && is_data_file(name) {
-                let _ = fs::remove_file(e.path());
-            }
-        }
-    }
-
-    fn create_blob(&mut self, name: &str) -> Result<FileBlob> {
+    fn create_file(&mut self, name: &str) -> Result<FileBlob> {
         FileBlob::create(self.dir.join(name))
     }
 
-    fn open_blob(&mut self, name: &str) -> Result<FileBlob> {
-        FileBlob::open(self.dir.join(name))
-    }
-
-    fn remove_blob(&mut self, name: &str) {
-        let _ = fs::remove_file(self.dir.join(name));
-    }
-
-    fn remove_stale_blobs(&mut self, keep: &str) {
-        let Ok(entries) = fs::read_dir(&self.dir) else { return };
-        for e in entries.flatten() {
-            let name = e.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if name != keep && is_blob_file(name) {
-                let _ = fs::remove_file(e.path());
-            }
+    fn open_file(&mut self, name: &str) -> Result<Option<FileBlob>> {
+        match FileBlob::open(self.dir.join(name)) {
+            Ok(f) => Ok(Some(f)),
+            Err(ExtMemError::Io(e)) => absent_is_none(Err(e)),
+            Err(e) => Err(e),
         }
+    }
+
+    fn read_file(&mut self, name: &str) -> Result<Option<Vec<u8>>> {
+        absent_is_none(fs::read(self.dir.join(name)))
+    }
+
+    /// The one place a bare `fs::rename` is allowed (clippy's
+    /// disallowed-methods ban points everyone else at the protocols
+    /// above, which owe the fsync before and the dir-fsync after).
+    #[allow(clippy::disallowed_methods)]
+    fn rename(&mut self, from: &str, to: &str) -> Result<()> {
+        Ok(fs::rename(self.dir.join(from), self.dir.join(to))?)
+    }
+
+    fn remove(&mut self, name: &str) -> Result<bool> {
+        Ok(absent_is_none(fs::remove_file(self.dir.join(name)))?.is_some())
+    }
+
+    /// Fsyncs the directory so a just-renamed (created, unlinked) entry
+    /// survives power loss — `rename(2)` alone only orders against the
+    /// file's own data.
+    fn sync_dir(&mut self) -> Result<()> {
+        #[cfg(unix)]
+        fs::File::open(&self.dir)?.sync_all()?;
+        Ok(())
+    }
+
+    fn names(&mut self) -> Vec<String> {
+        let Ok(entries) = fs::read_dir(&self.dir) else { return Vec::new() };
+        entries.flatten().filter_map(|e| e.file_name().into_string().ok()).collect()
+    }
+
+    fn sub(&self, name: &str) -> Result<Self> {
+        DirMedia::open(self.dir.join(name))
     }
 
     fn file_path(&self, name: &str) -> Option<PathBuf> {
@@ -432,44 +407,48 @@ impl StoreMedia for DirMedia {
     }
 }
 
-/// The crash-simulation media: the same store protocol over a
-/// [`dxh_extmem::SimEnv`] — simulated block files, a simulated manifest
-/// namespace, and the environment's exclusive lock. Every operation
-/// ticks the environment's I/O clock, so a [`dxh_extmem::FaultPlan`] can
-/// crash the store between *any* two steps of open/sync/compact — the
-/// seam the torture harness sweeps exhaustively.
+/// The crash-simulation media: one directory (a name prefix) of a
+/// [`dxh_extmem::SimEnv`] — simulated block files, simulated byte files
+/// with dirent durability, and the environment's exclusive locks. Every
+/// primitive is one tick of the environment's I/O clock, so a
+/// [`dxh_extmem::FaultPlan`] can crash the store between *any* two
+/// system calls of open/sync/recover/compact — the seam the torture
+/// harness sweeps exhaustively.
 ///
-/// One environment can host many stores: [`SimMedia::open_at`] scopes a
-/// handle to a name prefix (the simulated twin of a subdirectory), which
-/// is how a sharded service puts every shard on one machine under one
-/// I/O clock — a single crash index takes all of them down together.
+/// One environment can host many stores: [`StoreMedia::sub`] scopes a
+/// handle to a child prefix (the simulated twin of a subdirectory),
+/// which is how a sharded service puts every shard on one machine under
+/// one I/O clock — a single crash index takes all of them down together.
 pub struct SimMedia {
     env: dxh_extmem::SimEnv,
-    /// Name prefix of this store inside the environment (`""` for the
-    /// machine's default store). Every file, metadata, and lock name the
-    /// store protocol uses is prefixed with it.
+    /// This directory's name prefix inside the environment (`""` for the
+    /// machine's root, else ending in `/`).
     prefix: String,
-    /// Epoch of this handle's lock acquisition; quoting it on release
-    /// makes the drop owner-scoped (a crashed handle dropped after a
-    /// power cycle must not free a newer handle's lock).
-    lock_epoch: u64,
+    /// Epoch of this handle's lock acquisition (`None` for an unlocked
+    /// service root); quoting it on release makes the drop owner-scoped
+    /// (a crashed handle dropped after a power cycle must not free a
+    /// newer handle's lock).
+    lock_epoch: Option<u64>,
 }
 
 impl SimMedia {
     /// Acquires the environment's default store lock and returns the
-    /// media. Fails fast while another live handle holds it; a crashed
-    /// owner's lock is released by [`dxh_extmem::SimEnv::power_cycle`].
+    /// root directory's media. Fails fast while another live handle
+    /// holds it; a crashed owner's lock is released by
+    /// [`dxh_extmem::SimEnv::power_cycle`].
     pub fn open(env: &dxh_extmem::SimEnv) -> Result<Self> {
-        Self::open_at(env, "")
+        Self::unlocked(env).locked()
     }
 
-    /// [`SimMedia::open`] scoped to the store named by `prefix` — e.g.
-    /// `"shard-000/"`. Stores with distinct prefixes coexist on the one
-    /// machine, each behind its own fail-fast lock, all sharing the
-    /// environment's I/O clock and fault plan.
-    pub fn open_at(env: &dxh_extmem::SimEnv, prefix: &str) -> Result<Self> {
-        let lock_epoch = env.lock_named(prefix)?;
-        Ok(SimMedia { env: env.clone(), prefix: prefix.to_string(), lock_epoch })
+    /// The root directory of `env` with **no lock** taken — a service
+    /// root, the simulated twin of [`DirMedia::unlocked`].
+    pub fn unlocked(env: &dxh_extmem::SimEnv) -> Self {
+        SimMedia { env: env.clone(), prefix: String::new(), lock_epoch: None }
+    }
+
+    fn locked(mut self) -> Result<Self> {
+        self.lock_epoch = Some(self.env.lock_named(&self.prefix)?);
+        Ok(self)
     }
 
     fn scoped(&self, name: &str) -> String {
@@ -479,58 +458,15 @@ impl SimMedia {
 
 impl Drop for SimMedia {
     fn drop(&mut self) {
-        self.env.unlock_named(&self.prefix, self.lock_epoch);
+        if let Some(epoch) = self.lock_epoch {
+            self.env.unlock_named(&self.prefix, epoch);
+        }
     }
 }
 
 impl StoreMedia for SimMedia {
     type Backend = dxh_extmem::SimDisk;
-    type Blob = dxh_extmem::SimBlob;
-
-    fn read_manifest(&mut self) -> Result<Option<String>> {
-        match self.env.meta_read(&self.scoped(MANIFEST))? {
-            Some(bytes) => String::from_utf8(bytes)
-                .map(Some)
-                .map_err(|_| ExtMemError::Corrupt("manifest is not UTF-8".into())),
-            None => Ok(None),
-        }
-    }
-
-    fn commit_manifest(&mut self, text: &str) -> Result<()> {
-        self.env.meta_write(&self.scoped(MANIFEST), text.as_bytes())
-    }
-
-    fn append_manifest_delta(&mut self, frame: &[u8]) -> Result<()> {
-        // Modeled as one atomic metadata write of the grown chain: the
-        // append either lands whole or not at all, and the write is the
-        // single faultable step a crash sweep can land on. (Torn-tail
-        // recovery is exercised by the frame-level store tests; the sim
-        // exercises the crash-between-appends windows.)
-        let name = self.scoped(MANIFEST_DELTA);
-        let mut chain = self.env.meta_read(&name)?.unwrap_or_default();
-        chain.extend_from_slice(frame);
-        self.env.meta_write(&name, &chain)
-    }
-
-    fn read_manifest_deltas(&mut self) -> Result<Vec<u8>> {
-        Ok(self.env.meta_read(&self.scoped(MANIFEST_DELTA))?.unwrap_or_default())
-    }
-
-    fn clear_manifest_deltas(&mut self) {
-        let _ = self.env.meta_remove(&self.scoped(MANIFEST_DELTA));
-    }
-
-    fn clean_marker(&mut self) -> Result<bool> {
-        Ok(self.env.meta_read(&self.scoped(CLEAN))?.is_some())
-    }
-
-    fn set_clean_marker(&mut self) -> Result<()> {
-        self.env.meta_write(&self.scoped(CLEAN), b"clean\n")
-    }
-
-    fn clear_clean_marker(&mut self) -> Result<()> {
-        self.env.meta_remove(&self.scoped(CLEAN))
-    }
+    type File = dxh_extmem::SimBlob;
 
     fn create_data(&mut self, name: &str, block_capacity: usize) -> Result<dxh_extmem::SimDisk> {
         self.env.create_disk(&self.scoped(name), block_capacity)
@@ -544,42 +480,43 @@ impl StoreMedia for SimMedia {
         self.env.file_len(&self.scoped(name))
     }
 
-    fn remove_data(&mut self, name: &str) {
-        let _ = self.env.remove_file(&self.scoped(name));
+    fn create_file(&mut self, name: &str) -> Result<dxh_extmem::SimBlob> {
+        self.env.create_file(&self.scoped(name))
     }
 
-    fn remove_stale_data(&mut self, keep: &str) {
-        let keep = self.scoped(keep);
-        for name in self.env.file_names() {
-            // Only this store's namespace: a sibling shard's data files
-            // are not strays, whatever their generation.
-            let Some(local) = name.strip_prefix(&self.prefix) else { continue };
-            if name != keep && is_data_file(local) {
-                let _ = self.env.remove_file(&name);
-            }
-        }
+    fn open_file(&mut self, name: &str) -> Result<Option<dxh_extmem::SimBlob>> {
+        self.env.open_file(&self.scoped(name))
     }
 
-    fn create_blob(&mut self, name: &str) -> Result<dxh_extmem::SimBlob> {
-        self.env.create_blob(&self.scoped(name))
+    fn read_file(&mut self, name: &str) -> Result<Option<Vec<u8>>> {
+        self.env.read_file(&self.scoped(name))
     }
 
-    fn open_blob(&mut self, name: &str) -> Result<dxh_extmem::SimBlob> {
-        self.env.open_blob(&self.scoped(name))
+    fn rename(&mut self, from: &str, to: &str) -> Result<()> {
+        self.env.rename_file(&self.scoped(from), &self.scoped(to))
     }
 
-    fn remove_blob(&mut self, name: &str) {
-        let _ = self.env.remove_blob(&self.scoped(name));
+    fn remove(&mut self, name: &str) -> Result<bool> {
+        self.env.remove_file(&self.scoped(name))
     }
 
-    fn remove_stale_blobs(&mut self, keep: &str) {
-        let keep = self.scoped(keep);
-        for name in self.env.blob_names() {
-            let Some(local) = name.strip_prefix(&self.prefix) else { continue };
-            if name != keep && is_blob_file(local) {
-                let _ = self.env.remove_blob(&name);
-            }
-        }
+    fn sync_dir(&mut self) -> Result<()> {
+        self.env.sync_dir(&self.prefix)
+    }
+
+    fn names(&mut self) -> Vec<String> {
+        // Only this directory's own files: a child directory's (a
+        // sibling shard's) are not strays, whatever their generation.
+        let local = |name: String| {
+            name.strip_prefix(&self.prefix).filter(|l| !l.contains('/')).map(str::to_string)
+        };
+        self.env.file_names().into_iter().filter_map(local).collect()
+    }
+
+    fn sub(&self, name: &str) -> Result<Self> {
+        let mut child = Self::unlocked(&self.env);
+        child.prefix = self.scoped(&format!("{name}/"));
+        child.locked()
     }
 
     fn file_path(&self, _name: &str) -> Option<PathBuf> {

@@ -16,7 +16,7 @@
 //! External Memory"), and **writers never pay an fsync themselves**:
 //!
 //! * the key space is hash-partitioned across `N` independent
-//!   [`crate::KvStore`] shards (each its own directory or [`SimMedia`]
+//!   [`crate::KvStore`] shards (each its own directory or [`crate::SimMedia`]
 //!   namespace, each its own lock), by the same router construction
 //!   [`crate::ShardedTable`] uses — every shard sees uniformly random
 //!   keys, so each one's per-shard guarantees are the paper's;
@@ -57,7 +57,7 @@
 //! The annotated walk of one write through this machinery (enqueue →
 //! batch → apply → coalesced sync → ack epoch) is
 //! `docs/COMMIT_PATH.md`; the durability contract is
-//! `docs/GUARANTEES.md`. The commit log itself — device trait, record
+//! `docs/GUARANTEES.md`. The commit log itself — device, record
 //! codec, replay — lives in `crate::commitlog`.
 //!
 //! ## Batch atomicity
@@ -82,21 +82,20 @@
 //! coalesced commit window and checks exactly this boundary.
 
 use std::collections::{HashMap, VecDeque};
-use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dxh_sync::thread::JoinHandle;
 use dxh_sync::{Condvar, Mutex};
 
-use dxh_extmem::{ExtMemError, Key, Result, SimEnv, Value, KEY_TOMBSTONE, VALUE_TOMBSTONE};
+use dxh_extmem::{ExtMemError, Key, Result, Value, KEY_TOMBSTONE, VALUE_TOMBSTONE};
 use dxh_hashfn::IdealFn;
 use dxh_tables::ExternalDictionary;
 
-use crate::commitlog::{encode_log_record, replay_log, CommitLog, DirCommitLog, SimCommitLog};
+use crate::commitlog::{encode_log_record, replay_log, CommitLog};
 use crate::config::CoreConfig;
-use crate::media::{commit_file_atomic, DirMedia, SimMedia, StoreMedia};
+use crate::media::{commit_file_atomic, read_text, DirMedia, StoreMedia};
 use crate::sharded::{shard_of_key, shard_router};
 use crate::store::KvStore;
 
@@ -563,10 +562,10 @@ const CHECKPOINT_LOG_BYTES: u64 = 4 * 1024 * 1024;
 /// The coordinator thread body: turn accumulated dirt into sync rounds
 /// until shutdown finds nothing left to flush. The coordinator is the
 /// commit log's only writer.
-fn coordinator_loop<M: StoreMedia, L: CommitLog>(
+fn coordinator_loop<M: StoreMedia>(
     shards: Vec<Arc<Shard<M>>>,
     coord: Arc<SyncCoordinator>,
-    mut log: L,
+    mut log: CommitLog<M>,
 ) {
     // The active checkpoint rotation: shards still owing a staggered
     // manifest harden, in turn order. Empty between rotations.
@@ -691,10 +690,10 @@ fn coordinator_loop<M: StoreMedia, L: CommitLog>(
 /// riding the round: their stores are poisoned (the applied-but-
 /// uncommitted effects must never reach a manifest), the batches go
 /// back in place as in-flight candidates, and their writers get errors.
-fn commit_round<M: StoreMedia, L: CommitLog>(
+fn commit_round<M: StoreMedia>(
     shards: &[Arc<Shard<M>>],
     coord: &SyncCoordinator,
-    log: &mut L,
+    log: &mut CommitLog<M>,
     participants: &[usize],
 ) {
     let mut collected: Vec<(usize, Vec<AppliedBatch>)> = Vec::new();
@@ -1136,123 +1135,6 @@ fn wedge<M: StoreMedia>(shard: &Shard<M>, why: String, mid_apply: &[Arc<OpCell>]
     shard.ack_cv.notify_all();
 }
 
-/// Where a [`ShardedKvStore`] keeps its shards: a service manifest (the
-/// shard count and router seed, which are baked into the data layout),
-/// the shared [`CommitLog`], plus one [`StoreMedia`] per shard.
-pub trait ServiceMedia {
-    /// The per-shard media this service hands to its [`crate::KvStore`]s.
-    type Store: StoreMedia;
-
-    /// The service's shared commit-log device.
-    type Log: CommitLog + 'static;
-
-    /// Reads the service manifest; `None` when the service has never
-    /// been created.
-    fn read_meta(&mut self) -> Result<Option<String>>;
-
-    /// Atomically and durably replaces the service manifest.
-    fn commit_meta(&mut self, text: &str) -> Result<()>;
-
-    /// Opens (creating if needed) shard `index`'s media, acquiring its
-    /// exclusive lock.
-    fn open_shard(&mut self, index: usize) -> Result<Self::Store>;
-
-    /// Opens (creating if needed) the service's shared commit log.
-    /// Mutual exclusion rides the shard locks: the service opens every
-    /// shard before it touches the log.
-    fn open_log(&mut self) -> Result<Self::Log>;
-}
-
-/// The real thing: a root directory holding `SERVICE` plus one
-/// subdirectory per shard (`shard-000/`, `shard-001/`, …), each an
-/// ordinary [`crate::KvStore`] directory with its own `LOCK`.
-pub struct DirServiceMedia {
-    root: PathBuf,
-}
-
-impl DirServiceMedia {
-    /// Creates the root directory if needed and returns the media.
-    /// Mutual exclusion is per shard (each shard directory's OS lock),
-    /// acquired as the shards open.
-    pub fn open(root: impl AsRef<Path>) -> Result<Self> {
-        fs::create_dir_all(root.as_ref())?;
-        Ok(DirServiceMedia { root: root.as_ref().to_path_buf() })
-    }
-
-    /// The service root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-}
-
-impl ServiceMedia for DirServiceMedia {
-    type Store = DirMedia;
-    type Log = DirCommitLog;
-
-    fn read_meta(&mut self) -> Result<Option<String>> {
-        match fs::read_to_string(self.root.join(SERVICE)) {
-            Ok(text) => Ok(Some(text)),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    fn commit_meta(&mut self, text: &str) -> Result<()> {
-        commit_file_atomic(&self.root, SERVICE, text)
-    }
-
-    fn open_shard(&mut self, index: usize) -> Result<DirMedia> {
-        DirMedia::open(self.root.join(shard_name(index)))
-    }
-
-    fn open_log(&mut self) -> Result<DirCommitLog> {
-        DirCommitLog::open(&self.root)
-    }
-}
-
-/// The crash-simulation twin: every shard is a [`SimMedia`] namespace
-/// (`shard-000/`, …) of **one** [`SimEnv`] — one machine, one I/O
-/// clock, so a single [`dxh_extmem::FaultPlan`] crash index takes the
-/// whole service down mid-group-commit. The seam the service torture
-/// harness sweeps.
-pub struct SimServiceMedia {
-    env: SimEnv,
-}
-
-impl SimServiceMedia {
-    /// A service media on `env`. Nothing is locked yet; each shard
-    /// acquires its own named lock as it opens.
-    pub fn new(env: &SimEnv) -> Self {
-        SimServiceMedia { env: env.clone() }
-    }
-}
-
-impl ServiceMedia for SimServiceMedia {
-    type Store = SimMedia;
-    type Log = SimCommitLog;
-
-    fn read_meta(&mut self) -> Result<Option<String>> {
-        match self.env.meta_read(SERVICE)? {
-            Some(bytes) => String::from_utf8(bytes)
-                .map(Some)
-                .map_err(|_| ExtMemError::Corrupt("service manifest is not UTF-8".into())),
-            None => Ok(None),
-        }
-    }
-
-    fn commit_meta(&mut self, text: &str) -> Result<()> {
-        self.env.meta_write(SERVICE, text.as_bytes())
-    }
-
-    fn open_shard(&mut self, index: usize) -> Result<SimMedia> {
-        SimMedia::open_at(&self.env, &format!("{}/", shard_name(index)))
-    }
-
-    fn open_log(&mut self) -> Result<SimCommitLog> {
-        SimCommitLog::open(&self.env)
-    }
-}
-
 /// A thread-safe, persistent, sharded key-value store with group-commit
 /// batching: `N` independent [`crate::KvStore`] shards behind one
 /// handle, each with a dedicated committer thread, all funneling their
@@ -1266,12 +1148,12 @@ impl ServiceMedia for SimServiceMedia {
 /// committer threads join.
 ///
 /// ```
-/// use dxh_core::{CoreConfig, ShardedKvStore, SimServiceMedia};
+/// use dxh_core::{CoreConfig, ShardedKvStore, SimMedia};
 /// use dxh_extmem::SimEnv;
 ///
 /// let env = SimEnv::new();
 /// let cfg = CoreConfig::lemma5(8, 128, 2)?;
-/// let svc = ShardedKvStore::open_on(SimServiceMedia::new(&env), 4, cfg.clone(), 42)?;
+/// let svc = ShardedKvStore::open_on(SimMedia::unlocked(&env), 4, cfg.clone(), 42)?;
 /// svc.put(7, 700)?; // parked until the owning shard's batch is durable
 /// svc.put(8, 800)?;
 /// assert_eq!(svc.get(7)?, Some(700));
@@ -1279,7 +1161,7 @@ impl ServiceMedia for SimServiceMedia {
 /// assert_eq!(svc.get(7)?, None);
 /// drop(svc);
 /// // Acknowledged writes are durable: a reopen sees them.
-/// let svc = ShardedKvStore::open_on(SimServiceMedia::new(&env), 4, cfg, 42)?;
+/// let svc = ShardedKvStore::open_on(SimMedia::unlocked(&env), 4, cfg, 42)?;
 /// assert_eq!(svc.get(8)?, Some(800));
 /// # Ok::<(), dxh_extmem::ExtMemError>(())
 /// ```
@@ -1323,7 +1205,7 @@ impl ShardedKvStore<DirMedia> {
     /// # Ok::<(), dxh_extmem::ExtMemError>(())
     /// ```
     pub fn open(root: impl AsRef<Path>, shards: usize, cfg: CoreConfig, seed: u64) -> Result<Self> {
-        Self::open_on(DirServiceMedia::open(root)?, shards, cfg, seed)
+        Self::open_on(DirMedia::unlocked(root)?, shards, cfg, seed)
     }
 
     /// [`ShardedKvStore::open`] in **payload mode**: every shard stores
@@ -1338,7 +1220,7 @@ impl ShardedKvStore<DirMedia> {
         cfg: CoreConfig,
         seed: u64,
     ) -> Result<Self> {
-        Self::open_payload_on(DirServiceMedia::open(root)?, shards, cfg, seed)
+        Self::open_payload_on(DirMedia::unlocked(root)?, shards, cfg, seed)
     }
 }
 
@@ -1346,35 +1228,30 @@ impl<M: StoreMedia + Send + 'static> ShardedKvStore<M>
 where
     M::Backend: Send,
 {
-    /// Opens the service on any [`ServiceMedia`] — the backend-generic
-    /// twin of [`ShardedKvStore::open`] (the torture harness passes
-    /// [`SimServiceMedia`]). Each shard's store opens (or is created)
-    /// with an equal share of the deployment: the same `cfg` per shard
-    /// and a per-shard hash seed derived from `seed`. Spawns the `N`
-    /// committer threads and the sync coordinator; they join on drop.
-    pub fn open_on<S: ServiceMedia<Store = M>>(
-        media: S,
-        shards: usize,
-        cfg: CoreConfig,
-        seed: u64,
-    ) -> Result<Self> {
-        Self::open_inner(media, shards, cfg, seed, false)
+    /// Opens the service rooted at `root` — the backend-generic twin of
+    /// [`ShardedKvStore::open`] (the torture harness passes
+    /// [`crate::SimMedia::unlocked`]). The root holds the service
+    /// manifest (`SERVICE`: the shard count and router seed, which are
+    /// baked into the data layout) and the shared commit log; shard `i`
+    /// is the store in child directory `shard-00i` ([`StoreMedia::sub`]),
+    /// behind its own lock. The root itself takes none: the service
+    /// opens every shard before it touches the log. Each shard's store
+    /// opens (or is created) with an equal share of the deployment: the
+    /// same `cfg` per shard and a per-shard hash seed derived from
+    /// `seed`. Spawns the `N` committer threads and the sync
+    /// coordinator; they join on drop.
+    pub fn open_on(root: M, shards: usize, cfg: CoreConfig, seed: u64) -> Result<Self> {
+        Self::open_inner(root, shards, cfg, seed, false)
     }
 
-    /// [`ShardedKvStore::open_payload`] on any [`ServiceMedia`] — the
-    /// backend-generic twin (the torture harness passes
-    /// [`SimServiceMedia`]).
-    pub fn open_payload_on<S: ServiceMedia<Store = M>>(
-        media: S,
-        shards: usize,
-        cfg: CoreConfig,
-        seed: u64,
-    ) -> Result<Self> {
-        Self::open_inner(media, shards, cfg, seed, true)
+    /// [`ShardedKvStore::open_payload`] on any [`StoreMedia`] root — the
+    /// backend-generic twin of [`ShardedKvStore::open_on`].
+    pub fn open_payload_on(root: M, shards: usize, cfg: CoreConfig, seed: u64) -> Result<Self> {
+        Self::open_inner(root, shards, cfg, seed, true)
     }
 
-    fn open_inner<S: ServiceMedia<Store = M>>(
-        mut media: S,
+    fn open_inner(
+        mut root: M,
         shards: usize,
         cfg: CoreConfig,
         seed: u64,
@@ -1388,7 +1265,7 @@ where
                 "shard count {shards} is implausible (max 1024)"
             )));
         }
-        let (seed, fresh) = match media.read_meta()? {
+        let (seed, fresh) = match read_text(&mut root, SERVICE)? {
             Some(text) => {
                 let meta = parse_service_meta(&text)?;
                 if meta.shards != shards {
@@ -1419,7 +1296,7 @@ where
             // tables must hash independently of each other and of the
             // router. On reopen each store's own persisted seed wins.
             let shard_seed = seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let shard_media = media.open_shard(i)?;
+            let shard_media = root.sub(&shard_name(i))?;
             stores.push(if payloads {
                 KvStore::open_payload_on(shard_media, cfg.clone(), shard_seed)?
             } else {
@@ -1434,14 +1311,15 @@ where
             // open re-runs this create path, and each shard store
             // reopens from its own already-committed manifest.
             let mode = if payloads { "payloads 1\n" } else { "" };
-            media.commit_meta(&format!("{SERVICE_MAGIC}\nshards {shards}\nseed {seed}\n{mode}"))?;
+            let meta = format!("{SERVICE_MAGIC}\nshards {shards}\nseed {seed}\n{mode}");
+            commit_file_atomic(&mut root, SERVICE, &meta)?;
         }
         // Reopen-time recovery, phase two: each store recovered itself
         // to its last manifest above; now the commit log's surviving
         // records — batches acknowledged through a log round that no
         // manifest covered yet — are replayed on top, the manifests
         // brought current, and the log emptied.
-        let mut log = media.open_log()?;
+        let mut log = CommitLog::open(root)?;
         replay_log(&mut log, &mut stores)?;
         let v: Vec<Arc<Shard<M>>> = stores
             .into_iter()
@@ -1511,12 +1389,12 @@ impl<M: StoreMedia> ShardedKvStore<M> {
     /// coordinated sync round commits it.
     ///
     /// ```
-    /// use dxh_core::{CoreConfig, ShardedKvStore, SimServiceMedia};
+    /// use dxh_core::{CoreConfig, ShardedKvStore, SimMedia};
     /// use dxh_extmem::SimEnv;
     ///
     /// let env = SimEnv::new();
     /// let cfg = CoreConfig::lemma5(8, 128, 2)?;
-    /// let svc = ShardedKvStore::open_on(SimServiceMedia::new(&env), 2, cfg, 7)?;
+    /// let svc = ShardedKvStore::open_on(SimMedia::unlocked(&env), 2, cfg, 7)?;
     /// svc.put(1, 10)?;
     /// svc.put(1, 11)?; // upsert: newest wins
     /// assert_eq!(svc.get(1)?, Some(11));
@@ -1647,12 +1525,12 @@ impl<M: StoreMedia> ShardedKvStore<M> {
     /// the apply and commit-log paths.
     ///
     /// ```
-    /// use dxh_core::{CoreConfig, ShardedKvStore, SimServiceMedia};
+    /// use dxh_core::{CoreConfig, ShardedKvStore, SimMedia};
     /// use dxh_extmem::SimEnv;
     ///
     /// let env = SimEnv::new();
     /// let cfg = CoreConfig::lemma5(8, 128, 2)?;
-    /// let svc = ShardedKvStore::open_payload_on(SimServiceMedia::new(&env), 2, cfg, 7)?;
+    /// let svc = ShardedKvStore::open_payload_on(SimMedia::unlocked(&env), 2, cfg, 7)?;
     /// svc.put_bytes(1, b"a value of any length")?;
     /// assert_eq!(svc.get_bytes(1)?.as_deref(), Some(&b"a value of any length"[..]));
     /// # Ok::<(), dxh_extmem::ExtMemError>(())
@@ -1709,12 +1587,12 @@ impl<M: StoreMedia> ShardedKvStore<M> {
     /// mutations bypass the group-commit buffer *and* the log.
     ///
     /// ```
-    /// use dxh_core::{CoreConfig, ShardedKvStore, SimServiceMedia};
+    /// use dxh_core::{CoreConfig, ShardedKvStore, SimMedia};
     /// use dxh_extmem::SimEnv;
     ///
     /// let env = SimEnv::new();
     /// let cfg = CoreConfig::lemma5(8, 128, 2)?;
-    /// let svc = ShardedKvStore::open_on(SimServiceMedia::new(&env), 2, cfg, 9)?;
+    /// let svc = ShardedKvStore::open_on(SimMedia::unlocked(&env), 2, cfg, 9)?;
     /// svc.put(3, 30)?;
     /// svc.sync_all()?; // every acknowledged write was already durable
     /// # Ok::<(), dxh_extmem::ExtMemError>(())
@@ -1948,6 +1826,7 @@ fn parse_service_meta(text: &str) -> Result<ServiceMeta> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimMedia;
     use dxh_extmem::{FaultPlan, SimEnv};
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -1956,7 +1835,7 @@ mod tests {
     }
 
     fn sim_service(env: &SimEnv, shards: usize, seed: u64) -> ShardedKvStore<SimMedia> {
-        ShardedKvStore::open_on(SimServiceMedia::new(env), shards, cfg(), seed).unwrap()
+        ShardedKvStore::open_on(SimMedia::unlocked(env), shards, cfg(), seed).unwrap()
     }
 
     #[test]
@@ -2185,13 +2064,13 @@ mod tests {
     fn shard_count_mismatch_rejected_on_reopen() {
         let env = SimEnv::new();
         drop(sim_service(&env, 4, 16));
-        let err = match ShardedKvStore::open_on(SimServiceMedia::new(&env), 3, cfg(), 16) {
+        let err = match ShardedKvStore::open_on(SimMedia::unlocked(&env), 3, cfg(), 16) {
             Err(e) => e,
             Ok(_) => panic!("shard-count mismatch must be rejected"),
         };
         assert!(err.to_string().contains("4 shards"), "got: {err}");
         // The persisted routing seed wins over the caller's.
-        let svc = ShardedKvStore::open_on(SimServiceMedia::new(&env), 4, cfg(), 999).unwrap();
+        let svc = ShardedKvStore::open_on(SimMedia::unlocked(&env), 4, cfg(), 999).unwrap();
         svc.put(5, 50).unwrap();
         assert_eq!(svc.get(5).unwrap(), Some(50));
     }
@@ -2199,15 +2078,15 @@ mod tests {
     #[test]
     fn zero_and_implausible_shard_counts_rejected() {
         let env = SimEnv::new();
-        assert!(ShardedKvStore::open_on(SimServiceMedia::new(&env), 0, cfg(), 1).is_err());
-        assert!(ShardedKvStore::open_on(SimServiceMedia::new(&env), 4096, cfg(), 1).is_err());
+        assert!(ShardedKvStore::open_on(SimMedia::unlocked(&env), 0, cfg(), 1).is_err());
+        assert!(ShardedKvStore::open_on(SimMedia::unlocked(&env), 4096, cfg(), 1).is_err());
     }
 
     #[test]
     fn double_open_fails_fast_per_shard_lock() {
         let env = SimEnv::new();
         let svc = sim_service(&env, 2, 17);
-        let err = match ShardedKvStore::open_on(SimServiceMedia::new(&env), 2, cfg(), 17) {
+        let err = match ShardedKvStore::open_on(SimMedia::unlocked(&env), 2, cfg(), 17) {
             Err(e) => e,
             Ok(_) => panic!("second live service handle must fail"),
         };
@@ -2241,8 +2120,7 @@ mod tests {
         let payload = |k: u64| -> Vec<u8> {
             (0..1 + (k as usize * 5) % 60).map(|i| (k as u8).wrapping_add(i as u8)).collect()
         };
-        let svc =
-            ShardedKvStore::open_payload_on(SimServiceMedia::new(&env), 2, cfg(), 31).unwrap();
+        let svc = ShardedKvStore::open_payload_on(SimMedia::unlocked(&env), 2, cfg(), 31).unwrap();
         for k in 0..120u64 {
             svc.put_bytes(k, &payload(k)).unwrap();
         }
@@ -2258,8 +2136,7 @@ mod tests {
         // Acknowledged byte writes are durable: the reopen replays any
         // commit-log records (tag-2 framed payloads included) over the
         // shard manifests.
-        let svc =
-            ShardedKvStore::open_payload_on(SimServiceMedia::new(&env), 2, cfg(), 31).unwrap();
+        let svc = ShardedKvStore::open_payload_on(SimMedia::unlocked(&env), 2, cfg(), 31).unwrap();
         for k in 0..120u64 {
             let expect = (k != 5).then(|| payload(k));
             assert_eq!(svc.get_bytes(k).unwrap(), expect, "key {k} after reopen");
@@ -2270,15 +2147,15 @@ mod tests {
     #[test]
     fn payload_mode_is_a_service_property_checked_at_reopen() {
         let env = SimEnv::new();
-        drop(ShardedKvStore::open_payload_on(SimServiceMedia::new(&env), 2, cfg(), 32).unwrap());
-        let err = match ShardedKvStore::open_on(SimServiceMedia::new(&env), 2, cfg(), 32) {
+        drop(ShardedKvStore::open_payload_on(SimMedia::unlocked(&env), 2, cfg(), 32).unwrap());
+        let err = match ShardedKvStore::open_on(SimMedia::unlocked(&env), 2, cfg(), 32) {
             Err(e) => e,
             Ok(_) => panic!("raw open of a payload service must fail"),
         };
         assert!(err.to_string().contains("payload mode"), "got: {err}");
         let env = SimEnv::new();
         drop(sim_service(&env, 2, 33));
-        let err = match ShardedKvStore::open_payload_on(SimServiceMedia::new(&env), 2, cfg(), 33) {
+        let err = match ShardedKvStore::open_payload_on(SimMedia::unlocked(&env), 2, cfg(), 33) {
             Err(e) => e,
             Ok(_) => panic!("payload open of a raw service must fail"),
         };

@@ -79,10 +79,10 @@
 
 use std::path::{Path, PathBuf};
 
-use dxh_extmem::frame::{push_frame, Frames};
+use dxh_extmem::frame::{push_frame, Frames, FRAME_HEADER};
 use dxh_extmem::{
-    BlobLog, BlockId, Disk, ExtMemError, IoCostModel, IoSnapshot, Key, PersistentBackend, Result,
-    Value, BLOB_TAG, KEY_TOMBSTONE, VALUE_TOMBSTONE,
+    BlobFile, BlobLog, BlockId, Disk, ExtMemError, IoCostModel, IoSnapshot, Key, PersistentBackend,
+    Result, Value, BLOB_TAG, KEY_TOMBSTONE, VALUE_TOMBSTONE,
 };
 use dxh_hashfn::IdealFn;
 use dxh_tables::ExternalDictionary;
@@ -95,7 +95,10 @@ use crate::log_method::LogMethodTable;
 // recovery mode — the data file's slot count alone cannot detect a
 // crash, because post-sync merges can rewire manifest-referenced chains
 // through recycled slots without growing the file.
-use crate::media::{DirMedia, StoreMedia, DATA};
+use crate::media::{
+    clean_marker, clear_clean_marker, commit_file_atomic, read_text, remove_stale_generations,
+    set_clean_marker, DirMedia, StoreMedia, DATA, MANIFEST, MANIFEST_DELTA,
+};
 use crate::stream::{compact_across, MergeStats, Region, Source};
 
 const MAGIC: &str = "dxh-store v2";
@@ -151,7 +154,7 @@ fn transition_dirty<M: StoreMedia>(media: &mut M, dirty: &mut bool) -> Result<()
     if *dirty {
         return Ok(());
     }
-    media.clear_clean_marker()?;
+    clear_clean_marker(media)?;
     *dirty = true;
     Ok(())
 }
@@ -212,7 +215,7 @@ pub struct KvStore<M: StoreMedia = DirMedia> {
     /// and the byte API ([`KvStore::put_bytes`] / [`KvStore::get_bytes`])
     /// is the way in. A raw store (`open`) has no log and keeps the
     /// paper's pure-u64 representation bit-for-bit.
-    blob: Option<BlobLog<M::Blob>>,
+    blob: Option<BlobLog<M::File>>,
     seed: u64,
     /// Generation of the authoritative data file (bumped by each
     /// [`KvStore::compact`]; see [`data_file_name`]).
@@ -240,6 +243,10 @@ pub struct KvStore<M: StoreMedia = DirMedia> {
     /// Frames appended to the delta chain since the last full rewrite
     /// (the next frame's sequence number is `delta_seq + 1`).
     delta_seq: u64,
+    /// The open `MANIFEST.DELTA` chain; `None` while no chain file exists
+    /// (it is created by the first delta append after a full rewrite,
+    /// never at open).
+    delta: Option<M::File>,
     /// Level regions as of the last manifest commit (full or delta) —
     /// the diff base for the next delta frame's changed-level lines.
     committed_levels: Vec<Option<Region>>,
@@ -296,13 +303,13 @@ impl<M: StoreMedia> KvStore<M> {
     /// Shared open; `payloads` is the mode the caller asked for, and the
     /// manifest's recorded mode must agree on reopen.
     fn open_inner(mut media: M, cfg: CoreConfig, seed: u64, payloads: bool) -> Result<Self> {
-        match media.read_manifest()? {
+        match read_text(&mut media, MANIFEST)? {
             Some(text) => Self::reopen(media, &text, cfg.b, payloads),
             None => {
                 let disk = fresh_gen_disk(&mut media, DATA, &cfg)?;
                 let table = LogMethodTable::new_on(disk, cfg, seed)?;
                 let blob = if payloads {
-                    Some(BlobLog::create(media.create_blob(&blob_file_name(0))?)?)
+                    Some(BlobLog::create(media.create_file(&blob_file_name(0))?)?)
                 } else {
                     None
                 };
@@ -316,12 +323,13 @@ impl<M: StoreMedia> KvStore<M> {
                     watermark: 0,
                     epoch: 0,
                     delta_seq: 0,
+                    delta: None,
                     committed_levels: Vec::new(),
                     manifest_io: ManifestIoStats::default(),
                     media,
                 };
                 store.write_manifest()?; // a crash before the first sync can still reopen
-                store.media.set_clean_marker()?;
+                set_clean_marker(&mut store.media)?;
                 Ok(store)
             }
         }
@@ -333,7 +341,12 @@ impl<M: StoreMedia> KvStore<M> {
         // intact frame is a commit point newer than the base manifest
         // (torn tails, broken sequences, and stale-epoch frames are
         // discarded inside).
-        let applied = apply_manifest_deltas(&mut m, &media.read_manifest_deltas()?)?;
+        let mut delta = media.open_file(MANIFEST_DELTA)?;
+        let chain = match delta.as_mut() {
+            Some(file) => file.read_all()?,
+            None => Vec::new(),
+        };
+        let (applied, traversed) = apply_manifest_deltas(&mut m, &chain)?;
         if m.cfg.b != expected_b {
             return Err(ExtMemError::BadConfig(format!(
                 "store was created with b = {}, caller asked for b = {expected_b}",
@@ -353,6 +366,15 @@ impl<M: StoreMedia> KvStore<M> {
             }
             _ => {}
         }
+        if traversed < chain.len() {
+            // The chain must hold exactly the frames replay traversed
+            // before anything can be appended to it: a frame written
+            // behind a torn tail (or a sequence gap) would be acknowledged
+            // and then invisible to every later reopen.
+            let file = delta.as_mut().expect("a non-empty chain was read from its file");
+            file.truncate(traversed as u64)?;
+            file.sync()?;
+        }
         let data_name = data_file_name(m.data_gen);
         let mut backend = media.open_data(&data_name, m.cfg.b)?;
         if backend.slots() < m.slots {
@@ -369,7 +391,7 @@ impl<M: StoreMedia> KvStore<M> {
             // slot is still live, so every region block is readable.
             scan_reserved_values(&mut backend, &m.levels)?;
         }
-        if applied == 0 && media.clean_marker()? && backend.slots() == m.slots {
+        if applied == 0 && clean_marker(&mut media)? && backend.slots() == m.slots {
             // Clean shutdown: no block write happened after the manifest,
             // so it describes the file exactly and the free list is safe
             // to recycle from. Delta frames never carry a free list (and
@@ -399,18 +421,19 @@ impl<M: StoreMedia> KvStore<M> {
         // covers: a crash tail (torn or unsynced appends the index never
         // referenced) is truncated away, and the committed prefix is
         // verified frame by frame before any offset is served.
+        let blob_name = blob_file_name(m.data_gen);
         let blob = match m.blob {
             Some(committed) => {
-                let blob_name = blob_file_name(m.data_gen);
-                let log = BlobLog::open(media.open_blob(&blob_name)?, committed)?;
-                media.remove_stale_blobs(&blob_name);
-                Some(log)
+                let file = media.open_file(&blob_name)?.ok_or_else(|| {
+                    ExtMemError::Corrupt(format!("manifest names a missing blob log {blob_name}"))
+                })?;
+                Some(BlobLog::open(file, committed)?)
             }
             None => None,
         };
         // Strays from an interrupted compaction (either side of its
         // manifest commit) are unreferenced whole files: remove them.
-        media.remove_stale_data(&data_name);
+        remove_stale_generations(&mut media, &data_name, blob.is_some().then_some(&blob_name));
         Ok(KvStore {
             table,
             blob,
@@ -421,6 +444,7 @@ impl<M: StoreMedia> KvStore<M> {
             watermark: m.watermark,
             epoch: m.epoch,
             delta_seq: applied,
+            delta,
             committed_levels,
             manifest_io: ManifestIoStats::default(),
             media,
@@ -467,11 +491,11 @@ impl<M: StoreMedia> KvStore<M> {
             // except when those rounds left delta frames outstanding,
             // in which case the base manifest's free list predates the
             // chain and the marker may only go down over a compaction.
-            if set_marker && !self.media.clean_marker()? {
+            if set_marker && !clean_marker(&mut self.media)? {
                 if self.delta_seq > 0 {
                     self.write_manifest()?;
                 }
-                self.media.set_clean_marker()?;
+                set_clean_marker(&mut self.media)?;
             }
             return Ok(());
         }
@@ -491,7 +515,7 @@ impl<M: StoreMedia> KvStore<M> {
             self.write_manifest_delta()?;
         }
         if set_marker {
-            self.media.set_clean_marker()?;
+            set_clean_marker(&mut self.media)?;
         }
         // The new commit is durable; quarantined slots may now be
         // recycled. Sound after a delta commit too: no region any
@@ -643,15 +667,17 @@ impl<M: StoreMedia> KvStore<M> {
         out.push_str(&format!("data {}\n", self.data_gen));
         let levels = self.table.persisted_levels();
         push_state_lines(&mut out, blob_len, self.watermark, slots, Some(&free), levels, &[]);
-        // The media's commit is atomic and durable (tmp + rename + dir
-        // fsync on the real filesystem): the commit point.
-        self.media.commit_manifest(&out)?;
+        // Atomic and durable (tmp + fsync + rename + dir fsync): the
+        // commit point.
+        commit_file_atomic(&mut self.media, MANIFEST, &out)?;
         // The rewrite supersedes every delta frame: drop the chain with
         // no durability work (a frame surviving the best-effort clear
         // quotes the old epoch and is skipped at reopen).
         self.epoch += 1;
         self.delta_seq = 0;
-        self.media.clear_manifest_deltas();
+        if self.delta.take().is_some() {
+            let _ = self.media.remove(MANIFEST_DELTA);
+        }
         self.committed_levels = self.table.persisted_levels().to_vec();
         self.manifest_io.full_commits += 1;
         self.manifest_io.full_bytes += out.len() as u64;
@@ -679,11 +705,35 @@ impl<M: StoreMedia> KvStore<M> {
         push_state_lines(&mut out, blob_len, self.watermark, slots, None, &levels, base);
         let mut frame = Vec::new();
         push_frame(&mut frame, out.as_bytes());
-        self.media.append_manifest_delta(&frame)?;
+        self.append_manifest_delta(&frame)?;
         self.delta_seq = seq;
         self.committed_levels = levels;
         self.manifest_io.delta_commits += 1;
         self.manifest_io.delta_bytes += frame.len() as u64;
+        Ok(())
+    }
+
+    /// Appends one frame to the `MANIFEST.DELTA` chain and makes it
+    /// durable before returning — each delta is a real index commit
+    /// point (the incremental twin of the manifest rename): after it
+    /// returns, a reopen sees the frame; interrupted, a reopen may see a
+    /// torn tail, which the frame checksums detect and reopen cuts.
+    fn append_manifest_delta(&mut self, frame: &[u8]) -> Result<()> {
+        let fresh = self.delta.is_none();
+        let chain = match &mut self.delta {
+            Some(chain) => chain,
+            None => self.delta.insert(self.media.create_file(MANIFEST_DELTA)?),
+        };
+        chain.append(frame)?;
+        chain.sync()?;
+        if fresh {
+            // The chain file's dirent must be durable too: commit-log
+            // segments sealed against this delta may already be
+            // discarded, so losing the whole chain to a lost dirent
+            // would lose acknowledged batches. One directory fsync per
+            // chain lifetime (creation), not per append.
+            self.media.sync_dir()?;
+        }
         Ok(())
     }
 
@@ -733,7 +783,7 @@ impl<M: StoreMedia> KvStore<M> {
         let fail = |this: &mut Self, e: ExtMemError, names: &[&str]| {
             this.poisoned = true;
             for n in names {
-                this.media.remove_data(n);
+                let _ = this.media.remove(n);
             }
             Err(e)
         };
@@ -816,11 +866,11 @@ impl<M: StoreMedia> KvStore<M> {
             let new_blob_name = blob_file_name(new_gen);
             let blob_fail = |this: &mut Self, e: ExtMemError| {
                 this.poisoned = true;
-                this.media.remove_blob(&new_blob_name);
-                this.media.remove_data(&new_name);
+                let _ = this.media.remove(&new_blob_name);
+                let _ = this.media.remove(&new_name);
                 Err(e)
             };
-            let mut new_log = match self.media.create_blob(&new_blob_name).and_then(BlobLog::create)
+            let mut new_log = match self.media.create_file(&new_blob_name).and_then(BlobLog::create)
             {
                 Ok(l) => l,
                 Err(e) => return blob_fail(self, e),
@@ -842,12 +892,14 @@ impl<M: StoreMedia> KvStore<M> {
         // manifest + old file authoritative (the newer files are strays);
         // after it, the new pair is.
         self.write_manifest()?;
-        self.media.set_clean_marker()?;
+        set_clean_marker(&mut self.media)?;
         self.dirty = false;
-        self.media.remove_stale_data(&new_name);
-        if self.blob.is_some() {
-            self.media.remove_stale_blobs(&blob_file_name(new_gen));
-        }
+        let blob_name = blob_file_name(new_gen);
+        remove_stale_generations(
+            &mut self.media,
+            &new_name,
+            self.blob.is_some().then_some(&blob_name),
+        );
         let bytes_after = self.media.data_len(&new_name);
         Ok(CompactionStats {
             live_items: stats.items,
@@ -1172,36 +1224,39 @@ fn parse_delta_head(line: &str) -> Option<(u64, u64)> {
 /// An intact in-sequence frame is a commit point and must apply in
 /// full: a state line in it that does not parse is
 /// [`ExtMemError::Corrupt`], never a half-applied frame. Returns the
-/// number of frames applied (the reopened handle's `delta_seq`); when
-/// nonzero, the base's free list has been cleared — it predates the
-/// chain and must not be trusted.
-fn apply_manifest_deltas(m: &mut Manifest, chain: &[u8]) -> Result<u64> {
+/// number of frames applied (the reopened handle's `delta_seq`) and the
+/// byte offset where the traversal stopped — the chain's valid length,
+/// which reopen cuts the file to before anything is appended. When
+/// frames applied, the base's free list has been cleared — it predates
+/// the chain and must not be trusted.
+fn apply_manifest_deltas(m: &mut Manifest, chain: &[u8]) -> Result<(u64, usize)> {
     let payload_mode = m.blob.is_some();
     let mut applied = 0u64;
+    let mut traversed = 0;
     for (_, payload) in Frames::new(chain) {
         let Ok(text) = std::str::from_utf8(payload) else { break };
         let mut lines = text.lines();
         let Some((epoch, seq)) = lines.next().and_then(parse_delta_head) else { break };
-        if epoch != m.epoch {
-            continue;
+        if epoch == m.epoch {
+            if seq != applied + 1 {
+                break;
+            }
+            for line in lines {
+                m.apply_line(line)?;
+            }
+            if m.blob.is_some() != payload_mode {
+                return Err(ExtMemError::Corrupt(
+                    "manifest: a delta frame cannot switch the store's representation".into(),
+                ));
+            }
+            applied += 1;
         }
-        if seq != applied + 1 {
-            break;
-        }
-        for line in lines {
-            m.apply_line(line)?;
-        }
-        if m.blob.is_some() != payload_mode {
-            return Err(ExtMemError::Corrupt(
-                "manifest: a delta frame cannot switch the store's representation".into(),
-            ));
-        }
-        applied += 1;
+        traversed += FRAME_HEADER + payload.len();
     }
     if applied > 0 {
         m.free.clear();
     }
-    Ok(applied)
+    Ok((applied, traversed))
 }
 
 /// Parsed manifest contents.
@@ -2264,6 +2319,98 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Opens the (word-mode) store on `env`'s root.
+    fn sim_store(env: &dxh_extmem::SimEnv) -> KvStore<crate::SimMedia> {
+        KvStore::open_on(crate::SimMedia::open(env).unwrap(), cfg(), 84).unwrap()
+    }
+
+    /// Crashes `env` at its next I/O, drops `s` over the dead machine and
+    /// brings it back up.
+    fn sim_crash(env: &dxh_extmem::SimEnv, s: KvStore<crate::SimMedia>, seed: u64) {
+        env.set_plan(dxh_extmem::FaultPlan::crash(env.ops(), seed));
+        drop(s);
+        env.power_cycle();
+    }
+
+    /// After a reopen over a damaged chain: new keys hardened through a
+    /// delta frame must survive the next crash. Before reopen cut the
+    /// chain at the damage, the frame landed *behind* it — acknowledged,
+    /// then invisible to every later reopen.
+    fn assert_hardens_after_reopen_survive(env: &dxh_extmem::SimEnv, seed: u64, what: &str) {
+        let mut s = sim_store(env);
+        for k in 0..100u64 {
+            assert_eq!(s.lookup(k).unwrap(), Some(1), "{what}: frame-1 key {k}");
+        }
+        for k in 1000..1100u64 {
+            s.insert(k, 3).unwrap();
+        }
+        s.harden(false).unwrap();
+        sim_crash(env, s, seed);
+        let mut s = sim_store(env);
+        for k in 1000..1100u64 {
+            assert_eq!(s.lookup(k).unwrap(), Some(3), "{what}: hardened key {k} lost");
+        }
+    }
+
+    /// The shown defect, swept: crash at every I/O of a delta append
+    /// under tearing seeds, then reopen, harden more keys, crash again.
+    /// The sweep's own trace must show the window it exists for — a
+    /// crash that tore the chain's tail.
+    #[test]
+    fn hardens_after_a_torn_delta_tail_survive_the_next_crash() {
+        use dxh_extmem::{FaultPlan, IoEvent, SimEnv};
+        let mut torn_tails = 0;
+        for seed in 0..8u64 {
+            for k in 0.. {
+                let env = SimEnv::new();
+                let mut s = sim_store(&env);
+                for key in 0..100u64 {
+                    s.insert(key, 1).unwrap();
+                }
+                s.harden(false).unwrap();
+                for key in 100..200u64 {
+                    s.insert(key, 2).unwrap();
+                }
+                let crash_at = env.ops() + k;
+                env.set_plan(FaultPlan::crash(crash_at, seed));
+                let crashed = s.harden(false).is_err();
+                drop(s);
+                env.power_cycle();
+                torn_tails += env
+                    .take_trace()
+                    .iter()
+                    .filter(|e| matches!(e, IoEvent::Meta { label, .. } if label == "crash-tear MANIFEST.DELTA"))
+                    .count();
+                let what = format!("seed {seed} crash_at {crash_at}");
+                assert_hardens_after_reopen_survive(&env, seed, &what);
+                if !crashed {
+                    break; // past the end of the harden window
+                }
+            }
+        }
+        assert!(torn_tails > 0, "no crash of the sweep tore the delta chain's tail");
+    }
+
+    /// The sequence-gap variant: a checksum-valid frame whose sequence
+    /// number skips ahead ends replay exactly like a torn one, and must
+    /// be cut the same way.
+    #[test]
+    fn hardens_after_a_delta_sequence_gap_survive_the_next_crash() {
+        use dxh_extmem::SimEnv;
+        let env = SimEnv::new();
+        let mut s = sim_store(&env);
+        for key in 0..100u64 {
+            s.insert(key, 1).unwrap();
+        }
+        s.harden(false).unwrap();
+        let epoch = s.epoch;
+        sim_crash(&env, s, 1);
+        let mut chain = env.open_file(MANIFEST_DELTA).unwrap().expect("the chain survived");
+        chain.append(&delta_frame(&format!("delta {epoch} 5\nslots 4\n"))).unwrap();
+        chain.sync().unwrap();
+        assert_hardens_after_reopen_survive(&env, 1, "sequence gap");
+    }
+
     /// Frames a delta payload exactly like `write_manifest_delta`.
     fn delta_frame(text: &str) -> Vec<u8> {
         let mut frame = Vec::new();
@@ -2286,7 +2433,7 @@ mod tests {
         // Sequence gap (2 missing): the chain's own order is broken —
         // nothing past this point was acknowledged in this order.
         chain.extend_from_slice(&delta_frame("delta 3 3\nslots 8\n"));
-        assert_eq!(apply_manifest_deltas(&mut m, &chain).unwrap(), 1);
+        assert_eq!(apply_manifest_deltas(&mut m, &chain).unwrap().0, 1);
         assert_eq!(m.slots, 7, "frame 1 applied, stale and gapped frames discarded");
         assert_eq!(m.watermark, 11);
         assert!(m.free.is_empty(), "an applied chain invalidates the base free list");
@@ -2294,7 +2441,7 @@ mod tests {
         // Level edits: resize, replace, clear.
         let mut m = Manifest::parse(&text).unwrap();
         let chain = delta_frame("delta 3 1\nslots 12\nlevels 3\nlevel 2 4 8 9\nclearlevel 1\n");
-        assert_eq!(apply_manifest_deltas(&mut m, &chain).unwrap(), 1);
+        assert_eq!(apply_manifest_deltas(&mut m, &chain).unwrap().0, 1);
         assert_eq!(m.levels.len(), 3);
         assert!(m.levels[1].is_none(), "clearlevel drops the region");
         let r = m.levels[2].unwrap();
@@ -2327,7 +2474,7 @@ mod tests {
         }
         let mut m = Manifest::parse(&text).unwrap();
         let chain = delta_frame("delta 3 1\nslots 9\nfuture-key 1 2 3\n");
-        assert_eq!(apply_manifest_deltas(&mut m, &chain).unwrap(), 1);
+        assert_eq!(apply_manifest_deltas(&mut m, &chain).unwrap().0, 1);
         assert_eq!(m.slots, 9);
     }
 
@@ -2364,7 +2511,7 @@ mod tests {
                     26,27,28,29,30,31,34,35,36,37,38,39,40,41,42,43,44,45,66,46,47,48,49,50,51,\
                     52,67,53,54,55,56,57,58,59,60,61,62,63,68,64,65";
         assert_eq!(
-            s.media.read_manifest().unwrap().unwrap(),
+            read_text(&mut s.media, MANIFEST).unwrap().unwrap(),
             format!(
                 "dxh-store v2\nb 8\nm 128\ngamma 2\nbeta 2\ncost seek\nseed 7\nepoch 2\ndata 0\n\
                  blob 8445\nwatermark 5\nslots 133\nfree {free}\nlevels 3\nlevel 2 69 64 150\n"
@@ -2380,7 +2527,7 @@ mod tests {
             b"delta 2 1\nblob 22900\nwatermark 9\nslots 359\nlevels 4\nlevel 1 327 32 58\n\
               clearlevel 2\nlevel 3 199 128 342\n",
         );
-        assert_eq!(s.media.read_manifest_deltas().unwrap(), golden);
+        assert_eq!(s.media.read_file(MANIFEST_DELTA).unwrap().unwrap(), golden);
     }
 
     #[test]

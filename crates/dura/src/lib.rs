@@ -14,14 +14,16 @@
 //!   against the same rules — conformance of the *observed* I/O, closing
 //!   the gap between what the lint approves and what the code emits.
 //!
-//! Each rule says which layers can see it (`lint`/`trace`): ack cells
-//! and directory fsyncs are source-level constructs invisible in the
-//! simulator's event vocabulary (simulated metadata ops are atomic and
-//! durable at their clock index), while the marker/write interleaving is
-//! a runtime ordering no intraprocedural scan can prove. The coverage
-//! matrix lives in `docs/DURABILITY.md`.
+//! Each rule says which layers can see it (`lint`/`trace`): the
+//! simulator runs the same system-call sequence as the real path
+//! (create, append, sync, rename, remove, dir-sync are each one traced
+//! event), so every file-level ordering is trace-visible; only ack-cell
+//! fills (not I/O) and discarded `Result`s (not runtime behavior) are
+//! lint-only, and the marker/write interleaving is a runtime ordering no
+//! intraprocedural scan can prove. The coverage matrix lives in
+//! `docs/DURABILITY.md`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use dxh_extmem::IoEvent;
 
@@ -30,15 +32,15 @@ use dxh_extmem::IoEvent;
 /// orderings over these.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EffectClass {
-    /// A buffered write toward durable media: `write_all`, `fs::write`,
-    /// `set_len`, `File::create`, an `H0` flush. Cheap, reorderable,
-    /// durable only after a later fsync-class effect.
+    /// A buffered write toward durable media: `write_all`, `set_len`, a
+    /// byte-file `create_file` or `append`, an `H0` flush. Cheap,
+    /// reorderable, durable only after a later fsync-class effect.
     VolatileWrite,
-    /// A file-content fsync: `sync_data` (or a disk `flush()` that
-    /// issues one). Makes every prior [`EffectClass::VolatileWrite`] to
-    /// that file durable.
+    /// A file-content fsync: `sync_data`, a byte file's `sync()` (or a
+    /// disk `flush()` that issues one). Makes every prior
+    /// [`EffectClass::VolatileWrite`] to that file durable.
     DataFsync,
-    /// `fs::rename` — the atomic swap at the heart of the manifest
+    /// A media `rename` — the atomic swap at the heart of the manifest
     /// commit.
     Rename,
     /// A directory fsync (`sync_dir`): makes a rename or unlink's
@@ -139,7 +141,7 @@ pub const RULES: &[Rule] = &[
         anchor: EffectClass::Rename,
         check: Check::Followed(EffectClass::DirFsync),
         lint: true,
-        trace: false, // sim metadata ops are atomic-durable; no dirent event exists
+        trace: true, // fires at the directory's next write after an un-dir-synced rename
         why: "rename(2) is durable only once the directory entry is; without the dir \
               fsync a power loss can resurrect the old manifest (G1)",
     },
@@ -157,7 +159,7 @@ pub const RULES: &[Rule] = &[
         anchor: EffectClass::MetaUnlink,
         check: Check::Followed(EffectClass::DirFsync),
         lint: true,
-        trace: false, // sim meta-remove is atomic-durable at its clock index
+        trace: true, // fires at the store's next data write after an un-dir-synced unlink
         why: "a resurrected CLEAN marker (or sealed log segment) would make recovery \
               trust state the crash diverged from (G3)",
     },
@@ -209,16 +211,18 @@ pub fn rule(name: &str) -> &'static Rule {
 }
 
 /// Source tokens the static pass classifies into effect classes, in
-/// match-priority order (longest/most specific first). `.sync_all(` is
-/// [`EffectClass::DataFsync`] by default and reclassified as
-/// [`EffectClass::DirFsync`] inside the functions named by
-/// [`DIR_FSYNC_FNS`] (fsyncing an opened *directory* handle).
+/// match-priority order (longest/most specific first). The byte-file
+/// tokens are the `StoreMedia` / `BlobFile` primitive names `dxh-core`
+/// writes its protocols in; `.sync_all(` is [`EffectClass::DataFsync`]
+/// by default and reclassified as [`EffectClass::DirFsync`] inside the
+/// functions named by [`DIR_FSYNC_FNS`] (fsyncing an opened *directory*
+/// handle).
 pub const SINKS: &[(&str, EffectClass)] = &[
     (".write_all(", EffectClass::VolatileWrite),
-    ("fs::write(", EffectClass::VolatileWrite),
     ("writeln!(", EffectClass::VolatileWrite),
     (".set_len(", EffectClass::VolatileWrite),
-    ("File::create(", EffectClass::VolatileWrite),
+    (".create_file(", EffectClass::VolatileWrite),
+    (".append(", EffectClass::VolatileWrite),
     (".flush_memory(", EffectClass::VolatileWrite),
     // The store's blob choke points (dot-prefixed so the `fn
     // blob_append(` definition lines don't match): every payload byte
@@ -228,9 +232,11 @@ pub const SINKS: &[(&str, EffectClass)] = &[
     (".sync_data(", EffectClass::DataFsync),
     (".flush()", EffectClass::DataFsync),
     (".sync_all(", EffectClass::DataFsync),
-    ("fs::rename(", EffectClass::Rename),
+    (".sync()", EffectClass::DataFsync),
+    (".rename(", EffectClass::Rename),
+    (".sync_dir(", EffectClass::DirFsync),
     // The incremental commit choke point (dot-prefixed so the `fn
-    // append_manifest_delta(` definition lines don't match).
+    // append_manifest_delta(` definition line doesn't match).
     (".append_manifest_delta(", EffectClass::DeltaAppend),
 ];
 
@@ -238,10 +244,14 @@ pub const SINKS: &[(&str, EffectClass)] = &[
 /// their fsync is a [`EffectClass::DirFsync`], not a data fsync.
 pub const DIR_FSYNC_FNS: &[&str] = &["sync_dir"];
 
-/// `remove_file` sites whose argument mentions one of these are
-/// [`EffectClass::MetaUnlink`] (recovery-visible metadata); all other
-/// unlinks are the documented best-effort stray cleanups (re-run by the
-/// next recovery) and carry no ordering obligation.
+/// The media unlink primitive. Sites whose argument mentions one of
+/// [`META_UNLINK_MARKERS`] are [`EffectClass::MetaUnlink`]
+/// (recovery-visible metadata); all other unlinks are the documented
+/// best-effort stray cleanups (re-run by the next recovery) and carry no
+/// ordering obligation.
+pub const UNLINK: &str = ".remove(";
+
+/// See [`UNLINK`].
 pub const META_UNLINK_MARKERS: &[&str] = &["CLEAN", "COMMITLOG_OLD"];
 
 /// The source pattern of an acknowledgement release (an answer-cell
@@ -261,7 +271,7 @@ pub const SYNC_RESULT_TOKENS: &[&str] = &[
     ".truncate()",
     ".seal()",
     ".discard_sealed()",
-    "fs::rename(",
+    ".rename(",
     "commit_file_atomic(",
     "sync_dir(",
     "clear_clean_marker(",
@@ -309,7 +319,7 @@ fn split_name(name: &str) -> (&str, &str) {
 }
 
 /// Splits a [`IoEvent::Meta`] label into `(op, name)` — e.g.
-/// `"meta-write shard-000/MANIFEST"` → `("meta-write", "shard-000/MANIFEST")`.
+/// `"file-create shard-000/CLEAN"` → `("file-create", "shard-000/CLEAN")`.
 fn split_label(label: &str) -> (&str, &str) {
     match label.split_once(' ') {
         Some((op, name)) => (op, name),
@@ -317,50 +327,146 @@ fn split_label(label: &str) -> (&str, &str) {
     }
 }
 
-/// The trace automaton: validates a `SimDisk` [`IoEvent`] stream
-/// against every trace-enabled rule of [`RULES`]. Returns every
-/// violation found (empty = conformant).
+/// `file` and the unsynced-write count it still carries, if any.
+fn pending<'a>(unsynced: &HashMap<&'a str, u64>, file: Option<&&'a str>) -> Option<(&'a str, u64)> {
+    let file = *file?;
+    unsynced.get(file).copied().filter(|&n| n > 0).map(|n| (file, n))
+}
+
+/// Reports an index commit point (`what`, at event `at`) reached while
+/// the store's data file (under `data_rule`) or blob log still holds
+/// unsynced writes.
+fn check_index_commit(
+    out: &mut Vec<TraceViolation>,
+    at: usize,
+    what: &str,
+    data_rule: Option<&'static str>,
+    data: Option<(&str, u64)>,
+    blob: Option<(&str, u64)>,
+) {
+    if let (Some(rule), Some((data, n))) = (data_rule, data) {
+        out.push(TraceViolation {
+            at,
+            rule,
+            what: format!(
+                "{what} while {data} has {n} unsynced block write(s) — the data fsync must \
+                 precede the commit point"
+            ),
+        });
+    }
+    if let Some((blob, n)) = blob {
+        out.push(TraceViolation {
+            at,
+            rule: "blob-sync-before-index-commit",
+            what: format!(
+                "{what} while {blob} has {n} unsynced blob append(s) — the payload fdatasync \
+                 must precede the index commit point"
+            ),
+        });
+    }
+}
+
+/// Where a store's `CLEAN` marker stands, as far as the trace shows.
+#[derive(Clone, Copy, PartialEq)]
+enum Marker {
+    /// Created (or found at open) and not unlinked since.
+    Present,
+    /// Unlinked, but the unlink is not yet dir-synced: a crash could
+    /// resurrect the marker.
+    Unlinked,
+}
+
+/// The trace automaton: validates a `SimEnv` [`IoEvent`] stream against
+/// every trace-enabled rule of [`RULES`]. Returns every violation found
+/// (empty = conformant).
+///
+/// The anchors are file-level: a **manifest commit** is the
+/// `file-rename …MANIFEST.tmp -> …MANIFEST`, a **delta commit** is the
+/// `Sync` of `…MANIFEST.DELTA`, and the `CLEAN` marker is present from
+/// its `file-create` (or a `file-open` that finds it) to its
+/// `file-remove` plus the directory's `dir-sync`.
 ///
 /// State tracked per store prefix (the simulated twin of a store
 /// directory): the **current data file** (the last one created or
 /// opened — an interrupted compaction's abandoned generation carries no
-/// obligations once superseded), its unsynced-write count, and whether
-/// the `CLEAN` marker is durably present. Every check fires *at its
-/// anchor event*, never at end-of-trace, so a crash-truncated trace can
-/// never false-positive — exactly the property the crash sweeps need.
+/// obligations once superseded), per-file unsynced-write counts, the
+/// marker, and the directory's last un-dir-synced rename. Every check
+/// fires *at its anchor event*, never at end-of-trace — the two
+/// "followed by a dir-fsync" rules fire at the directory's next write —
+/// so a crash-truncated trace can never false-positive, exactly the
+/// property the crash sweeps need.
 pub fn check_trace(events: &[IoEvent]) -> Vec<TraceViolation> {
     let r1 = rule("rename-after-data-fsync").trace;
+    let r2 = rule("rename-then-dir-fsync").trace;
+    let r4 = rule("clean-unlink-then-dir-fsync").trace;
     let r5 = rule("no-write-under-clean-marker").trace;
     let r7 = rule("blob-sync-before-index-commit").trace;
     let r8 = rule("delta-append-after-data-fsync").trace;
     let mut out = Vec::new();
-    // Unsynced write count per file (block writes and blob appends
+    // Unsynced write count per file (block writes and byte-file appends
     // alike — both land in the same `Write`/`Sync` event vocabulary).
     let mut unsynced: HashMap<&str, u64> = HashMap::new();
     // The current (latest created/opened) data file per store prefix.
     let mut current_data: HashMap<&str, &str> = HashMap::new();
     // The current blob log per store prefix (payload-mode stores only).
     let mut current_blob: HashMap<&str, &str> = HashMap::new();
-    // Store prefixes whose CLEAN marker is durably present.
-    let mut clean: HashSet<&str> = HashSet::new();
+    let mut marker: HashMap<&str, Marker> = HashMap::new();
+    // Per directory, the latest rename no `dir-sync` has covered yet.
+    let mut undurable_rename: HashMap<&str, &str> = HashMap::new();
 
     for (at, ev) in events.iter().enumerate() {
         match ev {
             IoEvent::Write { file, .. } => {
                 let (prefix, local) = split_name(file);
-                if r5 && (is_data_file(local) || is_blob_file(local)) && clean.contains(prefix) {
+                if is_data_file(local) || is_blob_file(local) {
+                    match marker.get(prefix) {
+                        Some(Marker::Present) if r5 => out.push(TraceViolation {
+                            at,
+                            rule: "no-write-under-clean-marker",
+                            what: format!(
+                                "write to {file} while {prefix}CLEAN is present — the \
+                                 clean→dirty transition must unlink the marker first"
+                            ),
+                        }),
+                        Some(Marker::Unlinked) if r4 => out.push(TraceViolation {
+                            at,
+                            rule: "clean-unlink-then-dir-fsync",
+                            what: format!(
+                                "write to {file} after {prefix}CLEAN was unlinked but before \
+                                 the directory was synced — a crash could resurrect the marker"
+                            ),
+                        }),
+                        _ => {}
+                    }
+                }
+                if let (true, Some(rename)) = (r2, undurable_rename.remove(prefix)) {
                     out.push(TraceViolation {
                         at,
-                        rule: "no-write-under-clean-marker",
+                        rule: "rename-then-dir-fsync",
                         what: format!(
-                            "write to {file} while {prefix}CLEAN is durably present — \
-                             the clean→dirty transition must unlink the marker first"
+                            "write to {file} after `{rename}` with no dir-sync of {prefix:?} in \
+                             between — a crash could revert the rename under the new data"
                         ),
                     });
                 }
                 *unsynced.entry(file).or_insert(0) += 1;
             }
             IoEvent::Sync { file, .. } => {
+                let (prefix, local) = split_name(file);
+                if local == "MANIFEST.DELTA" {
+                    // The sync that makes a delta frame durable is an
+                    // incremental index commit: the same data- and
+                    // blob-sync obligations gate it as gate the full
+                    // manifest commit.
+                    check_index_commit(
+                        &mut out,
+                        at,
+                        &format!("manifest-delta commit (sync of {file})"),
+                        r8.then_some("delta-append-after-data-fsync"),
+                        pending(&unsynced, current_data.get(prefix)),
+                        pending(&unsynced, current_blob.get(prefix)).filter(|_| r7),
+                    );
+                }
                 unsynced.insert(file, 0);
             }
             IoEvent::Read { .. } | IoEvent::Alloc { .. } | IoEvent::Free { .. } => {}
@@ -369,113 +475,72 @@ pub fn check_trace(events: &[IoEvent]) -> Vec<TraceViolation> {
                 let (prefix, local) = split_name(name);
                 match op {
                     "power-cycle" => {
-                        // The write-back overlay is gone: whatever of it
-                        // the crash lottery kept was recorded before the
-                        // cycle; the reopening process starts clean.
+                        // The write-back state is gone — whatever of it
+                        // the crash lottery kept is simply the new disk
+                        // image — and which names survived is unknown
+                        // until the reopening process looks.
                         unsynced.clear();
+                        marker.clear();
+                        undurable_rename.clear();
                     }
-                    "meta-write" if local == "MANIFEST" => {
-                        if r1 {
-                            if let Some(&data) = current_data.get(prefix) {
-                                let pending = unsynced.get(data).copied().unwrap_or(0);
-                                if pending > 0 {
-                                    out.push(TraceViolation {
-                                        at,
-                                        rule: "rename-after-data-fsync",
-                                        what: format!(
-                                            "manifest commit {name} while {data} has {pending} \
-                                             unsynced block write(s) — the data fsync must \
-                                             precede the commit point"
-                                        ),
-                                    });
-                                }
-                            }
+                    "file-rename" => {
+                        let Some((from, to)) = name.split_once(" -> ") else { continue };
+                        let (prefix, local) = split_name(to);
+                        if let (true, Some(n)) = (r1, unsynced.remove(from).filter(|&n| n > 0)) {
+                            out.push(TraceViolation {
+                                at,
+                                rule: "rename-after-data-fsync",
+                                what: format!(
+                                    "`{label}` while {from} has {n} unsynced append(s) — the \
+                                     renamed file's own fdatasync must precede the rename"
+                                ),
+                            });
                         }
-                        if r7 {
-                            if let Some(&blob) = current_blob.get(prefix) {
-                                let pending = unsynced.get(blob).copied().unwrap_or(0);
-                                if pending > 0 {
-                                    out.push(TraceViolation {
-                                        at,
-                                        rule: "blob-sync-before-index-commit",
-                                        what: format!(
-                                            "manifest commit {name} while {blob} has {pending} \
-                                             unsynced blob append(s) — the payload fdatasync \
-                                             must precede the index commit point"
-                                        ),
-                                    });
-                                }
-                            }
+                        if local == "MANIFEST" {
+                            check_index_commit(
+                                &mut out,
+                                at,
+                                &format!("manifest commit `{label}`"),
+                                r1.then_some("rename-after-data-fsync"),
+                                pending(&unsynced, current_data.get(prefix)),
+                                pending(&unsynced, current_blob.get(prefix)).filter(|_| r7),
+                            );
                         }
+                        undurable_rename.insert(prefix, label);
                     }
-                    "meta-write" if local == "MANIFEST.DELTA" => {
-                        // A delta append is an incremental index commit:
-                        // the same data- and blob-sync obligations gate
-                        // it as gate the full manifest commit above.
-                        if r8 {
-                            if let Some(&data) = current_data.get(prefix) {
-                                let pending = unsynced.get(data).copied().unwrap_or(0);
-                                if pending > 0 {
-                                    out.push(TraceViolation {
-                                        at,
-                                        rule: "delta-append-after-data-fsync",
-                                        what: format!(
-                                            "manifest-delta append {name} while {data} has \
-                                             {pending} unsynced block write(s) — the data fsync \
-                                             must precede the incremental commit point"
-                                        ),
-                                    });
-                                }
-                            }
-                        }
-                        if r7 {
-                            if let Some(&blob) = current_blob.get(prefix) {
-                                let pending = unsynced.get(blob).copied().unwrap_or(0);
-                                if pending > 0 {
-                                    out.push(TraceViolation {
-                                        at,
-                                        rule: "blob-sync-before-index-commit",
-                                        what: format!(
-                                            "manifest-delta append {name} while {blob} has \
-                                             {pending} unsynced blob append(s) — the payload \
-                                             fdatasync must precede the index commit point"
-                                        ),
-                                    });
-                                }
-                            }
+                    "dir-sync" => {
+                        undurable_rename.remove(name);
+                        if marker.get(name) == Some(&Marker::Unlinked) {
+                            marker.remove(name);
                         }
                     }
-                    "meta-write" if local == "CLEAN" => {
-                        clean.insert(prefix);
-                    }
-                    "meta-remove" if local == "CLEAN" => {
-                        clean.remove(prefix);
-                    }
-                    "file-create" => {
-                        unsynced.insert(name, 0);
+                    "file-create" | "file-open" => {
+                        if op == "file-create" {
+                            unsynced.insert(name, 0);
+                        }
                         if is_data_file(local) {
                             current_data.insert(prefix, name);
                         }
                         if is_blob_file(local) {
                             current_blob.insert(prefix, name);
                         }
-                    }
-                    "file-open" if is_data_file(local) => {
-                        current_data.insert(prefix, name);
-                    }
-                    "file-open" if is_blob_file(local) => {
-                        current_blob.insert(prefix, name);
+                        if local == "CLEAN" {
+                            marker.insert(prefix, Marker::Present);
+                        }
                     }
                     "file-remove" => {
-                        unsynced.remove(name.trim());
+                        unsynced.remove(name);
                         if current_data.get(prefix) == Some(&name) {
                             current_data.remove(prefix);
                         }
                         if current_blob.get(prefix) == Some(&name) {
                             current_blob.remove(prefix);
                         }
+                        if local == "CLEAN" {
+                            marker.insert(prefix, Marker::Unlinked);
+                        }
                     }
-                    "blob-truncate" => {
+                    "file-truncate" => {
                         // Recovery (or open) discarded the unsynced
                         // tail: the appends it covered no longer exist,
                         // so they owe no sync before the next commit.
@@ -506,12 +571,43 @@ mod tests {
         IoEvent::Sync { file: file.into(), flushed: 1 }
     }
 
+    /// The event sequence of `commit_file_atomic` on `{prefix}MANIFEST`,
+    /// ending at the rename (the dir-sync is the caller's to add or drop).
+    fn manifest_rename(prefix: &str) -> Vec<IoEvent> {
+        let tmp = format!("{prefix}MANIFEST.tmp");
+        vec![
+            meta(&format!("file-create {tmp}")),
+            write(&tmp),
+            sync(&tmp),
+            meta(&format!("file-rename {tmp} -> {prefix}MANIFEST")),
+        ]
+    }
+
+    /// A whole conformant manifest commit.
+    fn manifest_commit(prefix: &str) -> Vec<IoEvent> {
+        let mut events = manifest_rename(prefix);
+        events.push(meta(&format!("dir-sync {prefix}")));
+        events
+    }
+
+    /// A delta commit: the append and the sync that anchors it.
+    fn delta_commit(prefix: &str) -> Vec<IoEvent> {
+        let chain = format!("{prefix}MANIFEST.DELTA");
+        vec![write(&chain), sync(&chain)]
+    }
+
+    fn trace(parts: Vec<Vec<IoEvent>>) -> Vec<IoEvent> {
+        parts.into_iter().flatten().collect()
+    }
+
     #[test]
     fn every_trace_rule_is_implemented_by_the_automaton() {
         // The automaton hand-implements the trace layer; this pins the
         // table to it so a new trace-enabled rule cannot silently no-op.
         let implemented = [
             "rename-after-data-fsync",
+            "rename-then-dir-fsync",
+            "clean-unlink-then-dir-fsync",
             "no-write-under-clean-marker",
             "blob-sync-before-index-commit",
             "delta-append-after-data-fsync",
@@ -537,42 +633,96 @@ mod tests {
 
     #[test]
     fn conformant_commit_sequence_passes() {
-        let events = vec![
-            meta("file-create store.blk"),
-            write("store.blk"),
-            write("store.blk"),
-            sync("store.blk"),
-            meta("meta-write MANIFEST"),
-            meta("meta-write CLEAN"),
-        ];
+        let events = trace(vec![
+            vec![meta("file-create store.blk"), write("store.blk"), write("store.blk")],
+            vec![sync("store.blk")],
+            manifest_commit(""),
+            vec![meta("file-create CLEAN"), write("CLEAN")],
+        ]);
         assert_eq!(check_trace(&events), vec![]);
     }
 
     /// Seeded mutant: manifest commit with the data fsync dropped.
     #[test]
     fn rename_before_fsync_mutant_is_caught() {
-        let events =
-            vec![meta("file-create store.blk"), write("store.blk"), meta("meta-write MANIFEST")];
+        let events = trace(vec![
+            vec![meta("file-create store.blk"), write("store.blk")],
+            manifest_rename(""),
+        ]);
+        let v = check_trace(&events);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "rename-after-data-fsync");
+        assert_eq!(v[0].at, 5);
+    }
+
+    /// Seeded mutant: the tmp file's own fdatasync dropped before the
+    /// rename — a durable `MANIFEST` could name a torn manifest.
+    #[test]
+    fn rename_of_an_unsynced_tmp_mutant_is_caught() {
+        let events = vec![
+            meta("file-create MANIFEST.tmp"),
+            write("MANIFEST.tmp"),
+            meta("file-rename MANIFEST.tmp -> MANIFEST"),
+        ];
         let v = check_trace(&events);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "rename-after-data-fsync");
         assert_eq!(v[0].at, 2);
     }
 
+    /// Seeded mutant: the dir-sync after the manifest rename dropped —
+    /// caught at the directory's next write (here the marker's), never
+    /// at end-of-trace.
+    #[test]
+    fn rename_without_dir_fsync_mutant_is_caught() {
+        let mut events = manifest_rename("shard-000/");
+        assert_eq!(check_trace(&events), vec![], "a crash right after the rename is conformant");
+        events.extend([meta("file-create shard-000/CLEAN"), write("shard-000/CLEAN")]);
+        let v = check_trace(&events);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "rename-then-dir-fsync");
+        assert_eq!(v[0].at, 5);
+        // A sibling directory's dir-sync does not discharge it; its own does.
+        let mut events = manifest_rename("shard-000/");
+        events.extend([meta("dir-sync shard-001/"), write("shard-000/store.blk")]);
+        assert_eq!(check_trace(&events).len(), 1);
+        let mut events = manifest_commit("shard-000/");
+        events.push(write("shard-000/store.blk"));
+        assert_eq!(check_trace(&events), vec![]);
+    }
+
     /// Seeded mutant: block write with the CLEAN unlink skipped.
     #[test]
     fn write_under_clean_marker_mutant_is_caught() {
-        let events = vec![
-            meta("file-create shard-000/store.blk"),
-            sync("shard-000/store.blk"),
-            meta("meta-write shard-000/MANIFEST"),
-            meta("meta-write shard-000/CLEAN"),
-            write("shard-000/store.blk"),
-        ];
+        let events = trace(vec![
+            vec![meta("file-create shard-000/store.blk"), sync("shard-000/store.blk")],
+            manifest_commit("shard-000/"),
+            vec![meta("file-create shard-000/CLEAN"), write("shard-000/store.blk")],
+        ]);
         let v = check_trace(&events);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "no-write-under-clean-marker");
-        assert_eq!(v[0].at, 4);
+        assert_eq!(v[0].at, 8);
+    }
+
+    /// Seeded mutant: the CLEAN unlink's dir-sync dropped — the next
+    /// block write could land under a resurrected marker.
+    #[test]
+    fn clean_unlink_without_dir_fsync_mutant_is_caught() {
+        let mut events = vec![
+            meta("file-create store.blk"),
+            meta("file-create CLEAN"),
+            meta("file-remove CLEAN"),
+        ];
+        assert_eq!(check_trace(&events), vec![], "a crash right after the unlink is conformant");
+        events.push(write("store.blk"));
+        let v = check_trace(&events);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "clean-unlink-then-dir-fsync");
+        assert_eq!(v[0].at, 3);
+        // With the dir-sync in place the same sequence is conformant.
+        events.insert(3, meta("dir-sync "));
+        assert_eq!(check_trace(&events), vec![]);
     }
 
     /// Seeded mutant: index commit with the blob fdatasync dropped. A
@@ -580,86 +730,77 @@ mod tests {
     /// resurrect dangling index entries after a crash.
     #[test]
     fn index_commit_before_blob_sync_mutant_is_caught() {
-        let events =
-            vec![meta("file-create store.blob"), write("store.blob"), meta("meta-write MANIFEST")];
+        let events = trace(vec![
+            vec![meta("file-create store.blob"), write("store.blob")],
+            manifest_rename(""),
+        ]);
         let v = check_trace(&events);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "blob-sync-before-index-commit");
-        assert_eq!(v[0].at, 2);
+        assert_eq!(v[0].at, 5);
         // With the sync in place the same sequence is conformant.
-        let events = vec![
-            meta("file-create store.blob"),
-            write("store.blob"),
-            sync("store.blob"),
-            meta("meta-write MANIFEST"),
-        ];
+        let events = trace(vec![
+            vec![meta("file-create store.blob"), write("store.blob"), sync("store.blob")],
+            manifest_rename(""),
+        ]);
         assert_eq!(check_trace(&events), vec![]);
     }
 
-    /// Seeded mutant: manifest-delta append with the data fsync
+    /// Seeded mutant: manifest-delta commit with the data fsync
     /// dropped — the delta is an incremental commit point and owes the
     /// same preceding fsync as the full rename.
     #[test]
     fn delta_append_before_fsync_mutant_is_caught() {
-        let events = vec![
-            meta("file-create store.blk"),
-            write("store.blk"),
-            meta("meta-write MANIFEST.DELTA"),
-        ];
+        let events =
+            trace(vec![vec![meta("file-create store.blk"), write("store.blk")], delta_commit("")]);
         let v = check_trace(&events);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "delta-append-after-data-fsync");
-        assert_eq!(v[0].at, 2);
+        assert_eq!(v[0].at, 3);
         // With the sync in place the same sequence is conformant.
-        let events = vec![
-            meta("file-create store.blk"),
-            write("store.blk"),
-            sync("store.blk"),
-            meta("meta-write MANIFEST.DELTA"),
-        ];
+        let events = trace(vec![
+            vec![meta("file-create store.blk"), write("store.blk"), sync("store.blk")],
+            delta_commit(""),
+        ]);
         assert_eq!(check_trace(&events), vec![]);
     }
 
-    /// Seeded mutant: a delta append is an *index commit* — unsynced
+    /// Seeded mutant: a delta commit is an *index commit* — unsynced
     /// blob appends gate it exactly as they gate the full manifest.
     #[test]
     fn delta_append_before_blob_sync_mutant_is_caught() {
-        let events = vec![
-            meta("file-create store.blob"),
-            write("store.blob"),
-            meta("meta-write MANIFEST.DELTA"),
-        ];
+        let events = trace(vec![
+            vec![meta("file-create store.blob"), write("store.blob")],
+            delta_commit(""),
+        ]);
         let v = check_trace(&events);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "blob-sync-before-index-commit");
-        assert_eq!(v[0].at, 2);
+        assert_eq!(v[0].at, 3);
     }
 
     /// The delta arm scopes per store prefix like every other rule: a
     /// sibling shard's unsynced writes do not indict this shard's delta.
     #[test]
     fn delta_append_scope_is_per_store_prefix() {
-        let events = vec![
-            meta("file-create shard-000/store.blk"),
-            write("shard-000/store.blk"),
-            meta("file-create shard-001/store.blk"),
-            write("shard-001/store.blk"),
-            sync("shard-001/store.blk"),
-            meta("meta-write shard-001/MANIFEST.DELTA"),
-        ];
+        let events = trace(vec![
+            vec![meta("file-create shard-000/store.blk"), write("shard-000/store.blk")],
+            vec![meta("file-create shard-001/store.blk"), write("shard-001/store.blk")],
+            vec![sync("shard-001/store.blk")],
+            delta_commit("shard-001/"),
+        ]);
         assert_eq!(check_trace(&events), vec![]);
     }
 
     /// Recovery's tail truncation discharges the sync obligation: the
     /// torn appends it drops no longer gate the next commit.
     #[test]
-    fn blob_truncate_discharges_unsynced_appends() {
-        let events = vec![
-            meta("file-open store.blob"),
-            write("store.blob"),
-            meta("blob-truncate store.blob"),
-            meta("meta-write MANIFEST"),
-        ];
+    fn truncate_discharges_unsynced_appends() {
+        let events = trace(vec![
+            vec![meta("file-open store.blob"), write("store.blob")],
+            vec![meta("file-truncate store.blob")],
+            manifest_rename(""),
+        ]);
         assert_eq!(check_trace(&events), vec![]);
     }
 
@@ -670,7 +811,7 @@ mod tests {
         let events = vec![
             meta("file-create shard-000/store.blob"),
             sync("shard-000/store.blob"),
-            meta("meta-write shard-000/CLEAN"),
+            meta("file-create shard-000/CLEAN"),
             write("shard-000/store.blob"),
         ];
         let v = check_trace(&events);
@@ -684,46 +825,67 @@ mod tests {
     #[test]
     fn clean_marker_scope_is_per_store_prefix() {
         let events = vec![
-            meta("meta-write shard-000/CLEAN"),
+            meta("file-create shard-000/CLEAN"),
             meta("file-create shard-001/store.blk"),
             write("shard-001/store.blk"),
         ];
         assert_eq!(check_trace(&events), vec![]);
         let events = vec![
-            meta("meta-write shard-000/CLEAN"),
-            meta("meta-remove shard-000/CLEAN"),
+            meta("file-create shard-000/CLEAN"),
+            meta("file-remove shard-000/CLEAN"),
+            meta("dir-sync shard-000/"),
             meta("file-create shard-000/store.blk"),
             write("shard-000/store.blk"),
         ];
         assert_eq!(check_trace(&events), vec![]);
     }
 
+    /// A reopen that finds the marker re-arms the rule; one that does
+    /// not (the crash lost it) carries no obligation.
+    #[test]
+    fn marker_state_is_relearned_after_a_power_cycle() {
+        let found = vec![
+            meta("file-create CLEAN"),
+            meta("power-cycle"),
+            meta("file-open CLEAN"),
+            meta("file-open store.blk"),
+            write("store.blk"),
+        ];
+        assert_eq!(check_trace(&found).len(), 1);
+        let lost = vec![
+            meta("file-create CLEAN"),
+            meta("power-cycle"),
+            meta("file-absent CLEAN"),
+            meta("file-open store.blk"),
+            write("store.blk"),
+        ];
+        assert_eq!(check_trace(&lost), vec![]);
+    }
+
     /// An interrupted compaction's superseded generation carries no
     /// obligation: only the *current* data file gates the manifest.
     #[test]
     fn superseded_generation_does_not_block_the_commit() {
-        let events = vec![
-            meta("file-create store.blk"),
-            write("store.blk"), // old generation: unsynced in-place merge
-            meta("file-create store.1.blk"),
-            write("store.1.blk"),
-            sync("store.1.blk"),
-            meta("meta-write MANIFEST"), // references store.1.blk — fine
-        ];
+        let events = trace(vec![
+            // Old generation: unsynced in-place merge.
+            vec![meta("file-create store.blk"), write("store.blk")],
+            vec![meta("file-create store.1.blk"), write("store.1.blk"), sync("store.1.blk")],
+            manifest_rename(""), // references store.1.blk — fine
+        ]);
         assert_eq!(check_trace(&events), vec![]);
     }
 
     /// A power cycle drops the overlay: the next process's manifest
-    /// commit is not indicted by pre-crash unsynced writes.
+    /// commit is not indicted by pre-crash unsynced writes — nor by a
+    /// pre-crash rename the crash cut off from its dir-sync.
     #[test]
     fn power_cycle_resets_unsynced_state() {
-        let events = vec![
-            meta("file-create store.blk"),
-            write("store.blk"),
-            meta("power-cycle"),
-            meta("file-open store.blk"),
-            meta("meta-write MANIFEST"),
-        ];
+        let events = trace(vec![
+            vec![meta("file-create store.blk"), write("store.blk")],
+            vec![meta("file-rename COMMITLOG -> COMMITLOG.OLD")],
+            vec![meta("power-cycle"), meta("file-open store.blk")],
+            manifest_commit(""),
+        ]);
         assert_eq!(check_trace(&events), vec![]);
     }
 
@@ -736,21 +898,28 @@ mod tests {
     }
 
     /// The automaton accepts a real store lifecycle end to end: create,
-    /// write, sync, reopen — driven through an actual [`SimEnv`], not
+    /// write, sync, commit — driven through an actual [`SimEnv`], not
     /// synthetic events.
     #[test]
     fn real_sim_disk_lifecycle_is_conformant() {
+        use dxh_extmem::{BlobFile, Block, StorageBackend};
         let env = SimEnv::new();
         env.set_tracing(true);
         let mut disk = env.create_disk("store.blk", 4).unwrap();
-        use dxh_extmem::{Block, StorageBackend};
         let id = disk.allocate().unwrap();
         let mut b = Block::new(4);
         b.push(dxh_extmem::Item { key: 1, value: 2 }).unwrap();
         disk.write(id, &b).unwrap();
-        env.meta_write("MANIFEST", b"...").unwrap(); // BEFORE the sync: must fire
+        let commit = || {
+            let mut tmp = env.create_file("MANIFEST.tmp").unwrap();
+            tmp.append(b"...").unwrap();
+            tmp.sync().unwrap();
+            env.rename_file("MANIFEST.tmp", "MANIFEST").unwrap();
+            env.sync_dir("").unwrap();
+        };
+        commit(); // BEFORE the data sync: must fire
         disk.sync().unwrap();
-        env.meta_write("MANIFEST", b"...").unwrap(); // after: conformant
+        commit(); // after: conformant
         let trace = env.take_trace();
         let v = check_trace(&trace);
         assert_eq!(v.len(), 1, "{v:?}");

@@ -25,9 +25,12 @@
 //!   `blob-sync-before-index-commit` demands the sync precede any index
 //!   commit that references the new offsets.
 //!
-//! The storage seam is [`BlobFile`]: a real file ([`FileBlob`]) or the
-//! crash simulator's blob namespace (`SimBlob` in `sim_disk`), so every
-//! torture sweep covers torn appends with the same code path.
+//! The storage seam is [`BlobFile`]: a real file ([`FileBlob`]) or a
+//! byte file of the crash simulator (`SimBlob` in `sim_disk`), so every
+//! torture sweep covers torn appends with the same code path. The same
+//! handle serves every other durable byte file of the stack — manifest,
+//! delta chain, commit log, markers — whose protocols `dxh-core` writes
+//! once above it.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -37,10 +40,12 @@ use crate::error::{ExtMemError, Result};
 use crate::frame::{self, FRAME_HEADER};
 use crate::item::MAX_BLOB_OFFSET;
 
-/// The byte-level storage a [`BlobLog`] runs on: an append-only file
-/// with explicit sync. Implementations: [`FileBlob`] (a real file) and
-/// the simulator's `SimBlob` (volatile until sync, torn-tail lottery at
-/// a power cycle).
+/// An open byte file: append-only writes with explicit sync — what a
+/// [`BlobLog`] runs on, and the file handle under every durable-file
+/// protocol in `dxh-core`. Implementations: [`FileBlob`] (a real file)
+/// and the simulator's `SimBlob` (volatile until sync, torn-tail lottery
+/// at a power cycle). The handle follows the file, not its name: a
+/// rename or unlink does not redirect it.
 pub trait BlobFile {
     /// Appends `bytes` at the end of the file (volatile until
     /// [`BlobFile::sync`]).
@@ -64,6 +69,10 @@ pub trait BlobFile {
 pub struct FileBlob {
     file: File,
     len: u64,
+    /// Where the descriptor's cursor is known to sit (`None` after a
+    /// failed write) — lets an append skip the seek when it is already
+    /// at the end.
+    cursor: Option<u64>,
 }
 
 impl FileBlob {
@@ -71,22 +80,26 @@ impl FileBlob {
     pub fn create(path: impl AsRef<Path>) -> Result<Self> {
         let file =
             OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
-        Ok(FileBlob { file, len: 0 })
+        Ok(FileBlob { file, len: 0, cursor: Some(0) })
     }
 
     /// Opens the existing blob file at `path` without truncating.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
         let len = file.seek(SeekFrom::End(0))?;
-        Ok(FileBlob { file, len })
+        Ok(FileBlob { file, len, cursor: Some(len) })
     }
 }
 
 impl BlobFile for FileBlob {
     fn append(&mut self, bytes: &[u8]) -> Result<()> {
-        self.file.seek(SeekFrom::Start(self.len))?;
+        if self.cursor != Some(self.len) {
+            self.file.seek(SeekFrom::Start(self.len))?;
+        }
+        self.cursor = None;
         self.file.write_all(bytes)?;
         self.len += bytes.len() as u64;
+        self.cursor = Some(self.len);
         Ok(())
     }
 
@@ -100,9 +113,11 @@ impl BlobFile for FileBlob {
     }
 
     fn read_all(&mut self) -> Result<Vec<u8>> {
+        self.cursor = None;
         self.file.seek(SeekFrom::Start(0))?;
         let mut buf = Vec::with_capacity(self.len as usize);
         self.file.read_to_end(&mut buf)?;
+        self.cursor = Some(buf.len() as u64);
         Ok(buf)
     }
 

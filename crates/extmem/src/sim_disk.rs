@@ -5,33 +5,46 @@
 //! ## The machine model
 //!
 //! A [`SimEnv`] is one simulated machine: named block files (each served
-//! through a [`SimDisk`] handle), a small metadata namespace (manifests,
-//! markers), an exclusive store lock, and a single global **I/O clock**
+//! through a [`SimDisk`] handle), a namespace of **byte files** (each
+//! served through a [`SimBlob`] handle — manifests, markers, logs,
+//! payload blobs), named store locks, and a single global **I/O clock**
 //! that every operation ticks. The clock index is the coordinate system
 //! of the whole crate: fault plans name indices, the trace records them,
 //! and a crash "at index k" means ops `0..k` happened and op `k` did not.
 //!
-//! Durability is modeled the way the store's own protocol assumes it:
+//! Durability is modeled at the altitude of the system calls the real
+//! path issues, so the protocols above (`dxh-core`'s tmp + fsync +
+//! rename + dir-fsync commit, its append-and-sync logs) run unchanged on
+//! the simulator and a crash sweep exercises exactly what ships:
 //!
-//! * **Block writes are volatile until `sync`.** Each file keeps a
-//!   durable image (the state at its last completed sync) plus an
+//! * **Block writes are volatile until `sync`.** Each block file keeps
+//!   a durable image (the state at its last completed sync) plus an
 //!   overlay of unsynced writes. Reads see the overlay (a process reads
 //!   its own page cache); a crash discards it.
-//! * **File growth is durable immediately** (zero-filled slots, exactly
-//!   like `FileDisk`'s `set_len` extension — an all-zero slot decodes as
-//!   an empty block).
-//! * **Metadata ops are atomic and durable at their index.** This is
-//!   the contract the store's media layer must honor, not an optimism:
-//!   the real directory media fsyncs both the manifest rename and the
-//!   clean-marker unlink (a lost unlink would resurrect trust in a
-//!   stale manifest — the one direction a lost metadata op is *not*
-//!   recoverable).
-//! * **At a power cycle**, slots below the synced high-water mark revert
-//!   exactly to their durable image, and never-synced slots (allocated
-//!   since the last sync) independently keep, lose, or hold a **torn**
-//!   image of their unsynced content, chosen by the plan's crash seed —
-//!   block-granular write-survival for exactly the slots whose content
-//!   no committed manifest may reference.
+//! * **Block-file growth is durable immediately** (zero-filled slots,
+//!   exactly like `FileDisk`'s `set_len` extension — an all-zero slot
+//!   decodes as an empty block), and so is a block file's name.
+//! * **Byte-file appends are volatile until the file's `sync`.** A byte
+//!   file is its durable bytes plus the ordered appends made since; a
+//!   crash keeps a *prefix* of those appends and may tear the first
+//!   casualty (half its bytes, then `0xFF`).
+//! * **A name is durable only after its directory is synced.** Creating,
+//!   renaming and unlinking a byte file take effect at once for the
+//!   running process, but each directory (a name's prefix up to its last
+//!   `/`) keeps the ordered list of namespace operations made since its
+//!   last [`SimEnv::sync_dir`], and a crash keeps only a seeded *prefix*
+//!   of that list. `rename` is atomic — the target names the old file or
+//!   the new one, never a mix — and a file's own `sync` does **not**
+//!   persist its directory entry: a fully synced file whose create was
+//!   never dir-synced can vanish whole.
+//! * **At a power cycle**, block slots below the synced high-water mark
+//!   revert exactly to their durable image, and never-synced slots
+//!   (allocated since the last sync) independently keep, lose, or hold a
+//!   **torn** image of their unsynced content, chosen by the plan's
+//!   crash seed — block-granular write-survival for exactly the slots
+//!   whose content no committed manifest may reference. The trace
+//!   records what the lottery undid (`crash-undo …`, `crash-tear …`,
+//!   `crash-drop …`), so a sweep can assert which windows it really hit.
 //!
 //! What this deliberately does **not** model is partial survival of
 //! unsynced rewrites of previously synced blocks (a power loss tearing
@@ -127,10 +140,11 @@ pub enum IoEvent {
         /// Unsynced writes made durable by this barrier.
         flushed: u64,
     },
-    /// A metadata operation (manifest commit, marker write/clear, file
-    /// create/open/remove, lock acquisition, power cycle).
+    /// A namespace or bookkeeping operation (file create/open/read/
+    /// rename/remove/truncate, directory sync, lock acquisition, power
+    /// cycle and what its crash lottery undid).
     Meta {
-        /// What happened, e.g. `"manifest-write MANIFEST"`.
+        /// What happened, e.g. `"file-rename MANIFEST.tmp -> MANIFEST"`.
         label: String,
         /// Content fingerprint where meaningful, 0 otherwise.
         fingerprint: u64,
@@ -163,11 +177,12 @@ struct SimFileState {
     overlay: BTreeMap<u64, Vec<u8>>,
 }
 
-/// One simulated append-only blob file: a durable prefix plus the
+/// One simulated byte file (an inode): a durable prefix plus the
 /// unsynced appends made since the last sync barrier, kept append-
 /// granular so the crash lottery can keep a *prefix* of them (appends
 /// reach the platter in order) and tear the first casualty.
-struct SimBlobState {
+#[derive(Default)]
+struct SimByteFile {
     /// Bytes durable as of the last completed sync.
     durable: Vec<u8>,
     /// Unsynced appends, in order; discarded (modulo the prefix-survival
@@ -175,10 +190,56 @@ struct SimBlobState {
     tail: Vec<Vec<u8>>,
 }
 
-impl SimBlobState {
+impl SimByteFile {
     fn visible_len(&self) -> u64 {
         self.durable.len() as u64 + self.tail.iter().map(|t| t.len() as u64).sum::<u64>()
     }
+
+    /// What the running process reads: durable prefix plus its own
+    /// unsynced appends.
+    fn image(&self) -> Vec<u8> {
+        let mut out = self.durable.clone();
+        for chunk in &self.tail {
+            out.extend_from_slice(chunk);
+        }
+        out
+    }
+}
+
+/// One byte-file namespace operation its directory has not been synced
+/// past, with what a crash needs to undo it.
+enum DirOp {
+    /// `name` was created (it named nothing before).
+    Create { name: String },
+    /// `from` was renamed over `to`, displacing the inode `to` named.
+    Rename { from: String, to: String, displaced: Option<u64> },
+    /// `name` was unlinked from inode `ino`.
+    Unlink { name: String, ino: u64 },
+}
+
+impl DirOp {
+    /// The trace label of the operation (shared by the op's own event
+    /// and the `crash-undo` note of a power cycle that reverts it).
+    fn label(&self) -> String {
+        match self {
+            DirOp::Create { name } => format!("file-create {name}"),
+            DirOp::Rename { from, to, .. } => format!("file-rename {from} -> {to}"),
+            DirOp::Unlink { name, .. } => format!("file-remove {name}"),
+        }
+    }
+}
+
+/// The directory of `name`: everything up to and including its last
+/// `/` (`""` for the machine's root).
+fn dir_of(name: &str) -> &str {
+    &name[..name.rfind('/').map_or(0, |i| i + 1)]
+}
+
+fn not_found(name: &str) -> ExtMemError {
+    ExtMemError::Io(std::io::Error::new(
+        std::io::ErrorKind::NotFound,
+        format!("sim file {name} does not exist"),
+    ))
 }
 
 /// The machine behind a [`SimEnv`] handle.
@@ -189,8 +250,15 @@ struct SimEnvState {
     tracing: bool,
     trace: Vec<IoEvent>,
     files: BTreeMap<String, SimFileState>,
-    blobs: BTreeMap<String, SimBlobState>,
-    meta: BTreeMap<String, Vec<u8>>,
+    /// The byte-file namespace as the running process sees it.
+    names: BTreeMap<String, u64>,
+    /// Byte-file contents by inode; handles follow the inode, so a
+    /// rename or unlink never redirects an open [`SimBlob`].
+    inodes: BTreeMap<u64, SimByteFile>,
+    next_ino: u64,
+    /// Per directory, the namespace operations made since its last
+    /// [`SimEnv::sync_dir`], oldest first.
+    undurable: BTreeMap<String, Vec<DirOp>>,
     /// Held store locks by name (`""` is the machine's default store; a
     /// sharded service locks one name per shard), each mapped to the
     /// epoch of its current acquisition.
@@ -200,6 +268,13 @@ struct SimEnvState {
     /// after a power cycle cannot free a newer owner's lock.
     lock_epoch: u64,
     power_cycles: u64,
+}
+
+impl SimEnvState {
+    /// Records namespace operation `op` on `name` as not yet durable.
+    fn defer(&mut self, name: &str, op: DirOp) {
+        self.undurable.entry(dir_of(name).to_string()).or_default().push(op);
+    }
 }
 
 /// A handle to one simulated machine; cheap to clone, and every clone
@@ -224,8 +299,10 @@ impl SimEnv {
             tracing: true,
             trace: Vec::new(),
             files: BTreeMap::new(),
-            blobs: BTreeMap::new(),
-            meta: BTreeMap::new(),
+            names: BTreeMap::new(),
+            inodes: BTreeMap::new(),
+            next_ino: 0,
+            undurable: BTreeMap::new(),
             locks: BTreeMap::new(),
             lock_epoch: 0,
             power_cycles: 0,
@@ -275,16 +352,19 @@ impl SimEnv {
     /// block-granular write-survival policy (slots below each file's
     /// synced high-water mark revert exactly to their durable image;
     /// never-synced slots keep, lose, or hold a torn copy of their
-    /// unsynced content, chosen by the plan's `crash_seed`), clears the
-    /// crash flag and the store lock (the kernel releases a dead
-    /// process's lock), and resets the plan to fault-free so recovery
-    /// runs clean. The I/O clock and the trace carry on — a replay is
-    /// one timeline.
+    /// unsynced content, chosen by the plan's `crash_seed`), reverts a
+    /// seeded suffix of every directory's un-synced namespace
+    /// operations, runs the prefix-survival lottery over each surviving
+    /// byte file's unsynced appends, clears the crash flag and the store
+    /// locks (the kernel releases a dead process's lock), and resets the
+    /// plan to fault-free so recovery runs clean. The I/O clock and the
+    /// trace carry on — a replay is one timeline.
     pub fn power_cycle(&self) {
         let mut st = self.state();
         let st = &mut *st;
         let plan = std::mem::take(&mut st.plan);
         let mut rng = plan.crash_seed ^ st.power_cycles.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let mut notes: Vec<String> = Vec::new();
         for file in st.files.values_mut() {
             let overlay = std::mem::take(&mut file.overlay);
             for (id, bytes) in overlay {
@@ -314,23 +394,55 @@ impl SimEnv {
                 }
             }
         }
-        for blob in st.blobs.values_mut() {
+        // Directory entries reach the platter in order: each directory
+        // keeps a seeded prefix of its un-synced namespace operations,
+        // and the rest are reverted newest-first.
+        for (_, mut ops) in std::mem::take(&mut st.undurable) {
+            let keep = (splitmix_next(&mut rng) % (ops.len() as u64 + 1)) as usize;
+            for op in ops.drain(keep..).rev() {
+                notes.push(format!("crash-undo {}", op.label()));
+                match op {
+                    DirOp::Create { name } => {
+                        st.names.remove(&name);
+                    }
+                    DirOp::Rename { from, to, displaced } => {
+                        if let Some(ino) = st.names.remove(&to) {
+                            st.names.insert(from, ino);
+                        }
+                        if let Some(ino) = displaced {
+                            st.names.insert(to, ino);
+                        }
+                    }
+                    DirOp::Unlink { name, ino } => {
+                        st.names.insert(name, ino);
+                    }
+                }
+            }
+        }
+        // No process survives to hold an unnamed file open.
+        let names = &st.names;
+        st.inodes.retain(|ino, _| names.values().any(|n| n == ino));
+        for (name, ino) in &st.names {
             // Appends reach the platter in order, so survival is
             // prefix-shaped: each unsynced append in turn survives
             // whole, tears (half its bytes then garbage — the last
             // write the head got to), or is lost — and the first
             // casualty ends the prefix.
-            let tail = std::mem::take(&mut blob.tail);
-            for bytes in tail {
+            let file = st.inodes.get_mut(ino).expect("a named inode exists");
+            for bytes in std::mem::take(&mut file.tail) {
                 match splitmix_next(&mut rng) % 3 {
-                    0 => blob.durable.extend_from_slice(&bytes),
+                    0 => file.durable.extend_from_slice(&bytes),
                     1 if plan.tear => {
                         let half = bytes.len() / 2;
-                        blob.durable.extend_from_slice(&bytes[..half]);
-                        blob.durable.extend(std::iter::repeat_n(0xFF, bytes.len() - half));
+                        file.durable.extend_from_slice(&bytes[..half]);
+                        file.durable.extend(std::iter::repeat_n(0xFF, bytes.len() - half));
+                        notes.push(format!("crash-tear {name}"));
                         break;
                     }
-                    _ => break,
+                    _ => {
+                        notes.push(format!("crash-drop {name}"));
+                        break;
+                    }
                 }
             }
         }
@@ -338,6 +450,7 @@ impl SimEnv {
         st.locks.clear();
         st.power_cycles += 1;
         if st.tracing {
+            st.trace.extend(notes.into_iter().map(|label| IoEvent::Meta { label, fingerprint: 0 }));
             st.trace
                 .push(IoEvent::Meta { label: "power-cycle".into(), fingerprint: st.power_cycles });
         }
@@ -392,43 +505,6 @@ impl SimEnv {
         }
     }
 
-    /// Reads metadata file `name` (one I/O op); `None` when absent.
-    pub fn meta_read(&self, name: &str) -> Result<Option<Vec<u8>>> {
-        self.guarded(
-            || IoEvent::Meta { label: format!("meta-read {name}"), fingerprint: 0 },
-            |st| Ok(st.meta.get(name).cloned()),
-        )
-    }
-
-    /// Atomically writes metadata file `name` (one I/O op, durable at
-    /// its index — the simulated fsync'd tmp-plus-rename).
-    pub fn meta_write(&self, name: &str, bytes: &[u8]) -> Result<()> {
-        // The fold is allocation-free, so computing it eagerly costs
-        // nothing an untraced run needs to avoid; only the event's
-        // String is deferred.
-        let fp = fnv1a64(bytes);
-        let owned = bytes.to_vec();
-        self.guarded(
-            || IoEvent::Meta { label: format!("meta-write {name}"), fingerprint: fp },
-            move |st| {
-                st.meta.insert(name.to_string(), owned);
-                Ok(())
-            },
-        )
-    }
-
-    /// Removes metadata file `name` (one I/O op; absent is not an error,
-    /// matching `remove_file` + `NotFound` tolerance on the real path).
-    pub fn meta_remove(&self, name: &str) -> Result<()> {
-        self.guarded(
-            || IoEvent::Meta { label: format!("meta-remove {name}"), fingerprint: 0 },
-            |st| {
-                st.meta.remove(name);
-                Ok(())
-            },
-        )
-    }
-
     /// Creates (truncating) block file `name` and returns a handle to it
     /// (one I/O op).
     pub fn create_disk(&self, name: &str, block_capacity: usize) -> Result<SimDisk> {
@@ -477,179 +553,121 @@ impl SimEnv {
         Ok(SimDisk::handle(self.clone(), name, block_capacity, slots))
     }
 
-    /// Removes block file `name` (one I/O op; absent is not an error).
-    pub fn remove_file(&self, name: &str) -> Result<()> {
-        self.guarded(
-            || IoEvent::Meta { label: format!("file-remove {name}"), fingerprint: 0 },
-            |st| {
-                st.files.remove(name);
-                Ok(())
-            },
-        )
-    }
-
-    /// Names of the block files currently in the namespace (diagnostic
-    /// listing, un-clocked).
-    pub fn file_names(&self) -> Vec<String> {
-        self.state().files.keys().cloned().collect()
-    }
-
-    /// Size in bytes file `name` would report to a `stat` (slots × slot
-    /// size); 0 when absent. Un-clocked diagnostic.
+    /// Size in bytes block file `name` would report to a `stat` (slots ×
+    /// slot size); 0 when absent. Un-clocked diagnostic.
     pub fn file_len(&self, name: &str) -> u64 {
         let st = self.state();
         st.files.get(name).map_or(0, |f| f.slots * f.block_bytes as u64)
     }
 
-    /// Creates (truncating) append-only blob file `name` and returns a
-    /// handle to it (one I/O op) — the blob-file namespace every
-    /// torture/crash sweep drives, so torn appends are covered by the
-    /// same fault plans as block files.
-    pub fn create_blob(&self, name: &str) -> Result<SimBlob> {
-        self.guarded(
+    /// Every name on the machine, block files and byte files alike
+    /// (diagnostic listing, un-clocked).
+    pub fn file_names(&self) -> Vec<String> {
+        let st = self.state();
+        st.files.keys().chain(st.names.keys()).cloned().collect()
+    }
+
+    /// Creates byte file `name` — truncating it in place when it exists
+    /// — and returns a handle to it (one I/O op). A new name is not
+    /// durable until its directory is synced ([`SimEnv::sync_dir`]).
+    pub fn create_file(&self, name: &str) -> Result<SimBlob> {
+        let ino = self.guarded(
             || IoEvent::Meta { label: format!("file-create {name}"), fingerprint: 0 },
+            |st| match st.names.get(name) {
+                Some(&ino) => {
+                    st.inodes.insert(ino, SimByteFile::default());
+                    Ok(ino)
+                }
+                None => {
+                    let ino = st.next_ino;
+                    st.next_ino += 1;
+                    st.inodes.insert(ino, SimByteFile::default());
+                    st.names.insert(name.to_string(), ino);
+                    st.defer(name, DirOp::Create { name: name.to_string() });
+                    Ok(ino)
+                }
+            },
+        )?;
+        Ok(SimBlob { env: self.clone(), name: name.to_string(), ino })
+    }
+
+    /// Whether byte file `name` exists right now (an un-clocked peek, so
+    /// a lookup's trace label can say whether it hit).
+    fn has_file(&self, name: &str) -> bool {
+        self.state().names.contains_key(name)
+    }
+
+    /// Opens byte file `name` without truncating (one I/O op); `None`
+    /// when absent. The trace records a hit as `file-open`, a miss as
+    /// `file-absent`.
+    pub fn open_file(&self, name: &str) -> Result<Option<SimBlob>> {
+        let op = if self.has_file(name) { "file-open" } else { "file-absent" };
+        let ino = self.guarded(
+            || IoEvent::Meta { label: format!("{op} {name}"), fingerprint: 0 },
+            |st| Ok(st.names.get(name).copied()),
+        )?;
+        Ok(ino.map(|ino| SimBlob { env: self.clone(), name: name.to_string(), ino }))
+    }
+
+    /// Reads the whole of byte file `name` (one I/O op); `None` when
+    /// absent. A process reads its own unsynced appends.
+    pub fn read_file(&self, name: &str) -> Result<Option<Vec<u8>>> {
+        let op = if self.has_file(name) { "file-read" } else { "file-absent" };
+        self.guarded(
+            || IoEvent::Meta { label: format!("{op} {name}"), fingerprint: 0 },
+            |st| Ok(st.names.get(name).map(|ino| st.inodes[ino].image())),
+        )
+    }
+
+    /// Atomically renames byte file `from` over `to` within one
+    /// directory (one I/O op). Durable once the directory is synced;
+    /// until then a crash may revert it — to the old `to`, never a mix.
+    pub fn rename_file(&self, from: &str, to: &str) -> Result<()> {
+        if dir_of(from) != dir_of(to) {
+            return Err(ExtMemError::BadConfig(format!(
+                "sim rename {from} -> {to} crosses directories"
+            )));
+        }
+        self.guarded(
+            || IoEvent::Meta { label: format!("file-rename {from} -> {to}"), fingerprint: 0 },
             |st| {
-                st.blobs.insert(
-                    name.to_string(),
-                    SimBlobState { durable: Vec::new(), tail: Vec::new() },
+                let ino = st.names.remove(from).ok_or_else(|| not_found(from))?;
+                let displaced = st.names.insert(to.to_string(), ino);
+                st.defer(
+                    to,
+                    DirOp::Rename { from: from.to_string(), to: to.to_string(), displaced },
                 );
                 Ok(())
             },
-        )?;
-        Ok(SimBlob { env: self.clone(), name: name.to_string() })
-    }
-
-    /// Opens existing blob file `name` without truncating (one I/O op).
-    pub fn open_blob(&self, name: &str) -> Result<SimBlob> {
-        self.guarded(
-            || IoEvent::Meta { label: format!("file-open {name}"), fingerprint: 0 },
-            |st| match st.blobs.get(name) {
-                Some(_) => Ok(()),
-                None => Err(ExtMemError::Io(std::io::Error::new(
-                    std::io::ErrorKind::NotFound,
-                    format!("sim blob {name} does not exist"),
-                ))),
-            },
-        )?;
-        Ok(SimBlob { env: self.clone(), name: name.to_string() })
-    }
-
-    /// Removes blob file `name` (one I/O op; absent is not an error).
-    pub fn remove_blob(&self, name: &str) -> Result<()> {
-        self.guarded(
-            || IoEvent::Meta { label: format!("file-remove {name}"), fingerprint: 0 },
-            |st| {
-                st.blobs.remove(name);
-                Ok(())
-            },
         )
     }
 
-    /// Names of the blob files currently in the namespace (diagnostic
-    /// listing, un-clocked).
-    pub fn blob_names(&self) -> Vec<String> {
-        self.state().blobs.keys().cloned().collect()
-    }
-
-    /// Visible length of blob `name` in bytes (durable prefix plus
-    /// unsynced appends — what a `stat` from this process sees); 0 when
-    /// absent. Un-clocked diagnostic.
-    pub fn blob_len(&self, name: &str) -> u64 {
-        self.state().blobs.get(name).map_or(0, |b| b.visible_len())
-    }
-
-    /// Appends `bytes` to blob `name` (one I/O op, volatile until
-    /// [`SimEnv::blob_sync`]). The trace records it as a `Write` whose
-    /// `id` is the append's byte offset.
-    pub fn blob_append(&self, name: &str, bytes: &[u8]) -> Result<()> {
-        let fp = fnv1a64(bytes);
-        let owned = bytes.to_vec();
-        // The event is built before the apply closure runs (same pattern
-        // as the sync barrier's flushed count): peek the offset up front.
-        let offset = self.state().blobs.get(name).map_or(0, |b| b.visible_len());
+    /// Removes file `name`, byte or block (one I/O op), and reports
+    /// whether it existed. A byte file's unlink is durable once its
+    /// directory is synced; a block file's is immediate.
+    pub fn remove_file(&self, name: &str) -> Result<bool> {
+        let exists = self.has_file(name) || self.state().files.contains_key(name);
+        let op = if exists { "file-remove" } else { "file-absent" };
         self.guarded(
-            || IoEvent::Write { file: name.to_string(), id: offset, fingerprint: fp },
-            move |st| {
-                let b = st
-                    .blobs
-                    .get_mut(name)
-                    .ok_or_else(|| ExtMemError::Corrupt(format!("sim blob {name} vanished")))?;
-                b.tail.push(owned);
-                Ok(())
-            },
-        )
-    }
-
-    /// Sync barrier for blob `name` (one I/O op): every prior append
-    /// becomes durable.
-    pub fn blob_sync(&self, name: &str) -> Result<()> {
-        let flushed = {
-            let st = self.state();
-            st.blobs.get(name).map_or(0, |b| b.tail.len() as u64)
-        };
-        self.guarded(
-            || IoEvent::Sync { file: name.to_string(), flushed },
-            |st| {
-                let b = st
-                    .blobs
-                    .get_mut(name)
-                    .ok_or_else(|| ExtMemError::Corrupt(format!("sim blob {name} vanished")))?;
-                for chunk in b.tail.drain(..) {
-                    b.durable.extend_from_slice(&chunk);
+            || IoEvent::Meta { label: format!("{op} {name}"), fingerprint: 0 },
+            |st| match st.names.remove(name) {
+                Some(ino) => {
+                    st.defer(name, DirOp::Unlink { name: name.to_string(), ino });
+                    Ok(true)
                 }
-                Ok(())
+                None => Ok(st.files.remove(name).is_some()),
             },
         )
     }
 
-    /// Reads the whole of blob `name` (one I/O op) — a process reads its
-    /// own unsynced appends, so the image is durable prefix + tail.
-    pub fn blob_read_all(&self, name: &str) -> Result<Vec<u8>> {
+    /// Syncs directory `dir` (a name prefix ending in `/`, or `""` for
+    /// the root; one I/O op): every byte-file create, rename and unlink
+    /// made in it so far becomes durable.
+    pub fn sync_dir(&self, dir: &str) -> Result<()> {
         self.guarded(
-            || IoEvent::Meta { label: format!("blob-read {name}"), fingerprint: 0 },
+            || IoEvent::Meta { label: format!("dir-sync {dir}"), fingerprint: 0 },
             |st| {
-                let b = st
-                    .blobs
-                    .get(name)
-                    .ok_or_else(|| ExtMemError::Corrupt(format!("sim blob {name} vanished")))?;
-                let mut out = b.durable.clone();
-                for chunk in &b.tail {
-                    out.extend_from_slice(chunk);
-                }
-                Ok(out)
-            },
-        )
-    }
-
-    /// Truncates blob `name` to `len` visible bytes (one I/O op) —
-    /// recovery's crash-tail discard. Truncating into the durable prefix
-    /// is itself durable (like `set_len`); a cut inside the unsynced
-    /// tail trims the volatile appends.
-    pub fn blob_truncate(&self, name: &str, len: u64) -> Result<()> {
-        self.guarded(
-            || IoEvent::Meta { label: format!("blob-truncate {name}"), fingerprint: len },
-            |st| {
-                let b = st
-                    .blobs
-                    .get_mut(name)
-                    .ok_or_else(|| ExtMemError::Corrupt(format!("sim blob {name} vanished")))?;
-                let durable_len = b.durable.len() as u64;
-                if len <= durable_len {
-                    b.durable.truncate(len as usize);
-                    b.tail.clear();
-                } else {
-                    let mut keep = len - durable_len;
-                    let mut trimmed = Vec::new();
-                    for chunk in b.tail.drain(..) {
-                        if keep == 0 {
-                            break;
-                        }
-                        let take = (chunk.len() as u64).min(keep) as usize;
-                        keep -= take as u64;
-                        trimmed.push(chunk[..take].to_vec());
-                    }
-                    b.tail = trimmed;
-                }
+                st.undurable.remove(dir);
                 Ok(())
             },
         )
@@ -934,41 +952,115 @@ impl PersistentBackend for SimDisk {
     }
 }
 
-/// A handle to one named blob file of a [`SimEnv`] — the crash-faithful
-/// [`BlobFile`] a `BlobLog` runs on under torture: appends are volatile
-/// until sync, and a power cycle applies the prefix-survival lottery
-/// (keep / tear / drop) to the unsynced tail.
+/// A handle to one open byte file of a [`SimEnv`] — the crash-faithful
+/// [`BlobFile`] every durable-file protocol runs on under torture:
+/// appends are volatile until sync, and a power cycle applies the
+/// prefix-survival lottery (keep / tear / drop) to the unsynced tail.
+/// Like a descriptor, the handle follows the file it opened: renaming
+/// or unlinking the name does not redirect it.
 pub struct SimBlob {
     env: SimEnv,
+    /// The name the file was opened under (trace labels only).
     name: String,
+    ino: u64,
 }
 
 impl SimBlob {
-    /// The environment this blob lives in (fault plan, clock, trace).
+    /// The environment this file lives in (fault plan, clock, trace).
     pub fn env(&self) -> SimEnv {
         self.env.clone()
+    }
+
+    /// Runs `apply` against this handle's file under the environment's
+    /// clock-and-fault guard.
+    fn file_op<T>(
+        &self,
+        event: impl FnOnce() -> IoEvent,
+        apply: impl FnOnce(&mut SimByteFile) -> Result<T>,
+    ) -> Result<T> {
+        self.env.guarded(event, |st| {
+            let f = st
+                .inodes
+                .get_mut(&self.ino)
+                .ok_or_else(|| ExtMemError::Corrupt(format!("sim file {} vanished", self.name)))?;
+            apply(f)
+        })
+    }
+
+    /// Un-clocked peek at this handle's file.
+    fn peek<T>(&self, read: impl FnOnce(&SimByteFile) -> T) -> Option<T> {
+        self.env.state().inodes.get(&self.ino).map(read)
     }
 }
 
 impl BlobFile for SimBlob {
+    /// One I/O op, volatile until [`BlobFile::sync`]. The trace records
+    /// it as a `Write` whose `id` is the append's byte offset.
     fn append(&mut self, bytes: &[u8]) -> Result<()> {
-        self.env.blob_append(&self.name, bytes)
+        let fp = fnv1a64(bytes);
+        let owned = bytes.to_vec();
+        // The event is built before the apply closure runs (same pattern
+        // as the sync barrier's flushed count): peek the offset up front.
+        let offset = self.len();
+        self.file_op(
+            || IoEvent::Write { file: self.name.clone(), id: offset, fingerprint: fp },
+            move |f| {
+                f.tail.push(owned);
+                Ok(())
+            },
+        )
     }
 
+    /// Sync barrier (one I/O op): every prior append becomes durable —
+    /// the file's content, not its directory entry.
     fn sync(&mut self) -> Result<()> {
-        self.env.blob_sync(&self.name)
+        let flushed = self.peek(|f| f.tail.len() as u64).unwrap_or(0);
+        self.file_op(
+            || IoEvent::Sync { file: self.name.clone(), flushed },
+            |f| {
+                for chunk in std::mem::take(&mut f.tail) {
+                    f.durable.extend_from_slice(&chunk);
+                }
+                Ok(())
+            },
+        )
     }
 
+    /// Visible length (durable prefix plus unsynced appends — what a
+    /// `stat` from this process sees); un-clocked.
     fn len(&self) -> u64 {
-        self.env.blob_len(&self.name)
+        self.peek(SimByteFile::visible_len).unwrap_or(0)
     }
 
     fn read_all(&mut self) -> Result<Vec<u8>> {
-        self.env.blob_read_all(&self.name)
+        self.file_op(
+            || IoEvent::Meta { label: format!("file-read {}", self.name), fingerprint: 0 },
+            |f| Ok(f.image()),
+        )
     }
 
+    /// One I/O op. Truncating into the durable prefix is itself durable
+    /// (like `set_len`); a cut inside the unsynced tail trims the
+    /// volatile appends.
     fn truncate(&mut self, len: u64) -> Result<()> {
-        self.env.blob_truncate(&self.name, len)
+        self.file_op(
+            || IoEvent::Meta { label: format!("file-truncate {}", self.name), fingerprint: len },
+            |f| {
+                let durable_len = f.durable.len() as u64;
+                if len <= durable_len {
+                    f.durable.truncate(len as usize);
+                    f.tail.clear();
+                } else {
+                    let mut keep = len - durable_len;
+                    f.tail.retain_mut(|chunk| {
+                        chunk.truncate((chunk.len() as u64).min(keep) as usize);
+                        keep -= chunk.len() as u64;
+                        !chunk.is_empty()
+                    });
+                }
+                Ok(())
+            },
+        )
     }
 }
 
@@ -1109,20 +1201,6 @@ mod tests {
     }
 
     #[test]
-    fn meta_files_round_trip_and_survive_crash() {
-        let env = SimEnv::new();
-        env.meta_write("MANIFEST", b"v1").unwrap();
-        env.set_plan(FaultPlan::crash(env.ops() + 1, 0));
-        env.meta_write("CLEAN", b"clean").unwrap();
-        assert!(env.meta_write("MANIFEST", b"v2").is_err(), "crash point blocks the commit");
-        env.power_cycle();
-        assert_eq!(env.meta_read("MANIFEST").unwrap().as_deref(), Some(&b"v1"[..]));
-        assert_eq!(env.meta_read("CLEAN").unwrap().as_deref(), Some(&b"clean"[..]));
-        env.meta_remove("CLEAN").unwrap();
-        assert_eq!(env.meta_read("CLEAN").unwrap(), None);
-    }
-
-    #[test]
     fn deferred_recycling_quarantines_until_commit() {
         let mut d = SimDisk::new(2);
         d.set_defer_recycling(true);
@@ -1163,38 +1241,59 @@ mod tests {
         assert!(d.restore_free_list(vec![0]).is_ok());
     }
 
+    /// A byte file whose name is already durable: create + dir-sync.
+    fn durable_file(env: &SimEnv, name: &str) -> SimBlob {
+        let f = env.create_file(name).unwrap();
+        env.sync_dir(dir_of(name)).unwrap();
+        f
+    }
+
+    /// Crashes the machine at its next op and brings it back up.
+    fn crash(env: &SimEnv, seed: u64) {
+        env.set_plan(FaultPlan::crash(env.ops(), seed));
+        assert!(env.sync_dir("").is_err(), "crash point fires");
+        env.power_cycle();
+    }
+
+    fn labels(trace: &[IoEvent]) -> Vec<&str> {
+        trace
+            .iter()
+            .filter_map(|e| match e {
+                IoEvent::Meta { label, .. } => Some(label.as_str()),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
-    fn blob_appends_are_volatile_until_sync() {
+    fn appends_are_volatile_until_sync() {
         let env = SimEnv::new();
-        let mut b = env.create_blob("t.blob").unwrap();
+        let mut b = durable_file(&env, "t.blob");
         b.append(b"synced").unwrap();
         b.sync().unwrap();
         b.append(b" unsynced").unwrap();
         assert_eq!(b.len(), 15, "a process sees its own appends");
-        env.set_plan(FaultPlan::crash(env.ops(), 3));
-        assert!(b.append(b"x").is_err(), "crash point fires");
-        env.power_cycle();
-        let mut b = env.open_blob("t.blob").unwrap();
-        assert_eq!(&b.read_all().unwrap()[..6], b"synced", "durable prefix survives exactly");
+        crash(&env, 3);
+        let img = env.read_file("t.blob").unwrap().unwrap();
+        assert_eq!(&img[..6], b"synced", "durable prefix survives exactly");
     }
 
     #[test]
-    fn blob_crash_survival_is_prefix_shaped() {
+    fn append_crash_survival_is_prefix_shaped() {
         // Many unsynced appends, then a crash: whatever survives must be
         // a prefix of the append sequence — a later append never lands
         // without every earlier one (appends hit the platter in order).
+        let (mut torn, mut dropped) = (0, 0);
         for seed in 0..16u64 {
             let env = SimEnv::new();
-            let mut b = env.create_blob("t.blob").unwrap();
+            let mut b = durable_file(&env, "t.blob");
             b.append(b"AAAA").unwrap();
             b.sync().unwrap();
             for _ in 0..8 {
                 b.append(b"BBBB").unwrap();
             }
-            env.set_plan(FaultPlan::crash(env.ops(), seed));
-            assert!(b.sync().is_err(), "crash fires at the sync");
-            env.power_cycle();
-            let img = env.open_blob("t.blob").unwrap().read_all().unwrap();
+            crash(&env, seed);
+            let img = env.read_file("t.blob").unwrap().unwrap();
             assert_eq!(&img[..4], b"AAAA");
             // After the durable prefix: zero or more whole appends, then
             // optionally one torn append (4 bytes, garbage tail), then
@@ -1205,13 +1304,17 @@ mod tests {
             if let Some(c) = tail.chunks(4).nth(whole + 1) {
                 panic!("bytes after a non-intact append: {c:?}");
             }
+            let trace = env.take_trace();
+            torn += labels(&trace).iter().filter(|l| **l == "crash-tear t.blob").count();
+            dropped += labels(&trace).iter().filter(|l| **l == "crash-drop t.blob").count();
         }
+        assert!(torn > 0 && dropped > 0, "the lottery tears and drops: {torn}/{dropped}");
     }
 
     #[test]
-    fn blob_truncate_discards_the_crash_tail() {
+    fn truncate_discards_the_crash_tail() {
         let env = SimEnv::new();
-        let mut b = env.create_blob("t.blob").unwrap();
+        let mut b = env.create_file("t.blob").unwrap();
         b.append(b"keepkeep").unwrap();
         b.sync().unwrap();
         b.append(b"crashtail").unwrap();
@@ -1224,14 +1327,13 @@ mod tests {
     }
 
     #[test]
-    fn blob_namespace_is_disjoint_from_block_files_and_traced() {
+    fn byte_and_block_files_share_one_listing_and_the_trace() {
         let env = SimEnv::new();
         let _d = env.create_disk("store.blk", 4).unwrap();
-        let mut b = env.create_blob("store.blob").unwrap();
+        let mut b = env.create_file("store.blob").unwrap();
         b.append(b"payload").unwrap();
         b.sync().unwrap();
-        assert_eq!(env.file_names(), vec!["store.blk".to_string()]);
-        assert_eq!(env.blob_names(), vec!["store.blob".to_string()]);
+        assert_eq!(env.file_names(), vec!["store.blk".to_string(), "store.blob".to_string()]);
         let trace = env.take_trace();
         assert!(trace.iter().any(
             |e| matches!(e, IoEvent::Write { file, id, .. } if file == "store.blob" && *id == 0)
@@ -1239,8 +1341,107 @@ mod tests {
         assert!(trace
             .iter()
             .any(|e| matches!(e, IoEvent::Sync { file, flushed } if file == "store.blob" && *flushed == 1)));
-        env.remove_blob("store.blob").unwrap();
-        assert!(env.blob_names().is_empty());
-        assert!(env.open_blob("store.blob").is_err());
+        assert!(env.remove_file("store.blob").unwrap());
+        assert!(!env.remove_file("store.blob").unwrap(), "already gone");
+        assert!(env.remove_file("store.blk").unwrap(), "one removal covers block files too");
+        assert!(env.file_names().is_empty());
+        assert!(env.open_file("store.blob").unwrap().is_none());
+    }
+
+    /// A created name is lost without `sync_dir` for some crash seed —
+    /// even when the file's own content was synced — and survives every
+    /// seed with it.
+    #[test]
+    fn a_created_name_is_durable_only_after_its_directory_syncs() {
+        let mut lost = 0;
+        for seed in 0..16u64 {
+            let env = SimEnv::new();
+            let mut f = env.create_file("d/NEW").unwrap();
+            f.append(b"synced content").unwrap();
+            f.sync().unwrap();
+            crash(&env, seed);
+            match env.read_file("d/NEW").unwrap() {
+                Some(img) => assert_eq!(img, b"synced content"),
+                None => {
+                    lost += 1;
+                    assert!(labels(&env.take_trace()).contains(&"crash-undo file-create d/NEW"));
+                }
+            }
+            let env = SimEnv::new();
+            durable_file(&env, "d/NEW");
+            crash(&env, seed);
+            assert!(env.read_file("d/NEW").unwrap().is_some(), "dir-synced name survives");
+        }
+        assert!(lost > 0, "a synced file whose dirent was never synced can vanish");
+    }
+
+    /// `rename` is atomic and dir-sync-durable: after a crash the target
+    /// names the whole old file or the whole new one, the source exists
+    /// exactly when the rename was lost, and both outcomes occur.
+    #[test]
+    fn rename_is_never_observed_half_done() {
+        let (mut kept, mut reverted) = (0, 0);
+        for seed in 0..16u64 {
+            let env = SimEnv::new();
+            let mut old = durable_file(&env, "MANIFEST");
+            old.append(b"old").unwrap();
+            old.sync().unwrap();
+            let mut tmp = durable_file(&env, "MANIFEST.tmp");
+            tmp.append(b"new").unwrap();
+            tmp.sync().unwrap();
+            env.rename_file("MANIFEST.tmp", "MANIFEST").unwrap();
+            assert_eq!(env.read_file("MANIFEST").unwrap().unwrap(), b"new");
+            assert_eq!(old.read_all().unwrap(), b"old", "an open handle follows its file");
+            crash(&env, seed);
+            let target = env.read_file("MANIFEST").unwrap().unwrap();
+            let source = env.read_file("MANIFEST.tmp").unwrap();
+            if target == b"new" {
+                kept += 1;
+                assert_eq!(source, None);
+            } else {
+                reverted += 1;
+                assert_eq!(target, b"old");
+                assert_eq!(source.unwrap(), b"new");
+            }
+            // With the directory synced the rename always survives.
+            let env = SimEnv::new();
+            durable_file(&env, "MANIFEST");
+            durable_file(&env, "MANIFEST.tmp").append(b"new").unwrap();
+            env.rename_file("MANIFEST.tmp", "MANIFEST").unwrap();
+            env.sync_dir("").unwrap();
+            crash(&env, seed);
+            assert_eq!(env.read_file("MANIFEST.tmp").unwrap(), None);
+        }
+        assert!(kept > 0 && reverted > 0, "both outcomes occur: {kept}/{reverted}");
+    }
+
+    /// Un-synced namespace operations survive as a prefix, per
+    /// directory: a later one never lands without every earlier one.
+    #[test]
+    fn undurable_namespace_ops_survive_as_a_prefix() {
+        let mut seen = std::collections::BTreeSet::new();
+        for seed in 0..32u64 {
+            let env = SimEnv::new();
+            durable_file(&env, "a/CLEAN");
+            env.create_file("a/ONE").unwrap();
+            assert!(env.remove_file("a/CLEAN").unwrap());
+            env.create_file("a/TWO").unwrap();
+            env.create_file("b/OTHER").unwrap();
+            crash(&env, seed);
+            let has = |n: &str| env.read_file(n).unwrap().is_some();
+            let state = (has("a/ONE"), !has("a/CLEAN"), has("a/TWO"));
+            assert!(
+                matches!(
+                    state,
+                    (false, false, false)
+                        | (true, false, false)
+                        | (true, true, false)
+                        | (true, true, true)
+                ),
+                "seed {seed}: not a prefix: {state:?}"
+            );
+            seen.insert(state);
+        }
+        assert_eq!(seen.len(), 4, "every prefix length occurs: {seen:?}");
     }
 }

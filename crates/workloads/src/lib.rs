@@ -45,8 +45,11 @@ pub use generator::{
 };
 pub use runner::{measure_tq, measure_tq_unsuccessful, parallel_trials, run_trace, RunReport};
 pub use service::{
-    service_torture_run, sweep_service_crashes, ServiceTortureReport, ServiceTortureSpec,
+    service_torture_run, service_torture_run_on, sweep_service_crashes, sweep_service_crashes_on,
+    ServiceTortureReport, ServiceTortureSpec,
 };
-pub use torture::{sweep_crash_indices, torture_run, PhaseMarkers, TortureReport, TortureSpec};
+pub use torture::{
+    sweep_crash_indices, torture_run, torture_run_on, PhaseMarkers, TortureReport, TortureSpec,
+};
 pub use trace::{Op, Trace};
 pub use zipf::ZipfSampler;

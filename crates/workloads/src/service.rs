@@ -36,7 +36,7 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use dxh_core::{CoreConfig, Effect, ShardedKvStore, SimMedia, SimServiceMedia, WriteOp};
+use dxh_core::{CoreConfig, Effect, ShardedKvStore, SimMedia, StoreMedia, WriteOp};
 use dxh_extmem::{FaultPlan, Key, SimEnv, Value};
 
 use crate::generator::ConcurrentChurn;
@@ -171,8 +171,8 @@ fn fold_into(model: &mut HashMap<Key, Value>, ops: &[(Key, Option<Effect>)]) {
 /// Probes `svc` for every key of `model`'s universe and reports the
 /// first few mismatches (`keys` is the probe set — every key the shard's
 /// history ever touched, so deleted keys are checked absent too).
-fn diff_shard(
-    svc: &ShardedKvStore<SimMedia>,
+fn diff_shard<M: StoreMedia>(
+    svc: &ShardedKvStore<M>,
     model: &HashMap<Key, Value>,
     keys: &[Key],
 ) -> Vec<String> {
@@ -203,6 +203,22 @@ pub fn service_torture_run(
     spec: &ServiceTortureSpec,
     crash_at: Option<u64>,
 ) -> ServiceTortureReport {
+    service_torture_run_on(spec, crash_at, SimMedia::unlocked)
+}
+
+/// [`service_torture_run`] with the service rooted on caller-chosen
+/// media over the run's [`SimEnv`]: `root` is called at every (re)open.
+/// The seam that lets a test wrap [`SimMedia`] in a decorator that
+/// breaks a durability primitive and check that the sweep notices.
+pub fn service_torture_run_on<M>(
+    spec: &ServiceTortureSpec,
+    crash_at: Option<u64>,
+    root: impl Fn(&SimEnv) -> M,
+) -> ServiceTortureReport
+where
+    M: StoreMedia + Send + 'static,
+    M::Backend: Send,
+{
     let env = SimEnv::new();
     env.set_tracing(true);
     if let Some(k) = crash_at {
@@ -222,12 +238,7 @@ pub fn service_torture_run(
     let mut manifest_full_bytes = 0;
     let mut history = Vec::new();
 
-    match ShardedKvStore::open_on(
-        SimServiceMedia::new(&env),
-        spec.shards,
-        spec.cfg.clone(),
-        spec.seed,
-    ) {
+    match ShardedKvStore::open_on(root(&env), spec.shards, spec.cfg.clone(), spec.seed) {
         Ok(svc) => {
             svc.set_batch_recording(true);
             if let Some(bytes) = spec.ckpt_log_bytes {
@@ -414,12 +425,7 @@ pub fn service_torture_run(
             manifest_full_bytes,
         }
     };
-    let svc = match ShardedKvStore::open_on(
-        SimServiceMedia::new(&env),
-        spec.shards,
-        spec.cfg.clone(),
-        spec.seed,
-    ) {
+    let svc = match ShardedKvStore::open_on(root(&env), spec.shards, spec.cfg.clone(), spec.seed) {
         Ok(s) => s,
         Err(e) => {
             violations.push(format!("reopen after the crash failed: {e}"));
@@ -514,12 +520,7 @@ pub fn service_torture_run(
         }
     }
     drop(svc);
-    match ShardedKvStore::open_on(
-        SimServiceMedia::new(&env),
-        spec.shards,
-        spec.cfg.clone(),
-        spec.seed,
-    ) {
+    match ShardedKvStore::open_on(root(&env), spec.shards, spec.cfg.clone(), spec.seed) {
         Ok(svc) => {
             for j in 0..8u64 {
                 match svc.get(sentinel(j)) {
@@ -540,7 +541,20 @@ pub fn service_torture_run(
 /// are returned first). This is the sweep the CI gate runs; scale
 /// `points` up for the nightly long version.
 pub fn sweep_service_crashes(spec: &ServiceTortureSpec, points: u64) -> Vec<ServiceTortureReport> {
-    let clean = service_torture_run(spec, None);
+    sweep_service_crashes_on(spec, points, SimMedia::unlocked)
+}
+
+/// [`sweep_service_crashes`] over [`service_torture_run_on`].
+pub fn sweep_service_crashes_on<M>(
+    spec: &ServiceTortureSpec,
+    points: u64,
+    root: impl Fn(&SimEnv) -> M,
+) -> Vec<ServiceTortureReport>
+where
+    M: StoreMedia + Send + 'static,
+    M::Backend: Send,
+{
+    let clean = service_torture_run_on(spec, None, &root);
     let total = clean.total_ops;
     let mut failures: Vec<ServiceTortureReport> =
         (!clean.violations.is_empty()).then_some(clean).into_iter().collect();
@@ -550,7 +564,7 @@ pub fn sweep_service_crashes(spec: &ServiceTortureSpec, points: u64) -> Vec<Serv
     let step = (total / (points + 1)).max(1);
     let mut k = step;
     while k < total {
-        let report = service_torture_run(spec, Some(k));
+        let report = service_torture_run_on(spec, Some(k), &root);
         if !report.violations.is_empty() {
             failures.push(report);
         }

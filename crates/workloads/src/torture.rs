@@ -27,7 +27,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use dxh_core::{CoreConfig, ExternalDictionary, KvStore, SimMedia};
+use dxh_core::{CoreConfig, ExternalDictionary, KvStore, SimMedia, StoreMedia};
 use dxh_extmem::{
     fnv1a64, FaultPlan, IoEvent, Key, PersistentBackend, SimEnv, StorageBackend, Value,
 };
@@ -124,8 +124,8 @@ fn state_fingerprint(model: &HashMap<Key, Value>) -> u64 {
 
 /// Probes `store` for every key in `touched` and reports mismatches
 /// against `model` (capped — the first few carry the diagnosis).
-fn diff_state(
-    store: &mut KvStore<SimMedia>,
+fn diff_state<M: StoreMedia>(
+    store: &mut KvStore<M>,
     model: &HashMap<Key, Value>,
     touched: &[Key],
 ) -> Vec<String> {
@@ -156,6 +156,18 @@ fn diff_state(
 /// the report's conformance check (`dxh_dura::check_trace`) validates
 /// it against the durability-protocol rules.
 pub fn torture_run(spec: &TortureSpec, crash_at: Option<u64>) -> TortureReport {
+    torture_run_on(spec, crash_at, SimMedia::open)
+}
+
+/// [`torture_run`] on caller-chosen media over the run's [`SimEnv`]:
+/// `open` is called at every (re)open. The seam that lets a test wrap
+/// [`SimMedia`] in a decorator that breaks a durability primitive and
+/// check that the sweep notices.
+pub fn torture_run_on<M: StoreMedia>(
+    spec: &TortureSpec,
+    crash_at: Option<u64>,
+    open: impl Fn(&SimEnv) -> dxh_extmem::Result<M>,
+) -> TortureReport {
     let env = SimEnv::new();
     env.set_tracing(true);
     if let Some(k) = crash_at {
@@ -194,7 +206,7 @@ pub fn torture_run(spec: &TortureSpec, crash_at: Option<u64>) -> TortureReport {
         // on any other error record a violation" helper would need to
         // borrow both the store and the violation list, so the phases
         // below match inline instead.
-        let media = match SimMedia::open(&env) {
+        let media = match open(&env) {
             Ok(m) => m,
             Err(e) => {
                 if env.crashed() {
@@ -323,15 +335,14 @@ pub fn torture_run(spec: &TortureSpec, crash_at: Option<u64>) -> TortureReport {
             recovered_keys: model.len(),
         }
     };
-    let mut store = match SimMedia::open(&env)
-        .and_then(|media| KvStore::open_on(media, spec.cfg.clone(), spec.seed))
-    {
-        Ok(s) => s,
-        Err(e) => {
-            violations.push(format!("reopen after the crash failed: {e}"));
-            return report(violations, &committed, &env);
-        }
-    };
+    let mut store =
+        match open(&env).and_then(|media| KvStore::open_on(media, spec.cfg.clone(), spec.seed)) {
+            Ok(s) => s,
+            Err(e) => {
+                violations.push(format!("reopen after the crash failed: {e}"));
+                return report(violations, &committed, &env);
+            }
+        };
 
     // Which side of the commit point did the crash fall on?
     let mismatch_committed = diff_state(&mut store, &committed, &touched);
@@ -407,9 +418,7 @@ pub fn torture_run(spec: &TortureSpec, crash_at: Option<u64>) -> TortureReport {
         violations.push(format!("post-recovery sync failed: {e}"));
     }
     drop(store);
-    match SimMedia::open(&env)
-        .and_then(|media| KvStore::open_on(media, spec.cfg.clone(), spec.seed))
-    {
+    match open(&env).and_then(|media| KvStore::open_on(media, spec.cfg.clone(), spec.seed)) {
         Ok(mut store) => {
             violations.extend(diff_state(&mut store, &model, &touched));
             for j in 0..16u64 {

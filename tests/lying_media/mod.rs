@@ -1,0 +1,95 @@
+//! A test-only [`StoreMedia`] decorator that lies about one durability
+//! primitive — it reports success without doing the work. The crash
+//! sweeps must notice: if they pass over media that drop every
+//! directory sync (or every file sync), they are not testing the
+//! protocols that ship.
+
+use std::path::PathBuf;
+
+use dyn_ext_hash::core::StoreMedia;
+use dyn_ext_hash::extmem::{BlobFile, Result};
+
+/// Which primitive the decorator silently drops.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Lie {
+    /// `StoreMedia::sync_dir` returns `Ok` without syncing.
+    DirSync,
+    /// `BlobFile::sync` returns `Ok` without syncing.
+    FileSync,
+}
+
+pub struct Lying<M> {
+    pub inner: M,
+    pub lie: Lie,
+}
+
+pub struct LyingFile<F> {
+    inner: F,
+    lie: Lie,
+}
+
+impl<F: BlobFile> BlobFile for LyingFile<F> {
+    fn append(&mut self, bytes: &[u8]) -> Result<()> {
+        self.inner.append(bytes)
+    }
+    fn sync(&mut self) -> Result<()> {
+        if self.lie == Lie::FileSync {
+            return Ok(());
+        }
+        self.inner.sync()
+    }
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
+    fn read_all(&mut self) -> Result<Vec<u8>> {
+        self.inner.read_all()
+    }
+    fn truncate(&mut self, len: u64) -> Result<()> {
+        self.inner.truncate(len)
+    }
+}
+
+impl<M: StoreMedia> StoreMedia for Lying<M> {
+    type Backend = M::Backend;
+    type File = LyingFile<M::File>;
+
+    fn create_data(&mut self, name: &str, block_capacity: usize) -> Result<M::Backend> {
+        self.inner.create_data(name, block_capacity)
+    }
+    fn open_data(&mut self, name: &str, block_capacity: usize) -> Result<M::Backend> {
+        self.inner.open_data(name, block_capacity)
+    }
+    fn data_len(&mut self, name: &str) -> u64 {
+        self.inner.data_len(name)
+    }
+    fn create_file(&mut self, name: &str) -> Result<Self::File> {
+        Ok(LyingFile { inner: self.inner.create_file(name)?, lie: self.lie })
+    }
+    fn open_file(&mut self, name: &str) -> Result<Option<Self::File>> {
+        Ok(self.inner.open_file(name)?.map(|inner| LyingFile { inner, lie: self.lie }))
+    }
+    fn read_file(&mut self, name: &str) -> Result<Option<Vec<u8>>> {
+        self.inner.read_file(name)
+    }
+    fn rename(&mut self, from: &str, to: &str) -> Result<()> {
+        self.inner.rename(from, to)
+    }
+    fn remove(&mut self, name: &str) -> Result<bool> {
+        self.inner.remove(name)
+    }
+    fn sync_dir(&mut self) -> Result<()> {
+        if self.lie == Lie::DirSync {
+            return Ok(());
+        }
+        self.inner.sync_dir()
+    }
+    fn names(&mut self) -> Vec<String> {
+        self.inner.names()
+    }
+    fn sub(&self, name: &str) -> Result<Self> {
+        Ok(Lying { inner: self.inner.sub(name)?, lie: self.lie })
+    }
+    fn file_path(&self, name: &str) -> Option<PathBuf> {
+        self.inner.file_path(name)
+    }
+}

@@ -6,12 +6,16 @@
 
 use std::collections::HashMap;
 
-use dyn_ext_hash::core::{CoreConfig, ShardedKvStore, SimServiceMedia, WriteOp};
+use dyn_ext_hash::core::{CoreConfig, ShardedKvStore, SimMedia, WriteOp};
 use dyn_ext_hash::extmem::{FaultPlan, SimEnv};
 use dyn_ext_hash::workloads::{
-    service_torture_run, sweep_service_crashes, ConcurrentChurn, Op, ServiceTortureSpec,
+    service_torture_run, sweep_service_crashes, sweep_service_crashes_on, ConcurrentChurn, Op,
+    ServiceTortureSpec,
 };
 use proptest::prelude::*;
+
+mod lying_media;
+use lying_media::{Lie, Lying};
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("dxh-svc-{tag}-{}", std::process::id()))
@@ -204,6 +208,32 @@ fn service_crash_sweep_has_zero_atomicity_violations() {
     }
 }
 
+/// Non-vacuity, with no production knob: the same sweep over a service
+/// whose media silently drop every directory sync, or every file sync,
+/// must fail — acknowledged batches go missing after a crash (state),
+/// and the run's I/O trace breaks the durability rules (trace).
+#[test]
+fn service_sweep_catches_media_that_drop_a_sync() {
+    for lie in [Lie::DirSync, Lie::FileSync] {
+        let root = |env: &SimEnv| Lying { inner: SimMedia::unlocked(env), lie };
+        let (mut state, mut trace) = (0, 0);
+        for seed in 0..4u64 {
+            let spec = ServiceTortureSpec::checkpointing(0x11E5 ^ (seed * 0x9E37_79B9));
+            for report in sweep_service_crashes_on(&spec, 10, root) {
+                for v in &report.violations {
+                    if v.starts_with("durability trace:") {
+                        trace += 1;
+                    } else {
+                        state += 1;
+                    }
+                }
+            }
+        }
+        assert!(state > 0, "{lie:?}: no crash of the sweep exposed the lie in the recovered state");
+        assert!(trace > 0, "{lie:?}: the trace checker never noticed the missing sync");
+    }
+}
+
 /// The coalesced-sync window under crash: the wide scenario (4 shards,
 /// 6 writers) makes most sync rounds harden several shards back to
 /// back, so swept crash indices land inside one shard's harden while a
@@ -329,7 +359,7 @@ proptest! {
         let env = SimEnv::new();
         let cfg = CoreConfig::lemma5(4, 96, 2).unwrap();
         let svc =
-            ShardedKvStore::open_on(SimServiceMedia::new(&env), shards, cfg.clone(), seed)
+            ShardedKvStore::open_on(SimMedia::unlocked(&env), shards, cfg.clone(), seed)
                 .unwrap();
         let mut model: HashMap<u64, u64> = HashMap::new();
         let mut expected_coalesced = 0u64;
@@ -360,7 +390,7 @@ proptest! {
         // has nothing to coalesce).
         let env2 = SimEnv::new();
         let serial =
-            ShardedKvStore::open_on(SimServiceMedia::new(&env2), shards, cfg.clone(), seed)
+            ShardedKvStore::open_on(SimMedia::unlocked(&env2), shards, cfg.clone(), seed)
                 .unwrap();
         let mut twin: HashMap<u64, u64> = HashMap::new();
         for &(sel, k, v) in &ops {
@@ -379,7 +409,7 @@ proptest! {
         drop(svc);
         env.power_cycle();
         let svc =
-            ShardedKvStore::open_on(SimServiceMedia::new(&env), shards, cfg.clone(), seed)
+            ShardedKvStore::open_on(SimMedia::unlocked(&env), shards, cfg.clone(), seed)
                 .unwrap();
         for k in 0..24u64 {
             prop_assert_eq!(svc.get(k).unwrap(), model.get(&k).copied(), "after reopen: {}", k);
@@ -392,7 +422,7 @@ proptest! {
             prop_assert_eq!(svc.get(k).unwrap(), model.get(&k).copied(), "after compact: {}", k);
         }
         drop(svc);
-        let svc = ShardedKvStore::open_on(SimServiceMedia::new(&env), shards, cfg, seed).unwrap();
+        let svc = ShardedKvStore::open_on(SimMedia::unlocked(&env), shards, cfg, seed).unwrap();
         for k in 0..24u64 {
             prop_assert_eq!(svc.get(k).unwrap(), model.get(&k).copied(), "final reopen: {}", k);
         }
@@ -416,7 +446,7 @@ proptest! {
         let sizing = SimEnv::new();
         {
             let svc = ShardedKvStore::open_on(
-                SimServiceMedia::new(&sizing), shards, cfg.clone(), seed).unwrap();
+                SimMedia::unlocked(&sizing), shards, cfg.clone(), seed).unwrap();
             for window in ops.chunks(chunk) {
                 let batch: Vec<WriteOp> = window.iter()
                     .map(|&(sel, k, v)| {
@@ -430,7 +460,7 @@ proptest! {
         let env = SimEnv::new();
         env.set_plan(FaultPlan::crash(crash_at, seed ^ crash_at.rotate_left(17)));
         let svc = match ShardedKvStore::open_on(
-            SimServiceMedia::new(&env), shards, cfg.clone(), seed) {
+            SimMedia::unlocked(&env), shards, cfg.clone(), seed) {
             Ok(s) => s,
             Err(_) => {
                 prop_assert!(env.crashed(), "open failed without a crash");
@@ -458,7 +488,7 @@ proptest! {
         }
         drop(svc); // wedged shards must not commit
         env.power_cycle();
-        let svc = ShardedKvStore::open_on(SimServiceMedia::new(&env), shards, cfg, seed).unwrap();
+        let svc = ShardedKvStore::open_on(SimMedia::unlocked(&env), shards, cfg, seed).unwrap();
         // The crashing chunk's per-shard verdict: every key of a shard's
         // slice reflects the chunk, or none does.
         let mut failed: HashMap<u64, u64> = acked.clone();

@@ -9,9 +9,13 @@
 //! `TortureSpec::small` — or `cargo run -p dxh-bench --bin torture --
 //! --seed <seed>`.
 
+use dyn_ext_hash::core::SimMedia;
 use dyn_ext_hash::workloads::torture::{
-    sweep_crash_indices, torture_run, TortureReport, TortureSpec,
+    sweep_crash_indices, torture_run, torture_run_on, TortureReport, TortureSpec,
 };
+
+mod lying_media;
+use lying_media::{Lie, Lying};
 
 fn env_count(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
@@ -69,6 +73,32 @@ fn exhaustive_crash_sweep_over_one_sync_and_one_compact() {
         m.compact.1 - m.compact.0,
         summarize(&failures)
     );
+}
+
+/// Non-vacuity, with no production knob: the same exhaustive sweep over
+/// media that silently drop every directory sync, or every file sync,
+/// must fail — both in the recovered state (a commit that "completed"
+/// is gone, or a torn manifest refuses to open) and in the run's I/O
+/// trace (`dxh_dura::check_trace`).
+#[test]
+fn sweep_catches_media_that_drop_a_sync() {
+    let spec = TortureSpec::small(0xD15A57E5);
+    let m = torture_run(&spec, None).markers.expect("markers");
+    for lie in [Lie::DirSync, Lie::FileSync] {
+        let open = |env: &_| SimMedia::open(env).map(|inner| Lying { inner, lie });
+        let (mut state, mut trace) = (0, 0);
+        for k in (m.final_sync.0..m.final_sync.1).chain(m.compact.0..m.compact.1) {
+            for v in torture_run_on(&spec, Some(k), open).violations {
+                if v.starts_with("durability trace:") {
+                    trace += 1;
+                } else {
+                    state += 1;
+                }
+            }
+        }
+        assert!(state > 0, "{lie:?}: no crash of the sweep exposed the lie in the recovered state");
+        assert!(trace > 0, "{lie:?}: the trace checker never noticed the missing sync");
+    }
 }
 
 /// Seed-scattered crashes across entire lifecycles — open, churn,

@@ -215,8 +215,8 @@ pub fn ident_after(text: &str, open: usize) -> String {
 /// `impl` target it sits in (if any), and its lines.
 #[derive(Debug)]
 pub struct FnBody {
-    /// The surrounding `impl` block's self type (`DirCommitLog` for
-    /// `impl CommitLog for DirCommitLog`), or `None` for free functions.
+    /// The surrounding `impl` block's self type (`DirMedia` for
+    /// `impl StoreMedia for DirMedia`), or `None` for free functions.
     pub imp: Option<String>,
     /// The function's name.
     pub name: String,
@@ -378,7 +378,7 @@ mod tests {
             fn free_one(x: u32) -> u32 {
                 x + 1
             }
-            impl CommitLog for DirCommitLog {
+            impl StoreMedia for DirMedia {
                 fn commit(&mut self, bytes: &[u8]) -> Result<()> {
                     self.file.write_all(bytes)?;
                     self.file.sync_data()
@@ -393,7 +393,7 @@ mod tests {
             fns.iter().map(|f| (f.imp.as_deref(), f.name.as_str())).collect();
         assert_eq!(
             names,
-            vec![(None, "free_one"), (Some("DirCommitLog"), "commit"), (Some("Holder"), "put"),]
+            vec![(None, "free_one"), (Some("DirMedia"), "commit"), (Some("Holder"), "put"),]
         );
         let commit = &fns[1];
         assert!(commit.body.iter().any(|(_, t)| t.contains(".sync_data(")), "{commit:?}");
