@@ -1,4 +1,5 @@
-//! **A1/A2/A3** — the design-choice ablations called out in DESIGN.md §5.
+//! **A1/A2/A3** — ablations of the design choices docs/ARCHITECTURE.md
+//! walks through (buffering, hash family, I/O pricing).
 //!
 //! * `--which cache` (A1): generic buffering (an LRU pool in front of the
 //!   standard chaining table) versus the paper's structural buffering at

@@ -1,7 +1,7 @@
 //! # dxh-bench — experiment scaffolding
 //!
 //! Shared plumbing for the experiment binaries (one binary per paper
-//! table/figure; see `DESIGN.md` §4 for the index):
+//! table/figure; `docs/ARCHITECTURE.md` maps each to its crate):
 //!
 //! | binary | artifact |
 //! |---|---|

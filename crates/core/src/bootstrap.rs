@@ -387,6 +387,37 @@ mod tests {
     }
 
     #[test]
+    fn side_structure_tracks_the_carry_model() {
+        use crate::log_method::carry_model::CarryModel;
+        for gamma in [2u64, 4, 8] {
+            // β = 2: the side structure grows to half of Ĥ between
+            // merges, deep enough to carry through several levels.
+            let c = CoreConfig::custom(4, 96, gamma, 2.0).unwrap();
+            let mut t = BootstrappedTable::new(c.clone(), 20 + gamma).unwrap();
+            let mut model = CarryModel::new(c);
+            let (mut deepest, mut next_key) = (0, 0u64);
+            for step in 0..8000u64 {
+                // One op in four re-inserts an earlier key (same value:
+                // Ĥ-first lookups may serve the older copy until a merge).
+                let key = if step % 4 == 3 { step / 2 } else { next_key };
+                next_key += u64::from(key == next_key);
+                let merges = t.merge_count();
+                t.insert(key, key * 3).unwrap();
+                model.put(key, key * 3);
+                if t.merge_count() > merges {
+                    model.drain();
+                }
+                assert_eq!(t.log.level_items(), model.level_items(), "γ = {gamma}, step {step}");
+                deepest = deepest.max(t.log.levels.iter().flatten().count());
+            }
+            assert!(deepest >= 2, "γ = {gamma}: the side structure reached past H1");
+            for key in 0..next_key {
+                assert_eq!(t.lookup(key).unwrap(), Some(key * 3), "key {key}");
+            }
+        }
+    }
+
+    #[test]
     fn delete_is_rejected() {
         let mut t = BootstrappedTable::new(cfg(8, 128, 0.5), 7).unwrap();
         t.insert(1, 1).unwrap();

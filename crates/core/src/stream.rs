@@ -4,16 +4,20 @@
 //! Because [`dxh_hashfn::prefix_bucket`] is monotone in the hash value,
 //! scanning any table's buckets `0, 1, 2, …` yields items in nondecreasing
 //! hash order, hence in nondecreasing *target*-bucket order for any target
-//! bucket count. Merging `k` tables into a fresh region is therefore one
+//! bucket count. Merging `k` tables into one region is therefore one
 //! synchronized linear pass — the paper's "scanning the two tables in
-//! parallel", generalized.
+//! parallel", generalized. A level migration uses exactly that: `H0` and
+//! every carried level stream into their destination together (see
+//! `LogStructure::flush`), so an item is read once and written once per
+//! migration however many levels it skips.
 //!
 //! Each disk stream maintains the invariant: after reading source buckets
 //! `0 … p−1`, every item with target bucket `q` such that
 //! `p · nb_dst ≥ (q+1) · nb_src` has been read (the source prefix covers
 //! the whole hash range of `q`). The merge advances `q` through the
 //! target, refilling lagging streams just-in-time, so the per-stream
-//! buffer never holds more than one source bucket past the boundary.
+//! buffer never holds more than one source bucket past the boundary —
+//! a `k`-source merge keeps `k` such buffers, one per carried level.
 
 use std::collections::HashSet;
 
@@ -54,7 +58,7 @@ pub(crate) enum Source {
         pos: usize,
     },
     /// A disk region, consumed bucket by bucket; source blocks are freed
-    /// as they are read (the merge always writes a fresh region).
+    /// as they are read (a merge never writes into one of its sources).
     Disk(DiskStream),
 }
 
@@ -68,12 +72,6 @@ pub(crate) struct DiskStream {
 impl DiskStream {
     pub(crate) fn new(region: Region) -> Self {
         DiskStream { region, next_bucket: 0, buf: Vec::new() }
-    }
-
-    /// Total items of the backing region — the stream's size when it has
-    /// not been consumed yet (callers use this for pre-merge sizing).
-    pub(crate) fn region_items(&self) -> usize {
-        self.region.items
     }
 
     /// Whether target bucket `q` (out of `nb_dst`) is fully covered by the
@@ -272,7 +270,6 @@ pub(crate) fn merge_in_place<B: StorageBackend, F: HashFn>(
     purge: bool,
 ) -> Result<MergeStats> {
     let nb = region.buckets;
-    let b = disk.b();
     let mut stats = MergeStats::default();
     let mut raw: Vec<Item> = Vec::new();
     let mut incoming: Vec<Item> = Vec::new();
@@ -351,7 +348,6 @@ pub(crate) fn merge_in_place<B: StorageBackend, F: HashFn>(
         stats.items += adds.len();
         region.items = region.items + adds.len() - removed;
     }
-    let _ = b;
     Ok(stats)
 }
 
@@ -587,6 +583,50 @@ mod tests {
         let mut expect: Vec<u64> = (0..4).collect();
         expect.extend(100..110);
         assert_eq!(keys, expect);
+    }
+
+    #[test]
+    fn k_way_merge_buffers_one_source_bucket_per_stream() {
+        // A carry at the benchmark's geometry (b = 64, nb0 = 64, γ = 2):
+        // H1…H4 at load 1/2 stream into H5 together. Driving the streams
+        // as `compact` does, the items held at once — every stream's
+        // buffer plus the batch taken for the current bucket — never
+        // exceed one source bucket per stream.
+        let mut d = mem_disk(64);
+        let h = hash();
+        let mut next_key = 0u64;
+        let mut sources = Vec::new();
+        let mut bound = 0;
+        for level in 1..=4u32 {
+            let nb = 64u64 << level;
+            let keys: Vec<u64> = (next_key..next_key + nb * 32).collect();
+            next_key += nb * 32;
+            let region = build_region(&mut d, &h, nb, &keys);
+            bound += (0..nb)
+                .map(|q| d.backend_mut().read(region.block_of(q)).unwrap().len())
+                .max()
+                .unwrap();
+            assert_eq!(d.live_blocks(), (64u64 << (level + 1)) - 128, "no bucket is chained");
+            sources.push(Source::from_region(region));
+        }
+        let nb_dst = 64u64 << 5;
+        let (mut raw, mut peak) = (Vec::new(), 0);
+        for q in 0..nb_dst {
+            raw.clear();
+            for src in sources.iter_mut() {
+                src.take_bucket(&mut d, &h, q, nb_dst, &mut raw).unwrap();
+            }
+            let buffered: usize = sources
+                .iter()
+                .map(|s| match s {
+                    Source::Disk(s) => s.buf.len(),
+                    Source::Mem { .. } => 0,
+                })
+                .sum();
+            peak = peak.max(buffered + raw.len());
+        }
+        assert!(peak <= bound, "held {peak} items > one bucket per stream ({bound})");
+        assert!(bound <= 4 * 64);
     }
 
     #[test]

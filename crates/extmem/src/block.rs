@@ -195,10 +195,14 @@ impl Block {
         self.next = None;
     }
 
-    /// On-disk size of a block with this capacity, in bytes:
-    /// `len (8) + tag (8) + next (8) + capacity × 16`.
+    /// On-disk size of the header: `len (8) + tag (8) + next (8)`. A
+    /// zeroed header decodes as an empty block whatever bytes follow it.
+    pub const HEADER_BYTES: usize = 24;
+
+    /// On-disk size of a block with this capacity, in bytes: the header
+    /// plus `capacity × 16`.
     pub fn encoded_len(capacity: usize) -> usize {
-        24 + capacity * 16
+        Self::HEADER_BYTES + capacity * 16
     }
 
     /// Serializes into `buf` (must be exactly [`Block::encoded_len`] bytes).

@@ -1,7 +1,7 @@
 //! File-backed storage backend: the same block interface over a real file.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use crate::backend::{PersistentBackend, SlotAllocator, StorageBackend};
@@ -14,7 +14,13 @@ use crate::error::{ExtMemError, Result};
 /// `S = Block::encoded_len(b)`. An all-zero slot decodes as an empty
 /// block (see [`Block::decode_from`]), so allocation past the high-water
 /// mark is a pure `set_len` — the OS zero-fills the extension and no
-/// initialization bytes are written.
+/// initialization bytes are written. A recycled slot is reset by zeroing
+/// its 24-byte header alone: decode reads `len` items, so
+/// stale item bytes behind a zero header are inert, and whoever fills
+/// the block next overwrites them anyway.
+///
+/// Every block I/O is one positional syscall (`pread`/`pwrite`); the
+/// file cursor is never used.
 ///
 /// The allocator state (free list) is kept in memory; callers that want
 /// persistence across process restarts serialize it themselves (see
@@ -134,8 +140,17 @@ impl FileDisk {
         self.alloc.restore_free_list(free)
     }
 
-    fn offset(&self, id: BlockId) -> u64 {
-        id.raw() * self.block_bytes as u64
+    fn offset(&self, slot: u64) -> u64 {
+        slot * self.block_bytes as u64
+    }
+
+    /// Resets recycled `slot`'s stale image to an empty block. Callers
+    /// reset *before* changing the allocator state, so a failed write
+    /// leaves the slot safely on the free list instead of in limbo
+    /// (neither free nor live).
+    fn reset_slot(&self, slot: u64) -> Result<()> {
+        self.file.write_all_at(&[0u8; Block::HEADER_BYTES], self.offset(slot))?;
+        Ok(())
     }
 
     fn check_live(&self, id: BlockId) -> Result<()> {
@@ -153,9 +168,8 @@ impl StorageBackend for FileDisk {
 
     fn read(&mut self, id: BlockId) -> Result<Block> {
         self.check_live(id)?;
-        let off = self.offset(id);
-        self.file.seek(SeekFrom::Start(off))?;
-        self.file.read_exact(&mut self.scratch)?;
+        let off = self.offset(id.raw());
+        self.file.read_exact_at(&mut self.scratch, off)?;
         Block::decode_from(self.block_capacity, &self.scratch)
     }
 
@@ -163,23 +177,14 @@ impl StorageBackend for FileDisk {
         self.check_live(id)?;
         debug_assert_eq!(block.capacity(), self.block_capacity);
         block.encode_into(&mut self.scratch);
-        let off = self.offset(id);
-        self.file.seek(SeekFrom::Start(off))?;
-        self.file.write_all(&self.scratch)?;
+        self.file.write_all_at(&self.scratch, self.offset(id.raw()))?;
         Ok(())
     }
 
     fn allocate(&mut self) -> Result<BlockId> {
         let idx = match self.alloc.peek_recycle() {
             Some(idx) => {
-                // Recycled slot: reset the stale image to an empty block.
-                // Only the 24-byte header matters — decode reads `len`
-                // items, so stale item bytes past the header are inert.
-                // The reset happens *before* the allocator state changes,
-                // so a failed write leaves the slot safely on the free
-                // list instead of in limbo (neither free nor live).
-                self.file.seek(SeekFrom::Start(idx * self.block_bytes as u64))?;
-                self.file.write_all(&[0u8; 24])?;
+                self.reset_slot(idx)?;
                 self.alloc.commit_recycle(idx);
                 idx
             }
@@ -198,21 +203,13 @@ impl StorageBackend for FileDisk {
     fn allocate_contiguous(&mut self, n: usize) -> Result<BlockId> {
         // Recycle a contiguous run of free slots when one exists (only
         // committed frees — quarantined slots still hold data a sync
-        // point references). Stale images are reset by one zero-fill
-        // write over the run, done *before* the allocator state changes
-        // so a failed write leaves the run safely on the free list.
+        // point references). Each slot is reset exactly as `allocate`
+        // resets one: the merge that asked for the run is about to write
+        // these blocks, so zero-filling their bodies would write every
+        // byte of the run twice.
         if let Some(base) = self.alloc.peek_run(n) {
-            self.file.seek(SeekFrom::Start(base * self.block_bytes as u64))?;
-            // Zero in bounded chunks: a post-GC run can span most of the
-            // file, and one Vec for the whole range would be unbounded
-            // transient heap.
-            const ZERO_CHUNK: usize = 1 << 18;
-            let zeros = vec![0u8; ZERO_CHUNK.min(n * self.block_bytes)];
-            let mut remaining = n * self.block_bytes;
-            while remaining > 0 {
-                let step = remaining.min(zeros.len());
-                self.file.write_all(&zeros[..step])?;
-                remaining -= step;
+            for slot in base..base + n as u64 {
+                self.reset_slot(slot)?;
             }
             self.alloc.commit_run(base, n);
             return Ok(BlockId(base));
@@ -379,6 +376,92 @@ mod tests {
         for k in 0..5 {
             assert!(d.read(BlockId(base.raw() + k)).unwrap().is_empty());
         }
+    }
+
+    /// Fills `n` fresh contiguous slots with full, tagged blocks chained
+    /// into a ring; every key is ≥ 1000.
+    fn dirty_run(d: &mut FileDisk, n: u64) -> BlockId {
+        let base = d.allocate_contiguous(n as usize).unwrap();
+        for i in 0..n {
+            let mut blk = Block::new(d.block_capacity());
+            for j in 0..d.block_capacity() as u64 {
+                blk.push(Item::new(1000 * (i + 1) + j, 7)).unwrap();
+            }
+            blk.set_tag(i + 1);
+            blk.set_next(Some(BlockId(base.raw() + (i + 1) % n)));
+            d.write(BlockId(base.raw() + i), &blk).unwrap();
+        }
+        base
+    }
+
+    /// Every slot of the run decodes as a pristine empty block, except
+    /// `written`, which holds exactly `item`.
+    fn assert_run_is_empty_but(d: &mut FileDisk, base: BlockId, n: u64, written: u64, item: Item) {
+        for i in 0..n {
+            let blk = d.read(BlockId(base.raw() + i)).unwrap();
+            assert_eq!(blk.tag(), 0, "slot {i}");
+            assert_eq!(blk.next(), None, "slot {i}");
+            if i == written {
+                assert_eq!(blk.items(), &[item], "slot {i}: no stale item behind the new one");
+            } else {
+                assert!(blk.is_empty(), "slot {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn recycled_run_reads_back_empty() {
+        let mut d = FileDisk::temp(4).unwrap();
+        d.set_defer_recycling(true);
+        let _anchor = d.allocate().unwrap(); // the run does not start the file
+        let base = dirty_run(&mut d, 6);
+        for i in 0..6 {
+            d.free(BlockId(base.raw() + i)).unwrap();
+        }
+        let grown = d.allocate_contiguous(6).unwrap();
+        assert_eq!(grown.raw(), 7, "quarantined frees are not recycled");
+        d.commit_frees();
+        assert_eq!(d.allocate_contiguous(6).unwrap(), base, "the committed run is recycled");
+        assert_eq!(d.slots(), 13, "no growth");
+        // A partial overwrite, shorter than the stale image under it.
+        let item = Item::new(5, 50);
+        let mut blk = Block::new(4);
+        blk.push(item).unwrap();
+        d.write(BlockId(base.raw() + 2), &blk).unwrap();
+        assert_run_is_empty_but(&mut d, base, 6, 2, item);
+    }
+
+    #[test]
+    fn recycled_run_is_reset_on_the_file_across_reopen() {
+        let path =
+            std::env::temp_dir().join(format!("dxh-filedisk-run-{}.blk", std::process::id()));
+        let (base, free_list) = {
+            let mut d = FileDisk::create(&path, 4).unwrap();
+            let _anchor = d.allocate().unwrap();
+            let base = dirty_run(&mut d, 5);
+            for i in 0..5 {
+                d.free(BlockId(base.raw() + i)).unwrap();
+            }
+            d.sync().unwrap();
+            (base, d.free_list())
+        };
+        let item = Item::new(6, 60);
+        {
+            let mut d = FileDisk::open(&path, 4).unwrap();
+            d.restore_free_list(free_list).unwrap();
+            assert!(d.read(base).is_err(), "restored frees are dead");
+            assert_eq!(d.allocate_contiguous(5).unwrap(), base);
+            let mut blk = Block::new(4);
+            blk.push(item).unwrap();
+            d.write(BlockId(base.raw() + 4), &blk).unwrap();
+            assert_run_is_empty_but(&mut d, base, 5, 4, item);
+            d.sync().unwrap();
+        }
+        // All six slots are live after a bare open: what decodes now is
+        // what the reset and the one write left in the file.
+        let mut d = FileDisk::open(&path, 4).unwrap();
+        assert_run_is_empty_but(&mut d, base, 5, 4, item);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
