@@ -34,6 +34,7 @@ use dxh_hashfn::{prefix_bucket, HashFn};
 use dxh_tables::{chain_lookup, ExternalDictionary, LayoutInspect, LayoutSnapshot};
 
 use crate::config::CoreConfig;
+use crate::filter::FilterPlan;
 use crate::log_method::LogStructure;
 use crate::stream::{compact, merge_in_place, Region, Source};
 
@@ -93,11 +94,14 @@ impl<F: HashFn, B: StorageBackend> BootstrappedTable<F, B> {
         }
         let mut budget = MemoryBudget::new(cfg.m);
         budget.reserve(cfg.h0_capacity() + 4 * cfg.b + 24)?;
+        // The side structure's level filters share the idle rest with its
+        // carries' buffers, exactly as in `LogMethodTable::with_disk`.
+        let plan = FilterPlan::reserve(&cfg, &mut budget)?;
         let batch_size = cfg.m.max(1); // the paper's "first m items" bootstrap
         Ok(BootstrappedTable {
             disk,
             budget,
-            log: LogStructure::new(cfg.clone(), hash),
+            log: LogStructure::new(cfg.clone(), hash, plan),
             hat: None,
             batch_size,
             merges: 0,
@@ -173,11 +177,13 @@ impl<F: HashFn, B: StorageBackend> BootstrappedTable<F, B> {
             }
             // `purge = false`: the bootstrapped table rejects deletion, so
             // no deletion marker can reach an Ĥ merge.
-            let (region, _stats) = compact(&mut self.disk, &self.log.hash, sources, nb_new, false)?;
+            // Ĥ keeps no filter: its one probe is the point of the table.
+            let (region, _stats) =
+                compact(&mut self.disk, &self.log.hash, sources, nb_new, false, None)?;
             self.hat = Some(region);
         } else {
             let hat = self.hat.as_mut().expect("checked above");
-            merge_in_place(&mut self.disk, &self.log.hash, sources, hat, false)?;
+            merge_in_place(&mut self.disk, &self.log.hash, sources, hat, false, None)?;
         }
         self.merges += 1;
         self.batch_size = ((self.hat_items() as f64 / self.cfg.beta) as usize).max(1);
@@ -389,32 +395,50 @@ mod tests {
     #[test]
     fn side_structure_tracks_the_carry_model() {
         use crate::log_method::carry_model::CarryModel;
-        for gamma in [2u64, 4, 8] {
-            // β = 2: the side structure grows to half of Ĥ between
-            // merges, deep enough to carry through several levels.
-            let c = CoreConfig::custom(4, 96, gamma, 2.0).unwrap();
-            let mut t = BootstrappedTable::new(c.clone(), 20 + gamma).unwrap();
-            let mut model = CarryModel::new(c);
-            let (mut deepest, mut next_key) = (0, 0u64);
-            for step in 0..8000u64 {
-                // One op in four re-inserts an earlier key (same value:
-                // Ĥ-first lookups may serve the older copy until a merge).
-                let key = if step % 4 == 3 { step / 2 } else { next_key };
-                next_key += u64::from(key == next_key);
-                let merges = t.merge_count();
-                t.insert(key, key * 3).unwrap();
-                model.put(key, key * 3);
-                if t.merge_count() > merges {
-                    model.drain();
+        // Tiny blocks chain buckets on most merges and leave no room for
+        // a level filter; b = 8, m = 1024 filters four levels at γ = 2.
+        for (b, m, steps) in [(4, 96, 8_000u64), (8, 1024, 40_000)] {
+            for gamma in [2u64, 4, 8] {
+                // β = 2: the side structure grows to half of Ĥ between
+                // merges, deep enough to carry through several levels.
+                let c = CoreConfig::custom(b, m, gamma, 2.0).unwrap();
+                let mut t = BootstrappedTable::new(c.clone(), 20 + gamma).unwrap();
+                assert!(t.memory_used() <= c.m, "the filter reservation fits in m");
+                let mut model = CarryModel::new(c);
+                let (mut deepest, mut next_key) = (0, 0u64);
+                for step in 0..steps {
+                    // One op in four re-inserts an earlier key (same value:
+                    // Ĥ-first lookups may serve the older copy until a merge).
+                    let key = if step % 4 == 3 { step / 2 } else { next_key };
+                    next_key += u64::from(key == next_key);
+                    let merges = t.merge_count();
+                    t.insert(key, key * 3).unwrap();
+                    model.put(key, key * 3);
+                    if t.merge_count() > merges {
+                        model.drain();
+                    }
+                    let when = format!("b = {b}, γ = {gamma}, step {step}");
+                    assert_eq!(t.log.level_items(), model.level_items(), "{when}");
+                    t.log.assert_filters_track_levels(&when);
+                    deepest = deepest.max(t.log.levels.iter().flatten().count());
+                    // Mid-stream and at the end: side levels occupied,
+                    // filters consulted deepest-first after an Ĥ miss.
+                    if (step + 1) % (steps / 8) == 0 {
+                        for key in 0..next_key {
+                            assert_eq!(t.lookup(key).unwrap(), Some(key * 3), "{when}, key {key}");
+                        }
+                        assert_eq!(t.lookup(u64::MAX - step).unwrap(), None, "{when}");
+                    }
                 }
-                assert_eq!(t.log.level_items(), model.level_items(), "γ = {gamma}, step {step}");
-                deepest = deepest.max(t.log.levels.iter().flatten().count());
-            }
-            assert!(deepest >= 2, "γ = {gamma}: the side structure reached past H1");
-            for key in 0..next_key {
-                assert_eq!(t.lookup(key).unwrap(), Some(key * 3), "key {key}");
+                assert!(deepest >= 2, "b = {b}, γ = {gamma}: the side structure reached past H1");
+                assert!(t.merge_count() >= 4, "b = {b}, γ = {gamma}: {} merges", t.merge_count());
+                let filtered = t.log.filter_plan().levels();
+                assert_eq!(filtered > 0, m == 1024, "b = {b}, γ = {gamma}: {filtered} filters");
+                assert_eq!(t.log.filter_stats().skipped > 0, filtered > 0, "b = {b}, γ = {gamma}");
             }
         }
+        let c = CoreConfig::custom(8, 1024, 2, 2.0).unwrap();
+        assert_eq!(BootstrappedTable::new(c, 1).unwrap().log.filter_plan().levels(), 4);
     }
 
     #[test]

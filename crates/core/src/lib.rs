@@ -8,7 +8,9 @@
 //!   disk tables `H_k` with `γ^k · m/b` buckets each at load ≤ 1/2;
 //!   overflowing levels migrate downward by a sequential bucket-ordered
 //!   scan. Insertions cost `O((γ/b)·log(n/m))` amortized; lookups cost
-//!   `O(log_γ(n/m))`.
+//!   `O(log_γ(n/m))` at worst — the first levels keep Bloom filters in
+//!   the part of `m` the construction leaves idle ([`FilterPlan`]), so a
+//!   probe reads only the levels that can hold its key.
 //! * [`BootstrappedTable`] — **Theorem 2**: the paper's contribution. A
 //!   big on-disk table `Ĥ` always holding at least a `1 − 1/β` fraction
 //!   of the items, with a logarithmic-method side structure absorbing
@@ -60,6 +62,7 @@ mod bootstrap;
 mod commitlog;
 mod config;
 mod facade;
+mod filter;
 mod log_method;
 mod media;
 mod mem_table;
@@ -71,6 +74,7 @@ mod stream;
 pub use bootstrap::BootstrappedTable;
 pub use config::CoreConfig;
 pub use facade::{DynamicHashTable, TradeoffTarget};
+pub use filter::{FilterPlan, FilterStats};
 pub use log_method::LogMethodTable;
 pub use media::{DirMedia, SimMedia, StoreMedia};
 pub use mem_table::MemTable;

@@ -1,4 +1,27 @@
 //! Lemma 5: the logarithmic method applied to external hashing.
+//!
+//! ## Deviation from the paper (documented)
+//!
+//! Lemma 5's `tq = O(log_γ(n/m))` counts one probe per non-empty level.
+//! Here the first `L` levels each keep an in-memory Bloom filter
+//! ([`crate::filter`]), and a probe skips a level whose filter rules the
+//! key out, so a lookup of a key resident in `H_k` costs in expectation
+//!
+//! ```text
+//! 1 + Σ fp_j over filtered non-empty levels j < k
+//!   + #{ unfiltered non-empty levels j < k }
+//! ```
+//!
+//! block reads instead of one per non-empty level down to `k`. The
+//! memory is not new: the construction reserves `m/2 + O(b)` of its
+//! budget and needs the other half only for the transient buffers of a
+//! carry (`2·j·b` items while landing in `H_j`), so the filters live in
+//! the idle rest — sized by [`FilterPlan`] so that filters plus buffers
+//! fit at every landing depth — and are charged to the same
+//! [`MemoryBudget`]. `tu` is untouched: filters change which blocks a
+//! lookup reads, never what a flush reads or writes. They are derived
+//! state and never persisted; a table rebuilt around persisted levels
+//! re-reads its filtered levels once (accounted) to rebuild them.
 
 use dxh_extmem::{
     BlockId, Disk, ExtMemError, IoCostModel, IoSnapshot, Item, Key, MemDisk, MemoryBudget, Result,
@@ -8,6 +31,7 @@ use dxh_hashfn::{prefix_bucket, HashFn};
 use dxh_tables::{chain_lookup, ExternalDictionary, LayoutInspect, LayoutSnapshot};
 
 use crate::config::CoreConfig;
+use crate::filter::{FilterPlan, FilterStats, LevelFilter};
 use crate::mem_table::MemTable;
 use crate::stream::{compact, compact_across, merge_in_place, MergeStats, Region, Source};
 
@@ -21,13 +45,47 @@ pub(crate) struct LogStructure<F: HashFn> {
     pub(crate) hash: F,
     pub(crate) h0: MemTable,
     pub(crate) levels: Vec<Option<Region>>,
+    /// `filters[k]` summarises `levels[k]` for `1 ≤ k ≤ plan.levels()`
+    /// (index 0 unused, nothing past the plan): `Some` exactly while the
+    /// level is. A filter is born with a freshly built level, grows with
+    /// each in-place merge into it, and dies with it.
+    filters: Vec<Option<LevelFilter>>,
+    plan: FilterPlan,
+    filter_stats: FilterStats,
     cfg: CoreConfig,
 }
 
 impl<F: HashFn> LogStructure<F> {
-    pub(crate) fn new(cfg: CoreConfig, hash: F) -> Self {
+    /// `plan` must already be charged to the owner's memory budget (see
+    /// [`FilterPlan::reserve`]).
+    pub(crate) fn new(cfg: CoreConfig, hash: F, plan: FilterPlan) -> Self {
         let h0 = MemTable::new(cfg.nb0() as usize, cfg.h0_capacity());
-        LogStructure { hash, h0, levels: vec![None], cfg }
+        let filters = (0..=plan.levels()).map(|_| None).collect();
+        LogStructure {
+            hash,
+            h0,
+            levels: vec![None],
+            filters,
+            plan,
+            filter_stats: FilterStats::default(),
+            cfg,
+        }
+    }
+
+    pub(crate) fn filter_plan(&self) -> &FilterPlan {
+        &self.plan
+    }
+
+    pub(crate) fn filter_stats(&self) -> FilterStats {
+        self.filter_stats
+    }
+
+    /// Installs (or, with `None`, drops) the filter of level `k`; a no-op
+    /// past the filtered levels, where `filter` can only be `None`.
+    fn set_filter(&mut self, k: usize, filter: Option<LevelFilter>) {
+        if let Some(slot) = self.filters.get_mut(k) {
+            *slot = filter;
+        }
     }
 
     /// Total items across `H0` and all levels.
@@ -92,6 +150,7 @@ impl<F: HashFn> LogStructure<F> {
             }
             incoming += r.items;
             self.levels[k] = None;
+            self.set_filter(k, None);
             sources.push(Source::from_region(r));
             k += 1;
         }
@@ -105,14 +164,17 @@ impl<F: HashFn> LogStructure<F> {
         match self.levels[k].take() {
             // The walk stopped at an existing level because it has room.
             Some(mut region) if !self.cfg.rewrite_merges_only => {
-                merge_in_place(disk, &self.hash, sources, &mut region, purge)?;
+                let filter = self.filters.get_mut(k).and_then(Option::as_mut);
+                merge_in_place(disk, &self.hash, sources, &mut region, purge, filter)?;
                 self.levels[k] = Some(region);
             }
             existing => {
                 sources.extend(existing.map(Source::from_region));
-                let (region, _) =
-                    compact(disk, &self.hash, sources, self.cfg.level_buckets(k as u32), purge)?;
+                let nb = self.cfg.level_buckets(k as u32);
+                let mut filter = self.plan.new_filter(k);
+                let (region, _) = compact(disk, &self.hash, sources, nb, purge, filter.as_mut())?;
                 self.levels[k] = Some(region);
+                self.set_filter(k, filter);
             }
         }
         Ok(())
@@ -123,18 +185,41 @@ impl<F: HashFn> LogStructure<F> {
     /// answers "absent" — it shadows any older live copy in a deeper
     /// level, so the probe stops there.
     pub(crate) fn lookup<B: StorageBackend>(
-        &self,
+        &mut self,
         disk: &mut Disk<B>,
         key: Key,
     ) -> Result<Option<Value>> {
         if let Some(v) = self.h0.lookup(self.h0_bucket(key), key) {
             return Ok((v != VALUE_TOMBSTONE).then_some(v));
         }
-        for region in self.levels.iter().skip(1).flatten() {
-            let q = prefix_bucket(self.hash.hash64(key), region.buckets);
-            if let Some(v) = chain_lookup(disk, region.block_of(q), key)? {
-                return Ok((v != VALUE_TOMBSTONE).then_some(v));
+        let newest = self.probe_levels(disk, key, 1..self.levels.len())?;
+        Ok(newest.filter(|&v| v != VALUE_TOMBSTONE))
+    }
+
+    /// Probes the disk levels `order` names for `key`, returning the
+    /// first copy found (deletion markers included) — the one probe loop
+    /// behind every lookup order. A level whose filter rules the key out
+    /// is skipped without I/O; an empty or unfiltered one behaves as the
+    /// paper's: no cost, or one bucket probe.
+    fn probe_levels<B: StorageBackend>(
+        &mut self,
+        disk: &mut Disk<B>,
+        key: Key,
+        order: impl Iterator<Item = usize>,
+    ) -> Result<Option<Value>> {
+        let h = self.hash.hash64(key);
+        for k in order {
+            let Some(region) = self.levels[k] else { continue };
+            let filter = self.filters.get(k).and_then(Option::as_ref);
+            if filter.is_some_and(|f| !f.may_contain(h)) {
+                self.filter_stats.skipped += 1;
+                continue;
             }
+            let q = prefix_bucket(h, region.buckets);
+            if let Some(v) = chain_lookup(disk, region.block_of(q), key)? {
+                return Ok(Some(v));
+            }
+            self.filter_stats.false_positives += u64::from(filter.is_some());
         }
         Ok(None)
     }
@@ -166,14 +251,8 @@ impl<F: HashFn> LogStructure<F> {
             self.h0.upsert(bucket, Item::delete_marker(key));
             return Ok(true);
         }
-        let mut present = false;
-        for region in self.levels.iter().skip(1).flatten() {
-            let q = prefix_bucket(self.hash.hash64(key), region.buckets);
-            if let Some(v) = chain_lookup(disk, region.block_of(q), key)? {
-                present = v != VALUE_TOMBSTONE;
-                break;
-            }
-        }
+        let newest = self.probe_levels(disk, key, 1..self.levels.len())?;
+        let present = newest.is_some_and(|v| v != VALUE_TOMBSTONE);
         if present {
             before_mutate()?;
             self.h0.upsert(bucket, Item::delete_marker(key));
@@ -188,22 +267,18 @@ impl<F: HashFn> LogStructure<F> {
     /// order of Theorem 2's analysis (largest table first), used by the
     /// bootstrapped table after missing in `Ĥ`.
     pub(crate) fn lookup_levels_deepest_first<B: StorageBackend>(
-        &self,
+        &mut self,
         disk: &mut Disk<B>,
         key: Key,
     ) -> Result<Option<Value>> {
-        for region in self.levels.iter().skip(1).rev().flatten() {
-            let q = prefix_bucket(self.hash.hash64(key), region.buckets);
-            if let Some(v) = chain_lookup(disk, region.block_of(q), key)? {
-                return Ok(Some(v));
-            }
-        }
-        Ok(None)
+        self.probe_levels(disk, key, (1..self.levels.len()).rev())
     }
 
     /// Drains the entire structure into merge sources, newest first
-    /// (`H0`, `H1`, …, deepest last). Leaves the structure empty.
+    /// (`H0`, `H1`, …, deepest last). Leaves the structure empty, its
+    /// filters included.
     pub(crate) fn take_all_sources(&mut self) -> Vec<Source> {
+        self.filters.iter_mut().for_each(|f| *f = None);
         let mut sources = vec![Source::from_memory(self.h0.drain_in_bucket_order(), &self.hash)];
         for slot in self.levels.iter_mut().skip(1) {
             if let Some(r) = slot.take() {
@@ -211,6 +286,32 @@ impl<F: HashFn> LogStructure<F> {
             }
         }
         sources
+    }
+
+    /// Adopts persisted `levels` and rebuilds the filter of every
+    /// filtered one from its blocks: one accounted read per block of
+    /// those levels, so a reopened table probes as cheaply as the handle
+    /// that wrote it.
+    fn adopt_levels<B: StorageBackend>(
+        &mut self,
+        disk: &mut Disk<B>,
+        levels: Vec<Option<Region>>,
+    ) -> Result<()> {
+        self.levels = levels;
+        for k in 1..=self.plan.levels() {
+            let Some(region) = self.levels.get(k).copied().flatten() else { continue };
+            let mut filter = self.plan.new_filter(k).expect("k is a filtered level");
+            for q in 0..region.buckets {
+                let mut cur = Some(region.block_of(q));
+                while let Some(id) = cur {
+                    let blk = disk.read(id)?;
+                    blk.items().iter().for_each(|it| filter.insert(self.hash.hash64(it.key)));
+                    cur = blk.next();
+                }
+            }
+            self.set_filter(k, Some(filter));
+        }
+        Ok(())
     }
 
     /// Keys currently resident in memory (`H0`) — the memory zone `M`.
@@ -242,10 +343,30 @@ impl<F: HashFn> LogStructure<F> {
     pub(crate) fn deepest_region(&self) -> Option<&Region> {
         self.levels.iter().skip(1).rev().flatten().next()
     }
+
+    /// "Level `k` is `Some` ⇔ its filter is `Some`", for every filtered
+    /// level; nothing past the plan ever holds a filter.
+    #[cfg(test)]
+    pub(crate) fn assert_filters_track_levels(&self, when: &str) {
+        assert_eq!(self.filters.len(), self.plan.levels() + 1);
+        for (k, filter) in self.filters.iter().enumerate() {
+            let level = self.levels.get(k).copied().flatten();
+            assert_eq!(filter.is_some(), level.is_some(), "{when}: H{k} and its filter disagree");
+        }
+    }
 }
 
 /// Lemma 5's dynamic hash table: `tu = O((γ/b)·log(n/m))` amortized
 /// insertions, `tq = O(log_γ(n/m))` lookups.
+///
+/// The lookup bound is the worst case here, not the expectation: the
+/// part of `m` the construction leaves idle holds a Bloom filter for
+/// each of the first few levels ([`LogMethodTable::filter_plan`]), and a
+/// probe skips a level whose filter rules the key out — one read for the
+/// level that holds the key, plus one per false positive and per
+/// unfiltered non-empty level above it. Insertion costs are untouched,
+/// `memory_used() ≤ m` includes the filters, and nothing about them is
+/// ever persisted.
 ///
 /// ```
 /// use dxh_core::{CoreConfig, LogMethodTable, ExternalDictionary};
@@ -301,15 +422,22 @@ impl<F: HashFn, B: StorageBackend> LogMethodTable<F, B> {
         }
         let mut budget = MemoryBudget::new(cfg.m);
         // H0 capacity + the steady-state merge working set (H0 streaming
-        // into one level: two buffers of ≈ 2b items) + metadata. A carry
-        // of k levels is a k-stream merge: each carried level buffers one
-        // source bucket (≤ b items while unchained) and the batch being
-        // merged holds those items once more, so it transiently needs
-        // 2·k·b items — inside the unreserved half of `m` for every
-        // k ≤ (m/2 − 16) / 2b, i.e. 15 levels at b = 64, m = 4096
-        // (`carry_buffers_fit_beside_h0` holds it to that).
+        // into one level: two buffers of ≈ 2b items) + metadata. What is
+        // left — 1 776 of 4 096 items at b = 64 — has two tenants. A
+        // carry landing in `H_j` is a j-stream merge: each carried level
+        // buffers one source bucket (≤ b items while unchained) and the
+        // batch being merged holds those items once more, so it
+        // transiently needs 2·j·b items. The level filters take the rest:
+        // the plan sizes them so that the filters alive while a carry
+        // lands in `H_j` (`j..=L`; the shallower ones died with the
+        // carried levels) plus those 2·j·b items fit at every `j ≤ L`,
+        // and past `L` a carry has the whole remainder to itself — 13
+        // levels deep at b = 64, m = 4096. The plan's full size is
+        // reserved up front (`carry_buffers_fit_beside_h0` holds every
+        // landing depth to the bound).
         budget.reserve(cfg.h0_capacity() + 4 * cfg.b + 16)?;
-        Ok(LogMethodTable { disk, budget, log: LogStructure::new(cfg.clone(), hash), cfg })
+        let plan = FilterPlan::reserve(&cfg, &mut budget)?;
+        Ok(LogMethodTable { disk, budget, log: LogStructure::new(cfg.clone(), hash, plan), cfg })
     }
 
     /// Rebuilds a table around previously persisted state: a reopened
@@ -327,7 +455,7 @@ impl<F: HashFn, B: StorageBackend> LogMethodTable<F, B> {
     ) -> Result<Self> {
         let mut t = Self::with_disk(disk, cfg, hash)?;
         if !levels.is_empty() {
-            t.log.levels = levels;
+            t.log.adopt_levels(&mut t.disk, levels)?;
         }
         Ok(t)
     }
@@ -455,6 +583,19 @@ impl<F: HashFn, B: StorageBackend> LogMethodTable<F, B> {
     /// Number of non-empty disk levels.
     pub fn active_levels(&self) -> usize {
         self.log.levels.iter().skip(1).flatten().count()
+    }
+
+    /// How the idle part of `m` is split into level filters: derived
+    /// from the configuration, never configured.
+    pub fn filter_plan(&self) -> &FilterPlan {
+        self.log.filter_plan()
+    }
+
+    /// Probes the level filters skipped, and false positives they let
+    /// through, since this table was built — the saving behind its `tq`,
+    /// read beside [`LogMethodTable::disk`]'s I/O counters.
+    pub fn filter_stats(&self) -> FilterStats {
+        self.log.filter_stats()
     }
 
     /// The underlying disk.
@@ -722,9 +863,11 @@ mod tests {
 
     #[test]
     fn carry_buffers_fit_beside_h0() {
-        // The k-stream bound stated at `with_disk`: one source bucket per
-        // carried level plus the batch being merged, 2·k·b items, beside
-        // a drained H0's m/2. `stream.rs` measures the per-stream half.
+        // The bound stated at `with_disk`: a carry landing in H_j buffers
+        // one source bucket per carried level plus the batch being
+        // merged, 2·j·b items, beside a drained H0's m/2 and the filters
+        // still alive (H_j's and deeper). `stream.rs` measures the
+        // per-stream half.
         let c = cfg(64, 4096, 2);
         let mut t = LogMethodTable::new(c.clone(), 9).unwrap();
         for key in 0..300_000u64 {
@@ -733,8 +876,114 @@ mod tests {
         // `levels` only grows: its last index is the deepest carry so far.
         let deepest_carry = t.log.levels.len() - 1;
         assert!(deepest_carry >= 7, "n/m = 73 reaches H7: {deepest_carry}");
-        assert!(c.h0_capacity() + 2 * deepest_carry * c.b + 16 <= c.m);
+        let plan = t.filter_plan();
+        assert_eq!(plan.levels(), 4);
+        for j in 1..=deepest_carry {
+            let held = plan.items_from(j) + 2 * j * c.b + c.h0_capacity() + 16;
+            assert!(held <= c.m, "landing in H{j} holds {held} items > m = {}", c.m);
+        }
+        assert_eq!(t.memory_used(), c.h0_capacity() + 4 * c.b + 16 + plan.items_from(1));
         assert!(t.memory_used() <= c.m);
+    }
+
+    #[test]
+    fn filters_track_their_levels_through_churn() {
+        // Four filtered levels and an unfiltered one below them. Small
+        // blocks chain some buckets, so in-place merges take the fallback
+        // path; the key universe is small enough that upserts replace
+        // copies, markers land on live keys, and deepest merges purge.
+        let c = cfg(8, 1024, 2);
+        let mut t = LogMethodTable::new(c.clone(), 17).unwrap();
+        let filtered = t.filter_plan().levels();
+        assert_eq!(filtered, 4);
+        let universe = 12_000u64;
+        let mut truth: HashMap<u64, u64> = HashMap::new();
+        let mut rng = StdRng::seed_from_u64(17);
+        let (mut chained, mut deepest) = (false, 0);
+        for step in 1..=30_000u64 {
+            let key = rng.next_u64() % universe;
+            if rng.next_u64() % 10 < 7 {
+                t.insert(key, step).unwrap();
+                truth.insert(key, step);
+            } else {
+                let was = t.delete(key).unwrap();
+                assert_eq!(was, truth.remove(&key).is_some(), "step {step}: delete({key})");
+            }
+            if step % 1300 == 0 {
+                t.flush_memory().unwrap();
+            }
+            if step % 500 == 0 {
+                t.log.assert_filters_track_levels(&format!("step {step}"));
+                for key in 0..universe {
+                    assert_eq!(t.lookup(key).unwrap(), truth.get(&key).copied(), "key {key}");
+                }
+                let blocks = level_blocks(&mut t);
+                chained |= t
+                    .log
+                    .levels
+                    .iter()
+                    .zip(&blocks)
+                    .any(|(r, &n)| r.is_some_and(|r| n > r.buckets));
+                deepest = deepest.max(t.log.levels.len() - 1);
+            }
+        }
+        assert!(chained, "some bucket chained: the in-place fallback ran");
+        assert!(deepest > filtered, "the stream reached an unfiltered level: H{deepest}");
+        assert!(t.len() < 2 * truth.len(), "deepest merges purged: {} physical items", t.len());
+        let stats = t.filter_stats();
+        assert!(stats.skipped > 10 * stats.false_positives, "{stats:?}");
+        assert!(t.memory_used() <= c.m);
+    }
+
+    #[test]
+    fn a_lookup_reads_only_the_levels_its_filters_let_through() {
+        // The benchmark's deployment, insert-only: every key has exactly
+        // one copy and (at b = 64, load ≤ 1/2) no bucket chains, so a
+        // probe that goes through is exactly one read.
+        let c = cfg(64, 4096, 2);
+        let mut t = LogMethodTable::new(c, 42).unwrap();
+        // n = 190 000 occupies three filtered levels and two unfiltered
+        // ones (n = 100 000 would sit in H6 alone).
+        let n = 190_000u64;
+        for key in 0..n {
+            t.insert(key, key).unwrap();
+        }
+        let filtered = t.filter_plan().levels();
+        let occupied: Vec<usize> =
+            (1..t.log.levels.len()).filter(|&k| t.log.levels[k].is_some()).collect();
+        assert_eq!((filtered, &occupied[..]), (4, &[1, 3, 4, 5, 6][..]));
+        let (mut total, mut let_through) = (0, 0);
+        for key in 0..n {
+            let h = t.log.hash.hash64(key);
+            // Walk shallow-first behind the accounting: one read for the
+            // level that holds the key, one per level above it that is
+            // unfiltered or whose filter lets the key through.
+            let mut expect = 0;
+            if t.log.h0.lookup(t.log.h0_bucket(key), key).is_none() {
+                for &k in &occupied {
+                    let region = t.log.levels[k].expect("occupied");
+                    let id = region.block_of(prefix_bucket(h, region.buckets));
+                    let holds = t.disk.backend_mut().read(id).unwrap().contains(key);
+                    let filter = t.log.filters.get(k).and_then(Option::as_ref);
+                    assert_eq!(filter.is_some(), k <= filtered, "H{k}");
+                    let passes = filter.is_none_or(|f| f.may_contain(h));
+                    assert!(passes || !holds, "H{k}'s filter lost key {key}");
+                    expect += u64::from(passes);
+                    let_through += u64::from(filter.is_some() && passes && !holds);
+                    if holds {
+                        break;
+                    }
+                }
+            }
+            let epoch = t.disk.epoch();
+            assert_eq!(t.lookup(key).unwrap(), Some(key));
+            let io = t.disk.since(&epoch);
+            assert_eq!((io.reads, io.writes + io.rmws), (expect, 0), "key {key}");
+            total += io.reads;
+        }
+        assert_eq!(t.filter_stats().false_positives, let_through);
+        // One probe per occupied level down to the key's would be 790 528.
+        assert_eq!(total, 363_607, "tq = 1.9137 at n = 190 000, pinned for seed 42");
     }
 
     #[test]

@@ -241,7 +241,8 @@ pub struct KvStore<M: StoreMedia = DirMedia> {
     /// best-effort chain clear are recognized as stale at reopen.
     epoch: u64,
     /// Frames appended to the delta chain since the last full rewrite
-    /// (the next frame's sequence number is `delta_seq + 1`).
+    /// (the next frame's sequence number is `delta_seq + 1`); pinned at
+    /// `DELTA_ROLLOVER` once an append failed, which retires the chain.
     delta_seq: u64,
     /// The open `MANIFEST.DELTA` chain; `None` while no chain file exists
     /// (it is created by the first delta append after a full rewrite,
@@ -705,7 +706,16 @@ impl<M: StoreMedia> KvStore<M> {
         push_state_lines(&mut out, blob_len, self.watermark, slots, None, &levels, base);
         let mut frame = Vec::new();
         push_frame(&mut frame, out.as_bytes());
-        self.append_manifest_delta(&frame)?;
+        if let Err(e) = self.append_manifest_delta(&frame) {
+            // The frame may have reached the chain (an append that landed
+            // before its sync failed), so `seq` may be spent: a retry
+            // under it would put a duplicate behind the first copy, and
+            // replay stops at a duplicate as a sequence gap. Retire the
+            // chain instead — the next commit takes the full-rewrite
+            // path, whose new epoch makes whatever landed here stale.
+            self.delta_seq = DELTA_ROLLOVER;
+            return Err(e);
+        }
         self.delta_seq = seq;
         self.committed_levels = levels;
         self.manifest_io.delta_commits += 1;
@@ -2411,6 +2421,67 @@ mod tests {
         assert_hardens_after_reopen_survive(&env, 1, "sequence gap");
     }
 
+    /// Regression: `write_manifest_delta` used to keep its sequence
+    /// number after a failed append, so when the frame had landed and
+    /// only its sync (or the fresh chain's directory sync) failed, the
+    /// retried harden appended a second frame under the same number —
+    /// and replay stops at a duplicate as a sequence gap, losing that
+    /// harden and every later one. Fails every I/O of the chain append
+    /// in turn, on a fresh chain and on an existing one.
+    #[test]
+    fn a_failed_delta_append_is_not_retried_under_its_sequence_number() {
+        use dxh_extmem::{FaultPlan, IoEvent, SimEnv};
+        let on_chain = |e: &IoEvent| match e {
+            IoEvent::Write { file, .. } | IoEvent::Sync { file, .. } => file == MANIFEST_DELTA,
+            IoEvent::Meta { label, .. } => label.contains(MANIFEST_DELTA),
+            _ => false,
+        };
+        for prior_hardens in 0..2u64 {
+            // Up to the harden under test: keys 100.. of value 2 pending.
+            let scenario = |env: &SimEnv| {
+                let mut s = sim_store(env);
+                for key in 0..100 * prior_hardens {
+                    s.insert(key, 1).unwrap();
+                }
+                s.harden(false).unwrap();
+                for key in 100..200u64 {
+                    s.insert(key, 2).unwrap();
+                }
+                s
+            };
+            // A fault-free run locates the chain append: everything from
+            // the first I/O on MANIFEST.DELTA to the end of the harden.
+            let env = SimEnv::new();
+            let mut s = scenario(&env);
+            env.take_trace();
+            let start = env.ops();
+            s.harden(false).unwrap();
+            let window = env.take_trace();
+            assert_eq!(env.ops() - start, window.len() as u64, "one event per I/O");
+            let first = window.iter().position(on_chain).expect("the harden appends a frame");
+            let syncs =
+                window[first..].iter().filter(|e| matches!(e, IoEvent::Sync { .. })).count();
+            assert_eq!(syncs, 1, "the window holds the chain's sync");
+            drop(s);
+            for fail_at in start + first as u64..start + window.len() as u64 {
+                let env = SimEnv::new();
+                let mut s = scenario(&env);
+                env.set_plan(FaultPlan { fail_at: vec![fail_at], ..Default::default() });
+                assert!(s.harden(false).is_err(), "I/O {fail_at} fails the harden");
+                for key in 200..300u64 {
+                    s.insert(key, 3).unwrap();
+                }
+                s.harden(false).unwrap();
+                sim_crash(&env, s, fail_at);
+                let mut s = sim_store(&env);
+                for key in 100..300u64 {
+                    let what = format!("{prior_hardens} prior hardens, I/O {fail_at}, key {key}");
+                    assert_eq!(s.lookup(key).unwrap(), Some(1 + key / 100), "{what}");
+                }
+            }
+        }
+    }
+
     /// Frames a delta payload exactly like `write_manifest_delta`.
     fn delta_frame(text: &str) -> Vec<u8> {
         let mut frame = Vec::new();
@@ -2531,6 +2602,96 @@ mod tests {
               clearlevel 2\nlevel 3 98 128 342\n",
         );
         assert_eq!(s.media.read_file(MANIFEST_DELTA).unwrap().unwrap(), golden);
+    }
+
+    /// Total accounted I/Os of looking every key of `0..n` up (each is
+    /// present, with value `key + 1`).
+    fn probe_cost<M: StoreMedia>(s: &mut KvStore<M>, n: u64) -> u64 {
+        let before = s.total_ios();
+        for key in 0..n {
+            assert_eq!(s.lookup(key).unwrap(), Some(key + 1), "key {key}");
+        }
+        s.total_ios() - before
+    }
+
+    /// Blocks (primaries and chains) of the levels that carry a filter —
+    /// what a reopen reads to rebuild them — and how many such levels
+    /// are occupied. Walked behind the accounting.
+    fn filtered_blocks<M: StoreMedia>(s: &mut KvStore<M>) -> (u64, usize) {
+        let filtered = s.table.filter_plan().levels();
+        let levels = s.table.persisted_levels().to_vec();
+        let (mut blocks, mut occupied) = (0, 0);
+        for region in levels.iter().skip(1).take(filtered).flatten() {
+            occupied += 1;
+            for q in 0..region.buckets {
+                let mut cur = Some(region.block_of(q));
+                while let Some(id) = cur {
+                    blocks += 1;
+                    cur = s.table.disk_mut().backend_mut().read(id).unwrap().next();
+                }
+            }
+        }
+        (blocks, occupied)
+    }
+
+    /// Filters are never persisted: reopen (clean and crash-path) and
+    /// `compact` rebuild them with one accounted scan of the filtered
+    /// levels, after which lookups cost exactly what they cost the
+    /// handle that wrote the data.
+    #[test]
+    fn a_reopened_store_probes_as_cheaply_as_the_handle_that_wrote_it() {
+        use crate::media::SimMedia;
+        use dxh_extmem::SimEnv;
+        // Four filtered levels (`cfg()`'s m = 128 has room for none).
+        let cfg = CoreConfig::lemma5(8, 1024, 2).unwrap();
+        let n = 8_000u64; // within H4's capacity: compaction lands in a filtered level
+        let dir = tmp_dir("filter-rebuild");
+        let _ = fs::remove_dir_all(&dir);
+        let mut s = KvStore::open(&dir, cfg.clone(), 31).unwrap();
+        for key in 0..n {
+            s.insert(key, key + 1).unwrap();
+        }
+        s.sync().unwrap();
+        let (blocks, occupied) = filtered_blocks(&mut s);
+        assert!(occupied >= 2, "{occupied} filtered levels occupied");
+        let cost = probe_cost(&mut s, n);
+        let stats = s.table().filter_stats();
+        assert!(stats.skipped > 10 * stats.false_positives, "the writer's filters work: {stats:?}");
+        drop(s);
+        let mut s = KvStore::open(&dir, cfg.clone(), 31).unwrap();
+        assert_eq!(s.disk_stats().reads, blocks, "the rebuild reads each filtered block once");
+        assert_eq!(probe_cost(&mut s, n), cost, "clean reopen");
+
+        // Compaction lands everything in one (filtered) level of a fresh
+        // disk, whose counters start with the rebuild's scan.
+        s.compact().unwrap();
+        let (blocks, occupied) = filtered_blocks(&mut s);
+        assert_eq!(occupied, 1);
+        assert_eq!(s.disk_stats().reads, blocks, "compact rebuilds the dense level's filter");
+        for key in n..n + 2_000 {
+            s.insert(key, key + 1).unwrap();
+        }
+        s.sync().unwrap();
+        let cost = probe_cost(&mut s, n + 2_000);
+        drop(s);
+        let mut s = KvStore::open(&dir, cfg.clone(), 31).unwrap();
+        assert_eq!(probe_cost(&mut s, n + 2_000), cost, "reopen after compact");
+        drop(s);
+        let _ = fs::remove_dir_all(&dir);
+
+        // The crash path: a marker-less harden, power loss, recovery walk.
+        let env = SimEnv::new();
+        let mut s = KvStore::open_on(SimMedia::open(&env).unwrap(), cfg.clone(), 31).unwrap();
+        for key in 0..n {
+            s.insert(key, key + 1).unwrap();
+        }
+        s.harden(false).unwrap();
+        let (blocks, _) = filtered_blocks(&mut s);
+        let cost = probe_cost(&mut s, n);
+        sim_crash(&env, s, 31);
+        let mut s = KvStore::open_on(SimMedia::open(&env).unwrap(), cfg, 31).unwrap();
+        assert_eq!(s.disk_stats().reads, blocks, "crash-path reopen rebuilds too");
+        assert_eq!(probe_cost(&mut s, n), cost, "crash-path reopen");
     }
 
     #[test]

@@ -25,6 +25,8 @@ use dxh_extmem::{BlockId, Disk, Item, Key, Result, StorageBackend};
 use dxh_hashfn::{prefix_bucket, HashFn};
 use dxh_tables::{chain_collect, write_bucket};
 
+use crate::filter::LevelFilter;
+
 /// A disk-resident hash-table region: `buckets` consecutive primary
 /// blocks starting at `base` (overflow chains hang off them), holding
 /// `items` items.
@@ -177,10 +179,21 @@ fn dedup_bucket(
     }
 }
 
+/// Adds the keys a merge just wrote into its destination bucket to the
+/// destination level's filter, if it keeps one.
+fn landed<F: HashFn>(filter: &mut Option<&mut LevelFilter>, hash: &F, items: &[Item]) {
+    if let Some(filter) = filter {
+        for it in items {
+            filter.insert(hash.hash64(it.key));
+        }
+    }
+}
+
 /// Merges `sources` (precedence order: earlier wins) into a fresh region
 /// of `nb_dst` buckets. Consumes and frees all disk sources. `purge`
 /// drops deletion markers instead of writing them — valid only when the
-/// destination is the deepest level.
+/// destination is the deepest level. Every key written is also added to
+/// `filter`, when the destination level keeps one.
 ///
 /// Cost: one read per source block (primary + chain) plus one write per
 /// nonempty target block — `O(Σ |source regions| / b + nb_dst)` I/Os.
@@ -190,6 +203,7 @@ pub(crate) fn compact<B: StorageBackend, F: HashFn>(
     mut sources: Vec<Source>,
     nb_dst: u64,
     purge: bool,
+    mut filter: Option<&mut LevelFilter>,
 ) -> Result<(Region, MergeStats)> {
     let base = disk.allocate_contiguous(nb_dst as usize)?;
     let mut stats = MergeStats::default();
@@ -207,6 +221,7 @@ pub(crate) fn compact<B: StorageBackend, F: HashFn>(
         if !merged.is_empty() {
             write_bucket(disk, BlockId(base.raw() + q), &merged)?;
             stats.items += merged.len();
+            landed(&mut filter, hash, &merged);
         }
     }
     // All sources must be fully drained.
@@ -256,7 +271,9 @@ pub(crate) fn compact_across<B: StorageBackend, C: StorageBackend, F: HashFn>(
 /// the merged items still fit at load ≤ 1/2 — this is the steady-state
 /// Ĥ-merge between resizes. With `purge` on (destination is the deepest
 /// level), an incoming deletion marker removes the key's old copy from
-/// the bucket and is itself dropped instead of written.
+/// the bucket and is itself dropped instead of written. Every key written
+/// is also added to `filter`, when the destination level keeps one (a
+/// replaced or purged key only leaves stale bits behind: harmless).
 ///
 /// Cost: under the paper's seek-dominated accounting, the common case is
 /// **one combined I/O per bucket that receives items** (read-modify-write
@@ -268,6 +285,7 @@ pub(crate) fn merge_in_place<B: StorageBackend, F: HashFn>(
     mut sources: Vec<Source>,
     region: &mut Region,
     purge: bool,
+    mut filter: Option<&mut LevelFilter>,
 ) -> Result<MergeStats> {
     let nb = region.buckets;
     let mut stats = MergeStats::default();
@@ -347,6 +365,7 @@ pub(crate) fn merge_in_place<B: StorageBackend, F: HashFn>(
         stats.shadowed += removed;
         stats.items += adds.len();
         region.items = region.items + adds.len() - removed;
+        landed(&mut filter, hash, &adds);
     }
     Ok(stats)
 }
@@ -395,9 +414,15 @@ mod tests {
         let h = hash();
         let a = build_region(&mut d, &h, 2, &[1, 2, 3, 4, 5]);
         let b = build_region(&mut d, &h, 4, &[10, 11, 12, 13, 14, 15, 16]);
-        let (merged, stats) =
-            compact(&mut d, &h, vec![Source::from_region(a), Source::from_region(b)], 8, false)
-                .unwrap();
+        let (merged, stats) = compact(
+            &mut d,
+            &h,
+            vec![Source::from_region(a), Source::from_region(b)],
+            8,
+            false,
+            None,
+        )
+        .unwrap();
         assert_eq!(stats.items, 12);
         assert_eq!(stats.shadowed, 0);
         let mut keys = region_keys(&mut d, &merged);
@@ -425,6 +450,7 @@ mod tests {
             vec![Source::from_region(newer), Source::from_region(older)],
             4,
             false,
+            None,
         )
         .unwrap();
         assert_eq!(stats.shadowed, 1);
@@ -442,7 +468,8 @@ mod tests {
         let a = build_region(&mut d, &h, 4, &(0..30).collect::<Vec<_>>());
         let live_before = d.live_blocks();
         assert!(live_before >= 4);
-        let (merged, _) = compact(&mut d, &h, vec![Source::from_region(a)], 8, false).unwrap();
+        let (merged, _) =
+            compact(&mut d, &h, vec![Source::from_region(a)], 8, false, None).unwrap();
         // Only the new region (8 primaries + chains) is live.
         assert!(d.live_blocks() <= 8 + 4, "sources freed");
         assert_eq!(merged.items, 30);
@@ -460,6 +487,7 @@ mod tests {
             vec![Source::from_memory(mem_items, &h), Source::from_region(disk_region)],
             4,
             false,
+            None,
         )
         .unwrap();
         assert_eq!(stats.items, 5);
@@ -473,7 +501,8 @@ mod tests {
         let mut d = mem_disk(4);
         let h = hash();
         let a = build_region(&mut d, &h, 2, &(0..50).collect::<Vec<_>>());
-        let (merged, _) = compact(&mut d, &h, vec![Source::from_region(a)], 16, false).unwrap();
+        let (merged, _) =
+            compact(&mut d, &h, vec![Source::from_region(a)], 16, false, None).unwrap();
         for q in 0..merged.buckets {
             let mut cur = Some(merged.block_of(q));
             while let Some(id) = cur {
@@ -498,7 +527,8 @@ mod tests {
         let mut d = mem_disk(4);
         let h = hash();
         let a = build_region(&mut d, &h, 16, &(0..40).collect::<Vec<_>>());
-        let (merged, _) = compact(&mut d, &h, vec![Source::from_region(a)], 4, false).unwrap();
+        let (merged, _) =
+            compact(&mut d, &h, vec![Source::from_region(a)], 4, false, None).unwrap();
         let mut keys = region_keys(&mut d, &merged);
         keys.sort_unstable();
         assert_eq!(keys, (0..40).collect::<Vec<_>>());
@@ -511,7 +541,8 @@ mod tests {
         let mut d = mem_disk(4);
         let h = hash();
         let a = build_region(&mut d, &h, 3, &(0..60).collect::<Vec<_>>());
-        let (merged, _) = compact(&mut d, &h, vec![Source::from_region(a)], 7, false).unwrap();
+        let (merged, _) =
+            compact(&mut d, &h, vec![Source::from_region(a)], 7, false, None).unwrap();
         let mut keys = region_keys(&mut d, &merged);
         keys.sort_unstable();
         assert_eq!(keys, (0..60).collect::<Vec<_>>());
@@ -526,7 +557,7 @@ mod tests {
         let mut incoming: Vec<Item> = (100..106).map(|k| Item::new(k, k)).collect();
         incoming.push(Item::new(3, 999));
         let src = Source::from_memory(incoming, &h);
-        let stats = merge_in_place(&mut d, &h, vec![src], &mut region, false).unwrap();
+        let stats = merge_in_place(&mut d, &h, vec![src], &mut region, false, None).unwrap();
         assert_eq!(stats.items, 7);
         assert_eq!(stats.shadowed, 1, "old copy of key 3 replaced");
         assert_eq!(region.items, 16 + 7 - 1);
@@ -561,8 +592,15 @@ mod tests {
         let mut region = build_region(&mut d, &h, 16, &(0..32).collect::<Vec<_>>());
         let incoming: Vec<Item> = (1000..1016).map(|k| Item::new(k, k)).collect();
         let e = d.epoch();
-        merge_in_place(&mut d, &h, vec![Source::from_memory(incoming, &h)], &mut region, false)
-            .unwrap();
+        merge_in_place(
+            &mut d,
+            &h,
+            vec![Source::from_memory(incoming, &h)],
+            &mut region,
+            false,
+            None,
+        )
+        .unwrap();
         let io = d.since(&e).total(d.cost_model());
         // At most one combined I/O per bucket (16), usually fewer since
         // some buckets receive nothing.
@@ -575,8 +613,15 @@ mod tests {
         let h = hash();
         let mut region = build_region(&mut d, &h, 2, &(0..4).collect::<Vec<_>>());
         let incoming: Vec<Item> = (100..110).map(|k| Item::new(k, k)).collect();
-        merge_in_place(&mut d, &h, vec![Source::from_memory(incoming, &h)], &mut region, false)
-            .unwrap();
+        merge_in_place(
+            &mut d,
+            &h,
+            vec![Source::from_memory(incoming, &h)],
+            &mut region,
+            false,
+            None,
+        )
+        .unwrap();
         assert_eq!(region.items, 14);
         let mut keys = region_keys(&mut d, &region);
         keys.sort_unstable();
@@ -641,6 +686,7 @@ mod tests {
             vec![Source::from_memory(markers.clone(), &h), Source::from_region(older)],
             4,
             true,
+            None,
         )
         .unwrap();
         assert_eq!(stats.purged, 1, "the marker itself is dropped");
@@ -660,6 +706,7 @@ mod tests {
             vec![Source::from_memory(markers, &h), Source::from_region(older)],
             4,
             false,
+            None,
         )
         .unwrap();
         assert_eq!(stats.purged, 0);
@@ -681,9 +728,15 @@ mod tests {
             Item::delete_marker(500),
             Item::new(100, 100),
         ];
-        let stats =
-            merge_in_place(&mut d, &h, vec![Source::from_memory(incoming, &h)], &mut region, true)
-                .unwrap();
+        let stats = merge_in_place(
+            &mut d,
+            &h,
+            vec![Source::from_memory(incoming, &h)],
+            &mut region,
+            true,
+            None,
+        )
+        .unwrap();
         assert_eq!(stats.purged, 3);
         assert_eq!(stats.items, 1, "only the real insert is written");
         assert_eq!(region.items, 16 + 1 - 2, "two live copies knocked out");
@@ -692,6 +745,28 @@ mod tests {
         let expect: Vec<u64> =
             (0..16).filter(|k| *k != 3 && *k != 7).chain(std::iter::once(100)).collect();
         assert_eq!(keys, expect);
+    }
+
+    #[test]
+    fn merges_add_every_key_they_write_to_the_level_filter() {
+        use crate::config::CoreConfig;
+        use crate::filter::FilterPlan;
+        let cfg = CoreConfig::lemma5(2, 256, 2).unwrap();
+        let mut filter = FilterPlan::derive(&cfg, 64).new_filter(1).expect("H1 fits in 64 items");
+        let mut d = mem_disk(2); // tiny blocks: the in-place pass takes both paths
+        let h = hash();
+        let built: Vec<Item> = (0..20).map(|k| Item::new(k, k)).collect();
+        let (mut region, _) =
+            compact(&mut d, &h, vec![Source::from_memory(built, &h)], 8, false, Some(&mut filter))
+                .unwrap();
+        let merged: Vec<Item> = (100..120).map(|k| Item::new(k, k)).collect();
+        let src = Source::from_memory(merged, &h);
+        merge_in_place(&mut d, &h, vec![src], &mut region, false, Some(&mut filter)).unwrap();
+        let keys = region_keys(&mut d, &region);
+        assert_eq!(keys.len(), 40);
+        assert!(keys.iter().all(|&k| filter.may_contain(h.hash64(k))), "a written key is missing");
+        let strangers = (1000..2000u64).filter(|&k| filter.may_contain(h.hash64(k))).count();
+        assert!(strangers < 100, "{strangers} of 1000 absent keys pass a 40-key filter");
     }
 
     #[test]
@@ -725,7 +800,7 @@ mod tests {
         let keys: Vec<u64> = (0..256).collect();
         let a = build_region(&mut d, &h, 32, &keys);
         let e = d.epoch();
-        let (_, _) = compact(&mut d, &h, vec![Source::from_region(a)], 64, false).unwrap();
+        let (_, _) = compact(&mut d, &h, vec![Source::from_region(a)], 64, false, None).unwrap();
         let io = d.since(&e).total(d.cost_model());
         // Reads ≈ 32 source blocks (+chains), writes ≤ 64 target blocks.
         assert!(io <= 32 + 20 + 64, "merge I/O {io} should be ~linear in blocks");
