@@ -18,8 +18,11 @@
 //!   Zipf(θ) hot-key write stream against its uncoalesced twin (same op
 //!   count, all keys distinct). The newest-wins buffer absorbs the hot
 //!   duplicates, so the zipf column must not lose to the distinct one —
-//!   and with checkpoint rotations live, a delta harden must average
-//!   ≤ 1/8 of a full table-sized manifest rewrite.
+//!   and with checkpoint rotations live, a checkpoint (marker-less)
+//!   manifest commit must stay O(log n): at most
+//!   [`MAX_CHECKPOINT_COMMIT_BYTES`] on average, and below the
+//!   marker-setting manifests of the final tables, whose free list is
+//!   the table-sized part.
 //!
 //! Writers replay disjoint-namespace [`ConcurrentChurn`] traces (a
 //! read-mixed churn) through pipelined `submit` chunks — the shape a
@@ -45,6 +48,7 @@ use std::time::Instant;
 use dxh_analysis::{table::fmt_f, TextTable};
 use dxh_bench::{emit, ExpArgs};
 use dxh_core::{CoreConfig, ShardedKvStore, WriteOp};
+use dxh_workloads::service::MAX_CHECKPOINT_COMMIT_BYTES;
 use dxh_workloads::{ConcurrentChurn, Op, Trace, ZipfWrites};
 
 /// Ops each writer pipelines per `submit` call (a small ingest buffer).
@@ -160,13 +164,15 @@ struct CoalescePoint {
     kops_per_s: f64,
     /// Ops absorbed by the newest-wins buffer (saved table work).
     coalesced: u64,
-    /// Incremental manifest frames committed by checkpoint rotations.
+    /// Marker-less manifest commits made by checkpoint rotations (the
+    /// `delta_*` counters of `ServiceStats`, named for the frames such
+    /// commits used to be).
     delta_commits: u64,
-    /// Average bytes per delta frame.
+    /// Average bytes per checkpoint commit.
     avg_delta_b: u64,
-    /// Average bytes of the **final** full manifests (table-sized, from
-    /// the closing marker-setting `sync_all`) — what every checkpoint
-    /// harden used to pay before incremental deltas.
+    /// Average bytes of the **final** marker-setting manifests (from the
+    /// closing `sync_all`): the same file plus the free list, the
+    /// table-sized line a checkpoint commit leaves out.
     avg_full_b: u64,
 }
 
@@ -178,8 +184,9 @@ const ZIPF_UNIVERSE: usize = 64;
 const ZIPF_THETA: f64 = 0.99;
 
 /// Commit-log bytes per shard between checkpoint rotations in sweep 3 —
-/// low enough that a run pays dozens of rotations, so the delta-vs-full
-/// manifest gate measures live behaviour rather than an idle path.
+/// low enough that a run pays dozens of rotations, so the
+/// checkpoint-vs-marker-setting manifest gate measures live behaviour
+/// rather than an idle path.
 const COALESCE_CKPT_LOG_BYTES: u64 = 64 << 10;
 
 /// Drives the hot-key zipf stream (`hot`) or its uncoalesced
@@ -236,8 +243,8 @@ fn run_coalesce_once(
     let end = svc.stats();
     drop(svc);
     let _ = std::fs::remove_dir_all(&dir);
-    // The closing sync_all rewrites every shard's manifest in full at
-    // final table size — the per-harden price the delta path replaces.
+    // The closing sync_all commits every shard's manifest with its free
+    // list at final table size — what a checkpoint commit leaves out.
     let final_fulls = end.manifest_full_commits - mid.manifest_full_commits;
     CoalescePoint {
         mode,
@@ -406,9 +413,9 @@ fn main() {
         "kops/s",
         "coalesced",
         "coal/op",
-        "deltas",
-        "avg delta B",
-        "avg full B",
+        "ckpt commits",
+        "avg ckpt B",
+        "avg marker B",
     ]);
     let co_points: Vec<CoalescePoint> = {
         let mut best: [Option<CoalescePoint>; 2] = [None, None];
@@ -459,8 +466,9 @@ fn main() {
     // Coalescing gates (quick and full — this pair IS the CI smoke's
     // subject): the zipf mix must not lose to its uncoalesced twin, the
     // buffer must have actually absorbed work on it (and had nothing to
-    // absorb on the twin), and a checkpoint delta harden must cost at
-    // most 1/8 of a table-sized full manifest rewrite.
+    // absorb on the twin), and a checkpoint commit must stay a header
+    // and O(log n) level lines — below the absolute bound and below the
+    // marker-setting manifests of the final tables.
     {
         let (hot, distinct) = (&co_points[0], &co_points[1]);
         assert_eq!((hot.mode, distinct.mode), ("zipf-hot", "distinct"));
@@ -478,18 +486,19 @@ fn main() {
         );
         assert!(
             distinct.delta_commits > 0,
-            "checkpoint rotations must commit incremental deltas during the run"
+            "checkpoint rotations must make marker-less manifest commits during the run"
         );
         assert!(
-            distinct.avg_delta_b * 8 <= distinct.avg_full_b,
-            "a delta harden must average <= 1/8 of a full manifest rewrite: \
-             {} B delta vs {} B full",
+            distinct.avg_delta_b <= MAX_CHECKPOINT_COMMIT_BYTES
+                && distinct.avg_delta_b < distinct.avg_full_b,
+            "a checkpoint commit must average <= {MAX_CHECKPOINT_COMMIT_BYTES} B and less than a \
+             marker-setting one: {} B without the free list vs {} B with it",
             distinct.avg_delta_b,
             distinct.avg_full_b
         );
         println!(
             "\ncoalescing: zipf-hot {:.1} kops/s >= distinct {:.1} kops/s ({} ops absorbed); \
-             delta harden {} B <= 1/8 of {} B full manifest",
+             checkpoint commit {} B <= {MAX_CHECKPOINT_COMMIT_BYTES} B, marker-setting manifest {} B",
             hot.kops_per_s,
             distinct.kops_per_s,
             hot.coalesced,
@@ -535,8 +544,9 @@ fn main() {
          {fixed_threads} writers x 8 shards, checkpoint rotations every \
          {COALESCE_CKPT_LOG_BYTES} log bytes: Zipf({ZIPF_THETA}) hot-key writes over \
          {ZIPF_UNIVERSE} keys/thread vs the all-distinct uncoalesced twin. Gates: zipf-hot \
-         kops/s >= distinct, and avg delta-harden bytes <= 1/8 of a final full manifest \
-         rewrite.\",\n    \"points\": [\n{}\n    ]\n  }},\n  \"points\": [\n{}\n  ]\n}}\n",
+         kops/s >= distinct, and avg checkpoint-commit bytes (avg_delta_bytes: a marker-less \
+         manifest, no free list) <= {MAX_CHECKPOINT_COMMIT_BYTES} and below a final marker-setting \
+         manifest.\",\n    \"points\": [\n{}\n    ]\n  }},\n  \"points\": [\n{}\n  ]\n}}\n",
         co_json.join(",\n"),
         json_rows.join(",\n")
     );

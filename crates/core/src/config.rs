@@ -150,10 +150,11 @@ impl CoreConfig {
         // H0 (m/2 items) + the merge working set (two stream buffers of
         // ≈ 2b items each plus scratch and metadata) must fit in m:
         // m/2 + 4b + 24 ≤ m  ⇔  m ≥ 8b + 48.
-        if self.m < 8 * self.b + 48 {
+        // (Saturating: `b` may come straight out of a manifest.)
+        let need = self.b.saturating_mul(8).saturating_add(48);
+        if self.m < need {
             return Err(ExtMemError::BadConfig(format!(
-                "buffered tables need m ≥ 8b + 48 (= {}), got m = {}",
-                8 * self.b + 48,
+                "buffered tables need m ≥ 8b + 48 (= {need}), got m = {}",
                 self.m
             )));
         }

@@ -10,9 +10,8 @@
 //! generic code: the tmp + fsync + rename + dir-fsync commit
 //! ([`commit_file_atomic`], for the store manifest and the service
 //! manifest alike), the clean marker, stale-generation cleanup (all in
-//! this module), the delta chain (`store.rs`) and the commit log
-//! (`commitlog.rs`). The crash sweeps therefore run the code that ships,
-//! down to each fsync and rename.
+//! this module) and the commit log (`commitlog.rs`). The crash sweeps
+//! therefore run the code that ships, down to each fsync and rename.
 
 use std::fs;
 use std::io::Write as _;
@@ -29,8 +28,9 @@ pub(crate) const LOCK: &str = "LOCK";
 /// Clean-shutdown marker name: present exactly while no block write has
 /// happened since the last manifest.
 pub(crate) const CLEAN: &str = "CLEAN";
-/// Manifest delta-chain name: checksummed incremental manifest records
-/// appended between full manifest rewrites (see `store.rs`).
+/// Legacy manifest delta-chain name: earlier versions appended their
+/// checkpoint commits here. Read once at reopen, folded into the
+/// manifest and removed; never written (see `store.rs`).
 pub(crate) const MANIFEST_DELTA: &str = "MANIFEST.DELTA";
 
 /// Whether `name` is a store data file (any generation).
@@ -127,16 +127,24 @@ pub(crate) fn best_effort<T, E>(_: std::result::Result<T, E>) {}
 /// primitive behind every durable metadata file (the store manifest,
 /// the service manifest). After it returns a reopen sees the new
 /// contents; interrupted, a reopen sees the old ones — never a mix.
+///
+/// `last_sync` runs between the tmp file's fdatasync and the rename:
+/// the place for a durability step the new contents vouch for that
+/// should leave nothing but the rename and the directory fsync between
+/// itself and the commit point (the store's data fsync, see
+/// `KvStore::harden`).
 pub(crate) fn commit_file_atomic<M: StoreMedia>(
     media: &mut M,
     name: &str,
     text: &str,
+    last_sync: impl FnOnce() -> Result<()>,
 ) -> Result<()> {
     let tmp = format!("{name}.tmp");
     let mut f = media.create_file(&tmp)?;
     f.append(text.as_bytes())?;
     f.sync()?;
     drop(f);
+    last_sync()?;
     media.rename(&tmp, name)?;
     // The rename is only durable once the directory entry is: fsync the
     // dir, or a power failure could resurrect the old contents under

@@ -256,20 +256,22 @@ pub struct ServiceStats {
     /// was still individually answered and acknowledged — this counts
     /// saved table work, not dropped writes.
     pub coalesced_ops: u64,
-    /// Total manifest-commit bytes across every shard store (full
-    /// rewrites plus delta frames). With incremental deltas, checkpoint
-    /// hardens contribute O(changed state) each, so this stays
-    /// proportional to update volume instead of table size.
+    /// Total manifest-commit bytes across every shard store (both
+    /// commit forms). A checkpoint harden is a marker-less commit — the
+    /// manifest without the free list, O(log n) bytes — so this stays
+    /// proportional to the number of hardens instead of table size.
     pub manifest_bytes_written: u64,
-    /// Incremental `MANIFEST.DELTA` frames committed across shards.
+    /// Marker-less (checkpoint) manifest commits across shards. Named
+    /// for the `MANIFEST.DELTA` frames such commits used to be; the
+    /// quantity tracked is the same (see [`crate::ManifestIoStats`]).
     pub manifest_delta_commits: u64,
-    /// Bytes of those delta frames — the O(changed-state) share of
-    /// `manifest_bytes_written`.
+    /// Bytes of those checkpoint commits — the share of
+    /// `manifest_bytes_written` that does not scale with the table.
     pub manifest_delta_bytes: u64,
-    /// Full manifest rewrites across shards (open, compaction, chain
-    /// rollover, shutdown).
+    /// Marker-setting manifest commits across shards (open, compaction,
+    /// `sync_all`, shutdown).
     pub manifest_full_commits: u64,
-    /// Bytes of those full rewrites — the O(table) share.
+    /// Bytes of those commits, free lists included — the O(table) share.
     pub manifest_full_bytes: u64,
 }
 
@@ -1312,7 +1314,7 @@ where
             // reopens from its own already-committed manifest.
             let mode = if payloads { "payloads 1\n" } else { "" };
             let meta = format!("{SERVICE_MAGIC}\nshards {shards}\nseed {seed}\n{mode}");
-            commit_file_atomic(&mut root, SERVICE, &meta)?;
+            commit_file_atomic(&mut root, SERVICE, &meta, || Ok(()))?;
         }
         // Reopen-time recovery, phase two: each store recovered itself
         // to its last manifest above; now the commit log's surviving

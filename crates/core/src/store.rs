@@ -24,21 +24,26 @@
 //!   γ)`, the hash seed, the data-file generation, the allocator state
 //!   (high-water mark and free list), and one line per disk level
 //!   region. Written atomically (tmp + rename, then a directory fsync so
-//!   the rename itself is durable) by [`KvStore::sync`];
-//! * `MANIFEST.DELTA` — a chain of checksummed incremental manifest
-//!   frames ([`dxh_extmem::frame`]) appended by marker-less hardens
-//!   (`harden(false)`, the service committers' steady state): each
-//!   frame carries the same state lines as the manifest, but only those
-//!   that changed since the last commit, so a checkpoint harden writes
-//!   O(changed state) instead of rewriting the whole manifest. Reopen
-//!   folds the intact chain prefix over the base manifest; every full
-//!   rewrite (sync, compact, rollover) supersedes and clears the chain;
+//!   the rename itself is durable) by every commit. The level lines are
+//!   O(log n); the free list — one decimal id per free slot — is the
+//!   table-sized part, and it is written only by a commit that also
+//!   sets `CLEAN` ([`KvStore::sync`], compaction), because only under
+//!   that marker does reopen read it. A marker-less checkpoint commit
+//!   (`harden(false)`, the service committers' steady state) is the
+//!   same file without that one line: a couple of hundred bytes;
+//! * `MANIFEST.DELTA` — legacy, read once at reopen, never written.
+//!   Earlier versions appended checkpoint commits to this chain of
+//!   checksummed frames ([`dxh_extmem::frame`]) instead of rewriting
+//!   the manifest. A store they left with an outstanding chain (killed
+//!   without a clean close) is upgraded by its first reopen: the intact
+//!   frames are folded over the manifest, the result is committed as an
+//!   ordinary manifest, and the chain is removed;
 //! * `CLEAN` — a marker present exactly while no block write has
 //!   happened since the last manifest (unlinked before the first
 //!   mutation, rewritten at each sync). Reopen trusts the manifest's
-//!   free list only when it sees this marker (which also implies no
-//!   delta frames are outstanding — the marker only ever commits over a
-//!   full rewrite);
+//!   free list only when it sees this marker, and the marker is only
+//!   ever written, in the same call, right after a manifest carrying
+//!   the committing handle's own free list;
 //! * `LOCK` — mutual exclusion for the directory. Ownership is an OS
 //!   advisory lock held on the file for the handle's lifetime, so a
 //!   second live handle fails fast instead of silently overwriting the
@@ -50,8 +55,10 @@
 //! levels, then `fdatasync`s the block file, then rewrites the manifest —
 //! after a **clean shutdown** (explicit `sync` or drop) a reopened store
 //! sees every item inserted so far. Dropping the store syncs
-//! best-effort, and a handle that made no modifications skips the
-//! manifest rewrite entirely.
+//! best-effort, and a handle that opened a cleanly closed store and made
+//! no modifications skips the manifest rewrite entirely (one that
+//! recovered from a crash commits once even if untouched, so the marker
+//! it leaves sits over its own free list).
 //!
 //! This is a clean-shutdown persistence story (manifest + data written
 //! at sync points), not crash-consistent journaling: the paper's bounds
@@ -79,10 +86,10 @@
 
 use std::path::{Path, PathBuf};
 
-use dxh_extmem::frame::{push_frame, Frames, FRAME_HEADER};
+use dxh_extmem::frame::Frames;
 use dxh_extmem::{
-    BlobFile, BlobLog, BlockId, Disk, ExtMemError, IoCostModel, IoSnapshot, Key, PersistentBackend,
-    Result, Value, BLOB_TAG, KEY_TOMBSTONE, VALUE_TOMBSTONE,
+    BlobLog, BlockId, Disk, ExtMemError, IoCostModel, IoSnapshot, Key, PersistentBackend, Result,
+    Value, BLOB_TAG, KEY_TOMBSTONE, VALUE_TOMBSTONE,
 };
 use dxh_hashfn::IdealFn;
 use dxh_tables::ExternalDictionary;
@@ -105,12 +112,6 @@ const MAGIC: &str = "dxh-store v2";
 /// Format v1: written before deletion existed. Readable, but `u64::MAX`
 /// was an ordinary value then — see [`scan_reserved_values`].
 const MAGIC_V1: &str = "dxh-store v1";
-
-/// Delta frames after which the next commit compacts the chain into a
-/// full manifest rewrite — bounds both reopen's chain replay and the
-/// chain's disk footprint without giving up O(changed-state) commits in
-/// steady state.
-const DELTA_ROLLOVER: u64 = 64;
 
 /// The authoritative data file of generation `gen`: the original name
 /// for generation 0 (every pre-compaction store), generation-suffixed
@@ -236,21 +237,11 @@ pub struct KvStore<M: StoreMedia = DirMedia> {
     /// would reapply *older* logged batches over a *newer*
     /// manifest-committed fold and tear the batch boundary (G4).
     watermark: u64,
-    /// Full-rewrite epoch: bumped by every full manifest rewrite. Delta
-    /// frames quote the epoch they extend, so frames surviving a
-    /// best-effort chain clear are recognized as stale at reopen.
+    /// Manifest epoch: bumped by every manifest commit. Written and
+    /// bumped for one reader only — the frames of a legacy
+    /// `MANIFEST.DELTA` chain quote the epoch they extend, so a chain
+    /// whose removal was lost is recognized as stale at reopen.
     epoch: u64,
-    /// Frames appended to the delta chain since the last full rewrite
-    /// (the next frame's sequence number is `delta_seq + 1`); pinned at
-    /// `DELTA_ROLLOVER` once an append failed, which retires the chain.
-    delta_seq: u64,
-    /// The open `MANIFEST.DELTA` chain; `None` while no chain file exists
-    /// (it is created by the first delta append after a full rewrite,
-    /// never at open).
-    delta: Option<M::File>,
-    /// Level regions as of the last manifest commit (full or delta) —
-    /// the diff base for the next delta frame's changed-level lines.
-    committed_levels: Vec<Option<Region>>,
     /// Manifest-commit byte accounting (see [`KvStore::manifest_io`]).
     manifest_io: ManifestIoStats,
     /// The persistence environment; holds the store's mutual-exclusion
@@ -307,6 +298,11 @@ impl<M: StoreMedia> KvStore<M> {
         match read_text(&mut media, MANIFEST)? {
             Some(text) => Self::reopen(media, &text, cfg.b, payloads),
             None => {
+                if !plausible_creation_params(&cfg) {
+                    return Err(ExtMemError::BadConfig(format!(
+                        "a store takes m ≤ {MAX_M} and gamma ≤ {MAX_GAMMA}"
+                    )));
+                }
                 let disk = fresh_gen_disk(&mut media, DATA, &cfg)?;
                 let table = LogMethodTable::new_on(disk, cfg, seed)?;
                 let blob = if payloads {
@@ -323,14 +319,10 @@ impl<M: StoreMedia> KvStore<M> {
                     poisoned: false,
                     watermark: 0,
                     epoch: 0,
-                    delta_seq: 0,
-                    delta: None,
-                    committed_levels: Vec::new(),
                     manifest_io: ManifestIoStats::default(),
                     media,
                 };
-                store.write_manifest()?; // a crash before the first sync can still reopen
-                set_clean_marker(&mut store.media)?;
+                store.write_manifest(true)?; // a crash before the first sync can still reopen
                 Ok(store)
             }
         }
@@ -338,16 +330,17 @@ impl<M: StoreMedia> KvStore<M> {
 
     fn reopen(mut media: M, text: &str, expected_b: usize, payloads: bool) -> Result<Self> {
         let mut m = Manifest::parse(text)?;
-        // Fold the surviving delta chain into the parsed base: every
-        // intact frame is a commit point newer than the base manifest
-        // (torn tails, broken sequences, and stale-epoch frames are
-        // discarded inside).
-        let mut delta = media.open_file(MANIFEST_DELTA)?;
-        let chain = match delta.as_mut() {
-            Some(file) => file.read_all()?,
-            None => Vec::new(),
+        // The one-time upgrade of a store an earlier version left with
+        // an outstanding `MANIFEST.DELTA` chain: every intact frame is a
+        // commit point newer than the manifest — its commit-log segment
+        // may already be discarded — so it is folded in here (torn
+        // tails, broken sequences and stale-epoch frames are discarded
+        // inside) and committed as an ordinary manifest below.
+        let chain = media.read_file(MANIFEST_DELTA)?;
+        let folded = match &chain {
+            Some(bytes) => apply_manifest_deltas(&mut m, bytes)? > 0,
+            None => false,
         };
-        let (applied, traversed) = apply_manifest_deltas(&mut m, &chain)?;
         if m.cfg.b != expected_b {
             return Err(ExtMemError::BadConfig(format!(
                 "store was created with b = {}, caller asked for b = {expected_b}",
@@ -367,14 +360,18 @@ impl<M: StoreMedia> KvStore<M> {
             }
             _ => {}
         }
-        if traversed < chain.len() {
-            // The chain must hold exactly the frames replay traversed
-            // before anything can be appended to it: a frame written
-            // behind a torn tail (or a sequence gap) would be acknowledged
-            // and then invisible to every later reopen.
-            let file = delta.as_mut().expect("a non-empty chain was read from its file");
-            file.truncate(traversed as u64)?;
-            file.sync()?;
+        // Every region the code writes at level k has exactly the
+        // level's bucket count, so a persisted `m` or `gamma` that does
+        // not reproduce the recorded regions is corruption — caught here,
+        // before `H0`, the filters or anything else is sized from them.
+        for (k, region) in m.levels.iter().enumerate() {
+            let Some(r) = region else { continue };
+            if r.buckets != m.cfg.level_buckets(k as u32) {
+                return Err(corrupt("level region does not match the creation parameters"));
+            }
+            if r.base.raw().checked_add(r.buckets).is_none_or(|end| end > m.slots) {
+                return Err(corrupt("level region outside the recorded slots"));
+            }
         }
         let data_name = data_file_name(m.data_gen);
         let mut backend = media.open_data(&data_name, m.cfg.b)?;
@@ -392,12 +389,11 @@ impl<M: StoreMedia> KvStore<M> {
             // slot is still live, so every region block is readable.
             scan_reserved_values(&mut backend, &m.levels)?;
         }
-        if applied == 0 && clean_marker(&mut media)? && backend.slots() == m.slots {
+        if !folded && clean_marker(&mut media)? && backend.slots() == m.slots {
             // Clean shutdown: no block write happened after the manifest,
             // so it describes the file exactly and the free list is safe
-            // to recycle from. Delta frames never carry a free list (and
-            // a marker-setting harden always compacts the chain first),
-            // so an applied chain forces the recovery walk below.
+            // to recycle from. Legacy frames never carried a free list,
+            // so a folded chain forces the recovery walk below.
             backend.restore_free_list(m.free)?;
         } else {
             // Crash recovery: the manifest's free list is stale (post-sync
@@ -416,7 +412,6 @@ impl<M: StoreMedia> KvStore<M> {
         }
         backend.set_defer_recycling(true);
         let disk = Disk::new(backend, m.cfg.b, m.cfg.cost);
-        let committed_levels = m.levels.clone();
         let table = LogMethodTable::from_parts(disk, m.cfg, IdealFn::from_seed(m.seed), m.levels)?;
         // The blob log recovers to the committed length the manifest
         // covers: a crash tail (torn or unsynced appends the index never
@@ -435,7 +430,7 @@ impl<M: StoreMedia> KvStore<M> {
         // Strays from an interrupted compaction (either side of its
         // manifest commit) are unreferenced whole files: remove them.
         remove_stale_generations(&mut media, &data_name, blob.is_some().then_some(&blob_name));
-        Ok(KvStore {
+        let mut store = KvStore {
             table,
             blob,
             seed: m.seed,
@@ -444,12 +439,19 @@ impl<M: StoreMedia> KvStore<M> {
             poisoned: false,
             watermark: m.watermark,
             epoch: m.epoch,
-            delta_seq: applied,
-            delta,
-            committed_levels,
             manifest_io: ManifestIoStats::default(),
             media,
-        })
+        };
+        if chain.is_some() {
+            if folded {
+                // The next epoch makes the folded frames stale, so the
+                // fold stays one-time even if the unlink below is lost.
+                store.write_manifest(false)?;
+            }
+            store.media.remove(MANIFEST_DELTA)?;
+            store.media.sync_dir()?;
+        }
+        Ok(store)
     }
 
     /// Flushes `H0` to the disk levels, `fdatasync`s the block file, and
@@ -476,53 +478,35 @@ impl<M: StoreMedia> KvStore<M> {
     /// state — the marker only selects *how* the live set is recomputed,
     /// never *what* it is.
     ///
-    /// Steady-state `harden(false)` commits by appending one checksummed
-    /// **delta frame** to the `MANIFEST.DELTA` chain — O(changed state)
-    /// per commit instead of a full manifest rewrite. A marker-setting
-    /// harden, and every `DELTA_ROLLOVER`th (64th) commit, compacts the
-    /// chain into a full rewrite instead. The marker may only ever sit
-    /// over a full manifest: reopen trusts the manifest's free list
-    /// under the marker, and delta frames deliberately carry none.
+    /// Both forms are one commit — the atomic manifest rewrite — and
+    /// differ only in the marker and the free list it alone licenses:
+    /// reopen reads a free list only under `CLEAN`, so a marker-less
+    /// commit leaves that table-sized line out. `CLEAN` in turn is only
+    /// ever written right after a manifest carrying this handle's own
+    /// free list: a handle that recovered from a crash and was never
+    /// dirtied still owes that commit, because the manifest it found
+    /// lists as free the slots the crashed process's merges linked into
+    /// live chains.
     pub fn harden(&mut self, set_marker: bool) -> Result<()> {
         self.check_poisoned()?;
-        if !self.dirty {
-            // Nothing to commit, but a `harden(true)` after a run of
-            // `harden(false)` rounds still owes the marker: the manifest
-            // already matches the table, so writing `CLEAN` is safe —
-            // except when those rounds left delta frames outstanding,
-            // in which case the base manifest's free list predates the
-            // chain and the marker may only go down over a compaction.
-            if set_marker && !clean_marker(&mut self.media)? {
-                if self.delta_seq > 0 {
-                    self.write_manifest()?;
-                }
-                set_clean_marker(&mut self.media)?;
-            }
+        if !self.dirty && (!set_marker || clean_marker(&mut self.media)?) {
             return Ok(());
         }
-        // `H0` to the disk levels (buffered writes), then the fsyncs
-        // that make them — and every append and block write since the
-        // last commit — durable. The blob log syncs **before** the
-        // index can commit (`blob-sync-before-index-commit`): the index
-        // words a manifest commits point into the log, so a crash must
-        // never find committed offsets dangling.
-        self.table.flush_memory()?;
-        self.blob_sync()?;
-        self.table.disk_mut().flush()?;
+        if self.dirty {
+            // `H0` to the disk levels (buffered writes), then the fsyncs
+            // that make them — and every append and block write since the
+            // last commit — durable: the blob log's here, **before** the
+            // index can commit (`blob-sync-before-index-commit`: the
+            // index words a manifest commits point into the log, so a
+            // crash must never find committed offsets dangling), the
+            // data file's inside the commit.
+            self.table.flush_memory()?;
+            self.blob_sync()?;
+        }
         // The commit point.
-        if set_marker || self.delta_seq >= DELTA_ROLLOVER {
-            self.write_manifest()?;
-        } else {
-            self.write_manifest_delta()?;
-        }
-        if set_marker {
-            set_clean_marker(&mut self.media)?;
-        }
+        self.write_manifest(set_marker)?;
         // The new commit is durable; quarantined slots may now be
-        // recycled. Sound after a delta commit too: no region any
-        // commit point (base or intact delta prefix) records references
-        // a quarantined slot, so recovery to any of those points never
-        // reads a slot recycled after it became durable.
+        // recycled: no region the manifest records references one.
         self.table.disk_mut().backend_mut().commit_frees();
         self.dirty = false;
         Ok(())
@@ -637,15 +621,15 @@ impl<M: StoreMedia> KvStore<M> {
         transition_dirty(&mut self.media, &mut self.dirty)
     }
 
-    fn write_manifest(&mut self) -> Result<()> {
-        let cfg = self.table.config().clone();
-        // Presence of the `blob` line ⟺ payload mode; its value is the
-        // committed payload length — reopen truncates the log back to it
-        // (crash-tail discard) and verifies the prefix. Callers order a
-        // blob sync before this commit (`blob-sync-before-index-commit`).
-        let blob_len = self.blob.as_ref().map(|log| log.len());
-        let backend = self.table.disk_mut().backend_mut();
-        let (slots, free) = (backend.slots(), backend.free_list());
+    /// The commit point: atomically replaces `MANIFEST` with the table's
+    /// current state at the next epoch — with `set_marker`, including
+    /// the allocator's free list and followed by `CLEAN` (see
+    /// [`KvStore::harden`]). Lines older parsers do not know are ignored
+    /// by them (forward-compatible), so optional ones are simply left
+    /// out: `blob` is present exactly in payload mode, `watermark` only
+    /// on service-managed stores (see `set_replay_watermark`).
+    fn write_manifest(&mut self, set_marker: bool) -> Result<()> {
+        let cfg = self.table.config();
         let mut out = String::new();
         out.push_str(MAGIC);
         out.push('\n');
@@ -661,98 +645,61 @@ impl<M: StoreMedia> KvStore<M> {
             }
         ));
         out.push_str(&format!("seed {}\n", self.seed));
-        // The epoch this rewrite commits at; older parsers ignore the
-        // line (forward-compatible), new ones use it to recognize stale
-        // delta frames.
+        // Older parsers ignore the line (forward-compatible); this one
+        // needs it only to recognize a stale legacy chain.
         out.push_str(&format!("epoch {}\n", self.epoch + 1));
         out.push_str(&format!("data {}\n", self.data_gen));
+        // Presence of the `blob` line ⟺ payload mode; its value is the
+        // committed payload length — reopen truncates the log back to it
+        // (crash-tail discard) and verifies the prefix. Callers order a
+        // blob sync before this commit (`blob-sync-before-index-commit`).
+        if let Some(log) = &self.blob {
+            out.push_str(&format!("blob {}\n", log.len()));
+        }
+        if self.watermark > 0 {
+            out.push_str(&format!("watermark {}\n", self.watermark));
+        }
+        let backend = self.table.disk_mut().backend_mut();
+        out.push_str(&format!("slots {}\n", backend.slots()));
+        if set_marker {
+            let ids: Vec<String> = backend.free_list().iter().map(|id| id.to_string()).collect();
+            out.push_str(&format!("free {}\n", ids.join(",")));
+        }
         let levels = self.table.persisted_levels();
-        push_state_lines(&mut out, blob_len, self.watermark, slots, Some(&free), levels, &[]);
-        // Atomic and durable (tmp + fsync + rename + dir fsync): the
-        // commit point.
-        commit_file_atomic(&mut self.media, MANIFEST, &out)?;
-        // The rewrite supersedes every delta frame: drop the chain with
-        // no durability work (a frame surviving the best-effort clear
-        // quotes the old epoch and is skipped at reopen).
+        out.push_str(&format!("levels {}\n", levels.len()));
+        for (k, r) in levels.iter().enumerate() {
+            if let Some(r) = r {
+                out.push_str(&format!("level {k} {} {} {}\n", r.base.raw(), r.buckets, r.items));
+            }
+        }
+        // Atomic and durable (tmp + fsync + rename + dir fsync), with the
+        // data fsync placed between the tmp file's fsync and the rename.
+        // Once the data file is durable, in-place merges sit under the
+        // *old* manifest, and a service whose commit log does not yet
+        // hold every batch they carry cannot replay its way back to a
+        // batch boundary from there — so nothing but the rename and its
+        // directory fsync may stand between that fsync and the commit.
+        let (table, dirty) = (&mut self.table, self.dirty);
+        let sync_data = || if dirty { table.disk_mut().flush() } else { Ok(()) };
+        commit_file_atomic(&mut self.media, MANIFEST, &out, sync_data)?;
         self.epoch += 1;
-        self.delta_seq = 0;
-        if self.delta.take().is_some() {
-            let _ = self.media.remove(MANIFEST_DELTA);
-        }
-        self.committed_levels = self.table.persisted_levels().to_vec();
-        self.manifest_io.full_commits += 1;
-        self.manifest_io.full_bytes += out.len() as u64;
-        Ok(())
-    }
-
-    /// The incremental commit point: appends one checksummed frame to
-    /// the `MANIFEST.DELTA` chain recording only what changed since the
-    /// last commit — watermark, blob length, slot count, and the level
-    /// regions that differ from the `committed_levels` snapshot — so a
-    /// service checkpoint harden writes O(changed state), not O(table).
-    /// The free list is deliberately absent: only a marker-setting
-    /// harden lets reopen trust a free list, and those always take the
-    /// full-rewrite path (see [`KvStore::harden`]); a reopen over
-    /// deltas takes the recovery region walk, which recomputes liveness
-    /// exactly.
-    fn write_manifest_delta(&mut self) -> Result<()> {
-        let seq = self.delta_seq + 1;
-        let mut out = String::new();
-        out.push_str(&format!("delta {} {seq}\n", self.epoch));
-        let blob_len = self.blob.as_ref().map(|log| log.len());
-        let slots = self.table.disk_mut().backend_mut().slots();
-        let levels = self.table.persisted_levels().to_vec();
-        let base = &self.committed_levels;
-        push_state_lines(&mut out, blob_len, self.watermark, slots, None, &levels, base);
-        let mut frame = Vec::new();
-        push_frame(&mut frame, out.as_bytes());
-        if let Err(e) = self.append_manifest_delta(&frame) {
-            // The frame may have reached the chain (an append that landed
-            // before its sync failed), so `seq` may be spent: a retry
-            // under it would put a duplicate behind the first copy, and
-            // replay stops at a duplicate as a sequence gap. Retire the
-            // chain instead — the next commit takes the full-rewrite
-            // path, whose new epoch makes whatever landed here stale.
-            self.delta_seq = DELTA_ROLLOVER;
-            return Err(e);
-        }
-        self.delta_seq = seq;
-        self.committed_levels = levels;
-        self.manifest_io.delta_commits += 1;
-        self.manifest_io.delta_bytes += frame.len() as u64;
-        Ok(())
-    }
-
-    /// Appends one frame to the `MANIFEST.DELTA` chain and makes it
-    /// durable before returning — each delta is a real index commit
-    /// point (the incremental twin of the manifest rename): after it
-    /// returns, a reopen sees the frame; interrupted, a reopen may see a
-    /// torn tail, which the frame checksums detect and reopen cuts.
-    fn append_manifest_delta(&mut self, frame: &[u8]) -> Result<()> {
-        let fresh = self.delta.is_none();
-        let chain = match &mut self.delta {
-            Some(chain) => chain,
-            None => self.delta.insert(self.media.create_file(MANIFEST_DELTA)?),
-        };
-        chain.append(frame)?;
-        chain.sync()?;
-        if fresh {
-            // The chain file's dirent must be durable too: commit-log
-            // segments sealed against this delta may already be
-            // discarded, so losing the whole chain to a lost dirent
-            // would lose acknowledged batches. One directory fsync per
-            // chain lifetime (creation), not per append.
-            self.media.sync_dir()?;
+        if set_marker {
+            self.manifest_io.full_commits += 1;
+            self.manifest_io.full_bytes += out.len() as u64;
+            set_clean_marker(&mut self.media)?;
+        } else {
+            self.manifest_io.delta_commits += 1;
+            self.manifest_io.delta_bytes += out.len() as u64;
         }
         Ok(())
     }
 
     /// Manifest-commit I/O accounting since this handle opened: how many
-    /// bytes the index-commit path wrote, split between full rewrites
-    /// and incremental delta frames. A service shard in steady state
-    /// accumulates almost all its commits — at O(changed-state) bytes
-    /// each — on the delta side; the torture harness and the bench
-    /// assert exactly that through these counters.
+    /// bytes the index-commit path wrote, split between marker-setting
+    /// and marker-less (checkpoint) commits. A service shard in steady
+    /// state accumulates almost all its commits — a couple of hundred
+    /// bytes each — on the checkpoint side; the torture harness and the
+    /// bench assert exactly that through these counters.
     pub fn manifest_io(&self) -> ManifestIoStats {
         self.manifest_io
     }
@@ -901,8 +848,7 @@ impl<M: StoreMedia> KvStore<M> {
         // Commit point: a crash before this rename leaves the old
         // manifest + old file authoritative (the newer files are strays);
         // after it, the new pair is.
-        self.write_manifest()?;
-        set_clean_marker(&mut self.media)?;
+        self.write_manifest(true)?;
         self.dirty = false;
         let blob_name = blob_file_name(new_gen);
         remove_stale_generations(
@@ -959,19 +905,21 @@ impl<M: StoreMedia> KvStore<M> {
 }
 
 /// Cumulative manifest-commit I/O of one [`KvStore`] handle since it
-/// opened: bytes and commit counts, split between full atomic rewrites
-/// and incremental `MANIFEST.DELTA` frames. Full-rewrite bytes scale
-/// with table size (one `level` line per region plus the whole free
-/// list); delta bytes scale with what changed since the last commit.
+/// opened, split by the commit's form: a marker-setting commit
+/// (`full_*`) lists the allocator's free list, whose bytes scale with
+/// the table; a marker-less checkpoint commit (`delta_*`) is the same
+/// manifest without it — O(log n) level lines. The `delta_*` names
+/// predate that form: checkpoint commits used to be frames appended to
+/// a `MANIFEST.DELTA` chain, and the counters track the same quantity.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ManifestIoStats {
-    /// Bytes written by full manifest rewrites.
+    /// Bytes written by marker-setting manifest commits.
     pub full_bytes: u64,
-    /// Full atomic manifest rewrites committed.
+    /// Marker-setting manifest commits (sync, compaction, creation).
     pub full_commits: u64,
-    /// Bytes appended as delta frames (frame headers included).
+    /// Bytes written by marker-less (checkpoint) manifest commits.
     pub delta_bytes: u64,
-    /// Delta frames committed.
+    /// Marker-less (checkpoint) manifest commits.
     pub delta_commits: u64,
 }
 
@@ -1003,9 +951,6 @@ fn scan_region_free<B: PersistentBackend>(
     let slots = backend.slots();
     let mut live = vec![false; slots as usize];
     for region in levels.iter().flatten() {
-        if region.base.raw().checked_add(region.buckets).is_none_or(|end| end > slots) {
-            return Err(ExtMemError::Corrupt("manifest region outside the data file".into()));
-        }
         for q in 0..region.buckets {
             let mut cur = Some(region.block_of(q));
             while let Some(id) = cur {
@@ -1165,52 +1110,6 @@ impl<M: StoreMedia> ExternalDictionary for KvStore<M> {
     }
 }
 
-/// Appends the manifest's **state lines** — the one writer behind both
-/// commit forms. A full rewrite states the whole state: it diffs
-/// against the empty store (`base = &[]`, so every region differs and
-/// no `clearlevel` can arise) and alone carries the free list. A delta
-/// frame diffs against the last committed snapshot and writes only the
-/// levels that changed. Lines older parsers do not know are ignored by
-/// them (forward-compatible), so optional ones are simply left out:
-/// `blob` is present exactly in payload mode, `watermark` only on
-/// service-managed stores (see `set_replay_watermark`).
-fn push_state_lines(
-    out: &mut String,
-    blob_len: Option<u64>,
-    watermark: u64,
-    slots: u64,
-    free: Option<&[u64]>,
-    levels: &[Option<Region>],
-    base: &[Option<Region>],
-) {
-    if let Some(len) = blob_len {
-        out.push_str(&format!("blob {len}\n"));
-    }
-    if watermark > 0 {
-        out.push_str(&format!("watermark {watermark}\n"));
-    }
-    out.push_str(&format!("slots {slots}\n"));
-    if let Some(free) = free {
-        let ids: Vec<String> = free.iter().map(|id| id.to_string()).collect();
-        out.push_str(&format!("free {}\n", ids.join(",")));
-    }
-    if levels.len() != base.len() {
-        out.push_str(&format!("levels {}\n", levels.len()));
-    }
-    for k in 0..levels.len().max(base.len()) {
-        let now = levels.get(k).copied().flatten();
-        if now == base.get(k).copied().flatten() {
-            continue;
-        }
-        match now {
-            Some(r) => {
-                out.push_str(&format!("level {k} {} {} {}\n", r.base.raw(), r.buckets, r.items))
-            }
-            None => out.push_str(&format!("clearlevel {k}\n")),
-        }
-    }
-}
-
 /// Splits a manifest line into its key, first value and the remaining
 /// fields; `None` for a line with fewer than two fields.
 fn split_line(line: &str) -> Option<(&str, &str, std::str::SplitWhitespace<'_>)> {
@@ -1224,25 +1123,21 @@ fn parse_delta_head(line: &str) -> Option<(u64, u64)> {
     Some((epoch.parse().ok()?, rest.next()?.parse().ok()?))
 }
 
-/// Folds the surviving `MANIFEST.DELTA` chain into a parsed base
-/// manifest. Frames apply in order while they are intact (length and
-/// checksum verify), quote the base's epoch, and carry sequence numbers
-/// running 1, 2, …; the first torn or out-of-sequence frame ends the
-/// chain — everything at and behind it was never acknowledged as
-/// committed. Frames quoting a *different* epoch are stale survivors of
-/// a best-effort chain clear and are skipped without ending the chain.
-/// An intact in-sequence frame is a commit point and must apply in
-/// full: a state line in it that does not parse is
+/// Folds a legacy `MANIFEST.DELTA` chain (see the module docs) into a
+/// parsed base manifest. Frames apply in order while they are intact
+/// (length and checksum verify), quote the base's epoch, and carry
+/// sequence numbers running 1, 2, …; the first torn or out-of-sequence
+/// frame ends the chain — everything at and behind it was never
+/// acknowledged as committed. Frames quoting a *different* epoch are
+/// stale survivors of a lost chain removal and are skipped without
+/// ending the chain. An intact in-sequence frame is a commit point and
+/// must apply in full: a state line in it that does not parse is
 /// [`ExtMemError::Corrupt`], never a half-applied frame. Returns the
-/// number of frames applied (the reopened handle's `delta_seq`) and the
-/// byte offset where the traversal stopped — the chain's valid length,
-/// which reopen cuts the file to before anything is appended. When
-/// frames applied, the base's free list has been cleared — it predates
-/// the chain and must not be trusted.
-fn apply_manifest_deltas(m: &mut Manifest, chain: &[u8]) -> Result<(u64, usize)> {
+/// number of frames applied; when any did, the base's free list has
+/// been cleared — it predates the chain and must not be trusted.
+fn apply_manifest_deltas(m: &mut Manifest, chain: &[u8]) -> Result<u64> {
     let payload_mode = m.blob.is_some();
     let mut applied = 0u64;
-    let mut traversed = 0;
     for (_, payload) in Frames::new(chain) {
         let Ok(text) = std::str::from_utf8(payload) else { break };
         let mut lines = text.lines();
@@ -1261,12 +1156,11 @@ fn apply_manifest_deltas(m: &mut Manifest, chain: &[u8]) -> Result<(u64, usize)>
             }
             applied += 1;
         }
-        traversed += FRAME_HEADER + payload.len();
     }
     if applied > 0 {
         m.free.clear();
     }
-    Ok((applied, traversed))
+    Ok(applied)
 }
 
 /// Parsed manifest contents.
@@ -1289,14 +1183,33 @@ struct Manifest {
     /// Committed blob-log length in bytes. Presence of the line ⟺ the
     /// store runs in payload mode; recovery truncates the log here.
     blob: Option<u64>,
-    /// Full-rewrite epoch this manifest committed at (absent lines
-    /// parse as 0 — pre-delta stores). Delta frames quote the epoch
-    /// they extend; frames quoting any other are stale and skipped.
+    /// Epoch this manifest committed at (absent lines parse as 0 —
+    /// stores older than the legacy chain). Legacy delta frames quote
+    /// the epoch they extend; frames quoting any other are stale and
+    /// skipped.
     epoch: u64,
 }
 
 fn corrupt(why: &str) -> ExtMemError {
     ExtMemError::Corrupt(format!("manifest: {why}"))
+}
+
+/// Largest memory budget a manifest may state, in items: 4 GiB worth,
+/// 65 536 times the deployed `m`. Reopen sizes `H0` and the level
+/// filters from the persisted `m`, so a corrupt one must be rejected
+/// before it is believed — like the `levels` count below.
+const MAX_M: usize = 1 << 28;
+
+/// Largest growth factor a manifest may state. The first migration
+/// sizes a level of `γ · m/b` buckets; the paper's tradeoff has no use
+/// for `γ` beyond `b`, and deployed values are 2–16.
+const MAX_GAMMA: u64 = 1 << 16;
+
+/// Whether a store may carry `cfg`'s creation parameters. Checked where
+/// a store is created as well as where a manifest is parsed, so a store
+/// this code creates always reopens.
+fn plausible_creation_params(cfg: &CoreConfig) -> bool {
+    cfg.m <= MAX_M && cfg.gamma <= MAX_GAMMA
 }
 
 impl Manifest {
@@ -1307,8 +1220,8 @@ impl Manifest {
             Some(l) if l == MAGIC_V1 => true,
             _ => return Err(corrupt("bad magic")),
         };
-        // The creation-time parameters, which only a full rewrite
-        // states; the state lines go through the parser delta frames
+        // The creation-time parameters, which only a manifest states;
+        // the state lines go through the parser legacy delta frames
         // share, below.
         let mut b = None;
         let mut m = None;
@@ -1345,6 +1258,9 @@ impl Manifest {
             return Err(corrupt("missing required field"));
         };
         let cfg = CoreConfig::custom(b, m, gamma, beta)?.cost_model(cost);
+        if !plausible_creation_params(&cfg) {
+            return Err(corrupt("implausible creation parameters"));
+        }
         let mut manifest = Manifest {
             cfg,
             seed,
@@ -1363,8 +1279,8 @@ impl Manifest {
         Ok(manifest)
     }
 
-    /// Applies one state line (the lines [`push_state_lines`] writes) —
-    /// the one parser behind the full manifest and every delta frame. A
+    /// Applies one state line — the one parser behind the manifest and
+    /// every legacy delta frame (whose `clearlevel` no manifest uses). A
     /// known key whose fields do not parse is [`ExtMemError::Corrupt`];
     /// unknown keys (and lines too short to carry a value) are ignored
     /// (forward-compatible).
@@ -1418,6 +1334,7 @@ impl Manifest {
 mod tests {
     use std::fs;
 
+    use dxh_extmem::frame::push_frame;
     use dxh_extmem::{FileDisk, StorageBackend};
 
     use super::*;
@@ -1580,9 +1497,54 @@ mod tests {
         for k in (0..600u64).step_by(17) {
             assert_eq!(s.lookup(k).unwrap(), Some(k));
         }
+        let recovered_free = s.table().disk().backend().free_list();
         drop(s);
-        // The recovered handle was never mutated: manifest untouched.
-        assert_eq!(fs::read(dir.join(MANIFEST)).unwrap(), manifest);
+        // The recovered handle was never mutated, but the marker its drop
+        // leaves may only follow a manifest carrying its own free list:
+        // same regions, the *recovered* list, and `CLEAN` over them.
+        let before = Manifest::parse(std::str::from_utf8(&manifest).unwrap()).unwrap();
+        let after = Manifest::parse(&fs::read_to_string(dir.join(MANIFEST)).unwrap()).unwrap();
+        assert_eq!(after.levels, before.levels, "nothing moved");
+        assert_eq!(after.free, recovered_free);
+        assert!(dir.join(CLEAN).exists());
+        // Marker present and slot count unchanged: this reopen trusts it.
+        let s = KvStore::open(&dir, cfg(), 22).unwrap();
+        let backend = s.table().disk().backend();
+        assert_eq!(backend.slots(), after.slots);
+        assert_eq!(backend.free_list(), after.free);
+        assert_every_slot_accounted(&s);
+        drop(s);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Regression: a handle that recovered from a crash and was dropped
+    /// untouched used to write `CLEAN` over the *pre-crash* manifest,
+    /// whose free list predates the in-place merges that linked
+    /// once-free slots into manifest-referenced chains — and the next
+    /// reopen trusted it (`unallocated block id B5646`: the store no
+    /// longer opened).
+    #[test]
+    fn a_recovered_handle_dropped_untouched_reopens() {
+        let dir = tmp_dir("recovered-drop");
+        let _ = fs::remove_dir_all(&dir);
+        let cfg = CoreConfig::lemma5(4, 96, 2).unwrap();
+        let mut s = KvStore::open(&dir, cfg.clone(), 22).unwrap();
+        for k in 0..2600u64 {
+            s.insert(k, k).unwrap();
+        }
+        s.sync().unwrap();
+        for k in 2600..2650u64 {
+            s.insert(k, k).unwrap();
+        }
+        crash(s);
+        drop(KvStore::open(&dir, cfg.clone(), 22).unwrap()); // recovers; never touched
+        assert!(dir.join(CLEAN).exists(), "an untouched drop still closes cleanly");
+        let mut s = KvStore::open(&dir, cfg, 22).unwrap();
+        assert_every_slot_accounted(&s);
+        for k in 0..2600u64 {
+            assert_eq!(s.lookup(k).unwrap(), Some(k), "synced key {k}");
+        }
+        drop(s);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -2221,114 +2183,6 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn hardens_between_syncs_append_deltas_not_full_rewrites() {
-        use crate::media::MANIFEST_DELTA;
-        let dir = tmp_dir("delta-harden");
-        let _ = fs::remove_dir_all(&dir);
-        let mut s = KvStore::open(&dir, cfg(), 81).unwrap();
-        for k in 0..600u64 {
-            s.insert(k, k + 1).unwrap();
-        }
-        s.sync().unwrap();
-        let manifest = fs::read(dir.join(MANIFEST)).unwrap();
-        let base = s.manifest_io();
-        for round in 0..3u64 {
-            for i in 0..40u64 {
-                s.insert(10_000 + round * 40 + i, round).unwrap();
-            }
-            s.harden(false).unwrap();
-        }
-        let io = s.manifest_io();
-        assert_eq!(io.full_commits, base.full_commits, "hardens stay off the full-rewrite path");
-        assert_eq!(io.delta_commits - base.delta_commits, 3, "one frame per harden");
-        assert!(dir.join(MANIFEST_DELTA).exists(), "the chain is on disk");
-        assert_eq!(
-            fs::read(dir.join(MANIFEST)).unwrap(),
-            manifest,
-            "delta commits leave the base manifest untouched"
-        );
-        assert!(
-            io.delta_bytes / 3 < manifest.len() as u64,
-            "a delta frame ({} B avg) undercuts a full rewrite ({} B)",
-            io.delta_bytes / 3,
-            manifest.len()
-        );
-        crash(s);
-        let mut s = KvStore::open(&dir, cfg(), 81).unwrap();
-        for k in 0..600u64 {
-            assert_eq!(s.lookup(k).unwrap(), Some(k + 1), "pre-sync key {k}");
-        }
-        for round in 0..3u64 {
-            for i in 0..40u64 {
-                let k = 10_000 + round * 40 + i;
-                assert_eq!(s.lookup(k).unwrap(), Some(round), "delta-hardened key {k}");
-            }
-        }
-        drop(s);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn marker_setting_sync_compacts_the_delta_chain() {
-        use crate::media::MANIFEST_DELTA;
-        let dir = tmp_dir("delta-rollover");
-        let _ = fs::remove_dir_all(&dir);
-        let mut s = KvStore::open(&dir, cfg(), 82).unwrap();
-        for k in 0..200u64 {
-            s.insert(k, k).unwrap();
-        }
-        s.harden(false).unwrap();
-        assert!(dir.join(MANIFEST_DELTA).exists());
-        assert!(!dir.join(CLEAN).exists(), "marker-less harden leaves the marker down");
-        // The handle is clean (the delta committed everything), but the
-        // chain is outstanding: the marker may only go down over a full
-        // manifest, so this sync must compact even with nothing new.
-        let before = s.manifest_io();
-        s.sync().unwrap();
-        let after = s.manifest_io();
-        assert_eq!(after.full_commits, before.full_commits + 1, "clean sync still compacts");
-        assert!(dir.join(CLEAN).exists());
-        assert!(!dir.join(MANIFEST_DELTA).exists(), "the chain is superseded and cleared");
-        drop(s);
-        // Clean reopen trusts the compacted manifest's free list.
-        let mut s = KvStore::open(&dir, cfg(), 82).unwrap();
-        for k in 0..200u64 {
-            assert_eq!(s.lookup(k).unwrap(), Some(k));
-        }
-        drop(s);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn torn_delta_tail_recovers_to_the_last_intact_frame() {
-        use crate::media::MANIFEST_DELTA;
-        let dir = tmp_dir("delta-torn");
-        let _ = fs::remove_dir_all(&dir);
-        let mut s = KvStore::open(&dir, cfg(), 83).unwrap();
-        for k in 0..100u64 {
-            s.insert(k, 1).unwrap();
-        }
-        s.harden(false).unwrap();
-        for k in 100..200u64 {
-            s.insert(k, 2).unwrap();
-        }
-        s.harden(false).unwrap();
-        // Tear the second frame's tail: a crash mid-append.
-        let chain = fs::read(dir.join(MANIFEST_DELTA)).unwrap();
-        fs::write(dir.join(MANIFEST_DELTA), &chain[..chain.len() - 5]).unwrap();
-        crash(s);
-        let mut s = KvStore::open(&dir, cfg(), 83).unwrap();
-        for k in 0..100u64 {
-            assert_eq!(s.lookup(k).unwrap(), Some(1), "frame-1 key {k} survives the torn tail");
-        }
-        for k in 100..200u64 {
-            assert_eq!(s.lookup(k).unwrap(), None, "torn frame-2 key {k} rolls back");
-        }
-        drop(s);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
     /// Opens the (word-mode) store on `env`'s root.
     fn sim_store(env: &dxh_extmem::SimEnv) -> KvStore<crate::SimMedia> {
         KvStore::open_on(crate::SimMedia::open(env).unwrap(), cfg(), 84).unwrap()
@@ -2342,151 +2196,353 @@ mod tests {
         env.power_cycle();
     }
 
-    /// After a reopen over a damaged chain: new keys hardened through a
-    /// delta frame must survive the next crash. Before reopen cut the
-    /// chain at the damage, the frame landed *behind* it — acknowledged,
-    /// then invisible to every later reopen.
-    fn assert_hardens_after_reopen_survive(env: &dxh_extmem::SimEnv, seed: u64, what: &str) {
-        let mut s = sim_store(env);
-        for k in 0..100u64 {
-            assert_eq!(s.lookup(k).unwrap(), Some(1), "{what}: frame-1 key {k}");
-        }
-        for k in 1000..1100u64 {
-            s.insert(k, 3).unwrap();
-        }
-        s.harden(false).unwrap();
-        sim_crash(env, s, seed);
-        let mut s = sim_store(env);
-        for k in 1000..1100u64 {
-            assert_eq!(s.lookup(k).unwrap(), Some(3), "{what}: hardened key {k} lost");
-        }
-    }
-
-    /// The shown defect, swept: crash at every I/O of a delta append
-    /// under tearing seeds, then reopen, harden more keys, crash again.
-    /// The sweep's own trace must show the window it exists for — a
-    /// crash that tore the chain's tail.
-    #[test]
-    fn hardens_after_a_torn_delta_tail_survive_the_next_crash() {
-        use dxh_extmem::{FaultPlan, IoEvent, SimEnv};
-        let mut torn_tails = 0;
-        for seed in 0..8u64 {
-            for k in 0.. {
-                let env = SimEnv::new();
-                let mut s = sim_store(&env);
-                for key in 0..100u64 {
-                    s.insert(key, 1).unwrap();
-                }
-                s.harden(false).unwrap();
-                for key in 100..200u64 {
-                    s.insert(key, 2).unwrap();
-                }
-                let crash_at = env.ops() + k;
-                env.set_plan(FaultPlan::crash(crash_at, seed));
-                let crashed = s.harden(false).is_err();
-                drop(s);
-                env.power_cycle();
-                torn_tails += env
-                    .take_trace()
-                    .iter()
-                    .filter(|e| matches!(e, IoEvent::Meta { label, .. } if label == "crash-tear MANIFEST.DELTA"))
-                    .count();
-                let what = format!("seed {seed} crash_at {crash_at}");
-                assert_hardens_after_reopen_survive(&env, seed, &what);
-                if !crashed {
-                    break; // past the end of the harden window
-                }
-            }
-        }
-        assert!(torn_tails > 0, "no crash of the sweep tore the delta chain's tail");
-    }
-
-    /// The sequence-gap variant: a checksum-valid frame whose sequence
-    /// number skips ahead ends replay exactly like a torn one, and must
-    /// be cut the same way.
-    #[test]
-    fn hardens_after_a_delta_sequence_gap_survive_the_next_crash() {
-        use dxh_extmem::SimEnv;
-        let env = SimEnv::new();
-        let mut s = sim_store(&env);
-        for key in 0..100u64 {
-            s.insert(key, 1).unwrap();
-        }
-        s.harden(false).unwrap();
-        let epoch = s.epoch;
-        sim_crash(&env, s, 1);
-        let mut chain = env.open_file(MANIFEST_DELTA).unwrap().expect("the chain survived");
-        chain.append(&delta_frame(&format!("delta {epoch} 5\nslots 4\n"))).unwrap();
-        chain.sync().unwrap();
-        assert_hardens_after_reopen_survive(&env, 1, "sequence gap");
-    }
-
-    /// Regression: `write_manifest_delta` used to keep its sequence
-    /// number after a failed append, so when the frame had landed and
-    /// only its sync (or the fresh chain's directory sync) failed, the
-    /// retried harden appended a second frame under the same number —
-    /// and replay stops at a duplicate as a sequence gap, losing that
-    /// harden and every later one. Fails every I/O of the chain append
-    /// in turn, on a fresh chain and on an existing one.
-    #[test]
-    fn a_failed_delta_append_is_not_retried_under_its_sequence_number() {
-        use dxh_extmem::{FaultPlan, IoEvent, SimEnv};
-        let on_chain = |e: &IoEvent| match e {
-            IoEvent::Write { file, .. } | IoEvent::Sync { file, .. } => file == MANIFEST_DELTA,
-            IoEvent::Meta { label, .. } => label.contains(MANIFEST_DELTA),
-            _ => false,
-        };
-        for prior_hardens in 0..2u64 {
-            // Up to the harden under test: keys 100.. of value 2 pending.
-            let scenario = |env: &SimEnv| {
-                let mut s = sim_store(env);
-                for key in 0..100 * prior_hardens {
-                    s.insert(key, 1).unwrap();
-                }
-                s.harden(false).unwrap();
-                for key in 100..200u64 {
-                    s.insert(key, 2).unwrap();
-                }
-                s
-            };
-            // A fault-free run locates the chain append: everything from
-            // the first I/O on MANIFEST.DELTA to the end of the harden.
-            let env = SimEnv::new();
-            let mut s = scenario(&env);
-            env.take_trace();
-            let start = env.ops();
-            s.harden(false).unwrap();
-            let window = env.take_trace();
-            assert_eq!(env.ops() - start, window.len() as u64, "one event per I/O");
-            let first = window.iter().position(on_chain).expect("the harden appends a frame");
-            let syncs =
-                window[first..].iter().filter(|e| matches!(e, IoEvent::Sync { .. })).count();
-            assert_eq!(syncs, 1, "the window holds the chain's sync");
-            drop(s);
-            for fail_at in start + first as u64..start + window.len() as u64 {
-                let env = SimEnv::new();
-                let mut s = scenario(&env);
-                env.set_plan(FaultPlan { fail_at: vec![fail_at], ..Default::default() });
-                assert!(s.harden(false).is_err(), "I/O {fail_at} fails the harden");
-                for key in 200..300u64 {
-                    s.insert(key, 3).unwrap();
-                }
-                s.harden(false).unwrap();
-                sim_crash(&env, s, fail_at);
-                let mut s = sim_store(&env);
-                for key in 100..300u64 {
-                    let what = format!("{prior_hardens} prior hardens, I/O {fail_at}, key {key}");
-                    assert_eq!(s.lookup(key).unwrap(), Some(1 + key / 100), "{what}");
-                }
-            }
-        }
-    }
-
-    /// Frames a delta payload exactly like `write_manifest_delta`.
+    /// Frames a delta payload exactly like the legacy chain writer did.
     fn delta_frame(text: &str) -> Vec<u8> {
         let mut frame = Vec::new();
         push_frame(&mut frame, text.as_bytes());
         frame
+    }
+
+    /// Durably installs byte file `name` on `env`'s root.
+    fn put_file(env: &dxh_extmem::SimEnv, name: &str, bytes: &[u8]) {
+        use dxh_extmem::BlobFile;
+        let mut f = env.create_file(name).unwrap();
+        f.append(bytes).unwrap();
+        f.sync().unwrap();
+        env.sync_dir("").unwrap();
+    }
+
+    fn manifest_text(env: &dxh_extmem::SimEnv) -> String {
+        String::from_utf8(env.read_file(MANIFEST).unwrap().unwrap()).unwrap()
+    }
+
+    fn assert_every_slot_accounted<M: StoreMedia>(s: &KvStore<M>) {
+        let backend = s.table().disk().backend();
+        assert_eq!(backend.live_blocks() + backend.free_count() as u64, backend.slots());
+    }
+
+    /// A marker-less commit is the ordinary manifest without the one
+    /// table-sized line nobody reads back: its size does not follow the
+    /// allocator's free list, and a reopen over it recomputes liveness
+    /// by the recovery walk.
+    #[test]
+    fn a_checkpoint_commit_carries_no_free_list() {
+        use dxh_extmem::SimEnv;
+        let dir = tmp_dir("checkpoint-commit");
+        let _ = fs::remove_dir_all(&dir);
+        let read = |dir: &Path| fs::read_to_string(dir.join(MANIFEST)).unwrap();
+        let mut s = KvStore::open(&dir, cfg(), 81).unwrap();
+        for k in 0..600u64 {
+            s.insert(k, k + 1).unwrap();
+        }
+        s.sync().unwrap();
+        assert!(read(&dir).contains("\nfree "), "a marker-setting commit lists the free slots");
+        let base = s.manifest_io();
+        for k in 600..900u64 {
+            s.insert(k, k + 1).unwrap();
+        }
+        s.harden(false).unwrap();
+        let first = read(&dir);
+        assert!(!first.contains("\nfree"), "{first}");
+        assert!(Manifest::parse(&first).unwrap().free.is_empty());
+        assert!(!dir.join(CLEAN).exists(), "marker-less harden leaves the marker down");
+
+        // Two otherwise equal hardens around a free list grown 10×: the
+        // slots are allocated before the first and freed before the second.
+        let free_before = s.table().disk().backend().free_count();
+        assert!(free_before > 0);
+        let n = 10 * free_before;
+        let run = s.table.disk_mut().backend_mut().allocate_contiguous(n).unwrap();
+        s.mark_dirty().unwrap();
+        s.harden(false).unwrap();
+        let small = read(&dir);
+        for i in 0..n as u64 {
+            s.table.disk_mut().backend_mut().free(BlockId(run.raw() + i)).unwrap();
+        }
+        s.mark_dirty().unwrap();
+        s.harden(false).unwrap();
+        let big = read(&dir);
+        assert!(s.table().disk().backend().free_count() >= 10 * free_before);
+        assert_eq!(small.len(), big.len(), "{small}\nvs\n{big}");
+
+        let io = s.manifest_io();
+        assert_eq!(io.full_commits, base.full_commits, "hardens are not marker-setting commits");
+        assert_eq!(io.delta_commits - base.delta_commits, 3, "one checkpoint commit per harden");
+        assert_eq!(
+            io.delta_bytes - base.delta_bytes,
+            (first.len() + small.len() + big.len()) as u64
+        );
+        crash(s);
+        let mut s = KvStore::open(&dir, cfg(), 81).unwrap();
+        // No marker and no list: only the recovery walk can have found these.
+        assert!(s.table().disk().backend().free_count() >= n);
+        assert_every_slot_accounted(&s);
+        for k in 0..900u64 {
+            assert_eq!(s.lookup(k).unwrap(), Some(k + 1), "hardened key {k}");
+        }
+        drop(s);
+        let _ = fs::remove_dir_all(&dir);
+
+        // The same across a simulated power cycle.
+        let env = SimEnv::new();
+        let mut s = sim_store(&env);
+        for k in 0..300u64 {
+            s.insert(k, k + 1).unwrap();
+        }
+        s.harden(false).unwrap();
+        assert!(!manifest_text(&env).contains("\nfree"));
+        sim_crash(&env, s, 5);
+        let mut s = sim_store(&env);
+        assert_every_slot_accounted(&s);
+        for k in 0..300u64 {
+            assert_eq!(s.lookup(k).unwrap(), Some(k + 1), "hardened key {k}");
+        }
+    }
+
+    /// Keys and values of the upgrade-fold scenario: `0..120` are under
+    /// the marker-setting manifest, `120..200` only in the chain's frame.
+    const FOLD_KEYS: u64 = 200;
+
+    /// Builds what an earlier version left behind when it was killed with
+    /// one checkpoint outstanding: a marker-setting `MANIFEST`, and the
+    /// later state as frame 1 of a `MANIFEST.DELTA` chain (the state
+    /// lines of this version's own checkpoint manifest, hand-framed).
+    /// Returns the epoch the chain extends.
+    fn legacy_store_with_an_outstanding_chain(env: &dxh_extmem::SimEnv) -> u64 {
+        let mut s = sim_store(env);
+        for k in 0..120u64 {
+            s.insert(k, 1).unwrap();
+        }
+        s.set_replay_watermark(4);
+        s.sync().unwrap();
+        let base_text = manifest_text(env);
+        for k in 120..FOLD_KEYS {
+            s.insert(k, 2).unwrap();
+        }
+        s.set_replay_watermark(9);
+        s.harden(false).unwrap();
+        let later_text = manifest_text(env);
+        sim_crash(env, s, 3);
+        let (base, later) =
+            (Manifest::parse(&base_text).unwrap(), Manifest::parse(&later_text).unwrap());
+        let mut frame = format!("delta {} 1\n", base.epoch);
+        for line in later_text.lines() {
+            let key = line.split(' ').next().unwrap();
+            if ["blob", "watermark", "slots", "levels", "level"].contains(&key) {
+                frame.push_str(line);
+                frame.push('\n');
+            }
+        }
+        for (k, region) in base.levels.iter().enumerate() {
+            if region.is_some() && later.levels.get(k).copied().flatten().is_none() {
+                frame.push_str(&format!("clearlevel {k}\n"));
+            }
+        }
+        assert!(frame.contains("\nlevel "), "{frame}");
+        put_file(env, MANIFEST, base_text.as_bytes());
+        put_file(env, MANIFEST_DELTA, &delta_frame(&frame));
+        base.epoch
+    }
+
+    /// What a reopened fold-scenario store answers and where it keeps it.
+    fn fold_state(s: &mut KvStore<crate::SimMedia>) -> (Vec<Option<Value>>, Vec<Option<Region>>) {
+        let answers = (0..FOLD_KEYS).map(|k| s.lookup(k).unwrap()).collect();
+        (answers, s.table.persisted_levels().to_vec())
+    }
+
+    /// Reopens the fold scenario and checks it came through: every
+    /// hardened key, no chain, a manifest past the chain's epoch.
+    fn assert_folded(env: &dxh_extmem::SimEnv, base_epoch: u64, what: &str) {
+        let mut s = sim_store(env);
+        let (answers, _) = fold_state(&mut s);
+        for (k, got) in answers.iter().enumerate() {
+            assert_eq!(*got, Some(1 + (k as u64 >= 120) as u64), "{what}: key {k}");
+        }
+        assert_eq!(s.replay_watermark(), 9, "{what}");
+        assert_every_slot_accounted(&s);
+        assert!(env.read_file(MANIFEST_DELTA).unwrap().is_none(), "{what}: chain left behind");
+        assert!(Manifest::parse(&manifest_text(env)).unwrap().epoch > base_epoch, "{what}");
+        sim_crash(env, s, 4);
+    }
+
+    /// The upgrade of a store an earlier version left with an outstanding
+    /// chain: the first reopen serves every hardened key, commits the
+    /// folded state as an ordinary manifest at a later epoch and removes
+    /// the chain; the fold never happens twice, whichever of its I/Os
+    /// fails or is cut off by a crash.
+    #[test]
+    fn a_parent_written_chain_is_folded_once() {
+        use dxh_extmem::{FaultPlan, IoEvent, SimEnv};
+        let env = SimEnv::new();
+        let base_epoch = legacy_store_with_an_outstanding_chain(&env);
+        let start = env.ops();
+        assert_folded(&env, base_epoch, "first reopen");
+        let mut s = sim_store(&env);
+        let state = fold_state(&mut s);
+        sim_crash(&env, s, 4);
+        assert_eq!(fold_state(&mut sim_store(&env)), state, "a second crash-reopen");
+        let removals = env
+            .take_trace()
+            .iter()
+            .filter(|e| matches!(e, IoEvent::Meta { label, .. } if label == "file-remove MANIFEST.DELTA"))
+            .count();
+        assert_eq!(removals, 1, "three reopens, one fold");
+        // The folding reopen's own I/Os, measured on a twin.
+        let twin = SimEnv::new();
+        legacy_store_with_an_outstanding_chain(&twin);
+        let s = sim_store(&twin);
+        let window = twin.ops() - start;
+        drop(s);
+
+        // Every I/O of the folding reopen fails once (the unlink among
+        // them), or is where the machine dies: the next reopen finds the
+        // chain folded already — stale by its epoch — or folds it then.
+        let mut stale_chains_skipped = 0;
+        for k in 0..window {
+            for crash_seed in [None, Some(0), Some(1), Some(2)] {
+                let env = SimEnv::new();
+                let base_epoch = legacy_store_with_an_outstanding_chain(&env);
+                assert_eq!(env.ops(), start, "the scenario is deterministic");
+                env.set_plan(match crash_seed {
+                    Some(seed) => FaultPlan::crash(start + k, seed),
+                    None => FaultPlan { fail_at: vec![start + k], ..Default::default() },
+                });
+                let opened = crate::SimMedia::open(&env)
+                    .and_then(|media| KvStore::open_on(media, cfg(), 84));
+                if let Ok(s) = opened {
+                    env.set_plan(FaultPlan::crash(env.ops(), 7));
+                    drop(s);
+                }
+                env.power_cycle();
+                let chain_survived = env.read_file(MANIFEST_DELTA).unwrap().is_some();
+                let committed = Manifest::parse(&manifest_text(&env)).unwrap().epoch > base_epoch;
+                stale_chains_skipped += (chain_survived && committed) as u32;
+                assert_folded(&env, base_epoch, &format!("I/O {k}, crash seed {crash_seed:?}"));
+            }
+        }
+        assert!(stale_chains_skipped >= 2, "no run left a folded chain behind to be skipped");
+    }
+
+    /// Every numeric token of a valid manifest, replaced by each of a
+    /// table of boundary values: `open` answers `Ok` or `Err` — it never
+    /// panics, aborts on an allocation or hangs — and a manifest rejected
+    /// for its creation parameters is rejected before the data file is
+    /// even opened, so before anything is sized from them.
+    #[test]
+    fn no_mutated_manifest_token_can_abort_an_open() {
+        use dxh_extmem::{IoEvent, SimEnv};
+        // Around 0, 2^6, 2^32, 2^63 and 2^64; not a number; no token.
+        let mutants: Vec<&str> = "0 1 2 63 64 65 4294967295 4294967296 9223372036854775807 \
+                                  18446744073709551615 18446744073709551616 -1 x "
+            .split(' ')
+            .collect();
+        let touches_data = |trace: &[IoEvent]| {
+            trace.iter().any(|e| match e {
+                IoEvent::Meta { label, .. } => label.contains(DATA),
+                IoEvent::Read { file, .. } => file == DATA,
+                _ => false,
+            })
+        };
+        let open =
+            |env: &SimEnv| crate::SimMedia::open(env).and_then(|m| KvStore::open_on(m, cfg(), 84));
+        let install = |env: &SimEnv, text: &str, clean: bool| {
+            put_file(env, MANIFEST, text.as_bytes());
+            if clean {
+                put_file(env, CLEAN, b"clean\n");
+            } else {
+                env.remove_file(CLEAN).unwrap();
+                env.sync_dir("").unwrap();
+            }
+            env.take_trace();
+        };
+
+        let env = SimEnv::new();
+        let mut s = sim_store(&env);
+        for k in 0..900u64 {
+            s.insert(k, k + 1).unwrap();
+        }
+        drop(s);
+        let text = manifest_text(&env);
+        let lines: Vec<&str> = text.lines().collect();
+        let (mut opened, mut rejected) = (0, 0);
+        for (li, line) in lines.iter().enumerate().skip(1) {
+            let (key, values) = line.split_once(' ').unwrap();
+            let sep = if key == "free" { ',' } else { ' ' };
+            let tokens: Vec<&str> = values.split(sep).collect();
+            // The free list is long: its first, middle and last id.
+            let picks: Vec<usize> = match key {
+                "cost" => continue,
+                "free" => vec![0, tokens.len() / 2, tokens.len() - 1],
+                _ => (0..tokens.len()).collect(),
+            };
+            for ti in picks {
+                for &mutant in &mutants {
+                    let mut tokens = tokens.clone();
+                    tokens[ti] = mutant;
+                    let mut lines = lines.clone();
+                    let line = format!("{key} {}", tokens.join(&sep.to_string()));
+                    lines[li] = &line;
+                    let mutated = lines.join("\n") + "\n";
+                    let _ = Manifest::parse(&mutated);
+                    for clean in [true, false] {
+                        install(&env, &mutated, clean);
+                        match open(&env) {
+                            Ok(mut s) => {
+                                opened += 1;
+                                for k in (0..900u64).step_by(97) {
+                                    let _ = s.lookup(k);
+                                }
+                                sim_crash(&env, s, 1); // leave the image as installed
+                            }
+                            Err(_) => {
+                                rejected += 1;
+                                if ["b", "m", "gamma", "beta"].contains(&key) {
+                                    let trace = env.take_trace();
+                                    assert!(!touches_data(&trace), "{line:?}: {trace:?}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(opened > 100 && rejected > 100, "{opened} opened, {rejected} rejected");
+        install(&env, &text, true);
+        let mut s = open(&env).unwrap();
+        assert_eq!(s.lookup(899).unwrap(), Some(900), "the image survived the table");
+        drop(s);
+
+        // An empty store has no level region to hold `m` and `gamma`
+        // against: there the bounds alone reject what cannot be a store.
+        let env = SimEnv::new();
+        drop(sim_store(&env));
+        let text = manifest_text(&env);
+        for (line, mutant, ok) in [
+            ("m 128", "m 4294967295", false),
+            ("m 128", "m 268435457", false),
+            ("m 128", "m 4096", true),
+            ("gamma 2", "gamma 4294967295", false),
+            ("gamma 2", "gamma 65537", false),
+            ("gamma 2", "gamma 65", true),
+        ] {
+            install(&env, &text.replace(line, mutant), true);
+            match open(&env) {
+                Ok(s) => {
+                    assert!(ok, "{mutant} opened");
+                    sim_crash(&env, s, 1);
+                }
+                Err(e) => {
+                    assert!(!ok && matches!(e, ExtMemError::Corrupt(_)), "{mutant}: {e}");
+                    assert!(!touches_data(&env.take_trace()), "{mutant}");
+                }
+            }
+        }
+        let huge = CoreConfig::custom(8, MAX_M + 1, 2, 2.0).unwrap();
+        let created = KvStore::open_on(crate::SimMedia::open(&SimEnv::new()).unwrap(), huge, 1);
+        assert!(
+            matches!(created, Err(ExtMemError::BadConfig(_))),
+            "what cannot reopen is not created"
+        );
     }
 
     #[test]
@@ -2504,7 +2560,7 @@ mod tests {
         // Sequence gap (2 missing): the chain's own order is broken —
         // nothing past this point was acknowledged in this order.
         chain.extend_from_slice(&delta_frame("delta 3 3\nslots 8\n"));
-        assert_eq!(apply_manifest_deltas(&mut m, &chain).unwrap().0, 1);
+        assert_eq!(apply_manifest_deltas(&mut m, &chain).unwrap(), 1);
         assert_eq!(m.slots, 7, "frame 1 applied, stale and gapped frames discarded");
         assert_eq!(m.watermark, 11);
         assert!(m.free.is_empty(), "an applied chain invalidates the base free list");
@@ -2512,7 +2568,7 @@ mod tests {
         // Level edits: resize, replace, clear.
         let mut m = Manifest::parse(&text).unwrap();
         let chain = delta_frame("delta 3 1\nslots 12\nlevels 3\nlevel 2 4 8 9\nclearlevel 1\n");
-        assert_eq!(apply_manifest_deltas(&mut m, &chain).unwrap().0, 1);
+        assert_eq!(apply_manifest_deltas(&mut m, &chain).unwrap(), 1);
         assert_eq!(m.levels.len(), 3);
         assert!(m.levels[1].is_none(), "clearlevel drops the region");
         let r = m.levels[2].unwrap();
@@ -2545,7 +2601,7 @@ mod tests {
         }
         let mut m = Manifest::parse(&text).unwrap();
         let chain = delta_frame("delta 3 1\nslots 9\nfuture-key 1 2 3\n");
-        assert_eq!(apply_manifest_deltas(&mut m, &chain).unwrap().0, 1);
+        assert_eq!(apply_manifest_deltas(&mut m, &chain).unwrap(), 1);
         assert_eq!(m.slots, 9);
     }
 
@@ -2564,13 +2620,13 @@ mod tests {
         }
     }
 
-    /// The manifest and delta-frame bytes for one fixed state, recorded
-    /// at the commit before both writers moved onto `push_state_lines`
-    /// and `dxh_extmem::frame`: on-disk formats are checked, not claimed.
-    /// The *state* (slot count, free list, region bases — an allocation
-    /// history) was re-recorded when level migration became one pass and
-    /// stopped allocating throw-away regions; level shapes (`buckets
-    /// items`) and every format byte are as first recorded.
+    /// The manifest bytes of both commit forms for one fixed state: on-disk
+    /// formats are checked, not claimed. The marker-setting half is as
+    /// recorded before the legacy chain writer was deleted (its *state* —
+    /// slot count, free list, region bases: an allocation history — was
+    /// re-recorded when level migration became one pass); the marker-less
+    /// half is the state the chain's first frame used to carry, written
+    /// as a whole manifest without the free list.
     #[test]
     fn manifest_and_delta_frame_bytes_are_pinned() {
         use crate::media::SimMedia;
@@ -2596,12 +2652,13 @@ mod tests {
         }
         s.set_replay_watermark(9);
         s.harden(false).unwrap();
-        let mut golden = vec![102, 0, 0, 0, 232, 18, 10, 247, 107, 59, 187, 85];
-        golden.extend_from_slice(
-            b"delta 2 1\nblob 22900\nwatermark 9\nslots 258\nlevels 4\nlevel 1 226 32 58\n\
-              clearlevel 2\nlevel 3 98 128 342\n",
+        assert_eq!(
+            read_text(&mut s.media, MANIFEST).unwrap().unwrap(),
+            "dxh-store v2\nb 8\nm 128\ngamma 2\nbeta 2\ncost seek\nseed 7\nepoch 3\ndata 0\n\
+             blob 22900\nwatermark 9\nslots 258\nlevels 4\nlevel 1 226 32 58\n\
+             level 3 98 128 342\n"
         );
-        assert_eq!(s.media.read_file(MANIFEST_DELTA).unwrap().unwrap(), golden);
+        assert!(s.media.read_file(MANIFEST_DELTA).unwrap().is_none(), "nothing writes the chain");
     }
 
     /// Total accounted I/Os of looking every key of `0..n` up (each is

@@ -54,11 +54,6 @@ pub enum EffectClass {
     /// cell with `Ok` (`*cell = Some(Ok(..))`). The caller treats it as
     /// a durability promise, so it must follow the round's fsync.
     AckRelease,
-    /// A manifest-delta append (`append_manifest_delta`): an
-    /// *incremental* index commit point. Like a full manifest rename it
-    /// makes index state durable and recovery-visible, so every data
-    /// byte the delta's regions reference must be fdatasync'd first.
-    DeltaAppend,
 }
 
 impl EffectClass {
@@ -71,7 +66,6 @@ impl EffectClass {
             EffectClass::DirFsync => "DirFsync",
             EffectClass::MetaUnlink => "MetaUnlink",
             EffectClass::AckRelease => "AckRelease",
-            EffectClass::DeltaAppend => "DeltaAppend",
         }
     }
 }
@@ -185,16 +179,6 @@ pub const RULES: &[Rule] = &[
               missing payloads after a crash (G8)",
     },
     Rule {
-        name: "delta-append-after-data-fsync",
-        anchor: EffectClass::DeltaAppend,
-        check: Check::Preceded(EffectClass::DataFsync),
-        lint: true,
-        trace: true,
-        why: "a manifest-delta append is an incremental commit point: the level regions \
-              it records must be fdatasync'd first, or a durable delta could name \
-              unwritten data — the delta twin of rename-after-data-fsync (G1)",
-    },
-    Rule {
         name: "no-discarded-sync-result",
         anchor: EffectClass::DataFsync,
         check: Check::NoDiscardedSyncResult,
@@ -235,9 +219,6 @@ pub const SINKS: &[(&str, EffectClass)] = &[
     (".sync()", EffectClass::DataFsync),
     (".rename(", EffectClass::Rename),
     (".sync_dir(", EffectClass::DirFsync),
-    // The incremental commit choke point (dot-prefixed so the `fn
-    // append_manifest_delta(` definition line doesn't match).
-    (".append_manifest_delta(", EffectClass::DeltaAppend),
 ];
 
 /// Functions whose `sync_all` targets an opened **directory** handle:
@@ -276,7 +257,6 @@ pub const SYNC_RESULT_TOKENS: &[&str] = &[
     "sync_dir(",
     "clear_clean_marker(",
     ".blob_sync(",
-    ".append_manifest_delta(",
 ];
 
 /// One conformance violation found in an I/O trace.
@@ -333,39 +313,6 @@ fn pending<'a>(unsynced: &HashMap<&'a str, u64>, file: Option<&&'a str>) -> Opti
     unsynced.get(file).copied().filter(|&n| n > 0).map(|n| (file, n))
 }
 
-/// Reports an index commit point (`what`, at event `at`) reached while
-/// the store's data file (under `data_rule`) or blob log still holds
-/// unsynced writes.
-fn check_index_commit(
-    out: &mut Vec<TraceViolation>,
-    at: usize,
-    what: &str,
-    data_rule: Option<&'static str>,
-    data: Option<(&str, u64)>,
-    blob: Option<(&str, u64)>,
-) {
-    if let (Some(rule), Some((data, n))) = (data_rule, data) {
-        out.push(TraceViolation {
-            at,
-            rule,
-            what: format!(
-                "{what} while {data} has {n} unsynced block write(s) — the data fsync must \
-                 precede the commit point"
-            ),
-        });
-    }
-    if let Some((blob, n)) = blob {
-        out.push(TraceViolation {
-            at,
-            rule: "blob-sync-before-index-commit",
-            what: format!(
-                "{what} while {blob} has {n} unsynced blob append(s) — the payload fdatasync \
-                 must precede the index commit point"
-            ),
-        });
-    }
-}
-
 /// Where a store's `CLEAN` marker stands, as far as the trace shows.
 #[derive(Clone, Copy, PartialEq)]
 enum Marker {
@@ -380,9 +327,9 @@ enum Marker {
 /// every trace-enabled rule of [`RULES`]. Returns every violation found
 /// (empty = conformant).
 ///
-/// The anchors are file-level: a **manifest commit** is the
-/// `file-rename …MANIFEST.tmp -> …MANIFEST`, a **delta commit** is the
-/// `Sync` of `…MANIFEST.DELTA`, and the `CLEAN` marker is present from
+/// The anchors are file-level: a **manifest commit** — marker-setting
+/// or marker-less (checkpoint) alike — is the `file-rename
+/// …MANIFEST.tmp -> …MANIFEST`, and the `CLEAN` marker is present from
 /// its `file-create` (or a `file-open` that finds it) to its
 /// `file-remove` plus the directory's `dir-sync`.
 ///
@@ -401,7 +348,6 @@ pub fn check_trace(events: &[IoEvent]) -> Vec<TraceViolation> {
     let r4 = rule("clean-unlink-then-dir-fsync").trace;
     let r5 = rule("no-write-under-clean-marker").trace;
     let r7 = rule("blob-sync-before-index-commit").trace;
-    let r8 = rule("delta-append-after-data-fsync").trace;
     let mut out = Vec::new();
     // Unsynced write count per file (block writes and byte-file appends
     // alike — both land in the same `Write`/`Sync` event vocabulary).
@@ -452,21 +398,6 @@ pub fn check_trace(events: &[IoEvent]) -> Vec<TraceViolation> {
                 *unsynced.entry(file).or_insert(0) += 1;
             }
             IoEvent::Sync { file, .. } => {
-                let (prefix, local) = split_name(file);
-                if local == "MANIFEST.DELTA" {
-                    // The sync that makes a delta frame durable is an
-                    // incremental index commit: the same data- and
-                    // blob-sync obligations gate it as gate the full
-                    // manifest commit.
-                    check_index_commit(
-                        &mut out,
-                        at,
-                        &format!("manifest-delta commit (sync of {file})"),
-                        r8.then_some("delta-append-after-data-fsync"),
-                        pending(&unsynced, current_data.get(prefix)),
-                        pending(&unsynced, current_blob.get(prefix)).filter(|_| r7),
-                    );
-                }
                 unsynced.insert(file, 0);
             }
             IoEvent::Read { .. } | IoEvent::Alloc { .. } | IoEvent::Free { .. } => {}
@@ -497,14 +428,33 @@ pub fn check_trace(events: &[IoEvent]) -> Vec<TraceViolation> {
                             });
                         }
                         if local == "MANIFEST" {
-                            check_index_commit(
-                                &mut out,
-                                at,
-                                &format!("manifest commit `{label}`"),
-                                r1.then_some("rename-after-data-fsync"),
-                                pending(&unsynced, current_data.get(prefix)),
-                                pending(&unsynced, current_blob.get(prefix)).filter(|_| r7),
-                            );
+                            // The index commit point: what it references
+                            // in the data file and the blob log must be
+                            // durable first.
+                            let data = pending(&unsynced, current_data.get(prefix));
+                            if let (true, Some((data, n))) = (r1, data) {
+                                out.push(TraceViolation {
+                                    at,
+                                    rule: "rename-after-data-fsync",
+                                    what: format!(
+                                        "manifest commit `{label}` while {data} has {n} unsynced \
+                                         block write(s) — the data fsync must precede the commit \
+                                         point"
+                                    ),
+                                });
+                            }
+                            let blob = pending(&unsynced, current_blob.get(prefix));
+                            if let (true, Some((blob, n))) = (r7, blob) {
+                                out.push(TraceViolation {
+                                    at,
+                                    rule: "blob-sync-before-index-commit",
+                                    what: format!(
+                                        "manifest commit `{label}` while {blob} has {n} unsynced \
+                                         blob append(s) — the payload fdatasync must precede the \
+                                         index commit point"
+                                    ),
+                                });
+                            }
                         }
                         undurable_rename.insert(prefix, label);
                     }
@@ -590,12 +540,6 @@ mod tests {
         events
     }
 
-    /// A delta commit: the append and the sync that anchors it.
-    fn delta_commit(prefix: &str) -> Vec<IoEvent> {
-        let chain = format!("{prefix}MANIFEST.DELTA");
-        vec![write(&chain), sync(&chain)]
-    }
-
     fn trace(parts: Vec<Vec<IoEvent>>) -> Vec<IoEvent> {
         parts.into_iter().flatten().collect()
     }
@@ -610,7 +554,6 @@ mod tests {
             "clean-unlink-then-dir-fsync",
             "no-write-under-clean-marker",
             "blob-sync-before-index-commit",
-            "delta-append-after-data-fsync",
         ];
         for r in RULES.iter().filter(|r| r.trace) {
             assert!(implemented.contains(&r.name), "rule {} has no automaton arm", r.name);
@@ -742,52 +685,6 @@ mod tests {
         let events = trace(vec![
             vec![meta("file-create store.blob"), write("store.blob"), sync("store.blob")],
             manifest_rename(""),
-        ]);
-        assert_eq!(check_trace(&events), vec![]);
-    }
-
-    /// Seeded mutant: manifest-delta commit with the data fsync
-    /// dropped — the delta is an incremental commit point and owes the
-    /// same preceding fsync as the full rename.
-    #[test]
-    fn delta_append_before_fsync_mutant_is_caught() {
-        let events =
-            trace(vec![vec![meta("file-create store.blk"), write("store.blk")], delta_commit("")]);
-        let v = check_trace(&events);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "delta-append-after-data-fsync");
-        assert_eq!(v[0].at, 3);
-        // With the sync in place the same sequence is conformant.
-        let events = trace(vec![
-            vec![meta("file-create store.blk"), write("store.blk"), sync("store.blk")],
-            delta_commit(""),
-        ]);
-        assert_eq!(check_trace(&events), vec![]);
-    }
-
-    /// Seeded mutant: a delta commit is an *index commit* — unsynced
-    /// blob appends gate it exactly as they gate the full manifest.
-    #[test]
-    fn delta_append_before_blob_sync_mutant_is_caught() {
-        let events = trace(vec![
-            vec![meta("file-create store.blob"), write("store.blob")],
-            delta_commit(""),
-        ]);
-        let v = check_trace(&events);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "blob-sync-before-index-commit");
-        assert_eq!(v[0].at, 3);
-    }
-
-    /// The delta arm scopes per store prefix like every other rule: a
-    /// sibling shard's unsynced writes do not indict this shard's delta.
-    #[test]
-    fn delta_append_scope_is_per_store_prefix() {
-        let events = trace(vec![
-            vec![meta("file-create shard-000/store.blk"), write("shard-000/store.blk")],
-            vec![meta("file-create shard-001/store.blk"), write("shard-001/store.blk")],
-            vec![sync("shard-001/store.blk")],
-            delta_commit("shard-001/"),
         ]);
         assert_eq!(check_trace(&events), vec![]);
     }

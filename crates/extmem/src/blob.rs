@@ -29,8 +29,8 @@
 //! byte file of the crash simulator (`SimBlob` in `sim_disk`), so every
 //! torture sweep covers torn appends with the same code path. The same
 //! handle serves every other durable byte file of the stack — manifest,
-//! delta chain, commit log, markers — whose protocols `dxh-core` writes
-//! once above it.
+//! commit log, markers — whose protocols `dxh-core` writes once above
+//! it.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};

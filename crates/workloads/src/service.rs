@@ -47,6 +47,17 @@ use crate::trace::Op;
 /// cuts through many batches, large enough that group commits batch.
 const CHUNK: usize = 4;
 
+/// What a fault-free run's marker-less (checkpoint) manifest commits
+/// may average, in bytes: the manifest's ≈ 130 B header plus one ≈ 20 B
+/// line per occupied level — a few hundred bytes at any table size,
+/// since the free list, the only table-sized line, is left out. (A
+/// share of a marker-setting manifest is no yardstick: how many slots
+/// are free when a run ends depends on where the last carry left the
+/// levels — a handful of ids at this harness's geometry, ≈ 600 B to
+/// ≈ 3 000 B in `exp_service`, moving by a tenth between runs.) Shared
+/// with `exp_service`'s sweep-3 gate.
+pub const MAX_CHECKPOINT_COMMIT_BYTES: u64 = 512;
+
 /// One service-torture scenario; everything downstream derives from
 /// `seed` except the thread interleaving (see the module docs).
 #[derive(Clone, Debug)]
@@ -139,13 +150,15 @@ pub struct ServiceTortureReport {
     pub sealed_discard_failures: u64,
     /// Table ops saved by newest-wins coalescing before the crash.
     pub coalesced_ops: u64,
-    /// Incremental manifest-delta appends before the crash.
+    /// Marker-less (checkpoint) manifest commits before the crash — see
+    /// `dxh_core::ManifestIoStats` for the counters' names.
     pub manifest_delta_commits: u64,
-    /// Bytes those delta appends wrote (frames included).
+    /// Bytes those checkpoint commits wrote.
     pub manifest_delta_bytes: u64,
-    /// Full manifest rewrites before the crash (shard creates included).
+    /// Marker-setting manifest commits before the crash (shard creates
+    /// included).
     pub manifest_full_commits: u64,
-    /// Bytes those full rewrites wrote.
+    /// Bytes those commits wrote, free lists included.
     pub manifest_full_bytes: u64,
 }
 
@@ -366,14 +379,14 @@ where
                         stats.sealed_discard_failures
                     ));
                 }
-                // A rotation's per-shard harden is the incremental
-                // commit path's bread and butter: a fault-free rotating
-                // lifecycle that never appended a delta means hardens
-                // regressed to full rewrites.
+                // A rotation's per-shard harden is a marker-less commit:
+                // a fault-free rotating lifecycle that never counted one
+                // means hardens regressed to marker-setting commits —
+                // the free list and the `CLEAN` churn on every checkpoint.
                 if stats.manifest_delta_commits == 0 {
                     violations.lock().unwrap().push(
-                        "checkpoint rotations ran but no manifest delta was ever \
-                         appended — mid-life hardens are doing full rewrites"
+                        "checkpoint rotations ran but no marker-less manifest commit was \
+                         ever made — mid-life hardens are writing the free list and the marker"
                             .into(),
                     );
                 }
@@ -500,21 +513,13 @@ where
     if let Err(e) = svc.sync_all() {
         violations.push(format!("post-recovery sync_all failed: {e}"));
     }
-    // Checkpoint bytes are O(delta), not O(table): the first lifecycle's
-    // average delta append is compared against the full manifests the
-    // recovered service just rewrote (the marker-setting `sync_all`) at
-    // the *recovered* table size. A delta costing anywhere near a full
-    // rewrite means the incremental harden path regressed to
-    // table-sized checkpoints.
+    // Checkpoint bytes are O(log n), not O(table).
     if crash_at.is_none() && !crashed {
-        let rec = svc.stats();
-        let avg_delta = manifest_delta_bytes.checked_div(manifest_delta_commits);
-        let avg_full = rec.manifest_full_bytes.checked_div(rec.manifest_full_commits);
-        if let (Some(avg_delta), Some(avg_full)) = (avg_delta, avg_full) {
-            if avg_delta.saturating_mul(2) > avg_full {
+        if let Some(avg) = manifest_delta_bytes.checked_div(manifest_delta_commits) {
+            if avg > MAX_CHECKPOINT_COMMIT_BYTES {
                 violations.push(format!(
-                    "checkpoint hardens scale with the table: the average delta append \
-                     cost {avg_delta} B against a {avg_full} B full manifest rewrite"
+                    "checkpoint hardens scale with the table: the average marker-less \
+                     manifest commit cost {avg} B (bound {MAX_CHECKPOINT_COMMIT_BYTES} B)"
                 ));
             }
         }
@@ -647,16 +652,15 @@ mod tests {
         assert!(report.violations.is_empty(), "violations: {:?}", report.violations);
         assert!(report.sealed_discards >= 1, "a rotation completed: {report:?}");
         assert_eq!(report.sealed_discard_failures, 0, "no faults injected: {report:?}");
-        assert!(report.manifest_delta_commits >= 1, "rotation hardens append deltas: {report:?}");
+        assert!(report.manifest_delta_commits >= 1, "rotation hardens are marker-less: {report:?}");
     }
 
-    /// The incremental harden is O(delta), not O(table): quadrupling
-    /// the workload (and with it the recovered table) leaves the
-    /// average delta append flat. The harness additionally checks each
-    /// fault-free rotating run's average delta against the recovered
-    /// table's full-manifest size (the O(table) yardstick).
+    /// A checkpoint commit is O(log n), not O(table): quadrupling the
+    /// workload (and with it the recovered table) leaves the average
+    /// marker-less manifest commit flat. The harness additionally holds
+    /// each fault-free rotating run's average to an absolute bound.
     #[test]
-    fn delta_append_bytes_do_not_scale_with_the_table() {
+    fn checkpoint_commit_bytes_do_not_scale_with_the_table() {
         let small_spec = ServiceTortureSpec::checkpointing(27);
         let small = service_torture_run(&small_spec, None);
         assert!(small.violations.is_empty(), "small run: {:?}", small.violations);
@@ -670,7 +674,7 @@ mod tests {
         let big_avg = big.manifest_delta_bytes / big.manifest_delta_commits;
         assert!(
             big_avg <= small_avg * 2,
-            "average delta append grew with the table: {small_avg} B -> {big_avg} B"
+            "average checkpoint commit grew with the table: {small_avg} B -> {big_avg} B"
         );
         // The chunked writers exercise newest-wins coalescing for real
         // (same-key repeats inside a pipelined chunk collapse).

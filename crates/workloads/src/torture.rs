@@ -11,7 +11,8 @@
 //!    [`KvStore::compact`] — the two commit windows whose every I/O
 //!    index the exhaustive sweep crashes at;
 //! 3. if a crash fired (the plan's `crash_at` index), power-cycle the
-//!    environment and reopen;
+//!    environment, reopen, drop that handle untouched (recover → clean
+//!    close) and reopen again;
 //! 4. assert the recovered store equals the shadow model at the **last
 //!    committed manifest** (or the in-flight commit, when the crash fell
 //!    after its commit point) — every synced key with its last synced
@@ -335,14 +336,17 @@ pub fn torture_run_on<M: StoreMedia>(
             recovered_keys: model.len(),
         }
     };
-    let mut store =
-        match open(&env).and_then(|media| KvStore::open_on(media, spec.cfg.clone(), spec.seed)) {
-            Ok(s) => s,
-            Err(e) => {
-                violations.push(format!("reopen after the crash failed: {e}"));
-                return report(violations, &committed, &env);
-            }
-        };
+    // Twice: the first handle recovers and is dropped untouched — a
+    // clean close over whatever the crash left — and everything below
+    // runs on the handle that reopens what that close wrote.
+    let reopen = || open(&env).and_then(|m| KvStore::open_on(m, spec.cfg.clone(), spec.seed));
+    let mut store = match reopen().map(drop).and_then(|()| reopen()) {
+        Ok(s) => s,
+        Err(e) => {
+            violations.push(format!("reopen after the crash failed: {e}"));
+            return report(violations, &committed, &env);
+        }
+    };
 
     // Which side of the commit point did the crash fall on?
     let mismatch_committed = diff_state(&mut store, &committed, &touched);

@@ -20,13 +20,11 @@
 //! Check semantics per rule (deliberately conservative, pinned by the
 //! seeded-mutant tests below):
 //!
-//! * `rename-after-data-fsync` / `delta-append-after-data-fsync` — the
-//!   **nearest** write-class effect before each rename (or manifest-delta
-//!   append, the incremental commit point with the rename's semantics)
-//!   must be a data fsync; an anchor with no prior write-class effect is
-//!   vacuously ordered (nothing volatile can be swapped past it —
-//!   `CommitLog::seal`'s shape, whose bytes were all fsynced by the
-//!   commits that wrote them).
+//! * `rename-after-data-fsync` — the **nearest** write-class effect
+//!   before each rename must be a data fsync; an anchor with no prior
+//!   write-class effect is vacuously ordered (nothing volatile can be
+//!   swapped past it — `CommitLog::seal`'s shape, whose bytes were all
+//!   fsynced by the commits that wrote them).
 //! * `ack-after-fsync` — **existence**: some data fsync must appear
 //!   before the ack in the path (not "nearest", because failure-path
 //!   rollbacks like `CommitLog::commit`'s truncate legitimately sit
@@ -104,7 +102,6 @@ pub(crate) struct ScanStats {
     pub meta_unlinks: usize,
     pub data_fsyncs: usize,
     pub dir_fsyncs: usize,
-    pub delta_appends: usize,
 }
 
 /// A classified site: where it is, in which scanned file.
@@ -236,22 +233,19 @@ fn eval_sequence(seq: &[(EffectClass, Site, bool)], out: &mut BTreeSet<Violation
                     if !own || class != rule.anchor {
                         continue;
                     }
-                    let bad =
-                        if matches!(rule.anchor, EffectClass::Rename | EffectClass::DeltaAppend) {
-                            // Nearest write-class predecessor must be the
-                            // fsync; no predecessor is vacuously ordered.
-                            // (A manifest-delta append is an index commit
-                            // point exactly like the rename.)
-                            matches!(
-                                seq[..i].iter().rev().find(|(c, _, _)| {
-                                    matches!(c, EffectClass::VolatileWrite | EffectClass::DataFsync)
-                                }),
-                                Some((EffectClass::VolatileWrite, _, _))
-                            )
-                        } else {
-                            // Ack: some fsync must exist earlier in the path.
-                            !seq[..i].iter().any(|(c, _, _)| *c == want)
-                        };
+                    let bad = if rule.anchor == EffectClass::Rename {
+                        // Nearest write-class predecessor must be the
+                        // fsync; no predecessor is vacuously ordered.
+                        matches!(
+                            seq[..i].iter().rev().find(|(c, _, _)| {
+                                matches!(c, EffectClass::VolatileWrite | EffectClass::DataFsync)
+                            }),
+                            Some((EffectClass::VolatileWrite, _, _))
+                        )
+                    } else {
+                        // Ack: some fsync must exist earlier in the path.
+                        !seq[..i].iter().any(|(c, _, _)| *c == want)
+                    };
                     if bad {
                         out.insert(Violation {
                             file: site.file,
@@ -379,7 +373,6 @@ pub(crate) fn scan_sources(srcs: &[&str]) -> (Vec<Violation>, ScanStats) {
                     EffectClass::MetaUnlink => stats.meta_unlinks += 1,
                     EffectClass::DataFsync => stats.data_fsyncs += 1,
                     EffectClass::DirFsync => stats.dir_fsyncs += 1,
-                    EffectClass::DeltaAppend => stats.delta_appends += 1,
                     EffectClass::VolatileWrite => {}
                 }
             }
@@ -411,9 +404,9 @@ pub(crate) fn scan_sources(srcs: &[&str]) -> (Vec<Violation>, ScanStats) {
 
 /// Anchor floors: the real corpus has (at least) the manifest commit
 /// and the log seal renames, two ack sites, the CLEAN and sealed-log
-/// unlinks, the harden / log / delta / blob-log fsyncs, and the dir
-/// fsyncs of the commit, the marker clear, the fresh delta chain, the
-/// fresh log, the seal and the discard. Fewer means the scanner lost its
+/// unlinks, the harden / log / blob-log fsyncs, and the dir fsyncs of
+/// the commit, the marker clear, the legacy-chain removal, the fresh
+/// log, the seal and the discard. Fewer means the scanner lost its
 /// tokens, not that the code got cleaner.
 fn floors_ok(stats: &ScanStats) -> bool {
     stats.renames >= 2
@@ -421,7 +414,6 @@ fn floors_ok(stats: &ScanStats) -> bool {
         && stats.meta_unlinks >= 2
         && stats.data_fsyncs >= 12
         && stats.dir_fsyncs >= 6
-        && stats.delta_appends >= 1
 }
 
 /// Runs the checker against `root` (defaults to the current directory).
@@ -451,13 +443,12 @@ pub fn run(root: Option<&str>) -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!(
-        "lint-durability: ok ({} fns; {} rename / {} ack / {} unlink / {} delta anchors, \
+        "lint-durability: ok ({} fns; {} rename / {} ack / {} unlink anchors, \
          {} data + {} dir fsyncs; 0 violations)",
         stats.fns,
         stats.renames,
         stats.acks,
         stats.meta_unlinks,
-        stats.delta_appends,
         stats.data_fsyncs,
         stats.dir_fsyncs,
     );
@@ -640,10 +631,6 @@ mod tests {
             ("ack-after-fsync", "fn f(q: &Q) { *q.cell.0.lock() = Some(Ok(1)); }"),
             ("clean-unlink-then-dir-fsync", "fn f(m: &mut M) { m.remove(CLEAN)?; }"),
             ("no-discarded-sync-result", "fn f(g: &File) { let _ = g.sync_data(); }"),
-            (
-                "delta-append-after-data-fsync",
-                "fn f() { g.append(b)?; m.append_manifest_delta(&frame)?; }",
-            ),
         ];
         for rule in RULES.iter().filter(|r| r.lint) {
             let (_, src) = mutants
@@ -657,38 +644,6 @@ mod tests {
                 rule.name
             );
         }
-    }
-
-    /// Seeded mutant: a manifest-delta append with a bare buffered
-    /// write as its nearest predecessor; the fsync'd shape passes, and
-    /// a write-free append (the real `write_manifest_delta` shape,
-    /// whose table bytes were fsynced by the harden that called it) is
-    /// vacuously ordered.
-    #[test]
-    fn delta_append_without_data_fsync_is_caught() {
-        let bad = "
-            fn harden(&mut self) -> Result<()> {
-                self.file.write_all(bytes)?;
-                self.media.append_manifest_delta(&frame)?;
-                Ok(())
-            }
-        ";
-        let v = scan(bad);
-        assert_eq!(rules_of(&v), vec!["delta-append-after-data-fsync"], "{v:?}");
-        assert_eq!(v[0].line, 4);
-        let good = "
-            fn harden(&mut self) -> Result<()> {
-                self.file.write_all(bytes)?;
-                self.file.sync_data()?;
-                self.media.append_manifest_delta(&frame)?;
-                Ok(())
-            }
-            fn delta_only(&mut self) -> Result<()> {
-                self.media.append_manifest_delta(&frame)?;
-                Ok(())
-            }
-        ";
-        assert_eq!(scan(good), vec![]);
     }
 
     /// Inlining binds real over sim on a name collision: the simulated
