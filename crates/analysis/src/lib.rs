@@ -8,6 +8,9 @@
 //! * [`bounds`] — the paper's tradeoff curves (Theorem 1 lower bounds,
 //!   Lemma 5 and Theorem 2 upper bounds) and the proofs' parameter
 //!   choices, used to overlay theory on measurements in Figure 1.
+//! * [`carry`] — the logarithmic method's level migrations as an exact
+//!   I/O census: Lemma 5 with its constant, held equal to the measured
+//!   `IoStats` by `dxh_core`'s tests.
 //! * [`tails`] — Chernoff/Poisson/binomial tail bounds (Lemmas 1–4 use
 //!   these shapes).
 //! * [`stats`] — Welford summaries and confidence intervals for
@@ -19,6 +22,7 @@
 #![forbid(unsafe_code)]
 
 pub mod bounds;
+pub mod carry;
 pub mod knuth;
 pub mod stats;
 pub mod table;
@@ -28,6 +32,7 @@ pub use bounds::{
     boundary_tu_upper, lemma5_tq, lemma5_tu, params_in_paper_range, theorem1_tu_lower,
     theorem2_tq_upper, theorem2_tu_upper,
 };
+pub use carry::{carry_census, CarryCensus};
 pub use knuth::{chaining_costs, chaining_insert_amortized, overflow_tail, ChainingCosts};
 pub use stats::{ci95_halfwidth, RunningStats};
 pub use table::TextTable;

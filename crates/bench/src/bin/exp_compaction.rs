@@ -121,6 +121,14 @@ fn main() {
     let compact_ms = ms(t0);
     phases.push(snapshot("compact", &store, 0, compact_ms));
     assert!(stats.bytes_after < stats.bytes_before, "compaction shrinks the file");
+    // The one level everything landed in: content-sized when no later
+    // arrival can fit beside it, at most the level's full geometry.
+    let geometry = store.table().level_geometry();
+    let level = geometry.iter().rposition(|l| l.1 > 0).expect("the compacted level");
+    let (region_buckets, full_buckets) = (geometry[level].1, cfg.level_buckets(level as u32));
+    assert!(
+        region_buckets <= full_buckets && 2 * stats.live_items as u64 <= region_buckets * b as u64
+    );
 
     // Verify: deleted keys absent, survivors present, across a reopen.
     drop(store);
@@ -159,7 +167,8 @@ fn main() {
     println!("Space reclamation: b = {b}, m = {m}, n = {n}");
     println!(
         "reopen GC reclaimed {orphans} dead slots; compact: {} -> {} bytes \
-         ({} live items, {} markers purged, {} shadowed copies dropped)",
+         ({} live items, {} markers purged, {} shadowed copies dropped) \
+         in one H{level} region of {region_buckets} buckets (full geometry: {full_buckets})",
         stats.bytes_before, stats.bytes_after, stats.live_items, stats.purged, stats.shadowed
     );
     emit("KvStore space-reclamation lifecycle", &table, &args, "exp_compaction.csv");
@@ -169,7 +178,8 @@ fn main() {
          \"note\": \"File sizes are exact; wall-clock is container-local (trajectory, not absolutes). I/O counters restart at reopen/compact.\",\n  \
          \"params\": {{\"b\": {b}, \"m\": {m}, \"n\": {n}, \"seed\": {seed}}},\n  \
          \"compaction\": {{\"bytes_before\": {}, \"bytes_after\": {}, \"live_items\": {}, \
-         \"purged\": {}, \"shadowed\": {}, \"orphans_reclaimed\": {orphans}}},\n  \"phases\": [\n{}\n  ]\n}}\n",
+         \"purged\": {}, \"shadowed\": {}, \"orphans_reclaimed\": {orphans}, \
+         \"level\": {level}, \"region_buckets\": {region_buckets}, \"full_buckets\": {full_buckets}}},\n  \"phases\": [\n{}\n  ]\n}}\n",
         stats.bytes_before,
         stats.bytes_after,
         stats.live_items,

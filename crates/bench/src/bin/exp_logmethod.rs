@@ -5,17 +5,23 @@
 //! `O(log_γ(n/m))`. Also reports the number of active levels — the
 //! quantity the query bound counts — and the level-filter plan with its
 //! designed and measured false-positive rates, which is why the measured
-//! `tq` sits below that count.
+//! `tq` sits below that count. Beside the measured `tu` stands the one
+//! `dxh_analysis::carry_census` predicts — the bound with its constant
+//! — and the blocks each level was built with: the full `γ^k·m/b` while
+//! it can still grow, sized by its content once sealed.
 //!
 //! Two gates (the CI smoke runs `--quick`), both at `γ = 2`: the
-//! measured `tu` must stay within 2× of the unit-constant bound — a
-//! migration that writes its items twice on the way down sits near 2.9×
-//! — and the measured `tq` must stay at or below 2.2 — filters that are
-//! not built, or not consulted, read 2.77.
+//! measured `tu` must stay within 1.5× of the unit-constant bound —
+//! content-sized levels sit at 1.38×, every level at the full geometry
+//! at 1.68×, a migration that writes its items twice on the way down
+//! near 2.9× — and the measured `tq` must stay at or below 2.2 — filters
+//! that are not built, or not consulted, read 2.77.
 //!
 //! Run: `cargo run -p dxh-bench --release --bin exp_logmethod [--quick]`
 
-use dxh_analysis::{lemma5_tq, lemma5_tu, stats::RunningStats, table::fmt_f, TextTable};
+use dxh_analysis::{
+    carry_census, lemma5_tq, lemma5_tu, stats::RunningStats, table::fmt_f, TextTable,
+};
 use dxh_bench::{emit, insert_uniform, ExpArgs};
 use dxh_core::{CoreConfig, ExternalDictionary, LogMethodTable};
 use dxh_workloads::{measure_tq, parallel_trials};
@@ -30,6 +36,7 @@ fn main() {
     let mut table = TextTable::new([
         "γ",
         "tu (meas)",
+        "tu (model)",
         "tu bound (γ/b·log₂(n/m))",
         "tq (meas)",
         "tq bound (log_γ(n/m))",
@@ -39,6 +46,7 @@ fn main() {
         "probes",
         "fp (design)",
         "fp (meas)",
+        "blocks H1/H2/…",
     ]);
     let (mut tu_at_gamma_2, mut tq_at_gamma_2) = (f64::NAN, f64::NAN);
     for gamma in [2u64, 4, 8, 16] {
@@ -49,15 +57,17 @@ fn main() {
             let tu = t.total_ios() as f64 / n as f64;
             let tq = measure_tq(&mut t, &keys, samples, seed ^ 7).unwrap();
             let fp = t.filter_stats().false_positive_rate();
-            (tu, tq, t.active_levels(), fp, t.filter_plan().clone())
+            (tu, tq, t.active_levels(), fp, t.filter_plan().clone(), t.level_geometry())
         });
         let mut tu = RunningStats::new();
         let mut tq = RunningStats::new();
         let mut lv = RunningStats::new();
         let mut fp = RunningStats::new();
-        // The plan is a function of (b, m, γ): the same in every trial.
+        // The plan is a function of (b, m, γ), the geometry of (b, m, γ, n)
+        // for distinct keys: the same in every trial.
         let plan = rows[0].4.clone();
-        for (a, q, l, f, _) in rows {
+        let blocks: Vec<String> = rows[0].5[1..].iter().map(|l| l.1.to_string()).collect();
+        for (a, q, l, f, ..) in rows {
             tu.push(a);
             tq.push(q);
             lv.push(l as f64);
@@ -69,6 +79,7 @@ fn main() {
         table.row([
             gamma.to_string(),
             fmt_f(tu.mean(), 4),
+            fmt_f(carry_census(b, m, gamma, n).ios() as f64 / n as f64, 4),
             fmt_f(lemma5_tu(b, gamma, n, m), 4),
             fmt_f(tq.mean(), 3),
             fmt_f(lemma5_tq(gamma, n, m), 3),
@@ -78,6 +89,7 @@ fn main() {
             plan.probes().to_string(),
             fmt_f(plan.designed_fp(), 4),
             fmt_f(fp.mean(), 4),
+            blocks.join("/"),
         ]);
     }
     println!(
@@ -85,25 +97,30 @@ fn main() {
          Bound constants fixed at 1. A flush carries every level it would\n\
          overflow into the first one with room as a single merge (see\n\
          docs/ARCHITECTURE.md, step 5): a carried block is read once, a\n\
-         destination bucket costs one I/O, so measured tu stays within 2× of\n\
-         the unit-constant bound at γ = 2 (gated under --quick) and scales the\n\
-         same way in γ, b, and n/m. tq is no longer the level occupancy at\n\
-         snapshot time: the idle part of m holds a Bloom filter for H1 (all\n\
-         that fits beside a carry's buffers at this m; filtered, bits/key and\n\
-         probes are the derived plan), so a lookup reads the level that holds\n\
-         its key, every occupied unfiltered level above it, and H1 only when\n\
-         its filter lets the key through (measured fp sits under the designed\n\
-         rate while H1 is short of its capacity). tq at γ = 2 is gated at 2.2\n\
-         under --quick.",
+         destination bucket costs one I/O, and a level no later arrival can\n\
+         fit into is built with ⌈2x/b⌉ buckets for its x items, not the full\n\
+         γ^k·m/b (last column; at γ = 2 every level past H1), so measured tu\n\
+         stays within 1.5× of the unit-constant bound at γ = 2 (gated under\n\
+         --quick) and scales the same way in γ, b, and n/m. tu (model) is the\n\
+         same walk as arithmetic (dxh_analysis::carry_census): exact at γ = 2,\n\
+         an upper bound beyond, where a small arrival misses some buckets of\n\
+         a large level. tq is no longer the level occupancy at snapshot time:\n\
+         the idle part of m holds a Bloom filter for H1 (all that fits beside\n\
+         a carry's buffers at this m; filtered, bits/key and probes are the\n\
+         derived plan), so a lookup reads the level that holds its key, every\n\
+         occupied unfiltered level above it, and H1 only when its filter lets\n\
+         the key through (measured fp sits under the designed rate while H1\n\
+         is short of its capacity). tq at γ = 2 is gated at 2.2 under --quick.",
         args.trials
     );
     emit("logarithmic method (Lemma 5)", &table, &args, "exp_logmethod.csv");
 
     let bound = lemma5_tu(b, 2, n, m);
     assert!(
-        tu_at_gamma_2 <= 2.0 * bound,
-        "γ = 2: measured tu {tu_at_gamma_2:.4} is {:.2}× the Lemma 5 bound {bound:.4} (gate: 2×) \
-         — is a migration writing its items more than once per level?",
+        tu_at_gamma_2 <= 1.5 * bound,
+        "γ = 2: measured tu {tu_at_gamma_2:.4} is {:.2}× the Lemma 5 bound {bound:.4} (gate: 1.5×) \
+         — is a sealed level built at the full geometry, or a migration writing its items more \
+         than once per level?",
         tu_at_gamma_2 / bound
     );
     assert!(

@@ -419,6 +419,7 @@ mod tests {
                     }
                     let when = format!("b = {b}, γ = {gamma}, step {step}");
                     assert_eq!(t.log.level_items(), model.level_items(), "{when}");
+                    t.log.assert_load_at_most_half(&when);
                     t.log.assert_filters_track_levels(&when);
                     deepest = deepest.max(t.log.levels.iter().flatten().count());
                     // Mid-stream and at the end: side levels occupied,
@@ -439,6 +440,46 @@ mod tests {
         }
         let c = CoreConfig::custom(8, 1024, 2, 2.0).unwrap();
         assert_eq!(BootstrappedTable::new(c, 1).unwrap().log.filter_plan().levels(), 4);
+    }
+
+    #[test]
+    fn the_side_structure_carries_a_deduplicated_sealed_level_too() {
+        use crate::log_method::carry_model::CarryModel;
+        use rand::{rngs::StdRng, RngCore, SeedableRng};
+        // The stream of `log_method`'s guard test, behind a prefix of
+        // distinct keys: Ĥ must be large for the side structure to live
+        // through the six flushes the scenario needs between two merges
+        // (β = 2: it grows to half of Ĥ).
+        for (b, m, distinct, universe, steps) in
+            [(64, 4096, 60_000u64, 3_000u64, 100_000u64), (4, 96, 1_500, 70, 3_000)]
+        {
+            let c = CoreConfig::custom(b, m, 2, 2.0).unwrap();
+            let mut t = BootstrappedTable::new(c.clone(), 60 + b as u64).unwrap();
+            let mut model = CarryModel::new(c);
+            let mut inserted = std::collections::HashSet::new();
+            let mut rng = StdRng::seed_from_u64(b as u64);
+            for step in 0..distinct + steps {
+                // Re-inserts carry the same value: Ĥ-first lookups may
+                // serve the older copy until a merge.
+                let key = if step < distinct { universe + step } else { rng.next_u64() % universe };
+                let merges = t.merge_count();
+                t.insert(key, key * 3).unwrap();
+                model.put(key, key * 3);
+                inserted.insert(key);
+                if t.merge_count() > merges {
+                    model.drain();
+                }
+                let when = format!("b = {b}, step {step}");
+                assert_eq!(t.log.level_items(), model.level_items(), "{when}");
+                t.log.assert_load_at_most_half(&when);
+                assert_eq!(t.lookup(key).unwrap(), Some(key * 3), "{when}");
+            }
+            assert!(model.region_carries >= 2, "b = {b}: the guard never decided a carry");
+            for key in 0..universe + distinct {
+                let expect = inserted.contains(&key).then_some(key * 3);
+                assert_eq!(t.lookup(key).unwrap(), expect, "b = {b}, key {key}");
+            }
+        }
     }
 
     #[test]

@@ -126,9 +126,36 @@ impl CoreConfig {
         self.m / 2
     }
 
-    /// Level `k` bucket count `γ^k · (m/b)`.
+    /// Level `k`'s **full geometry** `γ^k · (m/b)` buckets — an upper
+    /// bound: what a level that can still grow is allocated, and the
+    /// most any level may occupy. A level no later merge can grow is
+    /// built smaller, see [`CoreConfig::fresh_level_buckets`].
     pub fn level_buckets(&self, k: u32) -> u64 {
         self.nb0().saturating_mul(self.gamma.saturating_pow(k))
+    }
+
+    /// Bucket count for a freshly built level `k` in which `landing`
+    /// physical items (shadowed copies and deletion markers included)
+    /// are about to land.
+    ///
+    /// Whatever next arrives at `H_k` carries an overflowing `H_{k-1}`,
+    /// so it brings more than `level_capacity(k-1)` items. When
+    /// `landing + level_capacity(k-1) ≥ level_capacity(k)` that arrival
+    /// cannot fit: the level is *sealed* — it will be carried deeper,
+    /// never merged into — and gets `⌈2·landing/b⌉` buckets, load ≤ 1/2
+    /// for the most it can ever hold. Otherwise (and always for `H1`,
+    /// which `H0` feeds directly) it can still grow and keeps the full
+    /// [`CoreConfig::level_buckets`]. Lemma 5 prices a migration by the
+    /// destination's bucket count and needs only load ≤ 1/2, which both
+    /// branches give.
+    pub fn fresh_level_buckets(&self, k: u32, landing: usize) -> u64 {
+        let full = self.level_buckets(k);
+        let sealed =
+            k >= 2 && landing.saturating_add(self.level_capacity(k - 1)) >= self.level_capacity(k);
+        if !sealed {
+            return full;
+        }
+        (landing.saturating_mul(2).div_ceil(self.b) as u64).clamp(1, full)
     }
 
     /// Level `k` item capacity `γ^k · m/2` (load factor ≤ 1/2).
@@ -197,6 +224,29 @@ mod tests {
         assert_eq!(cfg.level_buckets(0), 16);
         assert_eq!(cfg.level_buckets(3), 128);
         assert_eq!(cfg.level_capacity(1), 128);
+    }
+
+    #[test]
+    fn a_fresh_level_is_sized_by_what_it_can_ever_hold() {
+        // γ = 2: a carry into H_k brings more than cap(k-1) = cap(k)/2, so
+        // every level past H1 is born sealed at load exactly 1/2.
+        let cfg = CoreConfig::lemma5(64, 4096, 2).unwrap();
+        assert_eq!(cfg.fresh_level_buckets(1, 2048), 128, "H1 is fed by H0: never sealed");
+        assert_eq!(cfg.fresh_level_buckets(2, 3 * 2048), 192, "¾ of 256");
+        assert_eq!(cfg.fresh_level_buckets(3, 6 * 2048), 384, "¾ of 512");
+        assert_eq!(cfg.fresh_level_buckets(3, 4 * 2048), 256, "the boundary seals too");
+        assert_eq!(cfg.fresh_level_buckets(3, 4 * 2048 - 1), 512, "one more arrival still fits");
+        assert_eq!(cfg.fresh_level_buckets(3, 8 * 2048), 512, "a full level has the full geometry");
+        // γ = 4: 5 H0s land in H2 (cap 16 H0s) and two more carries of 5
+        // fit beside them — growable until 12 H0s are there.
+        let cfg = CoreConfig::lemma5(64, 4096, 4).unwrap();
+        assert_eq!(cfg.fresh_level_buckets(2, 5 * 2048), cfg.level_buckets(2));
+        assert_eq!(cfg.fresh_level_buckets(2, 12 * 2048), 768);
+        // b ∤ m: never more than the full geometry, never zero.
+        let cfg = CoreConfig::lemma5(7, 120, 2).unwrap();
+        assert_eq!(cfg.fresh_level_buckets(2, cfg.level_capacity(2)), cfg.level_buckets(2));
+        assert_eq!(cfg.fresh_level_buckets(2, 0), cfg.level_buckets(2));
+        assert!(cfg.fresh_level_buckets(70, usize::MAX) >= 1, "saturates, never overflows");
     }
 
     #[test]

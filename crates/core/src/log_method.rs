@@ -22,6 +22,19 @@
 //! lookup reads, never what a flush reads or writes. They are derived
 //! state and never persisted; a table rebuilt around persisted levels
 //! re-reads its filtered levels once (accounted) to rebuild them.
+//!
+//! Lemma 5 also speaks of `H_k` as a table of `γ^k·m/b` buckets. It
+//! prices a migration by the destination's bucket count and needs only
+//! load ≤ 1/2, so a level that no later merge can grow (*sealed*, see
+//! [`CoreConfig::fresh_level_buckets`]) is built with `⌈2x/b⌉` buckets
+//! for the `x` items landing in it — at `γ = 2` every level past `H1`,
+//! each born at ¾ of its capacity. Which levels are occupied, and so
+//! every lookup's reads, are as at the full geometry — with one
+//! exception: a sealed level whose build deduplicated far below `x` may
+//! see an arrival its capacity would admit and its region does not, and
+//! is then carried one level deeper where the full geometry would have
+//! merged in place (`LogStructure::flush`'s guard). Distinct keys — the
+//! paper's input — never get there.
 
 use dxh_extmem::{
     BlockId, Disk, ExtMemError, IoCostModel, IoSnapshot, Item, Key, MemDisk, MemoryBudget, Result,
@@ -95,8 +108,15 @@ impl<F: HashFn> LogStructure<F> {
 
     /// Item counts per level (`[H0, H1, …]`), for diagnostics and tests.
     pub(crate) fn level_items(&self) -> Vec<usize> {
-        let mut out = vec![self.h0.len()];
-        out.extend(self.levels.iter().skip(1).map(|r| r.as_ref().map_or(0, |r| r.items)));
+        self.level_geometry().into_iter().map(|(items, _)| items).collect()
+    }
+
+    /// `(items, buckets)` per level (`[H0, H1, …]`; an empty level is
+    /// `(0, 0)`, `H0` has its `m/b` memory buckets).
+    pub(crate) fn level_geometry(&self) -> Vec<(usize, u64)> {
+        let mut out = vec![(self.h0.len(), self.cfg.nb0())];
+        let disk_levels = self.levels.iter().skip(1);
+        out.extend(disk_levels.map(|r| r.as_ref().map_or((0, 0), |r| (r.items, r.buckets))));
         out
     }
 
@@ -128,24 +148,31 @@ impl<F: HashFn> LogStructure<F> {
     /// is written once (Lemma 5's "once per level it lands in").
     ///
     /// The destination is picked before anything moves: the carry walks
-    /// `k = 1, 2, …` while `H_k` exists and cannot take what is coming
-    /// (`|H_k| + incoming > level_capacity(k)`), adding `H_k` to the
-    /// carry. Sizes are the physical counts, shadowed copies included,
-    /// so the choice needs no I/O. `[H0, H1, …, H_{k-1}]` then stream
-    /// newest-first into level `k`; a carried level is read exactly once
-    /// and no intermediate level is ever written.
+    /// `k = 1, 2, …` while `H_k` exists and cannot take what is coming,
+    /// adding `H_k` to the carry. `H_k` can take it when the level has
+    /// room (`|H_k| + incoming ≤ level_capacity(k)`) **and** its region
+    /// does (`2·(|H_k| + incoming) ≤ buckets·b`, see
+    /// [`LogStructure::has_room`]). Sizes are the physical counts,
+    /// shadowed copies included, so the choice needs no I/O.
+    /// `[H0, H1, …, H_{k-1}]` then stream newest-first into level `k`; a
+    /// carried level is read exactly once and no intermediate level is
+    /// ever written.
     ///
     /// When the destination already exists the merge is **in place**: one
     /// combined read-modify-write per receiving bucket — the paper's
     /// "scan the two tables in parallel" priced under its own footnote-2
     /// convention. Otherwise (or always, under `rewrite_merges_only`) it
-    /// is built into a fresh region.
+    /// is built into a fresh region of
+    /// [`CoreConfig::fresh_level_buckets`] buckets: the full geometry
+    /// while the level can still grow, `⌈2x/b⌉` for the `x` items landing
+    /// once no later arrival can fit beside them (*sealed* — at `γ = 2`
+    /// every level past `H1`).
     pub(crate) fn flush<B: StorageBackend>(&mut self, disk: &mut Disk<B>) -> Result<()> {
         let mut incoming = self.h0.len();
         let mut sources = vec![Source::from_memory(self.h0.drain_in_bucket_order(), &self.hash)];
         let mut k = 1usize;
         while let Some(r) = self.levels.get(k).copied().flatten() {
-            if r.items + incoming <= self.cfg.level_capacity(k as u32) {
+            if self.has_room(k, &r, incoming) {
                 break;
             }
             incoming += r.items;
@@ -169,15 +196,36 @@ impl<F: HashFn> LogStructure<F> {
                 self.levels[k] = Some(region);
             }
             existing => {
+                let landing = incoming + existing.map_or(0, |r| r.items);
                 sources.extend(existing.map(Source::from_region));
-                let nb = self.cfg.level_buckets(k as u32);
+                let nb = self.cfg.fresh_level_buckets(k as u32, landing);
                 let mut filter = self.plan.new_filter(k);
                 let (region, _) = compact(disk, &self.hash, sources, nb, purge, filter.as_mut())?;
                 self.levels[k] = Some(region);
                 self.set_filter(k, filter);
             }
         }
+        debug_assert!(
+            !self.cfg.m.is_multiple_of(self.cfg.b)
+                || self.levels[k].is_some_and(|r| self.has_room(k, &r, 0)),
+            "H{k} was left loaded past 1/2: {:?}",
+            self.levels[k]
+        );
         Ok(())
+    }
+
+    /// Whether `incoming` more physical items may merge into `H_k = r`:
+    /// the level's capacity and the region's load ≤ 1/2 both hold
+    /// afterwards. The second test is what keeps load ≤ 1/2, not the
+    /// prediction that sized the region: a sealed level whose build
+    /// deduplicated far below its size may later see an arrival the
+    /// *level* could take but its content-sized *region* cannot, and is
+    /// then carried one level deeper instead (in a full-geometry region
+    /// with `b | m` the second test is implied by the first).
+    fn has_room(&self, k: usize, r: &Region, incoming: usize) -> bool {
+        let landing = r.items + incoming;
+        landing <= self.cfg.level_capacity(k as u32)
+            && 2 * landing as u128 <= r.buckets as u128 * self.cfg.b as u128
     }
 
     /// Looks up `key` shallow-first (`H0`, `H1`, …): the newest copy wins,
@@ -344,6 +392,17 @@ impl<F: HashFn> LogStructure<F> {
         self.levels.iter().skip(1).rev().flatten().next()
     }
 
+    /// `2·items ≤ buckets·b` on every level: what [`LogStructure::has_room`]
+    /// and [`CoreConfig::fresh_level_buckets`] keep between them (for
+    /// `b | m`; a full-geometry level may miss by a sliver otherwise).
+    #[cfg(test)]
+    pub(crate) fn assert_load_at_most_half(&self, when: &str) {
+        for (k, r) in self.levels.iter().enumerate() {
+            let Some(r) = r else { continue };
+            assert!(2 * r.items as u64 <= r.buckets * self.cfg.b as u64, "{when}: H{k} = {r:?}");
+        }
+    }
+
     /// "Level `k` is `Some` ⇔ its filter is `Some`", for every filtered
     /// level; nothing past the plan ever holds a filter.
     #[cfg(test)]
@@ -426,7 +485,9 @@ impl<F: HashFn, B: StorageBackend> LogMethodTable<F, B> {
         // left — 1 776 of 4 096 items at b = 64 — has two tenants. A
         // carry landing in `H_j` is a j-stream merge: each carried level
         // buffers one source bucket (≤ b items while unchained) and the
-        // batch being merged holds those items once more, so it
+        // batch being merged holds those items once more — or, where a
+        // content-sized region's bucket count does not divide its
+        // destination's, the tail of the stream's previous bucket — so it
         // transiently needs 2·j·b items. The level filters take the rest:
         // the plan sizes them so that the filters alive while a carry
         // lands in `H_j` (`j..=L`; the shallower ones died with the
@@ -479,7 +540,9 @@ impl<F: HashFn, B: StorageBackend> LogMethodTable<F, B> {
     /// Streams the whole structure (`H0` and every level, newest-first
     /// precedence) into one dense level-`k` region on `dst`, purging
     /// deletion markers and shadowed duplicates — the destination is by
-    /// construction the deepest (only) level. Returns the level vector
+    /// construction the deepest (only) level, sized by
+    /// [`CoreConfig::fresh_level_buckets`] for the physical item count
+    /// (the purge only shrinks what lands). Returns the level vector
     /// describing `dst` plus the merge statistics; `self` is left empty
     /// (its disk sources are consumed and freed). The engine of
     /// [`crate::KvStore::compact`].
@@ -488,15 +551,10 @@ impl<F: HashFn, B: StorageBackend> LogMethodTable<F, B> {
         dst: &mut Disk<C>,
         k: usize,
     ) -> Result<(Vec<Option<Region>>, MergeStats)> {
+        let nb = self.cfg.fresh_level_buckets(k as u32, self.log.items());
         let sources = self.log.take_all_sources();
-        let (region, stats) = compact_across(
-            &mut self.disk,
-            dst,
-            &self.log.hash,
-            sources,
-            self.cfg.level_buckets(k as u32),
-            true,
-        )?;
+        let (region, stats) =
+            compact_across(&mut self.disk, dst, &self.log.hash, sources, nb, true)?;
         let mut levels: Vec<Option<Region>> = vec![None; k + 1];
         levels[k] = Some(region);
         Ok((levels, stats))
@@ -547,6 +605,24 @@ impl<F: HashFn, B: StorageBackend> LogMethodTable<F, B> {
         Ok(())
     }
 
+    /// Rebuilds every level at the full geometry — the layout of a store
+    /// written before sealed levels were sized by content, which a reopen
+    /// must keep serving and merging into.
+    #[cfg(test)]
+    pub(crate) fn widen_to_full_geometry(&mut self) -> Result<()> {
+        for k in 1..self.log.levels.len() {
+            let Some(r) = self.log.levels[k].take() else { continue };
+            let nb = self.cfg.level_buckets(k as u32);
+            let mut filter = self.log.plan.new_filter(k);
+            let sources = vec![Source::from_region(r)];
+            let (region, _) =
+                compact(&mut self.disk, &self.log.hash, sources, nb, false, filter.as_mut())?;
+            self.log.levels[k] = Some(region);
+            self.log.set_filter(k, filter);
+        }
+        Ok(())
+    }
+
     /// [`ExternalDictionary::delete`] with a `before_mutate` hook: runs
     /// once presence is confirmed, before the marker is written (never on
     /// a miss). The persistence layer transitions its dirty state there.
@@ -578,6 +654,14 @@ impl<F: HashFn, B: StorageBackend> LogMethodTable<F, B> {
     /// experiment's table).
     pub fn level_items(&self) -> Vec<usize> {
         self.log.level_items()
+    }
+
+    /// `(items, buckets)` per level, `H0` first (an empty level is
+    /// `(0, 0)`): the geometry each level was actually built with —
+    /// [`CoreConfig::level_buckets`] while it can still grow,
+    /// content-sized once sealed ([`CoreConfig::fresh_level_buckets`]).
+    pub fn level_geometry(&self) -> Vec<(usize, u64)> {
+        self.log.level_geometry()
     }
 
     /// Number of non-empty disk levels.
@@ -692,12 +776,17 @@ pub(crate) mod carry_model {
     pub(crate) struct CarryModel {
         cfg: CoreConfig,
         h0: HashMap<Key, Value>,
-        levels: Vec<Option<HashMap<Key, Value>>>,
+        /// Each level's keys beside the item room (`buckets·b/2`) of the
+        /// region it was built with.
+        levels: Vec<Option<(HashMap<Key, Value>, usize)>>,
+        /// Carries forced by a region's room alone: the level's capacity
+        /// would have taken the arrival.
+        pub(crate) region_carries: usize,
     }
 
     impl CarryModel {
         pub(crate) fn new(cfg: CoreConfig) -> Self {
-            CarryModel { cfg, h0: HashMap::new(), levels: vec![None] }
+            CarryModel { cfg, h0: HashMap::new(), levels: vec![None], region_carries: 0 }
         }
 
         pub(crate) fn put(&mut self, key: Key, value: Value) {
@@ -710,7 +799,7 @@ pub(crate) mod carry_model {
         /// Writes a marker iff the newest copy is live; says whether it was.
         pub(crate) fn delete(&mut self, key: Key) -> bool {
             let newest = std::iter::once(&self.h0)
-                .chain(self.levels.iter().flatten())
+                .chain(self.levels.iter().flatten().map(|(level, _)| level))
                 .find_map(|level| level.get(&key).copied());
             let live = newest.is_some_and(|v| v != VALUE_TOMBSTONE);
             if live {
@@ -719,18 +808,23 @@ pub(crate) mod carry_model {
             live
         }
 
-        /// Carry while `items + incoming > cap`, land in the first level
-        /// with room: newest copy wins, markers are spent at the bottom.
+        /// Carry while `items + incoming` exceeds the level's capacity or
+        /// its region's room, land in the first level that has both (a
+        /// fresh one is sized for what lands): newest copy wins, markers
+        /// are spent at the bottom.
         fn flush(&mut self) {
             let mut carried = std::mem::take(&mut self.h0);
             let mut incoming = carried.len();
             let mut k = 1;
-            while let Some(Some(level)) = self.levels.get(k) {
-                if level.len() + incoming <= self.cfg.level_capacity(k as u32) {
+            while let Some(Some((level, room))) = self.levels.get(k) {
+                let landing = level.len() + incoming;
+                let level_takes_it = landing <= self.cfg.level_capacity(k as u32);
+                if level_takes_it && landing <= *room {
                     break;
                 }
-                incoming += level.len();
-                for (key, v) in self.levels[k].take().expect("matched Some") {
+                self.region_carries += usize::from(level_takes_it);
+                incoming = landing;
+                for (key, v) in self.levels[k].take().expect("matched Some").0 {
                     carried.entry(key).or_insert(v);
                 }
                 k += 1;
@@ -739,7 +833,9 @@ pub(crate) mod carry_model {
                 self.levels.push(None);
             }
             let deepest = self.levels[k + 1..].iter().all(Option::is_none);
-            let dst = self.levels[k].get_or_insert_with(HashMap::new);
+            let fresh_room =
+                self.cfg.fresh_level_buckets(k as u32, incoming) as usize * self.cfg.b / 2;
+            let (dst, _) = self.levels[k].get_or_insert_with(|| (HashMap::new(), fresh_room));
             dst.extend(carried);
             if deepest {
                 dst.retain(|_, v| *v != VALUE_TOMBSTONE);
@@ -755,7 +851,7 @@ pub(crate) mod carry_model {
         /// `[H0, H1, …]`, comparable to `LogStructure::level_items`.
         pub(crate) fn level_items(&self) -> Vec<usize> {
             let mut out = vec![self.h0.len()];
-            out.extend(self.levels.iter().skip(1).map(|l| l.as_ref().map_or(0, HashMap::len)));
+            out.extend(self.levels.iter().skip(1).map(|l| l.as_ref().map_or(0, |(l, _)| l.len())));
             out
         }
     }
@@ -814,10 +910,48 @@ mod tests {
                     assert_eq!(was, truth.remove(&key).is_some(), "γ = {gamma}, step {step}");
                 }
                 assert_eq!(t.level_items(), model.level_items(), "γ = {gamma}, step {step}");
+                t.log.assert_load_at_most_half(&format!("γ = {gamma}, step {step}"));
             }
             assert!(t.active_levels() >= 2, "γ = {gamma}: the stream reached past H1");
             for key in 0..1500u64 {
                 assert_eq!(t.lookup(key).unwrap(), truth.get(&key).copied(), "key {key}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_sealed_level_that_deduplicated_is_carried_once_its_region_is_full() {
+        // Upserts over a universe smaller than H2's capacity. The third
+        // flush seals H2 around ≈ 2.3 H0s of physical items, which
+        // deduplicate to at most the universe; three flushes later the
+        // same ≈ 2.3 H0s arrive again — within the level's capacity (4
+        // H0s), beyond the region's room — and the guard carries H2 into
+        // H3 where the capacity test alone would have merged in place.
+        for (b, m, universe, steps) in [(64, 4096, 3_000u64, 60_000u64), (4, 96, 70, 3_000)] {
+            let c = cfg(b, m, 2);
+            let mut t = LogMethodTable::new(c.clone(), 50 + b as u64).unwrap();
+            let mut model = CarryModel::new(c);
+            let mut truth: HashMap<u64, u64> = HashMap::new();
+            let mut rng = StdRng::seed_from_u64(b as u64);
+            for step in 0..steps {
+                let key = rng.next_u64() % universe;
+                t.insert(key, step).unwrap();
+                model.put(key, step);
+                truth.insert(key, step);
+                let when = format!("b = {b}, step {step}");
+                assert_eq!(t.level_items(), model.level_items(), "{when}");
+                t.log.assert_load_at_most_half(&when);
+                assert_eq!(t.lookup(key).unwrap(), Some(step), "{when}");
+                // Right after a flush: at b = 64 nothing it wrote chains.
+                if b == 64 && t.log.h0.is_empty() {
+                    let buckets: Vec<u64> = t.level_geometry().iter().map(|l| l.1).collect();
+                    assert_eq!(level_blocks(&mut t)[1..], buckets[1..], "{when}: a bucket chained");
+                }
+            }
+            assert!(model.region_carries >= 2, "b = {b}: the guard never decided a carry");
+            assert!(t.active_levels() >= 2, "b = {b}");
+            for key in 0..universe {
+                assert_eq!(t.lookup(key).unwrap(), truth.get(&key).copied(), "b = {b}, key {key}");
             }
         }
     }
@@ -828,37 +962,59 @@ mod tests {
         // chains (asserted below), so an in-place bucket is exactly one
         // rmw; a chained one would re-read itself through the fallback.
         let c = cfg(64, 4096, 2);
-        let mut t = LogMethodTable::new(c.clone(), 42).unwrap();
-        let n = 100_000u64;
-        let (mut flushes, mut carries) = (0, 0);
-        for key in 0..n {
-            if t.log.h0.len() + 1 < c.h0_capacity() {
+        // The totals are `carry_census`'s, derived by hand for the first
+        // row: 48 flushes, of which 16 carry. Flush 3·i carries H1 (128
+        // blocks) and, per factor of 2 in i, one more sealed level of
+        // 192·2^j: 16·128 + 8·192 + 4·384 + 2·768 + 1 536 = 8 192 reads.
+        // H1 is built 16 times and merged into 16 times (2 048 writes,
+        // 2 048 rmws); sealed H2…H6 are built 8, 4, 2, 1, 1 times at
+        // 192, 384, 768, 1 536, 3 072 blocks = 9 216 writes. At the full
+        // geometry (256, 512, … per level) the same walk costs 26 624.
+        for (n, total) in [(100_000u64, 21_504), (190_000, 36_352), (250_000, 58_624)] {
+            let mut t = LogMethodTable::new(c.clone(), 42).unwrap();
+            let (mut flushes, mut carries) = (0, 0);
+            for key in 0..n {
+                if t.log.h0.len() + 1 < c.h0_capacity() {
+                    t.insert(key, key).unwrap();
+                    continue;
+                }
+                let before = level_blocks(&mut t);
+                let epoch = t.disk.epoch();
                 t.insert(key, key).unwrap();
-                continue;
+                let io = t.disk.since(&epoch);
+                let after = level_blocks(&mut t);
+                let dst = (1..).find(|&k| t.level_items()[k] > 0).expect("H0 landed somewhere");
+                assert_eq!(after[dst], t.level_geometry()[dst].1, "no chains");
+                let sources: u64 = before[1..dst].iter().sum();
+                assert_eq!(io.reads, sources, "flush {flushes} into H{dst}: sources read once");
+                assert!(
+                    io.writes + io.rmws <= after[dst],
+                    "flush {flushes} into H{dst}: {} writes + {} rmws > {} destination blocks",
+                    io.writes,
+                    io.rmws,
+                    after[dst]
+                );
+                assert!(after[1..dst].iter().all(|&blocks| blocks == 0), "carried levels are gone");
+                flushes += 1;
+                carries += usize::from(dst > 1);
             }
-            let before = level_blocks(&mut t);
-            let epoch = t.disk.epoch();
-            t.insert(key, key).unwrap();
-            let io = t.disk.since(&epoch);
-            let after = level_blocks(&mut t);
-            let dst = (1..).find(|&k| t.level_items()[k] > 0).expect("H0 landed somewhere");
-            assert_eq!(after[dst], t.log.levels[dst].expect("landed here").buckets, "no chains");
-            let sources: u64 = before[1..dst].iter().sum();
-            assert_eq!(io.reads, sources, "flush {flushes} into H{dst}: sources read once");
-            assert!(
-                io.writes + io.rmws <= after[dst],
-                "flush {flushes} into H{dst}: {} writes + {} rmws > {} destination blocks",
-                io.writes,
-                io.rmws,
-                after[dst]
+            assert_eq!(flushes, n as usize / c.h0_capacity());
+            assert_eq!(
+                carries,
+                flushes / 3,
+                "H1 holds two H0s at γ = 2; every third flush carries"
             );
-            assert!(after[1..dst].iter().all(|&blocks| blocks == 0), "carried levels are gone");
-            flushes += 1;
-            carries += usize::from(dst > 1);
+            let census = dxh_analysis::carry_census(c.b, c.m, c.gamma, n as usize);
+            let io = t.disk.epoch();
+            assert_eq!((io.reads, io.writes, io.rmws), (census.reads, census.writes, census.rmws));
+            assert_eq!(t.level_geometry(), census.levels, "n = {n}");
+            assert_eq!(
+                t.total_ios(),
+                total,
+                "tu = {}, pinned for seed 42",
+                total as f64 / n as f64
+            );
         }
-        assert_eq!(flushes, n as usize / c.h0_capacity());
-        assert_eq!(carries, flushes / 3, "H1 holds two H0s at γ = 2; every third flush carries");
-        assert_eq!(t.total_ios(), 26_624, "tu = 0.26624 at n = 100 000, pinned for seed 42");
     }
 
     #[test]

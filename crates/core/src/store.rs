@@ -360,18 +360,29 @@ impl<M: StoreMedia> KvStore<M> {
             }
             _ => {}
         }
-        // Every region the code writes at level k has exactly the
-        // level's bucket count, so a persisted `m` or `gamma` that does
-        // not reproduce the recorded regions is corruption — caught here,
-        // before `H0`, the filters or anything else is sized from them.
+        // A region the code writes at level k has the level's full
+        // bucket count or — sealed, see `fresh_level_buckets` — at least
+        // that of the fewest items that seal it, and holds at most the
+        // level's capacity. A persisted `m`, `gamma`, bucket or item
+        // count outside that is corruption — caught here, before `H0`,
+        // the filters or anything else is sized from them, and before an
+        // item count is ever summed.
         for (k, region) in m.levels.iter().enumerate() {
             let Some(r) = region else { continue };
-            if r.buckets != m.cfg.level_buckets(k as u32) {
+            let (k, cfg) = (k as u32, &m.cfg);
+            let fewest_sealing = cfg.level_capacity(k) - cfg.level_capacity(k - 1);
+            let buckets = cfg.fresh_level_buckets(k, fewest_sealing)..=cfg.level_buckets(k);
+            if !buckets.contains(&r.buckets) || r.items > cfg.level_capacity(k) {
                 return Err(corrupt("level region does not match the creation parameters"));
             }
             if r.base.raw().checked_add(r.buckets).is_none_or(|end| end > m.slots) {
                 return Err(corrupt("level region outside the recorded slots"));
             }
+        }
+        // (Capacities saturate at deep levels, so the bound above alone
+        // does not keep the sum in range.)
+        if m.levels.iter().flatten().try_fold(0usize, |n, r| n.checked_add(r.items)).is_none() {
+            return Err(corrupt("level item counts overflow"));
         }
         let data_name = data_file_name(m.data_gen);
         let mut backend = media.open_data(&data_name, m.cfg.b)?;
@@ -705,12 +716,15 @@ impl<M: StoreMedia> KvStore<M> {
     }
 
     /// Rewrites the data file densely: every live item (deletion markers
-    /// and shadowed duplicates purged) streams into one region sized for
-    /// the smallest level that holds it, in a fresh generation-named
+    /// and shadowed duplicates purged) streams into one region of the
+    /// smallest level that holds it, in a fresh generation-named
     /// file; the manifest commit then atomically swaps the store over to
     /// it and the old file is unlinked. Afterwards the file holds
     /// exactly the live data footprint (plus that region's load-≤ 1/2
-    /// slack — "within one level-region").
+    /// slack — "within one level-region"). The region is sized like any
+    /// freshly built level ([`CoreConfig::fresh_level_buckets`]): by its
+    /// content when no later merge can fit beside it, else at the
+    /// level's full geometry.
     ///
     /// The pass first streams through a region sized by the physical
     /// item count (markers and shadowed copies included — the live count
@@ -786,7 +800,7 @@ impl<M: StoreMedia> KvStore<M> {
                 &mut dense_disk,
                 &hash,
                 vec![Source::from_region(region)],
-                cfg.level_buckets(k2 as u32),
+                cfg.fresh_level_buckets(k2 as u32, stats.items),
                 true,
             ) {
                 Ok(x) => x,
@@ -1753,6 +1767,8 @@ mod tests {
         assert!(stats.bytes_after < stats.bytes_before, "file shrank: {stats:?}");
         assert_eq!(stats.live_items, 400, "exactly the live keys survive");
         assert_eq!(s.len(), 400);
+        // 400 items seal H3 (capacity 512, H2's is 256): ⌈800/8⌉ buckets.
+        assert_eq!(s.table().level_geometry()[3], (400, 100));
         // Within one level-region of the live footprint: the region is
         // sized by the smallest level holding the items, at load ≤ 1/2.
         let c = cfg();
@@ -2423,6 +2439,74 @@ mod tests {
         assert!(stale_chains_skipped >= 2, "no run left a folded chain behind to be skipped");
     }
 
+    /// A store laid out by the version before sealed levels were sized by
+    /// content — every level at the full geometry, as the golden level
+    /// lines show — reopens (clean and through the recovery walk),
+    /// answers every key and keeps ingesting: its levels are merged into
+    /// and carried like any other. The same manifest with one level field
+    /// out of range is rejected, not believed: an item count is summed by
+    /// `len()` and by every flush's carry walk.
+    #[test]
+    fn a_full_geometry_store_reopens_and_an_out_of_range_level_field_does_not() {
+        use dxh_extmem::SimEnv;
+        let golden = ["level 2 0 64 132", "level 4 64 256 768"]; // m/b · 2^k buckets
+        let written_at_the_full_geometry = || {
+            let env = SimEnv::new();
+            let mut s = sim_store(&env);
+            for k in 0..900u64 {
+                s.insert(k, k + 1).unwrap();
+            }
+            s.sync().unwrap();
+            let sized = s.table.level_geometry();
+            assert_eq!(sized[1..], [(0, 0), (132, 33), (0, 0), (768, 192)], "H2, H4: sealed");
+            s.mark_dirty().unwrap();
+            s.table.widen_to_full_geometry().unwrap();
+            drop(s);
+            let text = manifest_text(&env);
+            let levels: Vec<&str> = text.lines().filter(|l| l.starts_with("level ")).collect();
+            assert_eq!(levels, golden);
+            (env, text)
+        };
+        for clean in [true, false] {
+            let (env, _) = written_at_the_full_geometry();
+            if !clean {
+                env.remove_file(CLEAN).unwrap();
+                env.sync_dir("").unwrap();
+            }
+            let mut s = sim_store(&env);
+            assert_eq!(s.len(), 900);
+            for k in 900..2_500u64 {
+                s.insert(k, k + 1).unwrap();
+            }
+            for k in 0..2_500u64 {
+                assert_eq!(s.lookup(k).unwrap(), Some(k + 1), "clean = {clean}, key {k}");
+            }
+            drop(s);
+            let mut s = sim_store(&env);
+            for k in (0..2_500u64).step_by(49) {
+                assert_eq!(s.lookup(k).unwrap(), Some(k + 1), "clean = {clean}, key {k} again");
+            }
+        }
+
+        // `cfg()`: H2 has 64 buckets at most, 32 at least — 128 items
+        // seal it — and holds at most 256 items.
+        let (env, text) = written_at_the_full_geometry();
+        for mutant in [
+            "level 2 0 64 18446744073709551615",
+            "level 2 0 64 257",
+            "level 2 0 0 132",
+            "level 2 0 65 132",
+            "level 2 0 31 132",
+        ] {
+            put_file(&env, MANIFEST, text.replace(golden[0], mutant).as_bytes());
+            match crate::SimMedia::open(&env).and_then(|m| KvStore::open_on(m, cfg(), 84)) {
+                Err(ExtMemError::Corrupt(_)) => {}
+                Err(e) => panic!("{mutant}: {e}"),
+                Ok(_) => panic!("{mutant} opened"),
+            }
+        }
+    }
+
     /// Every numeric token of a valid manifest, replaced by each of a
     /// table of boundary values: `open` answers `Ok` or `Err` — it never
     /// panics, aborts on an allocation or hangs — and a manifest rejected
@@ -2624,9 +2708,12 @@ mod tests {
     /// formats are checked, not claimed. The marker-setting half is as
     /// recorded before the legacy chain writer was deleted (its *state* —
     /// slot count, free list, region bases: an allocation history — was
-    /// re-recorded when level migration became one pass); the marker-less
-    /// half is the state the chain's first frame used to carry, written
-    /// as a whole manifest without the free list.
+    /// re-recorded when level migration became one pass, and its slots,
+    /// bases and bucket counts again when sealed levels became
+    /// content-sized: 150 items in `⌈300/8⌉ = 38` buckets where `H2` has
+    /// 64, 342 in 86 where `H3` has 128); the marker-less half is the
+    /// state the chain's first frame used to carry, written as a whole
+    /// manifest without the free list.
     #[test]
     fn manifest_and_delta_frame_bytes_are_pinned() {
         use crate::media::SimMedia;
@@ -2644,7 +2731,7 @@ mod tests {
             read_text(&mut s.media, MANIFEST).unwrap().unwrap(),
             format!(
                 "dxh-store v2\nb 8\nm 128\ngamma 2\nbeta 2\ncost seek\nseed 7\nepoch 2\ndata 0\n\
-                 blob 8445\nwatermark 5\nslots 98\nfree {free}\nlevels 3\nlevel 2 34 64 150\n"
+                 blob 8445\nwatermark 5\nslots 73\nfree {free}\nlevels 3\nlevel 2 34 38 150\n"
             )
         );
         for k in 150..400u64 {
@@ -2655,8 +2742,8 @@ mod tests {
         assert_eq!(
             read_text(&mut s.media, MANIFEST).unwrap().unwrap(),
             "dxh-store v2\nb 8\nm 128\ngamma 2\nbeta 2\ncost seek\nseed 7\nepoch 3\ndata 0\n\
-             blob 22900\nwatermark 9\nslots 258\nlevels 4\nlevel 1 226 32 58\n\
-             level 3 98 128 342\n"
+             blob 22900\nwatermark 9\nslots 191\nlevels 4\nlevel 1 159 32 58\n\
+             level 3 73 86 342\n"
         );
         assert!(s.media.read_file(MANIFEST_DELTA).unwrap().is_none(), "nothing writes the chain");
     }

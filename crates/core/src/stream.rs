@@ -268,8 +268,10 @@ pub(crate) fn compact_across<B: StorageBackend, C: StorageBackend, F: HashFn>(
 
 /// Merges `sources` **in place** into the existing `region` (same bucket
 /// count), shadowing old copies of incoming keys. The caller must ensure
-/// the merged items still fit at load ≤ 1/2 — this is the steady-state
-/// Ĥ-merge between resizes. With `purge` on (destination is the deepest
+/// the merged items still fit **this region** at load ≤ 1/2, by its own
+/// bucket count — a level's region may be smaller than the level's full
+/// geometry (`LogStructure::flush`'s guard; `Ĥ`'s resize test is the
+/// same inequality). With `purge` on (destination is the deepest
 /// level), an incoming deletion marker removes the key's old copy from
 /// the bucket and is itself dropped instead of written. Every key written
 /// is also added to `filter`, when the destination level keeps one (a
@@ -632,46 +634,62 @@ mod tests {
 
     #[test]
     fn k_way_merge_buffers_one_source_bucket_per_stream() {
-        // A carry at the benchmark's geometry (b = 64, nb0 = 64, γ = 2):
-        // H1…H4 at load 1/2 stream into H5 together. Driving the streams
-        // as `compact` does, the items held at once — every stream's
-        // buffer plus the batch taken for the current bucket — never
-        // exceed one source bucket per stream.
-        let mut d = mem_disk(64);
-        let h = hash();
-        let mut next_key = 0u64;
-        let mut sources = Vec::new();
-        let mut bound = 0;
-        for level in 1..=4u32 {
-            let nb = 64u64 << level;
-            let keys: Vec<u64> = (next_key..next_key + nb * 32).collect();
-            next_key += nb * 32;
-            let region = build_region(&mut d, &h, nb, &keys);
-            bound += (0..nb)
-                .map(|q| d.backend_mut().read(region.block_of(q)).unwrap().len())
-                .max()
-                .unwrap();
-            assert_eq!(d.live_blocks(), (64u64 << (level + 1)) - 128, "no bucket is chained");
-            sources.push(Source::from_region(region));
-        }
-        let nb_dst = 64u64 << 5;
-        let (mut raw, mut peak) = (Vec::new(), 0);
-        for q in 0..nb_dst {
-            raw.clear();
-            for src in sources.iter_mut() {
-                src.take_bucket(&mut d, &h, q, nb_dst, &mut raw).unwrap();
+        // Streams regions of `source_buckets` (each at load 1/2, b = 64)
+        // into `nb_dst` buckets as `compact` does. Returns the most
+        // items held at once — every stream's buffer plus the batch
+        // taken for the current bucket — beside the sum over streams of
+        // their fullest bucket.
+        let peak_held = |source_buckets: &[u64], nb_dst: u64| {
+            let mut d = mem_disk(64);
+            let h = hash();
+            let (mut next_key, mut one_bucket_each, mut blocks) = (0u64, 0, 0);
+            let mut sources = Vec::new();
+            for &nb in source_buckets {
+                let keys: Vec<u64> = (next_key..next_key + nb * 32).collect();
+                next_key += nb * 32;
+                let region = build_region(&mut d, &h, nb, &keys);
+                one_bucket_each += (0..nb)
+                    .map(|q| d.backend_mut().read(region.block_of(q)).unwrap().len())
+                    .max()
+                    .unwrap();
+                blocks += nb;
+                assert_eq!(d.live_blocks(), blocks, "no bucket is chained");
+                sources.push(Source::from_region(region));
             }
-            let buffered: usize = sources
-                .iter()
-                .map(|s| match s {
-                    Source::Disk(s) => s.buf.len(),
-                    Source::Mem { .. } => 0,
-                })
-                .sum();
-            peak = peak.max(buffered + raw.len());
-        }
-        assert!(peak <= bound, "held {peak} items > one bucket per stream ({bound})");
-        assert!(bound <= 4 * 64);
+            let (mut raw, mut peak) = (Vec::new(), 0);
+            for q in 0..nb_dst {
+                raw.clear();
+                for src in sources.iter_mut() {
+                    src.take_bucket(&mut d, &h, q, nb_dst, &mut raw).unwrap();
+                }
+                let buffered: usize = sources
+                    .iter()
+                    .map(|s| match s {
+                        Source::Disk(s) => s.buf.len(),
+                        Source::Mem { .. } => 0,
+                    })
+                    .sum();
+                peak = peak.max(buffered + raw.len());
+            }
+            assert_eq!(d.live_blocks(), 0, "every source was drained");
+            (peak, one_bucket_each)
+        };
+        // A carry at the benchmark's geometry before levels were sized by
+        // content (nb0 = 64, γ = 2): H1…H4 into H5, every source count
+        // divides the destination's. Bucket boundaries line up, so a
+        // stream holds one source bucket and nothing of the one before.
+        let (peak, one_bucket_each) = peak_held(&[128, 256, 512, 1024], 2048);
+        assert!(peak <= one_bucket_each, "held {peak} items > {one_bucket_each}");
+        assert!(one_bucket_each <= 4 * 64);
+        // Content-sized regions end that alignment: no source count here
+        // divides the destination's. A stream then still holds the tail
+        // of its previous bucket (what lies past the destination bucket
+        // being filled) when it reads the next one — under two source
+        // buckets, so the `2·j·b` a j-stream carry is budgeted
+        // (`LogMethodTable::with_disk`) holds with the batch counted in.
+        let (peak, one_bucket_each) = peak_held(&[128, 517, 1031], 2583);
+        assert!(peak <= 2 * one_bucket_each, "held {peak} items > 2 × {one_bucket_each}");
+        assert!(2 * one_bucket_each <= 2 * 3 * 64, "2·j·b at j = 3");
     }
 
     #[test]
