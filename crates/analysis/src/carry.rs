@@ -3,12 +3,17 @@
 //! [`crate::bounds`] gives Lemma 5 up to its hidden constant; this is the
 //! constant. For `n` distinct insertions the level structure evolves
 //! deterministically — which levels exist, how many items and buckets
-//! each has — and with blocks large enough that no bucket chains or
-//! stays empty (`b = 64` at load ≥ 1/8), every flush costs exactly one
-//! read per carried block, one write per freshly built block and one
+//! each has — and with blocks large enough that no bucket stays empty
+//! (`b = 64` at load ≥ 1/8), every flush costs exactly one read per
+//! carried block, one write per freshly built block and one
 //! read-modify-write per block merged into. The census replays that
-//! arithmetic without a table; `dxh_core`'s tests hold the measured
-//! `IoStats` of `LogMethodTable` **equal** to it at the deployed geometry.
+//! arithmetic without a table, over **primary** blocks: a level built at
+//! a sealed fill above `b/2` also chains the rare bucket that draws more
+//! than `b` items ([`crate::knuth::overflow_tail`] of them), and each
+//! chain block is one more write when built and one more read when
+//! carried. `dxh_core`'s tests hold the measured `IoStats` of
+//! `LogMethodTable` **equal** to the census plus the chain blocks they
+//! count at the deployed geometry.
 
 /// What `n` distinct insertions cost and leave behind, see
 /// [`carry_census`].
@@ -34,7 +39,9 @@ impl CarryCensus {
 }
 
 /// Replays the level migrations of `n` distinct insertions into a
-/// Lemma 5 table with block size `b`, memory `m` and growth factor `γ`.
+/// Lemma 5 table with block size `b`, memory `m`, growth factor `γ` and
+/// `sealed_fill` items per bucket of a sealed level (the table's
+/// `CoreConfig::sealed_fill`; `b/2` replays load 1/2 everywhere).
 ///
 /// `H0` holds `m/2` items in `m/b` buckets and `H_k` at most `γ^k·m/2`
 /// in at most `γ^k·m/b`. A full `H0` carries every level that cannot
@@ -42,8 +49,9 @@ impl CarryCensus {
 /// into the first that can, merging in place; into an empty level it
 /// builds a fresh region: the full geometry while a later arrival (more
 /// than `H_{k-1}`'s capacity, it carries an overflowing `H_{k-1}`) could
-/// still fit beside the `x` items landing, `⌈2x/b⌉` buckets once none can.
-pub fn carry_census(b: usize, m: usize, gamma: u64, n: usize) -> CarryCensus {
+/// still fit beside the `x` items landing, `⌈x/sealed_fill⌉` buckets
+/// once none can.
+pub fn carry_census(b: usize, m: usize, gamma: u64, sealed_fill: usize, n: usize) -> CarryCensus {
     let (h0, nb0) = (m / 2, ((m / b) as u64).max(1));
     let cap = |k: usize| (gamma.pow(k as u32) as usize) * h0;
     let mut c = CarryCensus { reads: 0, writes: 0, rmws: 0, levels: vec![(0, nb0)] };
@@ -69,7 +77,7 @@ pub fn carry_census(b: usize, m: usize, gamma: u64, n: usize) -> CarryCensus {
         } else {
             let full = nb0 * gamma.pow(k as u32);
             let sealed = k >= 2 && landing + cap(k - 1) >= cap(k);
-            *buckets = if sealed { (2 * landing).div_ceil(b) as u64 } else { full }.min(full);
+            *buckets = if sealed { landing.div_ceil(sealed_fill) as u64 } else { full }.min(full);
             c.writes += *buckets;
         }
         *items += landing;
@@ -84,27 +92,32 @@ mod tests {
 
     #[test]
     fn the_deployed_geometry_by_hand() {
-        // γ = 2, H0 = 2 048 items: H1 (128 buckets) takes two H0s in
-        // place; the third flush carries all three into a sealed H2 of
-        // 2·6 144/64 = 192 buckets (¾ of 256) — 128 reads, 192 writes.
-        let three = carry_census(64, 4096, 2, 3 * 2048);
-        assert_eq!((three.reads, three.writes, three.rmws), (128, 128 + 192, 128));
-        assert_eq!(three.levels, vec![(0, 64), (0, 0), (6144, 192)]);
+        // γ = 2, H0 = 2 048 items, 48 to a sealed bucket: H1 (128
+        // buckets) takes two H0s in place; the third flush carries all
+        // three into a sealed H2 of 6 144/48 = 128 buckets (½ of 256) —
+        // 128 reads, 128 writes.
+        let three = carry_census(64, 4096, 2, 48, 3 * 2048);
+        assert_eq!((three.reads, three.writes, three.rmws), (128, 128 + 128, 128));
+        assert_eq!(three.levels, vec![(0, 64), (0, 0), (6144, 128)]);
         // What the table tests pin: 48 flushes end in one sealed H6.
-        let c = carry_census(64, 4096, 2, 100_000);
-        assert_eq!(c.ios(), 21_504);
+        let c = carry_census(64, 4096, 2, 48, 100_000);
+        assert_eq!(c.ios(), 16_384);
         assert_eq!(c.levels[0], (100_000 - 48 * 2048, 64));
-        assert_eq!(c.levels[6], (48 * 2048, 3072));
+        assert_eq!(c.levels[6], (48 * 2048, 2048));
         assert!(c.levels[1..6].iter().all(|&l| l == (0, 0)));
+        // At b/2 to a bucket the same walk is the load-1/2 one: H2 at ¾
+        // of 256, 21 504 I/Os.
+        let half = carry_census(64, 4096, 2, 32, 100_000);
+        assert_eq!((half.ios(), half.levels[6]), (21_504, (48 * 2048, 3072)));
     }
 
     #[test]
     fn larger_growth_factors_keep_growable_levels_at_the_full_geometry() {
         // γ = 4: five H0s land in H2 (capacity 16) and two more carries
         // of five merge in place — sealed only from 12 H0s up.
-        let c = carry_census(64, 4096, 4, 15 * 2048);
+        let c = carry_census(64, 4096, 4, 48, 15 * 2048);
         assert_eq!(c.levels[2], (15 * 2048, 1024));
-        let c = carry_census(64, 4096, 4, 20 * 2048);
+        let c = carry_census(64, 4096, 4, 48, 20 * 2048);
         assert_eq!(c.levels[2], (0, 0));
         assert_eq!(c.levels[3], (20 * 2048, 4096), "20 + 16 < 64: growable");
     }

@@ -121,13 +121,16 @@ fn main() {
     let compact_ms = ms(t0);
     phases.push(snapshot("compact", &store, 0, compact_ms));
     assert!(stats.bytes_after < stats.bytes_before, "compaction shrinks the file");
-    // The one level everything landed in: content-sized when no later
-    // arrival can fit beside it, at most the level's full geometry.
+    // The one level everything landed in: content-sized, at the sealed
+    // fill, when no later arrival can fit beside it; at most the level's
+    // full geometry.
     let geometry = store.table().level_geometry();
     let level = geometry.iter().rposition(|l| l.1 > 0).expect("the compacted level");
     let (region_buckets, full_buckets) = (geometry[level].1, cfg.level_buckets(level as u32));
+    let sealed_fill = cfg.sealed_fill();
     assert!(
-        region_buckets <= full_buckets && 2 * stats.live_items as u64 <= region_buckets * b as u64
+        region_buckets <= full_buckets
+            && stats.live_items as u64 <= region_buckets * sealed_fill as u64
     );
 
     // Verify: deleted keys absent, survivors present, across a reopen.
@@ -168,7 +171,8 @@ fn main() {
     println!(
         "reopen GC reclaimed {orphans} dead slots; compact: {} -> {} bytes \
          ({} live items, {} markers purged, {} shadowed copies dropped) \
-         in one H{level} region of {region_buckets} buckets (full geometry: {full_buckets})",
+         in one H{level} region of {region_buckets} buckets at the sealed fill, {sealed_fill} of \
+         {b} items a bucket (full geometry: {full_buckets})",
         stats.bytes_before, stats.bytes_after, stats.live_items, stats.purged, stats.shadowed
     );
     emit("KvStore space-reclamation lifecycle", &table, &args, "exp_compaction.csv");
@@ -179,7 +183,8 @@ fn main() {
          \"params\": {{\"b\": {b}, \"m\": {m}, \"n\": {n}, \"seed\": {seed}}},\n  \
          \"compaction\": {{\"bytes_before\": {}, \"bytes_after\": {}, \"live_items\": {}, \
          \"purged\": {}, \"shadowed\": {}, \"orphans_reclaimed\": {orphans}, \
-         \"level\": {level}, \"region_buckets\": {region_buckets}, \"full_buckets\": {full_buckets}}},\n  \"phases\": [\n{}\n  ]\n}}\n",
+         \"level\": {level}, \"region_buckets\": {region_buckets}, \"full_buckets\": {full_buckets}, \
+         \"sealed_fill\": {sealed_fill}}},\n  \"phases\": [\n{}\n  ]\n}}\n",
         stats.bytes_before,
         stats.bytes_after,
         stats.live_items,

@@ -419,7 +419,7 @@ mod tests {
                     }
                     let when = format!("b = {b}, γ = {gamma}, step {step}");
                     assert_eq!(t.log.level_items(), model.level_items(), "{when}");
-                    t.log.assert_load_at_most_half(&when);
+                    t.log.assert_levels_within_fill(&when);
                     t.log.assert_filters_track_levels(&when);
                     deepest = deepest.max(t.log.levels.iter().flatten().count());
                     // Mid-stream and at the end: side levels occupied,
@@ -471,7 +471,7 @@ mod tests {
                 }
                 let when = format!("b = {b}, step {step}");
                 assert_eq!(t.log.level_items(), model.level_items(), "{when}");
-                t.log.assert_load_at_most_half(&when);
+                t.log.assert_levels_within_fill(&when);
                 assert_eq!(t.lookup(key).unwrap(), Some(key * 3), "{when}");
             }
             assert!(model.region_carries >= 2, "b = {b}: the guard never decided a carry");

@@ -89,6 +89,12 @@ impl<M: StoreMedia> CommitLog<M> {
         round
     }
 
+    /// Whether a failed round could not be rolled back: the file may
+    /// hold bytes of a round that was reported failed.
+    pub(crate) fn is_poisoned(&self) -> bool {
+        self.poisoned
+    }
+
     /// Bytes currently in the log (drives the checkpoint threshold).
     pub(crate) fn size(&self) -> u64 {
         self.file.len() + self.sealed_len
@@ -553,6 +559,148 @@ mod tests {
         assert!(torn_log > 0, "no crash tore the COMMITLOG tail");
         assert!(lost_dirents > 0, "no crash lost an un-dir-synced dirent");
         assert!(mid_rename > 0, "no crash fell between a rename and its dir-sync");
+    }
+
+    fn service(env: &SimEnv) -> ShardedKvStore<SimMedia> {
+        let cfg = CoreConfig::lemma5(8, 128, 2).unwrap();
+        ShardedKvStore::open_on(SimMedia::unlocked(env), 2, cfg, 3).unwrap()
+    }
+
+    fn log_bytes(env: &SimEnv) -> Vec<u8> {
+        env.read_file(COMMITLOG).unwrap().unwrap_or_default()
+    }
+
+    /// A clean close leaves nothing for the next open to replay: once
+    /// every shard's final harden committed, the log — both segments — is
+    /// emptied, whatever point of the checkpoint cycle the service
+    /// stopped at; the reopen commits no manifest and serves every key.
+    #[test]
+    fn a_clean_close_empties_the_commit_log() {
+        use dxh_extmem::IoEvent;
+        for (puts, ckpt_bytes) in [(1u64, None), (300, None), (40, Some(128)), (47, Some(128))] {
+            let env = SimEnv::new();
+            let svc = service(&env);
+            if let Some(bytes) = ckpt_bytes {
+                svc.set_checkpoint_log_bytes(bytes); // rotations: a sealed segment comes and goes
+            }
+            for k in 0..puts {
+                svc.put(k, k + 1).unwrap();
+            }
+            if ckpt_bytes.is_none() {
+                assert!(!log_bytes(&env).is_empty(), "{puts} puts: acknowledged through the log");
+            }
+            drop(svc);
+            assert_eq!(log_bytes(&env), b"", "{puts} puts: the close emptied the log");
+            assert_eq!(env.read_file(COMMITLOG_OLD).unwrap(), None, "{puts} puts");
+            env.power_cycle();
+            env.take_trace();
+            let svc = service(&env);
+            let recovered = env.take_trace().iter().any(|e| match e {
+                IoEvent::Meta { label, .. } => {
+                    label.starts_with("file-rename") || label.starts_with("file-truncate")
+                }
+                _ => false,
+            });
+            assert!(!recovered, "{puts} puts: the reopen replayed, hardened or truncated");
+            for k in 0..puts {
+                assert_eq!(svc.get(k).unwrap(), Some(k + 1), "{puts} puts: key {k}");
+            }
+        }
+    }
+
+    /// A wedged shard's acknowledged batches may exist nowhere but in the
+    /// log (its poisoned store commits nothing at close): the close keeps
+    /// the log byte for byte and the reopen replays it.
+    #[test]
+    fn a_close_with_a_wedged_shard_keeps_the_commit_log() {
+        use dxh_extmem::FaultPlan;
+        let env = SimEnv::new();
+        let svc = service(&env);
+        let k0 = (0..).find(|&k| svc.shard_of(k) == 0).unwrap();
+        let k1 = (0..).find(|&k| svc.shard_of(k) == 1).unwrap();
+        svc.put(k0, 1).unwrap();
+        svc.put(k1, 1).unwrap();
+        env.set_plan(FaultPlan { fail_at: vec![env.ops()], ..Default::default() });
+        assert!(svc.put(k0, 2).is_err(), "the injected fault wedges shard 0");
+        svc.put(k1, 2).unwrap();
+        let before = log_bytes(&env);
+        assert_eq!(decode_log_records(&before).len(), 3, "k0 → 1, k1 → 1, k1 → 2");
+        drop(svc);
+        assert_eq!(log_bytes(&env), before);
+        let svc = service(&env);
+        assert_eq!(svc.get(k0).unwrap(), Some(1), "replayed: no manifest of shard 0 held it");
+        assert_eq!(svc.get(k1).unwrap(), Some(2));
+        drop(svc);
+        assert_eq!(log_bytes(&env), b"", "the recovered service closes clean");
+    }
+
+    /// Crash at every I/O of a clean close that finds a checkpoint
+    /// rotation half done — the final hardens, the window between the
+    /// last of them and the truncate, the sealed segment's removal, the
+    /// truncate itself: every acknowledged key survives, whether the
+    /// reopen finds the log whole or empty.
+    #[test]
+    fn close_crash_sweep_loses_no_acknowledged_key() {
+        use crate::media::CLEAN;
+        use dxh_extmem::{FaultPlan, IoEvent};
+        // One writer, one put at a time: the same I/Os in every run (the
+        // two final hardens interleave as the scheduler has it). A put
+        // is a 45-byte record, so the last one's round reaches the
+        // threshold, seals the log and checkpoints one shard of two: the
+        // close inherits a sealed segment. Returns the I/O clock before
+        // that put; `acked` takes every key whose put returned `Ok`.
+        let lifecycle = |env: &SimEnv, acked: &mut Vec<u64>| {
+            let svc = service(env);
+            svc.set_checkpoint_log_bytes(40 * 45);
+            let mut before_the_last_put = 0;
+            for k in 0..40u64 {
+                if k == 39 {
+                    before_the_last_put = env.ops();
+                }
+                if svc.put(k, k + 1).is_ok() {
+                    acked.push(k);
+                }
+            }
+            before_the_last_put
+        };
+        let (sweep_from, close_ends) = {
+            let env = SimEnv::new();
+            (lifecycle(&env, &mut Vec::new()), env.ops())
+        };
+        let (mut hardened_not_truncated, mut truncated) = (0, 0);
+        for k in sweep_from..close_ends + 1 {
+            let env = SimEnv::new();
+            env.set_plan(FaultPlan::crash(k, 0xC105E ^ k.rotate_left(23)));
+            let mut acked = Vec::new();
+            lifecycle(&env, &mut acked);
+            let crashed = env.crashed();
+            assert_eq!(crashed, k < close_ends, "crash_at {k}: the lifecycle takes {close_ends}");
+            // A shard's final harden ran iff the last thing that happened
+            // to its marker is the write that set it.
+            let trace = env.take_trace();
+            let hardened = (0..2).all(|si| {
+                let marker = format!("shard-{si:03}/{CLEAN}");
+                let removal = format!("file-remove {marker}");
+                let last = trace.iter().rev().find_map(|e| match e {
+                    IoEvent::Write { file, .. } if *file == marker => Some(true),
+                    IoEvent::Meta { label, .. } if *label == removal => Some(false),
+                    _ => None,
+                });
+                last == Some(true)
+            });
+            env.power_cycle();
+            let log_left = log_bytes(&env).len()
+                + env.read_file(COMMITLOG_OLD).unwrap().map_or(0, |sealed| sealed.len());
+            assert!(crashed || (hardened && log_left == 0), "crash_at {k}");
+            hardened_not_truncated += usize::from(hardened && log_left > 0);
+            truncated += usize::from(log_left == 0);
+            let svc = service(&env);
+            for key in acked {
+                assert_eq!(svc.get(key).unwrap(), Some(key + 1), "crash_at {k}: key {key}");
+            }
+        }
+        assert!(hardened_not_truncated > 0, "no crash fell between the hardens and the truncate");
+        assert!(truncated > 0, "no run got as far as the truncate");
     }
 
     proptest! {

@@ -127,11 +127,30 @@ impl CoreConfig {
     }
 
     /// Level `k`'s **full geometry** `γ^k · (m/b)` buckets — an upper
-    /// bound: what a level that can still grow is allocated, and the
-    /// most any level may occupy. A level no later merge can grow is
-    /// built smaller, see [`CoreConfig::fresh_level_buckets`].
+    /// bound: what a level that can still grow is allocated (load ≤ 1/2
+    /// at its capacity, the slack Lemma 5 keeps for in-place merges), and
+    /// the most any level may occupy. A level no later merge can grow is
+    /// built smaller and denser, see [`CoreConfig::fresh_level_buckets`].
     pub fn level_buckets(&self, k: u32) -> u64 {
         self.nb0().saturating_mul(self.gamma.saturating_pow(k))
+    }
+
+    /// The **sealed fill** `λ(b) = max(⌈b/2⌉, b − ⌈2√b⌉)`: how many
+    /// items per bucket a level that is written once and only read
+    /// afterwards is built at. A bucket of such a level holds
+    /// `≈ Poisson(λ)` items, so `b − λ = 2√b ≥ 2√λ` puts the block size
+    /// two standard deviations above the mean and a bucket overflows
+    /// into a chain block with probability ≈ 1–2 % at every `b` — Knuth's
+    /// static table at a constant load below 1
+    /// (`dxh_analysis::knuth::overflow_tail(64, 0.75)` = 1.1 %). 48 at
+    /// `b = 64` (load ¾), 224 at `b = 256` (load ⅞), and `⌈b/2⌉` for
+    /// every `b ≤ 16`, where two deviations leave no room above load 1/2.
+    /// A pure function of `b`.
+    pub fn sealed_fill(&self) -> usize {
+        let four_b = self.b.saturating_mul(4);
+        let root = four_b.isqrt();
+        let two_sqrt_b = root + usize::from(root * root < four_b);
+        self.b.div_ceil(2).max(self.b.saturating_sub(two_sqrt_b))
     }
 
     /// Bucket count for a freshly built level `k` in which `landing`
@@ -141,13 +160,15 @@ impl CoreConfig {
     /// Whatever next arrives at `H_k` carries an overflowing `H_{k-1}`,
     /// so it brings more than `level_capacity(k-1)` items. When
     /// `landing + level_capacity(k-1) ≥ level_capacity(k)` that arrival
-    /// cannot fit: the level is *sealed* — it will be carried deeper,
-    /// never merged into — and gets `⌈2·landing/b⌉` buckets, load ≤ 1/2
-    /// for the most it can ever hold. Otherwise (and always for `H1`,
-    /// which `H0` feeds directly) it can still grow and keeps the full
-    /// [`CoreConfig::level_buckets`]. Lemma 5 prices a migration by the
-    /// destination's bucket count and needs only load ≤ 1/2, which both
-    /// branches give.
+    /// cannot fit: the level is *sealed* — written once, read until it
+    /// is carried deeper, never merged into — so it is a static table
+    /// and gets `⌈landing/λ(b)⌉` buckets, [`CoreConfig::sealed_fill`]
+    /// items each for the most it can ever hold; the rare bucket past
+    /// `b` chains one block. Otherwise (and always for `H1`, which `H0`
+    /// feeds directly) it can still grow and keeps the full
+    /// [`CoreConfig::level_buckets`], load ≤ 1/2: the slack is for
+    /// tables that still take inserts. Lemma 5 prices a migration by the
+    /// blocks it touches; both branches bound them by the full geometry.
     pub fn fresh_level_buckets(&self, k: u32, landing: usize) -> u64 {
         let full = self.level_buckets(k);
         let sealed =
@@ -155,7 +176,7 @@ impl CoreConfig {
         if !sealed {
             return full;
         }
-        (landing.saturating_mul(2).div_ceil(self.b) as u64).clamp(1, full)
+        (landing.div_ceil(self.sealed_fill()) as u64).clamp(1, full)
     }
 
     /// Level `k` item capacity `γ^k · m/2` (load factor ≤ 1/2).
@@ -227,24 +248,44 @@ mod tests {
     }
 
     #[test]
+    fn the_sealed_fill_sits_two_deviations_under_the_block_size() {
+        let fill = |b: usize| CoreConfig::lemma5(b, 8 * b + 48, 2).unwrap().sealed_fill();
+        assert_eq!((fill(64), fill(256), fill(1024)), (48, 224, 960));
+        assert_eq!((fill(32), fill(20), fill(17)), (20, 11, 9), "⌈2√b⌉ rounds up");
+        for b in 1..=16 {
+            assert_eq!(fill(b), b.div_ceil(2), "b = {b}: no room above load 1/2");
+        }
+        for b in 1..=4096usize {
+            let (f, gap) = (fill(b), (2.0 * (b as f64).sqrt()).ceil() as usize);
+            assert_eq!(f, b.div_ceil(2).max(b.saturating_sub(gap)), "b = {b}");
+            assert!(b.div_ceil(2) <= f && f <= b, "b = {b}");
+        }
+    }
+
+    #[test]
     fn a_fresh_level_is_sized_by_what_it_can_ever_hold() {
         // γ = 2: a carry into H_k brings more than cap(k-1) = cap(k)/2, so
-        // every level past H1 is born sealed at load exactly 1/2.
+        // every level past H1 is born sealed, 48 items to a 64-item block.
         let cfg = CoreConfig::lemma5(64, 4096, 2).unwrap();
         assert_eq!(cfg.fresh_level_buckets(1, 2048), 128, "H1 is fed by H0: never sealed");
-        assert_eq!(cfg.fresh_level_buckets(2, 3 * 2048), 192, "¾ of 256");
-        assert_eq!(cfg.fresh_level_buckets(3, 6 * 2048), 384, "¾ of 512");
-        assert_eq!(cfg.fresh_level_buckets(3, 4 * 2048), 256, "the boundary seals too");
+        assert_eq!(cfg.fresh_level_buckets(2, 3 * 2048), 128, "½ of 256");
+        assert_eq!(cfg.fresh_level_buckets(3, 6 * 2048), 256, "½ of 512");
+        assert_eq!(cfg.fresh_level_buckets(3, 6 * 2048 + 1), 257, "rounds up");
+        assert_eq!(cfg.fresh_level_buckets(3, 4 * 2048), 171, "the boundary seals too");
         assert_eq!(cfg.fresh_level_buckets(3, 4 * 2048 - 1), 512, "one more arrival still fits");
-        assert_eq!(cfg.fresh_level_buckets(3, 8 * 2048), 512, "a full level has the full geometry");
+        assert_eq!(cfg.fresh_level_buckets(3, 8 * 2048), 342, "a full level: ⅔ of the geometry");
         // γ = 4: 5 H0s land in H2 (cap 16 H0s) and two more carries of 5
         // fit beside them — growable until 12 H0s are there.
         let cfg = CoreConfig::lemma5(64, 4096, 4).unwrap();
         assert_eq!(cfg.fresh_level_buckets(2, 5 * 2048), cfg.level_buckets(2));
-        assert_eq!(cfg.fresh_level_buckets(2, 12 * 2048), 768);
+        assert_eq!(cfg.fresh_level_buckets(2, 12 * 2048), 512);
+        // b ≤ 16: the fill is b/2, the sizing what load 1/2 gives.
+        let cfg = CoreConfig::lemma5(8, 128, 2).unwrap();
+        assert_eq!(cfg.fresh_level_buckets(2, 150), 38);
+        assert_eq!(cfg.fresh_level_buckets(2, cfg.level_capacity(2)), cfg.level_buckets(2));
         // b ∤ m: never more than the full geometry, never zero.
         let cfg = CoreConfig::lemma5(7, 120, 2).unwrap();
-        assert_eq!(cfg.fresh_level_buckets(2, cfg.level_capacity(2)), cfg.level_buckets(2));
+        assert_eq!(cfg.fresh_level_buckets(2, 2 * cfg.level_capacity(2)), cfg.level_buckets(2));
         assert_eq!(cfg.fresh_level_buckets(2, 0), cfg.level_buckets(2));
         assert!(cfg.fresh_level_buckets(70, usize::MAX) >= 1, "saturates, never overflows");
     }

@@ -6,9 +6,11 @@
 //! * [`LogMethodTable`] — **Lemma 5**: the logarithmic method applied to
 //!   external hashing. A memory-resident table `H0` (≤ m/2 items) plus
 //!   disk tables `H_k` of at most `γ^k · m/2` items in at most
-//!   `γ^k · m/b` buckets, each at load ≤ 1/2 — the full bucket count
-//!   while a level can still grow, `⌈2x/b⌉` for its `x` items once no
-//!   later merge can reach it ([`CoreConfig::fresh_level_buckets`]);
+//!   `γ^k · m/b` buckets — the full bucket count, load ≤ 1/2, while a
+//!   level can still grow; once no later merge can reach it, a static
+//!   table of `⌈x/λ(b)⌉` buckets for its `x` items, packed to the
+//!   sealed fill ([`CoreConfig::fresh_level_buckets`],
+//!   [`CoreConfig::sealed_fill`]: 48 of 64 items a block);
 //!   overflowing levels migrate downward by a sequential bucket-ordered
 //!   scan. Insertions cost `O((γ/b)·log(n/m))` amortized; lookups cost
 //!   `O(log_γ(n/m))` at worst — the first levels keep Bloom filters in

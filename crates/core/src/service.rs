@@ -563,12 +563,13 @@ const CHECKPOINT_LOG_BYTES: u64 = 4 * 1024 * 1024;
 
 /// The coordinator thread body: turn accumulated dirt into sync rounds
 /// until shutdown finds nothing left to flush. The coordinator is the
-/// commit log's only writer.
+/// commit log's only writer; it hands the log back when it exits, so the
+/// service's drop can empty it once the final hardens made it redundant.
 fn coordinator_loop<M: StoreMedia>(
     shards: Vec<Arc<Shard<M>>>,
     coord: Arc<SyncCoordinator>,
     mut log: CommitLog<M>,
-) {
+) -> CommitLog<M> {
     // The active checkpoint rotation: shards still owing a staggered
     // manifest harden, in turn order. Empty between rotations.
     let mut rotation: VecDeque<usize> = VecDeque::new();
@@ -588,7 +589,7 @@ fn coordinator_loop<M: StoreMedia>(
                     break;
                 }
                 if st.shutdown {
-                    return;
+                    return log;
                 }
                 st = coord.cv.wait(st);
             }
@@ -1172,7 +1173,8 @@ pub struct ShardedKvStore<M: StoreMedia = DirMedia> {
     router: IdealFn,
     coord: Arc<SyncCoordinator>,
     committers: Vec<Option<JoinHandle<()>>>,
-    coordinator: Option<JoinHandle<()>>,
+    /// Joins to the commit log the coordinator owned (see `Drop`).
+    coordinator: Option<JoinHandle<CommitLog<M>>>,
     /// Whether every shard runs in payload mode (byte values in a blob
     /// log) — a service-wide property baked in at create time, like the
     /// shard count.
@@ -1761,30 +1763,51 @@ impl<M: StoreMedia> ShardedKvStore<M> {
 impl<M: StoreMedia> Drop for ShardedKvStore<M> {
     /// The drain-then-sync shutdown handshake. First the coordinator is
     /// retired (it finishes any active round — committers are still
-    /// alive to serve it — flushes remaining dirt, and exits; after its
-    /// join no new harden request can ever arrive). Then each committer
-    /// is told to shut down: it drains its pending queue, runs one final
-    /// `harden(true)` (restoring the `CLEAN` marker the steady-state
-    /// rounds skip), and joins. No enqueued op is lost, and a wedged
-    /// shard — whose store is poisoned and must commit nothing — skips
-    /// the final harden instead of hanging the join.
+    /// alive to serve it — flushes remaining dirt, and exits, handing
+    /// back the commit log; after its join no new harden request can
+    /// ever arrive). Then each committer is told to shut down: it drains
+    /// its pending queue, runs one final `harden(true)` (restoring the
+    /// `CLEAN` marker the steady-state rounds skip), and joins. No
+    /// enqueued op is lost, and a wedged shard — whose store is poisoned
+    /// and must commit nothing — skips the final harden instead of
+    /// hanging the join.
+    ///
+    /// Last, the commit log is emptied: every shard's manifest now
+    /// covers every record it holds, so the next open has nothing to
+    /// read, decode and watermark-skip, and a closed service's footprint
+    /// does not depend on where in the log's checkpoint cycle it stopped.
+    /// Only a shutdown that was clean throughout may do this — no shard
+    /// wedged (its records may exist nowhere else), no thread panicked,
+    /// the log not poisoned: the precondition reopen-time replay empties
+    /// the log under. Otherwise the log stays, byte for byte, for that
+    /// replay.
     fn drop(&mut self) {
         {
             let mut st = self.coord.state.lock();
             st.shutdown = true;
         }
         self.coord.cv.notify_all();
-        if let Some(h) = self.coordinator.take() {
-            let _ = h.join();
-        }
+        let log = self.coordinator.take().and_then(|h| h.join().ok());
         for shard in &self.shards {
             shard.buf.lock().shutdown = true;
             shard.work_cv.notify_all();
         }
+        // (An open that failed half-way drops a service with fewer
+        // committers than shards: those shards never hardened.)
+        let mut clean = self.committers.len() == self.shards.len();
         for h in &mut self.committers {
             if let Some(h) = h.take() {
-                let _ = h.join();
+                clean &= h.join().is_ok();
             }
+        }
+        for shard in &self.shards {
+            let buf = shard.buf.lock();
+            clean &= buf.wedged.is_none() && !buf.committer_dead;
+        }
+        if let Some(mut log) = log.filter(|log| clean && !log.is_poisoned() && log.size() > 0) {
+            // A failed truncate costs the next open a replay of records
+            // its manifests already cover, nothing else.
+            crate::media::best_effort(log.truncate());
         }
     }
 }

@@ -720,11 +720,11 @@ impl<M: StoreMedia> KvStore<M> {
     /// smallest level that holds it, in a fresh generation-named
     /// file; the manifest commit then atomically swaps the store over to
     /// it and the old file is unlinked. Afterwards the file holds
-    /// exactly the live data footprint (plus that region's load-≤ 1/2
-    /// slack — "within one level-region"). The region is sized like any
-    /// freshly built level ([`CoreConfig::fresh_level_buckets`]): by its
-    /// content when no later merge can fit beside it, else at the
-    /// level's full geometry.
+    /// exactly the live data footprint (plus that region's slack —
+    /// "within one level-region"). The region is sized like any freshly
+    /// built level ([`CoreConfig::fresh_level_buckets`]): by its content,
+    /// at the sealed fill ([`CoreConfig::sealed_fill`]), when no later
+    /// merge can fit beside it, else at the level's full geometry.
     ///
     /// The pass first streams through a region sized by the physical
     /// item count (markers and shadowed copies included — the live count
@@ -2443,68 +2443,115 @@ mod tests {
     /// content — every level at the full geometry, as the golden level
     /// lines show — reopens (clean and through the recovery walk),
     /// answers every key and keeps ingesting: its levels are merged into
-    /// and carried like any other. The same manifest with one level field
-    /// out of range is rejected, not believed: an item count is summed by
-    /// `len()` and by every flush's carry walk.
+    /// and carried like any other. So does one laid out by the version
+    /// that sized sealed levels by content at load 1/2, before they were
+    /// packed to the sealed fill (b = 64, where the two differ). The same
+    /// manifest with one level field out of range is rejected, not
+    /// believed: an item count is summed by `len()` and by every flush's
+    /// carry walk.
     #[test]
     fn a_full_geometry_store_reopens_and_an_out_of_range_level_field_does_not() {
         use dxh_extmem::SimEnv;
-        let golden = ["level 2 0 64 132", "level 4 64 256 768"]; // m/b · 2^k buckets
-        let written_at_the_full_geometry = || {
-            let env = SimEnv::new();
-            let mut s = sim_store(&env);
-            for k in 0..900u64 {
-                s.insert(k, k + 1).unwrap();
+        type Layout<'a> = &'a dyn Fn(u32, &Region) -> u64;
+        // `held` keys written under `cfg` leave the levels `sized`; every
+        // level is then rebuilt with `layout`'s bucket count, which the
+        // `golden` level lines show. That image reopens clean and through
+        // the recovery walk, answers, and ingests up to `upto` keys; with
+        // its `level 2` line replaced by a mutant it is `Corrupt`.
+        let legacy = |cfg: &CoreConfig,
+                      (held, upto): (u64, u64),
+                      sized: &[(usize, u64)],
+                      layout: Layout,
+                      golden: &[&str],
+                      mutants: &[&str]| {
+            let open = |env: &SimEnv| {
+                crate::SimMedia::open(env).and_then(|m| KvStore::open_on(m, cfg.clone(), 84))
+            };
+            let written = || {
+                let env = SimEnv::new();
+                let mut s = open(&env).unwrap();
+                for k in 0..held {
+                    s.insert(k, k + 1).unwrap();
+                }
+                s.sync().unwrap();
+                assert_eq!(s.table.level_geometry()[1..], *sized);
+                s.mark_dirty().unwrap();
+                s.table.rebuild_levels(layout).unwrap();
+                drop(s);
+                let text = manifest_text(&env);
+                let levels: Vec<&str> = text.lines().filter(|l| l.starts_with("level ")).collect();
+                assert_eq!(levels, golden);
+                (env, text)
+            };
+            for clean in [true, false] {
+                let (env, _) = written();
+                if !clean {
+                    env.remove_file(CLEAN).unwrap();
+                    env.sync_dir("").unwrap();
+                }
+                let mut s = open(&env).unwrap();
+                assert_eq!(s.len() as u64, held);
+                for k in held..upto {
+                    s.insert(k, k + 1).unwrap();
+                }
+                for k in 0..upto {
+                    assert_eq!(s.lookup(k).unwrap(), Some(k + 1), "clean = {clean}, key {k}");
+                }
+                drop(s);
+                let mut s = open(&env).unwrap();
+                for k in (0..upto).step_by(49) {
+                    assert_eq!(s.lookup(k).unwrap(), Some(k + 1), "clean = {clean}, key {k} again");
+                }
             }
-            s.sync().unwrap();
-            let sized = s.table.level_geometry();
-            assert_eq!(sized[1..], [(0, 0), (132, 33), (0, 0), (768, 192)], "H2, H4: sealed");
-            s.mark_dirty().unwrap();
-            s.table.widen_to_full_geometry().unwrap();
-            drop(s);
-            let text = manifest_text(&env);
-            let levels: Vec<&str> = text.lines().filter(|l| l.starts_with("level ")).collect();
-            assert_eq!(levels, golden);
-            (env, text)
+            let (env, text) = written();
+            let level_2 =
+                golden.iter().find(|l| l.starts_with("level 2 ")).expect("H2 is occupied");
+            for mutant in mutants {
+                put_file(&env, MANIFEST, text.replace(level_2, mutant).as_bytes());
+                match open(&env) {
+                    Err(ExtMemError::Corrupt(_)) => {}
+                    Err(e) => panic!("{mutant}: {e}"),
+                    Ok(_) => panic!("{mutant} opened"),
+                }
+            }
         };
-        for clean in [true, false] {
-            let (env, _) = written_at_the_full_geometry();
-            if !clean {
-                env.remove_file(CLEAN).unwrap();
-                env.sync_dir("").unwrap();
-            }
-            let mut s = sim_store(&env);
-            assert_eq!(s.len(), 900);
-            for k in 900..2_500u64 {
-                s.insert(k, k + 1).unwrap();
-            }
-            for k in 0..2_500u64 {
-                assert_eq!(s.lookup(k).unwrap(), Some(k + 1), "clean = {clean}, key {k}");
-            }
-            drop(s);
-            let mut s = sim_store(&env);
-            for k in (0..2_500u64).step_by(49) {
-                assert_eq!(s.lookup(k).unwrap(), Some(k + 1), "clean = {clean}, key {k} again");
-            }
-        }
 
-        // `cfg()`: H2 has 64 buckets at most, 32 at least — 128 items
-        // seal it — and holds at most 256 items.
-        let (env, text) = written_at_the_full_geometry();
-        for mutant in [
-            "level 2 0 64 18446744073709551615",
-            "level 2 0 64 257",
-            "level 2 0 0 132",
-            "level 2 0 65 132",
-            "level 2 0 31 132",
-        ] {
-            put_file(&env, MANIFEST, text.replace(golden[0], mutant).as_bytes());
-            match crate::SimMedia::open(&env).and_then(|m| KvStore::open_on(m, cfg(), 84)) {
-                Err(ExtMemError::Corrupt(_)) => {}
-                Err(e) => panic!("{mutant}: {e}"),
-                Ok(_) => panic!("{mutant} opened"),
-            }
-        }
+        // Every level at the full geometry, m/b · 2^k buckets. `cfg()`: H2
+        // (sealed, like H4) has 64 buckets at most, 32 at least — 128
+        // items seal it — and holds at most 256 items.
+        legacy(
+            &cfg(),
+            (900, 2_500),
+            &[(0, 0), (132, 33), (0, 0), (768, 192)],
+            &|k, _| cfg().level_buckets(k),
+            &["level 2 0 64 132", "level 4 64 256 768"],
+            &[
+                "level 2 0 64 18446744073709551615",
+                "level 2 0 64 257",
+                "level 2 0 0 132",
+                "level 2 0 65 132",
+                "level 2 0 31 132",
+            ],
+        );
+        // The deployed geometry. Nine flushes and the sync's leave H1, a
+        // sealed H2 of three H0s and a sealed H3 of six: 128 and 256
+        // buckets at 48 items each, 192 and 384 as the previous version
+        // built them, at load 1/2. 4 096 items seal H2: 86 buckets of 48
+        // at least, where load 1/2 had 128 — one under the new floor is
+        // still out of range.
+        let big = CoreConfig::lemma5(64, 4096, 2).unwrap();
+        assert_eq!(big.fresh_level_buckets(2, 4_096), 86);
+        legacy(
+            &big,
+            (20_000, 50_000),
+            &[(1_568, 128), (6_144, 128), (12_288, 256)],
+            &|k, r| match r.buckets < big.level_buckets(k) {
+                true => (2 * r.items).div_ceil(big.b) as u64,
+                false => r.buckets,
+            },
+            &["level 1 0 128 1568", "level 2 128 192 6144", "level 3 1028 384 12288"],
+            &["level 2 128 85 6144"],
+        );
     }
 
     /// Every numeric token of a valid manifest, replaced by each of a

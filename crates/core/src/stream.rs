@@ -634,26 +634,44 @@ mod tests {
 
     #[test]
     fn k_way_merge_buffers_one_source_bucket_per_stream() {
-        // Streams regions of `source_buckets` (each at load 1/2, b = 64)
-        // into `nb_dst` buckets as `compact` does. Returns the most
-        // items held at once — every stream's buffer plus the batch
-        // taken for the current bucket — beside the sum over streams of
-        // their fullest bucket.
-        let peak_held = |source_buckets: &[u64], nb_dst: u64| {
+        // Streams regions of `source_buckets` (b = 64, `fill` items to a
+        // bucket on average; with `stuffed`, one bucket of the first
+        // region is topped up to a full chain block, 2b items) into
+        // `nb_dst` buckets as `compact` does. Returns the most items held
+        // at once — every stream's buffer plus the batch taken for the
+        // current bucket — beside the sum over streams of their fullest
+        // bucket, the fullest bucket of all, and how many buckets chain.
+        let peak_held = |source_buckets: &[u64], fill: u64, stuffed: bool, nb_dst: u64| {
             let mut d = mem_disk(64);
             let h = hash();
-            let (mut next_key, mut one_bucket_each, mut blocks) = (0u64, 0, 0);
-            let mut sources = Vec::new();
-            for &nb in source_buckets {
-                let keys: Vec<u64> = (next_key..next_key + nb * 32).collect();
-                next_key += nb * 32;
+            let (mut next_key, mut one_bucket_each, mut chained) = (0u64, 0, 0);
+            let (mut sources, mut fullest_of_all) = (Vec::new(), 0);
+            for (i, &nb) in source_buckets.iter().enumerate() {
+                let mut keys: Vec<u64> = (next_key..next_key + nb * fill).collect();
+                next_key += nb * fill;
+                if stuffed && i == 0 {
+                    let in_bucket_7 = |k: &u64| prefix_bucket(h.hash64(*k), nb) == 7;
+                    let held = keys.iter().filter(|k| in_bucket_7(k)).count();
+                    keys.extend((1 << 40..).filter(in_bucket_7).take(128 - held));
+                }
+                let live = d.live_blocks();
                 let region = build_region(&mut d, &h, nb, &keys);
-                one_bucket_each += (0..nb)
-                    .map(|q| d.backend_mut().read(region.block_of(q)).unwrap().len())
-                    .max()
-                    .unwrap();
-                blocks += nb;
-                assert_eq!(d.live_blocks(), blocks, "no bucket is chained");
+                chained += d.live_blocks() - live - nb;
+                let mut fullest = Vec::new();
+                for q in 0..nb {
+                    let mut bucket = Vec::new();
+                    let mut cur = Some(region.block_of(q));
+                    while let Some(id) = cur {
+                        let blk = d.backend_mut().read(id).unwrap();
+                        bucket.extend_from_slice(blk.items());
+                        cur = blk.next();
+                    }
+                    if bucket.len() > fullest.len() {
+                        fullest = bucket;
+                    }
+                }
+                one_bucket_each += fullest.len();
+                fullest_of_all = fullest_of_all.max(fullest.len());
                 sources.push(Source::from_region(region));
             }
             let (mut raw, mut peak) = (Vec::new(), 0);
@@ -672,24 +690,48 @@ mod tests {
                 peak = peak.max(buffered + raw.len());
             }
             assert_eq!(d.live_blocks(), 0, "every source was drained");
-            (peak, one_bucket_each)
+            (peak, one_bucket_each, fullest_of_all, chained)
         };
         // A carry at the benchmark's geometry before levels were sized by
-        // content (nb0 = 64, γ = 2): H1…H4 into H5, every source count
-        // divides the destination's. Bucket boundaries line up, so a
+        // content (nb0 = 64, γ = 2, load 1/2): H1…H4 into H5, every source
+        // count divides the destination's. Bucket boundaries line up, so a
         // stream holds one source bucket and nothing of the one before.
-        let (peak, one_bucket_each) = peak_held(&[128, 256, 512, 1024], 2048);
+        let (peak, one_bucket_each, _, chained) =
+            peak_held(&[128, 256, 512, 1024], 32, false, 2048);
         assert!(peak <= one_bucket_each, "held {peak} items > {one_bucket_each}");
         assert!(one_bucket_each <= 4 * 64);
+        assert_eq!(chained, 0, "no bucket chains at load 1/2");
         // Content-sized regions end that alignment: no source count here
         // divides the destination's. A stream then still holds the tail
         // of its previous bucket (what lies past the destination bucket
         // being filled) when it reads the next one — under two source
         // buckets, so the `2·j·b` a j-stream carry is budgeted
         // (`LogMethodTable::with_disk`) holds with the batch counted in.
-        let (peak, one_bucket_each) = peak_held(&[128, 517, 1031], 2583);
+        let (peak, one_bucket_each, ..) = peak_held(&[128, 517, 1031], 32, false, 2583);
         assert!(peak <= 2 * one_bucket_each, "held {peak} items > 2 × {one_bucket_each}");
         assert!(2 * one_bucket_each <= 2 * 3 * 64, "2·j·b at j = 3");
+        // Sealed sources at 48 to a bucket chain ≈ 1 % of their buckets,
+        // and a chained bucket is buffered whole, past b items. Aligned
+        // (H2…H5 of the deployed geometry into H6) or not, and with one
+        // bucket chaining a full block, the peak stays under one fullest
+        // bucket per stream — 221 / 252 / 175 / 206 items held — and that
+        // inside the budget (512 at j = 4, 384 at j = 3).
+        for (source_buckets, stuffed, nb_dst) in [
+            (&[128u64, 256, 512, 1024][..], false, 2048u64),
+            (&[128, 256, 512, 1024], true, 2048),
+            (&[128, 517, 1031], false, 1676),
+            (&[128, 517, 1031], true, 1676),
+        ] {
+            let (j, blocks) = (source_buckets.len(), source_buckets.iter().sum::<u64>());
+            let (peak, one_bucket_each, fullest, chained) =
+                peak_held(source_buckets, 48, stuffed, nb_dst);
+            let when = format!("{source_buckets:?} into {nb_dst}, stuffed: {stuffed}");
+            assert!(blocks / 250 < chained && chained < blocks / 40, "{when}: {chained} chains");
+            let fullest_chains = if stuffed { fullest == 128 } else { (65..96).contains(&fullest) };
+            assert!(fullest_chains, "{when}: the fullest bucket holds {fullest}");
+            assert!(peak <= one_bucket_each, "{when}: held {peak} items > {one_bucket_each}");
+            assert!(one_bucket_each <= 2 * j * 64, "{when}: {one_bucket_each} > 2·j·b at j = {j}");
+        }
     }
 
     #[test]
