@@ -234,52 +234,6 @@ fn ablation_costmodel(args: &ExpArgs) {
     emit("A3 — I/O cost model sensitivity", &t, args, "exp_ablation_costmodel.csv");
 }
 
-fn ablation_merge_style(args: &ExpArgs) {
-    let b = 64;
-    let m = 1024;
-    let n = args.scale(100_000, 12_000);
-    let mut t =
-        TextTable::new(["structure", "merge style", "tu (meas)", "reads", "writes", "rmws"]);
-    for rewrite_only in [false, true] {
-        let style = if rewrite_only { "rewrite (2 xfers/block)" } else { "in-place (fused rmw)" };
-        {
-            let c = 0.5;
-            let cfg = CoreConfig::theorem2(b, m, c).unwrap().rewrite_merges_only(rewrite_only);
-            let mut boot = BootstrappedTable::new(cfg, 41).unwrap();
-            insert_uniform(&mut boot, n, 42).unwrap();
-            let s = boot.disk_stats();
-            t.row([
-                format!("bootstrapped c={c}"),
-                style.to_string(),
-                fmt_f(boot.total_ios() as f64 / n as f64, 4),
-                s.reads.to_string(),
-                s.writes.to_string(),
-                s.rmws.to_string(),
-            ]);
-        }
-        let cfg = CoreConfig::lemma5(b, m, 2).unwrap().rewrite_merges_only(rewrite_only);
-        let mut log = dxh_core::LogMethodTable::new(cfg, 43).unwrap();
-        insert_uniform(&mut log, n, 44).unwrap();
-        let s = log.disk_stats();
-        t.row([
-            "log-method γ=2".to_string(),
-            style.to_string(),
-            fmt_f(log.total_ios() as f64 / n as f64, 4),
-            s.reads.to_string(),
-            s.writes.to_string(),
-            s.rmws.to_string(),
-        ]);
-    }
-    println!(
-        "A4: merge style — fusing each destination-block update into one\n\
-         read-modify-write (footnote 2: one seek) versus rebuilding into a\n\
-         fresh region. The fused scan is the paper's own 'merge by scanning\n\
-         in parallel' under its own accounting; rewriting costs ~2× on the\n\
-         merge-dominated configurations."
-    );
-    emit("A4 — in-place vs rewrite merges", &t, args, "exp_ablation_merge.csv");
-}
-
 fn ablation_memory(args: &ExpArgs) {
     let b = 64;
     let n = args.scale(100_000, 12_000);
@@ -336,13 +290,11 @@ fn main() {
         Some("cache") => ablation_cache(&args),
         Some("hashfn") => ablation_hashfn(&args),
         Some("costmodel") => ablation_costmodel(&args),
-        Some("merge") => ablation_merge_style(&args),
         Some("memory") => ablation_memory(&args),
         _ => {
             ablation_cache(&args);
             ablation_hashfn(&args);
             ablation_costmodel(&args);
-            ablation_merge_style(&args);
             ablation_memory(&args);
         }
     }

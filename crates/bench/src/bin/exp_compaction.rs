@@ -122,8 +122,7 @@ fn main() {
     phases.push(snapshot("compact", &store, 0, compact_ms));
     assert!(stats.bytes_after < stats.bytes_before, "compaction shrinks the file");
     // The one level everything landed in: content-sized, at the sealed
-    // fill, when no later arrival can fit beside it; at most the level's
-    // full geometry.
+    // fill; at most the level's full geometry.
     let geometry = store.table().level_geometry();
     let level = geometry.iter().rposition(|l| l.1 > 0).expect("the compacted level");
     let (region_buckets, full_buckets) = (geometry[level].1, cfg.level_buckets(level as u32));

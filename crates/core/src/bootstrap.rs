@@ -163,11 +163,8 @@ impl<F: HashFn, B: StorageBackend> BootstrappedTable<F, B> {
         if total == 0 {
             return Ok(());
         }
-        let needs_rebuild = self.cfg.rewrite_merges_only
-            || match &self.hat {
-                None => true,
-                Some(hat) => 2 * total > hat.buckets as usize * self.cfg.b,
-            };
+        let needs_rebuild =
+            self.hat.is_none_or(|hat| 2 * total > hat.buckets as usize * self.cfg.b);
         let mut sources = self.log.take_all_sources();
         if needs_rebuild {
             // Fresh region with slack: load 1/4 right after the rebuild.
@@ -183,7 +180,7 @@ impl<F: HashFn, B: StorageBackend> BootstrappedTable<F, B> {
             self.hat = Some(region);
         } else {
             let hat = self.hat.as_mut().expect("checked above");
-            merge_in_place(&mut self.disk, &self.log.hash, sources, hat, false, None)?;
+            merge_in_place(&mut self.disk, &self.log.hash, sources, hat)?;
         }
         self.merges += 1;
         self.batch_size = ((self.hat_items() as f64 / self.cfg.beta) as usize).max(1);
@@ -443,13 +440,17 @@ mod tests {
     }
 
     #[test]
-    fn the_side_structure_carries_a_deduplicated_sealed_level_too() {
+    fn the_side_structure_rebuilds_a_deduplicated_level_where_it_is() {
         use crate::log_method::carry_model::CarryModel;
         use rand::{rngs::StdRng, RngCore, SeedableRng};
-        // The stream of `log_method`'s guard test, behind a prefix of
-        // distinct keys: Ĥ must be large for the side structure to live
-        // through the six flushes the scenario needs between two merges
-        // (β = 2: it grows to half of Ĥ).
+        // Upserts over a universe smaller than H2's capacity, behind a
+        // prefix of distinct keys: Ĥ must be large for the side structure
+        // to live through six flushes between two merges (β = 2: it grows
+        // to half of Ĥ). The third flush builds H2 around ≈ 2.3 H0s of
+        // physical items, which deduplicate to at most the universe;
+        // three flushes later the same ≈ 2.3 H0s arrive again — within
+        // the level's capacity (4 H0s) — and H2 is read and rebuilt with
+        // them, which distinct keys at γ = 2 never do past H1.
         for (b, m, distinct, universe, steps) in
             [(64, 4096, 60_000u64, 3_000u64, 100_000u64), (4, 96, 1_500, 70, 3_000)]
         {
@@ -458,6 +459,7 @@ mod tests {
             let mut model = CarryModel::new(c);
             let mut inserted = std::collections::HashSet::new();
             let mut rng = StdRng::seed_from_u64(b as u64);
+            let (mut rebuilt_past_h1, mut before) = (0, t.log.level_items());
             for step in 0..distinct + steps {
                 // Re-inserts carry the same value: Ĥ-first lookups may
                 // serve the older copy until a merge.
@@ -470,11 +472,19 @@ mod tests {
                     model.drain();
                 }
                 let when = format!("b = {b}, step {step}");
-                assert_eq!(t.log.level_items(), model.level_items(), "{when}");
+                let after = t.log.level_items();
+                assert_eq!(after, model.level_items(), "{when}");
                 t.log.assert_levels_within_fill(&when);
                 assert_eq!(t.lookup(key).unwrap(), Some(key * 3), "{when}");
+                // Right after a flush (not a merge into Ĥ) into `dst`.
+                let dst = (1..after.len()).find(|&k| after[k] > 0);
+                if let (0, Some(dst)) = (after[0], dst) {
+                    let occupied = before.get(dst).is_some_and(|&n| n > 0);
+                    rebuilt_past_h1 += usize::from(dst >= 2 && occupied);
+                }
+                before = after;
             }
-            assert!(model.region_carries >= 2, "b = {b}: the guard never decided a carry");
+            assert!(rebuilt_past_h1 >= 2, "b = {b}: no flush stopped at an occupied level past H1");
             for key in 0..universe + distinct {
                 let expect = inserted.contains(&key).then_some(key * 3);
                 assert_eq!(t.lookup(key).unwrap(), expect, "b = {b}, key {key}");
@@ -534,25 +544,6 @@ mod tests {
             t.insert(k, 0).unwrap();
         }
         assert_eq!(t.lookup(42).unwrap(), Some(2), "merge applied newest-wins");
-    }
-
-    #[test]
-    fn rewrite_only_mode_same_contents_more_ios() {
-        let n = 4000u64;
-        let run = |rewrite_only: bool| {
-            let cfg = cfg(8, 128, 0.5).rewrite_merges_only(rewrite_only);
-            let mut t = BootstrappedTable::new(cfg, 31).unwrap();
-            for k in 0..n {
-                t.insert(k, k).unwrap();
-            }
-            for k in (0..n).step_by(17) {
-                assert_eq!(t.lookup(k).unwrap(), Some(k));
-            }
-            t.total_ios()
-        };
-        let fused = run(false);
-        let rewrite = run(true);
-        assert!(fused < rewrite, "in-place merges must be cheaper: {fused} vs {rewrite}");
     }
 
     #[test]

@@ -25,26 +25,13 @@ pub struct CoreConfig {
     pub beta: f64,
     /// I/O pricing convention.
     pub cost: IoCostModel,
-    /// Disable in-place merges: every level migration and `Ĥ` merge
-    /// rebuilds its destination into a fresh region (read source + read
-    /// old destination + write new — two transfers per destination block
-    /// instead of one fused read-modify-write). Exists for the A4
-    /// ablation; leave `false` for the paper's footnote-2 costs.
-    pub rewrite_merges_only: bool,
 }
 
 impl CoreConfig {
     /// Lemma 5 parameters: plain logarithmic method with growth factor
     /// `gamma`.
     pub fn lemma5(b: usize, m: usize, gamma: u64) -> Result<Self> {
-        let cfg = CoreConfig {
-            b,
-            m,
-            gamma,
-            beta: 2.0,
-            cost: IoCostModel::SeekDominated,
-            rewrite_merges_only: false,
-        };
+        let cfg = CoreConfig { b, m, gamma, beta: 2.0, cost: IoCostModel::SeekDominated };
         cfg.validate()?;
         Ok(cfg)
     }
@@ -57,14 +44,7 @@ impl CoreConfig {
             return Err(ExtMemError::BadConfig(format!("theorem2 requires 0 < c < 1, got {c}")));
         }
         let beta = (b as f64).powf(c).clamp(2.0, b as f64);
-        let cfg = CoreConfig {
-            b,
-            m,
-            gamma: 2,
-            beta,
-            cost: IoCostModel::SeekDominated,
-            rewrite_merges_only: false,
-        };
+        let cfg = CoreConfig { b, m, gamma: 2, beta, cost: IoCostModel::SeekDominated };
         cfg.validate()?;
         Ok(cfg)
     }
@@ -77,28 +57,14 @@ impl CoreConfig {
             return Err(ExtMemError::BadConfig("eps must be positive".into()));
         }
         let beta = (eps * b as f64 / 4.0).clamp(2.0, b as f64);
-        let cfg = CoreConfig {
-            b,
-            m,
-            gamma: 2,
-            beta,
-            cost: IoCostModel::SeekDominated,
-            rewrite_merges_only: false,
-        };
+        let cfg = CoreConfig { b, m, gamma: 2, beta, cost: IoCostModel::SeekDominated };
         cfg.validate()?;
         Ok(cfg)
     }
 
     /// Explicit parameters (validated).
     pub fn custom(b: usize, m: usize, gamma: u64, beta: f64) -> Result<Self> {
-        let cfg = CoreConfig {
-            b,
-            m,
-            gamma,
-            beta,
-            cost: IoCostModel::SeekDominated,
-            rewrite_merges_only: false,
-        };
+        let cfg = CoreConfig { b, m, gamma, beta, cost: IoCostModel::SeekDominated };
         cfg.validate()?;
         Ok(cfg)
     }
@@ -106,13 +72,6 @@ impl CoreConfig {
     /// Builder: sets the cost model.
     pub fn cost_model(mut self, cost: IoCostModel) -> Self {
         self.cost = cost;
-        self
-    }
-
-    /// Builder: disables in-place merges (A4 ablation; see the field
-    /// docs).
-    pub fn rewrite_merges_only(mut self, yes: bool) -> Self {
-        self.rewrite_merges_only = yes;
         self
     }
 
@@ -126,22 +85,21 @@ impl CoreConfig {
         self.m / 2
     }
 
-    /// Level `k`'s **full geometry** `γ^k · (m/b)` buckets — an upper
-    /// bound: what a level that can still grow is allocated (load ≤ 1/2
-    /// at its capacity, the slack Lemma 5 keeps for in-place merges), and
-    /// the most any level may occupy. A level no later merge can grow is
-    /// built smaller and denser, see [`CoreConfig::fresh_level_buckets`].
+    /// Level `k`'s **full geometry** `γ^k · (m/b)` buckets — Lemma 5's
+    /// table at load 1/2 of its capacity, and the most a level may
+    /// occupy. A level is built smaller and denser, see
+    /// [`CoreConfig::fresh_level_buckets`].
     pub fn level_buckets(&self, k: u32) -> u64 {
         self.nb0().saturating_mul(self.gamma.saturating_pow(k))
     }
 
     /// The **sealed fill** `λ(b) = max(⌈b/2⌉, b − ⌈2√b⌉)`: how many
-    /// items per bucket a level that is written once and only read
-    /// afterwards is built at. A bucket of such a level holds
-    /// `≈ Poisson(λ)` items, so `b − λ = 2√b ≥ 2√λ` puts the block size
-    /// two standard deviations above the mean and a bucket overflows
-    /// into a chain block with probability ≈ 1–2 % at every `b` — Knuth's
-    /// static table at a constant load below 1
+    /// items per bucket a level — written once and only read afterwards
+    /// — is built at. A bucket of such a level holds `≈ Poisson(λ)`
+    /// items, so `b − λ = 2√b ≥ 2√λ` puts the block size two standard
+    /// deviations above the mean and a bucket overflows into a chain
+    /// block with probability ≈ 1–2 % at every `b` — Knuth's static table
+    /// at a constant load below 1
     /// (`dxh_analysis::knuth::overflow_tail(64, 0.75)` = 1.1 %). 48 at
     /// `b = 64` (load ¾), 224 at `b = 256` (load ⅞), and `⌈b/2⌉` for
     /// every `b ≤ 16`, where two deviations leave no room above load 1/2.
@@ -155,28 +113,15 @@ impl CoreConfig {
 
     /// Bucket count for a freshly built level `k` in which `landing`
     /// physical items (shadowed copies and deletion markers included)
-    /// are about to land.
-    ///
-    /// Whatever next arrives at `H_k` carries an overflowing `H_{k-1}`,
-    /// so it brings more than `level_capacity(k-1)` items. When
-    /// `landing + level_capacity(k-1) ≥ level_capacity(k)` that arrival
-    /// cannot fit: the level is *sealed* — written once, read until it
-    /// is carried deeper, never merged into — so it is a static table
-    /// and gets `⌈landing/λ(b)⌉` buckets, [`CoreConfig::sealed_fill`]
-    /// items each for the most it can ever hold; the rare bucket past
-    /// `b` chains one block. Otherwise (and always for `H1`, which `H0`
-    /// feeds directly) it can still grow and keeps the full
-    /// [`CoreConfig::level_buckets`], load ≤ 1/2: the slack is for
-    /// tables that still take inserts. Lemma 5 prices a migration by the
-    /// blocks it touches; both branches bound them by the full geometry.
+    /// are about to land: `⌈landing/λ(b)⌉`, [`CoreConfig::sealed_fill`]
+    /// items each, within `1..=level_buckets(k)`. Every disk level is a
+    /// static table — written once, read until a later flush rebuilds
+    /// it with what arrives or carries it deeper, never written into —
+    /// so none keeps slack for inserts; the rare bucket past `b` chains
+    /// one block. Lemma 5 prices a migration by the blocks it touches,
+    /// which the full geometry bounds.
     pub fn fresh_level_buckets(&self, k: u32, landing: usize) -> u64 {
-        let full = self.level_buckets(k);
-        let sealed =
-            k >= 2 && landing.saturating_add(self.level_capacity(k - 1)) >= self.level_capacity(k);
-        if !sealed {
-            return full;
-        }
-        (landing.div_ceil(self.sealed_fill()) as u64).clamp(1, full)
+        (landing.div_ceil(self.sealed_fill()) as u64).clamp(1, self.level_buckets(k))
     }
 
     /// Level `k` item capacity `γ^k · m/2` (load factor ≤ 1/2).
@@ -263,21 +208,18 @@ mod tests {
     }
 
     #[test]
-    fn a_fresh_level_is_sized_by_what_it_can_ever_hold() {
-        // γ = 2: a carry into H_k brings more than cap(k-1) = cap(k)/2, so
-        // every level past H1 is born sealed, 48 items to a 64-item block.
+    fn a_fresh_level_is_sized_by_what_lands_in_it() {
+        // 48 items to a 64-item block at every level, H1 included.
         let cfg = CoreConfig::lemma5(64, 4096, 2).unwrap();
-        assert_eq!(cfg.fresh_level_buckets(1, 2048), 128, "H1 is fed by H0: never sealed");
+        assert_eq!(cfg.fresh_level_buckets(1, 2048), 43, "one H0: a third of 128");
+        assert_eq!(cfg.fresh_level_buckets(1, 2 * 2048), 86, "a full H1: ⅔ of the geometry");
         assert_eq!(cfg.fresh_level_buckets(2, 3 * 2048), 128, "½ of 256");
         assert_eq!(cfg.fresh_level_buckets(3, 6 * 2048), 256, "½ of 512");
         assert_eq!(cfg.fresh_level_buckets(3, 6 * 2048 + 1), 257, "rounds up");
-        assert_eq!(cfg.fresh_level_buckets(3, 4 * 2048), 171, "the boundary seals too");
-        assert_eq!(cfg.fresh_level_buckets(3, 4 * 2048 - 1), 512, "one more arrival still fits");
         assert_eq!(cfg.fresh_level_buckets(3, 8 * 2048), 342, "a full level: ⅔ of the geometry");
-        // γ = 4: 5 H0s land in H2 (cap 16 H0s) and two more carries of 5
-        // fit beside them — growable until 12 H0s are there.
+        // The growth factor only moves the clamp.
         let cfg = CoreConfig::lemma5(64, 4096, 4).unwrap();
-        assert_eq!(cfg.fresh_level_buckets(2, 5 * 2048), cfg.level_buckets(2));
+        assert_eq!(cfg.fresh_level_buckets(2, 5 * 2048), 214);
         assert_eq!(cfg.fresh_level_buckets(2, 12 * 2048), 512);
         // b ≤ 16: the fill is b/2, the sizing what load 1/2 gives.
         let cfg = CoreConfig::lemma5(8, 128, 2).unwrap();
@@ -286,7 +228,7 @@ mod tests {
         // b ∤ m: never more than the full geometry, never zero.
         let cfg = CoreConfig::lemma5(7, 120, 2).unwrap();
         assert_eq!(cfg.fresh_level_buckets(2, 2 * cfg.level_capacity(2)), cfg.level_buckets(2));
-        assert_eq!(cfg.fresh_level_buckets(2, 0), cfg.level_buckets(2));
+        assert_eq!(cfg.fresh_level_buckets(2, 0), 1);
         assert!(cfg.fresh_level_buckets(70, usize::MAX) >= 1, "saturates, never overflows");
     }
 

@@ -6,13 +6,11 @@
 //! * [`LogMethodTable`] — **Lemma 5**: the logarithmic method applied to
 //!   external hashing. A memory-resident table `H0` (≤ m/2 items) plus
 //!   disk tables `H_k` of at most `γ^k · m/2` items in at most
-//!   `γ^k · m/b` buckets — the full bucket count, load ≤ 1/2, while a
-//!   level can still grow; once no later merge can reach it, a static
-//!   table of `⌈x/λ(b)⌉` buckets for its `x` items, packed to the
-//!   sealed fill ([`CoreConfig::fresh_level_buckets`],
-//!   [`CoreConfig::sealed_fill`]: 48 of 64 items a block);
-//!   overflowing levels migrate downward by a sequential bucket-ordered
-//!   scan. Insertions cost `O((γ/b)·log(n/m))` amortized; lookups cost
+//!   `γ^k · m/b` buckets — each a static table, never written into:
+//!   `⌈x/λ(b)⌉` buckets for its `x` items, packed to the sealed fill
+//!   ([`CoreConfig::fresh_level_buckets`], [`CoreConfig::sealed_fill`]:
+//!   48 of 64 items a block); overflowing levels migrate downward by a
+//!   sequential bucket-ordered scan into a freshly built level. Insertions cost `O((γ/b)·log(n/m))` amortized; lookups cost
 //!   `O(log_γ(n/m))` at worst — the first levels keep Bloom filters in
 //!   the part of `m` the construction leaves idle ([`FilterPlan`]), so a
 //!   probe reads only the levels that can hold its key.

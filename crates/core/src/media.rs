@@ -129,10 +129,8 @@ pub(crate) fn best_effort<T, E>(_: std::result::Result<T, E>) {}
 /// contents; interrupted, a reopen sees the old ones — never a mix.
 ///
 /// `last_sync` runs between the tmp file's fdatasync and the rename:
-/// the place for a durability step the new contents vouch for that
-/// should leave nothing but the rename and the directory fsync between
-/// itself and the commit point (the store's data fsync, see
-/// `KvStore::harden`).
+/// the place for a durability step the new contents vouch for (the
+/// store's data fsync, see `KvStore::harden`).
 pub(crate) fn commit_file_atomic<M: StoreMedia>(
     media: &mut M,
     name: &str,

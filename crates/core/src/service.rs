@@ -1033,6 +1033,17 @@ fn apply_pending<M: StoreMedia>(shard: &Shard<M>) -> bool {
                     answers.push(*ans);
                 }
             }
+            // A failed log round wedges the shard from the coordinator's
+            // thread. If it did so while this batch was being applied,
+            // `wedge` found these cells in neither queue: answer them
+            // here, or their writers park forever. The batch still
+            // joins `unacked`, as the in-flight candidate it is.
+            let wedged = buf.wedged.clone();
+            if let Some(why) = &wedged {
+                for cell in &cells {
+                    *cell.0.lock() = Some(Err(why.clone()));
+                }
+            }
             let seq = buf.next_seq;
             buf.next_seq += 1;
             buf.last_applied_seq = seq;
@@ -1047,7 +1058,11 @@ fn apply_pending<M: StoreMedia>(shard: &Shard<M>) -> bool {
                 effects,
                 recorded,
             });
-            true
+            drop(buf);
+            if wedged.is_some() {
+                shard.ack_cv.notify_all();
+            }
+            wedged.is_none()
         }
         Some(why) => {
             let cells: Vec<Arc<OpCell>> = drained.cells().cloned().collect();
@@ -2042,6 +2057,45 @@ mod tests {
         let svc = sim_service(&env, 2, 15);
         assert_eq!(svc.get(k0).unwrap(), Some(1), "shard 0 recovered to its last batch");
         assert_eq!(svc.get(k1).unwrap(), Some(2));
+    }
+
+    /// A failed log round wedges a shard from the coordinator's thread,
+    /// and may do so while the committer is mid-apply: the batch is then
+    /// in neither queue `wedge` walks. Its writer must still get the
+    /// error — the apply answers its own cells when it finds the shard
+    /// wedged — instead of parking forever. The interleaving is forced:
+    /// a helper thread holds the store lock the apply needs until the
+    /// shard is wedged.
+    #[test]
+    fn a_shard_wedged_mid_apply_still_answers_that_batch() {
+        use std::sync::mpsc::channel;
+        let env = SimEnv::new();
+        let svc = sim_service(&env, 1, 19);
+        let (svc, shard) = (&svc, &svc.shards[0]);
+        let (held_tx, held_rx) = channel();
+        let (release_tx, release_rx) = channel::<()>();
+        let (answer_tx, answer_rx) = channel();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let _store = shard.store.lock();
+                held_tx.send(()).unwrap();
+                let _ = release_rx.recv();
+            });
+            held_rx.recv().unwrap();
+            scope.spawn(move || answer_tx.send(svc.put(1, 1)).unwrap());
+            while !shard.buf.lock().applying {
+                std::thread::yield_now();
+            }
+            wedge(shard, "log round failed".into(), &[]);
+            release_tx.send(()).unwrap();
+            let answered = answer_rx.recv_timeout(std::time::Duration::from_secs(20));
+            if answered.is_err() {
+                wedge(shard, "unpark the stranded writer".into(), &[]);
+            }
+            let answer = answered.expect("the writer of the mid-apply batch was never answered");
+            assert!(answer.unwrap_err().to_string().contains("log round failed"));
+        });
+        assert_eq!(svc.stats().wedged_shards, 1);
     }
 
     /// Ops enqueued but never driven still commit durably through the

@@ -100,8 +100,8 @@ use crate::log_method::LogMethodTable;
 // since the last manifest: written after each manifest commit, unlinked
 // before the first mutation after it. Its absence at reopen forces
 // recovery mode — the data file's slot count alone cannot detect a
-// crash, because post-sync merges can rewire manifest-referenced chains
-// through recycled slots without growing the file.
+// crash, because post-sync flushes can build whole levels in recycled
+// slots without growing the file.
 use crate::media::{
     clean_marker, clear_clean_marker, commit_file_atomic, read_text, remove_stale_generations,
     set_clean_marker, DirMedia, StoreMedia, DATA, MANIFEST, MANIFEST_DELTA,
@@ -360,18 +360,18 @@ impl<M: StoreMedia> KvStore<M> {
             }
             _ => {}
         }
-        // A region the code writes at level k has the level's full
-        // bucket count or — sealed, see `fresh_level_buckets` — at least
-        // that of the fewest items that seal it, and holds at most the
-        // level's capacity. A persisted `m`, `gamma`, bucket or item
-        // count outside that is corruption — caught here, before `H0`,
-        // the filters or anything else is sized from them, and before an
-        // item count is ever summed.
+        // A region at level k has between one bucket and the level's full
+        // bucket count — a level is sized by what landed in it (see
+        // `fresh_level_buckets`), and a harden's flush of a partial `H0`
+        // may land a handful of items — and holds at most the level's
+        // capacity. A persisted `m`, `gamma`, bucket or item count outside
+        // that is corruption — caught here, before `H0`, the filters or
+        // anything else is sized from them, and before an item count is
+        // ever summed.
         for (k, region) in m.levels.iter().enumerate() {
             let Some(r) = region else { continue };
             let (k, cfg) = (k as u32, &m.cfg);
-            let fewest_sealing = cfg.level_capacity(k) - cfg.level_capacity(k - 1);
-            let buckets = cfg.fresh_level_buckets(k, fewest_sealing)..=cfg.level_buckets(k);
+            let buckets = 1..=cfg.level_buckets(k);
             if !buckets.contains(&r.buckets) || r.items > cfg.level_capacity(k) {
                 return Err(corrupt("level region does not match the creation parameters"));
             }
@@ -408,10 +408,11 @@ impl<M: StoreMedia> KvStore<M> {
             backend.restore_free_list(m.free)?;
         } else {
             // Crash recovery: the manifest's free list is stale (post-sync
-            // merges may have rewired chains through once-free slots or
-            // past its slot count), but the manifest's regions are intact
-            // — frees after the crash-point sync were quarantined, never
-            // recycled. Walking those regions (primaries plus chains)
+            // flushes built levels in once-free slots and past its slot
+            // count), but the manifest's regions are intact — no flush
+            // writes into a level, and frees after the crash-point sync
+            // were quarantined, never recycled. Walking those regions
+            // (primaries plus chains)
             // therefore yields the exact live set; every unreachable slot
             // is a crash orphan, returned to the free list so it is
             // recycled before the file grows. An unreadable walk (torn
@@ -496,8 +497,8 @@ impl<M: StoreMedia> KvStore<M> {
     /// ever written right after a manifest carrying this handle's own
     /// free list: a handle that recovered from a crash and was never
     /// dirtied still owes that commit, because the manifest it found
-    /// lists as free the slots the crashed process's merges linked into
-    /// live chains.
+    /// carries the crashed process's list, not the one its own recovery
+    /// walk computed.
     pub fn harden(&mut self, set_marker: bool) -> Result<()> {
         self.check_poisoned()?;
         if !self.dirty && (!set_marker || clean_marker(&mut self.media)?) {
@@ -684,12 +685,12 @@ impl<M: StoreMedia> KvStore<M> {
             }
         }
         // Atomic and durable (tmp + fsync + rename + dir fsync), with the
-        // data fsync placed between the tmp file's fsync and the rename.
-        // Once the data file is durable, in-place merges sit under the
-        // *old* manifest, and a service whose commit log does not yet
-        // hold every batch they carry cannot replay its way back to a
-        // batch boundary from there — so nothing but the rename and its
-        // directory fsync may stand between that fsync and the commit.
+        // data fsync before the rename. A crash between the two finds
+        // new blocks durable under the *old* manifest, which is harmless:
+        // none of them is a block that manifest names (every level is
+        // built in fresh slots, never merged into), so the old state is
+        // intact and log replay above the old watermark lands on a batch
+        // boundary.
         let (table, dirty) = (&mut self.table, self.dirty);
         let sync_data = || if dirty { table.disk_mut().flush() } else { Ok(()) };
         commit_file_atomic(&mut self.media, MANIFEST, &out, sync_data)?;
@@ -723,8 +724,7 @@ impl<M: StoreMedia> KvStore<M> {
     /// exactly the live data footprint (plus that region's slack —
     /// "within one level-region"). The region is sized like any freshly
     /// built level ([`CoreConfig::fresh_level_buckets`]): by its content,
-    /// at the sealed fill ([`CoreConfig::sealed_fill`]), when no later
-    /// merge can fit beside it, else at the level's full geometry.
+    /// at the sealed fill ([`CoreConfig::sealed_fill`]).
     ///
     /// The pass first streams through a region sized by the physical
     /// item count (markers and shadowed copies included — the live count
@@ -1480,6 +1480,59 @@ mod tests {
         assert!(s.delete(1).unwrap());
         assert!(!dir.join(CLEAN).exists(), "a real delete is a mutation");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// What closes G4's window: between two manifest commits no block
+    /// the committed manifest names — primaries and chains, everything
+    /// the recovery walk reaches — is written at all. A flush builds its
+    /// destination in free slots, the levels it read are quarantined
+    /// until the next commit, and nothing is merged into in place: a
+    /// crash at any point finds the committed state byte for byte.
+    #[test]
+    fn no_block_a_committed_manifest_names_is_written_before_the_next_commit() {
+        use dxh_extmem::Block;
+        use rand::{rngs::StdRng, RngCore, SeedableRng};
+        let deployed = CoreConfig::lemma5(64, 4096, 2).unwrap();
+        for (tag, c, rounds) in [("small", cfg(), 7), ("deployed", deployed, 4)] {
+            // One H0 in H1 over deeper levels: the next flush finds room
+            // in a level the manifest names.
+            let held = (3 * rounds + 1) * c.h0_capacity() as u64;
+            let dir = tmp_dir(&format!("immutable-{tag}"));
+            let _ = fs::remove_dir_all(&dir);
+            let mut s = KvStore::open(&dir, c.clone(), 31).unwrap();
+            for k in 0..held {
+                s.insert(k, k).unwrap();
+            }
+            s.sync().unwrap();
+            let text = fs::read_to_string(dir.join(MANIFEST)).unwrap();
+            let committed = Manifest::parse(&text).unwrap();
+            assert_eq!(committed.levels[1].map(|r| r.items), Some(c.h0_capacity()));
+            let backend = s.table.disk_mut().backend_mut();
+            let mut named = vec![true; committed.slots as usize];
+            for id in scan_region_free(backend, &committed.levels).unwrap() {
+                named[id as usize] = false;
+            }
+            assert!(named.iter().filter(|&&n| n).count() as u64 >= held / c.b as u64);
+            let data = s.data_path().unwrap();
+            let before = fs::read(&data).unwrap();
+            let mut rng = StdRng::seed_from_u64(31);
+            for step in 0..6 * c.h0_capacity() as u64 {
+                let key = rng.next_u64() % (2 * held);
+                match rng.next_u64() % 4 {
+                    0 => drop(s.delete(key).unwrap()),
+                    _ => s.insert(key, step).unwrap(),
+                }
+            }
+            assert_ne!(s.table.persisted_levels(), &committed.levels[..], "{tag}: no flush ran");
+            let after = fs::read(&data).unwrap();
+            let slot = Block::encoded_len(c.b);
+            for id in (0..named.len()).filter(|&id| named[id]) {
+                let bytes = id * slot..(id + 1) * slot;
+                assert!(before[bytes.clone()] == after[bytes], "{tag}: block {id} was written");
+            }
+            crash(s);
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -2439,16 +2492,17 @@ mod tests {
         assert!(stale_chains_skipped >= 2, "no run left a folded chain behind to be skipped");
     }
 
-    /// A store laid out by the version before sealed levels were sized by
+    /// A store laid out by the version before levels were sized by
     /// content — every level at the full geometry, as the golden level
     /// lines show — reopens (clean and through the recovery walk),
-    /// answers every key and keeps ingesting: its levels are merged into
-    /// and carried like any other. So does one laid out by the version
-    /// that sized sealed levels by content at load 1/2, before they were
-    /// packed to the sealed fill (b = 64, where the two differ). The same
-    /// manifest with one level field out of range is rejected, not
-    /// believed: an item count is summed by `len()` and by every flush's
-    /// carry walk.
+    /// answers every key and keeps ingesting: its levels are read into
+    /// flushes and rebuilt like any other. So do the layouts of the two
+    /// versions between (b = 64, where they differ): `H1` at the full
+    /// geometry over deeper levels sized by content at load 1/2, then at
+    /// the sealed fill. The same manifest with one level field out of
+    /// range — no bucket, more than the full geometry, more items than
+    /// the capacity — is rejected, not believed: an item count is summed
+    /// by `len()` and by every flush's carry walk.
     #[test]
     fn a_full_geometry_store_reopens_and_an_out_of_range_level_field_does_not() {
         use dxh_extmem::SimEnv;
@@ -2517,8 +2571,7 @@ mod tests {
         };
 
         // Every level at the full geometry, m/b · 2^k buckets. `cfg()`: H2
-        // (sealed, like H4) has 64 buckets at most, 32 at least — 128
-        // items seal it — and holds at most 256 items.
+        // has 64 buckets at most and holds at most 256 items.
         legacy(
             &cfg(),
             (900, 2_500),
@@ -2530,27 +2583,38 @@ mod tests {
                 "level 2 0 64 257",
                 "level 2 0 0 132",
                 "level 2 0 65 132",
-                "level 2 0 31 132",
             ],
         );
-        // The deployed geometry. Nine flushes and the sync's leave H1, a
-        // sealed H2 of three H0s and a sealed H3 of six: 128 and 256
-        // buckets at 48 items each, 192 and 384 as the previous version
-        // built them, at load 1/2. 4 096 items seal H2: 86 buckets of 48
-        // at least, where load 1/2 had 128 — one under the new floor is
-        // still out of range.
+        // The deployed geometry. Nine flushes leave an H2 of three H0s
+        // and an H3 of six, the sync's an H1 of 1 568 items: 33, 128 and
+        // 256 buckets at 48 items each. The two versions before built H1
+        // with all its 128 buckets, and the earlier of them H2 and H3 at
+        // load 1/2, 192 and 384. H2 has 256 buckets at most and holds at
+        // most 8 192 items.
         let big = CoreConfig::lemma5(64, 4096, 2).unwrap();
-        assert_eq!(big.fresh_level_buckets(2, 4_096), 86);
+        let sized = [(1_568, 33), (6_144, 128), (12_288, 256)];
+        let mutants = ["level 2 128 0 6144", "level 2 128 257 6144", "level 2 128 192 8193"];
         legacy(
             &big,
             (20_000, 50_000),
-            &[(1_568, 128), (6_144, 128), (12_288, 256)],
-            &|k, r| match r.buckets < big.level_buckets(k) {
-                true => (2 * r.items).div_ceil(big.b) as u64,
-                false => r.buckets,
+            &sized,
+            &|k, r| {
+                if k == 1 {
+                    big.level_buckets(k)
+                } else {
+                    (2 * r.items).div_ceil(big.b) as u64
+                }
             },
-            &["level 1 0 128 1568", "level 2 128 192 6144", "level 3 1028 384 12288"],
-            &["level 2 128 85 6144"],
+            &["level 1 0 128 1568", "level 2 128 192 6144", "level 3 941 384 12288"],
+            &mutants,
+        );
+        legacy(
+            &big,
+            (20_000, 50_000),
+            &sized,
+            &|k, r| if k == 1 { big.level_buckets(k) } else { r.buckets },
+            &["level 1 0 128 1568", "level 2 128 128 6144", "level 3 941 256 12288"],
+            &mutants,
         );
     }
 
@@ -2758,7 +2822,10 @@ mod tests {
     /// re-recorded when level migration became one pass, and its slots,
     /// bases and bucket counts again when sealed levels became
     /// content-sized: 150 items in `⌈300/8⌉ = 38` buckets where `H2` has
-    /// 64, 342 in 86 where `H3` has 128); the marker-less half is the
+    /// 64, 342 in 86 where `H3` has 128; and slots, free list and bases
+    /// once more when `H1` stopped being merged into in place — it is
+    /// built in 16 buckets, then in 32, and both runs are free by the
+    /// time `H2` is built); the marker-less half is the
     /// state the chain's first frame used to carry, written as a whole
     /// manifest without the free list.
     #[test]
@@ -2772,13 +2839,13 @@ mod tests {
         }
         s.set_replay_watermark(5);
         s.sync().unwrap();
-        let free = "0,1,2,3,4,5,6,7,8,9,10,11,32,12,13,14,15,16,17,18,33,19,20,21,22,23,24,25,\
-                    26,27,28,29,30,31";
+        let free = "0,1,2,3,4,5,16,6,7,8,9,17,10,11,12,13,14,15,18,19,20,21,22,23,24,25,26,27,\
+                    28,29,50,30,31,32,33,34,35,36,51,37,38,39,40,41,42,43,44,45,46,47,48,49";
         assert_eq!(
             read_text(&mut s.media, MANIFEST).unwrap().unwrap(),
             format!(
                 "dxh-store v2\nb 8\nm 128\ngamma 2\nbeta 2\ncost seek\nseed 7\nepoch 2\ndata 0\n\
-                 blob 8445\nwatermark 5\nslots 73\nfree {free}\nlevels 3\nlevel 2 34 38 150\n"
+                 blob 8445\nwatermark 5\nslots 91\nfree {free}\nlevels 3\nlevel 2 52 38 150\n"
             )
         );
         for k in 150..400u64 {
@@ -2789,8 +2856,8 @@ mod tests {
         assert_eq!(
             read_text(&mut s.media, MANIFEST).unwrap().unwrap(),
             "dxh-store v2\nb 8\nm 128\ngamma 2\nbeta 2\ncost seek\nseed 7\nepoch 3\ndata 0\n\
-             blob 22900\nwatermark 9\nslots 191\nlevels 4\nlevel 1 159 32 58\n\
-             level 3 73 86 342\n"
+             blob 22900\nwatermark 9\nslots 192\nlevels 4\nlevel 1 177 15 58\n\
+             level 3 91 86 342\n"
         );
         assert!(s.media.read_file(MANIFEST_DELTA).unwrap().is_none(), "nothing writes the chain");
     }

@@ -6,10 +6,10 @@
 //! hash order, hence in nondecreasing *target*-bucket order for any target
 //! bucket count. Merging `k` tables into one region is therefore one
 //! synchronized linear pass — the paper's "scanning the two tables in
-//! parallel", generalized. A level migration uses exactly that: `H0` and
-//! every carried level stream into their destination together (see
-//! `LogStructure::flush`), so an item is read once and written once per
-//! migration however many levels it skips.
+//! parallel", generalized. A level migration uses exactly that: `H0`,
+//! every carried level and the level the carry stops at stream into a
+//! fresh destination together (see `LogStructure::flush`), so an item is
+//! read once and written once per migration however many levels it skips.
 //!
 //! Each disk stream maintains the invariant: after reading source buckets
 //! `0 … p−1`, every item with target bucket `q` such that
@@ -17,11 +17,11 @@
 //! the whole hash range of `q`). The merge advances `q` through the
 //! target, refilling lagging streams just-in-time, so the per-stream
 //! buffer never holds more than one source bucket past the boundary —
-//! a `k`-source merge keeps `k` such buffers, one per carried level.
+//! a `k`-source merge keeps `k` such buffers, one per disk level it reads.
 
 use std::collections::HashSet;
 
-use dxh_extmem::{BlockId, Disk, Item, Key, Result, StorageBackend};
+use dxh_extmem::{BlockId, Disk, ExtMemError, Item, Key, Result, StorageBackend};
 use dxh_hashfn::{prefix_bucket, HashFn};
 use dxh_tables::{chain_collect, write_bucket};
 
@@ -224,11 +224,19 @@ pub(crate) fn compact<B: StorageBackend, F: HashFn>(
             landed(&mut filter, hash, &merged);
         }
     }
-    // All sources must be fully drained.
-    debug_assert!(sources.iter().all(|s| match s {
+    // A source of this structure's making is in bucket order and so fully
+    // drained by now. One that is not was read off blocks that are not
+    // what was written there (media that lost a sync): the items left
+    // over belong to buckets already built, and must not vanish quietly.
+    let drained = sources.iter().all(|s| match s {
         Source::Mem { items, pos } => *pos == items.len(),
         Source::Disk(d) => d.next_bucket == d.region.buckets && d.buf.is_empty(),
-    }));
+    });
+    if !drained {
+        return Err(ExtMemError::Corrupt(
+            "a merge source holds items outside their buckets".into(),
+        ));
+    }
     Ok((Region { base, buckets: nb_dst, items: stats.items }, stats))
 }
 
@@ -267,15 +275,10 @@ pub(crate) fn compact_across<B: StorageBackend, C: StorageBackend, F: HashFn>(
 }
 
 /// Merges `sources` **in place** into the existing `region` (same bucket
-/// count), shadowing old copies of incoming keys. The caller must ensure
-/// the merged items still fit **this region** at load ≤ 1/2, by its own
-/// bucket count — a level's region may be smaller than the level's full
-/// geometry (`LogStructure::flush`'s guard; `Ĥ`'s resize test is the
-/// same inequality). With `purge` on (destination is the deepest
-/// level), an incoming deletion marker removes the key's old copy from
-/// the bucket and is itself dropped instead of written. Every key written
-/// is also added to `filter`, when the destination level keeps one (a
-/// replaced or purged key only leaves stale bits behind: harmless).
+/// count), shadowing old copies of incoming keys — Theorem 2's merge into
+/// `Ĥ`, the one table of this crate that keeps load ≤ 1/2 to be written
+/// into. The caller must ensure the merged items still fit the region at
+/// that load (`Ĥ`'s resize test).
 ///
 /// Cost: under the paper's seek-dominated accounting, the common case is
 /// **one combined I/O per bucket that receives items** (read-modify-write
@@ -286,13 +289,10 @@ pub(crate) fn merge_in_place<B: StorageBackend, F: HashFn>(
     hash: &F,
     mut sources: Vec<Source>,
     region: &mut Region,
-    purge: bool,
-    mut filter: Option<&mut LevelFilter>,
 ) -> Result<MergeStats> {
     let nb = region.buckets;
     let mut stats = MergeStats::default();
     let mut raw: Vec<Item> = Vec::new();
-    let mut incoming: Vec<Item> = Vec::new();
     let mut adds: Vec<Item> = Vec::new();
     let mut seen: HashSet<Key> = HashSet::new();
     for q in 0..nb {
@@ -303,71 +303,44 @@ pub(crate) fn merge_in_place<B: StorageBackend, F: HashFn>(
         if raw.is_empty() {
             continue;
         }
-        // Dedup the incoming batch itself (earlier source wins), then
-        // split it: every incoming key's old copy must go, but only
-        // `adds` (everything except purged deletion markers) is written.
-        incoming.clear();
+        // Dedup the incoming batch itself (earlier source wins).
         adds.clear();
         seen.clear();
-        dedup_bucket(&raw, &mut seen, &mut incoming, false, &mut stats);
-        for &it in &incoming {
-            if purge && it.is_delete_marker() {
-                stats.purged += 1;
-            } else {
-                adds.push(it);
-            }
-        }
+        dedup_bucket(&raw, &mut seen, &mut adds, false, &mut stats);
         let head = region.block_of(q);
         // Fast path: an unchained primary with room for everything —
         // exactly one combined I/O. (A non-full primary implies no chain:
         // chains are only ever created once the primary is full.) A bucket
         // needing the slow path is left unmodified here, so `update`
         // charges only a read for the probe.
-        enum Applied {
-            Done { removed: usize },
-            NeedsFallback,
-        }
-        let incoming_ref = &incoming;
-        let adds_ref = &adds;
-        let applied = disk.update(head, move |blk| {
-            if blk.next().is_some() || blk.len() + adds_ref.len() > blk.capacity() {
-                return (false, Applied::NeedsFallback);
+        let applied = disk.update(head, |blk| {
+            if blk.next().is_some() || blk.len() + adds.len() > blk.capacity() {
+                return (false, None);
             }
-            let mut removed = 0;
-            for it in incoming_ref {
-                if blk.remove(it.key).is_some() {
-                    removed += 1;
-                }
-            }
-            for &it in adds_ref {
+            let removed = adds.iter().filter(|it| blk.remove(it.key).is_some()).count();
+            for &it in &adds {
                 blk.push(it).expect("checked capacity");
             }
-            (removed > 0 || !adds_ref.is_empty(), Applied::Done { removed })
+            (true, Some(removed))
         })?;
         let removed = match applied {
-            Applied::Done { removed } => removed,
-            Applied::NeedsFallback => {
+            Some(removed) => removed,
+            None => {
                 // Slow path: collect the whole bucket, merge in memory
                 // (incoming shadows old), rewrite.
                 let mut old = Vec::new();
                 chain_collect(disk, head, false, &mut old)?;
-                let mut removed = 0;
-                let incoming_keys: HashSet<Key> = incoming.iter().map(|it| it.key).collect();
-                old.retain(|it| {
-                    let dup = incoming_keys.contains(&it.key);
-                    removed += dup as usize;
-                    !dup
-                });
+                let before = old.len();
+                old.retain(|it| !seen.contains(&it.key));
                 let mut merged = adds.clone();
                 merged.extend_from_slice(&old);
                 write_bucket(disk, head, &merged)?;
-                removed
+                before - old.len()
             }
         };
         stats.shadowed += removed;
         stats.items += adds.len();
         region.items = region.items + adds.len() - removed;
-        landed(&mut filter, hash, &adds);
     }
     Ok(stats)
 }
@@ -478,6 +451,21 @@ mod tests {
     }
 
     #[test]
+    fn compact_refuses_a_source_with_items_outside_their_buckets() {
+        // Blocks that hold another table's items (media that lost a
+        // sync): bucket 1 of 2 holds a key of bucket 0, which is built by
+        // the time the stream reads it.
+        let h = hash();
+        let mut d = mem_disk(4);
+        let stray = (0..).find(|&k| prefix_bucket(h.hash64(k), 2) == 0).expect("some key");
+        let base = d.allocate_contiguous(2).unwrap();
+        write_bucket(&mut d, BlockId(base.raw() + 1), &[Item::new(stray, 0)]).unwrap();
+        let misplaced = Region { base, buckets: 2, items: 1 };
+        let merged = compact(&mut d, &h, vec![Source::from_region(misplaced)], 2, false, None);
+        assert!(matches!(merged, Err(ExtMemError::Corrupt(_))));
+    }
+
+    #[test]
     fn memory_source_merges_with_disk() {
         let mut d = mem_disk(4);
         let h = hash();
@@ -559,7 +547,7 @@ mod tests {
         let mut incoming: Vec<Item> = (100..106).map(|k| Item::new(k, k)).collect();
         incoming.push(Item::new(3, 999));
         let src = Source::from_memory(incoming, &h);
-        let stats = merge_in_place(&mut d, &h, vec![src], &mut region, false, None).unwrap();
+        let stats = merge_in_place(&mut d, &h, vec![src], &mut region).unwrap();
         assert_eq!(stats.items, 7);
         assert_eq!(stats.shadowed, 1, "old copy of key 3 replaced");
         assert_eq!(region.items, 16 + 7 - 1);
@@ -594,15 +582,7 @@ mod tests {
         let mut region = build_region(&mut d, &h, 16, &(0..32).collect::<Vec<_>>());
         let incoming: Vec<Item> = (1000..1016).map(|k| Item::new(k, k)).collect();
         let e = d.epoch();
-        merge_in_place(
-            &mut d,
-            &h,
-            vec![Source::from_memory(incoming, &h)],
-            &mut region,
-            false,
-            None,
-        )
-        .unwrap();
+        merge_in_place(&mut d, &h, vec![Source::from_memory(incoming, &h)], &mut region).unwrap();
         let io = d.since(&e).total(d.cost_model());
         // At most one combined I/O per bucket (16), usually fewer since
         // some buckets receive nothing.
@@ -615,15 +595,7 @@ mod tests {
         let h = hash();
         let mut region = build_region(&mut d, &h, 2, &(0..4).collect::<Vec<_>>());
         let incoming: Vec<Item> = (100..110).map(|k| Item::new(k, k)).collect();
-        merge_in_place(
-            &mut d,
-            &h,
-            vec![Source::from_memory(incoming, &h)],
-            &mut region,
-            false,
-            None,
-        )
-        .unwrap();
+        merge_in_place(&mut d, &h, vec![Source::from_memory(incoming, &h)], &mut region).unwrap();
         assert_eq!(region.items, 14);
         let mut keys = region_keys(&mut d, &region);
         keys.sort_unstable();
@@ -634,18 +606,20 @@ mod tests {
 
     #[test]
     fn k_way_merge_buffers_one_source_bucket_per_stream() {
-        // Streams regions of `source_buckets` (b = 64, `fill` items to a
-        // bucket on average; with `stuffed`, one bucket of the first
-        // region is topped up to a full chain block, 2b items) into
-        // `nb_dst` buckets as `compact` does. Returns the most items held
-        // at once — every stream's buffer plus the batch taken for the
-        // current bucket — beside the sum over streams of their fullest
-        // bucket, the fullest bucket of all, and how many buckets chain.
-        let peak_held = |source_buckets: &[u64], fill: u64, stuffed: bool, nb_dst: u64| {
+        // Streams `h0` memory-resident items and regions of
+        // `source_buckets` (b = 64, `fill` items to a bucket on average;
+        // with `stuffed`, one bucket of the first region is topped up to
+        // a full chain block, 2b items) into `nb_dst` buckets as `compact`
+        // does. Returns the most items held at once — every stream's
+        // buffer plus the batch taken for the current bucket — beside
+        // the sum over disk streams of their fullest bucket, the fullest
+        // bucket of all, and how many buckets chain.
+        let peak_held = |h0: u64, source_buckets: &[u64], fill: u64, stuffed: bool, nb_dst: u64| {
             let mut d = mem_disk(64);
             let h = hash();
-            let (mut next_key, mut one_bucket_each, mut chained) = (0u64, 0, 0);
-            let (mut sources, mut fullest_of_all) = (Vec::new(), 0);
+            let (mut next_key, mut one_bucket_each, mut chained) = (h0, 0, 0);
+            let drained_h0 = (0..h0).map(|k| Item::new(k, k)).collect();
+            let (mut sources, mut fullest_of_all) = (vec![Source::from_memory(drained_h0, &h)], 0);
             for (i, &nb) in source_buckets.iter().enumerate() {
                 let mut keys: Vec<u64> = (next_key..next_key + nb * fill).collect();
                 next_key += nb * fill;
@@ -697,7 +671,7 @@ mod tests {
         // count divides the destination's. Bucket boundaries line up, so a
         // stream holds one source bucket and nothing of the one before.
         let (peak, one_bucket_each, _, chained) =
-            peak_held(&[128, 256, 512, 1024], 32, false, 2048);
+            peak_held(0, &[128, 256, 512, 1024], 32, false, 2048);
         assert!(peak <= one_bucket_each, "held {peak} items > {one_bucket_each}");
         assert!(one_bucket_each <= 4 * 64);
         assert_eq!(chained, 0, "no bucket chains at load 1/2");
@@ -707,10 +681,10 @@ mod tests {
         // being filled) when it reads the next one — under two source
         // buckets, so the `2·j·b` a j-stream carry is budgeted
         // (`LogMethodTable::with_disk`) holds with the batch counted in.
-        let (peak, one_bucket_each, ..) = peak_held(&[128, 517, 1031], 32, false, 2583);
+        let (peak, one_bucket_each, ..) = peak_held(0, &[128, 517, 1031], 32, false, 2583);
         assert!(peak <= 2 * one_bucket_each, "held {peak} items > 2 × {one_bucket_each}");
         assert!(2 * one_bucket_each <= 2 * 3 * 64, "2·j·b at j = 3");
-        // Sealed sources at 48 to a bucket chain ≈ 1 % of their buckets,
+        // Sources at 48 to a bucket chain ≈ 1 % of their buckets,
         // and a chained bucket is buffered whole, past b items. Aligned
         // (H2…H5 of the deployed geometry into H6) or not, and with one
         // bucket chaining a full block, the peak stays under one fullest
@@ -724,13 +698,35 @@ mod tests {
         ] {
             let (j, blocks) = (source_buckets.len(), source_buckets.iter().sum::<u64>());
             let (peak, one_bucket_each, fullest, chained) =
-                peak_held(source_buckets, 48, stuffed, nb_dst);
+                peak_held(0, source_buckets, 48, stuffed, nb_dst);
             let when = format!("{source_buckets:?} into {nb_dst}, stuffed: {stuffed}");
             assert!(blocks / 250 < chained && chained < blocks / 40, "{when}: {chained} chains");
             let fullest_chains = if stuffed { fullest == 128 } else { (65..96).contains(&fullest) };
             assert!(fullest_chains, "{when}: the fullest bucket holds {fullest}");
             assert!(peak <= one_bucket_each, "{when}: held {peak} items > {one_bucket_each}");
             assert!(one_bucket_each <= 2 * j * 64, "{when}: {one_bucket_each} > 2·j·b at j = {j}");
+        }
+        // A flush that stops at an `H_j` with room reads it as one more
+        // disk stream — j of them, `H1 … H_j`, beside the drained `H0`,
+        // whose items the batch holds once more. The steady state of the
+        // deployed geometry, `H0` and an `H1` of one `H0` into an `H1` of
+        // two, fits the `4b + 16` reserved for it, with its one stream's
+        // fullest bucket chaining a full block too; deeper (γ = 4: `H1` of
+        // four `H0`s and an `H2` of five or ten into an `H2` of ten or
+        // fifteen; an `H3` of twenty beside them into one of forty) the
+        // j streams and `H0`'s share stay inside `2·j·b` — 92 / 148 items
+        // held of 272; 159 / 207 and 154 / 197 of 256; 203 / 252 of 384.
+        for stuffed in [false, true] {
+            let (peak, ..) = peak_held(2048, &[43], 48, stuffed, 86);
+            assert!(peak <= 4 * 64 + 16, "H0 + H1 into H1, stuffed: {stuffed}: held {peak}");
+            for (source_buckets, nb_dst) in
+                [(&[171u64, 214][..], 427u64), (&[171, 427], 640), (&[171, 640, 854], 1707)]
+            {
+                let j = source_buckets.len();
+                let (peak, ..) = peak_held(2048, source_buckets, 48, stuffed, nb_dst);
+                let when = format!("H0 + {source_buckets:?} into {nb_dst}, stuffed: {stuffed}");
+                assert!(peak <= 2 * j * 64, "{when}: held {peak} items > 2·j·b at j = {j}");
+            }
         }
     }
 
@@ -777,51 +773,17 @@ mod tests {
     }
 
     #[test]
-    fn in_place_merge_purges_markers() {
-        let mut d = mem_disk(4);
-        let h = hash();
-        let mut region = build_region(&mut d, &h, 8, &(0..16).collect::<Vec<_>>());
-        // Markers for two live keys and one absent key, plus one insert.
-        let incoming = vec![
-            Item::delete_marker(3),
-            Item::delete_marker(7),
-            Item::delete_marker(500),
-            Item::new(100, 100),
-        ];
-        let stats = merge_in_place(
-            &mut d,
-            &h,
-            vec![Source::from_memory(incoming, &h)],
-            &mut region,
-            true,
-            None,
-        )
-        .unwrap();
-        assert_eq!(stats.purged, 3);
-        assert_eq!(stats.items, 1, "only the real insert is written");
-        assert_eq!(region.items, 16 + 1 - 2, "two live copies knocked out");
-        let mut keys = region_keys(&mut d, &region);
-        keys.sort_unstable();
-        let expect: Vec<u64> =
-            (0..16).filter(|k| *k != 3 && *k != 7).chain(std::iter::once(100)).collect();
-        assert_eq!(keys, expect);
-    }
-
-    #[test]
-    fn merges_add_every_key_they_write_to_the_level_filter() {
+    fn compact_adds_every_key_it_writes_to_the_level_filter() {
         use crate::config::CoreConfig;
         use crate::filter::FilterPlan;
         let cfg = CoreConfig::lemma5(2, 256, 2).unwrap();
         let mut filter = FilterPlan::derive(&cfg, 64).new_filter(1).expect("H1 fits in 64 items");
-        let mut d = mem_disk(2); // tiny blocks: the in-place pass takes both paths
+        let mut d = mem_disk(2); // tiny blocks: most buckets chain
         let h = hash();
-        let built: Vec<Item> = (0..20).map(|k| Item::new(k, k)).collect();
-        let (mut region, _) =
-            compact(&mut d, &h, vec![Source::from_memory(built, &h)], 8, false, Some(&mut filter))
-                .unwrap();
-        let merged: Vec<Item> = (100..120).map(|k| Item::new(k, k)).collect();
-        let src = Source::from_memory(merged, &h);
-        merge_in_place(&mut d, &h, vec![src], &mut region, false, Some(&mut filter)).unwrap();
+        let older = build_region(&mut d, &h, 4, &(0..20).collect::<Vec<_>>());
+        let newer: Vec<Item> = (100..120).map(|k| Item::new(k, k)).collect();
+        let sources = vec![Source::from_memory(newer, &h), Source::from_region(older)];
+        let (region, _) = compact(&mut d, &h, sources, 8, false, Some(&mut filter)).unwrap();
         let keys = region_keys(&mut d, &region);
         assert_eq!(keys.len(), 40);
         assert!(keys.iter().all(|&k| filter.may_contain(h.hash64(k))), "a written key is missing");

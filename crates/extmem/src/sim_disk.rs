@@ -46,13 +46,13 @@
 //!   records what the lottery undid (`crash-undo …`, `crash-tear …`,
 //!   `crash-drop …`), so a sweep can assert which windows it really hit.
 //!
-//! What this deliberately does **not** model is partial survival of
-//! unsynced rewrites of previously synced blocks (a power loss tearing
-//! the middle of an in-place level merge): the store's guarantees are
-//! sync-point guarantees, and its in-place merges rewrite referenced
-//! blocks between syncs, so sub-sync write-back reordering is outside
-//! the protocol's contract. The torture harness documents that boundary
-//! instead of silently assuming it away.
+//! What this does **not** model yet is partial survival of unsynced
+//! rewrites of previously synced slots. The store no longer writes a
+//! block a committed manifest names before the next commit (every level
+//! is a static table, built in fresh slots and never merged into), so
+//! this revert-exactly policy below the synced high-water mark now only
+//! ever meets recycled slots no manifest references; drawing those
+//! through the keep/drop/tear lottery too is a follow-up.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
