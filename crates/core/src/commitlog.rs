@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use dxh_extmem::frame::{push_frame, Frames};
+use dxh_extmem::frame::{push_frame, FrameBuf, FRAME_HEADER};
 use dxh_extmem::{BlobFile, ExtMemError, Key, Result};
 use dxh_tables::ExternalDictionary;
 
@@ -100,15 +100,36 @@ impl<M: StoreMedia> CommitLog<M> {
         self.file.len() + self.sealed_len
     }
 
-    /// The log's surviving content, for reopen-time replay: the sealed
-    /// segment (if any) followed by the active one, in append order.
-    pub(crate) fn read_all(&mut self) -> Result<Vec<u8>> {
-        let mut out = match self.sealed_len {
-            0 => Vec::new(),
-            _ => self.root.read_file(COMMITLOG_OLD)?.unwrap_or_default(),
+    /// Walks the log's surviving content for reopen-time replay: the
+    /// sealed segment (if any), then the active one, in append order.
+    /// Each frame is fetched by position into one record buffer and its
+    /// payload handed to `visit` — no more than one record is ever in
+    /// memory. The walk stops for good at the first torn or corrupt
+    /// frame, or when `visit` returns `Ok(false)` (a payload it cannot
+    /// parse): everything at or behind a bad frame was never
+    /// acknowledged (acks happen only after the log's sync).
+    pub(crate) fn for_each_record(
+        &mut self,
+        mut visit: impl FnMut(&[u8]) -> Result<bool>,
+    ) -> Result<()> {
+        let sealed = match self.sealed_len {
+            0 => None,
+            _ => self.root.open_file(COMMITLOG_OLD)?,
         };
-        out.extend(self.file.read_all()?);
-        Ok(out)
+        let mut buf = FrameBuf::default();
+        for file in sealed.iter().chain([&self.file]) {
+            let (len, mut at) = (file.len(), 0);
+            while let Some(payload) = buf.read_at(file, len, at)? {
+                at += (FRAME_HEADER + payload.len()) as u64;
+                if !visit(payload)? {
+                    return Ok(());
+                }
+            }
+            if at < len {
+                return Ok(());
+            }
+        }
+        Ok(())
     }
 
     /// Durably empties the log — both segments (a full checkpoint made
@@ -256,16 +277,9 @@ fn decode_record(payload: &[u8]) -> Option<LogRecord> {
     (at == payload.len()).then_some((shard, seq, effects))
 }
 
-/// Parses every intact record of a log image, stopping at the first
-/// torn or corrupt frame — everything at or behind a bad frame was
-/// never acknowledged (acks happen only after the log's sync) and is
-/// dropped wholesale.
-fn decode_log_records(bytes: &[u8]) -> Vec<LogRecord> {
-    Frames::new(bytes).map_while(|(_, payload)| decode_record(payload)).collect()
-}
-
 /// Replays every surviving commit-log record over the freshly opened
-/// shard stores (reopen-time recovery, phase two), then hardens them
+/// shard stores (reopen-time recovery, phase two) — one record decoded
+/// and applied at a time, whatever the log's length — then hardens them
 /// and empties the log. Records at or below a shard manifest's
 /// persisted watermark are skipped: their effects are already in the
 /// manifest fold, and with staggered checkpoints the sealed segment
@@ -279,19 +293,18 @@ pub(crate) fn replay_log<M: StoreMedia>(
     log: &mut CommitLog<M>,
     stores: &mut [KvStore<M>],
 ) -> Result<()> {
-    let image = log.read_all()?;
-    let records = decode_log_records(&image);
-    if records.is_empty() {
-        // Nothing to fold in, but a torn tail or a leftover sealed
-        // segment still needs clearing.
-        return if log.size() == 0 { Ok(()) } else { log.truncate() };
+    if log.size() == 0 {
+        return Ok(());
     }
-    for (si, seq, effects) in records {
+    let mut replayed = false;
+    log.for_each_record(|payload| {
+        let Some((si, seq, effects)) = decode_record(payload) else { return Ok(false) };
+        replayed = true;
         let store = stores.get_mut(si as usize).ok_or_else(|| {
             ExtMemError::Corrupt("commit log references a shard outside the service".into())
         })?;
         if seq <= store.replay_watermark() {
-            continue;
+            return Ok(true);
         }
         for (k, eff) in effects {
             match eff {
@@ -303,9 +316,14 @@ pub(crate) fn replay_log<M: StoreMedia>(
             }
         }
         store.set_replay_watermark(seq);
-    }
-    for s in stores.iter_mut() {
-        s.harden(true)?;
+        Ok(true)
+    })?;
+    // A log that held no record — a torn tail, a leftover sealed
+    // segment — is still emptied, but there is nothing to harden.
+    if replayed {
+        for s in stores.iter_mut() {
+            s.harden(true)?;
+        }
     }
     log.truncate()
 }
@@ -314,8 +332,27 @@ pub(crate) fn replay_log<M: StoreMedia>(
 mod tests {
     use super::*;
     use crate::{CoreConfig, ShardedKvStore, SimMedia};
+    use dxh_extmem::frame::Frames;
     use dxh_extmem::SimEnv;
     use proptest::prelude::*;
+
+    /// Every intact record of a log image, up to the first torn, corrupt
+    /// or malformed frame: the in-memory reference the positional walk is
+    /// held to.
+    fn decode_log_records(bytes: &[u8]) -> Vec<LogRecord> {
+        Frames::new(bytes).map_while(|(_, payload)| decode_record(payload)).collect()
+    }
+
+    /// What replay would see: the records the positional walk yields.
+    fn walked(log: &mut CommitLog<SimMedia>) -> Vec<LogRecord> {
+        let mut out = Vec::new();
+        log.for_each_record(|payload| {
+            let record = decode_record(payload);
+            Ok(record.map(|r| out.push(r)).is_some())
+        })
+        .unwrap();
+        out
+    }
 
     fn record(shard: u32, seq: u64, effects: &[(Key, Option<Effect>)]) -> Vec<u8> {
         let mut out = Vec::new();
@@ -404,8 +441,51 @@ mod tests {
         record(shard, seq, &[(seq, Some(Effect::Word(seq * 10)))])
     }
 
+    /// A log whose sealed segment holds `sealed` (none when `None`) and
+    /// whose active segment holds `active`, durably.
+    fn two_segment_log(sealed: Option<&[u8]>, active: &[u8]) -> CommitLog<SimMedia> {
+        let env = SimEnv::new();
+        for (name, bytes) in [(COMMITLOG_OLD, sealed), (COMMITLOG, Some(active))] {
+            let Some(bytes) = bytes else { continue };
+            let mut f = env.create_file(name).unwrap();
+            f.append(bytes).unwrap();
+            f.sync().unwrap();
+        }
+        env.sync_dir("").unwrap();
+        CommitLog::open(SimMedia::unlocked(&env)).unwrap()
+    }
+
+    /// The positional walk sees what decoding the two segments'
+    /// concatenated image saw — sealed first, then active — and a bad
+    /// frame in the sealed segment ends the walk before the active one.
+    #[test]
+    fn the_walk_yields_sealed_then_active_and_stops_for_good_at_a_bad_frame() {
+        let (r1, r2, r3) = (word(0, 1), word(1, 2), word(0, 3));
+        let mut corrupt = r2.clone();
+        *corrupt.last_mut().unwrap() ^= 1;
+        let malformed = framed(&r2[12..20]);
+        let torn = &r3[..r3.len() - 3];
+        let cat = |parts: &[&[u8]]| parts.concat();
+        for (sealed, active, seqs) in [
+            (None, cat(&[&r1, &r2]), vec![1, 2]),
+            (Some(cat(&[&r1, &r2])), r3.clone(), vec![1, 2, 3]),
+            (Some(cat(&[&r1, &r2])), cat(&[&r3, torn]), vec![1, 2, 3]),
+            (Some(cat(&[&r1, &corrupt])), r3.clone(), vec![1]),
+            (Some(cat(&[&r1, &malformed, &r2])), r3.clone(), vec![1]),
+            (Some(r1.clone()), cat(&[&corrupt, &r3]), vec![1]),
+            (Some(Vec::new()), r3.clone(), vec![3]),
+            (Some(r1.clone()), Vec::new(), vec![1]),
+        ] {
+            let image = cat(&[sealed.as_deref().unwrap_or_default(), &active]);
+            let mut log = two_segment_log(sealed.as_deref(), &active);
+            let records = walked(&mut log);
+            assert_eq!(records, decode_log_records(&image), "sealed {sealed:?}");
+            assert_eq!(records.iter().map(|r| r.1).collect::<Vec<_>>(), seqs);
+        }
+    }
+
     fn seqs(log: &mut CommitLog<SimMedia>) -> Vec<u64> {
-        decode_log_records(&log.read_all().unwrap()).iter().map(|r| r.1).collect()
+        walked(log).iter().map(|r| r.1).collect()
     }
 
     /// The failure path under injection: a round whose append or sync
@@ -703,13 +783,83 @@ mod tests {
         assert!(truncated > 0, "no run got as far as the truncate");
     }
 
+    fn payload_service(env: &SimEnv) -> ShardedKvStore<SimMedia> {
+        let cfg = CoreConfig::lemma5(8, 128, 2).unwrap();
+        ShardedKvStore::open_payload_on(SimMedia::unlocked(env), 2, cfg, 3).unwrap()
+    }
+
+    /// No step of a payload service's reopen holds more than one record:
+    /// after a clean close, after a crash that leaves a commit log to
+    /// replay, and after one that leaves it as the sealed segment, the
+    /// reopen's trace has no whole-file read of a blob log or of either
+    /// log segment, and its longest single read is no longer than the
+    /// largest frame on disk.
+    #[test]
+    fn a_payload_reopen_reads_its_logs_record_by_record() {
+        use dxh_extmem::{FaultPlan, IoEvent};
+        let payload = |k: u64| vec![k as u8; 1 + (k as usize * 37) % 300];
+        // A put's commit-log record frames its payload behind the record
+        // head and one op head; its blob frame is shorter.
+        let largest_frame = (FRAME_HEADER + RECORD_HEAD + MIN_OP + 300) as u64;
+        for (crash, sealed) in [(false, false), (true, false), (true, true)] {
+            let env = SimEnv::new();
+            let svc = payload_service(&env);
+            for k in 0..120 {
+                svc.put_bytes(k, &payload(k)).unwrap();
+            }
+            if crash {
+                env.set_plan(FaultPlan::crash(env.ops(), 9));
+            }
+            drop(svc);
+            env.power_cycle();
+            if sealed {
+                // The state a crash right after `seal`'s rename leaves.
+                env.rename_file(COMMITLOG, COMMITLOG_OLD).unwrap();
+                env.sync_dir("").unwrap();
+            }
+            env.take_trace();
+            let svc = payload_service(&env);
+            let trace = env.take_trace();
+            let mut ranged: Vec<(&str, u64)> = Vec::new();
+            for e in &trace {
+                match e {
+                    IoEvent::Meta { label, .. } => {
+                        let whole = label.strip_prefix("file-read ").unwrap_or_default();
+                        assert!(
+                            !whole.ends_with(".blob") && !whole.contains(COMMITLOG),
+                            "crash {crash}, sealed {sealed}: whole-file read of {whole}"
+                        );
+                    }
+                    IoEvent::ReadAt { file, len, .. } => ranged.push((file, *len)),
+                    _ => {}
+                }
+            }
+            let read = |name: &str| ranged.iter().any(|&(file, _)| file == name);
+            // (A crash may keep none of a blob log's never-synced appends.)
+            assert!(crash || read("shard-000/store.blob"), "the committed prefix is verified");
+            assert_eq!(read(COMMITLOG), crash && !sealed, "a leftover log is replayed");
+            assert_eq!(read(COMMITLOG_OLD), sealed, "and so is a leftover sealed segment");
+            let longest = ranged.iter().map(|&(_, len)| len).max().unwrap();
+            assert!(
+                longest <= largest_frame,
+                "a {longest}-byte read; frames end at {largest_frame}"
+            );
+            for k in 0..120 {
+                assert_eq!(svc.get_bytes(k).unwrap(), Some(payload(k)), "key {k}");
+            }
+        }
+    }
+
     proptest! {
         /// Arbitrary images, and arbitrary payloads inside valid frames,
-        /// never panic the decoder.
+        /// never panic the decoder — and the positional walk over them
+        /// stops exactly where the image scan does.
         #[test]
         fn decoder_is_total(bytes in proptest::collection::vec(any::<u8>(), 0..120)) {
-            decode_log_records(&bytes);
-            decode_log_records(&framed(&bytes));
+            for image in [bytes.clone(), framed(&bytes), [word(0, 1), bytes].concat()] {
+                let records = decode_log_records(&image);
+                prop_assert_eq!(walked(&mut two_segment_log(None, &image)), records);
+            }
         }
     }
 }

@@ -1570,9 +1570,13 @@ impl<M: StoreMedia> ShardedKvStore<M> {
     /// Looks up `key`'s byte payload — [`ShardedKvStore::get`]'s byte
     /// twin, with the same read-your-writes overlay semantics (a hit on
     /// an accepted-but-volatile write answers before it is durable; see
-    /// `docs/GUARANTEES.md`). Returns an owned copy: the zero-copy view
-    /// stops at the shard's store lock, which a borrowed return would
-    /// otherwise have to hold open. Payload-mode services only.
+    /// `docs/GUARANTEES.md`). Past the overlay the payload is read from
+    /// the shard's blob log — one positional read, checksum verified,
+    /// on top of the index probe — into the store's record buffer and
+    /// copied out here: the buffer is lent only while the shard's store
+    /// lock is held, which a borrowed return would have to keep open. A
+    /// failed fetch fails this call alone; it wedges nothing.
+    /// Payload-mode services only.
     pub fn get_bytes(&self, key: Key) -> Result<Option<Vec<u8>>> {
         if !self.payloads {
             return Err(ExtMemError::BadConfig(

@@ -605,11 +605,17 @@ impl<M: StoreMedia> KvStore<M> {
         self.table.insert(key, BLOB_TAG | offset)
     }
 
-    /// Looks up `key`'s payload (payload mode only) as a **borrowed
-    /// zero-copy view** over the blob log's mapped region: one index
-    /// probe, one O(1) bounds check, no payload copy and no per-read
-    /// checksum (integrity was established for the whole committed
-    /// prefix when the log was opened). `None` when absent or deleted.
+    /// Looks up `key`'s payload (payload mode only): one index probe,
+    /// then one positional read of the record the index word points at,
+    /// into the log's single record buffer — the payload is lent out of
+    /// that buffer until the next call, and nothing of the log stays in
+    /// memory behind it. The record's checksum is verified on **every**
+    /// read, so an index word that frames no record, or a record that
+    /// rotted since open, is [`ExtMemError::Corrupt`] for this key alone
+    /// (other keys keep reading; the handle is neither poisoned nor
+    /// dirtied). In the paper's currency a payload lookup costs
+    /// `tq + 1`: the index's accounted block reads plus the fetch, which
+    /// [`KvStore::blob_io`] counts. `None` when absent or deleted.
     pub fn get_bytes(&mut self, key: Key) -> Result<Option<&[u8]>> {
         self.check_poisoned()?;
         if self.blob.is_none() {
@@ -621,8 +627,20 @@ impl<M: StoreMedia> KvStore<M> {
             return Ok(None);
         };
         let offset = untag(word)?;
-        let log = self.blob.as_ref().expect("payload mode checked above");
+        let log = self.blob.as_mut().expect("payload mode checked above");
         Ok(Some(log.get(offset)?))
+    }
+
+    /// The payload log's read I/O since this handle opened — positional
+    /// reads issued and bytes asked for, `(count, bytes)`; `(0, 0)` on a
+    /// raw store. Counted apart from `total_ios` / `disk_stats`, which
+    /// stay the index's accounted block transfers (the paper's `tu` and
+    /// `tq`): a `get_bytes` hit adds one read here on top of its `tq`
+    /// there. The open-time verification walk of the committed prefix is
+    /// included, so measure a phase by difference; a
+    /// [`KvStore::compact`] starts the count over with the new log.
+    pub fn blob_io(&self) -> (u64, u64) {
+        self.blob.as_ref().map_or((0, 0), |log| log.reads())
     }
 
     /// Transitions into the dirty state before the first mutation after a
@@ -831,9 +849,10 @@ impl<M: StoreMedia> KvStore<M> {
         // fresh generation — only payloads the rebuilt index still
         // references survive (deleted and superseded ones are the log's
         // dead weight). The index walk remaps every tagged word to its
-        // new offset, and the new log is fdatasync'd before the manifest
-        // commit can reference it (`blob-sync-before-index-commit`).
-        if let Some(old_log) = self.blob.take() {
+        // new offset, old log to new log one record at a time, and the
+        // new log is fdatasync'd before the manifest commit can
+        // reference it (`blob-sync-before-index-commit`).
+        if let Some(mut old_log) = self.blob.take() {
             let new_blob_name = blob_file_name(new_gen);
             let blob_fail = |this: &mut Self, e: ExtMemError| {
                 this.poisoned = true;
@@ -2981,5 +3000,107 @@ mod tests {
                 "synced payload {k} survives the crash"
             );
         }
+    }
+
+    /// An index word with a flipped bit, and a payload byte that rots
+    /// after the open verified it, each fail the one `get_bytes` that
+    /// meets them — as corruption, never as whatever bytes happen to
+    /// frame there (which a bounds-only read would serve) — while every
+    /// other key keeps reading and the handle stays usable and clean.
+    #[test]
+    fn a_bad_index_word_or_a_rotted_record_fails_that_one_get_bytes() {
+        use dxh_extmem::frame::FRAME_HEADER;
+        use std::os::unix::fs::FileExt;
+        let dir = tmp_dir("payload-tamper");
+        let _ = fs::remove_dir_all(&dir);
+        let mut s = KvStore::open_payload(&dir, cfg(), 26).unwrap();
+        for k in 0..60u64 {
+            s.put_bytes(k, &payload_for(k)).unwrap();
+        }
+        s.sync().unwrap();
+        let others_read = |s: &mut KvStore, bad: u64| {
+            for k in (0..60u64).filter(|&k| k != bad) {
+                assert_eq!(s.get_bytes(k).unwrap(), Some(payload_for(k).as_slice()), "key {k}");
+            }
+        };
+
+        // An index word one bit off: it lands inside key 7's record.
+        let word = s.table.lookup(7).unwrap().expect("indexed");
+        for bit in [0, 2, 5] {
+            s.table.insert(7, word ^ (1 << bit)).unwrap();
+            let err = s.get_bytes(7).unwrap_err();
+            assert!(matches!(err, ExtMemError::Corrupt(_)), "bit {bit}: {err}");
+            assert!(matches!(s.lookup(7), Err(ExtMemError::Corrupt(_))), "the word API too");
+            others_read(&mut s, 7);
+        }
+        s.table.insert(7, word).unwrap();
+        assert_eq!(s.get_bytes(7).unwrap(), Some(payload_for(7).as_slice()));
+        s.sync().unwrap();
+
+        // A payload byte flipped on disk, behind the open handle's back.
+        let at = untag(s.table.lookup(9).unwrap().expect("indexed")).unwrap();
+        let blob = fs::OpenOptions::new().write(true).open(dir.join("store.blob")).unwrap();
+        let first = payload_for(9)[0];
+        blob.write_at(&[first ^ 0x40], at + FRAME_HEADER as u64).unwrap();
+        let err = s.get_bytes(9).unwrap_err();
+        assert!(matches!(err, ExtMemError::Corrupt(_)), "{err}");
+        others_read(&mut s, 9);
+        assert!(!s.dirty && !s.poisoned, "a failed read changes nothing");
+        // The key is rewritable, and a reopen refuses the rotted prefix.
+        s.put_bytes(9, b"rewritten").unwrap();
+        assert_eq!(s.get_bytes(9).unwrap(), Some(&b"rewritten"[..]));
+        drop(s);
+        let reopened = KvStore::open_payload(&dir, cfg(), 26);
+        assert!(matches!(reopened, Err(ExtMemError::Corrupt(_))), "G8: hard error at open");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The payload fetch under the simulator: it is the last I/O of a
+    /// `get_bytes`, one ranged read of `store.blob` (two when the record
+    /// is longer than the last one read), never longer than the log's
+    /// largest frame; a transient fault on it fails that call and nothing
+    /// else — the retry succeeds, the handle is neither poisoned nor
+    /// dirtied — and an append is readable before its sync.
+    #[test]
+    fn a_transient_payload_read_fault_fails_one_get_bytes() {
+        use crate::media::SimMedia;
+        use dxh_extmem::frame::FRAME_HEADER;
+        use dxh_extmem::{FaultPlan, IoEvent, SimEnv};
+        let env = SimEnv::new();
+        let mut s = KvStore::open_payload_on(SimMedia::open(&env).unwrap(), cfg(), 27).unwrap();
+        for k in 0..200u64 {
+            s.put_bytes(k, &payload_for(k)).unwrap();
+        }
+        s.sync().unwrap();
+        for k in [3u64, 150, 77] {
+            env.take_trace();
+            let (before, reads_before) = (env.ops(), s.blob_io());
+            assert_eq!(s.get_bytes(k).unwrap(), Some(payload_for(k).as_slice()));
+            let ios = env.ops() - before;
+            let trace = env.take_trace();
+            let largest_frame = (FRAME_HEADER + 90) as u64; // `payload_for` tops out at 90 bytes
+            let fetch: Vec<u64> = trace
+                .iter()
+                .filter_map(|e| match e {
+                    IoEvent::ReadAt { file, len, .. } if file == "store.blob" => Some(*len),
+                    _ => None,
+                })
+                .collect();
+            assert!(matches!(trace.last(), Some(IoEvent::ReadAt { .. })), "the fetch goes last");
+            assert_eq!(fetch.iter().sum::<u64>(), s.blob_io().1 - reads_before.1);
+            assert_eq!(fetch.len() as u64, s.blob_io().0 - reads_before.0);
+            assert!(fetch.len() <= 2 && fetch.iter().all(|&n| n <= largest_frame), "{fetch:?}");
+
+            // The index probe repeats I/O for I/O; the fetch follows it.
+            let probe_ios = ios - fetch.len() as u64;
+            env.set_plan(FaultPlan { fail_at: vec![env.ops() + probe_ios], ..Default::default() });
+            let err = s.get_bytes(k).unwrap_err();
+            assert!(matches!(err, ExtMemError::Io(_)), "key {k}: {err}");
+            assert!(!s.dirty && !s.poisoned, "a failed read changes nothing");
+            assert_eq!(s.get_bytes(k).unwrap(), Some(payload_for(k).as_slice()), "the retry");
+        }
+        assert!(clean_marker(&mut s.media).unwrap(), "reads, failed or not, leave CLEAN in place");
+        s.put_bytes(999, b"not yet synced").unwrap();
+        assert_eq!(s.get_bytes(999).unwrap(), Some(&b"not yet synced"[..]));
     }
 }

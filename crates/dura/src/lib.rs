@@ -400,7 +400,10 @@ pub fn check_trace(events: &[IoEvent]) -> Vec<TraceViolation> {
             IoEvent::Sync { file, .. } => {
                 unsynced.insert(file, 0);
             }
-            IoEvent::Read { .. } | IoEvent::Alloc { .. } | IoEvent::Free { .. } => {}
+            IoEvent::Read { .. }
+            | IoEvent::ReadAt { .. }
+            | IoEvent::Alloc { .. }
+            | IoEvent::Free { .. } => {}
             IoEvent::Meta { label, .. } => {
                 let (op, name) = split_label(label);
                 let (prefix, local) = split_name(name);

@@ -12,14 +12,17 @@
 //!   data;
 //! * [`BlobLog::append`] returns `(offset, len)`; the caller stores
 //!   `BLOB_TAG | offset` as the index word (see [`crate::BLOB_TAG`]);
-//! * [`BlobLog::get`] is **zero-copy**: a borrowed `&[u8]` view over the
-//!   log's in-memory region, one O(1) bounds check, no per-read
-//!   checksum or copy (integrity is established once, at open, when the
-//!   committed prefix is verified frame by frame). On platforms with
-//!   `mmap` the region could be a file mapping; this workspace forbids
-//!   `unsafe`, so the region is a cached read of the committed prefix
-//!   plus the appends made through this handle — the same zero-copy
-//!   read path, populated by `read(2)` instead of a page fault;
+//! * **payloads live on disk.** The handle keeps the log's length and
+//!   one reusable record buffer ([`crate::frame::FrameBuf`]) — memory of
+//!   one record, whatever the log holds, which is what keeps payload
+//!   mode inside the paper's `m`. [`BlobLog::get`] fetches the record at
+//!   an offset by position (one read for a record no longer than the
+//!   last one read, two otherwise), bounds its announced length by the
+//!   log, verifies its checksum and lends the payload out of the
+//!   buffer: an offset that is not a record boundary, or a record that
+//!   rotted since open, is [`ExtMemError::Corrupt`], never bytes. The
+//!   fetch is a real I/O, counted by [`BlobLog::reads`] — a payload
+//!   lookup costs the index's `tq` plus one;
 //! * durability is the caller's ordering obligation: appends are
 //!   volatile until [`BlobLog::sync`], and the `dxh-dura` rule
 //!   `blob-sync-before-index-commit` demands the sync precede any index
@@ -33,19 +36,20 @@
 //! it.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use crate::error::{ExtMemError, Result};
-use crate::frame::{self, FRAME_HEADER};
+use crate::frame::{FrameBuf, FRAME_HEADER};
 use crate::item::MAX_BLOB_OFFSET;
 
-/// An open byte file: append-only writes with explicit sync — what a
-/// [`BlobLog`] runs on, and the file handle under every durable-file
-/// protocol in `dxh-core`. Implementations: [`FileBlob`] (a real file)
-/// and the simulator's `SimBlob` (volatile until sync, torn-tail lottery
-/// at a power cycle). The handle follows the file, not its name: a
-/// rename or unlink does not redirect it.
+/// An open byte file: append-only writes with explicit sync, reads by
+/// position — what a [`BlobLog`] runs on, and the file handle under
+/// every durable-file protocol in `dxh-core`. Implementations:
+/// [`FileBlob`] (a real file) and the simulator's `SimBlob` (volatile
+/// until sync, torn-tail lottery at a power cycle). The handle follows
+/// the file, not its name: a rename or unlink does not redirect it.
 pub trait BlobFile {
     /// Appends `bytes` at the end of the file (volatile until
     /// [`BlobFile::sync`]).
@@ -58,20 +62,23 @@ pub trait BlobFile {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-    /// Reads the whole file (the open-time region load).
-    fn read_all(&mut self) -> Result<Vec<u8>>;
+    /// Fills `buf` with the bytes at `offset..offset + buf.len()` — the
+    /// handle's own unsynced appends included (a process reads its own
+    /// writes). Errors when the range runs past the end of the file.
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()>;
     /// Truncates to `len` bytes — recovery's crash-tail discard.
     fn truncate(&mut self, len: u64) -> Result<()>;
 }
 
-/// A [`BlobFile`] over a real file: buffered appends, `sync_data`
-/// durability — the blob twin of `FileDisk`.
+/// A [`BlobFile`] over a real file: each append is one `write(2)`, each
+/// read one `pread(2)`, durability is `sync_data` — the blob twin of
+/// `FileDisk`.
 pub struct FileBlob {
     file: File,
     len: u64,
     /// Where the descriptor's cursor is known to sit (`None` after a
     /// failed write) — lets an append skip the seek when it is already
-    /// at the end.
+    /// at the end. Positional reads never move it.
     cursor: Option<u64>,
 }
 
@@ -112,13 +119,8 @@ impl BlobFile for FileBlob {
         self.len
     }
 
-    fn read_all(&mut self) -> Result<Vec<u8>> {
-        self.cursor = None;
-        self.file.seek(SeekFrom::Start(0))?;
-        let mut buf = Vec::with_capacity(self.len as usize);
-        self.file.read_to_end(&mut buf)?;
-        self.cursor = Some(buf.len() as u64);
-        Ok(buf)
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        Ok(self.file.read_exact_at(buf, offset)?)
     }
 
     fn truncate(&mut self, len: u64) -> Result<()> {
@@ -133,10 +135,10 @@ impl BlobFile for FileBlob {
 /// crash simulator share the exact recovery path.
 pub struct BlobLog<F: BlobFile> {
     file: F,
-    /// The in-memory region every [`BlobLog::get`] borrows from: the
-    /// verified committed prefix loaded at open, plus every append made
-    /// through this handle (a process reads its own writes).
-    region: Vec<u8>,
+    /// The log's length: the end of its last whole record.
+    len: u64,
+    /// The one record buffer every read and append goes through.
+    buf: FrameBuf,
     /// Bytes appended since the last [`BlobLog::sync`].
     unsynced: u64,
 }
@@ -149,52 +151,55 @@ impl<F: BlobFile> BlobLog<F> {
                 "BlobLog::create expects an empty file (use open to recover)".into(),
             ));
         }
-        Ok(BlobLog { file, region: Vec::new(), unsynced: 0 })
+        Ok(BlobLog { file, len: 0, buf: FrameBuf::default(), unsynced: 0 })
     }
 
     /// Opens an existing log, recovering around `committed_len` — the
     /// length the caller's last index commit covers (a manifest field).
     /// The committed prefix is verified frame by frame (length framing
-    /// and checksum), so every offset the committed index holds reads
-    /// back intact — or the open fails with [`ExtMemError::Corrupt`]
-    /// instead of serving bad bytes. Bytes **past** the commit point
-    /// are a crash tail: whole checksum-valid frames there are *kept*
-    /// (a durable append whose index commit hadn't landed yet — the
-    /// index's own blocks can survive a crash ahead of the manifest
-    /// and legitimately reference them), and the log is truncated at
-    /// the first torn or corrupt frame.
-    pub fn open(mut file: F, committed_len: u64) -> Result<Self> {
-        if file.len() < committed_len {
+    /// and checksum), one record in memory at a time, so every offset
+    /// the committed index holds reads back intact — or the open fails
+    /// with [`ExtMemError::Corrupt`] instead of serving bad bytes. Bytes
+    /// **past** the commit point are a crash tail: whole checksum-valid
+    /// frames there are *kept* (a durable append whose index commit
+    /// hadn't landed yet — the index's own blocks can survive a crash
+    /// ahead of the manifest and legitimately reference them), and the
+    /// log is truncated at the first torn or corrupt frame.
+    pub fn open(file: F, committed_len: u64) -> Result<Self> {
+        let file_len = file.len();
+        if file_len < committed_len {
             return Err(ExtMemError::Corrupt(format!(
-                "blob log holds {} bytes, index commit covers {committed_len}",
-                file.len()
+                "blob log holds {file_len} bytes, index commit covers {committed_len}"
             )));
         }
-        let mut region = file.read_all()?;
-        if (region.len() as u64) < committed_len {
-            return Err(ExtMemError::Corrupt(format!(
-                "blob log read {} bytes, index commit covers {committed_len}",
-                region.len()
-            )));
+        let mut log = BlobLog { file, len: 0, buf: FrameBuf::default(), unsynced: 0 };
+        while log.len < file_len {
+            // Committed frames tile the commitment exactly; the tail's
+            // may run to the end of the file.
+            let committed = log.len < committed_len;
+            let end = if committed { committed_len } else { file_len };
+            match log.buf.read_at(&log.file, end, log.len)? {
+                Some(payload) => log.len += (FRAME_HEADER + payload.len()) as u64,
+                None if committed => {
+                    return Err(ExtMemError::Corrupt(format!(
+                        "blob log's committed prefix has a torn or corrupt record at offset {}",
+                        log.len
+                    )))
+                }
+                None => break,
+            }
         }
-        let committed = committed_len as usize;
-        let intact = frame::valid_prefix(&region[..committed]);
-        if intact < committed {
-            return Err(ExtMemError::Corrupt(format!(
-                "blob log's committed prefix has a torn or corrupt record at offset {intact}"
-            )));
+        if log.len < file_len {
+            log.file.truncate(log.len)?;
         }
-        let keep = committed + frame::valid_prefix(&region[committed..]);
-        if keep < region.len() {
-            file.truncate(keep as u64)?;
-            region.truncate(keep);
-        }
-        Ok(BlobLog { file, region, unsynced: 0 })
+        Ok(log)
     }
 
-    /// Appends `payload` as one framed record; returns `(offset, len)` —
-    /// the offset to store (tagged) in the index word and the framed
-    /// length on disk. Volatile until [`BlobLog::sync`].
+    /// Appends `payload` as one framed record — framed in the record
+    /// buffer, written once; returns `(offset, len)`: the offset to
+    /// store (tagged) in the index word and the framed length on disk.
+    /// Volatile until [`BlobLog::sync`], readable through this handle at
+    /// once.
     pub fn append(&mut self, payload: &[u8]) -> Result<(u64, u32)> {
         let frame_len = FRAME_HEADER
             .checked_add(payload.len())
@@ -202,43 +207,28 @@ impl<F: BlobFile> BlobLog<F> {
             .ok_or_else(|| {
                 ExtMemError::BadConfig("payload exceeds the 4 GiB frame bound".into())
             })?;
-        let offset = self.region.len() as u64;
+        let offset = self.len;
         if offset + frame_len as u64 > MAX_BLOB_OFFSET {
             // Offsets must stay below the index word's tag bit headroom.
             return Err(ExtMemError::BadConfig("blob log exceeds the offset bound".into()));
         }
-        let mut frame = Vec::new();
-        frame::push_frame(&mut frame, payload);
-        self.file.append(&frame)?;
-        self.region.extend_from_slice(&frame);
+        self.file.append(self.buf.frame(payload))?;
+        self.len += frame_len as u64;
         self.unsynced += frame_len as u64;
         Ok((offset, frame_len as u32))
     }
 
-    /// The zero-copy read path: a borrowed view of the payload at
-    /// `offset`, straight out of the mapped region — one bounds check,
-    /// no copy, no per-read checksum (the committed prefix was verified
-    /// at open; appends made through this handle are the process's own
-    /// bytes). Errors on an offset that does not frame a record.
-    pub fn get(&self, offset: u64) -> Result<&[u8]> {
-        let payload =
-            usize::try_from(offset).ok().and_then(|at| frame::payload_at(&self.region, at));
-        payload.ok_or_else(|| {
-            ExtMemError::Corrupt(format!("blob offset {offset} frames no record inside the log"))
+    /// The read path: fetches the record at `offset` into the record
+    /// buffer, verifies its checksum and lends its payload out until the
+    /// next call. `offset` is an index word's — input as far as this log
+    /// is concerned: one that frames no whole, checksum-valid record
+    /// inside the log is [`ExtMemError::Corrupt`].
+    pub fn get(&mut self, offset: u64) -> Result<&[u8]> {
+        self.buf.read_at(&self.file, self.len, offset)?.ok_or_else(|| {
+            ExtMemError::Corrupt(format!(
+                "blob offset {offset} frames no checksum-valid record inside the log"
+            ))
         })
-    }
-
-    /// The copying read path: re-verifies the record's checksum and
-    /// returns an owned copy — what a caller crossing a thread or
-    /// trust boundary uses, and the `exp_blob` bench's comparison arm.
-    pub fn get_verified(&self, offset: u64) -> Result<Vec<u8>> {
-        self.get(offset)?;
-        match frame::Frames::new(&self.region[offset as usize..]).next() {
-            Some((_, payload)) => Ok(payload.to_vec()),
-            None => Err(ExtMemError::Corrupt(format!(
-                "blob record at offset {offset} fails its checksum"
-            ))),
-        }
     }
 
     /// `fdatasync`: every append so far becomes durable. The caller's
@@ -253,57 +243,73 @@ impl<F: BlobFile> BlobLog<F> {
     /// Total log length in bytes (what an index commit after a
     /// [`BlobLog::sync`] records as the committed length).
     pub fn len(&self) -> u64 {
-        self.region.len() as u64
+        self.len
     }
 
     /// Whether the log holds no records.
     pub fn is_empty(&self) -> bool {
-        self.region.is_empty()
+        self.len == 0
     }
 
     /// Bytes appended since the last [`BlobLog::sync`].
     pub fn unsynced_bytes(&self) -> u64 {
         self.unsynced
     }
+
+    /// Positional reads this handle has issued, the open-time
+    /// verification walk included, and the bytes they asked for:
+    /// `(count, bytes)`. The block I/O counters of the index above do
+    /// not see these.
+    pub fn reads(&self) -> (u64, u64) {
+        self.buf.reads()
+    }
+}
+
+/// An in-memory [`BlobFile`] for unit tests (the crash-faithful twin is
+/// `SimBlob` in `sim_disk`).
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct MemBlob {
+    pub(crate) bytes: Vec<u8>,
+}
+
+#[cfg(test)]
+impl BlobFile for MemBlob {
+    fn append(&mut self, bytes: &[u8]) -> Result<()> {
+        self.bytes.extend_from_slice(bytes);
+        Ok(())
+    }
+    fn sync(&mut self) -> Result<()> {
+        Ok(())
+    }
+    fn len(&self) -> u64 {
+        self.bytes.len() as u64
+    }
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        let src = usize::try_from(offset)
+            .ok()
+            .and_then(|at| self.bytes.get(at..at.checked_add(buf.len())?))
+            .ok_or_else(|| ExtMemError::Io(std::io::ErrorKind::UnexpectedEof.into()))?;
+        buf.copy_from_slice(src);
+        Ok(())
+    }
+    fn truncate(&mut self, len: u64) -> Result<()> {
+        self.bytes.truncate(len as usize);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::push_frame;
 
     fn tmp(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("dxh-blob-{tag}-{}", std::process::id()))
     }
 
-    /// An in-memory BlobFile for unit tests (the crash-faithful twin is
-    /// SimBlob in sim_disk).
-    #[derive(Default)]
-    struct MemBlob {
-        bytes: Vec<u8>,
-    }
-
-    impl BlobFile for MemBlob {
-        fn append(&mut self, bytes: &[u8]) -> Result<()> {
-            self.bytes.extend_from_slice(bytes);
-            Ok(())
-        }
-        fn sync(&mut self) -> Result<()> {
-            Ok(())
-        }
-        fn len(&self) -> u64 {
-            self.bytes.len() as u64
-        }
-        fn read_all(&mut self) -> Result<Vec<u8>> {
-            Ok(self.bytes.clone())
-        }
-        fn truncate(&mut self, len: u64) -> Result<()> {
-            self.bytes.truncate(len as usize);
-            Ok(())
-        }
-    }
-
     #[test]
-    fn append_get_round_trip_zero_copy_and_verified() {
+    fn append_get_round_trip() {
         let mut log = BlobLog::create(MemBlob::default()).unwrap();
         let (o1, l1) = log.append(b"hello").unwrap();
         let (o2, _) = log.append(b"").unwrap();
@@ -314,16 +320,55 @@ mod tests {
         assert_eq!(log.get(o1).unwrap(), b"hello");
         assert_eq!(log.get(o2).unwrap(), b"");
         assert_eq!(log.get(o3).unwrap(), &[0xFF; 8], "u64::MAX-image payload is storable");
-        assert_eq!(log.get_verified(o1).unwrap(), b"hello".to_vec());
+        assert_eq!(log.get(o1).unwrap(), b"hello", "the one buffer serves any order");
     }
 
+    /// An offset that is not a record boundary is corruption, not
+    /// whatever bytes happen to frame there.
     #[test]
     fn get_rejects_non_frame_offsets() {
         let mut log = BlobLog::create(MemBlob::default()).unwrap();
-        let (o, _) = log.append(b"abcdefgh").unwrap();
-        assert!(log.get(o + 1).is_ok() || log.get(o + 1).is_err()); // never panics
-        assert!(log.get(10_000).is_err(), "past the end");
-        assert!(log.get_verified(o + 3).is_err(), "misaligned offset fails the checksum");
+        // A payload that itself holds a well-formed frame header: only
+        // the checksum tells `o + FRAME_HEADER` from a record boundary.
+        let mut inner = Vec::new();
+        inner.extend_from_slice(&3u32.to_le_bytes());
+        inner.extend_from_slice(&[0; 8]);
+        inner.extend_from_slice(b"xyzw");
+        let (o, _) = log.append(&inner).unwrap();
+        for bad in [o + 1, o + 3, o + FRAME_HEADER as u64, log.len(), 10_000, u64::MAX] {
+            assert!(matches!(log.get(bad), Err(ExtMemError::Corrupt(_))), "offset {bad}");
+        }
+        assert_eq!(log.get(o).unwrap(), &inner[..]);
+    }
+
+    /// A record that rots after open is caught by the read that meets
+    /// it; its neighbours keep reading.
+    #[test]
+    fn get_verifies_the_checksum_on_every_read() {
+        let mut log = BlobLog::create(MemBlob::default()).unwrap();
+        let (a, _) = log.append(b"first").unwrap();
+        let (b, _) = log.append(b"second").unwrap();
+        assert_eq!(log.get(b).unwrap(), b"second");
+        *log.file.bytes.last_mut().unwrap() ^= 0x10;
+        assert!(matches!(log.get(b), Err(ExtMemError::Corrupt(_))));
+        assert_eq!(log.get(a).unwrap(), b"first");
+    }
+
+    /// Reads are counted — open's verification walk, then one per `get`
+    /// of a record no longer than the last.
+    #[test]
+    fn reads_count_positional_reads_and_their_bytes() {
+        let mut log = BlobLog::create(MemBlob::default()).unwrap();
+        let offsets: Vec<u64> = (0..4u8).map(|i| log.append(&[i; 100]).unwrap().0).collect();
+        assert_eq!(log.reads(), (0, 0), "appends read nothing");
+        let frame = (FRAME_HEADER + 100) as u64;
+        for (i, &o) in offsets.iter().enumerate() {
+            assert_eq!(log.get(o).unwrap(), &[i as u8; 100]);
+            assert_eq!(log.reads(), (i as u64 + 1, frame * (i as u64 + 1)), "get {i}");
+        }
+        let (file, committed) = (MemBlob { bytes: log.file.bytes.clone() }, log.len());
+        let reopened = BlobLog::open(file, committed).unwrap();
+        assert_eq!(reopened.reads(), (5, 4 * frame), "cold header read, then one per frame");
     }
 
     /// A whole valid frame past the commit point survives recovery: the
@@ -337,29 +382,35 @@ mod tests {
             let _ = log.append(b"committed").unwrap();
             let committed = log.len();
             let (tail_off, _) = log.append(b"durable but uncommitted").unwrap();
-            (MemBlob { bytes: log.region.clone() }, committed, tail_off)
+            (log.file, committed, tail_off)
         };
         file.append(&[44, 0, 0, 0, 7]).unwrap(); // torn half-append after it
-        let log = BlobLog::open(file, committed).unwrap();
+        let mut log = BlobLog::open(file, committed).unwrap();
         assert_eq!(log.get(tail_off).unwrap(), b"durable but uncommitted");
         assert_eq!(
             log.len(),
             tail_off + (FRAME_HEADER + b"durable but uncommitted".len()) as u64,
             "the torn half-append is cut, the valid frame kept"
         );
+        assert_eq!(log.file.len(), log.len(), "cut in the file, not only in the handle");
     }
 
     #[test]
     fn open_rejects_corruption_inside_the_committed_prefix() {
         let mut good = BlobLog::create(MemBlob::default()).unwrap();
         let _ = good.append(b"payload").unwrap();
-        let mut bytes = good.region.clone();
+        let mut bytes = good.file.bytes.clone();
         let committed = bytes.len() as u64;
         *bytes.last_mut().unwrap() ^= 0xFF; // flip a payload byte
         let r = BlobLog::open(MemBlob { bytes }, committed);
         assert!(matches!(r, Err(ExtMemError::Corrupt(_))), "checksum rejects the record");
         // And a log shorter than the commitment is corruption, not recovery.
         let r = BlobLog::open(MemBlob::default(), committed);
+        assert!(matches!(r, Err(ExtMemError::Corrupt(_))));
+        // So is a commitment that ends inside a record: committed frames
+        // tile it exactly.
+        let _ = good.append(b"next").unwrap();
+        let r = BlobLog::open(MemBlob { bytes: good.file.bytes.clone() }, committed + 5);
         assert!(matches!(r, Err(ExtMemError::Corrupt(_))));
     }
 
@@ -383,10 +434,13 @@ mod tests {
             let mut log = BlobLog::create(FileBlob::create(&path).unwrap()).unwrap();
             let (o, _) = log.append(b"durable bytes").unwrap();
             assert_eq!(o, 0);
+            assert_eq!(log.get(o).unwrap(), b"durable bytes", "readable before its sync");
+            let (o2, _) = log.append(b"after a read").unwrap();
+            assert_eq!(log.get(o2).unwrap(), b"after a read", "a read does not move the append");
             log.sync().unwrap();
             committed = log.len();
         }
-        let log = BlobLog::open(FileBlob::open(&path).unwrap(), committed).unwrap();
+        let mut log = BlobLog::open(FileBlob::open(&path).unwrap(), committed).unwrap();
         assert_eq!(log.get(0).unwrap(), b"durable bytes");
         let _ = std::fs::remove_file(&path);
     }
@@ -404,9 +458,22 @@ mod tests {
             // A torn append: header promising more bytes than exist.
             log.file.append(&[99, 0, 0, 0, 1, 2, 3]).unwrap();
         }
-        let log = BlobLog::open(FileBlob::open(&path).unwrap(), committed).unwrap();
+        let mut log = BlobLog::open(FileBlob::open(&path).unwrap(), committed).unwrap();
         assert_eq!(log.len(), committed);
         assert!(log.get(committed).is_err(), "the discarded tail is unreachable");
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), committed);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn file_blob_read_past_the_end_is_an_error() {
+        let path = tmp("eof");
+        let mut file = FileBlob::create(&path).unwrap();
+        file.append(b"abcdef").unwrap();
+        let mut buf = [0u8; 4];
+        file.read_at(2, &mut buf).unwrap();
+        assert_eq!(&buf, b"cdef");
+        assert!(file.read_at(3, &mut buf).is_err());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -420,6 +487,35 @@ mod tests {
         ) {
             if let Ok(log) = BlobLog::open(MemBlob { bytes: bytes.clone() }, committed) {
                 proptest::prop_assert!(committed <= log.len() && log.len() <= bytes.len() as u64);
+            }
+        }
+
+        /// `get` is total: over arbitrary file bytes — with real frames
+        /// planted among them so both outcomes occur — at arbitrary
+        /// offsets it errors or lends out a payload whose frame, header
+        /// and checksum included, sits at that offset. Never a panic.
+        #[test]
+        fn get_is_total(
+            chunks in proptest::collection::vec(
+                (proptest::prelude::any::<bool>(),
+                 proptest::collection::vec(proptest::prelude::any::<u8>(), 0..40)), 0..6),
+            offset in 0u64..300,
+            far in proptest::prelude::any::<u64>(),
+        ) {
+            let mut bytes = Vec::new();
+            for (framed, chunk) in &chunks {
+                if *framed { push_frame(&mut bytes, chunk) } else { bytes.extend_from_slice(chunk) }
+            }
+            let len = bytes.len() as u64;
+            let file = MemBlob { bytes: bytes.clone() };
+            let mut log = BlobLog { file, len, buf: FrameBuf::default(), unsynced: 0 };
+            for at in [offset, far] {
+                if let Ok(payload) = log.get(at) {
+                    let mut frame = Vec::new();
+                    push_frame(&mut frame, payload);
+                    let at = at as usize;
+                    proptest::prop_assert_eq!(&bytes[at..at + frame.len()], &frame[..]);
+                }
             }
         }
     }

@@ -8,7 +8,12 @@
 //! checksum makes a torn tail (a crash mid-append) detectable and a
 //! record indivisible: a reader takes a frame wholly or not at all.
 //! What a payload *means* is each log's own business; how it is framed,
-//! checked and walked is defined here and nowhere else.
+//! checked and walked is defined here and nowhere else — over an image
+//! already in memory ([`Frames`]) and over a file, one record at a time
+//! ([`FrameBuf`]).
+
+use crate::blob::BlobFile;
+use crate::error::Result;
 
 /// Bytes of framing before each payload.
 pub const FRAME_HEADER: usize = 12;
@@ -34,22 +39,20 @@ pub fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
+/// The payload length and checksum a frame header announces.
+fn parse_header(header: &[u8]) -> (usize, u64) {
+    let len = u32::from_le_bytes(header[..4].try_into().expect("4 header bytes")) as usize;
+    let sum = u64::from_le_bytes(header[4..FRAME_HEADER].try_into().expect("8 header bytes"));
+    (len, sum)
+}
+
 /// The recorded checksum and payload of the frame starting at
 /// `bytes[at..]`; `None` when the header or the payload it announces
 /// runs past the end.
 fn split_at(bytes: &[u8], at: usize) -> Option<(u64, &[u8])> {
     let start = at.checked_add(FRAME_HEADER)?;
-    let header = bytes.get(at..start)?;
-    let len = u32::from_le_bytes(header[..4].try_into().expect("4 header bytes")) as usize;
-    let sum = u64::from_le_bytes(header[4..].try_into().expect("8 header bytes"));
+    let (len, sum) = parse_header(bytes.get(at..start)?);
     Some((sum, bytes.get(start..start.checked_add(len)?)?))
-}
-
-/// The payload of the frame at `bytes[at..]`, bounds-checked only — for
-/// bytes whose checksums were already verified (or were written by this
-/// process).
-pub fn payload_at(bytes: &[u8], at: usize) -> Option<&[u8]> {
-    split_at(bytes, at).map(|(_, payload)| payload)
 }
 
 /// Walks a log image frame by frame, yielding `(offset, payload)` and
@@ -87,17 +90,84 @@ impl<'a> Iterator for Frames<'a> {
     }
 }
 
-/// Length of the longest prefix of `bytes` made of whole,
-/// checksum-valid frames.
-pub fn valid_prefix(bytes: &[u8]) -> usize {
-    let mut frames = Frames::new(bytes);
-    frames.by_ref().for_each(drop);
-    frames.valid_len()
+/// The one record buffer a log handle reads and writes through: frames
+/// of a [`BlobFile`] are fetched by position into it, verified, and lent
+/// out — so a log of any length is served, scanned and replayed in
+/// memory of **one record**. Reused across calls; it grows to the
+/// largest record it has held and never with the log.
+#[derive(Default)]
+pub struct FrameBuf {
+    /// The last frame read or framed (header included) — whose length
+    /// is also the next read's guess.
+    bytes: Vec<u8>,
+    reads: u64,
+    read_bytes: u64,
+}
+
+impl FrameBuf {
+    /// Frames `payload` into the buffer and lends the frame out, ready
+    /// for one append. The caller bounds the payload below 4 GiB.
+    pub fn frame(&mut self, payload: &[u8]) -> &[u8] {
+        self.bytes.clear();
+        push_frame(&mut self.bytes, payload);
+        &self.bytes
+    }
+
+    /// Reads the frame at `offset` of `file`, whose frames end at `end`
+    /// (the log's length, or a commitment inside it), and lends out its
+    /// payload. `Ok(None)` when no whole, checksum-valid frame lies in
+    /// `offset..end` — a torn tail, a corrupt record, an offset that is
+    /// no record boundary; `Err` only when the read itself fails.
+    ///
+    /// Logs mostly hold records of like size, so the read asks for as
+    /// many bytes as the previous frame had: one positional read brings
+    /// in header and payload together, and only a longer record costs a
+    /// second read for its remainder. The announced length is input —
+    /// it is bounded by `end` **before** anything is reserved for it.
+    pub fn read_at<F: BlobFile>(
+        &mut self,
+        file: &F,
+        end: u64,
+        offset: u64,
+    ) -> Result<Option<&[u8]>> {
+        let Some(room) = end.checked_sub(offset).filter(|&r| r >= FRAME_HEADER as u64) else {
+            return Ok(None);
+        };
+        let guess = (self.bytes.len().max(FRAME_HEADER) as u64).min(room) as usize;
+        self.bytes.resize(guess, 0);
+        self.fill(file, offset, 0)?;
+        let (len, sum) = parse_header(&self.bytes);
+        if len as u64 > room - FRAME_HEADER as u64 {
+            return Ok(None);
+        }
+        let frame_len = FRAME_HEADER + len;
+        self.bytes.resize(frame_len, 0);
+        if frame_len > guess {
+            self.fill(file, offset, guess)?;
+        }
+        let payload = &self.bytes[FRAME_HEADER..];
+        Ok((fnv1a64(payload) == sum).then_some(payload))
+    }
+
+    /// One positional read: fills `bytes[from..]` from `offset + from`.
+    fn fill<F: BlobFile>(&mut self, file: &F, offset: u64, from: usize) -> Result<()> {
+        let dst = &mut self.bytes[from..];
+        self.reads += 1;
+        self.read_bytes += dst.len() as u64;
+        file.read_at(offset + from as u64, dst)
+    }
+
+    /// Positional reads issued through this buffer and the bytes they
+    /// asked for: `(count, bytes)`.
+    pub fn reads(&self) -> (u64, u64) {
+        (self.reads, self.read_bytes)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blob::MemBlob;
     use proptest::prelude::*;
 
     /// The on-disk format, pinned: a refactor that moves a byte fails
@@ -114,16 +184,68 @@ mod tests {
         assert_eq!(Frames::new(&out).collect::<Vec<_>>(), vec![(0, &b"hello"[..])]);
     }
 
+    /// Every frame of `bytes` a [`FrameBuf`] yields walking from 0, and
+    /// where the walk stopped.
+    fn walk(bytes: &[u8], buf: &mut FrameBuf) -> (Vec<Vec<u8>>, usize) {
+        let file = MemBlob { bytes: bytes.to_vec() };
+        let (mut yielded, mut at) = (Vec::new(), 0usize);
+        while let Some(payload) = buf.read_at(&file, bytes.len() as u64, at as u64).unwrap() {
+            at += FRAME_HEADER + payload.len();
+            yielded.push(payload.to_vec());
+        }
+        assert!(buf.bytes.len() <= bytes.len(), "sized past the file");
+        (yielded, at)
+    }
+
+    /// A read by position verifies what it lends out: a frame whose
+    /// checksum fails, an offset inside a record and an offset past the
+    /// end are all `None`, never bytes.
     #[test]
-    fn unchecked_read_is_bounds_checked_only() {
+    fn positional_read_rejects_what_does_not_frame() {
         let mut log = Vec::new();
         push_frame(&mut log, b"abc");
         push_frame(&mut log, b"");
+        let file = MemBlob { bytes: log.clone() };
+        let (end, second) = (log.len() as u64, (FRAME_HEADER + 3) as u64);
+        let mut buf = FrameBuf::default();
+        assert_eq!(buf.read_at(&file, end, 0).unwrap(), Some(&b"abc"[..]));
+        assert_eq!(buf.read_at(&file, end, second).unwrap(), Some(&b""[..]));
+        assert_eq!(buf.read_at(&file, end, 1).unwrap(), None, "inside a record");
+        assert_eq!(buf.read_at(&file, end, end - 2).unwrap(), None, "header overruns");
+        assert_eq!(buf.read_at(&file, end, u64::MAX).unwrap(), None, "past the end");
+        assert_eq!(buf.read_at(&file, end - 1, second).unwrap(), None, "frame overruns `end`");
         *log.last_mut().unwrap() ^= 1; // inside frame 1's checksum
-        assert_eq!(payload_at(&log, FRAME_HEADER + 3), Some(&b""[..]));
-        assert_eq!(Frames::new(&log).count(), 1, "the scanner does check");
-        assert_eq!(payload_at(&log, log.len() - 2), None, "header overruns");
-        assert_eq!(payload_at(&log, usize::MAX), None, "offset overflow is a miss");
+        let file = MemBlob { bytes: log };
+        assert_eq!(buf.read_at(&file, end, second).unwrap(), None, "checksum fails");
+        assert_eq!(buf.read_at(&file, end, 0).unwrap(), Some(&b"abc"[..]));
+    }
+
+    /// The read-size guess: records of like size cost one positional
+    /// read each, a longer one a second read for its remainder, and no
+    /// read asks for more than the previous frame's length.
+    #[test]
+    fn one_read_per_record_no_longer_than_the_last() {
+        let log = encode(&[vec![1; 100], vec![2; 100], vec![3; 100], vec![4; 300], vec![5; 10]]);
+        let mut buf = FrameBuf::default();
+        let file = MemBlob { bytes: log.clone() };
+        let frame = |n: usize| (FRAME_HEADER + n) as u64;
+        let mut at = 0;
+        let mut expect = (0u64, 0u64);
+        for (len, reads, bytes) in [
+            (100, 2, frame(100)), // cold: header, then the rest
+            (100, 1, frame(100)), // like size: one read
+            (100, 1, frame(100)),
+            (300, 2, frame(300)), // longer: a second read for the remainder
+            (10, 1, frame(10)),   // shorter: one read, clipped to the log's end
+        ] {
+            assert_eq!(
+                buf.read_at(&file, log.len() as u64, at).unwrap().map(<[u8]>::len),
+                Some(len)
+            );
+            at += frame(len);
+            expect = (expect.0 + reads, expect.1 + bytes);
+            assert_eq!(buf.reads(), expect, "after the {len}-byte record");
+        }
     }
 
     fn encode(payloads: &[Vec<u8>]) -> Vec<u8> {
@@ -140,7 +262,11 @@ mod tests {
         let yielded: Vec<Vec<u8>> = frames.by_ref().map(|(_, p)| p.to_vec()).collect();
         assert!(frames.valid_len() <= bytes.len());
         assert_eq!(encode(&yielded), bytes[..frames.valid_len()]);
-        assert_eq!(valid_prefix(bytes), frames.valid_len());
+        // The positional reader sees exactly what the image scanner sees,
+        // whatever it read last.
+        let mut buf = FrameBuf::default();
+        assert_eq!(walk(bytes, &mut buf), (yielded.clone(), frames.valid_len()));
+        assert_eq!(walk(bytes, &mut buf), (yielded.clone(), frames.valid_len()));
         yielded
     }
 

@@ -133,6 +133,15 @@ pub enum IoEvent {
         /// Slot index.
         id: u64,
     },
+    /// A ranged read of a byte file: `len` bytes at `offset`.
+    ReadAt {
+        /// File that was read.
+        file: String,
+        /// First byte read.
+        offset: u64,
+        /// Bytes read.
+        len: u64,
+    },
     /// A sync barrier: `flushed` overlay entries became durable.
     Sync {
         /// File that was synced.
@@ -203,6 +212,25 @@ impl SimByteFile {
             out.extend_from_slice(chunk);
         }
         out
+    }
+
+    /// Fills `buf` from that same image at `offset`, chunk by chunk —
+    /// a ranged read never assembles the whole file. Errors when the
+    /// range runs past the end.
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        let mut skip = offset;
+        let mut filled = 0;
+        for chunk in std::iter::once(&self.durable).chain(&self.tail) {
+            let from = skip.min(chunk.len() as u64) as usize;
+            skip -= from as u64;
+            let n = (chunk.len() - from).min(buf.len() - filled);
+            buf[filled..filled + n].copy_from_slice(&chunk[from..from + n]);
+            filled += n;
+        }
+        match filled == buf.len() {
+            true => Ok(()),
+            false => Err(ExtMemError::Io(std::io::ErrorKind::UnexpectedEof.into())),
+        }
     }
 }
 
@@ -1032,10 +1060,13 @@ impl BlobFile for SimBlob {
         self.peek(SimByteFile::visible_len).unwrap_or(0)
     }
 
-    fn read_all(&mut self) -> Result<Vec<u8>> {
+    /// One I/O op, fault-injectable like any other; the trace records
+    /// it as a `ReadAt`.
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        let len = buf.len() as u64;
         self.file_op(
-            || IoEvent::Meta { label: format!("file-read {}", self.name), fingerprint: 0 },
-            |f| Ok(f.image()),
+            || IoEvent::ReadAt { file: self.name.clone(), offset, len },
+            |f| f.read_at(offset, buf),
         )
     }
 
@@ -1255,6 +1286,13 @@ mod tests {
         env.power_cycle();
     }
 
+    /// Everything `file` holds, through one ranged read.
+    fn contents(file: &SimBlob) -> Vec<u8> {
+        let mut buf = vec![0; file.len() as usize];
+        file.read_at(0, &mut buf).unwrap();
+        buf
+    }
+
     fn labels(trace: &[IoEvent]) -> Vec<&str> {
         trace
             .iter()
@@ -1311,6 +1349,43 @@ mod tests {
         assert!(torn > 0 && dropped > 0, "the lottery tears and drops: {torn}/{dropped}");
     }
 
+    /// A ranged read sees the durable prefix and the handle's own
+    /// unsynced appends as one file, across every chunk boundary; it is
+    /// clocked, traced with its extent, fault-injectable, and a range
+    /// past the end is an error that reads nothing.
+    #[test]
+    fn ranged_reads_span_durable_and_unsynced_bytes() {
+        let env = SimEnv::new();
+        let mut b = env.create_file("t.blob").unwrap();
+        b.append(b"dura").unwrap();
+        b.sync().unwrap();
+        b.append(b"ble").unwrap();
+        b.append(b"").unwrap();
+        b.append(b"+tail").unwrap();
+        let image = b"durable+tail";
+        for from in 0..=image.len() {
+            for to in from..=image.len() {
+                let mut buf = vec![0; to - from];
+                b.read_at(from as u64, &mut buf).unwrap();
+                assert_eq!(buf, image[from..to], "{from}..{to}");
+            }
+        }
+        assert!(b.read_at(10, &mut [0; 3]).is_err(), "past the end");
+        assert!(b.read_at(u64::MAX, &mut [0; 1]).is_err());
+        env.take_trace();
+        let at = env.ops();
+        env.set_plan(FaultPlan { fail_at: vec![at], ..Default::default() });
+        assert!(b.read_at(0, &mut [0; 4]).is_err(), "the injected fault fails the read");
+        let mut buf = [0; 4];
+        b.read_at(3, &mut buf).unwrap();
+        assert_eq!(&buf, b"able", "and the retry succeeds");
+        assert_eq!(env.ops(), at + 2, "each read is one tick of the I/O clock");
+        assert_eq!(
+            env.take_trace(),
+            vec![IoEvent::ReadAt { file: "t.blob".into(), offset: 3, len: 4 }]
+        );
+    }
+
     #[test]
     fn truncate_discards_the_crash_tail() {
         let env = SimEnv::new();
@@ -1319,11 +1394,11 @@ mod tests {
         b.sync().unwrap();
         b.append(b"crashtail").unwrap();
         b.truncate(8).unwrap();
-        assert_eq!(b.read_all().unwrap(), b"keepkeep");
+        assert_eq!(contents(&b), b"keepkeep");
         // A cut inside the unsynced tail trims the volatile appends.
         b.append(b"abcdef").unwrap();
         b.truncate(11).unwrap();
-        assert_eq!(b.read_all().unwrap(), b"keepkeepabc");
+        assert_eq!(contents(&b), b"keepkeepabc");
     }
 
     #[test]
@@ -1391,7 +1466,7 @@ mod tests {
             tmp.sync().unwrap();
             env.rename_file("MANIFEST.tmp", "MANIFEST").unwrap();
             assert_eq!(env.read_file("MANIFEST").unwrap().unwrap(), b"new");
-            assert_eq!(old.read_all().unwrap(), b"old", "an open handle follows its file");
+            assert_eq!(contents(&old), b"old", "an open handle follows its file");
             crash(&env, seed);
             let target = env.read_file("MANIFEST").unwrap().unwrap();
             let source = env.read_file("MANIFEST.tmp").unwrap();

@@ -41,8 +41,8 @@ impl<F: BlobFile> BlobFile for LyingFile<F> {
     fn len(&self) -> u64 {
         self.inner.len()
     }
-    fn read_all(&mut self) -> Result<Vec<u8>> {
-        self.inner.read_all()
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        self.inner.read_at(offset, buf)
     }
     fn truncate(&mut self, len: u64) -> Result<()> {
         self.inner.truncate(len)
