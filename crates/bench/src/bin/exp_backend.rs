@@ -10,8 +10,7 @@
 //! `read`/`write`/`lseek` syscalls per accounted I/O.
 //!
 //! Output: an aligned table, `results/exp_backend.csv`, and
-//! `results/exp_backend.json` (the shape tracked by `BENCH_BACKEND.json`
-//! at the repo root).
+//! `results/exp_backend.json`.
 //!
 //! Run: `cargo run -p dxh-bench --release --bin exp_backend [--quick]`
 

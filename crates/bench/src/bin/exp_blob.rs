@@ -27,8 +27,7 @@
 //!   one, since every record of a sweep has the same length.
 //!
 //! Output: an aligned table, `results/exp_blob.csv`, and
-//! `results/exp_blob.json` (tracked by `BENCH_BLOB.json` at the repo
-//! root; see `docs/BENCHMARKS.md`).
+//! `results/exp_blob.json`.
 //!
 //! Run: `cargo run -p dxh-bench --release --bin exp_blob [--quick]
 //! [--seed N]`

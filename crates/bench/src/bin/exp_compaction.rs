@@ -11,8 +11,7 @@
 //! store sits on a fresh accounting disk afterwards).
 //!
 //! Output: an aligned table, `results/exp_compaction.csv`, and
-//! `results/exp_compaction.json` (the shape tracked by
-//! `BENCH_COMPACTION.json` at the repo root). The key stream and the
+//! `results/exp_compaction.json`. The key stream and the
 //! store's hash seed both derive from `--seed` (default below), and the
 //! JSON echoes it, so a snapshot names the exact run that produced it.
 //!

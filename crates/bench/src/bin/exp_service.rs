@@ -37,8 +37,7 @@
 //! `--quick` (the CI smoke) shortens the workload, asserts batching
 //! materializes, and fails if 8 shards underperform 1 shard at the
 //! same writer count. Output: aligned tables,
-//! `results/exp_service.csv`, and `results/exp_service.json` (tracked
-//! by `BENCH_SERVICE.json` at the repo root; see `docs/BENCHMARKS.md`).
+//! `results/exp_service.csv`, and `results/exp_service.json`.
 //!
 //! Run: `cargo run -p dxh-bench --release --bin exp_service [--quick]
 //! [--seed N]`

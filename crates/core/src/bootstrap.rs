@@ -36,7 +36,7 @@ use dxh_tables::{chain_lookup, ExternalDictionary, LayoutInspect, LayoutSnapshot
 use crate::config::CoreConfig;
 use crate::filter::FilterPlan;
 use crate::log_method::LogStructure;
-use crate::stream::{compact, merge_in_place, Region, Source};
+use crate::stream::{build_fresh_region, merge_in_place, MergeCursor, Region, Source};
 
 /// Theorem 2's dynamic hash table.
 ///
@@ -175,12 +175,13 @@ impl<F: HashFn, B: StorageBackend> BootstrappedTable<F, B> {
             // `purge = false`: the bootstrapped table rejects deletion, so
             // no deletion marker can reach an Ĥ merge.
             // Ĥ keeps no filter: its one probe is the point of the table.
-            let (region, _stats) =
-                compact(&mut self.disk, &self.log.hash, sources, nb_new, false, None)?;
+            let cursor = MergeCursor::new(&self.log.hash, sources, nb_new, false);
+            let (region, _stats) = build_fresh_region(&mut self.disk, None, cursor, None, None)?;
             self.hat = Some(region);
         } else {
             let hat = self.hat.as_mut().expect("checked above");
-            merge_in_place(&mut self.disk, &self.log.hash, sources, hat)?;
+            let cursor = MergeCursor::new(&self.log.hash, sources, hat.buckets, false);
+            merge_in_place(&mut self.disk, cursor, hat)?;
         }
         self.merges += 1;
         self.batch_size = ((self.hat_items() as f64 / self.cfg.beta) as usize).max(1);
@@ -250,14 +251,9 @@ impl<F: HashFn, B: StorageBackend> LayoutInspect for BootstrappedTable<F, B> {
     fn layout_snapshot(&mut self) -> Result<LayoutSnapshot> {
         let mut snap = LayoutSnapshot { memory: self.log.memory_keys(), blocks: Vec::new() };
         if let Some(hat) = &self.hat {
-            for q in 0..hat.buckets {
-                let mut cur = Some(hat.block_of(q));
-                while let Some(id) = cur {
-                    let blk = self.disk.backend_mut().read(id)?;
-                    snap.blocks.push((id, blk.items().iter().map(|it| it.key).collect()));
-                    cur = blk.next();
-                }
-            }
+            hat.inspect(&mut self.disk, |_, id, blk| {
+                snap.blocks.push((id, blk.items().iter().map(|it| it.key).collect()));
+            })?;
         }
         self.log.snapshot_blocks(&mut self.disk, &mut snap.blocks)?;
         Ok(snap)

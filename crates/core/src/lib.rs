@@ -70,7 +70,6 @@ mod log_method;
 mod media;
 mod mem_table;
 mod service;
-mod sharded;
 mod store;
 mod stream;
 
@@ -82,7 +81,6 @@ pub use log_method::LogMethodTable;
 pub use media::{DirMedia, SimMedia, StoreMedia};
 pub use mem_table::MemTable;
 pub use service::{BatchRecord, Effect, ServiceStats, ShardBatchHistory, ShardedKvStore, WriteOp};
-pub use sharded::ShardedTable;
 pub use store::{CompactionStats, KvStore, ManifestIoStats};
 
 // Re-exported so downstream code can name the dictionary trait without

@@ -21,7 +21,10 @@
 //! [`MemoryBudget`]. `tu` is untouched: filters change which blocks a
 //! lookup reads, never what a flush reads or writes. They are derived
 //! state and never persisted; a table rebuilt around persisted levels
-//! re-reads its filtered levels once (accounted) to rebuild them.
+//! re-reads its filtered levels once (accounted, through the bounded
+//! [`Region::walk`]) to rebuild them, and one that rebuilds itself onto a
+//! fresh disk ([`LogMethodTable::rebuild_onto`], compaction) fills the
+//! new level's filter as it writes the level.
 //!
 //! Lemma 5 also speaks of `H_k` as a table of `γ^k·m/b` buckets held at
 //! load ≤ 1/2. It needs that slack because its levels keep receiving
@@ -30,11 +33,14 @@
 //! Here no disk level is ever written into. A flush that stops at an
 //! `H_k` with capacity for what is coming reads `H_k` with the carried
 //! levels and builds all of it into a fresh region
-//! ([`LogStructure::flush`]), so every level is the *static* table the
-//! paper opens on — written once, probed, read once more when a flush
-//! takes it — and Knuth's bucketed table answers in `1 + 1/2^Ω(b)` I/Os
-//! at any constant load below 1. Levels are therefore sized by the `x`
-//! items landing in them, not by their capacity, at the **sealed fill**
+//! ([`LogStructure::flush`] — one [`MergeCursor`] over `H0` and those
+//! levels, written out by `build_fresh_region`; compaction is the same
+//! pass with another disk as its destination), so every level is the
+//! *static* table the paper opens on — written once, probed, read once
+//! more when a flush takes it — and Knuth's bucketed table answers in
+//! `1 + 1/2^Ω(b)` I/Os at any constant load below 1. Levels are
+//! therefore sized by the `x` items landing in them, not by their
+//! capacity, at the **sealed fill**
 //! [`CoreConfig::sealed_fill`] `λ(b) = max(⌈b/2⌉, b − ⌈2√b⌉)` items per
 //! bucket ([`CoreConfig::fresh_level_buckets`]; 48 of 64, so a full level
 //! takes ⅔ of the full geometry's blocks), and the bucket that draws more
@@ -60,7 +66,7 @@ use dxh_tables::{chain_lookup, ExternalDictionary, LayoutInspect, LayoutSnapshot
 use crate::config::CoreConfig;
 use crate::filter::{FilterPlan, FilterStats, LevelFilter};
 use crate::mem_table::MemTable;
-use crate::stream::{compact, compact_across, MergeStats, Region, Source};
+use crate::stream::{build_fresh_region, MergeCursor, MergeStats, Region, Source, ValueMap};
 
 /// The level structure shared by [`LogMethodTable`] and
 /// [`crate::BootstrappedTable`]: `H0` in memory plus disk levels
@@ -198,7 +204,8 @@ impl<F: HashFn> LogStructure<F> {
             "H{k} is sized past its capacity or the sealed fill: {landing} items, {nb} buckets"
         );
         let mut filter = self.plan.new_filter(k);
-        let (region, _) = compact(disk, &self.hash, sources, nb, purge, filter.as_mut())?;
+        let cursor = MergeCursor::new(&self.hash, sources, nb, purge);
+        let (region, _) = build_fresh_region(disk, None, cursor, filter.as_mut(), None)?;
         self.levels[k] = Some(region);
         self.set_filter(k, filter);
         Ok(())
@@ -343,14 +350,12 @@ impl<F: HashFn> LogStructure<F> {
         for k in 1..=self.plan.levels() {
             let Some(region) = self.levels.get(k).copied().flatten() else { continue };
             let mut filter = self.plan.new_filter(k).expect("k is a filtered level");
-            for q in 0..region.buckets {
-                let mut cur = Some(region.block_of(q));
-                while let Some(id) = cur {
-                    let blk = disk.read(id)?;
-                    blk.items().iter().for_each(|it| filter.insert(self.hash.hash64(it.key)));
-                    cur = blk.next();
-                }
-            }
+            let hops = disk.live_blocks();
+            let read = |id| disk.read(id);
+            region.walk(0..region.buckets, hops, read, |_, _, blk| {
+                blk.items().iter().for_each(|it| filter.insert(self.hash.hash64(it.key)));
+                Ok(())
+            })?;
             self.set_filter(k, Some(filter));
         }
         Ok(())
@@ -369,14 +374,9 @@ impl<F: HashFn> LogStructure<F> {
         out: &mut Vec<(BlockId, Vec<Key>)>,
     ) -> Result<()> {
         for region in self.levels.iter().skip(1).flatten() {
-            for q in 0..region.buckets {
-                let mut cur = Some(region.block_of(q));
-                while let Some(id) = cur {
-                    let blk = disk.backend_mut().read(id)?;
-                    out.push((id, blk.items().iter().map(|it| it.key).collect()));
-                    cur = blk.next();
-                }
-            }
+            region.inspect(disk, |_, id, blk| {
+                out.push((id, blk.items().iter().map(|it| it.key).collect()));
+            })?;
         }
         Ok(())
     }
@@ -389,13 +389,10 @@ impl<F: HashFn> LogStructure<F> {
     ) -> Result<Vec<u64>> {
         let mut out = vec![0; self.levels.len()];
         for (k, region) in self.levels.iter().enumerate() {
-            for q in 0..region.map_or(0, |r| r.buckets) {
-                let mut cur = disk.backend_mut().read(region.expect("has buckets").block_of(q))?;
-                while let Some(id) = cur.next() {
-                    out[k] += 1;
-                    cur = disk.backend_mut().read(id)?;
-                }
-            }
+            let Some(region) = region else { continue };
+            let mut blocks = 0;
+            region.inspect(disk, |_, _, _| blocks += 1)?;
+            out[k] = blocks - region.buckets;
         }
         Ok(out)
     }
@@ -556,72 +553,40 @@ impl<F: HashFn, B: StorageBackend> LogMethodTable<F, B> {
         self.log.flush(&mut self.disk)
     }
 
-    /// Streams the whole structure (`H0` and every level, newest-first
-    /// precedence) into one dense level-`k` region on `dst`, purging
-    /// deletion markers and shadowed duplicates — the destination is by
-    /// construction the deepest (only) level, sized by
-    /// [`CoreConfig::fresh_level_buckets`] for the physical item count
-    /// (the purge only shrinks what lands). Returns the level vector
-    /// describing `dst` plus the merge statistics; `self` is left empty
-    /// (its disk sources are consumed and freed). The engine of
-    /// [`crate::KvStore::compact`].
-    pub(crate) fn compact_into<C: StorageBackend>(
+    /// The table rebuilds itself onto the fresh disk `dst`: `H0` and
+    /// every level stream, newest-first, through one [`MergeCursor`] into
+    /// a dense level-`k` region there — deletion markers and shadowed
+    /// copies purged, the destination being by construction the only,
+    /// hence deepest, level — sized by [`CoreConfig::fresh_level_buckets`]
+    /// for the physical item count (the purge only shrinks what lands).
+    /// As each item lands its value goes through `map`, if any, and its
+    /// key into the level's filter, so the new table is written once and
+    /// never read. Returns that table with the merge statistics; `self`
+    /// is left empty, its disk sources consumed and freed. An empty
+    /// table rebuilds into an empty one without touching `dst`. The
+    /// engine of [`crate::KvStore::compact`].
+    pub(crate) fn rebuild_onto(
         &mut self,
-        dst: &mut Disk<C>,
+        dst: Disk<B>,
         k: usize,
-    ) -> Result<(Vec<Option<Region>>, MergeStats)> {
-        let nb = self.cfg.fresh_level_buckets(k as u32, self.log.items());
+        map: Option<ValueMap<'_>>,
+    ) -> Result<(Self, MergeStats)> {
+        let mut rebuilt = Self::with_disk(dst, self.cfg.clone(), self.log.hash.clone())?;
+        let landing = self.log.items();
+        if landing == 0 {
+            return Ok((rebuilt, MergeStats::default()));
+        }
+        let nb = self.cfg.fresh_level_buckets(k as u32, landing);
         let sources = self.log.take_all_sources();
+        let cursor = MergeCursor::new(&self.log.hash, sources, nb, true);
+        let mut filter = rebuilt.log.plan.new_filter(k);
+        let onto = Some(&mut rebuilt.disk);
         let (region, stats) =
-            compact_across(&mut self.disk, dst, &self.log.hash, sources, nb, true)?;
-        let mut levels: Vec<Option<Region>> = vec![None; k + 1];
-        levels[k] = Some(region);
-        Ok((levels, stats))
-    }
-
-    /// Rewrites every live value in place through `f` (deletion markers
-    /// are skipped — their value *is* the marker). One read-modify-write
-    /// per chained block, accounting included. The payload remap rider of
-    /// [`crate::KvStore::compact`]: after the index is rebuilt into a new
-    /// generation, the tagged offset words are remapped to the compacted
-    /// blob log's layout through exactly this walk.
-    pub(crate) fn rewrite_values(
-        &mut self,
-        f: &mut dyn FnMut(Value) -> Result<Value>,
-    ) -> Result<()> {
-        // H0 first (empty on the compaction path, which runs on a
-        // freshly rebuilt table; handled for generality).
-        for mut it in self.log.h0.drain_in_bucket_order() {
-            if !it.is_delete_marker() {
-                it.value = f(it.value)?;
-            }
-            let bucket = self.log.h0_bucket(it.key);
-            self.log.h0.upsert(bucket, it);
-        }
-        for region in self.log.levels.iter().skip(1).flatten() {
-            for q in 0..region.buckets {
-                let mut cur = Some(region.block_of(q));
-                while let Some(id) = cur {
-                    let mut blk = self.disk.backend_mut().read(id)?;
-                    let mut changed = false;
-                    for it in blk.items_mut() {
-                        if it.is_delete_marker() {
-                            continue;
-                        }
-                        let nv = f(it.value)?;
-                        if nv != it.value {
-                            it.value = nv;
-                            changed = true;
-                        }
-                    }
-                    cur = blk.next();
-                    if changed {
-                        self.disk.backend_mut().write(id, &blk)?;
-                    }
-                }
-            }
-        }
-        Ok(())
+            build_fresh_region(&mut self.disk, onto, cursor, filter.as_mut(), map)?;
+        rebuilt.log.levels.resize(k + 1, None);
+        rebuilt.log.levels[k] = Some(region);
+        rebuilt.log.set_filter(k, filter);
+        Ok((rebuilt, stats))
     }
 
     /// Rebuilds every level with `buckets(k, region)` buckets — the
@@ -635,9 +600,9 @@ impl<F: HashFn, B: StorageBackend> LogMethodTable<F, B> {
             let Some(r) = self.log.levels[k].take() else { continue };
             let nb = buckets(k as u32, &r);
             let mut filter = self.log.plan.new_filter(k);
-            let sources = vec![Source::from_region(r)];
+            let cursor = MergeCursor::new(&self.log.hash, vec![Source::from_region(r)], nb, false);
             let (region, _) =
-                compact(&mut self.disk, &self.log.hash, sources, nb, false, filter.as_mut())?;
+                build_fresh_region(&mut self.disk, None, cursor, filter.as_mut(), None)?;
             self.log.levels[k] = Some(region);
             self.log.set_filter(k, filter);
         }
@@ -1029,16 +994,10 @@ mod tests {
             assert_eq!(geometry[k], (n, n.div_ceil(fill) as u64), "b = {b}: one sealed H{k}");
             assert!(geometry[..k].iter().all(|level| level.0 == 0), "b = {b}: {geometry:?}");
             let region = t.log.levels[k].expect("occupied");
-            let (mut chained, mut longest) = (0, 0);
-            for q in 0..region.buckets {
-                let (mut blocks, mut cur) = (0, Some(region.block_of(q)));
-                while let Some(id) = cur {
-                    blocks += 1;
-                    cur = t.disk.backend_mut().read(id).unwrap().next();
-                }
-                chained += u64::from(blocks > 1);
-                longest = longest.max(blocks);
-            }
+            let mut blocks = vec![0; region.buckets as usize];
+            region.inspect(&mut t.disk, |q, _, _| blocks[q as usize] += 1).unwrap();
+            let chained = blocks.iter().filter(|&&n| n > 1).count() as u64;
+            let longest = blocks.iter().copied().max().expect("a level has buckets");
             assert_eq!(longest, 2, "b = {b}: no chain is longer than one block");
             let share = chained as f64 / region.buckets as f64;
             let tail = overflow_tail(b, fill as f64 / b as f64);
@@ -1176,13 +1135,14 @@ mod tests {
                 for &k in &occupied {
                     let region = t.log.levels[k].expect("occupied");
                     let (mut blocks, mut holds) = (0, false);
-                    let mut cur = Some(region.block_of(prefix_bucket(h, region.buckets)));
-                    while let Some(id) = cur.filter(|_| !holds) {
-                        let blk = t.disk.backend_mut().read(id).unwrap();
-                        blocks += 1;
-                        holds = blk.contains(key);
-                        cur = blk.next();
-                    }
+                    let (q, hops) = (prefix_bucket(h, region.buckets), t.disk.live_blocks());
+                    let read = |id| t.disk.backend_mut().read(id);
+                    let probe = region.walk(q..q + 1, hops, read, |_, _, blk| {
+                        blocks += u64::from(!holds);
+                        holds |= blk.contains(key);
+                        Ok(())
+                    });
+                    probe.unwrap();
                     assert!(blocks <= 2, "H{k}: a chain of {blocks} blocks");
                     let filter = t.log.filters.get(k).and_then(Option::as_ref);
                     assert_eq!(filter.is_some(), k <= filtered, "H{k}");

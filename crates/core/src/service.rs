@@ -17,8 +17,8 @@
 //!
 //! * the key space is hash-partitioned across `N` independent
 //!   [`crate::KvStore`] shards (each its own directory or [`crate::SimMedia`]
-//!   namespace, each its own lock), by the same router construction
-//!   [`crate::ShardedTable`] uses — every shard sees uniformly random
+//!   namespace, each its own lock) by a routing hash independent of
+//!   every shard-internal one — every shard sees uniformly random
 //!   keys, so each one's per-shard guarantees are the paper's;
 //! * each shard has a **dedicated committer thread**: concurrent
 //!   [`ShardedKvStore::put`] / [`ShardedKvStore::delete`] calls enqueue
@@ -90,13 +90,12 @@ use dxh_sync::thread::JoinHandle;
 use dxh_sync::{Condvar, Mutex};
 
 use dxh_extmem::{ExtMemError, Key, Result, Value, KEY_TOMBSTONE, VALUE_TOMBSTONE};
-use dxh_hashfn::IdealFn;
+use dxh_hashfn::{prefix_bucket, HashFn, IdealFn};
 use dxh_tables::ExternalDictionary;
 
 use crate::commitlog::{encode_log_record, replay_log, CommitLog};
 use crate::config::CoreConfig;
 use crate::media::{commit_file_atomic, read_text, DirMedia, StoreMedia};
-use crate::sharded::{shard_of_key, shard_router};
 use crate::store::KvStore;
 
 /// Service manifest file name inside a service root.
@@ -446,6 +445,24 @@ impl BufState {
         // `pending` is strictly newer than the batch being applied.
         self.pending.get(key).or_else(|| self.inflight_overlay.get(&key).cloned())
     }
+
+    /// Acknowledges `batches`, which a log round or a harden has just
+    /// made durable: they count as committed, enter the recorded
+    /// history, and every parked writer's cell gets its answer. The
+    /// caller wakes the writers (`ack_cv`) once the guard is gone.
+    fn acknowledge(&mut self, batches: &[AppliedBatch]) {
+        for ab in batches {
+            self.committed_batches += 1;
+            self.committed_ops += ab.ops;
+            self.largest_batch = self.largest_batch.max(ab.ops);
+            if ab.recorded {
+                self.history.push(BatchRecord { ops: ab.effects.clone() });
+            }
+            for (cell, ans) in ab.cells.iter().zip(&ab.answers) {
+                *cell.0.lock() = Some(Ok(*ans));
+            }
+        }
+    }
 }
 
 struct Shard<M: StoreMedia> {
@@ -720,20 +737,7 @@ fn commit_round<M: StoreMedia>(
         Ok(()) => {
             for (si, batches) in &collected {
                 let shard = &shards[*si];
-                {
-                    let mut buf = shard.buf.lock();
-                    for ab in batches {
-                        buf.committed_batches += 1;
-                        buf.committed_ops += ab.ops;
-                        buf.largest_batch = buf.largest_batch.max(ab.ops);
-                        if ab.recorded {
-                            buf.history.push(BatchRecord { ops: ab.effects.clone() });
-                        }
-                        for (cell, ans) in ab.cells.iter().zip(&ab.answers) {
-                            *cell.0.lock() = Some(Ok(*ans));
-                        }
-                    }
-                }
+                shard.buf.lock().acknowledge(batches);
                 shard.ack_cv.notify_all();
             }
             coord.state.lock().epoch += 1;
@@ -1108,17 +1112,7 @@ fn harden_shard<M: StoreMedia>(shard: &Shard<M>, set_marker: bool) {
                 let mut buf = shard.buf.lock();
                 buf.hardens += 1;
                 let acked = std::mem::take(&mut buf.unacked);
-                for ab in &acked {
-                    buf.committed_batches += 1;
-                    buf.committed_ops += ab.ops;
-                    buf.largest_batch = buf.largest_batch.max(ab.ops);
-                    if ab.recorded {
-                        buf.history.push(BatchRecord { ops: ab.effects.clone() });
-                    }
-                    for (cell, ans) in ab.cells.iter().zip(&ab.answers) {
-                        *cell.0.lock() = Some(Ok(*ans));
-                    }
-                }
+                buf.acknowledge(&acked);
             }
             shard.ack_cv.notify_all();
         }
@@ -1151,6 +1145,21 @@ fn wedge<M: StoreMedia>(shard: &Shard<M>, why: String, mid_apply: &[Arc<OpCell>]
         buf.wedged = Some(why);
     }
     shard.ack_cv.notify_all();
+}
+
+/// The routing hash: derived from the deployment seed with a fixed tweak
+/// so it stays independent of every shard-internal hash (which are
+/// derived from the seed *without* the tweak).
+fn shard_router(seed: u64) -> IdealFn {
+    IdealFn::from_seed(seed ^ 0x005A_ADED)
+}
+
+/// Which of `shards` shards owns `key` under `router` — the same
+/// prefix-bucket reduction every table uses, so the partition is uniform
+/// whenever the router hash is.
+#[inline]
+fn shard_of_key(router: &IdealFn, shards: usize, key: Key) -> usize {
+    prefix_bucket(router.hash64(key), shards as u64) as usize
 }
 
 /// A thread-safe, persistent, sharded key-value store with group-commit
@@ -1887,6 +1896,34 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<ShardedKvStore<DirMedia>>();
         assert_send_sync::<ShardedKvStore<SimMedia>>();
+    }
+
+    /// The router is the whole partition: total (every key has a shard),
+    /// a function of the persisted seed alone (a reopened service routes
+    /// every key where the first one did), independent of the shards'
+    /// own hashes, and — the router being an ideal hash — balanced to
+    /// within sampling noise under uniform keys.
+    #[test]
+    fn routing_is_total_stable_across_reopen_and_balanced() {
+        use dxh_hashfn::SplitMix64;
+        let env = SimEnv::new();
+        let svc = sim_service(&env, 8, 9);
+        let mut rng = SplitMix64::new(5);
+        let keys: Vec<u64> = (0..16_000).map(|_| rng.next_u64() >> 1).collect();
+        let routed: Vec<usize> = keys.iter().map(|&k| svc.shard_of(k)).collect();
+        let mut sizes = [0usize; 8];
+        for &si in &routed {
+            sizes[si] += 1; // total: an index out of range panics here
+        }
+        let expect = keys.len() as f64 / 8.0;
+        for (i, &sz) in sizes.iter().enumerate() {
+            let off = (sz as f64 - expect).abs();
+            assert!(off < 6.0 * expect.sqrt(), "shard {i} owns {sz} keys, expected ≈ {expect}");
+        }
+        drop(svc);
+        let svc = sim_service(&env, 8, 1234); // the persisted seed wins
+        let again: Vec<usize> = keys.iter().map(|&k| svc.shard_of(k)).collect();
+        assert_eq!(again, routed);
     }
 
     #[test]

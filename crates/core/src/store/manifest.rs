@@ -1,0 +1,722 @@
+//! The manifest: its codec (one text file, written whole by every
+//! commit), the bounds a persisted parameter must respect before it is
+//! believed, and the read-only fold of a legacy `MANIFEST.DELTA` chain.
+
+use dxh_extmem::frame::Frames;
+use dxh_extmem::{BlockId, ExtMemError, IoCostModel, PersistentBackend, Result};
+
+use super::KvStore;
+use crate::config::CoreConfig;
+use crate::media::{commit_file_atomic, set_clean_marker, StoreMedia, MANIFEST};
+use crate::stream::Region;
+
+pub(super) const MAGIC: &str = "dxh-store v2";
+/// Format v1: written before deletion existed. Readable, but `u64::MAX`
+/// was an ordinary value then — see [`scan_reserved_values`].
+pub(super) const MAGIC_V1: &str = "dxh-store v1";
+
+impl<M: StoreMedia> KvStore<M> {
+    /// The commit point: atomically replaces `MANIFEST` with the table's
+    /// current state at the next epoch — with `set_marker`, including
+    /// the allocator's free list and followed by `CLEAN` (see
+    /// [`KvStore::harden`]). Lines older parsers do not know are ignored
+    /// by them (forward-compatible), so optional ones are simply left
+    /// out: `blob` is present exactly in payload mode, `watermark` only
+    /// on service-managed stores (see `set_replay_watermark`).
+    pub(super) fn write_manifest(&mut self, set_marker: bool) -> Result<()> {
+        let cfg = self.table.config();
+        let mut out = String::new();
+        out.push_str(MAGIC);
+        out.push('\n');
+        out.push_str(&format!(
+            "b {}\nm {}\ngamma {}\nbeta {}\n",
+            cfg.b, cfg.m, cfg.gamma, cfg.beta
+        ));
+        out.push_str(&format!(
+            "cost {}\n",
+            match cfg.cost {
+                IoCostModel::SeekDominated => "seek",
+                IoCostModel::Strict => "strict",
+            }
+        ));
+        out.push_str(&format!("seed {}\n", self.seed));
+        // Older parsers ignore the line (forward-compatible); this one
+        // needs it only to recognize a stale legacy chain.
+        out.push_str(&format!("epoch {}\n", self.epoch + 1));
+        out.push_str(&format!("data {}\n", self.data_gen));
+        // Presence of the `blob` line ⟺ payload mode; its value is the
+        // committed payload length — reopen truncates the log back to it
+        // (crash-tail discard) and verifies the prefix. Callers order a
+        // blob sync before this commit (`blob-sync-before-index-commit`).
+        if let Some(log) = &self.blob {
+            out.push_str(&format!("blob {}\n", log.len()));
+        }
+        if self.watermark > 0 {
+            out.push_str(&format!("watermark {}\n", self.watermark));
+        }
+        let backend = self.table.disk_mut().backend_mut();
+        out.push_str(&format!("slots {}\n", backend.slots()));
+        if set_marker {
+            let ids: Vec<String> = backend.free_list().iter().map(|id| id.to_string()).collect();
+            out.push_str(&format!("free {}\n", ids.join(",")));
+        }
+        let levels = self.table.persisted_levels();
+        out.push_str(&format!("levels {}\n", levels.len()));
+        for (k, r) in levels.iter().enumerate() {
+            if let Some(r) = r {
+                out.push_str(&format!("level {k} {} {} {}\n", r.base.raw(), r.buckets, r.items));
+            }
+        }
+        // Atomic and durable (tmp + fsync + rename + dir fsync), with the
+        // data fsync before the rename. A crash between the two finds
+        // new blocks durable under the *old* manifest, which is harmless:
+        // none of them is a block that manifest names (every level is
+        // built in fresh slots, never merged into), so the old state is
+        // intact and log replay above the old watermark lands on a batch
+        // boundary.
+        let (table, dirty) = (&mut self.table, self.dirty);
+        let sync_data = || if dirty { table.disk_mut().flush() } else { Ok(()) };
+        commit_file_atomic(&mut self.media, MANIFEST, &out, sync_data)?;
+        self.epoch += 1;
+        if set_marker {
+            self.manifest_io.full_commits += 1;
+            self.manifest_io.full_bytes += out.len() as u64;
+            set_clean_marker(&mut self.media)?;
+        } else {
+            self.manifest_io.delta_commits += 1;
+            self.manifest_io.delta_bytes += out.len() as u64;
+        }
+        Ok(())
+    }
+
+    /// Manifest-commit I/O accounting since this handle opened: how many
+    /// bytes the index-commit path wrote, split between marker-setting
+    /// and marker-less (checkpoint) commits. A service shard in steady
+    /// state accumulates almost all its commits — a couple of hundred
+    /// bytes each — on the checkpoint side; the torture harness and the
+    /// bench assert exactly that through these counters.
+    pub fn manifest_io(&self) -> ManifestIoStats {
+        self.manifest_io
+    }
+}
+
+/// Cumulative manifest-commit I/O of one [`KvStore`] handle since it
+/// opened, split by the commit's form: a marker-setting commit
+/// (`full_*`) lists the allocator's free list, whose bytes scale with
+/// the table; a marker-less checkpoint commit (`delta_*`) is the same
+/// manifest without it — O(log n) level lines. The `delta_*` names
+/// predate that form: checkpoint commits used to be frames appended to
+/// a `MANIFEST.DELTA` chain, and the counters track the same quantity.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ManifestIoStats {
+    /// Bytes written by marker-setting manifest commits.
+    pub full_bytes: u64,
+    /// Marker-setting manifest commits (sync, compaction, creation).
+    pub full_commits: u64,
+    /// Bytes written by marker-less (checkpoint) manifest commits.
+    pub delta_bytes: u64,
+    /// Marker-less (checkpoint) manifest commits.
+    pub delta_commits: u64,
+}
+
+/// Splits a manifest line into its key, first value and the remaining
+/// fields; `None` for a line with fewer than two fields.
+fn split_line(line: &str) -> Option<(&str, &str, std::str::SplitWhitespace<'_>)> {
+    let mut parts = line.split_whitespace();
+    Some((parts.next()?, parts.next()?, parts))
+}
+
+/// Parses a delta frame's `delta <epoch> <seq>` head line.
+fn parse_delta_head(line: &str) -> Option<(u64, u64)> {
+    let ("delta", epoch, mut rest) = split_line(line)? else { return None };
+    Some((epoch.parse().ok()?, rest.next()?.parse().ok()?))
+}
+
+/// Folds a legacy `MANIFEST.DELTA` chain (see the module docs) into a
+/// parsed base manifest. Frames apply in order while they are intact
+/// (length and checksum verify), quote the base's epoch, and carry
+/// sequence numbers running 1, 2, …; the first torn or out-of-sequence
+/// frame ends the chain — everything at and behind it was never
+/// acknowledged as committed. Frames quoting a *different* epoch are
+/// stale survivors of a lost chain removal and are skipped without
+/// ending the chain. An intact in-sequence frame is a commit point and
+/// must apply in full: a state line in it that does not parse is
+/// [`ExtMemError::Corrupt`], never a half-applied frame. Returns the
+/// number of frames applied; when any did, the base's free list has
+/// been cleared — it predates the chain and must not be trusted.
+pub(super) fn apply_manifest_deltas(m: &mut Manifest, chain: &[u8]) -> Result<u64> {
+    let payload_mode = m.blob.is_some();
+    let mut applied = 0u64;
+    for (_, payload) in Frames::new(chain) {
+        let Ok(text) = std::str::from_utf8(payload) else { break };
+        let mut lines = text.lines();
+        let Some((epoch, seq)) = lines.next().and_then(parse_delta_head) else { break };
+        if epoch == m.epoch {
+            if seq != applied + 1 {
+                break;
+            }
+            for line in lines {
+                m.apply_line(line)?;
+            }
+            if m.blob.is_some() != payload_mode {
+                return Err(ExtMemError::Corrupt(
+                    "manifest: a delta frame cannot switch the store's representation".into(),
+                ));
+            }
+            applied += 1;
+        }
+    }
+    if applied > 0 {
+        m.free.clear();
+    }
+    Ok(applied)
+}
+
+/// Parsed manifest contents.
+pub(super) struct Manifest {
+    pub(super) cfg: CoreConfig,
+    pub(super) seed: u64,
+    /// Data-file generation (0 = `store.blk`, the only value ever
+    /// written before compaction existed — absent lines parse as 0).
+    pub(super) data_gen: u64,
+    pub(super) slots: u64,
+    pub(super) free: Vec<u64>,
+    pub(super) levels: Vec<Option<Region>>,
+    /// Written by a pre-deletion binary (format v1): `u64::MAX` was an
+    /// ordinary value then, so reopen must prove none is stored before
+    /// this version may treat it as the deletion marker.
+    pub(super) v1: bool,
+    /// Commit-log replay watermark (absent lines parse as 0 — stores
+    /// outside a service never write one).
+    pub(super) watermark: u64,
+    /// Committed blob-log length in bytes. Presence of the line ⟺ the
+    /// store runs in payload mode; recovery truncates the log here.
+    pub(super) blob: Option<u64>,
+    /// Epoch this manifest committed at (absent lines parse as 0 —
+    /// stores older than the legacy chain). Legacy delta frames quote
+    /// the epoch they extend; frames quoting any other are stale and
+    /// skipped.
+    pub(super) epoch: u64,
+}
+
+pub(super) fn corrupt(why: &str) -> ExtMemError {
+    ExtMemError::Corrupt(format!("manifest: {why}"))
+}
+
+/// Largest memory budget a manifest may state, in items: 4 GiB worth,
+/// 65 536 times the deployed `m`. Reopen sizes `H0` and the level
+/// filters from the persisted `m`, so a corrupt one must be rejected
+/// before it is believed — like the `levels` count below.
+pub(super) const MAX_M: usize = 1 << 28;
+
+/// Largest growth factor a manifest may state. The first migration
+/// sizes a level of `γ · m/b` buckets; the paper's tradeoff has no use
+/// for `γ` beyond `b`, and deployed values are 2–16.
+pub(super) const MAX_GAMMA: u64 = 1 << 16;
+
+/// Whether a store may carry `cfg`'s creation parameters. Checked where
+/// a store is created as well as where a manifest is parsed, so a store
+/// this code creates always reopens.
+pub(super) fn plausible_creation_params(cfg: &CoreConfig) -> bool {
+    cfg.m <= MAX_M && cfg.gamma <= MAX_GAMMA
+}
+
+impl Manifest {
+    pub(super) fn parse(text: &str) -> Result<Self> {
+        let mut lines = text.lines();
+        let v1 = match lines.next() {
+            Some(l) if l == MAGIC => false,
+            Some(l) if l == MAGIC_V1 => true,
+            _ => return Err(corrupt("bad magic")),
+        };
+        // The creation-time parameters, which only a manifest states;
+        // the state lines go through the parser legacy delta frames
+        // share, below.
+        let mut b = None;
+        let mut m = None;
+        let mut gamma = None;
+        let mut beta = None;
+        let mut cost = IoCostModel::SeekDominated;
+        let mut seed = None;
+        let mut data_gen = 0u64;
+        let mut epoch = 0u64;
+        let mut has_slots = false;
+        for (key, v, _) in lines.clone().filter_map(split_line) {
+            match key {
+                "b" => b = v.parse().ok(),
+                "m" => m = v.parse().ok(),
+                "gamma" => gamma = v.parse().ok(),
+                "beta" => beta = v.parse().ok(),
+                "cost" => {
+                    cost = match v {
+                        "seek" => IoCostModel::SeekDominated,
+                        "strict" => IoCostModel::Strict,
+                        _ => return Err(corrupt("unknown cost model")),
+                    }
+                }
+                "seed" => seed = v.parse().ok(),
+                "data" => data_gen = v.parse().map_err(|_| corrupt("bad data generation"))?,
+                "epoch" => epoch = v.parse().map_err(|_| corrupt("bad epoch"))?,
+                "slots" => has_slots = true,
+                _ => {}
+            }
+        }
+        let (Some(b), Some(m), Some(gamma), Some(beta), Some(seed), true) =
+            (b, m, gamma, beta, seed, has_slots)
+        else {
+            return Err(corrupt("missing required field"));
+        };
+        let cfg = CoreConfig::custom(b, m, gamma, beta)?.cost_model(cost);
+        if !plausible_creation_params(&cfg) {
+            return Err(corrupt("implausible creation parameters"));
+        }
+        let mut manifest = Manifest {
+            cfg,
+            seed,
+            data_gen,
+            slots: 0,
+            free: Vec::new(),
+            levels: Vec::new(),
+            v1,
+            watermark: 0,
+            blob: None,
+            epoch,
+        };
+        for line in lines {
+            manifest.apply_line(line)?;
+        }
+        Ok(manifest)
+    }
+
+    /// Applies one state line — the one parser behind the manifest and
+    /// every legacy delta frame (whose `clearlevel` no manifest uses). A
+    /// known key whose fields do not parse is [`ExtMemError::Corrupt`];
+    /// unknown keys (and lines too short to carry a value) are ignored
+    /// (forward-compatible).
+    fn apply_line(&mut self, line: &str) -> Result<()> {
+        let Some((key, v, rest)) = split_line(line) else { return Ok(()) };
+        let level_index = |levels: &[Option<Region>]| match v.parse::<usize>() {
+            Ok(k) if k > 0 && k < levels.len() => Ok(k),
+            _ => Err(corrupt("level index out of range")),
+        };
+        match key {
+            "watermark" => self.watermark = v.parse().map_err(|_| corrupt("bad watermark"))?,
+            "blob" => self.blob = Some(v.parse().map_err(|_| corrupt("bad blob length"))?),
+            "slots" => self.slots = v.parse().map_err(|_| corrupt("bad slot count"))?,
+            "free" => {
+                for id in v.split(',').filter(|s| !s.is_empty()) {
+                    self.free.push(id.parse().map_err(|_| corrupt("bad free id"))?);
+                }
+            }
+            "levels" => {
+                let n: usize = v.parse().map_err(|_| corrupt("bad level count"))?;
+                // Levels grow geometrically (γ ≥ 2), so even a store
+                // holding every key in the 63-bit space needs < 64 of
+                // them; anything larger is corruption, not scale.
+                if n > 64 {
+                    return Err(corrupt("implausible level count"));
+                }
+                self.levels.resize(n.max(1), None);
+            }
+            "level" => {
+                let k = level_index(&self.levels)?;
+                let nums: Vec<u64> = rest
+                    .map(|p| p.parse().map_err(|_| corrupt("bad level field")))
+                    .collect::<Result<_>>()?;
+                let [base, buckets, items] = nums[..] else {
+                    return Err(corrupt("level needs base/buckets/items"));
+                };
+                self.levels[k] =
+                    Some(Region { base: BlockId(base), buckets, items: items as usize });
+            }
+            "clearlevel" => {
+                let k = level_index(&self.levels)?;
+                self.levels[k] = None;
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::fs;
+    use std::path::Path;
+
+    use dxh_extmem::StorageBackend;
+    use dxh_tables::ExternalDictionary;
+
+    use super::super::tests::*;
+    use super::super::{data_file_name, KvStore};
+    use super::*;
+    use crate::media::{read_text, CLEAN, DATA, MANIFEST_DELTA};
+
+    #[test]
+    fn implausible_level_count_rejected_without_allocating() {
+        let text = format!(
+            "{MAGIC}\nb 8\nm 128\ngamma 2\nbeta 2\nseed 1\nslots 0\nfree \nlevels 99999999999999\n"
+        );
+        assert!(Manifest::parse(&text).is_err());
+    }
+
+    #[test]
+    fn corrupt_manifest_rejected() {
+        let dir = tmp_dir("corrupt");
+        let _ = fs::remove_dir_all(&dir);
+        drop(KvStore::open(&dir, cfg(), 9).unwrap());
+        fs::write(dir.join(MANIFEST), "not a manifest\n").unwrap();
+        assert!(KvStore::open(&dir, cfg(), 9).is_err());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn manifest_parse_round_trips_all_fields() {
+        let text = format!(
+            "{MAGIC}\nb 8\nm 128\ngamma 2\nbeta 2\ncost strict\nseed 42\ndata 3\nslots 10\n\
+             free 3,7\nlevels 3\nlevel 1 0 2 5\nlevel 2 2 4 9\n"
+        );
+        let m = Manifest::parse(&text).unwrap();
+        assert_eq!(m.cfg.b, 8);
+        assert_eq!(m.cfg.cost, IoCostModel::Strict);
+        assert_eq!(m.seed, 42);
+        assert_eq!(m.data_gen, 3);
+        assert_eq!(m.slots, 10);
+        assert_eq!(m.free, vec![3, 7]);
+        assert_eq!(m.levels.len(), 3);
+        let r = m.levels[2].unwrap();
+        assert_eq!((r.base.raw(), r.buckets, r.items), (2, 4, 9));
+        assert!(m.levels[1].is_some());
+    }
+
+    #[test]
+    fn manifest_without_data_line_defaults_to_generation_zero() {
+        // Pre-compaction manifests (earlier stores) have no `data` line.
+        let text = format!("{MAGIC}\nb 8\nm 128\ngamma 2\nbeta 2\nseed 1\nslots 0\nfree \n");
+        assert_eq!(Manifest::parse(&text).unwrap().data_gen, 0);
+        assert_eq!(data_file_name(0), DATA);
+        assert_eq!(data_file_name(2), "store.2.blk");
+    }
+
+    /// A marker-less commit is the ordinary manifest without the one
+    /// table-sized line nobody reads back: its size does not follow the
+    /// allocator's free list, and a reopen over it recomputes liveness
+    /// by the recovery walk.
+    #[test]
+    fn a_checkpoint_commit_carries_no_free_list() {
+        use dxh_extmem::SimEnv;
+        let dir = tmp_dir("checkpoint-commit");
+        let _ = fs::remove_dir_all(&dir);
+        let read = |dir: &Path| fs::read_to_string(dir.join(MANIFEST)).unwrap();
+        let mut s = KvStore::open(&dir, cfg(), 81).unwrap();
+        for k in 0..600u64 {
+            s.insert(k, k + 1).unwrap();
+        }
+        s.sync().unwrap();
+        assert!(read(&dir).contains("\nfree "), "a marker-setting commit lists the free slots");
+        let base = s.manifest_io();
+        for k in 600..900u64 {
+            s.insert(k, k + 1).unwrap();
+        }
+        s.harden(false).unwrap();
+        let first = read(&dir);
+        assert!(!first.contains("\nfree"), "{first}");
+        assert!(Manifest::parse(&first).unwrap().free.is_empty());
+        assert!(!dir.join(CLEAN).exists(), "marker-less harden leaves the marker down");
+
+        // Two otherwise equal hardens around a free list grown 10×: the
+        // slots are allocated before the first and freed before the second.
+        let free_before = s.table().disk().backend().free_count();
+        assert!(free_before > 0);
+        let n = 10 * free_before;
+        let run = s.table.disk_mut().backend_mut().allocate_contiguous(n).unwrap();
+        s.mark_dirty().unwrap();
+        s.harden(false).unwrap();
+        let small = read(&dir);
+        for i in 0..n as u64 {
+            s.table.disk_mut().backend_mut().free(BlockId(run.raw() + i)).unwrap();
+        }
+        s.mark_dirty().unwrap();
+        s.harden(false).unwrap();
+        let big = read(&dir);
+        assert!(s.table().disk().backend().free_count() >= 10 * free_before);
+        assert_eq!(small.len(), big.len(), "{small}\nvs\n{big}");
+
+        let io = s.manifest_io();
+        assert_eq!(io.full_commits, base.full_commits, "hardens are not marker-setting commits");
+        assert_eq!(io.delta_commits - base.delta_commits, 3, "one checkpoint commit per harden");
+        assert_eq!(
+            io.delta_bytes - base.delta_bytes,
+            (first.len() + small.len() + big.len()) as u64
+        );
+        crash(s);
+        let mut s = KvStore::open(&dir, cfg(), 81).unwrap();
+        // No marker and no list: only the recovery walk can have found these.
+        assert!(s.table().disk().backend().free_count() >= n);
+        assert_every_slot_accounted(&s);
+        for k in 0..900u64 {
+            assert_eq!(s.lookup(k).unwrap(), Some(k + 1), "hardened key {k}");
+        }
+        drop(s);
+        let _ = fs::remove_dir_all(&dir);
+
+        // The same across a simulated power cycle.
+        let env = SimEnv::new();
+        let mut s = sim_store(&env);
+        for k in 0..300u64 {
+            s.insert(k, k + 1).unwrap();
+        }
+        s.harden(false).unwrap();
+        assert!(!manifest_text(&env).contains("\nfree"));
+        sim_crash(&env, s, 5);
+        let mut s = sim_store(&env);
+        assert_every_slot_accounted(&s);
+        for k in 0..300u64 {
+            assert_eq!(s.lookup(k).unwrap(), Some(k + 1), "hardened key {k}");
+        }
+    }
+
+    /// Every numeric token of a valid manifest, replaced by each of a
+    /// table of boundary values: `open` answers `Ok` or `Err` — it never
+    /// panics, aborts on an allocation or hangs — and a manifest rejected
+    /// for its creation parameters is rejected before the data file is
+    /// even opened, so before anything is sized from them.
+    #[test]
+    fn no_mutated_manifest_token_can_abort_an_open() {
+        use dxh_extmem::{IoEvent, SimEnv};
+        // Around 0, 2^6, 2^32, 2^63 and 2^64; not a number; no token.
+        let mutants: Vec<&str> = "0 1 2 63 64 65 4294967295 4294967296 9223372036854775807 \
+                                  18446744073709551615 18446744073709551616 -1 x "
+            .split(' ')
+            .collect();
+        let touches_data = |trace: &[IoEvent]| {
+            trace.iter().any(|e| match e {
+                IoEvent::Meta { label, .. } => label.contains(DATA),
+                IoEvent::Read { file, .. } => file == DATA,
+                _ => false,
+            })
+        };
+        let open =
+            |env: &SimEnv| crate::SimMedia::open(env).and_then(|m| KvStore::open_on(m, cfg(), 84));
+        let install = |env: &SimEnv, text: &str, clean: bool| {
+            put_file(env, MANIFEST, text.as_bytes());
+            if clean {
+                put_file(env, CLEAN, b"clean\n");
+            } else {
+                env.remove_file(CLEAN).unwrap();
+                env.sync_dir("").unwrap();
+            }
+            env.take_trace();
+        };
+
+        let env = SimEnv::new();
+        let mut s = sim_store(&env);
+        for k in 0..900u64 {
+            s.insert(k, k + 1).unwrap();
+        }
+        drop(s);
+        let text = manifest_text(&env);
+        let lines: Vec<&str> = text.lines().collect();
+        let (mut opened, mut rejected) = (0, 0);
+        for (li, line) in lines.iter().enumerate().skip(1) {
+            let (key, values) = line.split_once(' ').unwrap();
+            let sep = if key == "free" { ',' } else { ' ' };
+            let tokens: Vec<&str> = values.split(sep).collect();
+            // The free list is long: its first, middle and last id.
+            let picks: Vec<usize> = match key {
+                "cost" => continue,
+                "free" => vec![0, tokens.len() / 2, tokens.len() - 1],
+                _ => (0..tokens.len()).collect(),
+            };
+            for ti in picks {
+                for &mutant in &mutants {
+                    let mut tokens = tokens.clone();
+                    tokens[ti] = mutant;
+                    let mut lines = lines.clone();
+                    let line = format!("{key} {}", tokens.join(&sep.to_string()));
+                    lines[li] = &line;
+                    let mutated = lines.join("\n") + "\n";
+                    let _ = Manifest::parse(&mutated);
+                    for clean in [true, false] {
+                        install(&env, &mutated, clean);
+                        match open(&env) {
+                            Ok(mut s) => {
+                                opened += 1;
+                                for k in (0..900u64).step_by(97) {
+                                    let _ = s.lookup(k);
+                                }
+                                sim_crash(&env, s, 1); // leave the image as installed
+                            }
+                            Err(_) => {
+                                rejected += 1;
+                                if ["b", "m", "gamma", "beta"].contains(&key) {
+                                    let trace = env.take_trace();
+                                    assert!(!touches_data(&trace), "{line:?}: {trace:?}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(opened > 100 && rejected > 100, "{opened} opened, {rejected} rejected");
+        install(&env, &text, true);
+        let mut s = open(&env).unwrap();
+        assert_eq!(s.lookup(899).unwrap(), Some(900), "the image survived the table");
+        drop(s);
+
+        // An empty store has no level region to hold `m` and `gamma`
+        // against: there the bounds alone reject what cannot be a store.
+        let env = SimEnv::new();
+        drop(sim_store(&env));
+        let text = manifest_text(&env);
+        for (line, mutant, ok) in [
+            ("m 128", "m 4294967295", false),
+            ("m 128", "m 268435457", false),
+            ("m 128", "m 4096", true),
+            ("gamma 2", "gamma 4294967295", false),
+            ("gamma 2", "gamma 65537", false),
+            ("gamma 2", "gamma 65", true),
+        ] {
+            install(&env, &text.replace(line, mutant), true);
+            match open(&env) {
+                Ok(s) => {
+                    assert!(ok, "{mutant} opened");
+                    sim_crash(&env, s, 1);
+                }
+                Err(e) => {
+                    assert!(!ok && matches!(e, ExtMemError::Corrupt(_)), "{mutant}: {e}");
+                    assert!(!touches_data(&env.take_trace()), "{mutant}");
+                }
+            }
+        }
+        let huge = CoreConfig::custom(8, MAX_M + 1, 2, 2.0).unwrap();
+        let created = KvStore::open_on(crate::SimMedia::open(&SimEnv::new()).unwrap(), huge, 1);
+        assert!(
+            matches!(created, Err(ExtMemError::BadConfig(_))),
+            "what cannot reopen is not created"
+        );
+    }
+
+    #[test]
+    fn delta_chain_replay_filters_stale_epochs_and_stops_on_gaps() {
+        let text = format!(
+            "{MAGIC}\nb 8\nm 128\ngamma 2\nbeta 2\nseed 1\nepoch 3\nslots 4\nfree 1,2\n\
+             levels 2\nlevel 1 0 2 5\n"
+        );
+        let mut m = Manifest::parse(&text).unwrap();
+        assert_eq!(m.epoch, 3);
+        let mut chain = Vec::new();
+        // Stale survivor of a cleared chain: skipped, not a stop.
+        chain.extend_from_slice(&delta_frame("delta 2 1\nslots 99\n"));
+        chain.extend_from_slice(&delta_frame("delta 3 1\nslots 7\nwatermark 11\n"));
+        // Sequence gap (2 missing): the chain's own order is broken —
+        // nothing past this point was acknowledged in this order.
+        chain.extend_from_slice(&delta_frame("delta 3 3\nslots 8\n"));
+        assert_eq!(apply_manifest_deltas(&mut m, &chain).unwrap(), 1);
+        assert_eq!(m.slots, 7, "frame 1 applied, stale and gapped frames discarded");
+        assert_eq!(m.watermark, 11);
+        assert!(m.free.is_empty(), "an applied chain invalidates the base free list");
+
+        // Level edits: resize, replace, clear.
+        let mut m = Manifest::parse(&text).unwrap();
+        let chain = delta_frame("delta 3 1\nslots 12\nlevels 3\nlevel 2 4 8 9\nclearlevel 1\n");
+        assert_eq!(apply_manifest_deltas(&mut m, &chain).unwrap(), 1);
+        assert_eq!(m.levels.len(), 3);
+        assert!(m.levels[1].is_none(), "clearlevel drops the region");
+        let r = m.levels[2].unwrap();
+        assert_eq!((r.base.raw(), r.buckets, r.items), (4, 8, 9));
+    }
+
+    /// A checksum-valid, in-sequence frame is a commit point: a state
+    /// line in it that does not parse fails the reopen instead of being
+    /// silently half-applied. Unknown keys stay ignored.
+    #[test]
+    fn malformed_line_in_an_intact_delta_frame_is_corrupt_not_half_applied() {
+        let text = format!(
+            "{MAGIC}\nb 8\nm 128\ngamma 2\nbeta 2\nseed 1\nepoch 3\nslots 4\nfree 1,2\n\
+             levels 2\nlevel 1 0 2 5\n"
+        );
+        for bad in [
+            "slots 9\nlevel 1 0 x 5\n", // the shown case: slots applied, level dropped
+            "level 7 0 2 5\n",
+            "level 1 0 2\n",
+            "clearlevel 0\n",
+            "levels 65\n",
+            "slots many\n",
+            "watermark -1\n",
+            "blob 10\n", // a raw store cannot turn into a payload store
+        ] {
+            let mut m = Manifest::parse(&text).unwrap();
+            let chain = delta_frame(&format!("delta 3 1\n{bad}"));
+            let r = apply_manifest_deltas(&mut m, &chain);
+            assert!(matches!(r, Err(ExtMemError::Corrupt(_))), "{bad:?} must be corrupt");
+        }
+        let mut m = Manifest::parse(&text).unwrap();
+        let chain = delta_frame("delta 3 1\nslots 9\nfuture-key 1 2 3\n");
+        assert_eq!(apply_manifest_deltas(&mut m, &chain).unwrap(), 1);
+        assert_eq!(m.slots, 9);
+    }
+
+    proptest::proptest! {
+        /// Arbitrary chains, and arbitrary text inside an intact
+        /// in-sequence frame, fold or fail — never panic.
+        #[test]
+        fn delta_chain_replay_is_total(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..120),
+        ) {
+            let base = format!("{MAGIC}\nb 8\nm 128\ngamma 2\nbeta 2\nseed 1\nslots 4\nlevels 2\n");
+            let _ = apply_manifest_deltas(&mut Manifest::parse(&base).unwrap(), &bytes);
+            let text = format!("delta 0 1\n{}", String::from_utf8_lossy(&bytes));
+            let chain = delta_frame(&text);
+            let _ = apply_manifest_deltas(&mut Manifest::parse(&base).unwrap(), &chain);
+        }
+    }
+
+    /// The manifest bytes of both commit forms for one fixed state: on-disk
+    /// formats are checked, not claimed. The marker-setting half is as
+    /// recorded before the legacy chain writer was deleted (its *state* —
+    /// slot count, free list, region bases: an allocation history — was
+    /// re-recorded when level migration became one pass, and its slots,
+    /// bases and bucket counts again when sealed levels became
+    /// content-sized: 150 items in `⌈300/8⌉ = 38` buckets where `H2` has
+    /// 64, 342 in 86 where `H3` has 128; and slots, free list and bases
+    /// once more when `H1` stopped being merged into in place — it is
+    /// built in 16 buckets, then in 32, and both runs are free by the
+    /// time `H2` is built); the marker-less half is the
+    /// state the chain's first frame used to carry, written as a whole
+    /// manifest without the free list.
+    #[test]
+    fn manifest_and_delta_frame_bytes_are_pinned() {
+        use crate::media::SimMedia;
+        use dxh_extmem::SimEnv;
+        let env = SimEnv::new();
+        let mut s = KvStore::open_payload_on(SimMedia::open(&env).unwrap(), cfg(), 7).unwrap();
+        for k in 0..150u64 {
+            s.put_bytes(k, &payload_for(k)).unwrap();
+        }
+        s.set_replay_watermark(5);
+        s.sync().unwrap();
+        let free = "0,1,2,3,4,5,16,6,7,8,9,17,10,11,12,13,14,15,18,19,20,21,22,23,24,25,26,27,\
+                    28,29,50,30,31,32,33,34,35,36,51,37,38,39,40,41,42,43,44,45,46,47,48,49";
+        assert_eq!(
+            read_text(&mut s.media, MANIFEST).unwrap().unwrap(),
+            format!(
+                "dxh-store v2\nb 8\nm 128\ngamma 2\nbeta 2\ncost seek\nseed 7\nepoch 2\ndata 0\n\
+                 blob 8445\nwatermark 5\nslots 91\nfree {free}\nlevels 3\nlevel 2 52 38 150\n"
+            )
+        );
+        for k in 150..400u64 {
+            s.put_bytes(k, &payload_for(k)).unwrap();
+        }
+        s.set_replay_watermark(9);
+        s.harden(false).unwrap();
+        assert_eq!(
+            read_text(&mut s.media, MANIFEST).unwrap().unwrap(),
+            "dxh-store v2\nb 8\nm 128\ngamma 2\nbeta 2\ncost seek\nseed 7\nepoch 3\ndata 0\n\
+             blob 22900\nwatermark 9\nslots 192\nlevels 4\nlevel 1 177 15 58\n\
+             level 3 91 86 342\n"
+        );
+        assert!(s.media.read_file(MANIFEST_DELTA).unwrap().is_none(), "nothing writes the chain");
+    }
+}

@@ -1,5 +1,5 @@
-//! Bucket-ordered merge streams: the engine behind every level migration
-//! and Ĥ merge.
+//! Bucket-ordered merge streams: the engine behind every level migration,
+//! every Ĥ merge and compaction.
 //!
 //! Because [`dxh_hashfn::prefix_bucket`] is monotone in the hash value,
 //! scanning any table's buckets `0, 1, 2, …` yields items in nondecreasing
@@ -11,6 +11,14 @@
 //! fresh destination together (see `LogStructure::flush`), so an item is
 //! read once and written once per migration however many levels it skips.
 //!
+//! That pass is written once, as [`MergeCursor`]: it owns the sources,
+//! yields each destination bucket's merged items (newest copy wins,
+//! spent deletion markers purged) and ends by checking that every source
+//! drained. Two consumers write what it yields: [`build_fresh_region`] into a
+//! fresh region — on the sources' disk (a flush, an `Ĥ` rebuild) or on
+//! another one (compaction, `LogMethodTable::rebuild_onto`) — and
+//! [`merge_in_place`] into the buckets of `Ĥ`.
+//!
 //! Each disk stream maintains the invariant: after reading source buckets
 //! `0 … p−1`, every item with target bucket `q` such that
 //! `p · nb_dst ≥ (q+1) · nb_src` has been read (the source prefix covers
@@ -18,10 +26,16 @@
 //! target, refilling lagging streams just-in-time, so the per-stream
 //! buffer never holds more than one source bucket past the boundary —
 //! a `k`-source merge keeps `k` such buffers, one per disk level it reads.
+//!
+//! Reading a region *without* consuming it — filter rebuilds, the
+//! recovery walk, layout snapshots — goes through [`Region::walk`], the
+//! one loop that follows overflow chains, bounded by the blocks the disk
+//! can hold.
 
 use std::collections::HashSet;
+use std::ops::Range;
 
-use dxh_extmem::{BlockId, Disk, ExtMemError, Item, Key, Result, StorageBackend};
+use dxh_extmem::{Block, BlockId, Disk, ExtMemError, Item, Key, Result, StorageBackend, Value};
 use dxh_hashfn::{prefix_bucket, HashFn};
 use dxh_tables::{chain_collect, write_bucket};
 
@@ -46,6 +60,53 @@ impl Region {
     pub fn block_of(&self, q: u64) -> BlockId {
         debug_assert!(q < self.buckets);
         BlockId(self.base.raw() + q)
+    }
+
+    /// Shows `visit` every block of `buckets` — each bucket's primary,
+    /// then its overflow chain — as `(bucket, id, block)`, fetching
+    /// through `read` so that accounted (`Disk::read`), unaccounted
+    /// (`backend_mut`) and pre-`Disk` (`PersistentBackend`) callers
+    /// share the one loop that follows `next` pointers. `hops` is how
+    /// many blocks the walk may meet — the disk's live blocks, or its
+    /// slots: a pointer rotted into a cycle is [`ExtMemError::Corrupt`]
+    /// after that many reads, never a spin.
+    pub fn walk(
+        &self,
+        buckets: Range<u64>,
+        mut hops: u64,
+        mut read: impl FnMut(BlockId) -> Result<Block>,
+        mut visit: impl FnMut(u64, BlockId, &Block) -> Result<()>,
+    ) -> Result<()> {
+        for q in buckets {
+            let mut cur = Some(self.block_of(q));
+            while let Some(id) = cur {
+                if hops == 0 {
+                    return Err(ExtMemError::Corrupt(format!(
+                        "bucket {q} of {self:?} chains past every block of its disk"
+                    )));
+                }
+                hops -= 1;
+                let blk = read(id)?;
+                visit(q, id, &blk)?;
+                cur = blk.next();
+            }
+        }
+        Ok(())
+    }
+
+    /// [`Region::walk`] over the whole region behind `disk`'s I/O
+    /// accounting: layout snapshots and diagnostics.
+    pub fn inspect<B: StorageBackend>(
+        &self,
+        disk: &mut Disk<B>,
+        mut visit: impl FnMut(u64, BlockId, &Block),
+    ) -> Result<()> {
+        let hops = disk.live_blocks();
+        let read = |id| disk.backend_mut().read(id);
+        self.walk(0..self.buckets, hops, read, |q, id, blk| {
+            visit(q, id, blk);
+            Ok(())
+        })
     }
 }
 
@@ -72,10 +133,6 @@ pub(crate) struct DiskStream {
 }
 
 impl DiskStream {
-    pub(crate) fn new(region: Region) -> Self {
-        DiskStream { region, next_bucket: 0, buf: Vec::new() }
-    }
-
     /// Whether target bucket `q` (out of `nb_dst`) is fully covered by the
     /// source buckets read so far.
     #[inline]
@@ -104,7 +161,7 @@ impl Source {
 
     /// Builds a disk source that consumes (and frees) `region`.
     pub(crate) fn from_region(region: Region) -> Self {
-        Source::Disk(DiskStream::new(region))
+        Source::Disk(DiskStream { region, next_bucket: 0, buf: Vec::new() })
     }
 
     /// Appends all items with target bucket `q` (out of `nb_dst`) to
@@ -141,6 +198,14 @@ impl Source {
             }
         }
     }
+
+    /// Whether every item of the source has been taken.
+    fn drained(&self) -> bool {
+        match self {
+            Source::Mem { items, pos } => *pos == items.len(),
+            Source::Disk(d) => d.next_bucket == d.region.buckets && d.buf.is_empty(),
+        }
+    }
 }
 
 /// Statistics of one merge pass.
@@ -155,130 +220,127 @@ pub(crate) struct MergeStats {
     pub purged: usize,
 }
 
-/// Newest-wins dedup of one bucket's `raw` batch into `merged`. With
-/// `purge` on, a winning deletion marker is dropped instead of written:
-/// the target is the deepest level, so the marker has nothing left to
-/// shadow.
-fn dedup_bucket(
-    raw: &[Item],
-    seen: &mut HashSet<Key>,
-    merged: &mut Vec<Item>,
+/// What a merge changes about each value it writes, as the item lands —
+/// the payload remap of [`crate::KvStore::compact`].
+pub(crate) type ValueMap<'a> = &'a mut dyn FnMut(Value) -> Result<Value>;
+
+/// The synchronized scan itself: `sources` (precedence order: earlier
+/// wins) merged into `nb_dst` destination buckets, one bucket per
+/// [`MergeCursor::next_bucket`] call. Owns the sources and the scratch
+/// buffers; consumes and frees every disk source as it goes. With
+/// `purge`, a winning deletion marker is dropped instead of yielded —
+/// valid only when the destination is the deepest level, where the
+/// marker has nothing left to shadow.
+pub(crate) struct MergeCursor<'h, F: HashFn> {
+    hash: &'h F,
+    sources: Vec<Source>,
+    nb_dst: u64,
     purge: bool,
-    stats: &mut MergeStats,
-) {
-    for &it in raw {
-        if seen.insert(it.key) {
-            if purge && it.is_delete_marker() {
-                stats.purged += 1;
-            } else {
-                merged.push(it);
+    /// Next destination bucket to merge.
+    q: u64,
+    raw: Vec<Item>,
+    merged: Vec<Item>,
+    seen: HashSet<Key>,
+    /// Items yielded, shadowed copies and spent markers dropped so far.
+    pub stats: MergeStats,
+}
+
+impl<'h, F: HashFn> MergeCursor<'h, F> {
+    pub(crate) fn new(hash: &'h F, sources: Vec<Source>, nb_dst: u64, purge: bool) -> Self {
+        let (raw, merged, seen) = (Vec::new(), Vec::new(), HashSet::new());
+        let stats = MergeStats::default();
+        MergeCursor { hash, sources, nb_dst, purge, q: 0, raw, merged, seen, stats }
+    }
+
+    /// The next destination bucket that receives anything, with its
+    /// items newest-first deduplicated; `None` once all `nb_dst` are
+    /// done — and only if every source drained on the way.
+    ///
+    /// Cost: one read per source block (primary + chain) over the whole
+    /// scan, `O(Σ |source regions| / b)` I/Os.
+    pub(crate) fn next_bucket<B: StorageBackend>(
+        &mut self,
+        disk: &mut Disk<B>,
+    ) -> Result<Option<(u64, &mut [Item])>> {
+        self.merged.clear();
+        while self.merged.is_empty() && self.q < self.nb_dst {
+            self.raw.clear();
+            self.seen.clear();
+            for src in self.sources.iter_mut() {
+                src.take_bucket(disk, self.hash, self.q, self.nb_dst, &mut self.raw)?;
             }
-        } else {
-            stats.shadowed += 1;
+            for &it in &self.raw {
+                if !self.seen.insert(it.key) {
+                    self.stats.shadowed += 1;
+                } else if self.purge && it.is_delete_marker() {
+                    self.stats.purged += 1;
+                } else {
+                    self.merged.push(it);
+                }
+            }
+            self.q += 1;
         }
+        if !self.merged.is_empty() {
+            self.stats.items += self.merged.len();
+            return Ok(Some((self.q - 1, &mut self.merged)));
+        }
+        // A source of this structure's making is in bucket order and so
+        // fully drained by now. One that is not was read off blocks that
+        // are not what was written there (media that lost a sync): the
+        // items left over belong to buckets already built, and must not
+        // vanish quietly.
+        if !self.sources.iter().all(Source::drained) {
+            return Err(ExtMemError::Corrupt(
+                "a merge source holds items outside their buckets".into(),
+            ));
+        }
+        Ok(None)
+    }
+
+    /// Whether the bucket just yielded holds `key` — a copy that shadows
+    /// any older one at the destination.
+    fn yielded(&self, key: Key) -> bool {
+        self.seen.contains(&key)
     }
 }
 
-/// Adds the keys a merge just wrote into its destination bucket to the
-/// destination level's filter, if it keeps one.
-fn landed<F: HashFn>(filter: &mut Option<&mut LevelFilter>, hash: &F, items: &[Item]) {
-    if let Some(filter) = filter {
-        for it in items {
-            filter.insert(hash.hash64(it.key));
-        }
-    }
-}
-
-/// Merges `sources` (precedence order: earlier wins) into a fresh region
-/// of `nb_dst` buckets. Consumes and frees all disk sources. `purge`
-/// drops deletion markers instead of writing them — valid only when the
-/// destination is the deepest level. Every key written is also added to
-/// `filter`, when the destination level keeps one.
+/// Builds what `cursor` yields into a fresh region of its bucket count:
+/// on `dst`, or — `None` — on `src`, the disk the sources live on. Each
+/// value first goes through `map`, if any, and every key written is
+/// added to `filter`, when the destination level keeps one.
 ///
-/// Cost: one read per source block (primary + chain) plus one write per
-/// nonempty target block — `O(Σ |source regions| / b + nb_dst)` I/Os.
-pub(crate) fn compact<B: StorageBackend, F: HashFn>(
-    disk: &mut Disk<B>,
-    hash: &F,
-    mut sources: Vec<Source>,
-    nb_dst: u64,
-    purge: bool,
-    mut filter: Option<&mut LevelFilter>,
-) -> Result<(Region, MergeStats)> {
-    let base = disk.allocate_contiguous(nb_dst as usize)?;
-    let mut stats = MergeStats::default();
-    let mut raw: Vec<Item> = Vec::new();
-    let mut merged: Vec<Item> = Vec::new();
-    let mut seen: HashSet<Key> = HashSet::new();
-    for q in 0..nb_dst {
-        raw.clear();
-        merged.clear();
-        seen.clear();
-        for src in sources.iter_mut() {
-            src.take_bucket(disk, hash, q, nb_dst, &mut raw)?;
-        }
-        dedup_bucket(&raw, &mut seen, &mut merged, purge, &mut stats);
-        if !merged.is_empty() {
-            write_bucket(disk, BlockId(base.raw() + q), &merged)?;
-            stats.items += merged.len();
-            landed(&mut filter, hash, &merged);
-        }
-    }
-    // A source of this structure's making is in bucket order and so fully
-    // drained by now. One that is not was read off blocks that are not
-    // what was written there (media that lost a sync): the items left
-    // over belong to buckets already built, and must not vanish quietly.
-    let drained = sources.iter().all(|s| match s {
-        Source::Mem { items, pos } => *pos == items.len(),
-        Source::Disk(d) => d.next_bucket == d.region.buckets && d.buf.is_empty(),
-    });
-    if !drained {
-        return Err(ExtMemError::Corrupt(
-            "a merge source holds items outside their buckets".into(),
-        ));
-    }
-    Ok((Region { base, buckets: nb_dst, items: stats.items }, stats))
-}
-
-/// The two-disk twin of [`compact`]: reads (and frees) `sources` on
-/// `src`, writes the fresh region on `dst`. This is the engine of
-/// [`crate::KvStore::compact`] — the whole structure streams from the old
-/// block file into a dense new one, purging deletion markers on the way
-/// (the destination is by construction the only — hence deepest — level).
-pub(crate) fn compact_across<B: StorageBackend, C: StorageBackend, F: HashFn>(
+/// Cost: the cursor's source reads plus one write per nonempty target
+/// block — `O(Σ |source regions| / b + nb_dst)` I/Os, none of them a
+/// read of the destination.
+pub(crate) fn build_fresh_region<B: StorageBackend, F: HashFn>(
     src: &mut Disk<B>,
-    dst: &mut Disk<C>,
-    hash: &F,
-    mut sources: Vec<Source>,
-    nb_dst: u64,
-    purge: bool,
+    mut dst: Option<&mut Disk<B>>,
+    mut cursor: MergeCursor<'_, F>,
+    mut filter: Option<&mut LevelFilter>,
+    mut map: Option<ValueMap<'_>>,
 ) -> Result<(Region, MergeStats)> {
-    let base = dst.allocate_contiguous(nb_dst as usize)?;
-    let mut stats = MergeStats::default();
-    let mut raw: Vec<Item> = Vec::new();
-    let mut merged: Vec<Item> = Vec::new();
-    let mut seen: HashSet<Key> = HashSet::new();
-    for q in 0..nb_dst {
-        raw.clear();
-        merged.clear();
-        seen.clear();
-        for s in sources.iter_mut() {
-            s.take_bucket(src, hash, q, nb_dst, &mut raw)?;
+    let (hash, buckets) = (cursor.hash, cursor.nb_dst);
+    let base = dst.as_deref_mut().unwrap_or(&mut *src).allocate_contiguous(buckets as usize)?;
+    while let Some((q, items)) = cursor.next_bucket(src)? {
+        for it in items.iter_mut() {
+            if let Some(map) = map.as_mut() {
+                it.value = map(it.value)?;
+            }
+            if let Some(filter) = filter.as_mut() {
+                filter.insert(hash.hash64(it.key));
+            }
         }
-        dedup_bucket(&raw, &mut seen, &mut merged, purge, &mut stats);
-        if !merged.is_empty() {
-            write_bucket(dst, BlockId(base.raw() + q), &merged)?;
-            stats.items += merged.len();
-        }
+        write_bucket(dst.as_deref_mut().unwrap_or(&mut *src), BlockId(base.raw() + q), items)?;
     }
-    Ok((Region { base, buckets: nb_dst, items: stats.items }, stats))
+    Ok((Region { base, buckets, items: cursor.stats.items }, cursor.stats))
 }
 
-/// Merges `sources` **in place** into the existing `region` (same bucket
-/// count), shadowing old copies of incoming keys — Theorem 2's merge into
-/// `Ĥ`, the one table of this crate that keeps load ≤ 1/2 to be written
-/// into. The caller must ensure the merged items still fit the region at
-/// that load (`Ĥ`'s resize test).
+/// Merges what `cursor` yields **in place** into the existing `region`
+/// (the cursor's bucket count must be the region's), shadowing old
+/// copies of incoming keys — Theorem 2's merge into `Ĥ`, the one table
+/// of this crate that keeps load ≤ 1/2 to be written into. The caller
+/// must ensure the merged items still fit the region at that load
+/// (`Ĥ`'s resize test).
 ///
 /// Cost: under the paper's seek-dominated accounting, the common case is
 /// **one combined I/O per bucket that receives items** (read-modify-write
@@ -286,28 +348,12 @@ pub(crate) fn compact_across<B: StorageBackend, C: StorageBackend, F: HashFn>(
 /// a full rewrite. Buckets receiving nothing are untouched (free).
 pub(crate) fn merge_in_place<B: StorageBackend, F: HashFn>(
     disk: &mut Disk<B>,
-    hash: &F,
-    mut sources: Vec<Source>,
+    mut cursor: MergeCursor<'_, F>,
     region: &mut Region,
 ) -> Result<MergeStats> {
-    let nb = region.buckets;
-    let mut stats = MergeStats::default();
-    let mut raw: Vec<Item> = Vec::new();
-    let mut adds: Vec<Item> = Vec::new();
-    let mut seen: HashSet<Key> = HashSet::new();
-    for q in 0..nb {
-        raw.clear();
-        for src in sources.iter_mut() {
-            src.take_bucket(disk, hash, q, nb, &mut raw)?;
-        }
-        if raw.is_empty() {
-            continue;
-        }
-        // Dedup the incoming batch itself (earlier source wins).
-        adds.clear();
-        seen.clear();
-        dedup_bucket(&raw, &mut seen, &mut adds, false, &mut stats);
-        let head = region.block_of(q);
+    debug_assert_eq!(cursor.nb_dst, region.buckets);
+    while let Some((q, adds)) = cursor.next_bucket(disk)? {
+        let (head, added) = (region.block_of(q), adds.len());
         // Fast path: an unchained primary with room for everything —
         // exactly one combined I/O. (A non-full primary implies no chain:
         // chains are only ever created once the primary is full.) A bucket
@@ -318,7 +364,7 @@ pub(crate) fn merge_in_place<B: StorageBackend, F: HashFn>(
                 return (false, None);
             }
             let removed = adds.iter().filter(|it| blk.remove(it.key).is_some()).count();
-            for &it in &adds {
+            for &it in adds.iter() {
                 blk.push(it).expect("checked capacity");
             }
             (true, Some(removed))
@@ -328,21 +374,20 @@ pub(crate) fn merge_in_place<B: StorageBackend, F: HashFn>(
             None => {
                 // Slow path: collect the whole bucket, merge in memory
                 // (incoming shadows old), rewrite.
+                let mut merged = adds.to_vec();
                 let mut old = Vec::new();
                 chain_collect(disk, head, false, &mut old)?;
                 let before = old.len();
-                old.retain(|it| !seen.contains(&it.key));
-                let mut merged = adds.clone();
+                old.retain(|it| !cursor.yielded(it.key));
                 merged.extend_from_slice(&old);
                 write_bucket(disk, head, &merged)?;
                 before - old.len()
             }
         };
-        stats.shadowed += removed;
-        stats.items += adds.len();
-        region.items = region.items + adds.len() - removed;
+        cursor.stats.shadowed += removed;
+        region.items = region.items + added - removed;
     }
-    Ok(stats)
+    Ok(cursor.stats)
 }
 
 #[cfg(test)]
@@ -370,17 +415,33 @@ mod tests {
         Region { base, buckets: nb, items: keys.len() }
     }
 
-    fn region_keys(disk: &mut Disk<MemDisk>, r: &Region) -> Vec<u64> {
+    /// Every item of buckets `buckets` of `r`, in block order, read behind
+    /// the accounting.
+    fn bucket_items(disk: &mut Disk<MemDisk>, r: &Region, buckets: Range<u64>) -> Vec<Item> {
         let mut out = Vec::new();
-        for q in 0..r.buckets {
-            let mut cur = Some(r.block_of(q));
-            while let Some(id) = cur {
-                let blk = disk.backend_mut().read(id).unwrap();
-                out.extend(blk.items().iter().map(|it| it.key));
-                cur = blk.next();
+        r.inspect(disk, |q, _, blk| {
+            if buckets.contains(&q) {
+                out.extend_from_slice(blk.items());
             }
-        }
+        })
+        .unwrap();
         out
+    }
+
+    fn region_keys(disk: &mut Disk<MemDisk>, r: &Region) -> Vec<u64> {
+        bucket_items(disk, r, 0..r.buckets).iter().map(|it| it.key).collect()
+    }
+
+    /// A fresh region on the sources' own disk, as a flush builds one.
+    fn compact(
+        disk: &mut Disk<MemDisk>,
+        hash: &IdealFn,
+        sources: Vec<Source>,
+        nb_dst: u64,
+        purge: bool,
+        filter: Option<&mut LevelFilter>,
+    ) -> Result<(Region, MergeStats)> {
+        build_fresh_region(disk, None, MergeCursor::new(hash, sources, nb_dst, purge), filter, None)
     }
 
     #[test]
@@ -454,15 +515,32 @@ mod tests {
     fn compact_refuses_a_source_with_items_outside_their_buckets() {
         // Blocks that hold another table's items (media that lost a
         // sync): bucket 1 of 2 holds a key of bucket 0, which is built by
-        // the time the stream reads it.
+        // the time the stream reads it. Whatever consumes the cursor —
+        // a build on the sources' disk, one across disks, the in-place
+        // merge — ends in the same refusal.
         let h = hash();
-        let mut d = mem_disk(4);
         let stray = (0..).find(|&k| prefix_bucket(h.hash64(k), 2) == 0).expect("some key");
-        let base = d.allocate_contiguous(2).unwrap();
-        write_bucket(&mut d, BlockId(base.raw() + 1), &[Item::new(stray, 0)]).unwrap();
-        let misplaced = Region { base, buckets: 2, items: 1 };
-        let merged = compact(&mut d, &h, vec![Source::from_region(misplaced)], 2, false, None);
+        let misplaced = |d: &mut Disk<MemDisk>| {
+            let base = d.allocate_contiguous(2).unwrap();
+            write_bucket(d, BlockId(base.raw() + 1), &[Item::new(stray, 0)]).unwrap();
+            MergeCursor::new(
+                &h,
+                vec![Source::from_region(Region { base, buckets: 2, items: 1 })],
+                2,
+                false,
+            )
+        };
+        let (mut d, mut other) = (mem_disk(4), mem_disk(4));
+        let cursor = misplaced(&mut d);
+        let merged = build_fresh_region(&mut d, None, cursor, None, None);
         assert!(matches!(merged, Err(ExtMemError::Corrupt(_))));
+        let cursor = misplaced(&mut d);
+        let merged = build_fresh_region(&mut d, Some(&mut other), cursor, None, None);
+        assert!(matches!(merged, Err(ExtMemError::Corrupt(_))), "across disks");
+        let mut hat = build_region(&mut d, &h, 2, &[]);
+        let cursor = misplaced(&mut d);
+        let merged = merge_in_place(&mut d, cursor, &mut hat);
+        assert!(matches!(merged, Err(ExtMemError::Corrupt(_))), "in place");
     }
 
     #[test]
@@ -494,18 +572,13 @@ mod tests {
         let (merged, _) =
             compact(&mut d, &h, vec![Source::from_region(a)], 16, false, None).unwrap();
         for q in 0..merged.buckets {
-            let mut cur = Some(merged.block_of(q));
-            while let Some(id) = cur {
-                let blk = d.backend_mut().read(id).unwrap();
-                for it in blk.items() {
-                    assert_eq!(
-                        prefix_bucket(h.hash64(it.key), 16),
-                        q,
-                        "key {} in wrong bucket",
-                        it.key
-                    );
-                }
-                cur = blk.next();
+            for it in bucket_items(&mut d, &merged, q..q + 1) {
+                assert_eq!(
+                    prefix_bucket(h.hash64(it.key), 16),
+                    q,
+                    "key {} in wrong bucket",
+                    it.key
+                );
             }
         }
     }
@@ -547,7 +620,8 @@ mod tests {
         let mut incoming: Vec<Item> = (100..106).map(|k| Item::new(k, k)).collect();
         incoming.push(Item::new(3, 999));
         let src = Source::from_memory(incoming, &h);
-        let stats = merge_in_place(&mut d, &h, vec![src], &mut region).unwrap();
+        let cursor = MergeCursor::new(&h, vec![src], region.buckets, false);
+        let stats = merge_in_place(&mut d, cursor, &mut region).unwrap();
         assert_eq!(stats.items, 7);
         assert_eq!(stats.shadowed, 1, "old copy of key 3 replaced");
         assert_eq!(region.items, 16 + 7 - 1);
@@ -561,17 +635,8 @@ mod tests {
         assert_eq!(keys, expect);
         // The updated value won.
         let q = prefix_bucket(h.hash64(3), region.buckets);
-        let mut cur = Some(region.block_of(q));
-        let mut found = None;
-        while let Some(id) = cur {
-            let blk = d.backend_mut().read(id).unwrap();
-            if let Some(v) = blk.find(3) {
-                found = Some(v);
-                break;
-            }
-            cur = blk.next();
-        }
-        assert_eq!(found, Some(999));
+        let bucket = bucket_items(&mut d, &region, q..q + 1);
+        assert_eq!(bucket.iter().find(|it| it.key == 3).map(|it| it.value), Some(999));
     }
 
     #[test]
@@ -582,7 +647,9 @@ mod tests {
         let mut region = build_region(&mut d, &h, 16, &(0..32).collect::<Vec<_>>());
         let incoming: Vec<Item> = (1000..1016).map(|k| Item::new(k, k)).collect();
         let e = d.epoch();
-        merge_in_place(&mut d, &h, vec![Source::from_memory(incoming, &h)], &mut region).unwrap();
+        let sources = vec![Source::from_memory(incoming, &h)];
+        merge_in_place(&mut d, MergeCursor::new(&h, sources, region.buckets, false), &mut region)
+            .unwrap();
         let io = d.since(&e).total(d.cost_model());
         // At most one combined I/O per bucket (16), usually fewer since
         // some buckets receive nothing.
@@ -595,7 +662,9 @@ mod tests {
         let h = hash();
         let mut region = build_region(&mut d, &h, 2, &(0..4).collect::<Vec<_>>());
         let incoming: Vec<Item> = (100..110).map(|k| Item::new(k, k)).collect();
-        merge_in_place(&mut d, &h, vec![Source::from_memory(incoming, &h)], &mut region).unwrap();
+        let sources = vec![Source::from_memory(incoming, &h)];
+        merge_in_place(&mut d, MergeCursor::new(&h, sources, region.buckets, false), &mut region)
+            .unwrap();
         assert_eq!(region.items, 14);
         let mut keys = region_keys(&mut d, &region);
         keys.sort_unstable();
@@ -633,13 +702,7 @@ mod tests {
                 chained += d.live_blocks() - live - nb;
                 let mut fullest = Vec::new();
                 for q in 0..nb {
-                    let mut bucket = Vec::new();
-                    let mut cur = Some(region.block_of(q));
-                    while let Some(id) = cur {
-                        let blk = d.backend_mut().read(id).unwrap();
-                        bucket.extend_from_slice(blk.items());
-                        cur = blk.next();
-                    }
+                    let bucket = bucket_items(&mut d, &region, q..q + 1);
                     if bucket.len() > fullest.len() {
                         fullest = bucket;
                     }
@@ -792,27 +855,46 @@ mod tests {
     }
 
     #[test]
-    fn compact_across_streams_between_disks() {
+    fn a_region_is_built_across_disks_mapped_and_filtered_as_it_lands() {
+        use crate::config::CoreConfig;
+        use crate::filter::FilterPlan;
         let mut src = mem_disk(4);
         let mut dst = mem_disk(4);
         let h = hash();
+        let cfg = CoreConfig::lemma5(2, 256, 2).unwrap();
+        let mut filter = FilterPlan::derive(&cfg, 64).new_filter(1).expect("H1 fits in 64 items");
         let a = build_region(&mut src, &h, 2, &(0..20).collect::<Vec<_>>());
         let markers = vec![Item::delete_marker(5)];
-        let (merged, stats) = compact_across(
+        let sources = vec![Source::from_memory(markers, &h), Source::from_region(a)];
+        let mut mapped = Vec::new();
+        let mut map = |v: Value| {
+            mapped.push(v);
+            Ok(v + 100)
+        };
+        let e = dst.epoch();
+        let (merged, stats) = build_fresh_region(
             &mut src,
-            &mut dst,
-            &h,
-            vec![Source::from_memory(markers, &h), Source::from_region(a)],
-            8,
-            true,
+            Some(&mut dst),
+            MergeCursor::new(&h, sources, 8, true),
+            Some(&mut filter),
+            Some(&mut map),
         )
         .unwrap();
         assert_eq!(stats.purged, 1);
         assert_eq!(merged.items, 19);
         assert_eq!(src.live_blocks(), 0, "source region fully freed on the source disk");
-        let mut keys = region_keys(&mut dst, &merged);
+        let io = dst.since(&e);
+        assert_eq!((io.reads, io.writes), (0, dst.live_blocks()), "written once, never read");
+        let landed = bucket_items(&mut dst, &merged, 0..merged.buckets);
+        let survivors: Vec<u64> = (0..20).filter(|k| *k != 5).collect();
+        // Mapped in the order the items landed: destination-bucket order.
+        assert_eq!(landed.iter().map(|it| it.value - 100).collect::<Vec<_>>(), mapped);
+        let mut keys: Vec<u64> = landed.iter().map(|it| it.key).collect();
+        assert!(keys.iter().all(|&k| filter.may_contain(h.hash64(k))), "a written key is missing");
         keys.sort_unstable();
-        assert_eq!(keys, (0..20).filter(|k| *k != 5).collect::<Vec<_>>());
+        assert_eq!(keys, survivors);
+        mapped.sort_unstable();
+        assert_eq!(mapped, survivors, "each surviving value mapped once, the purged one never");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   combined I/O — the paper's `1 + 1/2^Ω(b)` insert;
 //! * deletion unlinks and frees overflow blocks that become empty.
 
-use dxh_extmem::{Block, BlockId, Disk, Item, Key, Result, StorageBackend, Value};
+use dxh_extmem::{Block, BlockId, Disk, ExtMemError, Item, Key, Result, StorageBackend, Value};
 
 /// What an upsert did.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -80,7 +80,7 @@ pub fn chain_lookup<B: StorageBackend>(
     key: Key,
 ) -> Result<Option<Value>> {
     let mut cur = head;
-    loop {
+    for _ in 0..disk.live_blocks() {
         let blk = disk.read(cur)?;
         if let Some(v) = blk.find(key) {
             return Ok(Some(v));
@@ -90,6 +90,12 @@ pub fn chain_lookup<B: StorageBackend>(
             None => return Ok(None),
         }
     }
+    Err(cyclic(head))
+}
+
+/// A chain that outruns its disk: some `next` pointer rotted into a cycle.
+fn cyclic(head: BlockId) -> ExtMemError {
+    ExtMemError::Corrupt(format!("the chain of {head:?} is longer than its disk has live blocks"))
 }
 
 /// Deletes `key` from the chain rooted at `head`; returns whether it was
@@ -148,6 +154,7 @@ pub fn chain_collect<B: StorageBackend>(
     out: &mut Vec<Item>,
 ) -> Result<()> {
     // Head block.
+    let mut hops = disk.live_blocks();
     let head_blk = disk.read(head)?;
     out.extend_from_slice(head_blk.items());
     let mut cur = head_blk.next();
@@ -158,6 +165,7 @@ pub fn chain_collect<B: StorageBackend>(
     }
     // Overflow blocks.
     while let Some(id) = cur {
+        hops = hops.checked_sub(1).ok_or_else(|| cyclic(head))?;
         let blk = disk.read(id)?;
         out.extend_from_slice(blk.items());
         cur = blk.next();

@@ -1,13 +1,12 @@
 //! The persistent store survives process-style lifecycle boundaries:
 //! create → insert/delete churn → drop → reopen → verify, plus crash
-//! recovery with orphan GC, explicit compaction, and sharded file-backed
-//! deployments, exercised end-to-end through the umbrella crate.
+//! recovery with orphan GC and explicit compaction, exercised end-to-end
+//! through the umbrella crate.
 
 use std::collections::HashMap;
 
 use dyn_ext_hash::core::{
-    BootstrappedTable, CoreConfig, DynamicHashTable, ExternalDictionary, KvStore, ShardedTable,
-    TradeoffTarget,
+    CoreConfig, DynamicHashTable, ExternalDictionary, KvStore, TradeoffTarget,
 };
 use dyn_ext_hash::extmem::{Disk, FileDisk, IoCostModel};
 use dyn_ext_hash::hashfn::SplitMix64;
@@ -166,34 +165,6 @@ fn crash_orphans_are_collected_and_compaction_shrinks_the_file() {
 }
 
 #[test]
-fn sharded_file_backed_deployment_round_trips() {
-    let dir = tmp_dir("sharded");
-    let _ = std::fs::remove_dir_all(&dir);
-    let sharded = ShardedTable::new_file_backed(
-        4,
-        0xD15C,
-        &dir,
-        32,
-        IoCostModel::SeekDominated,
-        |shard, disk| {
-            BootstrappedTable::new_on(disk, CoreConfig::theorem2(32, 512, 0.5)?, 70 + shard as u64)
-        },
-    )
-    .unwrap();
-    let pairs: Vec<(u64, u64)> = {
-        let mut rng = SplitMix64::new(1);
-        (0..6000).map(|_| (rng.next_u64() >> 1, rng.next_u64())).collect()
-    };
-    sharded.par_load(&pairs).unwrap();
-    assert_eq!(sharded.len(), pairs.len());
-    for &(k, v) in pairs.iter().step_by(59) {
-        assert_eq!(sharded.lookup(k).unwrap(), Some(v));
-    }
-    assert!(!sharded.is_empty());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn facade_on_named_file_persists_blocks_to_that_file() {
     // for_target_on with a real named file: the blocks land in the file
     // the caller chose (size = slots × encoded block size).
@@ -214,4 +185,68 @@ fn facade_on_named_file_persists_blocks_to_that_file() {
     let block_bytes = 24 + 16 * b as u64;
     assert_eq!(file_len % block_bytes, 0, "file is a whole number of slots");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A level that holds an item outside its bucket — blocks that are not
+/// what was written there, read through a second handle onto the same
+/// (simulated) file, as a medium that lost a write would serve them —
+/// must not compact: the merge would build the item's bucket before it
+/// reads the item, and drop it. `compact` refuses as `Corrupt`, poisons
+/// the handle and removes the generation it was building; the committed
+/// (file, manifest) pair stays authoritative, and once the medium serves
+/// the durable image again a reopen finds every key.
+#[test]
+fn compaction_refuses_a_level_holding_an_item_outside_its_bucket() {
+    use dyn_ext_hash::core::SimMedia;
+    use dyn_ext_hash::extmem::{BlockId, ExtMemError, FaultPlan, SimEnv, StorageBackend};
+    let cfg = CoreConfig::lemma5(64, 4096, 2).unwrap();
+    let env = SimEnv::new();
+    let open = |env: &SimEnv| KvStore::open_on(SimMedia::open(env).unwrap(), cfg.clone(), 17);
+    let mut store = open(&env).unwrap();
+    for k in 0..6_000u64 {
+        store.insert(k, k + 1).unwrap();
+    }
+    store.sync().unwrap();
+    let manifest = env.read_file("MANIFEST").unwrap().expect("committed");
+    let text = String::from_utf8(manifest.clone()).unwrap();
+    let level: Vec<u64> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("level "))
+        .flat_map(|l| l.split(' ').map(|n| n.parse().unwrap()).collect::<Vec<u64>>())
+        .collect();
+    let [_, base, buckets, 6_000] = level[..] else { panic!("one level holds it all: {text}") };
+    // The first item of bucket 0 moves to the last bucket with room:
+    // read long after bucket 0 of the new region was built. Unsynced, so
+    // the durable image is still the table the manifest describes.
+    let mut file = env.open_disk("store.blk", cfg.b).unwrap();
+    let mut first = file.read(BlockId(base)).unwrap();
+    let stray = first.items()[0];
+    first.remove(stray.key);
+    let (far, mut last) = (1..buckets)
+        .rev()
+        .map(|q| (BlockId(base + q), file.read(BlockId(base + q)).unwrap()))
+        .find(|(_, blk)| !blk.is_full())
+        .expect("a bucket with room");
+    last.push(stray).unwrap();
+    file.write(BlockId(base), &first).unwrap();
+    file.write(far, &last).unwrap();
+    drop(file);
+
+    let refused = store.compact();
+    assert!(matches!(refused, Err(ExtMemError::Corrupt(_))), "{refused:?}");
+    assert!(store.lookup(1).is_err() && store.sync().is_err(), "the handle is poisoned");
+    let names = env.file_names();
+    assert!(!names.iter().any(|n| n == "store.1.blk"), "the stray generation is gone: {names:?}");
+    assert_eq!(env.read_file("MANIFEST").unwrap(), Some(manifest), "the commit stands");
+
+    env.set_plan(FaultPlan::crash(env.ops(), 3));
+    drop(store);
+    env.power_cycle();
+    let mut store = open(&env).unwrap();
+    for k in 0..6_000u64 {
+        assert_eq!(store.lookup(k).unwrap(), Some(k + 1), "key {k}");
+    }
+    let stats = store.compact().unwrap();
+    assert_eq!(stats.live_items, 6_000, "the table the manifest describes compacts");
+    assert_eq!(store.lookup(stray.key).unwrap(), Some(stray.value));
 }

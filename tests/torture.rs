@@ -133,7 +133,7 @@ fn scattered_crashes_across_whole_lifecycles() {
     }
 }
 
-/// The determinism acceptance criterion: same seed + same workload ⇒
+/// The determinism acceptance test: same seed + same workload ⇒
 /// byte-identical I/O trace and identical crash outcome on consecutive
 /// runs (the property that makes a printed failing seed sufficient to
 /// reproduce any red run).

@@ -3,8 +3,8 @@
 //! The model checker (`crates/sync`, `--features model`) proves the
 //! *protocols* right on bounded instances; this pass pins the *source*
 //! to the discipline those proofs assume. It scans the real guard
-//! acquisition sites in `crates/core/src/service.rs` and
-//! `crates/core/src/sharded.rs` and enforces, per function body:
+//! acquisition sites in `crates/core/src/service.rs` and enforces, per
+//! function body:
 //!
 //! 1. **Lock-order hierarchy.** Acquiring a guard while another is
 //!    live is only legal for the one whitelisted nesting, `Buf → Cell`
@@ -15,9 +15,9 @@
 //! 2. **No fsync-class call under a hot guard.** `Buf`, `CoordState`
 //!    and `Cell` guards are on the writers' latency path; a physical
 //!    sync (`log.commit`, `log.truncate()`, `store.sync()`,
-//!    `store.harden`) must never run while one is live. The `Store` (and
-//!    sharded `Table`) guards *are* the store's own serialization and
-//!    legitimately span their hardens.
+//!    `store.harden`) must never run while one is live. The `Store`
+//!    guard *is* the store's own serialization and legitimately spans
+//!    its hardens.
 //!
 //! 3. **Wait hygiene.** `Condvar::wait`/`wait_timeout` may only be
 //!    reached with the waited-on guard live — parking while holding a
@@ -50,9 +50,6 @@ enum GuardClass {
     Coord,
     /// `OpCell::0` — a writer's ack slot.
     Cell,
-    /// `ShardedKvStore` table locks (sharded.rs): plain per-shard
-    /// stores, same standing as `Store`.
-    Table,
 }
 
 impl fmt::Display for GuardClass {
@@ -62,7 +59,6 @@ impl fmt::Display for GuardClass {
             GuardClass::Store => "Store",
             GuardClass::Coord => "CoordState",
             GuardClass::Cell => "Cell",
-            GuardClass::Table => "Table",
         };
         f.write_str(s)
     }
@@ -80,7 +76,7 @@ fn fsync_forbidden(class: GuardClass) -> bool {
     matches!(class, GuardClass::Buf | GuardClass::Coord | GuardClass::Cell)
 }
 
-fn classify(recv: &str, table_file: bool) -> Option<GuardClass> {
+fn classify(recv: &str) -> Option<GuardClass> {
     let recv = recv.trim_start_matches(['&', '*']);
     if recv.ends_with(".0") {
         Some(GuardClass::Cell)
@@ -90,8 +86,6 @@ fn classify(recv: &str, table_file: bool) -> Option<GuardClass> {
         Some(GuardClass::Store)
     } else if recv.ends_with("state") {
         Some(GuardClass::Coord)
-    } else if table_file {
-        Some(GuardClass::Table)
     } else {
         None
     }
@@ -110,7 +104,7 @@ struct LiveGuard {
     line: usize,
 }
 
-fn scan_source(src: &str, table_file: bool) -> (Vec<Violation>, usize) {
+fn scan_source(src: &str) -> (Vec<Violation>, usize) {
     let cleaned = clean_source(src);
     let mut violations = Vec::new();
     let mut guards: Vec<LiveGuard> = Vec::new();
@@ -140,7 +134,7 @@ fn scan_source(src: &str, table_file: bool) -> (Vec<Violation>, usize) {
             if rest.starts_with(".lock()") {
                 sites += 1;
                 let recv = receiver_before(&chars, i);
-                match classify(&recv, table_file) {
+                match classify(&recv) {
                     None => violations.push(Violation {
                         line: ln,
                         what: format!(
@@ -242,15 +236,14 @@ fn scan_source(src: &str, table_file: bool) -> (Vec<Violation>, usize) {
 }
 
 /// The files under discipline, relative to the repo root.
-const TARGETS: &[(&str, bool)] =
-    &[("crates/core/src/service.rs", false), ("crates/core/src/sharded.rs", true)];
+const TARGETS: &[&str] = &["crates/core/src/service.rs"];
 
 /// Runs the checker against `root` (defaults to the current directory).
 pub fn run(root: Option<&str>) -> ExitCode {
     let root = Path::new(root.unwrap_or("."));
     let mut total = 0usize;
     let mut sites = 0usize;
-    for (rel, table_file) in TARGETS {
+    for rel in TARGETS {
         let path = root.join(rel);
         let src = match std::fs::read_to_string(&path) {
             Ok(s) => s,
@@ -259,7 +252,7 @@ pub fn run(root: Option<&str>) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let (violations, n) = scan_source(&src, *table_file);
+        let (violations, n) = scan_source(&src);
         sites += n;
         for v in &violations {
             eprintln!("{rel}:{}: {}", v.line, v.what);
@@ -280,7 +273,7 @@ mod tests {
     use super::*;
 
     fn scan(src: &str) -> Vec<Violation> {
-        scan_source(src, false).0
+        scan_source(src).0
     }
 
     #[test]
@@ -443,25 +436,13 @@ mod tests {
     }
 
     #[test]
-    fn table_locks_classify_in_sharded_files() {
-        let src = "
-            fn f(&self, key: Key) {
-                self.shards[self.shard_of(key)].lock().insert(key, value)
-            }
-        ";
-        let (v, sites) = scan_source(src, true);
-        assert!(v.is_empty(), "{v:?}");
-        assert_eq!(sites, 1);
-    }
-
-    #[test]
     fn real_commit_path_passes() {
         // The actual discipline holds on the actual sources — the same
         // invocation CI gates on, runnable from the workspace root.
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
-        for (rel, table_file) in TARGETS {
+        for rel in TARGETS {
             let src = std::fs::read_to_string(root.join(rel)).unwrap();
-            let (v, sites) = scan_source(&src, *table_file);
+            let (v, sites) = scan_source(&src);
             assert!(sites > 5, "{rel}: only {sites} lock sites found — scanner broken?");
             assert!(v.is_empty(), "{rel}: {v:#?}");
         }

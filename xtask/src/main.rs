@@ -4,8 +4,7 @@
 //!
 //! * `lint-locks` — static lock-discipline checker for the commit path
 //!   (see `docs/CONCURRENCY.md`). Verifies, against the actual guard
-//!   acquisition sites in `crates/core/src/service.rs` and
-//!   `crates/core/src/sharded.rs`, that
+//!   acquisition sites in `crates/core/src/service.rs`, that
 //!
 //!   1. the lock-order hierarchy is respected (buf → store never
 //!      inverted; only the whitelisted nestings appear),
