@@ -1,14 +1,15 @@
-//! **Space reclamation** — the store's delete/GC/compact lifecycle.
+//! **Space reclamation** — the store's delete/crash/compact lifecycle.
 //!
 //! The paper's model has no durability story, so this experiment
-//! measures what the persistence layer adds around it: how the data
-//! file's footprint evolves under insert/delete churn, what a simulated
-//! crash strands, how much the reopen-time orphan GC hands back to the
-//! allocator, and how close [`KvStore::compact`] brings the file to the
-//! live-data footprint. Each phase reports file size, slot accounting
-//! (live / free / total), and the phase's accounted I/O where the
-//! counters are continuous (they restart at reopen and compaction — the
-//! store sits on a fresh accounting disk afterwards).
+//! measures what the persistence layer adds around it: how the level
+//! files' footprint evolves under insert/delete churn, what a simulated
+//! crash strands in the directory, that the reopen removes exactly
+//! that, and what [`KvStore::compact`] still reclaims (shadowed copies
+//! and deletion markers — the files themselves are never larger than
+//! the live levels). Each phase reports the level files the manifest
+//! names (count, bytes, live blocks), the bytes of block files actually
+//! in the directory, and the phase's accounted I/O where the counters
+//! are continuous (they restart at reopen).
 //!
 //! Output: an aligned table, `results/exp_compaction.csv`, and
 //! `results/exp_compaction.json`. The key stream and the
@@ -28,28 +29,31 @@ use dxh_hashfn::SplitMix64;
 struct Phase {
     name: &'static str,
     items: usize,
+    /// Level files the store holds open, and their bytes.
+    files: usize,
     file_bytes: u64,
-    slots: u64,
+    /// Bytes of `.blk` files in the directory, named or not.
+    dir_bytes: u64,
     live: u64,
-    free: usize,
     ios: u64,
     wall_ms: f64,
 }
 
+/// Bytes of block files in `dir`, whoever names them.
+fn block_file_bytes(dir: &std::path::Path) -> u64 {
+    let entries = std::fs::read_dir(dir).expect("store directory").flatten();
+    let blocks = entries.filter(|e| e.file_name().to_string_lossy().ends_with(".blk"));
+    blocks.map(|e| e.metadata().map_or(0, |m| m.len())).sum()
+}
+
 fn snapshot(name: &'static str, s: &KvStore, ios: u64, wall_ms: f64) -> Phase {
-    let backend = s.table().disk().backend();
     Phase {
         name,
         items: s.len(),
-        file_bytes: s
-            .data_path()
-            .ok()
-            .and_then(|p| std::fs::metadata(p).ok())
-            .map(|m| m.len())
-            .unwrap_or(0),
-        slots: backend.slots(),
+        files: s.table().disk().backend().file_count(),
+        file_bytes: s.footprint().expect("footprint").data_bytes,
+        dir_bytes: block_file_bytes(s.path()),
         live: s.table().disk().live_blocks(),
-        free: backend.free_count(),
         ios,
         wall_ms,
     }
@@ -95,9 +99,9 @@ fn main() {
     let churn_ios = store.disk_stats().since(&e).total(store.cost_model());
     phases.push(snapshot("churn+sync", &store, churn_ios, ms(t0)));
 
-    // Phase 3: unsynced churn — fresh keys, enough to cascade region
-    // rebuilds past the manifest's slot count — then crash (Drop never
-    // runs; the dead process's LOCK disappears with it).
+    // Phase 3: unsynced churn — fresh keys, enough to cascade flushes
+    // that build levels no manifest names — then crash (Drop never runs;
+    // the dead process's LOCK disappears with it).
     for _ in 0..n / 4 {
         let k = rng.next_u64() >> 1;
         store.insert(k, k).expect("insert");
@@ -106,20 +110,27 @@ fn main() {
     std::mem::forget(store);
     let _ = std::fs::remove_file(lock);
 
-    // Phase 4: reopen — crash recovery walks the manifest's regions and
-    // returns every orphaned slot to the free list.
+    // Phase 4: reopen — opens the files the manifest names and removes
+    // every other block file as a stray; nothing is walked.
+    let stranded = block_file_bytes(&dir);
     let t0 = Instant::now();
     let mut store = KvStore::open(&dir, cfg.clone(), seed ^ 0x5704E).expect("reopen after crash");
-    phases.push(snapshot("crash+reopen (GC)", &store, 0, ms(t0)));
-    let orphans = store.table().disk().backend().free_count();
-    assert!(orphans > 0, "GC must hand dead slots back to the allocator");
+    phases.push(snapshot("crash+reopen", &store, store.total_ios(), ms(t0)));
+    let recovered = phases.last().expect("just pushed");
+    let strays = stranded - recovered.dir_bytes;
+    assert!(strays > 0, "the crash stranded levels no manifest names");
+    assert_eq!(recovered.dir_bytes, recovered.file_bytes, "reopen leaves the named files only");
 
-    // Phase 5: compact — dense rewrite, markers purged, file shrunk.
+    // Phase 5: compact — one level, shadowed copies and markers purged.
+    let e = store.disk_stats();
     let t0 = Instant::now();
     let stats = store.compact().expect("compact");
     let compact_ms = ms(t0);
-    phases.push(snapshot("compact", &store, 0, compact_ms));
-    assert!(stats.bytes_after < stats.bytes_before, "compaction shrinks the file");
+    let compact_ios = store.disk_stats().since(&e).total(store.cost_model());
+    phases.push(snapshot("compact", &store, compact_ios, compact_ms));
+    assert!(stats.bytes_after < stats.bytes_before, "compaction purges dead items");
+    let compacted = phases.last().expect("just pushed");
+    assert_eq!((compacted.files, compacted.dir_bytes), (1, stats.bytes_after));
     // The one level everything landed in: content-sized, at the sealed
     // fill; at most the level's full geometry.
     let geometry = store.table().level_geometry();
@@ -144,30 +155,38 @@ fn main() {
     }
     phases.push(snapshot("verify reopen", &store, store.total_ios(), 0.0));
 
-    let mut table =
-        TextTable::new(["phase", "items", "file KiB", "slots", "live", "free", "I/Os", "ms"]);
+    let mut table = TextTable::new([
+        "phase",
+        "items",
+        "level files",
+        "KiB named",
+        "KiB in dir",
+        "live blocks",
+        "I/Os",
+        "ms",
+    ]);
     let mut json_rows = Vec::new();
     for p in &phases {
         table.row([
             p.name.to_string(),
             p.items.to_string(),
+            p.files.to_string(),
             fmt_f(p.file_bytes as f64 / 1024.0, 1),
-            p.slots.to_string(),
+            fmt_f(p.dir_bytes as f64 / 1024.0, 1),
             p.live.to_string(),
-            p.free.to_string(),
             p.ios.to_string(),
             fmt_f(p.wall_ms, 1),
         ]);
         json_rows.push(format!(
-            "    {{\"phase\": \"{}\", \"items\": {}, \"file_bytes\": {}, \"slots\": {}, \
-             \"live\": {}, \"free\": {}, \"ios\": {}, \"wall_ms\": {:.3}}}",
-            p.name, p.items, p.file_bytes, p.slots, p.live, p.free, p.ios, p.wall_ms
+            "    {{\"phase\": \"{}\", \"items\": {}, \"level_files\": {}, \"file_bytes\": {}, \
+             \"dir_bytes\": {}, \"live\": {}, \"ios\": {}, \"wall_ms\": {:.3}}}",
+            p.name, p.items, p.files, p.file_bytes, p.dir_bytes, p.live, p.ios, p.wall_ms
         ));
     }
 
     println!("Space reclamation: b = {b}, m = {m}, n = {n}");
     println!(
-        "reopen GC reclaimed {orphans} dead slots; compact: {} -> {} bytes \
+        "reopen removed {strays} bytes of stray level files; compact: {} -> {} bytes \
          ({} live items, {} markers purged, {} shadowed copies dropped) \
          in one H{level} region of {region_buckets} buckets at the sealed fill, {sealed_fill} of \
          {b} items a bucket (full geometry: {full_buckets})",
@@ -177,10 +196,10 @@ fn main() {
 
     let json = format!(
         "{{\n  \"bench\": \"exp_compaction\",\n  \"command\": \"cargo run -p dxh-bench --release --bin exp_compaction -- --seed {seed}\",\n  \
-         \"note\": \"File sizes are exact; wall-clock is container-local (trajectory, not absolutes). I/O counters restart at reopen/compact.\",\n  \
+         \"note\": \"File sizes are exact; wall-clock is container-local (trajectory, not absolutes). I/O counters restart at reopen.\",\n  \
          \"params\": {{\"b\": {b}, \"m\": {m}, \"n\": {n}, \"seed\": {seed}}},\n  \
          \"compaction\": {{\"bytes_before\": {}, \"bytes_after\": {}, \"live_items\": {}, \
-         \"purged\": {}, \"shadowed\": {}, \"orphans_reclaimed\": {orphans}, \
+         \"purged\": {}, \"shadowed\": {}, \"stray_bytes_removed\": {strays}, \
          \"level\": {level}, \"region_buckets\": {region_buckets}, \"full_buckets\": {full_buckets}, \
          \"sealed_fill\": {sealed_fill}}},\n  \"phases\": [\n{}\n  ]\n}}\n",
         stats.bytes_before,

@@ -176,7 +176,7 @@ impl<F: HashFn, B: StorageBackend> BootstrappedTable<F, B> {
             // no deletion marker can reach an Ĥ merge.
             // Ĥ keeps no filter: its one probe is the point of the table.
             let cursor = MergeCursor::new(&self.log.hash, sources, nb_new, false);
-            let (region, _stats) = build_fresh_region(&mut self.disk, None, cursor, None, None)?;
+            let (region, _stats) = build_fresh_region(&mut self.disk, cursor, None, None)?;
             self.hat = Some(region);
         } else {
             let hat = self.hat.as_mut().expect("checked above");

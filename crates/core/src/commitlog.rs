@@ -322,7 +322,7 @@ pub(crate) fn replay_log<M: StoreMedia>(
     // segment — is still emptied, but there is nothing to harden.
     if replayed {
         for s in stores.iter_mut() {
-            s.harden(true)?;
+            s.sync()?;
         }
     }
     log.truncate()
@@ -534,7 +534,7 @@ mod tests {
     }
 
     /// One checkpoint rotation, driven by hand: log rounds over two
-    /// shards, `seal`, staggered `harden(false)`s (one shard per round),
+    /// shards, `seal`, staggered `harden()`s (one shard per round),
     /// `discard_sealed`, more rounds. Pushes onto `acked` every `(shard,
     /// key, value)` whose round committed; errors where `env` crashes.
     fn rotation(env: &SimEnv, acked: &mut Vec<(usize, Key, u64)>) -> Result<()> {
@@ -566,7 +566,7 @@ mod tests {
             }
             if let Some(si) = owed.pop() {
                 stores[si].set_replay_watermark(seq[si]);
-                stores[si].harden(false)?;
+                stores[si].harden()?;
                 if owed.is_empty() {
                     log.discard_sealed()?;
                 }
@@ -721,7 +721,6 @@ mod tests {
     /// reopen finds the log whole or empty.
     #[test]
     fn close_crash_sweep_loses_no_acknowledged_key() {
-        use crate::media::CLEAN;
         use dxh_extmem::{FaultPlan, IoEvent};
         // One writer, one put at a time: the same I/Os in every run (the
         // two final hardens interleave as the scheduler has it). A put
@@ -756,14 +755,15 @@ mod tests {
             let crashed = env.crashed();
             assert_eq!(crashed, k < close_ends, "crash_at {k}: the lifecycle takes {close_ends}");
             // A shard's final harden ran iff the last thing that happened
-            // to its marker is the write that set it.
+            // in its directory, unlinks aside, is a manifest commit's
+            // dir-sync — not a write to a level file still to be named.
             let trace = env.take_trace();
             let hardened = (0..2).all(|si| {
-                let marker = format!("shard-{si:03}/{CLEAN}");
-                let removal = format!("file-remove {marker}");
+                let dir = format!("shard-{si:03}/");
+                let commit = format!("dir-sync {dir}");
                 let last = trace.iter().rev().find_map(|e| match e {
-                    IoEvent::Write { file, .. } if *file == marker => Some(true),
-                    IoEvent::Meta { label, .. } if *label == removal => Some(false),
+                    IoEvent::Meta { label, .. } if *label == commit => Some(true),
+                    IoEvent::Write { file, .. } if file.starts_with(&dir) => Some(false),
                     _ => None,
                 });
                 last == Some(true)

@@ -81,7 +81,7 @@ pub use log_method::LogMethodTable;
 pub use media::{DirMedia, SimMedia, StoreMedia};
 pub use mem_table::MemTable;
 pub use service::{BatchRecord, Effect, ServiceStats, ShardBatchHistory, ShardedKvStore, WriteOp};
-pub use store::{CompactionStats, KvStore, ManifestIoStats};
+pub use store::{CompactionStats, Footprint, KvStore, LevelFiles, LevelFootprint, ManifestIoStats};
 
 // Re-exported so downstream code can name the dictionary trait without
 // depending on dxh-tables directly.

@@ -22,9 +22,9 @@
 //! lookup reads, never what a flush reads or writes. They are derived
 //! state and never persisted; a table rebuilt around persisted levels
 //! re-reads its filtered levels once (accounted, through the bounded
-//! [`Region::walk`]) to rebuild them, and one that rebuilds itself onto a
-//! fresh disk ([`LogMethodTable::rebuild_onto`], compaction) fills the
-//! new level's filter as it writes the level.
+//! [`Region::walk`]) to rebuild them, and one that merges itself into a
+//! single level ([`LogMethodTable::merge_into_level`], compaction) fills
+//! that level's filter as it writes the level.
 //!
 //! Lemma 5 also speaks of `H_k` as a table of `γ^k·m/b` buckets held at
 //! load ≤ 1/2. It needs that slack because its levels keep receiving
@@ -35,8 +35,8 @@
 //! levels and builds all of it into a fresh region
 //! ([`LogStructure::flush`] — one [`MergeCursor`] over `H0` and those
 //! levels, written out by `build_fresh_region`; compaction is the same
-//! pass with another disk as its destination), so every level is the
-//! *static* table the paper opens on — written once, probed, read once
+//! pass over every level at once), so every level is the *static* table
+//! the paper opens on — written once, probed, read once
 //! more when a flush takes it — and Knuth's bucketed table answers in
 //! `1 + 1/2^Ω(b)` I/Os at any constant load below 1. Levels are
 //! therefore sized by the `x` items landing in them, not by their
@@ -55,6 +55,20 @@
 //! where the in-place merge touched 128 blocks. Which levels are
 //! occupied, and so every lookup's level sequence, are exactly as at the
 //! full geometry: the carry consults capacities alone.
+//!
+//! The paper addresses a level as `(base, bucket)` in one unbounded
+//! array of blocks and says nothing of where the array lives. Under a
+//! [`crate::KvStore`] a level is a **file**: the contiguous run a flush
+//! allocates for its destination is a fresh file of exactly that many
+//! blocks (`crate::LevelFiles`; a block id is `file << 32 | slot`, so
+//! the address function is still `base + bucket`, O(1) words), the
+//! blocks a flush frees as it reads a level are that level's file on
+//! its way out, and nothing is ever recycled. The model's counts do not
+//! see the difference — a block read is a block read — but the disk
+//! does: it holds the live levels and nothing else, where one shared
+//! array had to find room for a destination beside its still-live
+//! sources and kept the high-water mark that left (twice the largest
+//! level, for good).
 
 use dxh_extmem::{
     BlockId, Disk, ExtMemError, IoCostModel, IoSnapshot, Item, Key, MemDisk, MemoryBudget, Result,
@@ -205,7 +219,7 @@ impl<F: HashFn> LogStructure<F> {
         );
         let mut filter = self.plan.new_filter(k);
         let cursor = MergeCursor::new(&self.hash, sources, nb, purge);
-        let (region, _) = build_fresh_region(disk, None, cursor, filter.as_mut(), None)?;
+        let (region, _) = build_fresh_region(disk, cursor, filter.as_mut(), None)?;
         self.levels[k] = Some(region);
         self.set_filter(k, filter);
         Ok(())
@@ -553,40 +567,42 @@ impl<F: HashFn, B: StorageBackend> LogMethodTable<F, B> {
         self.log.flush(&mut self.disk)
     }
 
-    /// The table rebuilds itself onto the fresh disk `dst`: `H0` and
-    /// every level stream, newest-first, through one [`MergeCursor`] into
-    /// a dense level-`k` region there — deletion markers and shadowed
-    /// copies purged, the destination being by construction the only,
-    /// hence deepest, level — sized by [`CoreConfig::fresh_level_buckets`]
-    /// for the physical item count (the purge only shrinks what lands).
-    /// As each item lands its value goes through `map`, if any, and its
-    /// key into the level's filter, so the new table is written once and
-    /// never read. Returns that table with the merge statistics; `self`
-    /// is left empty, its disk sources consumed and freed. An empty
-    /// table rebuilds into an empty one without touching `dst`. The
-    /// engine of [`crate::KvStore::compact`].
-    pub(crate) fn rebuild_onto(
+    /// The table merges itself into one level: `H0` and every level
+    /// stream, newest-first, through one [`MergeCursor`] into a fresh
+    /// level-`k` region — deletion markers and shadowed copies purged,
+    /// the destination being by construction the only, hence deepest,
+    /// level — sized by [`CoreConfig::fresh_level_buckets`] for the
+    /// physical item count (the purge only shrinks what lands). As each
+    /// item lands its value goes through `map`, if any, and its key into
+    /// the level's filter, so the new level is written once and never
+    /// read; every source is read once and freed. A purge that leaves
+    /// nothing leaves no level. The engine of [`crate::KvStore::compact`].
+    pub(crate) fn merge_into_level(
         &mut self,
-        dst: Disk<B>,
         k: usize,
         map: Option<ValueMap<'_>>,
-    ) -> Result<(Self, MergeStats)> {
-        let mut rebuilt = Self::with_disk(dst, self.cfg.clone(), self.log.hash.clone())?;
-        let landing = self.log.items();
-        if landing == 0 {
-            return Ok((rebuilt, MergeStats::default()));
+    ) -> Result<MergeStats> {
+        if self.log.h0.is_empty() && self.active_levels() == 0 {
+            return Ok(MergeStats::default());
         }
-        let nb = self.cfg.fresh_level_buckets(k as u32, landing);
+        let nb = self.cfg.fresh_level_buckets(k as u32, self.log.items());
         let sources = self.log.take_all_sources();
         let cursor = MergeCursor::new(&self.log.hash, sources, nb, true);
-        let mut filter = rebuilt.log.plan.new_filter(k);
-        let onto = Some(&mut rebuilt.disk);
-        let (region, stats) =
-            build_fresh_region(&mut self.disk, onto, cursor, filter.as_mut(), map)?;
-        rebuilt.log.levels.resize(k + 1, None);
-        rebuilt.log.levels[k] = Some(region);
-        rebuilt.log.set_filter(k, filter);
-        Ok((rebuilt, stats))
+        let mut filter = self.log.plan.new_filter(k);
+        let (region, stats) = build_fresh_region(&mut self.disk, cursor, filter.as_mut(), map)?;
+        if stats.items == 0 {
+            // Buckets nothing was written to: no chain hangs off them.
+            for q in 0..region.buckets {
+                self.disk.free(region.block_of(q))?;
+            }
+            return Ok(stats);
+        }
+        if self.log.levels.len() <= k {
+            self.log.levels.resize(k + 1, None);
+        }
+        self.log.levels[k] = Some(region);
+        self.log.set_filter(k, filter);
+        Ok(stats)
     }
 
     /// Rebuilds every level with `buckets(k, region)` buckets — the
@@ -601,8 +617,7 @@ impl<F: HashFn, B: StorageBackend> LogMethodTable<F, B> {
             let nb = buckets(k as u32, &r);
             let mut filter = self.log.plan.new_filter(k);
             let cursor = MergeCursor::new(&self.log.hash, vec![Source::from_region(r)], nb, false);
-            let (region, _) =
-                build_fresh_region(&mut self.disk, None, cursor, filter.as_mut(), None)?;
+            let (region, _) = build_fresh_region(&mut self.disk, cursor, filter.as_mut(), None)?;
             self.log.levels[k] = Some(region);
             self.log.set_filter(k, filter);
         }

@@ -9,37 +9,38 @@
 //! ([`SimMedia`]). Every durable *protocol* is written once above it, as
 //! generic code: the tmp + fsync + rename + dir-fsync commit
 //! ([`commit_file_atomic`], for the store manifest and the service
-//! manifest alike), the clean marker, stale-generation cleanup (all in
-//! this module) and the commit log (`commitlog.rs`). The crash sweeps
-//! therefore run the code that ships, down to each fsync and rename.
+//! manifest alike, in this module), the store's level files
+//! (`store/levels.rs`) and the commit log (`commitlog.rs`). The crash
+//! sweeps therefore run the code that ships, down to each fsync, rename
+//! and unlink.
 
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use dxh_extmem::{BlobFile, ExtMemError, FileBlob, FileDisk, PersistentBackend, Result};
+use dxh_extmem::{BlobFile, ExtMemError, FileBlob, FileDisk, Result, StorageBackend};
 
 /// Manifest file name inside a store directory.
 pub(crate) const MANIFEST: &str = "MANIFEST";
-/// Generation-0 data file name (see `data_file_name` in `store.rs`).
-pub(crate) const DATA: &str = "store.blk";
 /// Lock file name.
 pub(crate) const LOCK: &str = "LOCK";
-/// Clean-shutdown marker name: present exactly while no block write has
-/// happened since the last manifest.
+/// Legacy clean-shutdown marker name: earlier versions kept one beside
+/// the single block file all their levels shared. Never written, never
+/// consulted; removed as a stray at reopen.
 pub(crate) const CLEAN: &str = "CLEAN";
 /// Legacy manifest delta-chain name: earlier versions appended their
 /// checkpoint commits here. Read once at reopen, folded into the
-/// manifest and removed; never written (see `store.rs`).
+/// manifest and removed; never written (see `store/reopen.rs`).
 pub(crate) const MANIFEST_DELTA: &str = "MANIFEST.DELTA";
 
-/// Whether `name` is a store data file (any generation).
-fn is_data_file(name: &str) -> bool {
-    name.starts_with("store") && name.ends_with(".blk")
+/// Whether `name` is a block file of a store: a level file, or the
+/// single data file (any generation) of an earlier version's layout.
+pub(crate) fn is_data_file(name: &str) -> bool {
+    name.ends_with(".blk")
 }
 
 /// Whether `name` is a store blob-log file (any generation).
-fn is_blob_file(name: &str) -> bool {
+pub(crate) fn is_blob_file(name: &str) -> bool {
     name.starts_with("store") && name.ends_with(".blob")
 }
 
@@ -60,12 +61,11 @@ fn is_blob_file(name: &str) -> bool {
 ///   own sync does not persist its name.
 /// * [`StoreMedia::rename`] is atomic: at any crash the target names the
 ///   whole old file or the whole new one.
-/// * Data files created by [`StoreMedia::create_data`] start empty; the
-///   returned backend follows [`PersistentBackend`]'s deferred-recycling
-///   protocol.
+/// * Data files created by [`StoreMedia::create_data`] start empty, and
+///   one opened by [`StoreMedia::open_data`] has every slot live.
 pub trait StoreMedia: Sized {
-    /// The block backend this media serves.
-    type Backend: PersistentBackend;
+    /// The block file this media serves: one level of a store.
+    type Backend: StorageBackend;
 
     /// An open byte file of this media — the payload log's storage (see
     /// `dxh_extmem::BlobLog`) and the handle under every metadata
@@ -77,12 +77,8 @@ pub trait StoreMedia: Sized {
     fn create_data(&mut self, name: &str, block_capacity: usize) -> Result<Self::Backend>;
 
     /// Opens existing data file `name` without truncating; every slot is
-    /// initially live until a free list is restored.
+    /// live.
     fn open_data(&mut self, name: &str, block_capacity: usize) -> Result<Self::Backend>;
-
-    /// Size of data file `name` in bytes (0 when absent) — footprint
-    /// reporting, not a correctness input.
-    fn data_len(&mut self, name: &str) -> u64;
 
     /// Creates (truncating) byte file `name`.
     fn create_file(&mut self, name: &str) -> Result<Self::File>;
@@ -111,8 +107,10 @@ pub trait StoreMedia: Sized {
     /// directory of its own, acquiring its exclusive lock.
     fn sub(&self, name: &str) -> Result<Self>;
 
-    /// Filesystem path of file `name`, for media that have one.
-    fn file_path(&self, name: &str) -> Option<PathBuf>;
+    /// A second handle on this directory that takes no lock, for the
+    /// holder of `self` to keep beside it (a store hands one to its
+    /// block backend): good only while `self`'s lock is held.
+    fn view(&self) -> Self;
 }
 
 /// The one sanctioned sink for a deliberately best-effort sync-class
@@ -127,22 +125,18 @@ pub(crate) fn best_effort<T, E>(_: std::result::Result<T, E>) {}
 /// primitive behind every durable metadata file (the store manifest,
 /// the service manifest). After it returns a reopen sees the new
 /// contents; interrupted, a reopen sees the old ones — never a mix.
-///
-/// `last_sync` runs between the tmp file's fdatasync and the rename:
-/// the place for a durability step the new contents vouch for (the
-/// store's data fsync, see `KvStore::harden`).
+/// Whatever the new contents vouch for (the store's level files) must
+/// be durable before the call.
 pub(crate) fn commit_file_atomic<M: StoreMedia>(
     media: &mut M,
     name: &str,
     text: &str,
-    last_sync: impl FnOnce() -> Result<()>,
 ) -> Result<()> {
     let tmp = format!("{name}.tmp");
     let mut f = media.create_file(&tmp)?;
     f.append(text.as_bytes())?;
     f.sync()?;
     drop(f);
-    last_sync()?;
     media.rename(&tmp, name)?;
     // The rename is only durable once the directory entry is: fsync the
     // dir, or a power failure could resurrect the old contents under
@@ -158,50 +152,6 @@ pub(crate) fn read_text<M: StoreMedia>(media: &mut M, name: &str) -> Result<Opti
             .map(Some)
             .map_err(|_| ExtMemError::Corrupt(format!("{name} is not UTF-8"))),
         None => Ok(None),
-    }
-}
-
-/// Whether the clean-shutdown marker is present.
-pub(crate) fn clean_marker<M: StoreMedia>(media: &mut M) -> Result<bool> {
-    Ok(media.open_file(CLEAN)?.is_some())
-}
-
-/// Writes the clean-shutdown marker. Deliberately not synced: a marker
-/// lost to a crash merely forces recovery mode at the next reopen.
-pub(crate) fn set_clean_marker<M: StoreMedia>(media: &mut M) -> Result<()> {
-    media.create_file(CLEAN)?.append(b"clean\n")
-}
-
-/// Removes the clean-shutdown marker; an absent marker is a cheap no-op
-/// (`harden(false)` leaves it absent across many rounds, and every
-/// round's first mutation comes through here).
-pub(crate) fn clear_clean_marker<M: StoreMedia>(media: &mut M) -> Result<()> {
-    if media.remove(CLEAN)? {
-        // The unlink must be durable before any block write lands: a
-        // power loss that persisted post-sync block writes but
-        // resurrected the marker would make the next reopen trust a
-        // manifest that no longer matches the file. One directory fsync
-        // per clean→dirty transition (not per write) buys that ordering.
-        media.sync_dir()?;
-    }
-    Ok(())
-}
-
-/// Best-effort removal of every data file except `data_keep` and, in
-/// payload mode, every blob log except `blob_keep` — strays from a
-/// compaction interrupted on either side of its commit. Only called with
-/// the store lock held; no durability owed (the next reopen re-runs it).
-pub(crate) fn remove_stale_generations<M: StoreMedia>(
-    media: &mut M,
-    data_keep: &str,
-    blob_keep: Option<&str>,
-) {
-    for name in media.names() {
-        let stale = (is_data_file(&name) && name != data_keep)
-            || blob_keep.is_some_and(|keep| is_blob_file(&name) && name != keep);
-        if stale {
-            let _ = media.remove(&name);
-        }
     }
 }
 
@@ -358,10 +308,6 @@ impl StoreMedia for DirMedia {
         FileDisk::open(&self.dir.join(name), block_capacity)
     }
 
-    fn data_len(&mut self, name: &str) -> u64 {
-        fs::metadata(self.dir.join(name)).map(|m| m.len()).unwrap_or(0)
-    }
-
     fn create_file(&mut self, name: &str) -> Result<FileBlob> {
         FileBlob::create(self.dir.join(name))
     }
@@ -408,8 +354,8 @@ impl StoreMedia for DirMedia {
         DirMedia::open(self.dir.join(name))
     }
 
-    fn file_path(&self, name: &str) -> Option<PathBuf> {
-        Some(self.dir.join(name))
+    fn view(&self) -> Self {
+        DirMedia { dir: self.dir.clone(), _lock: None }
     }
 }
 
@@ -482,10 +428,6 @@ impl StoreMedia for SimMedia {
         self.env.open_disk(&self.scoped(name), block_capacity)
     }
 
-    fn data_len(&mut self, name: &str) -> u64 {
-        self.env.file_len(&self.scoped(name))
-    }
-
     fn create_file(&mut self, name: &str) -> Result<dxh_extmem::SimBlob> {
         self.env.create_file(&self.scoped(name))
     }
@@ -525,7 +467,7 @@ impl StoreMedia for SimMedia {
         child.locked()
     }
 
-    fn file_path(&self, _name: &str) -> Option<PathBuf> {
-        None
+    fn view(&self) -> Self {
+        SimMedia { env: self.env.clone(), prefix: self.prefix.clone(), lock_epoch: None }
     }
 }

@@ -255,22 +255,21 @@ pub struct ServiceStats {
     /// was still individually answered and acknowledged — this counts
     /// saved table work, not dropped writes.
     pub coalesced_ops: u64,
-    /// Total manifest-commit bytes across every shard store (both
-    /// commit forms). A checkpoint harden is a marker-less commit — the
-    /// manifest without the free list, O(log n) bytes — so this stays
-    /// proportional to the number of hardens instead of table size.
+    /// Total manifest-commit bytes across every shard store. A manifest
+    /// is O(log n) bytes — one line per level — so this stays
+    /// proportional to the number of commits, not to table size.
     pub manifest_bytes_written: u64,
-    /// Marker-less (checkpoint) manifest commits across shards. Named
-    /// for the `MANIFEST.DELTA` frames such commits used to be; the
-    /// quantity tracked is the same (see [`crate::ManifestIoStats`]).
+    /// Manifest commits made by the committers' hardens (checkpoint
+    /// rotations and the shutdown handshake) across shards. Named for
+    /// the `MANIFEST.DELTA` frames such commits used to be (see
+    /// [`crate::ManifestIoStats`]).
     pub manifest_delta_commits: u64,
-    /// Bytes of those checkpoint commits — the share of
-    /// `manifest_bytes_written` that does not scale with the table.
+    /// Bytes of those commits.
     pub manifest_delta_bytes: u64,
-    /// Marker-setting manifest commits across shards (open, compaction,
-    /// `sync_all`, shutdown).
+    /// Every other manifest commit across shards (creation, log replay
+    /// at open, compaction, `sync_all`).
     pub manifest_full_commits: u64,
-    /// Bytes of those commits, free lists included — the O(table) share.
+    /// Bytes of those commits.
     pub manifest_full_bytes: u64,
 }
 
@@ -910,14 +909,13 @@ fn committer_loop<M: StoreMedia>(shard: Arc<Shard<M>>, coord: Arc<SyncCoordinato
                 // always reported, so a poisoned shard can never hang
                 // the rotation.
                 apply_pending(&shard);
-                harden_shard(&shard, false);
+                harden_shard(&shard);
                 coord.report_done(si);
             }
             Todo::Exit => {
                 // Drain-then-sync handshake: the wait loop only chooses
-                // Exit once pending is empty and no round is owed; the
-                // final harden also writes the CLEAN marker back.
-                harden_shard(&shard, true);
+                // Exit once pending is empty and no round is owed.
+                harden_shard(&shard);
                 return;
             }
         }
@@ -1081,7 +1079,7 @@ fn apply_pending<M: StoreMedia>(shard: &Shard<M>) -> bool {
 /// store, then acknowledge every applied batch still waiting on an
 /// epoch (manifest durability is durability too). A failure wedges the
 /// shard instead. No-ops on a wedged shard.
-fn harden_shard<M: StoreMedia>(shard: &Shard<M>, set_marker: bool) {
+fn harden_shard<M: StoreMedia>(shard: &Shard<M>) {
     let last_seq = {
         let buf = shard.buf.lock();
         if buf.wedged.is_some() {
@@ -1097,7 +1095,7 @@ fn harden_shard<M: StoreMedia>(shard: &Shard<M>, set_marker: bool) {
         // watermark so reopen-time log replay skips those batches
         // instead of reapplying stale records over the newer fold.
         store.set_replay_watermark(last_seq);
-        let r = store.harden(set_marker);
+        let r = store.harden();
         if r.is_err() {
             // A failed harden may have flushed part of the batch set
             // toward disk; poisoning forbids any later manifest from
@@ -1340,7 +1338,7 @@ where
             // reopens from its own already-committed manifest.
             let mode = if payloads { "payloads 1\n" } else { "" };
             let meta = format!("{SERVICE_MAGIC}\nshards {shards}\nseed {seed}\n{mode}");
-            commit_file_atomic(&mut root, SERVICE, &meta, || Ok(()))?;
+            commit_file_atomic(&mut root, SERVICE, &meta)?;
         }
         // Reopen-time recovery, phase two: each store recovered itself
         // to its last manifest above; now the commit log's surviving
@@ -1794,8 +1792,7 @@ impl<M: StoreMedia> Drop for ShardedKvStore<M> {
     /// alive to serve it — flushes remaining dirt, and exits, handing
     /// back the commit log; after its join no new harden request can
     /// ever arrive). Then each committer is told to shut down: it drains
-    /// its pending queue, runs one final `harden(true)` (restoring the
-    /// `CLEAN` marker the steady-state rounds skip), and joins. No
+    /// its pending queue, runs one final harden, and joins. No
     /// enqueued op is lost, and a wedged shard — whose store is poisoned
     /// and must commit nothing — skips the final harden instead of
     /// hanging the join.

@@ -1,156 +1,140 @@
-//! Compaction: the table rebuilds itself onto a fresh generation of the
-//! data file (and, in payload mode, of the blob log), and the manifest
-//! commit swaps the store over to it.
+//! Compaction: the table merges every level into one — a fresh level
+//! file, like any flush's destination — and, in payload mode, copies the
+//! payloads that level still references into the next generation of the
+//! blob log; the manifest commit swaps the store over to both.
 
 use dxh_extmem::{BlobLog, Result, Value, BLOB_TAG};
 use dxh_hashfn::IdealFn;
 use dxh_tables::ExternalDictionary;
 
 use super::payload::{blob_file_name, untag};
-use super::{data_file_name, fresh_gen_disk, KvStore};
+use super::{KvStore, LevelFiles};
 use crate::log_method::LogMethodTable;
-use crate::media::{remove_stale_generations, StoreMedia};
+use crate::media::{best_effort, StoreMedia};
 use crate::stream::MergeStats;
 
-type Table<M> = LogMethodTable<IdealFn, <M as StoreMedia>::Backend>;
+type Table<M> = LogMethodTable<IdealFn, LevelFiles<M>>;
 type Log<M> = BlobLog<<M as StoreMedia>::File>;
 
 impl<M: StoreMedia> KvStore<M> {
-    /// Rewrites the data file densely: every live item (deletion markers
-    /// and shadowed duplicates purged) streams into one region of the
-    /// smallest level that holds it, in a fresh generation-named
-    /// file; the manifest commit then atomically swaps the store over to
-    /// it and the old file is unlinked. Afterwards the file holds
-    /// exactly the live data footprint (plus that region's slack —
-    /// "within one level-region"). The region is sized like any freshly
+    /// Merges the whole store into one level: every live item (deletion
+    /// markers and shadowed duplicates purged) streams into one region
+    /// of the smallest level that holds it, in a fresh level file; the
+    /// manifest commit then names that file alone and the files of the
+    /// levels it read are unlinked. The region is sized like any freshly
     /// built level ([`crate::CoreConfig::fresh_level_buckets`]): by its
     /// content, at the sealed fill ([`crate::CoreConfig::sealed_fill`]).
+    /// An ordinary flush already leaves nothing on disk but live levels;
+    /// what only this pass reclaims is what only a merge into the
+    /// deepest level can drop — shadowed copies and markers resting in
+    /// shallower levels — and, in payload mode, the dead records of the
+    /// blob log.
     ///
-    /// The table rebuilds itself onto the new file
-    /// (`LogMethodTable::rebuild_onto`): one streaming pass reads every
-    /// old block once and writes every new block once, filling the level
-    /// filter and — in payload mode — copying each surviving payload
-    /// into the new generation's blob log as its item lands. That pass
-    /// is sized by the physical item count (markers and shadowed copies
-    /// included — the live count is unknowable in O(1) memory until the
-    /// purge has run). When the purge reveals that a smaller level
-    /// suffices — a delete-heavy store — what it built rebuilds itself
-    /// once more, right-sized (a store whose every item was deleted
-    /// right-sizes to an empty file); an insert-mostly store pays a
+    /// One streaming pass (`LogMethodTable::merge_into_level`) reads
+    /// every old block once and writes every new block once, filling the
+    /// level filter and — in payload mode — copying each surviving
+    /// payload into the new generation's blob log as its item lands.
+    /// That pass is sized by the physical item count (markers and
+    /// shadowed copies included — the live count is unknowable in O(1)
+    /// memory until the purge has run). When the purge reveals that a
+    /// smaller level suffices — a delete-heavy store — what it built is
+    /// merged once more, right-sized (a store whose every item was
+    /// deleted ends with no level at all); an insert-mostly store pays a
     /// single pass.
     ///
     /// Crash-safe at every step: the manifest rename is the single
-    /// commit point, and an interrupted pass leaves either the old or
-    /// the new (file, manifest) pair fully intact plus stray files that
-    /// the next reopen removes. If anything before the commit fails the
-    /// handle is poisoned (further use errors) and the files of the
-    /// unfinished generation are removed; the directory reopens to the
-    /// last synced state.
-    ///
-    /// I/O counters restart from zero: the store now sits on a fresh
-    /// accounting disk.
+    /// commit point, and an interrupted pass leaves the files the last
+    /// manifest names intact (they are read, never written) plus stray
+    /// files that the next reopen removes. If anything before the commit
+    /// fails the handle is poisoned (further use errors) and what the
+    /// pass was building is removed; the directory reopens to the last
+    /// synced state.
     pub fn compact(&mut self) -> Result<CompactionStats> {
         self.mark_dirty()?;
-        let bytes_before = self.media.data_len(&data_file_name(self.data_gen));
-        let (new_gen, stats) = match self.rebuild_generations() {
-            Ok(rebuilt) => rebuilt,
+        let bytes_before = self.table.disk().backend().file_bytes(None);
+        let old_gen = self.data_gen;
+        let stats = match self.merge_levels() {
+            Ok(stats) => stats,
             Err(e) => {
-                // The table is drained (or replaced by one no manifest
-                // names): the handle can no longer stand for the store.
-                // The committed (file, manifest) pair is untouched and
-                // stays authoritative; every other generation is a stray.
+                // The table is drained: the handle can no longer stand
+                // for the store. The committed manifest and every file
+                // it names are untouched and stay authoritative; what
+                // this pass created is a stray.
                 self.poisoned = true;
-                let blob_keep = blob_file_name(self.data_gen);
-                let blob_keep = self.blob.is_some().then_some(blob_keep.as_str());
-                remove_stale_generations(
-                    &mut self.media,
-                    &data_file_name(self.data_gen),
-                    blob_keep,
-                );
+                self.table.disk_mut().backend_mut().unlink_uncommitted();
+                for gen in old_gen + 1..=self.data_gen {
+                    best_effort(self.media.remove(&blob_file_name(gen)));
+                }
                 return Err(e);
             }
         };
-        self.data_gen = new_gen;
         // Commit point: a crash before this rename leaves the old
-        // manifest + old file authoritative (the newer files are strays);
-        // after it, the new pair is.
-        self.write_manifest(true)?;
+        // manifest and its files authoritative (the newer files are
+        // strays); after it, the new ones are.
+        self.write_manifest(false)?;
         self.dirty = false;
-        let (new_name, blob_name) = (data_file_name(new_gen), blob_file_name(new_gen));
-        remove_stale_generations(
-            &mut self.media,
-            &new_name,
-            self.blob.is_some().then_some(&blob_name),
-        );
-        let bytes_after = self.media.data_len(&new_name);
+        for gen in old_gen..self.data_gen {
+            best_effort(self.media.remove(&blob_file_name(gen)));
+        }
         Ok(CompactionStats {
             live_items: stats.items,
             purged: stats.purged,
             shadowed: stats.shadowed,
             bytes_before,
-            bytes_after,
+            bytes_after: self.table.disk().backend().file_bytes(None),
         })
     }
 
     /// Everything of a compaction that can fail before its commit
-    /// point: builds the next generation from the current one and, when
-    /// the purge shows a shallower level holds the survivors, the one
-    /// after from that; syncs the last built and installs it as the
-    /// handle's table and blob log. Returns its generation number for
-    /// the manifest to name.
-    fn rebuild_generations(&mut self) -> Result<(u64, MergeStats)> {
+    /// point: merges every level into one and, when the purge shows a
+    /// shallower level holds the survivors, that one once more; syncs
+    /// the blob log the last pass wrote (the level file's sync is the
+    /// commit's).
+    fn merge_levels(&mut self) -> Result<MergeStats> {
         let items_before = self.table.len();
         let k1 = self.table.compaction_level(items_before);
-        let mut gen = self.data_gen + 1;
-        let (mut table, mut blob, mut stats) =
-            Self::next_generation(&mut self.media, gen, &mut self.table, self.blob.as_mut(), k1)?;
+        let (media, gen) = (&mut self.media, &mut self.data_gen);
+        let mut stats = Self::merge_pass(media, gen, &mut self.table, &mut self.blob, k1)?;
         let k2 = self.table.compaction_level(stats.items);
-        if k2 < k1 || (stats.items == 0 && items_before > 0) {
-            gen += 1;
-            let (dense, dense_blob, pass2) =
-                Self::next_generation(&mut self.media, gen, &mut table, blob.as_mut(), k2)?;
+        if k2 < k1 && stats.items > 0 {
+            let pass2 = Self::merge_pass(media, gen, &mut self.table, &mut self.blob, k2)?;
             debug_assert_eq!(pass2.items, stats.items, "pass 1 already purged everything");
             stats.shadowed += pass2.shadowed;
             stats.purged += pass2.purged;
-            (table, blob) = (dense, dense_blob);
         }
-        table.disk_mut().flush()?;
-        self.table = table; // old table (and its file handle) dropped here
-        self.blob = blob;
         // The new log is fdatasync'd before the manifest commit can
         // reference it (`blob-sync-before-index-commit`).
         self.blob_sync()?;
-        Ok((gen, stats))
+        Ok(stats)
     }
 
-    /// Generation `gen` of the store, built from `table` (and, in
-    /// payload mode, `blob`): a fresh data file into which `table`
-    /// rebuilds itself as one level-`k` region, and a fresh blob log
-    /// holding only the payloads that region still references — deleted
-    /// and superseded ones are the old log's dead weight. Each payload
-    /// is copied old log to new log as its item lands, and the item's
-    /// tagged word becomes its new offset: the new log is in
-    /// destination-bucket order. Leaves `table` drained.
-    fn next_generation(
+    /// One pass: `table` merges itself into a single level-`k` region
+    /// and, in payload mode, `blob` becomes a fresh log of the next
+    /// generation holding only the payloads that region still
+    /// references — deleted and superseded ones are the old log's dead
+    /// weight. Each payload is copied old log to new log as its item
+    /// lands, and the item's tagged word becomes its new offset: the new
+    /// log is in destination-bucket order.
+    fn merge_pass(
         media: &mut M,
-        gen: u64,
+        gen: &mut u64,
         table: &mut Table<M>,
-        blob: Option<&mut Log<M>>,
+        blob: &mut Option<Log<M>>,
         k: usize,
-    ) -> Result<(Table<M>, Option<Log<M>>, MergeStats)> {
-        let disk = fresh_gen_disk(media, &data_file_name(gen), table.config())?;
-        let Some(old_log) = blob else {
-            let (rebuilt, stats) = table.rebuild_onto(disk, k, None)?;
-            return Ok((rebuilt, None, stats));
+    ) -> Result<MergeStats> {
+        let Some(old_log) = blob.as_mut() else {
+            return table.merge_into_level(k, None);
         };
-        let mut new_log = BlobLog::create(media.create_file(&blob_file_name(gen))?)?;
+        *gen += 1;
+        let mut new_log = BlobLog::create(media.create_file(&blob_file_name(*gen))?)?;
         let mut remap = |word: Value| -> Result<Value> {
             let payload = old_log.get(untag(word)?)?;
             let (offset, _len) = new_log.append(payload)?;
             Ok(BLOB_TAG | offset)
         };
-        let (rebuilt, stats) = table.rebuild_onto(disk, k, Some(&mut remap))?;
-        Ok((rebuilt, Some(new_log), stats))
+        let stats = table.merge_into_level(k, Some(&mut remap))?;
+        *blob = Some(new_log);
+        Ok(stats)
     }
 }
 
@@ -163,23 +147,22 @@ pub struct CompactionStats {
     pub purged: usize,
     /// Shadowed (stale duplicate or deleted) copies dropped.
     pub shadowed: usize,
-    /// Data-file size before the pass, in bytes.
+    /// Bytes of level files before the pass.
     pub bytes_before: u64,
-    /// Data-file size after the pass, in bytes.
+    /// Bytes of level files after the pass.
     pub bytes_after: u64,
 }
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeMap;
     use std::fs;
 
-    use dxh_extmem::{ExtMemError, StorageBackend};
+    use dxh_extmem::ExtMemError;
 
     use super::super::tests::*;
     use super::*;
     use crate::config::CoreConfig;
-    use crate::media::DATA;
+    use crate::media::is_data_file;
 
     #[test]
     fn compact_shrinks_the_file_to_the_live_footprint() {
@@ -200,9 +183,15 @@ mod tests {
             s.insert(k, k * 2).unwrap();
         }
         s.sync().unwrap();
-        let bytes_before = fs::metadata(s.data_path().unwrap()).unwrap().len();
+        let bytes_before = s.footprint().unwrap().data_bytes;
+        let on_disk = |dir: &std::path::Path| -> u64 {
+            let files = dir_files(dir).into_iter().filter(|f| is_data_file(f));
+            files.map(|f| fs::metadata(dir.join(f)).unwrap().len()).sum()
+        };
+        assert_eq!(bytes_before, on_disk(&dir));
         let stats = s.compact().unwrap();
         assert_eq!(stats.bytes_before, bytes_before);
+        assert_eq!(stats.bytes_after, on_disk(&dir), "the files it read are gone");
         assert!(stats.bytes_after < stats.bytes_before, "file shrank: {stats:?}");
         assert_eq!(stats.live_items, 400, "exactly the live keys survive");
         assert_eq!(s.len(), 400);
@@ -232,9 +221,8 @@ mod tests {
             let expect = (k % 5 == 0).then_some(k * 2);
             assert_eq!(s.lookup(k).unwrap(), expect, "key {k} after reopen");
         }
-        // The superseded generation-0 file is gone.
-        assert!(!dir.join(DATA).exists(), "old data file unlinked");
-        assert!(s.data_path().unwrap().exists());
+        assert_eq!(dir_files(&dir), named_files(&s));
+        assert_eq!(s.table().disk().backend().file_count(), 1, "one level, one file");
         drop(s);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -246,7 +234,7 @@ mod tests {
         let mut s = KvStore::open(&dir, cfg(), 52).unwrap();
         let stats = s.compact().unwrap();
         assert_eq!(stats.live_items, 0);
-        assert_eq!(stats.bytes_after, 0, "an empty store compacts to an empty file");
+        assert_eq!(stats.bytes_after, 0, "an empty store compacts to no file at all");
         s.insert(1, 10).unwrap();
         s.compact().unwrap();
         let again = s.compact().unwrap();
@@ -276,8 +264,9 @@ mod tests {
         // region sized for the dead data.
         let stats = s.compact().unwrap();
         assert_eq!(stats.live_items, 0);
-        assert_eq!(stats.bytes_after, 0, "all-deleted store compacts to an empty file");
-        assert_eq!(fs::metadata(s.data_path().unwrap()).unwrap().len(), 0);
+        assert_eq!(stats.bytes_after, 0, "all-deleted store compacts to no level");
+        assert!(s.footprint().unwrap().levels.is_empty());
+        assert_eq!(dir_files(&dir), named_files(&s), "the manifest and nothing else");
         assert_eq!(s.lookup(3).unwrap(), None);
         // The emptied store keeps working: reinsert, compact, reopen.
         s.insert(9, 90).unwrap();
@@ -314,7 +303,7 @@ mod tests {
         assert!(s.delete(1).is_err(), "delete on poisoned handle");
         assert!(s.sync().is_err(), "sync on poisoned handle");
         assert!(s.compact().is_err(), "compact on poisoned handle");
-        assert!(s.data_path().is_err(), "data_path on poisoned handle");
+        assert!(s.footprint().is_err(), "footprint on poisoned handle");
         // Trait methods whose signatures cannot error must not panic
         // (len reports the drained table; documented).
         let _ = s.len();
@@ -363,59 +352,71 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Block reads and writes per data (`.blk`) file since the trace was
-    /// last taken, as `name → (reads, writes, reads of a block read before)`.
-    fn block_census(env: &dxh_extmem::SimEnv) -> BTreeMap<String, (u64, u64, u64)> {
+    /// Block reads and writes per level file since the trace was last
+    /// taken, as `name → (reads, writes, reads of a block read before)`,
+    /// with the files in the order they were first touched.
+    fn block_census(env: &dxh_extmem::SimEnv) -> Vec<(String, (u64, u64, u64))> {
         use dxh_extmem::IoEvent;
-        let mut census = BTreeMap::new();
+        let mut census: Vec<(String, (u64, u64, u64))> = Vec::new();
         let mut read = std::collections::HashSet::new();
         for event in env.take_trace() {
-            match event {
-                IoEvent::Read { file, id } if file.ends_with(".blk") => {
-                    let entry: &mut (u64, u64, u64) = census.entry(file.clone()).or_default();
-                    entry.0 += 1;
-                    entry.2 += u64::from(!read.insert((file, id)));
+            let (file, read_of) = match event {
+                IoEvent::Read { file, id } => (file, Some(id)),
+                IoEvent::Write { file, .. } => (file, None),
+                _ => continue,
+            };
+            if !file.ends_with(".blk") {
+                continue;
+            }
+            let at = census.iter().position(|(name, _)| *name == file).unwrap_or_else(|| {
+                census.push((file.clone(), (0, 0, 0)));
+                census.len() - 1
+            });
+            let counts = &mut census[at].1;
+            match read_of {
+                Some(id) => {
+                    counts.0 += 1;
+                    counts.2 += u64::from(!read.insert((file, id)));
                 }
-                IoEvent::Write { file, .. } if file.ends_with(".blk") => {
-                    census.entry(file).or_default().1 += 1;
-                }
-                _ => {}
+                None => counts.1 += 1,
             }
         }
         census
     }
 
-    /// The block census of a compaction at the deployed geometry: the
-    /// old file is read once per block, a generation's file is written
-    /// once per block of the region it ends up holding and read only if
-    /// a second pass right-sizes it, and the final one is never read —
-    /// its filter is filled, and in payload mode its index words are
+    /// The block census of a compaction at the deployed geometry, level
+    /// file by level file: every file the store held is read once per
+    /// block and never written, a file the pass builds is written once
+    /// per block of the region it ends up holding and read only if a
+    /// second pass right-sizes it, and the final one is never read — its
+    /// filter is filled, and in payload mode its index words are
     /// remapped, as the items land. The compacted blob log holds the
     /// surviving payloads in destination-bucket order: the byte image
     /// the two-walk compaction (rebuild, then remap) produced.
     #[test]
-    fn a_generation_is_written_once_and_the_final_one_never_read() {
+    fn a_level_file_is_written_once_and_the_final_one_never_read() {
         use crate::media::SimMedia;
         use dxh_extmem::frame::fnv1a64;
         use dxh_extmem::SimEnv;
         let deployed = CoreConfig::lemma5(64, 4096, 2).unwrap();
-        // (payload mode, keys, keys then deleted) → per generation file
-        // written, its (reads, writes); the compacted blob log's
-        // (length, fingerprint).
-        type Case<'a> = (bool, u64, u64, &'a [(&'a str, (u64, u64))], Option<(u64, u64)>);
+        // (payload mode, keys, keys then deleted) → per level file built,
+        // in order, its (reads, writes); the compacted blob log's name
+        // and (length, fingerprint).
+        type Blob<'a> = Option<(&'a str, (u64, u64))>;
+        type Case<'a> = (bool, u64, u64, &'a [(u64, u64)], Blob<'a>);
         let cases: [Case; 4] = [
-            (false, 20_000, 0, &[("store.1.blk", (0, 418))], None),
-            (true, 20_000, 0, &[("store.1.blk", (0, 418))], Some(BLOB_SINGLE_PASS)),
+            (false, 20_000, 0, &[(0, 418)], None),
+            (true, 20_000, 0, &[(0, 418)], Some(("store.1.blob", BLOB_SINGLE_PASS))),
             (
                 true,
                 20_000,
                 15_000,
-                &[("store.1.blk", (539, 539)), ("store.2.blk", (0, 105))],
-                Some(BLOB_TWO_PASSES),
+                &[(539, 539), (0, 105)],
+                Some(("store.2.blob", BLOB_TWO_PASSES)),
             ),
-            (false, 200_000, 0, &[("store.1.blk", (0, 4_225))], None),
+            (false, 200_000, 0, &[(0, 4_225)], None),
         ];
-        for (payloads, keys, deleted, generations, blob) in cases {
+        for (payloads, keys, deleted, built, blob) in cases {
             let when = format!("payloads: {payloads}, {keys} keys, {deleted} deleted");
             let env = SimEnv::new();
             let media = SimMedia::open(&env).unwrap();
@@ -433,23 +434,37 @@ mod tests {
                 assert!(s.delete(k).unwrap());
             }
             s.sync().unwrap();
-            let old_blocks = s.table().disk().backend().live_blocks();
+            let old_files = named_files(&s);
+            let (old_blocks, before) = (level_blocks(&mut s), s.disk_stats());
             env.take_trace();
             let stats = s.compact().unwrap();
             assert_eq!(stats.live_items as u64, keys - deleted, "{when}");
             let census = block_census(&env);
-            assert_eq!(census[DATA], (old_blocks, 0, 0), "{when}: the old file, once per block");
-            assert_eq!(census.len(), 1 + generations.len(), "{when}: {census:?}");
-            for (name, (reads, writes)) in generations {
-                assert_eq!(census[*name], (*reads, *writes, 0), "{when}: {name}");
-            }
-            let (last, (_, writes)) = generations.last().expect("a generation");
-            let chains: u64 = s.table.level_chain_blocks().unwrap().iter().sum();
-            let buckets: u64 = s.table().level_geometry().iter().skip(1).map(|l| l.1).sum();
-            assert_eq!(*writes, buckets + chains, "{when}: every block of the region, once");
-            assert_eq!(s.disk_stats().writes, *writes, "{when}: the handle's counters agree");
-            if let Some((len, fingerprint)) = blob {
-                let log = env.read_file(&last.replace(".blk", ".blob")).unwrap().expect("the log");
+            let (old, new): (Vec<_>, Vec<_>) =
+                census.iter().partition(|(file, _)| old_files.contains(file));
+            assert!(
+                old.iter().all(|(_, (_, writes, again))| (*writes, *again) == (0, 0)),
+                "{when}"
+            );
+            let old_reads: u64 = old.iter().map(|(_, (reads, _, _))| reads).sum();
+            assert_eq!(old_reads, old_blocks, "{when}: the old levels, once per block");
+            let new: Vec<(u64, u64)> = new
+                .iter()
+                .map(|(file, (reads, writes, again))| {
+                    assert_eq!(*again, 0, "{when}: {file}");
+                    (*reads, *writes)
+                })
+                .collect();
+            assert_eq!(new, built, "{when}");
+            let (_, writes) = built.last().expect("a file");
+            assert_eq!(*writes, level_blocks(&mut s), "{when}: every block of the region, once");
+            let io = s.disk_stats().since(&before);
+            let (reads, writes): (u64, u64) =
+                built.iter().fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
+            assert_eq!((io.reads, io.writes), (old_blocks + reads, writes), "{when}: accounted");
+            assert_eq!(sim_files(&env), named_files(&s), "{when}");
+            if let Some((name, (len, fingerprint))) = blob {
+                let log = env.read_file(name).unwrap().expect("the log");
                 assert_eq!((log.len() as u64, fnv1a64(&log)), (len, fingerprint), "{when}");
                 assert_eq!(s.blob_len(), len, "{when}");
             }

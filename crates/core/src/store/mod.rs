@@ -1,9 +1,9 @@
-//! A persistent key-value store: the logarithmic-method table over any
-//! [`PersistentBackend`], with open-or-create / reopen semantics on a
-//! [`StoreMedia`] — a real directory by default ([`DirMedia`] over
-//! [`dxh_extmem::FileDisk`]), or the deterministic crash-simulation
-//! environment ([`crate::SimMedia`] over [`dxh_extmem::SimDisk`]) that
-//! the torture harness sweeps.
+//! A persistent key-value store: the logarithmic-method table with
+//! every disk level in a file of its own ([`LevelFiles`]), with
+//! open-or-create / reopen semantics on a [`StoreMedia`] — a real
+//! directory by default ([`DirMedia`]), or the deterministic
+//! crash-simulation environment ([`crate::SimMedia`]) that the torture
+//! harness sweeps.
 //!
 //! This is the "production front-end" over the paper's machinery: the
 //! construction itself is exactly [`LogMethodTable`] (Lemma 5 — chosen
@@ -16,34 +16,23 @@
 //!
 //! A store directory holds:
 //!
-//! * `store.blk` — the flat block file of the [`FileDisk`]. After a
-//!   [`KvStore::compact`] the data file is generation-named
-//!   (`store.<gen>.blk`); the manifest records which generation is
-//!   authoritative, so the swap commits atomically with the manifest;
+//! * `level-<n>.blk` — one block file per non-empty disk level: the
+//!   level's buckets at slots `0..buckets`, its few chain blocks behind
+//!   them, nothing else. A file is created by the flush that builds the
+//!   level, `fdatasync`ed once before the manifest that first names it,
+//!   never written again, and unlinked after the manifest that stops
+//!   naming it is durable (see [`LevelFiles`]). `<n>` only ever grows;
+//!   a block id is `n << 32 | slot`;
 //! * `MANIFEST` — a small text file with the model parameters `(b, m,
-//!   γ)`, the hash seed, the data-file generation, the allocator state
-//!   (high-water mark and free list), and one line per disk level
-//!   region. Written atomically (tmp + rename, then a directory fsync so
-//!   the rename itself is durable) by every commit. The level lines are
-//!   O(log n); the free list — one decimal id per free slot — is the
-//!   table-sized part, and it is written only by a commit that also
-//!   sets `CLEAN` ([`KvStore::sync`], compaction), because only under
-//!   that marker does reopen read it. A marker-less checkpoint commit
-//!   (`harden(false)`, the service committers' steady state) is the
-//!   same file without that one line: a couple of hundred bytes;
-//! * `MANIFEST.DELTA` — legacy, read once at reopen, never written.
-//!   Earlier versions appended checkpoint commits to this chain of
-//!   checksummed frames ([`dxh_extmem::frame`]) instead of rewriting
-//!   the manifest. A store they left with an outstanding chain (killed
-//!   without a clean close) is upgraded by its first reopen: the intact
-//!   frames are folded over the manifest, the result is committed as an
-//!   ordinary manifest, and the chain is removed;
-//! * `CLEAN` — a marker present exactly while no block write has
-//!   happened since the last manifest (unlinked before the first
-//!   mutation, rewritten at each sync). Reopen trusts the manifest's
-//!   free list only when it sees this marker, and the marker is only
-//!   ever written, in the same call, right after a manifest carrying
-//!   the committing handle's own free list;
+//!   γ)`, the hash seed, the blob-log generation and one line per disk
+//!   level: the block id of its first bucket (hence its file), its
+//!   bucket and item counts. O(log n) lines, a couple of hundred bytes
+//!   at any table size. Written atomically (tmp + rename, then a
+//!   directory fsync so the rename itself is durable) by every commit —
+//!   the single commit point of the store;
+//! * `store.blob` / `store.<gen>.blob` — payload mode only: the blob log
+//!   the table's value words point into; [`KvStore::compact`] rewrites
+//!   its live part as the next generation, which the manifest names;
 //! * `LOCK` — mutual exclusion for the directory. Ownership is an OS
 //!   advisory lock held on the file for the handle's lifetime, so a
 //!   second live handle fails fast instead of silently overwriting the
@@ -51,109 +40,71 @@
 //!   a crash can never wedge the store. The pid written inside is
 //!   informational (error messages, humans inspecting the directory).
 //!
+//! Earlier versions kept all levels in one block file — `store.blk`,
+//! `store.<gen>.blk` after a compaction — recycled its slots through a
+//! free list persisted in the manifest (`slots` and `free` lines), and
+//! told a clean shutdown from a crash by a `CLEAN` marker. Such a store
+//! opens as it is: its levels are "file 0", read in place and never
+//! allocated from; the `slots` and `free` lines are ignored and `CLEAN`
+//! is removed; and the file retires itself — unlinked by the first
+//! commit after ordinary flushes, or one [`KvStore::compact`], have
+//! carried its last level into a file of its own. Older still,
+//! `MANIFEST.DELTA` held checkpoint commits as a chain of checksummed
+//! frames ([`dxh_extmem::frame`]): read once at reopen, folded over the
+//! manifest, committed as an ordinary manifest and removed.
+//!
 //! [`KvStore::sync`] first migrates the memory-resident `H0` to the disk
-//! levels, then `fdatasync`s the block file, then rewrites the manifest —
-//! after a **clean shutdown** (explicit `sync` or drop) a reopened store
-//! sees every item inserted so far. Dropping the store syncs
-//! best-effort, and a handle that opened a cleanly closed store and made
-//! no modifications skips the manifest rewrite entirely (one that
-//! recovered from a crash commits once even if untouched, so the marker
-//! it leaves sits over its own free list).
+//! levels, then `fdatasync`s the level files written since the last
+//! commit, then rewrites the manifest — after it returns, a reopened
+//! store sees every item inserted so far. Dropping the store syncs
+//! best-effort, and a handle that made no modifications skips the
+//! manifest rewrite entirely.
 //!
-//! This is a clean-shutdown persistence story (manifest + data written
-//! at sync points), not crash-consistent journaling: the paper's bounds
-//! say nothing about durability, and the store keeps that separation
-//! honest. If a process dies *between* syncs, reopen recovers from the
-//! last manifest: items inserted after that sync point are lost (their
-//! `H0` copies died with the process), while items synced before it are
-//! found through the manifest's regions — blocks those regions reference
-//! are never recycled between syncs (the [`FileDisk`] quarantines frees
-//! until each manifest commits). Recovery then walks the manifest's
-//! regions (primaries plus overflow chains) to compute the **exact**
-//! live-block set and returns every other slot to the free list, so
-//! blocks orphaned by the crash are recycled by subsequent allocations
-//! before the file grows. If the walk itself fails (torn metadata), it
-//! falls back to keeping every slot live — space, never correctness.
-//! What recovery cannot shrink is the file itself; an explicit
-//! [`KvStore::compact`] rewrites the data file densely (live blocks
-//! only, deletion markers purged) and commits the swap through the
-//! manifest.
+//! Between syncs nothing a committed manifest names is touched, so a
+//! process that dies there loses exactly what it had not synced: reopen
+//! — after a crash or a clean close, the same code — opens the files
+//! the manifest's level lines name and removes every other block file
+//! (a level built but never committed, one carried away but not yet
+//! unlinked) as a stray. There is no free list to restore, no walk over
+//! the table and nothing to detect; only the levels that carry a filter
+//! are read, to rebuild it. The paper's bounds say nothing about
+//! durability, and the store keeps that separation honest: I/O
+//! accounting sits above the backend and never sees a file.
 //!
-//! I/O counters start from zero at every open (and restart after a
-//! [`KvStore::compact`], which rebuilds the store onto a fresh disk);
-//! they measure the current process's accounted transfers, not the
-//! lifetime of the file.
+//! What the directory holds is therefore the live levels: bytes on disk
+//! ÷ bytes of live items is the sealed fill's own `1048 / (48 · 16)` at
+//! `b = 64`. [`KvStore::compact`] no longer shrinks anything a flush
+//! would not; it purges what only a merge into the deepest level can —
+//! shadowed copies, deletion markers, and in payload mode the blob
+//! log's dead records — by merging every level into one.
+//!
+//! I/O counters start from zero at every open; they measure the current
+//! process's accounted transfers, not the lifetime of the files.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use dxh_extmem::{
-    BlobLog, Disk, ExtMemError, IoCostModel, IoSnapshot, Key, PersistentBackend, Result, Value,
-    KEY_TOMBSTONE, VALUE_TOMBSTONE,
+    BlobLog, Disk, ExtMemError, IoCostModel, IoSnapshot, Key, Result, Value, KEY_TOMBSTONE,
+    VALUE_TOMBSTONE,
 };
 use dxh_hashfn::IdealFn;
 use dxh_tables::ExternalDictionary;
 
 use crate::config::CoreConfig;
 use crate::log_method::LogMethodTable;
-// The CLEAN marker is present exactly while no block write has happened
-// since the last manifest: written after each manifest commit, unlinked
-// before the first mutation after it. Its absence at reopen forces
-// recovery mode — the data file's slot count alone cannot detect a
-// crash, because post-sync flushes can build whole levels in recycled
-// slots without growing the file.
-use crate::media::{
-    clean_marker, clear_clean_marker, read_text, DirMedia, StoreMedia, DATA, MANIFEST,
-};
+use crate::media::{read_text, DirMedia, StoreMedia, MANIFEST};
 
 mod compaction;
+mod levels;
 mod manifest;
 mod payload;
 mod reopen;
 
 pub use compaction::CompactionStats;
+pub use levels::LevelFiles;
 pub use manifest::ManifestIoStats;
 use manifest::{plausible_creation_params, MAX_GAMMA, MAX_M};
 use payload::blob_file_name;
-
-/// The authoritative data file of generation `gen`: the original name
-/// for generation 0 (every pre-compaction store), generation-suffixed
-/// after that. Compaction writes the next generation under its final
-/// name and commits the swap through the manifest — no data-file rename
-/// is ever needed, so the manifest rename stays the single commit point.
-fn data_file_name(gen: u64) -> String {
-    if gen == 0 {
-        DATA.to_string()
-    } else {
-        format!("store.{gen}.blk")
-    }
-}
-
-/// The body of [`KvStore::mark_dirty`], over disjoint field borrows so
-/// the delete path can run it from inside the table's mutation hook.
-fn transition_dirty<M: StoreMedia>(media: &mut M, dirty: &mut bool) -> Result<()> {
-    if *dirty {
-        return Ok(());
-    }
-    clear_clean_marker(media)?;
-    *dirty = true;
-    Ok(())
-}
-
-/// Creates (truncating) the data file `name` on `media` with frees
-/// quarantined until the next manifest commit — the shape every store
-/// generation is born in (initial create and both compaction targets).
-fn fresh_gen_disk<M: StoreMedia>(
-    media: &mut M,
-    name: &str,
-    cfg: &CoreConfig,
-) -> Result<Disk<M::Backend>> {
-    let mut backend = media.create_data(name, cfg.b)?;
-    // Quarantine frees between syncs: blocks the last manifest's regions
-    // reference must stay physically intact until the next manifest
-    // (which lists them as free) is durable.
-    backend.set_defer_recycling(true);
-    Ok(Disk::new(backend, cfg.b, cfg.cost))
-}
 
 /// A persistent external hash table bound to a [`StoreMedia`] — a real
 /// directory by default.
@@ -188,7 +139,7 @@ fn fresh_gen_disk<M: StoreMedia>(
 /// # Ok::<(), dxh_extmem::ExtMemError>(())
 /// ```
 pub struct KvStore<M: StoreMedia = DirMedia> {
-    table: LogMethodTable<IdealFn, M::Backend>,
+    table: LogMethodTable<IdealFn, LevelFiles<M>>,
     /// The payload blob log — `Some` exactly when the store runs in
     /// **payload mode** ([`KvStore::open_payload`]): the table is then an
     /// index whose value words are `BLOB_TAG | offset` into this log,
@@ -197,8 +148,10 @@ pub struct KvStore<M: StoreMedia = DirMedia> {
     /// paper's pure-u64 representation bit-for-bit.
     blob: Option<BlobLog<M::File>>,
     seed: u64,
-    /// Generation of the authoritative data file (bumped by each
-    /// [`KvStore::compact`]; see [`data_file_name`]).
+    /// Generation of the blob log (bumped by each payload-mode
+    /// [`KvStore::compact`]; see `blob_file_name`) — and of the single
+    /// data file of an earlier version's layout, while a level still
+    /// lives in it.
     data_gen: u64,
     /// Whether anything changed since the last manifest write. A clean
     /// handle's drop must not rewrite the manifest (it could clobber a
@@ -223,15 +176,17 @@ pub struct KvStore<M: StoreMedia = DirMedia> {
     epoch: u64,
     /// Manifest-commit byte accounting (see [`KvStore::manifest_io`]).
     manifest_io: ManifestIoStats,
+    /// Length in bytes of the manifest the directory holds.
+    manifest_len: u64,
     /// The persistence environment; holds the store's mutual-exclusion
     /// lock for the handle's lifetime. Declared last so the lock is
-    /// released only after the table (and its backend) is gone.
+    /// released only after the table (and its level files) is gone.
     media: M,
 }
 
 impl KvStore<DirMedia> {
-    /// Opens the store at `dir`, creating it (directory, block file,
-    /// manifest) when no manifest exists. On reopen the **persisted**
+    /// Opens the store at `dir`, creating it (directory and manifest)
+    /// when no manifest exists. On reopen the **persisted**
     /// parameters and seed win — they are baked into the block layout —
     /// and the caller's `cfg`/`seed` are only consulted to reject an
     /// incompatible `b` (the block size cannot change under a file).
@@ -282,7 +237,7 @@ impl<M: StoreMedia> KvStore<M> {
                         "a store takes m ≤ {MAX_M} and gamma ≤ {MAX_GAMMA}"
                     )));
                 }
-                let disk = fresh_gen_disk(&mut media, DATA, &cfg)?;
+                let disk = Disk::new(LevelFiles::new(media.view(), cfg.b), cfg.b, cfg.cost);
                 let table = LogMethodTable::new_on(disk, cfg, seed)?;
                 let blob = if payloads {
                     Some(BlobLog::create(media.create_file(&blob_file_name(0))?)?)
@@ -299,68 +254,46 @@ impl<M: StoreMedia> KvStore<M> {
                     watermark: 0,
                     epoch: 0,
                     manifest_io: ManifestIoStats::default(),
+                    manifest_len: 0,
                     media,
                 };
-                store.write_manifest(true)?; // a crash before the first sync can still reopen
+                store.write_manifest(false)?; // a crash before the first sync can still reopen
                 Ok(store)
             }
         }
     }
 
-    /// Flushes `H0` to the disk levels, `fdatasync`s the block file, and
-    /// atomically rewrites the manifest. After `sync` returns, a reopen
-    /// sees every item inserted so far. A no-op when nothing changed
-    /// since the last sync (or since a clean reopen).
+    /// Flushes `H0` to the disk levels, `fdatasync`s the level files
+    /// written since the last commit, and atomically rewrites the
+    /// manifest. After `sync` returns, a reopen sees every item inserted
+    /// so far. A no-op when nothing changed since the last sync (or
+    /// since the reopen).
     pub fn sync(&mut self) -> Result<()> {
-        self.harden(true)
+        self.commit(false)
     }
 
-    /// The "make durable" half of a commit, split from "apply + write":
-    /// mutations applied since the last durability point become
-    /// crash-recoverable, but the `CLEAN` marker — a shutdown-quality
-    /// claim, not a durability one — is written back only when
-    /// `set_marker` is true.
-    ///
-    /// `harden(true)` is exactly [`KvStore::sync`]. `harden(false)` is
-    /// the service committers' steady-state durability point: every
-    /// batch still commits at the manifest rename, but the marker stays
-    /// absent between batches, saving the unlink + rewrite (two
-    /// directory fsyncs) that per-batch marker churn would cost. A
-    /// reopen after `harden(false)` takes the recovery path (region
-    /// walk, G3), which reconstructs exactly the hardened manifest's
-    /// state — the marker only selects *how* the live set is recomputed,
-    /// never *what* it is.
-    ///
-    /// Both forms are one commit — the atomic manifest rewrite — and
-    /// differ only in the marker and the free list it alone licenses:
-    /// reopen reads a free list only under `CLEAN`, so a marker-less
-    /// commit leaves that table-sized line out. `CLEAN` in turn is only
-    /// ever written right after a manifest carrying this handle's own
-    /// free list: a handle that recovered from a crash and was never
-    /// dirtied still owes that commit, because the manifest it found
-    /// carries the crashed process's list, not the one its own recovery
-    /// walk computed.
-    pub fn harden(&mut self, set_marker: bool) -> Result<()> {
+    /// [`KvStore::sync`] as the service's committers issue it, once per
+    /// checkpoint round: the same commit, counted apart (the `delta_*`
+    /// half of [`KvStore::manifest_io`]).
+    pub(crate) fn harden(&mut self) -> Result<()> {
+        self.commit(true)
+    }
+
+    fn commit(&mut self, checkpoint: bool) -> Result<()> {
         self.check_poisoned()?;
-        if !self.dirty && (!set_marker || clean_marker(&mut self.media)?) {
+        if !self.dirty {
             return Ok(());
         }
-        if self.dirty {
-            // `H0` to the disk levels (buffered writes), then the fsyncs
-            // that make them — and every append and block write since the
-            // last commit — durable: the blob log's here, **before** the
-            // index can commit (`blob-sync-before-index-commit`: the
-            // index words a manifest commits point into the log, so a
-            // crash must never find committed offsets dangling), the
-            // data file's inside the commit.
-            self.table.flush_memory()?;
-            self.blob_sync()?;
-        }
-        // The commit point.
-        self.write_manifest(set_marker)?;
-        // The new commit is durable; quarantined slots may now be
-        // recycled: no region the manifest records references one.
-        self.table.disk_mut().backend_mut().commit_frees();
+        // `H0` to the disk levels (buffered writes), then the fsyncs
+        // that make them — and every append and block write since the
+        // last commit — durable: the blob log's here, **before** the
+        // index can commit (`blob-sync-before-index-commit`: the index
+        // words a manifest commits point into the log, so a crash must
+        // never find committed offsets dangling), the level files'
+        // inside the commit.
+        self.table.flush_memory()?;
+        self.blob_sync()?;
+        self.write_manifest(checkpoint)?;
         self.dirty = false;
         Ok(())
     }
@@ -388,27 +321,37 @@ impl<M: StoreMedia> KvStore<M> {
         Ok(())
     }
 
-    /// Transitions into the dirty state before the first mutation after a
-    /// clean point: the marker must be gone from disk before any block
-    /// write lands, or a crash would be misread as a clean shutdown.
+    /// Notes, before a mutation, that the next sync has something to
+    /// commit.
     fn mark_dirty(&mut self) -> Result<()> {
         self.check_poisoned()?;
-        transition_dirty(&mut self.media, &mut self.dirty)
+        self.dirty = true;
+        Ok(())
     }
 
-    /// The authoritative data file (generation-named after a
-    /// [`KvStore::compact`]) — what to `stat` for the on-disk footprint.
-    /// Errors on a poisoned handle (the generation it would name was
-    /// never committed) and on media without filesystem paths.
-    pub fn data_path(&self) -> Result<PathBuf> {
+    /// What the store occupies on its media, level by level: one call
+    /// instead of a directory walk, on any media. Errors on a poisoned
+    /// handle (its table no longer stands for the store).
+    pub fn footprint(&self) -> Result<Footprint> {
         self.check_poisoned()?;
-        self.media
-            .file_path(&data_file_name(self.data_gen))
-            .ok_or_else(|| ExtMemError::BadConfig("store media has no filesystem paths".into()))
+        let files = self.table.disk().backend();
+        let geometry = self.table.level_geometry();
+        let levels = self.table.persisted_levels().iter().enumerate();
+        let levels = levels.filter_map(|(k, region)| {
+            let file_bytes = files.file_bytes(Some(region.as_ref()?.base));
+            let (items, buckets) = geometry[k];
+            Some(LevelFootprint { k, items, buckets, file_bytes })
+        });
+        Ok(Footprint {
+            levels: levels.collect(),
+            data_bytes: files.file_bytes(None),
+            blob_bytes: self.blob_len(),
+            manifest_bytes: self.manifest_len,
+        })
     }
 
     /// The backing table (tq/tu measurement, level diagnostics).
-    pub fn table(&self) -> &LogMethodTable<IdealFn, M::Backend> {
+    pub fn table(&self) -> &LogMethodTable<IdealFn, LevelFiles<M>> {
         &self.table
     }
 
@@ -434,6 +377,43 @@ impl<M: StoreMedia> KvStore<M> {
     }
 }
 
+/// What one level of a [`KvStore`] holds and occupies.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LevelFootprint {
+    /// The level's index (`H_k`).
+    pub k: usize,
+    /// Items stored, shadowed copies and deletion markers included.
+    pub items: usize,
+    /// Buckets (primary blocks).
+    pub buckets: u64,
+    /// Length of the level's file in bytes: buckets plus chain blocks,
+    /// times the slot size. (The levels of an earlier version's layout
+    /// share one file and each report it whole.)
+    pub file_bytes: u64,
+}
+
+/// What a [`KvStore`] occupies on its media ([`KvStore::footprint`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Footprint {
+    /// The non-empty disk levels, shallowest first.
+    pub levels: Vec<LevelFootprint>,
+    /// Bytes of block files, each once: the levels' files, plus — between
+    /// two commits — those of levels a flush has carried away that the
+    /// last manifest still names.
+    pub data_bytes: u64,
+    /// Length of the blob log (0 on a raw store).
+    pub blob_bytes: u64,
+    /// Length of the manifest.
+    pub manifest_bytes: u64,
+}
+
+impl Footprint {
+    /// Every byte the store keeps: block files, blob log and manifest.
+    pub fn total_bytes(&self) -> u64 {
+        self.data_bytes + self.blob_bytes + self.manifest_bytes
+    }
+}
+
 impl<M: StoreMedia> Drop for KvStore<M> {
     /// Best-effort sync; call [`KvStore::sync`] explicitly to observe
     /// errors. Never panics — a poisoned handle (or a dead simulated
@@ -446,10 +426,10 @@ impl<M: StoreMedia> Drop for KvStore<M> {
 
 impl<M: StoreMedia> ExternalDictionary for KvStore<M> {
     /// Inserts `key`. The reserved-sentinel checks run **before** the
-    /// dirty transition: a rejected insert mutates nothing, so it must
-    /// not dirty the store — a handle whose every mutation was rejected
-    /// stays clean, and its next `sync` (or drop) is a no-op instead of
-    /// a manifest rewrite plus two directory fsyncs.
+    /// handle is marked dirty: a rejected insert mutates nothing, so a
+    /// handle whose every mutation was rejected stays clean, and its
+    /// next `sync` (or drop) is a no-op instead of a manifest rewrite
+    /// and a directory fsync.
     ///
     /// On a payload-mode store the word is stored as its 8-byte
     /// little-endian payload, so the **full** value domain — including
@@ -499,14 +479,15 @@ impl<M: StoreMedia> ExternalDictionary for KvStore<M> {
     /// Deletes through the log method's deletion-marker path (see
     /// [`LogMethodTable::delete`]); the key stays absent across sync and
     /// reopen, and its space is reclaimed by level merges and
-    /// [`KvStore::compact`]. A miss leaves the handle clean — the dirty
-    /// transition runs only once the table confirms it will write a
-    /// marker.
+    /// [`KvStore::compact`]. A miss leaves the handle clean — it is
+    /// marked dirty only once the table confirms it will write a marker.
     fn delete(&mut self, key: Key) -> Result<bool> {
         self.check_poisoned()?;
-        let media = &mut self.media;
         let dirty = &mut self.dirty;
-        self.table.delete_with_hook(key, &mut || transition_dirty(media, dirty))
+        self.table.delete_with_hook(key, &mut || {
+            *dirty = true;
+            Ok(())
+        })
     }
 
     /// On a handle poisoned by a failed [`KvStore::compact`] this
@@ -536,15 +517,19 @@ impl<M: StoreMedia> ExternalDictionary for KvStore<M> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
     use std::fs;
+    use std::path::PathBuf;
 
     use dxh_extmem::frame::push_frame;
-    use dxh_extmem::StorageBackend;
+    use dxh_extmem::{Block, FaultPlan, IoEvent, SimEnv};
 
+    use super::levels::{level_file_name, mutant};
     use super::manifest::Manifest;
-    use super::reopen::scan_region_free;
+    use super::reopen::legacy_data_file_name;
     use super::*;
-    use crate::media::{CLEAN, LOCK, MANIFEST};
+    use crate::media::{is_data_file, SimMedia, CLEAN, LOCK, MANIFEST};
+    use crate::stream::Region;
 
     // What the test modules of `store` share: scratch directories, the
     // deployed configuration in miniature, crash helpers for both media.
@@ -608,9 +593,38 @@ mod tests {
         String::from_utf8(env.read_file(MANIFEST).unwrap().unwrap()).unwrap()
     }
 
-    pub(super) fn assert_every_slot_accounted<M: StoreMedia>(s: &KvStore<M>) {
-        let backend = s.table().disk().backend();
-        assert_eq!(backend.live_blocks() + backend.free_count() as u64, backend.slots());
+    /// The files `s`'s directory holds when nothing is in flight: the
+    /// manifest, one block file per non-empty level (an earlier layout's
+    /// shared file once) and, in payload mode, the blob log.
+    pub(super) fn named_files<M: StoreMedia>(s: &KvStore<M>) -> BTreeSet<String> {
+        let level_file = |r: &Region| match r.base.raw() >> 32 {
+            0 => legacy_data_file_name(s.data_gen),
+            n => level_file_name(n),
+        };
+        let levels = s.table.persisted_levels().iter().flatten();
+        let mut files: BTreeSet<String> = levels.map(level_file).collect();
+        files.insert(MANIFEST.to_string());
+        files.extend(s.payload_mode().then(|| blob_file_name(s.data_gen)));
+        files
+    }
+
+    /// Every file of `env`'s root directory.
+    pub(super) fn sim_files(env: &SimEnv) -> BTreeSet<String> {
+        env.file_names().into_iter().filter(|name| !name.contains('/')).collect()
+    }
+
+    /// Every file of `dir` but the lock.
+    pub(super) fn dir_files(dir: &std::path::Path) -> BTreeSet<String> {
+        let names =
+            fs::read_dir(dir).unwrap().map(|e| e.unwrap().file_name().into_string().unwrap());
+        names.filter(|name| name != LOCK).collect()
+    }
+
+    /// Every block (primaries and chains) of every level of `s`, walked
+    /// behind the accounting.
+    pub(super) fn level_blocks<M: StoreMedia>(s: &mut KvStore<M>) -> u64 {
+        let chains: u64 = s.table.level_chain_blocks().unwrap().iter().sum();
+        chains + s.table.level_geometry().iter().skip(1).map(|l| l.1).sum::<u64>()
     }
 
     #[test]
@@ -682,32 +696,13 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// What closes G4's window: between two manifest commits no byte of
+    /// a file the committed manifest names changes, and none of them is
+    /// unlinked. A flush builds its destination in a file of its own and
+    /// only reads the levels it takes: a crash at any point finds the
+    /// committed state byte for byte.
     #[test]
-    fn clean_marker_tracks_mutation_state() {
-        let dir = tmp_dir("marker");
-        let _ = fs::remove_dir_all(&dir);
-        let mut s = KvStore::open(&dir, cfg(), 21).unwrap();
-        assert!(dir.join(CLEAN).exists(), "fresh store starts clean");
-        assert!(!s.delete(99).unwrap());
-        assert!(dir.join(CLEAN).exists(), "a miss-delete writes nothing, stays clean");
-        s.insert(1, 1).unwrap();
-        assert!(!dir.join(CLEAN).exists(), "first mutation unlinks the marker");
-        s.sync().unwrap();
-        assert!(dir.join(CLEAN).exists(), "sync rewrites the marker");
-        assert!(s.delete(1).unwrap());
-        assert!(!dir.join(CLEAN).exists(), "a real delete is a mutation");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// What closes G4's window: between two manifest commits no block
-    /// the committed manifest names — primaries and chains, everything
-    /// the recovery walk reaches — is written at all. A flush builds its
-    /// destination in free slots, the levels it read are quarantined
-    /// until the next commit, and nothing is merged into in place: a
-    /// crash at any point finds the committed state byte for byte.
-    #[test]
-    fn no_block_a_committed_manifest_names_is_written_before_the_next_commit() {
-        use dxh_extmem::Block;
+    fn no_file_a_committed_manifest_names_changes_before_the_next_commit() {
         use rand::{rngs::StdRng, RngCore, SeedableRng};
         let deployed = CoreConfig::lemma5(64, 4096, 2).unwrap();
         for (tag, c, rounds) in [("small", cfg(), 7), ("deployed", deployed, 4)] {
@@ -724,14 +719,15 @@ mod tests {
             let text = fs::read_to_string(dir.join(MANIFEST)).unwrap();
             let committed = Manifest::parse(&text).unwrap();
             assert_eq!(committed.levels[1].map(|r| r.items), Some(c.h0_capacity()));
-            let backend = s.table.disk_mut().backend_mut();
-            let mut named = vec![true; committed.slots as usize];
-            for id in scan_region_free(backend, &committed.levels).unwrap() {
-                named[id as usize] = false;
-            }
-            assert!(named.iter().filter(|&&n| n).count() as u64 >= held / c.b as u64);
-            let data = s.data_path().unwrap();
-            let before = fs::read(&data).unwrap();
+            let named: Vec<String> =
+                named_files(&s).into_iter().filter(|f| is_data_file(f)).collect();
+            assert!(named.len() >= 2, "{tag}: {named:?}");
+            let image = |dir: &std::path::Path| -> Vec<Vec<u8>> {
+                named.iter().map(|f| fs::read(dir.join(f)).unwrap()).collect()
+            };
+            let before = image(&dir);
+            let blocks: usize = before.iter().map(|f| f.len() / Block::encoded_len(c.b)).sum();
+            assert!(blocks as u64 >= held / c.b as u64);
             let mut rng = StdRng::seed_from_u64(31);
             for step in 0..6 * c.h0_capacity() as u64 {
                 let key = rng.next_u64() % (2 * held);
@@ -741,12 +737,7 @@ mod tests {
                 }
             }
             assert_ne!(s.table.persisted_levels(), &committed.levels[..], "{tag}: no flush ran");
-            let after = fs::read(&data).unwrap();
-            let slot = Block::encoded_len(c.b);
-            for id in (0..named.len()).filter(|&id| named[id]) {
-                let bytes = id * slot..(id + 1) * slot;
-                assert!(before[bytes.clone()] == after[bytes], "{tag}: block {id} was written");
-            }
+            assert!(before == image(&dir), "{tag}: a committed file was written");
             crash(s);
             let _ = fs::remove_dir_all(&dir);
         }
@@ -754,12 +745,11 @@ mod tests {
 
     #[test]
     fn rejected_insert_leaves_the_store_clean_and_sync_a_noop() {
-        // Regression: `insert` used to run the dirty transition before
-        // validating the reserved sentinels, so a rejected insert
-        // unlinked the CLEAN marker and made the next sync rewrite the
-        // manifest — pure wasted fsyncs, one per batch in the
-        // group-commit path. A mutation that changes nothing must leave
-        // the store clean.
+        // Regression: `insert` used to mark the handle dirty before
+        // validating the reserved sentinels, so a rejected insert made
+        // the next sync rewrite the manifest — pure wasted fsyncs, one
+        // per batch in the group-commit path. A mutation that changes
+        // nothing must leave the store clean.
         let dir = tmp_dir("clean-reject");
         let _ = fs::remove_dir_all(&dir);
         let mut s = KvStore::open(&dir, cfg(), 14).unwrap();
@@ -768,7 +758,6 @@ mod tests {
         let manifest = fs::read(dir.join(MANIFEST)).unwrap();
         assert!(s.insert(u64::MAX, 5).is_err(), "reserved key rejected");
         assert!(s.insert(5, u64::MAX).is_err(), "reserved value rejected");
-        assert!(dir.join(CLEAN).exists(), "rejected inserts never dirty the store");
         s.sync().unwrap();
         assert_eq!(
             fs::read(dir.join(MANIFEST)).unwrap(),
@@ -894,10 +883,345 @@ mod tests {
         }
         let stats = s.compact().unwrap();
         assert_eq!(stats.live_items, 600);
-        assert!(s.data_path().is_err(), "sim media has no filesystem paths");
+        assert_eq!(s.footprint().unwrap().levels.len(), 1, "one level, on any media");
         for k in (1..800u64).step_by(13) {
             let expect = (k % 4 != 0).then_some(k * 3);
             assert_eq!(s.lookup(k).unwrap(), expect, "key {k} after sim compact");
         }
+    }
+
+    fn deployed() -> CoreConfig {
+        CoreConfig::lemma5(64, 4096, 2).unwrap()
+    }
+
+    /// Block reads `env` traced since its trace was last taken.
+    pub(super) fn block_reads(env: &SimEnv) -> u64 {
+        env.take_trace().iter().filter(|e| matches!(e, IoEvent::Read { .. })).count() as u64
+    }
+
+    /// Blocks (primaries and chains) of the levels that carry a filter —
+    /// what a reopen reads to rebuild them — and how many such levels
+    /// are occupied. Walked behind the accounting.
+    pub(super) fn filtered_blocks<M: StoreMedia>(s: &mut KvStore<M>) -> (u64, usize) {
+        let filtered = s.table.filter_plan().levels();
+        let levels = s.table.persisted_levels().to_vec();
+        let (mut blocks, mut occupied) = (0, 0);
+        for region in levels.iter().skip(1).take(filtered).flatten() {
+            occupied += 1;
+            region.inspect(s.table.disk_mut(), |_, _, _| blocks += 1).unwrap();
+        }
+        (blocks, occupied)
+    }
+
+    /// There is one reopen. After a power cycle in the middle of a run
+    /// it opens the files the last commit's manifest names, reads the
+    /// levels that carry a filter — nothing else: no walk over the
+    /// table, no free list to rebuild — removes what the crash left
+    /// behind, and serves exactly the committed state.
+    #[test]
+    fn crash_reopen_is_the_clean_reopen() {
+        let open = |env: &SimEnv| KvStore::open_on(SimMedia::open(env).unwrap(), deployed(), 7);
+        let env = SimEnv::new();
+        let mut s = open(&env).unwrap();
+        let (hardened, written) = (70_000u64, 90_000u64);
+        for k in 0..hardened {
+            s.insert(k, k + 1).unwrap();
+        }
+        s.harden().unwrap();
+        let committed = named_files(&s);
+        let filtered = s.table.filter_plan().levels();
+        let deepest = s.footprint().unwrap().levels.last().expect("levels").k;
+        assert!(deepest > filtered, "H{deepest} carries no filter");
+        for k in hardened..written {
+            s.insert(k, k + 1).unwrap();
+        }
+        assert_ne!(named_files(&s), committed, "flushes ran past the commit");
+        assert!(sim_files(&env).is_superset(&committed), "what the commit names is still there");
+        sim_crash(&env, s, 5);
+        env.take_trace();
+        let mut s = open(&env).unwrap();
+        let reads = block_reads(&env);
+        assert_eq!(reads, s.disk_stats().reads, "every read of the open is accounted");
+        assert_eq!(reads, filtered_blocks(&mut s).0, "the filtered levels, once per block");
+        assert!(reads < level_blocks(&mut s), "and not the table");
+        assert_eq!(named_files(&s), committed, "the last commit's levels");
+        assert_eq!(sim_files(&env), committed, "and no file it does not name");
+        assert_eq!(s.len() as u64, hardened);
+        for k in 0..hardened {
+            assert_eq!(s.lookup(k).unwrap(), Some(k + 1), "hardened key {k}");
+        }
+        for k in (hardened..written).step_by(101) {
+            assert_eq!(s.lookup(k).unwrap(), None, "key {k} was never committed");
+        }
+        // A clean close and reopen does the same, to the read.
+        drop(s);
+        env.take_trace();
+        let mut s = open(&env).unwrap();
+        assert_eq!(block_reads(&env), filtered_blocks(&mut s).0);
+        assert_eq!(sim_files(&env), committed, "nothing changed, nothing was rewritten");
+    }
+
+    /// One lifecycle with every kind of leftover: a commit, flushes past
+    /// it that carry committed levels away, then a second commit cut
+    /// short. Returns what each commit held.
+    fn two_commits(env: &SimEnv) -> [Vec<Option<Value>>; 2] {
+        let answers = |s: &mut KvStore<SimMedia>| (0..900).map(|k| s.lookup(k).unwrap()).collect();
+        let mut s = sim_store(env);
+        for k in 0..400u64 {
+            s.insert(k, k + 1).unwrap();
+        }
+        s.sync().unwrap();
+        let first = answers(&mut s);
+        for k in 300..900u64 {
+            s.insert(k, k + 2).unwrap();
+        }
+        for k in (0..300u64).step_by(3) {
+            assert!(s.delete(k).unwrap());
+        }
+        let second = answers(&mut s);
+        drop(s); // the second commit, if the machine lives that long
+        [first, second]
+    }
+
+    /// Reopening is idempotent and needs no luck: wherever a crash cuts
+    /// the second commit, and wherever a second crash then cuts the
+    /// reopen itself, the next reopen serves exactly one of the two
+    /// committed states and leaves no file the manifest does not name.
+    #[test]
+    fn a_crash_anywhere_in_a_commit_or_in_the_reopen_after_it_recovers_to_a_commit() {
+        let clean = SimEnv::new();
+        let states = two_commits(&clean);
+        let lifecycle_ops = clean.ops();
+        let (mut old, mut new, mut strays_met) = (0, 0, 0);
+        for k in lifecycle_ops - 40..=lifecycle_ops {
+            for reopen_crash in [None, Some(2u64), Some(9), Some(17)] {
+                let env = SimEnv::new();
+                env.set_plan(FaultPlan::crash(k, k ^ 0xC0FFEE));
+                let died = std::panic::catch_unwind(|| two_commits(&env)).is_err();
+                assert_eq!(died || env.crashed(), k < lifecycle_ops, "crash_at {k}");
+                env.power_cycle();
+                strays_met += usize::from(sim_files(&env).contains(CLEAN));
+                if let Some(after) = reopen_crash {
+                    env.set_plan(FaultPlan::crash(env.ops() + after, after));
+                    drop(SimMedia::open(&env).and_then(|m| KvStore::open_on(m, cfg(), 84)));
+                    env.power_cycle();
+                }
+                let mut s = sim_store(&env);
+                let got: Vec<Option<Value>> = (0..900).map(|k| s.lookup(k).unwrap()).collect();
+                let which = states.iter().position(|state| *state == got);
+                let which = which.unwrap_or_else(|| panic!("crash_at {k}: neither commit"));
+                old += usize::from(which == 0);
+                new += usize::from(which == 1);
+                let when = format!("crash_at {k}, reopen crash {reopen_crash:?}");
+                assert_eq!(sim_files(&env), named_files(&s), "{when}");
+                assert!(dxh_dura::check_trace(&env.take_trace()).is_empty(), "{when}");
+            }
+        }
+        assert!(old > 0 && new > 0, "the sweep straddles the commit point: {old} / {new}");
+        assert_eq!(strays_met, 0, "nothing ever writes {CLEAN}");
+    }
+
+    /// What a directory holds is the live levels. After any number of
+    /// inserts and a sync: `MANIFEST`, one block file per non-empty
+    /// level — buckets plus chain blocks, times the slot size, to the
+    /// byte — and nothing else; at the deployed geometry that is within
+    /// 1.45 of the live items' own bytes (the sealed fill alone costs
+    /// 1048 / (48 · 16) = 1.36; the block heap this replaces sat at 2.7).
+    /// `footprint` reports the same figures without touching the media.
+    #[test]
+    fn the_directory_holds_the_live_levels_and_nothing_else() {
+        const N: u64 = 250_000;
+        fn census<M: StoreMedia>(
+            s: &mut KvStore<M>,
+            files: &dyn Fn(&str) -> u64,
+            listing: BTreeSet<String>,
+        ) {
+            let slot = Block::encoded_len(64) as u64;
+            assert_eq!(listing, named_files(s));
+            let footprint = s.footprint().unwrap();
+            assert_eq!(footprint.levels.len(), s.table().active_levels());
+            let chains = s.table.level_chain_blocks().unwrap();
+            for level in &footprint.levels {
+                assert_eq!((level.items, level.buckets), s.table().level_geometry()[level.k]);
+                assert_eq!(level.file_bytes, (level.buckets + chains[level.k]) * slot);
+                let file = s.table.persisted_levels()[level.k].expect("occupied").base.raw() >> 32;
+                assert_eq!(files(&level_file_name(file)), level.file_bytes, "H{}", level.k);
+            }
+            assert_eq!(footprint.data_bytes, level_blocks(s) * slot);
+            assert_eq!(footprint.manifest_bytes, files(MANIFEST));
+            let on_disk: u64 = listing.iter().map(|f| files(f)).sum();
+            assert_eq!(footprint.total_bytes(), on_disk);
+            let amp = on_disk as f64 / (16 * s.len()) as f64;
+            assert!(s.len() as u64 == N && amp <= 1.45, "space_amp {amp:.3}");
+        }
+        let n = N;
+        let dir = tmp_dir("census");
+        let _ = fs::remove_dir_all(&dir);
+        let mut s = KvStore::open(&dir, deployed(), 11).unwrap();
+        for k in 0..n {
+            s.insert(k, k).unwrap();
+        }
+        s.sync().unwrap();
+        let len = |f: &str| fs::metadata(dir.join(f)).unwrap().len();
+        census(&mut s, &len, dir_files(&dir));
+        drop(s);
+        let _ = fs::remove_dir_all(&dir);
+
+        let env = SimEnv::new();
+        let mut s = KvStore::open_on(SimMedia::open(&env).unwrap(), deployed(), 11).unwrap();
+        for k in 0..n {
+            s.insert(k, k).unwrap();
+        }
+        s.sync().unwrap();
+        let len = |f: &str| match is_data_file(f) {
+            true => env.file_len(f),
+            false => env.read_file(f).unwrap().map_or(0, |bytes| bytes.len() as u64),
+        };
+        census(&mut s, &len, sim_files(&env));
+    }
+
+    /// Bytes of block files present, replayed from a trace: creates,
+    /// growth and unlinks.
+    #[derive(Default)]
+    struct Present(std::collections::BTreeMap<String, u64>);
+
+    impl Present {
+        /// Applies `events`; returns the peak of the total and how many
+        /// block files were created.
+        fn replay(&mut self, events: &[IoEvent]) -> (u64, usize) {
+            let (mut peak, mut created) = (self.total(), 0);
+            for event in events {
+                match event {
+                    IoEvent::Alloc { file, base, n } => {
+                        let slots = self.0.entry(file.clone()).or_default();
+                        *slots = (*slots).max(base + n);
+                    }
+                    IoEvent::Meta { label, .. } => {
+                        if let Some(file) = label.strip_prefix("file-remove ") {
+                            self.0.remove(file);
+                        }
+                        created += usize::from(label.starts_with("file-create level-"));
+                    }
+                    _ => {}
+                }
+                peak = peak.max(self.total());
+            }
+            (peak, created)
+        }
+
+        fn total(&self) -> u64 {
+            self.0.values().sum()
+        }
+    }
+
+    /// A flush never holds more than its sources and its destination: the
+    /// only file that appears while it runs is the level it builds. And
+    /// between two commits the directory holds the files of the current
+    /// levels and of the last commit's, nothing else — a level built and
+    /// carried away since the commit is gone the moment its last block is
+    /// read.
+    #[test]
+    fn a_flush_adds_its_destination_and_a_level_consumed_before_a_commit_is_gone() {
+        let env = SimEnv::new();
+        let mut s = sim_store(&env);
+        let mut present = Present::default();
+        let mut committed = named_files(&s);
+        let (mut flushes, mut consumed_uncommitted) = (0, 0);
+        for k in 0..6_000u64 {
+            let before = (s.table.persisted_levels().to_vec(), present.total());
+            s.insert(k, k).unwrap();
+            if k % 1_700 == 1_699 {
+                s.sync().unwrap();
+                committed = named_files(&s);
+                present.replay(&env.take_trace());
+                assert_eq!(sim_files(&env), committed, "after the commit at {k}");
+                continue;
+            }
+            if s.table.persisted_levels() == &before.0[..] {
+                continue;
+            }
+            flushes += 1;
+            let built = s.footprint().unwrap();
+            let built = built.levels.first().expect("the flush landed somewhere");
+            let (peak, created) = present.replay(&env.take_trace());
+            let slots = built.file_bytes / Block::encoded_len(cfg().b) as u64;
+            let when = format!("flush {flushes} into H{}", built.k);
+            assert_eq!(created, 1, "{when}: the destination and no other file");
+            assert!(before.1 + built.buckets <= peak && peak <= before.1 + slots, "{when}");
+            let current = named_files(&s);
+            let listing = sim_files(&env);
+            let expected: BTreeSet<String> = current.union(&committed).cloned().collect();
+            assert_eq!(listing, expected, "flush {flushes}");
+            consumed_uncommitted +=
+                usize::from(present.total() < peak && !current.is_subset(&committed));
+        }
+        assert!(flushes > 80 && consumed_uncommitted > 20, "{flushes} / {consumed_uncommitted}");
+    }
+
+    /// One store lifecycle on `env`: commits, flushes that carry
+    /// committed levels away between them, a compaction. `Err` when the
+    /// machine died on the way.
+    fn mutant_lifecycle(env: &SimEnv) -> Result<()> {
+        let mut s = SimMedia::open(env).and_then(|m| KvStore::open_on(m, cfg(), 84))?;
+        for round in 0..4u64 {
+            for k in round * 300..(round + 1) * 300 {
+                s.insert(k, k + 1)?;
+            }
+            s.sync()?;
+        }
+        s.compact().map(drop)
+    }
+
+    /// Whether the store on `env` opens and holds what `upto` committed
+    /// keys demand.
+    fn holds_a_commit(env: &SimEnv) -> bool {
+        let Ok(mut s) = SimMedia::open(env).and_then(|m| KvStore::open_on(m, cfg(), 84)) else {
+            return false;
+        };
+        let rounds = s.len() as u64 / 300;
+        (s.len() as u64).is_multiple_of(300)
+            && (0..rounds * 300).all(|k| s.lookup(k).ok() == Some(Some(k + 1)))
+            && (rounds * 300..1_200).all(|k| s.lookup(k).ok() == Some(None))
+    }
+
+    /// The two ways to get the file lifecycle wrong, seeded: unlink a
+    /// carried level's file before the manifest that drops it is durable;
+    /// leave one level file unsynced under a manifest that names it.
+    /// Each is caught twice — by a crash sweep (some crash index leaves a
+    /// store that does not open, or not to a commit) and by its rule of
+    /// the trace automaton on the crash-free run — and with both off the
+    /// same sweep and the same automaton find nothing.
+    #[test]
+    fn both_lifecycle_mutants_are_caught_by_a_sweep_and_by_their_trace_rule() {
+        let run = |switch: Option<&'static std::thread::LocalKey<std::cell::Cell<bool>>>| {
+            let arm = |on: bool| switch.into_iter().for_each(|switch| switch.set(on));
+            let env = SimEnv::new();
+            arm(true);
+            mutant_lifecycle(&env).unwrap();
+            let rules: BTreeSet<&str> =
+                dxh_dura::check_trace(&env.take_trace()).iter().map(|v| v.rule).collect();
+            let mut broken = 0;
+            for k in (0..env.ops()).step_by(2) {
+                for seed in [1, 2] {
+                    let env = SimEnv::new();
+                    env.set_tracing(false);
+                    env.set_plan(FaultPlan::crash(k, seed * 0x9e37 + k));
+                    arm(true);
+                    let _ = mutant_lifecycle(&env);
+                    arm(false);
+                    env.power_cycle();
+                    broken += usize::from(!holds_a_commit(&env));
+                }
+            }
+            (rules, broken)
+        };
+        let (rules, broken) = run(None);
+        assert!(rules.is_empty() && broken == 0, "{rules:?}, {broken} broken");
+        let (rules, broken) = run(Some(&mutant::UNLINK_BEFORE_COMMIT));
+        assert_eq!(rules, BTreeSet::from(["unlink-after-manifest-commit"]));
+        assert!(broken > 0, "no crash exposed the early unlink");
+        let (rules, broken) = run(Some(&mutant::SKIP_ONE_SYNC));
+        assert_eq!(rules, BTreeSet::from(["rename-after-data-fsync"]));
+        assert!(broken > 0, "no crash exposed the missing fdatasync");
     }
 }

@@ -7,9 +7,11 @@ use dxh_tables::ExternalDictionary;
 use super::KvStore;
 use crate::media::StoreMedia;
 
-/// The payload blob log of generation `gen` — gen-named exactly like
-/// [`data_file_name`], swapped at the same manifest commit, so index
-/// words and the log they point into always come from one generation.
+/// The payload blob log of generation `gen`: compaction writes the next
+/// generation under its final name and the manifest commit that names
+/// the level holding the remapped index words names it too — no rename
+/// is ever needed, and index words and the log they point into always
+/// come from one commit.
 pub(super) fn blob_file_name(gen: u64) -> String {
     if gen == 0 {
         "store.blob".to_string()
@@ -134,7 +136,6 @@ mod tests {
 
     use super::super::tests::*;
     use super::*;
-    use crate::media::clean_marker;
 
     #[test]
     fn payload_store_round_trips_bytes_and_the_full_word_domain() {
@@ -327,7 +328,7 @@ mod tests {
             assert!(!s.dirty && !s.poisoned, "a failed read changes nothing");
             assert_eq!(s.get_bytes(k).unwrap(), Some(payload_for(k).as_slice()), "the retry");
         }
-        assert!(clean_marker(&mut s.media).unwrap(), "reads, failed or not, leave CLEAN in place");
+        assert!(!s.dirty, "reads, failed or not, leave nothing to commit");
         s.put_bytes(999, b"not yet synced").unwrap();
         assert_eq!(s.get_bytes(999).unwrap(), Some(&b"not yet synced"[..]));
     }

@@ -1,16 +1,29 @@
 //! Reopen: the manifest's claims checked against the creation
-//! parameters and the data file, the one-time legacy-chain fold, and the
-//! recovery walk that recomputes the free list after a crash.
+//! parameters and the files it names, the one-time legacy-chain fold,
+//! and the removal of every file it does not name. The same code after
+//! a crash and after a clean close: there is nothing to tell them apart
+//! by, and nothing to do differently.
 
-use dxh_extmem::{BlobLog, BlockId, Disk, ExtMemError, PersistentBackend, Result};
+use dxh_extmem::{BlobLog, Disk, ExtMemError, Result, StorageBackend};
 use dxh_hashfn::IdealFn;
 
 use super::manifest::{apply_manifest_deltas, corrupt, Manifest};
 use super::payload::blob_file_name;
-use super::{data_file_name, KvStore, ManifestIoStats};
+use super::{KvStore, LevelFiles, ManifestIoStats};
 use crate::log_method::LogMethodTable;
-use crate::media::{clean_marker, remove_stale_generations, StoreMedia, MANIFEST_DELTA};
+use crate::media::{best_effort, is_blob_file, is_data_file, StoreMedia, CLEAN, MANIFEST_DELTA};
 use crate::stream::Region;
+
+/// The single data file of generation `gen` in which earlier versions
+/// kept every level ("file 0" of [`LevelFiles`]): the original name for
+/// generation 0, generation-suffixed after their compactions.
+pub(super) fn legacy_data_file_name(gen: u64) -> String {
+    if gen == 0 {
+        "store.blk".to_string()
+    } else {
+        format!("store.{gen}.blk")
+    }
+}
 
 impl<M: StoreMedia> KvStore<M> {
     pub(super) fn reopen(
@@ -65,55 +78,21 @@ impl<M: StoreMedia> KvStore<M> {
             if !buckets.contains(&r.buckets) || r.items > cfg.level_capacity(k) {
                 return Err(corrupt("level region does not match the creation parameters"));
             }
-            if r.base.raw().checked_add(r.buckets).is_none_or(|end| end > m.slots) {
-                return Err(corrupt("level region outside the recorded slots"));
-            }
         }
         // (Capacities saturate at deep levels, so the bound above alone
         // does not keep the sum in range.)
         if m.levels.iter().flatten().try_fold(0usize, |n, r| n.checked_add(r.items)).is_none() {
             return Err(corrupt("level item counts overflow"));
         }
-        let data_name = data_file_name(m.data_gen);
-        let mut backend = media.open_data(&data_name, m.cfg.b)?;
-        if backend.slots() < m.slots {
-            // The file lost blocks the manifest references: real corruption.
-            return Err(ExtMemError::Corrupt(format!(
-                "manifest records {} slots, file holds only {}",
-                m.slots,
-                backend.slots()
-            )));
-        }
+        // The files the level lines name, each region inside its file.
+        let legacy = legacy_data_file_name(m.data_gen);
+        let mut files = LevelFiles::open(media.view(), m.cfg.b, &legacy, &m.levels)?;
         if m.v1 {
             // Pre-deletion store: prove it holds no value this version
-            // would misread as the deletion marker. Runs while every
-            // slot is still live, so every region block is readable.
-            scan_reserved_values(&mut backend, &m.levels)?;
+            // would misread as the deletion marker.
+            scan_reserved_values(&mut files, &m.levels)?;
         }
-        if !folded && clean_marker(&mut media)? && backend.slots() == m.slots {
-            // Clean shutdown: no block write happened after the manifest,
-            // so it describes the file exactly and the free list is safe
-            // to recycle from. Legacy frames never carried a free list,
-            // so a folded chain forces the recovery walk below.
-            backend.restore_free_list(m.free)?;
-        } else {
-            // Crash recovery: the manifest's free list is stale (post-sync
-            // flushes built levels in once-free slots and past its slot
-            // count), but the manifest's regions are intact — no flush
-            // writes into a level, and frees after the crash-point sync
-            // were quarantined, never recycled. Walking those regions
-            // (primaries plus chains)
-            // therefore yields the exact live set; every unreachable slot
-            // is a crash orphan, returned to the free list so it is
-            // recycled before the file grows. An unreadable walk (torn
-            // block metadata) falls back to keeping every slot live —
-            // the pre-GC behavior: space leaked, correctness kept.
-            if let Ok(free) = scan_region_free(&mut backend, &m.levels) {
-                backend.restore_free_list(free)?;
-            }
-        }
-        backend.set_defer_recycling(true);
-        let disk = Disk::new(backend, m.cfg.b, m.cfg.cost);
+        let disk = Disk::new(files, m.cfg.b, m.cfg.cost);
         let table = LogMethodTable::from_parts(disk, m.cfg, IdealFn::from_seed(m.seed), m.levels)?;
         // The blob log recovers to the committed length the manifest
         // covers: a crash tail (torn or unsynced appends the index never
@@ -129,9 +108,22 @@ impl<M: StoreMedia> KvStore<M> {
             }
             None => None,
         };
-        // Strays from an interrupted compaction (either side of its
-        // manifest commit) are unreferenced whole files: remove them.
-        remove_stale_generations(&mut media, &data_name, blob.is_some().then_some(&blob_name));
+        // Everything else is a stray, and removing it is all the
+        // recovery there is: a level a flush built but no commit named,
+        // one a commit dropped but whose unlink was lost, what an
+        // interrupted compaction left on either side of its commit, an
+        // earlier version's `CLEAN` marker. Best-effort and idempotent —
+        // a reopen cut short here is finished by the next.
+        for name in media.names() {
+            let stray = match &name {
+                n if is_data_file(n) => !table.disk().backend().holds(n),
+                n if is_blob_file(n) => blob.is_some() && *n != blob_name,
+                n => n == CLEAN,
+            };
+            if stray {
+                best_effort(media.remove(&name));
+            }
+        }
         let mut store = KvStore {
             table,
             blob,
@@ -142,45 +134,20 @@ impl<M: StoreMedia> KvStore<M> {
             watermark: m.watermark,
             epoch: m.epoch,
             manifest_io: ManifestIoStats::default(),
+            manifest_len: text.len() as u64,
             media,
         };
         if chain.is_some() {
             if folded {
                 // The next epoch makes the folded frames stale, so the
                 // fold stays one-time even if the unlink below is lost.
-                store.write_manifest(false)?;
+                store.write_manifest(true)?;
             }
             store.media.remove(MANIFEST_DELTA)?;
             store.media.sync_dir()?;
         }
         Ok(store)
     }
-}
-
-/// Computes the free-slot list of `backend` by walking every region's
-/// buckets and overflow chains: reachable ⇒ live, everything else free.
-/// Errors (out-of-range ids, undecodable blocks, a block reached twice —
-/// shared or cyclic chain tails, only possible under corruption) abort
-/// the walk so the caller can fall back to all-live.
-pub(super) fn scan_region_free<B: PersistentBackend>(
-    backend: &mut B,
-    levels: &[Option<Region>],
-) -> Result<Vec<u64>> {
-    let slots = backend.slots();
-    let mut live = vec![false; slots as usize];
-    for region in levels.iter().flatten() {
-        let read = |id: BlockId| {
-            let reached = live.get_mut(id.raw() as usize).ok_or_else(|| {
-                ExtMemError::Corrupt(format!("chain pointer {id:?} outside the data file"))
-            })?;
-            if std::mem::replace(reached, true) {
-                return Err(ExtMemError::Corrupt(format!("block {id:?} is chained twice")));
-            }
-            backend.read(id)
-        };
-        region.walk(0..region.buckets, slots, read, |_, _, _| Ok(()))?;
-    }
-    Ok((0..slots).filter(|&i| !live[i as usize]).collect())
 }
 
 /// Walks every region's buckets and chains of a **format v1** store
@@ -191,15 +158,15 @@ pub(super) fn scan_region_free<B: PersistentBackend>(
 /// merge. Refusing the open keeps the data intact (the binary that wrote
 /// the store still reads it). A clean v1 store upgrades to v2 at its
 /// next manifest write; until then each reopen re-runs this scan.
-fn scan_reserved_values<B: PersistentBackend>(
+fn scan_reserved_values<B: StorageBackend>(
     backend: &mut B,
     levels: &[Option<Region>],
 ) -> Result<()> {
-    let slots = backend.slots();
+    let hops = backend.live_blocks();
     for region in levels.iter().flatten() {
         region.walk(
             0..region.buckets,
-            slots,
+            hops,
             |id| backend.read(id),
             |_, _, block| match block.items().iter().find(|it| it.is_delete_marker()) {
                 Some(item) => Err(ExtMemError::BadConfig(format!(
@@ -219,14 +186,16 @@ fn scan_reserved_values<B: PersistentBackend>(
 mod tests {
     use std::fs;
 
-    use dxh_extmem::{FileDisk, StorageBackend, Value};
+    use dxh_extmem::{BlockId, FileDisk, StorageBackend, Value, BLOB_TAG};
     use dxh_tables::ExternalDictionary;
 
+    use super::super::levels::level_file_name;
     use super::super::manifest::{MAGIC, MAGIC_V1};
     use super::super::tests::*;
     use super::*;
     use crate::config::CoreConfig;
-    use crate::media::{CLEAN, DATA, MANIFEST};
+    use crate::media::{SimMedia, MANIFEST};
+    use dxh_extmem::SimEnv;
 
     #[test]
     fn crash_after_unsynced_growth_recovers_to_last_sync_point() {
@@ -237,8 +206,8 @@ mod tests {
             s.insert(k, k).unwrap();
         }
         s.sync().unwrap();
-        // Keep inserting past the sync: H0 flushes grow the block file,
-        // but no manifest records the growth. Then "crash" (no Drop).
+        // Keep inserting past the sync: H0 flushes build level files no
+        // manifest names. Then "crash" (no Drop).
         for k in 300..900u64 {
             s.insert(k, k).unwrap();
         }
@@ -248,64 +217,14 @@ mod tests {
         for k in 0..300u64 {
             assert_eq!(s.lookup(k).unwrap(), Some(k), "synced key {k} survives the crash");
         }
+        assert_eq!(s.len(), 300);
+        assert_eq!(dir_files(&dir), named_files(&s), "what the crash stranded is gone");
         let _ = fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn crash_without_file_growth_is_not_misread_as_clean() {
-        // A crash can land after writes that only touched existing or
-        // recycled slots (file length unchanged). The slot count then
-        // matches the manifest, but the absent CLEAN marker must still
-        // force recovery mode: the stale free list is not trusted —
-        // instead the region walk recomputes liveness exactly.
-        let dir = tmp_dir("no-growth");
-        let _ = fs::remove_dir_all(&dir);
-        let mut s = KvStore::open(&dir, cfg(), 22).unwrap();
-        for k in 0..600u64 {
-            s.insert(k, k).unwrap();
-        }
-        s.sync().unwrap();
-        let manifest = fs::read(dir.join(MANIFEST)).unwrap();
-        // Simulate the crash window: marker gone (a mutation began), no
-        // newer manifest, file length unchanged.
-        fs::remove_file(dir.join(CLEAN)).unwrap();
-        crash(s);
-        let mut s = KvStore::open(&dir, cfg(), 22).unwrap();
-        let backend = s.table().disk().backend();
-        assert_eq!(
-            backend.live_blocks() as usize + backend.free_count(),
-            backend.slots() as usize,
-            "every slot is either walked live or reclaimed"
-        );
-        for k in (0..600u64).step_by(17) {
-            assert_eq!(s.lookup(k).unwrap(), Some(k));
-        }
-        let recovered_free = s.table().disk().backend().free_list();
-        drop(s);
-        // The recovered handle was never mutated, but the marker its drop
-        // leaves may only follow a manifest carrying its own free list:
-        // same regions, the *recovered* list, and `CLEAN` over them.
-        let before = Manifest::parse(std::str::from_utf8(&manifest).unwrap()).unwrap();
-        let after = Manifest::parse(&fs::read_to_string(dir.join(MANIFEST)).unwrap()).unwrap();
-        assert_eq!(after.levels, before.levels, "nothing moved");
-        assert_eq!(after.free, recovered_free);
-        assert!(dir.join(CLEAN).exists());
-        // Marker present and slot count unchanged: this reopen trusts it.
-        let s = KvStore::open(&dir, cfg(), 22).unwrap();
-        let backend = s.table().disk().backend();
-        assert_eq!(backend.slots(), after.slots);
-        assert_eq!(backend.free_list(), after.free);
-        assert_every_slot_accounted(&s);
-        drop(s);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// Regression: a handle that recovered from a crash and was dropped
-    /// untouched used to write `CLEAN` over the *pre-crash* manifest,
-    /// whose free list predates the in-place merges that linked
-    /// once-free slots into manifest-referenced chains — and the next
-    /// reopen trusted it (`unallocated block id B5646`: the store no
-    /// longer opened).
+    /// A handle that recovered from a crash and was dropped untouched
+    /// commits nothing — there is nothing of its own to record — and the
+    /// next reopen finds what it found.
     #[test]
     fn a_recovered_handle_dropped_untouched_reopens() {
         let dir = tmp_dir("recovered-drop");
@@ -316,86 +235,18 @@ mod tests {
             s.insert(k, k).unwrap();
         }
         s.sync().unwrap();
+        let manifest = fs::read(dir.join(MANIFEST)).unwrap();
         for k in 2600..2650u64 {
             s.insert(k, k).unwrap();
         }
         crash(s);
         drop(KvStore::open(&dir, cfg.clone(), 22).unwrap()); // recovers; never touched
-        assert!(dir.join(CLEAN).exists(), "an untouched drop still closes cleanly");
+        assert_eq!(fs::read(dir.join(MANIFEST)).unwrap(), manifest);
         let mut s = KvStore::open(&dir, cfg, 22).unwrap();
-        assert_every_slot_accounted(&s);
+        assert_eq!(dir_files(&dir), named_files(&s));
         for k in 0..2600u64 {
             assert_eq!(s.lookup(k).unwrap(), Some(k), "synced key {k}");
         }
-        drop(s);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn crash_recovery_gc_returns_orphans_and_recycles_them_before_growth() {
-        let dir = tmp_dir("gc");
-        let _ = fs::remove_dir_all(&dir);
-        let mut s = KvStore::open(&dir, cfg(), 41).unwrap();
-        for k in 0..300u64 {
-            s.insert(k, k).unwrap();
-        }
-        s.sync().unwrap();
-        // Unsynced growth: merges rebuild regions into fresh slots and
-        // quarantine the old ones; none of it reaches a manifest.
-        for k in 300..1200u64 {
-            s.insert(k, k).unwrap();
-        }
-        crash(s);
-        let mut s = KvStore::open(&dir, cfg(), 41).unwrap();
-        let backend = s.table().disk().backend();
-        let slots_after_recovery = backend.slots();
-        let orphans = backend.free_count();
-        assert!(orphans > 0, "the crash stranded unreferenced blocks");
-        assert_eq!(
-            backend.live_blocks() + orphans as u64,
-            slots_after_recovery,
-            "GC accounts for every slot"
-        );
-        // Everything from the sync point is still there.
-        for k in 0..300u64 {
-            assert_eq!(s.lookup(k).unwrap(), Some(k), "synced key {k}");
-        }
-        // New work recycles the orphans before the file grows: with
-        // hundreds of reclaimed slots, this round of inserts (plus its
-        // region rebuilds) fits entirely in recycled space.
-        for k in 2000..2100u64 {
-            s.insert(k, k).unwrap();
-        }
-        assert_eq!(
-            s.table().disk().backend().slots(),
-            slots_after_recovery,
-            "orphans are reallocated before the file grows"
-        );
-        drop(s);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn crash_recovery_gc_matches_manifest_free_list_when_nothing_moved() {
-        // If the crash happened before any post-sync write, the region
-        // walk must rediscover exactly the manifest's free list.
-        let dir = tmp_dir("gc-exact");
-        let _ = fs::remove_dir_all(&dir);
-        let mut s = KvStore::open(&dir, cfg(), 43).unwrap();
-        for k in 0..800u64 {
-            s.insert(k, k).unwrap();
-        }
-        s.sync().unwrap();
-        let text = fs::read_to_string(dir.join(MANIFEST)).unwrap();
-        let manifest_free = Manifest::parse(&text).unwrap().free;
-        fs::remove_file(dir.join(CLEAN)).unwrap();
-        crash(s);
-        let s = KvStore::open(&dir, cfg(), 43).unwrap();
-        let mut walked = s.table().disk().backend().free_list();
-        walked.sort_unstable();
-        let mut expected = manifest_free;
-        expected.sort_unstable();
-        assert_eq!(walked, expected, "region walk rediscovers the free list exactly");
         drop(s);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -439,24 +290,13 @@ mod tests {
         // Doctor one persisted value to u64::MAX — legal data under a
         // v1 (no-deletion) binary, reserved by this one.
         let manifest = Manifest::parse(&fs::read_to_string(dir.join(MANIFEST)).unwrap()).unwrap();
-        let mut backend = FileDisk::open(&dir.join(DATA), cfg().b).unwrap();
-        let mut occupied = None;
-        for region in manifest.levels.iter().flatten() {
-            let (buckets, slots) = (0..region.buckets, backend.slots());
-            region
-                .walk(
-                    buckets,
-                    slots,
-                    |id| backend.read(id),
-                    |_, id, blk| {
-                        if occupied.is_none() && !blk.items().is_empty() {
-                            occupied = Some((id, blk.clone()));
-                        }
-                        Ok(())
-                    },
-                )
-                .unwrap();
-        }
+        let region = manifest.levels.iter().flatten().next().expect("a level");
+        let file = level_file_name(region.base.raw() >> 32);
+        let mut backend = FileDisk::open(&dir.join(file), cfg().b).unwrap();
+        let occupied = (0..region.buckets).map(BlockId).find_map(|id| {
+            let blk = backend.read(id).unwrap();
+            (!blk.is_empty()).then_some((id, blk))
+        });
         let (id, mut blk) = occupied.expect("store has at least one persisted item");
         blk.items_mut()[0].value = VALUE_TOMBSTONE;
         backend.write(id, &blk).unwrap();
@@ -481,12 +321,14 @@ mod tests {
             let mut s = KvStore::open(&dir, cfg(), 53).unwrap();
             s.insert(1, 1).unwrap();
         }
-        // A compaction that died before its manifest commit leaves the
-        // next generation's file behind.
+        // A flush or compaction that died before its manifest commit
+        // leaves the level it was building behind; an earlier version's
+        // compaction, the next generation of its one data file.
+        fs::write(dir.join("level-99.blk"), vec![0u8; 1024]).unwrap();
         fs::write(dir.join("store.1.blk"), vec![0u8; 1024]).unwrap();
         let mut s = KvStore::open(&dir, cfg(), 53).unwrap();
         assert_eq!(s.lookup(1).unwrap(), Some(1));
-        assert!(!dir.join("store.1.blk").exists(), "stray removed");
+        assert_eq!(dir_files(&dir), named_files(&s), "strays removed");
         drop(s);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -516,12 +358,7 @@ mod tests {
         for k in 0..300u64 {
             assert_eq!(s.lookup(k).unwrap(), Some(k), "synced key {k} survives");
         }
-        let backend = s.table().disk().backend();
-        assert_eq!(
-            backend.live_blocks() + backend.free_count() as u64,
-            backend.slots(),
-            "recovery accounts for every slot"
-        );
+        assert_eq!(sim_files(&env), named_files(&s), "recovery leaves no file unaccounted for");
     }
 
     /// Keys and values of the upgrade-fold scenario: `0..120` are under
@@ -545,7 +382,7 @@ mod tests {
             s.insert(k, 2).unwrap();
         }
         s.set_replay_watermark(9);
-        s.harden(false).unwrap();
+        s.harden().unwrap();
         let later_text = manifest_text(env);
         sim_crash(env, s, 3);
         let (base, later) =
@@ -553,7 +390,7 @@ mod tests {
         let mut frame = format!("delta {} 1\n", base.epoch);
         for line in later_text.lines() {
             let key = line.split(' ').next().unwrap();
-            if ["blob", "watermark", "slots", "levels", "level"].contains(&key) {
+            if ["blob", "watermark", "levels", "level"].contains(&key) {
                 frame.push_str(line);
                 frame.push('\n');
             }
@@ -584,7 +421,7 @@ mod tests {
             assert_eq!(*got, Some(1 + (k as u64 >= 120) as u64), "{what}: key {k}");
         }
         assert_eq!(s.replay_watermark(), 9, "{what}");
-        assert_every_slot_accounted(&s);
+        assert!(sim_files(env).is_superset(&named_files(&s)), "{what}");
         assert!(env.read_file(MANIFEST_DELTA).unwrap().is_none(), "{what}: chain left behind");
         assert!(Manifest::parse(&manifest_text(env)).unwrap().epoch > base_epoch, "{what}");
         sim_crash(env, s, 4);
@@ -650,8 +487,8 @@ mod tests {
 
     /// A store laid out by the version before levels were sized by
     /// content — every level at the full geometry, as the golden level
-    /// lines show — reopens (clean and through the recovery walk),
-    /// answers every key and keeps ingesting: its levels are read into
+    /// shapes show — reopens, answers every key and keeps ingesting: its
+    /// levels are read into
     /// flushes and rebuilt like any other. So do the layouts of the two
     /// versions between (b = 64, where they differ): `H1` at the full
     /// geometry over deeper levels sized by content at load 1/2, then at
@@ -665,14 +502,15 @@ mod tests {
         type Layout<'a> = &'a dyn Fn(u32, &Region) -> u64;
         // `held` keys written under `cfg` leave the levels `sized`; every
         // level is then rebuilt with `layout`'s bucket count, which the
-        // `golden` level lines show. That image reopens clean and through
-        // the recovery walk, answers, and ingests up to `upto` keys; with
-        // its `level 2` line replaced by a mutant it is `Corrupt`.
+        // `golden` level lines show as `(k, buckets, items)` — where a
+        // level starts is allocation history. That image reopens,
+        // answers, and ingests up to `upto` keys; with its `level 2` line
+        // replaced by a mutant it is `Corrupt`.
         let legacy = |cfg: &CoreConfig,
                       (held, upto): (u64, u64),
                       sized: &[(usize, u64)],
                       layout: Layout,
-                      golden: &[&str],
+                      golden: &[(u64, u64, u64)],
                       mutants: &[&str]| {
             let open = |env: &SimEnv| {
                 crate::SimMedia::open(env).and_then(|m| KvStore::open_on(m, cfg.clone(), 84))
@@ -689,33 +527,31 @@ mod tests {
                 s.table.rebuild_levels(layout).unwrap();
                 drop(s);
                 let text = manifest_text(&env);
-                let levels: Vec<&str> = text.lines().filter(|l| l.starts_with("level ")).collect();
-                assert_eq!(levels, golden);
+                let levels = text.lines().filter_map(|l| l.strip_prefix("level "));
+                let shape = |l: &str| {
+                    let n: Vec<u64> = l.split(' ').map(|n| n.parse().unwrap()).collect();
+                    (n[0], n[2], n[3])
+                };
+                assert_eq!(levels.map(shape).collect::<Vec<_>>(), golden);
                 (env, text)
             };
-            for clean in [true, false] {
-                let (env, _) = written();
-                if !clean {
-                    env.remove_file(CLEAN).unwrap();
-                    env.sync_dir("").unwrap();
-                }
-                let mut s = open(&env).unwrap();
-                assert_eq!(s.len() as u64, held);
-                for k in held..upto {
-                    s.insert(k, k + 1).unwrap();
-                }
-                for k in 0..upto {
-                    assert_eq!(s.lookup(k).unwrap(), Some(k + 1), "clean = {clean}, key {k}");
-                }
-                drop(s);
-                let mut s = open(&env).unwrap();
-                for k in (0..upto).step_by(49) {
-                    assert_eq!(s.lookup(k).unwrap(), Some(k + 1), "clean = {clean}, key {k} again");
-                }
+            let (env, _) = written();
+            let mut s = open(&env).unwrap();
+            assert_eq!(s.len() as u64, held);
+            for k in held..upto {
+                s.insert(k, k + 1).unwrap();
             }
+            for k in 0..upto {
+                assert_eq!(s.lookup(k).unwrap(), Some(k + 1), "key {k}");
+            }
+            drop(s);
+            let mut s = open(&env).unwrap();
+            for k in (0..upto).step_by(49) {
+                assert_eq!(s.lookup(k).unwrap(), Some(k + 1), "key {k} again");
+            }
+            drop(s);
             let (env, text) = written();
-            let level_2 =
-                golden.iter().find(|l| l.starts_with("level 2 ")).expect("H2 is occupied");
+            let level_2 = text.lines().find(|l| l.starts_with("level 2 ")).expect("H2 is occupied");
             for mutant in mutants {
                 put_file(&env, MANIFEST, text.replace(level_2, mutant).as_bytes());
                 match open(&env) {
@@ -733,7 +569,7 @@ mod tests {
             (900, 2_500),
             &[(0, 0), (132, 33), (0, 0), (768, 192)],
             &|k, _| cfg().level_buckets(k),
-            &["level 2 0 64 132", "level 4 64 256 768"],
+            &[(2, 64, 132), (4, 256, 768)],
             &[
                 "level 2 0 64 18446744073709551615",
                 "level 2 0 64 257",
@@ -761,7 +597,7 @@ mod tests {
                     (2 * r.items).div_ceil(big.b) as u64
                 }
             },
-            &["level 1 0 128 1568", "level 2 128 192 6144", "level 3 941 384 12288"],
+            &[(1, 128, 1568), (2, 192, 6144), (3, 384, 12288)],
             &mutants,
         );
         legacy(
@@ -769,7 +605,7 @@ mod tests {
             (20_000, 50_000),
             &sized,
             &|k, r| if k == 1 { big.level_buckets(k) } else { r.buckets },
-            &["level 1 0 128 1568", "level 2 128 128 6144", "level 3 941 256 12288"],
+            &[(1, 128, 1568), (2, 128, 6144), (3, 256, 12288)],
             &mutants,
         );
     }
@@ -784,21 +620,7 @@ mod tests {
         s.total_ios() - before
     }
 
-    /// Blocks (primaries and chains) of the levels that carry a filter —
-    /// what a reopen reads to rebuild them — and how many such levels
-    /// are occupied. Walked behind the accounting.
-    fn filtered_blocks<M: StoreMedia>(s: &mut KvStore<M>) -> (u64, usize) {
-        let filtered = s.table.filter_plan().levels();
-        let levels = s.table.persisted_levels().to_vec();
-        let (mut blocks, mut occupied) = (0, 0);
-        for region in levels.iter().skip(1).take(filtered).flatten() {
-            occupied += 1;
-            region.inspect(s.table.disk_mut(), |_, _, _| blocks += 1).unwrap();
-        }
-        (blocks, occupied)
-    }
-
-    /// Filters are never persisted: reopen (clean and crash-path)
+    /// Filters are never persisted: reopen (after a close or a crash)
     /// rebuilds them with one accounted scan of the filtered levels, and
     /// `compact` fills the dense level's as it writes the level — after
     /// which lookups cost exactly what they cost the handle that wrote
@@ -827,9 +649,10 @@ mod tests {
         assert_eq!(s.disk_stats().reads, blocks, "the rebuild reads each filtered block once");
         assert_eq!(probe_cost(&mut s, n), cost, "clean reopen");
 
-        // Compaction lands everything in one (filtered) level of a fresh
-        // disk, whose counters start with the level's blocks written
-        // once; its filter was filled on the way, without a read.
+        // Compaction lands everything in one (filtered) level: every old
+        // block read once, the level's blocks written once; its filter
+        // was filled on the way, without reading the level back.
+        let (old_blocks, before) = (level_blocks(&mut s), s.disk_stats());
         s.compact().unwrap();
         let (blocks, occupied) = filtered_blocks(&mut s);
         assert_eq!(occupied, 1);
@@ -839,8 +662,12 @@ mod tests {
             .inspect(s.table.disk_mut(), |_, _, blk| written += u64::from(!blk.is_empty()))
             .unwrap();
         assert!(written <= blocks && blocks - written < blocks / 50, "few buckets drew nothing");
-        let io = s.disk_stats();
-        assert_eq!((io.reads, io.writes), (0, written), "compact fills the filter as items land");
+        let io = s.disk_stats().since(&before);
+        assert_eq!(
+            (io.reads, io.writes),
+            (old_blocks, written),
+            "compact fills the filter as items land"
+        );
         for key in n..n + 2_000 {
             s.insert(key, key + 1).unwrap();
         }
@@ -852,90 +679,263 @@ mod tests {
         drop(s);
         let _ = fs::remove_dir_all(&dir);
 
-        // The crash path: a marker-less harden, power loss, recovery walk.
+        // The same after a harden and a power loss.
         let env = SimEnv::new();
         let mut s = KvStore::open_on(SimMedia::open(&env).unwrap(), cfg.clone(), 31).unwrap();
         for key in 0..n {
             s.insert(key, key + 1).unwrap();
         }
-        s.harden(false).unwrap();
+        s.harden().unwrap();
         let (blocks, _) = filtered_blocks(&mut s);
         let cost = probe_cost(&mut s, n);
         sim_crash(&env, s, 31);
         let mut s = KvStore::open_on(SimMedia::open(&env).unwrap(), cfg, 31).unwrap();
-        assert_eq!(s.disk_stats().reads, blocks, "crash-path reopen rebuilds too");
-        assert_eq!(probe_cost(&mut s, n), cost, "crash-path reopen");
+        assert_eq!(s.disk_stats().reads, blocks, "a reopen after a crash rebuilds too");
+        assert_eq!(probe_cost(&mut s, n), cost, "reopen after a crash");
     }
 
     /// One `next` pointer rotted into a self-loop (blocks carry no
     /// checksum) in `H1` of the deployed geometry, a filtered level: the
     /// probe that follows it, and the reopen that re-reads the level for
-    /// its filter — over `CLEAN`, or behind the recovery walk — each give
-    /// up as `Corrupt` within two reads per slot of the file. Neither
-    /// spins, and the open handle serves every other bucket.
+    /// its filter, each give up as `Corrupt` within two reads per block
+    /// of the store. Neither spins, and the open handle serves every
+    /// other bucket.
     #[test]
     fn a_cyclic_chain_is_corrupt_to_the_probe_and_the_reopen_that_meet_it() {
-        use dxh_extmem::{IoEvent, SimEnv};
         use std::time::Duration;
         let cfg = CoreConfig::lemma5(64, 4096, 2).unwrap();
         let open = |env: &SimEnv| {
             crate::SimMedia::open(env).and_then(|m| KvStore::open_on(m, cfg.clone(), 33))
         };
-        let block_reads = |env: &SimEnv| {
-            env.take_trace().iter().filter(|e| matches!(e, IoEvent::Read { .. })).count()
+        let env = SimEnv::new();
+        let mut s = open(&env).unwrap();
+        for k in 0..4_000u64 {
+            s.insert(k, k + 1).unwrap();
+        }
+        s.sync().unwrap();
+        let h1 = s.table.persisted_levels()[1].expect("4 000 keys sit in H1");
+        let blocks = s.table.disk().live_blocks();
+        // Primary 0 points at itself, and loses a key its level's filter
+        // still lets through. The store itself refuses to write a level
+        // its manifest names: the rot comes in behind its back.
+        let head = h1.block_of(0);
+        let mut blk = s.table.disk_mut().backend_mut().read(head).unwrap();
+        let (lost, kept) = (blk.items()[0].key, blk.items()[1].key);
+        blk.remove(lost);
+        blk.set_next(Some(head));
+        let refused = s.table.disk_mut().backend_mut().write(head, &blk);
+        assert!(matches!(refused, Err(ExtMemError::BadConfig(_))), "{refused:?}");
+        let mut file = env.open_disk(&level_file_name(head.raw() >> 32), cfg.b).unwrap();
+        file.write(BlockId(0), &blk).unwrap();
+        file.sync().unwrap();
+        env.take_trace();
+        let probe = s.lookup(lost);
+        assert!(matches!(probe, Err(ExtMemError::Corrupt(_))), "{probe:?}");
+        let reads = block_reads(&env);
+        assert!((2..=2 * blocks).contains(&reads), "the probe read {reads} blocks");
+        assert_eq!(s.lookup(kept).unwrap(), Some(kept + 1), "that call alone");
+        assert_eq!(s.lookup(3_999).unwrap(), Some(4_000), "other buckets serve");
+        sim_crash(&env, s, 2);
+        env.take_trace();
+        // On a thread: an open that followed the loop forever would
+        // hang the suite instead of failing it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (env_there, cfg_there) = (env.clone(), cfg.clone());
+        let opener = dxh_sync::thread::spawn(move || {
+            let opened = crate::SimMedia::open(&env_there)
+                .and_then(|m| KvStore::open_on(m, cfg_there, 33))
+                .map(drop);
+            let _ = tx.send(opened);
+        });
+        let opened = rx.recv_timeout(Duration::from_secs(60)).expect("the open never returned");
+        opener.join().unwrap();
+        assert!(matches!(opened, Err(ExtMemError::Corrupt(_))), "{opened:?}");
+        let reads = block_reads(&env);
+        assert!((2..=2 * blocks).contains(&reads), "the open read {reads} blocks");
+    }
+
+    /// Four filtered levels, so a reopen has blocks to read.
+    fn legacy_cfg() -> CoreConfig {
+        CoreConfig::lemma5(8, 1024, 2).unwrap()
+    }
+
+    /// Keys `0..LEGACY_KEYS` hold `key + 1` (their payload, in payload
+    /// mode) in a legacy store.
+    const LEGACY_KEYS: u64 = 8_000;
+
+    /// What the version before this one left in a directory: every level
+    /// in the one `store.blk`, its slots recycled through a free list
+    /// (dead ones sit between the levels), a manifest carrying that
+    /// allocator's `slots` and `free` lines — the bytes
+    /// `manifest_bytes_are_pinned_and_the_previous_layout_still_parses`
+    /// keeps — and, closed cleanly, `CLEAN`. Killed instead, there is no
+    /// marker and the free list on disk is stale: it names slots a level
+    /// occupies, which that version's recovery walk would have found out.
+    /// Returns the blob log's bytes (payload mode).
+    fn write_legacy_store(env: &SimEnv, payloads: bool, clean: bool) -> Option<Vec<u8>> {
+        let (cfg, seed) = (legacy_cfg(), 84);
+        let mut media = SimMedia::open(env).unwrap();
+        let disk = Disk::new(media.create_data("store.blk", cfg.b).unwrap(), cfg.b, cfg.cost);
+        let mut table = LogMethodTable::new_on(disk, cfg.clone(), seed).unwrap();
+        let mut blob =
+            payloads.then(|| BlobLog::create(media.create_file("store.blob").unwrap()).unwrap());
+        for k in 0..LEGACY_KEYS {
+            let word = match blob.as_mut() {
+                Some(log) => BLOB_TAG | log.append(&payload_for(k)).unwrap().0,
+                None => k + 1,
+            };
+            table.insert(k, word).unwrap();
+        }
+        table.flush_memory().unwrap();
+        table.disk_mut().flush().unwrap();
+        let levels = table.persisted_levels().to_vec();
+        let slots = table.disk().backend().slots();
+        assert!(table.disk().live_blocks() < slots / 2, "the heap is mostly dead slots");
+        let mut free = vec![true; slots as usize];
+        for region in levels.iter().flatten() {
+            region.inspect(table.disk_mut(), |_, id, _| free[id.raw() as usize] = false).unwrap();
+        }
+        let deepest = levels.iter().flatten().last().expect("levels");
+        let free: Vec<String> = match clean {
+            true => (0..slots).filter(|&id| free[id as usize]).map(|id| id.to_string()).collect(),
+            false => (0..16).map(|q| deepest.block_of(q).raw().to_string()).collect(),
         };
-        for clean in [true, false] {
+        let mut text = format!(
+            "dxh-store v2\nb {}\nm {}\ngamma 2\nbeta 2\ncost seek\nseed {seed}\nepoch 5\ndata 0\n",
+            cfg.b, cfg.m
+        );
+        if let Some(log) = blob.as_mut() {
+            log.sync().unwrap();
+            text.push_str(&format!("blob {}\n", log.len()));
+        }
+        text.push_str(&format!(
+            "slots {slots}\nfree {}\nlevels {}\n",
+            free.join(","),
+            levels.len()
+        ));
+        for (k, r) in levels.iter().enumerate() {
+            if let Some(r) = r {
+                text.push_str(&format!("level {k} {} {} {}\n", r.base.raw(), r.buckets, r.items));
+            }
+        }
+        put_file(env, MANIFEST, text.as_bytes());
+        if clean {
+            put_file(env, CLEAN, b"clean\n");
+        }
+        env.read_file("store.blob").unwrap()
+    }
+
+    fn open_legacy(env: &SimEnv, payloads: bool) -> KvStore<SimMedia> {
+        let media = SimMedia::open(env).unwrap();
+        match payloads {
+            true => KvStore::open_payload_on(media, legacy_cfg(), 84).unwrap(),
+            false => KvStore::open_on(media, legacy_cfg(), 84).unwrap(),
+        }
+    }
+
+    fn assert_serves_the_legacy_keys(s: &mut KvStore<SimMedia>, when: &str) {
+        for k in 0..LEGACY_KEYS {
+            match s.payload_mode() {
+                true => {
+                    assert_eq!(s.get_bytes(k).unwrap(), Some(&payload_for(k)[..]), "{when}: {k}")
+                }
+                false => assert_eq!(s.lookup(k).unwrap(), Some(k + 1), "{when}: key {k}"),
+            }
+        }
+    }
+
+    /// A store of the previous layout — closed cleanly, or killed and
+    /// left with a stale free list — opens as it is: all its levels in
+    /// "file 0", nothing read but the filtered levels, `CLEAN` and the
+    /// allocator lines not believed but ignored. The first commit writes
+    /// an ordinary manifest; ordinary flushes carry the levels out of
+    /// `store.blk` one by one, and the commit after the last of them
+    /// unlinks it. A payload-mode store goes the same way and its blob
+    /// log is not touched.
+    #[test]
+    fn a_store_of_the_previous_layout_opens_as_file_0_and_carries_itself_out_of_it() {
+        for (payloads, clean) in [(false, true), (false, false), (true, true), (true, false)] {
+            let when = format!("payloads: {payloads}, clean: {clean}");
             let env = SimEnv::new();
-            let mut s = open(&env).unwrap();
-            for k in 0..4_000u64 {
-                s.insert(k, k + 1).unwrap();
-            }
+            let blob = write_legacy_store(&env, payloads, clean);
+            env.take_trace();
+            let mut s = open_legacy(&env, payloads);
+            let reads = block_reads(&env);
+            assert_eq!(reads, filtered_blocks(&mut s).0, "{when}: the filtered levels, no walk");
+            let footprint = s.footprint().unwrap();
+            let in_file_0 = |r: &Region| r.base.raw() >> 32 == 0;
+            assert!(footprint.levels.len() >= 3, "{when}");
+            assert!(s.table.persisted_levels().iter().flatten().all(in_file_0), "{when}");
+            let whole = env.file_len("store.blk");
+            assert!(footprint.levels.iter().all(|l| l.file_bytes == whole), "{when}");
+            assert_eq!(footprint.data_bytes, env.file_len("store.blk"), "{when}: counted once");
+            assert!(!sim_files(&env).contains(CLEAN), "{when}: the marker is a stray");
+            assert_serves_the_legacy_keys(&mut s, &when);
+
+            // The first commit: the new manifest, whatever was there.
+            let mut next = LEGACY_KEYS;
+            let mut put = |s: &mut KvStore<SimMedia>| {
+                match s.payload_mode() {
+                    true => s.put_bytes(next, &payload_for(next)).unwrap(),
+                    false => s.insert(next, next + 1).unwrap(),
+                }
+                next += 1;
+            };
+            put(&mut s);
             s.sync().unwrap();
-            let h1 = s.table.persisted_levels()[1].expect("4 000 keys sit in H1");
-            let backend = s.table.disk_mut().backend_mut();
-            let slots = backend.slots() as usize;
-            // Primary 0 points at itself, and loses a key its level's
-            // filter still lets through.
-            let mut blk = backend.read(h1.block_of(0)).unwrap();
-            let (lost, kept) = (blk.items()[0].key, blk.items()[1].key);
-            blk.remove(lost);
-            blk.set_next(Some(h1.block_of(0)));
-            backend.write(h1.block_of(0), &blk).unwrap();
-            backend.sync().unwrap();
-            env.take_trace();
-            let probe = s.lookup(lost);
-            assert!(matches!(probe, Err(ExtMemError::Corrupt(_))), "clean = {clean}: {probe:?}");
-            let reads = block_reads(&env);
-            assert!(
-                (2..=2 * slots).contains(&reads),
-                "clean = {clean}: the probe read {reads} blocks"
-            );
-            assert_eq!(s.lookup(kept).unwrap(), Some(kept + 1), "that call alone");
-            assert_eq!(s.lookup(3_999).unwrap(), Some(4_000), "other buckets serve");
-            sim_crash(&env, s, 2);
-            if !clean {
-                env.remove_file(CLEAN).unwrap();
-                env.sync_dir("").unwrap();
+            let text = manifest_text(&env);
+            assert!(!text.contains("\nslots ") && !text.contains("\nfree "), "{when}: {text}");
+            assert_eq!(sim_files(&env), named_files(&s), "{when}");
+            assert!(sim_files(&env).contains("store.blk"), "{when}: levels still live in it");
+
+            // Ingest until the last level has left it.
+            let mut commits = 0;
+            while sim_files(&env).contains("store.blk") {
+                (0..500).for_each(|_| put(&mut s));
+                s.sync().unwrap();
+                commits += 1;
+                assert!(commits < 100, "{when}: store.blk never retires");
+                assert_eq!(sim_files(&env), named_files(&s), "{when}: commit {commits}");
             }
-            env.take_trace();
-            // On a thread: an open that followed the loop forever would
-            // hang the suite instead of failing it.
-            let (tx, rx) = std::sync::mpsc::channel();
-            let (env_there, cfg_there) = (env.clone(), cfg.clone());
-            let opener = dxh_sync::thread::spawn(move || {
-                let opened = crate::SimMedia::open(&env_there)
-                    .and_then(|m| KvStore::open_on(m, cfg_there, 33))
-                    .map(drop);
-                let _ = tx.send(opened);
-            });
-            let opened = rx.recv_timeout(Duration::from_secs(60)).expect("the open never returned");
-            opener.join().unwrap();
-            assert!(matches!(opened, Err(ExtMemError::Corrupt(_))), "clean = {clean}: {opened:?}");
-            let reads = block_reads(&env);
-            assert!(
-                (2..=2 * slots).contains(&reads),
-                "clean = {clean}: the open read {reads} blocks"
-            );
+            assert!(!s.table.persisted_levels().iter().flatten().any(in_file_0), "{when}");
+            assert_serves_the_legacy_keys(&mut s, &when);
+            drop(s);
+            let mut s = open_legacy(&env, payloads);
+            assert_serves_the_legacy_keys(&mut s, &when);
+            if let Some(blob) = blob {
+                let now = env.read_file("store.blob").unwrap().expect("the log");
+                assert!(now.starts_with(&blob), "{when}: the blob log is appended to, no more");
+            }
+        }
+    }
+
+    /// The same stores, upgraded by one `compact` instead: one level in
+    /// a file of its own, `store.blk` gone with the commit; in payload
+    /// mode the blob log's next generation beside it.
+    #[test]
+    fn one_compact_carries_a_store_of_the_previous_layout_out_of_file_0() {
+        for (payloads, clean) in [(false, true), (false, false), (true, false)] {
+            let when = format!("payloads: {payloads}, clean: {clean}");
+            let env = SimEnv::new();
+            write_legacy_store(&env, payloads, clean);
+            let mut s = open_legacy(&env, payloads);
+            let heap = env.file_len("store.blk");
+            let stats = s.compact().unwrap();
+            assert_eq!(stats.live_items as u64, LEGACY_KEYS, "{when}");
+            assert_eq!(stats.bytes_before, heap, "{when}");
+            assert!(stats.bytes_after < stats.bytes_before / 2, "{when}: {stats:?}");
+            let footprint = s.footprint().unwrap();
+            assert_eq!(footprint.levels.len(), 1, "{when}");
+            assert_eq!(footprint.data_bytes, stats.bytes_after, "{when}");
+            assert_eq!(sim_files(&env), named_files(&s), "{when}");
+            assert!(!sim_files(&env).contains("store.blk"), "{when}");
+            assert_eq!(sim_files(&env).contains("store.1.blob"), payloads, "{when}");
+            assert_serves_the_legacy_keys(&mut s, &when);
+            sim_crash(&env, s, 3);
+            let mut s = open_legacy(&env, payloads);
+            assert_serves_the_legacy_keys(&mut s, &when);
+            s.compact().unwrap();
+            assert_serves_the_legacy_keys(&mut s, &when);
         }
     }
 }

@@ -14,10 +14,10 @@
 //! That pass is written once, as [`MergeCursor`]: it owns the sources,
 //! yields each destination bucket's merged items (newest copy wins,
 //! spent deletion markers purged) and ends by checking that every source
-//! drained. Two consumers write what it yields: [`build_fresh_region`] into a
-//! fresh region — on the sources' disk (a flush, an `Ĥ` rebuild) or on
-//! another one (compaction, `LogMethodTable::rebuild_onto`) — and
-//! [`merge_in_place`] into the buckets of `Ĥ`.
+//! drained. Two consumers write what it yields: [`build_fresh_region`]
+//! into a fresh region (a flush, an `Ĥ` rebuild, compaction's
+//! `LogMethodTable::merge_into_level`) and [`merge_in_place`] into the
+//! buckets of `Ĥ`.
 //!
 //! Each disk stream maintains the invariant: after reading source buckets
 //! `0 … p−1`, every item with target bucket `q` such that
@@ -27,8 +27,8 @@
 //! buffer never holds more than one source bucket past the boundary —
 //! a `k`-source merge keeps `k` such buffers, one per disk level it reads.
 //!
-//! Reading a region *without* consuming it — filter rebuilds, the
-//! recovery walk, layout snapshots — goes through [`Region::walk`], the
+//! Reading a region *without* consuming it — filter rebuilds, layout
+//! snapshots — goes through [`Region::walk`], the
 //! one loop that follows overflow chains, bounded by the blocks the disk
 //! can hold.
 
@@ -65,10 +65,10 @@ impl Region {
     /// Shows `visit` every block of `buckets` — each bucket's primary,
     /// then its overflow chain — as `(bucket, id, block)`, fetching
     /// through `read` so that accounted (`Disk::read`), unaccounted
-    /// (`backend_mut`) and pre-`Disk` (`PersistentBackend`) callers
+    /// (`backend_mut`) and pre-`Disk` (a bare backend) callers
     /// share the one loop that follows `next` pointers. `hops` is how
-    /// many blocks the walk may meet — the disk's live blocks, or its
-    /// slots: a pointer rotted into a cycle is [`ExtMemError::Corrupt`]
+    /// many blocks the walk may meet — the disk's live blocks: a pointer
+    /// rotted into a cycle is [`ExtMemError::Corrupt`]
     /// after that many reads, never a spin.
     pub fn walk(
         &self,
@@ -304,24 +304,23 @@ impl<'h, F: HashFn> MergeCursor<'h, F> {
     }
 }
 
-/// Builds what `cursor` yields into a fresh region of its bucket count:
-/// on `dst`, or — `None` — on `src`, the disk the sources live on. Each
-/// value first goes through `map`, if any, and every key written is
-/// added to `filter`, when the destination level keeps one.
+/// Builds what `cursor` yields into a fresh region of its bucket count
+/// on `disk`, where the sources live. Each value first goes through
+/// `map`, if any, and every key written is added to `filter`, when the
+/// destination level keeps one.
 ///
 /// Cost: the cursor's source reads plus one write per nonempty target
 /// block — `O(Σ |source regions| / b + nb_dst)` I/Os, none of them a
 /// read of the destination.
 pub(crate) fn build_fresh_region<B: StorageBackend, F: HashFn>(
-    src: &mut Disk<B>,
-    mut dst: Option<&mut Disk<B>>,
+    disk: &mut Disk<B>,
     mut cursor: MergeCursor<'_, F>,
     mut filter: Option<&mut LevelFilter>,
     mut map: Option<ValueMap<'_>>,
 ) -> Result<(Region, MergeStats)> {
     let (hash, buckets) = (cursor.hash, cursor.nb_dst);
-    let base = dst.as_deref_mut().unwrap_or(&mut *src).allocate_contiguous(buckets as usize)?;
-    while let Some((q, items)) = cursor.next_bucket(src)? {
+    let base = disk.allocate_contiguous(buckets as usize)?;
+    while let Some((q, items)) = cursor.next_bucket(disk)? {
         for it in items.iter_mut() {
             if let Some(map) = map.as_mut() {
                 it.value = map(it.value)?;
@@ -330,7 +329,7 @@ pub(crate) fn build_fresh_region<B: StorageBackend, F: HashFn>(
                 filter.insert(hash.hash64(it.key));
             }
         }
-        write_bucket(dst.as_deref_mut().unwrap_or(&mut *src), BlockId(base.raw() + q), items)?;
+        write_bucket(disk, BlockId(base.raw() + q), items)?;
     }
     Ok((Region { base, buckets, items: cursor.stats.items }, cursor.stats))
 }
@@ -441,7 +440,7 @@ mod tests {
         purge: bool,
         filter: Option<&mut LevelFilter>,
     ) -> Result<(Region, MergeStats)> {
-        build_fresh_region(disk, None, MergeCursor::new(hash, sources, nb_dst, purge), filter, None)
+        build_fresh_region(disk, MergeCursor::new(hash, sources, nb_dst, purge), filter, None)
     }
 
     #[test]
@@ -516,8 +515,8 @@ mod tests {
         // Blocks that hold another table's items (media that lost a
         // sync): bucket 1 of 2 holds a key of bucket 0, which is built by
         // the time the stream reads it. Whatever consumes the cursor —
-        // a build on the sources' disk, one across disks, the in-place
-        // merge — ends in the same refusal.
+        // a build of a fresh region, the in-place merge — ends in the
+        // same refusal.
         let h = hash();
         let stray = (0..).find(|&k| prefix_bucket(h.hash64(k), 2) == 0).expect("some key");
         let misplaced = |d: &mut Disk<MemDisk>| {
@@ -530,13 +529,10 @@ mod tests {
                 false,
             )
         };
-        let (mut d, mut other) = (mem_disk(4), mem_disk(4));
+        let mut d = mem_disk(4);
         let cursor = misplaced(&mut d);
-        let merged = build_fresh_region(&mut d, None, cursor, None, None);
+        let merged = build_fresh_region(&mut d, cursor, None, None);
         assert!(matches!(merged, Err(ExtMemError::Corrupt(_))));
-        let cursor = misplaced(&mut d);
-        let merged = build_fresh_region(&mut d, Some(&mut other), cursor, None, None);
-        assert!(matches!(merged, Err(ExtMemError::Corrupt(_))), "across disks");
         let mut hat = build_region(&mut d, &h, 2, &[]);
         let cursor = misplaced(&mut d);
         let merged = merge_in_place(&mut d, cursor, &mut hat);
@@ -855,15 +851,15 @@ mod tests {
     }
 
     #[test]
-    fn a_region_is_built_across_disks_mapped_and_filtered_as_it_lands() {
+    fn a_region_is_built_mapped_and_filtered_as_it_lands() {
         use crate::config::CoreConfig;
         use crate::filter::FilterPlan;
-        let mut src = mem_disk(4);
-        let mut dst = mem_disk(4);
+        let mut d = mem_disk(4);
         let h = hash();
         let cfg = CoreConfig::lemma5(2, 256, 2).unwrap();
         let mut filter = FilterPlan::derive(&cfg, 64).new_filter(1).expect("H1 fits in 64 items");
-        let a = build_region(&mut src, &h, 2, &(0..20).collect::<Vec<_>>());
+        let a = build_region(&mut d, &h, 2, &(0..20).collect::<Vec<_>>());
+        let source_blocks = d.live_blocks();
         let markers = vec![Item::delete_marker(5)];
         let sources = vec![Source::from_memory(markers, &h), Source::from_region(a)];
         let mut mapped = Vec::new();
@@ -871,21 +867,19 @@ mod tests {
             mapped.push(v);
             Ok(v + 100)
         };
-        let e = dst.epoch();
-        let (merged, stats) = build_fresh_region(
-            &mut src,
-            Some(&mut dst),
-            MergeCursor::new(&h, sources, 8, true),
-            Some(&mut filter),
-            Some(&mut map),
-        )
-        .unwrap();
+        let e = d.epoch();
+        let cursor = MergeCursor::new(&h, sources, 8, true);
+        let (merged, stats) =
+            build_fresh_region(&mut d, cursor, Some(&mut filter), Some(&mut map)).unwrap();
         assert_eq!(stats.purged, 1);
         assert_eq!(merged.items, 19);
-        assert_eq!(src.live_blocks(), 0, "source region fully freed on the source disk");
-        let io = dst.since(&e);
-        assert_eq!((io.reads, io.writes), (0, dst.live_blocks()), "written once, never read");
-        let landed = bucket_items(&mut dst, &merged, 0..merged.buckets);
+        let io = d.since(&e);
+        assert_eq!(
+            (io.reads, io.writes),
+            (source_blocks, d.live_blocks()),
+            "the source read once and freed, the region written once and never read"
+        );
+        let landed = bucket_items(&mut d, &merged, 0..merged.buckets);
         let survivors: Vec<u64> = (0..20).filter(|k| *k != 5).collect();
         // Mapped in the order the items landed: destination-bucket order.
         assert_eq!(landed.iter().map(|it| it.value - 100).collect::<Vec<_>>(), mapped);

@@ -1,9 +1,9 @@
 //! The durability-protocol spec: **one** declarative rule table encoding
 //! the commit protocols `docs/GUARANTEES.md` promises (manifest commit:
-//! write tmp → fdatasync → rename → dir-fsync; commit-log append: frame
-//! write → log fsync → ack; `CLEAN` unlink → dir-fsync; no block write
-//! under a durable `CLEAN` marker), consumed by two cooperating
-//! checkers:
+//! write tmp → fdatasync every level file written → rename → dir-fsync →
+//! unlink the level files dropped; commit-log append: frame write → log
+//! fsync → ack; sealed-log unlink → dir-fsync), consumed by two
+//! cooperating checkers:
 //!
 //! * the **static pass** `cargo run -p xtask -- lint-durability`, which
 //!   classifies every I/O-effectful call site on the real persistence
@@ -19,9 +19,7 @@
 //! (create, append, sync, rename, remove, dir-sync are each one traced
 //! event), so every file-level ordering is trace-visible; only ack-cell
 //! fills (not I/O) and discarded `Result`s (not runtime behavior) are
-//! lint-only, and the marker/write interleaving is a runtime ordering no
-//! intraprocedural scan can prove. The coverage matrix lives in
-//! `docs/DURABILITY.md`.
+//! lint-only. The coverage matrix lives in `docs/DURABILITY.md`.
 
 use std::collections::HashMap;
 
@@ -46,10 +44,14 @@ pub enum EffectClass {
     /// A directory fsync (`sync_dir`): makes a rename or unlink's
     /// directory entry itself durable.
     DirFsync,
-    /// An unlink whose **loss would be misread at recovery** (the
-    /// `CLEAN` marker; a discarded sealed log segment) — unlike the
-    /// best-effort stray-file removals, it owes a following dir-fsync.
+    /// An unlink whose **loss would be misread at recovery** (a
+    /// discarded sealed log segment) — unlike the best-effort stray-file
+    /// removals, it owes a following dir-fsync.
     MetaUnlink,
+    /// The unlink of level files a committed manifest named
+    /// (`LevelFiles::unlink_unnamed`): legal only once the manifest that
+    /// stops naming them is durable.
+    CommittedUnlink,
     /// An acknowledgement release: filling a parked writer's answer
     /// cell with `Ok` (`*cell = Some(Ok(..))`). The caller treats it as
     /// a durability promise, so it must follow the round's fsync.
@@ -65,6 +67,7 @@ impl EffectClass {
             EffectClass::Rename => "Rename",
             EffectClass::DirFsync => "DirFsync",
             EffectClass::MetaUnlink => "MetaUnlink",
+            EffectClass::CommittedUnlink => "CommittedUnlink",
             EffectClass::AckRelease => "AckRelease",
         }
     }
@@ -82,10 +85,12 @@ pub enum Check {
     /// Every anchor must be followed by an effect of the given class
     /// before its function's effect sequence ends.
     Followed(EffectClass),
-    /// Trace-only: no block write to a store's data file may happen
-    /// while that store's `CLEAN` marker is durably present — the
-    /// clean→dirty transition must unlink the marker first (G3).
-    NoWriteUnderCleanMarker,
+    /// The effect right before each anchor must be of the given class —
+    /// nothing at all may come between the two. In a trace: a level
+    /// file a completed manifest commit covered may be unlinked only in
+    /// the quiet window right after a completed manifest commit, before
+    /// the store creates or writes another block file (G1).
+    DirectlyAfter(EffectClass),
     /// Lint-only: the `Result` of an fsync/rename-class call must not
     /// be discarded with `let _ =` or `.ok()` — a swallowed sync error
     /// is an unkept durability promise. The single sanctioned sink is
@@ -127,8 +132,9 @@ pub const RULES: &[Rule] = &[
         check: Check::Preceded(EffectClass::DataFsync),
         lint: true,
         trace: true,
-        why: "the manifest rename is the commit point; the data it references must be \
-              fdatasync'd first or a durable manifest could name unwritten data (G1)",
+        why: "the manifest rename is the commit point; every level file it names that the \
+              last one did not must be fdatasync'd first, or a durable manifest could name \
+              unwritten data (G1)",
     },
     Rule {
         name: "rename-then-dir-fsync",
@@ -149,22 +155,23 @@ pub const RULES: &[Rule] = &[
               only after the round's log fsync or the shard's manifest commit",
     },
     Rule {
-        name: "clean-unlink-then-dir-fsync",
+        name: "sealed-log-unlink-then-dir-fsync",
         anchor: EffectClass::MetaUnlink,
         check: Check::Followed(EffectClass::DirFsync),
         lint: true,
-        trace: true, // fires at the store's next data write after an un-dir-synced unlink
-        why: "a resurrected CLEAN marker (or sealed log segment) would make recovery \
-              trust state the crash diverged from (G3)",
+        trace: false, // the automaton tracks no log segments
+        why: "the sealed segment's unlink must be durable before the next rotation seals \
+              over its name, or a crash could resurrect records every manifest covers (G4)",
     },
     Rule {
-        name: "no-write-under-clean-marker",
-        anchor: EffectClass::VolatileWrite,
-        check: Check::NoWriteUnderCleanMarker,
-        lint: false, // marker state is runtime state; no intraprocedural scan sees it
+        name: "unlink-after-manifest-commit",
+        anchor: EffectClass::CommittedUnlink,
+        check: Check::DirectlyAfter(EffectClass::DirFsync),
+        lint: true,
         trace: true,
-        why: "the CLEAN unlink must be durable before the first post-sync block write, \
-              or a crash masquerades as a clean shutdown (G3)",
+        why: "a level file the last durable manifest names must outlive that manifest: \
+              unlinked before the manifest that drops it is durable, a crash leaves a \
+              committed level without its blocks (G1)",
     },
     Rule {
         name: "blob-sync-before-index-commit",
@@ -233,7 +240,11 @@ pub const DIR_FSYNC_FNS: &[&str] = &["sync_dir"];
 pub const UNLINK: &str = ".remove(";
 
 /// See [`UNLINK`].
-pub const META_UNLINK_MARKERS: &[&str] = &["CLEAN", "COMMITLOG_OLD"];
+pub const META_UNLINK_MARKERS: &[&str] = &["COMMITLOG_OLD"];
+
+/// The one call that unlinks level files a committed manifest named
+/// ([`EffectClass::CommittedUnlink`]).
+pub const COMMITTED_UNLINK: &str = ".unlink_unnamed(";
 
 /// The source pattern of an acknowledgement release (an answer-cell
 /// fill with `Ok`); `Some(Err(..))` fills (wedging) are failures, not
@@ -255,7 +266,6 @@ pub const SYNC_RESULT_TOKENS: &[&str] = &[
     ".rename(",
     "commit_file_atomic(",
     "sync_dir(",
-    "clear_clean_marker(",
     ".blob_sync(",
 ];
 
@@ -276,10 +286,11 @@ impl std::fmt::Display for TraceViolation {
     }
 }
 
-/// Whether `name` is a store data file (any generation) — mirrors the
-/// store layer's naming scheme (`store.blk`, `store.N.blk`).
+/// Whether `name` is a store block file — a level file, or the single
+/// data file of an earlier layout — mirroring the store layer's naming
+/// (`level-N.blk`, `store.blk`, `store.N.blk`).
 fn is_data_file(name: &str) -> bool {
-    name.starts_with("store") && name.ends_with(".blk")
+    name.ends_with(".blk")
 }
 
 /// Whether `name` is a store blob log (any generation) — mirrors the
@@ -290,7 +301,7 @@ fn is_blob_file(name: &str) -> bool {
 
 /// Splits a simulated file name into `(store prefix, local name)` at
 /// the last `/` — `"shard-002/MANIFEST"` → `("shard-002/", "MANIFEST")`,
-/// `"store.blk"` → `("", "store.blk")`.
+/// `"level-7.blk"` → `("", "level-7.blk")`.
 fn split_name(name: &str) -> (&str, &str) {
     match name.rfind('/') {
         Some(i) => name.split_at(i + 1),
@@ -299,7 +310,8 @@ fn split_name(name: &str) -> (&str, &str) {
 }
 
 /// Splits a [`IoEvent::Meta`] label into `(op, name)` — e.g.
-/// `"file-create shard-000/CLEAN"` → `("file-create", "shard-000/CLEAN")`.
+/// `"file-create shard-000/MANIFEST.tmp"` → `("file-create",
+/// "shard-000/MANIFEST.tmp")`.
 fn split_label(label: &str) -> (&str, &str) {
     match label.split_once(' ') {
         Some((op, name)) => (op, name),
@@ -307,85 +319,61 @@ fn split_label(label: &str) -> (&str, &str) {
     }
 }
 
-/// `file` and the unsynced-write count it still carries, if any.
-fn pending<'a>(unsynced: &HashMap<&'a str, u64>, file: Option<&&'a str>) -> Option<(&'a str, u64)> {
-    let file = *file?;
-    unsynced.get(file).copied().filter(|&n| n > 0).map(|n| (file, n))
-}
-
-/// Where a store's `CLEAN` marker stands, as far as the trace shows.
-#[derive(Clone, Copy, PartialEq)]
-enum Marker {
-    /// Created (or found at open) and not unlinked since.
-    Present,
-    /// Unlinked, but the unlink is not yet dir-synced: a crash could
-    /// resurrect the marker.
-    Unlinked,
+/// What the automaton tracks per store directory.
+#[derive(Default)]
+struct StoreState<'a> {
+    /// Block files a completed manifest commit found in the directory:
+    /// the level files the last durable manifest may name.
+    covered: Vec<&'a str>,
+    /// The latest rename no `dir-sync` has covered yet.
+    undurable_rename: Option<&'a str>,
+    /// A manifest rename awaits its `dir-sync`.
+    committing: bool,
+    /// A manifest commit completed and the store has created or written
+    /// no block file since: the one window in which covered files go.
+    quiet: bool,
+    /// The current blob log (payload-mode stores only).
+    blob: Option<&'a str>,
 }
 
 /// The trace automaton: validates a `SimEnv` [`IoEvent`] stream against
 /// every trace-enabled rule of [`RULES`]. Returns every violation found
 /// (empty = conformant).
 ///
-/// The anchors are file-level: a **manifest commit** — marker-setting
-/// or marker-less (checkpoint) alike — is the `file-rename
-/// …MANIFEST.tmp -> …MANIFEST`, and the `CLEAN` marker is present from
-/// its `file-create` (or a `file-open` that finds it) to its
-/// `file-remove` plus the directory's `dir-sync`.
+/// The anchors are file-level: a **manifest commit** is the
+/// `file-rename …MANIFEST.tmp -> …MANIFEST` and completes at the
+/// directory's next `dir-sync`.
 ///
 /// State tracked per store prefix (the simulated twin of a store
-/// directory): the **current data file** (the last one created or
-/// opened — an interrupted compaction's abandoned generation carries no
-/// obligations once superseded), per-file unsynced-write counts, the
-/// marker, and the directory's last un-dir-synced rename. Every check
-/// fires *at its anchor event*, never at end-of-trace — the two
-/// "followed by a dir-fsync" rules fire at the directory's next write —
+/// directory): the block files in it and their unsynced-write counts —
+/// every one of them is a level file the next manifest may name, since a
+/// level built and carried away between two commits is unlinked before
+/// the second — the block files the last completed commit covered, the
+/// current blob log, and the directory's last un-dir-synced rename.
+/// Every check fires *at its anchor event*, never at end-of-trace — the
+/// "followed by a dir-fsync" rule fires at the directory's next write —
 /// so a crash-truncated trace can never false-positive, exactly the
 /// property the crash sweeps need.
 pub fn check_trace(events: &[IoEvent]) -> Vec<TraceViolation> {
     let r1 = rule("rename-after-data-fsync").trace;
     let r2 = rule("rename-then-dir-fsync").trace;
-    let r4 = rule("clean-unlink-then-dir-fsync").trace;
-    let r5 = rule("no-write-under-clean-marker").trace;
+    let r3 = rule("unlink-after-manifest-commit").trace;
     let r7 = rule("blob-sync-before-index-commit").trace;
     let mut out = Vec::new();
     // Unsynced write count per file (block writes and byte-file appends
     // alike — both land in the same `Write`/`Sync` event vocabulary).
     let mut unsynced: HashMap<&str, u64> = HashMap::new();
-    // The current (latest created/opened) data file per store prefix.
-    let mut current_data: HashMap<&str, &str> = HashMap::new();
-    // The current blob log per store prefix (payload-mode stores only).
-    let mut current_blob: HashMap<&str, &str> = HashMap::new();
-    let mut marker: HashMap<&str, Marker> = HashMap::new();
-    // Per directory, the latest rename no `dir-sync` has covered yet.
-    let mut undurable_rename: HashMap<&str, &str> = HashMap::new();
+    let mut stores: HashMap<&str, StoreState> = HashMap::new();
 
     for (at, ev) in events.iter().enumerate() {
         match ev {
             IoEvent::Write { file, .. } => {
                 let (prefix, local) = split_name(file);
-                if is_data_file(local) || is_blob_file(local) {
-                    match marker.get(prefix) {
-                        Some(Marker::Present) if r5 => out.push(TraceViolation {
-                            at,
-                            rule: "no-write-under-clean-marker",
-                            what: format!(
-                                "write to {file} while {prefix}CLEAN is present — the \
-                                 clean→dirty transition must unlink the marker first"
-                            ),
-                        }),
-                        Some(Marker::Unlinked) if r4 => out.push(TraceViolation {
-                            at,
-                            rule: "clean-unlink-then-dir-fsync",
-                            what: format!(
-                                "write to {file} after {prefix}CLEAN was unlinked but before \
-                                 the directory was synced — a crash could resurrect the marker"
-                            ),
-                        }),
-                        _ => {}
-                    }
+                let store = stores.entry(prefix).or_default();
+                if is_data_file(local) {
+                    store.quiet = false;
                 }
-                if let (true, Some(rename)) = (r2, undurable_rename.remove(prefix)) {
+                if let (true, Some(rename)) = (r2, store.undurable_rename.take()) {
                     out.push(TraceViolation {
                         at,
                         rule: "rename-then-dir-fsync",
@@ -414,12 +402,12 @@ pub fn check_trace(events: &[IoEvent]) -> Vec<TraceViolation> {
                         // image — and which names survived is unknown
                         // until the reopening process looks.
                         unsynced.clear();
-                        marker.clear();
-                        undurable_rename.clear();
+                        stores.clear();
                     }
                     "file-rename" => {
                         let Some((from, to)) = name.split_once(" -> ") else { continue };
                         let (prefix, local) = split_name(to);
+                        let store = stores.entry(prefix).or_default();
                         if let (true, Some(n)) = (r1, unsynced.remove(from).filter(|&n| n > 0)) {
                             out.push(TraceViolation {
                                 at,
@@ -431,23 +419,31 @@ pub fn check_trace(events: &[IoEvent]) -> Vec<TraceViolation> {
                             });
                         }
                         if local == "MANIFEST" {
-                            // The index commit point: what it references
-                            // in the data file and the blob log must be
+                            // The index commit point: every level file
+                            // it may name, and the blob log, must be
                             // durable first.
-                            let data = pending(&unsynced, current_data.get(prefix));
-                            if let (true, Some((data, n))) = (r1, data) {
+                            let mut pending: Vec<(&str, u64)> = unsynced
+                                .iter()
+                                .filter(|(file, n)| {
+                                    let (p, l) = split_name(file);
+                                    **n > 0 && p == prefix && is_data_file(l)
+                                })
+                                .map(|(file, n)| (*file, *n))
+                                .collect();
+                            pending.sort_unstable();
+                            for (data, n) in pending.into_iter().filter(|_| r1) {
                                 out.push(TraceViolation {
                                     at,
                                     rule: "rename-after-data-fsync",
                                     what: format!(
                                         "manifest commit `{label}` while {data} has {n} unsynced \
-                                         block write(s) — the data fsync must precede the commit \
-                                         point"
+                                         block write(s) — every level file written since the last \
+                                         commit must be fdatasync'd before the commit point"
                                     ),
                                 });
                             }
-                            let blob = pending(&unsynced, current_blob.get(prefix));
-                            if let (true, Some((blob, n))) = (r7, blob) {
+                            let blob = store.blob.and_then(|b| Some((b, *unsynced.get(b)?)));
+                            if let (true, Some((blob, n))) = (r7, blob.filter(|(_, n)| *n > 0)) {
                                 out.push(TraceViolation {
                                     at,
                                     rule: "blob-sync-before-index-commit",
@@ -458,39 +454,60 @@ pub fn check_trace(events: &[IoEvent]) -> Vec<TraceViolation> {
                                     ),
                                 });
                             }
+                            store.committing = true;
                         }
-                        undurable_rename.insert(prefix, label);
+                        store.undurable_rename = Some(label);
                     }
                     "dir-sync" => {
-                        undurable_rename.remove(name);
-                        if marker.get(name) == Some(&Marker::Unlinked) {
-                            marker.remove(name);
+                        let store = stores.entry(name).or_default();
+                        store.undurable_rename = None;
+                        if std::mem::take(&mut store.committing) {
+                            store.quiet = true;
+                            store.covered = unsynced
+                                .keys()
+                                .copied()
+                                .filter(|file| {
+                                    let (p, l) = split_name(file);
+                                    p == name && is_data_file(l)
+                                })
+                                .collect();
                         }
                     }
                     "file-create" | "file-open" => {
                         if op == "file-create" {
                             unsynced.insert(name, 0);
+                        } else {
+                            unsynced.entry(name).or_insert(0);
                         }
-                        if is_data_file(local) {
-                            current_data.insert(prefix, name);
+                        let store = stores.entry(prefix).or_default();
+                        if is_data_file(local) && op == "file-create" {
+                            store.quiet = false;
                         }
                         if is_blob_file(local) {
-                            current_blob.insert(prefix, name);
-                        }
-                        if local == "CLEAN" {
-                            marker.insert(prefix, Marker::Present);
+                            store.blob = Some(name);
                         }
                     }
                     "file-remove" => {
                         unsynced.remove(name);
-                        if current_data.get(prefix) == Some(&name) {
-                            current_data.remove(prefix);
+                        let store = stores.entry(prefix).or_default();
+                        if store.blob == Some(name) {
+                            store.blob = None;
                         }
-                        if current_blob.get(prefix) == Some(&name) {
-                            current_blob.remove(prefix);
-                        }
-                        if local == "CLEAN" {
-                            marker.insert(prefix, Marker::Unlinked);
+                        let covered = store.covered.iter().position(|file| *file == name);
+                        if let Some(i) = covered {
+                            store.covered.swap_remove(i);
+                            if r3 && !store.quiet {
+                                out.push(TraceViolation {
+                                    at,
+                                    rule: "unlink-after-manifest-commit",
+                                    what: format!(
+                                        "{name}, which a completed manifest commit covered, was \
+                                         unlinked after the store went on to build other levels \
+                                         and before the next commit completed — a crash here \
+                                         leaves the durable manifest naming a missing file"
+                                    ),
+                                });
+                            }
                         }
                     }
                     "file-truncate" => {
@@ -554,8 +571,7 @@ mod tests {
         let implemented = [
             "rename-after-data-fsync",
             "rename-then-dir-fsync",
-            "clean-unlink-then-dir-fsync",
-            "no-write-under-clean-marker",
+            "unlink-after-manifest-commit",
             "blob-sync-before-index-commit",
         ];
         for r in RULES.iter().filter(|r| r.trace) {
@@ -580,25 +596,98 @@ mod tests {
     #[test]
     fn conformant_commit_sequence_passes() {
         let events = trace(vec![
-            vec![meta("file-create store.blk"), write("store.blk"), write("store.blk")],
-            vec![sync("store.blk")],
+            vec![meta("file-create level-1.blk"), write("level-1.blk"), write("level-1.blk")],
+            vec![sync("level-1.blk")],
             manifest_commit(""),
-            vec![meta("file-create CLEAN"), write("CLEAN")],
         ]);
         assert_eq!(check_trace(&events), vec![]);
     }
 
-    /// Seeded mutant: manifest commit with the data fsync dropped.
+    /// Seeded mutant: manifest commit with the data fsync dropped — of
+    /// the only level file written since the last commit, or of one
+    /// among several.
     #[test]
     fn rename_before_fsync_mutant_is_caught() {
         let events = trace(vec![
-            vec![meta("file-create store.blk"), write("store.blk")],
+            vec![meta("file-create level-1.blk"), write("level-1.blk")],
             manifest_rename(""),
         ]);
         let v = check_trace(&events);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "rename-after-data-fsync");
         assert_eq!(v[0].at, 5);
+        let events = trace(vec![
+            vec![meta("file-create s/level-1.blk"), write("s/level-1.blk")],
+            vec![meta("file-create s/level-2.blk"), write("s/level-2.blk")],
+            vec![meta("file-create t/level-2.blk"), write("t/level-2.blk")],
+            vec![sync("s/level-2.blk")],
+            manifest_rename("s/"),
+        ]);
+        let v = check_trace(&events);
+        assert_eq!(v.len(), 1, "a sibling store's files are its own business: {v:?}");
+        assert!(v[0].what.contains("s/level-1.blk"), "{v:?}");
+    }
+
+    /// A level built and carried away between two commits is unlinked
+    /// before the second: it owes the commit no sync.
+    #[test]
+    fn a_file_consumed_before_the_commit_owes_it_nothing() {
+        let events = trace(vec![
+            vec![meta("file-create level-1.blk"), write("level-1.blk")],
+            vec![meta("file-create level-2.blk"), write("level-2.blk")],
+            vec![meta("file-remove level-1.blk"), sync("level-2.blk")],
+            manifest_commit(""),
+        ]);
+        assert_eq!(check_trace(&events), vec![]);
+    }
+
+    /// Seeded mutant: a level file a completed commit covered, unlinked
+    /// once the flush that read it is done instead of after the commit
+    /// that drops it. After that commit — and before the store builds
+    /// anything else — is the one place it may go.
+    #[test]
+    fn unlink_before_the_manifest_commit_mutant_is_caught() {
+        let committed = trace(vec![
+            vec![meta("file-create level-1.blk"), write("level-1.blk"), sync("level-1.blk")],
+            manifest_commit(""),
+        ]);
+        let flush = vec![meta("file-create level-2.blk"), write("level-2.blk")];
+        let bad = trace(vec![
+            committed.clone(),
+            flush.clone(),
+            vec![meta("file-remove level-1.blk"), sync("level-2.blk")],
+            manifest_commit(""),
+        ]);
+        let v = check_trace(&bad);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "unlink-after-manifest-commit");
+        assert_eq!(v[0].at, 10);
+        let good = trace(vec![
+            committed.clone(),
+            flush.clone(),
+            vec![sync("level-2.blk")],
+            manifest_commit(""),
+            vec![meta("file-remove level-1.blk")],
+        ]);
+        assert_eq!(check_trace(&good), vec![]);
+        // Not between the rename and its dir-sync either.
+        let early = trace(vec![
+            committed,
+            flush,
+            vec![sync("level-2.blk")],
+            manifest_rename(""),
+            vec![meta("file-remove level-1.blk")],
+        ]);
+        assert_eq!(check_trace(&early).len(), 1);
+        // A reopen's stray removal follows a power cycle: nothing is
+        // known to be covered, and nothing is indicted.
+        let strays = vec![
+            meta("file-create level-1.blk"),
+            meta("power-cycle"),
+            meta("file-open level-2.blk"),
+            meta("file-remove level-1.blk"),
+        ];
+        assert_eq!(check_trace(&strays), vec![]);
     }
 
     /// Seeded mutant: the tmp file's own fdatasync dropped before the
@@ -623,51 +712,17 @@ mod tests {
     fn rename_without_dir_fsync_mutant_is_caught() {
         let mut events = manifest_rename("shard-000/");
         assert_eq!(check_trace(&events), vec![], "a crash right after the rename is conformant");
-        events.extend([meta("file-create shard-000/CLEAN"), write("shard-000/CLEAN")]);
+        events.extend([meta("file-create shard-000/level-1.blk"), write("shard-000/level-1.blk")]);
         let v = check_trace(&events);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "rename-then-dir-fsync");
         assert_eq!(v[0].at, 5);
         // A sibling directory's dir-sync does not discharge it; its own does.
         let mut events = manifest_rename("shard-000/");
-        events.extend([meta("dir-sync shard-001/"), write("shard-000/store.blk")]);
+        events.extend([meta("dir-sync shard-001/"), write("shard-000/level-1.blk")]);
         assert_eq!(check_trace(&events).len(), 1);
         let mut events = manifest_commit("shard-000/");
-        events.push(write("shard-000/store.blk"));
-        assert_eq!(check_trace(&events), vec![]);
-    }
-
-    /// Seeded mutant: block write with the CLEAN unlink skipped.
-    #[test]
-    fn write_under_clean_marker_mutant_is_caught() {
-        let events = trace(vec![
-            vec![meta("file-create shard-000/store.blk"), sync("shard-000/store.blk")],
-            manifest_commit("shard-000/"),
-            vec![meta("file-create shard-000/CLEAN"), write("shard-000/store.blk")],
-        ]);
-        let v = check_trace(&events);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "no-write-under-clean-marker");
-        assert_eq!(v[0].at, 8);
-    }
-
-    /// Seeded mutant: the CLEAN unlink's dir-sync dropped — the next
-    /// block write could land under a resurrected marker.
-    #[test]
-    fn clean_unlink_without_dir_fsync_mutant_is_caught() {
-        let mut events = vec![
-            meta("file-create store.blk"),
-            meta("file-create CLEAN"),
-            meta("file-remove CLEAN"),
-        ];
-        assert_eq!(check_trace(&events), vec![], "a crash right after the unlink is conformant");
-        events.push(write("store.blk"));
-        let v = check_trace(&events);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "clean-unlink-then-dir-fsync");
-        assert_eq!(v[0].at, 3);
-        // With the dir-sync in place the same sequence is conformant.
-        events.insert(3, meta("dir-sync "));
+        events.push(write("shard-000/level-1.blk"));
         assert_eq!(check_trace(&events), vec![]);
     }
 
@@ -704,86 +759,15 @@ mod tests {
         assert_eq!(check_trace(&events), vec![]);
     }
 
-    /// Seeded mutant: blob append with the CLEAN unlink skipped — the
-    /// marker rule covers the payload log like any data file.
-    #[test]
-    fn blob_write_under_clean_marker_mutant_is_caught() {
-        let events = vec![
-            meta("file-create shard-000/store.blob"),
-            sync("shard-000/store.blob"),
-            meta("file-create shard-000/CLEAN"),
-            write("shard-000/store.blob"),
-        ];
-        let v = check_trace(&events);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "no-write-under-clean-marker");
-        assert_eq!(v[0].at, 3);
-    }
-
-    /// The marker-scoped rule is per store: a sibling shard's marker
-    /// does not indict this shard's writes.
-    #[test]
-    fn clean_marker_scope_is_per_store_prefix() {
-        let events = vec![
-            meta("file-create shard-000/CLEAN"),
-            meta("file-create shard-001/store.blk"),
-            write("shard-001/store.blk"),
-        ];
-        assert_eq!(check_trace(&events), vec![]);
-        let events = vec![
-            meta("file-create shard-000/CLEAN"),
-            meta("file-remove shard-000/CLEAN"),
-            meta("dir-sync shard-000/"),
-            meta("file-create shard-000/store.blk"),
-            write("shard-000/store.blk"),
-        ];
-        assert_eq!(check_trace(&events), vec![]);
-    }
-
-    /// A reopen that finds the marker re-arms the rule; one that does
-    /// not (the crash lost it) carries no obligation.
-    #[test]
-    fn marker_state_is_relearned_after_a_power_cycle() {
-        let found = vec![
-            meta("file-create CLEAN"),
-            meta("power-cycle"),
-            meta("file-open CLEAN"),
-            meta("file-open store.blk"),
-            write("store.blk"),
-        ];
-        assert_eq!(check_trace(&found).len(), 1);
-        let lost = vec![
-            meta("file-create CLEAN"),
-            meta("power-cycle"),
-            meta("file-absent CLEAN"),
-            meta("file-open store.blk"),
-            write("store.blk"),
-        ];
-        assert_eq!(check_trace(&lost), vec![]);
-    }
-
-    /// An interrupted compaction's superseded generation carries no
-    /// obligation: only the *current* data file gates the manifest.
-    #[test]
-    fn superseded_generation_does_not_block_the_commit() {
-        let events = trace(vec![
-            // Old generation: unsynced in-place merge.
-            vec![meta("file-create store.blk"), write("store.blk")],
-            vec![meta("file-create store.1.blk"), write("store.1.blk"), sync("store.1.blk")],
-            manifest_rename(""), // references store.1.blk — fine
-        ]);
-        assert_eq!(check_trace(&events), vec![]);
-    }
-
     /// A power cycle drops the overlay: the next process's manifest
     /// commit is not indicted by pre-crash unsynced writes — nor by a
     /// pre-crash rename the crash cut off from its dir-sync.
     #[test]
     fn power_cycle_resets_unsynced_state() {
         let events = trace(vec![
-            vec![meta("file-create store.blk"), write("store.blk")],
+            vec![meta("file-create level-1.blk"), write("level-1.blk")],
             vec![meta("file-rename COMMITLOG -> COMMITLOG.OLD")],
-            vec![meta("power-cycle"), meta("file-open store.blk")],
+            vec![meta("power-cycle"), meta("file-open level-1.blk")],
             manifest_commit(""),
         ]);
         assert_eq!(check_trace(&events), vec![]);
@@ -793,7 +777,8 @@ mod tests {
     /// in flight, no manifest yet) is conformant.
     #[test]
     fn truncated_trace_has_no_end_obligations() {
-        let events = vec![meta("file-create store.blk"), write("store.blk"), write("store.blk")];
+        let events =
+            vec![meta("file-create level-1.blk"), write("level-1.blk"), write("level-1.blk")];
         assert_eq!(check_trace(&events), vec![]);
     }
 
@@ -805,7 +790,7 @@ mod tests {
         use dxh_extmem::{BlobFile, Block, StorageBackend};
         let env = SimEnv::new();
         env.set_tracing(true);
-        let mut disk = env.create_disk("store.blk", 4).unwrap();
+        let mut disk = env.create_disk("level-1.blk", 4).unwrap();
         let id = disk.allocate().unwrap();
         let mut b = Block::new(4);
         b.push(dxh_extmem::Item { key: 1, value: 2 }).unwrap();

@@ -29,8 +29,8 @@ pub trait StorageBackend {
     /// address from `(base, bucket)` alone — an address function that fits
     /// in O(1) words of internal memory, as the paper's model requires —
     /// instead of keeping a per-bucket pointer table. A contiguous run of
-    /// freed ids may be recycled (region frees and crash GC return whole
-    /// ranges, so runs are the common case); both built-in backends use
+    /// freed ids may be recycled (region frees return whole ranges, so
+    /// runs are the common case); both built-in backends use
     /// the identical lowest-first-fit policy (the internal `FreeRuns`
     /// interval set) so the same workload produces the same ids on
     /// every backend.
@@ -47,44 +47,6 @@ pub trait StorageBackend {
     fn sync(&mut self) -> Result<()>;
 }
 
-/// The persistence surface a durable store needs from a backend beyond
-/// raw block I/O: allocator introspection plus the deferred-recycling
-/// protocol that keeps sync-point-referenced blocks physically intact
-/// between manifest commits.
-///
-/// [`crate::FileDisk`] implements it over a real file and
-/// [`crate::SimDisk`] over the deterministic crash-simulation device, so
-/// a persistence layer written against this trait runs — and is torture-
-/// tested — without caring where the blocks live.
-pub trait PersistentBackend: StorageBackend {
-    /// High-water mark: total slots ever allocated (free ones included).
-    fn slots(&self) -> u64;
-
-    /// Every dead slot — the recyclable stack plus any quarantined frees
-    /// — in recycle order. Serialize this to persist the allocator.
-    fn free_list(&self) -> Vec<u64>;
-
-    /// Number of dead slots (recyclable plus quarantined) without
-    /// cloning the list: `slots() == live_blocks() + free_count() as u64`
-    /// always holds.
-    fn free_count(&self) -> usize;
-
-    /// Quarantines future frees (on) or recycles them immediately (off,
-    /// the default). With deferral on, a freed block's contents stay
-    /// intact — and its slot is never re-allocated — until
-    /// [`PersistentBackend::commit_frees`].
-    fn set_defer_recycling(&mut self, defer: bool);
-
-    /// Releases every quarantined slot for recycling. Call after the
-    /// caller's own metadata (which lists those slots as free) is durable.
-    fn commit_frees(&mut self);
-
-    /// Restores a persisted free list after a reopen. Ids must be
-    /// in-range and distinct; the matching slots become dead until
-    /// re-allocated.
-    fn restore_free_list(&mut self, free: Vec<u64>) -> Result<()>;
-}
-
 /// Free block ids as a coalesced interval set (`start → end`,
 /// end-exclusive, maximal runs), maintained incrementally by the
 /// allocator alongside its LIFO recycle stack.
@@ -93,9 +55,8 @@ pub trait PersistentBackend: StorageBackend {
 /// [`StorageBackend::allocate_contiguous`] — the **lowest** maximal run
 /// of at least `n` consecutive free ids wins — so block ids stay
 /// backend-deterministic. Keeping the runs coalesced as frees arrive
-/// makes the run search `O(runs)` with no allocation (after crash GC or
-/// a region free the returned ranges coalesce into a handful of runs),
-/// where re-deriving it from the flat free list cost a clone plus an
+/// makes the run search `O(runs)` with no allocation (after a region
+/// free the returned ranges coalesce into a handful of runs), where re-deriving it from the flat free list cost a clone plus an
 /// `O(F log F)` sort on every region rebuild — even the ones that found
 /// nothing and fell through to file growth.
 #[derive(Debug, Default)]
@@ -104,14 +65,6 @@ pub(crate) struct FreeRuns {
 }
 
 impl FreeRuns {
-    /// Rebuilds from a flat id list (reopen path).
-    pub(crate) fn rebuild(&mut self, ids: &[u64]) {
-        self.runs.clear();
-        for &id in ids {
-            self.insert(id);
-        }
-    }
-
     /// Marks `id` free, coalescing with adjacent runs. `id` must not
     /// already be free (callers guard with their liveness checks).
     pub(crate) fn insert(&mut self, id: u64) {
@@ -169,11 +122,9 @@ impl FreeRuns {
 
 /// The allocator state machine shared by [`crate::FileDisk`] and
 /// [`crate::SimDisk`]: LIFO single-slot recycling, lowest-first-fit
-/// contiguous runs ([`FreeRuns`]), O(1) liveness, and the
-/// deferred-recycling quarantine of [`PersistentBackend`]. One
-/// implementation — not one per backend — is what keeps block ids
-/// backend-deterministic by construction: the torture harness certifies
-/// crash-safety of exactly the allocator the real store runs.
+/// contiguous runs ([`FreeRuns`]) and O(1) liveness. One implementation
+/// — not one per backend — is what keeps block ids backend-deterministic
+/// by construction.
 ///
 /// Device I/O (header resets, zero fills, file growth) happens in the
 /// backend *between* a `peek_*` and its `commit_*`: the peek chooses
@@ -185,22 +136,16 @@ pub(crate) struct SlotAllocator {
     slots: u64,
     /// Recycle stack: freed ids, reused LIFO.
     free: Vec<u64>,
-    /// `free` as coalesced intervals, for O(runs) contiguous-run search
-    /// (quarantined ids join only at [`SlotAllocator::commit_frees`]).
+    /// `free` as coalesced intervals, for O(runs) contiguous-run search.
     runs: FreeRuns,
-    /// Freed ids quarantined from recycling until committed.
-    pending_free: Vec<u64>,
-    /// All dead ids (`free` ∪ `pending_free`), for O(1) liveness checks.
+    /// `free` as a set, for O(1) liveness checks.
     free_set: HashSet<u64>,
-    /// When set, freed slots are quarantined instead of recycled.
-    defer_recycling: bool,
     live: u64,
 }
 
 impl SlotAllocator {
     /// An allocator over `[0, slots)` with every slot live — the reopen
-    /// shape (restore the persisted free list afterwards) and, with
-    /// `slots == 0`, the fresh-device shape.
+    /// shape and, with `slots == 0`, the fresh-device shape.
     pub(crate) fn with_all_live(slots: u64) -> Self {
         SlotAllocator { slots, live: slots, ..Default::default() }
     }
@@ -215,53 +160,9 @@ impl SlotAllocator {
         self.live
     }
 
-    /// Whether `id` is out of range or on the dead list.
+    /// Whether `id` is out of range or on the free list.
     pub(crate) fn is_dead(&self, id: u64) -> bool {
         id >= self.slots || self.free_set.contains(&id)
-    }
-
-    /// Every dead slot (recyclable plus quarantined) in recycle order.
-    pub(crate) fn free_list(&self) -> Vec<u64> {
-        let mut out = self.free.clone();
-        out.extend_from_slice(&self.pending_free);
-        out
-    }
-
-    /// Number of dead slots without cloning the list.
-    pub(crate) fn free_count(&self) -> usize {
-        self.free.len() + self.pending_free.len()
-    }
-
-    /// See [`PersistentBackend::set_defer_recycling`].
-    pub(crate) fn set_defer_recycling(&mut self, defer: bool) {
-        self.defer_recycling = defer;
-        if !defer {
-            self.commit_frees();
-        }
-    }
-
-    /// See [`PersistentBackend::commit_frees`].
-    pub(crate) fn commit_frees(&mut self) {
-        for &id in &self.pending_free {
-            self.runs.insert(id);
-        }
-        self.free.append(&mut self.pending_free);
-    }
-
-    /// See [`PersistentBackend::restore_free_list`].
-    pub(crate) fn restore_free_list(&mut self, free: Vec<u64>) -> Result<()> {
-        let mut set = HashSet::with_capacity(free.len());
-        for &id in &free {
-            if id >= self.slots || !set.insert(id) {
-                return Err(crate::error::ExtMemError::Corrupt(format!("bad free-list id {id}")));
-            }
-        }
-        self.live = self.slots - free.len() as u64;
-        self.runs.rebuild(&free);
-        self.free = free;
-        self.pending_free.clear();
-        self.free_set = set;
-        Ok(())
     }
 
     /// The slot the next single-slot recycle would take, without taking
@@ -280,8 +181,7 @@ impl SlotAllocator {
         self.live += 1;
     }
 
-    /// The lowest committed free run of at least `n` slots, without
-    /// taking it.
+    /// The lowest free run of at least `n` slots, without taking it.
     pub(crate) fn peek_run(&self, n: usize) -> Option<u64> {
         self.runs.first_run_of(n)
     }
@@ -307,14 +207,10 @@ impl SlotAllocator {
         base
     }
 
-    /// Returns live `id` to the allocator (quarantined under deferral).
+    /// Returns live `id` to the allocator.
     pub(crate) fn release(&mut self, id: u64) {
-        if self.defer_recycling {
-            self.pending_free.push(id);
-        } else {
-            self.free.push(id);
-            self.runs.insert(id);
-        }
+        self.free.push(id);
+        self.runs.insert(id);
         self.free_set.insert(id);
         self.live -= 1;
     }
@@ -349,7 +245,7 @@ mod tests {
         // Out-of-order frees with gaps: runs [2,5), [7,8), [10,14).
         let ids = [12, 2, 10, 7, 4, 13, 3, 11];
         let mut runs = FreeRuns::default();
-        runs.rebuild(&ids);
+        ids.iter().for_each(|&id| runs.insert(id));
         for n in 0..6 {
             assert_eq!(runs.first_run_of(n), reference_run(&ids, n), "n = {n}");
         }
@@ -394,10 +290,8 @@ mod tests {
             /// naive set model: after every mutation the coalesced
             /// interval set answers `first_run_of` exactly like a linear
             /// scan of the flat free set, for every run length that can
-            /// occur. `FreeRuns` is load-bearing for crash GC (it decides
-            /// which orphaned ranges region rebuilds recycle), so the
-            /// agreement is checked exhaustively rather than on a few
-            /// hand-picked shapes.
+            /// occur: the agreement is checked exhaustively rather
+            /// than on a few hand-picked shapes.
             #[test]
             fn free_runs_matches_a_btreeset_model(
                 ops in proptest::collection::vec((0u8..4, 0u64..48, 1u64..6), 1..250),

@@ -445,7 +445,7 @@ mod tests {
     }
 
     #[test]
-    fn contiguous_allocation_ignores_free_list() {
+    fn contiguous_allocation_ignores_scattered_frees() {
         let mut d = disk(4);
         let a = d.allocate().unwrap();
         let _b = d.allocate().unwrap();

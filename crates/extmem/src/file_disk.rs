@@ -4,7 +4,7 @@ use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 
-use crate::backend::{PersistentBackend, SlotAllocator, StorageBackend};
+use crate::backend::{SlotAllocator, StorageBackend};
 use crate::block::{Block, BlockId};
 use crate::error::{ExtMemError, Result};
 
@@ -22,9 +22,10 @@ use crate::error::{ExtMemError, Result};
 /// Every block I/O is one positional syscall (`pread`/`pwrite`); the
 /// file cursor is never used.
 ///
-/// The allocator state (free list) is kept in memory; callers that want
-/// persistence across process restarts serialize it themselves (see
-/// `dxh_core`'s store) and restore it via [`FileDisk::restore_free_list`].
+/// The allocator state (free list) lives in memory and dies with the
+/// handle: [`FileDisk::open`] finds every slot of the file live. A store
+/// that must outlive its process keeps no free list at all — `dxh_core`
+/// gives every level a file of its own and unlinks the file instead.
 /// Data durability is the caller's via [`StorageBackend::sync`]; the
 /// paper's bounds do not depend on durability.
 pub struct FileDisk {
@@ -32,8 +33,8 @@ pub struct FileDisk {
     block_capacity: usize,
     block_bytes: usize,
     /// The shared allocator state machine (LIFO recycling, contiguous
-    /// runs, deferred-recycling quarantine) — one implementation across
-    /// backends, so block ids stay backend-deterministic.
+    /// runs) — one implementation across backends, so block ids stay
+    /// backend-deterministic.
     alloc: SlotAllocator,
     /// Scratch buffer reused across reads/writes to avoid per-op allocation.
     scratch: Vec<u8>,
@@ -50,10 +51,8 @@ impl FileDisk {
     }
 
     /// Opens an existing disk file **without truncating**; every slot in
-    /// the file is initially considered live (the high-water mark is the
-    /// file length over the slot size). Restore the persisted free list
-    /// with [`FileDisk::restore_free_list`] to resume allocation exactly
-    /// where a previous process left off.
+    /// the file is live (the high-water mark is the file length over the
+    /// slot size).
     pub fn open(path: &Path, block_capacity: usize) -> Result<Self> {
         assert!(block_capacity > 0, "block capacity must be positive");
         let file = OpenOptions::new().read(true).write(true).open(path)?;
@@ -99,45 +98,6 @@ impl FileDisk {
     /// High-water mark: total slots ever allocated (free ones included).
     pub fn slots(&self) -> u64 {
         self.alloc.slots()
-    }
-
-    /// Every dead slot — the recyclable stack plus any quarantined frees
-    /// — in recycle order. Serialize this to persist the allocator: a
-    /// sync point's metadata references none of these slots, so all of
-    /// them are recyclable after a reopen.
-    pub fn free_list(&self) -> Vec<u64> {
-        self.alloc.free_list()
-    }
-
-    /// Number of dead slots (recyclable plus quarantined) without
-    /// cloning the list: `slots() == live_blocks() + free_count()` always
-    /// holds, which is the invariant GC and compaction accounting lean on.
-    pub fn free_count(&self) -> usize {
-        self.alloc.free_count()
-    }
-
-    /// Quarantines future frees (on) or recycles them immediately (off,
-    /// the default). With deferral on, a freed block's contents stay on
-    /// disk untouched — and its slot is never handed back by
-    /// [`StorageBackend::allocate`] — until [`FileDisk::commit_frees`].
-    /// Persistence layers turn this on so that blocks freed *after* their
-    /// last durable sync point still hold the data that sync point's
-    /// metadata references.
-    pub fn set_defer_recycling(&mut self, defer: bool) {
-        self.alloc.set_defer_recycling(defer);
-    }
-
-    /// Releases every quarantined slot for recycling. Call after the
-    /// caller's own metadata (which lists those slots as free) is durable.
-    pub fn commit_frees(&mut self) {
-        self.alloc.commit_frees();
-    }
-
-    /// Restores a persisted free list after [`FileDisk::open`]. Ids must
-    /// be in-range and distinct; the matching slots become dead until
-    /// re-allocated.
-    pub fn restore_free_list(&mut self, free: Vec<u64>) -> Result<()> {
-        self.alloc.restore_free_list(free)
     }
 
     fn offset(&self, slot: u64) -> u64 {
@@ -201,12 +161,11 @@ impl StorageBackend for FileDisk {
     }
 
     fn allocate_contiguous(&mut self, n: usize) -> Result<BlockId> {
-        // Recycle a contiguous run of free slots when one exists (only
-        // committed frees — quarantined slots still hold data a sync
-        // point references). Each slot is reset exactly as `allocate`
-        // resets one: the merge that asked for the run is about to write
-        // these blocks, so zero-filling their bodies would write every
-        // byte of the run twice.
+        // Recycle a contiguous run of free slots when one exists. Each
+        // slot is reset exactly as `allocate` resets one: the merge that
+        // asked for the run is about to write these blocks, so
+        // zero-filling their bodies would write every byte of the run
+        // twice.
         if let Some(base) = self.alloc.peek_run(n) {
             for slot in base..base + n as u64 {
                 self.reset_slot(slot)?;
@@ -234,34 +193,6 @@ impl StorageBackend for FileDisk {
     fn sync(&mut self) -> Result<()> {
         self.file.sync_data()?;
         Ok(())
-    }
-}
-
-/// The persistence surface, forwarded to the inherent methods (which
-/// remain the primary documentation).
-impl PersistentBackend for FileDisk {
-    fn slots(&self) -> u64 {
-        FileDisk::slots(self)
-    }
-
-    fn free_list(&self) -> Vec<u64> {
-        FileDisk::free_list(self)
-    }
-
-    fn free_count(&self) -> usize {
-        FileDisk::free_count(self)
-    }
-
-    fn set_defer_recycling(&mut self, defer: bool) {
-        FileDisk::set_defer_recycling(self, defer)
-    }
-
-    fn commit_frees(&mut self) {
-        FileDisk::commit_frees(self)
-    }
-
-    fn restore_free_list(&mut self, free: Vec<u64>) -> Result<()> {
-        FileDisk::restore_free_list(self, free)
     }
 }
 
@@ -412,17 +343,13 @@ mod tests {
     #[test]
     fn recycled_run_reads_back_empty() {
         let mut d = FileDisk::temp(4).unwrap();
-        d.set_defer_recycling(true);
         let _anchor = d.allocate().unwrap(); // the run does not start the file
         let base = dirty_run(&mut d, 6);
         for i in 0..6 {
             d.free(BlockId(base.raw() + i)).unwrap();
         }
-        let grown = d.allocate_contiguous(6).unwrap();
-        assert_eq!(grown.raw(), 7, "quarantined frees are not recycled");
-        d.commit_frees();
-        assert_eq!(d.allocate_contiguous(6).unwrap(), base, "the committed run is recycled");
-        assert_eq!(d.slots(), 13, "no growth");
+        assert_eq!(d.allocate_contiguous(6).unwrap(), base, "the freed run is recycled");
+        assert_eq!(d.slots(), 7, "no growth");
         // A partial overwrite, shorter than the stale image under it.
         let item = Item::new(5, 50);
         let mut blk = Block::new(4);
@@ -435,37 +362,31 @@ mod tests {
     fn recycled_run_is_reset_on_the_file_across_reopen() {
         let path =
             std::env::temp_dir().join(format!("dxh-filedisk-run-{}.blk", std::process::id()));
-        let (base, free_list) = {
+        let item = Item::new(6, 60);
+        let base = {
             let mut d = FileDisk::create(&path, 4).unwrap();
             let _anchor = d.allocate().unwrap();
             let base = dirty_run(&mut d, 5);
             for i in 0..5 {
                 d.free(BlockId(base.raw() + i)).unwrap();
             }
-            d.sync().unwrap();
-            (base, d.free_list())
-        };
-        let item = Item::new(6, 60);
-        {
-            let mut d = FileDisk::open(&path, 4).unwrap();
-            d.restore_free_list(free_list).unwrap();
-            assert!(d.read(base).is_err(), "restored frees are dead");
             assert_eq!(d.allocate_contiguous(5).unwrap(), base);
             let mut blk = Block::new(4);
             blk.push(item).unwrap();
             d.write(BlockId(base.raw() + 4), &blk).unwrap();
             assert_run_is_empty_but(&mut d, base, 5, 4, item);
             d.sync().unwrap();
-        }
-        // All six slots are live after a bare open: what decodes now is
-        // what the reset and the one write left in the file.
+            base
+        };
+        // All six slots are live after an open: what decodes now is what
+        // the reset and the one write left in the file.
         let mut d = FileDisk::open(&path, 4).unwrap();
         assert_run_is_empty_but(&mut d, base, 5, 4, item);
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn contiguous_search_stays_fast_with_a_fragmented_free_list() {
+    fn contiguous_search_stays_fast_with_fragmented_frees() {
         // Regression shape for the old per-call clone+sort: a large free
         // list fragmented into runs of 2 (so no run of 3 ever exists),
         // probed by many region rebuilds that all fall through to file
@@ -485,10 +406,10 @@ mod tests {
     }
 
     #[test]
-    fn open_resumes_a_created_file() {
+    fn open_finds_every_slot_of_a_created_file_live() {
         let path =
             std::env::temp_dir().join(format!("dxh-filedisk-open-{}.blk", std::process::id()));
-        let (id_a, id_b, free_list) = {
+        let (id_a, id_b) = {
             let mut d = FileDisk::create(&path, 4).unwrap();
             let a = d.allocate().unwrap();
             let b = d.allocate().unwrap();
@@ -501,59 +422,15 @@ mod tests {
             d.write(b, &blk).unwrap();
             d.free(c).unwrap();
             d.sync().unwrap();
-            (a, b, d.free_list())
+            (a, b)
         };
         let mut d = FileDisk::open(&path, 4).unwrap();
-        assert_eq!(d.slots(), 3);
-        d.restore_free_list(free_list).unwrap();
-        assert_eq!(d.live_blocks(), 2);
+        assert_eq!((d.slots(), d.live_blocks()), (3, 3), "the free list died with the handle");
         assert_eq!(d.read(id_a).unwrap().find(1), Some(11));
         assert_eq!(d.read(id_b).unwrap().find(2), Some(22));
-        // The freed slot is dead until re-allocated…
-        assert!(d.read(BlockId(2)).is_err());
-        // …and the next allocate recycles it, reset to empty.
-        let c = d.allocate().unwrap();
-        assert_eq!(c, BlockId(2));
-        assert!(d.read(c).unwrap().is_empty());
+        assert!(d.read(BlockId(2)).unwrap().is_empty());
+        assert_eq!(d.allocate().unwrap(), BlockId(3), "allocation grows the file");
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn deferred_recycling_quarantines_contents_until_commit() {
-        let mut d = FileDisk::temp(2).unwrap();
-        d.set_defer_recycling(true);
-        let a = d.allocate().unwrap();
-        let mut blk = d.read(a).unwrap();
-        blk.push(Item::new(5, 50)).unwrap();
-        d.write(a, &blk).unwrap();
-        d.free(a).unwrap();
-        // Dead for reads, but NOT recyclable yet: the next allocate must
-        // grow instead of handing the slot back (and resetting it).
-        assert!(d.read(a).is_err());
-        let b = d.allocate().unwrap();
-        assert_ne!(a, b, "quarantined slot must not be recycled");
-        // The quarantined contents are physically intact (a recovery path
-        // re-marking the slot live would still read the old data).
-        d.restore_free_list(Vec::new()).unwrap();
-        assert_eq!(d.read(a).unwrap().find(5), Some(50));
-        // After commit, frees recycle normally again.
-        let mut d = FileDisk::temp(2).unwrap();
-        d.set_defer_recycling(true);
-        let a = d.allocate().unwrap();
-        d.free(a).unwrap();
-        assert_eq!(d.free_list(), vec![a.raw()], "pending frees appear in the persisted list");
-        d.commit_frees();
-        let b = d.allocate().unwrap();
-        assert_eq!(a, b, "committed slot is recyclable");
-    }
-
-    #[test]
-    fn restore_free_list_rejects_bad_ids() {
-        let mut d = FileDisk::temp(2).unwrap();
-        let _ = d.allocate().unwrap();
-        assert!(d.restore_free_list(vec![5]).is_err(), "out of range");
-        assert!(d.restore_free_list(vec![0, 0]).is_err(), "duplicate");
-        assert!(d.restore_free_list(vec![0]).is_ok());
     }
 
     #[test]

@@ -15,10 +15,7 @@
 //! [`FileDisk`] that demonstrates the same code paths against a
 //! filesystem, and a crash-simulation [`SimDisk`] whose unsynced writes
 //! are volatile and whose seeded [`FaultPlan`] can crash or fault any
-//! I/O by index — the engine of the recovery torture harness. Backends
-//! that additionally expose the allocator-persistence protocol
-//! (free-list serialization, deferred recycling) implement
-//! [`PersistentBackend`].
+//! I/O by index — the engine of the recovery torture harness.
 //!
 //! ## I/O accounting convention
 //!
@@ -57,7 +54,7 @@ mod pool;
 mod sim_disk;
 mod stats;
 
-pub use backend::{PersistentBackend, StorageBackend};
+pub use backend::StorageBackend;
 pub use blob::{BlobFile, BlobLog, FileBlob};
 pub use block::{Block, BlockId};
 pub use budget::{Enforcement, MemoryBudget};

@@ -23,17 +23,19 @@
 //!   its own page cache); a crash discards it.
 //! * **Block-file growth is durable immediately** (zero-filled slots,
 //!   exactly like `FileDisk`'s `set_len` extension — an all-zero slot
-//!   decodes as an empty block), and so is a block file's name.
+//!   decodes as an empty block). A block file's *name* is not: it is a
+//!   directory entry like any other (below).
 //! * **Byte-file appends are volatile until the file's `sync`.** A byte
 //!   file is its durable bytes plus the ordered appends made since; a
 //!   crash keeps a *prefix* of those appends and may tear the first
 //!   casualty (half its bytes, then `0xFF`).
 //! * **A name is durable only after its directory is synced.** Creating,
-//!   renaming and unlinking a byte file take effect at once for the
-//!   running process, but each directory (a name's prefix up to its last
+//!   renaming and unlinking a file — byte or block — take effect at once
+//!   for the running process, but each directory (a name's prefix up to its last
 //!   `/`) keeps the ordered list of namespace operations made since its
 //!   last [`SimEnv::sync_dir`], and a crash keeps only a seeded *prefix*
-//!   of that list. `rename` is atomic — the target names the old file or
+//!   of that list: a block file created since can vanish whole, one
+//!   unlinked since can come back. `rename` is atomic — the target names the old file or
 //!   the new one, never a mix — and a file's own `sync` does **not**
 //!   persist its directory entry: a fully synced file whose create was
 //!   never dir-synced can vanish whole.
@@ -47,17 +49,16 @@
 //!   `crash-drop …`), so a sweep can assert which windows it really hit.
 //!
 //! What this does **not** model yet is partial survival of unsynced
-//! rewrites of previously synced slots. The store no longer writes a
-//! block a committed manifest names before the next commit (every level
-//! is a static table, built in fresh slots and never merged into), so
-//! this revert-exactly policy below the synced high-water mark now only
-//! ever meets recycled slots no manifest references; drawing those
-//! through the keep/drop/tear lottery too is a follow-up.
+//! rewrites of previously synced slots. The store never makes one: every
+//! level is a static table built in a fresh file of its own, synced once
+//! and never written again, so this revert-exactly policy below the
+//! synced high-water mark only ever meets the recycled slots of a
+//! standalone table.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use crate::backend::{PersistentBackend, SlotAllocator, StorageBackend};
+use crate::backend::{SlotAllocator, StorageBackend};
 use crate::blob::BlobFile;
 use crate::block::{Block, BlockId};
 use crate::error::{ExtMemError, Result};
@@ -234,15 +235,17 @@ impl SimByteFile {
     }
 }
 
-/// One byte-file namespace operation its directory has not been synced
-/// past, with what a crash needs to undo it.
+/// One namespace operation its directory has not been synced past, with
+/// what a crash needs to undo it.
 enum DirOp {
-    /// `name` was created (it named nothing before).
+    /// `name` was created, byte or block file (it named nothing before).
     Create { name: String },
     /// `from` was renamed over `to`, displacing the inode `to` named.
     Rename { from: String, to: String, displaced: Option<u64> },
-    /// `name` was unlinked from inode `ino`.
+    /// Byte file `name` was unlinked from inode `ino`.
     Unlink { name: String, ino: u64 },
+    /// Block file `name` was unlinked; `file` is what it held.
+    UnlinkDisk { name: String, file: SimFileState },
 }
 
 impl DirOp {
@@ -252,7 +255,9 @@ impl DirOp {
         match self {
             DirOp::Create { name } => format!("file-create {name}"),
             DirOp::Rename { from, to, .. } => format!("file-rename {from} -> {to}"),
-            DirOp::Unlink { name, .. } => format!("file-remove {name}"),
+            DirOp::Unlink { name, .. } | DirOp::UnlinkDisk { name, .. } => {
+                format!("file-remove {name}")
+            }
         }
     }
 }
@@ -432,6 +437,7 @@ impl SimEnv {
                 match op {
                     DirOp::Create { name } => {
                         st.names.remove(&name);
+                        st.files.remove(&name);
                     }
                     DirOp::Rename { from, to, displaced } => {
                         if let Some(ino) = st.names.remove(&to) {
@@ -443,6 +449,12 @@ impl SimEnv {
                     }
                     DirOp::Unlink { name, ino } => {
                         st.names.insert(name, ino);
+                    }
+                    DirOp::UnlinkDisk { name, mut file } => {
+                        // Back without its unsynced writes: losing all
+                        // of them is one outcome the lottery above draws.
+                        file.overlay.clear();
+                        st.files.insert(name, file);
                     }
                 }
             }
@@ -534,24 +546,25 @@ impl SimEnv {
     }
 
     /// Creates (truncating) block file `name` and returns a handle to it
-    /// (one I/O op).
+    /// (one I/O op). A new name is not durable until its directory is
+    /// synced ([`SimEnv::sync_dir`]).
     pub fn create_disk(&self, name: &str, block_capacity: usize) -> Result<SimDisk> {
         assert!(block_capacity > 0, "block capacity must be positive");
         let block_bytes = Block::encoded_len(block_capacity);
         self.guarded(
             || IoEvent::Meta { label: format!("file-create {name}"), fingerprint: 0 },
             |st| {
-                st.files.insert(
-                    name.to_string(),
-                    SimFileState {
-                        block_bytes,
-                        block_capacity,
-                        slots: 0,
-                        synced_slots: 0,
-                        durable: BTreeMap::new(),
-                        overlay: BTreeMap::new(),
-                    },
-                );
+                let fresh = SimFileState {
+                    block_bytes,
+                    block_capacity,
+                    slots: 0,
+                    synced_slots: 0,
+                    durable: BTreeMap::new(),
+                    overlay: BTreeMap::new(),
+                };
+                if st.files.insert(name.to_string(), fresh).is_none() {
+                    st.defer(name, DirOp::Create { name: name.to_string() });
+                }
                 Ok(())
             },
         )?;
@@ -559,8 +572,7 @@ impl SimEnv {
     }
 
     /// Opens existing block file `name` **without truncating**; every
-    /// slot is initially live, exactly like `FileDisk::open` (one I/O
-    /// op). Restore the persisted free list to resume allocation.
+    /// slot is live, exactly like `FileDisk::open` (one I/O op).
     pub fn open_disk(&self, name: &str, block_capacity: usize) -> Result<SimDisk> {
         assert!(block_capacity > 0, "block capacity must be positive");
         let slots = self.guarded(
@@ -671,8 +683,8 @@ impl SimEnv {
     }
 
     /// Removes file `name`, byte or block (one I/O op), and reports
-    /// whether it existed. A byte file's unlink is durable once its
-    /// directory is synced; a block file's is immediate.
+    /// whether it existed. The unlink is durable once the directory is
+    /// synced.
     pub fn remove_file(&self, name: &str) -> Result<bool> {
         let exists = self.has_file(name) || self.state().files.contains_key(name);
         let op = if exists { "file-remove" } else { "file-absent" };
@@ -683,14 +695,20 @@ impl SimEnv {
                     st.defer(name, DirOp::Unlink { name: name.to_string(), ino });
                     Ok(true)
                 }
-                None => Ok(st.files.remove(name).is_some()),
+                None => match st.files.remove(name) {
+                    Some(file) => {
+                        st.defer(name, DirOp::UnlinkDisk { name: name.to_string(), file });
+                        Ok(true)
+                    }
+                    None => Ok(false),
+                },
             },
         )
     }
 
     /// Syncs directory `dir` (a name prefix ending in `/`, or `""` for
-    /// the root; one I/O op): every byte-file create, rename and unlink
-    /// made in it so far becomes durable.
+    /// the root; one I/O op): every create, rename and unlink made in it
+    /// so far becomes durable.
     pub fn sync_dir(&self, dir: &str) -> Result<()> {
         self.guarded(
             || IoEvent::Meta { label: format!("dir-sync {dir}"), fingerprint: 0 },
@@ -746,24 +764,19 @@ impl SimEnv {
 
 /// A crash-simulation storage backend: block I/O against one named file
 /// of a [`SimEnv`], with `FileDisk`-identical allocator policy (LIFO
-/// recycling, lowest-first-fit contiguous runs, deferred-recycling
-/// quarantine) so block ids stay backend-deterministic.
+/// recycling, lowest-first-fit contiguous runs) so block ids stay
+/// backend-deterministic.
 ///
 /// The allocator state lives in the handle — exactly as `FileDisk` keeps
-/// it in process memory — so a crash (dropping the handle) loses it, and
-/// recovery must rebuild it from persisted metadata or a region walk.
+/// it in process memory — so a crash (dropping the handle) loses it.
 pub struct SimDisk {
     env: SimEnv,
     file: String,
     block_capacity: usize,
     block_bytes: usize,
     /// The shared allocator state machine — the same implementation
-    /// `FileDisk` runs, so the torture harness certifies crash-safety of
-    /// exactly the allocator the real store uses. Kept in the handle
-    /// (not the env), exactly as `FileDisk` keeps it in process memory:
-    /// a crash loses it, and recovery rebuilds it from persisted
-    /// metadata or a region walk. Its high-water mark stays in step with
-    /// the file's, which this handle alone mutates while it lives.
+    /// `FileDisk` runs. Its high-water mark stays in step with the
+    /// file's, which this handle alone mutates while it lives.
     alloc: SlotAllocator,
 }
 
@@ -788,6 +801,11 @@ impl SimDisk {
     /// The environment this disk lives in (fault plan, clock, trace).
     pub fn env(&self) -> SimEnv {
         self.env.clone()
+    }
+
+    /// High-water mark: total slots ever allocated (free ones included).
+    pub fn slots(&self) -> u64 {
+        self.alloc.slots()
     }
 
     fn check_live(&self, id: BlockId) -> Result<()> {
@@ -887,9 +905,9 @@ impl StorageBackend for SimDisk {
     }
 
     fn allocate_contiguous(&mut self, n: usize) -> Result<BlockId> {
-        // Identical recycling policy to FileDisk/MemDisk: the lowest
-        // committed free run of ≥ n wins, reset by one (volatile) zero
-        // fill; otherwise grow.
+        // Identical recycling policy to FileDisk/MemDisk: the lowest free
+        // run of ≥ n wins, reset by one (volatile) zero fill; otherwise
+        // grow.
         if let Some(base) = self.alloc.peek_run(n) {
             let end = base + n as u64;
             let bytes = self.block_bytes;
@@ -948,35 +966,6 @@ impl StorageBackend for SimDisk {
                 Ok(())
             },
         )
-    }
-}
-
-/// The persistence surface — the same protocol as `FileDisk`'s inherent
-/// methods, so a store generic over [`PersistentBackend`] behaves
-/// identically on both.
-impl PersistentBackend for SimDisk {
-    fn slots(&self) -> u64 {
-        self.alloc.slots()
-    }
-
-    fn free_list(&self) -> Vec<u64> {
-        self.alloc.free_list()
-    }
-
-    fn free_count(&self) -> usize {
-        self.alloc.free_count()
-    }
-
-    fn set_defer_recycling(&mut self, defer: bool) {
-        self.alloc.set_defer_recycling(defer);
-    }
-
-    fn commit_frees(&mut self) {
-        self.alloc.commit_frees();
-    }
-
-    fn restore_free_list(&mut self, free: Vec<u64>) -> Result<()> {
-        self.alloc.restore_free_list(free)
     }
 }
 
@@ -1125,6 +1114,7 @@ mod tests {
     fn unsynced_writes_vanish_at_a_power_cycle_synced_ones_survive() {
         let env = SimEnv::new();
         let mut d = env.create_disk("t.blk", 4).unwrap();
+        env.sync_dir("").unwrap();
         let a = d.allocate().unwrap();
         d.write(a, &item_block(4, 1, 10)).unwrap();
         d.sync().unwrap();
@@ -1143,6 +1133,7 @@ mod tests {
         // below the mark revert exactly.
         let env = SimEnv::new();
         let mut d = env.create_disk("t.blk", 4).unwrap();
+        env.sync_dir("").unwrap();
         let synced = d.allocate().unwrap();
         d.write(synced, &item_block(4, 5, 50)).unwrap();
         d.sync().unwrap();
@@ -1232,22 +1223,6 @@ mod tests {
     }
 
     #[test]
-    fn deferred_recycling_quarantines_until_commit() {
-        let mut d = SimDisk::new(2);
-        d.set_defer_recycling(true);
-        let a = d.allocate().unwrap();
-        d.write(a, &item_block(2, 5, 50)).unwrap();
-        d.free(a).unwrap();
-        assert!(d.read(a).is_err());
-        let b = d.allocate().unwrap();
-        assert_ne!(a, b, "quarantined slot must not be recycled");
-        assert_eq!(d.free_list(), vec![a.raw()]);
-        d.commit_frees();
-        let c = d.allocate().unwrap();
-        assert_eq!(a, c, "committed slot is recyclable");
-    }
-
-    #[test]
     fn contiguous_runs_recycle_identically_to_file_disk() {
         let mut d = SimDisk::new(2);
         let _anchor = d.allocate().unwrap();
@@ -1257,19 +1232,10 @@ mod tests {
         }
         let base = d.allocate_contiguous(5).unwrap();
         assert_eq!(base, ids[1], "the coalesced run is recycled, not the device grown");
-        assert_eq!(PersistentBackend::slots(&d), 7, "no growth");
+        assert_eq!(d.slots(), 7, "no growth");
         for k in 0..5 {
             assert!(d.read(BlockId(base.raw() + k)).unwrap().is_empty());
         }
-    }
-
-    #[test]
-    fn restore_free_list_rejects_bad_ids() {
-        let mut d = SimDisk::new(2);
-        let _ = d.allocate().unwrap();
-        assert!(d.restore_free_list(vec![5]).is_err(), "out of range");
-        assert!(d.restore_free_list(vec![0, 0]).is_err(), "duplicate");
-        assert!(d.restore_free_list(vec![0]).is_ok());
     }
 
     /// A byte file whose name is already durable: create + dir-sync.
@@ -1491,32 +1457,55 @@ mod tests {
     }
 
     /// Un-synced namespace operations survive as a prefix, per
-    /// directory: a later one never lands without every earlier one.
+    /// directory: a later one never lands without every earlier one —
+    /// byte files and block files in one order. A block file created
+    /// since the last dir-sync can vanish whole, synced content and all;
+    /// one unlinked since can come back, holding what it had synced.
     #[test]
     fn undurable_namespace_ops_survive_as_a_prefix() {
         let mut seen = std::collections::BTreeSet::new();
-        for seed in 0..32u64 {
+        for seed in 0..64u64 {
             let env = SimEnv::new();
-            durable_file(&env, "a/CLEAN");
+            durable_file(&env, "a/OLD");
+            let mut old = env.create_disk("a/old.blk", 4).unwrap();
+            let id = old.allocate().unwrap();
+            old.write(id, &item_block(4, 1, 10)).unwrap();
+            old.sync().unwrap();
+            env.sync_dir("a/").unwrap();
+            old.write(id, &item_block(4, 1, 99)).unwrap(); // unsynced
+            drop(old);
             env.create_file("a/ONE").unwrap();
-            assert!(env.remove_file("a/CLEAN").unwrap());
-            env.create_file("a/TWO").unwrap();
+            assert!(env.remove_file("a/OLD").unwrap());
+            let mut new = env.create_disk("a/new.blk", 4).unwrap();
+            let fresh = new.allocate().unwrap();
+            new.write(fresh, &item_block(4, 2, 20)).unwrap();
+            new.sync().unwrap();
+            assert!(env.remove_file("a/old.blk").unwrap());
             env.create_file("b/OTHER").unwrap();
             crash(&env, seed);
-            let has = |n: &str| env.read_file(n).unwrap().is_some();
-            let state = (has("a/ONE"), !has("a/CLEAN"), has("a/TWO"));
+            let has = |n: &str| env.file_names().iter().any(|f| f == n);
+            let state = (has("a/ONE"), !has("a/OLD"), has("a/new.blk"), !has("a/old.blk"));
             assert!(
                 matches!(
                     state,
-                    (false, false, false)
-                        | (true, false, false)
-                        | (true, true, false)
-                        | (true, true, true)
+                    (false, false, false, false)
+                        | (true, false, false, false)
+                        | (true, true, false, false)
+                        | (true, true, true, false)
+                        | (true, true, true, true)
                 ),
                 "seed {seed}: not a prefix: {state:?}"
             );
+            if state.2 {
+                let mut new = env.open_disk("a/new.blk", 4).unwrap();
+                assert_eq!(new.read(fresh).unwrap().find(2), Some(20), "synced under a kept name");
+            }
+            if !state.3 {
+                let mut old = env.open_disk("a/old.blk", 4).unwrap();
+                assert_eq!(old.read(id).unwrap().find(1), Some(10), "back as it was synced");
+            }
             seen.insert(state);
         }
-        assert_eq!(seen.len(), 4, "every prefix length occurs: {seen:?}");
+        assert_eq!(seen.len(), 5, "every prefix length occurs: {seen:?}");
     }
 }

@@ -12,7 +12,7 @@
 //! 3. **coordinator wave** — `mark_dirty` → round → epoch advance,
 //!    dirt must outrank shutdown;
 //! 4. **shutdown handshake** — drain-then-sync: accepted ops are all
-//!    acknowledged and the CLEAN marker is written last.
+//!    acknowledged and the final manifest commit comes last.
 //! 5. **coalescing buffer ↔ committer** — the newest-wins upsert
 //!    (`CoalesceBuf`) against the two-phase drain (snapshot + inflight
 //!    overlay under the buf lock, table apply outside it, ack fill back
@@ -393,7 +393,7 @@ enum P4Mutation {
     /// are dropped unacknowledged.
     ExitBeforeDrain,
     /// Exit path skips the final harden: applied batches never ack and
-    /// the CLEAN marker is never written.
+    /// the final manifest is never committed.
     ExitWithoutFinalHarden,
 }
 
@@ -442,7 +442,7 @@ fn committer4(shard: &Shard4, mutation: P4Mutation) {
             Todo::Exit => {
                 if mutation != P4Mutation::ExitWithoutFinalHarden {
                     // The final harden: everything applied acks, and
-                    // the CLEAN marker is the last thing written.
+                    // its manifest commit is the last thing written.
                     let mut buf = shard.buf.lock();
                     let acked: Vec<Cell> = buf.unacked.drain(..).collect();
                     for cell in acked {
@@ -489,14 +489,14 @@ fn p4_instance(writers: usize, mutation: P4Mutation) -> impl Fn() + Send + Sync 
             h.join().unwrap();
         }
         // The drop path: flag, wake, join — then every accepted op must
-        // hold an ack and the CLEAN marker must be set.
+        // hold an ack and the final manifest must be committed.
         shard.buf.lock().shutdown = true;
         shard.work_cv.notify_all();
         c.join().unwrap();
         for (i, cell) in cells.iter().enumerate() {
             assert_eq!(*cell.lock(), Some(Ok(true)), "op {i} accepted but never acked");
         }
-        assert!(shard.buf.lock().clean, "CLEAN marker not written");
+        assert!(shard.buf.lock().clean, "final manifest not committed");
     }
 }
 

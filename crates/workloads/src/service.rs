@@ -47,15 +47,10 @@ use crate::trace::Op;
 /// cuts through many batches, large enough that group commits batch.
 const CHUNK: usize = 4;
 
-/// What a fault-free run's marker-less (checkpoint) manifest commits
-/// may average, in bytes: the manifest's ≈ 130 B header plus one ≈ 20 B
-/// line per occupied level — a few hundred bytes at any table size,
-/// since the free list, the only table-sized line, is left out. (A
-/// share of a marker-setting manifest is no yardstick: how many slots
-/// are free when a run ends depends on where the last carry left the
-/// levels — a handful of ids at this harness's geometry, ≈ 600 B to
-/// ≈ 3 000 B in `exp_service`, moving by a tenth between runs.) Shared
-/// with `exp_service`'s sweep-3 gate.
+/// What a fault-free run's checkpoint manifest commits may average, in
+/// bytes: the manifest's ≈ 130 B header plus one ≈ 30 B line per
+/// occupied level — a few hundred bytes at any table size, there being
+/// no table-sized line in it. Shared with `exp_service`'s sweep-3 gate.
 pub const MAX_CHECKPOINT_COMMIT_BYTES: u64 = 512;
 
 /// One service-torture scenario; everything downstream derives from
@@ -150,15 +145,15 @@ pub struct ServiceTortureReport {
     pub sealed_discard_failures: u64,
     /// Table ops saved by newest-wins coalescing before the crash.
     pub coalesced_ops: u64,
-    /// Marker-less (checkpoint) manifest commits before the crash — see
-    /// `dxh_core::ManifestIoStats` for the counters' names.
+    /// Checkpoint manifest commits (the committers' hardens) before the
+    /// crash — see `dxh_core::ManifestIoStats` for the counters' names.
     pub manifest_delta_commits: u64,
     /// Bytes those checkpoint commits wrote.
     pub manifest_delta_bytes: u64,
-    /// Marker-setting manifest commits before the crash (shard creates
+    /// Every other manifest commit before the crash (shard creates
     /// included).
     pub manifest_full_commits: u64,
-    /// Bytes those commits wrote, free lists included.
+    /// Bytes those commits wrote.
     pub manifest_full_bytes: u64,
 }
 
@@ -379,14 +374,13 @@ where
                         stats.sealed_discard_failures
                     ));
                 }
-                // A rotation's per-shard harden is a marker-less commit:
-                // a fault-free rotating lifecycle that never counted one
-                // means hardens regressed to marker-setting commits —
-                // the free list and the `CLEAN` churn on every checkpoint.
+                // A rotation's per-shard harden is a checkpoint commit: a
+                // fault-free rotating lifecycle that never counted one
+                // means the rotation never reached a store.
                 if stats.manifest_delta_commits == 0 {
                     violations.lock().unwrap().push(
-                        "checkpoint rotations ran but no marker-less manifest commit was \
-                         ever made — mid-life hardens are writing the free list and the marker"
+                        "checkpoint rotations ran but no checkpoint manifest commit was \
+                         ever counted"
                             .into(),
                     );
                 }
@@ -518,7 +512,7 @@ where
         if let Some(avg) = manifest_delta_bytes.checked_div(manifest_delta_commits) {
             if avg > MAX_CHECKPOINT_COMMIT_BYTES {
                 violations.push(format!(
-                    "checkpoint hardens scale with the table: the average marker-less \
+                    "checkpoint hardens scale with the table: the average checkpoint \
                      manifest commit cost {avg} B (bound {MAX_CHECKPOINT_COMMIT_BYTES} B)"
                 ));
             }
@@ -652,12 +646,12 @@ mod tests {
         assert!(report.violations.is_empty(), "violations: {:?}", report.violations);
         assert!(report.sealed_discards >= 1, "a rotation completed: {report:?}");
         assert_eq!(report.sealed_discard_failures, 0, "no faults injected: {report:?}");
-        assert!(report.manifest_delta_commits >= 1, "rotation hardens are marker-less: {report:?}");
+        assert!(report.manifest_delta_commits >= 1, "rotation hardens are counted: {report:?}");
     }
 
     /// A checkpoint commit is O(log n), not O(table): quadrupling the
     /// workload (and with it the recovered table) leaves the average
-    /// marker-less manifest commit flat. The harness additionally holds
+    /// checkpoint manifest commit flat. The harness additionally holds
     /// each fault-free rotating run's average to an absolute bound.
     #[test]
     fn checkpoint_commit_bytes_do_not_scale_with_the_table() {

@@ -16,9 +16,10 @@
 //! 4. assert the recovered store equals the shadow model at the **last
 //!    committed manifest** (or the in-flight commit, when the crash fell
 //!    after its commit point) — every synced key with its last synced
-//!    value, no phantom keys — that recovery accounts for every slot
-//!    (orphan GC), that a follow-up compaction round-trips, and that the
-//!    store keeps accepting work across one more sync and reopen.
+//!    value, no phantom keys — that recovery leaves no block file the
+//!    manifest does not name, that a follow-up compaction round-trips,
+//!    and that the store keeps accepting work across one more sync and
+//!    reopen.
 //!
 //! Everything is a pure function of `(spec, crash_at)`: the workload is
 //! generated from the seed, the crash write-survival lottery is seeded
@@ -29,9 +30,7 @@
 use std::collections::{HashMap, HashSet};
 
 use dxh_core::{CoreConfig, ExternalDictionary, KvStore, SimMedia, StoreMedia};
-use dxh_extmem::{
-    fnv1a64, FaultPlan, IoEvent, Key, PersistentBackend, SimEnv, StorageBackend, Value,
-};
+use dxh_extmem::{fnv1a64, FaultPlan, IoEvent, Key, SimEnv, Value};
 
 use crate::generator::{ChurnMix, Workload};
 use crate::trace::Op;
@@ -382,17 +381,23 @@ pub fn torture_run_on<M: StoreMedia>(
         }
     }
 
-    // Orphan GC: recovery must account for every slot — walked live or
-    // returned to the free list, nothing leaked in between.
-    {
-        let backend = store.table().disk().backend();
-        let (live_b, free_b, slots) =
-            (backend.live_blocks(), backend.free_count() as u64, backend.slots());
-        if live_b + free_b != slots {
-            violations.push(format!(
-                "orphan GC leaked slots: {live_b} live + {free_b} free != {slots} total"
-            ));
+    // Stray removal: recovery must leave the level files the manifest
+    // names, to the byte, and no other block file.
+    match store.footprint() {
+        Ok(footprint) => {
+            let on_media: Vec<String> =
+                env.file_names().into_iter().filter(|n| n.ends_with(".blk")).collect();
+            let bytes: u64 = on_media.iter().map(|n| env.file_len(n)).sum();
+            let named = store.table().disk().backend().file_count();
+            if on_media.len() != named || bytes != footprint.data_bytes {
+                violations.push(format!(
+                    "recovery left {on_media:?} ({bytes} bytes) where the manifest names \
+                     {named} level files of {} bytes",
+                    footprint.data_bytes
+                ));
+            }
         }
+        Err(e) => violations.push(format!("footprint after recovery failed: {e}")),
     }
 
     // A follow-up compaction must round-trip the recovered state.

@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             s.rmws,
             store.total_ios() as f64 / (2 * corpus.len()) as f64
         );
-    } // drop syncs: H0 flushed, file fdatasync'd, manifest rewritten
+    } // drop syncs: H0 flushed, new level files fdatasync'd, manifest rewritten
 
     // ---- Generation 2: reopen and query the persisted counts. ----
     let mut store = KvStore::open(&dir, cfg, 0xCE4)?;
@@ -88,7 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- Generation 3: retire most of the corpus, then compact. ----
     // Deletion writes a marker that shadows deeper copies immediately;
-    // compact() streams the survivors into a dense new data file and
+    // compact() merges every level into one, in a fresh level file, and
     // commits the swap through the manifest. (Words repeat across the
     // corpus, so "retire the even indices" retires every occurrence of
     // those words — survivors are the words only seen at odd indices.)
@@ -98,7 +98,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for &k in &retired {
         deleted += store.delete(k)? as u64;
     }
-    let before = std::fs::metadata(store.data_path()?)?.len();
+    let before = store.footprint()?.data_bytes;
     let stats = store.compact()?;
     println!(
         "deleted {deleted} keys, compacted {} KiB → {} KiB ({} live items, {} markers purged)",

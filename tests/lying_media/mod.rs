@@ -4,8 +4,6 @@
 //! directory sync (or every file sync), they are not testing the
 //! protocols that ship.
 
-use std::path::PathBuf;
-
 use dyn_ext_hash::core::StoreMedia;
 use dyn_ext_hash::extmem::{BlobFile, Result};
 
@@ -59,9 +57,6 @@ impl<M: StoreMedia> StoreMedia for Lying<M> {
     fn open_data(&mut self, name: &str, block_capacity: usize) -> Result<M::Backend> {
         self.inner.open_data(name, block_capacity)
     }
-    fn data_len(&mut self, name: &str) -> u64 {
-        self.inner.data_len(name)
-    }
     fn create_file(&mut self, name: &str) -> Result<Self::File> {
         Ok(LyingFile { inner: self.inner.create_file(name)?, lie: self.lie })
     }
@@ -89,7 +84,7 @@ impl<M: StoreMedia> StoreMedia for Lying<M> {
     fn sub(&self, name: &str) -> Result<Self> {
         Ok(Lying { inner: self.inner.sub(name)?, lie: self.lie })
     }
-    fn file_path(&self, name: &str) -> Option<PathBuf> {
-        self.inner.file_path(name)
+    fn view(&self) -> Self {
+        Lying { inner: self.inner.view(), lie: self.lie }
     }
 }

@@ -1,7 +1,7 @@
 //! The persistent store survives process-style lifecycle boundaries:
 //! create → insert/delete churn → drop → reopen → verify, plus crash
-//! recovery with orphan GC and explicit compaction, exercised end-to-end
-//! through the umbrella crate.
+//! recovery with stray removal and explicit compaction, exercised
+//! end-to-end through the umbrella crate.
 
 use std::collections::HashMap;
 
@@ -19,6 +19,13 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
 /// Simulates a process crash: Drop never runs, and the dead process's
 /// LOCK file goes away with the process (same-process tests must remove
 /// it by hand because their own pid is still alive).
+/// Bytes of block files (`*.blk`) in `dir`, whoever names them.
+fn block_file_bytes(dir: &std::path::Path) -> u64 {
+    let entries = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap());
+    let blocks = entries.filter(|e| e.file_name().to_string_lossy().ends_with(".blk"));
+    blocks.map(|e| e.metadata().unwrap().len()).sum()
+}
+
 fn crash(s: KvStore) {
     let lock = s.path().join("LOCK");
     std::mem::forget(s);
@@ -120,8 +127,8 @@ fn churn_workload_round_trips_through_sync_and_reopen() {
 #[test]
 fn crash_orphans_are_collected_and_compaction_shrinks_the_file() {
     // The full space-reclamation lifecycle: insert/delete churn, sync,
-    // unsynced churn, crash, reopen (orphan GC), more churn, compact —
-    // ending with a file near the live-data footprint and exact answers.
+    // unsynced churn, crash, reopen (stray removal), more churn, compact
+    // — ending with one level file of live items and exact answers.
     let dir = tmp_dir("reclaim");
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = CoreConfig::lemma5(16, 256, 2).unwrap();
@@ -133,22 +140,23 @@ fn crash_orphans_are_collected_and_compaction_shrinks_the_file() {
         assert!(store.delete(k).unwrap());
     }
     store.sync().unwrap();
+    let committed = store.footprint().unwrap().data_bytes;
+    assert_eq!(block_file_bytes(&dir), committed, "the directory holds the live levels");
     // Unsynced churn, then crash.
     for k in 4000..6000u64 {
         store.insert(k, k).unwrap();
     }
     crash(store);
+    assert!(block_file_bytes(&dir) > committed, "the crash stranded levels no manifest names");
     let mut store = KvStore::open(&dir, cfg.clone(), 23).unwrap();
-    let backend = store.table().disk().backend();
-    assert!(backend.free_count() > 0, "crash orphans returned to the free list");
-    let slots_after_gc = backend.slots();
-    // Orphans are recycled before the file grows.
+    assert_eq!(store.footprint().unwrap().data_bytes, committed, "the last commit's levels");
+    assert_eq!(block_file_bytes(&dir), committed, "crash orphans are collected");
     for k in 10_000..10_200u64 {
         store.insert(k, k).unwrap();
     }
-    assert_eq!(store.table().disk().backend().slots(), slots_after_gc, "no growth yet");
     let stats = store.compact().unwrap();
-    assert!(stats.bytes_after < stats.bytes_before, "compaction shrank the file: {stats:?}");
+    assert!(stats.bytes_after < stats.bytes_before, "compaction shrank the files: {stats:?}");
+    assert_eq!(block_file_bytes(&dir), stats.bytes_after, "to one level file");
     assert_eq!(stats.live_items, 2000 + 200, "odd survivors + fresh keys");
     // Deleted keys stay gone across one more reopen of the compacted store.
     drop(store);
@@ -192,9 +200,9 @@ fn facade_on_named_file_persists_blocks_to_that_file() {
 /// (simulated) file, as a medium that lost a write would serve them —
 /// must not compact: the merge would build the item's bucket before it
 /// reads the item, and drop it. `compact` refuses as `Corrupt`, poisons
-/// the handle and removes the generation it was building; the committed
-/// (file, manifest) pair stays authoritative, and once the medium serves
-/// the durable image again a reopen finds every key.
+/// the handle and removes the level file it was building; the committed
+/// manifest and the files it names stay authoritative, and once the
+/// medium serves the durable image again a reopen finds every key.
 #[test]
 fn compaction_refuses_a_level_holding_an_item_outside_its_bucket() {
     use dyn_ext_hash::core::SimMedia;
@@ -215,28 +223,32 @@ fn compaction_refuses_a_level_holding_an_item_outside_its_bucket() {
         .flat_map(|l| l.split(' ').map(|n| n.parse().unwrap()).collect::<Vec<u64>>())
         .collect();
     let [_, base, buckets, 6_000] = level[..] else { panic!("one level holds it all: {text}") };
-    // The first item of bucket 0 moves to the last bucket with room:
-    // read long after bucket 0 of the new region was built. Unsynced, so
-    // the durable image is still the table the manifest describes.
-    let mut file = env.open_disk("store.blk", cfg.b).unwrap();
-    let mut first = file.read(BlockId(base)).unwrap();
+    // The level's file is the upper half of its base, and its buckets
+    // are the file's first slots. The first item of bucket 0 moves to the
+    // last bucket with room: read long after bucket 0 of the new region
+    // was built. Unsynced, so the durable image is still the table the
+    // manifest describes.
+    let level_file = format!("level-{}.blk", base >> 32);
+    let mut file = env.open_disk(&level_file, cfg.b).unwrap();
+    let mut first = file.read(BlockId(0)).unwrap();
     let stray = first.items()[0];
     first.remove(stray.key);
     let (far, mut last) = (1..buckets)
         .rev()
-        .map(|q| (BlockId(base + q), file.read(BlockId(base + q)).unwrap()))
+        .map(|q| (BlockId(q), file.read(BlockId(q)).unwrap()))
         .find(|(_, blk)| !blk.is_full())
         .expect("a bucket with room");
     last.push(stray).unwrap();
-    file.write(BlockId(base), &first).unwrap();
+    file.write(BlockId(0), &first).unwrap();
     file.write(far, &last).unwrap();
     drop(file);
 
     let refused = store.compact();
     assert!(matches!(refused, Err(ExtMemError::Corrupt(_))), "{refused:?}");
     assert!(store.lookup(1).is_err() && store.sync().is_err(), "the handle is poisoned");
-    let names = env.file_names();
-    assert!(!names.iter().any(|n| n == "store.1.blk"), "the stray generation is gone: {names:?}");
+    let mut names = env.file_names();
+    names.sort();
+    assert_eq!(names, ["MANIFEST", &level_file], "the file it was building is gone");
     assert_eq!(env.read_file("MANIFEST").unwrap(), Some(manifest), "the commit stands");
 
     env.set_plan(FaultPlan::crash(env.ops(), 3));

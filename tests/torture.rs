@@ -39,9 +39,9 @@ fn summarize(failures: &[TortureReport]) -> String {
 
 /// The acceptance gate: crash at **every** I/O index of one small final
 /// sync and one small compaction. The commit-point reasoning (manifest
-/// rename is the single commit point; quarantined frees keep referenced
-/// blocks intact; recovery walks regions, never the stale free list) is
-/// checked exhaustively, not anecdotally.
+/// rename is the single commit point; a level file it names is never
+/// written and outlives it; recovery opens what the manifest names and
+/// removes the rest) is checked exhaustively, not anecdotally.
 #[test]
 fn exhaustive_crash_sweep_over_one_sync_and_one_compact() {
     let spec = TortureSpec::small(0xD15A57E5);

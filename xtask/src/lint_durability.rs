@@ -8,7 +8,8 @@
 //! 1. classifies every I/O-effectful call site into a
 //!    [`dxh_dura::EffectClass`] using the table's source tokens
 //!    ([`dxh_dura::SINKS`], [`dxh_dura::ACK_FILL`], [`dxh_dura::UNLINK`]
-//!    with [`dxh_dura::META_UNLINK_MARKERS`], [`dxh_dura::DIR_FSYNC_FNS`])
+//!    with [`dxh_dura::META_UNLINK_MARKERS`], [`dxh_dura::COMMITTED_UNLINK`],
+//!    [`dxh_dura::DIR_FSYNC_FNS`])
 //!    — the byte-file tokens are the `StoreMedia` / `BlobFile` primitive
 //!    names, because every protocol is written once above that seam,
 //! 2. records calls to other scanned functions and inlines their effect
@@ -35,9 +36,13 @@
 //!   between the round's fsync and the acks). A function that other
 //!   scanned functions call (`BufState::acknowledge`) does not answer
 //!   for its own acks: each caller does, where it inlines the call.
-//! * `rename-then-dir-fsync` / `clean-unlink-then-dir-fsync` — a
+//! * `rename-then-dir-fsync` / `sealed-log-unlink-then-dir-fsync` — a
 //!   directory fsync must follow the anchor before its function's
 //!   sequence ends.
+//! * `unlink-after-manifest-commit` — the effect **right before** the
+//!   unlink of committed level files (`LevelFiles::unlink_unnamed`) must
+//!   be a directory fsync: the manifest commit's, with nothing — no
+//!   write, no other fsync, no rename — between the two.
 //! * `no-discarded-sync-result` — no `let _ =` / `.ok();` on a line
 //!   calling a sync-class API; the single sanctioned sink is
 //!   `media::best_effort(..)` (each site documents why).
@@ -47,8 +52,8 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use dxh_dura::{
-    Check, EffectClass, ACK_FILL, DIR_FSYNC_FNS, META_UNLINK_MARKERS, RULES, SINKS,
-    SYNC_RESULT_TOKENS, UNLINK,
+    Check, EffectClass, ACK_FILL, COMMITTED_UNLINK, DIR_FSYNC_FNS, META_UNLINK_MARKERS, RULES,
+    SINKS, SYNC_RESULT_TOKENS, UNLINK,
 };
 
 use crate::scan::{clean_source, split_functions};
@@ -143,6 +148,7 @@ pub(crate) struct ScanStats {
     pub renames: usize,
     pub acks: usize,
     pub meta_unlinks: usize,
+    pub committed_unlinks: usize,
     pub data_fsyncs: usize,
     pub dir_fsyncs: usize,
 }
@@ -210,6 +216,10 @@ fn line_items(
     }
     for col in occurrences(text, ACK_FILL) {
         found.push((col, col + ACK_FILL.len(), Item::Eff(EffectClass::AckRelease, site)));
+    }
+    for col in occurrences(text, COMMITTED_UNLINK) {
+        let end = col + COMMITTED_UNLINK.len();
+        found.push((col, end, Item::Eff(EffectClass::CommittedUnlink, site)));
     }
     if META_UNLINK_MARKERS.iter().any(|m| text.contains(m)) {
         for col in occurrences(text, UNLINK) {
@@ -326,10 +336,28 @@ fn eval_sequence(seq: &[(EffectClass, Site, bool)], out: &mut BTreeSet<Violation
                     }
                 }
             }
+            Check::DirectlyAfter(want) => {
+                for (i, &(class, site, own)) in seq.iter().enumerate() {
+                    if !own || class != rule.anchor {
+                        continue;
+                    }
+                    if seq[..i].last().map(|(c, _, _)| *c) != Some(want) {
+                        out.insert(Violation {
+                            file: site.file,
+                            line: site.line,
+                            rule: rule.name,
+                            what: format!(
+                                "{} not directly after {} — {}",
+                                rule.anchor.name(),
+                                want.name(),
+                                rule.why
+                            ),
+                        });
+                    }
+                }
+            }
             // Trace-only / handled by the per-line discard check.
-            Check::NoWriteUnderCleanMarker
-            | Check::NoDiscardedSyncResult
-            | Check::BlobSyncedAtCommit => {}
+            Check::NoDiscardedSyncResult | Check::BlobSyncedAtCommit => {}
         }
     }
 }
@@ -416,6 +444,7 @@ pub(crate) fn scan_sources(srcs: &[&str]) -> (Vec<Violation>, ScanStats) {
                     EffectClass::Rename => stats.renames += 1,
                     EffectClass::AckRelease => stats.acks += 1,
                     EffectClass::MetaUnlink => stats.meta_unlinks += 1,
+                    EffectClass::CommittedUnlink => stats.committed_unlinks += 1,
                     EffectClass::DataFsync => stats.data_fsyncs += 1,
                     EffectClass::DirFsync => stats.dir_fsyncs += 1,
                     EffectClass::VolatileWrite => {}
@@ -462,16 +491,18 @@ pub(crate) fn scan_sources(srcs: &[&str]) -> (Vec<Violation>, ScanStats) {
 
 /// Anchor floors: the real corpus has (at least) the manifest commit
 /// and the log seal renames, the one ack site both commit paths share
-/// (`BufState::acknowledge`), the CLEAN and sealed-log unlinks, the harden / log / blob-log fsyncs, and the dir fsyncs of
-/// the commit, the marker clear, the legacy-chain removal, the fresh
-/// log, the seal and the discard. Fewer means the scanner lost its
-/// tokens, not that the code got cleaner.
+/// (`BufState::acknowledge`), the sealed-log unlink, the one unlink of
+/// committed level files (the manifest commit's), the harden / log /
+/// blob-log fsyncs, and the dir fsyncs of the commit, the legacy-chain
+/// removal, the fresh log, the seal and the discard. Fewer means the
+/// scanner lost its tokens, not that the code got cleaner.
 fn floors_ok(stats: &ScanStats) -> bool {
     stats.renames >= 2
         && stats.acks >= 1
-        && stats.meta_unlinks >= 2
+        && stats.meta_unlinks >= 1
+        && stats.committed_unlinks >= 1
         && stats.data_fsyncs >= 12
-        && stats.dir_fsyncs >= 6
+        && stats.dir_fsyncs >= 5
 }
 
 /// Runs the checker against `root` (defaults to the current directory).
@@ -503,7 +534,7 @@ pub fn run(root: Option<&str>) -> ExitCode {
         stats.fns,
         stats.renames,
         stats.acks,
-        stats.meta_unlinks,
+        stats.meta_unlinks + stats.committed_unlinks,
         stats.data_fsyncs,
         stats.dir_fsyncs,
     );
@@ -665,30 +696,74 @@ mod tests {
         assert_eq!(rules_of(&scan(helper)), vec!["ack-after-fsync"]);
     }
 
-    /// Seeded mutant: the CLEAN unlink without its dir fsync; and a
+    /// Seeded mutant: the sealed-log unlink without its dir fsync; and a
     /// best-effort stray-file unlink carries no obligation.
     #[test]
-    fn clean_unlink_without_dir_fsync_is_caught() {
+    fn sealed_log_unlink_without_dir_fsync_is_caught() {
         let bad = "
-            fn clear_clean_marker(media: &mut M) -> Result<()> {
-                media.remove(CLEAN)?;
+            fn discard_sealed(&mut self) -> Result<()> {
+                self.root.remove(COMMITLOG_OLD)?;
                 Ok(())
             }
         ";
         let v = scan(bad);
-        assert_eq!(rules_of(&v), vec!["clean-unlink-then-dir-fsync"], "{v:?}");
+        assert_eq!(rules_of(&v), vec!["sealed-log-unlink-then-dir-fsync"], "{v:?}");
         let good = "
-            fn clear_clean_marker(media: &mut M) -> Result<()> {
-                if media.remove(CLEAN)? {
-                    media.sync_dir()?;
+            fn discard_sealed(&mut self) -> Result<()> {
+                if self.root.remove(COMMITLOG_OLD)? {
+                    self.root.sync_dir()?;
                 }
                 Ok(())
             }
-            fn remove_stale(media: &mut M) {
-                let _ = media.remove(&name);
+            fn remove_strays(media: &mut M) {
+                best_effort(media.remove(&name));
             }
         ";
         assert_eq!(scan(good), vec![]);
+    }
+
+    /// Seeded mutants: committed level files unlinked before the
+    /// manifest that drops them is durable — ahead of the commit, and
+    /// between its rename and its dir fsync. Directly after the commit
+    /// (the real `write_manifest`'s shape) is conformant.
+    #[test]
+    fn unlink_of_committed_files_before_the_commit_is_durable_is_caught() {
+        let commit = "
+            fn commit_file_atomic(media: &mut M, name: &str, text: &str) -> Result<()> {
+                let mut f = media.create_file(&tmp)?;
+                f.append(text.as_bytes())?;
+                f.sync()?;
+                media.rename(&tmp, name)?;
+                media.sync_dir()
+            }
+        ";
+        let good = "
+            fn write_manifest(&mut self) -> Result<()> {
+                commit_file_atomic(&mut self.media, MANIFEST, &out)?;
+                self.table.disk_mut().backend_mut().unlink_unnamed(&levels);
+                Ok(())
+            }
+        ";
+        let (v, stats) = scan_sources(&[&format!("{commit}{good}")]);
+        assert_eq!((v, stats.committed_unlinks), (vec![], 1));
+        let early = "
+            fn write_manifest(&mut self) -> Result<()> {
+                self.table.disk_mut().backend_mut().unlink_unnamed(&levels);
+                commit_file_atomic(&mut self.media, MANIFEST, &out)?;
+                Ok(())
+            }
+        ";
+        let v = scan(&format!("{commit}{early}"));
+        assert_eq!(rules_of(&v), vec!["unlink-after-manifest-commit"], "{v:?}");
+        let mid = "
+            fn write_manifest(&mut self) -> Result<()> {
+                self.media.rename(&tmp, MANIFEST)?;
+                self.table.disk_mut().backend_mut().unlink_unnamed(&levels);
+                self.media.sync_dir()
+            }
+        ";
+        let v = scan(mid);
+        assert_eq!(rules_of(&v), vec!["unlink-after-manifest-commit"], "{v:?}");
     }
 
     /// Seeded mutants: discarded sync-class results, each discard
@@ -720,7 +795,8 @@ mod tests {
             ("rename-after-data-fsync", "fn f() { g.append(b)?; m.rename(a, b)?; m.sync_dir()?; }"),
             ("rename-then-dir-fsync", "fn f() { g.sync()?; m.rename(a, b)?; }"),
             ("ack-after-fsync", "fn f(q: &Q) { *q.cell.0.lock() = Some(Ok(1)); }"),
-            ("clean-unlink-then-dir-fsync", "fn f(m: &mut M) { m.remove(CLEAN)?; }"),
+            ("sealed-log-unlink-then-dir-fsync", "fn f(m: &mut M) { m.remove(COMMITLOG_OLD)?; }"),
+            ("unlink-after-manifest-commit", "fn f(b: &mut B) { b.unlink_unnamed(&levels); }"),
             ("no-discarded-sync-result", "fn f(g: &File) { let _ = g.sync_data(); }"),
         ];
         for rule in RULES.iter().filter(|r| r.lint) {
