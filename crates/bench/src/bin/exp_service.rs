@@ -18,7 +18,7 @@
 //!   Zipf(θ) hot-key write stream against its uncoalesced twin (same op
 //!   count, all keys distinct). The newest-wins buffer absorbs the hot
 //!   duplicates, so the zipf column must not lose to the distinct one —
-//!   and with checkpoint rotations live, a checkpoint manifest commit
+//!   and with checkpoints live, a checkpoint manifest commit
 //!   must stay O(log n): at most [`MAX_CHECKPOINT_COMMIT_BYTES`] on
 //!   average, like the manifests the closing `sync_all` writes for the
 //!   final tables (a manifest is a few level lines at any table size).
@@ -162,7 +162,7 @@ struct CoalescePoint {
     kops_per_s: f64,
     /// Ops absorbed by the newest-wins buffer (saved table work).
     coalesced: u64,
-    /// Manifest commits made by checkpoint rotations (the `delta_*`
+    /// Manifest commits made by checkpoints (the `delta_*`
     /// counters of `ServiceStats`, named for the frames such commits
     /// used to be).
     delta_commits: u64,
@@ -180,14 +180,14 @@ const ZIPF_UNIVERSE: usize = 64;
 /// Zipf skew: rank 0 draws ~20% of all writes at θ = 0.99, `u = 64`.
 const ZIPF_THETA: f64 = 0.99;
 
-/// Commit-log bytes per shard between checkpoint rotations in sweep 3 —
-/// low enough that a run pays dozens of rotations, so the
+/// Commit-log bytes between checkpoints in sweep 3 — low enough that
+/// a run pays dozens of checkpoints, so the
 /// checkpoint-commit gate measures live behaviour rather than an idle
 /// path.
 const COALESCE_CKPT_LOG_BYTES: u64 = 64 << 10;
 
 /// Drives the hot-key zipf stream (`hot`) or its uncoalesced
-/// distinct-key twin over a fresh 8×8 service with checkpoint rotations
+/// distinct-key twin over a fresh 8×8 service with checkpoints
 /// enabled, and measures throughput, coalescing, and manifest-commit
 /// shares.
 fn run_coalesce_once(
@@ -401,7 +401,7 @@ fn main() {
     }
 
     // Sweep 3: hot-key coalescing vs the uncoalesced distinct twin at
-    // the headline 8×8 configuration, checkpoint rotations live. Same
+    // the headline 8×8 configuration, checkpoints live. Same
     // interleaved best-of-TRIALS discipline as the other sweeps.
     let mut coalesce_table = TextTable::new([
         "mode",
@@ -483,7 +483,7 @@ fn main() {
         );
         assert!(
             distinct.delta_commits > 0,
-            "checkpoint rotations must make manifest commits during the run"
+            "checkpoints must make manifest commits during the run"
         );
         assert!(
             distinct.avg_delta_b.max(distinct.avg_full_b) <= MAX_CHECKPOINT_COMMIT_BYTES,
@@ -534,10 +534,10 @@ fn main() {
          container-local (trajectory, not absolutes; each point is its best of {TRIALS} \
          interleaved passes). syncs_per_op = sync rounds / acknowledged writes — a round \
          commits every shard's batches with one fsync of the service-wide commit log; \
-         shard_syncs counts per-shard manifest hardens, paid only by checkpoint rounds.\",\n  \
+         shard_syncs counts per-shard manifest hardens, paid only by checkpoints.\",\n  \
          \"params\": {{\"ops_per_thread\": {ops_per_thread}, \"chunk\": {CHUNK}, \"trials\": \
          {TRIALS}, \"seed\": {seed}}},\n  \"coalescing\": {{\n    \"note\": \"Sweep 3 at \
-         {fixed_threads} writers x 8 shards, checkpoint rotations every \
+         {fixed_threads} writers x 8 shards, a checkpoint every \
          {COALESCE_CKPT_LOG_BYTES} log bytes: Zipf({ZIPF_THETA}) hot-key writes over \
          {ZIPF_UNIVERSE} keys/thread vs the all-distinct uncoalesced twin. Gates: zipf-hot \
          kops/s >= distinct, and avg checkpoint-commit bytes (avg_delta_bytes) and avg \

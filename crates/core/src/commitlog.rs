@@ -17,31 +17,29 @@ use crate::media::StoreMedia;
 use crate::service::Effect;
 use crate::store::KvStore;
 
-/// Commit-log file name inside a service root (the active segment).
+/// Commit-log file name inside a service root.
 const COMMITLOG: &str = "COMMITLOG";
 
-/// The sealed segment: the commit log's previous contents, set aside
-/// when a checkpoint rotation starts and discarded once every shard's
-/// manifest covers it (kept across a crash or a tainted rotation, and
-/// replayed — watermark-skipped — before the active segment).
+/// The sealed segment an earlier layout set aside while its shards'
+/// manifests caught up one per round. Nothing writes it any more: a
+/// service root an older binary left one in replays it —
+/// watermark-skipped — before `COMMITLOG`, and the first truncate
+/// removes it for good.
 const COMMITLOG_OLD: &str = "COMMITLOG.OLD";
 
 /// The service-wide **commit log** — the shared durability device that
 /// lets `N` shards pay **one** physical fsync per sync round instead of
 /// `N` manifest commits. A log round frames one checksummed record per
 /// acknowledged batch and calls [`CommitLog::commit`]; per-shard
-/// manifests only catch up at checkpoint rounds, after which the log is
+/// manifests only catch up at checkpoints, after which the log is
 /// truncated. On reopen the surviving records are replayed — in append
 /// order, idempotently (a put is an upsert, a delete of an absent key
 /// is a miss) — over the recovered per-shard manifests, so everything
 /// acknowledged through the log survives a crash even though no
 /// manifest recorded it yet.
 ///
-/// The log is two byte files in the service root: `COMMITLOG` (the
-/// active segment: appends plus one `fdatasync` per round) and, during a
-/// checkpoint rotation, `COMMITLOG.OLD` (the sealed segment). Both
-/// survive reopen until the rotation that sealed the old segment
-/// completes cleanly.
+/// The log is one byte file in the service root, `COMMITLOG`: appends
+/// plus one `fdatasync` per round.
 pub(crate) struct CommitLog<M: StoreMedia> {
     root: M,
     file: M::File,
@@ -100,8 +98,9 @@ impl<M: StoreMedia> CommitLog<M> {
         self.file.len() + self.sealed_len
     }
 
-    /// Walks the log's surviving content for reopen-time replay: the
-    /// sealed segment (if any), then the active one, in append order.
+    /// Walks the log's surviving content for reopen-time replay: a
+    /// leftover sealed segment (if any), then `COMMITLOG`, in append
+    /// order.
     /// Each frame is fetched by position into one record buffer and its
     /// payload handed to `visit` — no more than one record is ever in
     /// memory. The walk stops for good at the first torn or corrupt
@@ -132,54 +131,18 @@ impl<M: StoreMedia> CommitLog<M> {
         Ok(())
     }
 
-    /// Durably empties the log — both segments (a full checkpoint made
-    /// them redundant).
+    /// Durably empties the log (a checkpoint made every record in it
+    /// redundant), a leftover sealed segment included.
     pub(crate) fn truncate(&mut self) -> Result<()> {
-        self.discard_sealed()?;
-        self.file.truncate(0)?;
-        self.file.sync()
-    }
-
-    /// Atomically moves the active segment aside as the sealed segment
-    /// and starts a fresh, empty active one. Called when a staggered
-    /// checkpoint rotation begins: new rounds keep appending (to the
-    /// fresh segment) while the shards' manifests catch up on the
-    /// sealed one. Errors if a sealed segment already exists — the
-    /// caller must [`CommitLog::discard_sealed`] first.
-    pub(crate) fn seal(&mut self) -> Result<()> {
-        if self.sealed_len > 0 {
-            return Err(ExtMemError::Io(std::io::Error::other(
-                "commit log already has a sealed segment",
-            )));
-        }
-        // Every byte of the active segment was already fdatasync'd by
-        // the commit that appended it, so the rename needs no data
-        // fsync of its own — only the dir fsync that makes the new
-        // names durable.
-        let sealed_len = self.file.len();
-        self.root.rename(COMMITLOG, COMMITLOG_OLD)?;
-        let fresh = self.root.create_file(COMMITLOG)?;
-        self.root.sync_dir()?;
-        self.sealed_len = sealed_len;
-        self.file = fresh;
-        Ok(())
-    }
-
-    /// Whether a sealed segment exists (possibly left over from a
-    /// crashed or tainted rotation).
-    pub(crate) fn has_sealed(&self) -> bool {
-        self.sealed_len > 0
-    }
-
-    /// Durably removes the sealed segment: every shard's manifest now
-    /// covers it. A no-op when none exists.
-    pub(crate) fn discard_sealed(&mut self) -> Result<()> {
         if self.sealed_len > 0 && self.root.remove(COMMITLOG_OLD)? {
-            // Durable before the next rotation can seal over the name.
+            // Durable like the emptied `COMMITLOG`: otherwise a crash
+            // brings the segment back and the next open walks, skips
+            // and truncates records every manifest already covers.
             self.root.sync_dir()?;
         }
         self.sealed_len = 0;
-        Ok(())
+        self.file.truncate(0)?;
+        self.file.sync()
     }
 }
 
@@ -200,8 +163,8 @@ const MIN_OP: usize = 13;
 /// log) detectable, and a batch indivisible: replay takes a record
 /// wholly or not at all. `seq` is the shard's batch sequence number;
 /// replay skips records at or below the shard manifest's watermark, so
-/// a record surviving past its checkpoint (in the sealed segment)
-/// cannot replay stale state over a newer manifest.
+/// a record surviving past its checkpoint (a truncate that failed or a
+/// crash before it) cannot replay stale state over a newer manifest.
 pub(crate) fn encode_log_record(
     out: &mut Vec<u8>,
     shard: u32,
@@ -282,13 +245,14 @@ fn decode_record(payload: &[u8]) -> Option<LogRecord> {
 /// and applied at a time, whatever the log's length — then hardens them
 /// and empties the log. Records at or below a shard manifest's
 /// persisted watermark are skipped: their effects are already in the
-/// manifest fold, and with staggered checkpoints the sealed segment
-/// routinely outlives the manifests that cover it, so replaying such a
-/// record could fold **stale** state (an old value of a key the shard
-/// since rewrote) over a newer manifest. Above the watermark replay is
-/// idempotent — a put is an upsert, a delete of an absent key a miss —
-/// and per-shard record order equals the original apply order, so the
-/// last write per key still wins.
+/// manifest fold, and the log outlives the manifests that cover it
+/// whenever a crash (or a failed truncate) lands between a checkpoint's
+/// hardens and its truncate, so replaying such a record could fold
+/// **stale** state (an old value of a key the shard since rewrote) over
+/// a newer manifest. The watermark is exact — the newest batch the
+/// manifest holds — so every record above it is a batch the manifest
+/// lacks, replayed in the original apply order: the last write per key
+/// still wins.
 pub(crate) fn replay_log<M: StoreMedia>(
     log: &mut CommitLog<M>,
     stores: &mut [KvStore<M>],
@@ -441,10 +405,10 @@ mod tests {
         record(shard, seq, &[(seq, Some(Effect::Word(seq * 10)))])
     }
 
-    /// A log whose sealed segment holds `sealed` (none when `None`) and
-    /// whose active segment holds `active`, durably.
-    fn two_segment_log(sealed: Option<&[u8]>, active: &[u8]) -> CommitLog<SimMedia> {
-        let env = SimEnv::new();
+    /// The log at the root of `env` once its leftover sealed segment
+    /// holds `sealed` (none when `None`) and `COMMITLOG` holds `active`,
+    /// durably.
+    fn two_segment_log(env: &SimEnv, sealed: Option<&[u8]>, active: &[u8]) -> CommitLog<SimMedia> {
         for (name, bytes) in [(COMMITLOG_OLD, sealed), (COMMITLOG, Some(active))] {
             let Some(bytes) = bytes else { continue };
             let mut f = env.create_file(name).unwrap();
@@ -452,7 +416,7 @@ mod tests {
             f.sync().unwrap();
         }
         env.sync_dir("").unwrap();
-        CommitLog::open(SimMedia::unlocked(&env)).unwrap()
+        CommitLog::open(SimMedia::unlocked(env)).unwrap()
     }
 
     /// The positional walk sees what decoding the two segments'
@@ -477,7 +441,7 @@ mod tests {
             (Some(r1.clone()), Vec::new(), vec![1]),
         ] {
             let image = cat(&[sealed.as_deref().unwrap_or_default(), &active]);
-            let mut log = two_segment_log(sealed.as_deref(), &active);
+            let mut log = two_segment_log(&SimEnv::new(), sealed.as_deref(), &active);
             let records = walked(&mut log);
             assert_eq!(records, decode_log_records(&image), "sealed {sealed:?}");
             assert_eq!(records.iter().map(|r| r.1).collect::<Vec<_>>(), seqs);
@@ -533,11 +497,14 @@ mod tests {
         assert_eq!(seqs(&mut log), vec![1, 2], "nothing was appended behind the failed round");
     }
 
-    /// One checkpoint rotation, driven by hand: log rounds over two
-    /// shards, `seal`, staggered `harden()`s (one shard per round),
-    /// `discard_sealed`, more rounds. Pushes onto `acked` every `(shard,
-    /// key, value)` whose round committed; errors where `env` crashes.
-    fn rotation(env: &SimEnv, acked: &mut Vec<(usize, Key, u64)>) -> Result<()> {
+    /// Log rounds over two shards with two checkpoints among them, driven
+    /// by hand the way the service's committers and coordinator do it:
+    /// each round applies one put per shard — stamping the batch's seq
+    /// into the store, as an apply does — and commits their records to
+    /// the log; a checkpoint hardens every store in turn, then truncates
+    /// the log. Pushes onto `acked` every `(shard, key, value)` whose
+    /// round committed; errors where `env` crashes.
+    fn checkpointing(env: &SimEnv, acked: &mut Vec<(usize, Key, u64)>) -> Result<()> {
         let cfg = CoreConfig::lemma5(4, 96, 2).unwrap();
         let root = SimMedia::unlocked(env);
         let mut stores = Vec::new();
@@ -546,58 +513,55 @@ mod tests {
         }
         let mut log = CommitLog::open(root)?;
         replay_log(&mut log, &mut stores)?;
-        let mut seq = [0u64; 2];
-        let mut owed: Vec<usize> = Vec::new();
         for round in 0..9u64 {
             let mut bytes = Vec::new();
             let mut riding = Vec::new();
             for (si, store) in stores.iter_mut().enumerate() {
                 let (k, v) = (round * 2 + si as u64, round + 100);
-                seq[si] = seq[si].max(store.replay_watermark()) + 1;
+                let seq = store.replay_watermark() + 1;
                 store.insert(k, v)?;
-                encode_log_record(&mut bytes, si as u32, seq[si], &[(k, Some(Effect::Word(v)))]);
+                store.set_replay_watermark(seq);
+                encode_log_record(&mut bytes, si as u32, seq, &[(k, Some(Effect::Word(v)))]);
                 riding.push((si, k, v));
             }
             log.commit(&bytes)?;
             acked.extend(riding);
-            if round == 2 {
-                log.seal()?;
-                owed = vec![1, 0];
-            }
-            if let Some(si) = owed.pop() {
-                stores[si].set_replay_watermark(seq[si]);
-                stores[si].harden()?;
-                if owed.is_empty() {
-                    log.discard_sealed()?;
+            if round % 4 == 2 {
+                for store in &mut stores {
+                    store.harden()?;
                 }
+                log.truncate()?;
             }
         }
         Ok(())
     }
 
     /// Crash at **every** I/O index of a first-ever open (shard creates,
-    /// `SERVICE`-less root, the log's create + dir-sync) and of a whole
-    /// rotation; after each, reopen + replay must recover every record
-    /// whose round committed. The sweep's traces must show the windows
-    /// it exists for: a torn `COMMITLOG` tail, a lost un-dir-synced
-    /// dirent, and a crash between a rename and its dir-sync.
+    /// `SERVICE`-less root, the log's create + dir-sync) and of log rounds
+    /// with two checkpoints among them — every harden, then the truncate;
+    /// after each, reopen + replay must recover every record whose round
+    /// committed. The sweep's traces must show the windows it exists
+    /// for: a torn `COMMITLOG` tail, a lost un-dir-synced dirent, a crash
+    /// between a manifest rename and its dir-sync, and one between a
+    /// checkpoint's last harden and its truncate.
     #[test]
-    fn rotation_and_first_open_crash_sweep_loses_no_committed_record() {
+    fn checkpoint_and_first_open_crash_sweep_loses_no_committed_record() {
         use dxh_extmem::{FaultPlan, IoEvent};
         let total = {
             let env = SimEnv::new();
             let mut acked = Vec::new();
-            rotation(&env, &mut acked).unwrap();
-            assert_eq!(acked.len(), 18, "the crash-free rotation completes");
+            checkpointing(&env, &mut acked).unwrap();
+            assert_eq!(acked.len(), 18, "the crash-free lifecycle completes");
             env.ops()
         };
         let (mut torn_log, mut lost_dirents, mut mid_rename) = (0, 0, 0);
+        let mut hardened_not_truncated = 0;
         for k in 0..total {
             let env = SimEnv::new();
             env.set_plan(FaultPlan::crash(k, 0xC0FFEE ^ k.rotate_left(17)));
             let mut acked = Vec::new();
             // `Ok` when the crash fell inside the stores' drop-time syncs.
-            let run = rotation(&env, &mut acked);
+            let run = checkpointing(&env, &mut acked);
             assert!(env.crashed(), "crash_at {k}: no crash fired, run returned {run:?}");
             env.power_cycle();
             let trace = env.take_trace();
@@ -617,6 +581,16 @@ mod tests {
                 .take_while(|l| !l.starts_with("dir-sync"))
                 .any(|l| l.starts_with("file-rename"));
             mid_rename += usize::from(pending_rename);
+            // The crash took the truncate (or came right before it): the
+            // last thing done, unlinks aside, was the second harden's
+            // manifest commit.
+            let last = labels
+                .iter()
+                .take_while(|l| !l.starts_with("power-cycle"))
+                .filter(|l| !l.starts_with("file-remove"))
+                .last();
+            hardened_not_truncated +=
+                usize::from(!acked.is_empty() && last == Some(&"dir-sync shard-001/"));
 
             let root = SimMedia::unlocked(&env);
             let cfg = CoreConfig::lemma5(4, 96, 2).unwrap();
@@ -639,6 +613,7 @@ mod tests {
         assert!(torn_log > 0, "no crash tore the COMMITLOG tail");
         assert!(lost_dirents > 0, "no crash lost an un-dir-synced dirent");
         assert!(mid_rename > 0, "no crash fell between a rename and its dir-sync");
+        assert!(hardened_not_truncated > 0, "no crash fell between the hardens and the truncate");
     }
 
     fn service(env: &SimEnv) -> ShardedKvStore<SimMedia> {
@@ -651,9 +626,9 @@ mod tests {
     }
 
     /// A clean close leaves nothing for the next open to replay: once
-    /// every shard's final harden committed, the log — both segments — is
-    /// emptied, whatever point of the checkpoint cycle the service
-    /// stopped at; the reopen commits no manifest and serves every key.
+    /// the close's checkpoint hardened every shard, the log is emptied,
+    /// whatever point of the checkpoint cycle the service stopped at;
+    /// the reopen commits no manifest and serves every key.
     #[test]
     fn a_clean_close_empties_the_commit_log() {
         use dxh_extmem::IoEvent;
@@ -661,7 +636,7 @@ mod tests {
             let env = SimEnv::new();
             let svc = service(&env);
             if let Some(bytes) = ckpt_bytes {
-                svc.set_checkpoint_log_bytes(bytes); // rotations: a sealed segment comes and goes
+                svc.set_checkpoint_log_bytes(bytes); // checkpoints empty the log mid-run
             }
             for k in 0..puts {
                 svc.put(k, k + 1).unwrap();
@@ -714,23 +689,65 @@ mod tests {
         assert_eq!(log_bytes(&env), b"", "the recovered service closes clean");
     }
 
-    /// Crash at every I/O of a clean close that finds a checkpoint
-    /// rotation half done — the final hardens, the window between the
-    /// last of them and the truncate, the sealed segment's removal, the
-    /// truncate itself: every acknowledged key survives, whether the
-    /// reopen finds the log whole or empty.
+    /// The upgrade fold: a service root an earlier layout left with a
+    /// sealed segment beside `COMMITLOG` reopens, replays the sealed
+    /// records, then the active ones — each skipped at or below its
+    /// shard's watermark — and ends with neither file holding a record:
+    /// the sealed one is gone, `COMMITLOG` is empty.
+    #[test]
+    fn a_leftover_sealed_segment_is_replayed_before_the_log_then_removed() {
+        let env = SimEnv::new();
+        let svc = service(&env);
+        let mut watermark = [0u64; 2];
+        for k in 0..20u64 {
+            svc.put(k, k + 1).unwrap(); // one batch, one seq, per put
+            watermark[svc.shard_of(k)] += 1;
+        }
+        // Per shard: a key it owns from the puts, and two fresh ones.
+        let owned = |si: usize, from: u64| (from..).find(|&k| svc.shard_of(k) == si).unwrap();
+        let keys: Vec<[u64; 3]> =
+            (0..2).map(|si| [owned(si, 0), owned(si, 100), owned(si, 200)]).collect();
+        drop(svc); // a clean close: every put is in a manifest, the log is empty
+        let (mut sealed, mut active) = (Vec::new(), Vec::new());
+        for (si, &[old, fresh, later]) in keys.iter().enumerate() {
+            let (w, shard) = (watermark[si], si as u32);
+            let put = |k: u64, v: u64| (k, Some(Effect::Word(v)));
+            // At the watermark: covered by the manifest, skipped — it
+            // would roll `old` back.
+            sealed.extend(record(shard, w, &[put(old, 0)]));
+            sealed.extend(record(shard, w + 1, &[put(fresh, 1)]));
+            // Replayed after the sealed records, so `fresh` ends at 2.
+            active.extend(record(shard, w + 2, &[put(fresh, 2), put(later, 3)]));
+        }
+        drop(two_segment_log(&env, Some(&sealed), &active));
+        let svc = service(&env);
+        for (si, &[old, fresh, later]) in keys.iter().enumerate() {
+            assert_eq!(svc.get(old).unwrap(), Some(old + 1), "shard {si}: the skip held");
+            assert_eq!(svc.get(fresh).unwrap(), Some(2), "shard {si}: sealed, then active");
+            assert_eq!(svc.get(later).unwrap(), Some(3), "shard {si}");
+        }
+        for k in 0..20u64 {
+            assert_eq!(svc.get(k).unwrap(), Some(k + 1), "key {k}");
+        }
+        assert_eq!(env.read_file(COMMITLOG_OLD).unwrap(), None, "the sealed segment is gone");
+        assert_eq!(log_bytes(&env), b"", "and the log holds no record");
+        drop(svc);
+        let svc = service(&env);
+        assert_eq!(svc.get(keys[1][2]).unwrap(), Some(3), "the replay was hardened");
+    }
+
+    /// Crash at every I/O of the last round and of a clean close — the
+    /// close's checkpoint: both hardens, the window between the last of
+    /// them and the truncate, the truncate itself. Every acknowledged
+    /// key survives, whether the reopen finds the log whole or empty.
     #[test]
     fn close_crash_sweep_loses_no_acknowledged_key() {
         use dxh_extmem::{FaultPlan, IoEvent};
-        // One writer, one put at a time: the same I/Os in every run (the
-        // two final hardens interleave as the scheduler has it). A put
-        // is a 45-byte record, so the last one's round reaches the
-        // threshold, seals the log and checkpoints one shard of two: the
-        // close inherits a sealed segment. Returns the I/O clock before
-        // that put; `acked` takes every key whose put returned `Ok`.
+        // One writer, one put at a time: the same I/Os in every run.
+        // Returns the I/O clock before the last put; `acked` takes every
+        // key whose put returned `Ok`.
         let lifecycle = |env: &SimEnv, acked: &mut Vec<u64>| {
             let svc = service(env);
-            svc.set_checkpoint_log_bytes(40 * 45);
             let mut before_the_last_put = 0;
             for k in 0..40u64 {
                 if k == 39 {
@@ -769,8 +786,7 @@ mod tests {
                 last == Some(true)
             });
             env.power_cycle();
-            let log_left = log_bytes(&env).len()
-                + env.read_file(COMMITLOG_OLD).unwrap().map_or(0, |sealed| sealed.len());
+            let log_left = log_bytes(&env).len();
             assert!(crashed || (hardened && log_left == 0), "crash_at {k}");
             hardened_not_truncated += usize::from(hardened && log_left > 0);
             truncated += usize::from(log_left == 0);
@@ -790,10 +806,10 @@ mod tests {
 
     /// No step of a payload service's reopen holds more than one record:
     /// after a clean close, after a crash that leaves a commit log to
-    /// replay, and after one that leaves it as the sealed segment, the
-    /// reopen's trace has no whole-file read of a blob log or of either
-    /// log segment, and its longest single read is no longer than the
-    /// largest frame on disk.
+    /// replay, and after one that leaves it as an earlier layout's sealed
+    /// segment, the reopen's trace has no whole-file read of a blob log
+    /// or of either log file, and its longest single read is no longer
+    /// than the largest frame on disk.
     #[test]
     fn a_payload_reopen_reads_its_logs_record_by_record() {
         use dxh_extmem::{FaultPlan, IoEvent};
@@ -813,7 +829,8 @@ mod tests {
             drop(svc);
             env.power_cycle();
             if sealed {
-                // The state a crash right after `seal`'s rename leaves.
+                // The state an earlier layout's crash right after it set
+                // the log aside as a sealed segment leaves.
                 env.rename_file(COMMITLOG, COMMITLOG_OLD).unwrap();
                 env.sync_dir("").unwrap();
             }
@@ -858,7 +875,7 @@ mod tests {
         fn decoder_is_total(bytes in proptest::collection::vec(any::<u8>(), 0..120)) {
             for image in [bytes.clone(), framed(&bytes), [word(0, 1), bytes].concat()] {
                 let records = decode_log_records(&image);
-                prop_assert_eq!(walked(&mut two_segment_log(None, &image)), records);
+                prop_assert_eq!(walked(&mut two_segment_log(&SimEnv::new(), None, &image)), records);
             }
         }
     }

@@ -37,14 +37,13 @@
 //!   fsyncs largely serialize at the device, so per-shard syncing would
 //!   make an `N`-shard round cost `N` times a 1-shard round and turn
 //!   partitioning into a durability regression). Per-shard manifests
-//!   are brought current by the much rarer **checkpoint rotations** —
-//!   when the log outgrows its threshold it is *sealed* aside and the
-//!   shards harden **round-robin, one per sync round**, so no single
-//!   round ever stalls behind every shard's manifest fsync; new
-//!   records meanwhile append to a fresh active segment, and once the
-//!   last shard of the rotation hardens the sealed segment (now
-//!   covered by every manifest, tracked per shard by a replay
-//!   watermark) is discarded. Shutdown still hardens everything.
+//!   are brought current by the much rarer **checkpoints** — once the
+//!   log outgrows its threshold, the coordinator hardens every shard's
+//!   manifest in turn (each stamped with a replay watermark: the
+//!   newest batch it holds) and then empties the log, whose records
+//!   every manifest now covers. A manifest is a few level lines, so a
+//!   checkpoint costs `N` small commits, not `N` table writes. The
+//!   coordinator's last act at shutdown is one more checkpoint.
 //!   Rounds are adaptive: the next one fires as soon as the previous
 //!   finishes and new dirt exists, so an idle service schedules
 //!   nothing and a loaded one commits back-to-back;
@@ -81,7 +80,7 @@
 //! harness (`dxh_workloads::service`) sweeps crash indices across the
 //! coalesced commit window and checks exactly this boundary.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -236,18 +235,20 @@ pub struct ServiceStats {
     /// fsync whatever the shard count — `N` dirty shards ride it
     /// together instead of paying `N` manifest commits.
     pub sync_rounds: u64,
-    /// Per-shard manifest hardens — paid only by checkpoint rounds (log
-    /// threshold reached) and the shutdown handshake, never by the
+    /// Per-shard manifest hardens — one per shard per checkpoint (log
+    /// threshold reached, or the shutdown handshake), never paid by the
     /// steady-state log rounds. Near zero on a healthy short run.
     pub shard_syncs: u64,
-    /// Sealed commit-log segments discarded after a clean checkpoint
-    /// rotation. On a fault-free run every completed rotation shows up
-    /// here (possibly after retries); a rotation whose segment never
-    /// discards leaks log bytes and replay work at every reopen.
+    /// Checkpoints that emptied the commit log: every shard hardened
+    /// cleanly and the truncate succeeded. On a fault-free run every
+    /// checkpoint shows up here; one that never does leaks log bytes and
+    /// replay work at every reopen. (Named for the sealed log segment
+    /// such checkpoints used to discard.)
     pub sealed_discards: u64,
-    /// Failed sealed-segment discard attempts. Each one is retried by a
-    /// later sync round; nonzero here with a stuck `sealed_discards` is
-    /// the signal that used to be swallowed silently.
+    /// Failed commit-log truncates after a clean checkpoint. The log
+    /// keeps its records — every one of them at or below some manifest's
+    /// watermark — and the next round past the threshold checkpoints
+    /// again.
     pub sealed_discard_failures: u64,
     /// Write ops absorbed by the newest-wins coalescing buffer: enqueued
     /// ops that never cost a table op of their own because a later op on
@@ -259,8 +260,8 @@ pub struct ServiceStats {
     /// is O(log n) bytes — one line per level — so this stays
     /// proportional to the number of commits, not to table size.
     pub manifest_bytes_written: u64,
-    /// Manifest commits made by the committers' hardens (checkpoint
-    /// rotations and the shutdown handshake) across shards. Named for
+    /// Manifest commits made by checkpoint hardens (the threshold's and
+    /// the shutdown handshake's) across shards. Named for
     /// the `MANIFEST.DELTA` frames such commits used to be (see
     /// [`crate::ManifestIoStats`]).
     pub manifest_delta_commits: u64,
@@ -396,27 +397,15 @@ struct BufState {
     inflight_overlay: HashMap<Key, Option<Effect>>,
     /// Applied batches awaiting their durability epoch (pipelined acks).
     unacked: Vec<AppliedBatch>,
-    /// Sequence number the next applied batch takes. Seeded at open
+    /// Sequence number the next drained batch takes. Seeded at open
     /// from the store's persisted replay watermark plus one; per-shard
     /// and strictly monotone across a service generation.
     next_seq: u64,
-    /// Seq of the newest batch applied to the shard's table — what a
-    /// manifest harden stamps into the store as its replay watermark
-    /// (the manifest covers everything applied before the harden).
-    last_applied_seq: u64,
-    /// Set by the coordinator when this shard's turn in a **checkpoint
-    /// rotation** comes up: it owes a manifest harden. Steady-state log
-    /// rounds never set this.
-    harden_request: bool,
-    /// Set by the service's drop: drain, final-sync, and exit.
+    /// Set by the service's drop: drain and exit.
     shutdown: bool,
     /// Set when a group commit failed: the shard stops accepting work
     /// (its store handle is poisoned) until the service is reopened.
     wedged: Option<String>,
-    /// Set by [`CommitterPanicGuard`] when the committer thread died by
-    /// panic: the coordinator must stop expecting harden reports from
-    /// this shard (see [`staggered_checkpoint`]).
-    committer_dead: bool,
     committed_ops: u64,
     committed_batches: u64,
     largest_batch: u64,
@@ -424,8 +413,8 @@ struct BufState {
     /// cost their own table op because a later op on the same key
     /// superseded them inside one batch. Counted at drain.
     coalesced_ops: u64,
-    /// Manifest hardens this shard performed (checkpoint and shutdown
-    /// rounds; feeds `shard_syncs`).
+    /// Checkpoint hardens of this shard's manifest (feeds
+    /// `shard_syncs`).
     hardens: u64,
     /// True while the committer is mid-apply (the wave-settling signal
     /// the coordinator reads: a shard with pending work or an apply in
@@ -466,12 +455,13 @@ impl BufState {
 
 struct Shard<M: StoreMedia> {
     buf: Mutex<BufState>,
-    /// Wakes the committer: new pending work, a harden request, shutdown.
+    /// Wakes the committer: new pending work, shutdown.
     work_cv: Condvar,
     /// Wakes parked writers: their cells were filled.
     ack_cv: Condvar,
     /// The persistent store; held by the committer for the length of one
-    /// apply or harden, and by readers that miss the overlay.
+    /// apply, by the coordinator for one harden, and by readers that
+    /// miss the overlay.
     store: Mutex<KvStore<M>>,
 }
 
@@ -484,46 +474,32 @@ struct Shard<M: StoreMedia> {
 ///   round**: every applied batch goes into the shared commit log,
 ///   one fsync makes them all durable, and their writers are
 ///   acknowledged;
-/// * when the log outgrows its threshold the coordinator **seals** it
-///   (new records append to a fresh active segment) and starts a
-///   **checkpoint rotation**: one shard per subsequent sync round
-///   hardens its manifest (`pending_done[si]` tracks the turn), so the
-///   per-shard fsync cost is spread across rounds instead of stalling
-///   one round behind all of them; when the rotation completes cleanly
-///   the sealed segment — now covered by every shard's manifest
-///   watermark — is discarded;
+/// * when the log outgrows its threshold the round is followed by a
+///   **checkpoint**: the coordinator hardens every shard's manifest in
+///   turn and then empties the log, which those manifests now cover;
 /// * the round completes, the epoch advances, and the next round starts
 ///   as soon as there is new dirt — the commit interval adapts to load.
 struct SyncCoordinator {
     state: Mutex<CoordState>,
-    /// Wakes the coordinator: new dirt, a done report, shutdown.
+    /// Wakes the coordinator: new dirt, shutdown.
     cv: Condvar,
-    /// Commit-log bytes that trigger a checkpoint rotation; defaults to
+    /// Commit-log bytes that trigger a checkpoint; defaults to
     /// [`CHECKPOINT_LOG_BYTES`], overridable per service handle (the
-    /// torture harness shrinks it to sweep crashes across the rotation
-    /// window).
+    /// torture harness shrinks it to sweep crashes across checkpoints).
     ckpt_bytes: AtomicU64,
-    /// Sealed commit-log segments successfully discarded after a clean
-    /// checkpoint rotation (feeds [`ServiceStats::sealed_discards`]).
+    /// Checkpoints that emptied the log (feeds
+    /// [`ServiceStats::sealed_discards`]).
     sealed_discards: AtomicU64,
-    /// Failed discard attempts. Each failure leaves the segment in
-    /// place and a later sync round retries, so on a fault-free run the
-    /// success counter eventually catches every completed rotation —
-    /// a failure here used to vanish silently (`best_effort`), leaving
-    /// no way to notice a segment that never went away.
+    /// Failed truncates after a clean checkpoint (feeds
+    /// [`ServiceStats::sealed_discard_failures`]).
     sealed_discard_failures: AtomicU64,
 }
 
 struct CoordState {
     /// Shards with applied-but-volatile batches awaiting a round.
     dirty: Vec<bool>,
-    /// Per shard: owes the active checkpoint round a done report.
-    /// Per-shard flags rather than a counter so reports are idempotent —
-    /// both a dying committer's panic guard and the coordinator's own
-    /// dead-shard skip may report for the same shard without
-    /// double-counting.
-    pending_done: Vec<bool>,
-    /// Completed rounds — the service's durability epoch.
+    /// Completed rounds and checkpoints — the service's durability
+    /// epoch.
     epoch: u64,
     shutdown: bool,
 }
@@ -531,12 +507,7 @@ struct CoordState {
 impl SyncCoordinator {
     fn new(shards: usize) -> Self {
         SyncCoordinator {
-            state: Mutex::new(CoordState {
-                dirty: vec![false; shards],
-                pending_done: vec![false; shards],
-                epoch: 0,
-                shutdown: false,
-            }),
+            state: Mutex::new(CoordState { dirty: vec![false; shards], epoch: 0, shutdown: false }),
             cv: Condvar::new(),
             ckpt_bytes: AtomicU64::new(CHECKPOINT_LOG_BYTES),
             sealed_discards: AtomicU64::new(0),
@@ -552,63 +523,46 @@ impl SyncCoordinator {
         st.dirty[si] = true;
         self.cv.notify_all();
     }
-
-    /// Round participant `si` finished its harden (or is wedged, or its
-    /// committer is dead, and will do no work): one fewer shard holds
-    /// the barrier. Idempotent — a second report for the same shard in
-    /// the same round is a no-op.
-    fn report_done(&self, si: usize) {
-        let mut st = self.state.lock();
-        if st.pending_done[si] {
-            st.pending_done[si] = false;
-            if !st.pending_done.iter().any(|&p| p) {
-                self.cv.notify_all();
-            }
-        }
-    }
 }
 
-/// Commit-log bytes that trigger a checkpoint rotation: big enough
-/// that steady-state rounds almost never pay per-shard manifest
-/// hardens — a full rotation costs one manifest harden *per shard*, so
-/// its price scales with the shard count while log rounds stay flat —
-/// small enough to bound reopen-time replay work (4 MiB replays in
-/// well under a second even on modest disks; at 25 bytes per logged op
-/// that is ~160k ops between manifest catch-ups).
+/// Commit-log bytes that trigger a checkpoint: big enough that
+/// steady-state rounds almost never pay per-shard manifest hardens — a
+/// checkpoint costs one manifest harden *per shard*, so its price
+/// scales with the shard count while log rounds stay flat — small
+/// enough to bound reopen-time replay work (4 MiB replays in well under
+/// a second even on modest disks; at 25 bytes per logged op that is
+/// ~160k ops between manifest catch-ups).
 const CHECKPOINT_LOG_BYTES: u64 = 4 * 1024 * 1024;
 
 /// The coordinator thread body: turn accumulated dirt into sync rounds
-/// until shutdown finds nothing left to flush. The coordinator is the
-/// commit log's only writer; it hands the log back when it exits, so the
-/// service's drop can empty it once the final hardens made it redundant.
+/// — and, past the log threshold, checkpoints — until shutdown finds
+/// nothing left to flush. The coordinator is the commit log's only
+/// writer and the shards' only hardener. The service's drop joins every
+/// committer before it asks the coordinator to stop, so the dirt left
+/// then is final: the coordinator commits it, and its last act is a
+/// checkpoint that hardens every shard and empties the log.
 fn coordinator_loop<M: StoreMedia>(
     shards: Vec<Arc<Shard<M>>>,
     coord: Arc<SyncCoordinator>,
     mut log: CommitLog<M>,
-) -> CommitLog<M> {
-    // The active checkpoint rotation: shards still owing a staggered
-    // manifest harden, in turn order. Empty between rotations.
-    let mut rotation: VecDeque<usize> = VecDeque::new();
-    // Whether every turn of the current rotation hardened cleanly (a
-    // wedged or dead shard taints it; a tainted rotation keeps the
-    // sealed segment for reopen-time replay).
-    let mut rotation_clean = true;
-    // Where the *next* rotation starts — advancing round-robin spreads
-    // the first-turn latency across shards over a service's lifetime.
-    let mut rr_next = 0usize;
+) {
     loop {
         // Wait for dirt (or a clean shutdown).
-        {
+        let shutdown = {
             let mut st = coord.state.lock();
             loop {
                 if st.dirty.iter().any(|&d| d) {
-                    break;
+                    break false;
                 }
                 if st.shutdown {
-                    return log;
+                    break true;
                 }
                 st = coord.cv.wait(st);
             }
+        };
+        if shutdown {
+            checkpoint(&shards, &coord, &mut log);
+            return;
         }
         // Wave settling. A wave — every writer unblocked by the last
         // round submitting its next pipelined chunk — does not land
@@ -660,41 +614,8 @@ fn coordinator_loop<M: StoreMedia>(
             p
         };
         commit_round(&shards, &coord, &mut log, &participants);
-        // Checkpoint staggering. When the log outgrows its threshold it
-        // is sealed aside (appends continue into a fresh active
-        // segment) and the shards harden one per sync round instead of
-        // all serially inside one round — the rotation spreads the
-        // per-shard manifest fsyncs across rounds, so no single round's
-        // writers wait behind every shard's harden. A failed seal just
-        // leaves the log growing; the next round retries.
-        if rotation.is_empty()
-            && !log.has_sealed()
-            && log.size() >= coord.ckpt_bytes.load(Ordering::Relaxed)
-            && log.seal().is_ok()
-        {
-            rotation.extend((0..shards.len()).map(|i| (rr_next + i) % shards.len()));
-            rr_next = (rr_next + 1) % shards.len();
-            rotation_clean = true;
-        }
-        if let Some(si) = rotation.pop_front() {
-            rotation_clean &= staggered_checkpoint(&shards, &coord, si);
-        }
-        if rotation.is_empty() && rotation_clean && log.has_sealed() {
-            // Every manifest now covers the sealed segment (each harden
-            // stamped the shard's replay watermark): discard it. A
-            // failed unlink only means replay does redundant,
-            // watermark-skipped work at reopen, and this retries every
-            // round until the segment really is gone — but it is
-            // *counted*, not swallowed: a segment that never discards
-            // shows up in [`ServiceStats`] instead of silently pinning
-            // log bytes forever. A *tainted* rotation (wedged/dead
-            // shard) never reaches here: its sealed records may exist
-            // nowhere else, so the segment is kept for reopen replay.
-            if log.discard_sealed().is_err() {
-                coord.sealed_discard_failures.fetch_add(1, Ordering::Relaxed);
-            } else {
-                coord.sealed_discards.fetch_add(1, Ordering::Relaxed);
-            }
+        if log.size() >= coord.ckpt_bytes.load(Ordering::Relaxed) {
+            checkpoint(&shards, &coord, &mut log);
         }
     }
 }
@@ -769,112 +690,83 @@ fn commit_round<M: StoreMedia>(
     }
 }
 
-/// One turn of a **checkpoint rotation**: shard `si` hardens its own
-/// store — bringing its manifest (and replay watermark) current, which
-/// also acknowledges anything it applied since the last log round —
-/// while every other shard keeps taking ordinary log rounds. Returns
-/// whether the turn completed cleanly (`false`: the shard is wedged or
-/// its committer is dead — the rotation is tainted and the sealed log
-/// segment must be kept, since its records may exist nowhere else).
-fn staggered_checkpoint<M: StoreMedia>(
+/// One **checkpoint**, run on the coordinator thread: every shard
+/// hardens its manifest in turn — which also acknowledges the applied
+/// batches that manifest covers — and then, iff every harden committed
+/// and no failed round left bytes behind, the commit log is emptied:
+/// each record in it is now at or below its shard's manifest watermark.
+///
+/// Skipped entirely while any shard is wedged. A wedged shard's
+/// acknowledged batches may exist nowhere but in the log, so the log is
+/// kept for reopen-time replay whatever its siblings do — hardening
+/// them at every round past the threshold would buy nothing.
+fn checkpoint<M: StoreMedia>(
     shards: &[Arc<Shard<M>>],
     coord: &SyncCoordinator,
-    si: usize,
-) -> bool {
-    {
-        let mut st = coord.state.lock();
-        st.pending_done[si] = true;
+    log: &mut CommitLog<M>,
+) {
+    if shards.iter().any(|s| s.buf.lock().wedged.is_some()) {
+        return;
     }
-    let shard = &shards[si];
-    let dead = {
-        let mut buf = shard.buf.lock();
-        buf.harden_request = !buf.committer_dead;
-        buf.committer_dead
+    let mut clean = true;
+    for shard in shards {
+        clean &= harden_shard(shard);
+    }
+    coord.state.lock().epoch += 1;
+    if !clean || log.is_poisoned() || log.size() == 0 {
+        return;
+    }
+    // A failed truncate keeps records every manifest covers: replay
+    // would skip them by watermark. It is counted, not swallowed, and
+    // the next round past the threshold checkpoints again.
+    let counter = match log.truncate() {
+        Ok(()) => &coord.sealed_discards,
+        Err(_) => &coord.sealed_discard_failures,
     };
-    if dead {
-        // No committer will ever take the request: report on the
-        // shard's behalf. (If the committer dies *after* taking a
-        // request, its panic guard does the same — reports are
-        // idempotent, so the race between this check and a concurrent
-        // death is harmless.)
-        coord.report_done(si);
-    } else {
-        shard.work_cv.notify_all();
-    }
-    {
-        let mut st = coord.state.lock();
-        while st.pending_done[si] {
-            st = coord.cv.wait(st);
-        }
-        st.epoch += 1;
-    }
-    let buf = shard.buf.lock();
-    buf.wedged.is_none() && !buf.committer_dead
+    counter.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Wedges the shard if its committer thread dies by panic. Mutex
 /// poisoning is swallowed at the `dxh_sync` seam, so without this a
 /// committer that panicked mid-protocol would silently strand every
-/// writer parked on `ack_cv` and every round waiting on its report —
-/// the lost-wakeup shape the model checker hunts. Runs during unwind,
-/// after the committer's own guards have been released (locals drop in
-/// reverse declaration order and the guard is declared first).
-struct CommitterPanicGuard<'a, M: StoreMedia> {
-    shard: &'a Shard<M>,
-    coord: &'a SyncCoordinator,
-    si: usize,
-}
+/// writer parked on `ack_cv` — the lost-wakeup shape the model checker
+/// hunts. The wedge also stops every later checkpoint, so the log keeps
+/// whatever the dead committer's shard acknowledged. Runs during
+/// unwind, after the committer's own guards have been released (locals
+/// drop in reverse declaration order and the guard is declared first).
+struct CommitterPanicGuard<'a, M: StoreMedia>(&'a Shard<M>);
 
 impl<M: StoreMedia> Drop for CommitterPanicGuard<'_, M> {
     fn drop(&mut self) {
         if !std::thread::panicking() {
             return;
         }
-        let already_wedged = {
-            let mut buf = self.shard.buf.lock();
-            buf.committer_dead = true;
-            buf.harden_request = false;
-            buf.wedged.is_some()
-        };
-        // If a checkpoint round was waiting on this shard, release it
-        // (idempotent, so racing the coordinator's own dead-shard skip
-        // is fine).
-        self.coord.report_done(self.si);
-        if already_wedged {
+        let shard = self.0;
+        if shard.buf.lock().wedged.is_some() {
             // Keep the original failure cause; just make sure nobody
             // sleeps through the committer's death.
-            self.shard.ack_cv.notify_all();
+            shard.ack_cv.notify_all();
         } else {
-            wedge(self.shard, "committer thread panicked".to_string(), &[]);
+            wedge(shard, "committer thread panicked".to_string(), &[]);
         }
     }
 }
 
 /// The per-shard committer thread body: drain-and-apply pending batches
-/// continuously, harden on the coordinator's schedule, ack at the epoch.
+/// continuously until shutdown finds the queue empty. Durability is the
+/// coordinator's: its log rounds and checkpoints acknowledge.
 fn committer_loop<M: StoreMedia>(shard: Arc<Shard<M>>, coord: Arc<SyncCoordinator>, si: usize) {
-    enum Todo {
-        Apply,
-        Harden,
-        Exit,
-    }
-    let _panic_guard = CommitterPanicGuard { shard: &shard, coord: &coord, si };
+    let _panic_guard = CommitterPanicGuard(&shard);
     loop {
-        let todo = {
+        {
             let mut buf = shard.buf.lock();
             let mut spins = 4u32;
             loop {
-                // A harden request outranks new arrivals: a hot shard
-                // must not keep the coordinator's round waiting. (One
-                // drain still folds into the harden below.)
-                if std::mem::take(&mut buf.harden_request) {
-                    break Todo::Harden;
-                }
                 if buf.wedged.is_none() && !buf.pending.is_empty() {
-                    break Todo::Apply;
+                    break;
                 }
                 if buf.shutdown {
-                    break Todo::Exit;
+                    return;
                 }
                 // A few scheduler yields before parking: writers
                 // scatter a `submit` across shards slice by slice, so
@@ -892,32 +784,9 @@ fn committer_loop<M: StoreMedia>(shard: Arc<Shard<M>>, coord: Arc<SyncCoordinato
                 }
                 buf = shard.work_cv.wait(buf);
             }
-        };
-        match todo {
-            Todo::Apply => {
-                if apply_pending(&shard) {
-                    coord.mark_dirty(si);
-                }
-            }
-            Todo::Harden => {
-                // This shard's turn in a checkpoint rotation: fold one
-                // last drain into this manifest harden (no dirty mark —
-                // the harden right here is its durability point), then
-                // bring the manifest current so the coordinator can
-                // discard the sealed log segment once every turn is
-                // done. Both no-op on a wedged shard — but done is
-                // always reported, so a poisoned shard can never hang
-                // the rotation.
-                apply_pending(&shard);
-                harden_shard(&shard);
-                coord.report_done(si);
-            }
-            Todo::Exit => {
-                // Drain-then-sync handshake: the wait loop only chooses
-                // Exit once pending is empty and no round is owed.
-                harden_shard(&shard);
-                return;
-            }
+        }
+        if apply_pending(&shard) {
+            coord.mark_dirty(si);
         }
     }
 }
@@ -940,12 +809,14 @@ fn committer_loop<M: StoreMedia>(shard: Arc<Shard<M>>, coord: Arc<SyncCoordinato
 /// the equivalence the proptest battery in `tests/service_store.rs`
 /// checks against a serially-applied model.
 fn apply_pending<M: StoreMedia>(shard: &Shard<M>) -> bool {
-    let (drained, effects): (CoalesceBuf, Vec<(Key, Option<Effect>)>) = {
+    let (drained, effects, seq) = {
         let mut buf = shard.buf.lock();
         if buf.wedged.is_some() || buf.pending.is_empty() {
             return false;
         }
         let drained = std::mem::take(&mut buf.pending);
+        let seq = buf.next_seq;
+        buf.next_seq += 1;
         // The deduplicated batch, in first-touch key order: what the
         // table applies, the commit log records, and replay refolds.
         // Folding it equals folding the full op stream — replay is
@@ -959,7 +830,7 @@ fn apply_pending<M: StoreMedia>(shard: &Shard<M>) -> bool {
         if buf.recording {
             buf.applying_record = Some(BatchRecord { ops: effects.clone() });
         }
-        (drained, effects)
+        (drained, effects, seq)
     };
 
     // Per-key answer runs, parallel to `drained.order`.
@@ -1018,6 +889,11 @@ fn apply_pending<M: StoreMedia>(shard: &Shard<M>) -> bool {
             // it must never reach a manifest — not even through the
             // drop-time sync.
             store.poison();
+        } else {
+            // The table now holds every batch up to this one and none
+            // after it: whichever manifest commits next covers exactly
+            // that, so replay must skip exactly those records.
+            store.set_replay_watermark(seq);
         }
     }
 
@@ -1046,9 +922,6 @@ fn apply_pending<M: StoreMedia>(shard: &Shard<M>) -> bool {
                     *cell.0.lock() = Some(Err(why.clone()));
                 }
             }
-            let seq = buf.next_seq;
-            buf.next_seq += 1;
-            buf.last_applied_seq = seq;
             buf.unacked.push(AppliedBatch {
                 cells,
                 answers,
@@ -1074,28 +947,24 @@ fn apply_pending<M: StoreMedia>(shard: &Shard<M>) -> bool {
     }
 }
 
-/// The manifest half of a shard's durability (checkpoint and shutdown
-/// rounds; steady-state durability is the commit log's): harden the
-/// store, then acknowledge every applied batch still waiting on an
-/// epoch (manifest durability is durability too). A failure wedges the
-/// shard instead. No-ops on a wedged shard.
-fn harden_shard<M: StoreMedia>(shard: &Shard<M>) {
-    let last_seq = {
-        let buf = shard.buf.lock();
-        if buf.wedged.is_some() {
-            return;
-        }
-        buf.last_applied_seq
-    };
+/// The manifest half of a shard's durability (checkpoints; steady-state
+/// durability is the commit log's): harden the store, then acknowledge
+/// the applied batches its manifest covers — those at or below the
+/// replay watermark it persisted (manifest durability is durability
+/// too). The committer keeps applying meanwhile, so a batch applied
+/// after the harden let go of the store is in no manifest: it stays
+/// unacknowledged for the next log round. A failure wedges the shard
+/// instead. Returns whether the harden committed (`false` on a wedged
+/// shard).
+fn harden_shard<M: StoreMedia>(shard: &Shard<M>) -> bool {
+    if shard.buf.lock().wedged.is_some() {
+        return false;
+    }
     let res = {
         let mut store = shard.store.lock();
-        // The manifest this harden commits covers every batch applied
-        // before it began (the committer is the shard's only applier,
-        // and it is the thread running this harden): stamp the replay
-        // watermark so reopen-time log replay skips those batches
-        // instead of reapplying stale records over the newer fold.
-        store.set_replay_watermark(last_seq);
-        let r = store.harden();
+        // Each apply stamps its batch's seq under this lock, so the
+        // watermark the manifest persists is exactly its newest batch.
+        let r = store.harden().map(|()| store.replay_watermark());
         if r.is_err() {
             // A failed harden may have flushed part of the batch set
             // toward disk; poisoning forbids any later manifest from
@@ -1104,17 +973,54 @@ fn harden_shard<M: StoreMedia>(shard: &Shard<M>) {
         }
         r
     };
-    match res {
-        Ok(()) => {
-            {
-                let mut buf = shard.buf.lock();
-                buf.hardens += 1;
-                let acked = std::mem::take(&mut buf.unacked);
-                buf.acknowledge(&acked);
-            }
-            shard.ack_cv.notify_all();
+    let covered = match res {
+        Ok(w) => w,
+        Err(e) => {
+            wedge(shard, e.to_string(), &[]);
+            return false;
         }
-        Err(e) => wedge(shard, e.to_string(), &[]),
+    };
+    #[cfg(test)]
+    let covered = mutant::after_harden(covered);
+    {
+        let mut buf = shard.buf.lock();
+        buf.hardens += 1;
+        // `unacked` is in apply order, so in seq order.
+        let newer = buf.unacked.partition_point(|b| b.seq <= covered);
+        let acked: Vec<AppliedBatch> = buf.unacked.drain(..newer).collect();
+        buf.acknowledge(&acked);
+    }
+    shard.ack_cv.notify_all();
+    true
+}
+
+/// The seeded mutant of the checkpoint's acknowledgement, and the hook
+/// that lands a batch where it bites — compiled into this crate's own
+/// tests only, switched per thread like `store::levels::mutant`.
+#[cfg(test)]
+mod mutant {
+    use std::cell::{Cell, RefCell};
+
+    thread_local! {
+        /// Acknowledge every applied batch after a harden, not only the
+        /// ones its manifest covers.
+        pub(super) static ACK_ALL_AFTER_HARDEN: Cell<bool> = const { Cell::new(false) };
+        /// Runs once, between a harden's manifest commit and its
+        /// acknowledgements: where a test lands a batch.
+        pub(super) static AFTER_COMMIT: RefCell<Option<Box<dyn FnOnce()>>> =
+            const { RefCell::new(None) };
+    }
+
+    /// The watermark a harden acknowledges up to, after the hook ran.
+    pub(super) fn after_harden(covered: u64) -> u64 {
+        if let Some(hook) = AFTER_COMMIT.take() {
+            hook();
+        }
+        if ACK_ALL_AFTER_HARDEN.get() {
+            u64::MAX
+        } else {
+            covered
+        }
     }
 }
 
@@ -1195,8 +1101,7 @@ pub struct ShardedKvStore<M: StoreMedia = DirMedia> {
     router: IdealFn,
     coord: Arc<SyncCoordinator>,
     committers: Vec<Option<JoinHandle<()>>>,
-    /// Joins to the commit log the coordinator owned (see `Drop`).
-    coordinator: Option<JoinHandle<CommitLog<M>>>,
+    coordinator: Option<JoinHandle<()>>,
     /// Whether every shard runs in payload mode (byte values in a blob
     /// log) — a service-wide property baked in at create time, like the
     /// shard count.
@@ -1356,11 +1261,7 @@ where
                 // sequence number.
                 let w = store.replay_watermark();
                 Arc::new(Shard {
-                    buf: Mutex::new(BufState {
-                        next_seq: w + 1,
-                        last_applied_seq: w,
-                        ..Default::default()
-                    }),
+                    buf: Mutex::new(BufState { next_seq: w + 1, ..Default::default() }),
                     work_cv: Condvar::new(),
                     ack_cv: Condvar::new(),
                     store: Mutex::new(store),
@@ -1637,11 +1538,11 @@ impl<M: StoreMedia> ShardedKvStore<M> {
         Ok(())
     }
 
-    /// Sets the commit-log size (in bytes) past which the coordinator
-    /// seals the log and starts a staggered checkpoint rotation.
-    /// Defaults to 4 MiB; tests and torture harnesses lower it to force
-    /// rotations under small workloads. Takes effect at the next sync
-    /// round.
+    /// Sets the commit-log size (in bytes) at which the coordinator
+    /// follows a sync round with a checkpoint: it hardens every shard's
+    /// manifest and empties the log. Defaults to 4 MiB; tests and
+    /// torture harnesses lower it to force checkpoints under small
+    /// workloads. Takes effect at the next sync round.
     pub fn set_checkpoint_log_bytes(&self, bytes: u64) {
         self.coord.ckpt_bytes.store(bytes, Ordering::Relaxed);
         self.coord.cv.notify_all();
@@ -1787,52 +1688,32 @@ impl<M: StoreMedia> ShardedKvStore<M> {
 }
 
 impl<M: StoreMedia> Drop for ShardedKvStore<M> {
-    /// The drain-then-sync shutdown handshake. First the coordinator is
-    /// retired (it finishes any active round — committers are still
-    /// alive to serve it — flushes remaining dirt, and exits, handing
-    /// back the commit log; after its join no new harden request can
-    /// ever arrive). Then each committer is told to shut down: it drains
-    /// its pending queue, runs one final harden, and joins. No
-    /// enqueued op is lost, and a wedged shard — whose store is poisoned
-    /// and must commit nothing — skips the final harden instead of
-    /// hanging the join.
-    ///
-    /// Last, the commit log is emptied: every shard's manifest now
-    /// covers every record it holds, so the next open has nothing to
-    /// read, decode and watermark-skip, and a closed service's footprint
-    /// does not depend on where in the log's checkpoint cycle it stopped.
-    /// Only a shutdown that was clean throughout may do this — no shard
-    /// wedged (its records may exist nowhere else), no thread panicked,
-    /// the log not poisoned: the precondition reopen-time replay empties
-    /// the log under. Otherwise the log stays, byte for byte, for that
-    /// replay.
+    /// The drain-then-sync shutdown handshake. First each committer is
+    /// told to shut down: it drains and applies its pending queue and
+    /// joins, while the coordinator keeps committing the batches it
+    /// applies. Then the coordinator is retired: it commits the dirt
+    /// left, and its last act is a checkpoint — every shard's manifest
+    /// hardened, then the commit log emptied, so the next open has
+    /// nothing to read, decode and watermark-skip and a closed service's
+    /// footprint does not depend on where in the checkpoint cycle it
+    /// stopped. No enqueued op is lost. A wedged shard (a failed apply
+    /// or round, or a committer that panicked) cancels that checkpoint,
+    /// and hangs nothing: its store is poisoned and must commit
+    /// nothing, and its acknowledged batches may exist nowhere but in
+    /// the log, which stays byte for byte for reopen-time replay.
     fn drop(&mut self) {
-        {
-            let mut st = self.coord.state.lock();
-            st.shutdown = true;
-        }
-        self.coord.cv.notify_all();
-        let log = self.coordinator.take().and_then(|h| h.join().ok());
         for shard in &self.shards {
             shard.buf.lock().shutdown = true;
             shard.work_cv.notify_all();
         }
-        // (An open that failed half-way drops a service with fewer
-        // committers than shards: those shards never hardened.)
-        let mut clean = self.committers.len() == self.shards.len();
-        for h in &mut self.committers {
-            if let Some(h) = h.take() {
-                clean &= h.join().is_ok();
-            }
+        for h in self.committers.iter_mut().filter_map(Option::take) {
+            // A committer that panicked has wedged its shard.
+            let _ = h.join();
         }
-        for shard in &self.shards {
-            let buf = shard.buf.lock();
-            clean &= buf.wedged.is_none() && !buf.committer_dead;
-        }
-        if let Some(mut log) = log.filter(|log| clean && !log.is_poisoned() && log.size() > 0) {
-            // A failed truncate costs the next open a replay of records
-            // its manifests already cover, nothing else.
-            crate::media::best_effort(log.truncate());
+        self.coord.state.lock().shutdown = true;
+        self.coord.cv.notify_all();
+        if let Some(h) = self.coordinator.take() {
+            let _ = h.join();
         }
     }
 }
@@ -2155,13 +2036,12 @@ mod tests {
         assert_eq!(svc.get(100).unwrap(), Some(1));
     }
 
-    /// A tiny checkpoint threshold trips many full rotations: seal the
-    /// log, harden one shard per sync round until every shard's
-    /// manifest covers the sealed segment, discard it. The staggering
-    /// must visit every shard and the folded state must survive reopen
-    /// (replay skips already-checkpointed records via the watermark).
+    /// A tiny checkpoint threshold makes every few rounds a checkpoint:
+    /// every shard hardens, then the log is emptied. The folded state
+    /// survives reopen (replay skips already-checkpointed records via
+    /// the watermark).
     #[test]
-    fn checkpoint_rotation_staggers_shard_hardens_and_survives_reopen() {
+    fn checkpoints_harden_every_shard_and_survive_reopen() {
         let env = SimEnv::new();
         let svc = sim_service(&env, 4, 24);
         svc.set_checkpoint_log_bytes(128);
@@ -2169,12 +2049,153 @@ mod tests {
             svc.put(k, k + 1).unwrap();
         }
         let stats = svc.stats();
-        assert!(stats.shard_syncs >= 4, "rotation hardened every shard: {}", stats.shard_syncs);
+        assert!(stats.sealed_discards >= 1, "{stats:?}");
+        assert!(stats.shard_syncs >= 4 * stats.sealed_discards, "{stats:?}");
         drop(svc);
         let svc = sim_service(&env, 4, 24);
         for k in 0..800u64 {
-            assert_eq!(svc.get(k).unwrap(), Some(k + 1), "key {k} after rotations");
+            assert_eq!(svc.get(k).unwrap(), Some(k + 1), "key {k} after checkpoints");
         }
+    }
+
+    /// Runs `harden_shard` on shard 0 from this thread — holding the
+    /// coordinator's state lock, so no log round runs meanwhile — while
+    /// one batch (`key` → `key + 1`) lands between the harden's manifest
+    /// commit and its acknowledgements. Returns the batch's answer cell,
+    /// or `None` when the harden failed before the window opened.
+    fn harden_with_a_landed_batch(svc: &ShardedKvStore<SimMedia>, key: Key) -> Option<Arc<OpCell>> {
+        let shard = svc.shards[0].clone();
+        let cell = Arc::new(OpCell::default());
+        let (landing, landed) = (shard.clone(), cell.clone());
+        mutant::AFTER_COMMIT.set(Some(Box::new(move || {
+            landing.buf.lock().pending.push(Op::Put(key, key + 1), landed);
+            landing.work_cv.notify_all();
+            // The committer applies it — the harden let go of the store
+            // — and leaves it in `unacked`; its dirt waits on the lock.
+            loop {
+                let buf = landing.buf.lock();
+                if !buf.unacked.is_empty() || buf.wedged.is_some() {
+                    break;
+                }
+                drop(buf);
+                dxh_sync::thread::yield_now();
+            }
+        })));
+        let no_rounds = svc.coord.state.lock();
+        harden_shard(&shard);
+        drop(no_rounds);
+        let fired = mutant::AFTER_COMMIT.take().is_none();
+        fired.then_some(cell)
+    }
+
+    /// A harden acknowledges what its manifest covers and nothing else.
+    /// The committer keeps applying while the coordinator hardens, so a
+    /// batch can land after the harden read its watermark and before it
+    /// acknowledges: that batch is in no manifest, and only the next log
+    /// round may answer its writer — after logging it. The interleaving
+    /// is forced (see `harden_with_a_landed_batch`); the seeded mutant
+    /// that acknowledges every applied batch is caught by the same
+    /// checks.
+    #[test]
+    fn a_batch_applied_after_the_harden_read_its_watermark_waits_for_the_next_log_round() {
+        let log_len = |env: &SimEnv| env.read_file("COMMITLOG").unwrap().unwrap().len();
+        for armed in [false, true] {
+            let env = SimEnv::new();
+            let svc = sim_service(&env, 1, 43);
+            svc.put(1, 2).unwrap();
+            let logged = log_len(&env);
+            mutant::ACK_ALL_AFTER_HARDEN.set(armed);
+            let cell = harden_with_a_landed_batch(&svc, 7).expect("no fault was injected");
+            mutant::ACK_ALL_AFTER_HARDEN.set(false);
+            let answered_by_the_harden = cell.0.lock().is_some();
+            assert_eq!(answered_by_the_harden, armed, "armed {armed}");
+            assert_eq!(svc.drive(0, &[cell]).unwrap(), vec![true]);
+            assert_eq!(log_len(&env) > logged, !armed, "armed {armed}: the batch was logged");
+            drop(svc);
+            assert_eq!(sim_service(&env, 1, 43).get(7).unwrap(), Some(8), "armed {armed}");
+        }
+    }
+
+    /// The same mutant against a crash sweep: a lifecycle that lands a
+    /// batch in a harden's acknowledgement window, crashed at every I/O
+    /// from that harden to the end of the close. Unarmed, every
+    /// acknowledged key survives every crash; armed, the landed batch is
+    /// answered on the strength of a manifest that lacks it, never
+    /// logged, and lost by the crashes that come before the close's
+    /// checkpoint.
+    #[test]
+    fn the_ack_mutant_is_caught_by_a_checkpoint_crash_sweep() {
+        let open = |env: &SimEnv| ShardedKvStore::open_on(SimMedia::unlocked(env), 1, cfg(), 45);
+        // Returns the I/O clock at the harden; `acked` takes every key
+        // whose write was answered `Ok`.
+        let lifecycle = |env: &SimEnv, acked: &mut Vec<u64>| {
+            let svc = open(env).unwrap();
+            let mut at_the_harden = 0;
+            for k in 0..8 {
+                if k == 4 {
+                    at_the_harden = env.ops();
+                    if let Some(cell) = harden_with_a_landed_batch(&svc, 100) {
+                        if svc.drive(0, &[cell]).is_ok() {
+                            acked.push(100);
+                        }
+                    }
+                }
+                if svc.put(k, k + 1).is_ok() {
+                    acked.push(k);
+                }
+            }
+            at_the_harden
+        };
+        let sweep = |armed: bool| {
+            let (from, to) = {
+                let env = SimEnv::new();
+                (lifecycle(&env, &mut Vec::new()), env.ops())
+            };
+            let mut lost = 0;
+            for k in from..to {
+                let env = SimEnv::new();
+                env.set_plan(FaultPlan::crash(k, 0xAC4 ^ k.rotate_left(29)));
+                let mut acked = Vec::new();
+                mutant::ACK_ALL_AFTER_HARDEN.set(armed);
+                lifecycle(&env, &mut acked);
+                mutant::ACK_ALL_AFTER_HARDEN.set(false);
+                env.power_cycle();
+                let svc = open(&env).unwrap();
+                lost += acked.iter().filter(|&&key| svc.get(key).unwrap() != Some(key + 1)).count();
+            }
+            lost
+        };
+        assert_eq!(sweep(false), 0, "an acknowledged key was lost");
+        assert!(sweep(true) > 0, "no crash exposed the mutant's early acknowledgement");
+    }
+
+    /// A wedged shard stops checkpoints: its acknowledged batches may
+    /// exist nowhere but in the log, so no round past the threshold
+    /// hardens anything or empties the log — and none pays a harden per
+    /// shard for nothing.
+    #[test]
+    fn a_wedged_shard_adds_no_harden_to_any_later_round() {
+        let env = SimEnv::new();
+        let svc = sim_service(&env, 2, 44);
+        let k0 = (0..).find(|&k| svc.shard_of(k) == 0).unwrap();
+        let k1 = (0..).find(|&k| svc.shard_of(k) == 1).unwrap();
+        svc.put(k0, 1).unwrap();
+        env.set_plan(FaultPlan { fail_at: vec![env.ops()], ..Default::default() });
+        assert!(svc.put(k0, 2).is_err(), "the injected fault wedges shard 0");
+        svc.set_checkpoint_log_bytes(1);
+        let log_len = || env.read_file("COMMITLOG").unwrap().unwrap().len();
+        let (before, logged) = (svc.stats(), log_len());
+        for v in 0..20 {
+            svc.put(k1, v).unwrap(); // a 45-byte record, each in a round of its own
+        }
+        let after = svc.stats();
+        assert_eq!(log_len(), logged + 20 * 45, "every round past the threshold kept the log");
+        assert_eq!(after.shard_syncs, before.shard_syncs, "{after:?}");
+        assert_eq!(after.sealed_discards, before.sealed_discards, "{after:?}");
+        drop(svc);
+        let svc = sim_service(&env, 2, 44);
+        assert_eq!(svc.get(k0).unwrap(), Some(1));
+        assert_eq!(svc.get(k1).unwrap(), Some(19));
     }
 
     #[test]
@@ -2284,7 +2305,7 @@ mod tests {
     }
 
     #[test]
-    fn clean_rotations_count_their_sealed_segment_discards() {
+    fn clean_checkpoints_count_their_emptied_logs() {
         let env = SimEnv::new();
         let svc = sim_service(&env, 2, 34);
         svc.set_checkpoint_log_bytes(128);
@@ -2294,9 +2315,9 @@ mod tests {
         let stats = svc.stats();
         assert!(
             stats.sealed_discards >= 1,
-            "tiny threshold forces rotations, each ending in a counted discard: {stats:?}"
+            "tiny threshold forces checkpoints, each ending in a counted truncate: {stats:?}"
         );
-        assert_eq!(stats.sealed_discard_failures, 0, "fault-free run: no failed discards");
+        assert_eq!(stats.sealed_discard_failures, 0, "fault-free run: no failed truncates");
     }
 
     #[test]

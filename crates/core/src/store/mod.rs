@@ -163,10 +163,11 @@ pub struct KvStore<M: StoreMedia = DirMedia> {
     poisoned: bool,
     /// Highest per-shard commit-log sequence number whose effects this
     /// store's manifest covers (0 = none; a store outside a service
-    /// never moves it). The service stamps it before each manifest
-    /// harden and its reopen-time replay skips log records at or below
-    /// it — without the watermark, a staggered checkpoint's replay
-    /// would reapply *older* logged batches over a *newer*
+    /// never moves it). The service stamps it with every batch it
+    /// applies, so every manifest carries exactly its newest batch, and
+    /// its reopen-time replay skips log records at or below it —
+    /// without the watermark, a log that outlived a checkpoint would
+    /// reapply *older* logged batches over a *newer*
     /// manifest-committed fold and tear the batch boundary (G4).
     watermark: u64,
     /// Manifest epoch: bumped by every manifest commit. Written and
@@ -301,8 +302,9 @@ impl<M: StoreMedia> KvStore<M> {
     /// Stamps the commit-log replay watermark the next manifest write
     /// persists: every service log record with `seq <= w` for this
     /// shard is covered by that manifest and must be skipped at replay.
-    /// Called by the service committer (under its store lock) right
-    /// before the harden; meaningless outside a service.
+    /// Called by the service committer under its store lock as each
+    /// batch finishes applying, and by replay; meaningless outside a
+    /// service.
     pub(crate) fn set_replay_watermark(&mut self, w: u64) {
         self.watermark = w;
     }

@@ -44,9 +44,9 @@ pub enum EffectClass {
     /// A directory fsync (`sync_dir`): makes a rename or unlink's
     /// directory entry itself durable.
     DirFsync,
-    /// An unlink whose **loss would be misread at recovery** (a
-    /// discarded sealed log segment) — unlike the best-effort stray-file
-    /// removals, it owes a following dir-fsync.
+    /// An unlink whose **loss would be misread at recovery** (a leftover
+    /// sealed log segment the commit log's truncate removes) — unlike the
+    /// best-effort stray-file removals, it owes a following dir-fsync.
     MetaUnlink,
     /// The unlink of level files a committed manifest named
     /// (`LevelFiles::unlink_unnamed`): legal only once the manifest that
@@ -160,8 +160,9 @@ pub const RULES: &[Rule] = &[
         check: Check::Followed(EffectClass::DirFsync),
         lint: true,
         trace: false, // the automaton tracks no log segments
-        why: "the sealed segment's unlink must be durable before the next rotation seals \
-              over its name, or a crash could resurrect records every manifest covers (G4)",
+        why: "emptying the commit log removes a leftover sealed segment (an earlier layout's); \
+              the unlink must be as durable as the truncate beside it, or a crash brings back \
+              records every manifest covers for the next open to walk again (G4)",
     },
     Rule {
         name: "unlink-after-manifest-commit",
@@ -261,8 +262,6 @@ pub const SYNC_RESULT_TOKENS: &[&str] = &[
     ".harden",
     ".commit(",
     ".truncate()",
-    ".seal()",
-    ".discard_sealed()",
     ".rename(",
     "commit_file_atomic(",
     "sync_dir(",
@@ -766,7 +765,7 @@ mod tests {
     fn power_cycle_resets_unsynced_state() {
         let events = trace(vec![
             vec![meta("file-create level-1.blk"), write("level-1.blk")],
-            vec![meta("file-rename COMMITLOG -> COMMITLOG.OLD")],
+            vec![meta("file-rename a.tmp -> a")],
             vec![meta("power-cycle"), meta("file-open level-1.blk")],
             manifest_commit(""),
         ]);

@@ -11,8 +11,9 @@
 //!    handshake around `BufState::pending` and the per-op ack cells;
 //! 3. **coordinator wave** — `mark_dirty` → round → epoch advance,
 //!    dirt must outrank shutdown;
-//! 4. **shutdown handshake** — drain-then-sync: accepted ops are all
-//!    acknowledged and the final manifest commit comes last.
+//! 4. **shutdown handshake** — drain-then-sync: every committer drains
+//!    and joins, then the coordinator's final checkpoint acknowledges
+//!    every accepted op and its manifest commit comes last.
 //! 5. **coalescing buffer ↔ committer** — the newest-wins upsert
 //!    (`CoalesceBuf`) against the two-phase drain (snapshot + inflight
 //!    overlay under the buf lock, table apply outside it, ack fill back
@@ -392,9 +393,9 @@ enum P4Mutation {
     /// Exit path checks shutdown before pending work — accepted ops
     /// are dropped unacknowledged.
     ExitBeforeDrain,
-    /// Exit path skips the final harden: applied batches never ack and
-    /// the final manifest is never committed.
-    ExitWithoutFinalHarden,
+    /// The close skips the coordinator's final checkpoint: applied
+    /// batches never ack and the final manifest is never committed.
+    CloseWithoutFinalCheckpoint,
 }
 
 struct Buf4 {
@@ -411,49 +412,40 @@ struct Shard4 {
 }
 
 fn committer4(shard: &Shard4, mutation: P4Mutation) {
-    enum Todo {
-        Apply,
-        Exit,
-    }
     loop {
-        let todo = {
+        {
             let mut buf = shard.buf.lock();
             loop {
                 if mutation == P4Mutation::ExitBeforeDrain && buf.shutdown {
-                    break Todo::Exit; // BUG under test: pending outranked.
+                    return; // BUG under test: pending outranked.
                 }
                 if !buf.pending.is_empty() {
-                    break Todo::Apply;
+                    break;
                 }
                 if buf.shutdown {
-                    break Todo::Exit;
+                    return;
                 }
                 buf = shard.work_cv.wait(buf);
             }
-        };
-        match todo {
-            Todo::Apply => {
-                // Separate acquisition, like the real apply: the buf
-                // lock is never held across the store work.
-                let mut buf = shard.buf.lock();
-                let batch = std::mem::take(&mut buf.pending);
-                buf.unacked.extend(batch);
-            }
-            Todo::Exit => {
-                if mutation != P4Mutation::ExitWithoutFinalHarden {
-                    // The final harden: everything applied acks, and
-                    // its manifest commit is the last thing written.
-                    let mut buf = shard.buf.lock();
-                    let acked: Vec<Cell> = buf.unacked.drain(..).collect();
-                    for cell in acked {
-                        *cell.lock() = Some(Ok(true));
-                    }
-                    buf.clean = true;
-                }
-                return;
-            }
         }
+        // Separate acquisition, like the real apply: the buf lock is
+        // never held across the store work.
+        let mut buf = shard.buf.lock();
+        let batch = std::mem::take(&mut buf.pending);
+        buf.unacked.extend(batch);
     }
+}
+
+/// The coordinator's last act, once every committer has joined: the
+/// final checkpoint — everything applied acks, and its manifest commit
+/// is the last thing written.
+fn final_checkpoint4(shard: &Shard4) {
+    let mut buf = shard.buf.lock();
+    let acked: Vec<Cell> = buf.unacked.drain(..).collect();
+    for cell in acked {
+        *cell.lock() = Some(Ok(true));
+    }
+    buf.clean = true;
 }
 
 fn p4_instance(writers: usize, mutation: P4Mutation) -> impl Fn() + Send + Sync + 'static {
@@ -488,11 +480,15 @@ fn p4_instance(writers: usize, mutation: P4Mutation) -> impl Fn() + Send + Sync 
         for h in hs {
             h.join().unwrap();
         }
-        // The drop path: flag, wake, join — then every accepted op must
-        // hold an ack and the final manifest must be committed.
+        // The drop path: flag, wake, join the committer, checkpoint —
+        // then every accepted op must hold an ack and the final
+        // manifest must be committed.
         shard.buf.lock().shutdown = true;
         shard.work_cv.notify_all();
         c.join().unwrap();
+        if mutation != P4Mutation::CloseWithoutFinalCheckpoint {
+            final_checkpoint4(&shard);
+        }
         for (i, cell) in cells.iter().enumerate() {
             assert_eq!(*cell.lock(), Some(Ok(true)), "op {i} accepted but never acked");
         }
@@ -520,11 +516,11 @@ fn p4_mutation_exit_before_drain_is_caught() {
 }
 
 #[test]
-fn p4_mutation_exit_without_final_harden_is_caught() {
+fn p4_mutation_close_without_final_checkpoint_is_caught() {
     let v = Checker::new()
         .spurious_budget(0)
-        .check(p4_instance(1, P4Mutation::ExitWithoutFinalHarden))
-        .expect_err("skipping the final harden strands applied batches");
+        .check(p4_instance(1, P4Mutation::CloseWithoutFinalCheckpoint))
+        .expect_err("skipping the final checkpoint strands applied batches");
     assert_eq!(v.kind, ViolationKind::Panic, "{v}");
 }
 

@@ -14,7 +14,7 @@
 //! 2. if the plan's crash index fires, every thread's next operation
 //!    errors and the affected shard wedges mid-commit — the crash can
 //!    land anywhere in the coalesced commit window, including inside
-//!    another shard's harden of the same sync round;
+//!    a checkpoint between two shards' hardens;
 //! 3. read back the service's recorded batch history — the ground
 //!    truth: per shard, the batches whose durability epoch was reached,
 //!    plus the in-flight ones (applied but unacknowledged batches
@@ -67,9 +67,9 @@ pub struct ServiceTortureSpec {
     pub ops_per_thread: usize,
     /// Master seed: workload, store hashing, crash lottery.
     pub seed: u64,
-    /// Commit-log size (bytes) that trips a checkpoint rotation, or
-    /// `None` for the production default — large enough that a short
-    /// torture lifecycle never rotates.
+    /// Commit-log size (bytes) that trips a checkpoint, or `None` for
+    /// the production default — large enough that a short torture
+    /// lifecycle checkpoints only at its close.
     pub ckpt_log_bytes: Option<u64>,
 }
 
@@ -88,10 +88,10 @@ impl ServiceTortureSpec {
     }
 
     /// The wide scenario: 4 shards under 6 writers, so most sync rounds
-    /// coalesce several shards' hardens — crash indices swept across it
-    /// land inside one shard's harden while siblings share the same
-    /// round, which is exactly the window the coalesced commit path
-    /// must keep all-in-or-all-out per shard.
+    /// coalesce several shards' batches into one log commit — crash
+    /// indices swept across it tear rounds that siblings share, which
+    /// is exactly the window the coalesced commit path must keep
+    /// all-in-or-all-out per shard.
     pub fn wide(seed: u64) -> Self {
         ServiceTortureSpec {
             cfg: CoreConfig::lemma5(4, 96, 2).expect("valid config"),
@@ -103,12 +103,11 @@ impl ServiceTortureSpec {
         }
     }
 
-    /// The staggered-checkpoint scenario: a log threshold so small the
-    /// lifecycle trips several full rotations (seal the log, harden one
-    /// shard's manifest per sync round, discard the sealed segment), so
-    /// swept crash indices land inside every window of the rotation —
-    /// sealed segment live, some shards checkpointed and some not,
-    /// discard pending.
+    /// The checkpointing scenario: a log threshold so small that every
+    /// few rounds are followed by a checkpoint (every shard's manifest
+    /// hardened in turn, then the log emptied), so swept crash indices
+    /// land inside every window of one — some shards hardened and some
+    /// not, all hardened and the truncate pending.
     pub fn checkpointing(seed: u64) -> Self {
         ServiceTortureSpec { ckpt_log_bytes: Some(192), ..Self::small(seed) }
     }
@@ -135,17 +134,18 @@ pub struct ServiceTortureReport {
     pub total_ops: u64,
     /// Group commits the service acknowledged before the crash.
     pub committed_batches: u64,
-    /// Per-shard manifest hardens driven by the staggered checkpoint
-    /// rotation before the crash (0 unless the spec shrinks
-    /// `ckpt_log_bytes` enough for rotations to fire).
+    /// Per-shard manifest hardens made by checkpoints before the crash
+    /// (0 unless the spec shrinks `ckpt_log_bytes` enough for
+    /// checkpoints to fire).
     pub shard_syncs: u64,
-    /// Sealed commit-log segments discarded after checkpoint rotations.
+    /// Checkpoints that emptied the commit log.
     pub sealed_discards: u64,
-    /// Discard attempts that failed (retried by later rounds).
+    /// Truncates after a clean checkpoint that failed (retried by the
+    /// next round past the threshold).
     pub sealed_discard_failures: u64,
     /// Table ops saved by newest-wins coalescing before the crash.
     pub coalesced_ops: u64,
-    /// Checkpoint manifest commits (the committers' hardens) before the
+    /// Checkpoint manifest commits (the coordinator's hardens) before the
     /// crash — see `dxh_core::ManifestIoStats` for the counters' names.
     pub manifest_delta_commits: u64,
     /// Bytes those checkpoint commits wrote.
@@ -356,32 +356,30 @@ where
                     .unwrap()
                     .push(format!("{} shards wedged without a crash", stats.wedged_shards));
             }
-            // Fault-free lifecycle with rotations configured: every
-            // sealed segment must eventually discard — a rotation whose
-            // segment lingers (or whose discard failed without a fault
-            // to blame) used to be swallowed silently.
+            // Fault-free lifecycle with checkpoints configured: some
+            // checkpoint must have emptied the log — one that never does
+            // (or whose truncate failed without a fault to blame) would
+            // leave the log growing silently.
             if !crashed && crash_at.is_none() && spec.ckpt_log_bytes.is_some() {
                 if stats.sealed_discards == 0 {
                     violations.lock().unwrap().push(
-                        "checkpoint rotations configured but no sealed segment was \
-                         ever discarded — rotation or discard path is stuck"
+                        "checkpoints configured but none ever emptied the commit log — the \
+                         checkpoint or truncate path is stuck"
                             .into(),
                     );
                 }
                 if stats.sealed_discard_failures > 0 {
                     violations.lock().unwrap().push(format!(
-                        "{} sealed-segment discard(s) failed on a fault-free run",
+                        "{} commit-log truncate(s) failed on a fault-free run",
                         stats.sealed_discard_failures
                     ));
                 }
-                // A rotation's per-shard harden is a checkpoint commit: a
-                // fault-free rotating lifecycle that never counted one
-                // means the rotation never reached a store.
+                // A checkpoint's per-shard harden is a checkpoint commit:
+                // a fault-free checkpointing lifecycle that never counted
+                // one means no checkpoint reached a store.
                 if stats.manifest_delta_commits == 0 {
                     violations.lock().unwrap().push(
-                        "checkpoint rotations ran but no checkpoint manifest commit was \
-                         ever counted"
-                            .into(),
+                        "checkpoints ran but no checkpoint manifest commit was ever counted".into(),
                     );
                 }
             }
@@ -599,54 +597,53 @@ mod tests {
 
     #[test]
     fn wide_spec_coalesces_rounds_across_shards() {
-        // The wide scenario exists to put several shards' hardens into
-        // one sync round; a clean run must actually exhibit that (more
-        // per-shard hardens than rounds) and still pass.
+        // The wide scenario exists to put several shards' batches into
+        // one sync round; a clean run must exhibit batching and pass.
         let report = service_torture_run(&ServiceTortureSpec::wide(31), None);
         assert!(report.violations.is_empty(), "violations: {:?}", report.violations);
         assert!(report.committed_batches > 0);
     }
 
-    /// Crash indices swept across a lifecycle that rotates checkpoints:
-    /// a clean run must actually exhibit the staggered rotation (every
-    /// shard's manifest hardened at least once), and every crash window
-    /// of it — sealed segment live, shards half-checkpointed, discard
-    /// pending — must recover to a batch boundary with a conformant
-    /// I/O trace.
+    /// Crash indices at **every** I/O of at least one checkpoint — each
+    /// shard's harden, then the truncate — of a lifecycle that
+    /// checkpoints every few rounds: every crash must recover to a batch
+    /// boundary with a conformant I/O trace. The window is two
+    /// checkpoint periods of the fault-free run, from its middle, so
+    /// however the threads schedule, some crash lands after a
+    /// checkpoint's first harden and before its truncate, and the window
+    /// straddles a truncate. The fault-free run must checkpoint for
+    /// real: every shard hardened, the log emptied, no truncate failed.
     #[test]
-    fn staggered_checkpoint_windows_recover_to_batch_boundaries() {
+    fn checkpoint_windows_recover_to_batch_boundaries() {
         let spec = ServiceTortureSpec::checkpointing(27);
         let clean = service_torture_run(&spec, None);
         assert!(clean.violations.is_empty(), "clean run: {:?}", clean.violations);
-        assert!(
-            clean.shard_syncs >= spec.shards as u64,
-            "rotation turned through every shard: {} hardens across {} shards",
-            clean.shard_syncs,
-            spec.shards
-        );
-        let failures = sweep_service_crashes(&spec, 6);
+        assert!(clean.shard_syncs >= spec.shards as u64, "every shard hardened: {clean:?}");
+        assert!(clean.sealed_discards >= 1, "a checkpoint emptied the log: {clean:?}");
+        assert_eq!(clean.sealed_discard_failures, 0, "no faults injected: {clean:?}");
+        assert!(clean.manifest_delta_commits >= 1, "checkpoint hardens are counted: {clean:?}");
+        let period = clean.total_ops / (clean.sealed_discards + 1);
+        let from = clean.total_ops / 2;
+        let reports: Vec<ServiceTortureReport> =
+            (from..from + 2 * period).map(|k| service_torture_run(&spec, Some(k))).collect();
+        let failures: Vec<&ServiceTortureReport> =
+            reports.iter().filter(|r| !r.violations.is_empty()).collect();
         assert!(
             failures.is_empty(),
-            "{} crash points inside the rotation violated an invariant; first: seed {} \
-             crash_at {:?}: {:?}",
+            "{} crash points inside a checkpoint violated an invariant; first: crash_at {:?}: \
+             {:?}",
             failures.len(),
-            failures[0].seed,
             failures[0].crash_at,
             failures[0].violations.first()
         );
-    }
-
-    /// Satellite of the discard-visibility fix: a fault-free rotating
-    /// lifecycle must discard every sealed segment it rotates (the
-    /// harness itself flags a stuck discard as a violation; this pins
-    /// the counters the fix surfaced).
-    #[test]
-    fn fault_free_rotations_discard_their_sealed_segments() {
-        let report = service_torture_run(&ServiceTortureSpec::checkpointing(29), None);
-        assert!(report.violations.is_empty(), "violations: {:?}", report.violations);
-        assert!(report.sealed_discards >= 1, "a rotation completed: {report:?}");
-        assert_eq!(report.sealed_discard_failures, 0, "no faults injected: {report:?}");
-        assert!(report.manifest_delta_commits >= 1, "rotation hardens are counted: {report:?}");
+        let shards = spec.shards as u64;
+        assert!(
+            reports.iter().any(|r| r.shard_syncs > shards * r.sealed_discards),
+            "no crash fell between a checkpoint's first harden and its truncate"
+        );
+        let truncates: std::collections::BTreeSet<u64> =
+            reports.iter().map(|r| r.sealed_discards).collect();
+        assert!(truncates.len() > 1, "the window straddled no truncate");
     }
 
     /// A checkpoint commit is O(log n), not O(table): quadrupling the

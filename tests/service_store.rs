@@ -235,10 +235,9 @@ fn service_sweep_catches_media_that_drop_a_sync() {
 }
 
 /// The coalesced-sync window under crash: the wide scenario (4 shards,
-/// 6 writers) makes most sync rounds harden several shards back to
-/// back, so swept crash indices land inside one shard's harden while a
-/// sibling's batch shared the same round. Each shard must still recover
-/// all-in-or-all-out to a prefix of its own batches.
+/// 6 writers) makes most sync rounds carry several shards' batches, so
+/// swept crash indices tear rounds that siblings share. Each shard must
+/// still recover all-in-or-all-out to a prefix of its own batches.
 #[test]
 fn coalesced_round_crash_sweep_keeps_shards_independent() {
     let seeds = env_count("TORTURE_SEEDS", 2);
@@ -258,12 +257,13 @@ fn coalesced_round_crash_sweep_keeps_shards_independent() {
     }
 }
 
-/// The staggered-checkpoint rotation under crash: the checkpointing
-/// scenario shrinks the log threshold so the lifecycle seals the log
-/// and rotates per-shard manifest hardens repeatedly; swept crash
-/// indices land inside every window of the rotation — sealed segment
-/// live, shards half-checkpointed, discard pending — and must still
-/// recover to batch boundaries with a conformant I/O trace.
+/// Checkpoints under crash: the checkpointing scenario shrinks the log
+/// threshold so every few rounds are followed by a checkpoint — every
+/// shard's manifest hardened in turn, then the log emptied. Crash
+/// indices swept across the lifecycle, and at every I/O of one
+/// checkpoint period from its middle — some shards hardened and some
+/// not, all hardened and the truncate pending — must still recover to
+/// batch boundaries with a conformant I/O trace.
 #[test]
 fn staggered_checkpoint_crash_sweep_stays_atomic() {
     let seeds = env_count("TORTURE_SEEDS", 2);
@@ -274,10 +274,19 @@ fn staggered_checkpoint_crash_sweep_stays_atomic() {
 }
 
 fn assert_checkpoint_sweep_clean(seed: u64, points: u64) {
-    let failures = sweep_service_crashes(&ServiceTortureSpec::checkpointing(seed), points);
+    let spec = ServiceTortureSpec::checkpointing(seed);
+    let mut failures = sweep_service_crashes(&spec, points);
+    let clean = service_torture_run(&spec, None);
+    let period = clean.total_ops / (clean.sealed_discards + 1);
+    let from = clean.total_ops / 2;
+    failures.extend(
+        (from..from + period)
+            .map(|k| service_torture_run(&spec, Some(k)))
+            .filter(|r| !r.violations.is_empty()),
+    );
     assert!(
         failures.is_empty(),
-        "seed {seed}: {} crash points inside the checkpoint rotation violated an \
+        "seed {seed}: {} crash points inside the checkpointing lifecycle violated an \
          invariant; first: crash_at {:?}: {:?}",
         failures.len(),
         failures[0].crash_at,
@@ -293,6 +302,7 @@ fn assert_checkpoint_sweep_clean(seed: u64, points: u64) {
 /// any more, so nothing the old manifest names is written before the
 /// next one commits
 /// (`store::no_block_a_committed_manifest_names_is_written_before_the_next_commit`).
+/// Each seed's sweep covers every I/O of one of its checkpoints, too.
 #[test]
 fn the_seeds_that_found_the_harden_window_sweep_clean() {
     for seed in [4_803_143_210u64, 1_524_314_808, 8_464_283_763] {

@@ -451,17 +451,17 @@ mod tests {
     #[test]
     fn multi_line_signatures_bind_the_right_name() {
         let src = "
-            fn staggered_checkpoint(
+            fn checkpoint(
                 shards: &[Shard],
                 coord: &SyncCoordinator,
-                si: usize,
+                log: &mut CommitLog,
             ) -> bool {
                 body();
             }
         ";
         let fns = split_functions(&clean_source(src));
         assert_eq!(fns.len(), 1);
-        assert_eq!(fns[0].name, "staggered_checkpoint");
+        assert_eq!(fns[0].name, "checkpoint");
     }
 
     #[test]
