@@ -20,12 +20,10 @@ use crate::store::KvStore;
 /// Commit-log file name inside a service root.
 const COMMITLOG: &str = "COMMITLOG";
 
-/// The sealed segment an earlier layout set aside while its shards'
-/// manifests caught up one per round. Nothing writes it any more: a
-/// service root an older binary left one in replays it —
-/// watermark-skipped — before `COMMITLOG`, and the first truncate
-/// removes it for good.
-const COMMITLOG_OLD: &str = "COMMITLOG.OLD";
+/// The sealed segment an older layout set aside while its shards'
+/// manifests caught up one per round. It may hold acknowledged batches
+/// no manifest covers, so a service root that has one is refused.
+pub(crate) const COMMITLOG_OLD: &str = "COMMITLOG.OLD";
 
 /// The service-wide **commit log** — the shared durability device that
 /// lets `N` shards pay **one** physical fsync per sync round instead of
@@ -41,9 +39,7 @@ const COMMITLOG_OLD: &str = "COMMITLOG.OLD";
 /// The log is one byte file in the service root, `COMMITLOG`: appends
 /// plus one `fdatasync` per round.
 pub(crate) struct CommitLog<M: StoreMedia> {
-    root: M,
     file: M::File,
-    sealed_len: u64,
     poisoned: bool,
 }
 
@@ -62,8 +58,7 @@ impl<M: StoreMedia> CommitLog<M> {
                 file
             }
         };
-        let sealed_len = root.open_file(COMMITLOG_OLD)?.map_or(0, |sealed| sealed.len());
-        Ok(CommitLog { root, file, sealed_len, poisoned: false })
+        Ok(CommitLog { file, poisoned: false })
     }
 
     /// Appends `bytes` and makes everything appended so far durable —
@@ -95,12 +90,10 @@ impl<M: StoreMedia> CommitLog<M> {
 
     /// Bytes currently in the log (drives the checkpoint threshold).
     pub(crate) fn size(&self) -> u64 {
-        self.file.len() + self.sealed_len
+        self.file.len()
     }
 
-    /// Walks the log's surviving content for reopen-time replay: a
-    /// leftover sealed segment (if any), then `COMMITLOG`, in append
-    /// order.
+    /// Walks the log's records in append order for reopen-time replay.
     /// Each frame is fetched by position into one record buffer and its
     /// payload handed to `visit` — no more than one record is ever in
     /// memory. The walk stops for good at the first torn or corrupt
@@ -111,36 +104,19 @@ impl<M: StoreMedia> CommitLog<M> {
         &mut self,
         mut visit: impl FnMut(&[u8]) -> Result<bool>,
     ) -> Result<()> {
-        let sealed = match self.sealed_len {
-            0 => None,
-            _ => self.root.open_file(COMMITLOG_OLD)?,
-        };
-        let mut buf = FrameBuf::default();
-        for file in sealed.iter().chain([&self.file]) {
-            let (len, mut at) = (file.len(), 0);
-            while let Some(payload) = buf.read_at(file, len, at)? {
-                at += (FRAME_HEADER + payload.len()) as u64;
-                if !visit(payload)? {
-                    return Ok(());
-                }
-            }
-            if at < len {
-                return Ok(());
+        let (mut buf, len, mut at) = (FrameBuf::default(), self.file.len(), 0);
+        while let Some(payload) = buf.read_at(&self.file, len, at)? {
+            at += (FRAME_HEADER + payload.len()) as u64;
+            if !visit(payload)? {
+                break;
             }
         }
         Ok(())
     }
 
     /// Durably empties the log (a checkpoint made every record in it
-    /// redundant), a leftover sealed segment included.
+    /// redundant).
     pub(crate) fn truncate(&mut self) -> Result<()> {
-        if self.sealed_len > 0 && self.root.remove(COMMITLOG_OLD)? {
-            // Durable like the emptied `COMMITLOG`: otherwise a crash
-            // brings the segment back and the next open walks, skips
-            // and truncates records every manifest already covers.
-            self.root.sync_dir()?;
-        }
-        self.sealed_len = 0;
         self.file.truncate(0)?;
         self.file.sync()
     }
@@ -282,8 +258,8 @@ pub(crate) fn replay_log<M: StoreMedia>(
         store.set_replay_watermark(seq);
         Ok(true)
     })?;
-    // A log that held no record — a torn tail, a leftover sealed
-    // segment — is still emptied, but there is nothing to harden.
+    // A log that held no record — a torn tail — is still emptied, but
+    // there is nothing to harden.
     if replayed {
         for s in stores.iter_mut() {
             s.sync()?;
@@ -405,45 +381,35 @@ mod tests {
         record(shard, seq, &[(seq, Some(Effect::Word(seq * 10)))])
     }
 
-    /// The log at the root of `env` once its leftover sealed segment
-    /// holds `sealed` (none when `None`) and `COMMITLOG` holds `active`,
+    /// The log at the root of `env` once `COMMITLOG` holds `bytes`,
     /// durably.
-    fn two_segment_log(env: &SimEnv, sealed: Option<&[u8]>, active: &[u8]) -> CommitLog<SimMedia> {
-        for (name, bytes) in [(COMMITLOG_OLD, sealed), (COMMITLOG, Some(active))] {
-            let Some(bytes) = bytes else { continue };
-            let mut f = env.create_file(name).unwrap();
-            f.append(bytes).unwrap();
-            f.sync().unwrap();
-        }
+    fn log_holding(env: &SimEnv, bytes: &[u8]) -> CommitLog<SimMedia> {
+        let mut f = env.create_file(COMMITLOG).unwrap();
+        f.append(bytes).unwrap();
+        f.sync().unwrap();
         env.sync_dir("").unwrap();
         CommitLog::open(SimMedia::unlocked(env)).unwrap()
     }
 
-    /// The positional walk sees what decoding the two segments'
-    /// concatenated image saw — sealed first, then active — and a bad
-    /// frame in the sealed segment ends the walk before the active one.
+    /// The positional walk sees what decoding the log's image saw: every
+    /// record up to the first torn, corrupt or malformed frame, and none
+    /// after it.
     #[test]
-    fn the_walk_yields_sealed_then_active_and_stops_for_good_at_a_bad_frame() {
+    fn the_walk_stops_for_good_at_a_bad_frame() {
         let (r1, r2, r3) = (word(0, 1), word(1, 2), word(0, 3));
         let mut corrupt = r2.clone();
         *corrupt.last_mut().unwrap() ^= 1;
         let malformed = framed(&r2[12..20]);
         let torn = &r3[..r3.len() - 3];
-        let cat = |parts: &[&[u8]]| parts.concat();
-        for (sealed, active, seqs) in [
-            (None, cat(&[&r1, &r2]), vec![1, 2]),
-            (Some(cat(&[&r1, &r2])), r3.clone(), vec![1, 2, 3]),
-            (Some(cat(&[&r1, &r2])), cat(&[&r3, torn]), vec![1, 2, 3]),
-            (Some(cat(&[&r1, &corrupt])), r3.clone(), vec![1]),
-            (Some(cat(&[&r1, &malformed, &r2])), r3.clone(), vec![1]),
-            (Some(r1.clone()), cat(&[&corrupt, &r3]), vec![1]),
-            (Some(Vec::new()), r3.clone(), vec![3]),
-            (Some(r1.clone()), Vec::new(), vec![1]),
+        for (image, seqs) in [
+            ([&r1[..], &r2, &r3].concat(), vec![1, 2, 3]),
+            ([&r1[..], &r2, torn].concat(), vec![1, 2]),
+            ([&r1[..], &corrupt, &r3].concat(), vec![1]),
+            ([&r1[..], &malformed, &r2].concat(), vec![1]),
+            (Vec::new(), vec![]),
         ] {
-            let image = cat(&[sealed.as_deref().unwrap_or_default(), &active]);
-            let mut log = two_segment_log(&SimEnv::new(), sealed.as_deref(), &active);
-            let records = walked(&mut log);
-            assert_eq!(records, decode_log_records(&image), "sealed {sealed:?}");
+            let records = walked(&mut log_holding(&SimEnv::new(), &image));
+            assert_eq!(records, decode_log_records(&image), "{image:?}");
             assert_eq!(records.iter().map(|r| r.1).collect::<Vec<_>>(), seqs);
         }
     }
@@ -689,51 +655,32 @@ mod tests {
         assert_eq!(log_bytes(&env), b"", "the recovered service closes clean");
     }
 
-    /// The upgrade fold: a service root an earlier layout left with a
-    /// sealed segment beside `COMMITLOG` reopens, replays the sealed
-    /// records, then the active ones — each skipped at or below its
-    /// shard's watermark — and ends with neither file holding a record:
-    /// the sealed one is gone, `COMMITLOG` is empty.
+    /// A service root an older layout left with a sealed segment beside
+    /// `COMMITLOG` — batches acknowledged through it may be in no
+    /// manifest — is refused by name before any shard is opened, and
+    /// nothing in the root or its shards changes: not even a level file
+    /// no manifest names, which a shard's open removes.
     #[test]
-    fn a_leftover_sealed_segment_is_replayed_before_the_log_then_removed() {
+    fn a_root_with_a_sealed_log_segment_is_refused_touching_nothing() {
+        use dxh_extmem::StorageBackend;
         let env = SimEnv::new();
         let svc = service(&env);
-        let mut watermark = [0u64; 2];
         for k in 0..20u64 {
-            svc.put(k, k + 1).unwrap(); // one batch, one seq, per put
-            watermark[svc.shard_of(k)] += 1;
+            svc.put(k, k + 1).unwrap();
         }
-        // Per shard: a key it owns from the puts, and two fresh ones.
-        let owned = |si: usize, from: u64| (from..).find(|&k| svc.shard_of(k) == si).unwrap();
-        let keys: Vec<[u64; 3]> =
-            (0..2).map(|si| [owned(si, 0), owned(si, 100), owned(si, 200)]).collect();
-        drop(svc); // a clean close: every put is in a manifest, the log is empty
-        let (mut sealed, mut active) = (Vec::new(), Vec::new());
-        for (si, &[old, fresh, later]) in keys.iter().enumerate() {
-            let (w, shard) = (watermark[si], si as u32);
-            let put = |k: u64, v: u64| (k, Some(Effect::Word(v)));
-            // At the watermark: covered by the manifest, skipped — it
-            // would roll `old` back.
-            sealed.extend(record(shard, w, &[put(old, 0)]));
-            sealed.extend(record(shard, w + 1, &[put(fresh, 1)]));
-            // Replayed after the sealed records, so `fresh` ends at 2.
-            active.extend(record(shard, w + 2, &[put(fresh, 2), put(later, 3)]));
-        }
-        drop(two_segment_log(&env, Some(&sealed), &active));
-        let svc = service(&env);
-        for (si, &[old, fresh, later]) in keys.iter().enumerate() {
-            assert_eq!(svc.get(old).unwrap(), Some(old + 1), "shard {si}: the skip held");
-            assert_eq!(svc.get(fresh).unwrap(), Some(2), "shard {si}: sealed, then active");
-            assert_eq!(svc.get(later).unwrap(), Some(3), "shard {si}");
-        }
-        for k in 0..20u64 {
-            assert_eq!(svc.get(k).unwrap(), Some(k + 1), "key {k}");
-        }
-        assert_eq!(env.read_file(COMMITLOG_OLD).unwrap(), None, "the sealed segment is gone");
-        assert_eq!(log_bytes(&env), b"", "and the log holds no record");
         drop(svc);
-        let svc = service(&env);
-        assert_eq!(svc.get(keys[1][2]).unwrap(), Some(3), "the replay was hardened");
+        let mut stray = env.create_disk("shard-000/level-99.blk", 8).unwrap();
+        stray.allocate_contiguous(4).unwrap();
+        stray.sync().unwrap();
+        env.sync_dir("shard-000/").unwrap();
+        let mut sealed = env.create_file(COMMITLOG_OLD).unwrap();
+        sealed.append(&record(0, 21, &[(0, Some(Effect::Word(7)))])).unwrap();
+        sealed.sync().unwrap();
+        env.sync_dir("").unwrap();
+        crate::store::tests::assert_refused(&env, COMMITLOG_OLD, || {
+            let cfg = CoreConfig::lemma5(8, 128, 2).unwrap();
+            ShardedKvStore::open_on(SimMedia::unlocked(&env), 2, cfg, 3)
+        });
     }
 
     /// Crash at every I/O of the last round and of a clean close — the
@@ -805,11 +752,10 @@ mod tests {
     }
 
     /// No step of a payload service's reopen holds more than one record:
-    /// after a clean close, after a crash that leaves a commit log to
-    /// replay, and after one that leaves it as an earlier layout's sealed
-    /// segment, the reopen's trace has no whole-file read of a blob log
-    /// or of either log file, and its longest single read is no longer
-    /// than the largest frame on disk.
+    /// after a clean close, and after a crash that leaves a commit log to
+    /// replay, the reopen's trace has no whole-file read of a blob log or
+    /// of the log, and its longest single read is no longer than the
+    /// largest frame on disk.
     #[test]
     fn a_payload_reopen_reads_its_logs_record_by_record() {
         use dxh_extmem::{FaultPlan, IoEvent};
@@ -817,7 +763,7 @@ mod tests {
         // A put's commit-log record frames its payload behind the record
         // head and one op head; its blob frame is shorter.
         let largest_frame = (FRAME_HEADER + RECORD_HEAD + MIN_OP + 300) as u64;
-        for (crash, sealed) in [(false, false), (true, false), (true, true)] {
+        for crash in [false, true] {
             let env = SimEnv::new();
             let svc = payload_service(&env);
             for k in 0..120 {
@@ -828,12 +774,6 @@ mod tests {
             }
             drop(svc);
             env.power_cycle();
-            if sealed {
-                // The state an earlier layout's crash right after it set
-                // the log aside as a sealed segment leaves.
-                env.rename_file(COMMITLOG, COMMITLOG_OLD).unwrap();
-                env.sync_dir("").unwrap();
-            }
             env.take_trace();
             let svc = payload_service(&env);
             let trace = env.take_trace();
@@ -844,7 +784,7 @@ mod tests {
                         let whole = label.strip_prefix("file-read ").unwrap_or_default();
                         assert!(
                             !whole.ends_with(".blob") && !whole.contains(COMMITLOG),
-                            "crash {crash}, sealed {sealed}: whole-file read of {whole}"
+                            "crash {crash}: whole-file read of {whole}"
                         );
                     }
                     IoEvent::ReadAt { file, len, .. } => ranged.push((file, *len)),
@@ -854,8 +794,7 @@ mod tests {
             let read = |name: &str| ranged.iter().any(|&(file, _)| file == name);
             // (A crash may keep none of a blob log's never-synced appends.)
             assert!(crash || read("shard-000/store.blob"), "the committed prefix is verified");
-            assert_eq!(read(COMMITLOG), crash && !sealed, "a leftover log is replayed");
-            assert_eq!(read(COMMITLOG_OLD), sealed, "and so is a leftover sealed segment");
+            assert_eq!(read(COMMITLOG), crash, "a leftover log is replayed");
             let longest = ranged.iter().map(|&(_, len)| len).max().unwrap();
             assert!(
                 longest <= largest_frame,
@@ -875,7 +814,7 @@ mod tests {
         fn decoder_is_total(bytes in proptest::collection::vec(any::<u8>(), 0..120)) {
             for image in [bytes.clone(), framed(&bytes), [word(0, 1), bytes].concat()] {
                 let records = decode_log_records(&image);
-                prop_assert_eq!(walked(&mut two_segment_log(&SimEnv::new(), None, &image)), records);
+                prop_assert_eq!(walked(&mut log_holding(&SimEnv::new(), &image)), records);
             }
         }
     }

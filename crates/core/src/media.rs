@@ -24,17 +24,22 @@ use dxh_extmem::{BlobFile, ExtMemError, FileBlob, FileDisk, Result, StorageBacke
 pub(crate) const MANIFEST: &str = "MANIFEST";
 /// Lock file name.
 pub(crate) const LOCK: &str = "LOCK";
-/// Legacy clean-shutdown marker name: earlier versions kept one beside
-/// the single block file all their levels shared. Never written, never
-/// consulted; removed as a stray at reopen.
-pub(crate) const CLEAN: &str = "CLEAN";
-/// Legacy manifest delta-chain name: earlier versions appended their
-/// checkpoint commits here. Read once at reopen, folded into the
-/// manifest and removed; never written (see `store/reopen.rs`).
+/// The checkpoint chain an older layout appended beside its manifest.
+/// Its frames may commit state no manifest holds, so a store that has
+/// one is refused, never opened without it.
 pub(crate) const MANIFEST_DELTA: &str = "MANIFEST.DELTA";
 
-/// Whether `name` is a block file of a store: a level file, or the
-/// single data file (any generation) of an earlier version's layout.
+/// The error an open returns for a store (or service root) in an older
+/// on-disk layout, named by `shape`: the data is intact, this build
+/// just does not read it.
+pub(crate) fn older_layout(shape: &str) -> ExtMemError {
+    ExtMemError::BadConfig(format!(
+        "{shape}: an older on-disk layout, which this build does not read; open it with the \
+         build at a883dab, compact() it, close it, then reopen here"
+    ))
+}
+
+/// Whether `name` is a block file of a store (a level file).
 pub(crate) fn is_data_file(name: &str) -> bool {
     name.ends_with(".blk")
 }

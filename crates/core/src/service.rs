@@ -92,9 +92,9 @@ use dxh_extmem::{ExtMemError, Key, Result, Value, KEY_TOMBSTONE, VALUE_TOMBSTONE
 use dxh_hashfn::{prefix_bucket, HashFn, IdealFn};
 use dxh_tables::ExternalDictionary;
 
-use crate::commitlog::{encode_log_record, replay_log, CommitLog};
+use crate::commitlog::{encode_log_record, replay_log, CommitLog, COMMITLOG_OLD};
 use crate::config::CoreConfig;
-use crate::media::{commit_file_atomic, read_text, DirMedia, StoreMedia};
+use crate::media::{commit_file_atomic, older_layout, read_text, DirMedia, StoreMedia};
 use crate::store::KvStore;
 
 /// Service manifest file name inside a service root.
@@ -1195,6 +1195,10 @@ where
             return Err(ExtMemError::BadConfig(format!(
                 "shard count {shards} is implausible (max 1024)"
             )));
+        }
+        // Its batches may be in no manifest: no shard opens without them.
+        if root.open_file(COMMITLOG_OLD)?.is_some() {
+            return Err(older_layout(&format!("a sealed log segment {COMMITLOG_OLD} in the root")));
         }
         let (seed, fresh) = match read_text(&mut root, SERVICE)? {
             Some(text) => {

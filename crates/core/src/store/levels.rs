@@ -29,17 +29,16 @@
 //!   directory's entries reach the disk in the order they were made (as
 //!   under any journal, and as `SimEnv` models).
 //!
-//! File 0 is the single `store.blk` (or `store.<gen>.blk`) in which an
-//! earlier version of this store kept all its levels, dead slots between
-//! them: opened like any other file the manifest names, read by the
-//! flushes that carry its levels into files of their own, and unlinked
-//! by the first commit that names no level in it.
+//! So every level a manifest names starts at slot 0 of a file no other
+//! level names, and file numbers start at 1. A level line in "file 0"
+//! is the shared `store.blk` of an older layout, refused by name.
 
 use std::collections::BTreeMap;
 
 use dxh_extmem::{Block, BlockId, ExtMemError, Result, StorageBackend};
 
-use crate::media::{best_effort, StoreMedia};
+use super::manifest::corrupt;
+use crate::media::{best_effort, older_layout, StoreMedia};
 use crate::stream::Region;
 
 /// Low bits of a block id: the slot inside its file. The bits above are
@@ -91,35 +90,34 @@ impl<M: StoreMedia> LevelFiles<M> {
         LevelFiles { files: BTreeMap::new(), next_file: 1, building: None, live: 0, b, media }
     }
 
-    /// Opens the files `levels` name — file 0 under the name `legacy` —
-    /// with every slot live, and checks that each region lies inside its
-    /// file. Nothing is read.
-    pub(super) fn open(
-        media: M,
-        b: usize,
-        legacy: &str,
-        levels: &[Option<Region>],
-    ) -> Result<Self> {
+    /// Opens the files `levels` name with every slot live, and checks
+    /// that each region lies inside its file. Each level must start at
+    /// slot 0 of a file of its own — checked before any file is opened.
+    /// Nothing is read.
+    pub(super) fn open(media: M, b: usize, levels: &[Option<Region>]) -> Result<Self> {
+        let files: Vec<u64> = levels.iter().flatten().map(|r| file_of(r.base)).collect();
+        for (i, region) in levels.iter().flatten().enumerate() {
+            if files[i] == 0 {
+                return Err(older_layout("a level in the shared store.blk (file 0)"));
+            }
+            if slot_of(region.base).raw() != 0 || files[..i].contains(&files[i]) {
+                return Err(corrupt(&format!("{region:?} does not start a level file of its own")));
+            }
+        }
         let mut this = Self::new(media, b);
-        for region in levels.iter().flatten() {
-            let file = file_of(region.base);
-            if !this.files.contains_key(&file) {
-                let name = if file == 0 { legacy.to_string() } else { level_file_name(file) };
-                let disk = this.media.open_data(&name, b).map_err(|e| {
-                    ExtMemError::Corrupt(format!("manifest names level file {name}: {e}"))
-                })?;
-                let slots = disk.live_blocks();
-                this.live += slots;
-                this.files.insert(file, LevelFile { disk, name, slots, committed: true });
-                this.next_file = this.next_file.max(file + 1);
+        for (region, file) in levels.iter().flatten().zip(files) {
+            let name = level_file_name(file);
+            let disk = this
+                .media
+                .open_data(&name, b)
+                .map_err(|e| corrupt(&format!("names level file {name}: {e}")))?;
+            let slots = disk.live_blocks();
+            if region.buckets > slots {
+                return Err(corrupt(&format!("{region:?} lies outside {name}")));
             }
-            let end = slot_of(region.base).raw().checked_add(region.buckets);
-            if end.is_none_or(|end| end > this.files[&file].slots) {
-                return Err(ExtMemError::Corrupt(format!(
-                    "manifest: {region:?} lies outside {}",
-                    this.files[&file].name
-                )));
-            }
+            this.live += slots;
+            this.next_file = this.next_file.max(file + 1);
+            this.files.insert(file, LevelFile { disk, name, slots, committed: true });
         }
         Ok(this)
     }
@@ -148,7 +146,7 @@ impl<M: StoreMedia> LevelFiles<M> {
 
     /// Call once a manifest whose levels are `named` is durable: every
     /// other file — each level a flush carried away since the commit
-    /// before, file 0 once its last level is gone — is unlinked, and the
+    /// before — is unlinked, and the
     /// files that stay are from now on never written.
     pub(super) fn unlink_unnamed(&mut self, named: &[Option<Region>]) {
         let named: Vec<u64> = named.iter().flatten().map(|r| file_of(r.base)).collect();

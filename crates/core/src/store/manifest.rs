@@ -1,26 +1,22 @@
 //! The manifest: its codec (one text file, written whole by every
-//! commit), the bounds a persisted parameter must respect before it is
-//! believed, and the read-only fold of a legacy `MANIFEST.DELTA` chain.
+//! commit) and the bounds a persisted parameter must respect before it
+//! is believed.
 
-use dxh_extmem::frame::Frames;
 use dxh_extmem::{BlockId, ExtMemError, IoCostModel, Result};
 
 use super::KvStore;
 use crate::config::CoreConfig;
-use crate::media::{commit_file_atomic, StoreMedia, MANIFEST};
+use crate::media::{commit_file_atomic, older_layout, StoreMedia, MANIFEST};
 use crate::stream::Region;
 
 pub(super) const MAGIC: &str = "dxh-store v2";
-/// Format v1: written before deletion existed. Readable, but `u64::MAX`
-/// was an ordinary value then — see [`scan_reserved_values`].
-pub(super) const MAGIC_V1: &str = "dxh-store v1";
 
 impl<M: StoreMedia> KvStore<M> {
     /// The commit: `fdatasync`s the level files written since the last
     /// commit, atomically replaces `MANIFEST` with the table's current
-    /// state at the next epoch — the commit point — and only then
-    /// unlinks the files the new manifest no longer names. Lines older parsers do not know
-    /// are ignored by them (forward-compatible), so optional ones are
+    /// state — the commit point — and only then unlinks the files the
+    /// new manifest no longer names. Lines a parser does not know are
+    /// ignored by it (forward-compatible), so optional ones are
     /// simply left out: `blob` is present exactly in payload mode,
     /// `watermark` only on service-managed stores (see
     /// `set_replay_watermark`). `checkpoint` picks the counter the
@@ -42,9 +38,6 @@ impl<M: StoreMedia> KvStore<M> {
             }
         ));
         out.push_str(&format!("seed {}\n", self.seed));
-        // Older parsers ignore the line (forward-compatible); this one
-        // needs it only to recognize a stale legacy chain.
-        out.push_str(&format!("epoch {}\n", self.epoch + 1));
         out.push_str(&format!("data {}\n", self.data_gen));
         // Presence of the `blob` line ⟺ payload mode; its value is the
         // committed payload length — reopen truncates the log back to it
@@ -76,7 +69,6 @@ impl<M: StoreMedia> KvStore<M> {
         // flush carried away, so those files may go.
         let levels = self.table.persisted_levels().to_vec();
         self.table.disk_mut().backend_mut().unlink_unnamed(&levels);
-        self.epoch += 1;
         self.manifest_len = out.len() as u64;
         let io = &mut self.manifest_io;
         let (commits, bytes) = match checkpoint {
@@ -127,72 +119,20 @@ fn split_line(line: &str) -> Option<(&str, &str, std::str::SplitWhitespace<'_>)>
     Some((parts.next()?, parts.next()?, parts))
 }
 
-/// Parses a delta frame's `delta <epoch> <seq>` head line.
-fn parse_delta_head(line: &str) -> Option<(u64, u64)> {
-    let ("delta", epoch, mut rest) = split_line(line)? else { return None };
-    Some((epoch.parse().ok()?, rest.next()?.parse().ok()?))
-}
-
-/// Folds a legacy `MANIFEST.DELTA` chain (see the module docs) into a
-/// parsed base manifest. Frames apply in order while they are intact
-/// (length and checksum verify), quote the base's epoch, and carry
-/// sequence numbers running 1, 2, …; the first torn or out-of-sequence
-/// frame ends the chain — everything at and behind it was never
-/// acknowledged as committed. Frames quoting a *different* epoch are
-/// stale survivors of a lost chain removal and are skipped without
-/// ending the chain. An intact in-sequence frame is a commit point and
-/// must apply in full: a state line in it that does not parse is
-/// [`ExtMemError::Corrupt`], never a half-applied frame. Returns the
-/// number of frames applied.
-pub(super) fn apply_manifest_deltas(m: &mut Manifest, chain: &[u8]) -> Result<u64> {
-    let payload_mode = m.blob.is_some();
-    let mut applied = 0u64;
-    for (_, payload) in Frames::new(chain) {
-        let Ok(text) = std::str::from_utf8(payload) else { break };
-        let mut lines = text.lines();
-        let Some((epoch, seq)) = lines.next().and_then(parse_delta_head) else { break };
-        if epoch == m.epoch {
-            if seq != applied + 1 {
-                break;
-            }
-            for line in lines {
-                m.apply_line(line)?;
-            }
-            if m.blob.is_some() != payload_mode {
-                return Err(ExtMemError::Corrupt(
-                    "manifest: a delta frame cannot switch the store's representation".into(),
-                ));
-            }
-            applied += 1;
-        }
-    }
-    Ok(applied)
-}
-
 /// Parsed manifest contents.
 pub(super) struct Manifest {
     pub(super) cfg: CoreConfig,
     pub(super) seed: u64,
-    /// Generation of the blob log and of an earlier layout's single data
-    /// file (0 = `store.blob` / `store.blk`, the only value ever written
-    /// before compaction existed — absent lines parse as 0).
+    /// Generation of the blob log (0 = `store.blob`; absent lines parse
+    /// as 0).
     pub(super) data_gen: u64,
     pub(super) levels: Vec<Option<Region>>,
-    /// Written by a pre-deletion binary (format v1): `u64::MAX` was an
-    /// ordinary value then, so reopen must prove none is stored before
-    /// this version may treat it as the deletion marker.
-    pub(super) v1: bool,
     /// Commit-log replay watermark (absent lines parse as 0 — stores
     /// outside a service never write one).
     pub(super) watermark: u64,
     /// Committed blob-log length in bytes. Presence of the line ⟺ the
     /// store runs in payload mode; recovery truncates the log here.
     pub(super) blob: Option<u64>,
-    /// Epoch this manifest committed at (absent lines parse as 0 —
-    /// stores older than the legacy chain). Legacy delta frames quote
-    /// the epoch they extend; frames quoting any other are stale and
-    /// skipped.
-    pub(super) epoch: u64,
 }
 
 pub(super) fn corrupt(why: &str) -> ExtMemError {
@@ -220,14 +160,14 @@ pub(super) fn plausible_creation_params(cfg: &CoreConfig) -> bool {
 impl Manifest {
     pub(super) fn parse(text: &str) -> Result<Self> {
         let mut lines = text.lines();
-        let v1 = match lines.next() {
-            Some(l) if l == MAGIC => false,
-            Some(l) if l == MAGIC_V1 => true,
+        match lines.next() {
+            Some(MAGIC) => {}
+            // Written before deletion existed, when `u64::MAX` was an
+            // ordinary value and not yet the deletion marker.
+            Some("dxh-store v1") => return Err(older_layout("a `dxh-store v1` manifest")),
             _ => return Err(corrupt("bad magic")),
-        };
-        // The creation-time parameters, which only a manifest states;
-        // the state lines go through the parser legacy delta frames
-        // share, below.
+        }
+        // The creation-time parameters first, then the state lines.
         let mut b = None;
         let mut m = None;
         let mut gamma = None;
@@ -235,7 +175,6 @@ impl Manifest {
         let mut cost = IoCostModel::SeekDominated;
         let mut seed = None;
         let mut data_gen = 0u64;
-        let mut epoch = 0u64;
         for (key, v, _) in lines.clone().filter_map(split_line) {
             match key {
                 "b" => b = v.parse().ok(),
@@ -251,7 +190,6 @@ impl Manifest {
                 }
                 "seed" => seed = v.parse().ok(),
                 "data" => data_gen = v.parse().map_err(|_| corrupt("bad data generation"))?,
-                "epoch" => epoch = v.parse().map_err(|_| corrupt("bad epoch"))?,
                 _ => {}
             }
         }
@@ -263,34 +201,21 @@ impl Manifest {
         if !plausible_creation_params(&cfg) {
             return Err(corrupt("implausible creation parameters"));
         }
-        let mut manifest = Manifest {
-            cfg,
-            seed,
-            data_gen,
-            levels: Vec::new(),
-            v1,
-            watermark: 0,
-            blob: None,
-            epoch,
-        };
+        let mut manifest =
+            Manifest { cfg, seed, data_gen, levels: Vec::new(), watermark: 0, blob: None };
         for line in lines {
             manifest.apply_line(line)?;
         }
         Ok(manifest)
     }
 
-    /// Applies one state line — the one parser behind the manifest and
-    /// every legacy delta frame (whose `clearlevel` no manifest uses). A
-    /// known key whose fields do not parse is [`ExtMemError::Corrupt`];
-    /// unknown keys (and lines too short to carry a value) are ignored
-    /// (forward-compatible) — among them the `slots` and `free` lines of
-    /// the block allocator earlier versions persisted.
+    /// Applies one state line. A known key whose fields do not parse is
+    /// [`ExtMemError::Corrupt`]; unknown keys (and lines too short to
+    /// carry a value) are ignored (forward-compatible) — among them the
+    /// `epoch` line of the build before this one and the `slots` and
+    /// `free` lines of the block allocator of the one before that.
     fn apply_line(&mut self, line: &str) -> Result<()> {
         let Some((key, v, rest)) = split_line(line) else { return Ok(()) };
-        let level_index = |levels: &[Option<Region>]| match v.parse::<usize>() {
-            Ok(k) if k > 0 && k < levels.len() => Ok(k),
-            _ => Err(corrupt("level index out of range")),
-        };
         match key {
             "watermark" => self.watermark = v.parse().map_err(|_| corrupt("bad watermark"))?,
             "blob" => self.blob = Some(v.parse().map_err(|_| corrupt("bad blob length"))?),
@@ -305,7 +230,10 @@ impl Manifest {
                 self.levels.resize(n.max(1), None);
             }
             "level" => {
-                let k = level_index(&self.levels)?;
+                let k = match v.parse::<usize>() {
+                    Ok(k) if k > 0 && k < self.levels.len() => k,
+                    _ => return Err(corrupt("level index out of range")),
+                };
                 let nums: Vec<u64> = rest
                     .map(|p| p.parse().map_err(|_| corrupt("bad level field")))
                     .collect::<Result<_>>()?;
@@ -314,10 +242,6 @@ impl Manifest {
                 };
                 self.levels[k] =
                     Some(Region { base: BlockId(base), buckets, items: items as usize });
-            }
-            "clearlevel" => {
-                let k = level_index(&self.levels)?;
-                self.levels[k] = None;
             }
             _ => {}
         }
@@ -332,7 +256,6 @@ mod tests {
 
     use dxh_tables::ExternalDictionary;
 
-    use super::super::reopen::legacy_data_file_name;
     use super::super::tests::*;
     use super::super::{blob_file_name, KvStore};
     use super::*;
@@ -379,12 +302,8 @@ mod tests {
         let text = format!("{MAGIC}\nb 8\nm 128\ngamma 2\nbeta 2\nseed 1\nslots 0\nfree \n");
         assert_eq!(Manifest::parse(&text).unwrap().data_gen, 0);
         assert_eq!(
-            (legacy_data_file_name(0), blob_file_name(0)),
-            ("store.blk".into(), "store.blob".into())
-        );
-        assert_eq!(
-            (legacy_data_file_name(2), blob_file_name(2)),
-            ("store.2.blk".into(), "store.2.blob".into())
+            (blob_file_name(0), blob_file_name(2)),
+            ("store.blob".into(), "store.2.blob".into())
         );
     }
 
@@ -414,8 +333,7 @@ mod tests {
             let text = read(&dir);
             let keys: Vec<&str> =
                 text.lines().skip(1).map(|l| l.split(' ').next().unwrap()).collect();
-            let known =
-                ["b", "m", "gamma", "beta", "cost", "seed", "epoch", "data", "levels", "level"];
+            let known = ["b", "m", "gamma", "beta", "cost", "seed", "data", "levels", "level"];
             assert!(keys.iter().all(|key| known.contains(key)), "round {round}: {text}");
             assert_eq!(dir_files(&dir), named_files(&s), "round {round}");
             sizes.push(text.len() as u64);
@@ -559,119 +477,98 @@ mod tests {
         );
     }
 
+    /// Every level file is built by one flush with its level at slot 0,
+    /// and no two levels share one. A level line naming another slot, or
+    /// a file another line names, is `Corrupt` before any level file is
+    /// opened — even where the region would fit inside the file it names.
     #[test]
-    fn delta_chain_replay_filters_stale_epochs_and_stops_on_gaps() {
-        let text = format!(
-            "{MAGIC}\nb 8\nm 128\ngamma 2\nbeta 2\nseed 1\nepoch 3\nslots 4\nfree 1,2\n\
-             levels 2\nlevel 1 0 2 5\n"
-        );
-        let mut m = Manifest::parse(&text).unwrap();
-        assert_eq!(m.epoch, 3);
-        let mut chain = Vec::new();
-        // Stale survivor of a cleared chain: skipped, not a stop.
-        chain.extend_from_slice(&delta_frame("delta 2 1\nslots 99\nwatermark 99\n"));
-        chain.extend_from_slice(&delta_frame("delta 3 1\nslots 7\nwatermark 11\n"));
-        // Sequence gap (2 missing): the chain's own order is broken —
-        // nothing past this point was acknowledged in this order.
-        chain.extend_from_slice(&delta_frame("delta 3 3\nslots 8\nwatermark 12\n"));
-        assert_eq!(apply_manifest_deltas(&mut m, &chain).unwrap(), 1);
-        assert_eq!(m.watermark, 11, "frame 1 applied, stale and gapped frames discarded");
-
-        // Level edits: resize, replace, clear.
-        let mut m = Manifest::parse(&text).unwrap();
-        let chain = delta_frame("delta 3 1\nslots 12\nlevels 3\nlevel 2 4 8 9\nclearlevel 1\n");
-        assert_eq!(apply_manifest_deltas(&mut m, &chain).unwrap(), 1);
-        assert_eq!(m.levels.len(), 3);
-        assert!(m.levels[1].is_none(), "clearlevel drops the region");
-        let r = m.levels[2].unwrap();
-        assert_eq!((r.base.raw(), r.buckets, r.items), (4, 8, 9));
+    fn a_level_off_slot_0_or_in_a_file_another_level_names_is_corrupt_before_a_file_opens() {
+        use dxh_extmem::{IoEvent, SimEnv};
+        let open = |env: &SimEnv| {
+            crate::SimMedia::open(env).and_then(|m| KvStore::open_on(m, cfg(), 84)).map(drop)
+        };
+        let env = SimEnv::new();
+        let mut s = sim_store(&env);
+        for k in 0..900u64 {
+            s.insert(k, k + 1).unwrap();
+        }
+        drop(s);
+        let text = manifest_text(&env);
+        let levels: Vec<&str> = text.lines().filter(|l| l.starts_with("level ")).collect();
+        let (shallow, deep) = (levels[0], levels[levels.len() - 1]);
+        let field = |line: &str, i: usize| line.split(' ').nth(i).unwrap().parse::<u64>().unwrap();
+        assert!(levels.len() >= 2 && field(shallow, 3) <= field(deep, 3), "{text}");
+        let based = |line: &str, base: u64| {
+            let mut fields: Vec<String> = line.split(' ').map(String::from).collect();
+            fields[2] = base.to_string();
+            fields.join(" ")
+        };
+        for (line, mutant) in
+            [(deep, based(deep, field(deep, 2) + 1)), (shallow, based(shallow, field(deep, 2)))]
+        {
+            put_file(&env, MANIFEST, text.replace(line, &mutant).as_bytes());
+            env.take_trace();
+            let opened = open(&env);
+            assert!(matches!(opened, Err(ExtMemError::Corrupt(_))), "{mutant}: {opened:?}");
+            let files_opened = env.take_trace().into_iter().filter(|e| {
+                matches!(e, IoEvent::Meta { label, .. } if label.starts_with("file-open level-"))
+            });
+            assert_eq!(files_opened.count(), 0, "{mutant}");
+        }
+        put_file(&env, MANIFEST, text.as_bytes());
+        open(&env).unwrap();
     }
 
-    /// A checksum-valid, in-sequence frame is a commit point: a state
-    /// line in it that does not parse fails the reopen instead of being
-    /// silently half-applied. Unknown keys stay ignored.
-    #[test]
-    fn malformed_line_in_an_intact_delta_frame_is_corrupt_not_half_applied() {
-        let text = format!(
-            "{MAGIC}\nb 8\nm 128\ngamma 2\nbeta 2\nseed 1\nepoch 3\nslots 4\nfree 1,2\n\
-             levels 2\nlevel 1 0 2 5\n"
-        );
-        for bad in [
-            "watermark 9\nlevel 1 0 x 5\n", // the shown case: watermark applied, level dropped
-            "level 7 0 2 5\n",
-            "level 1 0 2\n",
-            "clearlevel 0\n",
-            "levels 65\n",
-            "watermark -1\n",
-            "blob 10\n", // a raw store cannot turn into a payload store
-        ] {
-            let mut m = Manifest::parse(&text).unwrap();
-            let chain = delta_frame(&format!("delta 3 1\n{bad}"));
-            let r = apply_manifest_deltas(&mut m, &chain);
-            assert!(matches!(r, Err(ExtMemError::Corrupt(_))), "{bad:?} must be corrupt");
+    /// The history the pinned bytes record, on a payload store: 150 puts
+    /// committed by a sync at watermark 5, 250 more by a harden at
+    /// watermark 9. Returns the manifest after each commit.
+    fn pinned_history(s: &mut KvStore<crate::SimMedia>) -> [String; 2] {
+        let mut commits = Vec::new();
+        for (keys, watermark) in [(0..150u64, 5), (150..400, 9)] {
+            for k in keys {
+                s.put_bytes(k, &payload_for(k)).unwrap();
+            }
+            s.set_replay_watermark(watermark);
+            match watermark {
+                5 => s.sync().unwrap(),
+                _ => s.harden().unwrap(),
+            }
+            commits.push(read_text(&mut s.media, MANIFEST).unwrap().unwrap());
         }
-        let mut m = Manifest::parse(&text).unwrap();
-        let chain = delta_frame("delta 3 1\nwatermark 9\nslots many\nfuture-key 1 2 3\n");
-        assert_eq!(apply_manifest_deltas(&mut m, &chain).unwrap(), 1);
-        assert_eq!(m.watermark, 9);
-    }
-
-    proptest::proptest! {
-        /// Arbitrary chains, and arbitrary text inside an intact
-        /// in-sequence frame, fold or fail — never panic.
-        #[test]
-        fn delta_chain_replay_is_total(
-            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..120),
-        ) {
-            let base = format!("{MAGIC}\nb 8\nm 128\ngamma 2\nbeta 2\nseed 1\nslots 4\nlevels 2\n");
-            let _ = apply_manifest_deltas(&mut Manifest::parse(&base).unwrap(), &bytes);
-            let text = format!("delta 0 1\n{}", String::from_utf8_lossy(&bytes));
-            let chain = delta_frame(&text);
-            let _ = apply_manifest_deltas(&mut Manifest::parse(&base).unwrap(), &chain);
-        }
+        commits.try_into().unwrap()
     }
 
     /// The manifest bytes of one fixed history, pinned: on-disk formats
-    /// are checked, not claimed. Re-recorded once, when every level moved
-    /// into a file of its own: a level's base is `file << 32 | slot` —
-    /// `H2` is the third file this store built, `H3` and `H1` its sixth
-    /// and seventh — and the allocator's `slots` and `free` lines are
-    /// gone with the allocator. The bytes the version before wrote for
-    /// the same history stay below as what a reader must still accept:
-    /// every level in file 0, the two allocator lines skipped.
+    /// are checked, not claimed. A level's base is `file << 32`: `H2` is
+    /// the third file this store built, `H3` and `H1` its sixth and
+    /// seventh. Re-recorded once, when the `epoch` line went; the build
+    /// before wrote the same bytes with `epoch 2` and `epoch 3` after the
+    /// seed. What the layout before that wrote for the same history —
+    /// every level in one shared `store.blk`, "file 0", behind the block
+    /// allocator's `slots` and `free` lines, a `CLEAN` marker beside — is
+    /// refused by name, and nothing in the directory changes.
     #[test]
-    fn manifest_bytes_are_pinned_and_the_previous_layout_still_parses() {
+    fn manifest_bytes_are_pinned_and_the_file_0_layout_is_refused() {
         use crate::media::SimMedia;
-        use dxh_extmem::SimEnv;
+        use dxh_extmem::{SimEnv, StorageBackend};
         let env = SimEnv::new();
         let mut s = KvStore::open_payload_on(SimMedia::open(&env).unwrap(), cfg(), 7).unwrap();
-        for k in 0..150u64 {
-            s.put_bytes(k, &payload_for(k)).unwrap();
-        }
-        s.set_replay_watermark(5);
-        s.sync().unwrap();
-        let first = read_text(&mut s.media, MANIFEST).unwrap().unwrap();
+        let [first, second] = pinned_history(&mut s);
         assert_eq!(
             first,
-            "dxh-store v2\nb 8\nm 128\ngamma 2\nbeta 2\ncost seek\nseed 7\nepoch 2\ndata 0\n\
+            "dxh-store v2\nb 8\nm 128\ngamma 2\nbeta 2\ncost seek\nseed 7\ndata 0\n\
              blob 8445\nwatermark 5\nlevels 3\nlevel 2 12884901888 38 150\n"
         );
-        for k in 150..400u64 {
-            s.put_bytes(k, &payload_for(k)).unwrap();
-        }
-        s.set_replay_watermark(9);
-        s.harden().unwrap();
-        let second = read_text(&mut s.media, MANIFEST).unwrap().unwrap();
         assert_eq!(
             second,
-            "dxh-store v2\nb 8\nm 128\ngamma 2\nbeta 2\ncost seek\nseed 7\nepoch 3\ndata 0\n\
+            "dxh-store v2\nb 8\nm 128\ngamma 2\nbeta 2\ncost seek\nseed 7\ndata 0\n\
              blob 22900\nwatermark 9\nlevels 4\nlevel 1 30064771072 15 58\nlevel 3 25769803776 86 342\n"
         );
         assert!(s.media.read_file(MANIFEST_DELTA).unwrap().is_none(), "nothing writes the chain");
 
         let free = "0,1,2,3,4,5,16,6,7,8,9,17,10,11,12,13,14,15,18,19,20,21,22,23,24,25,26,27,\
                     28,29,50,30,31,32,33,34,35,36,51,37,38,39,40,41,42,43,44,45,46,47,48,49";
-        let legacy = [
+        let file_0 = [
             format!(
                 "dxh-store v2\nb 8\nm 128\ngamma 2\nbeta 2\ncost seek\nseed 7\nepoch 2\ndata 0\n\
                  blob 8445\nwatermark 5\nslots 91\nfree {free}\nlevels 3\nlevel 2 52 38 150\n"
@@ -681,15 +578,57 @@ mod tests {
              level 3 91 86 342\n"
                 .to_string(),
         ];
-        for (old, new) in legacy.iter().zip([&first, &second]) {
-            let (old, new) = (Manifest::parse(old).unwrap(), Manifest::parse(new).unwrap());
-            assert_eq!((old.epoch, old.blob, old.watermark), (new.epoch, new.blob, new.watermark));
-            assert_eq!(old.levels.len(), new.levels.len());
-            for (was, is) in old.levels.iter().zip(&new.levels) {
-                let shape = |r: &Option<Region>| r.map(|r| (r.buckets, r.items));
-                assert_eq!(shape(was), shape(is), "the same levels, elsewhere");
-                assert!(was.is_none_or(|r| r.base.raw() >> 32 == 0), "all of them in file 0");
-            }
+        for text in file_0 {
+            let env = SimEnv::new();
+            let mut heap = env.create_disk("store.blk", cfg().b).unwrap();
+            heap.allocate_contiguous(192).unwrap();
+            heap.sync().unwrap();
+            put_file(&env, MANIFEST, text.as_bytes());
+            put_file(&env, "CLEAN", b"clean\n");
+            assert_refused(&env, "file 0", || {
+                SimMedia::open(&env).and_then(|m| KvStore::open_payload_on(m, cfg(), 7))
+            });
+        }
+    }
+
+    /// A manifest exactly as the build before this one wrote it — its
+    /// bytes recorded by that build after the pinned history and a
+    /// compaction — opens: the `epoch` line is skipped like any unknown
+    /// key. The store serves every payload of the blob log's generation
+    /// 1, takes more, and its next commit is this build's manifest.
+    #[test]
+    fn a_manifest_the_build_before_wrote_opens_serves_and_commits() {
+        use dxh_extmem::SimEnv;
+        const BEFORE: &str = "dxh-store v2\nb 8\nm 128\ngamma 2\nbeta 2\ncost seek\nseed 7\n\
+                              epoch 4\ndata 1\nblob 22900\nwatermark 9\nlevels 4\n\
+                              level 3 34359738368 100 400\n";
+        let env = SimEnv::new();
+        let open = || {
+            crate::SimMedia::open(&env).and_then(|m| KvStore::open_payload_on(m, cfg(), 7)).unwrap()
+        };
+        let mut s = open();
+        pinned_history(&mut s);
+        s.compact().unwrap();
+        drop(s);
+        let ours = manifest_text(&env);
+        assert_eq!(ours, BEFORE.replace("epoch 4\n", ""), "the one difference");
+        put_file(&env, MANIFEST, BEFORE.as_bytes());
+        let mut s = open();
+        assert_eq!(s.replay_watermark(), 9);
+        for k in 0..400u64 {
+            assert_eq!(s.get_bytes(k).unwrap(), Some(&payload_for(k)[..]), "key {k}");
+        }
+        for k in 400..500u64 {
+            s.put_bytes(k, &payload_for(k)).unwrap();
+        }
+        s.sync().unwrap();
+        let committed = manifest_text(&env);
+        assert!(committed.starts_with(&ours[..ours.find("blob").unwrap()]), "{committed}");
+        assert_eq!(sim_files(&env), named_files(&s));
+        drop(s);
+        let mut s = open();
+        for k in 0..500u64 {
+            assert_eq!(s.get_bytes(k).unwrap(), Some(&payload_for(k)[..]), "key {k} again");
         }
     }
 }

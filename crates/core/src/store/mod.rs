@@ -40,18 +40,12 @@
 //!   a crash can never wedge the store. The pid written inside is
 //!   informational (error messages, humans inspecting the directory).
 //!
-//! Earlier versions kept all levels in one block file — `store.blk`,
-//! `store.<gen>.blk` after a compaction — recycled its slots through a
-//! free list persisted in the manifest (`slots` and `free` lines), and
-//! told a clean shutdown from a crash by a `CLEAN` marker. Such a store
-//! opens as it is: its levels are "file 0", read in place and never
-//! allocated from; the `slots` and `free` lines are ignored and `CLEAN`
-//! is removed; and the file retires itself — unlinked by the first
-//! commit after ordinary flushes, or one [`KvStore::compact`], have
-//! carried its last level into a file of its own. Older still,
-//! `MANIFEST.DELTA` held checkpoint commits as a chain of checksummed
-//! frames ([`dxh_extmem::frame`]): read once at reopen, folded over the
-//! manifest, committed as an ordinary manifest and removed.
+//! This is the one layout an open reads. An older one is refused by
+//! name as [`ExtMemError::BadConfig`] before anything is written or
+//! removed: a `dxh-store v1` manifest, a `MANIFEST.DELTA` chain beside
+//! the manifest, a level in the single `store.blk` all levels once
+//! shared ("file 0"). The build at `a883dab` opens each of them; one
+//! [`KvStore::compact`] there, and a close, leaves this layout.
 //!
 //! [`KvStore::sync`] first migrates the memory-resident `H0` to the disk
 //! levels, then `fdatasync`s the level files written since the last
@@ -149,9 +143,7 @@ pub struct KvStore<M: StoreMedia = DirMedia> {
     blob: Option<BlobLog<M::File>>,
     seed: u64,
     /// Generation of the blob log (bumped by each payload-mode
-    /// [`KvStore::compact`]; see `blob_file_name`) — and of the single
-    /// data file of an earlier version's layout, while a level still
-    /// lives in it.
+    /// [`KvStore::compact`]; see `blob_file_name`).
     data_gen: u64,
     /// Whether anything changed since the last manifest write. A clean
     /// handle's drop must not rewrite the manifest (it could clobber a
@@ -170,11 +162,6 @@ pub struct KvStore<M: StoreMedia = DirMedia> {
     /// reapply *older* logged batches over a *newer*
     /// manifest-committed fold and tear the batch boundary (G4).
     watermark: u64,
-    /// Manifest epoch: bumped by every manifest commit. Written and
-    /// bumped for one reader only — the frames of a legacy
-    /// `MANIFEST.DELTA` chain quote the epoch they extend, so a chain
-    /// whose removal was lost is recognized as stale at reopen.
-    epoch: u64,
     /// Manifest-commit byte accounting (see [`KvStore::manifest_io`]).
     manifest_io: ManifestIoStats,
     /// Length in bytes of the manifest the directory holds.
@@ -253,7 +240,6 @@ impl<M: StoreMedia> KvStore<M> {
                     dirty: false,
                     poisoned: false,
                     watermark: 0,
-                    epoch: 0,
                     manifest_io: ManifestIoStats::default(),
                     manifest_len: 0,
                     media,
@@ -389,8 +375,7 @@ pub struct LevelFootprint {
     /// Buckets (primary blocks).
     pub buckets: u64,
     /// Length of the level's file in bytes: buckets plus chain blocks,
-    /// times the slot size. (The levels of an earlier version's layout
-    /// share one file and each report it whole.)
+    /// times the slot size.
     pub file_bytes: u64,
 }
 
@@ -518,20 +503,20 @@ impl<M: StoreMedia> ExternalDictionary for KvStore<M> {
 }
 
 #[cfg(test)]
-mod tests {
-    use std::collections::BTreeSet;
+pub(crate) mod tests {
+    use std::collections::{BTreeMap, BTreeSet};
     use std::fs;
     use std::path::PathBuf;
 
-    use dxh_extmem::frame::push_frame;
-    use dxh_extmem::{Block, FaultPlan, IoEvent, SimEnv};
+    use dxh_extmem::{Block, BlockId, FaultPlan, IoEvent, SimEnv, StorageBackend};
 
     use super::levels::{level_file_name, mutant};
     use super::manifest::Manifest;
-    use super::reopen::legacy_data_file_name;
     use super::*;
-    use crate::media::{is_data_file, SimMedia, CLEAN, LOCK, MANIFEST};
-    use crate::stream::Region;
+    use crate::media::{is_data_file, SimMedia, LOCK, MANIFEST};
+
+    /// The clean-shutdown marker of an older layout; nothing writes it.
+    const CLEAN: &str = "CLEAN";
 
     // What the test modules of `store` share: scratch directories, the
     // deployed configuration in miniature, crash helpers for both media.
@@ -575,13 +560,6 @@ mod tests {
         env.power_cycle();
     }
 
-    /// Frames a delta payload exactly like the legacy chain writer did.
-    pub(super) fn delta_frame(text: &str) -> Vec<u8> {
-        let mut frame = Vec::new();
-        push_frame(&mut frame, text.as_bytes());
-        frame
-    }
-
     /// Durably installs byte file `name` on `env`'s root.
     pub(super) fn put_file(env: &dxh_extmem::SimEnv, name: &str, bytes: &[u8]) {
         use dxh_extmem::BlobFile;
@@ -596,15 +574,12 @@ mod tests {
     }
 
     /// The files `s`'s directory holds when nothing is in flight: the
-    /// manifest, one block file per non-empty level (an earlier layout's
-    /// shared file once) and, in payload mode, the blob log.
+    /// manifest, one block file per non-empty level and, in payload
+    /// mode, the blob log.
     pub(super) fn named_files<M: StoreMedia>(s: &KvStore<M>) -> BTreeSet<String> {
-        let level_file = |r: &Region| match r.base.raw() >> 32 {
-            0 => legacy_data_file_name(s.data_gen),
-            n => level_file_name(n),
-        };
         let levels = s.table.persisted_levels().iter().flatten();
-        let mut files: BTreeSet<String> = levels.map(level_file).collect();
+        let mut files: BTreeSet<String> =
+            levels.map(|r| level_file_name(r.base.raw() >> 32)).collect();
         files.insert(MANIFEST.to_string());
         files.extend(s.payload_mode().then(|| blob_file_name(s.data_gen)));
         files
@@ -613,6 +588,50 @@ mod tests {
     /// Every file of `env`'s root directory.
     pub(super) fn sim_files(env: &SimEnv) -> BTreeSet<String> {
         env.file_names().into_iter().filter(|name| !name.contains('/')).collect()
+    }
+
+    /// The contents of every file of `env`: a byte file's bytes, a block
+    /// file's blocks (of `cfg()`'s capacity).
+    fn sim_image(env: &SimEnv) -> BTreeMap<String, (Option<Vec<u8>>, Vec<Block>)> {
+        let blocks = |name: &str| -> Vec<Block> {
+            let mut disk = env.open_disk(name, cfg().b).unwrap();
+            (0..disk.slots()).map(|slot| disk.read(BlockId(slot)).unwrap()).collect()
+        };
+        let image = |name: String| {
+            let blocks = if is_data_file(&name) { blocks(&name) } else { Vec::new() };
+            let bytes = env.read_file(&name).unwrap();
+            (name, (bytes, blocks))
+        };
+        env.file_names().into_iter().map(image).collect()
+    }
+
+    /// What an open of an older on-disk layout must do: fail as
+    /// `BadConfig` naming `shape` and the build that migrates it, having
+    /// created, written, synced, renamed, truncated and removed nothing —
+    /// every file of `env` keeps its bytes.
+    pub(crate) fn assert_refused<T>(env: &SimEnv, shape: &str, open: impl FnOnce() -> Result<T>) {
+        let before = sim_image(env);
+        env.take_trace();
+        match open().map(drop) {
+            Err(ExtMemError::BadConfig(why)) => {
+                assert!(why.contains(shape) && why.contains("a883dab"), "{shape}: {why}")
+            }
+            other => panic!("{shape}: {other:?}"),
+        }
+        let mutations: Vec<IoEvent> = env
+            .take_trace()
+            .into_iter()
+            .filter(|e| match e {
+                IoEvent::Read { .. } | IoEvent::ReadAt { .. } => false,
+                IoEvent::Meta { label, .. } => {
+                    let ops = ["file-create", "file-rename", "file-remove", "file-truncate"];
+                    label.starts_with("dir-sync") || ops.iter().any(|op| label.starts_with(op))
+                }
+                _ => true,
+            })
+            .collect();
+        assert_eq!(mutations, [], "{shape}");
+        assert!(sim_image(env) == before, "{shape}: a file changed");
     }
 
     /// Every file of `dir` but the lock.

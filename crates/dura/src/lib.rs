@@ -2,8 +2,7 @@
 //! the commit protocols `docs/GUARANTEES.md` promises (manifest commit:
 //! write tmp → fdatasync every level file written → rename → dir-fsync →
 //! unlink the level files dropped; commit-log append: frame write → log
-//! fsync → ack; sealed-log unlink → dir-fsync), consumed by two
-//! cooperating checkers:
+//! fsync → ack), consumed by two cooperating checkers:
 //!
 //! * the **static pass** `cargo run -p xtask -- lint-durability`, which
 //!   classifies every I/O-effectful call site on the real persistence
@@ -44,10 +43,6 @@ pub enum EffectClass {
     /// A directory fsync (`sync_dir`): makes a rename or unlink's
     /// directory entry itself durable.
     DirFsync,
-    /// An unlink whose **loss would be misread at recovery** (a leftover
-    /// sealed log segment the commit log's truncate removes) — unlike the
-    /// best-effort stray-file removals, it owes a following dir-fsync.
-    MetaUnlink,
     /// The unlink of level files a committed manifest named
     /// (`LevelFiles::unlink_unnamed`): legal only once the manifest that
     /// stops naming them is durable.
@@ -66,7 +61,6 @@ impl EffectClass {
             EffectClass::DataFsync => "DataFsync",
             EffectClass::Rename => "Rename",
             EffectClass::DirFsync => "DirFsync",
-            EffectClass::MetaUnlink => "MetaUnlink",
             EffectClass::CommittedUnlink => "CommittedUnlink",
             EffectClass::AckRelease => "AckRelease",
         }
@@ -155,16 +149,6 @@ pub const RULES: &[Rule] = &[
               only after the round's log fsync or the shard's manifest commit",
     },
     Rule {
-        name: "sealed-log-unlink-then-dir-fsync",
-        anchor: EffectClass::MetaUnlink,
-        check: Check::Followed(EffectClass::DirFsync),
-        lint: true,
-        trace: false, // the automaton tracks no log segments
-        why: "emptying the commit log removes a leftover sealed segment (an earlier layout's); \
-              the unlink must be as durable as the truncate beside it, or a crash brings back \
-              records every manifest covers for the next open to walk again (G4)",
-    },
-    Rule {
         name: "unlink-after-manifest-commit",
         anchor: EffectClass::CommittedUnlink,
         check: Check::DirectlyAfter(EffectClass::DirFsync),
@@ -233,16 +217,6 @@ pub const SINKS: &[(&str, EffectClass)] = &[
 /// their fsync is a [`EffectClass::DirFsync`], not a data fsync.
 pub const DIR_FSYNC_FNS: &[&str] = &["sync_dir"];
 
-/// The media unlink primitive. Sites whose argument mentions one of
-/// [`META_UNLINK_MARKERS`] are [`EffectClass::MetaUnlink`]
-/// (recovery-visible metadata); all other unlinks are the documented
-/// best-effort stray cleanups (re-run by the next recovery) and carry no
-/// ordering obligation.
-pub const UNLINK: &str = ".remove(";
-
-/// See [`UNLINK`].
-pub const META_UNLINK_MARKERS: &[&str] = &["COMMITLOG_OLD"];
-
 /// The one call that unlinks level files a committed manifest named
 /// ([`EffectClass::CommittedUnlink`]).
 pub const COMMITTED_UNLINK: &str = ".unlink_unnamed(";
@@ -285,9 +259,8 @@ impl std::fmt::Display for TraceViolation {
     }
 }
 
-/// Whether `name` is a store block file — a level file, or the single
-/// data file of an earlier layout — mirroring the store layer's naming
-/// (`level-N.blk`, `store.blk`, `store.N.blk`).
+/// Whether `name` is a store block file (a level file) — mirroring the
+/// store layer's naming, `level-N.blk`.
 fn is_data_file(name: &str) -> bool {
     name.ends_with(".blk")
 }

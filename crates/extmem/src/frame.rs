@@ -1,8 +1,6 @@
 //! The one frame codec under every durable append-only log in the
 //! workspace: the service's `COMMITLOG` and the payload
-//! [`crate::BlobLog`] — and the format of the store's legacy
-//! `MANIFEST.DELTA` chain, which is read (once, at reopen) but no longer
-//! written.
+//! [`crate::BlobLog`].
 //!
 //! A frame is `len: u32 LE | fnv1a64(payload): u64 LE | payload`. The
 //! checksum makes a torn tail (a crash mid-append) detectable and a

@@ -7,9 +7,8 @@
 //!
 //! 1. classifies every I/O-effectful call site into a
 //!    [`dxh_dura::EffectClass`] using the table's source tokens
-//!    ([`dxh_dura::SINKS`], [`dxh_dura::ACK_FILL`], [`dxh_dura::UNLINK`]
-//!    with [`dxh_dura::META_UNLINK_MARKERS`], [`dxh_dura::COMMITTED_UNLINK`],
-//!    [`dxh_dura::DIR_FSYNC_FNS`])
+//!    ([`dxh_dura::SINKS`], [`dxh_dura::ACK_FILL`],
+//!    [`dxh_dura::COMMITTED_UNLINK`], [`dxh_dura::DIR_FSYNC_FNS`])
 //!    — the byte-file tokens are the `StoreMedia` / `BlobFile` primitive
 //!    names, because every protocol is written once above that seam,
 //! 2. records calls to other scanned functions and inlines their effect
@@ -36,10 +35,8 @@
 //!   between the round's fsync and the acks). A function that other
 //!   scanned functions call (`BufState::acknowledge`) does not answer
 //!   for its own acks: each caller does, where it inlines the call.
-//! * `rename-then-dir-fsync` / `sealed-log-unlink-then-dir-fsync` — a
-//!   directory fsync must follow the anchor before its function's
-//!   sequence ends (the unlink anchor is `CommitLog::truncate`'s
-//!   removal of a leftover sealed log segment).
+//! * `rename-then-dir-fsync` — a directory fsync must follow the
+//!   rename before its function's sequence ends.
 //! * `unlink-after-manifest-commit` — the effect **right before** the
 //!   unlink of committed level files (`LevelFiles::unlink_unnamed`) must
 //!   be a directory fsync: the manifest commit's, with nothing — no
@@ -53,8 +50,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use dxh_dura::{
-    Check, EffectClass, ACK_FILL, COMMITTED_UNLINK, DIR_FSYNC_FNS, META_UNLINK_MARKERS, RULES,
-    SINKS, SYNC_RESULT_TOKENS, UNLINK,
+    Check, EffectClass, ACK_FILL, COMMITTED_UNLINK, DIR_FSYNC_FNS, RULES, SINKS, SYNC_RESULT_TOKENS,
 };
 
 use crate::scan::{clean_source, split_functions};
@@ -148,7 +144,6 @@ pub(crate) struct ScanStats {
     pub fns: usize,
     pub renames: usize,
     pub acks: usize,
-    pub meta_unlinks: usize,
     pub committed_unlinks: usize,
     pub data_fsyncs: usize,
     pub dir_fsyncs: usize,
@@ -197,7 +192,7 @@ fn call_boundary_ok(text: &str, col: usize, len: usize) -> bool {
 }
 
 /// Scans one cleaned body line into classified items (sinks, ack
-/// fills, recovery-visible unlinks, calls into the corpus), ordered by
+/// fills, committed-file unlinks, calls into the corpus), ordered by
 /// column. Call matches never overlap a sink match — `fs::write(`
 /// classifies as the sink, not as a call to a scanned `write`.
 fn line_items(
@@ -221,11 +216,6 @@ fn line_items(
     for col in occurrences(text, COMMITTED_UNLINK) {
         let end = col + COMMITTED_UNLINK.len();
         found.push((col, end, Item::Eff(EffectClass::CommittedUnlink, site)));
-    }
-    if META_UNLINK_MARKERS.iter().any(|m| text.contains(m)) {
-        for col in occurrences(text, UNLINK) {
-            found.push((col, col + UNLINK.len(), Item::Eff(EffectClass::MetaUnlink, site)));
-        }
     }
     for (&name, &idx) in call_of {
         for col in occurrences(text, name) {
@@ -444,7 +434,6 @@ pub(crate) fn scan_sources(srcs: &[&str]) -> (Vec<Violation>, ScanStats) {
                 match class {
                     EffectClass::Rename => stats.renames += 1,
                     EffectClass::AckRelease => stats.acks += 1,
-                    EffectClass::MetaUnlink => stats.meta_unlinks += 1,
                     EffectClass::CommittedUnlink => stats.committed_unlinks += 1,
                     EffectClass::DataFsync => stats.data_fsyncs += 1,
                     EffectClass::DirFsync => stats.dir_fsyncs += 1,
@@ -490,22 +479,18 @@ pub(crate) fn scan_sources(srcs: &[&str]) -> (Vec<Violation>, ScanStats) {
     (out.into_iter().collect(), stats)
 }
 
-/// Anchor floors: the real corpus has (at least) the manifest commit's
-/// rename — the only one since the commit log stopped sealing itself
-/// aside, which took a rename and its dir fsync — the one ack site
-/// both commit paths share (`BufState::acknowledge`), the unlink of a
-/// leftover sealed log segment (`CommitLog::truncate`), the one unlink
-/// of committed level files (the manifest commit's), the harden / log
-/// / blob-log fsyncs, and the dir fsyncs of the commit, the
-/// legacy-chain removal, the fresh log and the sealed segment's
-/// removal. Fewer means the scanner lost its tokens, not that the code
-/// got cleaner.
+/// Anchor floors, pinned to what the real corpus has: the manifest
+/// commit's rename, the one ack site both commit paths share
+/// (`BufState::acknowledge`), the one unlink of committed level files
+/// (the manifest commit's), the harden / log / blob-log fsyncs, and the
+/// dir fsyncs of the commit, the fresh log and the two `sync_dir`
+/// primitives. Fewer means the scanner lost its tokens, not that the
+/// code got cleaner.
 fn floors_ok(stats: &ScanStats) -> bool {
     stats.renames >= 1
         && stats.acks >= 1
-        && stats.meta_unlinks >= 1
         && stats.committed_unlinks >= 1
-        && stats.data_fsyncs >= 12
+        && stats.data_fsyncs >= 15
         && stats.dir_fsyncs >= 4
 }
 
@@ -538,7 +523,7 @@ pub fn run(root: Option<&str>) -> ExitCode {
         stats.fns,
         stats.renames,
         stats.acks,
-        stats.meta_unlinks + stats.committed_unlinks,
+        stats.committed_unlinks,
         stats.data_fsyncs,
         stats.dir_fsyncs,
     );
@@ -700,34 +685,6 @@ mod tests {
         assert_eq!(rules_of(&scan(helper)), vec!["ack-after-fsync"]);
     }
 
-    /// Seeded mutant: the sealed-log unlink without its dir fsync; and a
-    /// best-effort stray-file unlink carries no obligation.
-    #[test]
-    fn sealed_log_unlink_without_dir_fsync_is_caught() {
-        let bad = "
-            fn truncate(&mut self) -> Result<()> {
-                self.root.remove(COMMITLOG_OLD)?;
-                self.file.truncate(0)?;
-                self.file.sync()
-            }
-        ";
-        let v = scan(bad);
-        assert_eq!(rules_of(&v), vec!["sealed-log-unlink-then-dir-fsync"], "{v:?}");
-        let good = "
-            fn truncate(&mut self) -> Result<()> {
-                if self.root.remove(COMMITLOG_OLD)? {
-                    self.root.sync_dir()?;
-                }
-                self.file.truncate(0)?;
-                self.file.sync()
-            }
-            fn remove_strays(media: &mut M) {
-                best_effort(media.remove(&name));
-            }
-        ";
-        assert_eq!(scan(good), vec![]);
-    }
-
     /// Seeded mutants: committed level files unlinked before the
     /// manifest that drops them is durable — ahead of the commit, and
     /// between its rename and its dir fsync. Directly after the commit
@@ -801,7 +758,6 @@ mod tests {
             ("rename-after-data-fsync", "fn f() { g.append(b)?; m.rename(a, b)?; m.sync_dir()?; }"),
             ("rename-then-dir-fsync", "fn f() { g.sync()?; m.rename(a, b)?; }"),
             ("ack-after-fsync", "fn f(q: &Q) { *q.cell.0.lock() = Some(Ok(1)); }"),
-            ("sealed-log-unlink-then-dir-fsync", "fn f(m: &mut M) { m.remove(COMMITLOG_OLD)?; }"),
             ("unlink-after-manifest-commit", "fn f(b: &mut B) { b.unlink_unnamed(&levels); }"),
             ("no-discarded-sync-result", "fn f(g: &File) { let _ = g.sync_data(); }"),
         ];
