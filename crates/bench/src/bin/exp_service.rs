@@ -16,10 +16,11 @@
 //!   that one shard's table has to spill to disk levels;
 //! * **hot-key coalescing** (8 writers × 8 shards, checkpoints on): a
 //!   Zipf(θ) hot-key write stream against its uncoalesced twin (same op
-//!   count, all keys distinct). The newest-wins buffer absorbs the hot
-//!   duplicates, so the zipf column must not lose to the distinct one —
-//!   and with checkpoints live, a checkpoint manifest commit
-//!   must stay O(log n): at most [`MAX_CHECKPOINT_COMMIT_BYTES`] on
+//!   count, all keys distinct). Every op is applied and answered, but
+//!   the commit log's newest-wins fold absorbs the hot duplicates: they
+//!   cost no log entry of their own, so the zipf column must not lose
+//!   to the distinct one. With checkpoints live, a checkpoint manifest
+//!   commit must stay O(log n): at most [`MAX_CHECKPOINT_COMMIT_BYTES`] on
 //!   average, like the manifests the closing `sync_all` writes for the
 //!   final tables (a manifest is a few level lines at any table size).
 //!
@@ -160,7 +161,8 @@ struct CoalescePoint {
     ops: u64,
     wall_ms: f64,
     kops_per_s: f64,
-    /// Ops absorbed by the newest-wins buffer (saved table work).
+    /// Ops the log fold absorbed: each was applied and answered, but
+    /// cost no commit-log entry of its own.
     coalesced: u64,
     /// Manifest commits made by checkpoints (the `delta_*`
     /// counters of `ServiceStats`, named for the frames such commits
@@ -174,7 +176,7 @@ struct CoalescePoint {
 }
 
 /// Zipf universe per writer thread — small enough that a 32-op chunk
-/// carries hot-key duplicates for the buffer to absorb.
+/// carries hot-key duplicates for the log fold to absorb.
 const ZIPF_UNIVERSE: usize = 64;
 
 /// Zipf skew: rank 0 draws ~20% of all writes at θ = 0.99, `u = 64`.
@@ -207,7 +209,7 @@ fn run_coalesce_once(
     let zipf =
         ZipfWrites::new(threads, ops_per_thread, ZIPF_UNIVERSE, ZIPF_THETA).expect("zipf shape");
     // The uncoalesced twin: same op count, all-distinct fresh keys —
-    // the buffer has nothing to absorb.
+    // the log fold has nothing to absorb.
     let distinct = ConcurrentChurn::new(threads, ops_per_thread, 1.0, 0.0).expect("churn shape");
     let t0 = Instant::now();
     std::thread::scope(|scope| {
@@ -462,7 +464,7 @@ fn main() {
 
     // Coalescing gates (quick and full — this pair IS the CI smoke's
     // subject): the zipf mix must not lose to its uncoalesced twin, the
-    // buffer must have actually absorbed work on it (and had nothing to
+    // log fold must have actually absorbed ops on it (and had nothing to
     // absorb on the twin), and a manifest commit — a checkpoint's, and
     // the closing sync's of the final tables — must stay a header and
     // O(log n) level lines, below the absolute bound.
@@ -476,10 +478,10 @@ fn main() {
             hot.kops_per_s,
             distinct.kops_per_s
         );
-        assert!(hot.coalesced > 0, "the zipf mix must exercise the coalescing buffer");
+        assert!(hot.coalesced > 0, "the zipf mix must exercise the log fold");
         assert_eq!(
             distinct.coalesced, 0,
-            "the distinct twin has no duplicate keys for the buffer to absorb"
+            "the distinct twin has no duplicate keys for the log fold to absorb"
         );
         assert!(
             distinct.delta_commits > 0,

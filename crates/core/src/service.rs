@@ -21,11 +21,14 @@
 //!   every shard-internal one — every shard sees uniformly random
 //!   keys, so each one's per-shard guarantees are the paper's;
 //! * each shard has a **dedicated committer thread**: concurrent
-//!   [`ShardedKvStore::put`] / [`ShardedKvStore::delete`] calls enqueue
-//!   into the shard's pending buffer and park on the shard's ack
-//!   condvar, while the committer drains and applies whole batches
-//!   continuously — batch size is set by the arrival rate, never by
-//!   which writer got unlucky enough to volunteer;
+//!   [`ShardedKvStore::put`] / [`ShardedKvStore::delete`] calls append
+//!   to the shard's pending queue and park on the shard's ack condvar,
+//!   while the committer takes the whole queue as one batch, applies
+//!   every op to the table in arrival order — each op's answer is the
+//!   table call's own — and hands the batch's newest-wins fold (one
+//!   effect per key) to the commit log. Batch size is set by the
+//!   arrival rate, never by which writer got unlucky enough to
+//!   volunteer;
 //! * a shared **commit clock** (the `SyncCoordinator`) coalesces the
 //!   durability points of all shards into one service-wide **commit
 //!   log**: applied-but-volatile batches are reported as *dirt*, and
@@ -250,11 +253,10 @@ pub struct ServiceStats {
     /// watermark — and the next round past the threshold checkpoints
     /// again.
     pub sealed_discard_failures: u64,
-    /// Write ops absorbed by the newest-wins coalescing buffer: enqueued
-    /// ops that never cost a table op of their own because a later op on
-    /// the same key superseded them inside one batch. Every absorbed op
-    /// was still individually answered and acknowledged — this counts
-    /// saved table work, not dropped writes.
+    /// Ops the log fold absorbed: each was applied and answered, but
+    /// cost no commit-log entry of its own, because a later op on the
+    /// same key in the same batch superseded it (a batch's ops minus its
+    /// distinct keys).
     pub coalesced_ops: u64,
     /// Total manifest-commit bytes across every shard store. A manifest
     /// is O(log n) bytes — one line per level — so this stays
@@ -293,66 +295,25 @@ struct QueuedOp {
     cell: Arc<OpCell>,
 }
 
-/// One key's slot in the coalescing buffer: every queued op on the key
-/// in arrival order (each with its parked writer's cell — all of them
-/// get answered), plus the newest effect, which is simultaneously the
-/// read-your-writes answer and the one table op the drain applies.
-struct KeySlot {
-    ops: Vec<QueuedOp>,
-    newest: Option<Effect>,
-}
-
-/// The **newest-wins coalescing buffer** in front of a shard's group
-/// commit: writers upsert by key under the buffer lock alone (never the
-/// store lock), readers hit it first for zero-I/O read-your-writes, and
-/// the committer drains one deduplicated `(key, newest effect)` batch —
-/// hot-key churn costs one table op per key per batch instead of one
-/// per write. Shadowed ops still get individual answers (reconstructed
-/// by a serial-equivalence walk at apply; see `apply_pending`) and the
-/// commit log records the deduplicated batch, which folds to the same
-/// state because replay is last-write-wins — G7 ack semantics and
-/// recovery are unchanged.
-#[derive(Default)]
-struct CoalesceBuf {
-    slots: HashMap<Key, KeySlot>,
-    /// First-touch key order: the application (and commit-log) order of
-    /// the drained batch.
-    order: Vec<Key>,
-    /// Total queued ops across all slots (≥ `slots.len()`; the surplus
-    /// is what coalescing saves).
-    ops: u64,
-}
-
-impl CoalesceBuf {
-    /// Upserts one op: appended to its key's run, newest effect wins.
-    fn push(&mut self, op: Op, cell: Arc<OpCell>) {
-        use std::collections::hash_map::Entry;
-        let (k, effect) = op.effect();
-        let slot = match self.slots.entry(k) {
-            Entry::Occupied(e) => e.into_mut(),
+/// `queue` folded newest-wins, in first-touch key order: one `(key,
+/// newest effect)` per distinct key. It is what the commit log records
+/// and replay refolds — replay is last-write-wins, so folding it leaves
+/// the state that applying every op of the queue in order leaves.
+fn fold_newest_wins(queue: &[QueuedOp]) -> Vec<(Key, Option<Effect>)> {
+    use std::collections::hash_map::Entry;
+    let mut at: HashMap<Key, usize> = HashMap::with_capacity(queue.len());
+    let mut fold: Vec<(Key, Option<Effect>)> = Vec::with_capacity(queue.len());
+    for q in queue {
+        let (k, effect) = q.op.effect();
+        match at.entry(k) {
+            Entry::Occupied(e) => fold[*e.get()].1 = effect,
             Entry::Vacant(e) => {
-                self.order.push(k);
-                e.insert(KeySlot { ops: Vec::new(), newest: None })
+                e.insert(fold.len());
+                fold.push((k, effect));
             }
-        };
-        slot.ops.push(QueuedOp { op, cell });
-        slot.newest = effect;
-        self.ops += 1;
+        }
     }
-
-    /// The key's newest pending effect (`Some(None)` = pending delete).
-    fn get(&self, key: Key) -> Option<Option<Effect>> {
-        self.slots.get(&key).map(|s| s.newest.clone())
-    }
-
-    fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Every queued cell, in drain order — the wedge path fails them all.
-    fn cells(&self) -> impl Iterator<Item = &Arc<OpCell>> {
-        self.order.iter().flat_map(|k| self.slots[k].ops.iter().map(|q| &q.cell))
-    }
+    fold
 }
 
 /// Where a parked writer's outcome lands: `Ok(presence)` for a committed
@@ -368,15 +329,15 @@ struct OpCell(Mutex<Option<std::result::Result<bool, String>>>);
 /// `effects` in the commit log, a checkpoint or shutdown harden makes
 /// the shard's own manifest cover it. A wedge fails it.
 struct AppliedBatch {
+    /// Every op's cell, in arrival order, and its answer.
     cells: Vec<Arc<OpCell>>,
     answers: Vec<bool>,
-    ops: u64,
     /// The batch's per-shard sequence number (monotone in apply order),
     /// framed into its commit-log record so reopen-time replay can skip
     /// batches the shard's manifest watermark already covers.
     seq: u64,
-    /// The batch's `(key, effect)` pairs in application order — what a
-    /// log round frames into the commit log, and (when recording) the
+    /// The batch's newest-wins fold ([`fold_newest_wins`]) — what a log
+    /// round frames into the commit log, and (when recording) the
     /// history entry.
     effects: Vec<(Key, Option<Effect>)>,
     /// Whether batch recording was on when this batch applied.
@@ -388,11 +349,11 @@ struct AppliedBatch {
 /// enqueues and overlay reads never wait behind an apply or a harden.
 #[derive(Default)]
 struct BufState {
-    /// Ops accepted for the *next* batch, coalesced newest-wins by key.
-    /// Doubles as the read-your-writes overlay: each slot's newest
-    /// effect is the answer a reader sees.
-    pending: CoalesceBuf,
-    /// Overlay of the batch currently being applied — visible to readers
+    /// Ops accepted for the *next* batch, in arrival order. Doubles as
+    /// the read-your-writes overlay: a key's newest op in it is the
+    /// answer a reader sees.
+    pending: Vec<QueuedOp>,
+    /// Fold of the batch currently being applied — visible to readers
     /// until the store itself can answer for it.
     inflight_overlay: HashMap<Key, Option<Effect>>,
     /// Applied batches awaiting their durability epoch (pipelined acks).
@@ -409,9 +370,8 @@ struct BufState {
     committed_ops: u64,
     committed_batches: u64,
     largest_batch: u64,
-    /// Ops absorbed by newest-wins coalescing: enqueued ops that never
-    /// cost their own table op because a later op on the same key
-    /// superseded them inside one batch. Counted at drain.
+    /// Ops the log fold absorbed (see [`ServiceStats::coalesced_ops`]).
+    /// Counted at drain.
     coalesced_ops: u64,
     /// Checkpoint hardens of this shard's manifest (feeds
     /// `shard_syncs`).
@@ -429,9 +389,14 @@ struct BufState {
 }
 
 impl BufState {
+    /// The key's newest accepted effect (`Some(None)` = a delete), if it
+    /// is not yet the store's to answer.
     fn overlay_get(&self, key: Key) -> Option<Option<Effect>> {
         // `pending` is strictly newer than the batch being applied.
-        self.pending.get(key).or_else(|| self.inflight_overlay.get(&key).cloned())
+        match self.pending.iter().rev().find(|q| q.op.key() == key) {
+            Some(q) => Some(q.op.effect().1),
+            None => self.inflight_overlay.get(&key).cloned(),
+        }
     }
 
     /// Acknowledges `batches`, which a log round or a harden has just
@@ -440,9 +405,10 @@ impl BufState {
     /// caller wakes the writers (`ack_cv`) once the guard is gone.
     fn acknowledge(&mut self, batches: &[AppliedBatch]) {
         for ab in batches {
+            let ops = ab.cells.len() as u64;
             self.committed_batches += 1;
-            self.committed_ops += ab.ops;
-            self.largest_batch = self.largest_batch.max(ab.ops);
+            self.committed_ops += ops;
+            self.largest_batch = self.largest_batch.max(ops);
             if ab.recorded {
                 self.history.push(BatchRecord { ops: ab.effects.clone() });
             }
@@ -577,7 +543,10 @@ fn coordinator_loop<M: StoreMedia>(
         // `coord.cv` after every apply, and a continuous enqueue stream
         // must not starve durability — but writers park on their acks
         // after each pipelined chunk, so quiet always arrives within a
-        // wave.
+        // wave. It pays: on the benchmark (2 clients, 2-core host, ten
+        // interleaved pairs) a round fired at the first dirt costs 1.6×
+        // (`hot`) and 1.7× (`ingest`) the rounds per kop, and 17 % and
+        // 4 % of their write throughput.
         let mut confirmations = 0u32;
         let mut patience = 32u32;
         loop {
@@ -760,27 +729,12 @@ fn committer_loop<M: StoreMedia>(shard: Arc<Shard<M>>, coord: Arc<SyncCoordinato
     loop {
         {
             let mut buf = shard.buf.lock();
-            let mut spins = 4u32;
             loop {
                 if buf.wedged.is_none() && !buf.pending.is_empty() {
                     break;
                 }
                 if buf.shutdown {
                     return;
-                }
-                // A few scheduler yields before parking: writers
-                // scatter a `submit` across shards slice by slice, so
-                // the rest of a wave is usually microseconds away.
-                // Catching it awake turns several wake/apply/park
-                // cycles into one drain — a parked committer costs a
-                // futex round-trip plus two context switches per slice
-                // otherwise.
-                if spins > 0 {
-                    spins -= 1;
-                    drop(buf);
-                    dxh_sync::thread::yield_now();
-                    buf = shard.buf.lock();
-                    continue;
                 }
                 buf = shard.work_cv.wait(buf);
             }
@@ -791,98 +745,51 @@ fn committer_loop<M: StoreMedia>(shard: Arc<Shard<M>>, coord: Arc<SyncCoordinato
     }
 }
 
-/// Drains the shard's coalescing buffer and applies it to the table as
-/// one **deduplicated** batch: one table op per distinct key (the key's
-/// newest effect), whatever the queued op count. Returns whether a
-/// batch was applied and now awaits its epoch (false: nothing pending,
-/// shard wedged, or — wedging it now — the apply failed).
-///
-/// Every queued op is still answered individually, by a
-/// serial-equivalence walk over each key's run: a put always answers
-/// `true`; a delete answers the key's presence at its position in the
-/// run, which the preceding run op determines — except a run-*opening*
-/// delete, whose answer is the store's presence before the batch. That
-/// presence comes for free when the run's final effect is also a delete
-/// (`KvStore::delete` reports it), and costs one read-only index probe
-/// (`KvStore::contains`) when a later put shadows it. The answers are
-/// exactly what serial uncoalesced application would have produced —
-/// the equivalence the proptest battery in `tests/service_store.rs`
-/// checks against a serially-applied model.
+/// Takes the shard's whole pending queue as one batch and applies
+/// **every** op to the table in arrival order. Each op's answer is the
+/// table call's own — `true` for a put, [`KvStore`]'s delete presence
+/// for a delete — so the answers are serial by construction. The
+/// queue's newest-wins fold ([`fold_newest_wins`]) is what readers see
+/// while the apply runs and what the commit log records. Returns
+/// whether a batch was applied and now awaits its epoch (false: nothing
+/// pending, shard wedged, or — wedging it now — the apply failed).
 fn apply_pending<M: StoreMedia>(shard: &Shard<M>) -> bool {
-    let (drained, effects, seq) = {
+    let (queue, effects, seq) = {
         let mut buf = shard.buf.lock();
         if buf.wedged.is_some() || buf.pending.is_empty() {
             return false;
         }
-        let drained = std::mem::take(&mut buf.pending);
+        let queue = std::mem::take(&mut buf.pending);
         let seq = buf.next_seq;
         buf.next_seq += 1;
-        // The deduplicated batch, in first-touch key order: what the
-        // table applies, the commit log records, and replay refolds.
-        // Folding it equals folding the full op stream — replay is
-        // last-write-wins, so the shadowed ops are semantic no-ops.
-        let effects: Vec<(Key, Option<Effect>)> =
-            drained.order.iter().map(|k| (*k, drained.slots[k].newest.clone())).collect();
-        buf.coalesced_ops += drained.ops - drained.order.len() as u64;
+        let effects = fold_newest_wins(&queue);
+        buf.coalesced_ops += (queue.len() - effects.len()) as u64;
         debug_assert!(buf.inflight_overlay.is_empty(), "one apply at a time");
         buf.inflight_overlay = effects.iter().cloned().collect();
         buf.applying = true;
         if buf.recording {
             buf.applying_record = Some(BatchRecord { ops: effects.clone() });
         }
-        (drained, effects, seq)
+        (queue, effects, seq)
     };
 
-    // Per-key answer runs, parallel to `drained.order`.
-    let mut runs: Vec<Vec<bool>> = Vec::with_capacity(drained.order.len());
+    let mut answers = Vec::with_capacity(queue.len());
     let mut failure: Option<String> = None;
     {
         let mut store = shard.store.lock();
-        for k in &drained.order {
-            let slot = &drained.slots[k];
-            // Pre-batch presence, resolved only when a run-opening
-            // delete needs it and the final effect (a put) won't report
-            // it: one read-only probe before the mutation.
-            let opening_delete = matches!(slot.ops[0].op, Op::Delete(_));
-            let probed = if opening_delete && slot.newest.is_some() {
-                match store.contains(*k) {
-                    Ok(p) => Some(p),
-                    Err(e) => {
-                        failure = Some(e.to_string());
-                        break;
-                    }
-                }
-            } else {
-                None
+        for q in &queue {
+            let applied = match &q.op {
+                Op::Put(k, v) => store.insert(*k, *v).map(|()| true),
+                Op::PutBytes(k, b) => store.put_bytes(*k, b).map(|()| true),
+                Op::Delete(k) => store.delete(*k),
             };
-            let applied = match &slot.newest {
-                Some(Effect::Word(v)) => store.insert(*k, *v).map(|()| true),
-                Some(Effect::Bytes(b)) => store.put_bytes(*k, b).map(|()| true),
-                None => store.delete(*k),
-            };
-            let final_ans = match applied {
-                Ok(b) => b,
+            match applied {
+                Ok(ans) => answers.push(ans),
                 Err(e) => {
                     failure = Some(e.to_string());
                     break;
                 }
-            };
-            // When the final effect is the delete itself, `final_ans`
-            // *is* the pre-batch presence (one op per key touched the
-            // table, and it was this one).
-            let mut present = probed.unwrap_or(final_ans);
-            let run = slot
-                .ops
-                .iter()
-                .map(|q| match q.op {
-                    Op::Delete(_) => std::mem::replace(&mut present, false),
-                    _ => {
-                        present = true;
-                        true
-                    }
-                })
-                .collect();
-            runs.push(run);
+            }
         }
         if failure.is_some() {
             // The table holds a partial batch that was reported failed;
@@ -896,6 +803,7 @@ fn apply_pending<M: StoreMedia>(shard: &Shard<M>) -> bool {
             store.set_replay_watermark(seq);
         }
     }
+    let cells: Vec<Arc<OpCell>> = queue.into_iter().map(|q| q.cell).collect();
 
     match failure {
         None => {
@@ -903,14 +811,6 @@ fn apply_pending<M: StoreMedia>(shard: &Shard<M>) -> bool {
             buf.inflight_overlay.clear();
             buf.applying = false;
             let recorded = buf.applying_record.take().is_some();
-            let mut cells = Vec::with_capacity(drained.ops as usize);
-            let mut answers = Vec::with_capacity(drained.ops as usize);
-            for (k, run) in drained.order.iter().zip(&runs) {
-                for (q, ans) in drained.slots[k].ops.iter().zip(run) {
-                    cells.push(q.cell.clone());
-                    answers.push(*ans);
-                }
-            }
             // A failed log round wedges the shard from the coordinator's
             // thread. If it did so while this batch was being applied,
             // `wedge` found these cells in neither queue: answer them
@@ -922,17 +822,7 @@ fn apply_pending<M: StoreMedia>(shard: &Shard<M>) -> bool {
                     *cell.0.lock() = Some(Err(why.clone()));
                 }
             }
-            buf.unacked.push(AppliedBatch {
-                cells,
-                answers,
-                // User ops acknowledged, not table ops spent — the
-                // public committed_ops/largest_batch counters keep
-                // counting what callers submitted.
-                ops: drained.ops,
-                seq,
-                effects,
-                recorded,
-            });
+            buf.unacked.push(AppliedBatch { cells, answers, seq, effects, recorded });
             drop(buf);
             if wedged.is_some() {
                 shard.ack_cv.notify_all();
@@ -940,7 +830,6 @@ fn apply_pending<M: StoreMedia>(shard: &Shard<M>) -> bool {
             wedged.is_none()
         }
         Some(why) => {
-            let cells: Vec<Arc<OpCell>> = drained.cells().cloned().collect();
             wedge(shard, why, &cells);
             false
         }
@@ -1042,9 +931,8 @@ fn wedge<M: StoreMedia>(shard: &Shard<M>, why: String, mid_apply: &[Arc<OpCell>]
                 *cell.0.lock() = Some(Err(why.clone()));
             }
         }
-        let stranded = std::mem::take(&mut buf.pending);
-        for cell in stranded.cells() {
-            *cell.0.lock() = Some(Err(why.clone()));
+        for stranded in std::mem::take(&mut buf.pending) {
+            *stranded.cell.0.lock() = Some(Err(why.clone()));
         }
         buf.wedged = Some(why);
     }
@@ -1649,7 +1537,7 @@ impl<M: StoreMedia> ShardedKvStore<M> {
         let mut cells = Vec::with_capacity(ops.len());
         for op in ops {
             let cell = Arc::new(OpCell::default());
-            buf.pending.push(op, cell.clone());
+            buf.pending.push(QueuedOp { op, cell: cell.clone() });
             cells.push(cell);
         }
         drop(buf);
@@ -1864,7 +1752,8 @@ mod tests {
 
     /// The overlay answers for accepted-but-uncommitted writes with zero
     /// I/O even while the committer is stalled mid-batch (here: blocked
-    /// behind `with_shard` holding the store lock).
+    /// behind `with_shard` holding the store lock). A key queued twice
+    /// reads as its newer op, in either order.
     #[test]
     fn read_your_writes_hits_the_pending_overlay() {
         let env = SimEnv::new();
@@ -1872,7 +1761,9 @@ mod tests {
         svc.put(1, 10).unwrap();
         let locked = AtomicBool::new(false);
         let release = AtomicBool::new(false);
-        dxh_sync::thread::scope(|scope| {
+        // Read inside the stall, assert after it: a failed assert in the
+        // scope would leave the helper holding the store lock forever.
+        let (reads, ops) = dxh_sync::thread::scope(|scope| {
             scope.spawn(|| {
                 // Stall the shard's committer: it cannot apply (or
                 // harden) anything while the store lock is held here.
@@ -1888,28 +1779,44 @@ mod tests {
             }
             let ops_before = env.ops();
             // Enqueue without driving: accepted, not yet durable.
-            let _cells = svc.enqueue_batch(0, vec![Op::Put(2, 20), Op::Delete(1)]).unwrap();
-            assert_eq!(svc.get(2).unwrap(), Some(20), "pending put visible");
-            assert_eq!(svc.get(1).unwrap(), None, "pending delete visible");
-            assert_eq!(env.ops(), ops_before, "overlay answers cost zero I/O");
+            let queued = vec![
+                Op::Put(2, 20),
+                Op::Delete(1),
+                Op::Put(4, 40),
+                Op::Delete(4),
+                Op::Delete(5),
+                Op::Put(5, 50),
+            ];
+            let _cells = svc.enqueue_batch(0, queued).unwrap();
+            let reads: Vec<Option<Value>> = [2, 1, 4, 5].map(|k| svc.get(k).unwrap()).to_vec();
+            let ops = env.ops() - ops_before;
             release.store(true, Ordering::SeqCst);
+            (reads, ops)
         });
+        // 2: pending put; 1: pending delete; 4: put then delete reads the
+        // delete; 5: delete then put reads the put.
+        assert_eq!(reads, [Some(20), None, None, Some(50)], "the newest pending op wins");
+        assert_eq!(ops, 0, "overlay answers cost zero I/O");
         // The committer drains the stragglers; a driven put fences them.
         svc.put(3, 30).unwrap();
         assert_eq!(svc.get(2).unwrap(), Some(20));
         assert_eq!(svc.get(1).unwrap(), None);
+        assert_eq!(svc.get(4).unwrap(), None);
+        assert_eq!(svc.get(5).unwrap(), Some(50));
         let stats = svc.stats();
-        assert_eq!(stats.committed_ops, 4, "every enqueued op committed");
+        assert_eq!(stats.committed_ops, 8, "every enqueued op committed");
         assert!(stats.largest_batch >= 2, "the enqueued pair stayed one batch");
     }
 
-    /// Hot-key churn collapses to one table op per key per batch while
-    /// the per-op answers still read as if each op ran serially.
+    /// A batch with several ops per key answers each op from the table
+    /// call that applied it, in arrival order — exactly serial
+    /// application — while its commit-log record holds the newest-wins
+    /// fold, one effect per key.
     #[test]
     fn coalesced_batch_answers_match_serial_application() {
         let env = SimEnv::new();
         let svc = sim_service(&env, 1, 21);
-        svc.put(3, 7).unwrap(); // pre-batch state for the probe case
+        svc.put(3, 7).unwrap(); // present before the batch
         let ops = [
             WriteOp::Put(1, 10),
             WriteOp::Delete(1), // present: the put above it
@@ -1917,24 +1824,24 @@ mod tests {
             WriteOp::Delete(2), // absent: never written
             WriteOp::Put(2, 5),
             WriteOp::Delete(1), // present: put(1, 20)
-            WriteOp::Delete(3), // present pre-batch (probe path)
+            WriteOp::Delete(3), // present before the batch
             WriteOp::Put(3, 9),
         ];
         let answers = svc.submit(&ops).unwrap();
         assert_eq!(
             answers,
             vec![true, true, true, false, true, true, true, true],
-            "answers reconstruct serial presence under coalescing"
+            "answers are serial presence"
         );
         assert_eq!(svc.get(1).unwrap(), None, "newest effect wins");
         assert_eq!(svc.get(2).unwrap(), Some(5));
         assert_eq!(svc.get(3).unwrap(), Some(9));
         let stats = svc.stats();
-        // 8 ops over 3 distinct keys: 5 table ops saved this batch.
+        // 8 ops over 3 distinct keys: 5 ops folded out of the log record.
         assert_eq!(stats.coalesced_ops, 5, "coalesced: {}", stats.coalesced_ops);
-        assert_eq!(stats.committed_ops, 9, "user ops counted uncoalesced");
-        // Coalescing survives the crash/replay path too: the log holds
-        // the deduplicated effects, and replay is last-write-wins.
+        assert_eq!(stats.committed_ops, 9, "user ops counted unfolded");
+        // The fold survives the crash/replay path too: replay is
+        // last-write-wins.
         drop(svc);
         let svc = sim_service(&env, 1, 21);
         assert_eq!(svc.get(1).unwrap(), None);
@@ -2072,7 +1979,7 @@ mod tests {
         let cell = Arc::new(OpCell::default());
         let (landing, landed) = (shard.clone(), cell.clone());
         mutant::AFTER_COMMIT.set(Some(Box::new(move || {
-            landing.buf.lock().pending.push(Op::Put(key, key + 1), landed);
+            landing.buf.lock().pending.push(QueuedOp { op: Op::Put(key, key + 1), cell: landed });
             landing.work_cv.notify_all();
             // The committer applies it — the harden let go of the store
             // — and leaves it in `unacked`; its dirt waits on the lock.
@@ -2284,6 +2191,40 @@ mod tests {
             assert_eq!(svc.get_bytes(k).unwrap(), expect, "key {k} after reopen");
         }
         assert_eq!(svc.get(500).unwrap(), Some(u64::MAX));
+    }
+
+    /// The cost of applying every op: a payload key put twice in one
+    /// batch appends both payloads to the blob log, and the older one is
+    /// dead weight until a compaction. The newest is what is served —
+    /// live, after a crash whose reopen replays the batch's log record
+    /// (the fold: one payload), and after the compaction that drops the
+    /// dead record.
+    #[test]
+    fn a_payload_key_put_twice_in_one_batch_serves_the_newest_across_reopen_and_compact() {
+        let env = SimEnv::new();
+        let open = || ShardedKvStore::open_payload_on(SimMedia::unlocked(&env), 1, cfg(), 35);
+        let blob_len = |svc: &ShardedKvStore<SimMedia>| svc.with_shard(0, |s| s.blob_len());
+        let (old, new) = (b"old payload".to_vec(), b"new payload".to_vec());
+        let svc = open().unwrap();
+        let empty = blob_len(&svc);
+        svc.put_bytes(1, &old).unwrap();
+        let record = blob_len(&svc) - empty;
+        let twice =
+            vec![Op::PutBytes(7, Arc::from(&old[..])), Op::PutBytes(7, Arc::from(&new[..]))];
+        let cells = svc.enqueue_batch(0, twice).unwrap();
+        assert_eq!(svc.drive(0, &cells).unwrap(), vec![true, true]);
+        assert_eq!(blob_len(&svc) - empty, 3 * record, "both puts of key 7 were appended");
+        assert_eq!(svc.get_bytes(7).unwrap(), Some(new.clone()), "live");
+        env.set_plan(FaultPlan::crash(env.ops(), 35));
+        drop(svc);
+        env.power_cycle();
+        let svc = open().unwrap();
+        assert_eq!(svc.get_bytes(7).unwrap(), Some(new.clone()), "after the crash-reopen");
+        assert_eq!(svc.get_bytes(1).unwrap(), Some(old.clone()));
+        svc.with_shard(0, |s| s.compact()).unwrap();
+        assert_eq!(blob_len(&svc), 2 * record, "the compaction kept one record per live key");
+        assert_eq!(svc.get_bytes(7).unwrap(), Some(new), "after the compaction");
+        assert_eq!(svc.get_bytes(1).unwrap(), Some(old));
     }
 
     #[test]

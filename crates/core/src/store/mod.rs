@@ -353,16 +353,6 @@ impl<M: StoreMedia> KvStore<M> {
     pub(crate) fn poison(&mut self) {
         self.poisoned = true;
     }
-
-    /// Whether `key` is currently present (not absent, not deleted):
-    /// one index probe, no payload decode, valid in both raw and
-    /// payload mode. The service's coalescing committer uses it to
-    /// answer a batch-opening delete whose table effect is shadowed by
-    /// a later put on the same key in the same batch.
-    pub(crate) fn contains(&mut self, key: Key) -> Result<bool> {
-        self.check_poisoned()?;
-        Ok(self.table.lookup(key)?.is_some())
-    }
 }
 
 /// What one level of a [`KvStore`] holds and occupies.

@@ -488,7 +488,7 @@ mod tests {
     /// checksum) in `H1` of the deployed geometry, a filtered level: the
     /// probe that follows it, and the reopen that re-reads the level for
     /// its filter, each give up as `Corrupt` within two reads per block
-    /// of the store. Neither spins, and the open handle serves every
+    /// of the store. Neither loops forever, and the open handle serves every
     /// other bucket.
     #[test]
     fn a_cyclic_chain_is_corrupt_to_the_probe_and_the_reopen_that_meet_it() {

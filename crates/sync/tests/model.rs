@@ -5,20 +5,19 @@
 //! condvars, same wait predicates, same notify points as the real code
 //! in `crates/core/src/service.rs`, shrunk to 2–3 tasks so the bounded
 //! scheduler can enumerate its interleavings (the numbers are the stable
-//! `p<N>_*` test-name prefixes; there is no protocol 2):
+//! `p<N>_*` test-name prefixes; protocols 2 and 5 were retired):
 //!
 //! 1. **writer-enqueue vs committer-drain** — the `work_cv`/`ack_cv`
-//!    handshake around `BufState::pending` and the per-op ack cells;
+//!    handshake around the `BufState::pending` queue and the per-op ack
+//!    cells, against the drain's three phases (queue take + inflight
+//!    overlay under the buf lock, table apply outside it, ack fill back
+//!    under it): drain-vs-enqueue atomicity, read-your-writes across the
+//!    drain window, newest-wins table state, and lost wakeups;
 //! 3. **coordinator wave** — `mark_dirty` → round → epoch advance,
 //!    dirt must outrank shutdown;
 //! 4. **shutdown handshake** — drain-then-sync: every committer drains
 //!    and joins, then the coordinator's final checkpoint acknowledges
 //!    every accepted op and its manifest commit comes last.
-//! 5. **coalescing buffer ↔ committer** — the newest-wins upsert
-//!    (`CoalesceBuf`) against the two-phase drain (snapshot + inflight
-//!    overlay under the buf lock, table apply outside it, ack fill back
-//!    under it): drain-vs-upsert atomicity, read-your-writes across the
-//!    drain window, lost wakeups, and the shutdown drain.
 //!
 //! Every protocol is paired with *mutation checks*: reintroduce a
 //! classic bug (an `if` where a `while` recheck is load-bearing, a
@@ -42,6 +41,16 @@ fn new_cell() -> Cell {
 
 // ---------------------------------------------------------------------------
 // Protocol 1: writer-enqueue vs committer-drain.
+//
+// Writers append `(key, value)` ops to the shard's queue under the buf
+// lock and park on `ack_cv`. The committer drains in three phases, like
+// `apply_pending`: under the buf lock it takes the whole queue and posts
+// its newest-wins fold as the inflight overlay; outside it, it applies
+// every op to the table in arrival order; back under the buf lock it
+// retires the overlay and fills every ack cell. Modeled hazards: an
+// enqueue racing the drain must land in this batch or the next (never
+// neither), a read between the take and the table apply must still see
+// its own write, and ack/work wakeups must not be lost.
 
 #[derive(Clone, Copy, PartialEq)]
 enum P1Mutation {
@@ -52,16 +61,36 @@ enum P1Mutation {
     NoAckNotify,
     /// Writer enqueues but forgets `work_cv.notify_all()`.
     NoWorkNotify,
+    /// Drain copies the queue, releases the buf lock, then re-locks and
+    /// clears it — an op enqueued in the window is dropped without an
+    /// ack and without a table op.
+    SplitDrain,
+    /// Drain skips the inflight overlay: between the queue take and the
+    /// table apply, a reader falls through to a table that does not yet
+    /// hold the value it was promised.
+    NoInflightOverlay,
 }
 
+/// Keys of the model's table: writers write key 0, the reader key 1.
+const P1_KEYS: usize = 2;
+
 struct ShardBuf {
-    pending: Vec<(u32, Cell)>,
+    /// Queued `(key, value, cell)` ops in arrival order.
+    pending: Vec<(usize, u32, Cell)>,
+    /// Fold of the batch being applied (`inflight_overlay`).
+    inflight: Vec<Option<u32>>,
+    /// Every enqueue in buf-lock order — the newest-wins oracle.
+    push_log: Vec<(usize, u32)>,
     shutdown: bool,
     wedged: bool,
 }
 
 struct Shard {
     buf: Mutex<ShardBuf>,
+    /// The table. Only the committer writes it; readers fall through to
+    /// it after the overlay misses. The buf lock is never held while
+    /// this one is taken (Buf → Store never nests).
+    store: Mutex<Vec<Option<u32>>>,
     work_cv: Condvar,
     ack_cv: Condvar,
 }
@@ -69,25 +98,55 @@ struct Shard {
 impl Shard {
     fn new() -> Self {
         Shard {
-            buf: Mutex::new(ShardBuf { pending: Vec::new(), shutdown: false, wedged: false }),
+            buf: Mutex::new(ShardBuf {
+                pending: Vec::new(),
+                inflight: vec![None; P1_KEYS],
+                push_log: Vec::new(),
+                shutdown: false,
+                wedged: false,
+            }),
+            store: Mutex::new(vec![None; P1_KEYS]),
             work_cv: Condvar::new(),
             ack_cv: Condvar::new(),
         }
+    }
+
+    /// The enqueue half of `enqueue_batch`: append, wake the committer.
+    fn push(&self, k: usize, v: u32, mutation: P1Mutation) -> Cell {
+        let cell = new_cell();
+        {
+            let mut buf = self.buf.lock();
+            buf.pending.push((k, v, Arc::clone(&cell)));
+            buf.push_log.push((k, v));
+        }
+        if mutation != P1Mutation::NoWorkNotify {
+            self.work_cv.notify_all();
+        }
+        cell
+    }
+
+    /// The overlay read: the queue newest-first, the inflight overlay,
+    /// then the table — the buf lock is released before the store lock
+    /// is taken.
+    fn get(&self, k: usize) -> Option<u32> {
+        {
+            let buf = self.buf.lock();
+            if let Some(&(_, v, _)) = buf.pending.iter().rev().find(|(kk, _, _)| *kk == k) {
+                return Some(v);
+            }
+            if let Some(v) = buf.inflight[k] {
+                return Some(v);
+            }
+        }
+        self.store.lock()[k]
     }
 }
 
 /// The service's submit path: enqueue, wake the committer, park on
 /// `ack_cv` until the cell is filled (under the buf lock, exactly like
 /// the real code — Buf → Cell is the one sanctioned lock nesting).
-fn submit(shard: &Shard, op: u32, mutation: P1Mutation) -> Result<bool, String> {
-    let cell = new_cell();
-    {
-        let mut buf = shard.buf.lock();
-        buf.pending.push((op, Arc::clone(&cell)));
-    }
-    if mutation != P1Mutation::NoWorkNotify {
-        shard.work_cv.notify_all();
-    }
+fn submit(shard: &Shard, k: usize, v: u32, mutation: P1Mutation) -> Result<bool, String> {
+    let cell = shard.push(k, v, mutation);
     let mut buf = shard.buf.lock();
     if mutation == P1Mutation::IfRecheck {
         // BUG under test: one spurious wakeup falls straight through.
@@ -106,9 +165,10 @@ fn submit(shard: &Shard, op: u32, mutation: P1Mutation) -> Result<bool, String> 
     }
 }
 
-/// The committer's drain loop: park on `work_cv` until there is work or
-/// a shutdown with nothing left to drain (the drain-then-exit ordering
-/// is protocol 4's subject; here shutdown only ends the test).
+/// The committer: park on `work_cv` until there is work or a shutdown
+/// with nothing left to drain (the drain-then-exit ordering is protocol
+/// 4's subject; here shutdown only ends the test), then drain and apply
+/// one batch. Returns the ops it committed.
 fn committer(shard: &Shard, mutation: P1Mutation) -> u32 {
     let mut committed = 0u32;
     loop {
@@ -116,17 +176,6 @@ fn committer(shard: &Shard, mutation: P1Mutation) -> u32 {
             let mut buf = shard.buf.lock();
             loop {
                 if !buf.pending.is_empty() {
-                    // Cells are filled while `buf` is still held, like
-                    // `harden_shard` does: the cell is the writer's wait
-                    // predicate and the writer checks it under `buf`, so
-                    // mutating it after release opens a check-to-park
-                    // window where the notify below is lost. (An earlier
-                    // draft of this model filled after release — the
-                    // checker flagged the resulting stranded writer.)
-                    for (op, cell) in std::mem::take(&mut buf.pending) {
-                        *cell.lock() = Some(Ok(op.is_multiple_of(2)));
-                        committed += 1;
-                    }
                     break;
                 }
                 if buf.shutdown {
@@ -135,15 +184,63 @@ fn committer(shard: &Shard, mutation: P1Mutation) -> u32 {
                 buf = shard.work_cv.wait(buf);
             }
         }
+        // Phase 1: take the queue and post its fold, one buf-lock hold.
+        let batch = {
+            let mut buf = shard.buf.lock();
+            let batch = if mutation == P1Mutation::SplitDrain {
+                buf.pending.clone() // BUG: snapshot now, clear later.
+            } else {
+                std::mem::take(&mut buf.pending)
+            };
+            if mutation != P1Mutation::NoInflightOverlay {
+                for &(k, v, _) in &batch {
+                    buf.inflight[k] = Some(v);
+                }
+            }
+            batch
+        };
+        if mutation == P1Mutation::SplitDrain {
+            // BUG second half: an op enqueued between the snapshot and
+            // this clear is dropped on the floor.
+            shard.buf.lock().pending.clear();
+        }
+        // Phase 2: every op, in arrival order, outside the buf lock.
+        {
+            let mut store = shard.store.lock();
+            for &(k, v, _) in &batch {
+                store[k] = Some(v);
+            }
+        }
+        // Phase 3: retire the overlay and fill every cell while `buf` is
+        // held, like `harden_shard` does: the cell is the writer's wait
+        // predicate and the writer checks it under `buf`, so mutating it
+        // after release opens a check-to-park window where the notify
+        // below is lost. (An earlier draft of this model filled after
+        // release — the checker flagged the resulting stranded writer.)
+        {
+            let mut buf = shard.buf.lock();
+            for (k, v, cell) in batch {
+                buf.inflight[k] = None;
+                *cell.lock() = Some(Ok(v.is_multiple_of(2)));
+                committed += 1;
+            }
+        }
         if mutation != P1Mutation::NoAckNotify {
             shard.ack_cv.notify_all();
         }
     }
 }
 
-/// One bounded instance: `writers` concurrent submitters, one
+/// One bounded instance: `writers` concurrent submitters on key 0, one
 /// committer, a clean shutdown once every writer has its ack.
-fn p1_instance(writers: u32, mutation: P1Mutation) -> impl Fn() + Send + Sync + 'static {
+/// `with_reader` adds the read-your-writes task on key 1; mutation tests
+/// whose hazard lives entirely on the writer path drop it to keep the
+/// space small.
+fn p1_instance(
+    writers: u32,
+    with_reader: bool,
+    mutation: P1Mutation,
+) -> impl Fn() + Send + Sync + 'static {
     move || {
         let shard = Arc::new(Shard::new());
         let c = {
@@ -153,15 +250,66 @@ fn p1_instance(writers: u32, mutation: P1Mutation) -> impl Fn() + Send + Sync + 
         let hs: Vec<_> = (0..writers)
             .map(|i| {
                 let s = Arc::clone(&shard);
-                thread::spawn(move || submit(&s, i, mutation))
+                thread::spawn(move || submit(&s, 0, i, mutation))
             })
             .collect();
+        // Fire-and-forget enqueue, then read: the value must be visible
+        // in the queue, the overlay, or the table.
+        let reader = with_reader.then(|| {
+            let s = Arc::clone(&shard);
+            thread::spawn(move || {
+                let _cell = s.push(1, 7, mutation);
+                assert_eq!(s.get(1), Some(7), "read-your-writes lost across the drain window");
+            })
+        });
         for (i, h) in hs.into_iter().enumerate() {
             assert_eq!(h.join().unwrap(), Ok((i as u32).is_multiple_of(2)));
         }
+        if let Some(r) = reader {
+            r.join().unwrap();
+        }
         shard.buf.lock().shutdown = true;
         shard.work_cv.notify_all();
-        assert_eq!(c.join().unwrap(), writers);
+        assert_eq!(c.join().unwrap(), writers + u32::from(with_reader));
+        assert_newest_wins(&shard);
+    }
+}
+
+/// The table ends on each key's last enqueue in buf-lock order.
+fn assert_newest_wins(shard: &Shard) {
+    let log = shard.buf.lock().push_log.clone();
+    let table = shard.store.lock().clone();
+    for (k, value) in table.iter().enumerate() {
+        let want = log.iter().rev().find(|(kk, _)| *kk == k).map(|&(_, v)| v);
+        assert_eq!(*value, want, "newest-wins broken for key {k}");
+    }
+}
+
+/// The split-drain hazard needs an enqueue landing in the lock-release
+/// window *inside* the mutated drain. `p1_instance`'s space is too big
+/// for the bounded DFS to reach that corner, so this tiny instance
+/// shrinks it: one parked writer gives the committer a batch to drain,
+/// and the racing enqueue is issued by the driver itself. Either
+/// enqueue can be the dropped one, so the catch is a stranded writer
+/// (deadlock) or a broken newest-wins oracle (panic).
+fn p1_split_drain_instance() -> impl Fn() + Send + Sync + 'static {
+    || {
+        let mutation = P1Mutation::SplitDrain;
+        let shard = Arc::new(Shard::new());
+        let c = {
+            let s = Arc::clone(&shard);
+            thread::spawn(move || committer(&s, mutation))
+        };
+        let w = {
+            let s = Arc::clone(&shard);
+            thread::spawn(move || submit(&s, 0, 1, mutation))
+        };
+        let _cell = shard.push(0, 2, mutation);
+        assert_eq!(w.join().unwrap(), Ok(false));
+        shard.buf.lock().shutdown = true;
+        shard.work_cv.notify_all();
+        c.join().unwrap();
+        assert_newest_wins(&shard);
     }
 }
 
@@ -169,7 +317,7 @@ fn p1_instance(writers: u32, mutation: P1Mutation) -> impl Fn() + Send + Sync + 
 fn p1_enqueue_drain_handshake_holds() {
     let report = Checker::new()
         .max_schedules(2_000)
-        .check(p1_instance(2, P1Mutation::None))
+        .check(p1_instance(2, true, P1Mutation::None))
         .unwrap_or_else(|v| {
             panic!("writer/committer handshake violated:\n{v}");
         });
@@ -182,7 +330,7 @@ fn p1_mutation_if_recheck_is_caught() {
     // wakeup sends the `if` variant past the park with no ack filled.
     let v = Checker::new()
         .spurious_budget(1)
-        .check(p1_instance(1, P1Mutation::IfRecheck))
+        .check(p1_instance(1, false, P1Mutation::IfRecheck))
         .expect_err("if-recheck must be caught");
     assert_eq!(v.kind, ViolationKind::Panic, "{v}");
 }
@@ -191,7 +339,7 @@ fn p1_mutation_if_recheck_is_caught() {
 fn p1_mutation_dropped_ack_notify_is_caught() {
     let v = Checker::new()
         .spurious_budget(0)
-        .check(p1_instance(1, P1Mutation::NoAckNotify))
+        .check(p1_instance(1, false, P1Mutation::NoAckNotify))
         .expect_err("a filled cell nobody is told about strands the writer");
     assert_eq!(v.kind, ViolationKind::Deadlock, "{v}");
     assert!(v.message.contains("never notified"), "{v}");
@@ -201,9 +349,32 @@ fn p1_mutation_dropped_ack_notify_is_caught() {
 fn p1_mutation_dropped_work_notify_is_caught() {
     let v = Checker::new()
         .spurious_budget(0)
-        .check(p1_instance(1, P1Mutation::NoWorkNotify))
+        .check(p1_instance(1, false, P1Mutation::NoWorkNotify))
         .expect_err("an enqueue the committer never hears about strands both sides");
     assert_eq!(v.kind, ViolationKind::Deadlock, "{v}");
+}
+
+#[test]
+fn p1_mutation_split_drain_is_caught() {
+    // Depending on which racing enqueue lands in the clear window, the
+    // dropped op strands a parked writer (deadlock) or breaks the
+    // read-your-writes or newest-wins assertions (panic) — either way,
+    // caught.
+    let v = Checker::new()
+        .spurious_budget(0)
+        .check(p1_split_drain_instance())
+        .expect_err("a drain that releases the buf lock mid-take drops racing enqueues");
+    assert!(matches!(v.kind, ViolationKind::Deadlock | ViolationKind::Panic), "{v}");
+}
+
+#[test]
+fn p1_mutation_missing_inflight_overlay_is_caught() {
+    let v = Checker::new()
+        .spurious_budget(0)
+        .check(p1_instance(1, true, P1Mutation::NoInflightOverlay))
+        .expect_err("without the overlay, a mid-apply read misses its own write");
+    assert_eq!(v.kind, ViolationKind::Panic, "{v}");
+    assert!(v.message.contains("read-your-writes"), "{v}");
 }
 
 // ---------------------------------------------------------------------------
@@ -525,347 +696,6 @@ fn p4_mutation_close_without_final_checkpoint_is_caught() {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol 5: the newest-wins coalescing buffer ↔ committer handshake.
-//
-// The service fronts each shard's group-commit queue with a `CoalesceBuf`
-// that upserts ops by key (newest wins) without ever taking the store
-// lock. The committer drains it in two phases: under the buf lock it
-// snapshots-and-takes every slot and posts the batch's newest values to
-// an inflight overlay; outside the buf lock it applies one table op per
-// distinct key; back under the buf lock it fills every queued ack cell
-// and retires the overlay. Modeled hazards: an upsert racing the drain
-// must land in this batch or the next (never neither), a read between
-// drain and table-apply must still see its own write via the overlay,
-// ack wakeups must not be lost, and shutdown must drain live slots.
-
-#[derive(Clone, Copy, PartialEq)]
-enum P5Mutation {
-    None,
-    /// Drain snapshots the slots, releases the buf lock, then re-locks
-    /// and wipes the map — an upsert landing in the window is dropped
-    /// without an ack and without a table op.
-    SplitDrain,
-    /// Drain skips the inflight overlay: between the slot take and the
-    /// table apply, a reader falls through to a store that does not yet
-    /// hold the value it was promised.
-    NoInflightOverlay,
-    /// Exit path checks shutdown before live slots — upserts accepted
-    /// before the flag are silently discarded.
-    ExitBeforeDrain,
-    /// Cells filled but `ack_cv` never notified.
-    NoAckNotify,
-}
-
-/// Two keys: writers contend on key 0 (the coalescing case), the reader
-/// exercises read-your-writes on key 1.
-const P5_KEYS: usize = 2;
-
-struct Buf5 {
-    /// Per-key slot — the model twin of `KeySlot`: every queued ack cell
-    /// plus the newest value. `None` = key untouched since last drain.
-    slots: Vec<Option<(Vec<Cell>, u32)>>,
-    /// Overlay of the batch currently being applied (`inflight_overlay`).
-    inflight: Vec<Option<u32>>,
-    /// Every push in buf-lock order — the newest-wins oracle.
-    push_log: Vec<(usize, u32)>,
-    shutdown: bool,
-}
-
-struct Svc5 {
-    buf: Mutex<Buf5>,
-    /// The table plus a table-op counter. Only the committer writes it;
-    /// readers fall through to it after the overlay misses. The buf lock
-    /// is never held while this one is taken (Buf → Store never nests).
-    store: Mutex<(Vec<Option<u32>>, u32)>,
-    work_cv: Condvar,
-    ack_cv: Condvar,
-}
-
-impl Svc5 {
-    fn new() -> Self {
-        Svc5 {
-            buf: Mutex::new(Buf5 {
-                slots: vec![None; P5_KEYS],
-                inflight: vec![None; P5_KEYS],
-                push_log: Vec::new(),
-                shutdown: false,
-            }),
-            store: Mutex::new((vec![None; P5_KEYS], 0)),
-            work_cv: Condvar::new(),
-            ack_cv: Condvar::new(),
-        }
-    }
-
-    /// The upsert half of `CoalesceBuf::push`: append the cell, replace
-    /// `newest` — no store lock anywhere near.
-    fn push(&self, k: usize, v: u32) -> Cell {
-        let cell = new_cell();
-        {
-            let mut buf = self.buf.lock();
-            match &mut buf.slots[k] {
-                Some((cells, newest)) => {
-                    cells.push(Arc::clone(&cell));
-                    *newest = v;
-                }
-                slot @ None => *slot = Some((vec![Arc::clone(&cell)], v)),
-            }
-            buf.push_log.push((k, v));
-        }
-        self.work_cv.notify_all();
-        cell
-    }
-
-    /// The submit path: push, then park for the ack.
-    fn submit(&self, k: usize, v: u32) -> Result<bool, String> {
-        let cell = self.push(k, v);
-        let mut buf = self.buf.lock();
-        loop {
-            if let Some(r) = cell.lock().take() {
-                drop(buf);
-                return r;
-            }
-            buf = self.ack_cv.wait(buf);
-        }
-    }
-
-    /// The overlay read: live slot first, inflight overlay second, table
-    /// last — the buf lock is released before the store lock is taken.
-    fn get(&self, k: usize) -> Option<u32> {
-        {
-            let buf = self.buf.lock();
-            if let Some((_, newest)) = &buf.slots[k] {
-                return Some(*newest);
-            }
-            if let Some(v) = buf.inflight[k] {
-                return Some(v);
-            }
-        }
-        self.store.lock().0[k]
-    }
-}
-
-fn committer5(svc: &Svc5, mutation: P5Mutation) {
-    enum Todo {
-        Drain,
-        Exit,
-    }
-    loop {
-        let todo = {
-            let mut buf = svc.buf.lock();
-            loop {
-                if mutation == P5Mutation::ExitBeforeDrain && buf.shutdown {
-                    break Todo::Exit; // BUG under test: live slots outranked.
-                }
-                if buf.slots.iter().any(|s| s.is_some()) {
-                    break Todo::Drain;
-                }
-                if buf.shutdown {
-                    break Todo::Exit;
-                }
-                buf = svc.work_cv.wait(buf);
-            }
-        };
-        match todo {
-            Todo::Exit => return,
-            Todo::Drain => {
-                // Phase 1: take every slot and post the overlay, all
-                // under one buf-lock hold.
-                let drained: Vec<(usize, Vec<Cell>, u32)> = {
-                    let mut buf = svc.buf.lock();
-                    let mut out = Vec::new();
-                    for k in 0..P5_KEYS {
-                        let taken = if mutation == P5Mutation::SplitDrain {
-                            buf.slots[k].clone() // BUG: snapshot now, wipe later.
-                        } else {
-                            buf.slots[k].take()
-                        };
-                        if let Some((cells, newest)) = taken {
-                            if mutation != P5Mutation::NoInflightOverlay {
-                                buf.inflight[k] = Some(newest);
-                            }
-                            out.push((k, cells, newest));
-                        }
-                    }
-                    out
-                };
-                if mutation == P5Mutation::SplitDrain {
-                    // BUG second half: an upsert that landed between the
-                    // snapshot and this wipe is dropped on the floor.
-                    let mut buf = svc.buf.lock();
-                    for slot in buf.slots.iter_mut() {
-                        *slot = None;
-                    }
-                }
-                // Phase 2: one table op per distinct key, outside the
-                // buf lock — this is the coalescing payoff.
-                {
-                    let mut store = svc.store.lock();
-                    for (k, _, newest) in &drained {
-                        store.0[*k] = Some(*newest);
-                        store.1 += 1;
-                    }
-                }
-                // Phase 3: fill every queued cell and retire the
-                // overlay, back under the buf lock.
-                {
-                    let mut buf = svc.buf.lock();
-                    for (k, cells, _) in drained {
-                        for cell in cells {
-                            *cell.lock() = Some(Ok(true));
-                        }
-                        buf.inflight[k] = None;
-                    }
-                }
-                if mutation != P5Mutation::NoAckNotify {
-                    svc.ack_cv.notify_all();
-                }
-            }
-        }
-    }
-}
-
-/// `with_reader` adds the read-your-writes task; mutation tests whose
-/// hazard lives entirely on the writer path drop it to keep the racy
-/// interleaving shallow in the DFS order.
-fn p5_instance(with_reader: bool, mutation: P5Mutation) -> impl Fn() + Send + Sync + 'static {
-    move || {
-        let svc = Arc::new(Svc5::new());
-        let c = {
-            let s = Arc::clone(&svc);
-            thread::spawn(move || committer5(&s, mutation))
-        };
-        // Two writers churn the SAME hot key: whichever drain picks them
-        // up, both must ack and the table must end on the later push.
-        let writers: Vec<_> = (1..=2u32)
-            .map(|v| {
-                let s = Arc::clone(&svc);
-                thread::spawn(move || s.submit(0, v))
-            })
-            .collect();
-        // A third task exercises read-your-writes across the drain
-        // window on its own key: fire-and-forget push, then read — the
-        // value must be visible in the slot, the overlay, or the table.
-        let reader = with_reader.then(|| {
-            let s = Arc::clone(&svc);
-            thread::spawn(move || {
-                let _cell = s.push(1, 7);
-                assert_eq!(s.get(1), Some(7), "read-your-writes lost across the drain window");
-            })
-        });
-        for h in writers {
-            assert_eq!(h.join().unwrap(), Ok(true));
-        }
-        if let Some(r) = reader {
-            r.join().unwrap();
-        }
-        // The drop path: flag, wake, join — shutdown must drain key 1's
-        // possibly-still-live slot before exiting.
-        svc.buf.lock().shutdown = true;
-        svc.work_cv.notify_all();
-        c.join().unwrap();
-        // Newest-wins equivalence: the final table value per key is the
-        // last push in buf-lock order, and coalescing never spends more
-        // than one table op per push.
-        let log = svc.buf.lock().push_log.clone();
-        let (values, table_ops) = {
-            let store = svc.store.lock();
-            (store.0.clone(), store.1)
-        };
-        for (k, value) in values.iter().enumerate() {
-            let want = log.iter().rev().find(|(kk, _)| *kk == k).map(|&(_, v)| v);
-            assert_eq!(*value, want, "newest-wins equivalence broken for key {k}");
-        }
-        assert!(
-            table_ops as usize <= log.len(),
-            "coalescing spent {table_ops} table ops on {} pushes",
-            log.len()
-        );
-    }
-}
-
-/// The SplitDrain hazard needs an upsert landing in the lock-release
-/// window *inside* the mutated drain. The full instance's space is too
-/// big for the bounded DFS to reach that corner, so this bespoke tiny
-/// instance shrinks it: one parked writer gives the committer a batch
-/// to drain, and the racing upsert is issued by the driver itself.
-/// Either racing push can be the wiped one, so the catch is a stranded
-/// writer (deadlock) or a broken newest-wins oracle (panic).
-fn p5_split_drain_instance() -> impl Fn() + Send + Sync + 'static {
-    || {
-        let svc = Arc::new(Svc5::new());
-        let c = {
-            let s = Arc::clone(&svc);
-            thread::spawn(move || committer5(&s, P5Mutation::SplitDrain))
-        };
-        let w = {
-            let s = Arc::clone(&svc);
-            thread::spawn(move || s.submit(0, 1))
-        };
-        // The racing upsert: fire-and-forget; newest-wins says the
-        // table must end on whichever value pushed last.
-        let _cell = svc.push(0, 2);
-        assert_eq!(w.join().unwrap(), Ok(true));
-        svc.buf.lock().shutdown = true;
-        svc.work_cv.notify_all();
-        c.join().unwrap();
-        let log = svc.buf.lock().push_log.clone();
-        let got = svc.store.lock().0[0];
-        let want = log.iter().rev().find(|(k, _)| *k == 0).map(|&(_, v)| v);
-        assert_eq!(got, want, "newest-wins equivalence broken: a racing upsert was dropped");
-    }
-}
-
-#[test]
-fn p5_coalescing_handshake_holds() {
-    let report = Checker::new()
-        .max_schedules(2_000)
-        .check(p5_instance(true, P5Mutation::None))
-        .unwrap_or_else(|v| panic!("coalescing handshake violated:\n{v}"));
-    assert!(report.schedules > 10);
-}
-
-#[test]
-fn p5_mutation_split_drain_is_caught() {
-    // Depending on which racing upsert lands in the wipe window, the
-    // dropped op strands a parked writer (deadlock) or breaks the final
-    // newest-wins/ack assertions (panic) — either way, caught.
-    let v = Checker::new()
-        .spurious_budget(0)
-        .check(p5_split_drain_instance())
-        .expect_err("a drain that releases the buf lock mid-take drops racing upserts");
-    assert!(matches!(v.kind, ViolationKind::Deadlock | ViolationKind::Panic), "{v}");
-}
-
-#[test]
-fn p5_mutation_missing_inflight_overlay_is_caught() {
-    let v = Checker::new()
-        .spurious_budget(0)
-        .check(p5_instance(true, P5Mutation::NoInflightOverlay))
-        .expect_err("without the overlay, a mid-apply read misses its own write");
-    assert_eq!(v.kind, ViolationKind::Panic, "{v}");
-    assert!(v.message.contains("read-your-writes"), "{v}");
-}
-
-#[test]
-fn p5_mutation_exit_before_drain_is_caught() {
-    let v = Checker::new()
-        .spurious_budget(0)
-        .check(p5_instance(true, P5Mutation::ExitBeforeDrain))
-        .expect_err("an exit that outranks live slots discards accepted upserts");
-    assert_eq!(v.kind, ViolationKind::Panic, "{v}");
-    assert!(v.message.contains("newest-wins"), "{v}");
-}
-
-#[test]
-fn p5_mutation_dropped_ack_notify_is_caught() {
-    let v = Checker::new()
-        .spurious_budget(0)
-        .check(p5_instance(false, P5Mutation::NoAckNotify))
-        .expect_err("filled cells without a wakeup strand parked writers");
-    assert_eq!(v.kind, ViolationKind::Deadlock, "{v}");
-}
-
-// ---------------------------------------------------------------------------
 // Satellite: a committer panic must not strand a parked writer.
 
 /// Model twin of `service.rs`'s `CommitterPanicGuard`: on a panicking
@@ -882,7 +712,7 @@ impl Drop for PanicGuard<'_> {
         let cells: Vec<Cell> = {
             let mut buf = self.shard.buf.lock();
             buf.wedged = true;
-            buf.pending.drain(..).map(|(_, c)| c).collect()
+            buf.pending.drain(..).map(|(_, _, c)| c).collect()
         };
         for cell in cells {
             *cell.lock() = Some(Err("committer panicked".into()));
@@ -900,7 +730,7 @@ fn submit_or_fail(shard: &Shard) -> Result<bool, String> {
         if buf.wedged {
             return Err("committer panicked".into());
         }
-        buf.pending.push((0, Arc::clone(&cell)));
+        buf.pending.push((0, 0, Arc::clone(&cell)));
     }
     shard.work_cv.notify_all();
     let mut buf = shard.buf.lock();
@@ -966,10 +796,13 @@ fn committer_panic_without_guard_strands_the_writer() {
 
 #[test]
 fn same_seed_random_walks_are_byte_identical() {
-    let r1 = Checker::new().check_random(0xD15C, 60, p1_instance(2, P1Mutation::None)).unwrap();
-    let r2 = Checker::new().check_random(0xD15C, 60, p1_instance(2, P1Mutation::None)).unwrap();
+    let r1 =
+        Checker::new().check_random(0xD15C, 60, p1_instance(2, true, P1Mutation::None)).unwrap();
+    let r2 =
+        Checker::new().check_random(0xD15C, 60, p1_instance(2, true, P1Mutation::None)).unwrap();
     assert_eq!(r1.fingerprints, r2.fingerprints, "same seed must replay the same walk");
-    let r3 = Checker::new().check_random(0xD15D, 60, p1_instance(2, P1Mutation::None)).unwrap();
+    let r3 =
+        Checker::new().check_random(0xD15D, 60, p1_instance(2, true, P1Mutation::None)).unwrap();
     assert_ne!(r1.fingerprints, r3.fingerprints, "different seeds must diverge");
 }
 
@@ -988,12 +821,12 @@ fn dfs_is_deterministic_across_runs() {
 fn replay_reruns_the_exact_failing_interleaving() {
     let v = Checker::new()
         .spurious_budget(0)
-        .check(p1_instance(1, P1Mutation::NoAckNotify))
+        .check(p1_instance(1, false, P1Mutation::NoAckNotify))
         .expect_err("mutation deadlocks");
     assert_eq!(v.trace.len(), v.schedule_len, "one trace digit per decision");
     let v2 = Checker::new()
         .spurious_budget(0)
-        .replay(&v.trace, p1_instance(1, P1Mutation::NoAckNotify))
+        .replay(&v.trace, p1_instance(1, false, P1Mutation::NoAckNotify))
         .expect_err("replay must reproduce the violation");
     assert_eq!(v2.kind, v.kind);
     assert_eq!(v2.fingerprint, v.fingerprint);
@@ -1006,9 +839,12 @@ fn stale_trace_is_a_replay_mismatch_not_a_hang() {
     // the fixed one: the checker must say so, not wedge or mis-blame.
     let v = Checker::new()
         .spurious_budget(0)
-        .check(p1_instance(1, P1Mutation::NoAckNotify))
+        .check(p1_instance(1, false, P1Mutation::NoAckNotify))
         .expect_err("mutation deadlocks");
-    match Checker::new().spurious_budget(0).replay(&v.trace, p1_instance(1, P1Mutation::None)) {
+    match Checker::new()
+        .spurious_budget(0)
+        .replay(&v.trace, p1_instance(1, false, P1Mutation::None))
+    {
         Ok(_) => {} // benign: the prefix happened to stay valid
         Err(v2) => assert_eq!(v2.kind, ViolationKind::ReplayMismatch, "{v2}"),
     }
@@ -1023,10 +859,9 @@ fn bounded_exploration_covers_over_ten_thousand_interleavings() {
     let mut distinct = 0u64;
     let mut exhausted_all = true;
     let reports = [
-        Checker::new().max_schedules(budget).check(p1_instance(2, P1Mutation::None)).unwrap(),
+        Checker::new().max_schedules(budget).check(p1_instance(2, true, P1Mutation::None)).unwrap(),
         Checker::new().max_schedules(budget).check(p3_instance(2, P3Mutation::None)).unwrap(),
         Checker::new().max_schedules(budget).check(p4_instance(2, P4Mutation::None)).unwrap(),
-        Checker::new().max_schedules(budget).check(p5_instance(true, P5Mutation::None)).unwrap(),
     ];
     for r in &reports {
         distinct += r.distinct;
@@ -1035,7 +870,7 @@ fn bounded_exploration_covers_over_ten_thousand_interleavings() {
     }
     assert!(
         distinct >= 10_000,
-        "four protocols explored only {distinct} distinct interleavings \
+        "three protocols explored only {distinct} distinct interleavings \
          (exhausted: {exhausted_all})"
     );
 }
@@ -1049,11 +884,10 @@ fn bounded_exploration_covers_over_ten_thousand_interleavings() {
 fn nightly_exhaustive_dfs_sweep() {
     let cap = 400_000u64;
     let reports = [
-        ("p1", Checker::new().max_schedules(cap).check(p1_instance(2, P1Mutation::None))),
+        ("p1", Checker::new().max_schedules(cap).check(p1_instance(2, true, P1Mutation::None))),
         ("p3", Checker::new().max_schedules(cap).check(p3_instance(2, P3Mutation::None))),
         ("p3r", Checker::new().max_schedules(cap).check(p3_racing_instance(2, P3Mutation::None))),
         ("p4", Checker::new().max_schedules(cap).check(p4_instance(2, P4Mutation::None))),
-        ("p5", Checker::new().max_schedules(cap).check(p5_instance(true, P5Mutation::None))),
     ];
     for (name, r) in reports {
         let r = r.unwrap_or_else(|v| panic!("{name}: violation in deep sweep:\n{v}"));

@@ -315,7 +315,7 @@ impl Workload for ConcurrentChurn {
 /// The hot-key write stream: every thread hammers Zipf(θ)-popular keys
 /// inside its own private namespace (same 8-bit thread tag as
 /// [`ConcurrentChurn`]). Unlike every other family, keys **repeat** —
-/// this is the workload the newest-wins coalescing buffer exists for,
+/// this is the workload the commit log's newest-wins fold exists for,
 /// and its uncoalesced twin is simply [`ConcurrentChurn`] with
 /// `insert_ratio = 1.0` (same op count, all keys distinct, nothing to
 /// coalesce).

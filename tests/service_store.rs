@@ -369,11 +369,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The coalescing equivalence battery, part 1: arbitrary hot-key op
-    /// streams submitted in arbitrary chunk sizes (the newest-wins
-    /// buffer collapses same-key runs) must answer exactly like
+    /// streams submitted in arbitrary chunk sizes (the commit log's
+    /// newest-wins fold collapses same-key runs) must answer exactly like
     /// op-at-a-time serial application, leave the same logical state as
-    /// an uncoalesced single-op twin service, save exactly the
-    /// predicted number of table ops, and hold that state across a
+    /// an uncoalesced single-op twin service, fold away exactly the
+    /// predicted number of ops, and hold that state across a
     /// marker sync, a power-cycle reopen, a per-shard compaction, and a
     /// final reopen.
     #[test]
