@@ -1,17 +1,24 @@
 //! **Recovery torture** — seed-reproducible crash-recovery runs of the
 //! persistent store on the crash-simulation environment.
 //!
-//! For each seed: one crash-free lifecycle (churn prefix with periodic
-//! syncs → final sync → unsynced tail → compact) to locate the commit
-//! windows, then a crash at **every** I/O index of the final sync and of
-//! the compaction, plus crashes scattered across the rest of the
-//! lifecycle. Each crash is followed by power-cycle, reopen, and the
-//! full invariant battery (synced-state durability, no phantoms, orphan
-//! accounting, compaction round-trip, continued usability).
+//! Every seed runs in both store modes: raw words, and payload bytes
+//! through `put_bytes`/`get_bytes` over the blob log. For each seed and
+//! mode: one crash-free lifecycle (churn prefix with periodic syncs →
+//! final sync → unsynced tail → compact) to locate the commit windows,
+//! then a crash at **every** I/O index of the final sync (from the
+//! prefix's last insert — in a payload run an overwrite of a committed
+//! payload, so its blob append is in it) and of the compaction (a
+//! payload run's blob-log rewrite), plus
+//! crashes scattered across the rest of the lifecycle. Each crash is
+//! followed by power-cycle, reopen, and the full invariant battery
+//! (byte-exact synced-state durability, no phantoms, orphan accounting
+//! of level files and blob logs, compaction round-trip, continued
+//! usability, durability-trace conformance).
 //!
-//! Any violation prints the failing seed and crash index — rerun with
-//! `--seed <seed>` to replay exactly (runs are deterministic down to the
-//! I/O trace) — and the process exits non-zero.
+//! Any violation prints the failing seed, mode and crash index — rerun
+//! with `--seed <seed>` to replay both modes exactly (runs are
+//! deterministic down to the I/O trace) — and the process exits
+//! non-zero.
 //!
 //! Output: an aligned table and `results/torture.csv`.
 //!
@@ -26,6 +33,7 @@ use dxh_workloads::torture::{torture_run, TortureReport, TortureSpec};
 
 struct SeedRow {
     seed: u64,
+    payloads: bool,
     total_ops: u64,
     swept: u64,
     scattered: u64,
@@ -56,18 +64,19 @@ fn main() {
     };
 
     let mut rows = Vec::new();
-    let mut failures: Vec<TortureReport> = Vec::new();
-    for &seed in &seeds {
+    let mut failures: Vec<(bool, TortureReport)> = Vec::new();
+    for spec in seeds.iter().flat_map(|&s| [TortureSpec::small(s), TortureSpec::small_payload(s)]) {
+        let (seed, payloads) = (spec.seed, spec.payloads);
         let t0 = Instant::now();
-        let spec = TortureSpec::small(seed);
         let clean = torture_run(&spec, None);
         let mut violations = clean.violations.len();
         if !clean.violations.is_empty() {
-            failures.push(clean.clone());
+            failures.push((payloads, clean.clone()));
         }
         let Some(m) = clean.markers else {
             rows.push(SeedRow {
                 seed,
+                payloads,
                 total_ops: 0,
                 swept: 0,
                 scattered: 0,
@@ -83,7 +92,7 @@ fn main() {
             swept += 1;
             if !r.violations.is_empty() {
                 violations += r.violations.len();
-                failures.push(r);
+                failures.push((payloads, r));
             }
         }
         // Scattered across the rest of the lifecycle.
@@ -100,11 +109,12 @@ fn main() {
             scattered += 1;
             if !r.violations.is_empty() {
                 violations += r.violations.len();
-                failures.push(r);
+                failures.push((payloads, r));
             }
         }
         rows.push(SeedRow {
             seed,
+            payloads,
             total_ops: m.total_ops,
             swept,
             scattered,
@@ -115,6 +125,7 @@ fn main() {
 
     let mut table = TextTable::new([
         "seed",
+        "mode",
         "lifecycle I/Os",
         "window crashes",
         "scattered",
@@ -124,6 +135,7 @@ fn main() {
     for r in &rows {
         table.row([
             format!("{:#x}", r.seed),
+            (if r.payloads { "payload" } else { "raw" }).to_string(),
             r.total_ops.to_string(),
             r.swept.to_string(),
             r.scattered.to_string(),
@@ -132,7 +144,8 @@ fn main() {
         ]);
     }
     println!(
-        "Recovery torture: {} seed(s), exhaustive sync+compact windows, {} crashes total",
+        "Recovery torture: {} seed(s) in both modes, exhaustive sync+compact windows, {} crashes \
+         total",
         seeds.len(),
         rows.iter().map(|r| r.swept + r.scattered).sum::<u64>()
     );
@@ -140,10 +153,11 @@ fn main() {
 
     if !failures.is_empty() {
         eprintln!("\n{} violating run(s):", failures.len());
-        for f in failures.iter().take(10) {
+        for (payloads, f) in failures.iter().take(10) {
             eprintln!(
-                "  seed {:#x} crash_at {:?}: {}",
+                "  seed {:#x} ({}) crash_at {:?}: {}",
                 f.seed,
+                if *payloads { "payload" } else { "raw" },
                 f.crash_at,
                 f.violations.first().map(String::as_str).unwrap_or("?")
             );

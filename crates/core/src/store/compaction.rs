@@ -352,6 +352,28 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Regression: payload-mode `compact` remaps the new generation's
+    /// index words *after* flushing it, and used to commit the manifest
+    /// over those unsynced block writes (`rename-after-data-fsync`, 123
+    /// of them here). The data fsync is now part of every dirty
+    /// manifest commit, whoever calls it.
+    #[test]
+    fn payload_compaction_commits_only_synced_index_blocks() {
+        use crate::media::SimMedia;
+        use dxh_extmem::SimEnv;
+        let env = SimEnv::new();
+        let cfg = CoreConfig::lemma5(8, 128, 2).unwrap();
+        let mut s = KvStore::open_payload_on(SimMedia::open(&env).unwrap(), cfg, 7).unwrap();
+        for round in 0..2u64 {
+            for k in 0..400u64 {
+                s.put_bytes(k, &vec![(k + round) as u8; 1 + (k as usize % 50)]).unwrap();
+            }
+        }
+        s.compact().unwrap();
+        let violations = dxh_dura::check_trace(&env.take_trace());
+        assert!(violations.is_empty(), "{violations:#?}");
+    }
+
     /// Block reads and writes per level file since the trace was last
     /// taken, as `name → (reads, writes, reads of a block read before)`,
     /// with the files in the order they were first touched.

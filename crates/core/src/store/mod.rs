@@ -588,9 +588,11 @@ pub(crate) mod tests {
             (0..disk.slots()).map(|slot| disk.read(BlockId(slot)).unwrap()).collect()
         };
         let image = |name: String| {
-            let blocks = if is_data_file(&name) { blocks(&name) } else { Vec::new() };
-            let bytes = env.read_file(&name).unwrap();
-            (name, (bytes, blocks))
+            let image = match is_data_file(&name) {
+                true => (None, blocks(&name)),
+                false => (env.read_file(&name).unwrap(), Vec::new()),
+            };
+            (name, image)
         };
         env.file_names().into_iter().map(image).collect()
     }
@@ -1084,11 +1086,7 @@ pub(crate) mod tests {
             s.insert(k, k).unwrap();
         }
         s.sync().unwrap();
-        let len = |f: &str| match is_data_file(f) {
-            true => env.file_len(f),
-            false => env.read_file(f).unwrap().map_or(0, |bytes| bytes.len() as u64),
-        };
-        census(&mut s, &len, sim_files(&env));
+        census(&mut s, &|f: &str| env.file_len(f), sim_files(&env));
     }
 
     /// Bytes of block files present, replayed from a trace: creates,

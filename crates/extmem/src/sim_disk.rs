@@ -4,13 +4,17 @@
 //!
 //! ## The machine model
 //!
-//! A [`SimEnv`] is one simulated machine: named block files (each served
-//! through a [`SimDisk`] handle), a namespace of **byte files** (each
-//! served through a [`SimBlob`] handle — manifests, markers, logs,
-//! payload blobs), named store locks, and a single global **I/O clock**
-//! that every operation ticks. The clock index is the coordinate system
-//! of the whole crate: fault plans name indices, the trace records them,
-//! and a crash "at index k" means ops `0..k` happened and op `k` did not.
+//! A [`SimEnv`] is one simulated machine: one namespace of names over
+//! inodes of two kinds — **block files** (each served through a
+//! [`SimDisk`] handle) and **byte files** (each served through a
+//! [`SimBlob`] handle — manifests, markers, logs, payload blobs) — named
+//! store locks, and a single global **I/O clock** that every operation
+//! ticks. Like a descriptor, a handle follows its inode: renaming or
+//! unlinking the name does not redirect or close it, and an unnamed
+//! inode lives until the next power cycle. The clock index is the
+//! coordinate system of the whole crate: fault plans name indices, the
+//! trace records them, and a crash "at index k" means ops `0..k`
+//! happened and op `k` did not.
 //!
 //! Durability is modeled at the altitude of the system calls the real
 //! path issues, so the protocols above (`dxh-core`'s tmp + fsync +
@@ -171,6 +175,41 @@ fn splitmix_next(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// One file of the machine: its inode, of either kind.
+enum Inode {
+    Blocks(SimFileState),
+    Bytes(SimByteFile),
+}
+
+impl Inode {
+    /// Size in bytes a `stat` would report: slots × slot size, or the
+    /// visible bytes (durable prefix plus unsynced appends).
+    fn len(&self) -> u64 {
+        match self {
+            Inode::Blocks(f) => f.slots * f.block_bytes as u64,
+            Inode::Bytes(f) => f.visible_len(),
+        }
+    }
+
+    /// This inode as the block file `name` must be.
+    fn blocks(&mut self, name: &str) -> Result<&mut SimFileState> {
+        match self {
+            Inode::Blocks(f) => Ok(f),
+            Inode::Bytes(_) => Err(ExtMemError::BadConfig(format!("sim file {name} holds bytes"))),
+        }
+    }
+
+    /// This inode as the byte file `name` must be.
+    fn bytes(&mut self, name: &str) -> Result<&mut SimByteFile> {
+        match self {
+            Inode::Bytes(f) => Ok(f),
+            Inode::Blocks(_) => {
+                Err(ExtMemError::BadConfig(format!("sim file {name} holds blocks")))
+            }
+        }
+    }
+}
+
 /// One simulated block file: durable image + unsynced overlay.
 struct SimFileState {
     block_bytes: usize,
@@ -238,14 +277,12 @@ impl SimByteFile {
 /// One namespace operation its directory has not been synced past, with
 /// what a crash needs to undo it.
 enum DirOp {
-    /// `name` was created, byte or block file (it named nothing before).
+    /// `name` was created (it named nothing before).
     Create { name: String },
     /// `from` was renamed over `to`, displacing the inode `to` named.
     Rename { from: String, to: String, displaced: Option<u64> },
-    /// Byte file `name` was unlinked from inode `ino`.
+    /// `name` was unlinked from inode `ino`.
     Unlink { name: String, ino: u64 },
-    /// Block file `name` was unlinked; `file` is what it held.
-    UnlinkDisk { name: String, file: SimFileState },
 }
 
 impl DirOp {
@@ -255,11 +292,14 @@ impl DirOp {
         match self {
             DirOp::Create { name } => format!("file-create {name}"),
             DirOp::Rename { from, to, .. } => format!("file-rename {from} -> {to}"),
-            DirOp::Unlink { name, .. } | DirOp::UnlinkDisk { name, .. } => {
-                format!("file-remove {name}")
-            }
+            DirOp::Unlink { name, .. } => format!("file-remove {name}"),
         }
     }
+}
+
+/// A namespace or bookkeeping event of the trace.
+fn meta(label: String) -> IoEvent {
+    IoEvent::Meta { label, fingerprint: 0 }
 }
 
 /// The directory of `name`: everything up to and including its last
@@ -282,12 +322,11 @@ struct SimEnvState {
     crashed: bool,
     tracing: bool,
     trace: Vec<IoEvent>,
-    files: BTreeMap<String, SimFileState>,
-    /// The byte-file namespace as the running process sees it.
+    /// The namespace as the running process sees it.
     names: BTreeMap<String, u64>,
-    /// Byte-file contents by inode; handles follow the inode, so a
-    /// rename or unlink never redirects an open [`SimBlob`].
-    inodes: BTreeMap<u64, SimByteFile>,
+    /// File contents by inode; handles follow the inode, so a rename or
+    /// unlink never redirects an open [`SimDisk`] or [`SimBlob`].
+    inodes: BTreeMap<u64, Inode>,
     next_ino: u64,
     /// Per directory, the namespace operations made since its last
     /// [`SimEnv::sync_dir`], oldest first.
@@ -296,9 +335,10 @@ struct SimEnvState {
     /// sharded service locks one name per shard), each mapped to the
     /// epoch of its current acquisition.
     locks: BTreeMap<String, u64>,
-    /// Monotone acquisition counter: each successful [`SimEnv::lock`]
-    /// stamps the owner with a fresh epoch, so a stale handle released
-    /// after a power cycle cannot free a newer owner's lock.
+    /// Monotone acquisition counter: each successful
+    /// [`SimEnv::lock_named`] stamps the owner with a fresh epoch, so a
+    /// stale handle released after a power cycle cannot free a newer
+    /// owner's lock.
     lock_epoch: u64,
     power_cycles: u64,
 }
@@ -307,6 +347,19 @@ impl SimEnvState {
     /// Records namespace operation `op` on `name` as not yet durable.
     fn defer(&mut self, name: &str, op: DirOp) {
         self.undurable.entry(dir_of(name).to_string()).or_default().push(op);
+    }
+
+    /// The inode `name` names right now, and its number.
+    fn lookup(&mut self, name: &str) -> Option<(u64, &mut Inode)> {
+        let ino = *self.names.get(name)?;
+        Some((ino, self.inodes.get_mut(&ino).expect("a named inode exists")))
+    }
+
+    /// The inode an open handle of `name` holds; gone only after a power
+    /// cycle, which no process survives.
+    fn held(&mut self, ino: u64, name: &str) -> Result<&mut Inode> {
+        let gone = || ExtMemError::Corrupt(format!("sim file {name} vanished"));
+        self.inodes.get_mut(&ino).ok_or_else(gone)
     }
 }
 
@@ -331,7 +384,6 @@ impl SimEnv {
             crashed: false,
             tracing: true,
             trace: Vec::new(),
-            files: BTreeMap::new(),
             names: BTreeMap::new(),
             inodes: BTreeMap::new(),
             next_ino: 0,
@@ -381,52 +433,24 @@ impl SimEnv {
         std::mem::take(&mut self.state().trace)
     }
 
-    /// Simulates the machine coming back up after a crash: applies the
-    /// block-granular write-survival policy (slots below each file's
+    /// Simulates the machine coming back up after a crash: reverts a
+    /// seeded suffix of every directory's un-synced namespace
+    /// operations, drops every inode left unnamed, then applies each
+    /// surviving file's write-survival policy, chosen by the plan's
+    /// `crash_seed` — block-granular for a block file (slots below its
     /// synced high-water mark revert exactly to their durable image;
     /// never-synced slots keep, lose, or hold a torn copy of their
-    /// unsynced content, chosen by the plan's `crash_seed`), reverts a
-    /// seeded suffix of every directory's un-synced namespace
-    /// operations, runs the prefix-survival lottery over each surviving
-    /// byte file's unsynced appends, clears the crash flag and the store
-    /// locks (the kernel releases a dead process's lock), and resets the
-    /// plan to fault-free so recovery runs clean. The I/O clock and the
-    /// trace carry on — a replay is one timeline.
+    /// unsynced content), prefix-shaped for a byte file's unsynced
+    /// appends. Then it clears the crash flag and the store locks (the
+    /// kernel releases a dead process's lock), and resets the plan to
+    /// fault-free so recovery runs clean. The I/O clock and the trace
+    /// carry on — a replay is one timeline.
     pub fn power_cycle(&self) {
         let mut st = self.state();
         let st = &mut *st;
         let plan = std::mem::take(&mut st.plan);
         let mut rng = plan.crash_seed ^ st.power_cycles.wrapping_mul(0x9e37_79b9_7f4a_7c15);
         let mut notes: Vec<String> = Vec::new();
-        for file in st.files.values_mut() {
-            let overlay = std::mem::take(&mut file.overlay);
-            for (id, bytes) in overlay {
-                if id < file.synced_slots {
-                    // Synced content survives exactly; the unsynced
-                    // rewrite is dropped whole.
-                    continue;
-                }
-                match splitmix_next(&mut rng) % 3 {
-                    0 => {
-                        // The write-back cache got this one out whole.
-                        file.durable.insert(id, bytes);
-                    }
-                    1 if plan.tear => {
-                        // Torn mid-block: half the new bytes, garbage
-                        // tail. No committed manifest references a
-                        // never-synced slot, so recovery must never
-                        // need to decode this.
-                        let mut torn = bytes;
-                        let half = torn.len() / 2;
-                        for b in &mut torn[half..] {
-                            *b = 0xFF;
-                        }
-                        file.durable.insert(id, torn);
-                    }
-                    _ => {} // dropped: the slot reads back as zeros
-                }
-            }
-        }
         // Directory entries reach the platter in order: each directory
         // keeps a seeded prefix of its un-synced namespace operations,
         // and the rest are reverted newest-first.
@@ -437,7 +461,6 @@ impl SimEnv {
                 match op {
                     DirOp::Create { name } => {
                         st.names.remove(&name);
-                        st.files.remove(&name);
                     }
                     DirOp::Rename { from, to, displaced } => {
                         if let Some(ino) = st.names.remove(&to) {
@@ -450,12 +473,6 @@ impl SimEnv {
                     DirOp::Unlink { name, ino } => {
                         st.names.insert(name, ino);
                     }
-                    DirOp::UnlinkDisk { name, mut file } => {
-                        // Back without its unsynced writes: losing all
-                        // of them is one outcome the lottery above draws.
-                        file.overlay.clear();
-                        st.files.insert(name, file);
-                    }
                 }
             }
         }
@@ -463,25 +480,54 @@ impl SimEnv {
         let names = &st.names;
         st.inodes.retain(|ino, _| names.values().any(|n| n == ino));
         for (name, ino) in &st.names {
-            // Appends reach the platter in order, so survival is
-            // prefix-shaped: each unsynced append in turn survives
-            // whole, tears (half its bytes then garbage — the last
-            // write the head got to), or is lost — and the first
-            // casualty ends the prefix.
-            let file = st.inodes.get_mut(ino).expect("a named inode exists");
-            for bytes in std::mem::take(&mut file.tail) {
-                match splitmix_next(&mut rng) % 3 {
-                    0 => file.durable.extend_from_slice(&bytes),
-                    1 if plan.tear => {
-                        let half = bytes.len() / 2;
-                        file.durable.extend_from_slice(&bytes[..half]);
-                        file.durable.extend(std::iter::repeat_n(0xFF, bytes.len() - half));
-                        notes.push(format!("crash-tear {name}"));
-                        break;
+            match st.inodes.get_mut(ino).expect("a named inode exists") {
+                Inode::Blocks(file) => {
+                    for (id, bytes) in std::mem::take(&mut file.overlay) {
+                        if id < file.synced_slots {
+                            // Synced content survives exactly; the
+                            // unsynced rewrite is dropped whole.
+                            continue;
+                        }
+                        match splitmix_next(&mut rng) % 3 {
+                            // The write-back cache got this one out whole.
+                            0 => {
+                                file.durable.insert(id, bytes);
+                            }
+                            1 if plan.tear => {
+                                // Torn mid-block: half the new bytes,
+                                // garbage tail. No committed manifest
+                                // references a never-synced slot, so
+                                // recovery must never decode this.
+                                let mut torn = bytes;
+                                let half = torn.len() / 2;
+                                torn[half..].fill(0xFF);
+                                file.durable.insert(id, torn);
+                            }
+                            _ => {} // dropped: the slot reads back as zeros
+                        }
                     }
-                    _ => {
-                        notes.push(format!("crash-drop {name}"));
-                        break;
+                }
+                // Appends reach the platter in order, so survival is
+                // prefix-shaped: each unsynced append in turn survives
+                // whole, tears (half its bytes then garbage — the last
+                // write the head got to), or is lost — and the first
+                // casualty ends the prefix.
+                Inode::Bytes(file) => {
+                    for bytes in std::mem::take(&mut file.tail) {
+                        match splitmix_next(&mut rng) % 3 {
+                            0 => file.durable.extend_from_slice(&bytes),
+                            1 if plan.tear => {
+                                let half = bytes.len() / 2;
+                                file.durable.extend_from_slice(&bytes[..half]);
+                                file.durable.extend(std::iter::repeat_n(0xFF, bytes.len() - half));
+                                notes.push(format!("crash-tear {name}"));
+                                break;
+                            }
+                            _ => {
+                                notes.push(format!("crash-drop {name}"));
+                                break;
+                            }
+                        }
                     }
                 }
             }
@@ -490,28 +536,22 @@ impl SimEnv {
         st.locks.clear();
         st.power_cycles += 1;
         if st.tracing {
-            st.trace.extend(notes.into_iter().map(|label| IoEvent::Meta { label, fingerprint: 0 }));
+            st.trace.extend(notes.into_iter().map(meta));
             st.trace
                 .push(IoEvent::Meta { label: "power-cycle".into(), fingerprint: st.power_cycles });
         }
     }
 
-    /// Acquires the machine's default store lock (one I/O op) and
-    /// returns this acquisition's epoch. Errors while another live
-    /// handle holds it — the simulated twin of the directory `LOCK`'s
-    /// fail-fast behavior. Release with [`SimEnv::unlock`], quoting the
-    /// epoch.
-    pub fn lock(&self) -> Result<u64> {
-        self.lock_named("")
-    }
-
-    /// [`SimEnv::lock`] for the store named `name`: one machine hosts
-    /// many independent stores (a sharded service locks one name per
-    /// shard), each with its own fail-fast exclusive lock. Release with
-    /// [`SimEnv::unlock_named`], quoting the name and epoch.
+    /// Acquires the lock of the store named `name` (one I/O op; `""` is
+    /// the machine's default store) and returns this acquisition's
+    /// epoch. One machine hosts many independent stores (a sharded
+    /// service locks one name per shard), each with its own exclusive
+    /// lock, which errors while another live handle holds it — the
+    /// simulated twin of the directory `LOCK`'s fail-fast behavior.
+    /// Release with [`SimEnv::unlock_named`], quoting the name and epoch.
     pub fn lock_named(&self, name: &str) -> Result<u64> {
         self.guarded(
-            || IoEvent::Meta { label: format!("lock {name}"), fingerprint: 0 },
+            |_| meta(format!("lock {name}")),
             |st| {
                 if st.locks.contains_key(name) {
                     return Err(ExtMemError::BadConfig(format!(
@@ -526,18 +566,13 @@ impl SimEnv {
         )
     }
 
-    /// Releases the default store lock **if** `epoch` still names the
-    /// current acquisition. Infallible and un-clocked: the kernel
-    /// releases a dead process's lock without that process doing I/O.
-    /// The epoch check makes the release owner-scoped, like an OS lock
-    /// dying with its own descriptor: a crashed handle dropped *after* a
-    /// power cycle (which already released the lock) must not free a
-    /// newer owner's acquisition.
-    pub fn unlock(&self, epoch: u64) {
-        self.unlock_named("", epoch);
-    }
-
-    /// [`SimEnv::unlock`] for the store named `name`.
+    /// Releases the lock of the store named `name` **if** `epoch` still
+    /// names the current acquisition. Infallible and un-clocked: the
+    /// kernel releases a dead process's lock without that process doing
+    /// I/O. The epoch check makes the release owner-scoped, like an OS
+    /// lock dying with its own descriptor: a crashed handle dropped
+    /// *after* a power cycle (which already released the lock) must not
+    /// free a newer owner's acquisition.
     pub fn unlock_named(&self, name: &str, epoch: u64) {
         let mut st = self.state();
         if st.locks.get(name) == Some(&epoch) {
@@ -545,106 +580,97 @@ impl SimEnv {
         }
     }
 
+    /// Creates file `name` holding `fresh` — truncating it in place when
+    /// it exists — and returns its inode (one I/O op). A new name is not
+    /// durable until its directory is synced ([`SimEnv::sync_dir`]).
+    fn create(&self, name: &str, fresh: Inode) -> Result<u64> {
+        self.guarded(
+            |_| meta(format!("file-create {name}")),
+            |st| {
+                let ino = match st.names.get(name) {
+                    Some(&ino) => ino,
+                    None => {
+                        st.next_ino += 1;
+                        st.names.insert(name.to_string(), st.next_ino);
+                        st.defer(name, DirOp::Create { name: name.to_string() });
+                        st.next_ino
+                    }
+                };
+                st.inodes.insert(ino, fresh);
+                Ok(ino)
+            },
+        )
+    }
+
     /// Creates (truncating) block file `name` and returns a handle to it
-    /// (one I/O op). A new name is not durable until its directory is
-    /// synced ([`SimEnv::sync_dir`]).
+    /// (one I/O op; see [`SimEnv::create_file`]).
     pub fn create_disk(&self, name: &str, block_capacity: usize) -> Result<SimDisk> {
         assert!(block_capacity > 0, "block capacity must be positive");
-        let block_bytes = Block::encoded_len(block_capacity);
-        self.guarded(
-            || IoEvent::Meta { label: format!("file-create {name}"), fingerprint: 0 },
-            |st| {
-                let fresh = SimFileState {
-                    block_bytes,
-                    block_capacity,
-                    slots: 0,
-                    synced_slots: 0,
-                    durable: BTreeMap::new(),
-                    overlay: BTreeMap::new(),
-                };
-                if st.files.insert(name.to_string(), fresh).is_none() {
-                    st.defer(name, DirOp::Create { name: name.to_string() });
-                }
-                Ok(())
-            },
-        )?;
-        Ok(SimDisk::handle(self.clone(), name, block_capacity, 0))
+        let fresh = SimFileState {
+            block_bytes: Block::encoded_len(block_capacity),
+            block_capacity,
+            slots: 0,
+            synced_slots: 0,
+            durable: BTreeMap::new(),
+            overlay: BTreeMap::new(),
+        };
+        let ino = self.create(name, Inode::Blocks(fresh))?;
+        Ok(SimDisk::handle(self.clone(), name, ino, block_capacity, 0))
     }
 
     /// Opens existing block file `name` **without truncating**; every
     /// slot is live, exactly like `FileDisk::open` (one I/O op).
     pub fn open_disk(&self, name: &str, block_capacity: usize) -> Result<SimDisk> {
         assert!(block_capacity > 0, "block capacity must be positive");
-        let slots = self.guarded(
-            || IoEvent::Meta { label: format!("file-open {name}"), fingerprint: 0 },
-            |st| match st.files.get(name) {
-                Some(f) if f.block_capacity == block_capacity => Ok(f.slots),
-                Some(f) => Err(ExtMemError::BadConfig(format!(
-                    "sim file {name} was created with block capacity {}, caller asked for \
-                     {block_capacity}",
-                    f.block_capacity
-                ))),
-                None => Err(ExtMemError::Io(std::io::Error::new(
-                    std::io::ErrorKind::NotFound,
-                    format!("sim file {name} does not exist"),
-                ))),
+        let (ino, slots) = self.guarded(
+            |_| meta(format!("file-open {name}")),
+            |st| {
+                let (ino, inode) = st.lookup(name).ok_or_else(|| not_found(name))?;
+                let f = inode.blocks(name)?;
+                match f.block_capacity == block_capacity {
+                    true => Ok((ino, f.slots)),
+                    false => Err(ExtMemError::BadConfig(format!(
+                        "sim file {name} was created with block capacity {}, caller asked for \
+                         {block_capacity}",
+                        f.block_capacity
+                    ))),
+                }
             },
         )?;
-        Ok(SimDisk::handle(self.clone(), name, block_capacity, slots))
+        Ok(SimDisk::handle(self.clone(), name, ino, block_capacity, slots))
     }
 
-    /// Size in bytes block file `name` would report to a `stat` (slots ×
-    /// slot size); 0 when absent. Un-clocked diagnostic.
+    /// Size in bytes file `name` would report to a `stat` — a block
+    /// file's slots × slot size, a byte file's visible bytes; 0 when
+    /// absent. Un-clocked diagnostic.
     pub fn file_len(&self, name: &str) -> u64 {
         let st = self.state();
-        st.files.get(name).map_or(0, |f| f.slots * f.block_bytes as u64)
+        st.names.get(name).map_or(0, |ino| st.inodes[ino].len())
     }
 
     /// Every name on the machine, block files and byte files alike
     /// (diagnostic listing, un-clocked).
     pub fn file_names(&self) -> Vec<String> {
-        let st = self.state();
-        st.files.keys().chain(st.names.keys()).cloned().collect()
+        self.state().names.keys().cloned().collect()
     }
 
     /// Creates byte file `name` — truncating it in place when it exists
     /// — and returns a handle to it (one I/O op). A new name is not
     /// durable until its directory is synced ([`SimEnv::sync_dir`]).
     pub fn create_file(&self, name: &str) -> Result<SimBlob> {
-        let ino = self.guarded(
-            || IoEvent::Meta { label: format!("file-create {name}"), fingerprint: 0 },
-            |st| match st.names.get(name) {
-                Some(&ino) => {
-                    st.inodes.insert(ino, SimByteFile::default());
-                    Ok(ino)
-                }
-                None => {
-                    let ino = st.next_ino;
-                    st.next_ino += 1;
-                    st.inodes.insert(ino, SimByteFile::default());
-                    st.names.insert(name.to_string(), ino);
-                    st.defer(name, DirOp::Create { name: name.to_string() });
-                    Ok(ino)
-                }
-            },
-        )?;
+        let ino = self.create(name, Inode::Bytes(SimByteFile::default()))?;
         Ok(SimBlob { env: self.clone(), name: name.to_string(), ino })
-    }
-
-    /// Whether byte file `name` exists right now (an un-clocked peek, so
-    /// a lookup's trace label can say whether it hit).
-    fn has_file(&self, name: &str) -> bool {
-        self.state().names.contains_key(name)
     }
 
     /// Opens byte file `name` without truncating (one I/O op); `None`
     /// when absent. The trace records a hit as `file-open`, a miss as
     /// `file-absent`.
     pub fn open_file(&self, name: &str) -> Result<Option<SimBlob>> {
-        let op = if self.has_file(name) { "file-open" } else { "file-absent" };
         let ino = self.guarded(
-            || IoEvent::Meta { label: format!("{op} {name}"), fingerprint: 0 },
-            |st| Ok(st.names.get(name).copied()),
+            |ino: &Option<_>| {
+                meta(format!("{} {name}", if ino.is_some() { "file-open" } else { "file-absent" }))
+            },
+            |st| st.lookup(name).map(|(ino, inode)| inode.bytes(name).map(|_| ino)).transpose(),
         )?;
         Ok(ino.map(|ino| SimBlob { env: self.clone(), name: name.to_string(), ino }))
     }
@@ -652,16 +678,17 @@ impl SimEnv {
     /// Reads the whole of byte file `name` (one I/O op); `None` when
     /// absent. A process reads its own unsynced appends.
     pub fn read_file(&self, name: &str) -> Result<Option<Vec<u8>>> {
-        let op = if self.has_file(name) { "file-read" } else { "file-absent" };
         self.guarded(
-            || IoEvent::Meta { label: format!("{op} {name}"), fingerprint: 0 },
-            |st| Ok(st.names.get(name).map(|ino| st.inodes[ino].image())),
+            |img: &Option<_>| {
+                meta(format!("{} {name}", if img.is_some() { "file-read" } else { "file-absent" }))
+            },
+            |st| st.lookup(name).map(|(_, inode)| inode.bytes(name).map(|f| f.image())).transpose(),
         )
     }
 
-    /// Atomically renames byte file `from` over `to` within one
-    /// directory (one I/O op). Durable once the directory is synced;
-    /// until then a crash may revert it — to the old `to`, never a mix.
+    /// Atomically renames file `from` over `to` within one directory
+    /// (one I/O op). Durable once the directory is synced; until then a
+    /// crash may revert it — to the old `to`, never a mix.
     pub fn rename_file(&self, from: &str, to: &str) -> Result<()> {
         if dir_of(from) != dir_of(to) {
             return Err(ExtMemError::BadConfig(format!(
@@ -669,7 +696,7 @@ impl SimEnv {
             )));
         }
         self.guarded(
-            || IoEvent::Meta { label: format!("file-rename {from} -> {to}"), fingerprint: 0 },
+            |_| meta(format!("file-rename {from} -> {to}")),
             |st| {
                 let ino = st.names.remove(from).ok_or_else(|| not_found(from))?;
                 let displaced = st.names.insert(to.to_string(), ino);
@@ -682,26 +709,21 @@ impl SimEnv {
         )
     }
 
-    /// Removes file `name`, byte or block (one I/O op), and reports
-    /// whether it existed. The unlink is durable once the directory is
-    /// synced.
+    /// Unlinks file `name`, byte or block (one I/O op), and reports
+    /// whether it existed. An open handle keeps reading and writing the
+    /// unnamed inode. The unlink is durable once the directory is synced.
+    /// Nothing counts handles, so the unnamed inode's contents stay in
+    /// memory until the next [`SimEnv::power_cycle`] — even after its
+    /// unlink is durable and its last handle is dropped.
     pub fn remove_file(&self, name: &str) -> Result<bool> {
-        let exists = self.has_file(name) || self.state().files.contains_key(name);
-        let op = if exists { "file-remove" } else { "file-absent" };
         self.guarded(
-            || IoEvent::Meta { label: format!("{op} {name}"), fingerprint: 0 },
-            |st| match st.names.remove(name) {
-                Some(ino) => {
+            |&hit| meta(format!("{} {name}", if hit { "file-remove" } else { "file-absent" })),
+            |st| {
+                let ino = st.names.remove(name);
+                if let Some(ino) = ino {
                     st.defer(name, DirOp::Unlink { name: name.to_string(), ino });
-                    Ok(true)
                 }
-                None => match st.files.remove(name) {
-                    Some(file) => {
-                        st.defer(name, DirOp::UnlinkDisk { name: name.to_string(), file });
-                        Ok(true)
-                    }
-                    None => Ok(false),
-                },
+                Ok(ino.is_some())
             },
         )
     }
@@ -711,7 +733,7 @@ impl SimEnv {
     /// so far becomes durable.
     pub fn sync_dir(&self, dir: &str) -> Result<()> {
         self.guarded(
-            || IoEvent::Meta { label: format!("dir-sync {dir}"), fingerprint: 0 },
+            |_| meta(format!("dir-sync {dir}")),
             |st| {
                 st.undurable.remove(dir);
                 Ok(())
@@ -721,12 +743,13 @@ impl SimEnv {
 
     /// The clock-tick-plus-fault-check wrapper every operation goes
     /// through: assigns the op its index, consults the plan, applies
-    /// `apply` on success, and records the event. `event` is a closure
-    /// so untraced runs (the exhaustive sweeps) pay no per-op String
-    /// allocation for events that would be dropped anyway.
+    /// `apply` on success, and records the event `event` makes of its
+    /// result. `event` is a closure so untraced runs (the exhaustive
+    /// sweeps) pay no per-op String allocation for events that would be
+    /// dropped anyway.
     fn guarded<T>(
         &self,
-        event: impl FnOnce() -> IoEvent,
+        event: impl FnOnce(&T) -> IoEvent,
         apply: impl FnOnce(&mut SimEnvState) -> Result<T>,
     ) -> Result<T> {
         let mut st = self.state();
@@ -756,7 +779,7 @@ impl SimEnv {
         }
         let out = apply(st)?;
         if st.tracing {
-            st.trace.push(event());
+            st.trace.push(event(&out));
         }
         Ok(out)
     }
@@ -769,9 +792,13 @@ impl SimEnv {
 ///
 /// The allocator state lives in the handle — exactly as `FileDisk` keeps
 /// it in process memory — so a crash (dropping the handle) loses it.
+/// Like a descriptor, the handle follows the file it opened: renaming or
+/// unlinking the name does not redirect it.
 pub struct SimDisk {
     env: SimEnv,
+    /// The name the file was opened under (trace labels only).
     file: String,
+    ino: u64,
     block_capacity: usize,
     block_bytes: usize,
     /// The shared allocator state machine — the same implementation
@@ -788,10 +815,11 @@ impl SimDisk {
         SimEnv::new().create_disk("sim.blk", block_capacity).expect("fresh env cannot fault")
     }
 
-    fn handle(env: SimEnv, file: &str, block_capacity: usize, slots: u64) -> Self {
+    fn handle(env: SimEnv, file: &str, ino: u64, block_capacity: usize, slots: u64) -> Self {
         SimDisk {
             env,
             file: file.to_string(),
+            ino,
             block_capacity,
             block_bytes: Block::encoded_len(block_capacity),
             alloc: SlotAllocator::with_all_live(slots),
@@ -819,17 +847,10 @@ impl SimDisk {
     /// clock-and-fault guard.
     fn file_op<T>(
         &self,
-        event: impl FnOnce() -> IoEvent,
+        event: impl FnOnce(&T) -> IoEvent,
         apply: impl FnOnce(&mut SimFileState) -> Result<T>,
     ) -> Result<T> {
-        let name = &self.file;
-        self.env.guarded(event, |st| {
-            let f = st
-                .files
-                .get_mut(name)
-                .ok_or_else(|| ExtMemError::Corrupt(format!("sim file {name} vanished")))?;
-            apply(f)
-        })
+        self.env.guarded(event, |st| apply(st.held(self.ino, &self.file)?.blocks(&self.file)?))
     }
 }
 
@@ -842,7 +863,7 @@ impl StorageBackend for SimDisk {
         self.check_live(id)?;
         let cap = self.block_capacity;
         self.file_op(
-            || IoEvent::Read { file: self.file.clone(), id: id.raw() },
+            |_| IoEvent::Read { file: self.file.clone(), id: id.raw() },
             |f| {
                 match f.overlay.get(&id.raw()).or_else(|| f.durable.get(&id.raw())) {
                     Some(bytes) => Block::decode_from(cap, bytes),
@@ -862,7 +883,7 @@ impl StorageBackend for SimDisk {
         // deferred to traced runs.
         let fp = fnv1a64(&buf);
         self.file_op(
-            || IoEvent::Write { file: self.file.clone(), id: id.raw(), fingerprint: fp },
+            |_| IoEvent::Write { file: self.file.clone(), id: id.raw(), fingerprint: fp },
             move |f| {
                 f.overlay.insert(id.raw(), buf);
                 Ok(())
@@ -879,7 +900,7 @@ impl StorageBackend for SimDisk {
                 // on the free list.
                 let zeros = vec![0u8; self.block_bytes];
                 self.file_op(
-                    || IoEvent::Alloc { file: self.file.clone(), base: idx, n: 1 },
+                    |_| IoEvent::Alloc { file: self.file.clone(), base: idx, n: 1 },
                     move |f| {
                         f.overlay.insert(idx, zeros);
                         Ok(())
@@ -891,7 +912,7 @@ impl StorageBackend for SimDisk {
             None => {
                 let idx = self.alloc.slots();
                 self.file_op(
-                    || IoEvent::Alloc { file: self.file.clone(), base: idx, n: 1 },
+                    |_| IoEvent::Alloc { file: self.file.clone(), base: idx, n: 1 },
                     |f| {
                         // Growth is durable immediately (zero-filled).
                         f.slots = idx + 1;
@@ -912,7 +933,7 @@ impl StorageBackend for SimDisk {
             let end = base + n as u64;
             let bytes = self.block_bytes;
             self.file_op(
-                || IoEvent::Alloc { file: self.file.clone(), base, n: n as u64 },
+                |_| IoEvent::Alloc { file: self.file.clone(), base, n: n as u64 },
                 move |f| {
                     for id in base..end {
                         f.overlay.insert(id, vec![0u8; bytes]);
@@ -926,7 +947,7 @@ impl StorageBackend for SimDisk {
         let base = self.alloc.slots();
         let new_slots = base + n as u64;
         self.file_op(
-            || IoEvent::Alloc { file: self.file.clone(), base, n: n as u64 },
+            |_| IoEvent::Alloc { file: self.file.clone(), base, n: n as u64 },
             |f| {
                 f.slots = new_slots;
                 Ok(())
@@ -937,7 +958,7 @@ impl StorageBackend for SimDisk {
 
     fn free(&mut self, id: BlockId) -> Result<()> {
         self.check_live(id)?;
-        self.file_op(|| IoEvent::Free { file: self.file.clone(), id: id.raw() }, |_| Ok(()))?;
+        self.file_op(|_| IoEvent::Free { file: self.file.clone(), id: id.raw() }, |_| Ok(()))?;
         self.alloc.release(id.raw());
         Ok(())
     }
@@ -947,25 +968,17 @@ impl StorageBackend for SimDisk {
     }
 
     fn sync(&mut self) -> Result<()> {
-        // The event is built before the apply closure runs, so read the
-        // about-to-be-flushed count up front (nothing else can touch the
-        // overlay between the peek and the barrier — the handle is the
-        // file's only writer).
-        let flushed = {
-            let st = self.env.state();
-            st.files.get(&self.file).map_or(0, |f| f.overlay.len() as u64)
-        };
         self.file_op(
-            || IoEvent::Sync { file: self.file.clone(), flushed },
+            |&flushed| IoEvent::Sync { file: self.file.clone(), flushed },
             |f| {
                 let overlay = std::mem::take(&mut f.overlay);
-                for (id, bytes) in overlay {
-                    f.durable.insert(id, bytes);
-                }
+                let flushed = overlay.len() as u64;
+                f.durable.extend(overlay);
                 f.synced_slots = f.slots;
-                Ok(())
+                Ok(flushed)
             },
         )
+        .map(drop)
     }
 }
 
@@ -992,21 +1005,10 @@ impl SimBlob {
     /// clock-and-fault guard.
     fn file_op<T>(
         &self,
-        event: impl FnOnce() -> IoEvent,
+        event: impl FnOnce(&T) -> IoEvent,
         apply: impl FnOnce(&mut SimByteFile) -> Result<T>,
     ) -> Result<T> {
-        self.env.guarded(event, |st| {
-            let f = st
-                .inodes
-                .get_mut(&self.ino)
-                .ok_or_else(|| ExtMemError::Corrupt(format!("sim file {} vanished", self.name)))?;
-            apply(f)
-        })
-    }
-
-    /// Un-clocked peek at this handle's file.
-    fn peek<T>(&self, read: impl FnOnce(&SimByteFile) -> T) -> Option<T> {
-        self.env.state().inodes.get(&self.ino).map(read)
+        self.env.guarded(event, |st| apply(st.held(self.ino, &self.name)?.bytes(&self.name)?))
     }
 }
 
@@ -1015,38 +1017,37 @@ impl BlobFile for SimBlob {
     /// it as a `Write` whose `id` is the append's byte offset.
     fn append(&mut self, bytes: &[u8]) -> Result<()> {
         let fp = fnv1a64(bytes);
-        let owned = bytes.to_vec();
-        // The event is built before the apply closure runs (same pattern
-        // as the sync barrier's flushed count): peek the offset up front.
-        let offset = self.len();
         self.file_op(
-            || IoEvent::Write { file: self.name.clone(), id: offset, fingerprint: fp },
-            move |f| {
-                f.tail.push(owned);
-                Ok(())
+            |&offset| IoEvent::Write { file: self.name.clone(), id: offset, fingerprint: fp },
+            |f| {
+                let offset = f.visible_len();
+                f.tail.push(bytes.to_vec());
+                Ok(offset)
             },
         )
+        .map(drop)
     }
 
     /// Sync barrier (one I/O op): every prior append becomes durable —
     /// the file's content, not its directory entry.
     fn sync(&mut self) -> Result<()> {
-        let flushed = self.peek(|f| f.tail.len() as u64).unwrap_or(0);
         self.file_op(
-            || IoEvent::Sync { file: self.name.clone(), flushed },
+            |&flushed| IoEvent::Sync { file: self.name.clone(), flushed },
             |f| {
-                for chunk in std::mem::take(&mut f.tail) {
-                    f.durable.extend_from_slice(&chunk);
+                let tail = std::mem::take(&mut f.tail);
+                for chunk in &tail {
+                    f.durable.extend_from_slice(chunk);
                 }
-                Ok(())
+                Ok(tail.len() as u64)
             },
         )
+        .map(drop)
     }
 
     /// Visible length (durable prefix plus unsynced appends — what a
     /// `stat` from this process sees); un-clocked.
     fn len(&self) -> u64 {
-        self.peek(SimByteFile::visible_len).unwrap_or(0)
+        self.env.state().inodes.get(&self.ino).map_or(0, Inode::len)
     }
 
     /// One I/O op, fault-injectable like any other; the trace records
@@ -1054,7 +1055,7 @@ impl BlobFile for SimBlob {
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
         let len = buf.len() as u64;
         self.file_op(
-            || IoEvent::ReadAt { file: self.name.clone(), offset, len },
+            |_| IoEvent::ReadAt { file: self.name.clone(), offset, len },
             |f| f.read_at(offset, buf),
         )
     }
@@ -1064,7 +1065,7 @@ impl BlobFile for SimBlob {
     /// volatile appends.
     fn truncate(&mut self, len: u64) -> Result<()> {
         self.file_op(
-            || IoEvent::Meta { label: format!("file-truncate {}", self.name), fingerprint: len },
+            |_| IoEvent::Meta { label: format!("file-truncate {}", self.name), fingerprint: len },
             |f| {
                 let durable_len = f.durable.len() as u64;
                 if len <= durable_len {
@@ -1210,16 +1211,16 @@ mod tests {
     #[test]
     fn lock_excludes_second_holder_until_power_cycle() {
         let env = SimEnv::new();
-        let stale = env.lock().unwrap();
-        assert!(env.lock().is_err(), "second live handle fails fast");
+        let stale = env.lock_named("").unwrap();
+        assert!(env.lock_named("").is_err(), "second live handle fails fast");
         env.power_cycle();
-        let owned = env.lock().unwrap();
+        let owned = env.lock_named("").unwrap();
         // The pre-power-cycle epoch is dead: releasing it must not free
         // the new owner's lock.
-        env.unlock(stale);
-        assert!(env.lock().is_err(), "stale epoch cannot steal the lock");
-        env.unlock(owned);
-        env.lock().unwrap();
+        env.unlock_named("", stale);
+        assert!(env.lock_named("").is_err(), "stale epoch cannot steal the lock");
+        env.unlock_named("", owned);
+        env.lock_named("").unwrap();
     }
 
     #[test]
@@ -1375,6 +1376,9 @@ mod tests {
         b.append(b"payload").unwrap();
         b.sync().unwrap();
         assert_eq!(env.file_names(), vec!["store.blk".to_string(), "store.blob".to_string()]);
+        assert_eq!(env.file_len("store.blob"), 7, "a byte file's stat is its visible bytes");
+        assert!(env.read_file("store.blk").is_err(), "a block file is not read as bytes");
+        assert!(env.open_disk("store.blob", 4).is_err(), "nor a byte file as blocks");
         let trace = env.take_trace();
         assert!(trace.iter().any(
             |e| matches!(e, IoEvent::Write { file, id, .. } if file == "store.blob" && *id == 0)
@@ -1387,6 +1391,32 @@ mod tests {
         assert!(env.remove_file("store.blk").unwrap(), "one removal covers block files too");
         assert!(env.file_names().is_empty());
         assert!(env.open_file("store.blob").unwrap().is_none());
+    }
+
+    /// A block-file handle keeps reading and writing its inode after the
+    /// name is unlinked — durably — and a new file takes the name, as an
+    /// open fd does; a power cycle, which no process survives, drops the
+    /// unnamed inode.
+    #[test]
+    fn a_disk_handle_follows_its_inode_past_the_unlink_of_its_name() {
+        let env = SimEnv::new();
+        let mut d = env.create_disk("level-1.blk", 4).unwrap();
+        let id = d.allocate().unwrap();
+        d.write(id, &item_block(4, 1, 10)).unwrap();
+        d.sync().unwrap();
+        env.sync_dir("").unwrap();
+        assert!(env.remove_file("level-1.blk").unwrap());
+        env.sync_dir("").unwrap();
+        assert!(env.file_names().is_empty());
+        assert!(env.open_disk("level-1.blk", 4).is_err(), "the name is gone");
+        assert_eq!(d.read(id).unwrap().find(1), Some(10), "the handle reads on");
+        let fresh = env.create_disk("level-1.blk", 4).unwrap();
+        d.write(id, &item_block(4, 1, 11)).unwrap();
+        assert_eq!(d.read(id).unwrap().find(1), Some(11), "and writes its own inode");
+        assert_eq!(fresh.slots(), 0);
+        assert_eq!(env.file_len("level-1.blk"), 0, "the new file is not the old inode");
+        env.power_cycle();
+        assert!(matches!(d.read(id), Err(ExtMemError::Corrupt(_))), "gone with the process");
     }
 
     /// A created name is lost without `sync_dir` for some crash seed —

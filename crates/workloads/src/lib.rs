@@ -14,23 +14,23 @@
 //!   paper's `tu` and `tq`, and fans independent trials out across
 //!   threads (crossbeam scoped threads, one seed per trial).
 //! * [`torture`] — the crash-recovery torture harness: churn a
-//!   persistent store on the crash-simulation environment, crash it at
-//!   a chosen (or exhaustively swept) I/O index, reopen, and check the
-//!   recovered state against a shadow model — all deterministic in one
-//!   seed.
+//!   persistent store, raw or in payload mode, on the crash-simulation
+//!   environment, crash it at a chosen (or exhaustively swept) I/O
+//!   index, reopen, and check the recovered state byte for byte against
+//!   a shadow model — all deterministic in one seed.
 //! * [`service`] — the concurrent twin: drive a sharded group-commit
 //!   service ([`dxh_core::ShardedKvStore`]) from real writer threads on
 //!   one simulated machine, crash it mid group commit, and check that
 //!   every shard recovers to a batch boundary (all-in or all-out).
-//! * [`blob`] — the byte-payload twin: churn a payload-mode store,
-//!   then crash at every I/O of a `put_bytes` + sync window and check
-//!   that a torn or unsynced blob payload is never visible after
-//!   recovery.
+//!
+//! Both harnesses run on one crash-run skeleton (`crash`): the seeded
+//! crash plan, crashed-or-violation sorting, the power cycle and the
+//! durability-trace check.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod blob;
+mod crash;
 pub mod generator;
 pub mod runner;
 pub mod service;
@@ -38,7 +38,6 @@ pub mod torture;
 pub mod trace;
 pub mod zipf;
 
-pub use blob::{blob_torture_run, sweep_blob_crashes, BlobTortureReport, BlobTortureSpec};
 pub use generator::{
     ArchivalStream, ChurnMix, ConcurrentChurn, InsertLookupMix, UniformInserts, Workload,
     WorkloadError, ZipfQueries, ZipfWrites,

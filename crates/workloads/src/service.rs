@@ -24,8 +24,13 @@
 //!    state equals the fold of the committed batches plus some
 //!    **prefix** of the in-flight ones — each batch all-in or all-out,
 //!    never split, even when another shard's batch shared the same
-//!    coalesced sync round — and that the recovered service still
-//!    accepts work.
+//!    coalesced sync round — that the recovered service still accepts
+//!    work, and that the whole lifecycle's I/O trace satisfies every
+//!    trace-enabled durability rule.
+//!
+//! The crash plan, the crashed-or-violation sorting, the power cycle
+//! and the trace check are the crash-run skeleton the single-store
+//! harness ([`crate::torture`]) runs on too.
 //!
 //! Thread interleavings are scheduled by the OS, so unlike the
 //! single-store harness ([`crate::torture`]) a crash index does not
@@ -33,12 +38,12 @@
 //! interleaving-independent, which is exactly what makes them safe to
 //! sweep under nondeterministic scheduling.
 
-use std::collections::HashMap;
-use std::sync::Mutex;
+use std::collections::{HashMap, HashSet};
 
-use dxh_core::{CoreConfig, Effect, ShardedKvStore, SimMedia, StoreMedia, WriteOp};
-use dxh_extmem::{FaultPlan, Key, SimEnv, Value};
+use dxh_core::{CoreConfig, Effect, ServiceStats, ShardedKvStore, SimMedia, StoreMedia, WriteOp};
+use dxh_extmem::{Key, SimEnv, Value};
 
+use crate::crash::CrashRun;
 use crate::generator::ConcurrentChurn;
 use crate::trace::Op;
 
@@ -177,32 +182,68 @@ fn fold_into(model: &mut HashMap<Key, Value>, ops: &[(Key, Option<Effect>)]) {
 }
 
 /// Probes `svc` for every key of `model`'s universe and reports the
-/// first few mismatches (`keys` is the probe set — every key the shard's
+/// first mismatch (`keys` is the probe set — every key the shard's
 /// history ever touched, so deleted keys are checked absent too).
 fn diff_shard<M: StoreMedia>(
     svc: &ShardedKvStore<M>,
     model: &HashMap<Key, Value>,
     keys: &[Key],
-) -> Vec<String> {
-    let mut out = Vec::new();
-    for &k in keys {
-        match svc.get(k) {
-            Ok(got) => {
+) -> Option<String> {
+    keys.iter().find_map(|&k| match svc.get(k) {
+        Ok(got) if got == model.get(&k).copied() => None,
+        Ok(got) => {
+            Some(format!("key {k}: service answers {got:?}, model says {:?}", model.get(&k)))
+        }
+        Err(e) => Some(format!("key {k}: lookup errored after recovery: {e}")),
+    })
+}
+
+/// One writer thread: replays `ops` through pipelined
+/// [`ShardedKvStore::submit`] chunks, checking its lookups against a
+/// private shadow model — exact, since its namespace is its own. Stops
+/// at the first failed call (`None`).
+fn writer<M: StoreMedia>(
+    svc: &ShardedKvStore<M>,
+    run: &CrashRun,
+    t: usize,
+    ops: &[Op],
+) -> Option<()> {
+    let mut model: HashMap<Key, Value> = HashMap::new();
+    let mut chunk: Vec<WriteOp> = Vec::with_capacity(CHUNK);
+    let flush = |chunk: &mut Vec<WriteOp>, model: &mut HashMap<Key, Value>| {
+        if !chunk.is_empty() {
+            run.check(format_args!("thread {t}: submit"), svc.submit(chunk))?;
+        }
+        for op in chunk.drain(..) {
+            match op {
+                WriteOp::Put(k, v) => model.insert(k, v),
+                WriteOp::Delete(k) => model.remove(&k),
+            };
+        }
+        Some(())
+    };
+    for op in ops {
+        match *op {
+            Op::Insert(k, v) => chunk.push(WriteOp::Put(k, v)),
+            Op::Delete(k) => chunk.push(WriteOp::Delete(k)),
+            Op::Lookup(k) => {
+                // Reads must see this thread's own acknowledged writes;
+                // flush first so the model is comparable.
+                flush(&mut chunk, &mut model)?;
+                let got = run.check(format_args!("thread {t}: lookup"), svc.get(k))?;
                 let want = model.get(&k).copied();
                 if got != want {
-                    out.push(format!("key {k}: service answers {got:?}, model says {want:?}"));
-                    if out.len() >= 5 {
-                        break;
-                    }
+                    run.violation(format!(
+                        "thread {t}: lookup({k}) answered {got:?}, model says {want:?}"
+                    ));
                 }
             }
-            Err(e) => {
-                out.push(format!("key {k}: lookup errored after recovery: {e}"));
-                break;
-            }
+        }
+        if chunk.len() == CHUNK {
+            flush(&mut chunk, &mut model)?;
         }
     }
-    out
+    flush(&mut chunk, &mut model)
 }
 
 /// Runs one concurrent lifecycle with an optional crash index. Never
@@ -227,309 +268,160 @@ where
     M: StoreMedia + Send + 'static,
     M::Backend: Send,
 {
-    let env = SimEnv::new();
-    env.set_tracing(true);
-    if let Some(k) = crash_at {
-        env.set_plan(FaultPlan::crash(k, spec.seed ^ k.rotate_left(17)));
-    }
-    let workload = spec.workload();
-    let violations: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let mut crashed = false;
-    let mut committed_batches = 0;
-    let mut shard_syncs = 0;
-    let mut sealed_discards = 0;
-    let mut sealed_discard_failures = 0;
-    let mut coalesced_ops = 0;
-    let mut manifest_delta_commits = 0;
-    let mut manifest_delta_bytes = 0;
-    let mut manifest_full_commits = 0;
-    let mut manifest_full_bytes = 0;
+    let run = CrashRun::new(spec.seed, crash_at);
+    let env = &run.env;
+    let open = || {
+        let svc = ShardedKvStore::open_on(root(env), spec.shards, spec.cfg.clone(), spec.seed)?;
+        if let Some(bytes) = spec.ckpt_log_bytes {
+            svc.set_checkpoint_log_bytes(bytes);
+        }
+        dxh_extmem::Result::Ok(svc)
+    };
+    let mut stats = ServiceStats::default();
     let mut history = Vec::new();
 
-    match ShardedKvStore::open_on(root(&env), spec.shards, spec.cfg.clone(), spec.seed) {
-        Ok(svc) => {
-            svc.set_batch_recording(true);
-            if let Some(bytes) = spec.ckpt_log_bytes {
-                svc.set_checkpoint_log_bytes(bytes);
+    if let Some(svc) = run.check("opening the service", open()) {
+        svc.set_batch_recording(true);
+        let workload = spec.workload();
+        std::thread::scope(|scope| {
+            for t in 0..spec.threads {
+                let (svc, run) = (&svc, &run);
+                let trace = workload.thread_trace(t, spec.seed);
+                scope.spawn(move || writer(svc, run, t, &trace.ops));
             }
-            std::thread::scope(|scope| {
-                for t in 0..spec.threads {
-                    let svc = &svc;
-                    let env = &env;
-                    let violations = &violations;
-                    let trace = workload.thread_trace(t, spec.seed);
-                    scope.spawn(move || {
-                        // This thread's namespace is private, so its own
-                        // shadow model is exact for its lookups.
-                        let mut model: HashMap<Key, Value> = HashMap::new();
-                        let mut chunk: Vec<WriteOp> = Vec::with_capacity(CHUNK);
-                        let flush =
-                            |chunk: &mut Vec<WriteOp>, model: &mut HashMap<Key, Value>| -> bool {
-                                if chunk.is_empty() {
-                                    return true;
-                                }
-                                match svc.submit(chunk) {
-                                    Ok(_) => {
-                                        for op in chunk.iter() {
-                                            match *op {
-                                                WriteOp::Put(k, v) => {
-                                                    model.insert(k, v);
-                                                }
-                                                WriteOp::Delete(k) => {
-                                                    model.remove(&k);
-                                                }
-                                            }
-                                        }
-                                        chunk.clear();
-                                        true
-                                    }
-                                    Err(e) => {
-                                        if !env.crashed() {
-                                            violations.lock().unwrap().push(format!(
-                                                "thread {t}: submit failed without a crash: {e}"
-                                            ));
-                                        }
-                                        false
-                                    }
-                                }
-                            };
-                        for op in &trace.ops {
-                            let ok = match *op {
-                                Op::Insert(k, v) => {
-                                    chunk.push(WriteOp::Put(k, v));
-                                    chunk.len() < CHUNK || flush(&mut chunk, &mut model)
-                                }
-                                Op::Delete(k) => {
-                                    chunk.push(WriteOp::Delete(k));
-                                    chunk.len() < CHUNK || flush(&mut chunk, &mut model)
-                                }
-                                Op::Lookup(k) => {
-                                    // Reads must see this thread's own
-                                    // acknowledged writes; flush first so
-                                    // the model is comparable.
-                                    flush(&mut chunk, &mut model)
-                                        && match svc.get(k) {
-                                            Ok(got) => {
-                                                let want = model.get(&k).copied();
-                                                if got != want {
-                                                    violations.lock().unwrap().push(format!(
-                                                        "thread {t}: lookup({k}) answered \
-                                                         {got:?}, model says {want:?}"
-                                                    ));
-                                                }
-                                                true
-                                            }
-                                            Err(e) => {
-                                                if !env.crashed() {
-                                                    violations.lock().unwrap().push(format!(
-                                                        "thread {t}: lookup failed without \
-                                                         a crash: {e}"
-                                                    ));
-                                                }
-                                                false
-                                            }
-                                        }
-                                }
-                            };
-                            if !ok {
-                                return; // crashed (or recorded a violation)
-                            }
-                        }
-                        flush(&mut chunk, &mut model);
-                    });
-                }
-            });
-            let stats = svc.stats();
-            committed_batches = stats.committed_batches;
-            shard_syncs = stats.shard_syncs;
-            sealed_discards = stats.sealed_discards;
-            sealed_discard_failures = stats.sealed_discard_failures;
-            coalesced_ops = stats.coalesced_ops;
-            manifest_delta_commits = stats.manifest_delta_commits;
-            manifest_delta_bytes = stats.manifest_delta_bytes;
-            manifest_full_commits = stats.manifest_full_commits;
-            manifest_full_bytes = stats.manifest_full_bytes;
-            crashed = env.crashed();
-            if !crashed && stats.wedged_shards > 0 {
-                violations
-                    .lock()
-                    .unwrap()
-                    .push(format!("{} shards wedged without a crash", stats.wedged_shards));
-            }
-            // Fault-free lifecycle with checkpoints configured: some
-            // checkpoint must have emptied the log — one that never does
-            // (or whose truncate failed without a fault to blame) would
-            // leave the log growing silently.
-            if !crashed && crash_at.is_none() && spec.ckpt_log_bytes.is_some() {
-                if stats.sealed_discards == 0 {
-                    violations.lock().unwrap().push(
-                        "checkpoints configured but none ever emptied the commit log — the \
-                         checkpoint or truncate path is stuck"
-                            .into(),
-                    );
-                }
-                if stats.sealed_discard_failures > 0 {
-                    violations.lock().unwrap().push(format!(
-                        "{} commit-log truncate(s) failed on a fault-free run",
-                        stats.sealed_discard_failures
-                    ));
-                }
-                // A checkpoint's per-shard harden is a checkpoint commit:
-                // a fault-free checkpointing lifecycle that never counted
-                // one means no checkpoint reached a store.
-                if stats.manifest_delta_commits == 0 {
-                    violations.lock().unwrap().push(
-                        "checkpoints ran but no checkpoint manifest commit was ever counted".into(),
-                    );
-                }
-            }
-            history = svc.batch_history();
-            drop(svc); // wedged shards must not commit; clean ones no-op
+        });
+        stats = svc.stats();
+        if !env.crashed() && stats.wedged_shards > 0 {
+            run.violation(format!("{} shards wedged without a crash", stats.wedged_shards));
         }
-        Err(e) => {
-            if env.crashed() {
-                crashed = true;
-            } else {
-                violations
-                    .lock()
-                    .unwrap()
-                    .push(format!("opening the service failed without a crash: {e}"));
+        // Fault-free lifecycle with checkpoints configured: some
+        // checkpoint must have emptied the log — one that never does
+        // (or whose truncate failed without a fault to blame) would
+        // leave the log growing silently.
+        if !env.crashed() && crash_at.is_none() && spec.ckpt_log_bytes.is_some() {
+            if stats.sealed_discards == 0 {
+                run.violation(
+                    "checkpoints configured but none ever emptied the commit log — the \
+                     checkpoint or truncate path is stuck"
+                        .into(),
+                );
+            }
+            if stats.sealed_discard_failures > 0 {
+                run.violation(format!(
+                    "{} commit-log truncate(s) failed on a fault-free run",
+                    stats.sealed_discard_failures
+                ));
+            }
+            // A checkpoint's per-shard harden is a checkpoint commit:
+            // a fault-free checkpointing lifecycle that never counted
+            // one means no checkpoint reached a store.
+            if stats.manifest_delta_commits == 0 {
+                run.violation(
+                    "checkpoints ran but no checkpoint manifest commit was ever counted".into(),
+                );
             }
         }
+        history = svc.batch_history();
+        drop(svc); // wedged shards must not commit; clean ones no-op
     }
-    crashed = crashed || env.crashed();
-    let mut violations = violations.into_inner().unwrap();
 
     // --- Recovery: power-cycle and reopen, faults cleared. ---
-    env.power_cycle();
+    let crashed = run.power_cycle();
     let total_ops = env.ops();
-    let report = |mut violations: Vec<String>| {
-        // Trace conformance: the whole lifecycle's observed I/O —
-        // concurrent churn, crash, recovery, sentinel round-trip — must
-        // satisfy every trace-enabled durability rule in dxh-dura's
-        // automaton, the runtime twin of `xtask lint-durability`.
-        violations.extend(
-            dxh_dura::check_trace(&env.take_trace())
-                .iter()
-                .map(|v| format!("durability trace: {v}")),
-        );
-        ServiceTortureReport {
-            crash_at,
-            crashed,
-            violations,
-            seed: spec.seed,
-            total_ops,
-            committed_batches,
-            shard_syncs,
-            sealed_discards,
-            sealed_discard_failures,
-            coalesced_ops,
-            manifest_delta_commits,
-            manifest_delta_bytes,
-            manifest_full_commits,
-            manifest_full_bytes,
-        }
-    };
-    let svc = match ShardedKvStore::open_on(root(&env), spec.shards, spec.cfg.clone(), spec.seed) {
-        Ok(s) => s,
-        Err(e) => {
-            violations.push(format!("reopen after the crash failed: {e}"));
-            return report(violations);
-        }
-    };
-    if let Some(bytes) = spec.ckpt_log_bytes {
-        svc.set_checkpoint_log_bytes(bytes);
-    }
+    'recovery: {
+        let Some(svc) = run.check("reopen after the crash", open()) else { break 'recovery };
 
-    // Batch-boundary check, shard by shard: the recovered state must be
-    // the fold of that shard's committed batches plus some *prefix* of
-    // its in-flight batches (the pipelined-ack window, in application
-    // order) — every batch all-in or all-out, never split. The probe
-    // key universe is everything the whole history ever touched, so a
-    // shorter prefix is also checked for the *absence* of the later
-    // batches' effects.
-    for (si, h) in history.iter().enumerate() {
-        let mut keys: Vec<Key> = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for batch in h.committed.iter().chain(&h.inflight) {
-            keys.extend(batch.ops.iter().map(|(k, _)| *k).filter(|k| seen.insert(*k)));
-        }
-        let mut model: HashMap<Key, Value> = HashMap::new();
-        for batch in &h.committed {
-            fold_into(&mut model, &batch.ops);
-        }
-        // Try prefixes shortest-first: `model` already folds committed
-        // plus inflight[..j] when prefix length j is probed, and grows
-        // one batch per iteration.
-        let mut first_mismatch: Option<String> = None;
-        let mut matched = false;
-        for j in 0..=h.inflight.len() {
-            if j > 0 {
-                fold_into(&mut model, &h.inflight[j - 1].ops);
+        // Batch-boundary check, shard by shard: the recovered state must
+        // be the fold of that shard's committed batches plus some
+        // *prefix* of its in-flight batches (the pipelined-ack window, in
+        // application order) — every batch all-in or all-out, never
+        // split. The probe key universe is everything the whole history
+        // ever touched, so a shorter prefix is also checked for the
+        // *absence* of the later batches' effects.
+        for (si, h) in history.iter().enumerate() {
+            let mut seen = HashSet::new();
+            let batches = h.committed.iter().chain(&h.inflight);
+            let keys: Vec<Key> = batches
+                .flat_map(|b| b.ops.iter().map(|(k, _)| *k))
+                .filter(|k| seen.insert(*k))
+                .collect();
+            let mut model: HashMap<Key, Value> = HashMap::new();
+            for batch in &h.committed {
+                fold_into(&mut model, &batch.ops);
             }
-            let diff = diff_shard(&svc, &model, &keys);
-            match diff.into_iter().next() {
-                None => {
-                    matched = true;
-                    break;
-                }
-                Some(m) => {
-                    if first_mismatch.is_none() {
-                        first_mismatch = Some(m);
-                    }
-                }
-            }
-        }
-        if !matched {
-            violations.push(format!(
-                "shard {si}: recovered state matches no batch boundary — neither its \
-                 committed batches nor any prefix of its {} in-flight batch(es); first \
-                 mismatch against the committed fold: {}",
-                h.inflight.len(),
-                first_mismatch.unwrap_or_else(|| "<none>".into())
-            ));
-        }
-    }
-
-    // The recovered service keeps accepting work across a sync and one
-    // more reopen. Sentinel keys: bit 63 set — outside every generator's
-    // namespace; the seed-derived base is masked clear of `j`'s bits so
-    // sentinels never collide with each other, whatever the seed.
-    let sentinel = |j: u64| (1u64 << 63) | ((spec.seed.rotate_left(7) >> 2) & !0xF) | j;
-    for j in 0..8u64 {
-        if let Err(e) = svc.put(sentinel(j), j) {
-            violations.push(format!("post-recovery put failed: {e}"));
-            break;
-        }
-    }
-    if let Err(e) = svc.sync_all() {
-        violations.push(format!("post-recovery sync_all failed: {e}"));
-    }
-    // Checkpoint bytes are O(log n), not O(table).
-    if crash_at.is_none() && !crashed {
-        if let Some(avg) = manifest_delta_bytes.checked_div(manifest_delta_commits) {
-            if avg > MAX_CHECKPOINT_COMMIT_BYTES {
-                violations.push(format!(
-                    "checkpoint hardens scale with the table: the average checkpoint \
-                     manifest commit cost {avg} B (bound {MAX_CHECKPOINT_COMMIT_BYTES} B)"
+            // Try prefixes shortest-first: `model` folds committed plus
+            // inflight[..j] when prefix length j is probed, and grows one
+            // batch per iteration.
+            let first_mismatch = diff_shard(&svc, &model, &keys);
+            let matched = first_mismatch.is_none()
+                || h.inflight.iter().any(|batch| {
+                    fold_into(&mut model, &batch.ops);
+                    diff_shard(&svc, &model, &keys).is_none()
+                });
+            if !matched {
+                run.violation(format!(
+                    "shard {si}: recovered state matches no batch boundary — neither its \
+                     committed batches nor any prefix of its {} in-flight batch(es); first \
+                     mismatch against the committed fold: {}",
+                    h.inflight.len(),
+                    first_mismatch.unwrap_or_default()
                 ));
             }
         }
-    }
-    drop(svc);
-    match ShardedKvStore::open_on(root(&env), spec.shards, spec.cfg.clone(), spec.seed) {
-        Ok(svc) => {
-            for j in 0..8u64 {
-                match svc.get(sentinel(j)) {
-                    Ok(Some(v)) if v == j => {}
-                    other => violations
-                        .push(format!("sentinel {j} lost across the final reopen: {other:?}")),
+
+        // The recovered service keeps accepting work across a sync and
+        // one more reopen. Sentinel keys: bit 63 set — outside every
+        // generator's namespace; the seed-derived base is masked clear of
+        // `j`'s bits so sentinels never collide with each other, whatever
+        // the seed.
+        let sentinel = |j: u64| (1u64 << 63) | ((spec.seed.rotate_left(7) >> 2) & !0xF) | j;
+        for j in 0..8u64 {
+            if run.check("post-recovery put", svc.put(sentinel(j), j)).is_none() {
+                break;
+            }
+        }
+        run.check("post-recovery sync_all", svc.sync_all());
+        // Checkpoint bytes are O(log n), not O(table).
+        if crash_at.is_none() && !crashed {
+            if let Some(avg) = stats.manifest_delta_bytes.checked_div(stats.manifest_delta_commits)
+            {
+                if avg > MAX_CHECKPOINT_COMMIT_BYTES {
+                    run.violation(format!(
+                        "checkpoint hardens scale with the table: the average checkpoint \
+                         manifest commit cost {avg} B (bound {MAX_CHECKPOINT_COMMIT_BYTES} B)"
+                    ));
                 }
             }
         }
-        Err(e) => violations.push(format!("final reopen failed: {e}")),
+        drop(svc);
+        let Some(svc) = run.check("final reopen", open()) else { break 'recovery };
+        for j in 0..8u64 {
+            match svc.get(sentinel(j)) {
+                Ok(Some(v)) if v == j => {}
+                other => {
+                    run.violation(format!("sentinel {j} lost across the final reopen: {other:?}"))
+                }
+            }
+        }
     }
-    report(violations)
+
+    let (violations, _) = run.finish();
+    ServiceTortureReport {
+        crash_at,
+        crashed,
+        violations,
+        seed: spec.seed,
+        total_ops,
+        committed_batches: stats.committed_batches,
+        shard_syncs: stats.shard_syncs,
+        sealed_discards: stats.sealed_discards,
+        sealed_discard_failures: stats.sealed_discard_failures,
+        coalesced_ops: stats.coalesced_ops,
+        manifest_delta_commits: stats.manifest_delta_commits,
+        manifest_delta_bytes: stats.manifest_delta_bytes,
+        manifest_full_commits: stats.manifest_full_commits,
+        manifest_full_bytes: stats.manifest_full_bytes,
+    }
 }
 
 /// Runs a crash-free lifecycle to size the window, then crashes at

@@ -1,13 +1,16 @@
 //! Recovery torture: exhaustive crash-index sweeps over the persistent
 //! store's commit windows, scattered crashes across whole lifecycles,
-//! and byte-identical replay — everything deterministic in one seed.
+//! and byte-identical replay — everything deterministic in one seed, and
+//! every seed run in both store modes: raw words and payload bytes (the
+//! latter sweeps the blob append, its sync and the blob-log rewrite of a
+//! payload compaction).
 //!
 //! Iteration counts are bounded for PR CI and scaled up by the scheduled
 //! long run via `TORTURE_SEEDS` (see `.github/workflows/`). Every
-//! assertion message carries the failing seed (and crash index), so a
-//! red run is reproduced by plugging that seed back into
-//! `TortureSpec::small` — or `cargo run -p dxh-bench --bin torture --
-//! --seed <seed>`.
+//! assertion message carries the failing seed, mode (and crash index),
+//! so a red run is reproduced by plugging that seed back into
+//! `TortureSpec::small` or `TortureSpec::small_payload` — or `cargo run
+//! -p dxh-bench --bin torture -- --seed <seed>`, which runs both.
 
 use dyn_ext_hash::core::SimMedia;
 use dyn_ext_hash::workloads::torture::{
@@ -19,6 +22,19 @@ use lying_media::{Lie, Lying};
 
 fn env_count(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+}
+
+/// `seed`'s scenario in both modes: raw, then payload.
+fn both_modes(seed: u64) -> [TortureSpec; 2] {
+    [TortureSpec::small(seed), TortureSpec::small_payload(seed)]
+}
+
+fn mode(spec: &TortureSpec) -> &'static str {
+    if spec.payloads {
+        "payload"
+    } else {
+        "raw"
+    }
 }
 
 fn summarize(failures: &[TortureReport]) -> String {
@@ -38,66 +54,66 @@ fn summarize(failures: &[TortureReport]) -> String {
 }
 
 /// The acceptance gate: crash at **every** I/O index of one small final
-/// sync and one small compaction. The commit-point reasoning (manifest
-/// rename is the single commit point; a level file it names is never
-/// written and outlives it; recovery opens what the manifest names and
-/// removes the rest) is checked exhaustively, not anecdotally.
+/// sync and one small compaction, in both modes. The commit-point
+/// reasoning (manifest rename is the single commit point; a level file
+/// or blob log it names is never rewritten and outlives it; a blob
+/// append is synced before the index commit that points at it; recovery
+/// opens what the manifest names and removes the rest) is checked
+/// exhaustively, not anecdotally.
 #[test]
 fn exhaustive_crash_sweep_over_one_sync_and_one_compact() {
-    let spec = TortureSpec::small(0xD15A57E5);
-    let clean = torture_run(&spec, None);
-    assert!(
-        clean.violations.is_empty(),
-        "seed {}: crash-free lifecycle must pass: {:?}",
-        spec.seed,
-        clean.violations
-    );
-    let m = clean.markers.expect("crash-free run reports its commit windows");
-
-    let failures = sweep_crash_indices(&spec, m.final_sync.0, m.final_sync.1);
-    assert!(
-        failures.is_empty(),
-        "seed {}: {} of {} sync-window crash indices violated invariants: {}",
-        spec.seed,
-        failures.len(),
-        m.final_sync.1 - m.final_sync.0,
-        summarize(&failures)
-    );
-
-    let failures = sweep_crash_indices(&spec, m.compact.0, m.compact.1);
-    assert!(
-        failures.is_empty(),
-        "seed {}: {} of {} compact-window crash indices violated invariants: {}",
-        spec.seed,
-        failures.len(),
-        m.compact.1 - m.compact.0,
-        summarize(&failures)
-    );
+    for spec in both_modes(0xD15A57E5) {
+        let mode = mode(&spec);
+        let clean = torture_run(&spec, None);
+        assert!(
+            clean.violations.is_empty(),
+            "seed {} ({mode}): crash-free lifecycle must pass: {:?}",
+            spec.seed,
+            clean.violations
+        );
+        let m = clean.markers.expect("crash-free run reports its commit windows");
+        for (window, (lo, hi)) in [("sync", m.final_sync), ("compact", m.compact)] {
+            let failures = sweep_crash_indices(&spec, lo, hi);
+            assert!(
+                failures.is_empty(),
+                "seed {} ({mode}): {} of {} {window}-window crash indices violated invariants: {}",
+                spec.seed,
+                failures.len(),
+                hi - lo,
+                summarize(&failures)
+            );
+        }
+    }
 }
 
 /// Non-vacuity, with no production knob: the same exhaustive sweep over
 /// media that silently drop every directory sync, or every file sync,
-/// must fail — both in the recovered state (a commit that "completed"
-/// is gone, or a torn manifest refuses to open) and in the run's I/O
-/// trace (`dxh_dura::check_trace`).
+/// must fail in both modes — both in the recovered state (a commit that
+/// "completed" is gone, or a torn manifest refuses to open) and in the
+/// run's I/O trace (`dxh_dura::check_trace`).
 #[test]
 fn sweep_catches_media_that_drop_a_sync() {
-    let spec = TortureSpec::small(0xD15A57E5);
-    let m = torture_run(&spec, None).markers.expect("markers");
-    for lie in [Lie::DirSync, Lie::FileSync] {
-        let open = |env: &_| SimMedia::open(env).map(|inner| Lying { inner, lie });
-        let (mut state, mut trace) = (0, 0);
-        for k in (m.final_sync.0..m.final_sync.1).chain(m.compact.0..m.compact.1) {
-            for v in torture_run_on(&spec, Some(k), open).violations {
-                if v.starts_with("durability trace:") {
-                    trace += 1;
-                } else {
-                    state += 1;
+    for spec in both_modes(0xD15A57E5) {
+        let m = torture_run(&spec, None).markers.expect("markers");
+        for lie in [Lie::DirSync, Lie::FileSync] {
+            let open = |env: &_| SimMedia::open(env).map(|inner| Lying { inner, lie });
+            let (mut state, mut trace) = (0, 0);
+            for k in (m.final_sync.0..m.final_sync.1).chain(m.compact.0..m.compact.1) {
+                for v in torture_run_on(&spec, Some(k), open).violations {
+                    if v.starts_with("durability trace:") {
+                        trace += 1;
+                    } else {
+                        state += 1;
+                    }
                 }
             }
+            let mode = mode(&spec);
+            assert!(state > 0, "{lie:?} ({mode}): no crash exposed the lie in the recovered state");
+            assert!(
+                trace > 0,
+                "{lie:?} ({mode}): the trace checker never noticed the missing sync"
+            );
         }
-        assert!(state > 0, "{lie:?}: no crash of the sweep exposed the lie in the recovered state");
-        assert!(trace > 0, "{lie:?}: the trace checker never noticed the missing sync");
     }
 }
 
@@ -111,24 +127,26 @@ fn scattered_crashes_across_whole_lifecycles() {
     let per_seed = env_count("TORTURE_POINTS", 12);
     for s in 0..seeds {
         let seed = 0x7012_7012u64.wrapping_add(s.wrapping_mul(0x9e37_79b9));
-        let spec = TortureSpec::small(seed);
-        let clean = torture_run(&spec, None);
-        assert!(
-            clean.violations.is_empty(),
-            "seed {seed}: crash-free lifecycle must pass: {:?}",
-            clean.violations
-        );
-        let total = clean.markers.expect("markers").total_ops;
-        for p in 0..per_seed {
-            // Deterministic spread with a seed-dependent phase, so
-            // different seeds probe different alignments.
-            let k = (p * total) / per_seed + (seed % (total / per_seed).max(1));
-            let report = torture_run(&spec, Some(k.min(total.saturating_sub(1))));
+        for spec in both_modes(seed) {
+            let mode = mode(&spec);
+            let clean = torture_run(&spec, None);
             assert!(
-                report.violations.is_empty(),
-                "seed {seed} crash_at {k}: {:?}",
-                report.violations
+                clean.violations.is_empty(),
+                "seed {seed} ({mode}): crash-free lifecycle must pass: {:?}",
+                clean.violations
             );
+            let total = clean.markers.expect("markers").total_ops;
+            for p in 0..per_seed {
+                // Deterministic spread with a seed-dependent phase, so
+                // different seeds probe different alignments.
+                let k = (p * total) / per_seed + (seed % (total / per_seed).max(1));
+                let report = torture_run(&spec, Some(k.min(total.saturating_sub(1))));
+                assert!(
+                    report.violations.is_empty(),
+                    "seed {seed} ({mode}) crash_at {k}: {:?}",
+                    report.violations
+                );
+            }
         }
     }
 }
@@ -139,21 +157,23 @@ fn scattered_crashes_across_whole_lifecycles() {
 /// reproduce any red run).
 #[test]
 fn replay_is_fully_deterministic() {
-    let spec = TortureSpec::small(0x5EED);
-    for crash_at in [None, Some(60), Some(200)] {
-        let a = torture_run(&spec, crash_at);
-        let b = torture_run(&spec, crash_at);
-        assert_eq!(a.crashed, b.crashed, "crash outcome at {crash_at:?}");
-        assert_eq!(
-            a.state_fingerprint, b.state_fingerprint,
-            "recovered state at {crash_at:?} must be identical"
-        );
-        assert_eq!(
-            a.trace, b.trace,
-            "I/O trace at {crash_at:?} must be byte-identical event for event"
-        );
-        assert_eq!(a.violations, b.violations);
-        assert!(!a.trace.is_empty(), "the trace actually recorded the run");
+    for spec in both_modes(0x5EED) {
+        let mode = mode(&spec);
+        for crash_at in [None, Some(60), Some(200)] {
+            let a = torture_run(&spec, crash_at);
+            let b = torture_run(&spec, crash_at);
+            assert_eq!(a.crashed, b.crashed, "{mode}: crash outcome at {crash_at:?}");
+            assert_eq!(
+                a.state_fingerprint, b.state_fingerprint,
+                "{mode}: recovered state at {crash_at:?} must be identical"
+            );
+            assert_eq!(
+                a.trace, b.trace,
+                "{mode}: I/O trace at {crash_at:?} must be byte-identical event for event"
+            );
+            assert_eq!(a.violations, b.violations);
+            assert!(!a.trace.is_empty(), "the trace actually recorded the run");
+        }
     }
 }
 
@@ -161,9 +181,11 @@ fn replay_is_fully_deterministic() {
 /// the sweep is not re-testing one frozen scenario.
 #[test]
 fn different_seeds_diverge() {
-    let a = torture_run(&TortureSpec::small(1), None);
-    let b = torture_run(&TortureSpec::small(2), None);
-    assert!(a.violations.is_empty() && b.violations.is_empty());
-    assert_ne!(a.trace, b.trace, "different seeds, different I/O traces");
-    assert_ne!(a.state_fingerprint, b.state_fingerprint);
+    for (one, two) in both_modes(1).into_iter().zip(both_modes(2)) {
+        let a = torture_run(&one, None);
+        let b = torture_run(&two, None);
+        assert!(a.violations.is_empty() && b.violations.is_empty());
+        assert_ne!(a.trace, b.trace, "different seeds, different I/O traces");
+        assert_ne!(a.state_fingerprint, b.state_fingerprint);
+    }
 }
