@@ -1,5 +1,5 @@
-//! **A1/A2/A3** — ablations of the design choices docs/ARCHITECTURE.md
-//! walks through (buffering, hash family, I/O pricing).
+//! **A1/A2/A3/A5** — ablations of the design choices docs/ARCHITECTURE.md
+//! walks through (buffering, hash family, I/O pricing, memory size).
 //!
 //! * `--which cache` (A1): generic buffering (an LRU pool in front of the
 //!   standard chaining table) versus the paper's structural buffering at
@@ -11,13 +11,18 @@
 //!   families on sequential keys.
 //! * `--which costmodel` (A3): footnote 2 sensitivity — the same
 //!   bootstrapped run priced under seek-dominated vs strict accounting.
+//! * `--which memory` (A5): the bootstrapped, log-method and chaining
+//!   tables across internal memory sizes `m` — the buffered tables'
+//!   `tu` falls as `m` grows, chaining's stays near 1.
 //!
-//! Run: `cargo run -p dxh-bench --release --bin exp_ablation -- [--which cache|hashfn|costmodel]`
+//! With no `--which`, all four run.
+//!
+//! Run: `cargo run -p dxh-bench --release --bin exp_ablation -- [--which cache|hashfn|costmodel|memory]`
 
 use dxh_analysis::{table::fmt_f, TextTable};
 use dxh_bench::{emit, insert_uniform, ExpArgs};
 use dxh_core::{BootstrappedTable, CoreConfig, ExternalDictionary};
-use dxh_extmem::{EvictionPolicy, IoCostModel};
+use dxh_extmem::IoCostModel;
 use dxh_hashfn::{HashFamily, IdealFamily, MultiplyShiftFamily, TabulationFamily, UniversalFamily};
 use dxh_tables::{ChainingConfig, ChainingTable};
 use dxh_workloads::measure_tq;
@@ -41,7 +46,7 @@ fn ablation_cache(args: &ExpArgs) {
         cfg.max_load = f64::INFINITY;
         let mut table = ChainingTable::new(cfg, dxh_hashfn::IdealFn::from_seed(1)).unwrap();
         if frames > 0 {
-            table.disk_mut().attach_pool(frames, EvictionPolicy::Lru);
+            table.disk_mut().attach_pool(frames);
         }
         let e = table.disk_stats();
         let keys = insert_uniform(&mut table, n, 2).unwrap();

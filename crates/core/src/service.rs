@@ -100,6 +100,19 @@ use crate::config::CoreConfig;
 use crate::media::{commit_file_atomic, older_layout, read_text, DirMedia, StoreMedia};
 use crate::store::KvStore;
 
+/// A seeded-mutant site: `mutant!(SWITCH => action)` runs `action` (most
+/// often a `return`, `break` or `continue` past the line the mutant
+/// deletes) when the calling thread armed `mutant::SWITCH`. Expands to
+/// nothing outside `cfg(test)`.
+macro_rules! mutant {
+    ($switch:ident => $action:expr) => {
+        #[cfg(test)]
+        if mutant::$switch.on() {
+            $action;
+        }
+    };
+}
+
 /// Service manifest file name inside a service root.
 const SERVICE: &str = "SERVICE";
 const SERVICE_MAGIC: &str = "dxh-service v1";
@@ -487,6 +500,7 @@ impl SyncCoordinator {
     fn mark_dirty(&self, si: usize) {
         let mut st = self.state.lock();
         st.dirty[si] = true;
+        mutant!(NO_DIRTY_NOTIFY => return);
         self.cv.notify_all();
     }
 }
@@ -527,6 +541,7 @@ fn coordinator_loop<M: StoreMedia>(
             }
         };
         if shutdown {
+            mutant!(NO_FINAL_CHECKPOINT => return);
             checkpoint(&shards, &coord, &mut log);
             return;
         }
@@ -627,6 +642,7 @@ fn commit_round<M: StoreMedia>(
             for (si, batches) in &collected {
                 let shard = &shards[*si];
                 shard.buf.lock().acknowledge(batches);
+                mutant!(NO_ACK_NOTIFY => continue);
                 shard.ack_cv.notify_all();
             }
             coord.state.lock().epoch += 1;
@@ -726,6 +742,7 @@ impl<M: StoreMedia> Drop for CommitterPanicGuard<'_, M> {
 /// coordinator's: its log rounds and checkpoints acknowledge.
 fn committer_loop<M: StoreMedia>(shard: Arc<Shard<M>>, coord: Arc<SyncCoordinator>, si: usize) {
     let _panic_guard = CommitterPanicGuard(&shard);
+    mutant!(NO_PANIC_GUARD => std::mem::forget(_panic_guard));
     loop {
         {
             let mut buf = shard.buf.lock();
@@ -738,6 +755,7 @@ fn committer_loop<M: StoreMedia>(shard: Arc<Shard<M>>, coord: Arc<SyncCoordinato
                 }
                 buf = shard.work_cv.wait(buf);
             }
+            mutant!(COMMITTER_PANICS => mutant::die());
         }
         if apply_pending(&shard) {
             coord.mark_dirty(si);
@@ -760,12 +778,14 @@ fn apply_pending<M: StoreMedia>(shard: &Shard<M>) -> bool {
             return false;
         }
         let queue = std::mem::take(&mut buf.pending);
+        mutant!(SPLIT_DRAIN => buf = mutant::relock_and_clear(&shard.buf, buf));
         let seq = buf.next_seq;
         buf.next_seq += 1;
         let effects = fold_newest_wins(&queue);
         buf.coalesced_ops += (queue.len() - effects.len()) as u64;
         debug_assert!(buf.inflight_overlay.is_empty(), "one apply at a time");
         buf.inflight_overlay = effects.iter().cloned().collect();
+        mutant!(NO_INFLIGHT_OVERLAY => buf.inflight_overlay.clear());
         buf.applying = true;
         if buf.recording {
             buf.applying_record = Some(BatchRecord { ops: effects.clone() });
@@ -883,33 +903,101 @@ fn harden_shard<M: StoreMedia>(shard: &Shard<M>) -> bool {
     true
 }
 
-/// The seeded mutant of the checkpoint's acknowledgement, and the hook
-/// that lands a batch where it bites — compiled into this crate's own
-/// tests only, switched per thread like `store::levels::mutant`.
+/// The commit path's seeded mutants, one switch per `mutant!` site, and
+/// the hooks that land a batch or a panic where it bites — compiled into
+/// this crate's own tests only. A switch is one bit of the calling
+/// thread's armed set, like `store::levels::mutant`'s thread-locals; a
+/// service hands its opener's set to the committers and the coordinator
+/// it spawns, so arming reaches that one service's threads and never a
+/// parallel test. `model_tests` shows the checker catching each one but
+/// `ACK_ALL_AFTER_HARDEN`, which only a crash exposes.
 #[cfg(test)]
 mod mutant {
     use std::cell::{Cell, RefCell};
 
+    use super::BufState;
+    use dxh_sync::{Mutex, MutexGuard};
+
     thread_local! {
-        /// Acknowledge every applied batch after a harden, not only the
-        /// ones its manifest covers.
-        pub(super) static ACK_ALL_AFTER_HARDEN: Cell<bool> = const { Cell::new(false) };
+        /// The calling thread's armed switches, one bit each.
+        pub(super) static ARMED: Cell<u32> = const { Cell::new(0) };
         /// Runs once, between a harden's manifest commit and its
         /// acknowledgements: where a test lands a batch.
         pub(super) static AFTER_COMMIT: RefCell<Option<Box<dyn FnOnce()>>> =
             const { RefCell::new(None) };
     }
 
+    /// One seeded mutant (or injected fault).
+    #[derive(Clone, Copy)]
+    pub(super) struct Switch(u32);
+
+    impl Switch {
+        pub(super) fn on(self) -> bool {
+            ARMED.get() & self.0 != 0
+        }
+
+        pub(super) fn set(self, on: bool) {
+            ARMED.set(if on { ARMED.get() | self.0 } else { ARMED.get() & !self.0 });
+        }
+    }
+
+    /// A harden acknowledges every applied batch, not only the ones its
+    /// manifest covers.
+    pub(super) const ACK_ALL_AFTER_HARDEN: Switch = Switch(1);
+    /// `drive` parks with `if`, not `while`: any wakeup returns.
+    pub(super) const IF_RECHECK: Switch = Switch(1 << 1);
+    /// A log round fills its writers' cells but never wakes them.
+    pub(super) const NO_ACK_NOTIFY: Switch = Switch(1 << 2);
+    /// An enqueue never wakes the committer.
+    pub(super) const NO_WORK_NOTIFY: Switch = Switch(1 << 3);
+    /// The drain takes the queue, lets go of the buffer lock, then
+    /// re-takes it and clears the queue: an op enqueued in between is
+    /// dropped unanswered.
+    pub(super) const SPLIT_DRAIN: Switch = Switch(1 << 4);
+    /// Readers get no inflight overlay while a batch applies.
+    pub(super) const NO_INFLIGHT_OVERLAY: Switch = Switch(1 << 5);
+    /// `mark_dirty` never wakes the coordinator.
+    pub(super) const NO_DIRTY_NOTIFY: Switch = Switch(1 << 6);
+    /// The drop joins the coordinator without telling it to shut down.
+    pub(super) const NO_SHUTDOWN_NOTIFY: Switch = Switch(1 << 7);
+    /// The coordinator exits on shutdown without its final checkpoint.
+    pub(super) const NO_FINAL_CHECKPOINT: Switch = Switch(1 << 8);
+    /// The committer runs without its `CommitterPanicGuard`.
+    pub(super) const NO_PANIC_GUARD: Switch = Switch(1 << 9);
+    /// The fault, not a mutant: a committer that found work dies, holding
+    /// its buffer lock.
+    pub(super) const COMMITTER_PANICS: Switch = Switch(1 << 10);
+
     /// The watermark a harden acknowledges up to, after the hook ran.
     pub(super) fn after_harden(covered: u64) -> u64 {
         if let Some(hook) = AFTER_COMMIT.take() {
             hook();
         }
-        if ACK_ALL_AFTER_HARDEN.get() {
+        if ACK_ALL_AFTER_HARDEN.on() {
             u64::MAX
         } else {
             covered
         }
+    }
+
+    /// `SPLIT_DRAIN`'s second lock hold.
+    pub(super) fn relock_and_clear<'a>(
+        buf: &'a Mutex<BufState>,
+        guard: MutexGuard<'a, BufState>,
+    ) -> MutexGuard<'a, BufState> {
+        drop(guard);
+        let mut guard = buf.lock();
+        guard.pending.clear();
+        guard
+    }
+
+    /// `COMMITTER_PANICS`: a death the model checker expects (outside a
+    /// checker run, a plain panic).
+    pub(super) fn die() {
+        #[cfg(feature = "model")]
+        dxh_sync::model::inject_panic();
+        #[cfg(not(feature = "model"))]
+        panic!("injected committer panic");
     }
 }
 
@@ -1172,17 +1260,27 @@ where
             coordinator: None,
             payloads,
         };
+        #[cfg(test)]
+        let armed = mutant::ARMED.get();
         let handle = dxh_sync::thread::Builder::new().name("dxh-sync-coord".into()).spawn({
             let shards = svc.shards.clone();
             let coord = svc.coord.clone();
-            move || coordinator_loop(shards, coord, log)
+            move || {
+                #[cfg(test)]
+                mutant::ARMED.set(armed);
+                coordinator_loop(shards, coord, log)
+            }
         })?;
         svc.coordinator = Some(handle);
         for (i, shard) in svc.shards.clone().into_iter().enumerate() {
             let coord = svc.coord.clone();
             let handle = dxh_sync::thread::Builder::new()
                 .name(format!("dxh-committer-{i:03}"))
-                .spawn(move || committer_loop(shard, coord, i))?;
+                .spawn(move || {
+                    #[cfg(test)]
+                    mutant::ARMED.set(armed);
+                    committer_loop(shard, coord, i)
+                })?;
             svc.committers.push(Some(handle));
         }
         Ok(svc)
@@ -1541,6 +1639,7 @@ impl<M: StoreMedia> ShardedKvStore<M> {
             cells.push(cell);
         }
         drop(buf);
+        mutant!(NO_WORK_NOTIFY => return Ok(cells));
         shard.work_cv.notify_all();
         Ok(cells)
     }
@@ -1557,6 +1656,7 @@ impl<M: StoreMedia> ShardedKvStore<M> {
             let mut buf = shard.buf.lock();
             while !cells.iter().all(|c| c.0.lock().is_some()) {
                 buf = shard.ack_cv.wait(buf);
+                mutant!(IF_RECHECK => break);
             }
         }
         let mut out = Vec::with_capacity(cells.len());
@@ -1603,6 +1703,7 @@ impl<M: StoreMedia> Drop for ShardedKvStore<M> {
             let _ = h.join();
         }
         self.coord.state.lock().shutdown = true;
+        mutant!(NO_SHUTDOWN_NOTIFY => drop(self.coordinator.take().map(JoinHandle::join)));
         self.coord.cv.notify_all();
         if let Some(h) = self.coordinator.take() {
             let _ = h.join();
@@ -2274,5 +2375,177 @@ mod tests {
         assert!(parse_service_meta("nope\n").is_err());
         assert!(parse_service_meta("dxh-service v1\nshards 0\nseed 1\n").is_err());
         assert!(parse_service_meta("dxh-service v1\nshards 2\n").is_err());
+    }
+}
+
+/// The model checker on the real service (`cargo test -p dxh-core
+/// --features model`): `ShardedKvStore` on `SimMedia`, whose committers,
+/// coordinator and callers all run as tasks of one
+/// `dxh_sync::model::Checker` execution, so every lock, wait and notify
+/// of this file is a scheduling point the checker chooses. One instance
+/// is 2 shards, 2 writers and a reader, then a drop and a reopen.
+#[cfg(all(test, feature = "model"))]
+mod model_tests {
+    use super::*;
+    use crate::SimMedia;
+    use dxh_extmem::SimEnv;
+    use dxh_sync::model::{Checker, Report, Violation, ViolationKind};
+    use mutant::Switch;
+    use std::collections::HashSet;
+
+    const SEED: u64 = 42;
+    const SHARDS: usize = 2;
+
+    fn open(env: &SimEnv) -> ShardedKvStore<SimMedia> {
+        let cfg = CoreConfig::lemma5(8, 128, 2).unwrap();
+        ShardedKvStore::open_on(SimMedia::unlocked(env), SHARDS, cfg, SEED).unwrap()
+    }
+
+    /// Two distinct keys, routed to shards `sa` and `sb`.
+    fn keys(sa: usize, sb: usize) -> (Key, Key) {
+        let router = shard_router(SEED);
+        let on = |s, nth| (0..).filter(|&k| shard_of_key(&router, SHARDS, k) == s).nth(nth);
+        (on(sa, 0).unwrap(), on(sb, usize::from(sa == sb)).unwrap())
+    }
+
+    fn arm(switches: &[Switch]) {
+        for s in switches {
+            s.set(true);
+        }
+    }
+
+    /// Writer A puts `a` and deletes it twice, writer B puts `b` = 1 then
+    /// `b` = 2, and the instance's own task reads `b` twice meanwhile.
+    /// Asserts, on every schedule: each call returns, with serial answers
+    /// (delete presence); a reader that saw a version of `b` never sees
+    /// an older one afterwards (the inflight overlay's job); after the
+    /// drop `COMMITLOG` is empty; the reopen serves every acknowledged
+    /// write, newest wins per key. Every task arms `switches` first —
+    /// the service threads inherit them.
+    fn instance(a: Key, b: Key, switches: &'static [Switch]) -> impl Fn() + Send + Sync + 'static {
+        move || {
+            arm(switches);
+            let env = SimEnv::new();
+            let svc = open(&env);
+            dxh_sync::thread::scope(|s| {
+                s.spawn(|| {
+                    arm(switches);
+                    svc.put(a, 1).unwrap();
+                    assert!(svc.delete(a).unwrap(), "a delete missed its own writer's put");
+                    assert!(!svc.delete(a).unwrap(), "a delete found a deleted key");
+                });
+                s.spawn(|| {
+                    arm(switches);
+                    svc.put(b, 1).unwrap();
+                    svc.put(b, 2).unwrap();
+                });
+                let seen = svc.get(b).unwrap();
+                let then = svc.get(b).unwrap();
+                assert!(then >= seen, "read b = {seen:?}, then the older {then:?}");
+            });
+            drop(svc);
+            let log = env.read_file("COMMITLOG").unwrap().unwrap_or_default();
+            assert!(log.is_empty(), "a clean close left {} bytes in COMMITLOG", log.len());
+            let svc = open(&env);
+            assert_eq!((svc.get(a).unwrap(), svc.get(b).unwrap()), (None, Some(2)));
+        }
+    }
+
+    /// One put against a committer that dies (`COMMITTER_PANICS`) holding
+    /// its buffer lock: the put must fail, not park forever, and the
+    /// drop must return.
+    fn panicking_committer(switches: &'static [Switch]) -> impl Fn() + Send + Sync + 'static {
+        move || {
+            arm(switches);
+            let env = SimEnv::new();
+            let svc = open(&env);
+            let err = svc.put(1, 1).unwrap_err();
+            assert!(err.to_string().contains("committer thread panicked"), "{err}");
+            drop(svc);
+        }
+    }
+
+    /// `schedules` DFS schedules plus as many random walks of `instance`
+    /// on keys routed to shards `sa` and `sb`; returns how many of the
+    /// schedules they ran were distinct.
+    fn explore(sa: usize, sb: usize, schedules: u64) -> usize {
+        let (a, b) = keys(sa, sb);
+        let ok = |r: std::result::Result<Report, Violation>| {
+            r.unwrap_or_else(|v| panic!("shards {sa}/{sb}: {v}"))
+        };
+        let dfs = ok(Checker::new().max_schedules(schedules).check(instance(a, b, &[])));
+        let walk = ok(Checker::new().check_random(SEED, schedules, instance(a, b, &[])));
+        let seen: HashSet<u64> = dfs.fingerprints.into_iter().chain(walk.fingerprints).collect();
+        println!("writers on shards {sa}/{sb}: {} distinct schedules, no violation", seen.len());
+        seen.len()
+    }
+
+    /// The PR gate's bar: at least 10 000 distinct schedules of the real
+    /// service between this test and its twin, none a violation.
+    #[test]
+    fn writers_on_one_shard_answer_serially_and_recover_on_every_schedule() {
+        let distinct = explore(0, 0, 2_500);
+        assert!(distinct >= 5_000, "only {distinct} distinct schedules");
+    }
+
+    #[test]
+    fn writers_on_two_shards_answer_serially_and_recover_on_every_schedule() {
+        let distinct = explore(0, 1, 2_500);
+        assert!(distinct >= 5_000, "only {distinct} distinct schedules");
+    }
+
+    /// Every seeded mutant of the commit path is caught by a random walk
+    /// of the one-shard instance (the split drain drops an enqueue only
+    /// when both writers share the drained queue), and a caught schedule
+    /// replays to the same violation.
+    #[test]
+    fn the_checker_catches_every_seeded_mutant_of_the_commit_path() {
+        use ViolationKind::{Deadlock, Panic};
+        let (a, b) = keys(0, 0);
+        let cases: [(&str, &'static [Switch], ViolationKind); 8] = [
+            ("IF_RECHECK", &[mutant::IF_RECHECK], Panic),
+            ("NO_ACK_NOTIFY", &[mutant::NO_ACK_NOTIFY], Deadlock),
+            ("NO_WORK_NOTIFY", &[mutant::NO_WORK_NOTIFY], Deadlock),
+            ("SPLIT_DRAIN", &[mutant::SPLIT_DRAIN], Deadlock),
+            ("NO_INFLIGHT_OVERLAY", &[mutant::NO_INFLIGHT_OVERLAY], Panic),
+            ("NO_DIRTY_NOTIFY", &[mutant::NO_DIRTY_NOTIFY], Deadlock),
+            ("NO_SHUTDOWN_NOTIFY", &[mutant::NO_SHUTDOWN_NOTIFY], Deadlock),
+            ("NO_FINAL_CHECKPOINT", &[mutant::NO_FINAL_CHECKPOINT], Panic),
+        ];
+        for (name, switches, kind) in cases {
+            let Err(v) = Checker::new().check_random(SEED, 2_000, instance(a, b, switches)) else {
+                panic!("{name} survived 2 000 random walks");
+            };
+            assert_eq!(v.kind, kind, "{name}: {v}");
+            let again = Checker::new().replay(&v.trace, instance(a, b, switches)).unwrap_err();
+            assert_eq!((again.kind, again.fingerprint), (v.kind, v.fingerprint), "{name}");
+        }
+    }
+
+    /// `CommitterPanicGuard` fails the parked writer on every explored
+    /// schedule — the lock the dead committer held is observed poisoned
+    /// and swallowed — and without the guard the writer is stranded.
+    #[test]
+    fn a_committer_panic_fails_the_parked_writer_and_the_drop_returns() {
+        let checker = Checker::new().max_schedules(1_000);
+        let report = checker
+            .check(panicking_committer(&[mutant::COMMITTER_PANICS]))
+            .unwrap_or_else(|v| panic!("{v}"));
+        assert!(report.poison_swallows > 0, "no schedule observed the poison");
+        let unguarded = &[mutant::COMMITTER_PANICS, mutant::NO_PANIC_GUARD];
+        let Err(v) = checker.check(panicking_committer(unguarded)) else {
+            panic!("without the guard no schedule stranded the writer");
+        };
+        assert_eq!(v.kind, ViolationKind::Deadlock, "{v}");
+    }
+
+    /// The nightly sweep (`-- --ignored`): both instances far past the
+    /// PR gate's budget, by DFS and by random walk.
+    #[test]
+    #[ignore = "deep schedule sweep — run by torture-nightly, not the PR gate"]
+    fn deep_schedule_sweep() {
+        for (sa, sb) in [(0, 0), (0, 1)] {
+            explore(sa, sb, 100_000);
+        }
     }
 }

@@ -4,7 +4,7 @@
 use crate::backend::StorageBackend;
 use crate::block::{Block, BlockId};
 use crate::error::Result;
-use crate::pool::{BufferPool, EvictionPolicy, PoolStats};
+use crate::pool::{BufferPool, PoolStats};
 use crate::stats::{IoCostModel, IoSnapshot, IoStats};
 
 /// A disk with exact I/O accounting and an optional write-back buffer pool.
@@ -33,12 +33,12 @@ impl<B: StorageBackend> Disk<B> {
         Disk { backend, b, cost, stats: IoStats::new(), pool: None }
     }
 
-    /// Attaches a write-back buffer pool of `frames` blocks.
+    /// Attaches a write-back LRU buffer pool of `frames` blocks.
     ///
     /// The *caller* is responsible for charging `frames × b` items to its
     /// [`crate::MemoryBudget`] — the pool is internal memory.
-    pub fn attach_pool(&mut self, frames: usize, policy: EvictionPolicy) {
-        self.pool = Some(BufferPool::new(frames, policy));
+    pub fn attach_pool(&mut self, frames: usize) {
+        self.pool = Some(BufferPool::new(frames));
     }
 
     /// Detaches the pool, writing dirty frames back (each costs one write).
@@ -318,7 +318,7 @@ mod tests {
     fn pooled_hits_are_free() {
         let mut d = disk(4);
         let id = d.allocate().unwrap();
-        d.attach_pool(2, EvictionPolicy::Lru);
+        d.attach_pool(2);
         let _ = d.read(id).unwrap(); // miss: 1 read
         let _ = d.read(id).unwrap(); // hit: free
         let _ = d.read(id).unwrap(); // hit: free
@@ -330,7 +330,7 @@ mod tests {
     fn pooled_writes_are_deferred_until_eviction_or_flush() {
         let mut d = disk(4);
         let ids = d.allocate_many(3).unwrap();
-        d.attach_pool(2, EvictionPolicy::Lru);
+        d.attach_pool(2);
         let mut blk = Block::new(4);
         blk.push(Item::key_only(7)).unwrap();
         d.write(ids[0], &blk).unwrap(); // cached dirty, 0 I/O
@@ -348,7 +348,7 @@ mod tests {
     fn pooled_rmw_hit_is_free_and_visible() {
         let mut d = disk(4);
         let id = d.allocate().unwrap();
-        d.attach_pool(1, EvictionPolicy::Lru);
+        d.attach_pool(1);
         let _ = d.read(id).unwrap(); // load into pool: 1 read
         d.read_modify_write(id, |b| b.push(Item::key_only(5)).unwrap()).unwrap(); // hit
         assert_eq!(d.total_ios(), 1);
@@ -360,7 +360,7 @@ mod tests {
     fn free_discards_pooled_copy_without_writeback() {
         let mut d = disk(4);
         let id = d.allocate().unwrap();
-        d.attach_pool(1, EvictionPolicy::Lru);
+        d.attach_pool(1);
         d.read_modify_write(id, |b| b.push(Item::key_only(5)).unwrap()).unwrap();
         d.free(id).unwrap();
         d.flush().unwrap();
@@ -373,7 +373,7 @@ mod tests {
     fn detach_pool_flushes() {
         let mut d = disk(4);
         let id = d.allocate().unwrap();
-        d.attach_pool(1, EvictionPolicy::Lru);
+        d.attach_pool(1);
         let mut blk = Block::new(4);
         blk.push(Item::key_only(3)).unwrap();
         d.write(id, &blk).unwrap();
@@ -406,7 +406,7 @@ mod tests {
     fn update_through_pool_is_free_on_hit() {
         let mut d = disk(4);
         let id = d.allocate().unwrap();
-        d.attach_pool(1, EvictionPolicy::Lru);
+        d.attach_pool(1);
         let _ = d.read(id).unwrap(); // 1 read, now cached
         d.update(id, |b| {
             b.push(Item::key_only(2)).unwrap();
@@ -423,7 +423,7 @@ mod tests {
         let mut d = disk(4);
         let a = d.allocate().unwrap();
         let b2 = d.allocate().unwrap();
-        d.attach_pool(1, EvictionPolicy::Lru);
+        d.attach_pool(1);
         d.update(a, |_| (false, ())).unwrap(); // miss
         d.update(a, |_| (false, ())).unwrap(); // hit
         d.update(b2, |_| (false, ())).unwrap(); // miss (evicts a)

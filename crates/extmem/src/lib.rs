@@ -32,7 +32,7 @@
 //!
 //! * structures must charge every word of internal state to a
 //!   [`MemoryBudget`] of capacity `m`;
-//! * an optional [`BufferPool`] (LRU / FIFO / Clock) can be attached to a
+//! * an optional LRU [`BufferPool`] can be attached to a
 //!   [`Disk`] to model generic page caching; its frames are charged against
 //!   the same budget by the structures that opt into it.
 
@@ -43,7 +43,6 @@ mod backend;
 mod blob;
 mod block;
 mod budget;
-mod config;
 mod disk;
 mod error;
 mod file_disk;
@@ -58,14 +57,13 @@ pub use backend::StorageBackend;
 pub use blob::{BlobFile, BlobLog, FileBlob};
 pub use block::{Block, BlockId};
 pub use budget::{Enforcement, MemoryBudget};
-pub use config::{ExtMemConfig, PoolConfig};
 pub use disk::Disk;
 pub use error::{ExtMemError, Result};
 pub use file_disk::FileDisk;
 pub use frame::fnv1a64;
 pub use item::{Item, Key, Value, BLOB_TAG, KEY_TOMBSTONE, MAX_BLOB_OFFSET, VALUE_TOMBSTONE};
 pub use mem_disk::MemDisk;
-pub use pool::{BufferPool, EvictionPolicy, PoolStats};
+pub use pool::{BufferPool, PoolStats};
 pub use sim_disk::{FaultPlan, IoEvent, SimBlob, SimDisk, SimEnv};
 pub use stats::{IoCostModel, IoSnapshot, IoStats};
 

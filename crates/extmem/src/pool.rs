@@ -2,26 +2,13 @@
 //!
 //! The paper asks whether internal memory used as a buffer can reduce the
 //! amortized insertion cost of a hash table. This pool is the *generic*
-//! form of such buffering — a page cache with a pluggable eviction policy —
-//! and the A1 ablation uses it to show that generic caching cannot beat
+//! form of such buffering — an LRU page cache — and the A1 ablation uses it to show that generic caching cannot beat
 //! Theorem 1, while the paper's *structural* buffering (H0 of the
 //! logarithmic method) can, at the price the theorem demands.
 
 use std::collections::HashMap;
 
 use crate::block::{Block, BlockId};
-
-/// Replacement policy for [`BufferPool`] frames.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum EvictionPolicy {
-    /// Evict the least recently used frame.
-    #[default]
-    Lru,
-    /// Evict the oldest-resident frame, ignoring accesses.
-    Fifo,
-    /// Second-chance clock: a cheap LRU approximation.
-    Clock,
-}
 
 /// Hit/miss/eviction counters of a [`BufferPool`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -113,36 +100,32 @@ struct Frame {
     id: BlockId,
     block: Block,
     dirty: bool,
-    refbit: bool,
 }
 
-/// A fixed-capacity write-back cache of disk blocks.
+/// A fixed-capacity write-back cache of disk blocks that evicts the least
+/// recently used frame.
 ///
 /// The pool itself performs no I/O: [`crate::Disk`] drives it and charges
 /// the I/Os (misses → reads, dirty evictions/flushes → writes).
 pub struct BufferPool {
     capacity: usize,
-    policy: EvictionPolicy,
     frames: Vec<Frame>,
     free: Vec<usize>,
     map: HashMap<BlockId, usize>,
     order: LinkedOrder,
-    clock_hand: usize,
     stats: PoolStats,
 }
 
 impl BufferPool {
     /// A pool holding up to `capacity` frames (must be ≥ 1).
-    pub fn new(capacity: usize, policy: EvictionPolicy) -> Self {
+    pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "buffer pool needs at least one frame");
         BufferPool {
             capacity,
-            policy,
             frames: Vec::with_capacity(capacity),
             free: Vec::new(),
             map: HashMap::with_capacity(capacity),
             order: LinkedOrder::new(capacity),
-            clock_hand: 0,
             stats: PoolStats::default(),
         }
     }
@@ -191,7 +174,7 @@ impl BufferPool {
         match self.map.get(&id).copied() {
             Some(idx) => {
                 self.stats.hits += 1;
-                self.touch(idx);
+                self.order.move_to_front(idx);
                 Some(&self.frames[idx].block)
             }
             None => {
@@ -207,7 +190,7 @@ impl BufferPool {
         match self.map.get(&id).copied() {
             Some(idx) => {
                 self.stats.hits += 1;
-                self.touch(idx);
+                self.order.move_to_front(idx);
                 self.frames[idx].dirty = true;
                 Some(&mut self.frames[idx].block)
             }
@@ -215,14 +198,6 @@ impl BufferPool {
                 self.stats.misses += 1;
                 None
             }
-        }
-    }
-
-    fn touch(&mut self, idx: usize) {
-        match self.policy {
-            EvictionPolicy::Lru => self.order.move_to_front(idx),
-            EvictionPolicy::Fifo => {}
-            EvictionPolicy::Clock => self.frames[idx].refbit = true,
         }
     }
 
@@ -236,7 +211,7 @@ impl BufferPool {
             let f = &mut self.frames[idx];
             f.block = block;
             f.dirty = f.dirty || dirty;
-            self.touch(idx);
+            self.order.move_to_front(idx);
             return None;
         }
         let mut writeback = None;
@@ -245,31 +220,22 @@ impl BufferPool {
         }
         let idx = match self.free.pop() {
             Some(i) => {
-                self.frames[i] = Frame { id, block, dirty, refbit: true };
+                self.frames[i] = Frame { id, block, dirty };
                 i
             }
             None => {
-                self.frames.push(Frame { id, block, dirty, refbit: true });
+                self.frames.push(Frame { id, block, dirty });
                 self.frames.len() - 1
             }
         };
         self.map.insert(id, idx);
-        match self.policy {
-            EvictionPolicy::Lru | EvictionPolicy::Fifo => self.order.push_front(idx),
-            EvictionPolicy::Clock => {}
-        }
+        self.order.push_front(idx);
         writeback
     }
 
     fn evict_one(&mut self) -> Option<(BlockId, Block)> {
-        let victim = match self.policy {
-            EvictionPolicy::Lru | EvictionPolicy::Fifo => {
-                let idx = self.order.back().expect("pool full implies nonempty order");
-                self.order.unlink(idx);
-                idx
-            }
-            EvictionPolicy::Clock => self.clock_victim(),
-        };
+        let victim = self.order.back().expect("pool full implies nonempty order");
+        self.order.unlink(victim);
         self.stats.evictions += 1;
         let frame = &mut self.frames[victim];
         let id = frame.id;
@@ -285,31 +251,10 @@ impl BufferPool {
         }
     }
 
-    fn clock_victim(&mut self) -> usize {
-        // Sweep slots; occupied slots with refbit set get a second chance.
-        // Terminates: each occupied frame's bit is cleared at most once per
-        // sweep, and the pool is full when this is called.
-        loop {
-            let idx = self.clock_hand;
-            self.clock_hand = (self.clock_hand + 1) % self.frames.len();
-            if self.free.contains(&idx) {
-                continue;
-            }
-            if self.frames[idx].refbit {
-                self.frames[idx].refbit = false;
-            } else {
-                return idx;
-            }
-        }
-    }
-
     /// Removes `id` without writeback (e.g. the block was freed).
     pub fn discard(&mut self, id: BlockId) {
         if let Some(idx) = self.map.remove(&id) {
-            match self.policy {
-                EvictionPolicy::Lru | EvictionPolicy::Fifo => self.order.unlink(idx),
-                EvictionPolicy::Clock => {}
-            }
+            self.order.unlink(idx);
             self.frames[idx].block = Block::new(0);
             self.frames[idx].dirty = false;
             self.free.push(idx);
@@ -343,7 +288,7 @@ mod tests {
 
     #[test]
     fn hit_and_miss_counting() {
-        let mut p = BufferPool::new(2, EvictionPolicy::Lru);
+        let mut p = BufferPool::new(2);
         assert!(p.get(BlockId(1)).is_none());
         p.insert(BlockId(1), blk(4, 1), false);
         assert!(p.get(BlockId(1)).is_some());
@@ -353,7 +298,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recent() {
-        let mut p = BufferPool::new(2, EvictionPolicy::Lru);
+        let mut p = BufferPool::new(2);
         p.insert(BlockId(1), blk(4, 1), false);
         p.insert(BlockId(2), blk(4, 2), false);
         let _ = p.get(BlockId(1)); // 2 is now LRU
@@ -364,31 +309,8 @@ mod tests {
     }
 
     #[test]
-    fn fifo_ignores_recency() {
-        let mut p = BufferPool::new(2, EvictionPolicy::Fifo);
-        p.insert(BlockId(1), blk(4, 1), false);
-        p.insert(BlockId(2), blk(4, 2), false);
-        let _ = p.get(BlockId(1)); // would save 1 under LRU; FIFO ignores
-        p.insert(BlockId(3), blk(4, 3), false);
-        assert!(!p.contains(BlockId(1)));
-        assert!(p.contains(BlockId(2)));
-    }
-
-    #[test]
-    fn clock_gives_second_chance() {
-        let mut p = BufferPool::new(2, EvictionPolicy::Clock);
-        p.insert(BlockId(1), blk(4, 1), false);
-        p.insert(BlockId(2), blk(4, 2), false);
-        let _ = p.get(BlockId(1)); // sets refbit on 1 (already set on insert)
-                                   // Insert: hand sweeps, clears bits, eventually evicts someone.
-        p.insert(BlockId(3), blk(4, 3), false);
-        assert_eq!(p.len(), 2);
-        assert!(p.contains(BlockId(3)));
-    }
-
-    #[test]
     fn dirty_eviction_returns_writeback() {
-        let mut p = BufferPool::new(1, EvictionPolicy::Lru);
+        let mut p = BufferPool::new(1);
         p.insert(BlockId(1), blk(4, 1), true);
         let wb = p.insert(BlockId(2), blk(4, 2), false);
         let (id, b) = wb.expect("dirty block must be written back");
@@ -399,7 +321,7 @@ mod tests {
 
     #[test]
     fn clean_eviction_needs_no_writeback() {
-        let mut p = BufferPool::new(1, EvictionPolicy::Lru);
+        let mut p = BufferPool::new(1);
         p.insert(BlockId(1), blk(4, 1), false);
         assert!(p.insert(BlockId(2), blk(4, 2), false).is_none());
         assert_eq!(p.stats().evictions, 1);
@@ -408,7 +330,7 @@ mod tests {
 
     #[test]
     fn get_mut_marks_dirty() {
-        let mut p = BufferPool::new(1, EvictionPolicy::Lru);
+        let mut p = BufferPool::new(1);
         p.insert(BlockId(1), blk(4, 1), false);
         p.get_mut(BlockId(1)).unwrap().push(crate::item::Item::key_only(9)).unwrap();
         let wb = p.insert(BlockId(2), blk(4, 2), false);
@@ -417,7 +339,7 @@ mod tests {
 
     #[test]
     fn take_dirty_flushes_and_cleans() {
-        let mut p = BufferPool::new(3, EvictionPolicy::Lru);
+        let mut p = BufferPool::new(3);
         p.insert(BlockId(1), blk(4, 1), true);
         p.insert(BlockId(2), blk(4, 2), false);
         p.insert(BlockId(3), blk(4, 3), true);
@@ -429,7 +351,7 @@ mod tests {
 
     #[test]
     fn discard_drops_without_writeback() {
-        let mut p = BufferPool::new(2, EvictionPolicy::Lru);
+        let mut p = BufferPool::new(2);
         p.insert(BlockId(1), blk(4, 1), true);
         p.discard(BlockId(1));
         assert!(!p.contains(BlockId(1)));
@@ -442,7 +364,7 @@ mod tests {
 
     #[test]
     fn overwrite_insert_keeps_dirty_sticky() {
-        let mut p = BufferPool::new(2, EvictionPolicy::Lru);
+        let mut p = BufferPool::new(2);
         p.insert(BlockId(1), blk(4, 1), true);
         p.insert(BlockId(1), blk(4, 10), false); // overwrite with clean data
         let d = p.take_dirty();
@@ -452,7 +374,7 @@ mod tests {
 
     #[test]
     fn hit_ratio() {
-        let mut p = BufferPool::new(2, EvictionPolicy::Lru);
+        let mut p = BufferPool::new(2);
         p.insert(BlockId(1), blk(4, 1), false);
         let _ = p.get(BlockId(1));
         let _ = p.get(BlockId(2));
@@ -462,17 +384,14 @@ mod tests {
 
     #[test]
     fn heavy_churn_is_consistent() {
-        // Many inserts/gets across all policies; pool size must never
-        // exceed capacity and resident set must match the map.
-        for policy in [EvictionPolicy::Lru, EvictionPolicy::Fifo, EvictionPolicy::Clock] {
-            let mut p = BufferPool::new(8, policy);
-            for i in 0..1000u64 {
-                let id = BlockId(i % 50);
-                if p.get(id).is_none() {
-                    p.insert(id, blk(4, i), i % 3 == 0);
-                }
-                assert!(p.len() <= 8);
+        // Many inserts/gets; pool size must never exceed capacity.
+        let mut p = BufferPool::new(8);
+        for i in 0..1000u64 {
+            let id = BlockId(i % 50);
+            if p.get(id).is_none() {
+                p.insert(id, blk(4, i), i % 3 == 0);
             }
+            assert!(p.len() <= 8);
         }
     }
 }

@@ -1,8 +1,6 @@
 //! Property-based tests for the external-memory substrate.
 
-use dxh_extmem::{
-    Block, BlockId, Disk, EvictionPolicy, FileDisk, IoCostModel, Item, MemDisk, StorageBackend,
-};
+use dxh_extmem::{Block, BlockId, Disk, FileDisk, IoCostModel, Item, MemDisk, StorageBackend};
 use proptest::prelude::*;
 
 fn arb_item() -> impl Strategy<Value = Item> {
@@ -68,18 +66,16 @@ proptest! {
     }
 
     /// A pooled disk exposes exactly the same data as an unpooled one under
-    /// an arbitrary schedule, for every eviction policy, and never performs
-    /// MORE I/Os than the unpooled disk.
+    /// an arbitrary schedule, and never performs MORE I/Os than the
+    /// unpooled disk.
     #[test]
     fn pool_is_transparent(
         ops in proptest::collection::vec((0u8..3, any::<u64>(), any::<u64>()), 1..80),
         frames in 1usize..6,
-        policy_idx in 0usize..3,
     ) {
-        let policy = [EvictionPolicy::Lru, EvictionPolicy::Fifo, EvictionPolicy::Clock][policy_idx];
         let mut plain = Disk::new(MemDisk::new(4), 4, IoCostModel::Strict);
         let mut pooled = Disk::new(MemDisk::new(4), 4, IoCostModel::Strict);
-        pooled.attach_pool(frames, policy);
+        pooled.attach_pool(frames);
         let mut live: Vec<BlockId> = Vec::new();
         for (op, x, y) in ops {
             match op {

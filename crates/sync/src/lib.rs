@@ -1,7 +1,7 @@
 //! # dxh-sync — the synchronization seam
 //!
 //! Every lock, condvar, atomic, and thread spawn on the commit path
-//! (`dxh-core`'s `service.rs` / `sharded.rs`) goes through this crate
+//! (`dxh-core`'s `service.rs`) goes through this crate
 //! instead of `std::sync` directly. There are two backends:
 //!
 //! * **Passthrough** (default): zero-cost newtype wrappers over
@@ -30,7 +30,8 @@
 //!
 //! See `docs/CONCURRENCY.md` for the lock-order hierarchy the shim's
 //! companion static pass (`cargo run -p xtask -- lint-locks`) enforces,
-//! and for how to run and replay the model suite.
+//! and for how to run and replay the model checks of the real service
+//! (`cargo test -p dxh-core --features model`).
 //!
 //! ## Everything is safe code
 //!

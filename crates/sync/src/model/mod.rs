@@ -96,8 +96,8 @@ pub struct Report {
     /// DFS only: the bounded schedule space was fully explored.
     pub exhausted: bool,
     /// Poison-swallow events: a model `lock()` recovered from std
-    /// poison left by a panicking holder (see the OpCell satellite in
-    /// the model suite).
+    /// poison left by a panicking holder (dxh-core's service model tests
+    /// count these when a committer dies holding its buffer lock).
     pub poison_swallows: u64,
     /// Spurious condvar wakeups the scheduler injected.
     pub spurious_injected: u64,
@@ -151,7 +151,7 @@ fn decode_trace(trace: &str) -> Result<Vec<usize>, String> {
 
 /// Injects a panic with a payload the model recognizes: the task dies
 /// (dropping its guards, poisoning its std mutexes) but the check does
-/// not fail. This is how the model suite simulates a crashing
+/// not fail. This is how dxh-core's service model tests crash a
 /// committer. Panics unconditionally; only meaningful inside a
 /// [`Checker`] execution.
 pub fn inject_panic() -> ! {
@@ -551,6 +551,23 @@ mod tests {
         assert_eq!(v2.kind, v.kind);
         assert_eq!(v2.fingerprint, v.fingerprint);
         assert_eq!(v2.trace, v.trace);
+        // The same trace against the fixed body (one lock order): a
+        // stale trace is a replay mismatch, not a hang or a mis-blame.
+        let fixed = || {
+            let a = Arc::new(Mutex::new(()));
+            let b = Arc::new(Mutex::new(()));
+            let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
+            let h = thread::spawn(move || {
+                let _g1 = a2.lock();
+                let _g2 = b2.lock();
+            });
+            let _g1 = a.lock();
+            let _g2 = b.lock();
+            drop((_g2, _g1));
+            let _ = h.join();
+        };
+        let stale = Checker::new().replay(&v.trace, fixed).expect_err("the trace no longer fits");
+        assert_eq!(stale.kind, ViolationKind::ReplayMismatch, "{stale}");
     }
 
     #[test]
@@ -611,6 +628,12 @@ mod tests {
         assert_eq!(r1.fingerprints, r2.fingerprints);
         let r3 = Checker::new().check_random(43, 50, body).expect("ok");
         assert_ne!(r1.fingerprints, r3.fingerprints, "different seeds diverge");
+        // DFS order is a pure function of the body: two runs agree
+        // schedule for schedule.
+        let d1 = Checker::new().check(body).expect("ok");
+        let d2 = Checker::new().check(body).expect("ok");
+        assert!(d1.schedules > 1, "{d1:?}");
+        assert_eq!(d1.fingerprints, d2.fingerprints);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! panic story — is deliberately neutralized here with
 //! `PoisonError::into_inner`. Under the model backend the same swallow
 //! is an explicit *checked event* (`Report::poison_swallows`), which is
-//! how the model suite proves a committer panic cannot strand a parked
-//! writer.
+//! how the model checks of the real service show a committer panic
+//! cannot strand a parked writer.
 
 use std::sync::{self as std_sync, PoisonError};
 use std::time::Duration;

@@ -25,7 +25,9 @@
 //!   runners, and the crash-recovery torture harness.
 //! * [`sync`] — the concurrency seam under the sharded service: std
 //!   primitives in release builds, a loom-style cooperative model
-//!   checker under `--features model` (see `docs/CONCURRENCY.md`).
+//!   checker under `--features model`, which runs the real service's
+//!   commit path (`cargo test -p dxh-core --features model`; see
+//!   `docs/CONCURRENCY.md`).
 //!
 //! ## Quickstart
 //!

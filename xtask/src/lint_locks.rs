@@ -1,8 +1,9 @@
 //! `lint-locks`: static lock-discipline checker for the commit path.
 //!
-//! The model checker (`crates/sync`, `--features model`) proves the
-//! *protocols* right on bounded instances; this pass pins the *source*
-//! to the discipline those proofs assume. It scans the real guard
+//! The model checker (`crates/sync`, `--features model`) runs the real
+//! service on bounded instances (`cargo test -p dxh-core --features
+//! model`); this pass pins the *source* to the lock discipline for every
+//! schedule, explored or not. It scans the real guard
 //! acquisition sites in `crates/core/src/service.rs` and enforces, per
 //! function body:
 //!
