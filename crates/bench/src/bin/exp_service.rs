@@ -35,8 +35,9 @@
 //! with a largest batch ≥ 8 at 8 writers; throughput non-decreasing in
 //! shard count at 8 writers; syncs/op at 8 shards ≤ 2× at 1 shard.
 //! `--quick` (the CI smoke) shortens the workload, asserts batching
-//! materializes, and fails if 8 shards underperform 1 shard at the
-//! same writer count. Output: aligned tables,
+//! materializes, and bounds syncs/op at 8 shards to ≤ 2× at 1 shard at
+//! the same writer count; it prints kops/s without gating on it.
+//! Output: aligned tables,
 //! `results/exp_service.csv`, and `results/exp_service.json`.
 //!
 //! Run: `cargo run -p dxh-bench --release --bin exp_service [--quick]
@@ -301,7 +302,7 @@ fn main() {
     let ops_per_thread = args.scale(12000, 8000);
     let thread_sweep: &[usize] = if args.quick { &[1, 2, 4] } else { &[1, 2, 4, 8, 16] };
     // The quick smoke skips the interior shard counts but keeps both
-    // ends: its gate is "8 shards must not underperform 1 shard".
+    // ends: its gate is "8 shards' sync bill ≤ 2× 1 shard's".
     let shard_sweep: &[usize] = if args.quick { &[1, 2, 8] } else { &[1, 2, 4, 8] };
 
     let header = [
@@ -352,21 +353,31 @@ fn main() {
     );
 
     // Sharding gates: coalesced sync rounds must make shard count a
-    // scaling axis, not a liability. The quick smoke compares the two
-    // ends; the full run holds the whole curve non-decreasing (within a
-    // small wall-clock noise margin) and bounds the sync-bill growth.
+    // scaling axis, not a liability. Both modes bound the sync-bill
+    // growth from 1 to 8 shards. Only the full run gates throughput — 8
+    // shards no slower than 1, and the whole curve non-decreasing
+    // (within a small wall-clock noise margin): the quick smoke measures
+    // each point over a few tens of milliseconds, too short for a
+    // kops/s comparison to beat host noise.
     {
         let one = shard_points.first().expect("sweep includes 1 shard");
         let eight = shard_points.last().expect("sweep includes 8 shards");
         assert_eq!((one.shards, eight.shards), (1, 8), "sweep spans 1..=8 shards");
         assert!(
-            eight.kops_per_s >= one.kops_per_s,
-            "{fixed_threads} writers: 8 shards ({:.1} kops/s) must not underperform 1 shard \
-             ({:.1} kops/s)",
-            eight.kops_per_s,
-            one.kops_per_s
+            eight.syncs_per_op <= 2.0 * one.syncs_per_op,
+            "coalescing must keep the sync bill flat: syncs/op {:.4} at 8 shards vs {:.4} at 1 \
+             shard",
+            eight.syncs_per_op,
+            one.syncs_per_op
         );
         if !args.quick {
+            assert!(
+                eight.kops_per_s >= one.kops_per_s,
+                "{fixed_threads} writers: 8 shards ({:.1} kops/s) must not underperform 1 \
+                 shard ({:.1} kops/s)",
+                eight.kops_per_s,
+                one.kops_per_s
+            );
             for w in shard_points.windows(2) {
                 assert!(
                     w[1].kops_per_s >= w[0].kops_per_s * 0.97,
@@ -378,13 +389,6 @@ fn main() {
                     w[1].kops_per_s
                 );
             }
-            assert!(
-                eight.syncs_per_op <= 2.0 * one.syncs_per_op,
-                "coalescing must keep the sync bill flat: syncs/op {:.4} at 8 shards vs \
-                 {:.4} at 1 shard",
-                eight.syncs_per_op,
-                one.syncs_per_op
-            );
             println!(
                 "\nsharding: kops/s {} -> {} across 1..8 shards (non-decreasing), syncs/op \
                  {:.4} -> {:.4} (<= 2x)",
@@ -395,9 +399,9 @@ fn main() {
             );
         } else {
             println!(
-                "\nsharding smoke: {:.1} kops/s at 8 shards >= {:.1} kops/s at 1 shard \
-                 ({fixed_threads} writers)",
-                eight.kops_per_s, one.kops_per_s
+                "\nsharding smoke: syncs/op {:.4} at 8 shards <= 2x {:.4} at 1 shard \
+                 ({fixed_threads} writers); {:.1} vs {:.1} kops/s, not gated",
+                eight.syncs_per_op, one.syncs_per_op, eight.kops_per_s, one.kops_per_s
             );
         }
     }

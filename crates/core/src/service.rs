@@ -53,7 +53,7 @@
 //! * the ack path is **pipelined**: a writer's call returns when the
 //!   round that logged its batch commits — the service's durability
 //!   **epoch** advances and the coordinator fills the batch's answer
-//!   cells — not when the writer's own thread performed any sync.
+//!   cell — not when the writer's own thread performed any sync.
 //!   Several applied batches, across all shards, ride one round.
 //!
 //! The annotated walk of one write through this machinery (enqueue →
@@ -302,22 +302,16 @@ impl ServiceStats {
     }
 }
 
-/// A queued write plus the cell its caller is parked on.
-struct QueuedOp {
-    op: Op,
-    cell: Arc<OpCell>,
-}
-
 /// `queue` folded newest-wins, in first-touch key order: one `(key,
 /// newest effect)` per distinct key. It is what the commit log records
 /// and replay refolds — replay is last-write-wins, so folding it leaves
 /// the state that applying every op of the queue in order leaves.
-fn fold_newest_wins(queue: &[QueuedOp]) -> Vec<(Key, Option<Effect>)> {
+fn fold_newest_wins(queue: &[Op]) -> Vec<(Key, Option<Effect>)> {
     use std::collections::hash_map::Entry;
     let mut at: HashMap<Key, usize> = HashMap::with_capacity(queue.len());
     let mut fold: Vec<(Key, Option<Effect>)> = Vec::with_capacity(queue.len());
-    for q in queue {
-        let (k, effect) = q.op.effect();
+    for op in queue {
+        let (k, effect) = op.effect();
         match at.entry(k) {
             Entry::Occupied(e) => fold[*e.get()].1 = effect,
             Entry::Vacant(e) => {
@@ -329,22 +323,30 @@ fn fold_newest_wins(queue: &[QueuedOp]) -> Vec<(Key, Option<Effect>)> {
     fold
 }
 
-/// Where a parked writer's outcome lands: `Ok(presence)` for a committed
-/// op (`presence` is delete's was-present answer, `true` for puts),
-/// `Err(why)` when the batch failed. Filled exactly once, under the
-/// shard's buffer lock, before the ack condvar broadcast.
+/// Where every writer of one batch finds its outcome: `Ok(answers)`, one
+/// per op in arrival order (delete's was-present answer, `true` for
+/// puts), once a log round or a harden made the batch durable;
+/// `Err(why)` when the shard wedged first. Filled exactly once, under
+/// the shard's buffer lock, before the ack condvar broadcast.
 #[derive(Default)]
-struct OpCell(Mutex<Option<std::result::Result<bool, String>>>);
+struct BatchCell(Mutex<Option<std::result::Result<Vec<bool>, String>>>);
 
-/// A batch the committer has applied to the shard's table whose writers
-/// are still parked: answers are known, durability is not. The next
-/// successful sync round acknowledges it — a log round records its
+/// A caller's claim on a batch: its cell, and where the caller's ops sit
+/// in it. The committer drains the whole queue, so the slice one
+/// enqueue placed is always contiguous inside one batch.
+struct Ticket {
+    cell: Arc<BatchCell>,
+    range: std::ops::Range<usize>,
+}
+
+/// A batch the committer has drained. It stays in [`BufState::batches`]
+/// from the drain until its cell is filled: the next successful sync
+/// round acknowledges it once applied — a log round records its
 /// `effects` in the commit log, a checkpoint or shutdown harden makes
-/// the shard's own manifest cover it. A wedge fails it.
-struct AppliedBatch {
-    /// Every op's cell, in arrival order, and its answer.
-    cells: Vec<Arc<OpCell>>,
-    answers: Vec<bool>,
+/// the shard's own manifest cover it — and a wedge fails it at any
+/// point.
+struct Batch {
+    cell: Arc<BatchCell>,
     /// The batch's per-shard sequence number (monotone in apply order),
     /// framed into its commit-log record so reopen-time replay can skip
     /// batches the shard's manifest watermark already covers.
@@ -353,8 +355,8 @@ struct AppliedBatch {
     /// round frames into the commit log, and (when recording) the
     /// history entry.
     effects: Vec<(Key, Option<Effect>)>,
-    /// Whether batch recording was on when this batch applied.
-    recorded: bool,
+    /// Every op's answer once the apply finished; `None` while it runs.
+    answers: Option<Vec<bool>>,
 }
 
 /// The mutable half of a shard that writers, readers, the committer and
@@ -365,12 +367,16 @@ struct BufState {
     /// Ops accepted for the *next* batch, in arrival order. Doubles as
     /// the read-your-writes overlay: a key's newest op in it is the
     /// answer a reader sees.
-    pending: Vec<QueuedOp>,
+    pending: Vec<Op>,
+    /// The cell `pending`'s writers park on; the drain takes both.
+    pending_cell: Arc<BatchCell>,
     /// Fold of the batch currently being applied — visible to readers
     /// until the store itself can answer for it.
     inflight_overlay: HashMap<Key, Option<Effect>>,
-    /// Applied batches awaiting their durability epoch (pipelined acks).
-    unacked: Vec<AppliedBatch>,
+    /// Every drained batch whose writers are not yet answered, in seq
+    /// order: the applied ones (pipelined acks), then at most one still
+    /// applying. A wedged shard keeps them as in-flight candidates.
+    batches: Vec<Batch>,
     /// Sequence number the next drained batch takes. Seeded at open
     /// from the store's persisted replay watermark plus one; per-shard
     /// and strictly monotone across a service generation.
@@ -389,16 +395,10 @@ struct BufState {
     /// Checkpoint hardens of this shard's manifest (feeds
     /// `shard_syncs`).
     hardens: u64,
-    /// True while the committer is mid-apply (the wave-settling signal
-    /// the coordinator reads: a shard with pending work or an apply in
-    /// progress is about to produce dirt, so the round should wait for
-    /// it instead of letting its batch straggle into the next round).
-    applying: bool,
-    /// Record batch compositions (torture-harness ground truth).
+    /// Record the compositions of the batches acknowledged while on
+    /// (torture-harness ground truth).
     recording: bool,
     history: Vec<BatchRecord>,
-    /// Record of the batch currently being applied, if recording.
-    applying_record: Option<BatchRecord>,
 }
 
 impl BufState {
@@ -406,37 +406,56 @@ impl BufState {
     /// is not yet the store's to answer.
     fn overlay_get(&self, key: Key) -> Option<Option<Effect>> {
         // `pending` is strictly newer than the batch being applied.
-        match self.pending.iter().rev().find(|q| q.op.key() == key) {
-            Some(q) => Some(q.op.effect().1),
+        match self.pending.iter().rev().find(|op| op.key() == key) {
+            Some(op) => Some(op.effect().1),
             None => self.inflight_overlay.get(&key).cloned(),
         }
     }
 
-    /// Acknowledges `batches`, which a log round or a harden has just
-    /// made durable: they count as committed, enter the recorded
-    /// history, and every parked writer's cell gets its answer. The
-    /// caller wakes the writers (`ack_cv`) once the guard is gone.
-    fn acknowledge(&mut self, batches: &[AppliedBatch]) {
-        for ab in batches {
-            let ops = ab.cells.len() as u64;
-            self.committed_batches += 1;
-            self.committed_ops += ops;
-            self.largest_batch = self.largest_batch.max(ops);
-            if ab.recorded {
-                self.history.push(BatchRecord { ops: ab.effects.clone() });
+    /// Whether the committer is mid-apply on a live shard (the
+    /// wave-settling signal the coordinator reads: a shard with pending
+    /// work or an apply in progress is about to produce dirt, so the
+    /// round should wait for it instead of letting its batch straggle
+    /// into the next round).
+    fn applying(&self) -> bool {
+        self.wedged.is_none() && self.batches.last().is_some_and(|b| b.answers.is_none())
+    }
+}
+
+/// Acknowledges the shard's applied batches at or below `seq`, which a
+/// log round or a harden has just made durable: they count as
+/// committed, enter the recorded history, leave `batches`, and their
+/// writers get their answers and wake. Does nothing on a wedged shard,
+/// whose wedge already failed every batch it holds.
+fn ack_through<M: StoreMedia>(shard: &Shard<M>, seq: u64) {
+    {
+        let mut buf = shard.buf.lock();
+        if buf.wedged.is_some() {
+            return;
+        }
+        let durable =
+            buf.batches.iter().take_while(|b| b.seq <= seq && b.answers.is_some()).count();
+        let acked: Vec<Batch> = buf.batches.drain(..durable).collect();
+        for b in acked {
+            let answers = b.answers.expect("only applied batches are acknowledged");
+            buf.committed_batches += 1;
+            buf.committed_ops += answers.len() as u64;
+            buf.largest_batch = buf.largest_batch.max(answers.len() as u64);
+            if buf.recording {
+                buf.history.push(BatchRecord { ops: b.effects });
             }
-            for (cell, ans) in ab.cells.iter().zip(&ab.answers) {
-                *cell.0.lock() = Some(Ok(*ans));
-            }
+            *b.cell.0.lock() = Some(Ok(answers));
         }
     }
+    mutant!(NO_ACK_NOTIFY => return);
+    shard.ack_cv.notify_all();
 }
 
 struct Shard<M: StoreMedia> {
     buf: Mutex<BufState>,
     /// Wakes the committer: new pending work, shutdown.
     work_cv: Condvar,
-    /// Wakes parked writers: their cells were filled.
+    /// Wakes parked writers: their batch's cell was filled.
     ack_cv: Condvar,
     /// The persistent store; held by the committer for the length of one
     /// apply, by the coordinator for one harden, and by readers that
@@ -567,7 +586,7 @@ fn coordinator_loop<M: StoreMedia>(
         loop {
             let quiet = shards.iter().all(|s| {
                 let buf = s.buf.lock();
-                buf.pending.is_empty() && !buf.applying
+                buf.pending.is_empty() && !buf.applying()
             });
             if coord.state.lock().shutdown {
                 break;
@@ -610,66 +629,53 @@ fn coordinator_loop<M: StoreMedia>(
 /// log, and makes them all durable with the log's single physical sync;
 /// then the epoch advances and every collected batch's writers are
 /// acknowledged. However many shards are dirty, the round pays one
-/// fsync. A log failure wedges exactly the shards whose batches were
-/// riding the round: their stores are poisoned (the applied-but-
-/// uncommitted effects must never reach a manifest), the batches go
-/// back in place as in-flight candidates, and their writers get errors.
+/// fsync. The records are encoded from `batches` under the buffer lock,
+/// and the batches stay there until answered. A log failure wedges
+/// exactly the shards whose batches were riding the round, after
+/// poisoning their stores (the applied-but-uncommitted effects must
+/// never reach a manifest): their writers get errors, and the batches
+/// stay as in-flight candidates.
 fn commit_round<M: StoreMedia>(
     shards: &[Arc<Shard<M>>],
     coord: &SyncCoordinator,
     log: &mut CommitLog<M>,
     participants: &[usize],
 ) {
-    let mut collected: Vec<(usize, Vec<AppliedBatch>)> = Vec::new();
+    // `(shard, newest seq logged)` per shard riding the round.
+    let mut riding: Vec<(usize, u64)> = Vec::new();
     let mut bytes = Vec::new();
     for &si in participants {
-        let mut buf = shards[si].buf.lock();
-        if buf.wedged.is_some() || buf.unacked.is_empty() {
+        let buf = shards[si].buf.lock();
+        if buf.wedged.is_some() {
             continue;
         }
-        let batches = std::mem::take(&mut buf.unacked);
-        drop(buf);
-        for b in &batches {
+        for b in buf.batches.iter().take_while(|b| b.answers.is_some()) {
             encode_log_record(&mut bytes, si as u32, b.seq, &b.effects);
+            match riding.last_mut() {
+                Some((s, newest)) if *s == si => *newest = b.seq,
+                _ => riding.push((si, b.seq)),
+            }
         }
-        collected.push((si, batches));
     }
-    if collected.is_empty() {
+    if riding.is_empty() {
         return;
     }
     match log.commit(&bytes) {
         Ok(()) => {
-            for (si, batches) in &collected {
-                let shard = &shards[*si];
-                shard.buf.lock().acknowledge(batches);
-                mutant!(NO_ACK_NOTIFY => continue);
-                shard.ack_cv.notify_all();
+            for &(si, seq) in &riding {
+                ack_through(&shards[si], seq);
             }
             coord.state.lock().epoch += 1;
         }
         Err(e) => {
-            let why = e.to_string();
-            // Poison every involved store first, then put every
-            // collected batch back at the front of its shard's unacked
-            // queue (apply order preserved — newer batches may have
-            // arrived while the log write ran), and only then wedge:
-            // writers unpark strictly after the history is consistent
-            // again, so a post-error observer always sees these batches
-            // as in-flight candidates.
-            for (si, _) in &collected {
-                shards[*si].store.lock().poison();
+            // Poison every involved store first, and only then wedge:
+            // writers unpark strictly after no store can commit the
+            // round's batches any more.
+            for &(si, _) in &riding {
+                shards[si].store.lock().poison();
             }
-            let mut involved = Vec::with_capacity(collected.len());
-            for (si, batches) in collected {
-                {
-                    let mut buf = shards[si].buf.lock();
-                    let newer = std::mem::replace(&mut buf.unacked, batches);
-                    buf.unacked.extend(newer);
-                }
-                involved.push(si);
-            }
-            for si in involved {
-                wedge(&shards[si], why.clone(), &[]);
+            for &(si, _) in &riding {
+                wedge(&shards[si], e.to_string());
             }
         }
     }
@@ -715,10 +721,12 @@ fn checkpoint<M: StoreMedia>(
 /// poisoning is swallowed at the `dxh_sync` seam, so without this a
 /// committer that panicked mid-protocol would silently strand every
 /// writer parked on `ack_cv` — the lost-wakeup shape the model checker
-/// hunts. The wedge also stops every later checkpoint, so the log keeps
-/// whatever the dead committer's shard acknowledged. Runs during
-/// unwind, after the committer's own guards have been released (locals
-/// drop in reverse declaration order and the guard is declared first).
+/// hunts. Every batch it drained is in `BufState::batches`, so the
+/// wedge fails it however far its apply got. The wedge also stops
+/// every later checkpoint, so the log keeps whatever the dead
+/// committer's shard acknowledged. Runs during unwind, after the
+/// committer's own guards have been released (locals drop in reverse
+/// declaration order and the guard is declared first).
 struct CommitterPanicGuard<'a, M: StoreMedia>(&'a Shard<M>);
 
 impl<M: StoreMedia> Drop for CommitterPanicGuard<'_, M> {
@@ -732,7 +740,21 @@ impl<M: StoreMedia> Drop for CommitterPanicGuard<'_, M> {
             // sleeps through the committer's death.
             shard.ack_cv.notify_all();
         } else {
-            wedge(shard, "committer thread panicked".to_string(), &[]);
+            wedge(shard, "committer thread panicked".to_string());
+        }
+    }
+}
+
+/// The store lock as the committer holds it across an apply: a panic
+/// mid-apply poisons the store before the lock is let go, so neither a
+/// checkpoint harden nor the drop-time sync can commit the half-applied
+/// batch.
+struct PoisonOnUnwind<'a, M: StoreMedia>(dxh_sync::MutexGuard<'a, KvStore<M>>);
+
+impl<M: StoreMedia> Drop for PoisonOnUnwind<'_, M> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poison();
         }
     }
 }
@@ -755,7 +777,6 @@ fn committer_loop<M: StoreMedia>(shard: Arc<Shard<M>>, coord: Arc<SyncCoordinato
                 }
                 buf = shard.work_cv.wait(buf);
             }
-            mutant!(COMMITTER_PANICS => mutant::die());
         }
         if apply_pending(&shard) {
             coord.mark_dirty(si);
@@ -768,40 +789,41 @@ fn committer_loop<M: StoreMedia>(shard: Arc<Shard<M>>, coord: Arc<SyncCoordinato
 /// table call's own — `true` for a put, [`KvStore`]'s delete presence
 /// for a delete — so the answers are serial by construction. The
 /// queue's newest-wins fold ([`fold_newest_wins`]) is what readers see
-/// while the apply runs and what the commit log records. Returns
-/// whether a batch was applied and now awaits its epoch (false: nothing
-/// pending, shard wedged, or — wedging it now — the apply failed).
+/// while the apply runs and what the commit log records. The batch joins
+/// `BufState::batches` at the drain, where a wedge finds it whenever it
+/// strikes. Returns whether a batch was applied and now awaits its
+/// epoch (false: nothing pending, shard wedged, or — wedging it now —
+/// the apply failed).
 fn apply_pending<M: StoreMedia>(shard: &Shard<M>) -> bool {
-    let (queue, effects, seq) = {
+    let (ops, seq) = {
         let mut buf = shard.buf.lock();
         if buf.wedged.is_some() || buf.pending.is_empty() {
             return false;
         }
-        let queue = std::mem::take(&mut buf.pending);
+        let ops = std::mem::take(&mut buf.pending);
+        let cell = std::mem::take(&mut buf.pending_cell);
         mutant!(SPLIT_DRAIN => buf = mutant::relock_and_clear(&shard.buf, buf));
         let seq = buf.next_seq;
         buf.next_seq += 1;
-        let effects = fold_newest_wins(&queue);
-        buf.coalesced_ops += (queue.len() - effects.len()) as u64;
+        let effects = fold_newest_wins(&ops);
+        buf.coalesced_ops += (ops.len() - effects.len()) as u64;
         debug_assert!(buf.inflight_overlay.is_empty(), "one apply at a time");
         buf.inflight_overlay = effects.iter().cloned().collect();
         mutant!(NO_INFLIGHT_OVERLAY => buf.inflight_overlay.clear());
-        buf.applying = true;
-        if buf.recording {
-            buf.applying_record = Some(BatchRecord { ops: effects.clone() });
-        }
-        (queue, effects, seq)
+        buf.batches.push(Batch { cell, seq, effects, answers: None });
+        (ops, seq)
     };
 
-    let mut answers = Vec::with_capacity(queue.len());
+    let mut answers = Vec::with_capacity(ops.len());
     let mut failure: Option<String> = None;
     {
-        let mut store = shard.store.lock();
-        for q in &queue {
-            let applied = match &q.op {
-                Op::Put(k, v) => store.insert(*k, *v).map(|()| true),
-                Op::PutBytes(k, b) => store.put_bytes(*k, b).map(|()| true),
-                Op::Delete(k) => store.delete(*k),
+        let store = shard.store.lock();
+        let mut store = PoisonOnUnwind(store);
+        for op in &ops {
+            let applied = match op {
+                Op::Put(k, v) => store.0.insert(*k, *v).map(|()| true),
+                Op::PutBytes(k, b) => store.0.put_bytes(*k, b).map(|()| true),
+                Op::Delete(k) => store.0.delete(*k),
             };
             match applied {
                 Ok(ans) => answers.push(ans),
@@ -810,47 +832,33 @@ fn apply_pending<M: StoreMedia>(shard: &Shard<M>) -> bool {
                     break;
                 }
             }
+            mutant!(COMMITTER_PANICS => mutant::die());
         }
         if failure.is_some() {
             // The table holds a partial batch that was reported failed;
             // it must never reach a manifest — not even through the
             // drop-time sync.
-            store.poison();
+            store.0.poison();
         } else {
             // The table now holds every batch up to this one and none
             // after it: whichever manifest commits next covers exactly
             // that, so replay must skip exactly those records.
-            store.set_replay_watermark(seq);
+            store.0.set_replay_watermark(seq);
         }
     }
-    let cells: Vec<Arc<OpCell>> = queue.into_iter().map(|q| q.cell).collect();
 
     match failure {
         None => {
             let mut buf = shard.buf.lock();
             buf.inflight_overlay.clear();
-            buf.applying = false;
-            let recorded = buf.applying_record.take().is_some();
-            // A failed log round wedges the shard from the coordinator's
-            // thread. If it did so while this batch was being applied,
-            // `wedge` found these cells in neither queue: answer them
-            // here, or their writers park forever. The batch still
-            // joins `unacked`, as the in-flight candidate it is.
-            let wedged = buf.wedged.clone();
-            if let Some(why) = &wedged {
-                for cell in &cells {
-                    *cell.0.lock() = Some(Err(why.clone()));
-                }
-            }
-            buf.unacked.push(AppliedBatch { cells, answers, seq, effects, recorded });
-            drop(buf);
-            if wedged.is_some() {
-                shard.ack_cv.notify_all();
-            }
-            wedged.is_none()
+            // Nothing drains or removes an unapplied batch meanwhile: it
+            // is still the last one.
+            let batch = buf.batches.last_mut().expect("the drained batch stays until answered");
+            batch.answers = Some(answers);
+            buf.wedged.is_none()
         }
         Some(why) => {
-            wedge(shard, why, &cells);
+            wedge(shard, why);
             false
         }
     }
@@ -885,21 +893,14 @@ fn harden_shard<M: StoreMedia>(shard: &Shard<M>) -> bool {
     let covered = match res {
         Ok(w) => w,
         Err(e) => {
-            wedge(shard, e.to_string(), &[]);
+            wedge(shard, e.to_string());
             return false;
         }
     };
     #[cfg(test)]
     let covered = mutant::after_harden(covered);
-    {
-        let mut buf = shard.buf.lock();
-        buf.hardens += 1;
-        // `unacked` is in apply order, so in seq order.
-        let newer = buf.unacked.partition_point(|b| b.seq <= covered);
-        let acked: Vec<AppliedBatch> = buf.unacked.drain(..newer).collect();
-        buf.acknowledge(&acked);
-    }
-    shard.ack_cv.notify_all();
+    shard.buf.lock().hardens += 1;
+    ack_through(shard, covered);
     true
 }
 
@@ -946,13 +947,14 @@ mod mutant {
     pub(super) const ACK_ALL_AFTER_HARDEN: Switch = Switch(1);
     /// `drive` parks with `if`, not `while`: any wakeup returns.
     pub(super) const IF_RECHECK: Switch = Switch(1 << 1);
-    /// A log round fills its writers' cells but never wakes them.
+    /// `ack_through` fills its batches' cells but never wakes their
+    /// writers.
     pub(super) const NO_ACK_NOTIFY: Switch = Switch(1 << 2);
     /// An enqueue never wakes the committer.
     pub(super) const NO_WORK_NOTIFY: Switch = Switch(1 << 3);
-    /// The drain takes the queue, lets go of the buffer lock, then
-    /// re-takes it and clears the queue: an op enqueued in between is
-    /// dropped unanswered.
+    /// The drain takes the queue and its cell, lets go of the buffer
+    /// lock, then re-takes it and clears the queue: an op enqueued in
+    /// between is dropped unanswered.
     pub(super) const SPLIT_DRAIN: Switch = Switch(1 << 4);
     /// Readers get no inflight overlay while a batch applies.
     pub(super) const NO_INFLIGHT_OVERLAY: Switch = Switch(1 << 5);
@@ -964,8 +966,8 @@ mod mutant {
     pub(super) const NO_FINAL_CHECKPOINT: Switch = Switch(1 << 8);
     /// The committer runs without its `CommitterPanicGuard`.
     pub(super) const NO_PANIC_GUARD: Switch = Switch(1 << 9);
-    /// The fault, not a mutant: a committer that found work dies, holding
-    /// its buffer lock.
+    /// The fault, not a mutant: a committer dies mid-apply, after an op,
+    /// holding the store lock.
     pub(super) const COMMITTER_PANICS: Switch = Switch(1 << 10);
 
     /// The watermark a harden acknowledges up to, after the hook ran.
@@ -980,7 +982,8 @@ mod mutant {
         }
     }
 
-    /// `SPLIT_DRAIN`'s second lock hold.
+    /// `SPLIT_DRAIN`'s second lock hold. The cleared ops' cell goes with
+    /// them, so their writers wait on a cell no batch will fill.
     pub(super) fn relock_and_clear<'a>(
         buf: &'a Mutex<BufState>,
         guard: MutexGuard<'a, BufState>,
@@ -988,6 +991,7 @@ mod mutant {
         drop(guard);
         let mut guard = buf.lock();
         guard.pending.clear();
+        guard.pending_cell = Default::default();
         guard
     }
 
@@ -1001,26 +1005,18 @@ mod mutant {
     }
 }
 
-/// Wedges the shard after a failed apply or harden: every parked writer
-/// — the failed batch (`mid_apply`), the applied-but-unacknowledged
-/// batches, and everything still queued behind them — gets the error.
-/// Batch records stay in place: they are the harness's in-flight
-/// candidates. Called with no locks held.
-fn wedge<M: StoreMedia>(shard: &Shard<M>, why: String, mid_apply: &[Arc<OpCell>]) {
+/// Wedges the shard after a failed apply, round or harden, or a
+/// committer's death: every parked writer — of each drained batch,
+/// applied or mid-apply, and of the ops still queued behind them — gets
+/// the error. The batches stay in place: they are the harness's
+/// in-flight candidates. Called with no locks held.
+fn wedge<M: StoreMedia>(shard: &Shard<M>, why: String) {
     {
         let mut buf = shard.buf.lock();
         buf.inflight_overlay.clear();
-        buf.applying = false;
-        for cell in mid_apply {
+        buf.pending.clear();
+        for cell in buf.batches.iter().map(|b| &b.cell).chain([&buf.pending_cell]) {
             *cell.0.lock() = Some(Err(why.clone()));
-        }
-        for ab in &buf.unacked {
-            for cell in &ab.cells {
-                *cell.0.lock() = Some(Err(why.clone()));
-            }
-        }
-        for stranded in std::mem::take(&mut buf.pending) {
-            *stranded.cell.0.lock() = Some(Err(why.clone()));
         }
         buf.wedged = Some(why);
     }
@@ -1363,13 +1359,12 @@ impl<M: StoreMedia> ShardedKvStore<M> {
         // later shard's enqueue fails (wedged) still have to be driven
         // to completion — the error answer must not abandon work other
         // shards already accepted.
-        type Placed<'a> = (usize, &'a [usize], Vec<Arc<OpCell>>);
-        let mut placed: Vec<Placed<'_>> = Vec::new();
+        let mut placed: Vec<(usize, &[usize], Ticket)> = Vec::new();
         let mut first_err: Option<ExtMemError> = None;
         for (si, positions) in &by_shard {
             let shard_ops: Vec<Op> = positions.iter().map(|&p| ops[p].clone()).collect();
             match self.enqueue_batch(*si, shard_ops) {
-                Ok(cells) => placed.push((*si, positions, cells)),
+                Ok(ticket) => placed.push((*si, positions, ticket)),
                 Err(e) => {
                     first_err = Some(e);
                     break;
@@ -1377,8 +1372,8 @@ impl<M: StoreMedia> ShardedKvStore<M> {
             }
         }
         let mut results = vec![false; ops.len()];
-        for (si, positions, cells) in &placed {
-            match self.drive(*si, cells) {
+        for (si, positions, ticket) in &placed {
+            match self.drive(*si, ticket) {
                 Ok(answers) => {
                     for (&pos, ans) in positions.iter().zip(answers) {
                         results[pos] = ans;
@@ -1461,8 +1456,8 @@ impl<M: StoreMedia> ShardedKvStore<M> {
         let op = Op::PutBytes(key, Arc::from(payload));
         op.validate(true)?;
         let si = self.shard_of(key);
-        let cells = self.enqueue_batch(si, vec![op])?;
-        self.drive(si, &cells).map(|_| ())
+        let ticket = self.enqueue_batch(si, vec![op])?;
+        self.drive(si, &ticket).map(|_| ())
     }
 
     /// Looks up `key`'s byte payload — [`ShardedKvStore::get`]'s byte
@@ -1596,7 +1591,6 @@ impl<M: StoreMedia> ShardedKvStore<M> {
             let mut buf = shard.buf.lock();
             buf.recording = on;
             buf.history.clear();
-            buf.applying_record = None;
         }
     }
 
@@ -1610,11 +1604,10 @@ impl<M: StoreMedia> ShardedKvStore<M> {
             .map(|s| {
                 let buf = s.buf.lock();
                 let inflight = buf
-                    .unacked
+                    .batches
                     .iter()
-                    .filter(|ab| ab.recorded)
-                    .map(|ab| BatchRecord { ops: ab.effects.clone() })
-                    .chain(buf.applying_record.clone())
+                    .filter(|_| buf.recording)
+                    .map(|b| BatchRecord { ops: b.effects.clone() })
                     .collect();
                 ShardBatchHistory { committed: buf.history.clone(), inflight }
             })
@@ -1624,57 +1617,38 @@ impl<M: StoreMedia> ShardedKvStore<M> {
     /// Queues `ops` on shard `si` under **one** buffer-lock acquisition
     /// — the slice lands contiguously in the queue, and since the
     /// committer always drains the whole queue, it can never be split
-    /// across batches. Returns the cells the outcomes will land in.
+    /// across batches. Returns the ticket the outcome will land behind.
     /// Fails fast (enqueuing nothing) on a wedged shard.
-    fn enqueue_batch(&self, si: usize, ops: Vec<Op>) -> Result<Vec<Arc<OpCell>>> {
+    fn enqueue_batch(&self, si: usize, ops: Vec<Op>) -> Result<Ticket> {
         let shard = &self.shards[si];
         let mut buf = shard.buf.lock();
         if let Some(why) = &buf.wedged {
             return Err(wedged_err(why));
         }
-        let mut cells = Vec::with_capacity(ops.len());
-        for op in ops {
-            let cell = Arc::new(OpCell::default());
-            buf.pending.push(QueuedOp { op, cell: cell.clone() });
-            cells.push(cell);
-        }
+        let start = buf.pending.len();
+        buf.pending.extend(ops);
+        let ticket = Ticket { cell: buf.pending_cell.clone(), range: start..buf.pending.len() };
         drop(buf);
-        mutant!(NO_WORK_NOTIFY => return Ok(cells));
+        mutant!(NO_WORK_NOTIFY => return Ok(ticket));
         shard.work_cv.notify_all();
-        Ok(cells)
+        Ok(ticket)
     }
 
-    /// Parks until every cell in `cells` is filled — the committer fills
-    /// them when the batch's durability epoch is reached (or when the
-    /// shard wedges). Returns the per-op answers, or the first error —
-    /// only after *all* cells resolved.
-    fn drive(&self, si: usize, cells: &[Arc<OpCell>]) -> Result<Vec<bool>> {
+    /// Parks until the ticket's batch cell is filled — at the batch's
+    /// durability epoch, or when the shard wedges — and returns the
+    /// answers of the ticket's ops, or the wedge error.
+    fn drive(&self, si: usize, ticket: &Ticket) -> Result<Vec<bool>> {
         let shard = &self.shards[si];
-        {
-            // Cells are filled under the buffer lock before the ack
-            // broadcast, so this check is race-free here.
-            let mut buf = shard.buf.lock();
-            while !cells.iter().all(|c| c.0.lock().is_some()) {
-                buf = shard.ack_cv.wait(buf);
-                mutant!(IF_RECHECK => break);
-            }
+        // The cell is filled under the buffer lock before the ack
+        // broadcast, so this check is race-free here.
+        let mut buf = shard.buf.lock();
+        while ticket.cell.0.lock().is_none() {
+            buf = shard.ack_cv.wait(buf);
+            mutant!(IF_RECHECK => break);
         }
-        let mut out = Vec::with_capacity(cells.len());
-        let mut err = None;
-        for c in cells {
-            match c.0.lock().take().expect("checked filled above") {
-                Ok(b) => out.push(b),
-                Err(why) => {
-                    out.push(false);
-                    if err.is_none() {
-                        err = Some(wedged_err(&why));
-                    }
-                }
-            }
-        }
-        match err {
-            None => Ok(out),
-            Some(e) => Err(e),
+        match ticket.cell.0.lock().as_ref().expect("checked filled above") {
+            Ok(answers) => Ok(answers[ticket.range.clone()].to_vec()),
+            Err(why) => Err(wedged_err(why)),
         }
     }
 }
@@ -1888,7 +1862,7 @@ mod tests {
                 Op::Delete(5),
                 Op::Put(5, 50),
             ];
-            let _cells = svc.enqueue_batch(0, queued).unwrap();
+            let _ticket = svc.enqueue_batch(0, queued).unwrap();
             let reads: Vec<Option<Value>> = [2, 1, 4, 5].map(|k| svc.get(k).unwrap()).to_vec();
             let ops = env.ops() - ops_before;
             release.store(true, Ordering::SeqCst);
@@ -1991,12 +1965,11 @@ mod tests {
     }
 
     /// A failed log round wedges a shard from the coordinator's thread,
-    /// and may do so while the committer is mid-apply: the batch is then
-    /// in neither queue `wedge` walks. Its writer must still get the
-    /// error — the apply answers its own cells when it finds the shard
-    /// wedged — instead of parking forever. The interleaving is forced:
-    /// a helper thread holds the store lock the apply needs until the
-    /// shard is wedged.
+    /// and may do so while the committer is mid-apply. Its writer must
+    /// still get the error instead of parking forever: the batch sits in
+    /// `batches` from its drain, where `wedge` fails it. The interleaving
+    /// is forced: a helper thread holds the store lock the apply needs
+    /// until the shard is wedged.
     #[test]
     fn a_shard_wedged_mid_apply_still_answers_that_batch() {
         use std::sync::mpsc::channel;
@@ -2014,19 +1987,36 @@ mod tests {
             });
             held_rx.recv().unwrap();
             scope.spawn(move || answer_tx.send(svc.put(1, 1)).unwrap());
-            while !shard.buf.lock().applying {
+            while !shard.buf.lock().applying() {
                 std::thread::yield_now();
             }
-            wedge(shard, "log round failed".into(), &[]);
+            wedge(shard, "log round failed".into());
             release_tx.send(()).unwrap();
             let answered = answer_rx.recv_timeout(std::time::Duration::from_secs(20));
             if answered.is_err() {
-                wedge(shard, "unpark the stranded writer".into(), &[]);
+                wedge(shard, "unpark the stranded writer".into());
             }
             let answer = answered.expect("the writer of the mid-apply batch was never answered");
             assert!(answer.unwrap_err().to_string().contains("log round failed"));
         });
         assert_eq!(svc.stats().wedged_shards, 1);
+    }
+
+    /// A committer that dies mid-apply leaves half its batch in the
+    /// table. The store is poisoned before its lock is let go, so the
+    /// writer gets the wedge error and neither a checkpoint nor the
+    /// drop-time sync commits the half: the reopen serves neither op.
+    #[test]
+    fn a_batch_whose_committer_died_mid_apply_is_never_half_durable() {
+        let env = SimEnv::new();
+        mutant::COMMITTER_PANICS.set(true);
+        let svc = sim_service(&env, 1, 46);
+        mutant::COMMITTER_PANICS.set(false);
+        let err = svc.submit(&[WriteOp::Put(1, 10), WriteOp::Put(2, 20)]).unwrap_err();
+        assert!(err.to_string().contains("committer thread panicked"), "{err}");
+        drop(svc);
+        let svc = sim_service(&env, 1, 46);
+        assert_eq!((svc.get(1).unwrap(), svc.get(2).unwrap()), (None, None));
     }
 
     /// Ops enqueued but never driven still commit durably through the
@@ -2036,9 +2026,9 @@ mod tests {
         let env = SimEnv::new();
         let svc = sim_service(&env, 2, 19);
         svc.put(100, 1).unwrap();
-        let mut cells = Vec::new();
+        let mut tickets = Vec::new();
         for k in 0..40u64 {
-            cells.push(svc.enqueue_batch(svc.shard_of(k), vec![Op::Put(k, k + 7)]).unwrap());
+            tickets.push(svc.enqueue_batch(svc.shard_of(k), vec![Op::Put(k, k + 7)]).unwrap());
         }
         drop(svc); // join: drain, apply, final harden per shard
         let svc = sim_service(&env, 2, 19);
@@ -2073,20 +2063,22 @@ mod tests {
     /// Runs `harden_shard` on shard 0 from this thread — holding the
     /// coordinator's state lock, so no log round runs meanwhile — while
     /// one batch (`key` → `key + 1`) lands between the harden's manifest
-    /// commit and its acknowledgements. Returns the batch's answer cell,
-    /// or `None` when the harden failed before the window opened.
-    fn harden_with_a_landed_batch(svc: &ShardedKvStore<SimMedia>, key: Key) -> Option<Arc<OpCell>> {
+    /// commit and its acknowledgements. Returns the batch's ticket, or
+    /// `None` when the harden failed before the window opened.
+    fn harden_with_a_landed_batch(svc: &ShardedKvStore<SimMedia>, key: Key) -> Option<Ticket> {
         let shard = svc.shards[0].clone();
-        let cell = Arc::new(OpCell::default());
-        let (landing, landed) = (shard.clone(), cell.clone());
+        let landing = shard.clone();
+        // Nothing else enqueues meanwhile: the landed op is the next
+        // batch's only one, behind the cell pending now.
+        let ticket = Ticket { cell: shard.buf.lock().pending_cell.clone(), range: 0..1 };
         mutant::AFTER_COMMIT.set(Some(Box::new(move || {
-            landing.buf.lock().pending.push(QueuedOp { op: Op::Put(key, key + 1), cell: landed });
+            landing.buf.lock().pending.push(Op::Put(key, key + 1));
             landing.work_cv.notify_all();
             // The committer applies it — the harden let go of the store
-            // — and leaves it in `unacked`; its dirt waits on the lock.
+            // — and leaves it in `batches`; its dirt waits on the lock.
             loop {
                 let buf = landing.buf.lock();
-                if !buf.unacked.is_empty() || buf.wedged.is_some() {
+                if buf.batches.iter().any(|b| b.answers.is_some()) || buf.wedged.is_some() {
                     break;
                 }
                 drop(buf);
@@ -2097,7 +2089,7 @@ mod tests {
         harden_shard(&shard);
         drop(no_rounds);
         let fired = mutant::AFTER_COMMIT.take().is_none();
-        fired.then_some(cell)
+        fired.then_some(ticket)
     }
 
     /// A harden acknowledges what its manifest covers and nothing else.
@@ -2117,11 +2109,11 @@ mod tests {
             svc.put(1, 2).unwrap();
             let logged = log_len(&env);
             mutant::ACK_ALL_AFTER_HARDEN.set(armed);
-            let cell = harden_with_a_landed_batch(&svc, 7).expect("no fault was injected");
+            let ticket = harden_with_a_landed_batch(&svc, 7).expect("no fault was injected");
             mutant::ACK_ALL_AFTER_HARDEN.set(false);
-            let answered_by_the_harden = cell.0.lock().is_some();
+            let answered_by_the_harden = ticket.cell.0.lock().is_some();
             assert_eq!(answered_by_the_harden, armed, "armed {armed}");
-            assert_eq!(svc.drive(0, &[cell]).unwrap(), vec![true]);
+            assert_eq!(svc.drive(0, &ticket).unwrap(), vec![true]);
             assert_eq!(log_len(&env) > logged, !armed, "armed {armed}: the batch was logged");
             drop(svc);
             assert_eq!(sim_service(&env, 1, 43).get(7).unwrap(), Some(8), "armed {armed}");
@@ -2146,8 +2138,8 @@ mod tests {
             for k in 0..8 {
                 if k == 4 {
                     at_the_harden = env.ops();
-                    if let Some(cell) = harden_with_a_landed_batch(&svc, 100) {
-                        if svc.drive(0, &[cell]).is_ok() {
+                    if let Some(ticket) = harden_with_a_landed_batch(&svc, 100) {
+                        if svc.drive(0, &ticket).is_ok() {
                             acked.push(100);
                         }
                     }
@@ -2312,8 +2304,8 @@ mod tests {
         let record = blob_len(&svc) - empty;
         let twice =
             vec![Op::PutBytes(7, Arc::from(&old[..])), Op::PutBytes(7, Arc::from(&new[..]))];
-        let cells = svc.enqueue_batch(0, twice).unwrap();
-        assert_eq!(svc.drive(0, &cells).unwrap(), vec![true, true]);
+        let ticket = svc.enqueue_batch(0, twice).unwrap();
+        assert_eq!(svc.drive(0, &ticket).unwrap(), vec![true, true]);
         assert_eq!(blob_len(&svc) - empty, 3 * record, "both puts of key 7 were appended");
         assert_eq!(svc.get_bytes(7).unwrap(), Some(new.clone()), "live");
         env.set_plan(FaultPlan::crash(env.ops(), 35));
@@ -2451,9 +2443,11 @@ mod model_tests {
         }
     }
 
-    /// One put against a committer that dies (`COMMITTER_PANICS`) holding
-    /// its buffer lock: the put must fail, not park forever, and the
-    /// drop must return.
+    /// One put against a committer that dies mid-apply
+    /// (`COMMITTER_PANICS`) holding the store lock: the put must fail,
+    /// not park forever, and the drop must return. The store lock is
+    /// taken once more afterwards, so the poison the death left on it
+    /// is observed.
     fn panicking_committer(switches: &'static [Switch]) -> impl Fn() + Send + Sync + 'static {
         move || {
             arm(switches);
@@ -2461,6 +2455,7 @@ mod model_tests {
             let svc = open(&env);
             let err = svc.put(1, 1).unwrap_err();
             assert!(err.to_string().contains("committer thread panicked"), "{err}");
+            svc.len();
             drop(svc);
         }
     }
@@ -2522,9 +2517,10 @@ mod model_tests {
         }
     }
 
-    /// `CommitterPanicGuard` fails the parked writer on every explored
-    /// schedule — the lock the dead committer held is observed poisoned
-    /// and swallowed — and without the guard the writer is stranded.
+    /// `CommitterPanicGuard` fails the parked writer of a batch whose
+    /// apply the committer died in, on every explored schedule — the
+    /// store lock the dead committer held is observed poisoned and
+    /// swallowed — and without the guard the writer is stranded.
     #[test]
     fn a_committer_panic_fails_the_parked_writer_and_the_drop_returns() {
         let checker = Checker::new().max_schedules(1_000);

@@ -30,10 +30,10 @@ pub trait StorageBackend {
     /// in O(1) words of internal memory, as the paper's model requires —
     /// instead of keeping a per-bucket pointer table. A contiguous run of
     /// freed ids may be recycled (region frees return whole ranges, so
-    /// runs are the common case); both built-in backends use
-    /// the identical lowest-first-fit policy (the internal `FreeRuns`
-    /// interval set) so the same workload produces the same ids on
-    /// every backend.
+    /// runs are the common case); every built-in backend runs the one
+    /// internal slot allocator and its lowest-first-fit policy (the
+    /// `FreeRuns` interval set), so the same workload produces the same
+    /// ids on every backend.
     fn allocate_contiguous(&mut self, n: usize) -> Result<BlockId>;
 
     /// Returns block `id` to the allocator. Reading a freed id is an error
@@ -120,8 +120,9 @@ impl FreeRuns {
     }
 }
 
-/// The allocator state machine shared by [`crate::FileDisk`] and
-/// [`crate::SimDisk`]: LIFO single-slot recycling, lowest-first-fit
+/// The allocator state machine shared by [`crate::MemDisk`],
+/// [`crate::FileDisk`] and [`crate::SimDisk`]: LIFO single-slot
+/// recycling, lowest-first-fit
 /// contiguous runs ([`FreeRuns`]) and O(1) liveness. One implementation
 /// — not one per backend — is what keeps block ids backend-deterministic
 /// by construction.

@@ -1,10 +1,12 @@
 //! In-memory storage backend: the exact, deterministic simulator disk.
 
-use crate::backend::{FreeRuns, StorageBackend};
+use crate::backend::{SlotAllocator, StorageBackend};
 use crate::block::{Block, BlockId};
 use crate::error::{ExtMemError, Result};
 
-/// An in-RAM "disk": a growable array of blocks with a free list.
+/// An in-RAM "disk": a growable array of blocks whose ids come from the
+/// one slot allocator [`crate::FileDisk`] and [`crate::SimDisk`] share,
+/// so block ids stay identical across backends for identical workloads.
 ///
 /// This is the backend used by all experiments — it makes I/O *counting*
 /// exact while keeping simulated runs fast and deterministic. Use
@@ -12,24 +14,16 @@ use crate::error::{ExtMemError, Result};
 /// real file.
 pub struct MemDisk {
     block_capacity: usize,
+    /// Block data by id; `None` for a freed id.
     slots: Vec<Option<Block>>,
-    free: Vec<u64>,
-    /// `free` as coalesced intervals, for O(runs) contiguous-run search.
-    runs: FreeRuns,
-    live: u64,
+    alloc: SlotAllocator,
 }
 
 impl MemDisk {
     /// A new empty disk with block capacity `b` items.
     pub fn new(block_capacity: usize) -> Self {
         assert!(block_capacity > 0, "block capacity must be positive");
-        MemDisk {
-            block_capacity,
-            slots: Vec::new(),
-            free: Vec::new(),
-            runs: FreeRuns::default(),
-            live: 0,
-        }
+        MemDisk { block_capacity, slots: Vec::new(), alloc: SlotAllocator::default() }
     }
 
     fn slot(&self, id: BlockId) -> Result<&Block> {
@@ -37,6 +31,19 @@ impl MemDisk {
             .get(id.raw() as usize)
             .and_then(|s| s.as_ref())
             .ok_or(ExtMemError::BadBlockId(id))
+    }
+
+    /// Puts an empty block in each of the `n` slots from `base`, which
+    /// the allocator just handed out.
+    fn fill(&mut self, base: u64, n: usize) -> BlockId {
+        let (base, end) = (base as usize, base as usize + n);
+        if self.slots.len() < end {
+            self.slots.resize_with(end, || None);
+        }
+        for slot in &mut self.slots[base..end] {
+            *slot = Some(Block::new(self.block_capacity));
+        }
+        BlockId(base as u64)
     }
 }
 
@@ -61,53 +68,38 @@ impl StorageBackend for MemDisk {
     }
 
     fn allocate(&mut self) -> Result<BlockId> {
-        self.live += 1;
-        if let Some(idx) = self.free.pop() {
-            self.runs.remove(idx);
-            self.slots[idx as usize] = Some(Block::new(self.block_capacity));
-            return Ok(BlockId(idx));
-        }
-        let idx = self.slots.len() as u64;
-        self.slots.push(Some(Block::new(self.block_capacity)));
-        Ok(BlockId(idx))
+        let idx = match self.alloc.peek_recycle() {
+            Some(idx) => {
+                self.alloc.commit_recycle(idx);
+                idx
+            }
+            None => self.alloc.commit_grow(1),
+        };
+        Ok(self.fill(idx, 1))
     }
 
     fn allocate_contiguous(&mut self, n: usize) -> Result<BlockId> {
-        // Same run-recycling policy as FileDisk, so block ids stay
-        // identical across backends for identical workloads.
-        if let Some(base) = self.runs.first_run_of(n) {
-            let end = base + n as u64;
-            self.free.retain(|&id| !(base..end).contains(&id));
-            self.runs.remove_range(base, end);
-            for id in base..end {
-                self.slots[id as usize] = Some(Block::new(self.block_capacity));
+        let base = match self.alloc.peek_run(n) {
+            Some(base) => {
+                self.alloc.commit_run(base, n);
+                base
             }
-            self.live += n as u64;
-            return Ok(BlockId(base));
-        }
-        let base = self.slots.len() as u64;
-        self.slots.reserve(n);
-        for _ in 0..n {
-            self.slots.push(Some(Block::new(self.block_capacity)));
-        }
-        self.live += n as u64;
-        Ok(BlockId(base))
+            None => self.alloc.commit_grow(n as u64),
+        };
+        Ok(self.fill(base, n))
     }
 
     fn free(&mut self, id: BlockId) -> Result<()> {
-        let slot = self.slots.get_mut(id.raw() as usize).ok_or(ExtMemError::BadBlockId(id))?;
-        if slot.is_none() {
-            return Err(ExtMemError::BadBlockId(id));
-        }
-        *slot = None;
-        self.free.push(id.raw());
-        self.runs.insert(id.raw());
-        self.live -= 1;
+        self.slots
+            .get_mut(id.raw() as usize)
+            .and_then(Option::take)
+            .ok_or(ExtMemError::BadBlockId(id))?;
+        self.alloc.release(id.raw());
         Ok(())
     }
 
     fn live_blocks(&self) -> u64 {
-        self.live
+        self.alloc.live()
     }
 
     fn sync(&mut self) -> Result<()> {

@@ -33,8 +33,8 @@
 //!   before the ack in the path (not "nearest", because failure-path
 //!   rollbacks like `CommitLog::commit`'s truncate legitimately sit
 //!   between the round's fsync and the acks). A function that other
-//!   scanned functions call (`BufState::acknowledge`) does not answer
-//!   for its own acks: each caller does, where it inlines the call.
+//!   scanned functions call (`ack_through`) does not answer for its own
+//!   acks: each caller does, where it inlines the call.
 //! * `rename-then-dir-fsync` — a directory fsync must follow the
 //!   rename before its function's sequence ends.
 //! * `unlink-after-manifest-commit` — the effect **right before** the
@@ -481,7 +481,7 @@ pub(crate) fn scan_sources(srcs: &[&str]) -> (Vec<Violation>, ScanStats) {
 
 /// Anchor floors, pinned to what the real corpus has: the manifest
 /// commit's rename, the one ack site both commit paths share
-/// (`BufState::acknowledge`), the one unlink of committed level files
+/// (`ack_through`), the one unlink of committed level files
 /// (the manifest commit's), the harden / log / blob-log fsyncs, and the
 /// dir fsyncs of the commit, the fresh log and the two `sync_dir`
 /// primitives. Fewer means the scanner lost its tokens, not that the
@@ -649,16 +649,14 @@ mod tests {
         assert_eq!(scan(src), vec![]);
     }
 
-    /// An ack helper (the real `BufState::acknowledge`) answers at its
-    /// call sites: after the round's fsync it is conformant, and the
-    /// seeded mutant — the helper called before the harden — is caught.
+    /// An ack helper (the real `ack_through`) answers at its call sites:
+    /// after the round's fsync it is conformant, and the seeded mutant —
+    /// the helper called before the harden — is caught.
     #[test]
     fn an_ack_helper_is_anchored_where_it_is_called() {
         let helper = "
-            impl BufState {
-                fn acknowledge(&mut self, batches: &[AppliedBatch]) {
-                    *cell.0.lock() = Some(Ok(*ans));
-                }
+            fn ack_through(shard: &Shard, seq: u64) {
+                *b.cell.0.lock() = Some(Ok(answers));
             }
             impl KvStore {
                 fn harden(&mut self) -> Result<()> {
@@ -669,13 +667,13 @@ mod tests {
         let good = "
             fn harden_shard(shard: &Shard) {
                 store.harden()?;
-                buf.acknowledge(&acked);
+                ack_through(shard, covered);
             }
         ";
         assert_eq!(scan(&format!("{helper}{good}")), vec![]);
         let bad = "
             fn harden_shard(shard: &Shard) {
-                buf.acknowledge(&acked);
+                ack_through(shard, covered);
                 store.harden()?;
             }
         ";

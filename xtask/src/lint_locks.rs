@@ -9,7 +9,7 @@
 //!
 //! 1. **Lock-order hierarchy.** Acquiring a guard while another is
 //!    live is only legal for the one whitelisted nesting, `Buf → Cell`
-//!    (ack cells are filled under the buffer lock — that is what makes
+//!    (batch cells are filled under the buffer lock — that is what makes
 //!    the writers' check-then-park race-free). Everything else — above
 //!    all `Buf → Store` or its inversion — is a violation.
 //!
@@ -49,7 +49,7 @@ enum GuardClass {
     Store,
     /// `SyncCoordinator::state` — dirty set, epoch, shutdown.
     Coord,
-    /// `OpCell::0` — a writer's ack slot.
+    /// `BatchCell::0` — the ack slot every writer of one batch waits on.
     Cell,
 }
 
