@@ -76,7 +76,7 @@ impl<M: StoreMedia> CommitLog<M> {
         }
         let len = self.file.len();
         let round = self.file.append(bytes).and_then(|()| self.file.sync());
-        if round.is_err() && self.file.truncate(len).is_err() {
+        if round.is_err() && self.file.set_len(len).is_err() {
             self.poisoned = true;
         }
         round
@@ -117,7 +117,7 @@ impl<M: StoreMedia> CommitLog<M> {
     /// Durably empties the log (a checkpoint made every record in it
     /// redundant).
     pub(crate) fn truncate(&mut self) -> Result<()> {
-        self.file.truncate(0)?;
+        self.file.set_len(0)?;
         self.file.sync()
     }
 }
@@ -662,14 +662,15 @@ mod tests {
     /// no manifest names, which a shard's open removes.
     #[test]
     fn a_root_with_a_sealed_log_segment_is_refused_touching_nothing() {
-        use dxh_extmem::StorageBackend;
+        use dxh_extmem::{SimDisk, StorageBackend};
         let env = SimEnv::new();
         let svc = service(&env);
         for k in 0..20u64 {
             svc.put(k, k + 1).unwrap();
         }
         drop(svc);
-        let mut stray = env.create_disk("shard-000/level-99.blk", 8).unwrap();
+        let stray = env.create_file("shard-000/level-99.blk").unwrap();
+        let mut stray = SimDisk::from_file(stray, 8).unwrap();
         stray.allocate_contiguous(4).unwrap();
         stray.sync().unwrap();
         env.sync_dir("shard-000/").unwrap();

@@ -1,24 +1,24 @@
 //! The store's persistence seam: *where* a [`crate::KvStore`]'s (or a
 //! [`crate::ShardedKvStore`]'s) directory lives.
 //!
-//! [`StoreMedia`] is a **file-altitude** seam: block files, byte files
-//! (create / open / read / rename / remove), a directory sync, a listing
-//! and child directories — the system calls, nothing more. Two
-//! implementations sit below it: a real directory ([`DirMedia`], the
-//! default) and the deterministic crash-simulation environment
-//! ([`SimMedia`]). Every durable *protocol* is written once above it, as
-//! generic code: the tmp + fsync + rename + dir-fsync commit
-//! ([`commit_file_atomic`], for the store manifest and the service
-//! manifest alike, in this module), the store's level files
-//! (`store/levels.rs`) and the commit log (`commitlog.rs`). The crash
-//! sweeps therefore run the code that ships, down to each fsync, rename
-//! and unlink.
+//! [`StoreMedia`] is a **file-altitude** seam: files (create / open /
+//! read / rename / remove), a directory sync, a listing and child
+//! directories — the system calls, nothing more. Two implementations sit
+//! below it: a real directory ([`DirMedia`], the default) and the
+//! deterministic crash-simulation environment ([`SimMedia`]). Every
+//! durable *protocol* is written once above it, as generic code: the
+//! tmp + fsync + rename + dir-fsync commit ([`commit_file_atomic`], for
+//! the store manifest and the service manifest alike, in this module),
+//! the store's level files (`store/levels.rs`, blocks laid over the
+//! media's files by `dxh_extmem::BlockFile`) and the commit log
+//! (`commitlog.rs`). The crash sweeps therefore run the code that ships,
+//! down to each fsync, rename and unlink.
 
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use dxh_extmem::{BlobFile, ExtMemError, FileBlob, FileDisk, Result, StorageBackend};
+use dxh_extmem::{BlobFile, ExtMemError, FileBlob, Result};
 
 /// Manifest file name inside a store directory.
 pub(crate) const MANIFEST: &str = "MANIFEST";
@@ -49,9 +49,9 @@ pub(crate) fn is_blob_file(name: &str) -> bool {
     name.starts_with("store") && name.ends_with(".blob")
 }
 
-/// One directory of a persistence environment: a block-backend factory
-/// plus the byte-file system calls the durable protocols are built
-/// from. Names are plain file names inside the directory.
+/// One directory of a persistence environment: the file system calls
+/// the durable protocols are built from. Names are plain file names
+/// inside the directory.
 ///
 /// Contract (what the protocols above assume of every implementation):
 ///
@@ -60,45 +60,37 @@ pub(crate) fn is_blob_file(name: &str) -> bool {
 ///   [`StoreMedia::sub`]) and released when it drops — at most one live
 ///   handle per store, with a crashed owner's lock released by the
 ///   environment, never reclaimed by guesswork.
-/// * **Nothing is durable by itself.** A byte file's appends are
-///   durable after its [`BlobFile::sync`]; a create, rename or remove is
-///   durable after the directory's [`StoreMedia::sync_dir`] — a file's
-///   own sync does not persist its name.
+/// * **Nothing is durable by itself.** A file's writes are durable after
+///   its [`BlobFile::sync`]; a create, rename or remove is durable after
+///   the directory's [`StoreMedia::sync_dir`] — a file's own sync does
+///   not persist its name.
 /// * [`StoreMedia::rename`] is atomic: at any crash the target names the
 ///   whole old file or the whole new one.
-/// * Data files created by [`StoreMedia::create_data`] start empty, and
-///   one opened by [`StoreMedia::open_data`] has every slot live.
+/// * A file [`StoreMedia::create_file`] makes starts empty, and a
+///   growing [`BlobFile::set_len`] reads back as zeros — what lets a
+///   level file grow by empty blocks without writing a byte.
 pub trait StoreMedia: Sized {
-    /// The block file this media serves: one level of a store.
-    type Backend: StorageBackend;
-
-    /// An open byte file of this media — the payload log's storage (see
+    /// An open file of this media — a level file under its blocks (see
+    /// `dxh_extmem::BlockFile`), the payload log's storage (see
     /// `dxh_extmem::BlobLog`) and the handle under every metadata
     /// protocol. `Send` so a store can live behind the service's
     /// per-shard committer threads.
     type File: BlobFile + Send;
 
-    /// Creates (truncating) data file `name` and opens a backend on it.
-    fn create_data(&mut self, name: &str, block_capacity: usize) -> Result<Self::Backend>;
-
-    /// Opens existing data file `name` without truncating; every slot is
-    /// live.
-    fn open_data(&mut self, name: &str, block_capacity: usize) -> Result<Self::Backend>;
-
-    /// Creates (truncating) byte file `name`.
+    /// Creates (truncating) file `name`.
     fn create_file(&mut self, name: &str) -> Result<Self::File>;
 
-    /// Opens existing byte file `name` without truncating; `None` when
+    /// Opens existing file `name` without truncating; `None` when
     /// absent.
     fn open_file(&mut self, name: &str) -> Result<Option<Self::File>>;
 
-    /// Reads the whole of byte file `name`; `None` when absent.
+    /// Reads the whole of file `name`; `None` when absent.
     fn read_file(&mut self, name: &str) -> Result<Option<Vec<u8>>>;
 
     /// Atomically renames `from` over `to`.
     fn rename(&mut self, from: &str, to: &str) -> Result<()>;
 
-    /// Removes file `name` (data or byte); `false` when it was absent.
+    /// Removes file `name`; `false` when it was absent.
     fn remove(&mut self, name: &str) -> Result<bool>;
 
     /// Makes every create, rename and remove in this directory durable.
@@ -114,7 +106,7 @@ pub trait StoreMedia: Sized {
 
     /// A second handle on this directory that takes no lock, for the
     /// holder of `self` to keep beside it (a store hands one to its
-    /// block backend): good only while `self`'s lock is held.
+    /// level files): good only while `self`'s lock is held.
     fn view(&self) -> Self;
 }
 
@@ -302,16 +294,7 @@ fn absent_is_none<T>(r: std::io::Result<T>) -> Result<Option<T>> {
 }
 
 impl StoreMedia for DirMedia {
-    type Backend = FileDisk;
     type File = FileBlob;
-
-    fn create_data(&mut self, name: &str, block_capacity: usize) -> Result<FileDisk> {
-        FileDisk::create(&self.dir.join(name), block_capacity)
-    }
-
-    fn open_data(&mut self, name: &str, block_capacity: usize) -> Result<FileDisk> {
-        FileDisk::open(&self.dir.join(name), block_capacity)
-    }
 
     fn create_file(&mut self, name: &str) -> Result<FileBlob> {
         FileBlob::create(self.dir.join(name))
@@ -365,8 +348,8 @@ impl StoreMedia for DirMedia {
 }
 
 /// The crash-simulation media: one directory (a name prefix) of a
-/// [`dxh_extmem::SimEnv`] — simulated block files, simulated byte files
-/// with dirent durability, and the environment's exclusive locks. Every
+/// [`dxh_extmem::SimEnv`] — simulated files with dirent durability, and
+/// the environment's exclusive locks. Every
 /// primitive is one tick of the environment's I/O clock, so a
 /// [`dxh_extmem::FaultPlan`] can crash the store between *any* two
 /// system calls of open/sync/recover/compact — the seam the torture
@@ -422,16 +405,7 @@ impl Drop for SimMedia {
 }
 
 impl StoreMedia for SimMedia {
-    type Backend = dxh_extmem::SimDisk;
     type File = dxh_extmem::SimBlob;
-
-    fn create_data(&mut self, name: &str, block_capacity: usize) -> Result<dxh_extmem::SimDisk> {
-        self.env.create_disk(&self.scoped(name), block_capacity)
-    }
-
-    fn open_data(&mut self, name: &str, block_capacity: usize) -> Result<dxh_extmem::SimDisk> {
-        self.env.open_disk(&self.scoped(name), block_capacity)
-    }
 
     fn create_file(&mut self, name: &str) -> Result<dxh_extmem::SimBlob> {
         self.env.create_file(&self.scoped(name))

@@ -1127,10 +1127,7 @@ impl ShardedKvStore<DirMedia> {
     }
 }
 
-impl<M: StoreMedia + Send + 'static> ShardedKvStore<M>
-where
-    M::Backend: Send,
-{
+impl<M: StoreMedia + Send + 'static> ShardedKvStore<M> {
     /// Opens the service rooted at `root` — the backend-generic twin of
     /// [`ShardedKvStore::open`] (the torture harness passes
     /// [`crate::SimMedia::unlocked`]). The root holds the service

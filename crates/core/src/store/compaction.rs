@@ -383,7 +383,7 @@ mod tests {
         let mut read = std::collections::HashSet::new();
         for event in env.take_trace() {
             let (file, read_of) = match event {
-                IoEvent::Read { file, id } => (file, Some(id)),
+                IoEvent::ReadAt { file, offset, .. } => (file, Some(offset)),
                 IoEvent::Write { file, .. } => (file, None),
                 _ => continue,
             };

@@ -12,6 +12,11 @@
 //! live levels is only what a flush in progress has read but not yet
 //! finished replacing.
 //!
+//! Each level file is an ordinary file of the store's media — the kind
+//! its manifest and logs are — with its blocks laid over it by a
+//! [`BlockFile`]: block `slot` is read at `slot × B`, where `B` is the
+//! encoded block size.
+//!
 //! A file lives exactly as long as a level names it:
 //!
 //! * one created and fully consumed between two manifest commits (a
@@ -35,7 +40,7 @@
 
 use std::collections::BTreeMap;
 
-use dxh_extmem::{Block, BlockId, ExtMemError, Result, StorageBackend};
+use dxh_extmem::{Block, BlockFile, BlockId, ExtMemError, Result, StorageBackend};
 
 use super::manifest::corrupt;
 use crate::media::{best_effort, older_layout, StoreMedia};
@@ -57,11 +62,9 @@ pub(super) fn level_file_name(file: u64) -> String {
     format!("level-{file}.blk")
 }
 
-struct LevelFile<D> {
-    disk: D,
+struct LevelFile<F> {
+    disk: BlockFile<F>,
     name: String,
-    /// Slots of the file, free ones included: its length.
-    slots: u64,
     /// Named by the last durable manifest — if not, created since.
     committed: bool,
 }
@@ -70,7 +73,7 @@ struct LevelFile<D> {
 /// the module docs). Generic over the [`StoreMedia`] seam, so the real
 /// directory and the crash simulator run the one implementation.
 pub struct LevelFiles<M: StoreMedia> {
-    files: BTreeMap<u64, LevelFile<M::Backend>>,
+    files: BTreeMap<u64, LevelFile<M::File>>,
     /// Number of the next file to create; numbers are never reused while
     /// a file that bore them may still exist.
     next_file: u64,
@@ -107,22 +110,23 @@ impl<M: StoreMedia> LevelFiles<M> {
         let mut this = Self::new(media, b);
         for (region, file) in levels.iter().flatten().zip(files) {
             let name = level_file_name(file);
+            let missing = || ExtMemError::Corrupt("no such file".into());
             let disk = this
                 .media
-                .open_data(&name, b)
+                .open_file(&name)
+                .and_then(|f| BlockFile::from_file(f.ok_or_else(missing)?, b))
                 .map_err(|e| corrupt(&format!("names level file {name}: {e}")))?;
-            let slots = disk.live_blocks();
-            if region.buckets > slots {
+            if region.buckets > disk.slots() {
                 return Err(corrupt(&format!("{region:?} lies outside {name}")));
             }
-            this.live += slots;
+            this.live += disk.live_blocks();
             this.next_file = this.next_file.max(file + 1);
-            this.files.insert(file, LevelFile { disk, name, slots, committed: true });
+            this.files.insert(file, LevelFile { disk, name, committed: true });
         }
         Ok(this)
     }
 
-    fn file_mut(&mut self, id: BlockId) -> Result<&mut LevelFile<M::Backend>> {
+    fn file_mut(&mut self, id: BlockId) -> Result<&mut LevelFile<M::File>> {
         self.files.get_mut(&file_of(id)).ok_or(ExtMemError::BadBlockId(id))
     }
 
@@ -138,7 +142,7 @@ impl<M: StoreMedia> LevelFiles<M> {
         best_effort(self.media.remove(&f.name));
     }
 
-    fn unlink_where(&mut self, doomed: impl Fn(u64, &LevelFile<M::Backend>) -> bool) {
+    fn unlink_where(&mut self, doomed: impl Fn(u64, &LevelFile<M::File>) -> bool) {
         let files = self.files.iter().filter(|(&file, f)| doomed(file, f));
         let doomed: Vec<u64> = files.map(|(&file, _)| file).collect();
         doomed.into_iter().for_each(|file| self.unlink(file));
@@ -169,7 +173,7 @@ impl<M: StoreMedia> LevelFiles<M> {
     /// files together, for `None`.
     pub(super) fn file_bytes(&self, id: Option<BlockId>) -> u64 {
         let in_file = |&(file, _): &(&u64, _)| id.is_none_or(|id| *file == file_of(id));
-        let slots: u64 = self.files.iter().filter(in_file).map(|(_, f)| f.slots).sum();
+        let slots: u64 = self.files.iter().filter(in_file).map(|(_, f)| f.disk.slots()).sum();
         slots * Block::encoded_len(self.b) as u64
     }
 
@@ -204,12 +208,11 @@ impl<M: StoreMedia> StorageBackend for LevelFiles<M> {
     fn allocate(&mut self) -> Result<BlockId> {
         let Some(file) = self.building else { return self.allocate_contiguous(1) };
         let f = self.files.get_mut(&file).expect("the file being built is open");
-        if f.slots >> SLOT_BITS != 0 {
+        if f.disk.slots() >> SLOT_BITS != 0 {
             return Err(ExtMemError::BadConfig(format!("{} is full", f.name)));
         }
         let slot = f.disk.allocate()?;
-        debug_assert_eq!(slot.raw(), f.slots, "a file being built only grows");
-        f.slots += 1;
+        debug_assert_eq!(slot.raw() + 1, f.disk.slots(), "a file being built only grows");
         self.live += 1;
         Ok(BlockId(file << SLOT_BITS | slot.raw()))
     }
@@ -223,13 +226,13 @@ impl<M: StoreMedia> StorageBackend for LevelFiles<M> {
             )));
         }
         let name = level_file_name(file);
-        let mut disk = self.media.create_data(&name, self.b)?;
+        let mut disk = BlockFile::from_file(self.media.create_file(&name)?, self.b)?;
         let base = disk.allocate_contiguous(n)?;
         debug_assert_eq!(base.raw(), 0, "a fresh file starts at slot 0");
         self.next_file += 1;
         self.live += n as u64;
         self.building = Some(file);
-        self.files.insert(file, LevelFile { disk, name, slots: n as u64, committed: false });
+        self.files.insert(file, LevelFile { disk, name, committed: false });
         Ok(BlockId(file << SLOT_BITS))
     }
 

@@ -383,7 +383,7 @@ mod tests {
         let touches_data = |trace: &[IoEvent]| {
             trace.iter().any(|e| match e {
                 IoEvent::Meta { label, .. } => label.ends_with(".blk"),
-                IoEvent::Read { .. } => true,
+                IoEvent::ReadAt { file, .. } => file.ends_with(".blk"),
                 _ => false,
             })
         };
@@ -550,7 +550,7 @@ mod tests {
     #[test]
     fn manifest_bytes_are_pinned_and_the_file_0_layout_is_refused() {
         use crate::media::SimMedia;
-        use dxh_extmem::{SimEnv, StorageBackend};
+        use dxh_extmem::{SimDisk, SimEnv, StorageBackend};
         let env = SimEnv::new();
         let mut s = KvStore::open_payload_on(SimMedia::open(&env).unwrap(), cfg(), 7).unwrap();
         let [first, second] = pinned_history(&mut s);
@@ -580,7 +580,8 @@ mod tests {
         ];
         for text in file_0 {
             let env = SimEnv::new();
-            let mut heap = env.create_disk("store.blk", cfg().b).unwrap();
+            let file = env.create_file("store.blk").unwrap();
+            let mut heap = SimDisk::from_file(file, cfg().b).unwrap();
             heap.allocate_contiguous(192).unwrap();
             heap.sync().unwrap();
             put_file(&env, MANIFEST, text.as_bytes());

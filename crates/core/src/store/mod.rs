@@ -498,7 +498,7 @@ pub(crate) mod tests {
     use std::fs;
     use std::path::PathBuf;
 
-    use dxh_extmem::{Block, BlockId, FaultPlan, IoEvent, SimEnv, StorageBackend};
+    use dxh_extmem::{Block, FaultPlan, IoEvent, SimEnv};
 
     use super::levels::{level_file_name, mutant};
     use super::manifest::Manifest;
@@ -580,19 +580,11 @@ pub(crate) mod tests {
         env.file_names().into_iter().filter(|name| !name.contains('/')).collect()
     }
 
-    /// The contents of every file of `env`: a byte file's bytes, a block
-    /// file's blocks (of `cfg()`'s capacity).
-    fn sim_image(env: &SimEnv) -> BTreeMap<String, (Option<Vec<u8>>, Vec<Block>)> {
-        let blocks = |name: &str| -> Vec<Block> {
-            let mut disk = env.open_disk(name, cfg().b).unwrap();
-            (0..disk.slots()).map(|slot| disk.read(BlockId(slot)).unwrap()).collect()
-        };
+    /// The bytes of every file of `env`.
+    fn sim_image(env: &SimEnv) -> BTreeMap<String, Vec<u8>> {
         let image = |name: String| {
-            let image = match is_data_file(&name) {
-                true => (None, blocks(&name)),
-                false => (env.read_file(&name).unwrap(), Vec::new()),
-            };
-            (name, image)
+            let bytes = env.read_file(&name).unwrap().unwrap();
+            (name, bytes)
         };
         env.file_names().into_iter().map(image).collect()
     }
@@ -614,9 +606,15 @@ pub(crate) mod tests {
             .take_trace()
             .into_iter()
             .filter(|e| match e {
-                IoEvent::Read { .. } | IoEvent::ReadAt { .. } => false,
+                IoEvent::ReadAt { .. } => false,
                 IoEvent::Meta { label, .. } => {
-                    let ops = ["file-create", "file-rename", "file-remove", "file-truncate"];
+                    let ops = [
+                        "file-create",
+                        "file-rename",
+                        "file-remove",
+                        "file-truncate",
+                        "file-extend",
+                    ];
                     label.starts_with("dir-sync") || ops.iter().any(|op| label.starts_with(op))
                 }
                 _ => true,
@@ -907,9 +905,14 @@ pub(crate) mod tests {
         CoreConfig::lemma5(64, 4096, 2).unwrap()
     }
 
-    /// Block reads `env` traced since its trace was last taken.
+    /// Block reads `env` traced since its trace was last taken: the
+    /// positional reads of level files.
     pub(super) fn block_reads(env: &SimEnv) -> u64 {
-        env.take_trace().iter().filter(|e| matches!(e, IoEvent::Read { .. })).count() as u64
+        let trace = env.take_trace();
+        let reads = trace
+            .iter()
+            .filter(|e| matches!(e, IoEvent::ReadAt { file, .. } if is_data_file(file)));
+        reads.count() as u64
     }
 
     /// Blocks (primaries and chains) of the levels that carry a filter —
@@ -1089,7 +1092,7 @@ pub(crate) mod tests {
         census(&mut s, &|f: &str| env.file_len(f), sim_files(&env));
     }
 
-    /// Bytes of block files present, replayed from a trace: creates,
+    /// Slots of block files present, replayed from a trace: creates,
     /// growth and unlinks.
     #[derive(Default)]
     struct Present(std::collections::BTreeMap<String, u64>);
@@ -1100,18 +1103,15 @@ pub(crate) mod tests {
         fn replay(&mut self, events: &[IoEvent]) -> (u64, usize) {
             let (mut peak, mut created) = (self.total(), 0);
             for event in events {
-                match event {
-                    IoEvent::Alloc { file, base, n } => {
-                        let slots = self.0.entry(file.clone()).or_default();
-                        *slots = (*slots).max(base + n);
+                if let IoEvent::Meta { label, fingerprint } = event {
+                    if let Some(file) = label.strip_prefix("file-extend ") {
+                        let slots = fingerprint / Block::encoded_len(cfg().b) as u64;
+                        self.0.insert(file.to_string(), slots);
                     }
-                    IoEvent::Meta { label, .. } => {
-                        if let Some(file) = label.strip_prefix("file-remove ") {
-                            self.0.remove(file);
-                        }
-                        created += usize::from(label.starts_with("file-create level-"));
+                    if let Some(file) = label.strip_prefix("file-remove ") {
+                        self.0.remove(file);
                     }
-                    _ => {}
+                    created += usize::from(label.starts_with("file-create level-"));
                 }
                 peak = peak.max(self.total());
             }

@@ -122,7 +122,7 @@ impl<M: StoreMedia> KvStore<M> {
 mod tests {
     use std::fs;
 
-    use dxh_extmem::{BlockId, SimEnv, StorageBackend};
+    use dxh_extmem::{BlockId, SimDisk, SimEnv, StorageBackend};
     use dxh_tables::ExternalDictionary;
 
     use super::super::levels::level_file_name;
@@ -216,7 +216,8 @@ mod tests {
             s.insert(k, k + 1).unwrap();
         }
         drop(s);
-        let mut stray = env.create_disk("level-99.blk", cfg().b).unwrap();
+        let stray = env.create_file("level-99.blk").unwrap();
+        let mut stray = SimDisk::from_file(stray, cfg().b).unwrap();
         stray.allocate_contiguous(4).unwrap();
         stray.sync().unwrap();
         let mut chain = Vec::new();
@@ -515,7 +516,8 @@ mod tests {
         blk.set_next(Some(head));
         let refused = s.table.disk_mut().backend_mut().write(head, &blk);
         assert!(matches!(refused, Err(ExtMemError::BadConfig(_))), "{refused:?}");
-        let mut file = env.open_disk(&level_file_name(head.raw() >> 32), cfg.b).unwrap();
+        let file = env.open_file(&level_file_name(head.raw() >> 32)).unwrap().unwrap();
+        let mut file = SimDisk::from_file(file, cfg.b).unwrap();
         file.write(BlockId(0), &blk).unwrap();
         file.sync().unwrap();
         env.take_trace();

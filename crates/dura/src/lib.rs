@@ -9,7 +9,7 @@
 //!   paths into [`EffectClass`]es and rejects orderings the table
 //!   forbids (`xtask/src/lint_durability.rs`), and
 //! * the **trace automaton** [`check_trace`], which validates the
-//!   `SimDisk` [`IoEvent`] stream of every torture/service crash sweep
+//!   `SimEnv` [`IoEvent`] stream of every torture/service crash sweep
 //!   against the same rules — conformance of the *observed* I/O, closing
 //!   the gap between what the lint approves and what the code emits.
 //!
@@ -360,10 +360,7 @@ pub fn check_trace(events: &[IoEvent]) -> Vec<TraceViolation> {
             IoEvent::Sync { file, .. } => {
                 unsynced.insert(file, 0);
             }
-            IoEvent::Read { .. }
-            | IoEvent::ReadAt { .. }
-            | IoEvent::Alloc { .. }
-            | IoEvent::Free { .. } => {}
+            IoEvent::ReadAt { .. } => {}
             IoEvent::Meta { label, .. } => {
                 let (op, name) = split_label(label);
                 let (prefix, local) = split_name(name);
@@ -485,7 +482,9 @@ pub fn check_trace(events: &[IoEvent]) -> Vec<TraceViolation> {
                     "file-truncate" => {
                         // Recovery (or open) discarded the unsynced
                         // tail: the appends it covered no longer exist,
-                        // so they owe no sync before the next commit.
+                        // so they owe no sync before the next commit. A
+                        // growth (`file-extend`) cuts nothing and
+                        // discharges nothing.
                         unsynced.insert(name, 0);
                     }
                     _ => {}
@@ -506,7 +505,7 @@ mod tests {
     }
 
     fn write(file: &str) -> IoEvent {
-        IoEvent::Write { file: file.into(), id: 0, fingerprint: 0 }
+        IoEvent::Write { file: file.into(), offset: 0, fingerprint: 0 }
     }
 
     fn sync(file: &str) -> IoEvent {
@@ -731,6 +730,23 @@ mod tests {
         assert_eq!(check_trace(&events), vec![]);
     }
 
+    /// Seeded mutant: a level file written, then grown, then committed
+    /// with no fdatasync between. A growth is no truncation: it cuts no
+    /// unsynced write, so it must not discharge one — were it traced as
+    /// `file-truncate`, this commit would pass.
+    #[test]
+    fn a_growth_does_not_discharge_unsynced_writes() {
+        let events = trace(vec![
+            vec![meta("file-create level-1.blk"), write("level-1.blk")],
+            vec![meta("file-extend level-1.blk")],
+            manifest_rename(""),
+        ]);
+        let v = check_trace(&events);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "rename-after-data-fsync");
+        assert_eq!(v[0].at, 6);
+    }
+
     /// A power cycle drops the overlay: the next process's manifest
     /// commit is not indicted by pre-crash unsynced writes — nor by a
     /// pre-crash rename the crash cut off from its dir-sync.
@@ -759,10 +775,10 @@ mod tests {
     /// synthetic events.
     #[test]
     fn real_sim_disk_lifecycle_is_conformant() {
-        use dxh_extmem::{BlobFile, Block, StorageBackend};
+        use dxh_extmem::{BlobFile, Block, SimDisk, StorageBackend};
         let env = SimEnv::new();
         env.set_tracing(true);
-        let mut disk = env.create_disk("level-1.blk", 4).unwrap();
+        let mut disk = SimDisk::from_file(env.create_file("level-1.blk").unwrap(), 4).unwrap();
         let id = disk.allocate().unwrap();
         let mut b = Block::new(4);
         b.push(dxh_extmem::Item { key: 1, value: 2 }).unwrap();

@@ -120,17 +120,17 @@ impl FreeRuns {
     }
 }
 
-/// The allocator state machine shared by [`crate::MemDisk`],
-/// [`crate::FileDisk`] and [`crate::SimDisk`]: LIFO single-slot
-/// recycling, lowest-first-fit
-/// contiguous runs ([`FreeRuns`]) and O(1) liveness. One implementation
-/// — not one per backend — is what keeps block ids backend-deterministic
-/// by construction.
+/// The allocator state machine shared by [`crate::MemDisk`] and
+/// [`crate::BlockFile`] (over a real file or a simulated one): LIFO
+/// single-slot recycling, lowest-first-fit contiguous runs
+/// ([`FreeRuns`]) and O(1) liveness. One implementation — not one per
+/// backend — is what keeps block ids backend-deterministic by
+/// construction.
 ///
-/// Device I/O (header resets, zero fills, file growth) happens in the
-/// backend *between* a `peek_*` and its `commit_*`: the peek chooses
-/// without mutating, so a failed device op leaves the allocator state
-/// untouched (the slot stays safely on the free list).
+/// Device I/O (header resets, file growth) happens in the backend
+/// *between* a `peek_*` and its `commit_*`: the peek chooses without
+/// mutating, so a failed device op leaves the allocator state untouched
+/// (the slot stays safely on the free list).
 #[derive(Debug, Default)]
 pub(crate) struct SlotAllocator {
     /// High-water mark: total slots ever allocated (free ones included).

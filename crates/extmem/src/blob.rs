@@ -29,14 +29,14 @@
 //!   commit that references the new offsets.
 //!
 //! The storage seam is [`BlobFile`]: a real file ([`FileBlob`]) or a
-//! byte file of the crash simulator (`SimBlob` in `sim_disk`), so every
+//! file of the crash simulator (`SimBlob` in `sim_disk`), so every
 //! torture sweep covers torn appends with the same code path. The same
-//! handle serves every other durable byte file of the stack — manifest,
-//! commit log, markers — whose protocols `dxh-core` writes once above
-//! it.
+//! seam is the only file seam of the stack: it serves every other
+//! durable file — manifest, commit log, markers, whose protocols
+//! `dxh-core` writes once above it — and, through [`crate::BlockFile`],
+//! the level files too.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 
@@ -44,69 +44,76 @@ use crate::error::{ExtMemError, Result};
 use crate::frame::{FrameBuf, FRAME_HEADER};
 use crate::item::MAX_BLOB_OFFSET;
 
-/// An open byte file: append-only writes with explicit sync, reads by
-/// position — what a [`BlobLog`] runs on, and the file handle under
-/// every durable-file protocol in `dxh-core`. Implementations:
-/// [`FileBlob`] (a real file) and the simulator's `SimBlob` (volatile
-/// until sync, torn-tail lottery at a power cycle). The handle follows
-/// the file, not its name: a rename or unlink does not redirect it.
+/// An open byte file: writes and reads by position, a length, and an
+/// explicit sync — what a [`BlobLog`] and a [`crate::BlockFile`] run on,
+/// and the file handle under every durable-file protocol in `dxh-core`.
+/// Implementations: [`FileBlob`] (a real file) and the simulator's
+/// `SimBlob` (volatile until sync, write-survival lottery at a power
+/// cycle). The handle follows the file, not its name: a rename or unlink
+/// does not redirect it.
 pub trait BlobFile {
-    /// Appends `bytes` at the end of the file (volatile until
-    /// [`BlobFile::sync`]).
-    fn append(&mut self, bytes: &[u8]) -> Result<()>;
-    /// `fdatasync`: makes every prior append durable.
+    /// Writes `bytes` at `offset`, growing the file when they run past
+    /// its end; a gap before `offset` reads as zeros. Volatile until
+    /// [`BlobFile::sync`].
+    fn write_at(&mut self, offset: u64, bytes: &[u8]) -> Result<()>;
+    /// Fills `buf` with the bytes at `offset..offset + buf.len()` — the
+    /// handle's own unsynced writes included (a process reads its own
+    /// writes). Errors when the range runs past the end of the file.
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()>;
+    /// Cuts the file to `len` bytes or extends it with zeros —
+    /// recovery's crash-tail discard, and a block file's growth.
+    fn set_len(&mut self, len: u64) -> Result<()>;
+    /// `fdatasync`: makes every prior write durable.
     fn sync(&mut self) -> Result<()>;
-    /// Current file length in bytes (appends included).
+    /// Current file length in bytes (unsynced writes included).
     fn len(&self) -> u64;
     /// Whether the file is empty.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-    /// Fills `buf` with the bytes at `offset..offset + buf.len()` — the
-    /// handle's own unsynced appends included (a process reads its own
-    /// writes). Errors when the range runs past the end of the file.
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()>;
-    /// Truncates to `len` bytes — recovery's crash-tail discard.
-    fn truncate(&mut self, len: u64) -> Result<()>;
+    /// Writes `bytes` at the end of the file.
+    fn append(&mut self, bytes: &[u8]) -> Result<()> {
+        self.write_at(self.len(), bytes)
+    }
 }
 
-/// A [`BlobFile`] over a real file: each append is one `write(2)`, each
-/// read one `pread(2)`, durability is `sync_data` — the blob twin of
-/// `FileDisk`.
+/// A [`BlobFile`] over a real file: each write is one `pwrite(2)`, each
+/// read one `pread(2)`, durability is `sync_data`.
 pub struct FileBlob {
     file: File,
     len: u64,
-    /// Where the descriptor's cursor is known to sit (`None` after a
-    /// failed write) — lets an append skip the seek when it is already
-    /// at the end. Positional reads never move it.
-    cursor: Option<u64>,
 }
 
 impl FileBlob {
-    /// Creates (truncating) the blob file at `path`.
+    /// Creates (truncating) the file at `path`.
     pub fn create(path: impl AsRef<Path>) -> Result<Self> {
         let file =
             OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
-        Ok(FileBlob { file, len: 0, cursor: Some(0) })
+        Ok(FileBlob { file, len: 0 })
     }
 
-    /// Opens the existing blob file at `path` without truncating.
+    /// Opens the existing file at `path` without truncating.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        let len = file.seek(SeekFrom::End(0))?;
-        Ok(FileBlob { file, len, cursor: Some(len) })
+        let file = OpenOptions::new().read(true).write(true).open(path)?;
+        let len = file.metadata()?.len();
+        Ok(FileBlob { file, len })
     }
 }
 
 impl BlobFile for FileBlob {
-    fn append(&mut self, bytes: &[u8]) -> Result<()> {
-        if self.cursor != Some(self.len) {
-            self.file.seek(SeekFrom::Start(self.len))?;
-        }
-        self.cursor = None;
-        self.file.write_all(bytes)?;
-        self.len += bytes.len() as u64;
-        self.cursor = Some(self.len);
+    fn write_at(&mut self, offset: u64, bytes: &[u8]) -> Result<()> {
+        self.file.write_all_at(bytes, offset)?;
+        self.len = self.len.max(offset + bytes.len() as u64);
+        Ok(())
+    }
+
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        Ok(self.file.read_exact_at(buf, offset)?)
+    }
+
+    fn set_len(&mut self, len: u64) -> Result<()> {
+        self.file.set_len(len)?;
+        self.len = len;
         Ok(())
     }
 
@@ -117,16 +124,6 @@ impl BlobFile for FileBlob {
 
     fn len(&self) -> u64 {
         self.len
-    }
-
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        Ok(self.file.read_exact_at(buf, offset)?)
-    }
-
-    fn truncate(&mut self, len: u64) -> Result<()> {
-        self.file.set_len(len)?;
-        self.len = len;
-        Ok(())
     }
 }
 
@@ -190,7 +187,7 @@ impl<F: BlobFile> BlobLog<F> {
             }
         }
         if log.len < file_len {
-            log.file.truncate(log.len)?;
+            log.file.set_len(log.len)?;
         }
         Ok(log)
     }
@@ -275,8 +272,15 @@ pub(crate) struct MemBlob {
 
 #[cfg(test)]
 impl BlobFile for MemBlob {
-    fn append(&mut self, bytes: &[u8]) -> Result<()> {
-        self.bytes.extend_from_slice(bytes);
+    fn write_at(&mut self, offset: u64, bytes: &[u8]) -> Result<()> {
+        crate::sim_disk::put(&mut self.bytes, offset, bytes);
+        Ok(())
+    }
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        crate::sim_disk::get(&self.bytes, offset, buf)
+    }
+    fn set_len(&mut self, len: u64) -> Result<()> {
+        self.bytes.resize(len as usize, 0);
         Ok(())
     }
     fn sync(&mut self) -> Result<()> {
@@ -284,18 +288,6 @@ impl BlobFile for MemBlob {
     }
     fn len(&self) -> u64 {
         self.bytes.len() as u64
-    }
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        let src = usize::try_from(offset)
-            .ok()
-            .and_then(|at| self.bytes.get(at..at.checked_add(buf.len())?))
-            .ok_or_else(|| ExtMemError::Io(std::io::ErrorKind::UnexpectedEof.into()))?;
-        buf.copy_from_slice(src);
-        Ok(())
-    }
-    fn truncate(&mut self, len: u64) -> Result<()> {
-        self.bytes.truncate(len as usize);
-        Ok(())
     }
 }
 
@@ -463,6 +455,35 @@ mod tests {
         assert!(log.get(committed).is_err(), "the discarded tail is unreachable");
         assert_eq!(std::fs::metadata(&path).unwrap().len(), committed);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// The byte seam's contract past the end of a file, one answer on
+    /// every impl: a growing `set_len` zero-fills, a write past the end
+    /// leaves a zero hole behind it, a shrinking one cuts, and what was
+    /// cut reads back as zeros once the file grows again.
+    #[test]
+    fn every_byte_file_grows_writes_and_shrinks_alike() {
+        fn drive(f: &mut impl BlobFile) -> (u64, Vec<u8>) {
+            f.append(b"head").unwrap();
+            f.set_len(12).unwrap();
+            f.write_at(8, b"mid").unwrap();
+            f.write_at(20, b"tail").unwrap();
+            f.set_len(21).unwrap();
+            f.set_len(22).unwrap();
+            assert!(f.read_at(20, &mut [0; 3]).is_err(), "a read past the end");
+            let mut image = vec![0; f.len() as usize];
+            f.read_at(0, &mut image).unwrap();
+            (f.len(), image)
+        }
+        let path = tmp("seam");
+        let file = drive(&mut FileBlob::create(&path).unwrap());
+        let _ = std::fs::remove_file(&path);
+        let sim = drive(&mut crate::SimEnv::new().create_file("seam").unwrap());
+        let mem = drive(&mut MemBlob::default());
+        let expect = [&b"head"[..], &[0; 4], b"mid", &[0; 9], b"t", &[0]].concat();
+        assert_eq!(file, (22, expect), "FileBlob");
+        assert_eq!(sim, file, "SimBlob");
+        assert_eq!(mem, file, "MemBlob");
     }
 
     #[test]

@@ -1,35 +1,38 @@
-//! File-backed storage backend: the same block interface over a real file.
+//! The block interface over any byte file: one adapter, [`BlockFile`],
+//! encodes blocks into fixed-size slots of a [`BlobFile`] — a real file
+//! ([`FileDisk`]), a file of the crash simulator ([`SimDisk`]), or any
+//! file a `dxh-core` store media hands out for a level.
 
-use std::fs::{File, OpenOptions};
-use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use crate::backend::{SlotAllocator, StorageBackend};
+use crate::blob::{BlobFile, FileBlob};
 use crate::block::{Block, BlockId};
 use crate::error::{ExtMemError, Result};
+use crate::sim_disk::{SimBlob, SimEnv};
 
-/// A disk backed by a single flat file of fixed-size block slots.
+/// A disk of fixed-size block slots in one byte file.
 ///
 /// Layout: block `i` occupies bytes `[i · S, (i+1) · S)` where
 /// `S = Block::encoded_len(b)`. An all-zero slot decodes as an empty
 /// block (see [`Block::decode_from`]), so allocation past the high-water
-/// mark is a pure `set_len` — the OS zero-fills the extension and no
+/// mark is a pure `set_len` — the file zero-fills the extension and no
 /// initialization bytes are written. A recycled slot is reset by zeroing
-/// its 24-byte header alone: decode reads `len` items, so
-/// stale item bytes behind a zero header are inert, and whoever fills
-/// the block next overwrites them anyway.
+/// its 24-byte header alone: decode reads `len` items, so stale item
+/// bytes behind a zero header are inert, and whoever fills the block
+/// next overwrites them anyway.
 ///
-/// Every block I/O is one positional syscall (`pread`/`pwrite`); the
-/// file cursor is never used.
+/// Every block I/O is one positional read or write of one slot.
 ///
 /// The allocator state (free list) lives in memory and dies with the
-/// handle: [`FileDisk::open`] finds every slot of the file live. A store
-/// that must outlive its process keeps no free list at all — `dxh_core`
-/// gives every level a file of its own and unlinks the file instead.
-/// Data durability is the caller's via [`StorageBackend::sync`]; the
-/// paper's bounds do not depend on durability.
-pub struct FileDisk {
-    file: File,
+/// handle: [`BlockFile::from_file`] finds every slot of the file live. A
+/// store that must outlive its process keeps no free list at all —
+/// `dxh_core` gives every level a file of its own and unlinks the file
+/// instead. Data durability is the caller's via
+/// [`StorageBackend::sync`]; the paper's bounds do not depend on
+/// durability.
+pub struct BlockFile<F> {
+    file: F,
     block_capacity: usize,
     block_bytes: usize,
     /// The shared allocator state machine (LIFO recycling, contiguous
@@ -40,41 +43,80 @@ pub struct FileDisk {
     scratch: Vec<u8>,
 }
 
-impl FileDisk {
-    /// Creates (truncating) a file-backed disk at `path` with block
-    /// capacity `b` items.
-    pub fn create(path: &Path, block_capacity: usize) -> Result<Self> {
-        assert!(block_capacity > 0, "block capacity must be positive");
-        let file =
-            OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
-        Ok(Self::from_file(file, block_capacity, 0))
-    }
+/// A [`BlockFile`] over a real file.
+pub type FileDisk = BlockFile<FileBlob>;
 
-    /// Opens an existing disk file **without truncating**; every slot in
-    /// the file is live (the high-water mark is the file length over the
-    /// slot size).
-    pub fn open(path: &Path, block_capacity: usize) -> Result<Self> {
+/// A [`BlockFile`] over a file of the crash simulator: unsynced writes
+/// are volatile, and the environment's [`crate::FaultPlan`] can crash or
+/// fault any I/O by index.
+pub type SimDisk = BlockFile<SimBlob>;
+
+impl<F: BlobFile> BlockFile<F> {
+    /// The block disk `file` holds: every slot of it live (the
+    /// high-water mark is the file length over the slot size), none for
+    /// an empty file. A length that is not a whole number of slots is
+    /// [`ExtMemError::Corrupt`].
+    pub fn from_file(file: F, block_capacity: usize) -> Result<Self> {
         assert!(block_capacity > 0, "block capacity must be positive");
-        let file = OpenOptions::new().read(true).write(true).open(path)?;
-        let block_bytes = Block::encoded_len(block_capacity) as u64;
-        let len = file.metadata()?.len();
-        if len % block_bytes != 0 {
+        let block_bytes = Block::encoded_len(block_capacity);
+        let len = file.len();
+        if !len.is_multiple_of(block_bytes as u64) {
             return Err(ExtMemError::Corrupt(format!(
                 "file length {len} is not a multiple of the {block_bytes}-byte slot size"
             )));
         }
-        Ok(Self::from_file(file, block_capacity, len / block_bytes))
-    }
-
-    fn from_file(file: File, block_capacity: usize, slots: u64) -> Self {
-        let block_bytes = Block::encoded_len(block_capacity);
-        FileDisk {
+        Ok(BlockFile {
             file,
             block_capacity,
             block_bytes,
-            alloc: SlotAllocator::with_all_live(slots),
+            alloc: SlotAllocator::with_all_live(len / block_bytes as u64),
             scratch: vec![0u8; block_bytes],
+        })
+    }
+
+    /// High-water mark: total slots ever allocated (free ones included).
+    pub fn slots(&self) -> u64 {
+        self.alloc.slots()
+    }
+
+    fn offset(&self, slot: u64) -> u64 {
+        slot * self.block_bytes as u64
+    }
+
+    /// Resets recycled `slot`'s stale image to an empty block. Callers
+    /// reset *before* changing the allocator state, so a failed write
+    /// leaves the slot safely on the free list instead of in limbo
+    /// (neither free nor live).
+    fn reset_slot(&mut self, slot: u64) -> Result<()> {
+        self.file.write_at(self.offset(slot), &[0u8; Block::HEADER_BYTES])
+    }
+
+    /// Extends the file by `n` zero slots — `n` empty blocks, one
+    /// `set_len`, no byte written — and returns the first.
+    fn grow(&mut self, n: u64) -> Result<u64> {
+        self.file.set_len(self.offset(self.alloc.slots() + n))?;
+        Ok(self.alloc.commit_grow(n))
+    }
+
+    fn check_live(&self, id: BlockId) -> Result<()> {
+        if self.alloc.is_dead(id.raw()) {
+            return Err(ExtMemError::BadBlockId(id));
         }
+        Ok(())
+    }
+}
+
+impl FileDisk {
+    /// Creates (truncating) a file-backed disk at `path` with block
+    /// capacity `b` items.
+    pub fn create(path: &Path, block_capacity: usize) -> Result<Self> {
+        Self::from_file(FileBlob::create(path)?, block_capacity)
+    }
+
+    /// Opens an existing disk file **without truncating**; every slot in
+    /// the file is live.
+    pub fn open(path: &Path, block_capacity: usize) -> Result<Self> {
+        Self::from_file(FileBlob::open(path)?, block_capacity)
     }
 
     /// Creates a disk in a fresh temporary file under `std::env::temp_dir()`.
@@ -94,42 +136,31 @@ impl FileDisk {
         let _ = std::fs::remove_file(&path);
         Ok(disk)
     }
+}
 
-    /// High-water mark: total slots ever allocated (free ones included).
-    pub fn slots(&self) -> u64 {
-        self.alloc.slots()
+impl SimDisk {
+    /// A standalone disk on a fresh private [`SimEnv`] — the drop-in
+    /// replacement for an in-memory test backend when the test wants a
+    /// fault schedule (configure it via [`SimDisk::env`]).
+    pub fn new(block_capacity: usize) -> Self {
+        let file = SimEnv::new().create_file("sim.blk").expect("fresh env cannot fault");
+        Self::from_file(file, block_capacity).expect("an empty file holds no slot")
     }
 
-    fn offset(&self, slot: u64) -> u64 {
-        slot * self.block_bytes as u64
-    }
-
-    /// Resets recycled `slot`'s stale image to an empty block. Callers
-    /// reset *before* changing the allocator state, so a failed write
-    /// leaves the slot safely on the free list instead of in limbo
-    /// (neither free nor live).
-    fn reset_slot(&self, slot: u64) -> Result<()> {
-        self.file.write_all_at(&[0u8; Block::HEADER_BYTES], self.offset(slot))?;
-        Ok(())
-    }
-
-    fn check_live(&self, id: BlockId) -> Result<()> {
-        if self.alloc.is_dead(id.raw()) {
-            return Err(ExtMemError::BadBlockId(id));
-        }
-        Ok(())
+    /// The environment this disk lives in (fault plan, clock, trace).
+    pub fn env(&self) -> SimEnv {
+        self.file.env()
     }
 }
 
-impl StorageBackend for FileDisk {
+impl<F: BlobFile> StorageBackend for BlockFile<F> {
     fn block_capacity(&self) -> usize {
         self.block_capacity
     }
 
     fn read(&mut self, id: BlockId) -> Result<Block> {
         self.check_live(id)?;
-        let off = self.offset(id.raw());
-        self.file.read_exact_at(&mut self.scratch, off)?;
+        self.file.read_at(self.offset(id.raw()), &mut self.scratch)?;
         Block::decode_from(self.block_capacity, &self.scratch)
     }
 
@@ -137,8 +168,7 @@ impl StorageBackend for FileDisk {
         self.check_live(id)?;
         debug_assert_eq!(block.capacity(), self.block_capacity);
         block.encode_into(&mut self.scratch);
-        self.file.write_all_at(&self.scratch, self.offset(id.raw()))?;
-        Ok(())
+        self.file.write_at(self.offset(id.raw()), &self.scratch)
     }
 
     fn allocate(&mut self) -> Result<BlockId> {
@@ -148,14 +178,7 @@ impl StorageBackend for FileDisk {
                 self.alloc.commit_recycle(idx);
                 idx
             }
-            None => {
-                // Extend the file first: the extension is zero-filled by
-                // the OS, and an all-zero slot *is* a valid empty block,
-                // so no initialization writes are needed.
-                let new_slots = self.alloc.slots() + 1;
-                self.file.set_len(new_slots * self.block_bytes as u64)?;
-                self.alloc.commit_grow(1)
-            }
+            None => self.grow(1)?,
         };
         Ok(BlockId(idx))
     }
@@ -173,11 +196,7 @@ impl StorageBackend for FileDisk {
             self.alloc.commit_run(base, n);
             return Ok(BlockId(base));
         }
-        // One metadata syscall for the whole range — the zero-filled
-        // extension already decodes as n empty blocks.
-        let new_slots = self.alloc.slots() + n as u64;
-        self.file.set_len(new_slots * self.block_bytes as u64)?;
-        Ok(BlockId(self.alloc.commit_grow(n as u64)))
+        Ok(BlockId(self.grow(n as u64)?))
     }
 
     fn free(&mut self, id: BlockId) -> Result<()> {
@@ -191,8 +210,7 @@ impl StorageBackend for FileDisk {
     }
 
     fn sync(&mut self) -> Result<()> {
-        self.file.sync_data()?;
-        Ok(())
+        self.file.sync()
     }
 }
 

@@ -467,7 +467,7 @@ mod tests {
 
     #[test]
     fn file_backend_behaves_identically() {
-        use crate::file_disk::FileDisk;
+        use crate::FileDisk;
         let mut mem = disk(4);
         let mut file = Disk::new(FileDisk::temp(4).unwrap(), 4, IoCostModel::SeekDominated);
         for d in [&mut mem as &mut dyn AnyDisk, &mut file as &mut dyn AnyDisk] {

@@ -10,12 +10,14 @@
 //! * computation is free; the complexity measure is the number of block
 //!   transfers (**I/Os**) performed ([`IoStats`]).
 //!
-//! Three storage backends are provided: an in-RAM [`MemDisk`] used by
-//! the experiments (exact, fast, deterministic), a real-file
-//! [`FileDisk`] that demonstrates the same code paths against a
-//! filesystem, and a crash-simulation [`SimDisk`] whose unsynced writes
-//! are volatile and whose seeded [`FaultPlan`] can crash or fault any
-//! I/O by index — the engine of the recovery torture harness.
+//! Two storage backends are provided: an in-RAM [`MemDisk`] used by the
+//! experiments (exact, fast, deterministic), and [`BlockFile`], the
+//! same blocks in the slots of any byte file ([`BlobFile`]) — a real
+//! file ([`FileDisk`]) that demonstrates the same code paths against a
+//! filesystem, or a file of the crash simulator ([`SimDisk`], on a
+//! [`SimEnv`]) whose unsynced writes are volatile and whose seeded
+//! [`FaultPlan`] can crash or fault any I/O by index — the engine of the
+//! recovery torture harness.
 //!
 //! ## I/O accounting convention
 //!
@@ -42,10 +44,10 @@
 mod backend;
 mod blob;
 mod block;
+mod block_file;
 mod budget;
 mod disk;
 mod error;
-mod file_disk;
 pub mod frame;
 mod item;
 mod mem_disk;
@@ -56,15 +58,15 @@ mod stats;
 pub use backend::StorageBackend;
 pub use blob::{BlobFile, BlobLog, FileBlob};
 pub use block::{Block, BlockId};
+pub use block_file::{BlockFile, FileDisk, SimDisk};
 pub use budget::{Enforcement, MemoryBudget};
 pub use disk::Disk;
 pub use error::{ExtMemError, Result};
-pub use file_disk::FileDisk;
 pub use frame::fnv1a64;
 pub use item::{Item, Key, Value, BLOB_TAG, KEY_TOMBSTONE, MAX_BLOB_OFFSET, VALUE_TOMBSTONE};
 pub use mem_disk::MemDisk;
 pub use pool::{BufferPool, PoolStats};
-pub use sim_disk::{FaultPlan, IoEvent, SimBlob, SimDisk, SimEnv};
+pub use sim_disk::{FaultPlan, IoEvent, SimBlob, SimEnv};
 pub use stats::{IoCostModel, IoSnapshot, IoStats};
 
 /// Convenience constructor: an accounting [`Disk`] over an in-memory

@@ -5,8 +5,8 @@ use crate::block::{Block, BlockId};
 use crate::error::{ExtMemError, Result};
 
 /// An in-RAM "disk": a growable array of blocks whose ids come from the
-/// one slot allocator [`crate::FileDisk`] and [`crate::SimDisk`] share,
-/// so block ids stay identical across backends for identical workloads.
+/// one slot allocator [`crate::BlockFile`] runs, so block ids stay
+/// identical across backends for identical workloads.
 ///
 /// This is the backend used by all experiments — it makes I/O *counting*
 /// exact while keeping simulated runs fast and deterministic. Use

@@ -5,66 +5,63 @@
 //! ## The machine model
 //!
 //! A [`SimEnv`] is one simulated machine: one namespace of names over
-//! inodes of two kinds — **block files** (each served through a
-//! [`SimDisk`] handle) and **byte files** (each served through a
-//! [`SimBlob`] handle — manifests, markers, logs, payload blobs) — named
-//! store locks, and a single global **I/O clock** that every operation
-//! ticks. Like a descriptor, a handle follows its inode: renaming or
-//! unlinking the name does not redirect or close it, and an unnamed
-//! inode lives until the next power cycle. The clock index is the
-//! coordinate system of the whole crate: fault plans name indices, the
-//! trace records them, and a crash "at index k" means ops `0..k`
-//! happened and op `k` did not.
+//! inodes of one kind — a byte file, served through a [`SimBlob`] handle
+//! (manifests, markers, logs, payload blobs, and the level files a
+//! [`crate::SimDisk`] lays blocks over) — named store locks, and a single
+//! global **I/O clock** that every operation ticks. Like a descriptor, a
+//! handle follows its inode: renaming or unlinking the name does not
+//! redirect or close it, and an unnamed inode lives until the next power
+//! cycle. The clock index is the coordinate system of the whole crate:
+//! fault plans name indices, the trace records them, and a crash "at
+//! index k" means ops `0..k` happened and op `k` did not.
 //!
 //! Durability is modeled at the altitude of the system calls the real
 //! path issues, so the protocols above (`dxh-core`'s tmp + fsync +
-//! rename + dir-fsync commit, its append-and-sync logs) run unchanged on
-//! the simulator and a crash sweep exercises exactly what ships:
+//! rename + dir-fsync commit, its append-and-sync logs, its level files)
+//! run unchanged on the simulator and a crash sweep exercises exactly
+//! what ships:
 //!
-//! * **Block writes are volatile until `sync`.** Each block file keeps
-//!   a durable image (the state at its last completed sync) plus an
-//!   overlay of unsynced writes. Reads see the overlay (a process reads
-//!   its own page cache); a crash discards it.
-//! * **Block-file growth is durable immediately** (zero-filled slots,
-//!   exactly like `FileDisk`'s `set_len` extension — an all-zero slot
-//!   decodes as an empty block). A block file's *name* is not: it is a
-//!   directory entry like any other (below).
-//! * **Byte-file appends are volatile until the file's `sync`.** A byte
-//!   file is its durable bytes plus the ordered appends made since; a
-//!   crash keeps a *prefix* of those appends and may tear the first
-//!   casualty (half its bytes, then `0xFF`).
+//! * **Writes are volatile until the file's `sync`.** A file is its
+//!   durable bytes plus one ordered list of the writes made since its
+//!   last sync; an append is a write at the end. Reads see every write
+//!   (a process reads its own page cache).
+//! * **A length change is durable at once** (`set_len`: a growth
+//!   zero-fills, a shrink cuts the writes past the new end too) — a
+//!   file's *name* is not: it is a directory entry like any other
+//!   (below).
 //! * **A name is durable only after its directory is synced.** Creating,
-//!   renaming and unlinking a file — byte or block — take effect at once
-//!   for the running process, but each directory (a name's prefix up to its last
-//!   `/`) keeps the ordered list of namespace operations made since its
-//!   last [`SimEnv::sync_dir`], and a crash keeps only a seeded *prefix*
-//!   of that list: a block file created since can vanish whole, one
-//!   unlinked since can come back. `rename` is atomic — the target names the old file or
-//!   the new one, never a mix — and a file's own `sync` does **not**
-//!   persist its directory entry: a fully synced file whose create was
-//!   never dir-synced can vanish whole.
-//! * **At a power cycle**, block slots below the synced high-water mark
-//!   revert exactly to their durable image, and never-synced slots
-//!   (allocated since the last sync) independently keep, lose, or hold a
-//!   **torn** image of their unsynced content, chosen by the plan's
-//!   crash seed — block-granular write-survival for exactly the slots
-//!   whose content no committed manifest may reference. The trace
-//!   records what the lottery undid (`crash-undo …`, `crash-tear …`,
-//!   `crash-drop …`), so a sweep can assert which windows it really hit.
+//!   renaming and unlinking a file take effect at once for the running
+//!   process, but each directory (a name's prefix up to its last `/`)
+//!   keeps the ordered list of namespace operations made since its last
+//!   [`SimEnv::sync_dir`], and a crash keeps only a seeded *prefix* of
+//!   that list: a file created since can vanish whole, one unlinked
+//!   since can come back. `rename` is atomic — the target names the old
+//!   file or the new one, never a mix — and a file's own `sync` does
+//!   **not** persist its directory entry: a fully synced file whose
+//!   create was never dir-synced can vanish whole.
+//! * **At a power cycle** each file's unsynced writes meet one lottery,
+//!   chosen by the plan's crash seed: a write that lands inside the
+//!   length the file had at its last sync reverts exactly — the synced
+//!   bytes under it survive — and every write past that length
+//!   independently survives whole, **tears** (half its bytes, then
+//!   `0xFF`) or is lost. A lost write leaves a hole that reads as zeros
+//!   when a later write survives past it. The trace records what the
+//!   lottery undid (`crash-undo …`, `crash-tear …`, `crash-drop …`), so a
+//!   sweep can assert which windows it really hit.
 //!
-//! What this does **not** model yet is partial survival of unsynced
-//! rewrites of previously synced slots. The store never makes one: every
-//! level is a static table built in a fresh file of its own, synced once
-//! and never written again, so this revert-exactly policy below the
-//! synced high-water mark only ever meets the recycled slots of a
-//! standalone table.
+//! The lottery admits every tail a real disk can leave behind an append
+//! log — a prefix of the appends, a torn last one — and more: appends
+//! land out of order, so a log's reader must stop at its first torn
+//! frame, a zero-filled hole included. What it does **not** model is
+//! partial survival of an unsynced rewrite of synced bytes. The store
+//! never makes one: every level is a static table built in a fresh file
+//! of its own, synced once and never written again, and a log only
+//! appends.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use crate::backend::{SlotAllocator, StorageBackend};
 use crate::blob::BlobFile;
-use crate::block::{Block, BlockId};
 use crate::error::{ExtMemError, Result};
 use crate::frame::fnv1a64;
 
@@ -84,17 +81,17 @@ pub struct FaultPlan {
     /// Exact indices that fail once with a transient [`ExtMemError::Io`]
     /// (the op does not take effect; later ops proceed normally).
     pub fail_at: Vec<u64>,
-    /// Seeds the write-survival lottery for never-synced slots at the
-    /// power cycle following a crash.
+    /// Seeds the write-survival lottery for unsynced writes at the power
+    /// cycle following a crash.
     pub crash_seed: u64,
     /// Allow torn images (half new bytes, half garbage) among the
-    /// never-synced slots that the lottery lets survive.
+    /// unsynced writes the lottery lets survive.
     pub tear: bool,
 }
 
 impl FaultPlan {
     /// A plan that crashes at I/O index `k`, with write survival driven
-    /// by `seed` and torn blocks enabled.
+    /// by `seed` and torn writes enabled.
     pub fn crash(k: u64, seed: u64) -> Self {
         FaultPlan { crash_at: Some(k), crash_seed: seed, tear: true, ..Default::default() }
     }
@@ -106,39 +103,18 @@ impl FaultPlan {
 /// every image.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum IoEvent {
-    /// A block read.
-    Read {
-        /// File the block lives in.
-        file: String,
-        /// Slot index.
-        id: u64,
-    },
-    /// A block write; `fingerprint` folds the encoded bytes.
+    /// A positional write; `fingerprint` folds the written bytes.
     Write {
-        /// File the block lives in.
+        /// File that was written.
         file: String,
-        /// Slot index.
-        id: u64,
-        /// FNV-1a of the encoded block image.
+        /// First byte written (a block write's slot × slot size, an
+        /// append's end of file).
+        offset: u64,
+        /// FNV-1a of the written bytes.
         fingerprint: u64,
     },
-    /// An allocation of `n` consecutive slots starting at `base`.
-    Alloc {
-        /// File the slots live in.
-        file: String,
-        /// First allocated slot.
-        base: u64,
-        /// Number of slots.
-        n: u64,
-    },
-    /// A slot returned to the allocator.
-    Free {
-        /// File the slot lives in.
-        file: String,
-        /// Slot index.
-        id: u64,
-    },
-    /// A ranged read of a byte file: `len` bytes at `offset`.
+    /// A positional read: `len` bytes at `offset` (one slot, for a
+    /// block read).
     ReadAt {
         /// File that was read.
         file: String,
@@ -147,7 +123,7 @@ pub enum IoEvent {
         /// Bytes read.
         len: u64,
     },
-    /// A sync barrier: `flushed` overlay entries became durable.
+    /// A sync barrier: `flushed` unsynced writes became durable.
     Sync {
         /// File that was synced.
         file: String,
@@ -155,12 +131,13 @@ pub enum IoEvent {
         flushed: u64,
     },
     /// A namespace or bookkeeping operation (file create/open/read/
-    /// rename/remove/truncate, directory sync, lock acquisition, power
-    /// cycle and what its crash lottery undid).
+    /// rename/remove, a length change, directory sync, lock acquisition,
+    /// power cycle and what its crash lottery undid).
     Meta {
         /// What happened, e.g. `"file-rename MANIFEST.tmp -> MANIFEST"`.
         label: String,
-        /// Content fingerprint where meaningful, 0 otherwise.
+        /// Content fingerprint where meaningful (a length change's new
+        /// length), 0 otherwise.
         fingerprint: u64,
     },
 }
@@ -175,102 +152,97 @@ fn splitmix_next(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One file of the machine: its inode, of either kind.
-enum Inode {
-    Blocks(SimFileState),
-    Bytes(SimByteFile),
+/// Writes `bytes` into `file` at `offset`, zero-filling any gap before
+/// it.
+pub(crate) fn put(file: &mut Vec<u8>, offset: u64, bytes: &[u8]) {
+    let at = offset as usize;
+    let end = at + bytes.len();
+    if file.len() < end {
+        file.resize(end, 0);
+    }
+    file[at..end].copy_from_slice(bytes);
 }
 
-impl Inode {
-    /// Size in bytes a `stat` would report: slots × slot size, or the
-    /// visible bytes (durable prefix plus unsynced appends).
-    fn len(&self) -> u64 {
-        match self {
-            Inode::Blocks(f) => f.slots * f.block_bytes as u64,
-            Inode::Bytes(f) => f.visible_len(),
-        }
-    }
-
-    /// This inode as the block file `name` must be.
-    fn blocks(&mut self, name: &str) -> Result<&mut SimFileState> {
-        match self {
-            Inode::Blocks(f) => Ok(f),
-            Inode::Bytes(_) => Err(ExtMemError::BadConfig(format!("sim file {name} holds bytes"))),
-        }
-    }
-
-    /// This inode as the byte file `name` must be.
-    fn bytes(&mut self, name: &str) -> Result<&mut SimByteFile> {
-        match self {
-            Inode::Bytes(f) => Ok(f),
-            Inode::Blocks(_) => {
-                Err(ExtMemError::BadConfig(format!("sim file {name} holds blocks")))
-            }
-        }
-    }
+/// Fills `buf` from `file` at `offset`; errors when the range runs past
+/// the end.
+pub(crate) fn get(file: &[u8], offset: u64, buf: &mut [u8]) -> Result<()> {
+    let src = usize::try_from(offset)
+        .ok()
+        .and_then(|at| file.get(at..at.checked_add(buf.len())?))
+        .ok_or_else(|| ExtMemError::Io(std::io::ErrorKind::UnexpectedEof.into()))?;
+    buf.copy_from_slice(src);
+    Ok(())
 }
 
-/// One simulated block file: durable image + unsynced overlay.
-struct SimFileState {
-    block_bytes: usize,
-    block_capacity: usize,
-    /// High-water mark (growth is durable immediately, zero-filled).
-    slots: u64,
-    /// High-water mark at the last completed sync: slots at or above it
-    /// have never held synced content, so the crash lottery may keep,
-    /// drop, or tear their unsynced images.
-    synced_slots: u64,
-    /// Synced images by slot (absent = zeros = empty block).
-    durable: BTreeMap<u64, Vec<u8>>,
-    /// Unsynced writes by slot; discarded (modulo the lottery) at crash.
-    overlay: BTreeMap<u64, Vec<u8>>,
-}
-
-/// One simulated byte file (an inode): a durable prefix plus the
-/// unsynced appends made since the last sync barrier, kept append-
-/// granular so the crash lottery can keep a *prefix* of them (appends
-/// reach the platter in order) and tear the first casualty.
+/// One file of the machine (an inode): what the running process reads,
+/// what the platter holds, and the writes in between.
 #[derive(Default)]
-struct SimByteFile {
-    /// Bytes durable as of the last completed sync.
+struct SimFile {
+    /// The bytes a read sees: `durable` with every unsynced write on top.
+    image: Vec<u8>,
+    /// The bytes on the platter: the image at the last sync, with every
+    /// length change since.
     durable: Vec<u8>,
-    /// Unsynced appends, in order; discarded (modulo the prefix-survival
-    /// lottery) at a crash.
-    tail: Vec<Vec<u8>>,
+    /// The length at the last sync, cut by every shrink since: a write
+    /// inside it reverts at a crash, one past it meets the lottery.
+    synced_len: usize,
+    /// Unsynced writes, oldest first, as `(offset, bytes)`.
+    unsynced: Vec<(u64, Vec<u8>)>,
 }
 
-impl SimByteFile {
-    fn visible_len(&self) -> u64 {
-        self.durable.len() as u64 + self.tail.iter().map(|t| t.len() as u64).sum::<u64>()
+impl SimFile {
+    fn write_at(&mut self, offset: u64, bytes: &[u8]) {
+        put(&mut self.image, offset, bytes);
+        self.unsynced.push((offset, bytes.to_vec()));
     }
 
-    /// What the running process reads: durable prefix plus its own
-    /// unsynced appends.
-    fn image(&self) -> Vec<u8> {
-        let mut out = self.durable.clone();
-        for chunk in &self.tail {
-            out.extend_from_slice(chunk);
-        }
-        out
+    fn set_len(&mut self, len: u64) {
+        let len = len as usize;
+        self.image.resize(len, 0);
+        self.durable.resize(len, 0);
+        self.synced_len = self.synced_len.min(len);
+        // What a shrink cut no longer exists to be written back.
+        self.unsynced.retain_mut(|(offset, bytes)| {
+            bytes.truncate(len.saturating_sub(*offset as usize));
+            !bytes.is_empty()
+        });
     }
 
-    /// Fills `buf` from that same image at `offset`, chunk by chunk —
-    /// a ranged read never assembles the whole file. Errors when the
-    /// range runs past the end.
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        let mut skip = offset;
-        let mut filled = 0;
-        for chunk in std::iter::once(&self.durable).chain(&self.tail) {
-            let from = skip.min(chunk.len() as u64) as usize;
-            skip -= from as u64;
-            let n = (chunk.len() - from).min(buf.len() - filled);
-            buf[filled..filled + n].copy_from_slice(&chunk[from..from + n]);
-            filled += n;
+    /// Makes every unsynced write durable; returns how many there were.
+    fn sync(&mut self) -> u64 {
+        let flushed = self.unsynced.len() as u64;
+        for (offset, bytes) in self.unsynced.drain(..) {
+            put(&mut self.durable, offset, &bytes);
         }
-        match filled == buf.len() {
-            true => Ok(()),
-            false => Err(ExtMemError::Io(std::io::ErrorKind::UnexpectedEof.into())),
+        self.synced_len = self.durable.len();
+        flushed
+    }
+
+    /// The crash: the platter keeps what the lottery drawn from `rng`
+    /// lets through (module docs), noted under `name` in `notes`.
+    fn power_cycle(&mut self, rng: &mut u64, tear: bool, name: &str, notes: &mut Vec<String>) {
+        for (offset, mut bytes) in std::mem::take(&mut self.unsynced) {
+            if (offset as usize) < self.synced_len {
+                continue; // the synced bytes under it survive exactly
+            }
+            match splitmix_next(rng) % 3 {
+                // The write-back cache got this one out whole.
+                0 => {}
+                // Torn mid-write: half the new bytes, garbage tail.
+                1 if tear => {
+                    let half = bytes.len() / 2;
+                    bytes[half..].fill(0xFF);
+                    notes.push(format!("crash-tear {name}"));
+                }
+                _ => {
+                    notes.push(format!("crash-drop {name}"));
+                    continue;
+                }
+            }
+            put(&mut self.durable, offset, &bytes);
         }
+        self.synced_len = self.durable.len();
+        self.image.clone_from(&self.durable);
     }
 }
 
@@ -325,8 +297,8 @@ struct SimEnvState {
     /// The namespace as the running process sees it.
     names: BTreeMap<String, u64>,
     /// File contents by inode; handles follow the inode, so a rename or
-    /// unlink never redirects an open [`SimDisk`] or [`SimBlob`].
-    inodes: BTreeMap<u64, Inode>,
+    /// unlink never redirects an open [`SimBlob`].
+    inodes: BTreeMap<u64, SimFile>,
     next_ino: u64,
     /// Per directory, the namespace operations made since its last
     /// [`SimEnv::sync_dir`], oldest first.
@@ -349,15 +321,15 @@ impl SimEnvState {
         self.undurable.entry(dir_of(name).to_string()).or_default().push(op);
     }
 
-    /// The inode `name` names right now, and its number.
-    fn lookup(&mut self, name: &str) -> Option<(u64, &mut Inode)> {
+    /// The inode `name` names right now.
+    fn lookup(&self, name: &str) -> Option<(u64, &SimFile)> {
         let ino = *self.names.get(name)?;
-        Some((ino, self.inodes.get_mut(&ino).expect("a named inode exists")))
+        Some((ino, &self.inodes[&ino]))
     }
 
     /// The inode an open handle of `name` holds; gone only after a power
     /// cycle, which no process survives.
-    fn held(&mut self, ino: u64, name: &str) -> Result<&mut Inode> {
+    fn held(&mut self, ino: u64, name: &str) -> Result<&mut SimFile> {
         let gone = || ExtMemError::Corrupt(format!("sim file {name} vanished"));
         self.inodes.get_mut(&ino).ok_or_else(gone)
     }
@@ -435,16 +407,12 @@ impl SimEnv {
 
     /// Simulates the machine coming back up after a crash: reverts a
     /// seeded suffix of every directory's un-synced namespace
-    /// operations, drops every inode left unnamed, then applies each
-    /// surviving file's write-survival policy, chosen by the plan's
-    /// `crash_seed` — block-granular for a block file (slots below its
-    /// synced high-water mark revert exactly to their durable image;
-    /// never-synced slots keep, lose, or hold a torn copy of their
-    /// unsynced content), prefix-shaped for a byte file's unsynced
-    /// appends. Then it clears the crash flag and the store locks (the
-    /// kernel releases a dead process's lock), and resets the plan to
-    /// fault-free so recovery runs clean. The I/O clock and the trace
-    /// carry on — a replay is one timeline.
+    /// operations, drops every inode left unnamed, then runs each
+    /// surviving file's write-survival lottery, chosen by the plan's
+    /// `crash_seed` (module docs). Then it clears the crash flag and the
+    /// store locks (the kernel releases a dead process's lock), and
+    /// resets the plan to fault-free so recovery runs clean. The I/O
+    /// clock and the trace carry on — a replay is one timeline.
     pub fn power_cycle(&self) {
         let mut st = self.state();
         let st = &mut *st;
@@ -480,57 +448,8 @@ impl SimEnv {
         let names = &st.names;
         st.inodes.retain(|ino, _| names.values().any(|n| n == ino));
         for (name, ino) in &st.names {
-            match st.inodes.get_mut(ino).expect("a named inode exists") {
-                Inode::Blocks(file) => {
-                    for (id, bytes) in std::mem::take(&mut file.overlay) {
-                        if id < file.synced_slots {
-                            // Synced content survives exactly; the
-                            // unsynced rewrite is dropped whole.
-                            continue;
-                        }
-                        match splitmix_next(&mut rng) % 3 {
-                            // The write-back cache got this one out whole.
-                            0 => {
-                                file.durable.insert(id, bytes);
-                            }
-                            1 if plan.tear => {
-                                // Torn mid-block: half the new bytes,
-                                // garbage tail. No committed manifest
-                                // references a never-synced slot, so
-                                // recovery must never decode this.
-                                let mut torn = bytes;
-                                let half = torn.len() / 2;
-                                torn[half..].fill(0xFF);
-                                file.durable.insert(id, torn);
-                            }
-                            _ => {} // dropped: the slot reads back as zeros
-                        }
-                    }
-                }
-                // Appends reach the platter in order, so survival is
-                // prefix-shaped: each unsynced append in turn survives
-                // whole, tears (half its bytes then garbage — the last
-                // write the head got to), or is lost — and the first
-                // casualty ends the prefix.
-                Inode::Bytes(file) => {
-                    for bytes in std::mem::take(&mut file.tail) {
-                        match splitmix_next(&mut rng) % 3 {
-                            0 => file.durable.extend_from_slice(&bytes),
-                            1 if plan.tear => {
-                                let half = bytes.len() / 2;
-                                file.durable.extend_from_slice(&bytes[..half]);
-                                file.durable.extend(std::iter::repeat_n(0xFF, bytes.len() - half));
-                                notes.push(format!("crash-tear {name}"));
-                                break;
-                            }
-                            _ => {
-                                notes.push(format!("crash-drop {name}"));
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
+            let file = st.inodes.get_mut(ino).expect("a named inode exists");
+            file.power_cycle(&mut rng, plan.tear, name, &mut notes);
         }
         st.crashed = false;
         st.locks.clear();
@@ -580,11 +499,22 @@ impl SimEnv {
         }
     }
 
-    /// Creates file `name` holding `fresh` — truncating it in place when
-    /// it exists — and returns its inode (one I/O op). A new name is not
-    /// durable until its directory is synced ([`SimEnv::sync_dir`]).
-    fn create(&self, name: &str, fresh: Inode) -> Result<u64> {
-        self.guarded(
+    /// Size in bytes file `name` would report to a `stat` — what the
+    /// running process sees; 0 when absent. Un-clocked diagnostic.
+    pub fn file_len(&self, name: &str) -> u64 {
+        self.state().lookup(name).map_or(0, |(_, f)| f.image.len() as u64)
+    }
+
+    /// Every name on the machine (diagnostic listing, un-clocked).
+    pub fn file_names(&self) -> Vec<String> {
+        self.state().names.keys().cloned().collect()
+    }
+
+    /// Creates file `name` — truncating it in place when it exists — and
+    /// returns a handle to it (one I/O op). A new name is not durable
+    /// until its directory is synced ([`SimEnv::sync_dir`]).
+    pub fn create_file(&self, name: &str) -> Result<SimBlob> {
+        let ino = self.guarded(
             |_| meta(format!("file-create {name}")),
             |st| {
                 let ino = match st.names.get(name) {
@@ -596,93 +526,34 @@ impl SimEnv {
                         st.next_ino
                     }
                 };
-                st.inodes.insert(ino, fresh);
+                st.inodes.insert(ino, SimFile::default());
                 Ok(ino)
             },
-        )
-    }
-
-    /// Creates (truncating) block file `name` and returns a handle to it
-    /// (one I/O op; see [`SimEnv::create_file`]).
-    pub fn create_disk(&self, name: &str, block_capacity: usize) -> Result<SimDisk> {
-        assert!(block_capacity > 0, "block capacity must be positive");
-        let fresh = SimFileState {
-            block_bytes: Block::encoded_len(block_capacity),
-            block_capacity,
-            slots: 0,
-            synced_slots: 0,
-            durable: BTreeMap::new(),
-            overlay: BTreeMap::new(),
-        };
-        let ino = self.create(name, Inode::Blocks(fresh))?;
-        Ok(SimDisk::handle(self.clone(), name, ino, block_capacity, 0))
-    }
-
-    /// Opens existing block file `name` **without truncating**; every
-    /// slot is live, exactly like `FileDisk::open` (one I/O op).
-    pub fn open_disk(&self, name: &str, block_capacity: usize) -> Result<SimDisk> {
-        assert!(block_capacity > 0, "block capacity must be positive");
-        let (ino, slots) = self.guarded(
-            |_| meta(format!("file-open {name}")),
-            |st| {
-                let (ino, inode) = st.lookup(name).ok_or_else(|| not_found(name))?;
-                let f = inode.blocks(name)?;
-                match f.block_capacity == block_capacity {
-                    true => Ok((ino, f.slots)),
-                    false => Err(ExtMemError::BadConfig(format!(
-                        "sim file {name} was created with block capacity {}, caller asked for \
-                         {block_capacity}",
-                        f.block_capacity
-                    ))),
-                }
-            },
         )?;
-        Ok(SimDisk::handle(self.clone(), name, ino, block_capacity, slots))
-    }
-
-    /// Size in bytes file `name` would report to a `stat` — a block
-    /// file's slots × slot size, a byte file's visible bytes; 0 when
-    /// absent. Un-clocked diagnostic.
-    pub fn file_len(&self, name: &str) -> u64 {
-        let st = self.state();
-        st.names.get(name).map_or(0, |ino| st.inodes[ino].len())
-    }
-
-    /// Every name on the machine, block files and byte files alike
-    /// (diagnostic listing, un-clocked).
-    pub fn file_names(&self) -> Vec<String> {
-        self.state().names.keys().cloned().collect()
-    }
-
-    /// Creates byte file `name` — truncating it in place when it exists
-    /// — and returns a handle to it (one I/O op). A new name is not
-    /// durable until its directory is synced ([`SimEnv::sync_dir`]).
-    pub fn create_file(&self, name: &str) -> Result<SimBlob> {
-        let ino = self.create(name, Inode::Bytes(SimByteFile::default()))?;
         Ok(SimBlob { env: self.clone(), name: name.to_string(), ino })
     }
 
-    /// Opens byte file `name` without truncating (one I/O op); `None`
-    /// when absent. The trace records a hit as `file-open`, a miss as
+    /// Opens file `name` without truncating (one I/O op); `None` when
+    /// absent. The trace records a hit as `file-open`, a miss as
     /// `file-absent`.
     pub fn open_file(&self, name: &str) -> Result<Option<SimBlob>> {
         let ino = self.guarded(
             |ino: &Option<_>| {
                 meta(format!("{} {name}", if ino.is_some() { "file-open" } else { "file-absent" }))
             },
-            |st| st.lookup(name).map(|(ino, inode)| inode.bytes(name).map(|_| ino)).transpose(),
+            |st| Ok(st.lookup(name).map(|(ino, _)| ino)),
         )?;
         Ok(ino.map(|ino| SimBlob { env: self.clone(), name: name.to_string(), ino }))
     }
 
-    /// Reads the whole of byte file `name` (one I/O op); `None` when
-    /// absent. A process reads its own unsynced appends.
+    /// Reads the whole of file `name` (one I/O op); `None` when absent.
+    /// A process reads its own unsynced writes.
     pub fn read_file(&self, name: &str) -> Result<Option<Vec<u8>>> {
         self.guarded(
             |img: &Option<_>| {
                 meta(format!("{} {name}", if img.is_some() { "file-read" } else { "file-absent" }))
             },
-            |st| st.lookup(name).map(|(_, inode)| inode.bytes(name).map(|f| f.image())).transpose(),
+            |st| Ok(st.lookup(name).map(|(_, f)| f.image.clone())),
         )
     }
 
@@ -709,12 +580,12 @@ impl SimEnv {
         )
     }
 
-    /// Unlinks file `name`, byte or block (one I/O op), and reports
-    /// whether it existed. An open handle keeps reading and writing the
-    /// unnamed inode. The unlink is durable once the directory is synced.
-    /// Nothing counts handles, so the unnamed inode's contents stay in
-    /// memory until the next [`SimEnv::power_cycle`] — even after its
-    /// unlink is durable and its last handle is dropped.
+    /// Unlinks file `name` (one I/O op), and reports whether it existed.
+    /// An open handle keeps reading and writing the unnamed inode. The
+    /// unlink is durable once the directory is synced. Nothing counts
+    /// handles, so the unnamed inode's contents stay in memory until the
+    /// next [`SimEnv::power_cycle`] — even after its unlink is durable
+    /// and its last handle is dropped.
     pub fn remove_file(&self, name: &str) -> Result<bool> {
         self.guarded(
             |&hit| meta(format!("{} {name}", if hit { "file-remove" } else { "file-absent" })),
@@ -785,209 +656,12 @@ impl SimEnv {
     }
 }
 
-/// A crash-simulation storage backend: block I/O against one named file
-/// of a [`SimEnv`], with `FileDisk`-identical allocator policy (LIFO
-/// recycling, lowest-first-fit contiguous runs) so block ids stay
-/// backend-deterministic.
-///
-/// The allocator state lives in the handle — exactly as `FileDisk` keeps
-/// it in process memory — so a crash (dropping the handle) loses it.
-/// Like a descriptor, the handle follows the file it opened: renaming or
-/// unlinking the name does not redirect it.
-pub struct SimDisk {
-    env: SimEnv,
-    /// The name the file was opened under (trace labels only).
-    file: String,
-    ino: u64,
-    block_capacity: usize,
-    block_bytes: usize,
-    /// The shared allocator state machine — the same implementation
-    /// `FileDisk` runs. Its high-water mark stays in step with the
-    /// file's, which this handle alone mutates while it lives.
-    alloc: SlotAllocator,
-}
-
-impl SimDisk {
-    /// A standalone disk on a fresh private [`SimEnv`] — the drop-in
-    /// replacement for an in-memory test backend when the test wants a
-    /// fault schedule (configure it via [`SimDisk::env`]).
-    pub fn new(block_capacity: usize) -> Self {
-        SimEnv::new().create_disk("sim.blk", block_capacity).expect("fresh env cannot fault")
-    }
-
-    fn handle(env: SimEnv, file: &str, ino: u64, block_capacity: usize, slots: u64) -> Self {
-        SimDisk {
-            env,
-            file: file.to_string(),
-            ino,
-            block_capacity,
-            block_bytes: Block::encoded_len(block_capacity),
-            alloc: SlotAllocator::with_all_live(slots),
-        }
-    }
-
-    /// The environment this disk lives in (fault plan, clock, trace).
-    pub fn env(&self) -> SimEnv {
-        self.env.clone()
-    }
-
-    /// High-water mark: total slots ever allocated (free ones included).
-    pub fn slots(&self) -> u64 {
-        self.alloc.slots()
-    }
-
-    fn check_live(&self, id: BlockId) -> Result<()> {
-        if self.alloc.is_dead(id.raw()) {
-            return Err(ExtMemError::BadBlockId(id));
-        }
-        Ok(())
-    }
-
-    /// Runs `apply` against this disk's file under the environment's
-    /// clock-and-fault guard.
-    fn file_op<T>(
-        &self,
-        event: impl FnOnce(&T) -> IoEvent,
-        apply: impl FnOnce(&mut SimFileState) -> Result<T>,
-    ) -> Result<T> {
-        self.env.guarded(event, |st| apply(st.held(self.ino, &self.file)?.blocks(&self.file)?))
-    }
-}
-
-impl StorageBackend for SimDisk {
-    fn block_capacity(&self) -> usize {
-        self.block_capacity
-    }
-
-    fn read(&mut self, id: BlockId) -> Result<Block> {
-        self.check_live(id)?;
-        let cap = self.block_capacity;
-        self.file_op(
-            |_| IoEvent::Read { file: self.file.clone(), id: id.raw() },
-            |f| {
-                match f.overlay.get(&id.raw()).or_else(|| f.durable.get(&id.raw())) {
-                    Some(bytes) => Block::decode_from(cap, bytes),
-                    // Absent image = zero-filled slot = a valid empty block.
-                    None => Ok(Block::new(cap)),
-                }
-            },
-        )
-    }
-
-    fn write(&mut self, id: BlockId, block: &Block) -> Result<()> {
-        self.check_live(id)?;
-        debug_assert_eq!(block.capacity(), self.block_capacity);
-        let mut buf = vec![0u8; self.block_bytes];
-        block.encode_into(&mut buf);
-        // Allocation-free fold, computed eagerly; the event String is
-        // deferred to traced runs.
-        let fp = fnv1a64(&buf);
-        self.file_op(
-            |_| IoEvent::Write { file: self.file.clone(), id: id.raw(), fingerprint: fp },
-            move |f| {
-                f.overlay.insert(id.raw(), buf);
-                Ok(())
-            },
-        )
-    }
-
-    fn allocate(&mut self) -> Result<BlockId> {
-        let idx = match self.alloc.peek_recycle() {
-            Some(idx) => {
-                // Recycled slot: reset the stale image (a volatile write,
-                // like FileDisk's header reset) *before* the allocator
-                // state changes, so a faulted op leaves the slot safely
-                // on the free list.
-                let zeros = vec![0u8; self.block_bytes];
-                self.file_op(
-                    |_| IoEvent::Alloc { file: self.file.clone(), base: idx, n: 1 },
-                    move |f| {
-                        f.overlay.insert(idx, zeros);
-                        Ok(())
-                    },
-                )?;
-                self.alloc.commit_recycle(idx);
-                idx
-            }
-            None => {
-                let idx = self.alloc.slots();
-                self.file_op(
-                    |_| IoEvent::Alloc { file: self.file.clone(), base: idx, n: 1 },
-                    |f| {
-                        // Growth is durable immediately (zero-filled).
-                        f.slots = idx + 1;
-                        Ok(())
-                    },
-                )?;
-                self.alloc.commit_grow(1)
-            }
-        };
-        Ok(BlockId(idx))
-    }
-
-    fn allocate_contiguous(&mut self, n: usize) -> Result<BlockId> {
-        // Identical recycling policy to FileDisk/MemDisk: the lowest free
-        // run of ≥ n wins, reset by one (volatile) zero fill; otherwise
-        // grow.
-        if let Some(base) = self.alloc.peek_run(n) {
-            let end = base + n as u64;
-            let bytes = self.block_bytes;
-            self.file_op(
-                |_| IoEvent::Alloc { file: self.file.clone(), base, n: n as u64 },
-                move |f| {
-                    for id in base..end {
-                        f.overlay.insert(id, vec![0u8; bytes]);
-                    }
-                    Ok(())
-                },
-            )?;
-            self.alloc.commit_run(base, n);
-            return Ok(BlockId(base));
-        }
-        let base = self.alloc.slots();
-        let new_slots = base + n as u64;
-        self.file_op(
-            |_| IoEvent::Alloc { file: self.file.clone(), base, n: n as u64 },
-            |f| {
-                f.slots = new_slots;
-                Ok(())
-            },
-        )?;
-        Ok(BlockId(self.alloc.commit_grow(n as u64)))
-    }
-
-    fn free(&mut self, id: BlockId) -> Result<()> {
-        self.check_live(id)?;
-        self.file_op(|_| IoEvent::Free { file: self.file.clone(), id: id.raw() }, |_| Ok(()))?;
-        self.alloc.release(id.raw());
-        Ok(())
-    }
-
-    fn live_blocks(&self) -> u64 {
-        self.alloc.live()
-    }
-
-    fn sync(&mut self) -> Result<()> {
-        self.file_op(
-            |&flushed| IoEvent::Sync { file: self.file.clone(), flushed },
-            |f| {
-                let overlay = std::mem::take(&mut f.overlay);
-                let flushed = overlay.len() as u64;
-                f.durable.extend(overlay);
-                f.synced_slots = f.slots;
-                Ok(flushed)
-            },
-        )
-        .map(drop)
-    }
-}
-
-/// A handle to one open byte file of a [`SimEnv`] — the crash-faithful
+/// A handle to one open file of a [`SimEnv`] — the crash-faithful
 /// [`BlobFile`] every durable-file protocol runs on under torture:
-/// appends are volatile until sync, and a power cycle applies the
-/// prefix-survival lottery (keep / tear / drop) to the unsynced tail.
-/// Like a descriptor, the handle follows the file it opened: renaming
-/// or unlinking the name does not redirect it.
+/// writes are volatile until sync, and a power cycle runs the
+/// write-survival lottery over the unsynced ones. Like a descriptor, the
+/// handle follows the file it opened: renaming or unlinking the name
+/// does not redirect it.
 pub struct SimBlob {
     env: SimEnv,
     /// The name the file was opened under (trace labels only).
@@ -1006,89 +680,77 @@ impl SimBlob {
     fn file_op<T>(
         &self,
         event: impl FnOnce(&T) -> IoEvent,
-        apply: impl FnOnce(&mut SimByteFile) -> Result<T>,
+        apply: impl FnOnce(&mut SimFile) -> Result<T>,
     ) -> Result<T> {
-        self.env.guarded(event, |st| apply(st.held(self.ino, &self.name)?.bytes(&self.name)?))
+        self.env.guarded(event, |st| apply(st.held(self.ino, &self.name)?))
     }
 }
 
 impl BlobFile for SimBlob {
-    /// One I/O op, volatile until [`BlobFile::sync`]. The trace records
-    /// it as a `Write` whose `id` is the append's byte offset.
-    fn append(&mut self, bytes: &[u8]) -> Result<()> {
+    /// One I/O op, volatile until [`BlobFile::sync`]; traced as a
+    /// `Write`.
+    fn write_at(&mut self, offset: u64, bytes: &[u8]) -> Result<()> {
         let fp = fnv1a64(bytes);
         self.file_op(
-            |&offset| IoEvent::Write { file: self.name.clone(), id: offset, fingerprint: fp },
+            |_| IoEvent::Write { file: self.name.clone(), offset, fingerprint: fp },
             |f| {
-                let offset = f.visible_len();
-                f.tail.push(bytes.to_vec());
-                Ok(offset)
+                f.write_at(offset, bytes);
+                Ok(())
             },
         )
-        .map(drop)
     }
 
-    /// Sync barrier (one I/O op): every prior append becomes durable —
-    /// the file's content, not its directory entry.
-    fn sync(&mut self) -> Result<()> {
-        self.file_op(
-            |&flushed| IoEvent::Sync { file: self.name.clone(), flushed },
-            |f| {
-                let tail = std::mem::take(&mut f.tail);
-                for chunk in &tail {
-                    f.durable.extend_from_slice(chunk);
-                }
-                Ok(tail.len() as u64)
-            },
-        )
-        .map(drop)
-    }
-
-    /// Visible length (durable prefix plus unsynced appends — what a
-    /// `stat` from this process sees); un-clocked.
-    fn len(&self) -> u64 {
-        self.env.state().inodes.get(&self.ino).map_or(0, Inode::len)
-    }
-
-    /// One I/O op, fault-injectable like any other; the trace records
-    /// it as a `ReadAt`.
+    /// One I/O op, fault-injectable like any other; traced as a
+    /// `ReadAt`.
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
         let len = buf.len() as u64;
         self.file_op(
             |_| IoEvent::ReadAt { file: self.name.clone(), offset, len },
-            |f| f.read_at(offset, buf),
+            |f| get(&f.image, offset, buf),
         )
     }
 
-    /// One I/O op. Truncating into the durable prefix is itself durable
-    /// (like `set_len`); a cut inside the unsynced tail trims the
-    /// volatile appends.
-    fn truncate(&mut self, len: u64) -> Result<()> {
+    /// One I/O op, durable at once. Traced as `file-truncate` when it
+    /// shrinks the file — the unsynced writes it cuts are gone — and as
+    /// `file-extend` otherwise; the new length is the fingerprint.
+    fn set_len(&mut self, len: u64) -> Result<()> {
         self.file_op(
-            |_| IoEvent::Meta { label: format!("file-truncate {}", self.name), fingerprint: len },
+            |&shrunk| {
+                let op = if shrunk { "file-truncate" } else { "file-extend" };
+                IoEvent::Meta { label: format!("{op} {}", self.name), fingerprint: len }
+            },
             |f| {
-                let durable_len = f.durable.len() as u64;
-                if len <= durable_len {
-                    f.durable.truncate(len as usize);
-                    f.tail.clear();
-                } else {
-                    let mut keep = len - durable_len;
-                    f.tail.retain_mut(|chunk| {
-                        chunk.truncate((chunk.len() as u64).min(keep) as usize);
-                        keep -= chunk.len() as u64;
-                        !chunk.is_empty()
-                    });
-                }
-                Ok(())
+                let shrunk = len < f.image.len() as u64;
+                f.set_len(len);
+                Ok(shrunk)
             },
         )
+        .map(drop)
+    }
+
+    /// Sync barrier (one I/O op): every prior write becomes durable —
+    /// the file's content, not its directory entry.
+    fn sync(&mut self) -> Result<()> {
+        self.file_op(
+            |&flushed| IoEvent::Sync { file: self.name.clone(), flushed },
+            |f| Ok(f.sync()),
+        )
+        .map(drop)
+    }
+
+    /// Visible length (what a `stat` from this process sees); un-clocked.
+    fn len(&self) -> u64 {
+        self.env.state().inodes.get(&self.ino).map_or(0, |f| f.image.len() as u64)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::StorageBackend;
+    use crate::block::Block;
     use crate::item::Item;
+    use crate::SimDisk;
 
     fn item_block(cap: usize, k: u64, v: u64) -> Block {
         let mut b = Block::new(cap);
@@ -1096,25 +758,20 @@ mod tests {
         b
     }
 
-    #[test]
-    fn round_trip_and_allocator_mirror_file_disk() {
-        let mut d = SimDisk::new(4);
-        let a = d.allocate().unwrap();
-        let blk = d.read(a).unwrap();
-        assert!(blk.is_empty());
-        d.write(a, &item_block(4, 7, 70)).unwrap();
-        assert_eq!(d.read(a).unwrap().find(7), Some(70));
-        d.free(a).unwrap();
-        assert!(d.read(a).is_err());
-        let b = d.allocate().unwrap();
-        assert_eq!(a, b, "LIFO recycling");
-        assert!(d.read(b).unwrap().is_empty(), "recycled slot reads empty");
+    /// A block disk over file `name` of `env`: a fresh one, or the
+    /// existing one with every slot live.
+    fn create_blocks(env: &SimEnv, name: &str) -> SimDisk {
+        SimDisk::from_file(env.create_file(name).unwrap(), 4).unwrap()
+    }
+
+    fn open_blocks(env: &SimEnv, name: &str) -> Result<SimDisk> {
+        SimDisk::from_file(env.open_file(name)?.ok_or_else(|| not_found(name))?, 4)
     }
 
     #[test]
     fn unsynced_writes_vanish_at_a_power_cycle_synced_ones_survive() {
         let env = SimEnv::new();
-        let mut d = env.create_disk("t.blk", 4).unwrap();
+        let mut d = create_blocks(&env, "t.blk");
         env.sync_dir("").unwrap();
         let a = d.allocate().unwrap();
         d.write(a, &item_block(4, 1, 10)).unwrap();
@@ -1123,17 +780,17 @@ mod tests {
         env.set_plan(FaultPlan::crash(env.ops(), 42));
         assert!(d.read(a).is_err(), "crash point fires");
         env.power_cycle();
-        let mut d = env.open_disk("t.blk", 4).unwrap();
+        let mut d = open_blocks(&env, "t.blk").unwrap();
         assert_eq!(d.read(a).unwrap().find(1), Some(10), "synced image survives exactly");
     }
 
     #[test]
     fn never_synced_slots_survive_the_lottery_but_synced_reads_never_tear() {
-        // Allocate past the synced high-water mark, write, crash: the
+        // Allocate past the synced length, write, crash: the
         // torn/kept/dropped lottery only touches those slots; slots
-        // below the mark revert exactly.
+        // inside the synced length revert exactly.
         let env = SimEnv::new();
-        let mut d = env.create_disk("t.blk", 4).unwrap();
+        let mut d = create_blocks(&env, "t.blk");
         env.sync_dir("").unwrap();
         let synced = d.allocate().unwrap();
         d.write(synced, &item_block(4, 5, 50)).unwrap();
@@ -1146,7 +803,8 @@ mod tests {
         env.set_plan(FaultPlan::crash(env.ops(), 7));
         assert!(d.sync().is_err(), "crash fires at the sync");
         env.power_cycle();
-        let mut d = env.open_disk("t.blk", 4).unwrap();
+        let mut d = open_blocks(&env, "t.blk").unwrap();
+        assert_eq!(d.slots(), 21, "growth is durable at once");
         assert_eq!(d.read(synced).unwrap().find(5), Some(50), "synced slot reverted exactly");
         // Never-synced slots hold zeros, the written image, or torn
         // garbage — all three must be *readable or cleanly erroring*,
@@ -1190,11 +848,35 @@ mod tests {
         assert_eq!(d.read(id).unwrap().find(3), Some(30), "next op heals, data intact");
     }
 
+    /// A failed growth leaves the allocator untouched, and a freed slot
+    /// comes back by a header reset — one write, clocked like any other.
+    #[test]
+    fn a_faulted_growth_allocates_nothing_and_a_recycled_slot_is_reset_by_one_write() {
+        let mut d = SimDisk::new(4);
+        let env = d.env();
+        env.set_plan(FaultPlan { fail_at: vec![env.ops()], ..Default::default() });
+        assert!(d.allocate().is_err());
+        assert_eq!((d.slots(), d.live_blocks()), (0, 0));
+        let id = d.allocate().unwrap();
+        d.write(id, &item_block(4, 3, 30)).unwrap();
+        let at = env.ops();
+        d.free(id).unwrap();
+        assert_eq!(env.ops(), at, "a free is no I/O");
+        env.take_trace();
+        assert_eq!(d.allocate().unwrap(), id);
+        assert!(d.read(id).unwrap().is_empty());
+        let trace = env.take_trace();
+        assert!(
+            matches!(&trace[..], [IoEvent::Write { offset: 0, .. }, IoEvent::ReadAt { .. }]),
+            "{trace:?}"
+        );
+    }
+
     #[test]
     fn trace_is_deterministic_and_content_sensitive() {
         let run = |value: u64| {
             let env = SimEnv::new();
-            let mut d = env.create_disk("t.blk", 4).unwrap();
+            let mut d = create_blocks(&env, "t.blk");
             let id = d.allocate().unwrap();
             d.write(id, &item_block(4, 1, value)).unwrap();
             d.sync().unwrap();
@@ -1202,6 +884,18 @@ mod tests {
         };
         assert_eq!(run(10), run(10), "same workload, identical trace");
         assert_ne!(run(10), run(11), "different written bytes, different fingerprints");
+        let slot = Block::encoded_len(4) as u64;
+        assert_eq!(
+            labels(&run(10)),
+            ["file-create t.blk", "file-extend t.blk"],
+            "a growth is its own event"
+        );
+        assert!(
+            run(10)
+                .iter()
+                .any(|e| matches!(e, IoEvent::Meta { fingerprint, .. } if *fingerprint == slot)),
+            "and carries the new length"
+        );
         assert!(
             run(10).iter().any(|e| matches!(e, IoEvent::Sync { flushed, .. } if *flushed == 1)),
             "the sync barrier records how many writes it made durable"
@@ -1223,23 +917,7 @@ mod tests {
         env.lock_named("").unwrap();
     }
 
-    #[test]
-    fn contiguous_runs_recycle_identically_to_file_disk() {
-        let mut d = SimDisk::new(2);
-        let _anchor = d.allocate().unwrap();
-        let ids: Vec<_> = (0..6).map(|_| d.allocate().unwrap()).collect();
-        for &i in &[3usize, 1, 5, 2, 4] {
-            d.free(ids[i]).unwrap();
-        }
-        let base = d.allocate_contiguous(5).unwrap();
-        assert_eq!(base, ids[1], "the coalesced run is recycled, not the device grown");
-        assert_eq!(d.slots(), 7, "no growth");
-        for k in 0..5 {
-            assert!(d.read(BlockId(base.raw() + k)).unwrap().is_empty());
-        }
-    }
-
-    /// A byte file whose name is already durable: create + dir-sync.
+    /// A file whose name is already durable: create + dir-sync.
     fn durable_file(env: &SimEnv, name: &str) -> SimBlob {
         let f = env.create_file(name).unwrap();
         env.sync_dir(dir_of(name)).unwrap();
@@ -1283,12 +961,14 @@ mod tests {
         assert_eq!(&img[..6], b"synced", "durable prefix survives exactly");
     }
 
+    /// Many unsynced appends, then a crash: the synced prefix survives
+    /// exactly, and each append past it independently lands whole, torn
+    /// (half its bytes, then `0xFF`) or not at all — a lost one reads as
+    /// zeros where a later one landed past it, and the file ends with
+    /// the last one that landed.
     #[test]
-    fn append_crash_survival_is_prefix_shaped() {
-        // Many unsynced appends, then a crash: whatever survives must be
-        // a prefix of the append sequence — a later append never lands
-        // without every earlier one (appends hit the platter in order).
-        let (mut torn, mut dropped) = (0, 0);
+    fn each_unsynced_append_survives_whole_torn_or_as_zeros() {
+        let (mut torn, mut dropped, mut holes) = (0, 0, 0);
         for seed in 0..16u64 {
             let env = SimEnv::new();
             let mut b = durable_file(&env, "t.blob");
@@ -1300,26 +980,24 @@ mod tests {
             crash(&env, seed);
             let img = env.read_file("t.blob").unwrap().unwrap();
             assert_eq!(&img[..4], b"AAAA");
-            // After the durable prefix: zero or more whole appends, then
-            // optionally one torn append (4 bytes, garbage tail), then
-            // nothing.
             let tail = &img[4..];
             assert!(tail.len().is_multiple_of(4) && tail.len() <= 32);
-            let whole = tail.chunks(4).take_while(|c| *c == b"BBBB").count();
-            if let Some(c) = tail.chunks(4).nth(whole + 1) {
-                panic!("bytes after a non-intact append: {c:?}");
+            for (i, c) in tail.chunks(4).enumerate() {
+                assert!(matches!(c, b"BBBB" | b"BB\xFF\xFF" | [0, 0, 0, 0]), "append {i}: {c:?}");
             }
+            assert_ne!(tail.chunks(4).last(), Some(&[0u8; 4][..]), "the file ends at a landing");
+            holes += tail.chunks(4).filter(|c| *c == [0; 4]).count();
             let trace = env.take_trace();
             torn += labels(&trace).iter().filter(|l| **l == "crash-tear t.blob").count();
             dropped += labels(&trace).iter().filter(|l| **l == "crash-drop t.blob").count();
         }
-        assert!(torn > 0 && dropped > 0, "the lottery tears and drops: {torn}/{dropped}");
+        assert!(torn > 0 && dropped > 0 && holes > 0, "{torn} torn, {dropped} lost, {holes} holes");
     }
 
-    /// A ranged read sees the durable prefix and the handle's own
-    /// unsynced appends as one file, across every chunk boundary; it is
-    /// clocked, traced with its extent, fault-injectable, and a range
-    /// past the end is an error that reads nothing.
+    /// A ranged read sees the durable bytes and the handle's own
+    /// unsynced writes as one file; it is clocked, traced with its
+    /// extent, fault-injectable, and a range past the end is an error
+    /// that reads nothing.
     #[test]
     fn ranged_reads_span_durable_and_unsynced_bytes() {
         let env = SimEnv::new();
@@ -1353,35 +1031,47 @@ mod tests {
         );
     }
 
+    /// A shrink discards the unsynced writes it cuts, durably: what it
+    /// cut neither reads back nor returns at a crash.
     #[test]
-    fn truncate_discards_the_crash_tail() {
+    fn a_shrink_discards_the_crash_tail() {
         let env = SimEnv::new();
-        let mut b = env.create_file("t.blob").unwrap();
+        let mut b = durable_file(&env, "t.blob");
         b.append(b"keepkeep").unwrap();
         b.sync().unwrap();
         b.append(b"crashtail").unwrap();
-        b.truncate(8).unwrap();
+        b.set_len(8).unwrap();
         assert_eq!(contents(&b), b"keepkeep");
-        // A cut inside the unsynced tail trims the volatile appends.
         b.append(b"abcdef").unwrap();
-        b.truncate(11).unwrap();
-        assert_eq!(contents(&b), b"keepkeepabc");
+        b.set_len(11).unwrap();
+        assert_eq!(contents(&b), b"keepkeepabc", "a cut inside a write keeps its head");
+        b.set_len(13).unwrap();
+        assert_eq!(contents(&b), b"keepkeepabc\0\0", "and grows back as zeros");
+        let trace = env.take_trace();
+        assert_eq!(
+            labels(&trace)[labels(&trace).len() - 3..],
+            ["file-truncate t.blob", "file-truncate t.blob", "file-extend t.blob"]
+        );
+        for seed in 0..8 {
+            crash(&env, seed);
+            let img = env.read_file("t.blob").unwrap().unwrap();
+            assert!(img.starts_with(b"keepkeep") && img.len() == 13, "{img:?}");
+            assert!(!img.windows(4).any(|w| w == b"tail" || w == b"def\0"), "{img:?}");
+        }
     }
 
     #[test]
     fn byte_and_block_files_share_one_listing_and_the_trace() {
         let env = SimEnv::new();
-        let _d = env.create_disk("store.blk", 4).unwrap();
+        let _d = create_blocks(&env, "store.blk");
         let mut b = env.create_file("store.blob").unwrap();
         b.append(b"payload").unwrap();
         b.sync().unwrap();
         assert_eq!(env.file_names(), vec!["store.blk".to_string(), "store.blob".to_string()]);
-        assert_eq!(env.file_len("store.blob"), 7, "a byte file's stat is its visible bytes");
-        assert!(env.read_file("store.blk").is_err(), "a block file is not read as bytes");
-        assert!(env.open_disk("store.blob", 4).is_err(), "nor a byte file as blocks");
+        assert_eq!(env.file_len("store.blob"), 7, "a file's stat is its visible bytes");
         let trace = env.take_trace();
         assert!(trace.iter().any(
-            |e| matches!(e, IoEvent::Write { file, id, .. } if file == "store.blob" && *id == 0)
+            |e| matches!(e, IoEvent::Write { file, offset, .. } if file == "store.blob" && *offset == 0)
         ));
         assert!(trace
             .iter()
@@ -1400,7 +1090,7 @@ mod tests {
     #[test]
     fn a_disk_handle_follows_its_inode_past_the_unlink_of_its_name() {
         let env = SimEnv::new();
-        let mut d = env.create_disk("level-1.blk", 4).unwrap();
+        let mut d = create_blocks(&env, "level-1.blk");
         let id = d.allocate().unwrap();
         d.write(id, &item_block(4, 1, 10)).unwrap();
         d.sync().unwrap();
@@ -1408,9 +1098,9 @@ mod tests {
         assert!(env.remove_file("level-1.blk").unwrap());
         env.sync_dir("").unwrap();
         assert!(env.file_names().is_empty());
-        assert!(env.open_disk("level-1.blk", 4).is_err(), "the name is gone");
+        assert!(open_blocks(&env, "level-1.blk").is_err(), "the name is gone");
         assert_eq!(d.read(id).unwrap().find(1), Some(10), "the handle reads on");
-        let fresh = env.create_disk("level-1.blk", 4).unwrap();
+        let fresh = create_blocks(&env, "level-1.blk");
         d.write(id, &item_block(4, 1, 11)).unwrap();
         assert_eq!(d.read(id).unwrap().find(1), Some(11), "and writes its own inode");
         assert_eq!(fresh.slots(), 0);
@@ -1497,7 +1187,7 @@ mod tests {
         for seed in 0..64u64 {
             let env = SimEnv::new();
             durable_file(&env, "a/OLD");
-            let mut old = env.create_disk("a/old.blk", 4).unwrap();
+            let mut old = create_blocks(&env, "a/old.blk");
             let id = old.allocate().unwrap();
             old.write(id, &item_block(4, 1, 10)).unwrap();
             old.sync().unwrap();
@@ -1506,7 +1196,7 @@ mod tests {
             drop(old);
             env.create_file("a/ONE").unwrap();
             assert!(env.remove_file("a/OLD").unwrap());
-            let mut new = env.create_disk("a/new.blk", 4).unwrap();
+            let mut new = create_blocks(&env, "a/new.blk");
             let fresh = new.allocate().unwrap();
             new.write(fresh, &item_block(4, 2, 20)).unwrap();
             new.sync().unwrap();
@@ -1527,11 +1217,11 @@ mod tests {
                 "seed {seed}: not a prefix: {state:?}"
             );
             if state.2 {
-                let mut new = env.open_disk("a/new.blk", 4).unwrap();
+                let mut new = open_blocks(&env, "a/new.blk").unwrap();
                 assert_eq!(new.read(fresh).unwrap().find(2), Some(20), "synced under a kept name");
             }
             if !state.3 {
-                let mut old = env.open_disk("a/old.blk", 4).unwrap();
+                let mut old = open_blocks(&env, "a/old.blk").unwrap();
                 assert_eq!(old.read(id).unwrap().find(1), Some(10), "back as it was synced");
             }
             seen.insert(state);

@@ -1,6 +1,8 @@
 //! Property-based tests for the external-memory substrate.
 
-use dxh_extmem::{Block, BlockId, Disk, FileDisk, IoCostModel, Item, MemDisk, StorageBackend};
+use dxh_extmem::{
+    Block, BlockId, Disk, FileDisk, IoCostModel, Item, MemDisk, SimDisk, StorageBackend,
+};
 use proptest::prelude::*;
 
 fn arb_item() -> impl Strategy<Value = Item> {
@@ -28,40 +30,54 @@ proptest! {
         prop_assert_eq!(decoded, blk);
     }
 
-    /// MemDisk and FileDisk observe identical contents under an arbitrary
-    /// schedule of allocate / write / free operations.
+    /// MemDisk, FileDisk and SimDisk observe identical ids, contents and
+    /// live counts after every op of an arbitrary schedule of allocate /
+    /// contiguous allocate / write / free operations.
     #[test]
-    fn backends_agree(ops in proptest::collection::vec((0u8..3, any::<u64>()), 1..60)) {
+    fn backends_agree(ops in proptest::collection::vec((0u8..4, any::<u64>()), 1..60)) {
         let mut mem = MemDisk::new(4);
         let mut file = FileDisk::temp(4).unwrap();
+        let mut sim = SimDisk::new(4);
         let mut live: Vec<BlockId> = Vec::new();
         for (op, x) in ops {
             match op {
                 0 => {
                     let a = mem.allocate().unwrap();
-                    let b = file.allocate().unwrap();
-                    prop_assert_eq!(a, b);
+                    prop_assert_eq!(a, file.allocate().unwrap());
+                    prop_assert_eq!(a, sim.allocate().unwrap());
                     live.push(a);
                 }
-                1 if !live.is_empty() => {
+                1 => {
+                    let n = 1 + (x % 4) as usize;
+                    let a = mem.allocate_contiguous(n).unwrap();
+                    prop_assert_eq!(a, file.allocate_contiguous(n).unwrap());
+                    prop_assert_eq!(a, sim.allocate_contiguous(n).unwrap());
+                    live.extend((0..n as u64).map(|i| BlockId(a.raw() + i)));
+                }
+                2 if !live.is_empty() => {
                     let id = live[(x % live.len() as u64) as usize];
                     let mut blk = Block::new(4);
                     blk.push(Item::new(x % (u64::MAX - 1), x)).unwrap();
                     mem.write(id, &blk).unwrap();
                     file.write(id, &blk).unwrap();
+                    sim.write(id, &blk).unwrap();
                 }
-                2 if !live.is_empty() => {
+                3 if !live.is_empty() => {
                     let idx = (x % live.len() as u64) as usize;
                     let id = live.swap_remove(idx);
                     mem.free(id).unwrap();
                     file.free(id).unwrap();
+                    sim.free(id).unwrap();
                 }
                 _ => {}
             }
-        }
-        prop_assert_eq!(mem.live_blocks(), file.live_blocks());
-        for id in live {
-            prop_assert_eq!(mem.read(id).unwrap(), file.read(id).unwrap());
+            prop_assert_eq!(mem.live_blocks(), file.live_blocks());
+            prop_assert_eq!(mem.live_blocks(), sim.live_blocks());
+            for &id in &live {
+                let want = mem.read(id).unwrap();
+                prop_assert_eq!(&want, &file.read(id).unwrap());
+                prop_assert_eq!(&want, &sim.read(id).unwrap());
+            }
         }
     }
 

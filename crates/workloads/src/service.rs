@@ -266,7 +266,6 @@ pub fn service_torture_run_on<M>(
 ) -> ServiceTortureReport
 where
     M: StoreMedia + Send + 'static,
-    M::Backend: Send,
 {
     let run = CrashRun::new(spec.seed, crash_at);
     let env = &run.env;
@@ -441,7 +440,6 @@ pub fn sweep_service_crashes_on<M>(
 ) -> Vec<ServiceTortureReport>
 where
     M: StoreMedia + Send + 'static,
-    M::Backend: Send,
 {
     let clean = service_torture_run_on(spec, None, &root);
     let total = clean.total_ops;

@@ -12,7 +12,8 @@ use dyn_ext_hash::extmem::{BlobFile, Result};
 pub enum Lie {
     /// `StoreMedia::sync_dir` returns `Ok` without syncing.
     DirSync,
-    /// `BlobFile::sync` returns `Ok` without syncing.
+    /// `BlobFile::sync` returns `Ok` without syncing — of every file,
+    /// level files included.
     FileSync,
 }
 
@@ -27,8 +28,14 @@ pub struct LyingFile<F> {
 }
 
 impl<F: BlobFile> BlobFile for LyingFile<F> {
-    fn append(&mut self, bytes: &[u8]) -> Result<()> {
-        self.inner.append(bytes)
+    fn write_at(&mut self, offset: u64, bytes: &[u8]) -> Result<()> {
+        self.inner.write_at(offset, bytes)
+    }
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        self.inner.read_at(offset, buf)
+    }
+    fn set_len(&mut self, len: u64) -> Result<()> {
+        self.inner.set_len(len)
     }
     fn sync(&mut self) -> Result<()> {
         if self.lie == Lie::FileSync {
@@ -39,24 +46,11 @@ impl<F: BlobFile> BlobFile for LyingFile<F> {
     fn len(&self) -> u64 {
         self.inner.len()
     }
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        self.inner.read_at(offset, buf)
-    }
-    fn truncate(&mut self, len: u64) -> Result<()> {
-        self.inner.truncate(len)
-    }
 }
 
 impl<M: StoreMedia> StoreMedia for Lying<M> {
-    type Backend = M::Backend;
     type File = LyingFile<M::File>;
 
-    fn create_data(&mut self, name: &str, block_capacity: usize) -> Result<M::Backend> {
-        self.inner.create_data(name, block_capacity)
-    }
-    fn open_data(&mut self, name: &str, block_capacity: usize) -> Result<M::Backend> {
-        self.inner.open_data(name, block_capacity)
-    }
     fn create_file(&mut self, name: &str) -> Result<Self::File> {
         Ok(LyingFile { inner: self.inner.create_file(name)?, lie: self.lie })
     }

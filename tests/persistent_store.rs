@@ -206,7 +206,7 @@ fn facade_on_named_file_persists_blocks_to_that_file() {
 #[test]
 fn compaction_refuses_a_level_holding_an_item_outside_its_bucket() {
     use dyn_ext_hash::core::SimMedia;
-    use dyn_ext_hash::extmem::{BlockId, ExtMemError, FaultPlan, SimEnv, StorageBackend};
+    use dyn_ext_hash::extmem::{BlockId, ExtMemError, FaultPlan, SimDisk, SimEnv, StorageBackend};
     let cfg = CoreConfig::lemma5(64, 4096, 2).unwrap();
     let env = SimEnv::new();
     let open = |env: &SimEnv| KvStore::open_on(SimMedia::open(env).unwrap(), cfg.clone(), 17);
@@ -229,7 +229,8 @@ fn compaction_refuses_a_level_holding_an_item_outside_its_bucket() {
     // was built. Unsynced, so the durable image is still the table the
     // manifest describes.
     let level_file = format!("level-{}.blk", base >> 32);
-    let mut file = env.open_disk(&level_file, cfg.b).unwrap();
+    let file = env.open_file(&level_file).unwrap().expect("the level's file");
+    let mut file = SimDisk::from_file(file, cfg.b).unwrap();
     let mut first = file.read(BlockId(0)).unwrap();
     let stray = first.items()[0];
     first.remove(stray.key);

@@ -117,6 +117,27 @@ fn sweep_catches_media_that_drop_a_sync() {
     }
 }
 
+/// A level file is a file of the media like any other, so media that
+/// drop every file sync drop its fdatasync too: the sweep finds a
+/// manifest committed over a level file's unsynced writes, by name.
+#[test]
+fn a_file_sync_lie_reaches_the_level_files() {
+    let spec = TortureSpec::small(0xD15A57E5);
+    let m = torture_run(&spec, None).markers.expect("markers");
+    let open = |env: &_| SimMedia::open(env).map(|inner| Lying { inner, lie: Lie::FileSync });
+    let mut windows = (m.final_sync.0..m.final_sync.1).chain(m.compact.0..m.compact.1);
+    let named = windows.find_map(|k| {
+        let violations = torture_run_on(&spec, Some(k), open).violations;
+        violations.into_iter().find(|v| {
+            v.starts_with("durability trace:")
+                && v.contains("[rename-after-data-fsync]")
+                && v.contains("level-")
+                && v.contains(".blk")
+        })
+    });
+    assert!(named.is_some(), "no violation of the sweep names a level file");
+}
+
 /// Seed-scattered crashes across entire lifecycles — open, churn,
 /// periodic syncs, tail, compaction — not just the two commit windows.
 /// `TORTURE_SEEDS` scales the seed count (PR CI keeps it small; the
