@@ -69,6 +69,7 @@ impl<M: StoreMedia> CommitLog<M> {
     /// every later round errors (wedging its shards) until the service
     /// is reopened.
     pub(crate) fn commit(&mut self, bytes: &[u8]) -> Result<()> {
+        dxh_sync::assert_sync_allowed("CommitLog::commit");
         if self.poisoned {
             return Err(ExtMemError::Io(std::io::Error::other(
                 "commit log poisoned by an earlier failed round",
@@ -117,6 +118,7 @@ impl<M: StoreMedia> CommitLog<M> {
     /// Durably empties the log (a checkpoint made every record in it
     /// redundant).
     pub(crate) fn truncate(&mut self) -> Result<()> {
+        dxh_sync::assert_sync_allowed("CommitLog::truncate");
         self.file.set_len(0)?;
         self.file.sync()
     }

@@ -60,6 +60,9 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+// Outside tests a discarded `Result` (a swallowed sync error above all)
+// is a lint error; a deliberate discard says why at its site.
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, clippy::unused_result_ok))]
 
 mod bootstrap;
 mod commitlog;

@@ -89,7 +89,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dxh_sync::thread::JoinHandle;
-use dxh_sync::{Condvar, Mutex};
+use dxh_sync::{Condvar, Mutex, Rank};
 
 use dxh_extmem::{ExtMemError, Key, Result, Value, KEY_TOMBSTONE, VALUE_TOMBSTONE};
 use dxh_hashfn::{prefix_bucket, HashFn, IdealFn};
@@ -97,7 +97,9 @@ use dxh_tables::ExternalDictionary;
 
 use crate::commitlog::{encode_log_record, replay_log, CommitLog, COMMITLOG_OLD};
 use crate::config::CoreConfig;
-use crate::media::{commit_file_atomic, older_layout, read_text, DirMedia, StoreMedia};
+use crate::media::{
+    best_effort, commit_file_atomic, older_layout, read_text, DirMedia, StoreMedia,
+};
 use crate::store::KvStore;
 
 /// A seeded-mutant site: `mutant!(SWITCH => action)` runs `action` (most
@@ -328,8 +330,13 @@ fn fold_newest_wins(queue: &[Op]) -> Vec<(Key, Option<Effect>)> {
 /// puts), once a log round or a harden made the batch durable;
 /// `Err(why)` when the shard wedged first. Filled exactly once, under
 /// the shard's buffer lock, before the ack condvar broadcast.
-#[derive(Default)]
 struct BatchCell(Mutex<Option<std::result::Result<Vec<bool>, String>>>);
+
+impl Default for BatchCell {
+    fn default() -> Self {
+        BatchCell(Mutex::new(Rank::Cell, None))
+    }
+}
 
 /// A caller's claim on a batch: its cell, and where the caller's ops sit
 /// in it. The committer drains the whole queue, so the slice one
@@ -500,12 +507,34 @@ struct CoordState {
     /// epoch.
     epoch: u64,
     shutdown: bool,
+    /// While set, the coordinator starts no round: a test holds rounds
+    /// off across a harden it runs itself.
+    #[cfg(test)]
+    hold_rounds: bool,
+}
+
+impl CoordState {
+    /// Whether some shard's dirt awaits a round.
+    fn round_due(&self) -> bool {
+        #[cfg(test)]
+        if self.hold_rounds {
+            return false;
+        }
+        self.dirty.iter().any(|&d| d)
+    }
 }
 
 impl SyncCoordinator {
     fn new(shards: usize) -> Self {
+        let state = CoordState {
+            dirty: vec![false; shards],
+            epoch: 0,
+            shutdown: false,
+            #[cfg(test)]
+            hold_rounds: false,
+        };
         SyncCoordinator {
-            state: Mutex::new(CoordState { dirty: vec![false; shards], epoch: 0, shutdown: false }),
+            state: Mutex::new(Rank::Coord, state),
             cv: Condvar::new(),
             ckpt_bytes: AtomicU64::new(CHECKPOINT_LOG_BYTES),
             sealed_discards: AtomicU64::new(0),
@@ -550,7 +579,7 @@ fn coordinator_loop<M: StoreMedia>(
         let shutdown = {
             let mut st = coord.state.lock();
             loop {
-                if st.dirty.iter().any(|&d| d) {
+                if st.round_due() {
                     break false;
                 }
                 if st.shutdown {
@@ -660,6 +689,9 @@ fn commit_round<M: StoreMedia>(
     if riding.is_empty() {
         return;
     }
+    mutant!(ACK_BEFORE_LOG_COMMIT => for &(si, seq) in &riding {
+        ack_through(&shards[si], seq);
+    });
     match log.commit(&bytes) {
         Ok(()) => {
             for &(si, seq) in &riding {
@@ -911,7 +943,8 @@ fn harden_shard<M: StoreMedia>(shard: &Shard<M>) -> bool {
 /// service hands its opener's set to the committers and the coordinator
 /// it spawns, so arming reaches that one service's threads and never a
 /// parallel test. `model_tests` shows the checker catching each one but
-/// `ACK_ALL_AFTER_HARDEN`, which only a crash exposes.
+/// the two early acknowledgements, `ACK_ALL_AFTER_HARDEN` and
+/// `ACK_BEFORE_LOG_COMMIT`, which only a crash exposes.
 #[cfg(test)]
 mod mutant {
     use std::cell::{Cell, RefCell};
@@ -969,6 +1002,9 @@ mod mutant {
     /// The fault, not a mutant: a committer dies mid-apply, after an op,
     /// holding the store lock.
     pub(super) const COMMITTER_PANICS: Switch = Switch(1 << 10);
+    /// A log round acknowledges its riding batches before the log's
+    /// append and sync.
+    pub(super) const ACK_BEFORE_LOG_COMMIT: Switch = Switch(1 << 11);
 
     /// The watermark a harden acknowledges up to, after the hook ran.
     pub(super) fn after_harden(covered: u64) -> u64 {
@@ -1234,10 +1270,10 @@ impl<M: StoreMedia + Send + 'static> ShardedKvStore<M> {
                 // sequence number.
                 let w = store.replay_watermark();
                 Arc::new(Shard {
-                    buf: Mutex::new(BufState { next_seq: w + 1, ..Default::default() }),
+                    buf: Mutex::new(Rank::Buf, BufState { next_seq: w + 1, ..Default::default() }),
                     work_cv: Condvar::new(),
                     ack_cv: Condvar::new(),
-                    store: Mutex::new(store),
+                    store: Mutex::new(Rank::Store, store),
                 })
             })
             .collect();
@@ -1671,13 +1707,13 @@ impl<M: StoreMedia> Drop for ShardedKvStore<M> {
         }
         for h in self.committers.iter_mut().filter_map(Option::take) {
             // A committer that panicked has wedged its shard.
-            let _ = h.join();
+            best_effort(h.join());
         }
         self.coord.state.lock().shutdown = true;
         mutant!(NO_SHUTDOWN_NOTIFY => drop(self.coordinator.take().map(JoinHandle::join)));
         self.coord.cv.notify_all();
         if let Some(h) = self.coordinator.take() {
-            let _ = h.join();
+            best_effort(h.join());
         }
     }
 }
@@ -2057,11 +2093,11 @@ mod tests {
         }
     }
 
-    /// Runs `harden_shard` on shard 0 from this thread — holding the
-    /// coordinator's state lock, so no log round runs meanwhile — while
-    /// one batch (`key` → `key + 1`) lands between the harden's manifest
-    /// commit and its acknowledgements. Returns the batch's ticket, or
-    /// `None` when the harden failed before the window opened.
+    /// Runs `harden_shard` on shard 0 from this thread — with rounds held
+    /// off, so no log round runs meanwhile — while one batch (`key` →
+    /// `key + 1`) lands between the harden's manifest commit and its
+    /// acknowledgements. Returns the batch's ticket, or `None` when the
+    /// harden failed before the window opened.
     fn harden_with_a_landed_batch(svc: &ShardedKvStore<SimMedia>, key: Key) -> Option<Ticket> {
         let shard = svc.shards[0].clone();
         let landing = shard.clone();
@@ -2072,7 +2108,7 @@ mod tests {
             landing.buf.lock().pending.push(Op::Put(key, key + 1));
             landing.work_cv.notify_all();
             // The committer applies it — the harden let go of the store
-            // — and leaves it in `batches`; its dirt waits on the lock.
+            // — and leaves it in `batches`; its dirt waits for rounds.
             loop {
                 let buf = landing.buf.lock();
                 if buf.batches.iter().any(|b| b.answers.is_some()) || buf.wedged.is_some() {
@@ -2082,9 +2118,10 @@ mod tests {
                 dxh_sync::thread::yield_now();
             }
         })));
-        let no_rounds = svc.coord.state.lock();
+        svc.coord.state.lock().hold_rounds = true;
         harden_shard(&shard);
-        drop(no_rounds);
+        svc.coord.state.lock().hold_rounds = false;
+        svc.coord.cv.notify_all();
         let fired = mutant::AFTER_COMMIT.take().is_none();
         fired.then_some(ticket)
     }
@@ -2160,6 +2197,51 @@ mod tests {
                 mutant::ACK_ALL_AFTER_HARDEN.set(armed);
                 lifecycle(&env, &mut acked);
                 mutant::ACK_ALL_AFTER_HARDEN.set(false);
+                env.power_cycle();
+                let svc = open(&env).unwrap();
+                lost += acked.iter().filter(|&&key| svc.get(key).unwrap() != Some(key + 1)).count();
+            }
+            lost
+        };
+        assert_eq!(sweep(false), 0, "an acknowledged key was lost");
+        assert!(sweep(true) > 0, "no crash exposed the mutant's early acknowledgement");
+    }
+
+    /// `ACK_BEFORE_LOG_COMMIT` against a crash sweep over one log round:
+    /// the fifth put's, crashed at each of its I/Os. Unarmed, a crash
+    /// fails the round and so its writer, and no acknowledged key is
+    /// lost; armed, the writer is answered before the log's append and
+    /// sync, and a crash there loses its key.
+    #[test]
+    fn the_log_ack_mutant_is_caught_by_a_round_crash_sweep() {
+        let open = |env: &SimEnv| ShardedKvStore::open_on(SimMedia::unlocked(env), 1, cfg(), 47);
+        // Returns the I/O clock before and after the fifth put; `acked`
+        // takes every key whose write was answered `Ok`.
+        let lifecycle = |env: &SimEnv, acked: &mut Vec<u64>| {
+            let svc = open(env).unwrap();
+            let mut window = (0, 0);
+            for k in 0..8 {
+                let before = env.ops();
+                if svc.put(k, k + 1).is_ok() {
+                    acked.push(k);
+                }
+                if k == 4 {
+                    window = (before, env.ops());
+                }
+            }
+            window
+        };
+        let sweep = |armed: bool| {
+            let (from, to) = lifecycle(&SimEnv::new(), &mut Vec::new());
+            assert!(to > from, "the round did no I/O");
+            let mut lost = 0;
+            for k in from..to {
+                let env = SimEnv::new();
+                env.set_plan(FaultPlan::crash(k, 0x10C ^ k.rotate_left(29)));
+                let mut acked = Vec::new();
+                mutant::ACK_BEFORE_LOG_COMMIT.set(armed);
+                lifecycle(&env, &mut acked);
+                mutant::ACK_BEFORE_LOG_COMMIT.set(false);
                 env.power_cycle();
                 let svc = open(&env).unwrap();
                 lost += acked.iter().filter(|&&key| svc.get(key).unwrap() != Some(key + 1)).count();

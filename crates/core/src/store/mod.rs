@@ -256,6 +256,7 @@ impl<M: StoreMedia> KvStore<M> {
     /// so far. A no-op when nothing changed since the last sync (or
     /// since the reopen).
     pub fn sync(&mut self) -> Result<()> {
+        dxh_sync::assert_sync_allowed("KvStore::sync");
         self.commit(false)
     }
 
@@ -263,6 +264,7 @@ impl<M: StoreMedia> KvStore<M> {
     /// checkpoint round: the same commit, counted apart (the `delta_*`
     /// half of [`KvStore::manifest_io`]).
     pub(crate) fn harden(&mut self) -> Result<()> {
+        dxh_sync::assert_sync_allowed("KvStore::harden");
         self.commit(true)
     }
 

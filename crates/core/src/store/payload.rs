@@ -47,9 +47,8 @@ impl<M: StoreMedia> KvStore<M> {
     }
 
     /// The append choke point of the payload write path — every byte
-    /// entering the blob log goes through here (a volatile-write sink in
-    /// the durability lint's classification; [`KvStore::blob_sync`] is
-    /// its fsync counterpart).
+    /// entering the blob log goes through here ([`KvStore::blob_sync`]
+    /// is its fsync counterpart).
     fn blob_append(&mut self, payload: &[u8]) -> Result<u64> {
         let log = self
             .blob

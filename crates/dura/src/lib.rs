@@ -1,183 +1,59 @@
 //! The durability-protocol spec: **one** declarative rule table encoding
 //! the commit protocols `docs/GUARANTEES.md` promises (manifest commit:
 //! write tmp → fdatasync every level file written → rename → dir-fsync →
-//! unlink the level files dropped; commit-log append: frame write → log
-//! fsync → ack), consumed by two cooperating checkers:
+//! unlink the level files dropped; blob appends synced before the index
+//! commits them), checked by the **trace automaton** [`check_trace`],
+//! which validates the `SimEnv` [`IoEvent`] stream of every
+//! torture/service crash sweep against the rules — conformance of the
+//! *observed* I/O.
 //!
-//! * the **static pass** `cargo run -p xtask -- lint-durability`, which
-//!   classifies every I/O-effectful call site on the real persistence
-//!   paths into [`EffectClass`]es and rejects orderings the table
-//!   forbids (`xtask/src/lint_durability.rs`), and
-//! * the **trace automaton** [`check_trace`], which validates the
-//!   `SimEnv` [`IoEvent`] stream of every torture/service crash sweep
-//!   against the same rules — conformance of the *observed* I/O, closing
-//!   the gap between what the lint approves and what the code emits.
-//!
-//! Each rule says which layers can see it (`lint`/`trace`): the
-//! simulator runs the same system-call sequence as the real path
+//! The simulator runs the same system-call sequence as the real path
 //! (create, append, sync, rename, remove, dir-sync are each one traced
-//! event), so every file-level ordering is trace-visible; only ack-cell
-//! fills (not I/O) and discarded `Result`s (not runtime behavior) are
-//! lint-only. The coverage matrix lives in `docs/DURABILITY.md`.
+//! event), so every file-level ordering is trace-visible. The two
+//! guarantees that are not file orderings are checked elsewhere: an
+//! acknowledged write surviving a crash by the service's crash sweeps,
+//! and no discarded sync `Result` by clippy. `docs/DURABILITY.md` maps
+//! each rule to its checks.
 
 use std::collections::HashMap;
 
 use dxh_extmem::IoEvent;
 
-/// The ordered effect classes every I/O-effectful call site on a
-/// persistence path falls into. The protocol rules ([`RULES`]) are
-/// orderings over these.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EffectClass {
-    /// A buffered write toward durable media: `write_all`, `set_len`, a
-    /// byte-file `create_file` or `append`, an `H0` flush. Cheap,
-    /// reorderable, durable only after a later fsync-class effect.
-    VolatileWrite,
-    /// A file-content fsync: `sync_data`, a byte file's `sync()` (or a
-    /// disk `flush()` that issues one). Makes every prior
-    /// [`EffectClass::VolatileWrite`] to that file durable.
-    DataFsync,
-    /// A media `rename` — the atomic swap at the heart of the manifest
-    /// commit.
-    Rename,
-    /// A directory fsync (`sync_dir`): makes a rename or unlink's
-    /// directory entry itself durable.
-    DirFsync,
-    /// The unlink of level files a committed manifest named
-    /// (`LevelFiles::unlink_unnamed`): legal only once the manifest that
-    /// stops naming them is durable.
-    CommittedUnlink,
-    /// An acknowledgement release: filling a parked writer's answer
-    /// cell with `Ok` (`*cell = Some(Ok(..))`). The caller treats it as
-    /// a durability promise, so it must follow the round's fsync.
-    AckRelease,
-}
-
-impl EffectClass {
-    /// Short display name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            EffectClass::VolatileWrite => "VolatileWrite",
-            EffectClass::DataFsync => "DataFsync",
-            EffectClass::Rename => "Rename",
-            EffectClass::DirFsync => "DirFsync",
-            EffectClass::CommittedUnlink => "CommittedUnlink",
-            EffectClass::AckRelease => "AckRelease",
-        }
-    }
-}
-
-/// What a [`Rule`] demands around its anchor effect.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Check {
-    /// The nearest *write-class* effect (volatile write or data fsync)
-    /// before each anchor must be the given class — e.g. a `Rename`
-    /// must not have a bare `VolatileWrite` as its closest predecessor.
-    /// An anchor with no prior write-class effect in its path is
-    /// vacuously ordered (nothing volatile can be swapped past it).
-    Preceded(EffectClass),
-    /// Every anchor must be followed by an effect of the given class
-    /// before its function's effect sequence ends.
-    Followed(EffectClass),
-    /// The effect right before each anchor must be of the given class —
-    /// nothing at all may come between the two. In a trace: a level
-    /// file a completed manifest commit covered may be unlinked only in
-    /// the quiet window right after a completed manifest commit, before
-    /// the store creates or writes another block file (G1).
-    DirectlyAfter(EffectClass),
-    /// Lint-only: the `Result` of an fsync/rename-class call must not
-    /// be discarded with `let _ =` or `.ok()` — a swallowed sync error
-    /// is an unkept durability promise. The single sanctioned sink is
-    /// `dxh_core`'s `best_effort()` (documented per site).
-    NoDiscardedSyncResult,
-    /// Trace-only: at each manifest commit, the store's blob log must
-    /// have no unsynced appends — the index words the manifest commits
-    /// may reference blob offsets, so the payload bytes must be durable
-    /// first (G8).
-    BlobSyncedAtCommit,
-}
-
-/// One protocol rule: an anchor effect class, the ordering it demands,
-/// and which checker layers can observe it.
+/// One protocol rule of the trace automaton.
 #[derive(Debug)]
 pub struct Rule {
-    /// Stable rule id, quoted in every lint report and trace violation.
+    /// Stable rule id, quoted in every trace violation.
     pub name: &'static str,
-    /// The effect class the rule anchors on.
-    pub anchor: EffectClass,
-    /// The ordering demanded around each anchor.
-    pub check: Check,
-    /// Enforced by the static source pass.
-    pub lint: bool,
-    /// Enforced by the runtime trace automaton.
-    pub trace: bool,
     /// The documented guarantee the rule encodes.
     pub why: &'static str,
 }
 
-/// The durability-protocol rule table — the single spec both checker
-/// layers compile. Every entry is proven fireable by a seeded mutant in
-/// the test suites (`xtask` for the lint layer, this crate for the
-/// trace layer).
+/// The durability-protocol rule table [`check_trace`] implements. Every
+/// entry is proven fireable by a seeded mutant trace in this crate's
+/// tests.
 pub const RULES: &[Rule] = &[
     Rule {
         name: "rename-after-data-fsync",
-        anchor: EffectClass::Rename,
-        check: Check::Preceded(EffectClass::DataFsync),
-        lint: true,
-        trace: true,
         why: "the manifest rename is the commit point; every level file it names that the \
               last one did not must be fdatasync'd first, or a durable manifest could name \
               unwritten data (G1)",
     },
     Rule {
         name: "rename-then-dir-fsync",
-        anchor: EffectClass::Rename,
-        check: Check::Followed(EffectClass::DirFsync),
-        lint: true,
-        trace: true, // fires at the directory's next write after an un-dir-synced rename
         why: "rename(2) is durable only once the directory entry is; without the dir \
               fsync a power loss can resurrect the old manifest (G1)",
     },
     Rule {
-        name: "ack-after-fsync",
-        anchor: EffectClass::AckRelease,
-        check: Check::Preceded(EffectClass::DataFsync),
-        lint: true,
-        trace: false, // ack-cell fills are not I/O events
-        why: "an acknowledged write is durable (G5/G7): the answer cell may be filled \
-              only after the round's log fsync or the shard's manifest commit",
-    },
-    Rule {
         name: "unlink-after-manifest-commit",
-        anchor: EffectClass::CommittedUnlink,
-        check: Check::DirectlyAfter(EffectClass::DirFsync),
-        lint: true,
-        trace: true,
         why: "a level file the last durable manifest names must outlive that manifest: \
               unlinked before the manifest that drops it is durable, a crash leaves a \
               committed level without its blocks (G1)",
     },
     Rule {
         name: "blob-sync-before-index-commit",
-        anchor: EffectClass::Rename,
-        check: Check::BlobSyncedAtCommit,
-        lint: false, // cross-file ordering through runtime state; the lint
-        // sees the choke points (`.blob_append(`/`.blob_sync(`) as
-        // ordinary write/fsync sites instead
-        trace: true,
         why: "the manifest commits index words that may point into the blob log; a \
               durable index referencing unsynced payload bytes would serve torn or \
               missing payloads after a crash (G8)",
-    },
-    Rule {
-        name: "no-discarded-sync-result",
-        anchor: EffectClass::DataFsync,
-        check: Check::NoDiscardedSyncResult,
-        lint: true,
-        trace: false,
-        why: "a swallowed fsync/rename error is an unkept durability promise; route \
-              deliberate best-effort syncs through the documented best_effort() sink",
     },
 ];
 
@@ -185,62 +61,6 @@ pub const RULES: &[Rule] = &[
 pub fn rule(name: &str) -> &'static Rule {
     RULES.iter().find(|r| r.name == name).unwrap_or_else(|| panic!("unknown rule {name:?}"))
 }
-
-/// Source tokens the static pass classifies into effect classes, in
-/// match-priority order (longest/most specific first). The byte-file
-/// tokens are the `StoreMedia` / `BlobFile` primitive names `dxh-core`
-/// writes its protocols in; `.sync_all(` is [`EffectClass::DataFsync`]
-/// by default and reclassified as [`EffectClass::DirFsync`] inside the
-/// functions named by [`DIR_FSYNC_FNS`] (fsyncing an opened *directory*
-/// handle).
-pub const SINKS: &[(&str, EffectClass)] = &[
-    (".write_all(", EffectClass::VolatileWrite),
-    ("writeln!(", EffectClass::VolatileWrite),
-    (".set_len(", EffectClass::VolatileWrite),
-    (".create_file(", EffectClass::VolatileWrite),
-    (".append(", EffectClass::VolatileWrite),
-    (".flush_memory(", EffectClass::VolatileWrite),
-    // The store's blob choke points (dot-prefixed so the `fn
-    // blob_append(` definition lines don't match): every payload byte
-    // enters through the first and becomes durable through the second.
-    (".blob_append(", EffectClass::VolatileWrite),
-    (".blob_sync(", EffectClass::DataFsync),
-    (".sync_data(", EffectClass::DataFsync),
-    (".flush()", EffectClass::DataFsync),
-    (".sync_all(", EffectClass::DataFsync),
-    (".sync()", EffectClass::DataFsync),
-    (".rename(", EffectClass::Rename),
-    (".sync_dir(", EffectClass::DirFsync),
-];
-
-/// Functions whose `sync_all` targets an opened **directory** handle:
-/// their fsync is a [`EffectClass::DirFsync`], not a data fsync.
-pub const DIR_FSYNC_FNS: &[&str] = &["sync_dir"];
-
-/// The one call that unlinks level files a committed manifest named
-/// ([`EffectClass::CommittedUnlink`]).
-pub const COMMITTED_UNLINK: &str = ".unlink_unnamed(";
-
-/// The source pattern of an acknowledgement release (an answer-cell
-/// fill with `Ok`); `Some(Err(..))` fills (wedging) are failures, not
-/// acks, and carry no durability promise.
-pub const ACK_FILL: &str = "= Some(Ok(";
-
-/// Call tokens whose `Result` is sync-class for
-/// `no-discarded-sync-result`: discarding one with `let _ =` / `.ok()`
-/// silently drops a durability failure.
-pub const SYNC_RESULT_TOKENS: &[&str] = &[
-    ".sync()",
-    ".sync_all(",
-    ".sync_data(",
-    ".harden",
-    ".commit(",
-    ".truncate()",
-    ".rename(",
-    "commit_file_atomic(",
-    "sync_dir(",
-    ".blob_sync(",
-];
 
 /// One conformance violation found in an I/O trace.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -309,7 +129,7 @@ struct StoreState<'a> {
 }
 
 /// The trace automaton: validates a `SimEnv` [`IoEvent`] stream against
-/// every trace-enabled rule of [`RULES`]. Returns every violation found
+/// every rule of [`RULES`]. Returns every violation found
 /// (empty = conformant).
 ///
 /// The anchors are file-level: a **manifest commit** is the
@@ -327,10 +147,6 @@ struct StoreState<'a> {
 /// so a crash-truncated trace can never false-positive, exactly the
 /// property the crash sweeps need.
 pub fn check_trace(events: &[IoEvent]) -> Vec<TraceViolation> {
-    let r1 = rule("rename-after-data-fsync").trace;
-    let r2 = rule("rename-then-dir-fsync").trace;
-    let r3 = rule("unlink-after-manifest-commit").trace;
-    let r7 = rule("blob-sync-before-index-commit").trace;
     let mut out = Vec::new();
     // Unsynced write count per file (block writes and byte-file appends
     // alike — both land in the same `Write`/`Sync` event vocabulary).
@@ -345,7 +161,7 @@ pub fn check_trace(events: &[IoEvent]) -> Vec<TraceViolation> {
                 if is_data_file(local) {
                     store.quiet = false;
                 }
-                if let (true, Some(rename)) = (r2, store.undurable_rename.take()) {
+                if let Some(rename) = store.undurable_rename.take() {
                     out.push(TraceViolation {
                         at,
                         rule: "rename-then-dir-fsync",
@@ -377,7 +193,7 @@ pub fn check_trace(events: &[IoEvent]) -> Vec<TraceViolation> {
                         let Some((from, to)) = name.split_once(" -> ") else { continue };
                         let (prefix, local) = split_name(to);
                         let store = stores.entry(prefix).or_default();
-                        if let (true, Some(n)) = (r1, unsynced.remove(from).filter(|&n| n > 0)) {
+                        if let Some(n) = unsynced.remove(from).filter(|&n| n > 0) {
                             out.push(TraceViolation {
                                 at,
                                 rule: "rename-after-data-fsync",
@@ -400,7 +216,7 @@ pub fn check_trace(events: &[IoEvent]) -> Vec<TraceViolation> {
                                 .map(|(file, n)| (*file, *n))
                                 .collect();
                             pending.sort_unstable();
-                            for (data, n) in pending.into_iter().filter(|_| r1) {
+                            for (data, n) in pending {
                                 out.push(TraceViolation {
                                     at,
                                     rule: "rename-after-data-fsync",
@@ -412,7 +228,7 @@ pub fn check_trace(events: &[IoEvent]) -> Vec<TraceViolation> {
                                 });
                             }
                             let blob = store.blob.and_then(|b| Some((b, *unsynced.get(b)?)));
-                            if let (true, Some((blob, n))) = (r7, blob.filter(|(_, n)| *n > 0)) {
+                            if let Some((blob, n)) = blob.filter(|(_, n)| *n > 0) {
                                 out.push(TraceViolation {
                                     at,
                                     rule: "blob-sync-before-index-commit",
@@ -465,7 +281,7 @@ pub fn check_trace(events: &[IoEvent]) -> Vec<TraceViolation> {
                         let covered = store.covered.iter().position(|file| *file == name);
                         if let Some(i) = covered {
                             store.covered.swap_remove(i);
-                            if r3 && !store.quiet {
+                            if !store.quiet {
                                 out.push(TraceViolation {
                                     at,
                                     rule: "unlink-after-manifest-commit",
@@ -536,28 +352,22 @@ mod tests {
     }
 
     #[test]
-    fn every_trace_rule_is_implemented_by_the_automaton() {
-        // The automaton hand-implements the trace layer; this pins the
-        // table to it so a new trace-enabled rule cannot silently no-op.
+    fn every_rule_is_implemented_by_the_automaton() {
+        // The automaton hand-implements the table; this pins the one to
+        // the other so a new rule cannot silently no-op.
         let implemented = [
             "rename-after-data-fsync",
             "rename-then-dir-fsync",
             "unlink-after-manifest-commit",
             "blob-sync-before-index-commit",
         ];
-        for r in RULES.iter().filter(|r| r.trace) {
-            assert!(implemented.contains(&r.name), "rule {} has no automaton arm", r.name);
-        }
-        // And the implemented rules really are trace-enabled.
-        for name in implemented {
-            assert!(rule(name).trace, "{name} lost its trace flag");
-        }
+        let names: Vec<&str> = RULES.iter().map(|r| r.name).collect();
+        assert_eq!(names, implemented);
     }
 
     #[test]
-    fn every_rule_names_a_distinct_id_and_a_layer() {
+    fn every_rule_names_a_distinct_id() {
         for (i, a) in RULES.iter().enumerate() {
-            assert!(a.lint || a.trace, "rule {} is enforced by no layer", a.name);
             for b in &RULES[i + 1..] {
                 assert_ne!(a.name, b.name, "duplicate rule id");
             }

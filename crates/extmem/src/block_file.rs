@@ -131,8 +131,10 @@ impl FileDisk {
         let n = COUNTER.fetch_add(1, Ordering::Relaxed);
         let path = dir.join(format!("dxh-filedisk-{}-{}.blk", std::process::id(), n));
         let disk = Self::create(&path, block_capacity)?;
-        // Best-effort unlink; on platforms where this fails the file simply
-        // stays behind in the temp dir.
+        #[allow(
+            clippy::let_underscore_must_use,
+            reason = "best-effort unlink; where it fails the file stays behind in the temp dir"
+        )]
         let _ = std::fs::remove_file(&path);
         Ok(disk)
     }

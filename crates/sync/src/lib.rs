@@ -1,25 +1,24 @@
 //! # dxh-sync — the synchronization seam
 //!
-//! Every lock, condvar, atomic, and thread spawn on the commit path
-//! (`dxh-core`'s `service.rs`) goes through this crate
-//! instead of `std::sync` directly. There are two backends:
+//! Every lock, condvar and thread spawn on the commit path (`dxh-core`'s
+//! `service.rs`) goes through this crate instead of `std::sync`
+//! directly. There are two backends:
 //!
-//! * **Passthrough** (default): zero-cost newtype wrappers over
-//!   `std::sync` that additionally swallow lock poisoning — a panicking
-//!   thread must not take the whole service down; poisoning is handled
-//!   at the protocol layer by wedging (see `docs/COMMIT_PATH.md`).
+//! * **Passthrough** (default): thin wrappers over `std::sync` that
+//!   additionally swallow lock poisoning — a panicking thread must not
+//!   take the whole service down; poisoning is handled at the protocol
+//!   layer by wedging (see `docs/COMMIT_PATH.md`).
 //!
 //! * **Model** (`--features model`): a loom-style cooperative scheduler.
 //!   All "threads" still run on real OS threads, but a token-passing
 //!   protocol serializes them onto explicit yield points (every lock
-//!   acquire/release, condvar wait/notify, atomic access, spawn, join),
-//!   so the scheduler controls the exact interleaving. A
-//!   `model::Checker` then explores schedules — bounded-preemption
-//!   DFS for exhaustive sweeps, or a seeded random walk for CI budgets —
-//!   injecting spurious condvar wakeups and detecting deadlocks, lost
-//!   wakeups, livelocks, and stray panics. Violations print an
-//!   fnv1a64-fingerprinted, replayable schedule trace (same style as
-//!   the `IoEvent` traces in `dxh-extmem`).
+//!   acquire/release, condvar wait/notify, spawn, join), so the
+//!   scheduler controls the exact interleaving. A `model::Checker` then
+//!   explores schedules — bounded-preemption DFS for exhaustive sweeps,
+//!   or a seeded random walk for CI budgets — injecting spurious condvar
+//!   wakeups and detecting deadlocks, lost wakeups, livelocks, and stray
+//!   panics. Violations print an fnv1a64-fingerprinted, replayable
+//!   schedule trace (same style as the `IoEvent` traces in `dxh-extmem`).
 //!
 //! The two backends expose an identical API, so code written against
 //! `dxh_sync::{Mutex, Condvar, thread}` compiles unchanged under both.
@@ -28,10 +27,11 @@
 //! enabling the feature never breaks ordinary code sharing the build
 //! graph (cargo feature unification makes this a real concern).
 //!
-//! See `docs/CONCURRENCY.md` for the lock-order hierarchy the shim's
-//! companion static pass (`cargo run -p xtask -- lint-locks`) enforces,
-//! and for how to run and replay the model checks of the real service
-//! (`cargo test -p dxh-core --features model`).
+//! Every [`Mutex`] carries a [`Rank`], and in debug and `model` builds
+//! both backends check the commit path's lock order, its condvar waits
+//! and its syncs at every acquire ([`rank`]). See `docs/CONCURRENCY.md`
+//! for the hierarchy, and for how to run and replay the model checks of
+//! the real service (`cargo test -p dxh-core --features model`).
 //!
 //! ## Everything is safe code
 //!
@@ -45,30 +45,18 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod rank;
+
 #[cfg(not(feature = "model"))]
 mod passthrough;
 
 #[cfg(feature = "model")]
 pub mod model;
 
-#[cfg(not(feature = "model"))]
-pub use passthrough::{
-    Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, WaitTimeoutResult,
-};
+pub use rank::{assert_sync_allowed, Rank};
 
 #[cfg(not(feature = "model"))]
-pub use passthrough::thread;
-
-#[cfg(not(feature = "model"))]
-pub use passthrough::atomic;
+pub use passthrough::{thread, Condvar, Mutex, MutexGuard, WaitTimeoutResult};
 
 #[cfg(feature = "model")]
-pub use model::shim::{
-    Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, WaitTimeoutResult,
-};
-
-#[cfg(feature = "model")]
-pub use model::shim::thread;
-
-#[cfg(feature = "model")]
-pub use model::shim::atomic;
+pub use model::shim::{thread, Condvar, Mutex, MutexGuard, WaitTimeoutResult};

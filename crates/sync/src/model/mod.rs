@@ -3,13 +3,13 @@
 //!
 //! ```no_run
 //! use dxh_sync::model::Checker;
-//! use dxh_sync::{Mutex, Condvar, thread};
+//! use dxh_sync::{thread, Condvar, Mutex, Rank};
 //! use std::sync::Arc;
 //!
 //! let report = Checker::new()
 //!     .preemption_bound(2)
 //!     .check(|| {
-//!         let pair = Arc::new((Mutex::new(0u32), Condvar::new()));
+//!         let pair = Arc::new((Mutex::new(Rank::Cell, 0u32), Condvar::new()));
 //!         let p2 = Arc::clone(&pair);
 //!         let h = thread::spawn(move || {
 //!             *p2.0.lock() += 1;
@@ -416,14 +416,14 @@ impl Checker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{thread, Condvar, Mutex};
+    use crate::{thread, Condvar, Mutex, Rank};
     use std::sync::Arc;
 
     #[test]
     fn dfs_explores_multiple_schedules() {
         let report = Checker::new()
             .check(|| {
-                let m = Arc::new(Mutex::new(0u32));
+                let m = Arc::new(Mutex::new(Rank::Cell, 0u32));
                 let m2 = Arc::clone(&m);
                 let h = thread::spawn(move || {
                     *m2.lock() += 1;
@@ -438,12 +438,14 @@ mod tests {
         assert_eq!(report.distinct, report.schedules);
     }
 
+    /// An ABBA pair has one side nest against the lock order, so the
+    /// rank check reports it, as a panic, before any schedule deadlocks.
     #[test]
-    fn detects_abba_deadlock() {
+    fn detects_abba_as_a_lock_order_inversion() {
         let v = Checker::new()
             .check(|| {
-                let a = Arc::new(Mutex::new(()));
-                let b = Arc::new(Mutex::new(()));
+                let a = Arc::new(Mutex::new(Rank::Buf, ()));
+                let b = Arc::new(Mutex::new(Rank::Cell, ()));
                 let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
                 let h = thread::spawn(move || {
                     let _g1 = b2.lock();
@@ -454,8 +456,9 @@ mod tests {
                 drop((_g2, _g1));
                 let _ = h.join();
             })
-            .expect_err("ABBA must deadlock in some schedule");
-        assert_eq!(v.kind, ViolationKind::Deadlock, "{v}");
+            .expect_err("one side of ABBA nests Cell → Buf");
+        assert_eq!(v.kind, ViolationKind::Panic, "{v}");
+        assert!(v.message.contains("while holding a Cell lock"), "{v}");
         assert!(!v.trace.is_empty());
     }
 
@@ -464,7 +467,7 @@ mod tests {
         let v = Checker::new()
             .spurious_budget(0)
             .check(|| {
-                let pair = Arc::new((Mutex::new(false), Condvar::new()));
+                let pair = Arc::new((Mutex::new(Rank::Buf, false), Condvar::new()));
                 let p2 = Arc::clone(&pair);
                 let h = thread::spawn(move || {
                     *p2.0.lock() = true;
@@ -487,7 +490,7 @@ mod tests {
         let v = Checker::new()
             .spurious_budget(1)
             .check(|| {
-                let pair = Arc::new((Mutex::new(false), Condvar::new()));
+                let pair = Arc::new((Mutex::new(Rank::Buf, false), Condvar::new()));
                 let p2 = Arc::clone(&pair);
                 let h = thread::spawn(move || {
                     *p2.0.lock() = true;
@@ -513,7 +516,7 @@ mod tests {
         let report = Checker::new()
             .spurious_budget(2)
             .check(|| {
-                let pair = Arc::new((Mutex::new(false), Condvar::new()));
+                let pair = Arc::new((Mutex::new(Rank::Buf, false), Condvar::new()));
                 let p2 = Arc::clone(&pair);
                 let h = thread::spawn(move || {
                     *p2.0.lock() = true;
@@ -533,8 +536,8 @@ mod tests {
     #[test]
     fn replay_reproduces_exact_violation() {
         let body = || {
-            let a = Arc::new(Mutex::new(()));
-            let b = Arc::new(Mutex::new(()));
+            let a = Arc::new(Mutex::new(Rank::Buf, ()));
+            let b = Arc::new(Mutex::new(Rank::Cell, ()));
             let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
             let h = thread::spawn(move || {
                 let _g1 = b2.lock();
@@ -545,17 +548,17 @@ mod tests {
             drop((_g2, _g1));
             let _ = h.join();
         };
-        let v = Checker::new().check(body).expect_err("deadlocks");
+        let v = Checker::new().check(body).expect_err("nests Cell → Buf");
         let v2 =
             Checker::new().replay(&v.trace, body).expect_err("replay must hit the same violation");
         assert_eq!(v2.kind, v.kind);
         assert_eq!(v2.fingerprint, v.fingerprint);
         assert_eq!(v2.trace, v.trace);
-        // The same trace against the fixed body (one lock order): a
+        // The same trace against the fixed body (Buf → Cell only): a
         // stale trace is a replay mismatch, not a hang or a mis-blame.
         let fixed = || {
-            let a = Arc::new(Mutex::new(()));
-            let b = Arc::new(Mutex::new(()));
+            let a = Arc::new(Mutex::new(Rank::Buf, ()));
+            let b = Arc::new(Mutex::new(Rank::Cell, ()));
             let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
             let h = thread::spawn(move || {
                 let _g1 = a2.lock();
@@ -575,7 +578,7 @@ mod tests {
         let report = Checker::new()
             .max_schedules(500)
             .check(|| {
-                let m = Arc::new(Mutex::new(0u32));
+                let m = Arc::new(Mutex::new(Rank::Cell, 0u32));
                 let m2 = Arc::clone(&m);
                 let h = thread::spawn(move || {
                     let _g = m2.lock();
@@ -593,7 +596,7 @@ mod tests {
     fn scoped_threads_model_join() {
         let report = Checker::new()
             .check(|| {
-                let m = Mutex::new(0u32);
+                let m = Mutex::new(Rank::Cell, 0u32);
                 thread::scope(|s| {
                     for _ in 0..2 {
                         s.spawn(|| {
@@ -610,7 +613,7 @@ mod tests {
     #[test]
     fn random_walk_same_seed_identical_fingerprints() {
         let body = || {
-            let m = Arc::new(Mutex::new(0u32));
+            let m = Arc::new(Mutex::new(Rank::Cell, 0u32));
             let hs: Vec<_> = (0..2)
                 .map(|_| {
                     let m2 = Arc::clone(&m);
@@ -644,7 +647,7 @@ mod tests {
             .timeout_budget(0)
             .spurious_budget(0)
             .check(|| {
-                let pair = Arc::new((Mutex::new(false), Condvar::new()));
+                let pair = Arc::new((Mutex::new(Rank::Buf, false), Condvar::new()));
                 let p2 = Arc::clone(&pair);
                 let h = thread::spawn(move || {
                     *p2.0.lock() = true;
@@ -669,7 +672,7 @@ mod tests {
         let report = Checker::new()
             .spurious_budget(0)
             .check(|| {
-                let pair = Arc::new((Mutex::new(false), Condvar::new()));
+                let pair = Arc::new((Mutex::new(Rank::Buf, false), Condvar::new()));
                 let p2 = Arc::clone(&pair);
                 let h = thread::spawn(move || {
                     *p2.0.lock() = true;
@@ -688,48 +691,12 @@ mod tests {
     }
 
     #[test]
-    fn rwlock_readers_share_writers_exclude() {
-        use crate::RwLock;
-        let report = Checker::new()
-            .check(|| {
-                let l = Arc::new(RwLock::new(1u32));
-                let l2 = Arc::clone(&l);
-                let h = thread::spawn(move || {
-                    *l2.write() += 1;
-                });
-                let v = *l.read();
-                assert!(v == 1 || v == 2);
-                h.join().unwrap();
-            })
-            .expect("no violation");
-        assert!(report.schedules >= 2);
-    }
-
-    #[test]
-    fn atomics_are_scheduling_points() {
-        use crate::atomic::{AtomicBool, Ordering};
-        let report = Checker::new()
-            .check(|| {
-                let flag = Arc::new(AtomicBool::new(false));
-                let f2 = Arc::clone(&flag);
-                let h = thread::spawn(move || {
-                    f2.store(true, Ordering::SeqCst);
-                });
-                let _ = flag.load(Ordering::SeqCst);
-                h.join().unwrap();
-            })
-            .expect("no violation");
-        // Load-before-store and store-before-load must both appear.
-        assert!(report.schedules >= 2);
-    }
-
-    #[test]
     fn fallback_outside_checker_behaves_like_std() {
         // No checker running: primitives must work as plain std.
-        let m = Mutex::new(5u32);
+        let m = Mutex::new(Rank::Coord, 5u32);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 6);
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let pair = Arc::new((Mutex::new(Rank::Buf, false), Condvar::new()));
         let p2 = Arc::clone(&pair);
         let h = thread::spawn(move || {
             *p2.0.lock() = true;

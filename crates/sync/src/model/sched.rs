@@ -13,8 +13,7 @@
 //! run).
 //!
 //! Preemption accounting follows CHESS: a switch away from a task that
-//! yielded at a *non-blocking* point (unlock, notify, atomic access,
-//! spawn) costs one unit of the preemption budget; switches at
+//! yielded at a *non-blocking* point (unlock, notify, spawn) costs one unit of the preemption budget; switches at
 //! voluntary or blocking points are free. Bounding preemptions keeps
 //! the DFS tractable while catching most real concurrency bugs.
 
@@ -94,8 +93,6 @@ enum TaskState {
         preemptible: bool,
     },
     WantLock(usize),
-    WantRead(usize),
-    WantWrite(usize),
     WaitCv {
         cv: usize,
         lock: usize,
@@ -115,8 +112,7 @@ struct Task {
 
 #[derive(Debug, Default)]
 struct LockRes {
-    writer: Option<usize>,
-    readers: usize,
+    owner: Option<usize>,
 }
 
 #[derive(Debug, Default)]
@@ -129,8 +125,6 @@ struct CvRes {
 enum Flavor {
     Run,
     Lock,
-    Read,
-    Write,
     CvNotified,
     CvTimeout,
     CvSpurious,
@@ -227,7 +221,7 @@ impl Execution {
     }
 
     /// Registers a new lock resource (called lazily on first use of a
-    /// mutex/rwlock within this execution).
+    /// mutex within this execution).
     pub(crate) fn register_lock(&self) -> usize {
         let mut st = lock_state(&self.m);
         st.locks.push(LockRes::default());
@@ -271,25 +265,12 @@ impl Execution {
             match t.state {
                 TaskState::Runnable { .. } => v.push(Cand { tid, flavor: Flavor::Run }),
                 TaskState::WantLock(r) => {
-                    let l = &st.locks[r];
-                    if l.writer.is_none() && l.readers == 0 {
+                    if st.locks[r].owner.is_none() {
                         v.push(Cand { tid, flavor: Flavor::Lock });
                     }
                 }
-                TaskState::WantRead(r) => {
-                    if st.locks[r].writer.is_none() {
-                        v.push(Cand { tid, flavor: Flavor::Read });
-                    }
-                }
-                TaskState::WantWrite(r) => {
-                    let l = &st.locks[r];
-                    if l.writer.is_none() && l.readers == 0 {
-                        v.push(Cand { tid, flavor: Flavor::Write });
-                    }
-                }
                 TaskState::WaitCv { lock, timed, notified, .. } => {
-                    let l = &st.locks[lock];
-                    if l.writer.is_none() && l.readers == 0 {
+                    if st.locks[lock].owner.is_none() {
                         if notified {
                             v.push(Cand { tid, flavor: Flavor::CvNotified });
                         } else {
@@ -327,8 +308,7 @@ impl Execution {
         if v.is_empty() && self.cfg.timeout_budget > 0 {
             for (tid, t) in st.tasks.iter().enumerate() {
                 if let TaskState::WaitCv { lock, timed: true, notified: false, .. } = t.state {
-                    let l = &st.locks[lock];
-                    if l.writer.is_none() && l.readers == 0 {
+                    if st.locks[lock].owner.is_none() {
                         v.push(Cand { tid, flavor: Flavor::CvTimeout });
                     }
                 }
@@ -358,19 +338,9 @@ impl Execution {
         let prior = st.tasks[c.tid].state;
         match c.flavor {
             Flavor::Run | Flavor::Join => {}
-            Flavor::Lock | Flavor::Write => {
-                let r = match prior {
-                    TaskState::WantLock(r) | TaskState::WantWrite(r) => r,
-                    _ => unreachable!("flavor/state mismatch"),
-                };
-                st.locks[r].writer = Some(c.tid);
-            }
-            Flavor::Read => {
-                let r = match prior {
-                    TaskState::WantRead(r) => r,
-                    _ => unreachable!("flavor/state mismatch"),
-                };
-                st.locks[r].readers += 1;
+            Flavor::Lock => {
+                let TaskState::WantLock(r) = prior else { unreachable!("flavor/state mismatch") };
+                st.locks[r].owner = Some(c.tid);
             }
             Flavor::CvNotified | Flavor::CvTimeout | Flavor::CvSpurious => {
                 let (cv, lock) = match prior {
@@ -378,7 +348,7 @@ impl Execution {
                     _ => unreachable!("flavor/state mismatch"),
                 };
                 st.cvs[cv].queue.retain(|&w| w != c.tid);
-                st.locks[lock].writer = Some(c.tid);
+                st.locks[lock].owner = Some(c.tid);
                 st.tasks[c.tid].woke_by_timeout = c.flavor == Flavor::CvTimeout;
                 match c.flavor {
                     Flavor::CvTimeout => st.timeouts_used += 1,
@@ -399,12 +369,10 @@ impl Execution {
             let s = match t.state {
                 TaskState::Finished => continue,
                 TaskState::Runnable { .. } => continue,
-                TaskState::WantLock(r) => match st.locks[r].writer {
+                TaskState::WantLock(r) => match st.locks[r].owner {
                     Some(o) => format!("task {tid} blocked locking m{r} (held by task {o})"),
-                    None => format!("task {tid} blocked locking m{r} (readers held)"),
+                    None => format!("task {tid} blocked locking m{r}"),
                 },
-                TaskState::WantRead(r) => format!("task {tid} blocked read-locking m{r}"),
-                TaskState::WantWrite(r) => format!("task {tid} blocked write-locking m{r}"),
                 TaskState::WaitCv { cv, lock, notified, .. } => {
                     if notified {
                         format!("task {tid} notified on c{cv} but m{lock} never freed")
@@ -450,7 +418,7 @@ fn current_or_bail(ctx: &TaskCtx, granted: bool) {
     }
 }
 
-/// A plain scheduling point (atomic access, `yield_now`, post-spawn).
+/// A plain scheduling point (`yield_now`, post-spawn).
 pub(crate) fn op_yield(ctx: &TaskCtx, preemptible: bool) {
     let me = ctx.id;
     let granted = ctx.exec.yield_with(me, |st| {
@@ -473,36 +441,7 @@ pub(crate) fn op_lock_acquire(ctx: &TaskCtx, r: usize) {
 pub(crate) fn op_lock_release(ctx: &TaskCtx, r: usize) {
     let me = ctx.id;
     let granted = ctx.exec.yield_with(me, |st| {
-        st.locks[r].writer = None;
-        st.tasks[me].state = TaskState::Runnable { preemptible: true };
-    });
-    current_or_bail(ctx, granted);
-}
-
-/// Blocks until the scheduler grants shared ownership of lock `r`.
-pub(crate) fn op_read_acquire(ctx: &TaskCtx, r: usize) {
-    let me = ctx.id;
-    let granted = ctx.exec.yield_with(me, |st| {
-        st.tasks[me].state = TaskState::WantRead(r);
-    });
-    current_or_bail(ctx, granted);
-}
-
-/// Blocks until the scheduler grants exclusive (write) ownership of
-/// lock `r`.
-pub(crate) fn op_write_acquire(ctx: &TaskCtx, r: usize) {
-    let me = ctx.id;
-    let granted = ctx.exec.yield_with(me, |st| {
-        st.tasks[me].state = TaskState::WantWrite(r);
-    });
-    current_or_bail(ctx, granted);
-}
-
-/// Releases a shared hold on lock `r`.
-pub(crate) fn op_read_release(ctx: &TaskCtx, r: usize) {
-    let me = ctx.id;
-    let granted = ctx.exec.yield_with(me, |st| {
-        st.locks[r].readers = st.locks[r].readers.saturating_sub(1);
+        st.locks[r].owner = None;
         st.tasks[me].state = TaskState::Runnable { preemptible: true };
     });
     current_or_bail(ctx, granted);
@@ -515,7 +454,7 @@ pub(crate) fn op_read_release(ctx: &TaskCtx, r: usize) {
 pub(crate) fn op_cv_wait(ctx: &TaskCtx, cv: usize, lock: usize, timed: bool) -> bool {
     let me = ctx.id;
     let granted = ctx.exec.yield_with(me, |st| {
-        st.locks[lock].writer = None;
+        st.locks[lock].owner = None;
         st.cvs[cv].queue.push(me);
         st.tasks[me].state = TaskState::WaitCv { cv, lock, timed, notified: false };
     });

@@ -3,16 +3,18 @@
 //! scheduler in [`super::sched`].
 //!
 //! Each primitive keeps its protected value inside a real
-//! `std::sync::Mutex`/`RwLock` — the scheduler guarantees the std lock
-//! is uncontended whenever it is actually taken, so no unsafe interior
+//! `std::sync::Mutex` — the scheduler guarantees the std lock is
+//! uncontended whenever it is actually taken, so no unsafe interior
 //! mutability is needed. Blocking and condvar waits are simulated
-//! entirely at the scheduler level.
+//! entirely at the scheduler level. Lock ranks are checked at every
+//! acquire and wait, inside a checker run or not ([`crate::rank`]).
 //!
 //! Used from a thread that is *not* a model task (no checker running),
 //! every primitive falls back to plain std behavior, so builds with
 //! the `model` feature unified in still work outside checker tests.
 
 use super::sched::{self, TaskCtx};
+use crate::rank::{Held, Rank};
 use std::sync::{Condvar as StdCondvar, Mutex as StdMutex, PoisonError};
 use std::time::Duration;
 
@@ -59,8 +61,9 @@ impl ResourceCell {
 
 /// Model-mode mutual-exclusion lock; see the passthrough `Mutex` for
 /// the API contract.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Mutex<T: ?Sized> {
+    rank: Rank,
     rid: ResourceCell,
     inner: StdMutex<T>,
 }
@@ -76,12 +79,13 @@ pub struct MutexGuard<'a, T: ?Sized> {
     owner: &'a Mutex<T>,
     model: Option<(TaskCtx, usize)>,
     defused: bool,
+    held: Held,
 }
 
 impl<T> Mutex<T> {
-    /// Creates a new unlocked mutex holding `value`.
-    pub const fn new(value: T) -> Self {
-        Mutex { rid: ResourceCell::new(), inner: StdMutex::new(value) }
+    /// Creates a new unlocked mutex of rank `rank` holding `value`.
+    pub const fn new(rank: Rank, value: T) -> Self {
+        Mutex { rank, rid: ResourceCell::new(), inner: StdMutex::new(value) }
     }
 
     /// Consumes the mutex, returning the protected value.
@@ -95,6 +99,7 @@ impl<T: ?Sized> Mutex<T> {
     /// point). Swallows std poison; under a checker run the swallow is
     /// recorded as an explicit event (`Report::poison_swallows`).
     pub fn lock(&self) -> MutexGuard<'_, T> {
+        let held = self.held();
         let model = sched::ctx().map(|ctx| {
             let id = self.rid.id_for(&ctx, ResKind::Lock);
             sched::op_lock_acquire(&ctx, id);
@@ -106,7 +111,12 @@ impl<T: ?Sized> Mutex<T> {
             }
             e.into_inner()
         });
-        MutexGuard { inner: Some(inner), owner: self, model, defused: false }
+        MutexGuard { inner: Some(inner), owner: self, model, defused: false, held }
+    }
+
+    /// Checks the rank and enters this lock in the thread's held set.
+    fn held(&self) -> Held {
+        Held::acquire(self.rank, std::ptr::from_ref(self).addr())
     }
 
     /// Returns a mutable reference without locking (`&mut self` proves
@@ -180,6 +190,7 @@ impl Condvar {
         guard: MutexGuard<'a, T>,
         timeout: Option<Duration>,
     ) -> (MutexGuard<'a, T>, WaitTimeoutResult) {
+        guard.held.assert_alone();
         let mut guard = guard;
         let owner = guard.owner;
         match guard.model.clone() {
@@ -203,6 +214,7 @@ impl Condvar {
                         owner,
                         model: Some((ctx, lock_id)),
                         defused: false,
+                        held: owner.held(),
                     },
                     WaitTimeoutResult { timed_out },
                 )
@@ -224,7 +236,13 @@ impl Condvar {
                     }
                 };
                 (
-                    MutexGuard { inner: Some(std_guard), owner, model: None, defused: false },
+                    MutexGuard {
+                        inner: Some(std_guard),
+                        owner,
+                        model: None,
+                        defused: false,
+                        held: owner.held(),
+                    },
                     WaitTimeoutResult { timed_out },
                 )
             }
@@ -269,215 +287,6 @@ impl Condvar {
                 sched::op_cv_notify(&ctx, cv_id, true);
             }
             None => self.std_cv.notify_all(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// RwLock
-
-/// Model-mode reader-writer lock.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized> {
-    rid: ResourceCell,
-    inner: std::sync::RwLock<T>,
-}
-
-/// Shared-read guard returned by [`RwLock::read`].
-#[derive(Debug)]
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    inner: Option<std::sync::RwLockReadGuard<'a, T>>,
-    model: Option<(TaskCtx, usize)>,
-}
-
-/// Exclusive-write guard returned by [`RwLock::write`].
-#[derive(Debug)]
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    inner: Option<std::sync::RwLockWriteGuard<'a, T>>,
-    model: Option<(TaskCtx, usize)>,
-}
-
-impl<T> RwLock<T> {
-    /// Creates a new unlocked lock holding `value`.
-    pub const fn new(value: T) -> Self {
-        RwLock { rid: ResourceCell::new(), inner: std::sync::RwLock::new(value) }
-    }
-
-    /// Consumes the lock, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access through the scheduler.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let model = sched::ctx().map(|ctx| {
-            let id = self.rid.id_for(&ctx, ResKind::Lock);
-            sched::op_read_acquire(&ctx, id);
-            (ctx, id)
-        });
-        let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-        RwLockReadGuard { inner: Some(inner), model }
-    }
-
-    /// Acquires exclusive write access through the scheduler.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        let model = sched::ctx().map(|ctx| {
-            let id = self.rid.id_for(&ctx, ResKind::Lock);
-            sched::op_write_acquire(&ctx, id);
-            (ctx, id)
-        });
-        let inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-        RwLockWriteGuard { inner: Some(inner), model }
-    }
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard dismantled")
-    }
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard dismantled")
-    }
-}
-
-impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard dismantled")
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        drop(self.inner.take());
-        if let Some((ctx, id)) = &self.model {
-            sched::op_read_release(ctx, *id);
-        }
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        drop(self.inner.take());
-        if let Some((ctx, id)) = &self.model {
-            sched::op_lock_release(ctx, *id);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Atomics
-
-/// Atomic types whose every access is a (preemptible) scheduling
-/// point. Orderings are accepted for API parity but the model executes
-/// sequentially consistently — weak-memory reorderings are *not*
-/// explored, only interleavings.
-pub mod atomic {
-    use super::sched;
-    pub use std::sync::atomic::Ordering;
-
-    fn touch() {
-        if let Some(ctx) = sched::ctx() {
-            sched::op_yield(&ctx, true);
-        }
-    }
-
-    macro_rules! model_atomic {
-        ($(#[$doc:meta])* $name:ident, $std:ident, $prim:ty) => {
-            $(#[$doc])*
-            #[derive(Debug, Default)]
-            pub struct $name(std::sync::atomic::$std);
-
-            impl $name {
-                /// Creates a new atomic with the given initial value.
-                pub const fn new(v: $prim) -> Self {
-                    Self(std::sync::atomic::$std::new(v))
-                }
-
-                /// Loads the value (a scheduling point under the model).
-                pub fn load(&self, order: Ordering) -> $prim {
-                    touch();
-                    self.0.load(order)
-                }
-
-                /// Stores a value (a scheduling point under the model).
-                pub fn store(&self, v: $prim, order: Ordering) {
-                    touch();
-                    self.0.store(v, order);
-                }
-
-                /// Swaps the value, returning the previous one.
-                pub fn swap(&self, v: $prim, order: Ordering) -> $prim {
-                    touch();
-                    self.0.swap(v, order)
-                }
-
-                /// Compare-and-exchange; see the std docs.
-                pub fn compare_exchange(
-                    &self,
-                    current: $prim,
-                    new: $prim,
-                    success: Ordering,
-                    failure: Ordering,
-                ) -> Result<$prim, $prim> {
-                    touch();
-                    self.0.compare_exchange(current, new, success, failure)
-                }
-            }
-        };
-    }
-
-    model_atomic!(
-        /// Model-mode [`std::sync::atomic::AtomicBool`].
-        AtomicBool,
-        AtomicBool,
-        bool
-    );
-    model_atomic!(
-        /// Model-mode [`std::sync::atomic::AtomicUsize`].
-        AtomicUsize,
-        AtomicUsize,
-        usize
-    );
-    model_atomic!(
-        /// Model-mode [`std::sync::atomic::AtomicU64`].
-        AtomicU64,
-        AtomicU64,
-        u64
-    );
-
-    macro_rules! model_atomic_arith {
-        ($name:ident, $prim:ty) => {
-            impl $name {
-                /// Adds to the value, returning the previous one.
-                pub fn fetch_add(&self, v: $prim, order: Ordering) -> $prim {
-                    touch();
-                    self.0.fetch_add(v, order)
-                }
-
-                /// Subtracts from the value, returning the previous one.
-                pub fn fetch_sub(&self, v: $prim, order: Ordering) -> $prim {
-                    touch();
-                    self.0.fetch_sub(v, order)
-                }
-            }
-        };
-    }
-
-    model_atomic_arith!(AtomicUsize, usize);
-    model_atomic_arith!(AtomicU64, u64);
-
-    impl AtomicBool {
-        /// Logical-or with the value, returning the previous one.
-        pub fn fetch_or(&self, v: bool, order: Ordering) -> bool {
-            touch();
-            self.0.fetch_or(v, order)
         }
     }
 }

@@ -1,4 +1,5 @@
-//! Zero-cost passthrough backend: `std::sync` with poison swallowed.
+//! Passthrough backend: `std::sync` with poison swallowed, and in debug
+//! builds the lock ranks of [`crate::rank`] checked.
 //!
 //! The commit path's panic story is wedging at the protocol layer (a
 //! dead committer fails every queued op explicitly; see
@@ -12,31 +13,44 @@
 use std::sync::{self as std_sync, PoisonError};
 use std::time::Duration;
 
-/// Atomic types and [`Ordering`](std::sync::atomic::Ordering) — plain
-/// `std::sync::atomic` in this backend.
-pub mod atomic {
-    pub use std::sync::atomic::*;
-}
+#[cfg(debug_assertions)]
+use crate::rank::Held;
+use crate::rank::Rank;
 
 /// A mutual-exclusion lock. Identical to [`std::sync::Mutex`] except
-/// that [`lock`](Mutex::lock) returns the guard directly, swallowing
-/// poison instead of propagating it.
-#[derive(Debug, Default)]
-pub struct Mutex<T: ?Sized>(std_sync::Mutex<T>);
+/// that it carries a [`Rank`] and [`lock`](Mutex::lock) returns the
+/// guard directly, swallowing poison instead of propagating it. Debug
+/// builds check the rank at every acquire ([`crate::rank`]).
+#[derive(Debug)]
+pub struct Mutex<T: ?Sized> {
+    #[cfg(debug_assertions)]
+    rank: Rank,
+    inner: std_sync::Mutex<T>,
+}
 
 /// Guard returned by [`Mutex::lock`].
 #[derive(Debug)]
-pub struct MutexGuard<'a, T: ?Sized>(std_sync::MutexGuard<'a, T>);
+pub struct MutexGuard<'a, T: ?Sized> {
+    inner: std_sync::MutexGuard<'a, T>,
+    #[cfg(debug_assertions)]
+    held: Held,
+}
 
 impl<T> Mutex<T> {
-    /// Creates a new unlocked mutex holding `value`.
-    pub const fn new(value: T) -> Self {
-        Self(std_sync::Mutex::new(value))
+    /// Creates a new unlocked mutex of rank `rank` holding `value`.
+    pub const fn new(rank: Rank, value: T) -> Self {
+        #[cfg(not(debug_assertions))]
+        let _ = rank;
+        Self {
+            #[cfg(debug_assertions)]
+            rank,
+            inner: std_sync::Mutex::new(value),
+        }
     }
 
     /// Consumes the mutex, returning the protected value.
     pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
+        self.inner.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -44,26 +58,30 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until available. Poison from a
     /// previous panicking holder is swallowed.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard(self.0.lock().unwrap_or_else(PoisonError::into_inner))
+        MutexGuard {
+            #[cfg(debug_assertions)]
+            held: Held::acquire(self.rank, std::ptr::from_ref(self).addr()),
+            inner: self.inner.lock().unwrap_or_else(PoisonError::into_inner),
+        }
     }
 
     /// Returns a mutable reference to the protected value without
     /// locking (possible because `&mut self` proves unique access).
     pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
+        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 impl<T: ?Sized> std::ops::Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        &self.0
+        &self.inner
     }
 }
 
 impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        &mut self.0
+        &mut self.inner
     }
 }
 
@@ -96,7 +114,13 @@ impl Condvar {
     /// must re-check their predicate in a loop: spurious wakeups are
     /// allowed (and the model backend injects them on purpose).
     pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-        MutexGuard(self.0.wait(guard.0).unwrap_or_else(PoisonError::into_inner))
+        #[cfg(debug_assertions)]
+        guard.held.assert_alone();
+        MutexGuard {
+            inner: self.0.wait(guard.inner).unwrap_or_else(PoisonError::into_inner),
+            #[cfg(debug_assertions)]
+            held: guard.held,
+        }
     }
 
     /// Like [`wait`](Condvar::wait) but also returns after `dur`.
@@ -105,8 +129,16 @@ impl Condvar {
         guard: MutexGuard<'a, T>,
         dur: Duration,
     ) -> (MutexGuard<'a, T>, WaitTimeoutResult) {
-        let (g, r) = self.0.wait_timeout(guard.0, dur).unwrap_or_else(PoisonError::into_inner);
-        (MutexGuard(g), WaitTimeoutResult { timed_out: r.timed_out() })
+        #[cfg(debug_assertions)]
+        guard.held.assert_alone();
+        let (inner, r) =
+            self.0.wait_timeout(guard.inner, dur).unwrap_or_else(PoisonError::into_inner);
+        let guard = MutexGuard {
+            inner,
+            #[cfg(debug_assertions)]
+            held: guard.held,
+        };
+        (guard, WaitTimeoutResult { timed_out: r.timed_out() })
     }
 
     /// Wakes one waiter.
@@ -117,63 +149,6 @@ impl Condvar {
     /// Wakes all waiters.
     pub fn notify_all(&self) {
         self.0.notify_all();
-    }
-}
-
-/// A reader-writer lock. Identical to [`std::sync::RwLock`] except
-/// that the guards come back directly, with poison swallowed.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized>(std_sync::RwLock<T>);
-
-/// Shared-read guard returned by [`RwLock::read`].
-#[derive(Debug)]
-pub struct RwLockReadGuard<'a, T: ?Sized>(std_sync::RwLockReadGuard<'a, T>);
-
-/// Exclusive-write guard returned by [`RwLock::write`].
-#[derive(Debug)]
-pub struct RwLockWriteGuard<'a, T: ?Sized>(std_sync::RwLockWriteGuard<'a, T>);
-
-impl<T> RwLock<T> {
-    /// Creates a new unlocked lock holding `value`.
-    pub const fn new(value: T) -> Self {
-        Self(std_sync::RwLock::new(value))
-    }
-
-    /// Consumes the lock, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard(self.0.read().unwrap_or_else(PoisonError::into_inner))
-    }
-
-    /// Acquires exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard(self.0.write().unwrap_or_else(PoisonError::into_inner))
-    }
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.0
     }
 }
 
@@ -294,24 +269,16 @@ mod tests {
 
     #[test]
     fn mutex_roundtrip() {
-        let m = Mutex::new(7);
+        let m = Mutex::new(Rank::Cell, 7);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 8);
         assert_eq!(m.into_inner(), 8);
     }
 
     #[test]
-    fn rwlock_roundtrip() {
-        let l = RwLock::new(vec![1, 2]);
-        assert_eq!(l.read().len(), 2);
-        l.write().push(3);
-        assert_eq!(l.into_inner(), vec![1, 2, 3]);
-    }
-
-    #[test]
     fn condvar_wait_notify() {
         use std::sync::Arc;
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let pair = Arc::new((Mutex::new(Rank::Buf, false), Condvar::new()));
         let p2 = Arc::clone(&pair);
         let h = thread::spawn(move || {
             let (m, cv) = &*p2;
@@ -329,7 +296,7 @@ mod tests {
 
     #[test]
     fn wait_timeout_times_out() {
-        let m = Mutex::new(());
+        let m = Mutex::new(Rank::Coord, ());
         let cv = Condvar::new();
         let (_g, r) = cv.wait_timeout(m.lock(), std::time::Duration::from_millis(1));
         assert!(r.timed_out());
@@ -338,7 +305,7 @@ mod tests {
     #[test]
     fn poison_is_swallowed() {
         use std::sync::Arc;
-        let m = Arc::new(Mutex::new(41));
+        let m = Arc::new(Mutex::new(Rank::Store, 41));
         let m2 = Arc::clone(&m);
         let h = thread::spawn(move || {
             let _g = m2.lock();

@@ -58,8 +58,8 @@ impl CrashRun {
     }
 
     /// Ends the run: its violations, then one for each durability rule
-    /// the whole I/O trace broke (`dxh_dura::check_trace`, the runtime
-    /// twin of `cargo run -p xtask -- lint-durability`), and the trace.
+    /// the whole I/O trace broke (`dxh_dura::check_trace`), and the
+    /// trace.
     pub fn finish(self) -> (Vec<String>, Vec<IoEvent>) {
         let trace = self.env.take_trace();
         let mut violations = self.violations.into_inner().expect("violation list poisoned");
