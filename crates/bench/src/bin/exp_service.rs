@@ -20,7 +20,7 @@
 //!   the commit log's newest-wins fold absorbs the hot duplicates: they
 //!   cost no log entry of their own, so the zipf column must not lose
 //!   to the distinct one. With checkpoints live, a checkpoint manifest
-//!   commit must stay O(log n): at most [`MAX_CHECKPOINT_COMMIT_BYTES`] on
+//!   commit must stay O(log n): at most `MAX_CHECKPOINT_COMMIT_BYTES` on
 //!   average, like the manifests the closing `sync_all` writes for the
 //!   final tables (a manifest is a few level lines at any table size).
 //!
@@ -48,11 +48,16 @@ use std::time::Instant;
 use dxh_analysis::{table::fmt_f, TextTable};
 use dxh_bench::{emit, ExpArgs};
 use dxh_core::{CoreConfig, ShardedKvStore, WriteOp};
-use dxh_workloads::service::MAX_CHECKPOINT_COMMIT_BYTES;
 use dxh_workloads::{ConcurrentChurn, Op, Trace, ZipfWrites};
 
 /// Ops each writer pipelines per `submit` call (a small ingest buffer).
 const CHUNK: usize = 32;
+
+/// What a fault-free run's manifest commits may average, in bytes: the
+/// manifest's ≈ 130 B header plus one ≈ 30 B line per occupied level —
+/// a few hundred bytes at any table size, there being no table-sized
+/// line in it.
+const MAX_CHECKPOINT_COMMIT_BYTES: u64 = 512;
 
 /// Interleaved passes per sweep; each point reports its best run.
 const TRIALS: usize = 5;

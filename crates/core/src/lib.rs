@@ -83,7 +83,7 @@ pub use filter::{FilterPlan, FilterStats};
 pub use log_method::LogMethodTable;
 pub use media::{DirMedia, SimMedia, StoreMedia};
 pub use mem_table::MemTable;
-pub use service::{BatchRecord, Effect, ServiceStats, ShardBatchHistory, ShardedKvStore, WriteOp};
+pub use service::{ServiceStats, ShardedKvStore, WriteOp};
 pub use store::{CompactionStats, Footprint, KvStore, LevelFiles, LevelFootprint, ManifestIoStats};
 
 // Re-exported so downstream code can name the dictionary trait without

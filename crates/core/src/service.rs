@@ -79,9 +79,9 @@
 //! quarantined behind a poisoned store handle (it can never reach a
 //! manifest — not even through a drop-time sync), every parked and
 //! future caller gets an error, and reopening the service recovers the
-//! shard to its last committed batch. The crash-simulation torture
-//! harness (`dxh_workloads::service`) sweeps crash indices across the
-//! coalesced commit window and checks exactly this boundary.
+//! shard to its last committed batch. The model tests (`model_tests`)
+//! crash the simulated machine at every I/O of a service lifecycle,
+//! under every schedule they explore, and check exactly this boundary.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -144,9 +144,9 @@ pub enum WriteOp {
 /// [`ShardedKvStore::put`] / [`ShardedKvStore::submit`] APIs) or a byte
 /// payload ([`ShardedKvStore::put_bytes`], payload-mode services only).
 /// `Option<Effect>` with `None` for a delete is the shape the
-/// read-your-writes overlay, the commit log, and [`BatchRecord`] share.
+/// read-your-writes overlay and the commit log share.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Effect {
+pub(crate) enum Effect {
     /// A word put.
     Word(Value),
     /// A byte-payload put (shared, not copied, along the commit path).
@@ -211,27 +211,29 @@ impl Op {
 }
 
 /// One committed (or in-flight) group commit, as recorded when
-/// [`ShardedKvStore::set_batch_recording`] is on — the torture harness's
-/// ground truth for the batch-boundary check.
+/// [`ShardedKvStore::set_batch_recording`] is on — the tests' ground
+/// truth for the batch-boundary check.
+#[cfg(test)]
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BatchRecord {
-    /// The batch's operations in application order: `(key,
-    /// Some(effect))` for a put, `(key, None)` for a delete.
-    pub ops: Vec<(Key, Option<Effect>)>,
+struct BatchRecord {
+    /// The batch's newest-wins fold: `(key, Some(effect))` for a put,
+    /// `(key, None)` for a delete.
+    ops: Vec<(Key, Option<Effect>)>,
 }
 
 /// A shard's recorded commit history (see
 /// [`ShardedKvStore::batch_history`]).
+#[cfg(test)]
 #[derive(Clone, Debug, Default)]
-pub struct ShardBatchHistory {
+struct ShardBatchHistory {
     /// Batches whose durability epoch was reached — durable in order.
-    pub committed: Vec<BatchRecord>,
+    committed: Vec<BatchRecord>,
     /// Batches applied but not yet acknowledged when the shard wedged or
     /// crashed, in application order — the pipelined-ack window. A crash
     /// recovers the shard to the committed fold plus a **prefix** of
     /// these, each batch wholly present or wholly absent (a batch that
     /// was mid-apply is last here and never durable).
-    pub inflight: Vec<BatchRecord>,
+    inflight: Vec<BatchRecord>,
 }
 
 /// Aggregate counters across every shard of a [`ShardedKvStore`].
@@ -403,8 +405,10 @@ struct BufState {
     /// `shard_syncs`).
     hardens: u64,
     /// Record the compositions of the batches acknowledged while on
-    /// (torture-harness ground truth).
+    /// (the tests' ground truth).
+    #[cfg(test)]
     recording: bool,
+    #[cfg(test)]
     history: Vec<BatchRecord>,
 }
 
@@ -448,6 +452,7 @@ fn ack_through<M: StoreMedia>(shard: &Shard<M>, seq: u64) {
             buf.committed_batches += 1;
             buf.committed_ops += answers.len() as u64;
             buf.largest_batch = buf.largest_batch.max(answers.len() as u64);
+            #[cfg(test)]
             if buf.recording {
                 buf.history.push(BatchRecord { ops: b.effects });
             }
@@ -507,32 +512,11 @@ struct CoordState {
     /// epoch.
     epoch: u64,
     shutdown: bool,
-    /// While set, the coordinator starts no round: a test holds rounds
-    /// off across a harden it runs itself.
-    #[cfg(test)]
-    hold_rounds: bool,
-}
-
-impl CoordState {
-    /// Whether some shard's dirt awaits a round.
-    fn round_due(&self) -> bool {
-        #[cfg(test)]
-        if self.hold_rounds {
-            return false;
-        }
-        self.dirty.iter().any(|&d| d)
-    }
 }
 
 impl SyncCoordinator {
     fn new(shards: usize) -> Self {
-        let state = CoordState {
-            dirty: vec![false; shards],
-            epoch: 0,
-            shutdown: false,
-            #[cfg(test)]
-            hold_rounds: false,
-        };
+        let state = CoordState { dirty: vec![false; shards], epoch: 0, shutdown: false };
         SyncCoordinator {
             state: Mutex::new(Rank::Coord, state),
             cv: Condvar::new(),
@@ -579,7 +563,7 @@ fn coordinator_loop<M: StoreMedia>(
         let shutdown = {
             let mut st = coord.state.lock();
             loop {
-                if st.round_due() {
+                if st.dirty.iter().any(|&d| d) {
                     break false;
                 }
                 if st.shutdown {
@@ -937,17 +921,17 @@ fn harden_shard<M: StoreMedia>(shard: &Shard<M>) -> bool {
 }
 
 /// The commit path's seeded mutants, one switch per `mutant!` site, and
-/// the hooks that land a batch or a panic where it bites — compiled into
-/// this crate's own tests only. A switch is one bit of the calling
+/// the helpers that land a mutant or a panic where it bites — compiled
+/// into this crate's own tests only. A switch is one bit of the calling
 /// thread's armed set, like `store::levels::mutant`'s thread-locals; a
 /// service hands its opener's set to the committers and the coordinator
 /// it spawns, so arming reaches that one service's threads and never a
-/// parallel test. `model_tests` shows the checker catching each one but
+/// parallel test. `model_tests` shows the checker catching every one —
 /// the two early acknowledgements, `ACK_ALL_AFTER_HARDEN` and
-/// `ACK_BEFORE_LOG_COMMIT`, which only a crash exposes.
+/// `ACK_BEFORE_LOG_COMMIT`, at the crash index that loses their key.
 #[cfg(test)]
 mod mutant {
-    use std::cell::{Cell, RefCell};
+    use std::cell::Cell;
 
     use super::BufState;
     use dxh_sync::{Mutex, MutexGuard};
@@ -955,10 +939,6 @@ mod mutant {
     thread_local! {
         /// The calling thread's armed switches, one bit each.
         pub(super) static ARMED: Cell<u32> = const { Cell::new(0) };
-        /// Runs once, between a harden's manifest commit and its
-        /// acknowledgements: where a test lands a batch.
-        pub(super) static AFTER_COMMIT: RefCell<Option<Box<dyn FnOnce()>>> =
-            const { RefCell::new(None) };
     }
 
     /// One seeded mutant (or injected fault).
@@ -1006,11 +986,8 @@ mod mutant {
     /// append and sync.
     pub(super) const ACK_BEFORE_LOG_COMMIT: Switch = Switch(1 << 11);
 
-    /// The watermark a harden acknowledges up to, after the hook ran.
+    /// The watermark a harden acknowledges up to.
     pub(super) fn after_harden(covered: u64) -> u64 {
-        if let Some(hook) = AFTER_COMMIT.take() {
-            hook();
-        }
         if ACK_ALL_AFTER_HARDEN.on() {
             u64::MAX
         } else {
@@ -1617,9 +1594,10 @@ impl<M: StoreMedia> ShardedKvStore<M> {
 
     /// Turns batch recording on or off (off by default; turning it on
     /// clears any previous history). While on, every shard records the
-    /// composition of each batch it commits — the torture harness's
-    /// ground truth for the batch-boundary check.
-    pub fn set_batch_recording(&self, on: bool) {
+    /// composition of each batch it commits — the tests' ground truth
+    /// for the batch-boundary check.
+    #[cfg(test)]
+    fn set_batch_recording(&self, on: bool) {
         for shard in &self.shards {
             let mut buf = shard.buf.lock();
             buf.recording = on;
@@ -1631,7 +1609,8 @@ impl<M: StoreMedia> ShardedKvStore<M> {
     /// [`ShardedKvStore::set_batch_recording`] is on): the committed
     /// batches in epoch order, then every batch still in flight —
     /// applied but unacknowledged ones first, a mid-apply one last.
-    pub fn batch_history(&self) -> Vec<ShardBatchHistory> {
+    #[cfg(test)]
+    fn batch_history(&self) -> Vec<ShardBatchHistory> {
         self.shards
             .iter()
             .map(|s| {
@@ -2093,163 +2072,32 @@ mod tests {
         }
     }
 
-    /// Runs `harden_shard` on shard 0 from this thread — with rounds held
-    /// off, so no log round runs meanwhile — while one batch (`key` →
-    /// `key + 1`) lands between the harden's manifest commit and its
-    /// acknowledgements. Returns the batch's ticket, or `None` when the
-    /// harden failed before the window opened.
-    fn harden_with_a_landed_batch(svc: &ShardedKvStore<SimMedia>, key: Key) -> Option<Ticket> {
-        let shard = svc.shards[0].clone();
-        let landing = shard.clone();
-        // Nothing else enqueues meanwhile: the landed op is the next
-        // batch's only one, behind the cell pending now.
-        let ticket = Ticket { cell: shard.buf.lock().pending_cell.clone(), range: 0..1 };
-        mutant::AFTER_COMMIT.set(Some(Box::new(move || {
-            landing.buf.lock().pending.push(Op::Put(key, key + 1));
-            landing.work_cv.notify_all();
-            // The committer applies it — the harden let go of the store
-            // — and leaves it in `batches`; its dirt waits for rounds.
-            loop {
-                let buf = landing.buf.lock();
-                if buf.batches.iter().any(|b| b.answers.is_some()) || buf.wedged.is_some() {
-                    break;
-                }
-                drop(buf);
-                dxh_sync::thread::yield_now();
-            }
-        })));
-        svc.coord.state.lock().hold_rounds = true;
-        harden_shard(&shard);
-        svc.coord.state.lock().hold_rounds = false;
-        svc.coord.cv.notify_all();
-        let fired = mutant::AFTER_COMMIT.take().is_none();
-        fired.then_some(ticket)
-    }
-
-    /// A harden acknowledges what its manifest covers and nothing else.
-    /// The committer keeps applying while the coordinator hardens, so a
-    /// batch can land after the harden read its watermark and before it
-    /// acknowledges: that batch is in no manifest, and only the next log
-    /// round may answer its writer — after logging it. The interleaving
-    /// is forced (see `harden_with_a_landed_batch`); the seeded mutant
-    /// that acknowledges every applied batch is caught by the same
-    /// checks.
+    /// A checkpoint commit is O(log n), not O(table): quadrupling the
+    /// keys written (and with them the table every checkpoint hardens)
+    /// leaves the average checkpoint manifest commit flat.
     #[test]
-    fn a_batch_applied_after_the_harden_read_its_watermark_waits_for_the_next_log_round() {
-        let log_len = |env: &SimEnv| env.read_file("COMMITLOG").unwrap().unwrap().len();
-        for armed in [false, true] {
+    fn checkpoint_commit_bytes_do_not_scale_with_the_table() {
+        let checkpoint_commits = |keys: u64| {
             let env = SimEnv::new();
-            let svc = sim_service(&env, 1, 43);
-            svc.put(1, 2).unwrap();
-            let logged = log_len(&env);
-            mutant::ACK_ALL_AFTER_HARDEN.set(armed);
-            let ticket = harden_with_a_landed_batch(&svc, 7).expect("no fault was injected");
-            mutant::ACK_ALL_AFTER_HARDEN.set(false);
-            let answered_by_the_harden = ticket.cell.0.lock().is_some();
-            assert_eq!(answered_by_the_harden, armed, "armed {armed}");
-            assert_eq!(svc.drive(0, &ticket).unwrap(), vec![true]);
-            assert_eq!(log_len(&env) > logged, !armed, "armed {armed}: the batch was logged");
-            drop(svc);
-            assert_eq!(sim_service(&env, 1, 43).get(7).unwrap(), Some(8), "armed {armed}");
-        }
-    }
-
-    /// The same mutant against a crash sweep: a lifecycle that lands a
-    /// batch in a harden's acknowledgement window, crashed at every I/O
-    /// from that harden to the end of the close. Unarmed, every
-    /// acknowledged key survives every crash; armed, the landed batch is
-    /// answered on the strength of a manifest that lacks it, never
-    /// logged, and lost by the crashes that come before the close's
-    /// checkpoint.
-    #[test]
-    fn the_ack_mutant_is_caught_by_a_checkpoint_crash_sweep() {
-        let open = |env: &SimEnv| ShardedKvStore::open_on(SimMedia::unlocked(env), 1, cfg(), 45);
-        // Returns the I/O clock at the harden; `acked` takes every key
-        // whose write was answered `Ok`.
-        let lifecycle = |env: &SimEnv, acked: &mut Vec<u64>| {
-            let svc = open(env).unwrap();
-            let mut at_the_harden = 0;
-            for k in 0..8 {
-                if k == 4 {
-                    at_the_harden = env.ops();
-                    if let Some(ticket) = harden_with_a_landed_batch(&svc, 100) {
-                        if svc.drive(0, &ticket).is_ok() {
-                            acked.push(100);
-                        }
-                    }
-                }
-                if svc.put(k, k + 1).is_ok() {
-                    acked.push(k);
-                }
+            let svc = sim_service(&env, 2, 27);
+            svc.set_checkpoint_log_bytes(192);
+            for k in 0..keys {
+                svc.put(k, k + 1).unwrap();
             }
-            at_the_harden
+            let stats = svc.stats();
+            assert!(stats.manifest_delta_commits >= 2, "{stats:?}");
+            (
+                stats.manifest_delta_commits,
+                stats.manifest_delta_bytes / stats.manifest_delta_commits,
+            )
         };
-        let sweep = |armed: bool| {
-            let (from, to) = {
-                let env = SimEnv::new();
-                (lifecycle(&env, &mut Vec::new()), env.ops())
-            };
-            let mut lost = 0;
-            for k in from..to {
-                let env = SimEnv::new();
-                env.set_plan(FaultPlan::crash(k, 0xAC4 ^ k.rotate_left(29)));
-                let mut acked = Vec::new();
-                mutant::ACK_ALL_AFTER_HARDEN.set(armed);
-                lifecycle(&env, &mut acked);
-                mutant::ACK_ALL_AFTER_HARDEN.set(false);
-                env.power_cycle();
-                let svc = open(&env).unwrap();
-                lost += acked.iter().filter(|&&key| svc.get(key).unwrap() != Some(key + 1)).count();
-            }
-            lost
-        };
-        assert_eq!(sweep(false), 0, "an acknowledged key was lost");
-        assert!(sweep(true) > 0, "no crash exposed the mutant's early acknowledgement");
-    }
-
-    /// `ACK_BEFORE_LOG_COMMIT` against a crash sweep over one log round:
-    /// the fifth put's, crashed at each of its I/Os. Unarmed, a crash
-    /// fails the round and so its writer, and no acknowledged key is
-    /// lost; armed, the writer is answered before the log's append and
-    /// sync, and a crash there loses its key.
-    #[test]
-    fn the_log_ack_mutant_is_caught_by_a_round_crash_sweep() {
-        let open = |env: &SimEnv| ShardedKvStore::open_on(SimMedia::unlocked(env), 1, cfg(), 47);
-        // Returns the I/O clock before and after the fifth put; `acked`
-        // takes every key whose write was answered `Ok`.
-        let lifecycle = |env: &SimEnv, acked: &mut Vec<u64>| {
-            let svc = open(env).unwrap();
-            let mut window = (0, 0);
-            for k in 0..8 {
-                let before = env.ops();
-                if svc.put(k, k + 1).is_ok() {
-                    acked.push(k);
-                }
-                if k == 4 {
-                    window = (before, env.ops());
-                }
-            }
-            window
-        };
-        let sweep = |armed: bool| {
-            let (from, to) = lifecycle(&SimEnv::new(), &mut Vec::new());
-            assert!(to > from, "the round did no I/O");
-            let mut lost = 0;
-            for k in from..to {
-                let env = SimEnv::new();
-                env.set_plan(FaultPlan::crash(k, 0x10C ^ k.rotate_left(29)));
-                let mut acked = Vec::new();
-                mutant::ACK_BEFORE_LOG_COMMIT.set(armed);
-                lifecycle(&env, &mut acked);
-                mutant::ACK_BEFORE_LOG_COMMIT.set(false);
-                env.power_cycle();
-                let svc = open(&env).unwrap();
-                lost += acked.iter().filter(|&&key| svc.get(key).unwrap() != Some(key + 1)).count();
-            }
-            lost
-        };
-        assert_eq!(sweep(false), 0, "an acknowledged key was lost");
-        assert!(sweep(true) > 0, "no crash exposed the mutant's early acknowledgement");
+        let (small, small_avg) = checkpoint_commits(200);
+        let (big, big_avg) = checkpoint_commits(800);
+        assert!(big > small, "{big} checkpoint commits for 4x the keys, {small} before");
+        assert!(
+            big_avg <= small_avg * 2,
+            "average checkpoint commit grew with the table: {small_avg} B -> {big_avg} B"
+        );
     }
 
     /// A wedged shard stops checkpoints: its acknowledged batches may
@@ -2454,29 +2302,57 @@ mod tests {
 /// coordinator and callers all run as tasks of one
 /// `dxh_sync::model::Checker` execution, so every lock, wait and notify
 /// of this file is a scheduling point the checker chooses. One instance
-/// is 2 shards, 2 writers and a reader, then a drop and a reopen.
+/// is 2 shards, 2 writers and a reader, then a drop, a power cycle and a
+/// reopen — with the simulated machine crashed at a given I/O index, or
+/// not at all. The crash index is a parameter of the instance, not a
+/// scheduler decision: a sweep runs the checker once per index, and a
+/// violation replays with `Checker::replay(trace, instance(.., Some(k),
+/// ..))`.
 #[cfg(all(test, feature = "model"))]
 mod model_tests {
     use super::*;
     use crate::SimMedia;
-    use dxh_extmem::SimEnv;
+    use dxh_extmem::{FaultPlan, SimEnv};
     use dxh_sync::model::{Checker, Report, Violation, ViolationKind};
     use mutant::Switch;
-    use std::collections::HashSet;
+    use std::collections::{BTreeMap, HashSet};
 
     const SEED: u64 = 42;
     const SHARDS: usize = 2;
+    /// The checkpointing variant's log threshold: a one-op batch logs 45
+    /// bytes, so a checkpoint follows every second round and swept
+    /// crashes land inside hardens.
+    const CKPT_LOG_BYTES: u64 = 64;
+    /// Random walks per crash index in the PR gate.
+    const WALKS: u64 = 60;
 
-    fn open(env: &SimEnv) -> ShardedKvStore<SimMedia> {
-        let cfg = CoreConfig::lemma5(8, 128, 2).unwrap();
-        ShardedKvStore::open_on(SimMedia::unlocked(env), SHARDS, cfg, SEED).unwrap()
-    }
-
-    /// Two distinct keys, routed to shards `sa` and `sb`.
-    fn keys(sa: usize, sb: usize) -> (Key, Key) {
+    /// Writer A's key, on shard `sa`, then writer B's two keys, on shard
+    /// `sb`.
+    fn keys(sa: usize, sb: usize) -> [Key; 3] {
         let router = shard_router(SEED);
         let on = |s, nth| (0..).filter(|&k| shard_of_key(&router, SHARDS, k) == s).nth(nth);
-        (on(sa, 0).unwrap(), on(sb, usize::from(sa == sb)).unwrap())
+        let skip = usize::from(sa == sb);
+        [on(sa, 0), on(sb, skip), on(sb, skip + 1)].map(Option::unwrap)
+    }
+
+    /// Each writer's calls, in order: A puts `a` and deletes it twice; B
+    /// puts `b` and `c` in one call — one shard, so one batch, all-in or
+    /// all-out — then puts `b` again.
+    fn calls([a, b, c]: [Key; 3]) -> [Vec<Vec<WriteOp>>; 2] {
+        use WriteOp::{Delete, Put};
+        [
+            vec![vec![Put(a, 1)], vec![Delete(a)], vec![Delete(a)]],
+            vec![vec![Put(b, 1), Put(c, 1)], vec![Put(b, 2)]],
+        ]
+    }
+
+    fn open(env: &SimEnv, ckpt: bool) -> Result<ShardedKvStore<SimMedia>> {
+        let cfg = CoreConfig::lemma5(8, 128, 2).unwrap();
+        let svc = ShardedKvStore::open_on(SimMedia::unlocked(env), SHARDS, cfg, SEED)?;
+        if ckpt {
+            svc.set_checkpoint_log_bytes(CKPT_LOG_BYTES);
+        }
+        Ok(svc)
     }
 
     fn arm(switches: &[Switch]) {
@@ -2485,40 +2361,150 @@ mod model_tests {
         }
     }
 
-    /// Writer A puts `a` and deletes it twice, writer B puts `b` = 1 then
-    /// `b` = 2, and the instance's own task reads `b` twice meanwhile.
-    /// Asserts, on every schedule: each call returns, with serial answers
-    /// (delete presence); a reader that saw a version of `b` never sees
-    /// an older one afterwards (the inflight overlay's job); after the
-    /// drop `COMMITLOG` is empty; the reopen serves every acknowledged
-    /// write, newest wins per key. Every task arms `switches` first —
-    /// the service threads inherit them.
-    fn instance(a: Key, b: Key, switches: &'static [Switch]) -> impl Fn() + Send + Sync + 'static {
+    /// Passes `Ok` through. An error is the crash once the machine is
+    /// down, and a violation before.
+    fn up<T>(env: &SimEnv, crash_at: Option<u64>, result: Result<T>) -> Option<T> {
+        match result {
+            Ok(v) => Some(v),
+            Err(_) if env.crashed() => None,
+            Err(e) => panic!("crash at {crash_at:?}: a call failed with the machine up: {e}"),
+        }
+    }
+
+    /// One writer's `calls`, each answer checked against serial
+    /// application (the writer's keys are its own), up to the first
+    /// failed call. Returns every op it submitted, each with whether its
+    /// call was acknowledged.
+    fn write(
+        svc: &ShardedKvStore<SimMedia>,
+        env: &SimEnv,
+        crash_at: Option<u64>,
+        calls: &[Vec<WriteOp>],
+    ) -> Vec<(WriteOp, bool)> {
+        let mut live = HashSet::new();
+        let mut sent = Vec::new();
+        for call in calls {
+            let answers = up(env, crash_at, svc.submit(call));
+            sent.extend(call.iter().map(|&op| (op, answers.is_some())));
+            let Some(answers) = answers else { break };
+            for (op, answer) in call.iter().zip(answers) {
+                let serial = match *op {
+                    WriteOp::Put(k, _) => {
+                        live.insert(k);
+                        true
+                    }
+                    WriteOp::Delete(k) => live.remove(&k),
+                };
+                assert_eq!(answer, serial, "crash at {crash_at:?}: {op:?} answered out of order");
+            }
+        }
+        sent
+    }
+
+    /// Writers A and B make their `calls` while the instance's own task
+    /// reads `b` twice; then the service is dropped, the machine power
+    /// cycled and the service reopened. `crash_at = Some(k)` takes the
+    /// machine down at I/O `k`. Asserts, on every schedule: each call
+    /// returns, failing only once the machine is down, with serial
+    /// answers; a reader that saw a version of `b` never sees an older
+    /// one afterwards (the inflight overlay's job); a close the crash
+    /// spared leaves `COMMITLOG` empty; each shard reopens at a batch
+    /// boundary — its committed batches plus a prefix of its in-flight
+    /// ones, each wholly present or wholly absent; each key holds its
+    /// last acknowledged write or a later one; and the lifecycle's I/O
+    /// trace keeps every durability rule. Every task arms `switches`
+    /// first — the service threads inherit them.
+    fn instance(
+        keys: [Key; 3],
+        ckpt: bool,
+        crash_at: Option<u64>,
+        switches: &'static [Switch],
+    ) -> impl Fn() + Send + Sync + 'static {
         move || {
             arm(switches);
             let env = SimEnv::new();
-            let svc = open(&env);
-            dxh_sync::thread::scope(|s| {
-                s.spawn(|| {
-                    arm(switches);
-                    svc.put(a, 1).unwrap();
-                    assert!(svc.delete(a).unwrap(), "a delete missed its own writer's put");
-                    assert!(!svc.delete(a).unwrap(), "a delete found a deleted key");
+            if let Some(k) = crash_at {
+                env.set_plan(FaultPlan::crash(k, SEED ^ k.rotate_left(17)));
+            }
+            let mut history = vec![ShardBatchHistory::default(); SHARDS];
+            let mut sent = Vec::new();
+            if let Some(svc) = up(&env, crash_at, open(&env, ckpt)) {
+                svc.set_batch_recording(true);
+                let (svc, env) = (&svc, &env);
+                sent = dxh_sync::thread::scope(|s| {
+                    let writers = calls(keys).map(|calls| {
+                        s.spawn(move || {
+                            arm(switches);
+                            write(svc, env, crash_at, &calls)
+                        })
+                    });
+                    let seen = up(env, crash_at, svc.get(keys[1]));
+                    let then = up(env, crash_at, svc.get(keys[1]));
+                    if let (Some(seen), Some(then)) = (seen, then) {
+                        assert!(
+                            then >= seen,
+                            "crash at {crash_at:?}: read b = {seen:?}, then {then:?}"
+                        );
+                    }
+                    writers.into_iter().flat_map(|w| w.join().expect("writer panicked")).collect()
                 });
-                s.spawn(|| {
-                    arm(switches);
-                    svc.put(b, 1).unwrap();
-                    svc.put(b, 2).unwrap();
-                });
-                let seen = svc.get(b).unwrap();
-                let then = svc.get(b).unwrap();
-                assert!(then >= seen, "read b = {seen:?}, then the older {then:?}");
-            });
+                history = svc.batch_history();
+            }
+            if !env.crashed() {
+                let log = env.file_len("COMMITLOG");
+                assert_eq!(log, 0, "crash at {crash_at:?} never fired, yet the close left a log");
+            }
+            env.power_cycle();
+            let svc = open(&env, ckpt).unwrap_or_else(|e| panic!("crash at {crash_at:?}: {e}"));
+            let got: BTreeMap<Key, Option<Effect>> = keys
+                .iter()
+                .map(|&k| {
+                    let v = svc.get(k).unwrap_or_else(|e| panic!("crash at {crash_at:?}: {e}"));
+                    (k, v.map(Effect::Word))
+                })
+                .collect();
+            for (si, h) in history.iter().enumerate() {
+                let on_shard: Vec<Key> =
+                    keys.into_iter().filter(|&k| svc.shard_of(k) == si).collect();
+                let held = |fold: &HashMap<Key, Option<Effect>>| {
+                    on_shard.iter().all(|k| got[k] == fold.get(k).cloned().flatten())
+                };
+                let mut fold: HashMap<Key, Option<Effect>> =
+                    h.committed.iter().flat_map(|b| b.ops.clone()).collect();
+                let boundary = held(&fold)
+                    || h.inflight.iter().any(|b| {
+                        fold.extend(b.ops.clone());
+                        held(&fold)
+                    });
+                assert!(
+                    boundary,
+                    "crash at {crash_at:?}: shard {si} reopened as {got:?}, at no batch boundary of {h:?}"
+                );
+            }
+            for key in keys {
+                let ops: Vec<(Option<Effect>, bool)> = sent
+                    .iter()
+                    .filter_map(|&(op, acked)| {
+                        let (k, effect) = Op::from(op).effect();
+                        (k == key).then_some((effect, acked))
+                    })
+                    .collect();
+                let last_ack = ops.iter().rposition(|&(_, acked)| acked);
+                let mut allowed: Vec<Option<Effect>> =
+                    ops[last_ack.unwrap_or(0)..].iter().map(|(e, _)| e.clone()).collect();
+                if last_ack.is_none() {
+                    allowed.push(None);
+                }
+                assert!(
+                    allowed.contains(&got[&key]),
+                    "crash at {crash_at:?}: key {key} reopened as {:?}, lost its acknowledged \
+                     write: {ops:?}",
+                    got[&key]
+                );
+            }
             drop(svc);
-            let log = env.read_file("COMMITLOG").unwrap().unwrap_or_default();
-            assert!(log.is_empty(), "a clean close left {} bytes in COMMITLOG", log.len());
-            let svc = open(&env);
-            assert_eq!((svc.get(a).unwrap(), svc.get(b).unwrap()), (None, Some(2)));
+            let broken = dxh_dura::check_trace(&env.take_trace());
+            assert!(broken.is_empty(), "crash at {crash_at:?}: {broken:?}");
         }
     }
 
@@ -2531,7 +2517,7 @@ mod model_tests {
         move || {
             arm(switches);
             let env = SimEnv::new();
-            let svc = open(&env);
+            let svc = open(&env, false).unwrap();
             let err = svc.put(1, 1).unwrap_err();
             assert!(err.to_string().contains("committer thread panicked"), "{err}");
             svc.len();
@@ -2539,60 +2525,119 @@ mod model_tests {
         }
     }
 
-    /// `schedules` DFS schedules plus as many random walks of `instance`
-    /// on keys routed to shards `sa` and `sb`; returns how many of the
-    /// schedules they ran were distinct.
-    fn explore(sa: usize, sb: usize, schedules: u64) -> usize {
-        let (a, b) = keys(sa, sb);
-        let ok = |r: std::result::Result<Report, Violation>| {
-            r.unwrap_or_else(|v| panic!("shards {sa}/{sb}: {v}"))
+    /// I/Os of one crash-free lifecycle, from the open to the end of the
+    /// close, with the writers' calls made one after another — each its
+    /// own batch and round: the window a sweep crashes at every index
+    /// of. It runs on the checker's first schedule, so the window is the
+    /// same on every run.
+    fn lifecycle_ios(keys: [Key; 3], ckpt: bool) -> u64 {
+        let ios = Arc::new(AtomicU64::new(0));
+        let out = Arc::clone(&ios);
+        let serial = move || {
+            let env = SimEnv::new();
+            let svc = open(&env, ckpt).unwrap();
+            for calls in calls(keys) {
+                write(&svc, &env, None, &calls);
+            }
+            drop(svc);
+            out.store(env.ops(), Ordering::Relaxed);
         };
-        let dfs = ok(Checker::new().max_schedules(schedules).check(instance(a, b, &[])));
-        let walk = ok(Checker::new().check_random(SEED, schedules, instance(a, b, &[])));
-        let seen: HashSet<u64> = dfs.fingerprints.into_iter().chain(walk.fingerprints).collect();
-        println!("writers on shards {sa}/{sb}: {} distinct schedules, no violation", seen.len());
-        seen.len()
+        Checker::new().max_schedules(1).check(serial).unwrap_or_else(|v| panic!("{v}"));
+        ios.load(Ordering::Relaxed)
     }
 
-    /// The PR gate's bar: at least 10 000 distinct schedules of the real
-    /// service between this test and its twin, none a violation.
+    /// The random walks' seed at crash index `crash_at`.
+    fn walk_seed(crash_at: Option<u64>) -> u64 {
+        crash_at.map_or(SEED, |k| SEED ^ (k + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    }
+
+    /// The crash sweep: with writers on shards `sa`/`sb`, with and
+    /// without checkpoints, at every crash index of the lifecycle and
+    /// crash-free, `dfs` bounded DFS schedules plus `walks` random walks.
+    /// Returns how many distinct `(crash index, schedule)` pairs ran.
+    fn sweep(sa: usize, sb: usize, dfs: u64, walks: u64) -> usize {
+        let keys = keys(sa, sb);
+        let (mut distinct, mut windows) = (0, Vec::new());
+        for ckpt in [false, true] {
+            windows.push(lifecycle_ios(keys, ckpt));
+            for crash_at in (0..windows[windows.len() - 1]).map(Some).chain([None]) {
+                let run = || instance(keys, ckpt, crash_at, &[]);
+                let ok = |r: std::result::Result<Report, Violation>| {
+                    r.unwrap_or_else(|v| {
+                        panic!("shards {sa}/{sb}, checkpoints {ckpt}, crash at {crash_at:?}: {v}")
+                    })
+                };
+                let mut seen = HashSet::new();
+                if dfs > 0 {
+                    seen.extend(ok(Checker::new().max_schedules(dfs).check(run())).fingerprints);
+                }
+                let walk = Checker::new().check_random(walk_seed(crash_at), walks, run());
+                seen.extend(ok(walk).fingerprints);
+                distinct += seen.len();
+            }
+        }
+        println!(
+            "writers on shards {sa}/{sb}: {distinct} distinct (crash index, schedule) pairs, \
+             windows of {windows:?} I/Os (without, with checkpoints)"
+        );
+        distinct
+    }
+
+    /// The PR gate's bar: at least 10 000 distinct `(crash index,
+    /// schedule)` pairs of the real service between this test and its
+    /// twin, none a violation.
     #[test]
-    fn writers_on_one_shard_answer_serially_and_recover_on_every_schedule() {
-        let distinct = explore(0, 0, 2_500);
-        assert!(distinct >= 5_000, "only {distinct} distinct schedules");
+    fn writers_on_one_shard_recover_to_a_batch_boundary_at_every_crash_index() {
+        let distinct = sweep(0, 0, 0, WALKS);
+        assert!(distinct >= 5_000, "only {distinct} distinct pairs");
     }
 
     #[test]
-    fn writers_on_two_shards_answer_serially_and_recover_on_every_schedule() {
-        let distinct = explore(0, 1, 2_500);
-        assert!(distinct >= 5_000, "only {distinct} distinct schedules");
+    fn writers_on_two_shards_recover_to_a_batch_boundary_at_every_crash_index() {
+        let distinct = sweep(0, 1, 0, WALKS);
+        assert!(distinct >= 5_000, "only {distinct} distinct pairs");
     }
 
-    /// Every seeded mutant of the commit path is caught by a random walk
-    /// of the one-shard instance (the split drain drops an enqueue only
-    /// when both writers share the drained queue), and a caught schedule
-    /// replays to the same violation.
+    /// Every seeded mutant of the commit path is caught by random walks
+    /// of the one-shard instance, and the caught schedule replays, at its
+    /// crash index, to the same violation. Crash-free walks catch the
+    /// mutants that strand or misanswer a caller (the split drain drops
+    /// an enqueue only when both writers share the drained queue). The
+    /// two early acknowledgements lose a key only at a crash, so the
+    /// checkpointing instance is swept over crash indices until one
+    /// does.
     #[test]
     fn the_checker_catches_every_seeded_mutant_of_the_commit_path() {
         use ViolationKind::{Deadlock, Panic};
-        let (a, b) = keys(0, 0);
-        let cases: [(&str, &'static [Switch], ViolationKind); 8] = [
+        let keys = keys(0, 0);
+        let crashes: Vec<Option<u64>> = (0..lifecycle_ios(keys, true)).map(Some).collect();
+        let cases: [(&str, &'static [Switch], ViolationKind); 10] = [
             ("IF_RECHECK", &[mutant::IF_RECHECK], Panic),
             ("NO_ACK_NOTIFY", &[mutant::NO_ACK_NOTIFY], Deadlock),
             ("NO_WORK_NOTIFY", &[mutant::NO_WORK_NOTIFY], Deadlock),
-            ("SPLIT_DRAIN", &[mutant::SPLIT_DRAIN], Deadlock),
+            ("SPLIT_DRAIN", &[mutant::SPLIT_DRAIN], Panic),
             ("NO_INFLIGHT_OVERLAY", &[mutant::NO_INFLIGHT_OVERLAY], Panic),
             ("NO_DIRTY_NOTIFY", &[mutant::NO_DIRTY_NOTIFY], Deadlock),
             ("NO_SHUTDOWN_NOTIFY", &[mutant::NO_SHUTDOWN_NOTIFY], Deadlock),
             ("NO_FINAL_CHECKPOINT", &[mutant::NO_FINAL_CHECKPOINT], Panic),
+            ("ACK_ALL_AFTER_HARDEN", &[mutant::ACK_ALL_AFTER_HARDEN], Panic),
+            ("ACK_BEFORE_LOG_COMMIT", &[mutant::ACK_BEFORE_LOG_COMMIT], Panic),
         ];
         for (name, switches, kind) in cases {
-            let Err(v) = Checker::new().check_random(SEED, 2_000, instance(a, b, switches)) else {
-                panic!("{name} survived 2 000 random walks");
-            };
-            assert_eq!(v.kind, kind, "{name}: {v}");
-            let again = Checker::new().replay(&v.trace, instance(a, b, switches)).unwrap_err();
+            let early_ack = name.starts_with("ACK_");
+            let (ckpt, at, walks) =
+                if early_ack { (true, &crashes[..], WALKS) } else { (false, &[None][..], 2_000) };
+            let caught = at.iter().find_map(|&crash_at| {
+                let run = instance(keys, ckpt, crash_at, switches);
+                let walk = Checker::new().check_random(walk_seed(crash_at), walks, run);
+                walk.err().map(|v| (crash_at, v))
+            });
+            let Some((crash_at, v)) = caught else { panic!("{name} survived every walk") };
+            assert_eq!(v.kind, kind, "{name}, crash at {crash_at:?}: {v}");
+            let run = instance(keys, ckpt, crash_at, switches);
+            let again = Checker::new().replay(&v.trace, run).unwrap_err();
             assert_eq!((again.kind, again.fingerprint), (v.kind, v.fingerprint), "{name}");
+            println!("{name}: caught at crash {crash_at:?}");
         }
     }
 
@@ -2614,13 +2659,13 @@ mod model_tests {
         assert_eq!(v.kind, ViolationKind::Deadlock, "{v}");
     }
 
-    /// The nightly sweep (`-- --ignored`): both instances far past the
-    /// PR gate's budget, by DFS and by random walk.
+    /// The nightly sweep (`-- --ignored`): the PR gate's crash sweep with
+    /// bounded DFS at every crash index and far more random walks.
     #[test]
-    #[ignore = "deep schedule sweep — run by torture-nightly, not the PR gate"]
+    #[ignore = "deep crash sweep — run by torture-nightly, not the PR gate"]
     fn deep_schedule_sweep() {
         for (sa, sb) in [(0, 0), (0, 1)] {
-            explore(sa, sb, 100_000);
+            sweep(sa, sb, 1_000, 1_000);
         }
     }
 }

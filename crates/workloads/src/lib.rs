@@ -17,23 +17,18 @@
 //!   persistent store, raw or in payload mode, on the crash-simulation
 //!   environment, crash it at a chosen (or exhaustively swept) I/O
 //!   index, reopen, and check the recovered state byte for byte against
-//!   a shadow model — all deterministic in one seed.
-//! * [`service`] — the concurrent twin: drive a sharded group-commit
-//!   service ([`dxh_core::ShardedKvStore`]) from real writer threads on
-//!   one simulated machine, crash it mid group commit, and check that
-//!   every shard recovers to a batch boundary (all-in or all-out).
+//!   a shadow model and the run's I/O trace against the durability
+//!   rules — all deterministic in one seed.
 //!
-//! Both harnesses run on one crash-run skeleton (`crash`): the seeded
-//! crash plan, crashed-or-violation sorting, the power cycle and the
-//! durability-trace check.
+//! The sharded group-commit service ([`dxh_core::ShardedKvStore`]) has
+//! no harness here: `dxh-core`'s model tests crash it at every I/O of a
+//! lifecycle under the schedules they explore, each run replayable.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod crash;
 pub mod generator;
 pub mod runner;
-pub mod service;
 pub mod torture;
 pub mod trace;
 pub mod zipf;
@@ -43,10 +38,6 @@ pub use generator::{
     WorkloadError, ZipfQueries, ZipfWrites,
 };
 pub use runner::{measure_tq, measure_tq_unsuccessful, parallel_trials, run_trace, RunReport};
-pub use service::{
-    service_torture_run, service_torture_run_on, sweep_service_crashes, sweep_service_crashes_on,
-    ServiceTortureReport, ServiceTortureSpec,
-};
 pub use torture::{
     sweep_crash_indices, torture_run, torture_run_on, PhaseMarkers, TortureReport, TortureSpec,
 };

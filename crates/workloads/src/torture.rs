@@ -42,12 +42,13 @@
 //! `torture` bench binary and `tests/torture.rs`, which run every seed
 //! in both modes).
 
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::fmt::Display;
 
 use dxh_core::{CoreConfig, ExternalDictionary, KvStore, SimMedia, StoreMedia};
-use dxh_extmem::{fnv1a64, IoEvent, Key, Result, SimEnv, Value};
+use dxh_extmem::{fnv1a64, FaultPlan, IoEvent, Key, Result, SimEnv, Value};
 
-use crate::crash::CrashRun;
 use crate::generator::{ChurnMix, Workload};
 use crate::trace::Op;
 
@@ -244,6 +245,66 @@ fn diff_state<M: StoreMedia>(
         }
     }
     out
+}
+
+/// One crash run in progress: the machine it drives and the violations
+/// seen so far.
+struct CrashRun {
+    /// The simulated machine of the run, tracing from its first op.
+    env: SimEnv,
+    violations: RefCell<Vec<String>>,
+}
+
+impl CrashRun {
+    /// A fresh machine that crashes at I/O index `crash_at`, if any,
+    /// with a write-survival lottery seeded from `seed` and the index.
+    fn new(seed: u64, crash_at: Option<u64>) -> Self {
+        let env = SimEnv::new();
+        env.set_tracing(true);
+        if let Some(k) = crash_at {
+            env.set_plan(FaultPlan::crash(k, seed ^ k.rotate_left(17)));
+        }
+        CrashRun { env, violations: RefCell::default() }
+    }
+
+    /// Records an invariant violation.
+    fn violation(&self, what: String) {
+        self.violations.borrow_mut().push(what);
+    }
+
+    /// Passes `Ok` through. An error is the crash itself once the crash
+    /// point has fired, and a violation otherwise; either way `None`
+    /// tells the caller to stop its phase.
+    fn check<T>(&self, what: impl Display, result: Result<T>) -> Option<T> {
+        result
+            .map_err(|e| {
+                if !self.env.crashed() {
+                    self.violation(format!("{what} failed without a crash: {e}"));
+                }
+            })
+            .ok()
+    }
+
+    /// Ends the crash phase: reports whether the crash fired — read
+    /// before the power cycle clears it, since a crash inside a
+    /// best-effort step (stray cleanup, a drop's sync) lets its phase
+    /// succeed — and power-cycles the machine with faults cleared.
+    fn power_cycle(&self) -> bool {
+        let crashed = self.env.crashed();
+        self.env.power_cycle();
+        crashed
+    }
+
+    /// Ends the run: its violations, then one for each durability rule
+    /// the whole I/O trace broke (`dxh_dura::check_trace`), and the
+    /// trace.
+    fn finish(self) -> (Vec<String>, Vec<IoEvent>) {
+        let trace = self.env.take_trace();
+        let mut violations = self.violations.into_inner();
+        violations
+            .extend(dxh_dura::check_trace(&trace).iter().map(|v| format!("durability trace: {v}")));
+        (violations, trace)
+    }
 }
 
 /// Runs one full lifecycle (see the module docs) with an optional crash

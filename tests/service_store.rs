@@ -1,17 +1,16 @@
 //! The concurrent sharded service end-to-end through the umbrella
 //! crate: real writer threads over a real directory deployment, the
 //! equivalence of the concurrent run with its single-threaded
-//! serialization, service-level crash torture on the simulated machine,
-//! and the service manifest's reopen contract.
+//! serialization, single-threaded crash lifecycles on the simulated
+//! machine, and the service manifest's reopen contract. The crash sweeps
+//! across concurrent schedules are `dxh-core`'s model tests
+//! (`service::model_tests`).
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
-use dyn_ext_hash::core::{CoreConfig, ShardedKvStore, SimMedia, WriteOp};
+use dyn_ext_hash::core::{CoreConfig, ShardedKvStore, SimMedia, StoreMedia, WriteOp};
 use dyn_ext_hash::extmem::{FaultPlan, SimEnv};
-use dyn_ext_hash::workloads::{
-    service_torture_run, sweep_service_crashes, sweep_service_crashes_on, ConcurrentChurn, Op,
-    ServiceTortureSpec,
-};
+use dyn_ext_hash::workloads::{ConcurrentChurn, Op};
 use proptest::prelude::*;
 
 mod lying_media;
@@ -23,10 +22,6 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
 
 fn cfg() -> CoreConfig {
     CoreConfig::lemma5(16, 256, 2).unwrap()
-}
-
-fn env_count(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
 /// Concurrent churn from real threads against a real directory, each
@@ -186,130 +181,6 @@ fn submit_batches_per_shard_and_answers_in_order() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The service-level torture acceptance gate: crash the simulated
-/// machine at points swept across the whole concurrent lifecycle and
-/// require zero per-shard batch-atomicity violations. `TORTURE_SEEDS` /
-/// `TORTURE_POINTS` scale it up for the nightly run.
-#[test]
-fn service_crash_sweep_has_zero_atomicity_violations() {
-    let seeds = env_count("TORTURE_SEEDS", 2);
-    let points = env_count("TORTURE_POINTS", 10);
-    for s in 0..seeds {
-        let spec = ServiceTortureSpec::small(0x5EAF00D ^ (s * 0x9E37_79B9));
-        let failures = sweep_service_crashes(&spec, points);
-        assert!(
-            failures.is_empty(),
-            "seed {}: {} crash points violated batch atomicity; first: crash_at {:?}: {:?}",
-            spec.seed,
-            failures.len(),
-            failures[0].crash_at,
-            failures[0].violations.first()
-        );
-    }
-}
-
-/// Non-vacuity, with no production knob: the same sweep over a service
-/// whose media silently drop every directory sync, or every file sync,
-/// must fail — acknowledged batches go missing after a crash (state),
-/// and the run's I/O trace breaks the durability rules (trace).
-#[test]
-fn service_sweep_catches_media_that_drop_a_sync() {
-    for lie in [Lie::DirSync, Lie::FileSync] {
-        let root = |env: &SimEnv| Lying { inner: SimMedia::unlocked(env), lie };
-        let (mut state, mut trace) = (0, 0);
-        for seed in 0..4u64 {
-            let spec = ServiceTortureSpec::checkpointing(0x11E5 ^ (seed * 0x9E37_79B9));
-            for report in sweep_service_crashes_on(&spec, 10, root) {
-                for v in &report.violations {
-                    if v.starts_with("durability trace:") {
-                        trace += 1;
-                    } else {
-                        state += 1;
-                    }
-                }
-            }
-        }
-        assert!(state > 0, "{lie:?}: no crash of the sweep exposed the lie in the recovered state");
-        assert!(trace > 0, "{lie:?}: the trace checker never noticed the missing sync");
-    }
-}
-
-/// The coalesced-sync window under crash: the wide scenario (4 shards,
-/// 6 writers) makes most sync rounds carry several shards' batches, so
-/// swept crash indices tear rounds that siblings share. Each shard must
-/// still recover all-in-or-all-out to a prefix of its own batches.
-#[test]
-fn coalesced_round_crash_sweep_keeps_shards_independent() {
-    let seeds = env_count("TORTURE_SEEDS", 2);
-    let points = env_count("TORTURE_POINTS", 8);
-    for s in 0..seeds {
-        let spec = ServiceTortureSpec::wide(0xC0A1E5CE ^ (s * 0x9E37_79B9));
-        let failures = sweep_service_crashes(&spec, points);
-        assert!(
-            failures.is_empty(),
-            "seed {}: {} crash points violated per-shard batch atomicity under \
-             coalesced rounds; first: crash_at {:?}: {:?}",
-            spec.seed,
-            failures.len(),
-            failures[0].crash_at,
-            failures[0].violations.first()
-        );
-    }
-}
-
-/// Checkpoints under crash: the checkpointing scenario shrinks the log
-/// threshold so every few rounds are followed by a checkpoint — every
-/// shard's manifest hardened in turn, then the log emptied. Crash
-/// indices swept across the lifecycle, and at every I/O of one
-/// checkpoint period from its middle — some shards hardened and some
-/// not, all hardened and the truncate pending — must still recover to
-/// batch boundaries with a conformant I/O trace.
-#[test]
-fn staggered_checkpoint_crash_sweep_stays_atomic() {
-    let seeds = env_count("TORTURE_SEEDS", 2);
-    let points = env_count("TORTURE_POINTS", 8);
-    for s in 0..seeds {
-        assert_checkpoint_sweep_clean(0xC4EC_4B01 ^ (s * 0x9E37_79B9), points);
-    }
-}
-
-fn assert_checkpoint_sweep_clean(seed: u64, points: u64) {
-    let spec = ServiceTortureSpec::checkpointing(seed);
-    let mut failures = sweep_service_crashes(&spec, points);
-    let clean = service_torture_run(&spec, None);
-    let period = clean.total_ops / (clean.sealed_discards + 1);
-    let from = clean.total_ops / 2;
-    failures.extend(
-        (from..from + period)
-            .map(|k| service_torture_run(&spec, Some(k)))
-            .filter(|r| !r.violations.is_empty()),
-    );
-    assert!(
-        failures.is_empty(),
-        "seed {seed}: {} crash points inside the checkpointing lifecycle violated an \
-         invariant; first: crash_at {:?}: {:?}",
-        failures.len(),
-        failures[0].crash_at,
-        failures[0].violations.first()
-    );
-}
-
-/// G4's harden window, pinned shut. These three seeds are where the
-/// nightly-size sweep used to fail (crash indices 189, 285 and 155/270:
-/// a crash between a checkpoint harden's data fsync and its manifest
-/// rename left in-place level merges durable under the old manifest,
-/// and log replay half-undid them). No level is merged into in place
-/// any more, so nothing the old manifest names is written before the
-/// next one commits
-/// (`store::no_block_a_committed_manifest_names_is_written_before_the_next_commit`).
-/// Each seed's sweep covers every I/O of one of its checkpoints, too.
-#[test]
-fn the_seeds_that_found_the_harden_window_sweep_clean() {
-    for seed in [4_803_143_210u64, 1_524_314_808, 8_464_283_763] {
-        assert_checkpoint_sweep_clean(seed, 64);
-    }
-}
-
 /// Dropping the service runs the drain-then-sync handshake: every op
 /// accepted before the drop is durable after it — even with writers
 /// racing the drop from other threads until the moment it happens.
@@ -342,19 +213,6 @@ fn drop_handshake_loses_no_acknowledged_ops() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A crash aimed square at the middle of the lifecycle must land (the
-/// report says so) and still recover to batch boundaries.
-#[test]
-fn mid_commit_crash_recovers_to_a_batch_boundary() {
-    let spec = ServiceTortureSpec::small(0xBADC0DE);
-    let clean = service_torture_run(&spec, None);
-    assert!(clean.violations.is_empty(), "clean run: {:?}", clean.violations);
-    assert!(clean.committed_batches > 0);
-    let mid = service_torture_run(&spec, Some(clean.total_ops / 2));
-    assert!(mid.crashed, "the crash point fires inside the workload");
-    assert!(mid.violations.is_empty(), "violations: {:?}", mid.violations);
-}
-
 /// A generated write op plus the serial model's answer for it.
 fn apply_serial(model: &mut HashMap<u64, u64>, sel: u8, k: u64, v: u64) -> (WriteOp, bool) {
     if sel < 6 {
@@ -362,6 +220,125 @@ fn apply_serial(model: &mut HashMap<u64, u64>, sel: u8, k: u64, v: u64) -> (Writ
         (WriteOp::Put(k, v), true)
     } else {
         (WriteOp::Delete(k), model.remove(&k).is_some())
+    }
+}
+
+/// A generated op as `submit` takes it.
+fn write_op(&(sel, k, v): &(u8, u64, u64)) -> WriteOp {
+    if sel < 6 {
+        WriteOp::Put(k, v)
+    } else {
+        WriteOp::Delete(k)
+    }
+}
+
+/// One single-threaded crash lifecycle on `root(env)`: `ops` submitted
+/// `chunk` at a time to a `shards`-shard service, the machine crashed at
+/// I/O `crash_at` (`None`: never), power-cycled and reopened. Returns the
+/// I/Os made before the power cycle, or the first breach of the crash
+/// contract: a call failed with the machine up, the reopen failed, an
+/// acknowledged chunk was lost, or the chunk the crash failed was split
+/// within a shard.
+fn crash_lifecycle<M: StoreMedia + Send + 'static>(
+    root: impl Fn(&SimEnv) -> M,
+    ops: &[(u8, u64, u64)],
+    chunk: usize,
+    shards: usize,
+    seed: u64,
+    crash_at: Option<u64>,
+) -> Result<u64, String> {
+    let cfg = CoreConfig::lemma5(4, 96, 2).unwrap();
+    let env = SimEnv::new();
+    if let Some(k) = crash_at {
+        env.set_plan(FaultPlan::crash(k, seed ^ k.rotate_left(17)));
+    }
+    let mut acked: HashMap<u64, u64> = HashMap::new();
+    let mut failed_window: &[(u8, u64, u64)] = &[];
+    match ShardedKvStore::open_on(root(&env), shards, cfg.clone(), seed) {
+        Ok(svc) => {
+            for window in ops.chunks(chunk) {
+                match svc.submit(&window.iter().map(write_op).collect::<Vec<_>>()) {
+                    Ok(_) => {
+                        for &(sel, k, v) in window {
+                            apply_serial(&mut acked, sel, k, v);
+                        }
+                    }
+                    Err(_) if env.crashed() => {
+                        failed_window = window;
+                        break;
+                    }
+                    Err(e) => return Err(format!("submit failed without a crash: {e}")),
+                }
+            }
+        }
+        Err(e) if !env.crashed() => return Err(format!("open failed without a crash: {e}")),
+        Err(_) => {} // a crash inside the open: nothing was acknowledged
+    }
+    let ios = env.ops();
+    env.power_cycle();
+    let svc = ShardedKvStore::open_on(root(&env), shards, cfg, seed)
+        .map_err(|e| format!("the reopen failed: {e}"))?;
+    let get = |k: u64| svc.get(k).map_err(|e| format!("get({k}) after the reopen: {e}"));
+    // The crashing chunk's per-shard verdict: every key of a shard's
+    // slice reflects the chunk, or none does.
+    let mut failed = acked.clone();
+    for &(sel, k, v) in failed_window {
+        apply_serial(&mut failed, sel, k, v);
+    }
+    let failed_keys: BTreeSet<u64> = failed_window.iter().map(|op| op.1).collect();
+    let mut verdicts: HashMap<usize, bool> = HashMap::new();
+    for &k in &failed_keys {
+        let (got, before, after) = (get(k)?, acked.get(&k).copied(), failed.get(&k).copied());
+        let verdict = match (got == before, got == after) {
+            _ if before == after => continue, // indistinguishable
+            (true, _) => false,
+            (_, true) => true,
+            _ => {
+                return Err(format!(
+                    "key {k} recovered to {got:?}, matching neither the acked fold ({before:?}) \
+                     nor the crashing chunk ({after:?})"
+                ))
+            }
+        };
+        let si = svc.shard_of(k);
+        if verdicts.insert(si, verdict).is_some_and(|prev| prev != verdict) {
+            return Err(format!("shard {si} split the crashing chunk"));
+        }
+    }
+    // Every key the crashing chunk did not touch recovers to the acked
+    // fold exactly.
+    let keys: BTreeSet<u64> = ops.iter().map(|op| op.1).collect();
+    for &k in keys.difference(&failed_keys) {
+        if get(k)? != acked.get(&k).copied() {
+            return Err(format!("acked key {k} diverged after crash recovery"));
+        }
+    }
+    Ok(ios)
+}
+
+/// Non-vacuity, with no production knob: over media that silently drop
+/// every directory sync, or every file sync, some crash of a lifecycle
+/// loses an acknowledged write, where honest media lose none. A lie
+/// belongs to the media, not to the schedule, so one thread drives it.
+/// The trace half — such a run's I/O trace breaks the durability rules
+/// — is asserted over the same media and rules by
+/// `tests/torture.rs::sweep_catches_media_that_drop_a_sync`.
+#[test]
+fn service_sweep_catches_media_that_drop_a_sync() {
+    fn breaches<M: StoreMedia + Send + 'static>(
+        root: impl Fn(&SimEnv) -> M + Copy,
+        ops: &[(u8, u64, u64)],
+        ios: u64,
+    ) -> usize {
+        (1..ios).filter(|&k| crash_lifecycle(root, ops, 4, 2, 0x11E5, Some(k)).is_err()).count()
+    }
+    let ops: Vec<(u8, u64, u64)> = (0..48).map(|i| ((i % 10) as u8, i % 16, i + 1)).collect();
+    let ios = crash_lifecycle(SimMedia::unlocked, &ops, 4, 2, 0x11E5, None).unwrap();
+    assert_eq!(breaches(SimMedia::unlocked, &ops, ios), 0, "honest media lost a write");
+    for lie in [Lie::DirSync, Lie::FileSync] {
+        let lying = |env: &SimEnv| Lying { inner: SimMedia::unlocked(env), lie };
+        let lost = breaches(lying, &ops, ios);
+        assert!(lost > 0, "{lie:?}: no crash exposed the lie in the recovered state");
     }
 }
 
@@ -468,102 +445,13 @@ proptest! {
         seed in any::<u64>(),
         frac in 0.05f64..0.95,
     ) {
-        let cfg = CoreConfig::lemma5(4, 96, 2).unwrap();
-        // Size the fault-free lifecycle to aim the crash inside it.
-        let sizing = SimEnv::new();
-        {
-            let svc = ShardedKvStore::open_on(
-                SimMedia::unlocked(&sizing), shards, cfg.clone(), seed).unwrap();
-            for window in ops.chunks(chunk) {
-                let batch: Vec<WriteOp> = window.iter()
-                    .map(|&(sel, k, v)| {
-                        if sel < 6 { WriteOp::Put(k, v) } else { WriteOp::Delete(k) }
-                    })
-                    .collect();
-                svc.submit(&batch).unwrap();
-            }
-        }
-        let crash_at = ((sizing.ops() as f64 * frac) as u64).max(1);
-        let env = SimEnv::new();
-        env.set_plan(FaultPlan::crash(crash_at, seed ^ crash_at.rotate_left(17)));
-        let svc = match ShardedKvStore::open_on(
-            SimMedia::unlocked(&env), shards, cfg.clone(), seed) {
-            Ok(s) => s,
-            Err(_) => {
-                prop_assert!(env.crashed(), "open failed without a crash");
-                return Ok(()); // crash during open: nothing was acknowledged
-            }
+        let lifecycle = |crash_at| {
+            crash_lifecycle(SimMedia::unlocked, &ops, chunk, shards, seed, crash_at)
+                .map_err(TestCaseError::fail)
         };
-        let mut acked: HashMap<u64, u64> = HashMap::new();
-        let mut failed_window: Option<&[(u8, u64, u64)]> = None;
-        for window in ops.chunks(chunk) {
-            let batch: Vec<WriteOp> = window.iter()
-                .map(|&(sel, k, v)| if sel < 6 { WriteOp::Put(k, v) } else { WriteOp::Delete(k) })
-                .collect();
-            match svc.submit(&batch) {
-                Ok(_) => {
-                    for &(sel, k, v) in window {
-                        apply_serial(&mut acked, sel, k, v);
-                    }
-                }
-                Err(_) => {
-                    prop_assert!(env.crashed(), "submit failed without a crash");
-                    failed_window = Some(window);
-                    break;
-                }
-            }
-        }
-        drop(svc); // wedged shards must not commit
-        env.power_cycle();
-        let svc = ShardedKvStore::open_on(SimMedia::unlocked(&env), shards, cfg, seed).unwrap();
-        // The crashing chunk's per-shard verdict: every key of a shard's
-        // slice reflects the chunk, or none does.
-        let mut failed: HashMap<u64, u64> = acked.clone();
-        let mut failed_keys: Vec<u64> = Vec::new();
-        if let Some(window) = failed_window {
-            for &(sel, k, v) in window {
-                apply_serial(&mut failed, sel, k, v);
-                if !failed_keys.contains(&k) {
-                    failed_keys.push(k);
-                }
-            }
-        }
-        let mut shard_verdict: HashMap<usize, bool> = HashMap::new();
-        for &k in &failed_keys {
-            let got = svc.get(k).unwrap();
-            let before = acked.get(&k).copied();
-            let after = failed.get(&k).copied();
-            let verdict = match (got == before, got == after) {
-                (_, _) if before == after => continue, // indistinguishable
-                (true, false) => false,
-                (false, true) => true,
-                (true, true) => continue,
-                (false, false) => {
-                    return Err(TestCaseError::fail(format!(
-                        "key {k} recovered to {got:?}, matching neither the acked \
-                         fold ({before:?}) nor the crashing chunk ({after:?})"
-                    )));
-                }
-            };
-            let si = svc.shard_of(k);
-            if let Some(&prev) = shard_verdict.get(&si) {
-                prop_assert_eq!(prev, verdict, "shard {} split the crashing chunk", si);
-            }
-            shard_verdict.insert(si, verdict);
-        }
-        // Every key the crashing chunk did not touch recovers to the
-        // acked fold exactly.
-        for k in 0..16u64 {
-            if failed_keys.contains(&k) {
-                continue;
-            }
-            prop_assert_eq!(
-                svc.get(k).unwrap(),
-                acked.get(&k).copied(),
-                "acked key {} diverged after crash recovery",
-                k
-            );
-        }
+        // Size the fault-free lifecycle to aim the crash inside it.
+        let ios = lifecycle(None)?;
+        lifecycle(Some(((ios as f64 * frac) as u64).max(1)))?;
     }
 }
 
