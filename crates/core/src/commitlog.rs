@@ -11,10 +11,9 @@ use std::sync::Arc;
 
 use dxh_extmem::frame::{push_frame, FrameBuf, FRAME_HEADER};
 use dxh_extmem::{BlobFile, ExtMemError, Key, Result};
-use dxh_tables::ExternalDictionary;
 
 use crate::media::StoreMedia;
-use crate::service::Effect;
+use crate::service::{apply_write, Effect};
 use crate::store::KvStore;
 
 /// Commit-log file name inside a service root.
@@ -249,13 +248,7 @@ pub(crate) fn replay_log<M: StoreMedia>(
             return Ok(true);
         }
         for (k, eff) in effects {
-            match eff {
-                Some(Effect::Word(v)) => store.insert(k, v)?,
-                Some(Effect::Bytes(b)) => store.put_bytes(k, &b)?,
-                None => {
-                    store.delete(k)?;
-                }
-            }
+            apply_write(store, k, eff.as_ref())?;
         }
         store.set_replay_watermark(seq);
         Ok(true)
@@ -276,6 +269,7 @@ mod tests {
     use crate::{CoreConfig, ShardedKvStore, SimMedia};
     use dxh_extmem::frame::Frames;
     use dxh_extmem::SimEnv;
+    use dxh_tables::ExternalDictionary;
     use proptest::prelude::*;
 
     /// Every intact record of a log image, up to the first torn, corrupt

@@ -85,8 +85,7 @@
 
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use dxh_sync::thread::JoinHandle;
 use dxh_sync::{Condvar, Mutex, Rank};
@@ -100,7 +99,7 @@ use crate::config::CoreConfig;
 use crate::media::{
     best_effort, commit_file_atomic, older_layout, read_text, DirMedia, StoreMedia,
 };
-use crate::store::KvStore;
+use crate::store::{word_of_payload, KvStore};
 
 /// A seeded-mutant site: `mutant!(SWITCH => action)` runs `action` (most
 /// often a `return`, `break` or `continue` past the line the mutant
@@ -140,6 +139,17 @@ pub enum WriteOp {
     Delete(Key),
 }
 
+impl WriteOp {
+    /// The op as a queued write: its key and its effect (`None` for a
+    /// delete).
+    fn effect(self) -> (Key, Option<Effect>) {
+        match self {
+            WriteOp::Put(k, v) => (k, Some(Effect::Word(v))),
+            WriteOp::Delete(k) => (k, None),
+        }
+    }
+}
+
 /// What a recorded write put at its key: a table word (the
 /// [`ShardedKvStore::put`] / [`ShardedKvStore::submit`] APIs) or a byte
 /// payload ([`ShardedKvStore::put_bytes`], payload-mode services only).
@@ -153,60 +163,36 @@ pub(crate) enum Effect {
     Bytes(Arc<[u8]>),
 }
 
-/// The internal form of a queued write: the public [`WriteOp`] pair plus
-/// the byte-payload op, which never appears in the public submit enum
-/// (it is not `Copy`, and byte writes are only valid on payload-mode
-/// services).
-#[derive(Clone, Debug)]
-enum Op {
-    Put(Key, Value),
-    Delete(Key),
-    PutBytes(Key, Arc<[u8]>),
+/// Rejects the reserved sentinels before a write is enqueued, so an
+/// invalid op is an immediate per-call error and an apply-time error is
+/// always environmental (and wedges the shard). On a payload-mode
+/// service the word domain is unrestricted — values live in the blob log
+/// there, where the deletion marker is out-of-band (see the sentinel
+/// note on [`VALUE_TOMBSTONE`]).
+fn validate((key, effect): &(Key, Option<Effect>), payloads: bool) -> Result<()> {
+    if *key == KEY_TOMBSTONE {
+        return Err(ExtMemError::BadConfig("key u64::MAX is reserved".into()));
+    }
+    if matches!(effect, Some(Effect::Word(VALUE_TOMBSTONE))) && !payloads {
+        return Err(ExtMemError::BadConfig(
+            "value u64::MAX is reserved as the deletion marker".into(),
+        ));
+    }
+    Ok(())
 }
 
-impl From<WriteOp> for Op {
-    fn from(op: WriteOp) -> Op {
-        match op {
-            WriteOp::Put(k, v) => Op::Put(k, v),
-            WriteOp::Delete(k) => Op::Delete(k),
-        }
-    }
-}
-
-impl Op {
-    fn key(&self) -> Key {
-        match *self {
-            Op::Put(k, _) | Op::Delete(k) | Op::PutBytes(k, _) => k,
-        }
-    }
-
-    /// The op as a `(key, effect)` pair.
-    fn effect(&self) -> (Key, Option<Effect>) {
-        match self {
-            Op::Put(k, v) => (*k, Some(Effect::Word(*v))),
-            Op::Delete(k) => (*k, None),
-            Op::PutBytes(k, b) => (*k, Some(Effect::Bytes(b.clone()))),
-        }
-    }
-
-    /// Rejects the reserved sentinels before anything is enqueued, so an
-    /// invalid op is an immediate per-call error and an apply-time error
-    /// is always environmental (and wedges the shard). On a payload-mode
-    /// service the word domain is unrestricted — values live in the blob
-    /// log there, where the deletion marker is out-of-band (see the
-    /// sentinel note on [`VALUE_TOMBSTONE`]).
-    fn validate(&self, payloads: bool) -> Result<()> {
-        if self.key() == KEY_TOMBSTONE {
-            return Err(ExtMemError::BadConfig("key u64::MAX is reserved".into()));
-        }
-        if let Op::Put(_, v) = self {
-            if *v == VALUE_TOMBSTONE && !payloads {
-                return Err(ExtMemError::BadConfig(
-                    "value u64::MAX is reserved as the deletion marker".into(),
-                ));
-            }
-        }
-        Ok(())
+/// Applies one write to `store` and returns its answer: `true` for a
+/// put, whether the key was present for a delete. The committer's apply
+/// and the commit log's replay both go through it.
+pub(crate) fn apply_write<M: StoreMedia>(
+    store: &mut KvStore<M>,
+    key: Key,
+    effect: Option<&Effect>,
+) -> Result<bool> {
+    match effect {
+        Some(Effect::Word(v)) => store.insert(key, *v).map(|()| true),
+        Some(Effect::Bytes(b)) => store.put_bytes(key, b).map(|()| true),
+        None => store.delete(key),
     }
 }
 
@@ -310,17 +296,16 @@ impl ServiceStats {
 /// newest effect)` per distinct key. It is what the commit log records
 /// and replay refolds — replay is last-write-wins, so folding it leaves
 /// the state that applying every op of the queue in order leaves.
-fn fold_newest_wins(queue: &[Op]) -> Vec<(Key, Option<Effect>)> {
+fn fold_newest_wins(queue: &[(Key, Option<Effect>)]) -> Vec<(Key, Option<Effect>)> {
     use std::collections::hash_map::Entry;
     let mut at: HashMap<Key, usize> = HashMap::with_capacity(queue.len());
     let mut fold: Vec<(Key, Option<Effect>)> = Vec::with_capacity(queue.len());
-    for op in queue {
-        let (k, effect) = op.effect();
-        match at.entry(k) {
-            Entry::Occupied(e) => fold[*e.get()].1 = effect,
+    for (k, effect) in queue {
+        match at.entry(*k) {
+            Entry::Occupied(e) => fold[*e.get()].1 = effect.clone(),
             Entry::Vacant(e) => {
                 e.insert(fold.len());
-                fold.push((k, effect));
+                fold.push((*k, effect.clone()));
             }
         }
     }
@@ -330,21 +315,16 @@ fn fold_newest_wins(queue: &[Op]) -> Vec<(Key, Option<Effect>)> {
 /// Where every writer of one batch finds its outcome: `Ok(answers)`, one
 /// per op in arrival order (delete's was-present answer, `true` for
 /// puts), once a log round or a harden made the batch durable;
-/// `Err(why)` when the shard wedged first. Filled exactly once, under
-/// the shard's buffer lock, before the ack condvar broadcast.
-struct BatchCell(Mutex<Option<std::result::Result<Vec<bool>, String>>>);
+/// `Err(why)` when the shard wedged first. Set once and read only under
+/// the shard's buffer lock — the set before the ack condvar broadcast —
+/// so it is never contended and never blocks: it is no lock of its own.
+type Outcome = Arc<OnceLock<std::result::Result<Vec<bool>, String>>>;
 
-impl Default for BatchCell {
-    fn default() -> Self {
-        BatchCell(Mutex::new(Rank::Cell, None))
-    }
-}
-
-/// A caller's claim on a batch: its cell, and where the caller's ops sit
-/// in it. The committer drains the whole queue, so the slice one
+/// A caller's claim on a batch: its outcome cell, and where the caller's
+/// ops sit in it. The committer drains the whole queue, so the slice one
 /// enqueue placed is always contiguous inside one batch.
 struct Ticket {
-    cell: Arc<BatchCell>,
+    cell: Outcome,
     range: std::ops::Range<usize>,
 }
 
@@ -355,14 +335,14 @@ struct Ticket {
 /// the shard's own manifest cover it — and a wedge fails it at any
 /// point.
 struct Batch {
-    cell: Arc<BatchCell>,
+    cell: Outcome,
     /// The batch's per-shard sequence number (monotone in apply order),
     /// framed into its commit-log record so reopen-time replay can skip
     /// batches the shard's manifest watermark already covers.
     seq: u64,
-    /// The batch's newest-wins fold ([`fold_newest_wins`]) — what a log
-    /// round frames into the commit log, and (when recording) the
-    /// history entry.
+    /// The batch's newest-wins fold ([`fold_newest_wins`]) — what readers
+    /// see while the batch applies, what a log round frames into the
+    /// commit log, and (when recording) the history entry.
     effects: Vec<(Key, Option<Effect>)>,
     /// Every op's answer once the apply finished; `None` while it runs.
     answers: Option<Vec<bool>>,
@@ -373,18 +353,17 @@ struct Batch {
 /// enqueues and overlay reads never wait behind an apply or a harden.
 #[derive(Default)]
 struct BufState {
-    /// Ops accepted for the *next* batch, in arrival order. Doubles as
-    /// the read-your-writes overlay: a key's newest op in it is the
-    /// answer a reader sees.
-    pending: Vec<Op>,
-    /// The cell `pending`'s writers park on; the drain takes both.
-    pending_cell: Arc<BatchCell>,
-    /// Fold of the batch currently being applied — visible to readers
-    /// until the store itself can answer for it.
-    inflight_overlay: HashMap<Key, Option<Effect>>,
+    /// Writes accepted for the *next* batch, in arrival order. The first
+    /// half of the read-your-writes overlay: a key's newest write in it
+    /// is the answer a reader sees.
+    pending: Vec<(Key, Option<Effect>)>,
+    /// The outcome cell `pending`'s writers park on; the drain takes
+    /// both.
+    pending_cell: Outcome,
     /// Every drained batch whose writers are not yet answered, in seq
     /// order: the applied ones (pipelined acks), then at most one still
-    /// applying. A wedged shard keeps them as in-flight candidates.
+    /// applying — whose fold is the overlay's second half. A wedged
+    /// shard keeps them as in-flight candidates.
     batches: Vec<Batch>,
     /// Sequence number the next drained batch takes. Seeded at open
     /// from the store's persisted replay watermark plus one; per-shard
@@ -416,11 +395,14 @@ impl BufState {
     /// The key's newest accepted effect (`Some(None)` = a delete), if it
     /// is not yet the store's to answer.
     fn overlay_get(&self, key: Key) -> Option<Option<Effect>> {
-        // `pending` is strictly newer than the batch being applied.
-        match self.pending.iter().rev().find(|op| op.key() == key) {
-            Some(op) => Some(op.effect().1),
-            None => self.inflight_overlay.get(&key).cloned(),
+        // `pending` is strictly newer than the batch being applied, and
+        // the store answers for every batch before it.
+        if let Some((_, effect)) = self.pending.iter().rev().find(|w| w.0 == key) {
+            return Some(effect.clone());
         }
+        let applying = self.batches.last().filter(|b| b.answers.is_none())?;
+        mutant!(NO_INFLIGHT_OVERLAY => return None);
+        applying.effects.iter().find(|w| w.0 == key).map(|w| w.1.clone())
     }
 
     /// Whether the committer is mid-apply on a live shard (the
@@ -456,7 +438,7 @@ fn ack_through<M: StoreMedia>(shard: &Shard<M>, seq: u64) {
             if buf.recording {
                 buf.history.push(BatchRecord { ops: b.effects });
             }
-            *b.cell.0.lock() = Some(Ok(answers));
+            b.cell.set(Ok(answers)).expect("a batch is answered once");
         }
     }
     mutant!(NO_ACK_NOTIFY => return);
@@ -467,7 +449,7 @@ struct Shard<M: StoreMedia> {
     buf: Mutex<BufState>,
     /// Wakes the committer: new pending work, shutdown.
     work_cv: Condvar,
-    /// Wakes parked writers: their batch's cell was filled.
+    /// Wakes parked writers: their batch's outcome was set.
     ack_cv: Condvar,
     /// The persistent store; held by the committer for the length of one
     /// apply, by the coordinator for one harden, and by readers that
@@ -493,16 +475,6 @@ struct SyncCoordinator {
     state: Mutex<CoordState>,
     /// Wakes the coordinator: new dirt, shutdown.
     cv: Condvar,
-    /// Commit-log bytes that trigger a checkpoint; defaults to
-    /// [`CHECKPOINT_LOG_BYTES`], overridable per service handle (the
-    /// torture harness shrinks it to sweep crashes across checkpoints).
-    ckpt_bytes: AtomicU64,
-    /// Checkpoints that emptied the log (feeds
-    /// [`ServiceStats::sealed_discards`]).
-    sealed_discards: AtomicU64,
-    /// Failed truncates after a clean checkpoint (feeds
-    /// [`ServiceStats::sealed_discard_failures`]).
-    sealed_discard_failures: AtomicU64,
 }
 
 struct CoordState {
@@ -512,18 +484,29 @@ struct CoordState {
     /// epoch.
     epoch: u64,
     shutdown: bool,
+    /// Commit-log bytes that trigger a checkpoint; defaults to
+    /// [`CHECKPOINT_LOG_BYTES`], overridable per service handle (tests
+    /// shrink it to sweep crashes across checkpoints).
+    ckpt_bytes: u64,
+    /// Checkpoints that emptied the log (feeds
+    /// [`ServiceStats::sealed_discards`]).
+    sealed_discards: u64,
+    /// Failed truncates after a clean checkpoint (feeds
+    /// [`ServiceStats::sealed_discard_failures`]).
+    sealed_discard_failures: u64,
 }
 
 impl SyncCoordinator {
     fn new(shards: usize) -> Self {
-        let state = CoordState { dirty: vec![false; shards], epoch: 0, shutdown: false };
-        SyncCoordinator {
-            state: Mutex::new(Rank::Coord, state),
-            cv: Condvar::new(),
-            ckpt_bytes: AtomicU64::new(CHECKPOINT_LOG_BYTES),
-            sealed_discards: AtomicU64::new(0),
-            sealed_discard_failures: AtomicU64::new(0),
-        }
+        let state = CoordState {
+            dirty: vec![false; shards],
+            epoch: 0,
+            shutdown: false,
+            ckpt_bytes: CHECKPOINT_LOG_BYTES,
+            sealed_discards: 0,
+            sealed_discard_failures: 0,
+        };
+        SyncCoordinator { state: Mutex::new(Rank::Coord, state), cv: Condvar::new() }
     }
 
     /// A committer applied a batch on shard `si`: schedule it into the
@@ -621,16 +604,16 @@ fn coordinator_loop<M: StoreMedia>(
             let (st, _) = coord.cv.wait_timeout(st, std::time::Duration::from_micros(200));
             drop(st);
         }
-        let participants: Vec<usize> = {
+        let (participants, ckpt_bytes) = {
             let mut st = coord.state.lock();
             let p: Vec<usize> = (0..st.dirty.len()).filter(|&i| st.dirty[i]).collect();
             for &i in &p {
                 st.dirty[i] = false;
             }
-            p
+            (p, st.ckpt_bytes)
         };
         commit_round(&shards, &coord, &mut log, &participants);
-        if log.size() >= coord.ckpt_bytes.load(Ordering::Relaxed) {
+        if log.size() >= ckpt_bytes {
             checkpoint(&shards, &coord, &mut log);
         }
     }
@@ -726,11 +709,13 @@ fn checkpoint<M: StoreMedia>(
     // A failed truncate keeps records every manifest covers: replay
     // would skip them by watermark. It is counted, not swallowed, and
     // the next round past the threshold checkpoints again.
-    let counter = match log.truncate() {
-        Ok(()) => &coord.sealed_discards,
-        Err(_) => &coord.sealed_discard_failures,
-    };
-    counter.fetch_add(1, Ordering::Relaxed);
+    let truncated = log.truncate().is_ok();
+    let mut st = coord.state.lock();
+    if truncated {
+        st.sealed_discards += 1;
+    } else {
+        st.sealed_discard_failures += 1;
+    }
 }
 
 /// Wedges the shard if its committer thread dies by panic. Mutex
@@ -747,16 +732,8 @@ struct CommitterPanicGuard<'a, M: StoreMedia>(&'a Shard<M>);
 
 impl<M: StoreMedia> Drop for CommitterPanicGuard<'_, M> {
     fn drop(&mut self) {
-        if !std::thread::panicking() {
-            return;
-        }
-        let shard = self.0;
-        if shard.buf.lock().wedged.is_some() {
-            // Keep the original failure cause; just make sure nobody
-            // sleeps through the committer's death.
-            shard.ack_cv.notify_all();
-        } else {
-            wedge(shard, "committer thread panicked".to_string());
+        if std::thread::panicking() {
+            wedge(self.0, "committer thread panicked".to_string());
         }
     }
 }
@@ -802,20 +779,20 @@ fn committer_loop<M: StoreMedia>(shard: Arc<Shard<M>>, coord: Arc<SyncCoordinato
 
 /// Takes the shard's whole pending queue as one batch and applies
 /// **every** op to the table in arrival order. Each op's answer is the
-/// table call's own — `true` for a put, [`KvStore`]'s delete presence
-/// for a delete — so the answers are serial by construction. The
-/// queue's newest-wins fold ([`fold_newest_wins`]) is what readers see
-/// while the apply runs and what the commit log records. The batch joins
-/// `BufState::batches` at the drain, where a wedge finds it whenever it
-/// strikes. Returns whether a batch was applied and now awaits its
-/// epoch (false: nothing pending, shard wedged, or — wedging it now —
-/// the apply failed).
+/// table call's own ([`apply_write`]), so the answers are serial by
+/// construction. The batch joins `BufState::batches` at the drain, where
+/// a wedge finds it whenever it strikes; its newest-wins fold
+/// ([`fold_newest_wins`]) is what readers see while the apply runs and
+/// what the commit log records. Returns whether a batch was applied and
+/// now awaits its epoch (false: nothing pending, shard wedged, or —
+/// wedging it now — the apply failed).
 fn apply_pending<M: StoreMedia>(shard: &Shard<M>) -> bool {
     let (ops, seq) = {
         let mut buf = shard.buf.lock();
         if buf.wedged.is_some() || buf.pending.is_empty() {
             return false;
         }
+        debug_assert!(!buf.applying(), "one apply at a time");
         let ops = std::mem::take(&mut buf.pending);
         let cell = std::mem::take(&mut buf.pending_cell);
         mutant!(SPLIT_DRAIN => buf = mutant::relock_and_clear(&shard.buf, buf));
@@ -823,9 +800,6 @@ fn apply_pending<M: StoreMedia>(shard: &Shard<M>) -> bool {
         buf.next_seq += 1;
         let effects = fold_newest_wins(&ops);
         buf.coalesced_ops += (ops.len() - effects.len()) as u64;
-        debug_assert!(buf.inflight_overlay.is_empty(), "one apply at a time");
-        buf.inflight_overlay = effects.iter().cloned().collect();
-        mutant!(NO_INFLIGHT_OVERLAY => buf.inflight_overlay.clear());
         buf.batches.push(Batch { cell, seq, effects, answers: None });
         (ops, seq)
     };
@@ -835,13 +809,8 @@ fn apply_pending<M: StoreMedia>(shard: &Shard<M>) -> bool {
     {
         let store = shard.store.lock();
         let mut store = PoisonOnUnwind(store);
-        for op in &ops {
-            let applied = match op {
-                Op::Put(k, v) => store.0.insert(*k, *v).map(|()| true),
-                Op::PutBytes(k, b) => store.0.put_bytes(*k, b).map(|()| true),
-                Op::Delete(k) => store.0.delete(*k),
-            };
-            match applied {
+        for (k, effect) in &ops {
+            match apply_write(&mut store.0, *k, effect.as_ref()) {
                 Ok(ans) => answers.push(ans),
                 Err(e) => {
                     failure = Some(e.to_string());
@@ -866,7 +835,6 @@ fn apply_pending<M: StoreMedia>(shard: &Shard<M>) -> bool {
     match failure {
         None => {
             let mut buf = shard.buf.lock();
-            buf.inflight_overlay.clear();
             // Nothing drains or removes an unapplied batch meanwhile: it
             // is still the last one.
             let batch = buf.batches.last_mut().expect("the drained batch stays until answered");
@@ -960,7 +928,7 @@ mod mutant {
     pub(super) const ACK_ALL_AFTER_HARDEN: Switch = Switch(1);
     /// `drive` parks with `if`, not `while`: any wakeup returns.
     pub(super) const IF_RECHECK: Switch = Switch(1 << 1);
-    /// `ack_through` fills its batches' cells but never wakes their
+    /// `ack_through` sets its batches' outcomes but never wakes their
     /// writers.
     pub(super) const NO_ACK_NOTIFY: Switch = Switch(1 << 2);
     /// An enqueue never wakes the committer.
@@ -969,7 +937,7 @@ mod mutant {
     /// lock, then re-takes it and clears the queue: an op enqueued in
     /// between is dropped unanswered.
     pub(super) const SPLIT_DRAIN: Switch = Switch(1 << 4);
-    /// Readers get no inflight overlay while a batch applies.
+    /// Readers get no overlay from the applying batch's fold.
     pub(super) const NO_INFLIGHT_OVERLAY: Switch = Switch(1 << 5);
     /// `mark_dirty` never wakes the coordinator.
     pub(super) const NO_DIRTY_NOTIFY: Switch = Switch(1 << 6);
@@ -995,8 +963,8 @@ mod mutant {
         }
     }
 
-    /// `SPLIT_DRAIN`'s second lock hold. The cleared ops' cell goes with
-    /// them, so their writers wait on a cell no batch will fill.
+    /// `SPLIT_DRAIN`'s second lock hold. The cleared ops' outcome cell
+    /// goes with them, so their writers wait on a cell no batch will set.
     pub(super) fn relock_and_clear<'a>(
         buf: &'a Mutex<BufState>,
         guard: MutexGuard<'a, BufState>,
@@ -1021,17 +989,20 @@ mod mutant {
 /// Wedges the shard after a failed apply, round or harden, or a
 /// committer's death: every parked writer — of each drained batch,
 /// applied or mid-apply, and of the ops still queued behind them — gets
-/// the error. The batches stay in place: they are the harness's
-/// in-flight candidates. Called with no locks held.
+/// the error. The batches stay in place: they are the tests' in-flight
+/// candidates. A shard already wedged keeps its first cause: that wedge
+/// failed every batch, and a wedged shard takes no new one. Called with
+/// no locks held.
 fn wedge<M: StoreMedia>(shard: &Shard<M>, why: String) {
     {
         let mut buf = shard.buf.lock();
-        buf.inflight_overlay.clear();
-        buf.pending.clear();
-        for cell in buf.batches.iter().map(|b| &b.cell).chain([&buf.pending_cell]) {
-            *cell.0.lock() = Some(Err(why.clone()));
+        if buf.wedged.is_none() {
+            buf.pending.clear();
+            for cell in buf.batches.iter().map(|b| &b.cell).chain([&buf.pending_cell]) {
+                cell.set(Err(why.clone())).expect("an unanswered batch has no outcome yet");
+            }
+            buf.wedged = Some(why);
         }
-        buf.wedged = Some(why);
     }
     shard.ack_cv.notify_all();
 }
@@ -1346,9 +1317,9 @@ impl<M: StoreMedia> ShardedKvStore<M> {
     /// always drains them as one contiguous slice — one batch); ops on
     /// different shards commit independently.
     pub fn submit(&self, ops: &[WriteOp]) -> Result<Vec<bool>> {
-        let ops: Vec<Op> = ops.iter().map(|&op| Op::from(op)).collect();
+        let ops: Vec<(Key, Option<Effect>)> = ops.iter().map(|&op| op.effect()).collect();
         for op in &ops {
-            op.validate(self.payloads)?;
+            validate(op, self.payloads)?;
         }
         // Group by shard first (preserving each shard's op order and the
         // input positions for the answers): the whole per-shard slice
@@ -1357,8 +1328,8 @@ impl<M: StoreMedia> ShardedKvStore<M> {
         // break the same-shard atomicity documented above.
         let mut by_shard: Vec<(usize, Vec<usize>)> = Vec::new();
         let mut slot_of: HashMap<usize, usize> = HashMap::new();
-        for (pos, op) in ops.iter().enumerate() {
-            let si = self.shard_of(op.key());
+        for (pos, &(key, _)) in ops.iter().enumerate() {
+            let si = self.shard_of(key);
             let slot = *slot_of.entry(si).or_insert_with(|| {
                 by_shard.push((si, Vec::new()));
                 by_shard.len() - 1
@@ -1372,7 +1343,7 @@ impl<M: StoreMedia> ShardedKvStore<M> {
         let mut placed: Vec<(usize, &[usize], Ticket)> = Vec::new();
         let mut first_err: Option<ExtMemError> = None;
         for (si, positions) in &by_shard {
-            let shard_ops: Vec<Op> = positions.iter().map(|&p| ops[p].clone()).collect();
+            let shard_ops = positions.iter().map(|&p| ops[p].clone()).collect();
             match self.enqueue_batch(*si, shard_ops) {
                 Ok(ticket) => placed.push((*si, positions, ticket)),
                 Err(e) => {
@@ -1419,15 +1390,9 @@ impl<M: StoreMedia> ShardedKvStore<M> {
                 return match eff {
                     None => Ok(None),
                     Some(Effect::Word(v)) => Ok(Some(v)),
-                    // Mirror the store's payload-mode lookup: an 8-byte
-                    // payload *is* a word; anything else is not.
-                    Some(Effect::Bytes(b)) => match <[u8; 8]>::try_from(&b[..]) {
-                        Ok(bytes) => Ok(Some(u64::from_le_bytes(bytes))),
-                        Err(_) => Err(ExtMemError::BadConfig(format!(
-                            "key {key} holds a {}-byte payload, not a word; use get_bytes",
-                            b.len()
-                        ))),
-                    },
+                    // The store's payload-mode lookup: an 8-byte payload
+                    // *is* a word; anything else is not.
+                    Some(Effect::Bytes(b)) => word_of_payload(key, &b).map(Some),
                 };
             }
         }
@@ -1463,8 +1428,8 @@ impl<M: StoreMedia> ShardedKvStore<M> {
                 "byte payloads need a payload-mode service (open_payload)".into(),
             ));
         }
-        let op = Op::PutBytes(key, Arc::from(payload));
-        op.validate(true)?;
+        let op = (key, Some(Effect::Bytes(Arc::from(payload))));
+        validate(&op, true)?;
         let si = self.shard_of(key);
         let ticket = self.enqueue_batch(si, vec![op])?;
         self.drive(si, &ticket).map(|_| ())
@@ -1539,7 +1504,7 @@ impl<M: StoreMedia> ShardedKvStore<M> {
     /// torture harnesses lower it to force checkpoints under small
     /// workloads. Takes effect at the next sync round.
     pub fn set_checkpoint_log_bytes(&self, bytes: u64) {
-        self.coord.ckpt_bytes.store(bytes, Ordering::Relaxed);
+        self.coord.state.lock().ckpt_bytes = bytes;
         self.coord.cv.notify_all();
     }
 
@@ -1578,9 +1543,10 @@ impl<M: StoreMedia> ShardedKvStore<M> {
             out.manifest_full_bytes += mio.full_bytes;
         }
         out.manifest_bytes_written = out.manifest_full_bytes + out.manifest_delta_bytes;
-        out.sync_rounds = self.coord.state.lock().epoch;
-        out.sealed_discards = self.coord.sealed_discards.load(Ordering::Relaxed);
-        out.sealed_discard_failures = self.coord.sealed_discard_failures.load(Ordering::Relaxed);
+        let st = self.coord.state.lock();
+        out.sync_rounds = st.epoch;
+        out.sealed_discards = st.sealed_discards;
+        out.sealed_discard_failures = st.sealed_discard_failures;
         out
     }
 
@@ -1631,7 +1597,7 @@ impl<M: StoreMedia> ShardedKvStore<M> {
     /// committer always drains the whole queue, it can never be split
     /// across batches. Returns the ticket the outcome will land behind.
     /// Fails fast (enqueuing nothing) on a wedged shard.
-    fn enqueue_batch(&self, si: usize, ops: Vec<Op>) -> Result<Ticket> {
+    fn enqueue_batch(&self, si: usize, ops: Vec<(Key, Option<Effect>)>) -> Result<Ticket> {
         let shard = &self.shards[si];
         let mut buf = shard.buf.lock();
         if let Some(why) = &buf.wedged {
@@ -1646,19 +1612,19 @@ impl<M: StoreMedia> ShardedKvStore<M> {
         Ok(ticket)
     }
 
-    /// Parks until the ticket's batch cell is filled — at the batch's
+    /// Parks until the ticket's batch outcome is set — at the batch's
     /// durability epoch, or when the shard wedges — and returns the
     /// answers of the ticket's ops, or the wedge error.
     fn drive(&self, si: usize, ticket: &Ticket) -> Result<Vec<bool>> {
         let shard = &self.shards[si];
-        // The cell is filled under the buffer lock before the ack
+        // The outcome is set under the buffer lock before the ack
         // broadcast, so this check is race-free here.
         let mut buf = shard.buf.lock();
-        while ticket.cell.0.lock().is_none() {
+        while ticket.cell.get().is_none() {
             buf = shard.ack_cv.wait(buf);
             mutant!(IF_RECHECK => break);
         }
-        match ticket.cell.0.lock().as_ref().expect("checked filled above") {
+        match ticket.cell.get().expect("checked set above") {
             Ok(answers) => Ok(answers[ticket.range.clone()].to_vec()),
             Err(why) => Err(wedged_err(why)),
         }
@@ -1838,19 +1804,23 @@ mod tests {
     }
 
     /// The overlay answers for accepted-but-uncommitted writes with zero
-    /// I/O even while the committer is stalled mid-batch (here: blocked
-    /// behind `with_shard` holding the store lock). A key queued twice
-    /// reads as its newer op, in either order.
+    /// I/O from both of its halves while the committer is stalled
+    /// mid-batch (here: blocked behind `with_shard` holding the store
+    /// lock): first from the applying batch's fold, then, for a slice
+    /// enqueued behind it, from `pending`. A key written twice reads as
+    /// its newer write, in either order.
     #[test]
     fn read_your_writes_hits_the_pending_overlay() {
         let env = SimEnv::new();
         let svc = sim_service(&env, 1, 13);
+        let shard = &svc.shards[0];
         svc.put(1, 10).unwrap();
         let locked = AtomicBool::new(false);
         let release = AtomicBool::new(false);
+        let writes = |ops: &[WriteOp]| ops.iter().map(|&op| op.effect()).collect();
         // Read inside the stall, assert after it: a failed assert in the
         // scope would leave the helper holding the store lock forever.
-        let (reads, ops) = dxh_sync::thread::scope(|scope| {
+        let (applying, pending) = dxh_sync::thread::scope(|scope| {
             scope.spawn(|| {
                 // Stall the shard's committer: it cannot apply (or
                 // harden) anything while the store lock is held here.
@@ -1864,35 +1834,44 @@ mod tests {
             while !locked.load(Ordering::SeqCst) {
                 dxh_sync::thread::yield_now();
             }
-            let ops_before = env.ops();
-            // Enqueue without driving: accepted, not yet durable.
-            let queued = vec![
-                Op::Put(2, 20),
-                Op::Delete(1),
-                Op::Put(4, 40),
-                Op::Delete(4),
-                Op::Delete(5),
-                Op::Put(5, 50),
-            ];
-            let _ticket = svc.enqueue_batch(0, queued).unwrap();
-            let reads: Vec<Option<Value>> = [2, 1, 4, 5].map(|k| svc.get(k).unwrap()).to_vec();
-            let ops = env.ops() - ops_before;
+            // Reads of `keys`: the queue length they saw, their answers
+            // and their I/O.
+            let read = |keys: [Key; 4]| {
+                let ios = env.ops();
+                let queued = shard.buf.lock().pending.len();
+                let got = keys.map(|k| svc.get(k).unwrap());
+                (queued, got, env.ops() - ios)
+            };
+            // Enqueue without driving: accepted, not yet durable. The
+            // committer drains the slice and stalls applying it.
+            use WriteOp::{Delete, Put};
+            let first = [Put(2, 20), Delete(1), Put(4, 40), Delete(4), Delete(5), Put(5, 50)];
+            let _ticket = svc.enqueue_batch(0, writes(&first)).unwrap();
+            while !shard.buf.lock().applying() {
+                dxh_sync::thread::yield_now();
+            }
+            let applying = read([2, 1, 4, 5]);
+            // A second slice waits in `pending` behind the stalled apply.
+            let second = [Put(2, 21), Delete(5), Put(6, 60)];
+            let _ticket = svc.enqueue_batch(0, writes(&second)).unwrap();
+            let pending = read([2, 5, 6, 4]);
             release.store(true, Ordering::SeqCst);
-            (reads, ops)
+            (applying, pending)
         });
-        // 2: pending put; 1: pending delete; 4: put then delete reads the
-        // delete; 5: delete then put reads the put.
-        assert_eq!(reads, [Some(20), None, None, Some(50)], "the newest pending op wins");
-        assert_eq!(ops, 0, "overlay answers cost zero I/O");
+        // From the fold, at zero I/O — 2: a put; 1: a delete; 4: put then
+        // delete reads the delete; 5: delete then put reads the put.
+        assert_eq!(applying, (0, [Some(20), None, None, Some(50)], 0), "the applying fold");
+        // From `pending`, which shadows the fold (2, 5), at zero I/O; 4
+        // falls through to the fold.
+        assert_eq!(pending, (3, [Some(21), None, Some(60), None], 0), "pending");
         // The committer drains the stragglers; a driven put fences them.
         svc.put(3, 30).unwrap();
-        assert_eq!(svc.get(2).unwrap(), Some(20));
-        assert_eq!(svc.get(1).unwrap(), None);
-        assert_eq!(svc.get(4).unwrap(), None);
-        assert_eq!(svc.get(5).unwrap(), Some(50));
+        for (k, v) in [(1, None), (2, Some(21)), (4, None), (5, None), (6, Some(60))] {
+            assert_eq!(svc.get(k).unwrap(), v, "key {k}");
+        }
         let stats = svc.stats();
-        assert_eq!(stats.committed_ops, 8, "every enqueued op committed");
-        assert!(stats.largest_batch >= 2, "the enqueued pair stayed one batch");
+        assert_eq!(stats.committed_ops, 11, "every enqueued op committed");
+        assert!(stats.largest_batch >= 6, "each enqueued slice stayed one batch");
     }
 
     /// A batch with several ops per key answers each op from the table
@@ -2040,7 +2019,8 @@ mod tests {
         svc.put(100, 1).unwrap();
         let mut tickets = Vec::new();
         for k in 0..40u64 {
-            tickets.push(svc.enqueue_batch(svc.shard_of(k), vec![Op::Put(k, k + 7)]).unwrap());
+            let put = vec![WriteOp::Put(k, k + 7).effect()];
+            tickets.push(svc.enqueue_batch(svc.shard_of(k), put).unwrap());
         }
         drop(svc); // join: drain, apply, final harden per shard
         let svc = sim_service(&env, 2, 19);
@@ -2229,8 +2209,8 @@ mod tests {
         let empty = blob_len(&svc);
         svc.put_bytes(1, &old).unwrap();
         let record = blob_len(&svc) - empty;
-        let twice =
-            vec![Op::PutBytes(7, Arc::from(&old[..])), Op::PutBytes(7, Arc::from(&new[..]))];
+        let put = |b: &[u8]| (7, Some(Effect::Bytes(Arc::from(b))));
+        let twice = vec![put(&old), put(&new)];
         let ticket = svc.enqueue_batch(0, twice).unwrap();
         assert_eq!(svc.drive(0, &ticket).unwrap(), vec![true, true]);
         assert_eq!(blob_len(&svc) - empty, 3 * record, "both puts of key 7 were appended");
@@ -2316,6 +2296,7 @@ mod model_tests {
     use dxh_sync::model::{Checker, Report, Violation, ViolationKind};
     use mutant::Switch;
     use std::collections::{BTreeMap, HashSet};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     const SEED: u64 = 42;
     const SHARDS: usize = 2;
@@ -2407,7 +2388,7 @@ mod model_tests {
     /// machine down at I/O `k`. Asserts, on every schedule: each call
     /// returns, failing only once the machine is down, with serial
     /// answers; a reader that saw a version of `b` never sees an older
-    /// one afterwards (the inflight overlay's job); a close the crash
+    /// one afterwards (the overlay's job while a batch applies); a close the crash
     /// spared leaves `COMMITLOG` empty; each shard reopens at a batch
     /// boundary — its committed batches plus a prefix of its in-flight
     /// ones, each wholly present or wholly absent; each key holds its
@@ -2485,7 +2466,7 @@ mod model_tests {
                 let ops: Vec<(Option<Effect>, bool)> = sent
                     .iter()
                     .filter_map(|&(op, acked)| {
-                        let (k, effect) = Op::from(op).effect();
+                        let (k, effect) = op.effect();
                         (k == key).then_some((effect, acked))
                     })
                     .collect();
@@ -2615,7 +2596,7 @@ mod model_tests {
             ("IF_RECHECK", &[mutant::IF_RECHECK], Panic),
             ("NO_ACK_NOTIFY", &[mutant::NO_ACK_NOTIFY], Deadlock),
             ("NO_WORK_NOTIFY", &[mutant::NO_WORK_NOTIFY], Deadlock),
-            ("SPLIT_DRAIN", &[mutant::SPLIT_DRAIN], Panic),
+            ("SPLIT_DRAIN", &[mutant::SPLIT_DRAIN], Deadlock),
             ("NO_INFLIGHT_OVERLAY", &[mutant::NO_INFLIGHT_OVERLAY], Panic),
             ("NO_DIRTY_NOTIFY", &[mutant::NO_DIRTY_NOTIFY], Deadlock),
             ("NO_SHUTDOWN_NOTIFY", &[mutant::NO_SHUTDOWN_NOTIFY], Deadlock),

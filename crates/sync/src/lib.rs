@@ -28,10 +28,12 @@
 //! graph (cargo feature unification makes this a real concern).
 //!
 //! Every [`Mutex`] carries a [`Rank`], and in debug and `model` builds
-//! both backends check the commit path's lock order, its condvar waits
-//! and its syncs at every acquire ([`rank`]). See `docs/CONCURRENCY.md`
-//! for the hierarchy, and for how to run and replay the model checks of
-//! the real service (`cargo test -p dxh-core --features model`).
+//! both backends check the commit path's two lock rules ([`rank`]): no
+//! lock is acquired while another is held — so a condvar wait parks
+//! holding nothing else — and only a `Store` guard may span a physical
+//! sync. See `docs/CONCURRENCY.md` for the ranks, and for how to run and
+//! replay the model checks of the real service (`cargo test -p dxh-core
+//! --features model`).
 //!
 //! ## Everything is safe code
 //!

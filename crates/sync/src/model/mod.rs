@@ -9,7 +9,7 @@
 //! let report = Checker::new()
 //!     .preemption_bound(2)
 //!     .check(|| {
-//!         let pair = Arc::new((Mutex::new(Rank::Cell, 0u32), Condvar::new()));
+//!         let pair = Arc::new((Mutex::new(Rank::Buf, 0u32), Condvar::new()));
 //!         let p2 = Arc::clone(&pair);
 //!         let h = thread::spawn(move || {
 //!             *p2.0.lock() += 1;
@@ -423,7 +423,7 @@ mod tests {
     fn dfs_explores_multiple_schedules() {
         let report = Checker::new()
             .check(|| {
-                let m = Arc::new(Mutex::new(Rank::Cell, 0u32));
+                let m = Arc::new(Mutex::new(Rank::Buf, 0u32));
                 let m2 = Arc::clone(&m);
                 let h = thread::spawn(move || {
                     *m2.lock() += 1;
@@ -438,14 +438,14 @@ mod tests {
         assert_eq!(report.distinct, report.schedules);
     }
 
-    /// An ABBA pair has one side nest against the lock order, so the
-    /// rank check reports it, as a panic, before any schedule deadlocks.
+    /// An ABBA pair nests on both sides, so the rank check reports it,
+    /// as a panic, before any schedule deadlocks.
     #[test]
     fn detects_abba_as_a_lock_order_inversion() {
         let v = Checker::new()
             .check(|| {
                 let a = Arc::new(Mutex::new(Rank::Buf, ()));
-                let b = Arc::new(Mutex::new(Rank::Cell, ()));
+                let b = Arc::new(Mutex::new(Rank::Store, ()));
                 let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
                 let h = thread::spawn(move || {
                     let _g1 = b2.lock();
@@ -456,9 +456,9 @@ mod tests {
                 drop((_g2, _g1));
                 let _ = h.join();
             })
-            .expect_err("one side of ABBA nests Cell → Buf");
+            .expect_err("ABBA nests one lock inside another");
         assert_eq!(v.kind, ViolationKind::Panic, "{v}");
-        assert!(v.message.contains("while holding a Cell lock"), "{v}");
+        assert!(v.message.contains("lock order: acquiring a"), "{v}");
         assert!(!v.trace.is_empty());
     }
 
@@ -537,7 +537,7 @@ mod tests {
     fn replay_reproduces_exact_violation() {
         let body = || {
             let a = Arc::new(Mutex::new(Rank::Buf, ()));
-            let b = Arc::new(Mutex::new(Rank::Cell, ()));
+            let b = Arc::new(Mutex::new(Rank::Store, ()));
             let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
             let h = thread::spawn(move || {
                 let _g1 = b2.lock();
@@ -548,25 +548,24 @@ mod tests {
             drop((_g2, _g1));
             let _ = h.join();
         };
-        let v = Checker::new().check(body).expect_err("nests Cell → Buf");
+        let v = Checker::new().check(body).expect_err("nests one lock inside another");
         let v2 =
             Checker::new().replay(&v.trace, body).expect_err("replay must hit the same violation");
         assert_eq!(v2.kind, v.kind);
         assert_eq!(v2.fingerprint, v.fingerprint);
         assert_eq!(v2.trace, v.trace);
-        // The same trace against the fixed body (Buf → Cell only): a
+        // The same trace against the fixed body (one lock at a time): a
         // stale trace is a replay mismatch, not a hang or a mis-blame.
         let fixed = || {
             let a = Arc::new(Mutex::new(Rank::Buf, ()));
-            let b = Arc::new(Mutex::new(Rank::Cell, ()));
+            let b = Arc::new(Mutex::new(Rank::Store, ()));
             let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
             let h = thread::spawn(move || {
-                let _g1 = a2.lock();
-                let _g2 = b2.lock();
+                drop(b2.lock());
+                drop(a2.lock());
             });
-            let _g1 = a.lock();
-            let _g2 = b.lock();
-            drop((_g2, _g1));
+            drop(a.lock());
+            drop(b.lock());
             let _ = h.join();
         };
         let stale = Checker::new().replay(&v.trace, fixed).expect_err("the trace no longer fits");
@@ -578,7 +577,7 @@ mod tests {
         let report = Checker::new()
             .max_schedules(500)
             .check(|| {
-                let m = Arc::new(Mutex::new(Rank::Cell, 0u32));
+                let m = Arc::new(Mutex::new(Rank::Buf, 0u32));
                 let m2 = Arc::clone(&m);
                 let h = thread::spawn(move || {
                     let _g = m2.lock();
@@ -596,7 +595,7 @@ mod tests {
     fn scoped_threads_model_join() {
         let report = Checker::new()
             .check(|| {
-                let m = Mutex::new(Rank::Cell, 0u32);
+                let m = Mutex::new(Rank::Buf, 0u32);
                 thread::scope(|s| {
                     for _ in 0..2 {
                         s.spawn(|| {
@@ -613,7 +612,7 @@ mod tests {
     #[test]
     fn random_walk_same_seed_identical_fingerprints() {
         let body = || {
-            let m = Arc::new(Mutex::new(Rank::Cell, 0u32));
+            let m = Arc::new(Mutex::new(Rank::Buf, 0u32));
             let hs: Vec<_> = (0..2)
                 .map(|_| {
                     let m2 = Arc::clone(&m);

@@ -7,7 +7,8 @@
 //! uncontended whenever it is actually taken, so no unsafe interior
 //! mutability is needed. Blocking and condvar waits are simulated
 //! entirely at the scheduler level. Lock ranks are checked at every
-//! acquire and wait, inside a checker run or not ([`crate::rank`]).
+//! acquire, a wait's re-acquire included, inside a checker run or not
+//! ([`crate::rank`]).
 //!
 //! Used from a thread that is *not* a model task (no checker running),
 //! every primitive falls back to plain std behavior, so builds with
@@ -79,7 +80,8 @@ pub struct MutexGuard<'a, T: ?Sized> {
     owner: &'a Mutex<T>,
     model: Option<(TaskCtx, usize)>,
     defused: bool,
-    held: Held,
+    /// This guard's claim on the thread's held slot, given up on drop.
+    _held: Held,
 }
 
 impl<T> Mutex<T> {
@@ -99,7 +101,7 @@ impl<T: ?Sized> Mutex<T> {
     /// point). Swallows std poison; under a checker run the swallow is
     /// recorded as an explicit event (`Report::poison_swallows`).
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        let held = self.held();
+        let held = Held::acquire(self.rank);
         let model = sched::ctx().map(|ctx| {
             let id = self.rid.id_for(&ctx, ResKind::Lock);
             sched::op_lock_acquire(&ctx, id);
@@ -111,12 +113,7 @@ impl<T: ?Sized> Mutex<T> {
             }
             e.into_inner()
         });
-        MutexGuard { inner: Some(inner), owner: self, model, defused: false, held }
-    }
-
-    /// Checks the rank and enters this lock in the thread's held set.
-    fn held(&self) -> Held {
-        Held::acquire(self.rank, std::ptr::from_ref(self).addr())
+        MutexGuard { inner: Some(inner), owner: self, model, defused: false, _held: held }
     }
 
     /// Returns a mutable reference without locking (`&mut self` proves
@@ -190,7 +187,6 @@ impl Condvar {
         guard: MutexGuard<'a, T>,
         timeout: Option<Duration>,
     ) -> (MutexGuard<'a, T>, WaitTimeoutResult) {
-        guard.held.assert_alone();
         let mut guard = guard;
         let owner = guard.owner;
         match guard.model.clone() {
@@ -214,7 +210,7 @@ impl Condvar {
                         owner,
                         model: Some((ctx, lock_id)),
                         defused: false,
-                        held: owner.held(),
+                        _held: Held::acquire(owner.rank),
                     },
                     WaitTimeoutResult { timed_out },
                 )
@@ -241,7 +237,7 @@ impl Condvar {
                         owner,
                         model: None,
                         defused: false,
-                        held: owner.held(),
+                        _held: Held::acquire(owner.rank),
                     },
                     WaitTimeoutResult { timed_out },
                 )
