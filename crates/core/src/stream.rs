@@ -14,7 +14,9 @@
 //! That pass is written once, as [`MergeCursor`]: it owns the sources,
 //! yields each destination bucket's merged items (newest copy wins,
 //! spent deletion markers purged) and ends by checking that every source
-//! drained. Two consumers write what it yields: [`build_fresh_region`]
+//! drained. Each item is hashed once, as it enters the merge: that word
+//! routes it, keys the shadow set and feeds the destination's filter.
+//! Two consumers write what it yields: [`build_fresh_region`]
 //! into a fresh region (a flush, an `Ĥ` rebuild, compaction's
 //! `LogMethodTable::merge_into_level`) and [`merge_in_place`] into the
 //! buckets of `Ĥ`.
@@ -33,6 +35,7 @@
 //! can hold.
 
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ops::Range;
 
 use dxh_extmem::{Block, BlockId, Disk, ExtMemError, Item, Key, Result, StorageBackend, Value};
@@ -110,13 +113,17 @@ impl Region {
     }
 }
 
+/// An item beside its key's `hash64`: a merge hashes each item once, as
+/// it enters, and routes, deduplicates and filters it by that word.
+type Hashed = (u64, Item);
+
 /// One input to a merge, in precedence order (earlier sources shadow
 /// later ones on duplicate keys).
 pub(crate) enum Source {
     /// Memory-resident items already in bucket (hash-prefix) order.
     Mem {
         /// Items sorted by hash prefix; consumed front to back.
-        items: Vec<Item>,
+        items: Vec<Hashed>,
         /// Next unconsumed index.
         pos: usize,
     },
@@ -129,7 +136,9 @@ pub(crate) enum Source {
 pub(crate) struct DiskStream {
     region: Region,
     next_bucket: u64,
-    buf: Vec<Item>,
+    buf: Vec<Hashed>,
+    /// The blocks of the source bucket being read, before hashing.
+    read: Vec<Item>,
 }
 
 impl DiskStream {
@@ -140,10 +149,17 @@ impl DiskStream {
         self.next_bucket as u128 * nb_dst as u128 >= (q + 1) as u128 * self.region.buckets as u128
     }
 
-    fn refill<B: StorageBackend>(&mut self, disk: &mut Disk<B>, q: u64, nb_dst: u64) -> Result<()> {
+    fn refill<B: StorageBackend, F: HashFn>(
+        &mut self,
+        disk: &mut Disk<B>,
+        hash: &F,
+        q: u64,
+        nb_dst: u64,
+    ) -> Result<()> {
         while !self.covered(q, nb_dst) && self.next_bucket < self.region.buckets {
             let head = self.region.block_of(self.next_bucket);
-            chain_collect(disk, head, true, &mut self.buf)?;
+            chain_collect(disk, head, true, &mut self.read)?;
+            self.buf.extend(self.read.drain(..).map(|it| (hash.hash64(it.key), it)));
             self.next_bucket += 1;
         }
         Ok(())
@@ -154,14 +170,16 @@ impl Source {
     /// Builds a memory source from items in bucket order (as produced by
     /// [`crate::MemTable::drain_in_bucket_order`]); re-sorts by full hash
     /// prefix so sub-bucket boundaries are exact for any target count.
-    pub(crate) fn from_memory<F: HashFn>(mut items: Vec<Item>, hash: &F) -> Self {
-        items.sort_by_key(|it| hash.hash64(it.key));
+    pub(crate) fn from_memory<F: HashFn>(items: Vec<Item>, hash: &F) -> Self {
+        let mut items: Vec<Hashed> =
+            items.into_iter().map(|it| (hash.hash64(it.key), it)).collect();
+        items.sort_by_key(|&(h, _)| h);
         Source::Mem { items, pos: 0 }
     }
 
     /// Builds a disk source that consumes (and frees) `region`.
     pub(crate) fn from_region(region: Region) -> Self {
-        Source::Disk(DiskStream { region, next_bucket: 0, buf: Vec::new() })
+        Source::Disk(DiskStream { region, next_bucket: 0, buf: Vec::new(), read: Vec::new() })
     }
 
     /// Appends all items with target bucket `q` (out of `nb_dst`) to
@@ -172,23 +190,22 @@ impl Source {
         hash: &F,
         q: u64,
         nb_dst: u64,
-        out: &mut Vec<Item>,
+        out: &mut Vec<Hashed>,
     ) -> Result<()> {
         match self {
             Source::Mem { items, pos } => {
-                while *pos < items.len() && prefix_bucket(hash.hash64(items[*pos].key), nb_dst) == q
-                {
+                while *pos < items.len() && prefix_bucket(items[*pos].0, nb_dst) == q {
                     out.push(items[*pos]);
                     *pos += 1;
                 }
                 Ok(())
             }
             Source::Disk(s) => {
-                s.refill(disk, q, nb_dst)?;
+                s.refill(disk, hash, q, nb_dst)?;
                 // Extract matches; keep the (few) boundary items for later.
                 let mut i = 0;
                 while i < s.buf.len() {
-                    if prefix_bucket(hash.hash64(s.buf[i].key), nb_dst) == q {
+                    if prefix_bucket(s.buf[i].0, nb_dst) == q {
                         out.push(s.buf.swap_remove(i));
                     } else {
                         i += 1;
@@ -224,6 +241,52 @@ pub(crate) struct MergeStats {
 /// the payload remap of [`crate::KvStore::compact`].
 pub(crate) type ValueMap<'a> = &'a mut dyn FnMut(Value) -> Result<Value>;
 
+/// A key in the shadow set of one destination bucket: hashed as its
+/// cached `hash64`, equal when the keys are. The word is rotated so the
+/// set's tag bits come from the hash's low half — every key of the
+/// bucket shares the high bits, its prefix. Keys crafted to collide in
+/// the table's seeded `hash64` would already share a bucket of every
+/// level; the set adds no weakness the table does not have.
+#[derive(Clone, Copy)]
+struct SeenKey(u64, Key);
+
+impl PartialEq for SeenKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.1 == other.1
+    }
+}
+
+impl Eq for SeenKey {}
+
+impl Hash for SeenKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0.rotate_left(32));
+    }
+}
+
+/// A [`Hasher`] that returns the one word it is given: the shadow set's
+/// keys arrive hashed.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a SeenKey writes one u64");
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = word;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// What [`MergeCursor::next_bucket`] yields: a destination bucket, its
+/// merged items, and their keys' `hash64`s at the same indices.
+type MergedBucket<'a> = (u64, &'a mut [Item], &'a [u64]);
+
 /// The synchronized scan itself: `sources` (precedence order: earlier
 /// wins) merged into `nb_dst` destination buckets, one bucket per
 /// [`MergeCursor::next_bucket`] call. Owns the sources and the scratch
@@ -238,51 +301,65 @@ pub(crate) struct MergeCursor<'h, F: HashFn> {
     purge: bool,
     /// Next destination bucket to merge.
     q: u64,
-    raw: Vec<Item>,
+    raw: Vec<Hashed>,
     merged: Vec<Item>,
-    seen: HashSet<Key>,
+    /// `hash64` of `merged[i]` at index `i`.
+    merged_hashes: Vec<u64>,
+    seen: HashSet<SeenKey, BuildHasherDefault<PassThrough>>,
     /// Items yielded, shadowed copies and spent markers dropped so far.
     pub stats: MergeStats,
 }
 
 impl<'h, F: HashFn> MergeCursor<'h, F> {
     pub(crate) fn new(hash: &'h F, sources: Vec<Source>, nb_dst: u64, purge: bool) -> Self {
-        let (raw, merged, seen) = (Vec::new(), Vec::new(), HashSet::new());
-        let stats = MergeStats::default();
-        MergeCursor { hash, sources, nb_dst, purge, q: 0, raw, merged, seen, stats }
+        MergeCursor {
+            hash,
+            sources,
+            nb_dst,
+            purge,
+            q: 0,
+            raw: Vec::new(),
+            merged: Vec::new(),
+            merged_hashes: Vec::new(),
+            seen: HashSet::default(),
+            stats: MergeStats::default(),
+        }
     }
 
     /// The next destination bucket that receives anything, with its
-    /// items newest-first deduplicated; `None` once all `nb_dst` are
-    /// done — and only if every source drained on the way.
+    /// items newest-first deduplicated and their keys' `hash64`s at the
+    /// same indices; `None` once all `nb_dst` are done — and only if
+    /// every source drained on the way.
     ///
     /// Cost: one read per source block (primary + chain) over the whole
     /// scan, `O(Σ |source regions| / b)` I/Os.
     pub(crate) fn next_bucket<B: StorageBackend>(
         &mut self,
         disk: &mut Disk<B>,
-    ) -> Result<Option<(u64, &mut [Item])>> {
+    ) -> Result<Option<MergedBucket<'_>>> {
         self.merged.clear();
+        self.merged_hashes.clear();
         while self.merged.is_empty() && self.q < self.nb_dst {
             self.raw.clear();
             self.seen.clear();
             for src in self.sources.iter_mut() {
                 src.take_bucket(disk, self.hash, self.q, self.nb_dst, &mut self.raw)?;
             }
-            for &it in &self.raw {
-                if !self.seen.insert(it.key) {
+            for &(h, it) in &self.raw {
+                if !self.seen.insert(SeenKey(h, it.key)) {
                     self.stats.shadowed += 1;
                 } else if self.purge && it.is_delete_marker() {
                     self.stats.purged += 1;
                 } else {
                     self.merged.push(it);
+                    self.merged_hashes.push(h);
                 }
             }
             self.q += 1;
         }
         if !self.merged.is_empty() {
             self.stats.items += self.merged.len();
-            return Ok(Some((self.q - 1, &mut self.merged)));
+            return Ok(Some((self.q - 1, &mut self.merged, &self.merged_hashes)));
         }
         // A source of this structure's making is in bucket order and so
         // fully drained by now. One that is not was read off blocks that
@@ -300,14 +377,14 @@ impl<'h, F: HashFn> MergeCursor<'h, F> {
     /// Whether the bucket just yielded holds `key` — a copy that shadows
     /// any older one at the destination.
     fn yielded(&self, key: Key) -> bool {
-        self.seen.contains(&key)
+        self.seen.contains(&SeenKey(self.hash.hash64(key), key))
     }
 }
 
 /// Builds what `cursor` yields into a fresh region of its bucket count
 /// on `disk`, where the sources live. Each value first goes through
 /// `map`, if any, and every key written is added to `filter`, when the
-/// destination level keeps one.
+/// destination level keeps one — by the hash the cursor already holds.
 ///
 /// Cost: the cursor's source reads plus one write per nonempty target
 /// block — `O(Σ |source regions| / b + nb_dst)` I/Os, none of them a
@@ -318,15 +395,15 @@ pub(crate) fn build_fresh_region<B: StorageBackend, F: HashFn>(
     mut filter: Option<&mut LevelFilter>,
     mut map: Option<ValueMap<'_>>,
 ) -> Result<(Region, MergeStats)> {
-    let (hash, buckets) = (cursor.hash, cursor.nb_dst);
+    let buckets = cursor.nb_dst;
     let base = disk.allocate_contiguous(buckets as usize)?;
-    while let Some((q, items)) = cursor.next_bucket(disk)? {
-        for it in items.iter_mut() {
+    while let Some((q, items, hashes)) = cursor.next_bucket(disk)? {
+        for (it, &h) in items.iter_mut().zip(hashes) {
             if let Some(map) = map.as_mut() {
                 it.value = map(it.value)?;
             }
             if let Some(filter) = filter.as_mut() {
-                filter.insert(hash.hash64(it.key));
+                filter.insert(h);
             }
         }
         write_bucket(disk, BlockId(base.raw() + q), items)?;
@@ -351,7 +428,7 @@ pub(crate) fn merge_in_place<B: StorageBackend, F: HashFn>(
     region: &mut Region,
 ) -> Result<MergeStats> {
     debug_assert_eq!(cursor.nb_dst, region.buckets);
-    while let Some((q, adds)) = cursor.next_bucket(disk)? {
+    while let Some((q, adds, _)) = cursor.next_bucket(disk)? {
         let (head, added) = (region.block_of(q), adds.len());
         // Fast path: an unchained primary with room for everything —
         // exactly one combined I/O. (A non-full primary implies no chain:
