@@ -73,10 +73,19 @@
 //! array had to find room for a destination beside its still-live
 //! sources and kept the high-water mark that left (twice the largest
 //! level, for good).
+//!
+//! Lemma 5 moves `H0` to disk only once it is full, and says nothing of
+//! durability. A [`crate::KvStore`] commit must make `H0` durable too,
+//! and does it with an **image**, not a migration
+//! ([`LogMethodTable::write_memory_image`]): `H0`'s items packed `b` to a
+//! block into a file of their own, read back only by a reopen. `H0`
+//! stays where it is, so a commit costs `⌈|H0|/b⌉` block writes and
+//! never a migration, and the levels a store holds after `n` inserts are
+//! the model's at that `n`, whatever its commit cadence.
 
 use dxh_extmem::{
-    BlockId, Disk, ExtMemError, IoCostModel, IoSnapshot, Item, Key, MemDisk, MemoryBudget, Result,
-    StorageBackend, Value, KEY_TOMBSTONE, VALUE_TOMBSTONE,
+    Block, BlockId, Disk, ExtMemError, IoCostModel, IoSnapshot, Item, Key, MemDisk, MemoryBudget,
+    Result, StorageBackend, Value, KEY_TOMBSTONE, VALUE_TOMBSTONE,
 };
 use dxh_hashfn::{prefix_bucket, HashFn};
 use dxh_tables::{chain_lookup, ExternalDictionary, LayoutInspect, LayoutSnapshot};
@@ -380,6 +389,56 @@ impl<F: HashFn> LogStructure<F> {
         Ok(())
     }
 
+    /// Writes `H0` as an **image**: its items in bucket order, packed `b`
+    /// to a block into `⌈|H0|/b⌉` blocks of a fresh contiguous run
+    /// through one block buffer, so the copy never holds more than `b`
+    /// items beside `H0`. `H0` itself is left as it is. An empty `H0`
+    /// has no image: `None`, and no I/O.
+    fn write_image<B: StorageBackend>(&self, disk: &mut Disk<B>) -> Result<Option<Region>> {
+        if self.h0.is_empty() {
+            return Ok(None);
+        }
+        let blocks = self.h0.len().div_ceil(self.cfg.b);
+        let base = disk.allocate_contiguous(blocks)?;
+        let (mut blk, mut next) = (Block::new(self.cfg.b), base);
+        for &item in self.h0.iter_in_bucket_order() {
+            blk.push(item)?;
+            if blk.is_full() {
+                disk.write(next, &blk)?;
+                blk.reset();
+                next = BlockId(next.raw() + 1);
+            }
+        }
+        if !blk.is_empty() {
+            disk.write(next, &blk)?;
+        }
+        Ok(Some(Region { base, buckets: blocks as u64, items: self.h0.len() }))
+    }
+
+    /// Loads an image [`LogStructure::write_image`] wrote back into an
+    /// empty `H0`: one accounted read per block. Blocks that do not hold
+    /// exactly `image.items` distinct keys are [`ExtMemError::Corrupt`],
+    /// found before `H0` grows past that count.
+    fn adopt_image<B: StorageBackend>(&mut self, disk: &mut Disk<B>, image: Region) -> Result<()> {
+        let corrupt = || ExtMemError::Corrupt(format!("H0 image {image:?}: wrong item count"));
+        let (hash, h0, nb0) = (&self.hash, &mut self.h0, self.cfg.nb0());
+        let hops = disk.live_blocks();
+        let read = |id| disk.read(id);
+        image.walk(0..image.buckets, hops, read, |_, _, blk| {
+            for &item in blk.items() {
+                h0.upsert(prefix_bucket(hash.hash64(item.key), nb0) as usize, item);
+            }
+            if h0.len() > image.items {
+                return Err(corrupt());
+            }
+            Ok(())
+        })?;
+        if self.h0.len() != image.items {
+            return Err(corrupt());
+        }
+        Ok(())
+    }
+
     /// Keys currently resident in memory (`H0`) — the memory zone `M`.
     pub(crate) fn memory_keys(&self) -> Vec<Key> {
         self.h0.keys()
@@ -537,21 +596,26 @@ impl<F: HashFn, B: StorageBackend> LogMethodTable<F, B> {
     }
 
     /// Rebuilds a table around previously persisted state: a reopened
-    /// disk plus the disk-level regions a prior instance reported via
-    /// [`LogMethodTable::persisted_levels`]. `H0` starts empty, so the
-    /// caller must have flushed it (see [`LogMethodTable::flush_memory`])
-    /// before persisting. The hash function must be the same one the
-    /// regions were built with — for [`dxh_hashfn::IdealFn`] that means
-    /// the same seed.
+    /// disk, the disk-level regions a prior instance reported via
+    /// [`LogMethodTable::persisted_levels`], and the image of its `H0`
+    /// that [`LogMethodTable::write_memory_image`] wrote (`None`: `H0`
+    /// was empty). Reading the image back costs one accounted read per
+    /// block, beside those of the filter rebuild. The hash function must
+    /// be the same one the regions were built with — for
+    /// [`dxh_hashfn::IdealFn`] that means the same seed.
     pub(crate) fn from_parts(
         disk: Disk<B>,
         cfg: CoreConfig,
         hash: F,
         levels: Vec<Option<Region>>,
+        image: Option<Region>,
     ) -> Result<Self> {
         let mut t = Self::with_disk(disk, cfg, hash)?;
         if !levels.is_empty() {
             t.log.adopt_levels(&mut t.disk, levels)?;
+        }
+        if let Some(image) = image {
+            t.log.adopt_image(&mut t.disk, image)?;
         }
         Ok(t)
     }
@@ -561,10 +625,28 @@ impl<F: HashFn, B: StorageBackend> LogMethodTable<F, B> {
         &self.log.levels
     }
 
+    /// Writes `H0` as an image — `⌈|H0|/b⌉` dense blocks, in a fresh
+    /// contiguous run of the disk — and returns where, for persistence
+    /// (`None`, and no I/O, when `H0` is empty). `H0` stays as it is and
+    /// nothing migrates: a commit costs `⌈|H0|/b⌉` block writes, and the
+    /// levels stay those of a table that was never committed. The one
+    /// block buffer comes out of the merge working set reserved at
+    /// [`LogMethodTable::with_disk`], idle while no flush runs.
+    pub(crate) fn write_memory_image(&mut self) -> Result<Option<Region>> {
+        self.log.write_image(&mut self.disk)
+    }
+
+    /// The items of `H0`, in bucket order.
+    #[cfg(test)]
+    pub(crate) fn memory_items(&self) -> Vec<Item> {
+        self.log.h0.iter_in_bucket_order().copied().collect()
+    }
+
     /// Migrates the memory-resident `H0` into the disk levels (a no-op
-    /// when `H0` is empty). After this returns, every item is on disk —
-    /// the hook persistence and controlled-shutdown paths need before a
-    /// [`Disk::flush`].
+    /// when `H0` is empty): after this returns, every item is on disk.
+    /// Lemma 5 migrates `H0` only once it is full; a persistent store
+    /// makes it durable with an image instead ([`crate::KvStore::sync`])
+    /// and never calls this.
     pub fn flush_memory(&mut self) -> Result<()> {
         if self.log.h0.is_empty() {
             return Ok(());

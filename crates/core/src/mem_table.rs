@@ -86,6 +86,11 @@ impl MemTable {
         self.buckets.iter().flat_map(|b| b.iter().map(|it| it.key)).collect()
     }
 
+    /// Every item, in bucket order, without removing any.
+    pub fn iter_in_bucket_order(&self) -> impl Iterator<Item = &Item> {
+        self.buckets.iter().flatten()
+    }
+
     /// Drains every item, in bucket order, leaving the table empty.
     pub fn drain_in_bucket_order(&mut self) -> Vec<Item> {
         let mut out = Vec::with_capacity(self.len);
@@ -130,7 +135,10 @@ mod tests {
         t.upsert(0, Item::key_only(1));
         t.upsert(1, Item::key_only(10));
         t.upsert(0, Item::key_only(2));
+        let iterated: Vec<u64> = t.iter_in_bucket_order().map(|it| it.key).collect();
+        assert_eq!(t.len(), 4, "iterating keeps every item");
         let items: Vec<u64> = t.drain_in_bucket_order().iter().map(|it| it.key).collect();
+        assert_eq!(items, iterated);
         assert_eq!(items, vec![1, 2, 10, 20]);
         assert!(t.is_empty());
         assert_eq!(t.keys().len(), 0);

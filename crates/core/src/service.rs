@@ -6,7 +6,7 @@
 //! in the memory-resident `H0` and reach disk in bulk migrations, which
 //! is exactly the paper's update buffer. But its durability is
 //! single-threaded — every caller serializes on one handle and every
-//! commit pays a full `sync` (H0 flush + data fsync + manifest rename +
+//! commit pays a full `sync` (H0 image + data fsync + manifest rename +
 //! directory fsync). Under `K` concurrent writers that is `K` manifest
 //! fsyncs for `K` acknowledged writes: the sub-one-I/O update advantage
 //! drowns in commit overhead. [`ShardedKvStore`] restores it with the
@@ -44,8 +44,10 @@
 //!   log outgrows its threshold, the coordinator hardens every shard's
 //!   manifest in turn (each stamped with a replay watermark: the
 //!   newest batch it holds) and then empties the log, whose records
-//!   every manifest now covers. A manifest is a few level lines, so a
-//!   checkpoint costs `N` small commits, not `N` table writes. The
+//!   every manifest now covers. A manifest is a few level lines, and a
+//!   harden writes `H0` as an image of `⌈|H0|/b⌉` blocks and migrates
+//!   nothing, so a checkpoint costs `N` small commits, not `N` table
+//!   writes. The
 //!   coordinator's last act at shutdown is one more checkpoint.
 //!   Rounds are adaptive: the next one fires as soon as the previous
 //!   finishes and new dirt exists, so an idle service schedules
@@ -867,7 +869,7 @@ fn harden_shard<M: StoreMedia>(shard: &Shard<M>) -> bool {
         // watermark the manifest persists is exactly its newest batch.
         let r = store.harden().map(|()| store.replay_watermark());
         if r.is_err() {
-            // A failed harden may have flushed part of the batch set
+            // A failed harden may have written part of the batch set
             // toward disk; poisoning forbids any later manifest from
             // committing it.
             store.poison();
@@ -2292,7 +2294,7 @@ mod tests {
 mod model_tests {
     use super::*;
     use crate::SimMedia;
-    use dxh_extmem::{FaultPlan, SimEnv};
+    use dxh_extmem::{FaultPlan, IoEvent, SimEnv};
     use dxh_sync::model::{Checker, Report, Violation, ViolationKind};
     use mutant::Switch;
     use std::collections::{BTreeMap, HashSet};
@@ -2510,9 +2512,12 @@ mod model_tests {
     /// close, with the writers' calls made one after another — each its
     /// own batch and round: the window a sweep crashes at every index
     /// of. It runs on the checker's first schedule, so the window is the
-    /// same on every run.
+    /// same on every run. Every harden of a shard holding a key images
+    /// its `H0` (three keys never fill one, so nothing migrates and each
+    /// level file created is an image): the window crosses image writes,
+    /// the checkpointing one inside checkpoints before the close's.
     fn lifecycle_ios(keys: [Key; 3], ckpt: bool) -> u64 {
-        let ios = Arc::new(AtomicU64::new(0));
+        let ios = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
         let out = Arc::clone(&ios);
         let serial = move || {
             let env = SimEnv::new();
@@ -2520,11 +2525,25 @@ mod model_tests {
             for calls in calls(keys) {
                 write(&svc, &env, None, &calls);
             }
+            let images = |env: &SimEnv| {
+                let created = |e: &IoEvent| match e {
+                    IoEvent::Meta { label, .. } => {
+                        label.starts_with("file-create ") && label.ends_with(".blk")
+                    }
+                    _ => false,
+                };
+                env.take_trace().iter().filter(|e| created(e)).count() as u64
+            };
+            let before_close = images(&env);
             drop(svc);
-            out.store(env.ops(), Ordering::Relaxed);
+            out[0].store(env.ops(), Ordering::Relaxed);
+            assert!(images(&env) > 0, "the close's checkpoint images H0");
+            out[1].store(before_close, Ordering::Relaxed);
         };
         Checker::new().max_schedules(1).check(serial).unwrap_or_else(|v| panic!("{v}"));
-        ios.load(Ordering::Relaxed)
+        let images = ios[1].load(Ordering::Relaxed);
+        assert_eq!(images > 0, ckpt, "{images} images written by checkpoints before the close");
+        ios[0].load(Ordering::Relaxed)
     }
 
     /// The random walks' seed at crash index `crash_at`.

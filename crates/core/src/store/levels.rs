@@ -34,9 +34,16 @@
 //!   directory's entries reach the disk in the order they were made (as
 //!   under any journal, and as `SimEnv` models).
 //!
-//! So every level a manifest names starts at slot 0 of a file no other
-//! level names, and file numbers start at 1. A level line in "file 0"
-//! is the shared `store.blk` of an older layout, refused by name.
+//! A commit's image of `H0` is one more such file — a contiguous run of
+//! dense blocks the commit allocates, writes and, like any file written
+//! since the last commit, `fdatasync`s before its manifest — and lives
+//! by the same rules: never written again, unlinked once a later
+//! manifest that no longer names it is durable.
+//!
+//! So every level a manifest names, and its image, starts at slot 0 of a
+//! file no other line names, and file numbers start at 1. A level line
+//! in "file 0" is the shared `store.blk` of an older layout, refused by
+//! name.
 
 use std::collections::BTreeMap;
 

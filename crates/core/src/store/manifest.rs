@@ -9,19 +9,26 @@ use crate::config::CoreConfig;
 use crate::media::{commit_file_atomic, older_layout, StoreMedia, MANIFEST};
 use crate::stream::Region;
 
-pub(super) const MAGIC: &str = "dxh-store v2";
+pub(super) const MAGIC: &str = "dxh-store v3";
+
+/// The magic of the layout before `H0` was imaged: the same lines, none
+/// of them `h0`. Such a manifest opens as a store whose `H0` is empty.
+const MAGIC_V2: &str = "dxh-store v2";
 
 impl<M: StoreMedia> KvStore<M> {
-    /// The commit: `fdatasync`s the level files written since the last
+    /// The commit: writes `H0`'s image into a fresh level file,
+    /// `fdatasync`s it and the level files written since the last
     /// commit, atomically replaces `MANIFEST` with the table's current
     /// state — the commit point — and only then unlinks the files the
-    /// new manifest no longer names. Lines a parser does not know are
-    /// ignored by it (forward-compatible), so optional ones are
-    /// simply left out: `blob` is present exactly in payload mode,
-    /// `watermark` only on service-managed stores (see
-    /// `set_replay_watermark`). `checkpoint` picks the counter the
+    /// new manifest no longer names (the image the last commit wrote
+    /// among them). Optional lines are simply left out: `h0` when `H0` is
+    /// empty, `blob` outside payload mode, `watermark` outside a service
+    /// (see `set_replay_watermark`). `checkpoint` picks the counter the
     /// commit's bytes are added to, nothing else.
     pub(super) fn write_manifest(&mut self, checkpoint: bool) -> Result<()> {
+        // `H0` stays in memory; its image is a level file like any
+        // other to the fsync, the rename and the unlink below.
+        self.image = self.table.write_memory_image()?;
         let cfg = self.table.config();
         let mut out = String::new();
         out.push_str(MAGIC);
@@ -50,6 +57,11 @@ impl<M: StoreMedia> KvStore<M> {
             out.push_str(&format!("watermark {}\n", self.watermark));
         }
         // A level's base names its file: block id = file << 32 | slot.
+        // `H0`'s image is named the same way, its blocks in place of
+        // buckets.
+        if let Some(r) = self.image {
+            out.push_str(&format!("h0 {} {} {}\n", r.base.raw(), r.buckets, r.items));
+        }
         let levels = self.table.persisted_levels();
         out.push_str(&format!("levels {}\n", levels.len()));
         for (k, r) in levels.iter().enumerate() {
@@ -66,9 +78,10 @@ impl<M: StoreMedia> KvStore<M> {
         self.table.disk_mut().flush()?;
         commit_file_atomic(&mut self.media, MANIFEST, &out)?;
         // The new commit is durable: no level it names lives in a file a
-        // flush carried away, so those files may go.
-        let levels = self.table.persisted_levels().to_vec();
-        self.table.disk_mut().backend_mut().unlink_unnamed(&levels);
+        // flush carried away or in the image it replaced, so those files
+        // may go.
+        let named = self.named_regions();
+        self.table.disk_mut().backend_mut().unlink_unnamed(&named);
         self.manifest_len = out.len() as u64;
         let io = &mut self.manifest_io;
         let (commits, bytes) = match checkpoint {
@@ -127,6 +140,9 @@ pub(super) struct Manifest {
     /// as 0).
     pub(super) data_gen: u64,
     pub(super) levels: Vec<Option<Region>>,
+    /// `H0`'s image: its file's blocks in place of buckets (`None`: `H0`
+    /// was empty, or the manifest predates images).
+    pub(super) h0: Option<Region>,
     /// Commit-log replay watermark (absent lines parse as 0 — stores
     /// outside a service never write one).
     pub(super) watermark: u64,
@@ -161,7 +177,7 @@ impl Manifest {
     pub(super) fn parse(text: &str) -> Result<Self> {
         let mut lines = text.lines();
         match lines.next() {
-            Some(MAGIC) => {}
+            Some(MAGIC | MAGIC_V2) => {}
             // Written before deletion existed, when `u64::MAX` was an
             // ordinary value and not yet the deletion marker.
             Some("dxh-store v1") => return Err(older_layout("a `dxh-store v1` manifest")),
@@ -197,12 +213,15 @@ impl Manifest {
         else {
             return Err(corrupt("missing required field"));
         };
-        let cfg = CoreConfig::custom(b, m, gamma, beta)?.cost_model(cost);
+        let cfg = CoreConfig::custom(b, m, gamma, beta)
+            .map_err(|_| corrupt("invalid creation parameters"))?
+            .cost_model(cost);
         if !plausible_creation_params(&cfg) {
             return Err(corrupt("implausible creation parameters"));
         }
+        let levels = Vec::new();
         let mut manifest =
-            Manifest { cfg, seed, data_gen, levels: Vec::new(), watermark: 0, blob: None };
+            Manifest { cfg, seed, data_gen, levels, h0: None, watermark: 0, blob: None };
         for line in lines {
             manifest.apply_line(line)?;
         }
@@ -234,19 +253,30 @@ impl Manifest {
                     Ok(k) if k > 0 && k < self.levels.len() => k,
                     _ => return Err(corrupt("level index out of range")),
                 };
-                let nums: Vec<u64> = rest
-                    .map(|p| p.parse().map_err(|_| corrupt("bad level field")))
-                    .collect::<Result<_>>()?;
-                let [base, buckets, items] = nums[..] else {
-                    return Err(corrupt("level needs base/buckets/items"));
-                };
-                self.levels[k] =
-                    Some(Region { base: BlockId(base), buckets, items: items as usize });
+                let [base, buckets, items] = fields(rest)?;
+                self.levels[k] = Some(region(base, buckets, items)?);
+            }
+            "h0" => {
+                let [blocks, items] = fields(rest)?;
+                let base = v.parse().map_err(|_| corrupt("bad h0 field"))?;
+                self.h0 = Some(region(base, blocks, items)?);
             }
             _ => {}
         }
         Ok(())
     }
+}
+
+/// Exactly `N` numeric fields.
+fn fields<const N: usize>(rest: std::str::SplitWhitespace<'_>) -> Result<[u64; N]> {
+    let nums: Vec<u64> =
+        rest.map(|p| p.parse().map_err(|_| corrupt("bad field"))).collect::<Result<_>>()?;
+    nums.try_into().map_err(|_| corrupt("wrong number of fields"))
+}
+
+fn region(base: u64, buckets: u64, items: u64) -> Result<Region> {
+    let items = usize::try_from(items).map_err(|_| corrupt("item count out of range"))?;
+    Ok(Region { base: BlockId(base), buckets, items })
 }
 
 #[cfg(test)]
@@ -260,6 +290,95 @@ mod tests {
     use super::super::{blob_file_name, KvStore};
     use super::*;
     use crate::media::{read_text, MANIFEST_DELTA};
+
+    /// A manifest this build writes, `H0`'s image included.
+    const IMAGED: &str = "dxh-store v3\nb 8\nm 128\ngamma 2\nbeta 2\ncost seek\nseed 7\n\
+                          data 0\nblob 8445\nwatermark 5\nh0 12884901888 3 22\nlevels 2\n\
+                          level 1 8589934592 32 128\n";
+
+    /// What a manifest line may be made of: every key the parser knows,
+    /// ones it does not, the older magics, and tokens around the edges
+    /// of every field's range, `,`-separated.
+    const KEYS: &str = "b,m,gamma,beta,cost,seed,data,blob,watermark,levels,level,h0,epoch,\
+                        dxh-store v1,dxh-store v2,";
+    const TOKENS: &str = "0,1,2,8,63,64,128,4294967296,9223372036854775807,\
+                          18446744073709551615,18446744073709551616,-1,nan";
+
+    /// [`Manifest::parse`] of `bytes`, as an open reads them: text or
+    /// `Corrupt`.
+    fn parse_bytes(bytes: &[u8]) -> Result<Manifest> {
+        let text = std::str::from_utf8(bytes).map_err(|_| corrupt("not UTF-8"))?;
+        Manifest::parse(text)
+    }
+
+    /// The parser's verdicts: `Ok`, `Corrupt`, or — for a first line
+    /// naming the older layout it refuses — that refusal.
+    fn total(bytes: &[u8]) -> std::result::Result<(), String> {
+        let v1 = std::str::from_utf8(bytes).is_ok_and(|t| t.lines().next() == Some("dxh-store v1"));
+        match parse_bytes(bytes) {
+            Ok(_) | Err(ExtMemError::Corrupt(_)) => Ok(()),
+            Err(ExtMemError::BadConfig(why)) if v1 && why.contains("dxh-store v1") => Ok(()),
+            Err(e) => Err(format!("{e:?}")),
+        }
+    }
+
+    proptest::proptest! {
+        /// The manifest parser is total on arbitrary bytes: whatever it
+        /// is handed — noise, noise spliced into a manifest this build
+        /// wrote, or that manifest with lines replaced by any key over
+        /// any tokens, the `h0` line among them — it answers `Ok` or
+        /// `Corrupt`, and never panics.
+        #[test]
+        fn the_parser_answers_any_bytes_ok_or_corrupt(
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..160),
+            at in 0usize..200,
+            edits in proptest::collection::vec(
+                (
+                    0usize..16,
+                    0usize..15,
+                    proptest::collection::vec(0usize..14, 0..5),
+                    proptest::prelude::any::<u64>(),
+                ),
+                0..6,
+            ),
+        ) {
+            let (keys, tokens): (Vec<&str>, Vec<&str>) =
+                (KEYS.split(',').collect(), TOKENS.split(',').collect());
+            proptest::prop_assert!(total(&noise).is_ok(), "{:?}", total(&noise));
+            let mut spliced = IMAGED.as_bytes().to_vec();
+            let at = at.min(spliced.len());
+            spliced.splice(at..at, noise.iter().copied());
+            proptest::prop_assert!(total(&spliced).is_ok(), "{:?}", total(&spliced));
+            // Lines past the manifest's 13 are appended; a token past the
+            // table is the random word.
+            let mut lines: Vec<String> = IMAGED.lines().map(String::from).collect();
+            for (line, key, picks, word) in edits {
+                let word = word.to_string();
+                let fields = picks.iter().map(|&t| tokens.get(t).copied().unwrap_or(&word));
+                let edited = std::iter::once(keys[key]).chain(fields).collect::<Vec<_>>().join(" ");
+                match lines.get_mut(line) {
+                    Some(slot) => *slot = edited,
+                    None => lines.push(edited),
+                }
+            }
+            let edited = lines.join("\n").into_bytes();
+            proptest::prop_assert!(total(&edited).is_ok(), "{:?}", total(&edited));
+        }
+    }
+
+    #[test]
+    fn every_line_of_an_imaged_manifest_parses() {
+        let m = Manifest::parse(IMAGED).unwrap();
+        let h0 = m.h0.expect("the h0 line");
+        assert_eq!((h0.base.raw(), h0.buckets, h0.items), (3 << 32, 3, 22));
+        assert_eq!(m.levels[1].map(|r| (r.buckets, r.items)), Some((32, 128)));
+        let v2 = IMAGED.replace("v3", "v2").replace("h0 12884901888 3 22\n", "");
+        assert!(Manifest::parse(&v2).unwrap().h0.is_none(), "a v2 manifest: H0 is empty");
+        for line in ["h0 12884901888 3", "h0 12884901888 3 22 1", "h0 x 3 22", "h0 1 3 -1"] {
+            let text = IMAGED.replace("h0 12884901888 3 22", line);
+            assert!(matches!(Manifest::parse(&text), Err(ExtMemError::Corrupt(_))), "{line}");
+        }
+    }
 
     #[test]
     fn implausible_level_count_rejected_without_allocating() {
@@ -307,9 +426,9 @@ mod tests {
         );
     }
 
-    /// Every commit writes the same manifest: a few level lines, whatever
-    /// the table holds and whoever asked — no allocator state (there is
-    /// no allocator), no marker beside it. `sync` and the service's
+    /// Every commit writes the same manifest: a few level lines and at
+    /// most one `h0` line, whatever the table holds and whoever asked —
+    /// no allocator state (there is no allocator), no marker beside it. `sync` and the service's
     /// `harden` differ in the counter they feed, and a reopen after
     /// either, cleanly closed or not, is the same reopen.
     #[test]
@@ -333,12 +452,13 @@ mod tests {
             let text = read(&dir);
             let keys: Vec<&str> =
                 text.lines().skip(1).map(|l| l.split(' ').next().unwrap()).collect();
-            let known = ["b", "m", "gamma", "beta", "cost", "seed", "data", "levels", "level"];
+            let known =
+                ["b", "m", "gamma", "beta", "cost", "seed", "data", "h0", "levels", "level"];
             assert!(keys.iter().all(|key| known.contains(key)), "round {round}: {text}");
             assert_eq!(dir_files(&dir), named_files(&s), "round {round}");
             sizes.push(text.len() as u64);
         }
-        assert!(sizes.iter().all(|&bytes| bytes < 200), "{sizes:?}");
+        assert!(sizes.iter().all(|&bytes| bytes < 232), "{sizes:?}");
         let io = s.manifest_io();
         assert_eq!((io.full_commits, io.delta_commits), (1 + 3, 3));
         let synced = sizes[0] + sizes[2] + sizes[4];
@@ -539,11 +659,16 @@ mod tests {
     }
 
     /// The manifest bytes of one fixed history, pinned: on-disk formats
-    /// are checked, not claimed. A level's base is `file << 32`: `H2` is
-    /// the third file this store built, `H3` and `H1` its sixth and
-    /// seventh. Re-recorded once, when the `epoch` line went; the build
-    /// before wrote the same bytes with `epoch 2` and `epoch 3` after the
-    /// seed. What the layout before that wrote for the same history —
+    /// are checked, not claimed. A base is `file << 32`: `H1` is the
+    /// second file this store built and the first commit's image of `H0`
+    /// (22 items, 3 blocks) the third; `H3` is the seventh and the second
+    /// image (16 items) the eighth. Re-recorded twice: when the `epoch`
+    /// line went (the build before wrote `epoch 2` and `epoch 3` after the
+    /// seed), and when commits began to image `H0` instead of migrating
+    /// it (`dxh-store v2` then ended in `levels 3`, `level 2 12884901888
+    /// 38 150`, and in `levels 4`, `level 1 30064771072 15 58`, `level 3
+    /// 25769803776 86 342`). What the layout before both wrote for the
+    /// same history —
     /// every level in one shared `store.blk`, "file 0", behind the block
     /// allocator's `slots` and `free` lines, a `CLEAN` marker beside — is
     /// refused by name, and nothing in the directory changes.
@@ -556,13 +681,13 @@ mod tests {
         let [first, second] = pinned_history(&mut s);
         assert_eq!(
             first,
-            "dxh-store v2\nb 8\nm 128\ngamma 2\nbeta 2\ncost seek\nseed 7\ndata 0\n\
-             blob 8445\nwatermark 5\nlevels 3\nlevel 2 12884901888 38 150\n"
+            "dxh-store v3\nb 8\nm 128\ngamma 2\nbeta 2\ncost seek\nseed 7\ndata 0\n\
+             blob 8445\nwatermark 5\nh0 12884901888 3 22\nlevels 2\nlevel 1 8589934592 32 128\n"
         );
         assert_eq!(
             second,
-            "dxh-store v2\nb 8\nm 128\ngamma 2\nbeta 2\ncost seek\nseed 7\ndata 0\n\
-             blob 22900\nwatermark 9\nlevels 4\nlevel 1 30064771072 15 58\nlevel 3 25769803776 86 342\n"
+            "dxh-store v3\nb 8\nm 128\ngamma 2\nbeta 2\ncost seek\nseed 7\ndata 0\n\
+             blob 22900\nwatermark 9\nh0 34359738368 2 16\nlevels 4\nlevel 3 30064771072 96 384\n"
         );
         assert!(s.media.read_file(MANIFEST_DELTA).unwrap().is_none(), "nothing writes the chain");
 
@@ -592,11 +717,12 @@ mod tests {
         }
     }
 
-    /// A manifest exactly as the build before this one wrote it — its
-    /// bytes recorded by that build after the pinned history and a
-    /// compaction — opens: the `epoch` line is skipped like any unknown
-    /// key. The store serves every payload of the blob log's generation
-    /// 1, takes more, and its next commit is this build's manifest.
+    /// A `dxh-store v2` manifest exactly as an earlier build wrote it —
+    /// its bytes recorded by that build after the pinned history and a
+    /// compaction — opens as a store whose `H0` is empty: the `epoch`
+    /// line is skipped like any unknown key. The store serves every
+    /// payload of the blob log's generation 1, takes more, and its next
+    /// commit is this build's manifest.
     #[test]
     fn a_manifest_the_build_before_wrote_opens_serves_and_commits() {
         use dxh_extmem::SimEnv;
@@ -611,11 +737,18 @@ mod tests {
         pinned_history(&mut s);
         s.compact().unwrap();
         drop(s);
+        // This build's commits image `H0`, so its compaction builds the
+        // ninth level file where that build's built the eighth — and a
+        // chain block's `next` names its file — so the level line is
+        // installed naming file 9, the rest byte for byte.
         let ours = manifest_text(&env);
-        assert_eq!(ours, BEFORE.replace("epoch 4\n", ""), "the one difference");
-        put_file(&env, MANIFEST, BEFORE.as_bytes());
+        let before = BEFORE.replace("34359738368", "38654705664");
+        let theirs = before.replace("epoch 4\n", "").replace("v2", "v3");
+        assert_eq!(ours, theirs, "the magic and the epoch line");
+        put_file(&env, MANIFEST, before.as_bytes());
         let mut s = open();
         assert_eq!(s.replay_watermark(), 9);
+        assert!(s.table().memory_items().is_empty() && s.image.is_none(), "no image, empty H0");
         for k in 0..400u64 {
             assert_eq!(s.get_bytes(k).unwrap(), Some(&payload_for(k)[..]), "key {k}");
         }

@@ -50,8 +50,9 @@ impl<M: StoreMedia> KvStore<M> {
         }
         // A region at level k has between one bucket and the level's full
         // bucket count — a level is sized by what landed in it (see
-        // `fresh_level_buckets`), and a harden's flush of a partial `H0`
-        // may land a handful of items — and holds at most the level's
+        // `fresh_level_buckets`), and a compaction of a few live items,
+        // or an older build's harden that flushed a partial `H0`, may
+        // land a handful — and holds at most the level's
         // capacity. A persisted `m`, `gamma`, bucket or item count outside
         // that is corruption — caught here, before `H0`, the filters or
         // anything else is sized from them, and before an item count is
@@ -64,15 +65,26 @@ impl<M: StoreMedia> KvStore<M> {
                 return Err(corrupt("level region does not match the creation parameters"));
             }
         }
+        // `H0`'s image holds what a commit found in `H0`: at least one
+        // item (an empty `H0` gets no line), at most `m/2`, `b` to a block.
+        if let Some(r) = m.h0 {
+            let items = 1..=m.cfg.h0_capacity();
+            if !items.contains(&r.items) || r.buckets != r.items.div_ceil(m.cfg.b) as u64 {
+                return Err(corrupt("H0 image does not match the creation parameters"));
+            }
+        }
         // (Capacities saturate at deep levels, so the bound above alone
         // does not keep the sum in range.)
-        if m.levels.iter().flatten().try_fold(0usize, |n, r| n.checked_add(r.items)).is_none() {
+        let named: Vec<_> = m.levels.iter().chain([&m.h0]).copied().collect();
+        if named.iter().flatten().try_fold(0usize, |n, r| n.checked_add(r.items)).is_none() {
             return Err(corrupt("level item counts overflow"));
         }
-        // The files the level lines name, each region inside its file.
-        let files = LevelFiles::open(media.view(), m.cfg.b, &m.levels)?;
+        // The files the level lines and the image name, each region
+        // inside its file.
+        let files = LevelFiles::open(media.view(), m.cfg.b, &named)?;
         let disk = Disk::new(files, m.cfg.b, m.cfg.cost);
-        let table = LogMethodTable::from_parts(disk, m.cfg, IdealFn::from_seed(m.seed), m.levels)?;
+        let hash = IdealFn::from_seed(m.seed);
+        let table = LogMethodTable::from_parts(disk, m.cfg, hash, m.levels, m.h0)?;
         // The blob log recovers to the committed length the manifest
         // covers: a crash tail (torn or unsynced appends the index never
         // referenced) is truncated away, and the committed prefix is
@@ -111,6 +123,7 @@ impl<M: StoreMedia> KvStore<M> {
             dirty: false,
             poisoned: false,
             watermark: m.watermark,
+            image: m.h0,
             manifest_io: ManifestIoStats::default(),
             manifest_len: text.len() as u64,
             media,
@@ -353,33 +366,34 @@ mod tests {
             }
         };
 
-        // Every level at the full geometry, m/b · 2^k buckets. `cfg()`: H2
-        // has 64 buckets at most and holds at most 256 items.
+        // Every level at the full geometry, m/b · 2^k buckets. `cfg()`: 15
+        // flushes leave an H2 of three H0s and an H4 of twelve, 40 items
+        // in H0; H2 has 64 buckets at most and holds at most 256 items.
         legacy(
             &cfg(),
-            (900, 2_500),
-            &[(0, 0), (132, 33), (0, 0), (768, 192)],
+            (1_000, 2_500),
+            &[(0, 0), (192, 48), (0, 0), (768, 192)],
             &|k, _| cfg().level_buckets(k),
-            &[(2, 64, 132), (4, 256, 768)],
+            &[(2, 64, 192), (4, 256, 768)],
             &[
                 "level 2 0 64 18446744073709551615",
                 "level 2 0 64 257",
-                "level 2 0 0 132",
-                "level 2 0 65 132",
+                "level 2 0 0 192",
+                "level 2 0 65 192",
             ],
         );
-        // The deployed geometry. Nine flushes leave an H2 of three H0s
-        // and an H3 of six, the sync's an H1 of 1 568 items: 33, 128 and
-        // 256 buckets at 48 items each. The two versions before built H1
+        // The deployed geometry. Ten flushes leave an H1 of one H0, an H2
+        // of three and an H3 of six: 43, 128 and 256 buckets at 48 items
+        // each, and 1 568 items in H0. The two versions before built H1
         // with all its 128 buckets, and the earlier of them H2 and H3 at
         // load 1/2, 192 and 384. H2 has 256 buckets at most and holds at
         // most 8 192 items.
         let big = CoreConfig::lemma5(64, 4096, 2).unwrap();
-        let sized = [(1_568, 33), (6_144, 128), (12_288, 256)];
+        let sized = [(2_048, 43), (6_144, 128), (12_288, 256)];
         let mutants = ["level 2 128 0 6144", "level 2 128 257 6144", "level 2 128 192 8193"];
         legacy(
             &big,
-            (20_000, 50_000),
+            (22_048, 50_000),
             &sized,
             &|k, r| {
                 if k == 1 {
@@ -388,15 +402,15 @@ mod tests {
                     (2 * r.items).div_ceil(big.b) as u64
                 }
             },
-            &[(1, 128, 1568), (2, 192, 6144), (3, 384, 12288)],
+            &[(1, 128, 2048), (2, 192, 6144), (3, 384, 12288)],
             &mutants,
         );
         legacy(
             &big,
-            (20_000, 50_000),
+            (22_048, 50_000),
             &sized,
             &|k, r| if k == 1 { big.level_buckets(k) } else { r.buckets },
-            &[(1, 128, 1568), (2, 128, 6144), (3, 256, 12288)],
+            &[(1, 128, 2048), (2, 128, 6144), (3, 256, 12288)],
             &mutants,
         );
     }
@@ -437,7 +451,10 @@ mod tests {
         assert!(stats.skipped > 10 * stats.false_positives, "the writer's filters work: {stats:?}");
         drop(s);
         let mut s = KvStore::open(&dir, cfg.clone(), 31).unwrap();
-        assert_eq!(s.disk_stats().reads, blocks, "the rebuild reads each filtered block once");
+        let image = image_blocks(&s);
+        assert!(image > 0, "{n} keys leave H0 non-empty");
+        let reads = s.disk_stats().reads;
+        assert_eq!(reads, blocks + image, "the rebuild and H0's image, each block once");
         assert_eq!(probe_cost(&mut s, n), cost, "clean reopen");
 
         // Compaction lands everything in one (filtered) level: every old
@@ -477,11 +494,12 @@ mod tests {
             s.insert(key, key + 1).unwrap();
         }
         s.harden().unwrap();
-        let (blocks, _) = filtered_blocks(&mut s);
+        let (blocks, image) = (filtered_blocks(&mut s).0, image_blocks(&s));
         let cost = probe_cost(&mut s, n);
         sim_crash(&env, s, 31);
         let mut s = KvStore::open_on(SimMedia::open(&env).unwrap(), cfg, 31).unwrap();
-        assert_eq!(s.disk_stats().reads, blocks, "a reopen after a crash rebuilds too");
+        let reads = s.disk_stats().reads;
+        assert_eq!(reads, blocks + image, "a reopen after a crash rebuilds and reloads too");
         assert_eq!(probe_cost(&mut s, n), cost, "reopen after a crash");
     }
 
