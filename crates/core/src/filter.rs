@@ -1,12 +1,29 @@
-//! Level filters: one in-memory Bloom filter per shallow level of the
+//! Level filters: in-memory Bloom filters over the disk levels of the
 //! logarithmic method, paid for out of the part of `m` the construction
 //! reserves but leaves idle (see the deviation note in `log_method`).
 //!
-//! Two pieces: [`FilterPlan`] — how many levels get a filter, and how
-//! large each is and how many bits it sets a key, derived from the
-//! configuration and the spare memory — and [`LevelFilter`], the add-only
-//! Bloom filter itself. Filters are derived state: nothing here is ever
-//! persisted.
+//! Two pieces: [`FilterPlan`] — how the idle memory is cut into one
+//! **share** per shallow level `H_1 … H_L`, each sized and probed for its
+//! level's capacity, derived from the configuration and the spare memory
+//! — and [`LevelFilter`], the add-only filter one level holds.
+//!
+//! A share is only busy while its own level exists. A level's filter is
+//! therefore a short list of **segments**: its own share (for `k ≤ L`)
+//! plus **loans** cut from the shares of shallower levels that are empty.
+//! Each segment is an independent Bloom filter over all of the level's
+//! keys, remixed by the share it was cut from and probed at the best
+//! count for its bits per landing key; the level lets a key through only
+//! if every segment does. Dropping a segment therefore only ever lets
+//! more keys through — never loses one — which is what makes a loan
+//! safe to **recall**: a flush that lands in `H_k` empties `H_1 … H_{k−1}`
+//! and lends their shares to the `H_k` it builds
+//! ([`FilterPlan::loans`]), and takes back from deeper levels every loan
+//! of a share `≤ k`, whose own level is about to exist again. Neither
+//! step reads or writes a block. Each share is held by at most one
+//! filter, and the loans are bounded so that the filters alive while a
+//! flush lands in `H_k` plus its buffers still fit the spare memory, so
+//! the reservation is the plan's and nothing more. Filters are derived
+//! state: nothing here is ever persisted.
 
 use dxh_extmem::{MemoryBudget, Result};
 use dxh_hashfn::{fmix64, prefix_bucket};
@@ -64,8 +81,8 @@ struct LevelShare {
 /// filters — a pure function of the configuration and the spare item
 /// count, never configured.
 ///
-/// The first `L` levels get a filter each, sized as Monkey (Dayan,
-/// Athanassoulis, Idreos, SIGMOD 2017) sizes an LSM-tree's: the
+/// The first `L` levels get a share each, sized as Monkey (Dayan,
+/// Athanassoulis, Idreos, SIGMOD 2017) sizes an LSM-tree's filters: the
 /// false-positive rates that minimize `Σ fp_k` for a given number of bits
 /// are proportional to the levels' capacities, `fp_k = λ·cap_k`, which
 /// takes `bits_k = −ln(λ·cap_k) / ln²2` bits a key. A shallow level is
@@ -77,10 +94,19 @@ struct LevelShare {
 /// as rounded down to whole items. Each level then probes at the best
 /// integer count for the bits it got. `L` maximizes the expected number
 /// of skipped probes of a miss, `Σ (1 − fp_k)`.
+///
+/// The share of an empty level is lent to a deeper one until its own
+/// level is built again: what a level holds, and the false-positive rate
+/// it is designed for at its item count, is [`HeldFilter`]'s.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FilterPlan {
     /// The share of level `k` at index `k − 1`.
     levels: Vec<LevelShare>,
+    /// The items the plan was derived for: filters and a carry's buffers
+    /// together never exceed it.
+    spare: usize,
+    /// The block size, in items: a carry landing in `H_j` buffers `2·j·b`.
+    b: usize,
 }
 
 impl FilterPlan {
@@ -88,7 +114,7 @@ impl FilterPlan {
     /// (no level filtered) when not even `H1`'s filter fits beside a
     /// carry's buffers.
     pub fn derive(cfg: &CoreConfig, spare: usize) -> Self {
-        let mut best = FilterPlan { levels: Vec::new() };
+        let mut best = FilterPlan { levels: Vec::new(), spare, b: cfg.b };
         let mut best_score = 0.0;
         // A carry landing in the deepest filtered level needs its 2·L·b
         // buffered items whatever the filters get.
@@ -105,7 +131,7 @@ impl FilterPlan {
                     LevelShare { items, bits_per_key, probes: best_probes(bits_per_key) }
                 })
                 .collect();
-            let plan = FilterPlan { levels };
+            let plan = FilterPlan { levels, spare, b: cfg.b };
             let score: f64 = (1..=plan.levels()).map(|k| 1.0 - plan.designed_fp(k)).sum();
             if score > best_score {
                 best_score = score;
@@ -117,14 +143,14 @@ impl FilterPlan {
 
     /// Derives the plan from what `budget` has left once its owner's
     /// fixed reservations are in, and reserves the plan's full size — so
-    /// `memory_used() ≤ m` covers the filters.
+    /// `memory_used() ≤ m` covers the filters, loans included.
     pub(crate) fn reserve(cfg: &CoreConfig, budget: &mut MemoryBudget) -> Result<Self> {
         let plan = Self::derive(cfg, budget.remaining());
         budget.reserve(plan.items_from(1))?;
         Ok(plan)
     }
 
-    /// Number of filtered levels `L`: `H_1 … H_L` carry a filter.
+    /// Number of filtered levels `L`: `H_1 … H_L` own a share.
     pub fn levels(&self) -> usize {
         self.levels.len()
     }
@@ -134,34 +160,82 @@ impl FilterPlan {
         self.levels.get(k.checked_sub(1)?)
     }
 
-    /// Filter bits per key of `H_k`'s capacity (0 for an unfiltered
-    /// level).
+    /// Filter bits per key of `H_k`'s capacity in its own share (0 for
+    /// an unfiltered level).
     pub fn bits_per_key(&self, k: usize) -> f64 {
         self.share(k).map_or(0.0, |s| s.bits_per_key)
     }
 
-    /// Bits `H_k`'s filter sets (and tests) per key (0 for an unfiltered
-    /// level).
+    /// Bits `H_k`'s own share sets (and tests) per key at the level's
+    /// capacity (0 for an unfiltered level).
     pub fn probes(&self, k: usize) -> u32 {
         self.share(k).map_or(0, |s| s.probes)
     }
 
-    /// The false-positive rate of `H_k`'s filter filled to the level's
+    /// The false-positive rate of `H_k`'s own share filled to the level's
     /// capacity (1 for an unfiltered level: every probe goes through).
     pub fn designed_fp(&self, k: usize) -> f64 {
         self.share(k).map_or(1.0, |s| bloom_fp(s.bits_per_key, s.probes))
     }
 
-    /// Items of memory the filters of levels `from..=L` occupy — with
+    /// Items of memory the shares of levels `from..=L` occupy — with
     /// `from = 1`, the whole reservation.
     pub fn items_from(&self, from: usize) -> usize {
         self.levels.iter().skip(from.saturating_sub(1)).map(|s| s.items).sum()
     }
 
-    /// An empty filter for level `k`; `None` past the filtered levels.
-    pub(crate) fn new_filter(&self, k: usize) -> Option<LevelFilter> {
-        let s = self.share(k)?;
-        Some(LevelFilter { words: vec![0; s.items * (ITEM_BITS / 64)], probes: s.probes })
+    /// The spare items the plan was derived for.
+    pub(crate) fn spare(&self) -> usize {
+        self.spare
+    }
+
+    /// The items a carry landing in `H_k` buffers: `2·k·b`.
+    pub(crate) fn carry_buffers(&self, k: usize) -> usize {
+        2 * k * self.b
+    }
+
+    /// Items of share `i` (0 past the filtered levels).
+    pub(crate) fn share_items(&self, i: usize) -> usize {
+        self.share(i).map_or(0, |s| s.items)
+    }
+
+    /// The loans of the `H_k` a flush builds, as `(share, items)`: cut
+    /// from the shares `< k` — all idle, their levels just emptied into
+    /// `H_k` — deepest share first, up to `spare − items_from(k) − 2·k·b`
+    /// items in all. That bound is [`fits`]'s: with the shares `> k`
+    /// held wherever they are and `H_k`'s own, the filters alive while
+    /// the carry lands still fit beside its buffers.
+    pub(crate) fn loans(&self, k: usize) -> Vec<(usize, usize)> {
+        let mut room = self.spare.saturating_sub(self.items_from(k) + self.carry_buffers(k));
+        let mut loans = Vec::new();
+        for i in (1..k.min(self.levels() + 1)).rev() {
+            let items = room.min(self.share_items(i));
+            if items == 0 {
+                break;
+            }
+            room -= items;
+            loans.push((i, items));
+        }
+        loans
+    }
+
+    /// The filter of an `H_k` about to hold `items` keys: a segment of
+    /// `H_k`'s own share (for `k ≤ L`) and one per loan `(share, items)`,
+    /// each probed at the best count for its bits per key. `None` when
+    /// there is nothing to hold.
+    pub(crate) fn filter(
+        &self,
+        k: usize,
+        items: usize,
+        loans: &[(usize, usize)],
+    ) -> Option<LevelFilter> {
+        let own = self.share(k).map(|s| (k, s.items));
+        let segments: Vec<Segment> = own
+            .into_iter()
+            .chain(loans.iter().copied())
+            .map(|(share, held)| Segment::new(share, held, items))
+            .collect();
+        (!segments.is_empty()).then_some(LevelFilter { segments })
     }
 }
 
@@ -232,24 +306,66 @@ impl FilterStats {
     }
 }
 
-/// An add-only Bloom filter over the keys of one level, addressed by the
-/// table's own `hash64` of the key.
+/// What one level's filter holds, beside the false-positive rate it is
+/// designed for at the level's current item count: the product of its
+/// segments' textbook rates, each at its own bits per key and probe
+/// count. A level with no filter holds nothing and lets every probe
+/// through ([`HeldFilter::NONE`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct HeldFilter {
+    /// Items of the level's own share (0 past the filtered levels).
+    pub own: usize,
+    /// Items lent by the shares of empty shallower levels.
+    pub loaned: usize,
+    /// Bits tested per key, over every segment.
+    pub probes: u32,
+    /// The designed false-positive rate at the level's item count.
+    pub designed_fp: f64,
+}
+
+impl HeldFilter {
+    /// No filter: nothing held, every probe goes through.
+    pub const NONE: HeldFilter = HeldFilter { own: 0, loaned: 0, probes: 0, designed_fp: 1.0 };
+
+    /// Items held, own share and loans together.
+    pub fn items(&self) -> usize {
+        self.own + self.loaned
+    }
+}
+
+/// An add-only Bloom filter over the keys of one level, cut from one
+/// share of the plan.
 ///
-/// Bit positions come from a **remix** of that hash by double hashing
-/// (`g_i = a + i·step`): the level's bucket index already consumes the
-/// hash's top bits, so reducing the raw hash again would hand every key
-/// of one bucket the same few filter words.
-pub(crate) struct LevelFilter {
+/// Bit positions come from a **remix** of the table's `hash64` by double
+/// hashing (`g_i = a + i·step`): the level's bucket index already
+/// consumes the hash's top bits, so reducing the raw hash again would
+/// hand every key of one bucket the same few filter words. The remix is
+/// salted by the share, so the segments of one level are independent
+/// filters and their false-positive rates multiply.
+struct Segment {
+    /// The plan share this segment's memory belongs to.
+    share: usize,
     words: Vec<u64>,
     probes: u32,
 }
 
-impl LevelFilter {
+impl Segment {
+    /// An empty segment of `items` items of `share`, probed at the best
+    /// count for a level of `keys` keys.
+    fn new(share: usize, items: usize, keys: usize) -> Self {
+        let probes = best_probes((items * ITEM_BITS) as f64 / keys.max(1) as f64);
+        Segment { share, words: vec![0; items * (ITEM_BITS / 64)], probes }
+    }
+
+    fn items(&self) -> usize {
+        self.words.len() * 64 / ITEM_BITS
+    }
+
     /// The word index and mask of each of the key's bit positions.
     #[inline]
     fn positions(&self, h: u64) -> impl Iterator<Item = (usize, u64)> {
         let bits = self.words.len() as u64 * 64;
-        let mut g = fmix64(h);
+        let mut g = fmix64(h ^ (self.share as u64).wrapping_mul(SHARE_SALT));
         let step = g.rotate_left(32) | 1;
         (0..self.probes).map(move |_| {
             let bit = prefix_bucket(g, bits);
@@ -257,12 +373,27 @@ impl LevelFilter {
             ((bit / 64) as usize, 1u64 << (bit % 64))
         })
     }
+}
 
+/// Spreads the share index over the hash's bits before the remix.
+const SHARE_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The filter one level holds: its segments, each over all of the
+/// level's keys. A key may be in the level only if every segment says
+/// so, so a level keeps its segments' product false-positive rate, and
+/// loses none of its keys when a segment is recalled.
+pub(crate) struct LevelFilter {
+    segments: Vec<Segment>,
+}
+
+impl LevelFilter {
     /// Adds the key hashing to `h`.
     #[inline]
     pub(crate) fn insert(&mut self, h: u64) {
-        for (word, mask) in self.positions(h) {
-            self.words[word] |= mask;
+        for s in &mut self.segments {
+            for (word, mask) in s.positions(h) {
+                s.words[word] |= mask;
+            }
         }
     }
 
@@ -270,7 +401,34 @@ impl LevelFilter {
     /// definite.
     #[inline]
     pub(crate) fn may_contain(&self, h: u64) -> bool {
-        self.positions(h).all(|(word, mask)| self.words[word] & mask != 0)
+        self.segments.iter().all(|s| s.positions(h).all(|(word, mask)| s.words[word] & mask != 0))
+    }
+
+    /// `(share, items)` of each segment held.
+    pub(crate) fn shares(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.segments.iter().map(|s| (s.share, s.items()))
+    }
+
+    /// Gives back every segment cut from a share `≤ k`; `None` when
+    /// nothing is left.
+    pub(crate) fn recall(mut self, k: usize) -> Option<Self> {
+        self.segments.retain(|s| s.share > k);
+        (!self.segments.is_empty()).then_some(self)
+    }
+
+    /// What the filter of `H_level`, holding `keys` keys, holds.
+    pub(crate) fn held(&self, level: usize, keys: usize) -> HeldFilter {
+        let mut held = HeldFilter::NONE;
+        for s in &self.segments {
+            if s.share == level {
+                held.own += s.items();
+            } else {
+                held.loaned += s.items();
+            }
+            held.probes += s.probes;
+            held.designed_fp *= bloom_fp((s.items() * ITEM_BITS) as f64 / keys as f64, s.probes);
+        }
+        held
     }
 }
 
@@ -304,9 +462,21 @@ mod tests {
             );
         }
         for k in 1..=plan.levels() + 1 {
-            assert_eq!(plan.new_filter(k).is_some(), k <= plan.levels());
+            assert_eq!(plan.filter(k, 1, &[]).is_some(), k <= plan.levels());
         }
-        assert!(plan.new_filter(0).is_none());
+        // A flush landing in H_k holds the shares past k wherever they
+        // are, H_k's own and its loans: within the spare beside 2·k·b.
+        for k in 1..=plan.levels() + 2 {
+            let loans = plan.loans(k);
+            let lent: usize = loans.iter().map(|&(_, items)| items).sum();
+            let alive = plan.items_from(k) + lent + 2 * k * cfg.b;
+            assert!(alive <= spare || lent == 0, "H{k} borrows {loans:?} past {spare} spare items");
+            for (n, &(i, items)) in loans.iter().enumerate() {
+                assert!(i < k && 0 < items && items <= plan.share_items(i), "H{k}: {loans:?}");
+                assert!(n == 0 || i < loans[n - 1].0, "H{k}: deepest share first, once: {loans:?}");
+            }
+        }
+        assert!(plan.filter(0, 1, &[]).is_none());
     }
 
     /// The split this plan replaced, kept as the reference it must beat:
@@ -391,12 +561,11 @@ mod tests {
             let (cfg, p) = plan(b, m, gamma);
             let hash = IdealFn::from_seed(7);
             for k in 1..=p.levels() {
-                let mut f = p.new_filter(k).unwrap();
                 let cap = cfg.level_capacity(k as u32) as u64;
+                let mut f = p.filter(k, cap as usize, &[]).unwrap();
+                assert_eq!(f.held(k, cap as usize).probes, p.probes(k), "({b}, {m}, {gamma}) H{k}");
                 (0..cap).for_each(|key| f.insert(hash.hash64(key)));
-                let absent = 100_000u64;
-                let hits = (cap..cap + absent).filter(|&key| f.may_contain(hash.hash64(key)));
-                let fp = hits.count() as f64 / absent as f64;
+                let fp = measured_fp(&f, &hash, cap, 100_000);
                 assert!(
                     fp <= 1.5 * p.designed_fp(k) + 1e-4,
                     "({b}, {m}, {gamma}) H{k}: measured {fp} vs designed {}",
@@ -404,6 +573,56 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The measured false-positive rate of `f` over `absent` keys past
+    /// `keys`.
+    fn measured_fp(f: &LevelFilter, hash: &IdealFn, keys: u64, absent: u64) -> f64 {
+        let hits = (keys..keys + absent).filter(|&key| f.may_contain(hash.hash64(key)));
+        hits.count() as f64 / absent as f64
+    }
+
+    #[test]
+    fn a_level_holding_loans_stays_near_the_product_of_its_segments() {
+        // The benchmark's shard. A flush landing in H_k has just emptied
+        // H1 … H_(k−1) and borrows their shares, deepest first, as far as
+        // the 2·k·b buffered items leave room.
+        let (_, p) = plan(64, 4096, 2);
+        assert_eq!(p.loans(1), []);
+        assert_eq!(p.loans(2), [(1, 86)]);
+        assert_eq!(p.loans(3), [(2, 294)]);
+        assert_eq!(p.loans(4), [(3, 489), (2, 166)]);
+        assert_eq!(p.loans(5), [(4, 609), (3, 489), (2, 38)]);
+        let hash = IdealFn::from_seed(11);
+        // H4 as the `lookup` workload holds it, 24 576 keys: built with
+        // both loans, then with H2's share recalled by a flush into H2;
+        // and an unfiltered H5 of loans alone.
+        let keys = 24_576;
+        let mut h4 = p.filter(4, keys, &p.loans(4)).unwrap();
+        (0..keys as u64).for_each(|key| h4.insert(hash.hash64(key)));
+        let built = h4.held(4, keys);
+        assert_eq!((built.own, built.loaned, built.probes), (609, 655, 5));
+        let h4 = h4.recall(2).unwrap();
+        assert_eq!(h4.shares().collect::<Vec<_>>(), [(4, 609), (3, 489)]);
+        let kept = h4.held(4, keys);
+        assert!((kept.designed_fp - 0.065).abs() < 0.001, "{kept:?}");
+        assert!(built.designed_fp < kept.designed_fp && kept.designed_fp < p.designed_fp(4));
+        let mut h5 = p.filter(5, 2 * keys, &p.loans(5)).unwrap();
+        (0..2 * keys as u64).for_each(|key| h5.insert(hash.hash64(key)));
+        for (k, f, keys) in [(4, &h4, keys), (5, &h5, 2 * keys)] {
+            let held = f.held(k, keys);
+            // Independent segments multiply; shared bit positions would
+            // leave the level near its largest segment's rate.
+            let fp = measured_fp(f, &hash, keys as u64, 200_000);
+            assert!(
+                fp <= 1.5 * held.designed_fp + 1e-4 && held.designed_fp <= 1.5 * fp + 1e-4,
+                "H{k}: measured {fp} vs designed {}",
+                held.designed_fp
+            );
+            // A recalled segment loses no key.
+            assert!((0..keys as u64).all(|key| f.may_contain(hash.hash64(key))), "H{k}");
+        }
+        assert!(h4.recall(4).is_none(), "H4's own share is the last to go");
     }
 
     proptest! {
@@ -432,8 +651,10 @@ mod tests {
             );
             prop_assert!(ours <= theirs, "Σ fp {} > the uniform split's {}", ours, theirs);
             let hash = IdealFn::from_seed(seed);
-            for k in 1..=p.levels() {
-                let mut f = p.new_filter(k).unwrap();
+            for k in 1..=p.levels() + 1 {
+                let filter = p.filter(k, keys.len(), &p.loans(k));
+                prop_assert!(filter.is_some() || k > p.levels(), "H{} has no filter", k);
+                let Some(mut f) = filter else { continue };
                 for &key in &keys {
                     f.insert(hash.hash64(key));
                 }

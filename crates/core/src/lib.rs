@@ -11,9 +11,10 @@
 //!   ([`CoreConfig::fresh_level_buckets`], [`CoreConfig::sealed_fill`]:
 //!   48 of 64 items a block); overflowing levels migrate downward by a
 //!   sequential bucket-ordered scan into a freshly built level. Insertions cost `O((γ/b)·log(n/m))` amortized; lookups cost
-//!   `O(log_γ(n/m))` at worst — the first levels keep Bloom filters in
-//!   the part of `m` the construction leaves idle ([`FilterPlan`]), so a
-//!   probe reads only the levels that can hold its key.
+//!   `O(log_γ(n/m))` at worst — the first levels own Bloom filter shares
+//!   in the part of `m` the construction leaves idle ([`FilterPlan`]),
+//!   lent to a deeper level while their own is empty, so a probe reads
+//!   only the levels that can hold its key.
 //! * [`BootstrappedTable`] — **Theorem 2**: the paper's contribution. A
 //!   big on-disk table `Ĥ` always holding at least a `1 − 1/β` fraction
 //!   of the items, with a logarithmic-method side structure absorbing
@@ -79,7 +80,7 @@ mod stream;
 pub use bootstrap::BootstrappedTable;
 pub use config::CoreConfig;
 pub use facade::{DynamicHashTable, TradeoffTarget};
-pub use filter::{FilterPlan, FilterStats};
+pub use filter::{FilterPlan, FilterStats, HeldFilter};
 pub use log_method::LogMethodTable;
 pub use media::{DirMedia, SimMedia, StoreMedia};
 pub use mem_table::MemTable;

@@ -143,6 +143,7 @@ mod tests {
     use super::super::tests::*;
     use super::*;
     use crate::config::CoreConfig;
+    use crate::filter::HeldFilter;
     use crate::media::{SimMedia, MANIFEST};
     use crate::stream::Region;
 
@@ -425,11 +426,33 @@ mod tests {
         s.total_ios() - before
     }
 
+    /// What looking `0..n` up costs a reopened store, against `writer`'s
+    /// cost and filters: the same where it holds the same filters, no
+    /// more where it holds larger loans.
+    fn assert_reopened_cost<M: StoreMedia>(
+        s: &mut KvStore<M>,
+        n: u64,
+        writer: &(u64, Vec<HeldFilter>),
+        when: &str,
+    ) {
+        let held = s.table().level_filter_held();
+        let cost = probe_cost(s, n);
+        let matched = held == writer.1;
+        assert!(
+            cost == writer.0 || !matched && cost < writer.0,
+            "{when}: {cost} I/Os against the writer's {}, filters {held:?} against {:?}",
+            writer.0,
+            writer.1
+        );
+    }
+
     /// Filters are never persisted: reopen (after a close or a crash)
     /// rebuilds them with one accounted scan of the filtered levels, and
     /// `compact` fills the dense level's as it writes the level — after
-    /// which lookups cost exactly what they cost the handle that wrote
-    /// the data.
+    /// which lookups cost no more than they cost the handle that wrote
+    /// the data. (No less either, but for the loans: a reopen lends each
+    /// idle share whole, where the flushes that built the levels lent
+    /// what room they had.)
     #[test]
     fn a_reopened_store_probes_as_cheaply_as_the_handle_that_wrote_it() {
         use crate::media::SimMedia;
@@ -446,7 +469,7 @@ mod tests {
         s.sync().unwrap();
         let (blocks, occupied) = filtered_blocks(&mut s);
         assert!(occupied >= 2, "{occupied} filtered levels occupied");
-        let cost = probe_cost(&mut s, n);
+        let cost = (probe_cost(&mut s, n), s.table().level_filter_held());
         let stats = s.table().filter_stats();
         assert!(stats.skipped > 10 * stats.false_positives, "the writer's filters work: {stats:?}");
         drop(s);
@@ -455,7 +478,7 @@ mod tests {
         assert!(image > 0, "{n} keys leave H0 non-empty");
         let reads = s.disk_stats().reads;
         assert_eq!(reads, blocks + image, "the rebuild and H0's image, each block once");
-        assert_eq!(probe_cost(&mut s, n), cost, "clean reopen");
+        assert_reopened_cost(&mut s, n, &cost, "clean reopen");
 
         // Compaction lands everything in one (filtered) level: every old
         // block read once, the level's blocks written once; its filter
@@ -480,10 +503,10 @@ mod tests {
             s.insert(key, key + 1).unwrap();
         }
         s.sync().unwrap();
-        let cost = probe_cost(&mut s, n + 2_000);
+        let cost = (probe_cost(&mut s, n + 2_000), s.table().level_filter_held());
         drop(s);
         let mut s = KvStore::open(&dir, cfg.clone(), 31).unwrap();
-        assert_eq!(probe_cost(&mut s, n + 2_000), cost, "reopen after compact");
+        assert_reopened_cost(&mut s, n + 2_000, &cost, "reopen after compact");
         drop(s);
         let _ = fs::remove_dir_all(&dir);
 
@@ -495,12 +518,12 @@ mod tests {
         }
         s.harden().unwrap();
         let (blocks, image) = (filtered_blocks(&mut s).0, image_blocks(&s));
-        let cost = probe_cost(&mut s, n);
+        let cost = (probe_cost(&mut s, n), s.table().level_filter_held());
         sim_crash(&env, s, 31);
         let mut s = KvStore::open_on(SimMedia::open(&env).unwrap(), cfg, 31).unwrap();
         let reads = s.disk_stats().reads;
         assert_eq!(reads, blocks + image, "a reopen after a crash rebuilds and reloads too");
-        assert_eq!(probe_cost(&mut s, n), cost, "reopen after a crash");
+        assert_reopened_cost(&mut s, n, &cost, "reopen after a crash");
     }
 
     /// One `next` pointer rotted into a self-loop (blocks carry no

@@ -913,7 +913,8 @@ mod tests {
         use crate::config::CoreConfig;
         use crate::filter::FilterPlan;
         let cfg = CoreConfig::lemma5(2, 256, 2).unwrap();
-        let mut filter = FilterPlan::derive(&cfg, 64).new_filter(1).expect("H1 fits in 64 items");
+        let plan = FilterPlan::derive(&cfg, 64);
+        let mut filter = plan.filter(1, 40, &[]).expect("H1 fits in 64 items");
         let mut d = mem_disk(2); // tiny blocks: most buckets chain
         let h = hash();
         let older = build_region(&mut d, &h, 4, &(0..20).collect::<Vec<_>>());
@@ -934,7 +935,8 @@ mod tests {
         let mut d = mem_disk(4);
         let h = hash();
         let cfg = CoreConfig::lemma5(2, 256, 2).unwrap();
-        let mut filter = FilterPlan::derive(&cfg, 64).new_filter(1).expect("H1 fits in 64 items");
+        let plan = FilterPlan::derive(&cfg, 64);
+        let mut filter = plan.filter(1, 21, &[]).expect("H1 fits in 64 items");
         let a = build_region(&mut d, &h, 2, &(0..20).collect::<Vec<_>>());
         let source_blocks = d.live_blocks();
         let markers = vec![Item::delete_marker(5)];
