@@ -413,7 +413,7 @@ mod tests {
                     let when = format!("b = {b}, γ = {gamma}, step {step}");
                     assert_eq!(t.log.level_items(), model.level_items(), "{when}");
                     t.log.assert_levels_within_fill(&when);
-                    t.log.assert_filters_track_levels(&when);
+                    t.log.assert_filters_follow_the_plan(usize::MAX, &when);
                     deepest = deepest.max(t.log.levels.iter().flatten().count());
                     // Mid-stream and at the end: side levels occupied,
                     // filters consulted deepest-first after an Ĥ miss.

@@ -13,17 +13,17 @@
 //! Each segment is an independent Bloom filter over all of the level's
 //! keys, remixed by the share it was cut from and probed at the best
 //! count for its bits per landing key; the level lets a key through only
-//! if every segment does. Dropping a segment therefore only ever lets
-//! more keys through — never loses one — which is what makes a loan
-//! safe to **recall**: a flush that lands in `H_k` empties `H_1 … H_{k−1}`
-//! and lends their shares to the `H_k` it builds
-//! ([`FilterPlan::loans`]), and takes back from deeper levels every loan
-//! of a share `≤ k`, whose own level is about to exist again. Neither
-//! step reads or writes a block. Each share is held by at most one
-//! filter, and the loans are bounded so that the filters alive while a
-//! flush lands in `H_k` plus its buffers still fit the spare memory, so
-//! the reservation is the plan's and nothing more. Filters are derived
-//! state: nothing here is ever persisted.
+//! if every segment does, so dropping a segment never loses a key. What
+//! a level holds is one rule of which levels exist,
+//! [`FilterPlan::segments`], which every builder — flush, reopen,
+//! compaction — follows; a flush landing in `H_j` **recalls** each loan
+//! of a share `≤ j` from the deeper levels, with no I/O, which leaves
+//! each of them the rule's beneath `H_j`. A level borrows only from the
+//! empty levels between it and the non-empty one above it, so no share
+//! is held twice, and the filters fit beside any flush's buffers (`tests`
+//! enumerates every occupancy): the reservation is the plan's and
+//! nothing more. Filters are derived state: nothing here is ever
+//! persisted.
 
 use dxh_extmem::{MemoryBudget, Result};
 use dxh_hashfn::{fmix64, prefix_bucket};
@@ -66,6 +66,9 @@ fn fits(sizes: &[usize], b: usize, spare: usize) -> bool {
     })
 }
 
+/// `(share, items)` of each segment a level's filter holds.
+pub(crate) type Segments = Vec<(usize, usize)>;
+
 /// One filtered level's share of the plan.
 #[derive(Clone, Debug, PartialEq)]
 struct LevelShare {
@@ -96,8 +99,8 @@ struct LevelShare {
 /// of skipped probes of a miss, `Σ (1 − fp_k)`.
 ///
 /// The share of an empty level is lent to a deeper one until its own
-/// level is built again: what a level holds, and the false-positive rate
-/// it is designed for at its item count, is [`HeldFilter`]'s.
+/// level is built again ([`FilterPlan::segments`]); what a level holds,
+/// designed fp at its item count included, is [`HeldFilter`]'s.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FilterPlan {
     /// The share of level `k` at index `k − 1`.
@@ -194,45 +197,38 @@ impl FilterPlan {
         2 * k * self.b
     }
 
-    /// Items of share `i` (0 past the filtered levels).
-    pub(crate) fn share_items(&self, i: usize) -> usize {
-        self.share(i).map_or(0, |s| s.items)
-    }
-
-    /// The loans of the `H_k` a flush builds, as `(share, items)`: cut
-    /// from the shares `< k` — all idle, their levels just emptied into
-    /// `H_k` — deepest share first, up to `spare − items_from(k) − 2·k·b`
-    /// items in all. That bound is [`fits`]'s: with the shares `> k`
-    /// held wherever they are and `H_k`'s own, the filters alive while
-    /// the carry lands still fit beside its buffers.
-    pub(crate) fn loans(&self, k: usize) -> Vec<(usize, usize)> {
-        let mut room = self.spare.saturating_sub(self.items_from(k) + self.carry_buffers(k));
-        let mut loans = Vec::new();
-        for i in (1..k.min(self.levels() + 1)).rev() {
-            let items = room.min(self.share_items(i));
-            if items == 0 {
-                break;
-            }
+    /// What `H_k` holds, as `(share, items)`, beneath the nearest
+    /// non-empty level `H_above` (0: none), built by a merge of `streams`
+    /// disk levels: its own share (for `k ≤ L`), then loans cut deepest
+    /// first from the idle shares strictly between, up to `spare −
+    /// items_from(k) − 2·streams·b` items — [`fits`]'s bound, so the
+    /// filters alive while the merge runs fit beside its buffers. That is
+    /// the cut with nothing above, truncated at `above`: what a flush
+    /// builds, less what the flushes landing above `H_k` since recalled.
+    pub(crate) fn segments(&self, k: usize, above: usize, streams: usize) -> Segments {
+        let own = self.share(k).map(|s| (k, s.items));
+        let mut room = self.spare.saturating_sub(self.items_from(k) + self.carry_buffers(streams));
+        let loans = (above + 1..k.min(self.levels() + 1)).rev().map_while(|i| {
+            let items = room.min(self.levels[i - 1].items);
             room -= items;
-            loans.push((i, items));
-        }
-        loans
+            (items > 0).then_some((i, items))
+        });
+        own.into_iter().chain(loans).collect()
     }
 
-    /// The filter of an `H_k` about to hold `items` keys: a segment of
-    /// `H_k`'s own share (for `k ≤ L`) and one per loan `(share, items)`,
-    /// each probed at the best count for its bits per key. `None` when
-    /// there is nothing to hold.
+    /// The filter of an `H_k` about to hold `items` keys: one segment per
+    /// `(share, items)` of [`FilterPlan::segments`], probed at the best
+    /// count for its bits per key; `None` when there is nothing to hold.
     pub(crate) fn filter(
         &self,
         k: usize,
+        above: usize,
+        streams: usize,
         items: usize,
-        loans: &[(usize, usize)],
     ) -> Option<LevelFilter> {
-        let own = self.share(k).map(|s| (k, s.items));
-        let segments: Vec<Segment> = own
+        let segments: Vec<Segment> = self
+            .segments(k, above, streams)
             .into_iter()
-            .chain(loans.iter().copied())
             .map(|(share, held)| Segment::new(share, held, items))
             .collect();
         (!segments.is_empty()).then_some(LevelFilter { segments })
@@ -462,21 +458,76 @@ mod tests {
             );
         }
         for k in 1..=plan.levels() + 1 {
-            assert_eq!(plan.filter(k, 1, &[]).is_some(), k <= plan.levels());
+            assert_eq!(plan.filter(k, k - 1, k, 1).is_some(), k <= plan.levels());
         }
-        // A flush landing in H_k holds the shares past k wherever they
-        // are, H_k's own and its loans: within the spare beside 2·k·b.
-        for k in 1..=plan.levels() + 2 {
-            let loans = plan.loans(k);
-            let lent: usize = loans.iter().map(|&(_, items)| items).sum();
-            let alive = plan.items_from(k) + lent + 2 * k * cfg.b;
-            assert!(alive <= spare || lent == 0, "H{k} borrows {loans:?} past {spare} spare items");
-            for (n, &(i, items)) in loans.iter().enumerate() {
-                assert!(i < k && 0 < items && items <= plan.share_items(i), "H{k}: {loans:?}");
-                assert!(n == 0 || i < loans[n - 1].0, "H{k}: deepest share first, once: {loans:?}");
+        assert!(plan.filter(0, 0, 0, 1).is_none());
+        assert_every_occupancy_fits(cfg, plan);
+    }
+
+    /// The rule, proven once for `plan`: whichever of `H1 … H_(L+3)` are
+    /// non-empty, each holding what [`FilterPlan::segments`] gives it
+    /// beneath the nearest non-empty level above it, no share is held
+    /// twice or past its size, every filtered level holds its own share
+    /// whole, and the filters plus the buffers of a flush landing in the
+    /// shallowest non-empty level `H_j` fit the spare — unless nothing
+    /// is held, when `2·j·b` alone may take it all. Each holding is the
+    /// one a flush builds with nothing above, truncated at the level
+    /// above: what the flushes landing there since have recalled.
+    fn assert_every_occupancy_fits(cfg: &CoreConfig, plan: &FilterPlan) {
+        let depth = plan.levels() + 3;
+        for occupied in 1..1u32 << depth {
+            let mut held: Vec<(usize, usize)> = Vec::new();
+            let mut above = 0;
+            for k in (1..=depth).filter(|&k| occupied >> (k - 1) & 1 == 1) {
+                let segments = plan.segments(k, above, k);
+                let mut built = plan.segments(k, 0, k);
+                built.retain(|&(i, _)| i == k || i > above);
+                assert_eq!(segments, built, "{occupied:b}: H{k} under H{above}");
+                if let Some(own) = plan.share(k) {
+                    assert_eq!(segments.first(), Some(&(k, own.items)), "{occupied:b}: H{k}");
+                }
+                for &(i, items) in &segments {
+                    assert!(i == k || above < i && i < k, "{occupied:b}: H{k} holds share {i}");
+                    assert!(0 < items && items <= plan.share(i).unwrap().items, "{segments:?}");
+                }
+                held.extend(segments);
+                above = k;
             }
+            let mut shares: Vec<usize> = held.iter().map(|&(i, _)| i).collect();
+            shares.sort_unstable();
+            shares.dedup();
+            assert_eq!(shares.len(), held.len(), "{occupied:b}: a share held twice: {held:?}");
+            let items: usize = held.iter().map(|&(_, items)| items).sum();
+            let j = occupied.trailing_zeros() as usize + 1;
+            assert!(
+                items == 0 || items + 2 * j * cfg.b <= plan.spare,
+                "b = {}, m = {}, γ = {}, {occupied:b}: {held:?} beside H{j}'s buffers overrun {}",
+                cfg.b,
+                cfg.m,
+                cfg.gamma,
+                plan.spare
+            );
         }
-        assert!(plan.filter(0, 1, &[]).is_none());
+    }
+
+    #[test]
+    fn every_occupancy_of_every_deployed_geometry_holds_each_share_once_within_the_spare() {
+        // The benchmark's shard and its γ twins, `exp_logmethod`'s
+        // sweep, and every geometry the crate's tests build a table at.
+        let geometries = [(64, 4096, 2), (64, 4096, 4), (64, 4096, 8), (64, 4096, 16)]
+            .into_iter()
+            .chain([2, 4, 8, 16].map(|gamma| (64, 1024, gamma)))
+            .chain([(64, 8 * 64 + 48, 2), (64, 2048, 2), (32, 1024, 2), (32, 512, 2)])
+            .chain([(256, 16_384, 2), (16, 256, 2), (16, 256, 4), (16, 256, 8), (8, 256, 2)])
+            .chain([(8, 1024, 2), (8, 1024, 4), (8, 1024, 8), (8, 128, 2), (8, 112, 2)])
+            .chain([(4, 96, 2), (4, 96, 4), (4, 96, 8), (2, 256, 2), (7, 120, 2)]);
+        let mut lent = 0;
+        for (b, m, gamma) in geometries {
+            let (cfg, p) = plan(b, m, gamma);
+            assert_fits(&cfg, &p, spare(&cfg));
+            lent += (2..=p.levels() + 3).filter(|&k| p.segments(k, 0, k).len() > 1).count();
+        }
+        assert!(lent > 0, "no geometry lends");
     }
 
     /// The split this plan replaced, kept as the reference it must beat:
@@ -562,7 +613,7 @@ mod tests {
             let hash = IdealFn::from_seed(7);
             for k in 1..=p.levels() {
                 let cap = cfg.level_capacity(k as u32) as u64;
-                let mut f = p.filter(k, cap as usize, &[]).unwrap();
+                let mut f = p.filter(k, k - 1, k, cap as usize).unwrap();
                 assert_eq!(f.held(k, cap as usize).probes, p.probes(k), "({b}, {m}, {gamma}) H{k}");
                 (0..cap).for_each(|key| f.insert(hash.hash64(key)));
                 let fp = measured_fp(&f, &hash, cap, 100_000);
@@ -586,28 +637,36 @@ mod tests {
     fn a_level_holding_loans_stays_near_the_product_of_its_segments() {
         // The benchmark's shard. A flush landing in H_k has just emptied
         // H1 … H_(k−1) and borrows their shares, deepest first, as far as
-        // the 2·k·b buffered items leave room.
+        // the 2·k·b buffered items leave room; a level built with H_j
+        // above it borrows only from the shares between.
         let (_, p) = plan(64, 4096, 2);
-        assert_eq!(p.loans(1), []);
-        assert_eq!(p.loans(2), [(1, 86)]);
-        assert_eq!(p.loans(3), [(2, 294)]);
-        assert_eq!(p.loans(4), [(3, 489), (2, 166)]);
-        assert_eq!(p.loans(5), [(4, 609), (3, 489), (2, 38)]);
+        let loans = |k: usize, above| -> Vec<(usize, usize)> {
+            p.segments(k, above, k).into_iter().filter(|&(i, _)| i != k).collect()
+        };
+        assert_eq!(loans(1, 0), []);
+        assert_eq!(loans(2, 0), [(1, 86)]);
+        assert_eq!(loans(3, 0), [(2, 294)]);
+        assert_eq!(loans(4, 0), [(3, 489), (2, 166)]);
+        assert_eq!(loans(5, 0), [(4, 609), (3, 489), (2, 38)]);
+        assert_eq!(loans(5, 3), [(4, 609)]);
+        // Compaction's merge reads more streams than its depth: less room.
+        assert_eq!(p.segments(4, 0, 5), [(4, 609), (3, 489), (2, 38)]);
         let hash = IdealFn::from_seed(11);
         // H4 as the `lookup` workload holds it, 24 576 keys: built with
         // both loans, then with H2's share recalled by a flush into H2;
         // and an unfiltered H5 of loans alone.
         let keys = 24_576;
-        let mut h4 = p.filter(4, keys, &p.loans(4)).unwrap();
+        let mut h4 = p.filter(4, 0, 4, keys).unwrap();
         (0..keys as u64).for_each(|key| h4.insert(hash.hash64(key)));
         let built = h4.held(4, keys);
         assert_eq!((built.own, built.loaned, built.probes), (609, 655, 5));
         let h4 = h4.recall(2).unwrap();
+        assert_eq!(h4.shares().collect::<Vec<_>>(), p.segments(4, 2, 4));
         assert_eq!(h4.shares().collect::<Vec<_>>(), [(4, 609), (3, 489)]);
         let kept = h4.held(4, keys);
         assert!((kept.designed_fp - 0.065).abs() < 0.001, "{kept:?}");
         assert!(built.designed_fp < kept.designed_fp && kept.designed_fp < p.designed_fp(4));
-        let mut h5 = p.filter(5, 2 * keys, &p.loans(5)).unwrap();
+        let mut h5 = p.filter(5, 0, 5, 2 * keys).unwrap();
         (0..2 * keys as u64).for_each(|key| h5.insert(hash.hash64(key)));
         for (k, f, keys) in [(4, &h4, keys), (5, &h5, 2 * keys)] {
             let held = f.held(k, keys);
@@ -652,7 +711,7 @@ mod tests {
             prop_assert!(ours <= theirs, "Σ fp {} > the uniform split's {}", ours, theirs);
             let hash = IdealFn::from_seed(seed);
             for k in 1..=p.levels() + 1 {
-                let filter = p.filter(k, keys.len(), &p.loans(k));
+                let filter = p.filter(k, 0, k, keys.len());
                 prop_assert!(filter.is_some() || k > p.levels(), "H{} has no filter", k);
                 let Some(mut f) = filter else { continue };
                 for &key in &keys {

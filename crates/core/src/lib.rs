@@ -13,8 +13,9 @@
 //!   sequential bucket-ordered scan into a freshly built level. Insertions cost `O((γ/b)·log(n/m))` amortized; lookups cost
 //!   `O(log_γ(n/m))` at worst — the first levels own Bloom filter shares
 //!   in the part of `m` the construction leaves idle ([`FilterPlan`]),
-//!   lent to a deeper level while their own is empty, so a probe reads
-//!   only the levels that can hold its key.
+//!   lent to a deeper level while their own is empty by one rule of
+//!   which levels exist (whether a flush, a reopen or compaction builds
+//!   the level), so a probe reads only the levels that can hold its key.
 //! * [`BootstrappedTable`] — **Theorem 2**: the paper's contribution. A
 //!   big on-disk table `Ĥ` always holding at least a `1 − 1/β` fraction
 //!   of the items, with a logarithmic-method side structure absorbing

@@ -143,7 +143,6 @@ mod tests {
     use super::super::tests::*;
     use super::*;
     use crate::config::CoreConfig;
-    use crate::filter::HeldFilter;
     use crate::media::{SimMedia, MANIFEST};
     use crate::stream::Region;
 
@@ -426,33 +425,12 @@ mod tests {
         s.total_ios() - before
     }
 
-    /// What looking `0..n` up costs a reopened store, against `writer`'s
-    /// cost and filters: the same where it holds the same filters, no
-    /// more where it holds larger loans.
-    fn assert_reopened_cost<M: StoreMedia>(
-        s: &mut KvStore<M>,
-        n: u64,
-        writer: &(u64, Vec<HeldFilter>),
-        when: &str,
-    ) {
-        let held = s.table().level_filter_held();
-        let cost = probe_cost(s, n);
-        let matched = held == writer.1;
-        assert!(
-            cost == writer.0 || !matched && cost < writer.0,
-            "{when}: {cost} I/Os against the writer's {}, filters {held:?} against {:?}",
-            writer.0,
-            writer.1
-        );
-    }
-
     /// Filters are never persisted: reopen (after a close or a crash)
     /// rebuilds them with one accounted scan of the filtered levels, and
     /// `compact` fills the dense level's as it writes the level — after
-    /// which lookups cost no more than they cost the handle that wrote
-    /// the data. (No less either, but for the loans: a reopen lends each
-    /// idle share whole, where the flushes that built the levels lent
-    /// what room they had.)
+    /// which the store holds the filters of the handle that wrote the
+    /// data, and lookups cost exactly what they cost that handle: every
+    /// builder lends by the one rule.
     #[test]
     fn a_reopened_store_probes_as_cheaply_as_the_handle_that_wrote_it() {
         use crate::media::SimMedia;
@@ -478,7 +456,8 @@ mod tests {
         assert!(image > 0, "{n} keys leave H0 non-empty");
         let reads = s.disk_stats().reads;
         assert_eq!(reads, blocks + image, "the rebuild and H0's image, each block once");
-        assert_reopened_cost(&mut s, n, &cost, "clean reopen");
+        let reopened = (probe_cost(&mut s, n), s.table().level_filter_held());
+        assert_eq!(reopened, cost, "clean reopen");
 
         // Compaction lands everything in one (filtered) level: every old
         // block read once, the level's blocks written once; its filter
@@ -506,7 +485,8 @@ mod tests {
         let cost = (probe_cost(&mut s, n + 2_000), s.table().level_filter_held());
         drop(s);
         let mut s = KvStore::open(&dir, cfg.clone(), 31).unwrap();
-        assert_reopened_cost(&mut s, n + 2_000, &cost, "reopen after compact");
+        let reopened = (probe_cost(&mut s, n + 2_000), s.table().level_filter_held());
+        assert_eq!(reopened, cost, "reopen after compact");
         drop(s);
         let _ = fs::remove_dir_all(&dir);
 
@@ -523,7 +503,8 @@ mod tests {
         let mut s = KvStore::open_on(SimMedia::open(&env).unwrap(), cfg, 31).unwrap();
         let reads = s.disk_stats().reads;
         assert_eq!(reads, blocks + image, "a reopen after a crash rebuilds and reloads too");
-        assert_reopened_cost(&mut s, n, &cost, "reopen after a crash");
+        let reopened = (probe_cost(&mut s, n), s.table().level_filter_held());
+        assert_eq!(reopened, cost, "reopen after a crash");
     }
 
     /// One `next` pointer rotted into a self-loop (blocks carry no

@@ -914,7 +914,7 @@ mod tests {
         use crate::filter::FilterPlan;
         let cfg = CoreConfig::lemma5(2, 256, 2).unwrap();
         let plan = FilterPlan::derive(&cfg, 64);
-        let mut filter = plan.filter(1, 40, &[]).expect("H1 fits in 64 items");
+        let mut filter = plan.filter(1, 0, 1, 40).expect("H1 fits in 64 items");
         let mut d = mem_disk(2); // tiny blocks: most buckets chain
         let h = hash();
         let older = build_region(&mut d, &h, 4, &(0..20).collect::<Vec<_>>());
@@ -936,7 +936,7 @@ mod tests {
         let h = hash();
         let cfg = CoreConfig::lemma5(2, 256, 2).unwrap();
         let plan = FilterPlan::derive(&cfg, 64);
-        let mut filter = plan.filter(1, 21, &[]).expect("H1 fits in 64 items");
+        let mut filter = plan.filter(1, 0, 1, 21).expect("H1 fits in 64 items");
         let a = build_region(&mut d, &h, 2, &(0..20).collect::<Vec<_>>());
         let source_blocks = d.live_blocks();
         let markers = vec![Item::delete_marker(5)];
