@@ -15,8 +15,8 @@
 //! like the paper's hash tables, the structure itself lives on disk.
 
 use dxh_extmem::{
-    Block, BlockId, Disk, ExtMemError, IoCostModel, IoSnapshot, Item, Key, MemDisk, MemoryBudget,
-    Result, StorageBackend, Value, KEY_TOMBSTONE,
+    check_key, Block, BlockId, Disk, ExtMemError, IoCostModel, IoSnapshot, Item, Key, MemDisk,
+    MemoryBudget, Result, StorageBackend, Value,
 };
 use dxh_tables::ExternalDictionary;
 
@@ -268,9 +268,7 @@ impl<B: StorageBackend> BPlusTree<B> {
 
 impl<B: StorageBackend> ExternalDictionary for BPlusTree<B> {
     fn insert(&mut self, key: Key, value: Value) -> Result<()> {
-        if key == KEY_TOMBSTONE {
-            return Err(ExtMemError::BadConfig("key u64::MAX is reserved".into()));
-        }
+        check_key(key)?;
         match self.insert_rec(self.root, self.height, Item::new(key, value))? {
             InsertUp::Done(inserted) => {
                 self.len += inserted as usize;

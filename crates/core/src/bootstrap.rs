@@ -27,8 +27,8 @@
 //! fraction of the items — holds exactly.
 
 use dxh_extmem::{
-    BlockId, Disk, ExtMemError, IoCostModel, IoSnapshot, Key, MemDisk, MemoryBudget, Result,
-    StorageBackend, Value, KEY_TOMBSTONE,
+    check_key, BlockId, Disk, ExtMemError, IoCostModel, IoSnapshot, Key, MemDisk, MemoryBudget,
+    Result, StorageBackend, Value,
 };
 use dxh_hashfn::{prefix_bucket, HashFn};
 use dxh_tables::{chain_lookup, ExternalDictionary, LayoutInspect, LayoutSnapshot};
@@ -191,9 +191,7 @@ impl<F: HashFn, B: StorageBackend> BootstrappedTable<F, B> {
 
 impl<F: HashFn, B: StorageBackend> ExternalDictionary for BootstrappedTable<F, B> {
     fn insert(&mut self, key: Key, value: Value) -> Result<()> {
-        if key == KEY_TOMBSTONE {
-            return Err(ExtMemError::BadConfig("key u64::MAX is reserved".into()));
-        }
+        check_key(key)?;
         self.log.insert(&mut self.disk, key, value)?;
         if self.log.items() >= self.batch_size {
             self.merge_into_hat()?;

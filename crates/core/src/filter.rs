@@ -99,7 +99,7 @@ struct LevelShare {
 /// of skipped probes of a miss, `Σ (1 − fp_k)`.
 ///
 /// The share of an empty level is lent to a deeper one until its own
-/// level is built again ([`FilterPlan::segments`]); what a level holds,
+/// level is built again (`FilterPlan::segments`); what a level holds,
 /// designed fp at its item count included, is [`HeldFilter`]'s.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FilterPlan {

@@ -94,8 +94,8 @@
 //! the model's at that `n`, whatever its commit cadence.
 
 use dxh_extmem::{
-    Block, BlockId, Disk, ExtMemError, IoCostModel, IoSnapshot, Item, Key, MemDisk, MemoryBudget,
-    Result, StorageBackend, Value, KEY_TOMBSTONE, VALUE_TOMBSTONE,
+    check_key, check_value, Block, BlockId, Disk, ExtMemError, IoCostModel, IoSnapshot, Item, Key,
+    MemDisk, MemoryBudget, Result, StorageBackend, Value, VALUE_TOMBSTONE,
 };
 use dxh_hashfn::{prefix_bucket, HashFn};
 use dxh_tables::{chain_lookup, ExternalDictionary, LayoutInspect, LayoutSnapshot};
@@ -851,9 +851,7 @@ impl<F: HashFn, B: StorageBackend> LogMethodTable<F, B> {
         key: Key,
         before_mutate: &mut dyn FnMut() -> Result<()>,
     ) -> Result<bool> {
-        if key == KEY_TOMBSTONE {
-            return Err(ExtMemError::BadConfig("key u64::MAX is reserved".into()));
-        }
+        check_key(key)?;
         self.log.delete(&mut self.disk, key, before_mutate)
     }
 
@@ -948,14 +946,8 @@ impl<F: HashFn, B: StorageBackend> LogMethodTable<F, B> {
 
 impl<F: HashFn, B: StorageBackend> ExternalDictionary for LogMethodTable<F, B> {
     fn insert(&mut self, key: Key, value: Value) -> Result<()> {
-        if key == KEY_TOMBSTONE {
-            return Err(ExtMemError::BadConfig("key u64::MAX is reserved".into()));
-        }
-        if value == VALUE_TOMBSTONE {
-            return Err(ExtMemError::BadConfig(
-                "value u64::MAX is reserved as the deletion marker".into(),
-            ));
-        }
+        check_key(key)?;
+        check_value(value)?;
         self.log.insert(&mut self.disk, key, value)
     }
 

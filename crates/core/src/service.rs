@@ -92,7 +92,7 @@ use std::sync::{Arc, OnceLock};
 use dxh_sync::thread::JoinHandle;
 use dxh_sync::{Condvar, Mutex, Rank};
 
-use dxh_extmem::{ExtMemError, Key, Result, Value, KEY_TOMBSTONE, VALUE_TOMBSTONE};
+use dxh_extmem::{check_key, check_value, ExtMemError, Key, Result, Value};
 use dxh_hashfn::{prefix_bucket, HashFn, IdealFn};
 use dxh_tables::ExternalDictionary;
 
@@ -170,17 +170,13 @@ pub(crate) enum Effect {
 /// always environmental (and wedges the shard). On a payload-mode
 /// service the word domain is unrestricted — values live in the blob log
 /// there, where the deletion marker is out-of-band (see the sentinel
-/// note on [`VALUE_TOMBSTONE`]).
+/// note on [`dxh_extmem::VALUE_TOMBSTONE`]).
 fn validate((key, effect): &(Key, Option<Effect>), payloads: bool) -> Result<()> {
-    if *key == KEY_TOMBSTONE {
-        return Err(ExtMemError::BadConfig("key u64::MAX is reserved".into()));
+    check_key(*key)?;
+    match effect {
+        Some(Effect::Word(value)) if !payloads => check_value(*value),
+        _ => Ok(()),
     }
-    if matches!(effect, Some(Effect::Word(VALUE_TOMBSTONE))) && !payloads {
-        return Err(ExtMemError::BadConfig(
-            "value u64::MAX is reserved as the deletion marker".into(),
-        ));
-    }
-    Ok(())
 }
 
 /// Applies one write to `store` and returns its answer: `true` for a

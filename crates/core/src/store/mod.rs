@@ -92,8 +92,7 @@
 use std::path::Path;
 
 use dxh_extmem::{
-    BlobLog, Disk, ExtMemError, IoCostModel, IoSnapshot, Key, Result, Value, KEY_TOMBSTONE,
-    VALUE_TOMBSTONE,
+    check_key, check_value, BlobLog, Disk, ExtMemError, IoCostModel, IoSnapshot, Key, Result, Value,
 };
 use dxh_hashfn::IdealFn;
 use dxh_tables::ExternalDictionary;
@@ -456,19 +455,13 @@ impl<M: StoreMedia> ExternalDictionary for KvStore<M> {
     /// little-endian payload, so the **full** value domain — including
     /// `u64::MAX`, rejected on the raw path below — round-trips (the
     /// deletion marker is out-of-band there; see the sentinel-domain
-    /// note on [`VALUE_TOMBSTONE`]).
+    /// note on [`dxh_extmem::VALUE_TOMBSTONE`]).
     fn insert(&mut self, key: Key, value: Value) -> Result<()> {
         if self.blob.is_some() {
             return self.put_bytes(key, &value.to_le_bytes());
         }
-        if key == KEY_TOMBSTONE {
-            return Err(ExtMemError::BadConfig("key u64::MAX is reserved".into()));
-        }
-        if value == VALUE_TOMBSTONE {
-            return Err(ExtMemError::BadConfig(
-                "value u64::MAX is reserved as the deletion marker".into(),
-            ));
-        }
+        check_key(key)?;
+        check_value(value)?;
         self.mark_dirty()?;
         self.table.insert(key, value)
     }

@@ -1,7 +1,7 @@
 //! Payload mode: values are byte strings in an append-only blob log,
 //! the table is the index over it.
 
-use dxh_extmem::{ExtMemError, Key, Result, Value, BLOB_TAG, KEY_TOMBSTONE};
+use dxh_extmem::{check_key, ExtMemError, Key, Result, Value, BLOB_TAG};
 use dxh_tables::ExternalDictionary;
 
 use super::KvStore;
@@ -82,9 +82,7 @@ impl<M: StoreMedia> KvStore<M> {
                 "store was opened without payload mode; use insert".into(),
             ));
         }
-        if key == KEY_TOMBSTONE {
-            return Err(ExtMemError::BadConfig("key u64::MAX is reserved".into()));
-        }
+        check_key(key)?;
         self.mark_dirty()?;
         let offset = self.blob_append(payload)?;
         self.table.insert(key, BLOB_TAG | offset)

@@ -7,8 +7,10 @@ use crate::error::Result;
 
 /// Raw block storage: an unbounded array of fixed-capacity blocks.
 ///
-/// Backends are dumb — they neither count I/Os nor cache; both concerns
-/// live in [`crate::Disk`] so that accounting is uniform across backends.
+/// The media backends are dumb — they neither count I/Os nor cache:
+/// counting lives in [`crate::Disk`], so that accounting is uniform
+/// across backends, and caching is a backend of its own,
+/// [`crate::Cached`], which serves an inner `Disk` through an LRU pool.
 pub trait StorageBackend {
     /// Block capacity in items (the model's `b`); constant per backend.
     fn block_capacity(&self) -> usize;

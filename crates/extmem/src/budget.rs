@@ -3,44 +3,22 @@
 //! The paper's whole question is what a structure can do with `m` items of
 //! internal memory. To keep experiments honest, every structure in this
 //! workspace charges its memory-resident state — in items, the same unit
-//! as `m` — to a [`MemoryBudget`] and the harness can assert the budget
-//! was never exceeded.
+//! as `m` — to a [`MemoryBudget`], and a reservation that would exceed
+//! `m` is refused with [`ExtMemError::OutOfBudget`].
 
 use crate::error::{ExtMemError, Result};
-
-/// What happens when a reservation would exceed the budget.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Enforcement {
-    /// Reservations beyond capacity return [`ExtMemError::OutOfBudget`].
-    #[default]
-    Error,
-    /// Reservations beyond capacity panic (use in tests to catch leaks).
-    Panic,
-    /// Overcommit is allowed but recorded; `peak()` exposes the damage.
-    /// Useful when sweeping `m` below a structure's working minimum to see
-    /// how much memory it genuinely needs.
-    Track,
-}
 
 /// Tracks internal-memory usage (in items) against a capacity `m`.
 #[derive(Clone, Debug)]
 pub struct MemoryBudget {
     capacity: usize,
     used: usize,
-    peak: usize,
-    enforcement: Enforcement,
 }
 
 impl MemoryBudget {
-    /// A budget of `m` items with the default ([`Enforcement::Error`])
-    /// policy.
+    /// A budget of `m` items.
     pub fn new(m: usize) -> Self {
-        MemoryBudget { capacity: m, used: 0, peak: 0, enforcement: Enforcement::Error }
-    }
-
-    /// A budget with an explicit enforcement policy.
-    pub fn with_enforcement(m: usize, enforcement: Enforcement) -> Self {
-        MemoryBudget { capacity: m, used: 0, peak: 0, enforcement }
+        MemoryBudget { capacity: m, used: 0 }
     }
 
     /// The capacity `m` in items.
@@ -55,46 +33,23 @@ impl MemoryBudget {
         self.used
     }
 
-    /// High-water mark of reservations.
-    #[inline]
-    pub fn peak(&self) -> usize {
-        self.peak
-    }
-
     /// Items still available.
     #[inline]
     pub fn remaining(&self) -> usize {
-        self.capacity.saturating_sub(self.used)
+        self.capacity - self.used
     }
 
-    /// Whether usage ever exceeded capacity (only possible under
-    /// [`Enforcement::Track`]).
-    #[inline]
-    pub fn overcommitted(&self) -> bool {
-        self.peak > self.capacity
-    }
-
-    /// Reserves `n` items.
+    /// Reserves `n` items, or returns [`ExtMemError::OutOfBudget`] (usage
+    /// unchanged) if that would exceed the capacity.
     pub fn reserve(&mut self, n: usize) -> Result<()> {
-        let would = self.used + n;
-        if would > self.capacity {
-            match self.enforcement {
-                Enforcement::Error => {
-                    return Err(ExtMemError::OutOfBudget {
-                        requested: n,
-                        used: self.used,
-                        capacity: self.capacity,
-                    })
-                }
-                Enforcement::Panic => panic!(
-                    "memory budget exceeded: requested {n} with {}/{} in use",
-                    self.used, self.capacity
-                ),
-                Enforcement::Track => {}
-            }
+        if n > self.remaining() {
+            return Err(ExtMemError::OutOfBudget {
+                requested: n,
+                used: self.used,
+                capacity: self.capacity,
+            });
         }
-        self.used = would;
-        self.peak = self.peak.max(self.used);
+        self.used += n;
         Ok(())
     }
 
@@ -103,16 +58,6 @@ impl MemoryBudget {
     pub fn release(&mut self, n: usize) {
         debug_assert!(n <= self.used, "budget underflow: release {n} with {} used", self.used);
         self.used = self.used.saturating_sub(n);
-    }
-
-    /// Adjusts a reservation from `old` to `new` items.
-    pub fn adjust(&mut self, old: usize, new: usize) -> Result<()> {
-        if new >= old {
-            self.reserve(new - old)
-        } else {
-            self.release(old - new);
-            Ok(())
-        }
     }
 }
 
@@ -128,51 +73,14 @@ mod tests {
         assert_eq!(b.remaining(), 6);
         b.release(1);
         assert_eq!(b.used(), 3);
-        assert_eq!(b.peak(), 4);
     }
 
     #[test]
-    fn error_enforcement_rejects_overcommit() {
+    fn a_reservation_beyond_capacity_is_refused() {
         let mut b = MemoryBudget::new(2);
         b.reserve(2).unwrap();
         let e = b.reserve(1).unwrap_err();
         assert!(matches!(e, ExtMemError::OutOfBudget { requested: 1, used: 2, capacity: 2 }));
         assert_eq!(b.used(), 2, "failed reservation does not change usage");
-    }
-
-    #[test]
-    #[should_panic(expected = "memory budget exceeded")]
-    fn panic_enforcement_panics() {
-        let mut b = MemoryBudget::with_enforcement(1, Enforcement::Panic);
-        b.reserve(2).unwrap();
-    }
-
-    #[test]
-    fn track_enforcement_records_overcommit() {
-        let mut b = MemoryBudget::with_enforcement(2, Enforcement::Track);
-        b.reserve(5).unwrap();
-        assert!(b.overcommitted());
-        assert_eq!(b.peak(), 5);
-        assert_eq!(b.remaining(), 0);
-    }
-
-    #[test]
-    fn adjust_grows_and_shrinks() {
-        let mut b = MemoryBudget::new(10);
-        b.reserve(3).unwrap();
-        b.adjust(3, 7).unwrap();
-        assert_eq!(b.used(), 7);
-        b.adjust(7, 2).unwrap();
-        assert_eq!(b.used(), 2);
-        assert!(b.adjust(2, 11).is_err());
-    }
-
-    #[test]
-    fn peak_is_monotone() {
-        let mut b = MemoryBudget::new(10);
-        b.reserve(8).unwrap();
-        b.release(8);
-        b.reserve(1).unwrap();
-        assert_eq!(b.peak(), 8);
     }
 }

@@ -4,48 +4,31 @@
 use crate::backend::StorageBackend;
 use crate::block::{Block, BlockId};
 use crate::error::Result;
-use crate::pool::{BufferPool, PoolStats};
 use crate::stats::{IoCostModel, IoSnapshot, IoStats};
 
-/// A disk with exact I/O accounting and an optional write-back buffer pool.
+/// A disk with exact I/O accounting: I/O counters around a
+/// [`StorageBackend`], one path per primitive.
 ///
-/// Without a pool, every [`Disk::read`] costs one read I/O, every
-/// [`Disk::write`] one write I/O, and [`Disk::read_modify_write`] one
-/// combined I/O (priced by the [`IoCostModel`], matching the paper's
-/// footnote 2).
+/// Every [`Disk::read`] costs one read I/O, every [`Disk::write`] one
+/// write I/O, and [`Disk::read_modify_write`] one combined I/O (priced by
+/// the [`IoCostModel`], matching the paper's footnote 2).
 ///
-/// With a pool attached, the cache absorbs hits for free and I/Os are
-/// charged at the backend boundary: misses cost a read, dirty evictions
-/// and flushes cost a write. This is the "generic buffering" configuration
-/// used by the A1 ablation.
+/// Generic buffering — the A1 ablation's LRU page cache — is a backend,
+/// not a mode of this type: over a [`crate::Cached`] backend these
+/// counters are the table's logical block accesses, and the transfers
+/// are the counters of the disk inside the cache.
 pub struct Disk<B> {
     backend: B,
     b: usize,
     cost: IoCostModel,
     stats: IoStats,
-    pool: Option<BufferPool>,
 }
 
 impl<B: StorageBackend> Disk<B> {
     /// Wraps `backend`; `b` must equal the backend's block capacity.
     pub fn new(backend: B, b: usize, cost: IoCostModel) -> Self {
         assert_eq!(backend.block_capacity(), b, "block capacity mismatch");
-        Disk { backend, b, cost, stats: IoStats::new(), pool: None }
-    }
-
-    /// Attaches a write-back LRU buffer pool of `frames` blocks.
-    ///
-    /// The *caller* is responsible for charging `frames × b` items to its
-    /// [`crate::MemoryBudget`] — the pool is internal memory.
-    pub fn attach_pool(&mut self, frames: usize) {
-        self.pool = Some(BufferPool::new(frames));
-    }
-
-    /// Detaches the pool, writing dirty frames back (each costs one write).
-    pub fn detach_pool(&mut self) -> Result<()> {
-        self.flush()?;
-        self.pool = None;
-        Ok(())
+        Disk { backend, b, cost, stats: IoStats::new() }
     }
 
     /// Block capacity `b` in items.
@@ -84,89 +67,36 @@ impl<B: StorageBackend> Disk<B> {
         self.stats.snapshot().since(epoch)
     }
 
-    /// Pool statistics, when a pool is attached.
-    pub fn pool_stats(&self) -> Option<PoolStats> {
-        self.pool.as_ref().map(|p| p.stats())
-    }
-
-    /// Whether a pool is attached.
-    pub fn has_pool(&self) -> bool {
-        self.pool.is_some()
-    }
-
     /// Number of live blocks on the backend.
     pub fn live_blocks(&self) -> u64 {
         self.backend.live_blocks()
     }
 
-    /// Reads block `id` (1 read I/O, or free on a pool hit).
+    /// Reads block `id` (1 read I/O).
     pub fn read(&mut self, id: BlockId) -> Result<Block> {
-        if let Some(pool) = self.pool.as_mut() {
-            if let Some(blk) = pool.get(id) {
-                return Ok(blk.clone());
-            }
-            // Miss: fetch, cache clean, pay for the read and any writeback.
-            let blk = self.backend.read(id)?;
-            self.stats.record_read();
-            if let Some((wid, wblk)) = pool.insert(id, blk.clone(), false) {
-                self.backend.write(wid, &wblk)?;
-                self.stats.record_write();
-            }
-            Ok(blk)
-        } else {
-            let blk = self.backend.read(id)?;
-            self.stats.record_read();
-            Ok(blk)
-        }
+        let blk = self.backend.read(id)?;
+        self.stats.record_read();
+        Ok(blk)
     }
 
-    /// Writes block `id` (1 write I/O, or deferred into the pool).
+    /// Writes block `id` (1 write I/O).
     pub fn write(&mut self, id: BlockId, block: &Block) -> Result<()> {
         debug_assert!(block.capacity() == self.b);
-        if let Some(pool) = self.pool.as_mut() {
-            if let Some((wid, wblk)) = pool.insert(id, block.clone(), true) {
-                self.backend.write(wid, &wblk)?;
-                self.stats.record_write();
-            }
-            Ok(())
-        } else {
-            self.backend.write(id, block)?;
-            self.stats.record_write();
-            Ok(())
-        }
+        self.backend.write(id, block)?;
+        self.stats.record_write();
+        Ok(())
     }
 
-    /// Reads block `id`, applies `edit`, writes it back.
-    ///
-    /// Unpooled this is the paper's single-seek read-modify-write: it is
-    /// charged as **one** combined I/O under [`IoCostModel::SeekDominated`]
-    /// (two under [`IoCostModel::Strict`]). Pooled, a hit is free and a
-    /// miss costs the read (plus eventual writeback on eviction).
+    /// Reads block `id`, applies `edit`, writes it back: the paper's
+    /// single-seek read-modify-write, charged as **one** combined I/O
+    /// under [`IoCostModel::SeekDominated`] (two under
+    /// [`IoCostModel::Strict`]).
     pub fn read_modify_write<R>(
         &mut self,
         id: BlockId,
         edit: impl FnOnce(&mut Block) -> R,
     ) -> Result<R> {
-        if let Some(pool) = self.pool.as_mut() {
-            if let Some(blk) = pool.get_mut(id) {
-                return Ok(edit(blk));
-            }
-            // get_mut already counted the miss.
-            let mut blk = self.backend.read(id)?;
-            self.stats.record_read();
-            let out = edit(&mut blk);
-            if let Some((wid, wblk)) = pool.insert(id, blk, true) {
-                self.backend.write(wid, &wblk)?;
-                self.stats.record_write();
-            }
-            Ok(out)
-        } else {
-            let mut blk = self.backend.read(id)?;
-            let out = edit(&mut blk);
-            self.backend.write(id, &blk)?;
-            self.stats.record_rmw();
-            Ok(out)
-        }
+        self.update(id, |b| (true, edit(b)))
     }
 
     /// Reads block `id`, applies `edit`, and writes the block back **only
@@ -181,93 +111,49 @@ impl<B: StorageBackend> Disk<B> {
         id: BlockId,
         edit: impl FnOnce(&mut Block) -> (bool, R),
     ) -> Result<R> {
-        if let Some(pool) = self.pool.as_mut() {
-            // Pool hit: mutation is free either way (get_mut marks dirty
-            // conservatively; an unmodified hit stays clean via get).
-            if pool.contains(id) {
-                let blk = pool.get_mut(id).expect("contains() implies hit");
-                let (_modified, out) = edit(blk);
-                return Ok(out);
-            }
-            pool.record_miss();
-            let mut blk = self.backend.read(id)?;
-            self.stats.record_read();
-            let (modified, out) = edit(&mut blk);
-            if let Some((wid, wblk)) = pool.insert(id, blk, modified) {
-                self.backend.write(wid, &wblk)?;
-                self.stats.record_write();
-            }
-            Ok(out)
+        let mut blk = self.backend.read(id)?;
+        let (modified, out) = edit(&mut blk);
+        if modified {
+            self.backend.write(id, &blk)?;
+            self.stats.record_rmw();
         } else {
-            let mut blk = self.backend.read(id)?;
-            let (modified, out) = edit(&mut blk);
-            if modified {
-                self.backend.write(id, &blk)?;
-                self.stats.record_rmw();
-            } else {
-                self.stats.record_read();
-            }
-            Ok(out)
+            self.stats.record_read();
         }
+        Ok(out)
     }
 
     /// Allocates a fresh empty block (metadata operation, no I/O charged;
     /// the first write to the block pays its I/O).
     pub fn allocate(&mut self) -> Result<BlockId> {
-        let id = self.backend.allocate()?;
-        self.stats.record_alloc();
-        Ok(id)
-    }
-
-    /// Allocates `n` consecutive calls' worth of blocks, returning their ids.
-    pub fn allocate_many(&mut self, n: usize) -> Result<Vec<BlockId>> {
-        let mut ids = Vec::with_capacity(n);
-        for _ in 0..n {
-            ids.push(self.allocate()?);
-        }
-        Ok(ids)
+        self.backend.allocate()
     }
 
     /// Allocates `n` blocks with consecutive ids, returning the base id.
     /// See [`StorageBackend::allocate_contiguous`] for why contiguity
     /// matters to the model.
     pub fn allocate_contiguous(&mut self, n: usize) -> Result<BlockId> {
-        let base = self.backend.allocate_contiguous(n)?;
-        for _ in 0..n {
-            self.stats.record_alloc();
-        }
-        Ok(base)
+        self.backend.allocate_contiguous(n)
     }
 
-    /// Frees block `id`; a pooled copy is discarded without writeback.
+    /// Frees block `id` (metadata, no I/O charged).
     pub fn free(&mut self, id: BlockId) -> Result<()> {
-        if let Some(pool) = self.pool.as_mut() {
-            pool.discard(id);
-        }
-        self.backend.free(id)?;
-        self.stats.record_free();
-        Ok(())
+        self.backend.free(id)
     }
 
-    /// Writes back all dirty pool frames (one write I/O each) and syncs
-    /// the backend.
+    /// Syncs the backend (a [`crate::Cached`] backend first writes back
+    /// its dirty frames).
     pub fn flush(&mut self) -> Result<()> {
-        if let Some(pool) = self.pool.as_mut() {
-            for (id, blk) in pool.take_dirty() {
-                self.backend.write(id, &blk)?;
-                self.stats.record_write();
-            }
-        }
         self.backend.sync()
     }
 
-    /// Read-only backend access (allocator state, diagnostics).
+    /// Read-only backend access (allocator state, diagnostics, the
+    /// transfers behind a [`crate::Cached`] backend).
     pub fn backend(&self) -> &B {
         &self.backend
     }
 
-    /// Direct backend access for tests and verification (bypasses both the
-    /// pool and the accounting — never use on a measurement path).
+    /// Direct backend access for tests and verification (bypasses the
+    /// accounting — never use on a measurement path).
     pub fn backend_mut(&mut self) -> &mut B {
         &mut self.backend
     }
@@ -284,7 +170,7 @@ mod tests {
     }
 
     #[test]
-    fn unpooled_accounting() {
+    fn each_primitive_is_counted_once() {
         let mut d = disk(4);
         let id = d.allocate().unwrap();
         let _ = d.read(id).unwrap();
@@ -315,77 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_hits_are_free() {
-        let mut d = disk(4);
-        let id = d.allocate().unwrap();
-        d.attach_pool(2);
-        let _ = d.read(id).unwrap(); // miss: 1 read
-        let _ = d.read(id).unwrap(); // hit: free
-        let _ = d.read(id).unwrap(); // hit: free
-        assert_eq!(d.total_ios(), 1);
-        assert_eq!(d.pool_stats().unwrap().hits, 2);
-    }
-
-    #[test]
-    fn pooled_writes_are_deferred_until_eviction_or_flush() {
-        let mut d = disk(4);
-        let ids = d.allocate_many(3).unwrap();
-        d.attach_pool(2);
-        let mut blk = Block::new(4);
-        blk.push(Item::key_only(7)).unwrap();
-        d.write(ids[0], &blk).unwrap(); // cached dirty, 0 I/O
-        assert_eq!(d.total_ios(), 0);
-        d.write(ids[1], &blk).unwrap(); // cached dirty, 0 I/O
-        d.write(ids[2], &blk).unwrap(); // evicts ids[0] dirty: 1 write
-        assert_eq!(d.stats().writes(), 1);
-        d.flush().unwrap(); // two dirty frames remain
-        assert_eq!(d.stats().writes(), 3);
-        // After flush the data is durable on the backend.
-        assert_eq!(d.backend_mut().read(ids[0]).unwrap().find(7), Some(0));
-    }
-
-    #[test]
-    fn pooled_rmw_hit_is_free_and_visible() {
-        let mut d = disk(4);
-        let id = d.allocate().unwrap();
-        d.attach_pool(1);
-        let _ = d.read(id).unwrap(); // load into pool: 1 read
-        d.read_modify_write(id, |b| b.push(Item::key_only(5)).unwrap()).unwrap(); // hit
-        assert_eq!(d.total_ios(), 1);
-        assert_eq!(d.read(id).unwrap().find(5), Some(0)); // hit, sees the edit
-        assert_eq!(d.total_ios(), 1);
-    }
-
-    #[test]
-    fn free_discards_pooled_copy_without_writeback() {
-        let mut d = disk(4);
-        let id = d.allocate().unwrap();
-        d.attach_pool(1);
-        d.read_modify_write(id, |b| b.push(Item::key_only(5)).unwrap()).unwrap();
-        d.free(id).unwrap();
-        d.flush().unwrap();
-        // read + no writes: the dirty frame died with the block.
-        assert_eq!(d.stats().reads(), 1);
-        assert_eq!(d.stats().writes(), 0);
-    }
-
-    #[test]
-    fn detach_pool_flushes() {
-        let mut d = disk(4);
-        let id = d.allocate().unwrap();
-        d.attach_pool(1);
-        let mut blk = Block::new(4);
-        blk.push(Item::key_only(3)).unwrap();
-        d.write(id, &blk).unwrap();
-        d.detach_pool().unwrap();
-        assert!(!d.has_pool());
-        assert_eq!(d.stats().writes(), 1);
-        // Subsequent ops are unpooled again.
-        let _ = d.read(id).unwrap();
-        assert_eq!(d.stats().reads(), 1);
-    }
-
-    #[test]
     fn update_counts_read_when_unmodified_rmw_when_modified() {
         let mut d = disk(4);
         let id = d.allocate().unwrap();
@@ -403,36 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn update_through_pool_is_free_on_hit() {
-        let mut d = disk(4);
-        let id = d.allocate().unwrap();
-        d.attach_pool(1);
-        let _ = d.read(id).unwrap(); // 1 read, now cached
-        d.update(id, |b| {
-            b.push(Item::key_only(2)).unwrap();
-            (true, ())
-        })
-        .unwrap();
-        assert_eq!(d.total_ios(), 1, "pooled update hit is free");
-        d.flush().unwrap();
-        assert_eq!(d.stats().writes(), 1, "dirty frame written at flush");
-    }
-
-    #[test]
-    fn pooled_update_misses_are_counted() {
-        let mut d = disk(4);
-        let a = d.allocate().unwrap();
-        let b2 = d.allocate().unwrap();
-        d.attach_pool(1);
-        d.update(a, |_| (false, ())).unwrap(); // miss
-        d.update(a, |_| (false, ())).unwrap(); // hit
-        d.update(b2, |_| (false, ())).unwrap(); // miss (evicts a)
-        let p = d.pool_stats().unwrap();
-        assert_eq!(p.misses, 2);
-        assert_eq!(p.hits, 1);
-    }
-
-    #[test]
     fn allocate_contiguous_ids_are_consecutive() {
         let mut d = disk(4);
         let _ = d.allocate().unwrap();
@@ -441,7 +226,7 @@ mod tests {
             let id = BlockId(base.raw() + i);
             assert!(d.read(id).unwrap().is_empty());
         }
-        assert_eq!(d.stats().allocs(), 6);
+        assert_eq!(d.live_blocks(), 6);
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! usable as a real dictionary; capacities (`b`, `m`) are counted in
 //! **items**, exactly matching the paper's parameters.
 
+use crate::error::{ExtMemError, Result};
+
 /// A key: the one-word identity of an item (its hash value in the paper).
 pub type Key = u64;
 
@@ -61,6 +63,29 @@ pub const BLOB_TAG: Value = 1 << 63;
 /// bit of headroom below the tag means `BLOB_TAG | offset` can never
 /// collide with [`VALUE_TOMBSTONE`] (which has every bit set).
 pub const MAX_BLOB_OFFSET: u64 = 1 << 62;
+
+/// Rejects the reserved key [`KEY_TOMBSTONE`], which no path accepts
+/// (see the sentinel-domain note on [`VALUE_TOMBSTONE`]).
+#[inline]
+pub fn check_key(key: Key) -> Result<()> {
+    if key == KEY_TOMBSTONE {
+        return Err(ExtMemError::BadConfig("key u64::MAX is reserved".into()));
+    }
+    Ok(())
+}
+
+/// Rejects the deletion marker [`VALUE_TOMBSTONE`] as a user value, on
+/// the raw-u64 paths of the buffered tables (see the sentinel-domain
+/// note on [`VALUE_TOMBSTONE`]).
+#[inline]
+pub fn check_value(value: Value) -> Result<()> {
+    if value == VALUE_TOMBSTONE {
+        return Err(ExtMemError::BadConfig(
+            "value u64::MAX is reserved as the deletion marker".into(),
+        ));
+    }
+    Ok(())
+}
 
 /// An indivisible record: `(key, value)`.
 ///
@@ -148,6 +173,16 @@ mod tests {
         let it = Item::key_only(42);
         assert_eq!(it.key, 42);
         assert_eq!(it.value, 0);
+    }
+
+    #[test]
+    fn the_sentinel_checks_reject_exactly_the_reserved_words() {
+        assert!(check_key(KEY_TOMBSTONE - 1).is_ok());
+        assert!(check_value(VALUE_TOMBSTONE - 1).is_ok());
+        let key = check_key(KEY_TOMBSTONE).unwrap_err().to_string();
+        let value = check_value(VALUE_TOMBSTONE).unwrap_err().to_string();
+        assert!(key.contains("key u64::MAX is reserved"), "{key}");
+        assert!(value.contains("value u64::MAX is reserved as the deletion marker"), "{value}");
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! filesystem, or a file of the crash simulator ([`SimDisk`], on a
 //! [`SimEnv`]) whose unsynced writes are volatile and whose seeded
 //! [`FaultPlan`] can crash or fault any I/O by index — the engine of the
-//! recovery torture harness.
+//! recovery torture harness. A third, [`Cached`], puts an LRU page cache
+//! in front of an accounting disk over either (see *Buffering*).
 //!
 //! ## I/O accounting convention
 //!
@@ -34,9 +35,11 @@
 //!
 //! * structures must charge every word of internal state to a
 //!   [`MemoryBudget`] of capacity `m`;
-//! * an optional LRU [`BufferPool`] can be attached to a
-//!   [`Disk`] to model generic page caching; its frames are charged against
-//!   the same budget by the structures that opt into it.
+//! * generic page caching is a backend, not a mode of [`Disk`]: a table
+//!   runs on `Disk<Cached<B>>`, where [`Cached`] serves an inner
+//!   accounting disk through an LRU [`BufferPool`] and that inner disk's
+//!   counters are the transfers; the pool's frames are charged against
+//!   the same budget by whoever builds it.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -62,13 +65,16 @@ pub use backend::StorageBackend;
 pub use blob::{BlobFile, BlobLog, FileBlob};
 pub use block::{Block, BlockId};
 pub use block_file::{BlockFile, FileDisk, SimDisk};
-pub use budget::{Enforcement, MemoryBudget};
+pub use budget::MemoryBudget;
 pub use disk::Disk;
 pub use error::{ExtMemError, Result};
 pub use frame::fnv1a64;
-pub use item::{Item, Key, Value, BLOB_TAG, KEY_TOMBSTONE, MAX_BLOB_OFFSET, VALUE_TOMBSTONE};
+pub use item::{
+    check_key, check_value, Item, Key, Value, BLOB_TAG, KEY_TOMBSTONE, MAX_BLOB_OFFSET,
+    VALUE_TOMBSTONE,
+};
 pub use mem_disk::MemDisk;
-pub use pool::{BufferPool, PoolStats};
+pub use pool::{BufferPool, Cached, PoolStats};
 pub use sim_disk::{FaultPlan, IoEvent, SimBlob, SimEnv};
 pub use stats::{IoCostModel, IoSnapshot, IoStats};
 

@@ -1,14 +1,19 @@
-//! A block buffer pool: the generic face of "buffering".
+//! Generic buffering: an LRU page cache as a storage backend.
 //!
 //! The paper asks whether internal memory used as a buffer can reduce the
-//! amortized insertion cost of a hash table. This pool is the *generic*
-//! form of such buffering — an LRU page cache — and the A1 ablation uses it to show that generic caching cannot beat
-//! Theorem 1, while the paper's *structural* buffering (H0 of the
-//! logarithmic method) can, at the price the theorem demands.
+//! amortized insertion cost of a hash table. [`Cached`] is the *generic*
+//! form of such buffering — a write-back LRU [`BufferPool`] in front of
+//! an accounting [`Disk`] — and the A1 ablation uses it to show that
+//! generic caching cannot beat Theorem 1, while the paper's *structural*
+//! buffering (H0 of the logarithmic method) can, at the price the theorem
+//! demands.
 
 use std::collections::HashMap;
 
+use crate::backend::StorageBackend;
 use crate::block::{Block, BlockId};
+use crate::disk::Disk;
+use crate::error::Result;
 
 /// Hit/miss/eviction counters of a [`BufferPool`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -105,8 +110,8 @@ struct Frame {
 /// A fixed-capacity write-back cache of disk blocks that evicts the least
 /// recently used frame.
 ///
-/// The pool itself performs no I/O: [`crate::Disk`] drives it and charges
-/// the I/Os (misses → reads, dirty evictions/flushes → writes).
+/// The pool itself performs no I/O: [`Cached`] drives it and charges the
+/// I/Os (misses → reads, dirty evictions and syncs → writes).
 pub struct BufferPool {
     capacity: usize,
     frames: Vec<Frame>,
@@ -154,20 +159,6 @@ impl BufferPool {
         self.stats
     }
 
-    /// Whether `id` is resident (does not count as an access).
-    #[inline]
-    pub fn contains(&self, id: BlockId) -> bool {
-        self.map.contains_key(&id)
-    }
-
-    /// Records a miss discovered by the caller through another path
-    /// (e.g. a `contains` probe followed by a backend read), keeping the
-    /// hit/miss statistics honest.
-    #[inline]
-    pub fn record_miss(&mut self) {
-        self.stats.misses += 1;
-    }
-
     /// Looks up `id`, counting a hit or miss; on hit returns the cached
     /// block and updates recency state.
     pub fn get(&mut self, id: BlockId) -> Option<&Block> {
@@ -184,28 +175,11 @@ impl BufferPool {
         }
     }
 
-    /// Like [`BufferPool::get`] but allows in-place mutation; the frame is
-    /// marked dirty.
-    pub fn get_mut(&mut self, id: BlockId) -> Option<&mut Block> {
-        match self.map.get(&id).copied() {
-            Some(idx) => {
-                self.stats.hits += 1;
-                self.order.move_to_front(idx);
-                self.frames[idx].dirty = true;
-                Some(&mut self.frames[idx].block)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-
     /// Inserts (or overwrites) `id`. Returns an evicted dirty block that
     /// the caller must write back, if any.
     ///
-    /// Does not count a hit/miss: callers decide whether the insert came
-    /// from a backend read (miss already counted via `get`).
+    /// Does not count a hit/miss: a miss was already counted by the
+    /// [`BufferPool::get`] that preceded the backend read.
     pub fn insert(&mut self, id: BlockId, block: Block, dirty: bool) -> Option<(BlockId, Block)> {
         if let Some(&idx) = self.map.get(&id) {
             let f = &mut self.frames[idx];
@@ -276,9 +250,102 @@ impl BufferPool {
     }
 }
 
+/// A [`StorageBackend`] that serves an accounting [`Disk`] through a
+/// write-back LRU [`BufferPool`] of `frames` blocks: generic buffering,
+/// the A1 ablation's configuration.
+///
+/// A table runs on `Disk<Cached<B>>`. The outer disk counts the table's
+/// block accesses; the inner disk ([`Cached::disk`]) counts the
+/// transfers: a hit costs nothing, a miss one read, a dirty eviction or
+/// a [`StorageBackend::sync`] one write per dirty frame, and `free`
+/// drops the pooled copy without writing it.
+///
+/// The *caller* charges `frames × b` items to its
+/// [`crate::MemoryBudget`] — the pool is internal memory.
+pub struct Cached<B> {
+    disk: Disk<B>,
+    pool: BufferPool,
+}
+
+impl<B: StorageBackend> Cached<B> {
+    /// `disk` behind a pool of `frames` blocks (must be ≥ 1).
+    pub fn new(disk: Disk<B>, frames: usize) -> Self {
+        Cached { disk, pool: BufferPool::new(frames) }
+    }
+
+    /// The disk behind the cache: its counters are the transfers.
+    pub fn disk(&self) -> &Disk<B> {
+        &self.disk
+    }
+
+    /// The disk behind the cache, for tests and verification (bypasses
+    /// the pool — never use on a measurement path).
+    pub fn disk_mut(&mut self) -> &mut Disk<B> {
+        &mut self.disk
+    }
+
+    /// The pool's hit/miss/eviction counters.
+    pub fn pool_stats(&self) -> PoolStats {
+        self.pool.stats()
+    }
+
+    /// Caches `block` as `id`, writing back the dirty frame it evicts.
+    fn insert(&mut self, id: BlockId, block: Block, dirty: bool) -> Result<()> {
+        match self.pool.insert(id, block, dirty) {
+            Some((victim, blk)) => self.disk.write(victim, &blk),
+            None => Ok(()),
+        }
+    }
+}
+
+impl<B: StorageBackend> StorageBackend for Cached<B> {
+    fn block_capacity(&self) -> usize {
+        self.disk.b()
+    }
+
+    fn read(&mut self, id: BlockId) -> Result<Block> {
+        if let Some(blk) = self.pool.get(id) {
+            return Ok(blk.clone());
+        }
+        let blk = self.disk.read(id)?;
+        self.insert(id, blk.clone(), false)?;
+        Ok(blk)
+    }
+
+    fn write(&mut self, id: BlockId, block: &Block) -> Result<()> {
+        self.insert(id, block.clone(), true)
+    }
+
+    fn allocate(&mut self) -> Result<BlockId> {
+        self.disk.allocate()
+    }
+
+    fn allocate_contiguous(&mut self, n: usize) -> Result<BlockId> {
+        self.disk.allocate_contiguous(n)
+    }
+
+    fn free(&mut self, id: BlockId) -> Result<()> {
+        self.pool.discard(id);
+        self.disk.free(id)
+    }
+
+    fn live_blocks(&self) -> u64 {
+        self.disk.live_blocks()
+    }
+
+    fn sync(&mut self) -> Result<()> {
+        for (id, blk) in self.pool.take_dirty() {
+            self.disk.write(id, &blk)?;
+        }
+        self.disk.flush()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mem_disk::MemDisk;
+    use crate::stats::IoCostModel;
 
     fn blk(cap: usize, key: u64) -> Block {
         let mut b = Block::new(cap);
@@ -299,13 +366,13 @@ mod tests {
     #[test]
     fn lru_evicts_least_recent() {
         let mut p = BufferPool::new(2);
-        p.insert(BlockId(1), blk(4, 1), false);
-        p.insert(BlockId(2), blk(4, 2), false);
+        p.insert(BlockId(1), blk(4, 1), true);
+        p.insert(BlockId(2), blk(4, 2), true);
         let _ = p.get(BlockId(1)); // 2 is now LRU
-        p.insert(BlockId(3), blk(4, 3), false);
-        assert!(p.contains(BlockId(1)));
-        assert!(!p.contains(BlockId(2)));
-        assert!(p.contains(BlockId(3)));
+        let wb = p.insert(BlockId(3), blk(4, 3), false);
+        assert_eq!(wb.map(|(id, _)| id), Some(BlockId(2)), "the LRU frame is the victim");
+        assert!(p.get(BlockId(1)).is_some());
+        assert!(p.get(BlockId(3)).is_some());
     }
 
     #[test]
@@ -329,12 +396,14 @@ mod tests {
     }
 
     #[test]
-    fn get_mut_marks_dirty() {
+    fn a_dirty_overwrite_marks_a_clean_frame_dirty() {
         let mut p = BufferPool::new(1);
         p.insert(BlockId(1), blk(4, 1), false);
-        p.get_mut(BlockId(1)).unwrap().push(crate::item::Item::key_only(9)).unwrap();
+        let mut edited = p.get(BlockId(1)).unwrap().clone();
+        edited.push(crate::item::Item::key_only(9)).unwrap();
+        p.insert(BlockId(1), edited, true);
         let wb = p.insert(BlockId(2), blk(4, 2), false);
-        assert!(wb.is_some(), "mutated frame must be written back");
+        assert!(wb.is_some_and(|(_, b)| b.contains(9)), "mutated frame must be written back");
     }
 
     #[test]
@@ -354,7 +423,7 @@ mod tests {
         let mut p = BufferPool::new(2);
         p.insert(BlockId(1), blk(4, 1), true);
         p.discard(BlockId(1));
-        assert!(!p.contains(BlockId(1)));
+        assert!(p.is_empty());
         assert!(p.take_dirty().is_empty());
         // Slot is reusable.
         p.insert(BlockId(2), blk(4, 2), false);
@@ -393,5 +462,118 @@ mod tests {
             }
             assert!(p.len() <= 8);
         }
+    }
+
+    /// A table's disk over a pool of `frames` blocks in front of a
+    /// four-item `MemDisk`, with `n` blocks allocated.
+    fn cached(frames: usize, n: usize) -> (Disk<Cached<MemDisk>>, Vec<BlockId>) {
+        let inner = Disk::new(MemDisk::new(4), 4, IoCostModel::SeekDominated);
+        let mut d = Disk::new(Cached::new(inner, frames), 4, IoCostModel::SeekDominated);
+        let ids = (0..n).map(|_| d.allocate().unwrap()).collect();
+        (d, ids)
+    }
+
+    /// The transfers: the counters of the disk behind the cache.
+    fn transfers(d: &Disk<Cached<MemDisk>>) -> &Disk<MemDisk> {
+        d.backend().disk()
+    }
+
+    #[test]
+    fn pooled_hits_are_free() {
+        let (mut d, ids) = cached(2, 1);
+        let _ = d.read(ids[0]).unwrap(); // miss: 1 read
+        let _ = d.read(ids[0]).unwrap(); // hit: free
+        let _ = d.read(ids[0]).unwrap(); // hit: free
+        assert_eq!(transfers(&d).total_ios(), 1);
+        assert_eq!(d.backend().pool_stats().hits, 2);
+    }
+
+    #[test]
+    fn pooled_writes_are_deferred_until_eviction_or_sync() {
+        let (mut d, ids) = cached(2, 3);
+        let mut blk = Block::new(4);
+        blk.push(crate::item::Item::key_only(7)).unwrap();
+        d.write(ids[0], &blk).unwrap(); // cached dirty, 0 I/O
+        assert_eq!(transfers(&d).total_ios(), 0);
+        d.write(ids[1], &blk).unwrap(); // cached dirty, 0 I/O
+        d.write(ids[2], &blk).unwrap(); // evicts ids[0] dirty: 1 write
+        assert_eq!(transfers(&d).stats().writes(), 1);
+        d.flush().unwrap(); // two dirty frames remain
+        assert_eq!(transfers(&d).stats().writes(), 3);
+        // After the sync the data is on the backend.
+        let backend = d.backend_mut().disk_mut().backend_mut();
+        assert_eq!(backend.read(ids[0]).unwrap().find(7), Some(0));
+    }
+
+    #[test]
+    fn pooled_rmw_hit_is_free_and_visible() {
+        let (mut d, ids) = cached(1, 1);
+        let _ = d.read(ids[0]).unwrap(); // load into pool: 1 read
+        d.read_modify_write(ids[0], |b| b.push(crate::item::Item::key_only(5)).unwrap()).unwrap();
+        assert_eq!(transfers(&d).total_ios(), 1);
+        assert_eq!(d.read(ids[0]).unwrap().find(5), Some(0)); // hit, sees the edit
+        assert_eq!(transfers(&d).total_ios(), 1);
+    }
+
+    #[test]
+    fn free_discards_pooled_copy_without_writeback() {
+        let (mut d, ids) = cached(1, 1);
+        d.read_modify_write(ids[0], |b| b.push(crate::item::Item::key_only(5)).unwrap()).unwrap();
+        d.free(ids[0]).unwrap();
+        d.flush().unwrap();
+        // read + no writes: the dirty frame died with the block.
+        assert_eq!(transfers(&d).stats().reads(), 1);
+        assert_eq!(transfers(&d).stats().writes(), 0);
+    }
+
+    #[test]
+    fn sync_writes_back_dirty_frames() {
+        let (mut d, ids) = cached(1, 1);
+        let mut blk = Block::new(4);
+        blk.push(crate::item::Item::key_only(3)).unwrap();
+        d.write(ids[0], &blk).unwrap();
+        d.flush().unwrap();
+        assert_eq!(transfers(&d).stats().writes(), 1);
+        // The frame stays resident and clean: a second sync writes nothing,
+        // and a read is a hit.
+        d.flush().unwrap();
+        let _ = d.read(ids[0]).unwrap();
+        assert_eq!(transfers(&d).stats().writes(), 1);
+        assert_eq!(transfers(&d).stats().reads(), 0);
+    }
+
+    #[test]
+    fn update_through_pool_is_free_on_hit() {
+        let (mut d, ids) = cached(1, 1);
+        let _ = d.read(ids[0]).unwrap(); // 1 read, now cached
+        d.update(ids[0], |b| {
+            b.push(crate::item::Item::key_only(2)).unwrap();
+            (true, ())
+        })
+        .unwrap();
+        assert_eq!(transfers(&d).total_ios(), 1, "pooled update hit is free");
+        d.flush().unwrap();
+        assert_eq!(transfers(&d).stats().writes(), 1, "dirty frame written at sync");
+    }
+
+    #[test]
+    fn pooled_update_misses_are_counted() {
+        let (mut d, ids) = cached(1, 2);
+        d.update(ids[0], |_| (false, ())).unwrap(); // miss
+        d.update(ids[0], |_| (false, ())).unwrap(); // hit
+        d.update(ids[1], |_| (false, ())).unwrap(); // miss (evicts ids[0])
+        let p = d.backend().pool_stats();
+        assert_eq!(p.misses, 2);
+        assert_eq!(p.hits, 1);
+    }
+
+    #[test]
+    fn an_unmodified_update_hit_costs_no_writeback() {
+        let (mut d, ids) = cached(1, 1);
+        let _ = d.read(ids[0]).unwrap(); // miss: 1 read, cached clean
+        d.update(ids[0], |_| (false, ())).unwrap(); // hit, unmodified
+        d.flush().unwrap();
+        assert_eq!(transfers(&d).stats().reads(), 1);
+        assert_eq!(transfers(&d).stats().writes(), 0, "a clean frame owes no writeback");
     }
 }

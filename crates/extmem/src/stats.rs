@@ -35,8 +35,6 @@ pub struct IoStats {
     reads: u64,
     writes: u64,
     rmws: u64,
-    allocs: u64,
-    frees: u64,
 }
 
 impl IoStats {
@@ -60,16 +58,6 @@ impl IoStats {
         self.rmws += 1;
     }
 
-    #[inline]
-    pub(crate) fn record_alloc(&mut self) {
-        self.allocs += 1;
-    }
-
-    #[inline]
-    pub(crate) fn record_free(&mut self) {
-        self.frees += 1;
-    }
-
     /// Plain block reads.
     #[inline]
     pub fn reads(&self) -> u64 {
@@ -88,18 +76,6 @@ impl IoStats {
         self.rmws
     }
 
-    /// Blocks allocated (metadata, not an I/O).
-    #[inline]
-    pub fn allocs(&self) -> u64 {
-        self.allocs
-    }
-
-    /// Blocks freed (metadata, not an I/O).
-    #[inline]
-    pub fn frees(&self) -> u64 {
-        self.frees
-    }
-
     /// Total I/Os under `model`.
     #[inline]
     pub fn total(&self, model: IoCostModel) -> u64 {
@@ -109,13 +85,7 @@ impl IoStats {
     /// An immutable copy of the counters, for epoch/delta measurements.
     #[inline]
     pub fn snapshot(&self) -> IoSnapshot {
-        IoSnapshot {
-            reads: self.reads,
-            writes: self.writes,
-            rmws: self.rmws,
-            allocs: self.allocs,
-            frees: self.frees,
-        }
+        IoSnapshot { reads: self.reads, writes: self.writes, rmws: self.rmws }
     }
 }
 
@@ -140,10 +110,6 @@ pub struct IoSnapshot {
     pub writes: u64,
     /// Read-modify-writes at snapshot time.
     pub rmws: u64,
-    /// Allocations at snapshot time.
-    pub allocs: u64,
-    /// Frees at snapshot time.
-    pub frees: u64,
 }
 
 impl IoSnapshot {
@@ -155,8 +121,6 @@ impl IoSnapshot {
             reads: self.reads - earlier.reads,
             writes: self.writes - earlier.writes,
             rmws: self.rmws - earlier.rmws,
-            allocs: self.allocs - earlier.allocs,
-            frees: self.frees - earlier.frees,
         }
     }
 
@@ -194,16 +158,6 @@ mod tests {
         assert_eq!(d.writes, 1);
         assert_eq!(d.rmws, 1);
         assert_eq!(d.total(IoCostModel::SeekDominated), 2);
-    }
-
-    #[test]
-    fn alloc_free_are_metadata_not_io() {
-        let mut s = IoStats::new();
-        s.record_alloc();
-        s.record_free();
-        assert_eq!(s.total(IoCostModel::Strict), 0);
-        assert_eq!(s.allocs(), 1);
-        assert_eq!(s.frees(), 1);
     }
 
     #[test]

@@ -19,11 +19,6 @@ pub struct IdealFn {
 }
 
 impl IdealFn {
-    /// Builds the function from an explicit 128-bit key.
-    pub fn from_keys(k1: u64, k2: u64) -> Self {
-        IdealFn { k1, k2 }
-    }
-
     /// Convenience: a function keyed by a single seed.
     pub fn from_seed(seed: u64) -> Self {
         IdealFn { k1: splitmix64(seed), k2: splitmix64(seed ^ 0xA5A5_A5A5_A5A5_A5A5) }

@@ -19,11 +19,6 @@ pub struct TabulationFn {
 }
 
 impl TabulationFn {
-    /// Builds from a full table (mostly for tests).
-    pub fn from_tables(tables: [[u64; 256]; 8]) -> Self {
-        TabulationFn { tables: Arc::new(tables) }
-    }
-
     /// Fills the tables from an RNG.
     pub fn sample_from(rng: &mut dyn RngCore) -> Self {
         let mut tables = [[0u64; 256]; 8];

@@ -14,8 +14,8 @@
 //! paper's introduction.
 
 use dxh_extmem::{
-    BlockId, Disk, ExtMemError, IoCostModel, IoSnapshot, Item, Key, MemDisk, MemoryBudget, Result,
-    StorageBackend, Value, KEY_TOMBSTONE,
+    check_key, BlockId, Disk, ExtMemError, IoCostModel, IoSnapshot, Item, Key, MemDisk,
+    MemoryBudget, Result, StorageBackend, Value,
 };
 use dxh_hashfn::{prefix_bucket, HashFn};
 
@@ -158,14 +158,9 @@ impl<F: HashFn, B: StorageBackend> ChainingTable<F, B> {
         &self.disk
     }
 
-    /// Mutable disk access (attach a buffer pool for the caching ablation).
+    /// Mutable disk access (the caching ablation syncs its cache through it).
     pub fn disk_mut(&mut self) -> &mut Disk<B> {
         &mut self.disk
-    }
-
-    /// The sampled hash function.
-    pub fn hash_fn(&self) -> &F {
-        &self.hash
     }
 
     #[inline]
@@ -245,9 +240,7 @@ impl<F: HashFn, B: StorageBackend> ChainingTable<F, B> {
 
 impl<F: HashFn, B: StorageBackend> ExternalDictionary for ChainingTable<F, B> {
     fn insert(&mut self, key: Key, value: Value) -> Result<()> {
-        if key == KEY_TOMBSTONE {
-            return Err(ExtMemError::BadConfig("key u64::MAX is reserved".into()));
-        }
+        check_key(key)?;
         let head = self.block_of_bucket(self.bucket_of(key));
         if chain_upsert(&mut self.disk, head, Item::new(key, value))? == UpsertOutcome::Inserted {
             self.len += 1;

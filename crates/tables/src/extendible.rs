@@ -16,8 +16,8 @@
 //! `[p·2^(g−l), (p+1)·2^(g−l))` for its length-`l` prefix `p`.
 
 use dxh_extmem::{
-    Block, BlockId, Disk, ExtMemError, IoCostModel, IoSnapshot, Item, Key, MemDisk, MemoryBudget,
-    Result, StorageBackend, Value, KEY_TOMBSTONE,
+    check_key, Block, BlockId, Disk, ExtMemError, IoCostModel, IoSnapshot, Item, Key, MemDisk,
+    MemoryBudget, Result, StorageBackend, Value,
 };
 use dxh_hashfn::{prefix_bucket, HashFn};
 
@@ -119,11 +119,6 @@ impl<F: HashFn, B: StorageBackend> ExtendibleTable<F, B> {
     /// Current global depth.
     pub fn global_depth(&self) -> u32 {
         self.g
-    }
-
-    /// Directory size (`2^g`).
-    pub fn directory_size(&self) -> usize {
-        self.dir.len()
     }
 
     /// Number of distinct buckets.
@@ -256,9 +251,7 @@ enum Outcome {
 
 impl<F: HashFn, B: StorageBackend> ExternalDictionary for ExtendibleTable<F, B> {
     fn insert(&mut self, key: Key, value: Value) -> Result<()> {
-        if key == KEY_TOMBSTONE {
-            return Err(ExtMemError::BadConfig("key u64::MAX is reserved".into()));
-        }
+        check_key(key)?;
         loop {
             let idx = self.dir_index(key);
             let bid = self.dir[idx];

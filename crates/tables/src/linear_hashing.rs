@@ -13,8 +13,8 @@
 //! table (charged to the budget) plus three words (`level`, `sp`, `len`).
 
 use dxh_extmem::{
-    BlockId, Disk, ExtMemError, IoCostModel, IoSnapshot, Item, Key, MemDisk, MemoryBudget, Result,
-    StorageBackend, Value, KEY_TOMBSTONE,
+    check_key, BlockId, Disk, ExtMemError, IoCostModel, IoSnapshot, Item, Key, MemDisk,
+    MemoryBudget, Result, StorageBackend, Value,
 };
 use dxh_hashfn::{mask_bucket, HashFn};
 
@@ -195,9 +195,7 @@ impl<F: HashFn, B: StorageBackend> LinearHashTable<F, B> {
 
 impl<F: HashFn, B: StorageBackend> ExternalDictionary for LinearHashTable<F, B> {
     fn insert(&mut self, key: Key, value: Value) -> Result<()> {
-        if key == KEY_TOMBSTONE {
-            return Err(ExtMemError::BadConfig("key u64::MAX is reserved".into()));
-        }
+        check_key(key)?;
         let head = self.block_of(self.bucket_of(key));
         if chain_upsert(&mut self.disk, head, Item::new(key, value))? == UpsertOutcome::Inserted {
             self.len += 1;

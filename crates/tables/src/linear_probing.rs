@@ -6,15 +6,15 @@
 //! the first non-full block — the "never-been-full" probe terminator —
 //! so at load `α < 1` a successful lookup costs `1 + 2^{-Ω(b)}` I/Os.
 //!
-//! Deletion writes a tombstone (the reserved key [`KEY_TOMBSTONE`]) so
+//! Deletion writes a tombstone (the reserved key [`dxh_extmem::KEY_TOMBSTONE`]) so
 //! that probe sequences stay intact; tombstones are purged by a rebuild
 //! when they accumulate. Capacity is fixed, as in Knuth's analysis — a
 //! growable variant should use [`crate::ChainingTable`],
 //! [`crate::ExtendibleTable`] or [`crate::LinearHashTable`].
 
 use dxh_extmem::{
-    BlockId, Disk, ExtMemError, IoCostModel, IoSnapshot, Item, Key, MemDisk, MemoryBudget, Result,
-    StorageBackend, Value, KEY_TOMBSTONE,
+    check_key, BlockId, Disk, ExtMemError, IoCostModel, IoSnapshot, Item, Key, MemDisk,
+    MemoryBudget, Result, StorageBackend, Value,
 };
 use dxh_hashfn::{prefix_bucket, HashFn};
 
@@ -207,9 +207,7 @@ enum UpdateKind {
 
 impl<F: HashFn, B: StorageBackend> ExternalDictionary for LinearProbingTable<F, B> {
     fn insert(&mut self, key: Key, value: Value) -> Result<()> {
-        if key == KEY_TOMBSTONE {
-            return Err(ExtMemError::BadConfig("key u64::MAX is reserved".into()));
-        }
+        check_key(key)?;
         self.probe_insert(Item::new(key, value))?;
         Ok(())
     }

@@ -10,7 +10,8 @@
 //! This umbrella crate re-exports the whole workspace:
 //!
 //! * [`extmem`] — the external memory model: blocks, disks, I/O
-//!   accounting, memory budgets, buffer pools.
+//!   accounting, memory budgets, and an LRU page cache as a backend
+//!   (`Cached`) for the generic-buffering ablation.
 //! * [`hashfn`] — hash function families (ideal PRF, universal,
 //!   multiply-shift, tabulation, k-independent polynomials).
 //! * [`tables`] — classic external hash tables: chaining, blocked linear
