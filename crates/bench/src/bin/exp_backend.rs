@@ -2,12 +2,13 @@
 //!
 //! The paper's bounds are statements about accounted block transfers,
 //! which depend only on `(b, m)`, the hash function, and the workload —
-//! not on where the blocks live. This experiment makes that claim
-//! empirical: every [`TradeoffTarget`] runs twice with the same seed and
-//! key sequence, once on the in-memory simulator ([`MemDisk`]) and once
-//! on a real file ([`FileDisk`]), and the harness asserts the I/O
-//! counters match *exactly* while reporting the wall-clock price of real
-//! `read`/`write`/`lseek` syscalls per accounted I/O.
+//! not on where the blocks live. Here that holds by construction:
+//! [`MemDisk`] and [`FileDisk`] are the one block store, `BlockFile`,
+//! over a byte vector and over a real file, and `Disk` counts above it.
+//! Every [`TradeoffTarget`] runs twice with the same seed and key
+//! sequence, once on each; the harness asserts the I/O counters match
+//! *exactly* and reports what the binary is for: the wall-clock price
+//! of real `pread`/`pwrite` syscalls per accounted I/O.
 //!
 //! Output: an aligned table, `results/exp_backend.csv`, and
 //! `results/exp_backend.json`.

@@ -15,7 +15,6 @@
 //! | `exp_backend` | MemDisk vs FileDisk twins (accounting is backend-independent) |
 //! | `exp_compaction` | KvStore space reclamation: delete churn, crash GC, compact |
 //! | `exp_service` | ShardedKvStore group commit: throughput + syncs-per-op vs writers |
-//! | `torture` | crash-recovery torture: exhaustive sync/compact crash-index sweeps |
 //!
 //! Every binary accepts `--quick` (smaller n, for smoke runs), prints an
 //! aligned table to stdout, and writes CSV into `results/`.

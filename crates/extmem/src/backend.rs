@@ -1,6 +1,6 @@
 //! The storage-backend abstraction behind [`crate::Disk`].
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 use crate::block::{Block, BlockId};
 use crate::error::Result;
@@ -32,10 +32,10 @@ pub trait StorageBackend {
     /// in O(1) words of internal memory, as the paper's model requires —
     /// instead of keeping a per-bucket pointer table. A contiguous run of
     /// freed ids may be recycled (region frees return whole ranges, so
-    /// runs are the common case); every built-in backend runs the one
-    /// internal slot allocator and its lowest-first-fit policy (the
-    /// `FreeRuns` interval set), so the same workload produces the same
-    /// ids on every backend.
+    /// runs are the common case); [`crate::BlockFile`] recycles the
+    /// lowest run that fits (the `FreeRuns` interval set), so the same
+    /// workload produces the same ids whatever byte file holds the
+    /// blocks.
     fn allocate_contiguous(&mut self, n: usize) -> Result<BlockId>;
 
     /// Returns block `id` to the allocator. Reading a freed id is an error
@@ -50,17 +50,13 @@ pub trait StorageBackend {
 }
 
 /// Free block ids as a coalesced interval set (`start → end`,
-/// end-exclusive, maximal runs), maintained incrementally by the
-/// allocator alongside its LIFO recycle stack.
+/// end-exclusive, maximal runs): the allocator's one free set.
 ///
-/// This is the shared policy behind every backend's
-/// [`StorageBackend::allocate_contiguous`] — the **lowest** maximal run
-/// of at least `n` consecutive free ids wins — so block ids stay
-/// backend-deterministic. Keeping the runs coalesced as frees arrive
-/// makes the run search `O(runs)` with no allocation (after a region
-/// free the returned ranges coalesce into a handful of runs), where re-deriving it from the flat free list cost a clone plus an
-/// `O(F log F)` sort on every region rebuild — even the ones that found
-/// nothing and fell through to file growth.
+/// It answers both of the allocator's questions — is this id free
+/// ([`FreeRuns::contains`]), and where is the **lowest** maximal run of
+/// at least `n` consecutive free ids ([`FreeRuns::first_run_of`]) — in
+/// `O(log runs)` and `O(runs)` with no allocation: after a region free
+/// the returned ranges coalesce into a handful of runs.
 #[derive(Debug, Default)]
 pub(crate) struct FreeRuns {
     runs: BTreeMap<u64, u64>,
@@ -68,7 +64,7 @@ pub(crate) struct FreeRuns {
 
 impl FreeRuns {
     /// Marks `id` free, coalescing with adjacent runs. `id` must not
-    /// already be free (callers guard with their liveness checks).
+    /// already be free (the allocator checks liveness first).
     pub(crate) fn insert(&mut self, id: u64) {
         // Absorb a run starting right after id, then either extend a run
         // ending right at id or open a new one.
@@ -83,18 +79,9 @@ impl FreeRuns {
         self.runs.insert(id, end);
     }
 
-    /// Un-frees a single `id` (the LIFO `allocate` path), splitting the
-    /// run containing it.
-    pub(crate) fn remove(&mut self, id: u64) {
-        let (&s, &e) = self.runs.range(..=id).next_back().expect("id must be free");
-        debug_assert!(id < e, "id {id} not free");
-        self.runs.remove(&s);
-        if s < id {
-            self.runs.insert(s, id);
-        }
-        if id + 1 < e {
-            self.runs.insert(id + 1, e);
-        }
+    /// Whether `id` is free.
+    pub(crate) fn contains(&self, id: u64) -> bool {
+        self.runs.range(..=id).next_back().is_some_and(|(_, &e)| id < e)
     }
 
     /// Un-frees `[base, end)`, which must lie within one run (as returned
@@ -122,27 +109,22 @@ impl FreeRuns {
     }
 }
 
-/// The allocator state machine shared by [`crate::MemDisk`] and
-/// [`crate::BlockFile`] (over a real file or a simulated one): LIFO
-/// single-slot recycling, lowest-first-fit contiguous runs
-/// ([`FreeRuns`]) and O(1) liveness. One implementation — not one per
-/// backend — is what keeps block ids backend-deterministic by
-/// construction.
+/// The slot allocator of [`crate::BlockFile`], whatever byte file it
+/// runs on: a high-water mark, one free set ([`FreeRuns`]) and a live
+/// count. Every allocation — a single slot is a run of one — takes the
+/// lowest free run that fits, else grows; so block ids depend on the
+/// workload alone, never on which file holds the blocks.
 ///
-/// Device I/O (header resets, file growth) happens in the backend
-/// *between* a `peek_*` and its `commit_*`: the peek chooses without
+/// Device I/O (header resets, file growth) happens in the block file
+/// *between* a `peek_run` and its `commit_*`: the peek chooses without
 /// mutating, so a failed device op leaves the allocator state untouched
-/// (the slot stays safely on the free list).
+/// (the slots stay safely free).
 #[derive(Debug, Default)]
 pub(crate) struct SlotAllocator {
     /// High-water mark: total slots ever allocated (free ones included).
     slots: u64,
-    /// Recycle stack: freed ids, reused LIFO.
-    free: Vec<u64>,
-    /// `free` as coalesced intervals, for O(runs) contiguous-run search.
+    /// The free slots below the high-water mark.
     runs: FreeRuns,
-    /// `free` as a set, for O(1) liveness checks.
-    free_set: HashSet<u64>,
     live: u64,
 }
 
@@ -163,25 +145,9 @@ impl SlotAllocator {
         self.live
     }
 
-    /// Whether `id` is out of range or on the free list.
+    /// Whether `id` is out of range or free.
     pub(crate) fn is_dead(&self, id: u64) -> bool {
-        id >= self.slots || self.free_set.contains(&id)
-    }
-
-    /// The slot the next single-slot recycle would take, without taking
-    /// it (the backend resets the slot's device image first).
-    pub(crate) fn peek_recycle(&self) -> Option<u64> {
-        self.free.last().copied()
-    }
-
-    /// Takes `id` — which must be the current [`SlotAllocator::peek_recycle`]
-    /// answer — off the free list.
-    pub(crate) fn commit_recycle(&mut self, id: u64) {
-        let popped = self.free.pop();
-        debug_assert_eq!(popped, Some(id), "commit must follow peek");
-        self.runs.remove(id);
-        self.free_set.remove(&id);
-        self.live += 1;
+        id >= self.slots || self.runs.contains(id)
     }
 
     /// The lowest free run of at least `n` slots, without taking it.
@@ -190,19 +156,14 @@ impl SlotAllocator {
     }
 
     /// Takes the run `[base, base + n)` — as returned by
-    /// [`SlotAllocator::peek_run`] — off the free list.
+    /// [`SlotAllocator::peek_run`] — out of the free set.
     pub(crate) fn commit_run(&mut self, base: u64, n: usize) {
-        let end = base + n as u64;
-        self.free.retain(|&id| !(base..end).contains(&id));
-        self.runs.remove_range(base, end);
-        for id in base..end {
-            self.free_set.remove(&id);
-        }
+        self.runs.remove_range(base, base + n as u64);
         self.live += n as u64;
     }
 
-    /// Extends the high-water mark by `n` fresh live slots (the backend
-    /// has already grown the device) and returns the first new id.
+    /// Extends the high-water mark by `n` fresh live slots (the block
+    /// file has already grown the device) and returns the first new id.
     pub(crate) fn commit_grow(&mut self, n: u64) -> u64 {
         let base = self.slots;
         self.slots += n;
@@ -210,11 +171,9 @@ impl SlotAllocator {
         base
     }
 
-    /// Returns live `id` to the allocator.
+    /// Returns live `id` to the free set.
     pub(crate) fn release(&mut self, id: u64) {
-        self.free.push(id);
         self.runs.insert(id);
-        self.free_set.insert(id);
         self.live -= 1;
     }
 }
@@ -289,12 +248,12 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(192))]
 
-            /// Interleaved insert / remove / remove-range against the
-            /// naive set model: after every mutation the coalesced
-            /// interval set answers `first_run_of` exactly like a linear
-            /// scan of the flat free set, for every run length that can
-            /// occur: the agreement is checked exhaustively rather
-            /// than on a few hand-picked shapes.
+            /// Interleaved insert / single remove / run remove against
+            /// the naive set model: after every mutation the coalesced
+            /// interval set answers `contains` for every id and
+            /// `first_run_of` for every run length that can occur
+            /// exactly like the flat free set: the agreement is checked
+            /// exhaustively rather than on a few hand-picked shapes.
             #[test]
             fn free_runs_matches_a_btreeset_model(
                 ops in proptest::collection::vec((0u8..4, 0u64..48, 1u64..6), 1..250),
@@ -310,10 +269,10 @@ mod tests {
                                 runs.insert(id);
                             }
                         }
-                        // Re-allocate a single free id (LIFO allocate).
+                        // Re-allocate a single free id.
                         2 => {
                             if model.remove(&id) {
-                                runs.remove(id);
+                                runs.remove_range(id, id + 1);
                             }
                         }
                         // Contiguous allocation: take the lowest run of
@@ -332,6 +291,13 @@ mod tests {
                                 }
                             }
                         }
+                    }
+                    for p in 0..48 {
+                        prop_assert_eq!(
+                            runs.contains(p),
+                            model.contains(&p),
+                            "contains({}) diverged after an op", p
+                        );
                     }
                     for probe in 1..8usize {
                         prop_assert_eq!(
@@ -353,13 +319,13 @@ mod tests {
         assert_eq!(runs.first_run_of(2), None);
         runs.insert(6); // bridges [5,6) and [7,8) into [5,8)
         assert_eq!(runs.first_run_of(3), Some(5));
-        runs.remove(6); // splits back
+        runs.remove_range(6, 7); // splits back
         assert_eq!(runs.first_run_of(2), None);
         assert_eq!(runs.first_run_of(1), Some(5));
         runs.insert(6);
         runs.remove_range(5, 7); // leaves [7,8)
         assert_eq!(runs.first_run_of(1), Some(7));
-        runs.remove(7);
+        runs.remove_range(7, 8);
         assert_eq!(runs.first_run_of(1), None);
     }
 }

@@ -28,13 +28,13 @@
 //!   `blob-sync-before-index-commit` demands the sync precede any index
 //!   commit that references the new offsets.
 //!
-//! The storage seam is [`BlobFile`]: a real file ([`FileBlob`]) or a
-//! file of the crash simulator (`SimBlob` in `sim_disk`), so every
-//! torture sweep covers torn appends with the same code path. The same
-//! seam is the only file seam of the stack: it serves every other
-//! durable file — manifest, commit log, markers, whose protocols
-//! `dxh-core` writes once above it — and, through [`crate::BlockFile`],
-//! the level files too.
+//! The storage seam is [`BlobFile`]: a real file ([`FileBlob`]), a
+//! file of the crash simulator ([`crate::SimBlob`]) or a byte vector
+//! ([`MemBlob`]), so every torture sweep covers torn appends with the
+//! same code path. The same seam is the only file seam of the stack: it
+//! serves every other durable file — manifest, commit log, markers,
+//! whose protocols `dxh-core` writes once above it — and, through
+//! [`crate::BlockFile`], the level files too.
 
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
@@ -47,10 +47,10 @@ use crate::item::MAX_BLOB_OFFSET;
 /// An open byte file: writes and reads by position, a length, and an
 /// explicit sync — what a [`BlobLog`] and a [`crate::BlockFile`] run on,
 /// and the file handle under every durable-file protocol in `dxh-core`.
-/// Implementations: [`FileBlob`] (a real file) and the simulator's
-/// `SimBlob` (volatile until sync, write-survival lottery at a power
-/// cycle). The handle follows the file, not its name: a rename or unlink
-/// does not redirect it.
+/// Implementations: [`FileBlob`] (a real file), the simulator's
+/// [`crate::SimBlob`] (volatile until sync, write-survival lottery at a
+/// power cycle) and [`MemBlob`] (a byte vector). The handle follows the
+/// file, not its name: a rename or unlink does not redirect it.
 pub trait BlobFile {
     /// Writes `bytes` at `offset`, growing the file when they run past
     /// its end; a gap before `offset` reads as zeros. Volatile until
@@ -262,15 +262,14 @@ impl<F: BlobFile> BlobLog<F> {
     }
 }
 
-/// An in-memory [`BlobFile`] for unit tests (the crash-faithful twin is
-/// `SimBlob` in `sim_disk`).
-#[cfg(test)]
+/// An in-memory [`BlobFile`]: a growable byte vector — the file under
+/// [`crate::MemDisk`]. It never faults and its sync is a no-op; the
+/// crash-faithful twin is [`crate::SimBlob`].
 #[derive(Default)]
-pub(crate) struct MemBlob {
+pub struct MemBlob {
     pub(crate) bytes: Vec<u8>,
 }
 
-#[cfg(test)]
 impl BlobFile for MemBlob {
     fn write_at(&mut self, offset: u64, bytes: &[u8]) -> Result<()> {
         crate::sim_disk::put(&mut self.bytes, offset, bytes);

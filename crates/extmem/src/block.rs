@@ -3,8 +3,9 @@
 use crate::error::{ExtMemError, Result};
 use crate::item::{Item, Key, Value};
 
-/// Identifier of a disk block. Dense, starting from zero, never reused
-/// differently by the two backends (both recycle freed ids).
+/// Identifier of a disk block: its slot in the block store, dense from
+/// zero. A freed id is recycled, by the same rule whatever file holds
+/// the blocks.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockId(pub u64);
 
@@ -85,12 +86,6 @@ impl Block {
     #[inline]
     pub fn is_full(&self) -> bool {
         self.items.len() >= self.capacity
-    }
-
-    /// Remaining item slots.
-    #[inline]
-    pub fn free_slots(&self) -> usize {
-        self.capacity - self.items.len()
     }
 
     /// The structure-specific header word.
@@ -183,11 +178,6 @@ impl Block {
         self.items.retain(pred);
     }
 
-    /// Removes and returns all items, leaving the block empty (header kept).
-    pub fn drain_items(&mut self) -> Vec<Item> {
-        core::mem::take(&mut self.items)
-    }
-
     /// Clears items and header.
     pub fn reset(&mut self) {
         self.items.clear();
@@ -211,14 +201,13 @@ impl Block {
         buf[0..8].copy_from_slice(&(self.items.len() as u64).to_le_bytes());
         buf[8..16].copy_from_slice(&self.tag.to_le_bytes());
         buf[16..24].copy_from_slice(&BlockId::encode_opt(self.next).to_le_bytes());
-        let mut off = 24;
-        for it in &self.items {
-            buf[off..off + 8].copy_from_slice(&it.key.to_le_bytes());
-            buf[off + 8..off + 16].copy_from_slice(&it.value.to_le_bytes());
-            off += 16;
+        let body = &mut buf[Self::HEADER_BYTES..];
+        for (it, slot) in self.items.iter().zip(body.chunks_exact_mut(16)) {
+            slot[..8].copy_from_slice(&it.key.to_le_bytes());
+            slot[8..].copy_from_slice(&it.value.to_le_bytes());
         }
         // Zero the unused tail so the image is deterministic.
-        buf[off..].fill(0);
+        body[self.items.len() * 16..].fill(0);
     }
 
     /// Deserializes a block of the given `capacity` from `buf`.
@@ -230,24 +219,18 @@ impl Block {
                 buf.len()
             )));
         }
-        let word = |i: usize| -> u64 {
-            let mut w = [0u8; 8];
-            w.copy_from_slice(&buf[i..i + 8]);
-            u64::from_le_bytes(w)
-        };
-        let len = word(0) as usize;
+        let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("an 8-byte word"));
+        let len = word(&buf[0..8]) as usize;
         if len > capacity {
             return Err(ExtMemError::Corrupt(format!(
                 "stored length {len} exceeds capacity {capacity}"
             )));
         }
-        let tag = word(8);
-        let next = BlockId::decode_opt(word(16));
+        let tag = word(&buf[8..16]);
+        let next = BlockId::decode_opt(word(&buf[16..24]));
         let mut items = Vec::with_capacity(capacity);
-        for slot in 0..len {
-            let off = 24 + slot * 16;
-            items.push(Item::new(word(off), word(off + 8)));
-        }
+        let body = &buf[Self::HEADER_BYTES..Self::HEADER_BYTES + len * 16];
+        items.extend(body.chunks_exact(16).map(|w| Item::new(word(&w[..8]), word(&w[8..]))));
         Ok(Block { capacity, tag, next, items })
     }
 }
@@ -343,16 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_items_empties_but_keeps_header() {
-        let mut b = filled(4, 3);
-        b.set_tag(5);
-        let items = b.drain_items();
-        assert_eq!(items.len(), 3);
-        assert!(b.is_empty());
-        assert_eq!(b.tag(), 5);
-    }
-
-    #[test]
     fn retain_filters() {
         let mut b = filled(8, 6);
         b.retain(|it| it.key % 2 == 0);
@@ -368,6 +341,37 @@ mod tests {
         assert_eq!(BlockId::encode_opt(Some(BlockId(3))), 4);
     }
 
+    /// The slot image, word by word: `len`, `tag`, `next + 1`, then
+    /// each item's key and value, little-endian, and zeros after the
+    /// last item.
+    #[test]
+    fn encode_writes_the_documented_layout() {
+        let mut b = Block::new(3);
+        b.push(Item::new(0x0102, 0x0304)).unwrap();
+        b.push(Item::new(u64::MAX - 1, 7)).unwrap();
+        b.set_tag(9);
+        b.set_next(Some(BlockId(4)));
+        let mut buf = vec![0xAA; Block::encoded_len(3)];
+        b.encode_into(&mut buf);
+        let words: Vec<u64> =
+            buf.chunks_exact(8).map(|w| u64::from_le_bytes(w.try_into().unwrap())).collect();
+        assert_eq!(words, [2, 9, 5, 0x0102, 0x0304, u64::MAX - 1, 7, 0, 0]);
+    }
+
+    /// A recycled slot is reset by zeroing its header alone: the item
+    /// bytes behind it are never read.
+    #[test]
+    fn stale_items_behind_a_zeroed_header_are_inert() {
+        let mut b = filled(4, 4);
+        b.set_tag(3);
+        let mut buf = vec![0u8; Block::encoded_len(4)];
+        b.encode_into(&mut buf);
+        buf[..Block::HEADER_BYTES].fill(0);
+        assert_eq!(Block::decode_from(4, &buf).unwrap(), Block::new(4));
+        buf[0] = 1;
+        assert_eq!(Block::decode_from(4, &buf).unwrap().items(), &[Item::new(0, 0)]);
+    }
+
     #[test]
     fn all_zero_image_decodes_as_empty_block() {
         // File backends rely on this: a freshly extended (zero-filled)
@@ -377,13 +381,5 @@ mod tests {
         assert!(b.is_empty());
         assert_eq!(b.tag(), 0);
         assert_eq!(b.next(), None);
-    }
-
-    #[test]
-    fn free_slots_tracks_len() {
-        let mut b = Block::new(4);
-        assert_eq!(b.free_slots(), 4);
-        b.push(Item::key_only(1)).unwrap();
-        assert_eq!(b.free_slots(), 3);
     }
 }

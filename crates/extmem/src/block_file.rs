@@ -1,12 +1,13 @@
-//! The block interface over any byte file: one adapter, [`BlockFile`],
-//! encodes blocks into fixed-size slots of a [`BlobFile`] — a real file
-//! ([`FileDisk`]), a file of the crash simulator ([`SimDisk`]), or any
-//! file a `dxh-core` store media hands out for a level.
+//! The one block store: [`BlockFile`] encodes blocks into fixed-size
+//! slots of a [`BlobFile`] — a byte vector ([`MemDisk`], the
+//! experiments' disk), a real file ([`FileDisk`]), a file of the crash
+//! simulator ([`SimDisk`]), or any file a `dxh-core` store media hands
+//! out for a level.
 
 use std::path::Path;
 
 use crate::backend::{SlotAllocator, StorageBackend};
-use crate::blob::{BlobFile, FileBlob};
+use crate::blob::{BlobFile, FileBlob, MemBlob};
 use crate::block::{Block, BlockId};
 use crate::error::{ExtMemError, Result};
 use crate::sim_disk::{SimBlob, SimEnv};
@@ -22,9 +23,12 @@ use crate::sim_disk::{SimBlob, SimEnv};
 /// bytes behind a zero header are inert, and whoever fills the block
 /// next overwrites them anyway.
 ///
-/// Every block I/O is one positional read or write of one slot.
+/// Every block I/O is one positional read or write of one slot. Every
+/// allocation takes the lowest run of free slots that fits — a single
+/// block is a run of one — and grows the file when none does, so block
+/// ids depend on the workload alone, not on the file.
 ///
-/// The allocator state (free list) lives in memory and dies with the
+/// The allocator state (its free set) lives in memory and dies with the
 /// handle: [`BlockFile::from_file`] finds every slot of the file live. A
 /// store that must outlive its process keeps no free list at all —
 /// `dxh_core` gives every level a file of its own and unlinks the file
@@ -35,13 +39,16 @@ pub struct BlockFile<F> {
     file: F,
     block_capacity: usize,
     block_bytes: usize,
-    /// The shared allocator state machine (LIFO recycling, contiguous
-    /// runs) — one implementation across backends, so block ids stay
-    /// backend-deterministic.
+    /// Which slots are live: a high-water mark and one free set.
     alloc: SlotAllocator,
     /// Scratch buffer reused across reads/writes to avoid per-op allocation.
     scratch: Vec<u8>,
 }
+
+/// A [`BlockFile`] in memory: the exact, deterministic disk every
+/// experiment runs on. Use [`FileDisk`] for the same blocks in a real
+/// file.
+pub type MemDisk = BlockFile<MemBlob>;
 
 /// A [`BlockFile`] over a real file.
 pub type FileDisk = BlockFile<FileBlob>;
@@ -85,8 +92,8 @@ impl<F: BlobFile> BlockFile<F> {
 
     /// Resets recycled `slot`'s stale image to an empty block. Callers
     /// reset *before* changing the allocator state, so a failed write
-    /// leaves the slot safely on the free list instead of in limbo
-    /// (neither free nor live).
+    /// leaves the slot safely free instead of in limbo (neither free nor
+    /// live).
     fn reset_slot(&mut self, slot: u64) -> Result<()> {
         self.file.write_at(self.offset(slot), &[0u8; Block::HEADER_BYTES])
     }
@@ -103,6 +110,13 @@ impl<F: BlobFile> BlockFile<F> {
             return Err(ExtMemError::BadBlockId(id));
         }
         Ok(())
+    }
+}
+
+impl MemDisk {
+    /// An empty in-memory disk with block capacity `b` items.
+    pub fn new(block_capacity: usize) -> Self {
+        Self::from_file(MemBlob::default(), block_capacity).expect("an empty file holds no slot")
     }
 }
 
@@ -174,23 +188,14 @@ impl<F: BlobFile> StorageBackend for BlockFile<F> {
     }
 
     fn allocate(&mut self) -> Result<BlockId> {
-        let idx = match self.alloc.peek_recycle() {
-            Some(idx) => {
-                self.reset_slot(idx)?;
-                self.alloc.commit_recycle(idx);
-                idx
-            }
-            None => self.grow(1)?,
-        };
-        Ok(BlockId(idx))
+        self.allocate_contiguous(1)
     }
 
     fn allocate_contiguous(&mut self, n: usize) -> Result<BlockId> {
-        // Recycle a contiguous run of free slots when one exists. Each
-        // slot is reset exactly as `allocate` resets one: the merge that
-        // asked for the run is about to write these blocks, so
-        // zero-filling their bodies would write every byte of the run
-        // twice.
+        // Recycle the lowest run of free slots that fits, when one
+        // exists. Only each slot's header is reset: the merge that asked
+        // for the run is about to write these blocks, so zero-filling
+        // their bodies would write every byte of the run twice.
         if let Some(base) = self.alloc.peek_run(n) {
             for slot in base..base + n as u64 {
                 self.reset_slot(slot)?;
@@ -220,6 +225,127 @@ impl<F: BlobFile> StorageBackend for BlockFile<F> {
 mod tests {
     use super::*;
     use crate::item::Item;
+
+    #[test]
+    fn allocate_read_write_round_trip() {
+        let mut d = MemDisk::new(4);
+        let id = d.allocate().unwrap();
+        let mut blk = d.read(id).unwrap();
+        assert!(blk.is_empty());
+        blk.push(Item::new(1, 2)).unwrap();
+        d.write(id, &blk).unwrap();
+        assert_eq!(d.read(id).unwrap().find(1), Some(2));
+    }
+
+    #[test]
+    fn read_of_unallocated_or_freed_id_fails() {
+        let mut d = MemDisk::new(4);
+        assert!(d.read(BlockId(0)).is_err());
+        let id = d.allocate().unwrap();
+        d.free(id).unwrap();
+        assert!(d.read(id).is_err());
+        assert!(d.free(id).is_err(), "double free is rejected");
+    }
+
+    #[test]
+    fn freed_ids_are_recycled() {
+        let mut d = MemDisk::new(4);
+        let a = d.allocate().unwrap();
+        let _b = d.allocate().unwrap();
+        d.free(a).unwrap();
+        let c = d.allocate().unwrap();
+        assert_eq!(c, a, "free list recycles ids");
+        assert_eq!(d.live_blocks(), 2);
+    }
+
+    #[test]
+    fn recycled_block_is_empty() {
+        let mut d = MemDisk::new(4);
+        let a = d.allocate().unwrap();
+        let mut blk = d.read(a).unwrap();
+        blk.push(Item::key_only(9)).unwrap();
+        d.write(a, &blk).unwrap();
+        d.free(a).unwrap();
+        let a2 = d.allocate().unwrap();
+        assert_eq!(a2, a);
+        assert!(d.read(a2).unwrap().is_empty());
+    }
+
+    #[test]
+    fn live_blocks_counts() {
+        let mut d = MemDisk::new(2);
+        assert_eq!(d.live_blocks(), 0);
+        let ids: Vec<_> = (0..5).map(|_| d.allocate().unwrap()).collect();
+        assert_eq!(d.live_blocks(), 5);
+        d.free(ids[2]).unwrap();
+        assert_eq!(d.live_blocks(), 4);
+    }
+
+    /// A file holds whole slots: each of them is live once opened, and a
+    /// length that ends inside a slot is corruption, not a short block.
+    #[test]
+    fn from_file_finds_whole_slots_live_and_rejects_a_partial_one() {
+        let slot = Block::encoded_len(2);
+        let mut image = vec![0u8; 2 * slot];
+        let mut blk = Block::new(2);
+        blk.push(Item::new(5, 50)).unwrap();
+        blk.encode_into(&mut image[slot..]);
+        let mut d = MemDisk::from_file(MemBlob { bytes: image.clone() }, 2).unwrap();
+        assert_eq!((d.slots(), d.live_blocks()), (2, 2));
+        assert_eq!(d.read(BlockId(1)).unwrap(), blk);
+        image.push(0);
+        let partial = MemDisk::from_file(MemBlob { bytes: image }, 2);
+        assert!(matches!(partial, Err(ExtMemError::Corrupt(_))));
+    }
+
+    /// A freed slot refuses a write as it refuses a read, so a stale id
+    /// cannot reach the block that later recycles its slot.
+    #[test]
+    fn a_freed_slot_refuses_writes() {
+        let mut d = MemDisk::new(2);
+        let a = d.allocate().unwrap();
+        let _b = d.allocate().unwrap();
+        d.free(a).unwrap();
+        let mut blk = Block::new(2);
+        blk.push(Item::new(1, 1)).unwrap();
+        assert!(matches!(d.write(a, &blk), Err(ExtMemError::BadBlockId(_))));
+        assert_eq!(d.allocate().unwrap(), a);
+        assert!(d.read(a).unwrap().is_empty());
+    }
+
+    /// A recycle whose header reset faults takes nothing: the run stays
+    /// free, and the retry hands out the same slots.
+    #[test]
+    fn a_faulted_reset_leaves_the_run_free() {
+        let mut d = SimDisk::new(2);
+        let base = d.allocate_contiguous(3).unwrap();
+        for i in 0..3 {
+            d.free(BlockId(base.raw() + i)).unwrap();
+        }
+        let env = d.env();
+        // The second of the run's three header resets fails.
+        env.set_plan(crate::FaultPlan { fail_at: vec![env.ops() + 1], ..Default::default() });
+        assert!(d.allocate_contiguous(3).is_err());
+        assert_eq!((d.slots(), d.live_blocks()), (3, 0));
+        assert!(d.read(base).is_err(), "the run is still free");
+        assert_eq!(d.allocate_contiguous(3).unwrap(), base);
+        assert_eq!(d.live_blocks(), 3);
+    }
+
+    /// A single allocation is a run of one: it takes the lowest free
+    /// slot, not the last one freed, in every byte file.
+    #[test]
+    fn a_single_allocation_takes_the_lowest_free_slot() {
+        fn drive(d: &mut impl StorageBackend) -> BlockId {
+            assert_eq!(d.allocate_contiguous(3).unwrap(), BlockId(0));
+            d.free(BlockId(0)).unwrap();
+            d.free(BlockId(2)).unwrap();
+            d.allocate().unwrap()
+        }
+        assert_eq!(drive(&mut MemDisk::new(2)), BlockId(0), "MemDisk");
+        assert_eq!(drive(&mut FileDisk::temp(2).unwrap()), BlockId(0), "FileDisk");
+        assert_eq!(drive(&mut SimDisk::new(2)), BlockId(0), "SimDisk");
+    }
 
     #[test]
     fn round_trip_on_real_file() {
@@ -298,8 +424,9 @@ mod tests {
     #[test]
     fn free_check_stays_fast_under_churn() {
         // Regression shape for the old O(|free|) scan: heavy free/alloc
-        // churn with a large standing free list. With the HashSet this
-        // finishes instantly; with the linear scan it was quadratic.
+        // churn with a large standing free list. With the interval set's
+        // O(log runs) lookup this finishes instantly; with the linear
+        // scan it was quadratic.
         let mut d = FileDisk::temp(2).unwrap();
         let ids: Vec<_> = (0..2000).map(|_| d.allocate().unwrap()).collect();
         for &id in &ids[1000..] {

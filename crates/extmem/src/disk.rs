@@ -163,7 +163,7 @@ impl<B: StorageBackend> Disk<B> {
 mod tests {
     use super::*;
     use crate::item::Item;
-    use crate::mem_disk::MemDisk;
+    use crate::MemDisk;
 
     fn disk(b: usize) -> Disk<MemDisk> {
         Disk::new(MemDisk::new(b), b, IoCostModel::SeekDominated)

@@ -10,15 +10,17 @@
 //! * computation is free; the complexity measure is the number of block
 //!   transfers (**I/Os**) performed ([`IoStats`]).
 //!
-//! Two storage backends are provided: an in-RAM [`MemDisk`] used by the
-//! experiments (exact, fast, deterministic), and [`BlockFile`], the
-//! same blocks in the slots of any byte file ([`BlobFile`]) — a real
-//! file ([`FileDisk`]) that demonstrates the same code paths against a
-//! filesystem, or a file of the crash simulator ([`SimDisk`], on a
-//! [`SimEnv`]) whose unsynced writes are volatile and whose seeded
-//! [`FaultPlan`] can crash or fault any I/O by index — the engine of the
-//! recovery torture harness. A third, [`Cached`], puts an LRU page cache
-//! in front of an accounting disk over either (see *Buffering*).
+//! There is one block store, [`BlockFile`]: blocks encoded in the slots
+//! of a byte file ([`BlobFile`]), with one slot allocator. Three byte
+//! files hold it: a vector in memory ([`MemDisk`], the experiments'
+//! disk: exact, fast, deterministic), a real file ([`FileDisk`]) that
+//! runs the same code paths against a filesystem, and a file of the
+//! crash simulator ([`SimDisk`], on a [`SimEnv`]) whose unsynced writes
+//! are volatile and whose seeded [`FaultPlan`] can crash or fault any
+//! I/O by index — the engine of the recovery torture harness. The same
+//! workload gets the same block ids and the same I/O counts on all
+//! three. [`Cached`] puts an LRU page cache in front of an accounting
+//! disk over any of them (see *Buffering*).
 //!
 //! ## I/O accounting convention
 //!
@@ -56,15 +58,14 @@ mod disk;
 mod error;
 pub mod frame;
 mod item;
-mod mem_disk;
 mod pool;
 mod sim_disk;
 mod stats;
 
 pub use backend::StorageBackend;
-pub use blob::{BlobFile, BlobLog, FileBlob};
+pub use blob::{BlobFile, BlobLog, FileBlob, MemBlob};
 pub use block::{Block, BlockId};
-pub use block_file::{BlockFile, FileDisk, SimDisk};
+pub use block_file::{BlockFile, FileDisk, MemDisk, SimDisk};
 pub use budget::MemoryBudget;
 pub use disk::Disk;
 pub use error::{ExtMemError, Result};
@@ -73,7 +74,6 @@ pub use item::{
     check_key, check_value, Item, Key, Value, BLOB_TAG, KEY_TOMBSTONE, MAX_BLOB_OFFSET,
     VALUE_TOMBSTONE,
 };
-pub use mem_disk::MemDisk;
 pub use pool::{BufferPool, Cached, PoolStats};
 pub use sim_disk::{FaultPlan, IoEvent, SimBlob, SimEnv};
 pub use stats::{IoCostModel, IoSnapshot, IoStats};

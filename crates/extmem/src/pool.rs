@@ -344,8 +344,8 @@ impl<B: StorageBackend> StorageBackend for Cached<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mem_disk::MemDisk;
     use crate::stats::IoCostModel;
+    use crate::MemDisk;
 
     fn blk(cap: usize, key: u64) -> Block {
         let mut b = Block::new(cap);

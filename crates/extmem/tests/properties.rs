@@ -1,7 +1,8 @@
 //! Property-based tests for the external-memory substrate.
 
 use dxh_extmem::{
-    Block, BlockId, Cached, Disk, FileDisk, IoCostModel, Item, MemDisk, SimDisk, StorageBackend,
+    Block, BlockId, Cached, Disk, ExtMemError, FileDisk, IoCostModel, Item, MemDisk, SimDisk,
+    StorageBackend,
 };
 use proptest::prelude::*;
 
@@ -28,6 +29,28 @@ proptest! {
         blk.encode_into(&mut buf);
         let decoded = Block::decode_from(cap, &buf).unwrap();
         prop_assert_eq!(decoded, blk);
+    }
+
+    /// Decoding is total: any bytes give a block no fuller than its
+    /// capacity, which re-encodes and decodes to itself, or `Corrupt` —
+    /// never a panic.
+    #[test]
+    fn decode_is_total(
+        cap in 1usize..6,
+        len_word in 0u64..9,
+        tail in proptest::collection::vec(any::<u8>(), 0..140),
+    ) {
+        let mut buf = len_word.to_le_bytes().to_vec();
+        buf.extend_from_slice(&tail);
+        match Block::decode_from(cap, &buf) {
+            Ok(blk) => {
+                prop_assert!(blk.len() <= cap);
+                let mut again = vec![0u8; Block::encoded_len(cap)];
+                blk.encode_into(&mut again);
+                prop_assert_eq!(Block::decode_from(cap, &again).unwrap(), blk);
+            }
+            Err(e) => prop_assert!(matches!(e, ExtMemError::Corrupt(_)), "{e:?}"),
+        }
     }
 
     /// MemDisk, FileDisk and SimDisk observe identical ids, contents and

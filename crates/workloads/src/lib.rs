@@ -1,7 +1,7 @@
 //! # dxh-workloads — workload generation and experiment running
 //!
-//! * [`trace`] — operation traces (insert/lookup/delete) with CSV
-//!   round-tripping, so experiments are replayable.
+//! * [`trace`] — operation traces (insert/lookup/delete), replayable
+//!   against any dictionary.
 //! * [`generator`] — the workload families used by the experiments:
 //!   uniform random insertions (the paper's model), insert/lookup mixes,
 //!   insert/delete/lookup churn (for the store's deletion and compaction

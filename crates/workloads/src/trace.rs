@@ -48,53 +48,6 @@ impl Trace {
         }
         h
     }
-
-    /// Serializes as CSV lines `op,key,value` (`value` empty for
-    /// lookups/deletes).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::with_capacity(self.ops.len() * 16);
-        out.push_str("op,key,value\n");
-        for op in &self.ops {
-            match op {
-                Op::Insert(k, v) => out.push_str(&format!("I,{k},{v}\n")),
-                Op::Lookup(k) => out.push_str(&format!("L,{k},\n")),
-                Op::Delete(k) => out.push_str(&format!("D,{k},\n")),
-            }
-        }
-        out
-    }
-
-    /// Parses the CSV form produced by [`Trace::to_csv`].
-    pub fn from_csv(text: &str) -> Result<Self, String> {
-        let mut ops = Vec::new();
-        for (lineno, line) in text.lines().enumerate() {
-            if lineno == 0 && line.starts_with("op,") {
-                continue; // header
-            }
-            if line.trim().is_empty() {
-                continue;
-            }
-            let mut parts = line.splitn(3, ',');
-            let op = parts.next().ok_or_else(|| format!("line {lineno}: missing op"))?;
-            let key: Key = parts
-                .next()
-                .ok_or_else(|| format!("line {lineno}: missing key"))?
-                .parse()
-                .map_err(|e| format!("line {lineno}: bad key: {e}"))?;
-            let value = parts.next().unwrap_or("");
-            ops.push(match op {
-                "I" => {
-                    let v: Value =
-                        value.parse().map_err(|e| format!("line {lineno}: bad value: {e}"))?;
-                    Op::Insert(key, v)
-                }
-                "L" => Op::Lookup(key),
-                "D" => Op::Delete(key),
-                other => return Err(format!("line {lineno}: unknown op {other:?}")),
-            });
-        }
-        Ok(Trace { ops })
-    }
 }
 
 #[cfg(test)]
@@ -114,28 +67,7 @@ mod tests {
     }
 
     #[test]
-    fn csv_round_trip() {
-        let t = sample();
-        let csv = t.to_csv();
-        let back = Trace::from_csv(&csv).unwrap();
-        assert_eq!(back, t);
-    }
-
-    #[test]
     fn histogram_counts() {
         assert_eq!(sample().histogram(), (2, 2, 1));
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(Trace::from_csv("op,key,value\nX,1,2\n").is_err());
-        assert!(Trace::from_csv("op,key,value\nI,notakey,2\n").is_err());
-        assert!(Trace::from_csv("op,key,value\nI,1,notavalue\n").is_err());
-    }
-
-    #[test]
-    fn parse_tolerates_blank_lines_and_missing_header() {
-        let t = Trace::from_csv("I,5,6\n\nL,5,\n").unwrap();
-        assert_eq!(t.ops, vec![Op::Insert(5, 6), Op::Lookup(5)]);
     }
 }

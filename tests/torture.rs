@@ -5,12 +5,16 @@
 //! latter sweeps the blob append, its sync and the blob-log rewrite of a
 //! payload compaction).
 //!
-//! Iteration counts are bounded for PR CI and scaled up by the scheduled
-//! long run via `TORTURE_SEEDS` (see `.github/workflows/`). Every
-//! assertion message carries the failing seed, mode (and crash index),
-//! so a red run is reproduced by plugging that seed back into
-//! `TortureSpec::small` or `TortureSpec::small_payload` — or `cargo run
-//! -p dxh-bench --bin torture -- --seed <seed>`, which runs both.
+//! Both sweeps — the exhaustive commit windows and the scattered
+//! crashes — run a fixed seed plus `TORTURE_SEEDS` more (4 when unset:
+//! PR CI's count; the scheduled long run raises it, see
+//! `.github/workflows/`). A failing sweep prints the seed, mode and
+//! crash index, and the command that replays that one seed through both
+//! sweeps in both modes:
+//!
+//! ```text
+//! TORTURE_SEED=<decimal or 0x-hex> cargo test --release --test torture
+//! ```
 
 use dyn_ext_hash::core::SimMedia;
 use dyn_ext_hash::workloads::torture::{
@@ -22,6 +26,48 @@ use lying_media::{Lie, Lying};
 
 fn env_count(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+}
+
+/// A seed in decimal or `0x`-hex: the form a failure prints, and the
+/// form one is usually copied from.
+fn parse_seed(s: &str) -> Option<u64> {
+    match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => s.parse().ok(),
+    }
+}
+
+/// The seeds a sweep runs: `TORTURE_SEED` alone when it is set, else
+/// `fixed` and then `TORTURE_SEEDS` seeds of the sequence from `base`.
+fn sweep_seeds(fixed: &[u64], base: u64) -> Vec<u64> {
+    if let Ok(s) = std::env::var("TORTURE_SEED") {
+        let seed = parse_seed(&s).unwrap_or_else(|| {
+            panic!("TORTURE_SEED takes a number (decimal or 0x-hex), got {s:?}")
+        });
+        return vec![seed];
+    }
+    let n = env_count("TORTURE_SEEDS", 4);
+    let sequence = (0..n).map(|i| base.wrapping_add(i.wrapping_mul(0x9e37_79b9)));
+    fixed.iter().copied().chain(sequence).collect()
+}
+
+/// The command that replays `seed` alone, through both sweeps in both
+/// modes.
+fn replay(seed: u64) -> String {
+    format!("replay: TORTURE_SEED={seed:#x} cargo test --release --test torture")
+}
+
+/// A failure's replay command names its seed in a form the sweeps read
+/// back, so pasting it reruns exactly that seed.
+#[test]
+fn a_replay_command_parses_back_to_its_seed() {
+    for seed in [0, 0xD15A57E5, u64::MAX] {
+        let cmd = replay(seed);
+        let arg = cmd.split_whitespace().find_map(|w| w.strip_prefix("TORTURE_SEED="));
+        assert_eq!(arg.and_then(parse_seed), Some(seed), "{cmd}");
+    }
+    assert_eq!(parse_seed("3512358885"), Some(0xD15A57E5), "decimal too");
+    assert_eq!(parse_seed("0xnope"), None);
 }
 
 /// `seed`'s scenario in both modes: raw, then payload.
@@ -43,7 +89,7 @@ fn summarize(failures: &[TortureReport]) -> String {
         .take(3)
         .map(|r| {
             format!(
-                "[seed {} crash_at {:?}: {}]",
+                "[seed {:#x} crash_at {:?}: {}]",
                 r.seed,
                 r.crash_at,
                 r.violations.first().map(String::as_str).unwrap_or("?")
@@ -54,7 +100,8 @@ fn summarize(failures: &[TortureReport]) -> String {
 }
 
 /// The acceptance gate: crash at **every** I/O index of one small final
-/// sync and one small compaction, in both modes. The commit-point
+/// sync and one small compaction, in both modes, for `0xD15A57E5` and
+/// `TORTURE_SEEDS` seeds from `0xBAD5_EED0`. The commit-point
 /// reasoning (manifest rename is the single commit point; a level file
 /// or blob log it names is never rewritten and outlives it; a blob
 /// append is synced before the index commit that points at it; recovery
@@ -62,26 +109,29 @@ fn summarize(failures: &[TortureReport]) -> String {
 /// exhaustively, not anecdotally.
 #[test]
 fn exhaustive_crash_sweep_over_one_sync_and_one_compact() {
-    for spec in both_modes(0xD15A57E5) {
-        let mode = mode(&spec);
-        let clean = torture_run(&spec, None);
-        assert!(
-            clean.violations.is_empty(),
-            "seed {} ({mode}): crash-free lifecycle must pass: {:?}",
-            spec.seed,
-            clean.violations
-        );
-        let m = clean.markers.expect("crash-free run reports its commit windows");
-        for (window, (lo, hi)) in [("sync", m.final_sync), ("compact", m.compact)] {
-            let failures = sweep_crash_indices(&spec, lo, hi);
+    for seed in sweep_seeds(&[0xD15A57E5], 0xBAD5_EED0) {
+        for spec in both_modes(seed) {
+            let mode = mode(&spec);
+            let clean = torture_run(&spec, None);
             assert!(
-                failures.is_empty(),
-                "seed {} ({mode}): {} of {} {window}-window crash indices violated invariants: {}",
-                spec.seed,
-                failures.len(),
-                hi - lo,
-                summarize(&failures)
+                clean.violations.is_empty(),
+                "seed {seed:#x} ({mode}): crash-free lifecycle must pass: {:?}\n{}",
+                clean.violations,
+                replay(seed)
             );
+            let m = clean.markers.expect("crash-free run reports its commit windows");
+            for (window, (lo, hi)) in [("sync", m.final_sync), ("compact", m.compact)] {
+                let failures = sweep_crash_indices(&spec, lo, hi);
+                assert!(
+                    failures.is_empty(),
+                    "seed {seed:#x} ({mode}): {} of {} {window}-window crash indices violated \
+                     invariants: {}\n{}",
+                    failures.len(),
+                    hi - lo,
+                    summarize(&failures),
+                    replay(seed)
+                );
+            }
         }
     }
 }
@@ -139,22 +189,21 @@ fn a_file_sync_lie_reaches_the_level_files() {
 }
 
 /// Seed-scattered crashes across entire lifecycles — open, churn,
-/// periodic syncs, tail, compaction — not just the two commit windows.
-/// `TORTURE_SEEDS` scales the seed count (PR CI keeps it small; the
-/// scheduled long run raises it).
+/// periodic syncs, tail, compaction — not just the two commit windows:
+/// `TORTURE_SEEDS` seeds from `0x7012_7012`, `TORTURE_POINTS` crashes
+/// each.
 #[test]
 fn scattered_crashes_across_whole_lifecycles() {
-    let seeds = env_count("TORTURE_SEEDS", 4);
     let per_seed = env_count("TORTURE_POINTS", 12);
-    for s in 0..seeds {
-        let seed = 0x7012_7012u64.wrapping_add(s.wrapping_mul(0x9e37_79b9));
+    for seed in sweep_seeds(&[], 0x7012_7012) {
         for spec in both_modes(seed) {
             let mode = mode(&spec);
             let clean = torture_run(&spec, None);
             assert!(
                 clean.violations.is_empty(),
-                "seed {seed} ({mode}): crash-free lifecycle must pass: {:?}",
-                clean.violations
+                "seed {seed:#x} ({mode}): crash-free lifecycle must pass: {:?}\n{}",
+                clean.violations,
+                replay(seed)
             );
             let total = clean.markers.expect("markers").total_ops;
             for p in 0..per_seed {
@@ -164,8 +213,9 @@ fn scattered_crashes_across_whole_lifecycles() {
                 let report = torture_run(&spec, Some(k.min(total.saturating_sub(1))));
                 assert!(
                     report.violations.is_empty(),
-                    "seed {seed} ({mode}) crash_at {k}: {:?}",
-                    report.violations
+                    "seed {seed:#x} ({mode}) crash_at {k}: {:?}\n{}",
+                    report.violations,
+                    replay(seed)
                 );
             }
         }
