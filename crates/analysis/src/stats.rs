@@ -41,7 +41,7 @@ impl RunningStats {
     }
 
     /// Unbiased sample variance (0 with < 2 observations).
-    pub fn variance(&self) -> f64 {
+    fn variance(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {
@@ -50,7 +50,7 @@ impl RunningStats {
     }
 
     /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
+    fn stddev(&self) -> f64 {
         self.variance().sqrt()
     }
 

@@ -82,7 +82,7 @@ impl TextTable {
     }
 
     /// Serializes as CSV (header row first, minimal quoting).
-    pub fn to_csv(&self) -> String {
+    fn to_csv(&self) -> String {
         let mut out = String::new();
         let emit = |out: &mut String, cells: &[String]| {
             let line = cells

@@ -56,7 +56,7 @@ pub fn binomial_tail_ge(n: u64, p: f64, k: u64) -> f64 {
 
 /// `ln(k!)`: exact summation up to `k = 4096` (the regimes used by the
 /// experiments), Stirling's series with two correction terms beyond.
-pub fn ln_factorial(k: u64) -> f64 {
+fn ln_factorial(k: u64) -> f64 {
     if k < 2 {
         return 0.0;
     }

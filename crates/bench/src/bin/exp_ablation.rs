@@ -12,8 +12,10 @@
 //! * `--which hashfn` (A2): the ideal-hash assumption stress-tested —
 //!   chaining costs under ideal / universal / multiply-shift / tabulation
 //!   families on sequential keys.
-//! * `--which costmodel` (A3): footnote 2 sensitivity — the same
-//!   bootstrapped run priced under seek-dominated vs strict accounting.
+//! * `--which costmodel` (A3): footnote 2 sensitivity — one bootstrapped
+//!   and one chaining run, each priced as footnote 2 counts
+//!   (`IoSnapshot::total`) and as the literal transfers
+//!   (`IoSnapshot::transfers`).
 //! * `--which memory` (A5): the bootstrapped, log-method and chaining
 //!   tables across internal memory sizes `m` — the buffered tables'
 //!   `tu` falls as `m` grows, chaining's stays near 1.
@@ -25,7 +27,7 @@
 use dxh_analysis::{table::fmt_f, TextTable};
 use dxh_bench::{emit, insert_uniform, ExpArgs};
 use dxh_core::{BootstrappedTable, CoreConfig, ExternalDictionary};
-use dxh_extmem::{Cached, Disk, IoCostModel, IoSnapshot, MemDisk, StorageBackend};
+use dxh_extmem::{mem_disk, Cached, Disk, IoCostModel, IoSnapshot, StorageBackend};
 use dxh_hashfn::{
     HashFamily, IdealFamily, IdealFn, MultiplyShiftFamily, TabulationFamily, UniversalFamily,
 };
@@ -42,16 +44,15 @@ fn chaining_costs<B: StorageBackend>(
     samples: usize,
     io: impl Fn(&ChainingTable<IdealFn, B>) -> IoSnapshot,
 ) -> (f64, f64) {
-    let model = table.cost_model();
     let e = io(table);
     let keys = insert_uniform(table, n, 2).unwrap();
     table.disk_mut().flush().unwrap();
-    let tu = io(table).since(&e).total(model) as f64 / n as f64;
+    let tu = io(table).since(&e).total() as f64 / n as f64;
     // `measure_tq` samples the lookups; its own figure counts the table's
     // disk, which behind a cache is accesses, not transfers.
     let e = io(table);
     measure_tq(table, &keys, samples, 3).unwrap();
-    let tq = io(table).since(&e).total(model) as f64 / samples as f64;
+    let tq = io(table).since(&e).total() as f64 / samples as f64;
     (tu, tq)
 }
 
@@ -82,8 +83,8 @@ fn ablation_cache(args: &ExpArgs) {
     // LRU pools of growing size (budgeted out of m) in front of the same
     // table: the transfers are the counters of the disk behind the cache.
     for frames in [8usize, 16, 24] {
-        let inner = Disk::new(MemDisk::new(b), b, cfg.cost);
-        let disk = Disk::new(Cached::new(inner, frames), b, cfg.cost);
+        let inner = mem_disk(b);
+        let disk = Disk::new(Cached::new(inner, frames), b, IoCostModel::SeekDominated);
         let mut table = ChainingTable::with_disk(disk, cfg.clone(), IdealFn::from_seed(1)).unwrap();
         let (tu, tq) =
             chaining_costs(&mut table, n, samples, |t| t.disk().backend().disk().epoch());
@@ -151,7 +152,7 @@ where
     for &k in &keys {
         t.insert(k, k).unwrap();
     }
-    let tu = t.disk_stats().since(&e).total(t.cost_model()) as f64 / n as f64;
+    let tu = t.disk_stats().since(&e).total() as f64 / n as f64;
     let tq = measure_tq(&mut t, &keys, samples, seed ^ 2).unwrap();
     (tu, tq)
 }
@@ -175,7 +176,7 @@ fn run_family_masked<F: HashFamily>(
     for &k in &keys {
         t.insert(k, k).unwrap();
     }
-    let tu = t.disk_stats().since(&e).total(t.cost_model()) as f64 / n as f64;
+    let tu = t.disk_stats().since(&e).total() as f64 / n as f64;
     let tq = measure_tq(&mut t, &keys, samples, seed ^ 2).unwrap();
     (tu, tq)
 }
@@ -229,40 +230,29 @@ fn ablation_costmodel(args: &ExpArgs) {
     let b = 64;
     let m = 1024;
     let n = args.scale(100_000, 12_000);
+    let mut boot = BootstrappedTable::new(CoreConfig::theorem2(b, m, 0.5).unwrap(), 21).unwrap();
+    insert_uniform(&mut boot, n, 22).unwrap();
+    let ccfg = ChainingConfig::fixed(b, m, (2 * n / b) as u64);
+    let mut chain = ChainingTable::new(ccfg, dxh_hashfn::IdealFn::from_seed(23)).unwrap();
+    insert_uniform(&mut chain, n, 24).unwrap();
+    // One run per structure, priced both ways: `total` is footnote 2's
+    // count, `transfers` the literal one.
+    let runs = [("bootstrapped c=0.5", boot.disk_stats()), ("chaining", chain.disk_stats())];
     let mut t = TextTable::new(["structure", "model", "tu", "reads", "writes", "rmws"]);
-    for (label, strict) in [("seek-dominated (paper)", false), ("strict", true)] {
-        // Bootstrapped.
-        let mut cfg = CoreConfig::theorem2(b, m, 0.5).unwrap();
-        if strict {
-            cfg = cfg.cost_model(IoCostModel::Strict);
+    for (label, price) in [
+        ("seek-dominated (paper)", IoSnapshot::total as fn(&IoSnapshot) -> u64),
+        ("strict", IoSnapshot::transfers),
+    ] {
+        for (structure, s) in &runs {
+            t.row([
+                structure.to_string(),
+                label.to_string(),
+                fmt_f(price(s) as f64 / n as f64, 4),
+                s.reads.to_string(),
+                s.writes.to_string(),
+                s.rmws.to_string(),
+            ]);
         }
-        let mut boot = BootstrappedTable::new(cfg, 21).unwrap();
-        insert_uniform(&mut boot, n, 22).unwrap();
-        let s = boot.disk_stats();
-        t.row([
-            "bootstrapped c=0.5".to_string(),
-            label.to_string(),
-            fmt_f(boot.total_ios() as f64 / n as f64, 4),
-            s.reads.to_string(),
-            s.writes.to_string(),
-            s.rmws.to_string(),
-        ]);
-        // Chaining.
-        let mut ccfg = ChainingConfig::fixed(b, m, (2 * n / b) as u64);
-        if strict {
-            ccfg = ccfg.cost_model(IoCostModel::Strict);
-        }
-        let mut chain = ChainingTable::new(ccfg, dxh_hashfn::IdealFn::from_seed(23)).unwrap();
-        insert_uniform(&mut chain, n, 24).unwrap();
-        let s = chain.disk_stats();
-        t.row([
-            "chaining".to_string(),
-            label.to_string(),
-            fmt_f(chain.total_ios() as f64 / n as f64, 4),
-            s.reads.to_string(),
-            s.writes.to_string(),
-            s.rmws.to_string(),
-        ]);
     }
     println!(
         "A3: footnote 2 sensitivity — strict accounting doubles the chaining\n\

@@ -96,7 +96,7 @@ fn main() {
         store.insert(k, k ^ 1).expect("upsert");
     }
     store.sync().expect("sync");
-    let churn_ios = store.disk_stats().since(&e).total(store.cost_model());
+    let churn_ios = store.disk_stats().since(&e).total();
     phases.push(snapshot("churn+sync", &store, churn_ios, ms(t0)));
 
     // Phase 3: unsynced churn — fresh keys, enough to cascade flushes
@@ -126,7 +126,7 @@ fn main() {
     let t0 = Instant::now();
     let stats = store.compact().expect("compact");
     let compact_ms = ms(t0);
-    let compact_ios = store.disk_stats().since(&e).total(store.cost_model());
+    let compact_ios = store.disk_stats().since(&e).total();
     phases.push(snapshot("compact", &store, compact_ios, compact_ms));
     assert!(stats.bytes_after < stats.bytes_before, "compaction purges dead items");
     let compacted = phases.last().expect("just pushed");

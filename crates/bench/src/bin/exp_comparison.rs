@@ -41,7 +41,7 @@ fn main() {
     let width = ((1u64 << 62) / n as u64) * 2000;
     let e = tree.disk_stats();
     let got = tree.range(1 << 60, (1 << 60) + width).unwrap();
-    let scan_ios = tree.disk_stats().since(&e).total(tree.cost_model());
+    let scan_ios = tree.disk_stats().since(&e).total();
     let h = tree.height();
     t.row([
         format!("B+-tree (height {h})"),

@@ -46,7 +46,7 @@ fn main() {
                 let mut chain = ChainingTable::new(cfg, IdealFn::from_seed(seed)).unwrap();
                 let e0 = chain.disk_stats();
                 let keys = insert_uniform(&mut chain, n, seed).unwrap();
-                let tu = chain.disk_stats().since(&e0).total(chain.cost_model()) as f64 / n as f64;
+                let tu = chain.disk_stats().since(&e0).total() as f64 / n as f64;
                 let tq = measure_tq(&mut chain, &keys, samples, seed ^ 1).unwrap();
                 let tq_miss = measure_tq_unsuccessful(&mut chain, samples, seed ^ 5).unwrap();
                 // Blocked linear probing at the same (b, α).

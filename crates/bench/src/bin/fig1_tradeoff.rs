@@ -88,7 +88,7 @@ fn main() {
                 .expect("extendible");
         let keys = insert_uniform(&mut ext, n, seed).expect("fill");
         let ext_point = TradeoffPoint {
-            tu: ext.disk_stats().total(ext.cost_model()) as f64 / n as f64,
+            tu: ext.disk_stats().total() as f64 / n as f64,
             tq: measure_tq(&mut ext, &keys, samples, seed ^ 5).expect("tq"),
             memory: ext.memory_used(),
         };
@@ -99,7 +99,7 @@ fn main() {
         .expect("linear hashing");
         let keys = insert_uniform(&mut lh, n, seed ^ 6).expect("fill");
         let lh_point = TradeoffPoint {
-            tu: lh.disk_stats().total(lh.cost_model()) as f64 / n as f64,
+            tu: lh.disk_stats().total() as f64 / n as f64,
             tq: measure_tq(&mut lh, &keys, samples, seed ^ 7).expect("tq"),
             memory: lh.memory_used(),
         };

@@ -12,7 +12,6 @@
 //! | `exp_lowerbound` | Theorem 1, tradeoffs 1–3 (adversary harness) |
 //! | `exp_binball` | Lemmas 3 and 4 (bin-ball games) |
 //! | `exp_ablation` | A1 cache / A2 hash-family / A3 cost-model ablations |
-//! | `exp_backend` | MemDisk vs FileDisk twins (accounting is backend-independent) |
 //! | `exp_compaction` | KvStore space reclamation: delete churn, crash GC, compact |
 //! | `exp_service` | ShardedKvStore group commit: throughput + syncs-per-op vs writers |
 //!

@@ -15,7 +15,7 @@
 //! like the paper's hash tables, the structure itself lives on disk.
 
 use dxh_extmem::{
-    check_key, Block, BlockId, Disk, ExtMemError, IoCostModel, IoSnapshot, Item, Key, MemDisk,
+    check_key, mem_disk, Block, BlockId, Disk, ExtMemError, IoSnapshot, Item, Key, MemDisk,
     MemoryBudget, Result, StorageBackend, Value,
 };
 use dxh_tables::ExternalDictionary;
@@ -27,14 +27,12 @@ pub struct BPlusTreeConfig {
     pub b: usize,
     /// Internal memory budget in items.
     pub m: usize,
-    /// I/O pricing convention.
-    pub cost: IoCostModel,
 }
 
 impl BPlusTreeConfig {
     /// Defaults: the paper's seek-dominated accounting.
     pub fn new(b: usize, m: usize) -> Self {
-        BPlusTreeConfig { b, m, cost: IoCostModel::SeekDominated }
+        BPlusTreeConfig { b, m }
     }
 
     fn validate(&self) -> Result<()> {
@@ -88,7 +86,7 @@ pub struct BPlusTree<B: StorageBackend = MemDisk> {
 impl BPlusTree<MemDisk> {
     /// Builds a tree over a fresh in-memory disk.
     pub fn new(cfg: BPlusTreeConfig) -> Result<Self> {
-        let disk = Disk::new(MemDisk::new(cfg.b), cfg.b, cfg.cost);
+        let disk = mem_disk(cfg.b);
         Self::with_disk(disk, cfg)
     }
 }
@@ -326,10 +324,6 @@ impl<B: StorageBackend> ExternalDictionary for BPlusTree<B> {
         self.disk.epoch()
     }
 
-    fn cost_model(&self) -> IoCostModel {
-        self.disk.cost_model()
-    }
-
     fn memory_used(&self) -> usize {
         self.budget.used()
     }
@@ -408,7 +402,7 @@ mod tests {
         for k in 0..100u64 {
             let _ = t.lookup(k * 17).unwrap();
         }
-        let per = t.disk.since(&e).total(t.cost_model()) as f64 / 100.0;
+        let per = t.disk.since(&e).total() as f64 / 100.0;
         assert!((per - (h + 1) as f64).abs() < 1e-9, "lookup cost {per} = height+1 = {}", h + 1);
     }
 
@@ -463,7 +457,7 @@ mod tests {
         for k in 0..n {
             t.insert(k, k).unwrap();
         }
-        let tu = t.disk.epoch().total(t.cost_model()) as f64 / n as f64;
+        let tu = t.disk.epoch().total() as f64 / n as f64;
         let h = t.height() as f64;
         // descent reads + leaf write ≈ height + 1 per insert (+ splits).
         assert!(tu >= h, "tu {tu} ≥ height {h}");

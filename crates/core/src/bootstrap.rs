@@ -27,7 +27,7 @@
 //! fraction of the items — holds exactly.
 
 use dxh_extmem::{
-    check_key, BlockId, Disk, ExtMemError, IoCostModel, IoSnapshot, Key, MemDisk, MemoryBudget,
+    check_key, mem_disk, BlockId, Disk, ExtMemError, IoSnapshot, Key, MemDisk, MemoryBudget,
     Result, StorageBackend, Value,
 };
 use dxh_hashfn::{prefix_bucket, HashFn};
@@ -71,7 +71,7 @@ impl<F: HashFn> BootstrappedTable<F, MemDisk> {
     /// Builds a table over a fresh in-memory disk with an explicit hash
     /// function.
     pub fn with_hash(cfg: CoreConfig, hash: F) -> Result<Self> {
-        let disk = Disk::new(MemDisk::new(cfg.b), cfg.b, cfg.cost);
+        let disk = mem_disk(cfg.b);
         Self::with_disk(disk, cfg, hash)
     }
 }
@@ -232,10 +232,6 @@ impl<F: HashFn, B: StorageBackend> ExternalDictionary for BootstrappedTable<F, B
         self.disk.epoch()
     }
 
-    fn cost_model(&self) -> IoCostModel {
-        self.disk.cost_model()
-    }
-
     fn memory_used(&self) -> usize {
         self.budget.used()
     }
@@ -355,7 +351,7 @@ mod tests {
             let k = (i * 7919) % n; // deterministic spread over inserted keys
             assert!(t.lookup(k).unwrap().is_some());
         }
-        let tq = t.disk.since(&e).total(t.cost_model()) as f64 / samples as f64;
+        let tq = t.disk.since(&e).total() as f64 / samples as f64;
         // 1 + O(1/β) with β = 8: comfortably under 1.5.
         assert!(tq < 1.5, "tq = {tq} should be ≈ 1");
         assert!(tq >= 0.9, "almost every query must touch disk: {tq}");
@@ -374,7 +370,7 @@ mod tests {
             for i in 0..1000u64 {
                 let _ = t.lookup((i * 7919) % n).unwrap();
             }
-            let tq = t.disk.since(&e).total(t.cost_model()) as f64 / 1000.0;
+            let tq = t.disk.since(&e).total() as f64 / 1000.0;
             (tu, tq)
         };
         let (tu_lo, tq_lo) = run(0.25); // small β: cheap inserts, worse queries
@@ -542,9 +538,9 @@ mod tests {
 
     #[test]
     fn works_on_file_disk() {
-        use dxh_extmem::FileDisk;
+        use dxh_extmem::{FileDisk, IoCostModel};
         let c = cfg(8, 128, 0.5);
-        let disk = Disk::new(FileDisk::temp(8).unwrap(), 8, c.cost);
+        let disk = Disk::new(FileDisk::temp(8).unwrap(), 8, IoCostModel::SeekDominated);
         let mut t =
             BootstrappedTable::with_disk(disk, c, dxh_hashfn::IdealFn::from_seed(11)).unwrap();
         for k in 0..800u64 {

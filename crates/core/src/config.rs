@@ -1,6 +1,6 @@
 //! Parameter selection for the paper's constructions.
 
-use dxh_extmem::{ExtMemError, IoCostModel, Result};
+use dxh_extmem::{ExtMemError, Result};
 
 /// Configuration shared by [`crate::LogMethodTable`] and
 /// [`crate::BootstrappedTable`].
@@ -23,15 +23,13 @@ pub struct CoreConfig {
     /// Merge-frequency parameter of the bootstrapped table
     /// (`2 ≤ β ≤ b`); ignored by the plain logarithmic method.
     pub beta: f64,
-    /// I/O pricing convention.
-    pub cost: IoCostModel,
 }
 
 impl CoreConfig {
     /// Lemma 5 parameters: plain logarithmic method with growth factor
     /// `gamma`.
     pub fn lemma5(b: usize, m: usize, gamma: u64) -> Result<Self> {
-        let cfg = CoreConfig { b, m, gamma, beta: 2.0, cost: IoCostModel::SeekDominated };
+        let cfg = CoreConfig { b, m, gamma, beta: 2.0 };
         cfg.validate()?;
         Ok(cfg)
     }
@@ -44,7 +42,7 @@ impl CoreConfig {
             return Err(ExtMemError::BadConfig(format!("theorem2 requires 0 < c < 1, got {c}")));
         }
         let beta = (b as f64).powf(c).clamp(2.0, b as f64);
-        let cfg = CoreConfig { b, m, gamma: 2, beta, cost: IoCostModel::SeekDominated };
+        let cfg = CoreConfig { b, m, gamma: 2, beta };
         cfg.validate()?;
         Ok(cfg)
     }
@@ -57,22 +55,16 @@ impl CoreConfig {
             return Err(ExtMemError::BadConfig("eps must be positive".into()));
         }
         let beta = (eps * b as f64 / 4.0).clamp(2.0, b as f64);
-        let cfg = CoreConfig { b, m, gamma: 2, beta, cost: IoCostModel::SeekDominated };
+        let cfg = CoreConfig { b, m, gamma: 2, beta };
         cfg.validate()?;
         Ok(cfg)
     }
 
     /// Explicit parameters (validated).
     pub fn custom(b: usize, m: usize, gamma: u64, beta: f64) -> Result<Self> {
-        let cfg = CoreConfig { b, m, gamma, beta, cost: IoCostModel::SeekDominated };
+        let cfg = CoreConfig { b, m, gamma, beta };
         cfg.validate()?;
         Ok(cfg)
-    }
-
-    /// Builder: sets the cost model.
-    pub fn cost_model(mut self, cost: IoCostModel) -> Self {
-        self.cost = cost;
-        self
     }
 
     /// H0 bucket count `m/b` (≥ 1).

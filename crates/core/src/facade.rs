@@ -2,7 +2,7 @@
 //! Figure 1 tradeoff curve.
 
 use dxh_extmem::{
-    BlockId, Disk, IoCostModel, IoSnapshot, Key, MemDisk, Result, StorageBackend, Value,
+    mem_disk, BlockId, Disk, IoSnapshot, Key, MemDisk, Result, StorageBackend, Value,
 };
 use dxh_hashfn::IdealFn;
 use dxh_tables::{
@@ -64,8 +64,7 @@ impl DynamicHashTable {
     /// disk, with model parameters `(b, m)` and an ideal hash function
     /// derived from `seed`.
     pub fn for_target(target: TradeoffTarget, b: usize, m: usize, seed: u64) -> Result<Self> {
-        let disk = Disk::new(MemDisk::new(b), b, IoCostModel::SeekDominated);
-        Self::for_target_on(target, disk, m, seed)
+        Self::for_target_on(target, mem_disk(b), m, seed)
     }
 }
 
@@ -96,14 +95,12 @@ impl<B: StorageBackend> DynamicHashTable<B> {
         seed: u64,
     ) -> Result<Self> {
         let b = disk.b();
-        let cost = disk.cost_model();
         Ok(match target {
             TradeoffTarget::QueryOptimal => {
                 // Load factor 1/2 keeps chains (and hence tq − 1)
                 // exponentially small in b.
                 let mut cfg = ChainingConfig::new(b, m);
                 cfg.max_load = 0.5;
-                cfg.cost = cost;
                 DynamicHashTable::Standard(ChainingTable::with_disk(
                     disk,
                     cfg,
@@ -112,19 +109,15 @@ impl<B: StorageBackend> DynamicHashTable<B> {
             }
             TradeoffTarget::Boundary { eps } => DynamicHashTable::Boot(BootstrappedTable::new_on(
                 disk,
-                CoreConfig::boundary(b, m, eps)?.cost_model(cost),
+                CoreConfig::boundary(b, m, eps)?,
                 seed,
             )?),
-            TradeoffTarget::InsertOptimal { c } => {
-                DynamicHashTable::Boot(BootstrappedTable::new_on(
-                    disk,
-                    CoreConfig::theorem2(b, m, c)?.cost_model(cost),
-                    seed,
-                )?)
-            }
+            TradeoffTarget::InsertOptimal { c } => DynamicHashTable::Boot(
+                BootstrappedTable::new_on(disk, CoreConfig::theorem2(b, m, c)?, seed)?,
+            ),
             TradeoffTarget::LogMethod { gamma } => DynamicHashTable::Log(LogMethodTable::new_on(
                 disk,
-                CoreConfig::lemma5(b, m, gamma)?.cost_model(cost),
+                CoreConfig::lemma5(b, m, gamma)?,
                 seed,
             )?),
         })
@@ -172,10 +165,6 @@ impl<B: StorageBackend> ExternalDictionary for DynamicHashTable<B> {
 
     fn disk_stats(&self) -> IoSnapshot {
         delegate!(self, t => t.disk_stats())
-    }
-
-    fn cost_model(&self) -> IoCostModel {
-        delegate!(self, t => t.cost_model())
     }
 
     fn memory_used(&self) -> usize {
@@ -239,7 +228,7 @@ mod tests {
 
     #[test]
     fn for_target_on_runs_every_target_on_a_file_disk() {
-        use dxh_extmem::FileDisk;
+        use dxh_extmem::{FileDisk, IoCostModel};
         let targets = [
             TradeoffTarget::QueryOptimal,
             TradeoffTarget::Boundary { eps: 0.25 },
@@ -269,7 +258,7 @@ mod tests {
 
     #[test]
     fn delete_support_follows_the_variant() {
-        use dxh_extmem::FileDisk;
+        use dxh_extmem::{FileDisk, IoCostModel};
         // Chaining and log-method delete; bootstrapped rejects.
         for target in [TradeoffTarget::QueryOptimal, TradeoffTarget::LogMethod { gamma: 2 }] {
             let disk = Disk::new(FileDisk::temp(16).unwrap(), 16, IoCostModel::SeekDominated);

@@ -94,7 +94,7 @@
 //! the model's at that `n`, whatever its commit cadence.
 
 use dxh_extmem::{
-    check_key, check_value, Block, BlockId, Disk, ExtMemError, IoCostModel, IoSnapshot, Item, Key,
+    check_key, check_value, mem_disk, Block, BlockId, Disk, ExtMemError, IoSnapshot, Item, Key,
     MemDisk, MemoryBudget, Result, StorageBackend, Value, VALUE_TOMBSTONE,
 };
 use dxh_hashfn::{prefix_bucket, HashFn};
@@ -674,7 +674,7 @@ impl<F: HashFn> LogMethodTable<F, MemDisk> {
     /// Builds a table over a fresh in-memory disk with an explicit hash
     /// function.
     pub fn with_hash(cfg: CoreConfig, hash: F) -> Result<Self> {
-        let disk = Disk::new(MemDisk::new(cfg.b), cfg.b, cfg.cost);
+        let disk = mem_disk(cfg.b);
         Self::with_disk(disk, cfg, hash)
     }
 }
@@ -778,8 +778,9 @@ impl<F: HashFn, B: StorageBackend> LogMethodTable<F, B> {
     /// when `H0` is empty): after this returns, every item is on disk.
     /// Lemma 5 migrates `H0` only once it is full; a persistent store
     /// makes it durable with an image instead ([`crate::KvStore::sync`])
-    /// and never calls this.
-    pub fn flush_memory(&mut self) -> Result<()> {
+    /// and never calls this — only tests do.
+    #[cfg(test)]
+    pub(crate) fn flush_memory(&mut self) -> Result<()> {
         if self.log.h0.is_empty() {
             return Ok(());
         }
@@ -973,10 +974,6 @@ impl<F: HashFn, B: StorageBackend> ExternalDictionary for LogMethodTable<F, B> {
 
     fn disk_stats(&self) -> IoSnapshot {
         self.disk.epoch()
-    }
-
-    fn cost_model(&self) -> IoCostModel {
-        self.disk.cost_model()
     }
 
     fn memory_used(&self) -> usize {
@@ -1409,7 +1406,7 @@ mod tests {
                 proptest::prop_assert!(t.memory_used() <= c.m);
                 if i % 100 == 99 {
                     let (filtered, levels) = (t.filter_plan().levels(), t.log.levels.clone());
-                    let disk = std::mem::replace(&mut t.disk, Disk::new(MemDisk::new(b), b, c.cost));
+                    let disk = std::mem::replace(&mut t.disk, mem_disk(b));
                     let hash = dxh_hashfn::IdealFn::from_seed(seed);
                     let r = LogMethodTable::from_parts(disk, c.clone(), hash, levels, None).unwrap();
                     r.log.assert_filters_follow_the_plan(filtered, &format!("{when}, rebuilt"));
@@ -1526,7 +1523,7 @@ mod tests {
             let writer = probe_cost(&mut t, n);
             let image = t.write_memory_image().unwrap();
             let levels = t.persisted_levels().to_vec();
-            let blank = Disk::new(MemDisk::new(c.b), c.b, c.cost);
+            let blank = mem_disk(c.b);
             let disk = std::mem::replace(&mut t.disk, blank);
             let epoch = disk.epoch();
             let hash = dxh_hashfn::IdealFn::from_seed(42);
@@ -1702,7 +1699,7 @@ mod tests {
         for k in 0..200u64 {
             let _ = t.lookup(k * 7).unwrap();
         }
-        let per = t.disk.since(&e).total(t.cost_model()) as f64 / 200.0;
+        let per = t.disk.since(&e).total() as f64 / 200.0;
         // Each level costs ≥ 1 I/O; chains add a little.
         assert!(per <= levels as f64 + 1.0, "lookup {per} ≤ {levels}+1");
     }
@@ -1793,9 +1790,9 @@ mod tests {
 
     #[test]
     fn works_on_file_disk() {
-        use dxh_extmem::FileDisk;
+        use dxh_extmem::{FileDisk, IoCostModel};
         let c = cfg(8, 128, 2);
-        let disk = Disk::new(FileDisk::temp(8).unwrap(), 8, c.cost);
+        let disk = Disk::new(FileDisk::temp(8).unwrap(), 8, IoCostModel::SeekDominated);
         let mut t = LogMethodTable::with_disk(disk, c, dxh_hashfn::IdealFn::from_seed(10)).unwrap();
         for k in 0..400u64 {
             t.insert(k, k + 9).unwrap();

@@ -2273,6 +2273,81 @@ mod tests {
         assert!(parse_service_meta("dxh-service v1\nshards 0\nseed 1\n").is_err());
         assert!(parse_service_meta("dxh-service v1\nshards 2\n").is_err());
     }
+
+    /// The service parser's verdicts on `bytes`, read as an open reads
+    /// them (`read_text`: not UTF-8 is `Corrupt`): `Ok` or `Corrupt`.
+    fn service_verdict(bytes: &[u8]) -> std::result::Result<bool, String> {
+        let Ok(text) = std::str::from_utf8(bytes) else { return Ok(false) };
+        match parse_service_meta(text) {
+            Ok(_) => Ok(true),
+            Err(ExtMemError::Corrupt(_)) => Ok(false),
+            Err(e) => Err(format!("{e:?}")),
+        }
+    }
+
+    proptest::proptest! {
+        /// `parse_service_meta` is total: on any string — arbitrary
+        /// characters alone or after a valid text, or lines of its own
+        /// keys over boundary tokens after its magic — it answers `Ok` or
+        /// `Corrupt`, and never panics.
+        #[test]
+        fn the_service_parser_answers_any_string_ok_or_corrupt(
+            chars in proptest::collection::vec(proptest::prelude::any::<u32>(), 0..96),
+            lines in proptest::collection::vec(
+                (0usize..6, proptest::collection::vec(0usize..12, 0..4)),
+                0..6,
+            ),
+        ) {
+            // Mostly ASCII, the rest anywhere in the code space.
+            let noise: String = chars
+                .iter()
+                .map(|&c| if c % 4 == 0 { c >> 2 } else { c % 128 })
+                .map(|c| char::from_u32(c % 0x11_0000).unwrap_or('\u{fffd}'))
+                .collect();
+            let valid = format!("{SERVICE_MAGIC}\nshards 8\nseed 42\n");
+            let keys = [SERVICE_MAGIC, "shards", "seed", "payloads", "x", ""];
+            let tokens = [
+                "0", "1", "8", "1024", "18446744073709551615", "18446744073709551616", "-1",
+                "+3", "nan", " ", "\t", "\u{0}",
+            ];
+            let built: Vec<String> = lines
+                .iter()
+                .map(|(k, picks)| {
+                    std::iter::once(keys[*k])
+                        .chain(picks.iter().map(|&t| tokens[t]))
+                        .collect::<Vec<_>>()
+                        .join(" ")
+                })
+                .collect();
+            let built = format!("{SERVICE_MAGIC}\n{}", built.join("\n"));
+            for text in [noise.clone(), format!("{valid}{noise}"), built] {
+                let verdict = service_verdict(text.as_bytes());
+                proptest::prop_assert!(verdict.is_ok(), "{text:?}: {verdict:?}");
+            }
+        }
+    }
+
+    /// Every single-byte change of a valid `SERVICE` text — each offset
+    /// set to each of the other 255 values — is answered `Ok` or
+    /// `Corrupt`, never a panic.
+    #[test]
+    fn every_byte_flip_of_a_service_text_is_ok_or_corrupt() {
+        let valid = format!("{SERVICE_MAGIC}\nshards 8\nseed 42\npayloads 1\n");
+        let (mut ok, mut corrupt) = (0, 0);
+        for at in 0..valid.len() {
+            for byte in (0..=u8::MAX).filter(|&b| b != valid.as_bytes()[at]) {
+                let mut bytes = valid.clone().into_bytes();
+                bytes[at] = byte;
+                match service_verdict(&bytes) {
+                    Ok(true) => ok += 1,
+                    Ok(false) => corrupt += 1,
+                    Err(e) => panic!("offset {at} byte {byte:#04x}: {e}"),
+                }
+            }
+        }
+        assert_eq!(ok + corrupt, valid.len() * 255);
+        assert!(ok > 0 && corrupt > 0, "{ok} ok, {corrupt} corrupt");
+    }
 }
 
 /// The model checker on the real service (`cargo test -p dxh-core

@@ -308,7 +308,6 @@ mod tests {
         // (len reports the drained table; documented).
         let _ = s.len();
         let _ = s.disk_stats();
-        let _ = s.cost_model();
         let _ = s.memory_used();
         let _ = s.block_capacity();
         drop(s); // must not panic and must not commit the drained state

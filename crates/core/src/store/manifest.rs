@@ -2,7 +2,7 @@
 //! commit) and the bounds a persisted parameter must respect before it
 //! is believed.
 
-use dxh_extmem::{BlockId, ExtMemError, IoCostModel, Result};
+use dxh_extmem::{BlockId, ExtMemError, Result};
 
 use super::KvStore;
 use crate::config::CoreConfig;
@@ -37,13 +37,9 @@ impl<M: StoreMedia> KvStore<M> {
             "b {}\nm {}\ngamma {}\nbeta {}\n",
             cfg.b, cfg.m, cfg.gamma, cfg.beta
         ));
-        out.push_str(&format!(
-            "cost {}\n",
-            match cfg.cost {
-                IoCostModel::SeekDominated => "seek",
-                IoCostModel::Strict => "strict",
-            }
-        ));
+        // Footnote 2's accounting, the only one; the line stays so that
+        // the format is the one every earlier build wrote.
+        out.push_str("cost seek\n");
         out.push_str(&format!("seed {}\n", self.seed));
         out.push_str(&format!("data {}\n", self.data_gen));
         // Presence of the `blob` line ⟺ payload mode; its value is the
@@ -188,7 +184,6 @@ impl Manifest {
         let mut m = None;
         let mut gamma = None;
         let mut beta = None;
-        let mut cost = IoCostModel::SeekDominated;
         let mut seed = None;
         let mut data_gen = 0u64;
         for (key, v, _) in lines.clone().filter_map(split_line) {
@@ -197,13 +192,12 @@ impl Manifest {
                 "m" => m = v.parse().ok(),
                 "gamma" => gamma = v.parse().ok(),
                 "beta" => beta = v.parse().ok(),
-                "cost" => {
-                    cost = match v {
-                        "seek" => IoCostModel::SeekDominated,
-                        "strict" => IoCostModel::Strict,
-                        _ => return Err(corrupt("unknown cost model")),
-                    }
+                // Footnote 2's pricing is the only one a store is built by;
+                // the literal one, `strict`, is refused by name.
+                "cost" if v == "strict" => {
+                    return Err(corrupt("`cost strict`: a read-modify-write is one I/O here"))
                 }
+                "cost" if v != "seek" => return Err(corrupt("unknown cost model")),
                 "seed" => seed = v.parse().ok(),
                 "data" => data_gen = v.parse().map_err(|_| corrupt("bad data generation"))?,
                 _ => {}
@@ -214,8 +208,7 @@ impl Manifest {
             return Err(corrupt("missing required field"));
         };
         let cfg = CoreConfig::custom(b, m, gamma, beta)
-            .map_err(|_| corrupt("invalid creation parameters"))?
-            .cost_model(cost);
+            .map_err(|_| corrupt("invalid creation parameters"))?;
         if !plausible_creation_params(&cfg) {
             return Err(corrupt("implausible creation parameters"));
         }
@@ -401,18 +394,33 @@ mod tests {
     #[test]
     fn manifest_parse_round_trips_all_fields() {
         let text = format!(
-            "{MAGIC}\nb 8\nm 128\ngamma 2\nbeta 2\ncost strict\nseed 42\ndata 3\nslots 10\n\
+            "{MAGIC}\nb 8\nm 128\ngamma 2\nbeta 2\ncost seek\nseed 42\ndata 3\nslots 10\n\
              free 3,7\nlevels 3\nlevel 1 0 2 5\nlevel 2 2 4 9\n"
         );
         let m = Manifest::parse(&text).unwrap();
         assert_eq!(m.cfg.b, 8);
-        assert_eq!(m.cfg.cost, IoCostModel::Strict);
         assert_eq!(m.seed, 42);
         assert_eq!(m.data_gen, 3);
         assert_eq!(m.levels.len(), 3, "the allocator lines of earlier versions are skipped");
         let r = m.levels[2].unwrap();
         assert_eq!((r.base.raw(), r.buckets, r.items), (2, 4, 9));
         assert!(m.levels[1].is_some());
+    }
+
+    /// One accounting: a manifest without a `cost` line, or with `cost
+    /// seek`, opens as today; `cost strict` is refused by name, and any
+    /// other price is corrupt.
+    #[test]
+    fn a_strict_cost_line_is_refused_by_name() {
+        let seek = Manifest::parse(IMAGED).unwrap();
+        let absent = Manifest::parse(&IMAGED.replace("cost seek\n", "")).unwrap();
+        assert_eq!((seek.cfg.b, seek.seed), (absent.cfg.b, absent.seed));
+        match Manifest::parse(&IMAGED.replace("cost seek", "cost strict")) {
+            Err(ExtMemError::Corrupt(why)) => assert!(why.contains("strict"), "{why}"),
+            other => panic!("cost strict: {:?}", other.map(|m| m.seed)),
+        }
+        let other = Manifest::parse(&IMAGED.replace("cost seek", "cost free"));
+        assert!(matches!(other, Err(ExtMemError::Corrupt(_))));
     }
 
     #[test]
@@ -525,9 +533,6 @@ mod tests {
         let (mut opened, mut rejected) = (0, 0);
         for (li, line) in lines.iter().enumerate().skip(1) {
             let (key, values) = line.split_once(' ').unwrap();
-            if key == "cost" {
-                continue;
-            }
             let tokens: Vec<&str> = values.split(' ').collect();
             for ti in 0..tokens.len() {
                 for &mutant in &mutants {
@@ -549,7 +554,7 @@ mod tests {
                         }
                         Err(_) => {
                             rejected += 1;
-                            if ["b", "m", "gamma", "beta"].contains(&key) {
+                            if ["b", "m", "gamma", "beta", "cost"].contains(&key) {
                                 let trace = env.take_trace();
                                 assert!(!touches_data(&trace), "{line:?}: {trace:?}");
                             }

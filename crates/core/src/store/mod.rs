@@ -242,7 +242,11 @@ impl<M: StoreMedia> KvStore<M> {
                         "a store takes m ≤ {MAX_M} and gamma ≤ {MAX_GAMMA}"
                     )));
                 }
-                let disk = Disk::new(LevelFiles::new(media.view(), cfg.b), cfg.b, cfg.cost);
+                let disk = Disk::new(
+                    LevelFiles::new(media.view(), cfg.b),
+                    cfg.b,
+                    IoCostModel::SeekDominated,
+                );
                 let table = LogMethodTable::new_on(disk, cfg, seed)?;
                 let blob = if payloads {
                     Some(BlobLog::create(media.create_file(&blob_file_name(0))?)?)
@@ -416,7 +420,8 @@ pub struct Footprint {
 
 impl Footprint {
     /// Every byte the store keeps: block files, blob log and manifest.
-    pub fn total_bytes(&self) -> u64 {
+    #[cfg(test)]
+    fn total_bytes(&self) -> u64 {
         self.data_bytes + self.blob_bytes + self.manifest_bytes
     }
 }
@@ -508,10 +513,6 @@ impl<M: StoreMedia> ExternalDictionary for KvStore<M> {
 
     fn disk_stats(&self) -> IoSnapshot {
         self.table.disk_stats()
-    }
-
-    fn cost_model(&self) -> IoCostModel {
-        self.table.cost_model()
     }
 
     fn memory_used(&self) -> usize {

@@ -5,7 +5,7 @@
 //! differently. A store in an older layout is refused before anything
 //! is written or removed.
 
-use dxh_extmem::{BlobLog, Disk, ExtMemError, Result};
+use dxh_extmem::{BlobLog, Disk, ExtMemError, IoCostModel, Result};
 use dxh_hashfn::IdealFn;
 
 use super::manifest::{corrupt, Manifest};
@@ -82,7 +82,7 @@ impl<M: StoreMedia> KvStore<M> {
         // The files the level lines and the image name, each region
         // inside its file.
         let files = LevelFiles::open(media.view(), m.cfg.b, &named)?;
-        let disk = Disk::new(files, m.cfg.b, m.cfg.cost);
+        let disk = Disk::new(files, m.cfg.b, IoCostModel::SeekDominated);
         let hash = IdealFn::from_seed(m.seed);
         let table = LogMethodTable::from_parts(disk, m.cfg, hash, m.levels, m.h0)?;
         // The blob log recovers to the committed length the manifest

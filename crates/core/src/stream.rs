@@ -723,7 +723,7 @@ mod tests {
         let sources = vec![Source::from_memory(incoming, &h)];
         merge_in_place(&mut d, MergeCursor::new(&h, sources, region.buckets, false), &mut region)
             .unwrap();
-        let io = d.since(&e).total(d.cost_model());
+        let io = d.since(&e).total();
         // At most one combined I/O per bucket (16), usually fewer since
         // some buckets receive nothing.
         assert!(io <= 16, "in-place merge cost {io} ≤ 16 buckets");
@@ -978,7 +978,7 @@ mod tests {
         let a = build_region(&mut d, &h, 32, &keys);
         let e = d.epoch();
         let (_, _) = compact(&mut d, &h, vec![Source::from_region(a)], 64, false, None).unwrap();
-        let io = d.since(&e).total(d.cost_model());
+        let io = d.since(&e).total();
         // Reads ≈ 32 source blocks (+chains), writes ≤ 64 target blocks.
         assert!(io <= 32 + 20 + 64, "merge I/O {io} should be ~linear in blocks");
     }

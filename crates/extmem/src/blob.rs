@@ -249,7 +249,8 @@ impl<F: BlobFile> BlobLog<F> {
     }
 
     /// Bytes appended since the last [`BlobLog::sync`].
-    pub fn unsynced_bytes(&self) -> u64 {
+    #[cfg(test)]
+    fn unsynced_bytes(&self) -> u64 {
         self.unsynced
     }
 

@@ -69,7 +69,8 @@ impl<'a> Frames<'a> {
 
     /// Bytes covered by the frames yielded so far — once the scanner is
     /// exhausted, the length of the longest intact prefix.
-    pub fn valid_len(&self) -> usize {
+    #[cfg(test)]
+    fn valid_len(&self) -> usize {
         self.at
     }
 }

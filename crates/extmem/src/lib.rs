@@ -25,10 +25,11 @@
 //! ## I/O accounting convention
 //!
 //! Footnote 2 of the paper counts a read of a block immediately followed by
-//! writing it back as **one** I/O, because seek time dominates. The
-//! [`IoCostModel`] selects between that convention
-//! ([`IoCostModel::SeekDominated`], the paper's accounting and our default)
-//! and the literal two-transfer count ([`IoCostModel::Strict`]).
+//! writing it back as **one** I/O, because seek time dominates. That is
+//! the one accounting here ([`IoCostModel::SeekDominated`] names it):
+//! [`IoSnapshot::total`] and every bound, gate and metric use it, and
+//! [`IoSnapshot::transfers`] gives the literal count, a read-modify-write
+//! as two transfers.
 //!
 //! ## Buffering
 //!
@@ -79,8 +80,7 @@ pub use sim_disk::{FaultPlan, IoEvent, SimBlob, SimEnv};
 pub use stats::{IoCostModel, IoSnapshot, IoStats};
 
 /// Convenience constructor: an accounting [`Disk`] over an in-memory
-/// backend with block capacity `b` items and the paper's (seek-dominated)
-/// cost model.
+/// backend with block capacity `b` items.
 pub fn mem_disk(b: usize) -> Disk<MemDisk> {
     Disk::new(MemDisk::new(b), b, IoCostModel::SeekDominated)
 }

@@ -237,7 +237,7 @@ impl BufferPool {
 
     /// Takes every dirty frame's contents for writeback, marking them clean
     /// (they stay resident).
-    pub fn take_dirty(&mut self) -> Vec<(BlockId, Block)> {
+    fn take_dirty(&mut self) -> Vec<(BlockId, Block)> {
         let mut out = Vec::new();
         for f in &mut self.frames {
             if f.dirty && self.map.contains_key(&f.id) {

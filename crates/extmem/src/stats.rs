@@ -1,35 +1,23 @@
 //! I/O accounting: the complexity measure of the external memory model.
 
-/// How a read-modify-write of a single block is priced.
+/// The I/O pricing convention — there is one.
 ///
 /// Footnote 2 of the paper: "since disk I/Os are dominated by the seek
 /// time, writing a block immediately after reading it can be considered as
 /// one I/O". All of the paper's bounds (`1 + 1/2^Ω(b)` insertions for the
-/// standard table, etc.) use that convention.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+/// standard table, etc.) use that convention, and so does every
+/// [`IoStats::total`] here. The literal count of block transfers, a
+/// read-modify-write as two, is [`IoSnapshot::transfers`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum IoCostModel {
     /// Read-then-write-back of one block costs **1** I/O (paper's model).
-    #[default]
     SeekDominated,
-    /// Every block transfer costs 1 I/O, so a read-modify-write costs **2**.
-    Strict,
-}
-
-impl IoCostModel {
-    /// Cost charged for one read-modify-write under this model.
-    #[inline]
-    pub fn rmw_cost(self) -> u64 {
-        match self {
-            IoCostModel::SeekDominated => 1,
-            IoCostModel::Strict => 2,
-        }
-    }
 }
 
 /// Monotone counters of block transfers performed by a [`crate::Disk`].
 ///
 /// `reads` and `writes` count plain transfers; `rmws` counts combined
-/// read-modify-write operations, priced by the [`IoCostModel`].
+/// read-modify-write operations, one I/O each (footnote 2).
 #[derive(Clone, Debug, Default)]
 pub struct IoStats {
     reads: u64,
@@ -76,10 +64,10 @@ impl IoStats {
         self.rmws
     }
 
-    /// Total I/Os under `model`.
+    /// Total I/Os, a read-modify-write as one (footnote 2).
     #[inline]
-    pub fn total(&self, model: IoCostModel) -> u64 {
-        self.reads + self.writes + model.rmw_cost() * self.rmws
+    pub fn total(&self) -> u64 {
+        self.snapshot().total()
     }
 
     /// An immutable copy of the counters, for epoch/delta measurements.
@@ -94,13 +82,15 @@ impl IoStats {
 /// Experiments measure phases as deltas between two snapshots:
 ///
 /// ```
-/// use dxh_extmem::{mem_disk, IoCostModel};
+/// use dxh_extmem::mem_disk;
 /// let mut d = mem_disk(4);
 /// let before = d.stats().snapshot();
 /// let id = d.allocate().unwrap();
 /// let _ = d.read(id).unwrap();
+/// d.read_modify_write(id, |_| ()).unwrap();
 /// let delta = d.stats().snapshot().since(&before);
-/// assert_eq!(delta.total(IoCostModel::SeekDominated), 1);
+/// assert_eq!(delta.total(), 2); // footnote 2: the read-modify-write is one I/O
+/// assert_eq!(delta.transfers(), 3); // ... and two block transfers
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IoSnapshot {
@@ -124,10 +114,17 @@ impl IoSnapshot {
         }
     }
 
-    /// Total I/Os in this snapshot/delta under `model`.
+    /// Total I/Os in this snapshot/delta, a read-modify-write as one
+    /// (footnote 2): the measure of every bound, gate and metric.
     #[inline]
-    pub fn total(&self, model: IoCostModel) -> u64 {
-        self.reads + self.writes + model.rmw_cost() * self.rmws
+    pub fn total(&self) -> u64 {
+        self.reads + self.writes + self.rmws
+    }
+
+    /// The literal number of block transfers, a read-modify-write as two.
+    #[inline]
+    pub fn transfers(&self) -> u64 {
+        self.reads + self.writes + 2 * self.rmws
     }
 }
 
@@ -136,14 +133,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn totals_respect_cost_model() {
+    fn total_counts_a_rmw_once_and_transfers_twice() {
         let mut s = IoStats::new();
         s.record_read();
         s.record_write();
         s.record_rmw();
         s.record_rmw();
-        assert_eq!(s.total(IoCostModel::SeekDominated), 1 + 1 + 2);
-        assert_eq!(s.total(IoCostModel::Strict), 1 + 1 + 4);
+        assert_eq!(s.total(), 1 + 1 + 2);
+        assert_eq!(s.snapshot().transfers(), 1 + 1 + 4);
     }
 
     #[test]
@@ -157,12 +154,6 @@ mod tests {
         assert_eq!(d.reads, 0);
         assert_eq!(d.writes, 1);
         assert_eq!(d.rmws, 1);
-        assert_eq!(d.total(IoCostModel::SeekDominated), 2);
-    }
-
-    #[test]
-    fn default_model_is_seek_dominated() {
-        assert_eq!(IoCostModel::default(), IoCostModel::SeekDominated);
-        assert_eq!(IoCostModel::default().rmw_cost(), 1);
+        assert_eq!(d.total(), 2);
     }
 }

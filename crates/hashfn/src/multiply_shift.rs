@@ -20,7 +20,7 @@ pub struct MultiplyShiftFn {
 
 impl MultiplyShiftFn {
     /// Builds from explicit parameters; `a` is forced odd.
-    pub fn from_params(a: u64, b: u64) -> Self {
+    fn from_params(a: u64, b: u64) -> Self {
         MultiplyShiftFn { a: a | 1, b }
     }
 }

@@ -20,7 +20,7 @@ pub struct TabulationFn {
 
 impl TabulationFn {
     /// Fills the tables from an RNG.
-    pub fn sample_from(rng: &mut dyn RngCore) -> Self {
+    fn sample_from(rng: &mut dyn RngCore) -> Self {
         let mut tables = [[0u64; 256]; 8];
         for t in tables.iter_mut() {
             for e in t.iter_mut() {

@@ -105,7 +105,7 @@ pub fn run_adversary<T: ExternalDictionary + LayoutInspect>(
             table.insert(k, k)?;
             round_keys.push(k);
         }
-        let actual_ios = table.disk_stats().since(&before).total(table.cost_model());
+        let actual_ios = table.disk_stats().since(&before).total();
         // End-of-round snapshot: zones + the certified Z.
         let snapshot = table.layout_snapshot()?;
         let zones = classify_zones(&snapshot, |k| table.address_of(k));

@@ -94,7 +94,8 @@ impl Regime {
 
     /// The paper's requirement `n > Ω(m · b^(1+2c))` for the regime's
     /// effective exponent.
-    pub fn n_large_enough(&self, b: usize, m: usize, n: usize) -> bool {
+    #[cfg(test)]
+    fn n_large_enough(&self, b: usize, m: usize, n: usize) -> bool {
         let c = match *self {
             Regime::Case1 { c } => c,
             Regime::Case2 { .. } => 1.0,

@@ -99,7 +99,8 @@ pub fn estimate_characteristic(
 /// The bad-index mass `λ_f = Σ_{i : α_i > ρ} α_i` of a characteristic
 /// vector (Lemma 2: functions with `λ_f > φ` are *bad* and force a large
 /// slow zone).
-pub fn lambda_f(characteristic: &HashMap<BlockId, f64>, rho: f64) -> f64 {
+#[cfg(test)]
+fn lambda_f(characteristic: &HashMap<BlockId, f64>, rho: f64) -> f64 {
     characteristic.values().filter(|&&a| a > rho).sum()
 }
 

@@ -234,7 +234,7 @@ mod tests {
         let e = d.epoch();
         let out = chain_upsert(&mut d, head, Item::new(1, 10)).unwrap();
         assert_eq!(out, UpsertOutcome::Inserted);
-        assert_eq!(d.since(&e).total(d.cost_model()), 1);
+        assert_eq!(d.since(&e).total(), 1);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! paper's introduction.
 
 use dxh_extmem::{
-    check_key, BlockId, Disk, ExtMemError, IoCostModel, IoSnapshot, Item, Key, MemDisk,
-    MemoryBudget, Result, StorageBackend, Value,
+    check_key, mem_disk, BlockId, Disk, ExtMemError, IoSnapshot, Item, Key, MemDisk, MemoryBudget,
+    Result, StorageBackend, Value,
 };
 use dxh_hashfn::{prefix_bucket, HashFn};
 
@@ -40,46 +40,24 @@ pub struct ChainingConfig {
     /// Shrink (halve) when `len < min_load · nb · b` and `nb` is above the
     /// floor. `0.0` disables shrinking.
     pub min_load: f64,
-    /// I/O pricing convention.
-    pub cost: IoCostModel,
 }
 
 impl ChainingConfig {
     /// Sensible defaults: 4 initial buckets, grow at load 0.8, shrink at
     /// load 0.05, seek-dominated accounting.
     pub fn new(b: usize, m: usize) -> Self {
-        ChainingConfig {
-            b,
-            m,
-            initial_buckets: 4,
-            max_load: 0.8,
-            min_load: 0.05,
-            cost: IoCostModel::SeekDominated,
-        }
+        ChainingConfig { b, m, initial_buckets: 4, max_load: 0.8, min_load: 0.05 }
     }
 
     /// A fixed-size table with `buckets` buckets (no growth or shrink) —
     /// the configuration Knuth's §6.4 analysis describes.
     pub fn fixed(b: usize, m: usize, buckets: u64) -> Self {
-        ChainingConfig {
-            b,
-            m,
-            initial_buckets: buckets,
-            max_load: f64::INFINITY,
-            min_load: 0.0,
-            cost: IoCostModel::SeekDominated,
-        }
+        ChainingConfig { b, m, initial_buckets: buckets, max_load: f64::INFINITY, min_load: 0.0 }
     }
 
     /// Builder: sets the initial bucket count.
     pub fn initial_buckets(mut self, nb: u64) -> Self {
         self.initial_buckets = nb;
-        self
-    }
-
-    /// Builder: sets the cost model.
-    pub fn cost_model(mut self, cost: IoCostModel) -> Self {
-        self.cost = cost;
         self
     }
 
@@ -123,7 +101,7 @@ pub struct ChainingTable<F: HashFn, B: StorageBackend = MemDisk> {
 impl<F: HashFn> ChainingTable<F, MemDisk> {
     /// Builds a table over a fresh in-memory disk.
     pub fn new(cfg: ChainingConfig, hash: F) -> Result<Self> {
-        let disk = Disk::new(MemDisk::new(cfg.b), cfg.b, cfg.cost);
+        let disk = mem_disk(cfg.b);
         Self::with_disk(disk, cfg, hash)
     }
 }
@@ -272,10 +250,6 @@ impl<F: HashFn, B: StorageBackend> ExternalDictionary for ChainingTable<F, B> {
         self.disk.epoch()
     }
 
-    fn cost_model(&self) -> IoCostModel {
-        self.disk.cost_model()
-    }
-
     fn memory_used(&self) -> usize {
         self.budget.used()
     }
@@ -409,7 +383,7 @@ mod tests {
         for k in 0..n {
             t.insert(k, k).unwrap();
         }
-        let ios = t.disk.since(&e).total(t.cost_model());
+        let ios = t.disk.since(&e).total();
         let per_insert = ios as f64 / n as f64;
         assert!(per_insert < 1.02, "amortized insert cost should be ≈ 1 I/O, got {per_insert}");
         assert!(per_insert >= 1.0, "cannot be below 1 without memory buffering");
@@ -427,7 +401,7 @@ mod tests {
         for k in 0..1024u64 {
             assert!(t.lookup(k * 4).unwrap().is_some());
         }
-        let tq = t.disk.since(&e).total(t.cost_model()) as f64 / 1024.0;
+        let tq = t.disk.since(&e).total() as f64 / 1024.0;
         assert!(tq < 1.05, "tq ≈ 1 expected, got {tq}");
     }
 
@@ -474,9 +448,9 @@ mod tests {
 
     #[test]
     fn works_on_file_disk() {
-        use dxh_extmem::FileDisk;
+        use dxh_extmem::{FileDisk, IoCostModel};
         let cfg = ChainingConfig::new(8, 4096);
-        let disk = Disk::new(FileDisk::temp(8).unwrap(), 8, cfg.cost);
+        let disk = Disk::new(FileDisk::temp(8).unwrap(), 8, IoCostModel::SeekDominated);
         let mut t = ChainingTable::with_disk(disk, cfg, IdealFn::from_seed(3)).unwrap();
         for k in 0..300u64 {
             t.insert(k, k + 1).unwrap();

@@ -1,6 +1,6 @@
 //! The dictionary interface shared by every external hash table.
 
-use dxh_extmem::{IoCostModel, IoSnapshot, Key, Result, Value};
+use dxh_extmem::{IoSnapshot, Key, Result, Value};
 
 /// A dynamic dictionary in the external memory model.
 ///
@@ -52,9 +52,6 @@ pub trait ExternalDictionary {
     /// Snapshot of the I/O counters of the table's disk.
     fn disk_stats(&self) -> IoSnapshot;
 
-    /// The I/O pricing convention of the table's disk.
-    fn cost_model(&self) -> IoCostModel;
-
     /// Internal memory currently charged by the structure, in items
     /// (to be compared against the model's `m`).
     fn memory_used(&self) -> usize;
@@ -62,8 +59,8 @@ pub trait ExternalDictionary {
     /// Block capacity `b` of the underlying disk.
     fn block_capacity(&self) -> usize;
 
-    /// Total I/Os so far under the table's cost model.
+    /// Total I/Os so far, a read-modify-write as one (footnote 2).
     fn total_ios(&self) -> u64 {
-        self.disk_stats().total(self.cost_model())
+        self.disk_stats().total()
     }
 }

@@ -16,7 +16,7 @@
 //! `[p·2^(g−l), (p+1)·2^(g−l))` for its length-`l` prefix `p`.
 
 use dxh_extmem::{
-    check_key, Block, BlockId, Disk, ExtMemError, IoCostModel, IoSnapshot, Item, Key, MemDisk,
+    check_key, mem_disk, Block, BlockId, Disk, ExtMemError, IoSnapshot, Item, Key, MemDisk,
     MemoryBudget, Result, StorageBackend, Value,
 };
 use dxh_hashfn::{prefix_bucket, HashFn};
@@ -38,20 +38,12 @@ pub struct ExtendibleConfig {
     /// Initial (and minimum) global depth; the table starts with
     /// `2^initial_depth` buckets.
     pub initial_depth: u32,
-    /// I/O pricing convention.
-    pub cost: IoCostModel,
 }
 
 impl ExtendibleConfig {
     /// Defaults: initial depth 2 (four buckets).
     pub fn new(b: usize, m: usize) -> Self {
-        ExtendibleConfig { b, m, initial_depth: 2, cost: IoCostModel::SeekDominated }
-    }
-
-    /// Builder: sets the initial global depth.
-    pub fn initial_depth(mut self, d: u32) -> Self {
-        self.initial_depth = d;
-        self
+        ExtendibleConfig { b, m, initial_depth: 2 }
     }
 
     fn validate(&self) -> Result<()> {
@@ -88,7 +80,7 @@ pub struct ExtendibleTable<F: HashFn, B: StorageBackend = MemDisk> {
 impl<F: HashFn> ExtendibleTable<F, MemDisk> {
     /// Builds a table over a fresh in-memory disk.
     pub fn new(cfg: ExtendibleConfig, hash: F) -> Result<Self> {
-        let disk = Disk::new(MemDisk::new(cfg.b), cfg.b, cfg.cost);
+        let disk = mem_disk(cfg.b);
         Self::with_disk(disk, cfg, hash)
     }
 }
@@ -117,7 +109,8 @@ impl<F: HashFn, B: StorageBackend> ExtendibleTable<F, B> {
     }
 
     /// Current global depth.
-    pub fn global_depth(&self) -> u32 {
+    #[cfg(test)]
+    fn global_depth(&self) -> u32 {
         self.g
     }
 
@@ -305,10 +298,6 @@ impl<F: HashFn, B: StorageBackend> ExternalDictionary for ExtendibleTable<F, B> 
         self.disk.epoch()
     }
 
-    fn cost_model(&self) -> IoCostModel {
-        self.disk.cost_model()
-    }
-
     fn memory_used(&self) -> usize {
         self.budget.used()
     }
@@ -368,7 +357,7 @@ mod tests {
         for k in 0..500u64 {
             let _ = t.lookup(k).unwrap();
         }
-        assert_eq!(t.disk.since(&e).total(t.cost_model()), 500, "1 I/O per lookup, always");
+        assert_eq!(t.disk.since(&e).total(), 500, "1 I/O per lookup, always");
     }
 
     #[test]
@@ -484,6 +473,7 @@ mod tests {
     fn config_validation() {
         assert!(ExtendibleConfig::new(0, 100).validate().is_err());
         assert!(ExtendibleConfig::new(8, 10).validate().is_err(), "m too small");
-        assert!(ExtendibleConfig::new(8, 1 << 20).initial_depth(29).validate().is_err());
+        let deep = ExtendibleConfig { initial_depth: 29, ..ExtendibleConfig::new(8, 1 << 20) };
+        assert!(deep.validate().is_err());
     }
 }

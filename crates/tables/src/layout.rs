@@ -25,7 +25,7 @@ pub struct LayoutSnapshot {
 
 impl LayoutSnapshot {
     /// Total number of item copies on disk.
-    pub fn disk_items(&self) -> usize {
+    fn disk_items(&self) -> usize {
         self.blocks.iter().map(|(_, ks)| ks.len()).sum()
     }
 

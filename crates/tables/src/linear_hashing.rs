@@ -13,8 +13,8 @@
 //! table (charged to the budget) plus three words (`level`, `sp`, `len`).
 
 use dxh_extmem::{
-    check_key, BlockId, Disk, ExtMemError, IoCostModel, IoSnapshot, Item, Key, MemDisk,
-    MemoryBudget, Result, StorageBackend, Value,
+    check_key, mem_disk, BlockId, Disk, ExtMemError, IoSnapshot, Item, Key, MemDisk, MemoryBudget,
+    Result, StorageBackend, Value,
 };
 use dxh_hashfn::{mask_bucket, HashFn};
 
@@ -35,20 +35,12 @@ pub struct LinearHashConfig {
     pub initial_buckets: u64,
     /// Split one bucket whenever `len > max_load · buckets · b`.
     pub max_load: f64,
-    /// I/O pricing convention.
-    pub cost: IoCostModel,
 }
 
 impl LinearHashConfig {
     /// Defaults: 8 initial buckets, split at load 0.8.
     pub fn new(b: usize, m: usize) -> Self {
-        LinearHashConfig {
-            b,
-            m,
-            initial_buckets: 8,
-            max_load: 0.8,
-            cost: IoCostModel::SeekDominated,
-        }
+        LinearHashConfig { b, m, initial_buckets: 8, max_load: 0.8 }
     }
 
     /// Builder: sets the split-trigger load factor.
@@ -95,7 +87,7 @@ pub struct LinearHashTable<F: HashFn, B: StorageBackend = MemDisk> {
 impl<F: HashFn> LinearHashTable<F, MemDisk> {
     /// Builds a table over a fresh in-memory disk.
     pub fn new(cfg: LinearHashConfig, hash: F) -> Result<Self> {
-        let disk = Disk::new(MemDisk::new(cfg.b), cfg.b, cfg.cost);
+        let disk = mem_disk(cfg.b);
         Self::with_disk(disk, cfg, hash)
     }
 }
@@ -138,8 +130,9 @@ impl<F: HashFn, B: StorageBackend> LinearHashTable<F, B> {
         &self.disk
     }
 
-    /// The split pointer (exposed for tests and diagnostics).
-    pub fn split_pointer(&self) -> u64 {
+    /// The split pointer.
+    #[cfg(test)]
+    fn split_pointer(&self) -> u64 {
         self.sp
     }
 
@@ -226,10 +219,6 @@ impl<F: HashFn, B: StorageBackend> ExternalDictionary for LinearHashTable<F, B> 
 
     fn disk_stats(&self) -> IoSnapshot {
         self.disk.epoch()
-    }
-
-    fn cost_model(&self) -> IoCostModel {
-        self.disk.cost_model()
     }
 
     fn memory_used(&self) -> usize {
@@ -344,7 +333,7 @@ mod tests {
         for k in 0..n {
             t.insert(k, k).unwrap();
         }
-        let per = t.disk.since(&e).total(t.cost_model()) as f64 / n as f64;
+        let per = t.disk.since(&e).total() as f64 / n as f64;
         // 1 I/O for the upsert + O(1/b) split traffic + chain walks on the
         // not-yet-split buckets (classic LH runs them at up to 2× the mean
         // load, so chains are not rare there). Constant, comfortably < 2.

@@ -13,8 +13,8 @@
 //! [`crate::ExtendibleTable`] or [`crate::LinearHashTable`].
 
 use dxh_extmem::{
-    check_key, BlockId, Disk, ExtMemError, IoCostModel, IoSnapshot, Item, Key, MemDisk,
-    MemoryBudget, Result, StorageBackend, Value,
+    check_key, mem_disk, BlockId, Disk, ExtMemError, IoSnapshot, Item, Key, MemDisk, MemoryBudget,
+    Result, StorageBackend, Value,
 };
 use dxh_hashfn::{prefix_bucket, HashFn};
 
@@ -33,24 +33,17 @@ pub struct LinearProbingConfig {
     /// Rebuild (purging tombstones) when
     /// `tombstones > tombstone_rebuild_fraction · nb · b`.
     pub tombstone_rebuild_fraction: f64,
-    /// I/O pricing convention.
-    pub cost: IoCostModel,
 }
 
 impl LinearProbingConfig {
     /// A region of `buckets` blocks of capacity `b`.
     pub fn new(b: usize, m: usize, buckets: u64) -> Self {
-        LinearProbingConfig {
-            b,
-            m,
-            buckets,
-            tombstone_rebuild_fraction: 0.25,
-            cost: IoCostModel::SeekDominated,
-        }
+        LinearProbingConfig { b, m, buckets, tombstone_rebuild_fraction: 0.25 }
     }
 
     /// Sizes the region to hold `n` items at load factor `alpha`.
-    pub fn for_load(b: usize, m: usize, n: usize, alpha: f64) -> Self {
+    #[cfg(test)]
+    fn for_load(b: usize, m: usize, n: usize, alpha: f64) -> Self {
         assert!(alpha > 0.0 && alpha < 1.0);
         let buckets = ((n as f64 / (alpha * b as f64)).ceil() as u64).max(1);
         Self::new(b, m, buckets)
@@ -89,7 +82,7 @@ enum ProbeStep<T> {
 impl<F: HashFn> LinearProbingTable<F, MemDisk> {
     /// Builds a table over a fresh in-memory disk.
     pub fn new(cfg: LinearProbingConfig, hash: F) -> Result<Self> {
-        let disk = Disk::new(MemDisk::new(cfg.b), cfg.b, cfg.cost);
+        let disk = mem_disk(cfg.b);
         Self::with_disk(disk, cfg, hash)
     }
 }
@@ -266,10 +259,6 @@ impl<F: HashFn, B: StorageBackend> ExternalDictionary for LinearProbingTable<F, 
         self.disk.epoch()
     }
 
-    fn cost_model(&self) -> IoCostModel {
-        self.disk.cost_model()
-    }
-
     fn memory_used(&self) -> usize {
         self.budget.used()
     }
@@ -389,13 +378,13 @@ mod tests {
         for k in 0..4096u64 {
             t.insert(k, k).unwrap();
         }
-        let tu = t.disk.since(&e).total(t.cost_model()) as f64 / 4096.0;
+        let tu = t.disk.since(&e).total() as f64 / 4096.0;
         assert!(tu < 1.1, "insert cost ≈ 1, got {tu}");
         let e = t.disk.epoch();
         for k in 0..1024u64 {
             assert!(t.lookup(k * 4).unwrap().is_some());
         }
-        let tq = t.disk.since(&e).total(t.cost_model()) as f64 / 1024.0;
+        let tq = t.disk.since(&e).total() as f64 / 1024.0;
         assert!(tq < 1.1, "query cost ≈ 1, got {tq}");
     }
 

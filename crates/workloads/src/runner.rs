@@ -52,25 +52,24 @@ pub fn run_trace<T: ExternalDictionary + ?Sized>(
     trace: &Trace,
 ) -> Result<RunReport> {
     let mut report = RunReport::default();
-    let model = table.cost_model();
     for op in &trace.ops {
         let before = table.disk_stats();
         match *op {
             Op::Insert(k, v) => {
                 table.insert(k, v)?;
                 report.inserts += 1;
-                report.insert_ios += table.disk_stats().since(&before).total(model);
+                report.insert_ios += table.disk_stats().since(&before).total();
             }
             Op::Lookup(k) => {
                 let hit = table.lookup(k)?.is_some();
                 report.lookups += 1;
                 report.hits += hit as u64;
-                report.lookup_ios += table.disk_stats().since(&before).total(model);
+                report.lookup_ios += table.disk_stats().since(&before).total();
             }
             Op::Delete(k) => {
                 table.delete(k)?;
                 report.deletes += 1;
-                report.delete_ios += table.disk_stats().since(&before).total(model);
+                report.delete_ios += table.disk_stats().since(&before).total();
             }
         }
     }
@@ -88,14 +87,13 @@ pub fn measure_tq<T: ExternalDictionary + ?Sized>(
 ) -> Result<f64> {
     assert!(!inserted.is_empty(), "need inserted keys to sample");
     let mut rng = SplitMix64::new(seed);
-    let model = table.cost_model();
     let mut total = 0u64;
     for _ in 0..samples {
         let k = inserted[rng.below(inserted.len() as u64) as usize];
         let before = table.disk_stats();
         let found = table.lookup(k)?;
         debug_assert!(found.is_some(), "sampled key {k} must be present");
-        total += table.disk_stats().since(&before).total(model);
+        total += table.disk_stats().since(&before).total();
     }
     Ok(total as f64 / samples as f64)
 }
@@ -111,7 +109,6 @@ pub fn measure_tq_unsuccessful<T: ExternalDictionary + ?Sized>(
     seed: u64,
 ) -> Result<f64> {
     let mut rng = SplitMix64::new(seed);
-    let model = table.cost_model();
     let mut total = 0u64;
     for _ in 0..samples {
         // Top bit set, below the tombstone sentinel: never generated by
@@ -121,7 +118,7 @@ pub fn measure_tq_unsuccessful<T: ExternalDictionary + ?Sized>(
         let before = table.disk_stats();
         let found = table.lookup(k)?;
         debug_assert!(found.is_none(), "probe key {k} unexpectedly present");
-        total += table.disk_stats().since(&before).total(model);
+        total += table.disk_stats().since(&before).total();
     }
     Ok(total as f64 / samples as f64)
 }

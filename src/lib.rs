@@ -45,7 +45,9 @@
 //!     table.insert(key, key * 2).unwrap();
 //! }
 //! assert_eq!(table.lookup(12_345).unwrap(), Some(24_690));
-//! let tu = table.disk_stats().total(table.cost_model()) as f64 / 50_000.0;
+//! // Footnote 2's accounting, the only one: a read-modify-write is one
+//! // I/O (`transfers()` would count it as two block transfers).
+//! let tu = table.disk_stats().total() as f64 / 50_000.0;
 //! assert!(tu < 1.0, "buffering beats one I/O per insert: {tu}");
 //! ```
 

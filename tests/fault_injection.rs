@@ -72,7 +72,7 @@ fn bootstrapped_table_fails_cleanly_mid_merge() {
         let cfg = CoreConfig::theorem2(8, 128, 0.5).unwrap();
         let sim = SimDisk::new(8);
         sim.env().fail_after(fuse);
-        let disk = Disk::new(sim, 8, cfg.cost);
+        let disk = Disk::new(sim, 8, IoCostModel::SeekDominated);
         let result =
             BootstrappedTable::with_disk(disk, cfg, IdealFn::from_seed(2)).and_then(|mut t| {
                 for k in 0..3000u64 {
@@ -95,7 +95,7 @@ fn btree_fails_cleanly_mid_split() {
         let cfg = BPlusTreeConfig::new(4, 4096);
         let sim = SimDisk::new(4);
         sim.env().fail_after(fuse);
-        let disk = Disk::new(sim, 4, cfg.cost);
+        let disk = Disk::new(sim, 4, IoCostModel::SeekDominated);
         let result = BPlusTree::with_disk(disk, cfg).and_then(|mut t| {
             for k in 0..300u64 {
                 t.insert(k, k)?;

@@ -82,8 +82,8 @@ fn chaining_identical_on_both_backends() {
 #[test]
 fn bootstrapped_identical_on_both_backends() {
     let cfg = CoreConfig::theorem2(8, 128, 0.5).unwrap();
-    let mem = Disk::new(MemDisk::new(8), 8, cfg.cost);
-    let file = Disk::new(FileDisk::temp(8).unwrap(), 8, cfg.cost);
+    let mem = Disk::new(MemDisk::new(8), 8, IoCostModel::SeekDominated);
+    let file = Disk::new(FileDisk::temp(8).unwrap(), 8, IoCostModel::SeekDominated);
     let mut a = BootstrappedTable::with_disk(mem, cfg.clone(), IdealFn::from_seed(2)).unwrap();
     let mut b = BootstrappedTable::with_disk(file, cfg, IdealFn::from_seed(2)).unwrap();
     for k in 0..3000u64 {
@@ -102,8 +102,8 @@ fn bootstrapped_identical_on_both_backends() {
 #[test]
 fn log_method_identical_on_both_backends() {
     let cfg = CoreConfig::lemma5(8, 128, 2).unwrap();
-    let mem = Disk::new(MemDisk::new(8), 8, cfg.cost);
-    let file = Disk::new(FileDisk::temp(8).unwrap(), 8, cfg.cost);
+    let mem = Disk::new(MemDisk::new(8), 8, IoCostModel::SeekDominated);
+    let file = Disk::new(FileDisk::temp(8).unwrap(), 8, IoCostModel::SeekDominated);
     let mut a = LogMethodTable::with_disk(mem, cfg.clone(), IdealFn::from_seed(3)).unwrap();
     let mut b = LogMethodTable::with_disk(file, cfg, IdealFn::from_seed(3)).unwrap();
     for k in 0..2500u64 {
