@@ -47,7 +47,6 @@ use dxh_analysis::{
 };
 use dxh_bench::{emit, insert_uniform, ExpArgs};
 use dxh_core::{CoreConfig, ExternalDictionary, FilterStats, LogMethodTable};
-use dxh_hashfn::IdealFn;
 use dxh_workloads::{measure_tq, measure_tq_unsuccessful, parallel_trials};
 
 fn main() {
@@ -186,7 +185,7 @@ fn assert_tq_within_model(when: &str, (measured, predicted): (f64, f64)) {
 /// rate `H_j`'s filter is designed for at its item count and 1 for a
 /// level without one; a key in `H0` costs nothing. Averaged over where
 /// the keys live — every key once, as for distinct keys.
-fn tq_model(t: &LogMethodTable<IdealFn>) -> f64 {
+fn tq_model(t: &LogMethodTable) -> f64 {
     let (items, held) = (t.level_items(), t.level_filter_held());
     let (mut above, mut total) = (0.0, 0.0);
     for (k, &count) in items.iter().enumerate().skip(1).filter(|&(_, &count)| count > 0) {

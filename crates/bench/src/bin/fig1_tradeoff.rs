@@ -144,7 +144,7 @@ fn main() {
         ]);
     }
     println!("Figure 1 reproduction: b = {b}, m = {m}, n = {n}, {} trials", args.trials);
-    println!("(expectations are SHAPE, constants fixed at 1 — see EXPERIMENTS.md)");
+    println!("(expectations are SHAPE, constants fixed at 1)");
     emit("query-insertion tradeoff (Figure 1)", &table, &args, "fig1_tradeoff.csv");
 
     // The crossover story in one line: who gets to insert in o(1)?

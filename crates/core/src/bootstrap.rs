@@ -27,18 +27,18 @@
 //! fraction of the items — holds exactly.
 
 use dxh_extmem::{
-    check_key, mem_disk, BlockId, Disk, ExtMemError, IoSnapshot, Key, MemDisk, MemoryBudget,
-    Result, StorageBackend, Value,
+    mem_disk, BlockId, Disk, ExtMemError, IoSnapshot, Key, MemDisk, Result, StorageBackend, Value,
 };
 use dxh_hashfn::{prefix_bucket, HashFn};
 use dxh_tables::{chain_lookup, ExternalDictionary, LayoutInspect, LayoutSnapshot};
 
 use crate::config::CoreConfig;
-use crate::filter::FilterPlan;
-use crate::log_method::LogStructure;
+use crate::log_method::LogMethodTable;
 use crate::stream::{build_fresh_region, merge_in_place, MergeCursor, Region, Source};
 
-/// Theorem 2's dynamic hash table.
+/// Theorem 2's dynamic hash table: a [`LogMethodTable`] — the side
+/// structure, with `H0`, its levels, the one accounted disk and the
+/// memory budget — plus the big table `Ĥ` on that disk.
 ///
 /// ### Semantics
 ///
@@ -48,65 +48,34 @@ use crate::stream::{build_fresh_region, merge_in_place, MergeCursor, Region, Sou
 /// a lookup may see the older copy in `Ĥ` before the newer one in a side
 /// level (queries check `Ĥ` first to keep `tq ≈ 1`). Deletions are
 /// rejected; see the crate docs.
-pub struct BootstrappedTable<F: HashFn, B: StorageBackend = MemDisk> {
-    disk: Disk<B>,
-    budget: MemoryBudget,
-    log: LogStructure<F>,
+pub struct BootstrappedTable<B: StorageBackend = MemDisk> {
+    side: LogMethodTable<B>,
     hat: Option<Region>,
     /// Merge when the side structure reaches this many items.
     batch_size: usize,
     merges: u64,
-    cfg: CoreConfig,
 }
 
-impl BootstrappedTable<dxh_hashfn::IdealFn, MemDisk> {
+impl BootstrappedTable {
     /// Builds a table over a fresh in-memory disk with an ideal hash
     /// function derived from `seed`.
     pub fn new(cfg: CoreConfig, seed: u64) -> Result<Self> {
-        Self::with_hash(cfg, dxh_hashfn::IdealFn::from_seed(seed))
+        Self::new_on(mem_disk(cfg.b), cfg, seed)
     }
 }
 
-impl<F: HashFn> BootstrappedTable<F, MemDisk> {
-    /// Builds a table over a fresh in-memory disk with an explicit hash
-    /// function.
-    pub fn with_hash(cfg: CoreConfig, hash: F) -> Result<Self> {
-        let disk = mem_disk(cfg.b);
-        Self::with_disk(disk, cfg, hash)
-    }
-}
-
-impl<B: StorageBackend> BootstrappedTable<dxh_hashfn::IdealFn, B> {
+impl<B: StorageBackend> BootstrappedTable<B> {
     /// Builds a table over a caller-provided disk (any backend) with an
     /// ideal hash function derived from `seed` — the backend-generic twin
     /// of [`BootstrappedTable::new`].
     pub fn new_on(disk: Disk<B>, cfg: CoreConfig, seed: u64) -> Result<Self> {
-        Self::with_disk(disk, cfg, dxh_hashfn::IdealFn::from_seed(seed))
-    }
-}
-
-impl<F: HashFn, B: StorageBackend> BootstrappedTable<F, B> {
-    /// Builds a table over a caller-provided disk.
-    pub fn with_disk(disk: Disk<B>, cfg: CoreConfig, hash: F) -> Result<Self> {
-        cfg.validate()?;
-        if disk.b() != cfg.b {
-            return Err(ExtMemError::BadConfig("disk block size ≠ cfg.b".into()));
-        }
-        let mut budget = MemoryBudget::new(cfg.m);
-        budget.reserve(cfg.h0_capacity() + 4 * cfg.b + 24)?;
-        // The side structure's level filters share the idle rest with its
-        // carries' buffers, exactly as in `LogMethodTable::with_disk`.
-        let plan = FilterPlan::reserve(&cfg, &mut budget)?;
-        let batch_size = cfg.m.max(1); // the paper's "first m items" bootstrap
-        Ok(BootstrappedTable {
-            disk,
-            budget,
-            log: LogStructure::new(cfg.clone(), hash, plan),
-            hat: None,
-            batch_size,
-            merges: 0,
-            cfg,
-        })
+        // The paper's "first m items" bootstrap.
+        let batch_size = cfg.m.max(1);
+        // `Ĥ`'s region, the batch size and the merge count: 8 words more
+        // than the side structure's own metadata, reserved before its
+        // level filters are sized from the idle rest.
+        let side = LogMethodTable::reserving(disk, cfg, seed, 8)?;
+        Ok(BootstrappedTable { side, hat: None, batch_size, merges: 0 })
     }
 
     /// Items in the big table `Ĥ`.
@@ -116,7 +85,7 @@ impl<F: HashFn, B: StorageBackend> BootstrappedTable<F, B> {
 
     /// Items in the side (logarithmic-method) structure.
     pub fn side_items(&self) -> usize {
-        self.log.items()
+        self.side.len()
     }
 
     /// The fraction of items resident in `Ĥ` (the paper's `1 − 1/β`
@@ -142,12 +111,12 @@ impl<F: HashFn, B: StorageBackend> BootstrappedTable<F, B> {
 
     /// The underlying disk.
     pub fn disk(&self) -> &Disk<B> {
-        &self.disk
+        self.side.disk()
     }
 
     /// The configuration.
     pub fn config(&self) -> &CoreConfig {
-        &self.cfg
+        self.side.config()
     }
 
     /// Merges the entire side structure into `Ĥ`.
@@ -159,41 +128,41 @@ impl<F: HashFn, B: StorageBackend> BootstrappedTable<F, B> {
     /// sized for load 1/4, so rebuild traffic amortizes to `O(1/b)` per
     /// insertion and the load factor lives in `[1/4, 1/2]`.
     fn merge_into_hat(&mut self) -> Result<()> {
-        let total = self.log.items() + self.hat_items();
+        let total = self.len();
         if total == 0 {
             return Ok(());
         }
-        let needs_rebuild =
-            self.hat.is_none_or(|hat| 2 * total > hat.buckets as usize * self.cfg.b);
-        let mut sources = self.log.take_all_sources();
+        let b = self.side.config().b;
+        let needs_rebuild = self.hat.is_none_or(|hat| 2 * total > hat.buckets as usize * b);
+        let mut sources = self.side.take_all_sources();
+        let (hash, disk) = (&self.side.hash, &mut self.side.disk);
         if needs_rebuild {
             // Fresh region with slack: load 1/4 right after the rebuild.
-            let nb_new = (4 * total).div_ceil(self.cfg.b).max(1) as u64;
+            let nb_new = (4 * total).div_ceil(b).max(1) as u64;
             if let Some(r) = self.hat.take() {
                 sources.push(Source::from_region(r)); // oldest, lowest precedence
             }
             // `purge = false`: the bootstrapped table rejects deletion, so
             // no deletion marker can reach an Ĥ merge.
             // Ĥ keeps no filter: its one probe is the point of the table.
-            let cursor = MergeCursor::new(&self.log.hash, sources, nb_new, false);
-            let (region, _stats) = build_fresh_region(&mut self.disk, cursor, None, None)?;
+            let cursor = MergeCursor::new(hash, sources, nb_new, false);
+            let (region, _stats) = build_fresh_region(disk, cursor, None, None)?;
             self.hat = Some(region);
         } else {
             let hat = self.hat.as_mut().expect("checked above");
-            let cursor = MergeCursor::new(&self.log.hash, sources, hat.buckets, false);
-            merge_in_place(&mut self.disk, cursor, hat)?;
+            let cursor = MergeCursor::new(hash, sources, hat.buckets, false);
+            merge_in_place(disk, cursor, hat)?;
         }
         self.merges += 1;
-        self.batch_size = ((self.hat_items() as f64 / self.cfg.beta) as usize).max(1);
+        self.batch_size = ((self.hat_items() as f64 / self.config().beta) as usize).max(1);
         Ok(())
     }
 }
 
-impl<F: HashFn, B: StorageBackend> ExternalDictionary for BootstrappedTable<F, B> {
+impl<B: StorageBackend> ExternalDictionary for BootstrappedTable<B> {
     fn insert(&mut self, key: Key, value: Value) -> Result<()> {
-        check_key(key)?;
-        self.log.insert(&mut self.disk, key, value)?;
-        if self.log.items() >= self.batch_size {
+        self.side.insert(key, value)?;
+        if self.side.len() >= self.batch_size {
             self.merge_into_hat()?;
         }
         Ok(())
@@ -201,22 +170,18 @@ impl<F: HashFn, B: StorageBackend> ExternalDictionary for BootstrappedTable<F, B
 
     fn lookup(&mut self, key: Key) -> Result<Option<Value>> {
         // H0: free (memory).
-        if let Some(v) = self
-            .log
-            .h0
-            .lookup(prefix_bucket(self.log.hash.hash64(key), self.cfg.nb0()) as usize, key)
-        {
+        if let Some(v) = self.side.h0.lookup(self.side.h0_bucket(key), key) {
             return Ok(Some(v));
         }
         // Ĥ first — this is where tq ≈ 1 comes from.
         if let Some(hat) = &self.hat {
-            let q = prefix_bucket(self.log.hash.hash64(key), hat.buckets);
-            if let Some(v) = chain_lookup(&mut self.disk, hat.block_of(q), key)? {
+            let q = prefix_bucket(self.side.hash.hash64(key), hat.buckets);
+            if let Some(v) = chain_lookup(&mut self.side.disk, hat.block_of(q), key)? {
                 return Ok(Some(v));
             }
         }
         // Side levels, largest (deepest) first.
-        self.log.lookup_levels_deepest_first(&mut self.disk, key)
+        self.side.lookup_levels_deepest_first(key)
     }
 
     /// Deletion is outside the paper's scope; always an error.
@@ -225,42 +190,41 @@ impl<F: HashFn, B: StorageBackend> ExternalDictionary for BootstrappedTable<F, B
     }
 
     fn len(&self) -> usize {
-        self.log.items() + self.hat_items()
+        self.side.len() + self.hat_items()
     }
 
     fn disk_stats(&self) -> IoSnapshot {
-        self.disk.epoch()
+        self.side.disk_stats()
     }
 
     fn memory_used(&self) -> usize {
-        self.budget.used()
+        self.side.memory_used()
     }
 
     fn block_capacity(&self) -> usize {
-        self.cfg.b
+        self.side.block_capacity()
     }
 }
 
-impl<F: HashFn, B: StorageBackend> LayoutInspect for BootstrappedTable<F, B> {
+impl<B: StorageBackend> LayoutInspect for BootstrappedTable<B> {
     fn layout_snapshot(&mut self) -> Result<LayoutSnapshot> {
-        let mut snap = LayoutSnapshot { memory: self.log.memory_keys(), blocks: Vec::new() };
+        let mut snap = LayoutSnapshot { memory: self.side.h0.keys(), blocks: Vec::new() };
         if let Some(hat) = &self.hat {
-            hat.inspect(&mut self.disk, |_, id, blk| {
+            hat.inspect(&mut self.side.disk, |_, id, blk| {
                 snap.blocks.push((id, blk.items().iter().map(|it| it.key).collect()));
             })?;
         }
-        self.log.snapshot_blocks(&mut self.disk, &mut snap.blocks)?;
+        self.side.snapshot_blocks(&mut snap.blocks)?;
         Ok(snap)
     }
 
     fn address_of(&self, key: Key) -> Option<BlockId> {
         // The natural f: the Ĥ bucket (covers a 1 − 1/β fraction of items);
-        // before the first merge, the deepest side level.
-        let h = self.log.hash.hash64(key);
-        if let Some(hat) = &self.hat {
-            return Some(hat.block_of(prefix_bucket(h, hat.buckets)));
+        // before the first merge, the side structure's deepest level.
+        match &self.hat {
+            Some(hat) => Some(hat.block_of(prefix_bucket(self.side.hash.hash64(key), hat.buckets))),
+            None => self.side.address_of(key),
         }
-        self.log.deepest_region().map(|r| r.block_of(prefix_bucket(h, r.buckets)))
     }
 }
 
@@ -345,13 +309,13 @@ mod tests {
         for k in 0..n {
             t.insert(k, k).unwrap();
         }
-        let e = t.disk.epoch();
+        let e = t.disk().epoch();
         let samples = 2000u64;
         for i in 0..samples {
             let k = (i * 7919) % n; // deterministic spread over inserted keys
             assert!(t.lookup(k).unwrap().is_some());
         }
-        let tq = t.disk.since(&e).total() as f64 / samples as f64;
+        let tq = t.disk().since(&e).total() as f64 / samples as f64;
         // 1 + O(1/β) with β = 8: comfortably under 1.5.
         assert!(tq < 1.5, "tq = {tq} should be ≈ 1");
         assert!(tq >= 0.9, "almost every query must touch disk: {tq}");
@@ -366,11 +330,11 @@ mod tests {
                 t.insert(k, k).unwrap();
             }
             let tu = t.total_ios() as f64 / n as f64;
-            let e = t.disk.epoch();
+            let e = t.disk().epoch();
             for i in 0..1000u64 {
                 let _ = t.lookup((i * 7919) % n).unwrap();
             }
-            let tq = t.disk.since(&e).total() as f64 / 1000.0;
+            let tq = t.disk().since(&e).total() as f64 / 1000.0;
             (tu, tq)
         };
         let (tu_lo, tq_lo) = run(0.25); // small β: cheap inserts, worse queries
@@ -405,10 +369,10 @@ mod tests {
                         model.drain();
                     }
                     let when = format!("b = {b}, γ = {gamma}, step {step}");
-                    assert_eq!(t.log.level_items(), model.level_items(), "{when}");
-                    t.log.assert_levels_within_fill(&when);
-                    t.log.assert_filters_follow_the_plan(usize::MAX, &when);
-                    deepest = deepest.max(t.log.levels.iter().flatten().count());
+                    assert_eq!(t.side.level_items(), model.level_items(), "{when}");
+                    t.side.assert_levels_within_fill(&when);
+                    t.side.assert_filters_follow_the_plan(usize::MAX, &when);
+                    deepest = deepest.max(t.side.levels.iter().flatten().count());
                     // Mid-stream and at the end: side levels occupied,
                     // filters consulted deepest-first after an Ĥ miss.
                     if (step + 1) % (steps / 8) == 0 {
@@ -420,13 +384,13 @@ mod tests {
                 }
                 assert!(deepest >= 2, "b = {b}, γ = {gamma}: the side structure reached past H1");
                 assert!(t.merge_count() >= 4, "b = {b}, γ = {gamma}: {} merges", t.merge_count());
-                let filtered = t.log.filter_plan().levels();
+                let filtered = t.side.filter_plan().levels();
                 assert_eq!(filtered > 0, m == 1024, "b = {b}, γ = {gamma}: {filtered} filters");
-                assert_eq!(t.log.filter_stats().skipped > 0, filtered > 0, "b = {b}, γ = {gamma}");
+                assert_eq!(t.side.filter_stats().skipped > 0, filtered > 0, "b = {b}, γ = {gamma}");
             }
         }
         let c = CoreConfig::custom(8, 1024, 2, 2.0).unwrap();
-        assert_eq!(BootstrappedTable::new(c, 1).unwrap().log.filter_plan().levels(), 4);
+        assert_eq!(BootstrappedTable::new(c, 1).unwrap().side.filter_plan().levels(), 4);
     }
 
     #[test]
@@ -449,7 +413,7 @@ mod tests {
             let mut model = CarryModel::new(c);
             let mut inserted = std::collections::HashSet::new();
             let mut rng = StdRng::seed_from_u64(b as u64);
-            let (mut rebuilt_past_h1, mut before) = (0, t.log.level_items());
+            let (mut rebuilt_past_h1, mut before) = (0, t.side.level_items());
             for step in 0..distinct + steps {
                 // Re-inserts carry the same value: Ĥ-first lookups may
                 // serve the older copy until a merge.
@@ -462,9 +426,9 @@ mod tests {
                     model.drain();
                 }
                 let when = format!("b = {b}, step {step}");
-                let after = t.log.level_items();
+                let after = t.side.level_items();
                 assert_eq!(after, model.level_items(), "{when}");
-                t.log.assert_levels_within_fill(&when);
+                t.side.assert_levels_within_fill(&when);
                 assert_eq!(t.lookup(key).unwrap(), Some(key * 3), "{when}");
                 // Right after a flush (not a merge into Ĥ) into `dst`.
                 let dst = (1..after.len()).find(|&k| after[k] > 0);
@@ -490,6 +454,45 @@ mod tests {
     }
 
     #[test]
+    fn the_deletion_marker_is_refused_as_a_value() {
+        use crate::facade::{DynamicHashTable, TradeoffTarget};
+        // `u64::MAX` marks a deletion. Taken as a value it would answer
+        // from `H0`, then be purged as a marker by the next flush into
+        // the deepest side level, and the key with it.
+        let target = |t| DynamicHashTable::for_target(t, 8, 128, 1).unwrap();
+        for mut t in [
+            DynamicHashTable::Boot(BootstrappedTable::new(cfg(8, 128, 0.5), 1).unwrap()),
+            target(TradeoffTarget::InsertOptimal { c: 0.5 }),
+            target(TradeoffTarget::Boundary { eps: 0.5 }),
+        ] {
+            let refused = t.insert(1, u64::MAX);
+            assert!(matches!(refused, Err(ExtMemError::BadConfig(_))), "{}: {refused:?}", t.name());
+            assert_eq!(t.lookup(1).unwrap(), None, "{}", t.name());
+            t.insert(1, 7).unwrap();
+            for k in 2..5_002u64 {
+                t.insert(k, k).unwrap();
+            }
+            assert_eq!(t.lookup(1).unwrap(), Some(7), "{}", t.name());
+        }
+    }
+
+    #[test]
+    fn the_side_structure_leaves_h_hat_its_words_before_the_filters() {
+        // `Ĥ`'s region, the batch size and the merge count take 8 words
+        // beside the side structure's own, reserved before the level
+        // filters are sized: the plan gets 8 fewer than a plain Lemma 5
+        // table's at the same (b, m, γ), and the budget ends where it did
+        // when the bootstrapped table kept a budget of its own.
+        let plain = LogMethodTable::new(CoreConfig::lemma5(64, 4096, 2).unwrap(), 42).unwrap();
+        let mut t = BootstrappedTable::new(cfg(64, 4096, 0.5), 42).unwrap();
+        assert_eq!((t.side.filter_plan().spare(), plain.filter_plan().spare()), (1_768, 1_776));
+        for k in 0..50_000u64 {
+            t.insert(k, k).unwrap();
+        }
+        assert_eq!(t.memory_used(), 3_968);
+    }
+
+    #[test]
     fn layout_accounts_for_every_item_copy() {
         let mut t = BootstrappedTable::new(cfg(8, 128, 0.5), 8).unwrap();
         for k in 0..1500u64 {
@@ -511,7 +514,7 @@ mod tests {
         let mut in_fast = 0;
         for k in 0..100u64 {
             let addr = t.address_of(k).unwrap();
-            let blk = t.disk.backend_mut().read(addr).unwrap();
+            let blk = t.side.disk.backend_mut().read(addr).unwrap();
             if blk.contains(k) {
                 in_fast += 1;
             }
@@ -541,8 +544,7 @@ mod tests {
         use dxh_extmem::{FileDisk, IoCostModel};
         let c = cfg(8, 128, 0.5);
         let disk = Disk::new(FileDisk::temp(8).unwrap(), 8, IoCostModel::SeekDominated);
-        let mut t =
-            BootstrappedTable::with_disk(disk, c, dxh_hashfn::IdealFn::from_seed(11)).unwrap();
+        let mut t = BootstrappedTable::new_on(disk, c, 11).unwrap();
         for k in 0..800u64 {
             t.insert(k, k).unwrap();
         }

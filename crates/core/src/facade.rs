@@ -54,9 +54,9 @@ pub enum DynamicHashTable<B: StorageBackend = MemDisk> {
     /// Standard chaining table (query-optimal endpoint).
     Standard(ChainingTable<IdealFn, B>),
     /// Plain logarithmic method.
-    Log(LogMethodTable<IdealFn, B>),
+    Log(LogMethodTable<B>),
     /// Bootstrapped table (Theorem 2).
-    Boot(BootstrappedTable<IdealFn, B>),
+    Boot(BootstrappedTable<B>),
 }
 
 impl DynamicHashTable {

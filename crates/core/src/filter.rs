@@ -435,7 +435,7 @@ mod tests {
 
     use super::*;
 
-    /// The spare memory `LogMethodTable::with_disk` hands the plan.
+    /// The spare memory `LogMethodTable::new_on` hands the plan.
     fn spare(cfg: &CoreConfig) -> usize {
         cfg.m - cfg.h0_capacity() - (4 * cfg.b + 16)
     }

@@ -30,7 +30,7 @@
 //! builds it leave room — one rule, [`FilterPlan::segments`], for a
 //! flush, a reopen and compaction alike — and a flush takes each loan
 //! back, with no I/O, when the loan's own level is built again
-//! ([`LogStructure::flush`]): each share has at most one holder, and the
+//! ([`LogMethodTable::flush`]): each share has at most one holder, and the
 //! reservation is the plan's. `tu` is untouched: filters change which
 //! blocks a lookup reads, never what a flush reads or writes. They are
 //! derived state and never persisted; a table rebuilt around persisted
@@ -47,7 +47,7 @@
 //! Here no disk level is ever written into. A flush that stops at an
 //! `H_k` with capacity for what is coming reads `H_k` with the carried
 //! levels and builds all of it into a fresh region
-//! ([`LogStructure::flush`] — one [`MergeCursor`] over `H0` and those
+//! ([`LogMethodTable::flush`] — one [`MergeCursor`] over `H0` and those
 //! levels, written out by `build_fresh_region`; compaction is the same
 //! pass over every level at once), so every level is the *static* table
 //! the paper opens on — written once, probed, read once
@@ -97,7 +97,7 @@ use dxh_extmem::{
     check_key, check_value, mem_disk, Block, BlockId, Disk, ExtMemError, IoSnapshot, Item, Key,
     MemDisk, MemoryBudget, Result, StorageBackend, Value, VALUE_TOMBSTONE,
 };
-use dxh_hashfn::{prefix_bucket, HashFn};
+use dxh_hashfn::{prefix_bucket, HashFn, IdealFn};
 use dxh_tables::{chain_lookup, ExternalDictionary, LayoutInspect, LayoutSnapshot};
 
 use crate::config::CoreConfig;
@@ -105,15 +105,40 @@ use crate::filter::{FilterPlan, FilterStats, HeldFilter, LevelFilter, Segments};
 use crate::mem_table::MemTable;
 use crate::stream::{build_fresh_region, MergeCursor, MergeStats, Region, Source, ValueMap};
 
-/// The level structure shared by [`LogMethodTable`] and
-/// [`crate::BootstrappedTable`]: `H0` in memory plus disk levels
-/// `H_1, H_2, …` (`levels[k]` is `H_k`; index 0 is unused).
+/// Lemma 5's dynamic hash table: `tu = O((γ/b)·log(n/m))` amortized
+/// insertions, `tq = O(log_γ(n/m))` lookups.
 ///
-/// Deliberately does **not** own the disk, so the bootstrapped table can
-/// interleave it with its big table `Ĥ` on one accounted disk.
-pub(crate) struct LogStructure<F: HashFn> {
-    pub(crate) hash: F,
+/// The lookup bound is the worst case here, not the expectation: the
+/// part of `m` the construction leaves idle holds a Bloom filter share
+/// for each of the first few levels ([`LogMethodTable::filter_plan`]),
+/// lent to a deeper level while its own is empty (one rule, whoever
+/// builds the level), and a probe skips a level whose filter rules the
+/// key out — one read for the level that holds the key, plus one per
+/// false positive and per unfiltered non-empty level above it. Insertion
+/// costs are untouched, `memory_used() ≤ m` includes the filters, and
+/// nothing about them is ever persisted.
+///
+/// [`crate::BootstrappedTable`] is this table with Theorem 2's big table
+/// `Ĥ` beside it, on the same disk and within the same budget.
+///
+/// ```
+/// use dxh_core::{CoreConfig, LogMethodTable, ExternalDictionary};
+///
+/// let cfg = CoreConfig::lemma5(32, 1024, 2).unwrap();
+/// let mut t = LogMethodTable::new(cfg, 7).unwrap();
+/// for k in 0..10_000u64 {
+///     t.insert(k, k).unwrap();
+/// }
+/// assert_eq!(t.lookup(1234).unwrap(), Some(1234));
+/// let tu = t.total_ios() as f64 / 10_000.0;
+/// assert!(tu < 1.0, "o(1) insertions: {tu}");
+/// ```
+pub struct LogMethodTable<B: StorageBackend = MemDisk> {
+    pub(crate) disk: Disk<B>,
+    budget: MemoryBudget,
+    pub(crate) hash: IdealFn,
     pub(crate) h0: MemTable,
+    /// The disk levels: `levels[k]` is `H_k` (index 0 is unused).
     pub(crate) levels: Vec<Option<Region>>,
     /// `filters[k]` summarises `levels[k]` (index 0 unused; as long as
     /// `levels`, and never shorter than the plan). A level holds what
@@ -122,7 +147,7 @@ pub(crate) struct LogStructure<F: HashFn> {
     /// share while it exists, plus loans of the idle shares between; a
     /// deeper level only loans. A filter is built with its level and
     /// dies with it; a loan goes back when its share's level is built
-    /// again ([`LogStructure::flush`]).
+    /// again ([`LogMethodTable::flush`]).
     filters: Vec<Option<LevelFilter>>,
     plan: FilterPlan,
     /// What the filter of `H_k` did, at `filter_stats[k]` (indexed like
@@ -131,38 +156,95 @@ pub(crate) struct LogStructure<F: HashFn> {
     cfg: CoreConfig,
 }
 
-impl<F: HashFn> LogStructure<F> {
-    /// `plan` must already be charged to the owner's memory budget (see
-    /// [`FilterPlan::reserve`]).
-    pub(crate) fn new(cfg: CoreConfig, hash: F, plan: FilterPlan) -> Self {
+impl LogMethodTable {
+    /// Builds a table over a fresh in-memory disk with an ideal hash
+    /// function derived from `seed`.
+    pub fn new(cfg: CoreConfig, seed: u64) -> Result<Self> {
+        Self::new_on(mem_disk(cfg.b), cfg, seed)
+    }
+}
+
+impl<B: StorageBackend> LogMethodTable<B> {
+    /// Builds a table over a caller-provided disk (any backend) with an
+    /// ideal hash function derived from `seed` — the backend-generic twin
+    /// of [`LogMethodTable::new`].
+    pub fn new_on(disk: Disk<B>, cfg: CoreConfig, seed: u64) -> Result<Self> {
+        Self::reserving(disk, cfg, seed, 0)
+    }
+
+    /// [`LogMethodTable::new_on`], with `extra` words of an owner's
+    /// metadata reserved beside the table's own — before the level
+    /// filters are sized from what is left, so they get that much less.
+    pub(crate) fn reserving(
+        disk: Disk<B>,
+        cfg: CoreConfig,
+        seed: u64,
+        extra: usize,
+    ) -> Result<Self> {
+        cfg.validate()?;
+        if disk.b() != cfg.b {
+            return Err(ExtMemError::BadConfig("disk block size ≠ cfg.b".into()));
+        }
+        let mut budget = MemoryBudget::new(cfg.m);
+        // H0 capacity + the steady-state merge working set (H0 and the
+        // `H1` it meets streaming into a fresh `H1`: one source bucket
+        // buffered, the batch being merged, ≤ 4b + 16 with that bucket
+        // chaining a full block) + metadata. What is left — 1 776 of
+        // 4 096 items at b = 64 — has two tenants. A flush landing in
+        // `H_j` merges at most j disk streams (`H1 … H_j`, the old `H_j`
+        // included when it had room) beside the drained `H0`: each
+        // buffers one source bucket (the sealed fill on average, more
+        // than b items in the ≈ 1 % of buckets that chain) and the batch
+        // being merged holds those items once more — or, where a
+        // region's bucket count does not divide its destination's, the
+        // tail of the stream's previous bucket — so it transiently needs
+        // 2·j·b items (`stream.rs` measures half that with every source
+        // at 48 of 64 to a bucket and one chaining a full block). The
+        // level filters take the rest: the plan sizes one share per
+        // level so that the shares alive while a flush lands in `H_j`
+        // (`j..=L`; the shallower ones died with their levels) plus those
+        // 2·j·b items fit at every `j ≤ L`, and past `L` a flush has the
+        // whole remainder to itself — 13 levels deep at b = 64, m = 4096.
+        // A level borrows idle shares only up to that same bound, less
+        // the buffers of the merge that builds it (`2·k·b` for a flush
+        // into `H_k`; compaction's merge buffers one bucket for each of
+        // the d levels it reads, so `2·max(k, d)·b`), so the plan's full
+        // size, reserved up front, covers the loans too
+        // (`carry_buffers_fit_beside_h0` holds every landing depth to the
+        // bound, loans included; `filter::tests` every occupancy).
+        budget.reserve(cfg.h0_capacity() + 4 * cfg.b + 16 + extra)?;
+        let plan = FilterPlan::reserve(&cfg, &mut budget)?;
         let h0 = MemTable::new(cfg.nb0() as usize, cfg.h0_capacity());
-        let (filters, filter_stats) = (Vec::new(), Vec::new());
-        let mut log =
-            LogStructure { hash, h0, levels: vec![None], filters, plan, filter_stats, cfg };
-        log.fit_filters();
-        log
+        let hash = IdealFn::from_seed(seed);
+        let (levels, filters, filter_stats) = (vec![None], Vec::new(), Vec::new());
+        let mut t =
+            LogMethodTable { disk, budget, hash, h0, levels, filters, plan, filter_stats, cfg };
+        t.fit_filters();
+        Ok(t)
     }
 
-    pub(crate) fn filter_plan(&self) -> &FilterPlan {
-        &self.plan
-    }
-
-    pub(crate) fn filter_stats(&self) -> FilterStats {
-        self.filter_stats.iter().copied().sum()
-    }
-
-    pub(crate) fn level_filter_stats(&self) -> &[FilterStats] {
-        &self.filter_stats[1..]
-    }
-
-    /// What each level's filter holds, indexed like
-    /// [`LogStructure::level_filter_stats`].
-    pub(crate) fn level_filter_held(&self) -> Vec<HeldFilter> {
-        let held = |(k, f): (usize, &Option<LevelFilter>)| {
-            let items = self.levels.get(k).copied().flatten().map_or(0, |r| r.items);
-            f.as_ref().map_or(HeldFilter::NONE, |f| f.held(k, items))
-        };
-        self.filters.iter().enumerate().skip(1).map(held).collect()
+    /// Rebuilds a table around previously persisted state: a reopened
+    /// disk, the disk-level regions a prior instance reported via
+    /// [`LogMethodTable::persisted_levels`], and the image of its `H0`
+    /// that [`LogMethodTable::write_memory_image`] wrote (`None`: `H0`
+    /// was empty). Reading the image back costs one accounted read per
+    /// block, beside those of the filter rebuild. `seed` must be the one
+    /// the regions were built with.
+    pub(crate) fn from_parts(
+        disk: Disk<B>,
+        cfg: CoreConfig,
+        seed: u64,
+        levels: Vec<Option<Region>>,
+        image: Option<Region>,
+    ) -> Result<Self> {
+        let mut t = Self::new_on(disk, cfg, seed)?;
+        if !levels.is_empty() {
+            t.adopt_levels(levels)?;
+        }
+        if let Some(image) = image {
+            t.adopt_image(image)?;
+        }
+        Ok(t)
     }
 
     /// Grows `filters` and `filter_stats` to cover every level, and at
@@ -210,7 +292,7 @@ impl<F: HashFn> LogStructure<F> {
         (held, if exists { self.plan.segments(k, self.above(k), k) } else { Vec::new() })
     }
 
-    /// What [`LogStructure::flush`] keeps true while it lands in `H_k`:
+    /// What [`LogMethodTable::flush`] keeps true while it lands in `H_k`:
     /// every filter holds the rule's segments or a part of them — the
     /// same shares, none larger, a filtered level's own whole: a part is
     /// what compaction builds when its merge reads more levels than its
@@ -228,46 +310,9 @@ impl<F: HashFn> LogStructure<F> {
             })
     }
 
-    /// Total items across `H0` and all levels.
-    pub(crate) fn items(&self) -> usize {
-        self.h0.len() + self.levels.iter().flatten().map(|r| r.items).sum::<usize>()
-    }
-
-    /// Item counts per level (`[H0, H1, …]`), for diagnostics and tests.
-    pub(crate) fn level_items(&self) -> Vec<usize> {
-        self.level_geometry().into_iter().map(|(items, _)| items).collect()
-    }
-
-    /// `(items, buckets)` per level (`[H0, H1, …]`; an empty level is
-    /// `(0, 0)`, `H0` has its `m/b` memory buckets).
-    pub(crate) fn level_geometry(&self) -> Vec<(usize, u64)> {
-        let mut out = vec![(self.h0.len(), self.cfg.nb0())];
-        let disk_levels = self.levels.iter().skip(1);
-        out.extend(disk_levels.map(|r| r.as_ref().map_or((0, 0), |r| (r.items, r.buckets))));
-        out
-    }
-
     #[inline]
-    fn h0_bucket(&self, key: Key) -> usize {
+    pub(crate) fn h0_bucket(&self, key: Key) -> usize {
         prefix_bucket(self.hash.hash64(key), self.cfg.nb0()) as usize
-    }
-
-    /// Inserts into `H0`; a full `H0` migrates into the levels (the
-    /// paper's "whenever `H_k` is full, migrate its items to `H_{k+1}`",
-    /// costing `O(γ^(k+1)·m/b)` I/Os per migration — see
-    /// [`LogStructure::flush`]).
-    pub(crate) fn insert<B: StorageBackend>(
-        &mut self,
-        disk: &mut Disk<B>,
-        key: Key,
-        value: Value,
-    ) -> Result<()> {
-        let bucket = self.h0_bucket(key);
-        self.h0.upsert(bucket, Item::new(key, value));
-        if self.h0.is_full() {
-            self.flush(disk)?;
-        }
-        Ok(())
     }
 
     /// Migrates `H0`, and every level the migration would overflow, into
@@ -277,7 +322,7 @@ impl<F: HashFn> LogStructure<F> {
     /// The destination is picked before anything moves: the carry walks
     /// `k = 1, 2, …` while `H_k` exists, adding it to the merge, and
     /// stops at the first `k` where everything gathered so far fits
-    /// (`≤ level_capacity(k)`, [`LogStructure::has_room`]) or nothing is
+    /// (`≤ level_capacity(k)`, [`LogMethodTable::has_room`]) or nothing is
     /// there. Sizes are the physical counts, shadowed copies included, so
     /// the choice needs no I/O. `[H0, H1, …, H_k]` then stream
     /// newest-first into a fresh region of
@@ -293,7 +338,7 @@ impl<F: HashFn> LogStructure<F> {
     /// above ([`FilterPlan::segments`]): its own share plus loans of the
     /// shares `< k` this flush has just left idle. Each deeper level is
     /// left the rule's beneath `H_k`.
-    pub(crate) fn flush<B: StorageBackend>(&mut self, disk: &mut Disk<B>) -> Result<()> {
+    fn flush(&mut self) -> Result<()> {
         let mut landing = self.h0.len();
         let mut sources = vec![Source::from_memory(self.h0.drain_in_bucket_order(), &self.hash)];
         let mut k = 1usize;
@@ -318,7 +363,7 @@ impl<F: HashFn> LogStructure<F> {
         );
         let mut filter = self.plan.filter(k, 0, k, landing);
         let cursor = MergeCursor::new(&self.hash, sources, nb, purge);
-        let (region, _) = build_fresh_region(disk, cursor, filter.as_mut(), None)?;
+        let (region, _) = build_fresh_region(&mut self.disk, cursor, filter.as_mut(), None)?;
         self.install(k, region, filter);
         debug_assert!(
             self.filters_fit_landing(k),
@@ -343,26 +388,10 @@ impl<F: HashFn> LogStructure<F> {
     /// [`CoreConfig::sealed_fill`] a bucket. A flush checks it for what
     /// its sources record, which a merge only shrinks; the layouts
     /// earlier versions wrote (load ≤ 1/2) satisfy it too. Checked, never
-    /// consulted: [`LogStructure::has_room`] is what decides.
+    /// consulted: [`LogMethodTable::has_room`] is what decides.
     fn within_fill(&self, k: usize, items: usize, buckets: u64) -> bool {
         items <= self.cfg.level_capacity(k as u32)
             && items as u128 <= buckets as u128 * self.cfg.sealed_fill() as u128
-    }
-
-    /// Looks up `key` shallow-first (`H0`, `H1`, …): the newest copy wins,
-    /// giving clean upsert semantics. A deletion marker is a hit that
-    /// answers "absent" — it shadows any older live copy in a deeper
-    /// level, so the probe stops there.
-    pub(crate) fn lookup<B: StorageBackend>(
-        &mut self,
-        disk: &mut Disk<B>,
-        key: Key,
-    ) -> Result<Option<Value>> {
-        if let Some(v) = self.h0.lookup(self.h0_bucket(key), key) {
-            return Ok((v != VALUE_TOMBSTONE).then_some(v));
-        }
-        let newest = self.probe_levels(disk, key, 1..self.levels.len())?;
-        Ok(newest.filter(|&v| v != VALUE_TOMBSTONE))
     }
 
     /// Probes the disk levels `order` names for `key`, returning the
@@ -371,9 +400,8 @@ impl<F: HashFn> LogStructure<F> {
     /// loans alike — rules the key out is skipped without I/O; an empty
     /// or unfiltered one behaves as the paper's: no cost, or one bucket
     /// probe.
-    fn probe_levels<B: StorageBackend>(
+    fn probe_levels(
         &mut self,
-        disk: &mut Disk<B>,
         key: Key,
         order: impl Iterator<Item = usize>,
     ) -> Result<Option<Value>> {
@@ -386,7 +414,7 @@ impl<F: HashFn> LogStructure<F> {
                 continue;
             }
             let q = prefix_bucket(h, region.buckets);
-            if let Some(v) = chain_lookup(disk, region.block_of(q), key)? {
+            if let Some(v) = chain_lookup(&mut self.disk, region.block_of(q), key)? {
                 return Ok(Some(v));
             }
             if filter.is_some() {
@@ -396,54 +424,11 @@ impl<F: HashFn> LogStructure<F> {
         Ok(None)
     }
 
-    /// Deletes `key` by writing a deletion marker into `H0` (the log
-    /// method's only way to affect deeper levels without rewriting them;
-    /// cf. Conway et al. 2018). Costs one shallow-first probe to report
-    /// presence, plus — only when the key was live — the amortized
-    /// insertion cost of the marker itself. The marker is purged, and the
-    /// key's space reclaimed, by the next merge into the deepest level.
-    ///
-    /// `before_mutate` runs after presence is known but before anything
-    /// changes — a miss never invokes it. The persistence layer hangs
-    /// its dirty-state transition here so miss-deletes stay free.
-    pub(crate) fn delete<B: StorageBackend>(
-        &mut self,
-        disk: &mut Disk<B>,
-        key: Key,
-        before_mutate: &mut dyn FnMut() -> Result<()>,
-    ) -> Result<bool> {
-        let bucket = self.h0_bucket(key);
-        if let Some(v) = self.h0.lookup(bucket, key) {
-            if v == VALUE_TOMBSTONE {
-                return Ok(false);
-            }
-            // The newest copy is memory-resident: overwrite it with the
-            // marker in place (older copies may survive in disk levels).
-            before_mutate()?;
-            self.h0.upsert(bucket, Item::delete_marker(key));
-            return Ok(true);
-        }
-        let newest = self.probe_levels(disk, key, 1..self.levels.len())?;
-        let present = newest.is_some_and(|v| v != VALUE_TOMBSTONE);
-        if present {
-            before_mutate()?;
-            self.h0.upsert(bucket, Item::delete_marker(key));
-            if self.h0.is_full() {
-                self.flush(disk)?;
-            }
-        }
-        Ok(present)
-    }
-
     /// Looks up `key` in the disk levels only, deepest-first — the query
     /// order of Theorem 2's analysis (largest table first), used by the
     /// bootstrapped table after missing in `Ĥ`.
-    pub(crate) fn lookup_levels_deepest_first<B: StorageBackend>(
-        &mut self,
-        disk: &mut Disk<B>,
-        key: Key,
-    ) -> Result<Option<Value>> {
-        self.probe_levels(disk, key, (1..self.levels.len()).rev())
+    pub(crate) fn lookup_levels_deepest_first(&mut self, key: Key) -> Result<Option<Value>> {
+        self.probe_levels(key, (1..self.levels.len()).rev())
     }
 
     /// Drains the entire structure into merge sources, newest first
@@ -467,21 +452,18 @@ impl<F: HashFn> LogStructure<F> {
     /// reopened table probes as cheaply as the handle that wrote it —
     /// unless that handle held loans past `L`, whose levels no reopen
     /// reads.
-    fn adopt_levels<B: StorageBackend>(
-        &mut self,
-        disk: &mut Disk<B>,
-        levels: Vec<Option<Region>>,
-    ) -> Result<()> {
+    fn adopt_levels(&mut self, levels: Vec<Option<Region>>) -> Result<()> {
         self.levels = levels;
         self.fit_filters();
         for k in 1..=self.plan.levels() {
             let Some(region) = self.levels.get(k).copied().flatten() else { continue };
             let filter = self.plan.filter(k, self.above(k), k, region.items);
             let mut filter = filter.expect("k owns a share");
+            let (hash, disk) = (&self.hash, &mut self.disk);
             let hops = disk.live_blocks();
             let read = |id| disk.read(id);
             region.walk(0..region.buckets, hops, read, |_, _, blk| {
-                blk.items().iter().for_each(|it| filter.insert(self.hash.hash64(it.key)));
+                blk.items().iter().for_each(|it| filter.insert(hash.hash64(it.key)));
                 Ok(())
             })?;
             self.filters[k] = Some(filter);
@@ -489,39 +471,14 @@ impl<F: HashFn> LogStructure<F> {
         Ok(())
     }
 
-    /// Writes `H0` as an **image**: its items in bucket order, packed `b`
-    /// to a block into `⌈|H0|/b⌉` blocks of a fresh contiguous run
-    /// through one block buffer, so the copy never holds more than `b`
-    /// items beside `H0`. `H0` itself is left as it is. An empty `H0`
-    /// has no image: `None`, and no I/O.
-    fn write_image<B: StorageBackend>(&self, disk: &mut Disk<B>) -> Result<Option<Region>> {
-        if self.h0.is_empty() {
-            return Ok(None);
-        }
-        let blocks = self.h0.len().div_ceil(self.cfg.b);
-        let base = disk.allocate_contiguous(blocks)?;
-        let (mut blk, mut next) = (Block::new(self.cfg.b), base);
-        for &item in self.h0.iter_in_bucket_order() {
-            blk.push(item)?;
-            if blk.is_full() {
-                disk.write(next, &blk)?;
-                blk.reset();
-                next = BlockId(next.raw() + 1);
-            }
-        }
-        if !blk.is_empty() {
-            disk.write(next, &blk)?;
-        }
-        Ok(Some(Region { base, buckets: blocks as u64, items: self.h0.len() }))
-    }
-
-    /// Loads an image [`LogStructure::write_image`] wrote back into an
-    /// empty `H0`: one accounted read per block. Blocks that do not hold
-    /// exactly `image.items` distinct keys are [`ExtMemError::Corrupt`],
-    /// found before `H0` grows past that count.
-    fn adopt_image<B: StorageBackend>(&mut self, disk: &mut Disk<B>, image: Region) -> Result<()> {
+    /// Loads an image [`LogMethodTable::write_memory_image`] wrote back
+    /// into an empty `H0`: one accounted read per block. Blocks that do
+    /// not hold exactly `image.items` distinct keys are
+    /// [`ExtMemError::Corrupt`], found before `H0` grows past that count.
+    fn adopt_image(&mut self, image: Region) -> Result<()> {
         let corrupt = || ExtMemError::Corrupt(format!("H0 image {image:?}: wrong item count"));
         let (hash, h0, nb0) = (&self.hash, &mut self.h0, self.cfg.nb0());
+        let disk = &mut self.disk;
         let hops = disk.live_blocks();
         let read = |id| disk.read(id);
         image.walk(0..image.buckets, hops, read, |_, _, blk| {
@@ -539,49 +496,273 @@ impl<F: HashFn> LogStructure<F> {
         Ok(())
     }
 
-    /// Keys currently resident in memory (`H0`) — the memory zone `M`.
-    pub(crate) fn memory_keys(&self) -> Vec<Key> {
-        self.h0.keys()
+    /// The disk-level regions (`levels[0]` unused), for persistence.
+    pub(crate) fn persisted_levels(&self) -> &[Option<Region>] {
+        &self.levels
+    }
+
+    /// Writes `H0` as an **image**: its items in bucket order, packed `b`
+    /// to a block into `⌈|H0|/b⌉` dense blocks of a fresh contiguous run
+    /// through one block buffer, so the copy never holds more than `b`
+    /// items beside `H0` — and returns where, for persistence (`None`,
+    /// and no I/O, when `H0` is empty). `H0` stays as it is and nothing
+    /// migrates: a commit costs `⌈|H0|/b⌉` block writes, and the levels
+    /// stay those of a table that was never committed. The one block
+    /// buffer comes out of the merge working set reserved at
+    /// [`LogMethodTable::new_on`], idle while no flush runs.
+    pub(crate) fn write_memory_image(&mut self) -> Result<Option<Region>> {
+        if self.h0.is_empty() {
+            return Ok(None);
+        }
+        let blocks = self.h0.len().div_ceil(self.cfg.b);
+        let base = self.disk.allocate_contiguous(blocks)?;
+        let (mut blk, mut next) = (Block::new(self.cfg.b), base);
+        for &item in self.h0.iter_in_bucket_order() {
+            blk.push(item)?;
+            if blk.is_full() {
+                self.disk.write(next, &blk)?;
+                blk.reset();
+                next = BlockId(next.raw() + 1);
+            }
+        }
+        if !blk.is_empty() {
+            self.disk.write(next, &blk)?;
+        }
+        Ok(Some(Region { base, buckets: blocks as u64, items: self.h0.len() }))
+    }
+
+    /// The items of `H0`, in bucket order.
+    #[cfg(test)]
+    pub(crate) fn memory_items(&self) -> Vec<Item> {
+        self.h0.iter_in_bucket_order().copied().collect()
+    }
+
+    /// Migrates the memory-resident `H0` into the disk levels (a no-op
+    /// when `H0` is empty): after this returns, every item is on disk.
+    /// Lemma 5 migrates `H0` only once it is full; a persistent store
+    /// makes it durable with an image instead ([`crate::KvStore::sync`])
+    /// and never calls this — only tests do.
+    #[cfg(test)]
+    pub(crate) fn flush_memory(&mut self) -> Result<()> {
+        if self.h0.is_empty() {
+            return Ok(());
+        }
+        self.flush()
+    }
+
+    /// The table merges itself into one level: `H0` and every level
+    /// stream, newest-first, through one [`MergeCursor`] into a fresh
+    /// level-`k` region — deletion markers and shadowed copies purged,
+    /// the destination being by construction the only, hence deepest,
+    /// level — sized by [`CoreConfig::fresh_level_buckets`] for the
+    /// physical item count (the purge only shrinks what lands). As each
+    /// item lands its value goes through `map`, if any, and its key into
+    /// the level's filter — the rule's with nothing above, less the
+    /// buffers of a merge of `max(k, d)` streams for the `d` levels it
+    /// reads — so the new level is written once and never read; every
+    /// source is read once and freed. A purge that leaves
+    /// nothing leaves no level. The engine of [`crate::KvStore::compact`].
+    pub(crate) fn merge_into_level(
+        &mut self,
+        k: usize,
+        map: Option<ValueMap<'_>>,
+    ) -> Result<MergeStats> {
+        if self.h0.is_empty() && self.active_levels() == 0 {
+            return Ok(MergeStats::default());
+        }
+        let (landing, streams) = (self.len(), k.max(self.active_levels()));
+        let nb = self.cfg.fresh_level_buckets(k as u32, landing);
+        let sources = self.take_all_sources();
+        let cursor = MergeCursor::new(&self.hash, sources, nb, true);
+        let mut filter = self.plan.filter(k, 0, streams, landing);
+        let (region, stats) = build_fresh_region(&mut self.disk, cursor, filter.as_mut(), map)?;
+        if stats.items == 0 {
+            // Buckets nothing was written to: no chain hangs off them.
+            for q in 0..region.buckets {
+                self.disk.free(region.block_of(q))?;
+            }
+            return Ok(stats);
+        }
+        self.install(k, region, filter);
+        Ok(stats)
+    }
+
+    /// Rebuilds every level with `buckets(k, region)` buckets — the
+    /// layouts earlier versions wrote (every level at the full geometry;
+    /// later, sealed levels at load 1/2, then at the sealed fill under
+    /// a full-geometry `H1`), which a reopen must keep serving and
+    /// reading into its flushes. Each level's filter is the rule's
+    /// beneath the level above it, as a reopen builds it.
+    #[cfg(test)]
+    pub(crate) fn rebuild_levels(&mut self, buckets: impl Fn(u32, &Region) -> u64) -> Result<()> {
+        for k in 1..self.levels.len() {
+            let Some(r) = self.levels[k].take() else { continue };
+            let nb = buckets(k as u32, &r);
+            self.filters[k] = None;
+            let mut filter = self.plan.filter(k, self.above(k), k, r.items);
+            let cursor = MergeCursor::new(&self.hash, vec![Source::from_region(r)], nb, false);
+            let (region, _) = build_fresh_region(&mut self.disk, cursor, filter.as_mut(), None)?;
+            self.install(k, region, filter);
+        }
+        Ok(())
+    }
+
+    /// [`ExternalDictionary::delete`] with a `before_mutate` hook: runs
+    /// once presence is confirmed, before the marker is written (never on
+    /// a miss). The persistence layer transitions its dirty state there,
+    /// so miss-deletes stay free.
+    ///
+    /// Deleting writes a deletion marker into `H0` (the log method's only
+    /// way to affect deeper levels without rewriting them; cf. Conway et
+    /// al. 2018). Costs one shallow-first probe to report presence, plus
+    /// — only when the key was live — the amortized insertion cost of the
+    /// marker itself. The marker is purged, and the key's space
+    /// reclaimed, by the next merge into the deepest level.
+    pub(crate) fn delete_with_hook(
+        &mut self,
+        key: Key,
+        before_mutate: &mut dyn FnMut() -> Result<()>,
+    ) -> Result<bool> {
+        check_key(key)?;
+        let bucket = self.h0_bucket(key);
+        if let Some(v) = self.h0.lookup(bucket, key) {
+            if v == VALUE_TOMBSTONE {
+                return Ok(false);
+            }
+            // The newest copy is memory-resident: overwrite it with the
+            // marker in place (older copies may survive in disk levels).
+            before_mutate()?;
+            self.h0.upsert(bucket, Item::delete_marker(key));
+            return Ok(true);
+        }
+        let newest = self.probe_levels(key, 1..self.levels.len())?;
+        let present = newest.is_some_and(|v| v != VALUE_TOMBSTONE);
+        if present {
+            before_mutate()?;
+            self.h0.upsert(bucket, Item::delete_marker(key));
+            if self.h0.is_full() {
+                self.flush()?;
+            }
+        }
+        Ok(present)
+    }
+
+    /// The smallest level index whose capacity holds `items` items (≥ 1)
+    /// — where a full compaction should land. `items` may safely be the
+    /// physical count (markers and shadowed copies included): the purge
+    /// only shrinks the result, so the chosen level is within one
+    /// γ-factor of the live-data footprint.
+    pub(crate) fn compaction_level(&self, items: usize) -> usize {
+        let mut k = 1;
+        while self.cfg.level_capacity(k as u32) < items {
+            k += 1;
+        }
+        k
+    }
+
+    /// Items per level, `H0` first (diagnostics; drives the Lemma 5
+    /// experiment's table).
+    pub fn level_items(&self) -> Vec<usize> {
+        self.level_geometry().into_iter().map(|(items, _)| items).collect()
+    }
+
+    /// `(items, buckets)` per level, `H0` first (an empty level is
+    /// `(0, 0)`, `H0` has its `m/b` memory buckets): the geometry each
+    /// level was actually built with, sized by its content
+    /// ([`CoreConfig::fresh_level_buckets`]).
+    pub fn level_geometry(&self) -> Vec<(usize, u64)> {
+        let mut out = vec![(self.h0.len(), self.cfg.nb0())];
+        let disk_levels = self.levels.iter().skip(1);
+        out.extend(disk_levels.map(|r| r.as_ref().map_or((0, 0), |r| (r.items, r.buckets))));
+        out
+    }
+
+    /// Overflow (chain) blocks per level, `H0` first — beside
+    /// [`LogMethodTable::level_geometry`]'s primaries, every block a level
+    /// occupies: a level chains the rare bucket that drew more than `b`
+    /// items ([`CoreConfig::sealed_fill`]). Diagnostics: walks every
+    /// level behind the I/O accounting.
+    pub fn level_chain_blocks(&mut self) -> Result<Vec<u64>> {
+        let mut out = vec![0; self.levels.len()];
+        for (k, region) in self.levels.iter().enumerate() {
+            let Some(region) = region else { continue };
+            let mut blocks = 0;
+            region.inspect(&mut self.disk, |_, _, _| blocks += 1)?;
+            out[k] = blocks - region.buckets;
+        }
+        Ok(out)
     }
 
     /// Appends every disk block of every level (with chains) to `out`,
     /// bypassing I/O accounting.
-    pub(crate) fn snapshot_blocks<B: StorageBackend>(
-        &self,
-        disk: &mut Disk<B>,
-        out: &mut Vec<(BlockId, Vec<Key>)>,
-    ) -> Result<()> {
+    pub(crate) fn snapshot_blocks(&mut self, out: &mut Vec<(BlockId, Vec<Key>)>) -> Result<()> {
         for region in self.levels.iter().skip(1).flatten() {
-            region.inspect(disk, |_, id, blk| {
+            region.inspect(&mut self.disk, |_, id, blk| {
                 out.push((id, blk.items().iter().map(|it| it.key).collect()));
             })?;
         }
         Ok(())
     }
 
-    /// Overflow (chain) blocks per level, indexed like
-    /// [`LogStructure::level_geometry`], walked behind the I/O accounting.
-    pub(crate) fn level_chain_blocks<B: StorageBackend>(
-        &self,
-        disk: &mut Disk<B>,
-    ) -> Result<Vec<u64>> {
-        let mut out = vec![0; self.levels.len()];
-        for (k, region) in self.levels.iter().enumerate() {
-            let Some(region) = region else { continue };
-            let mut blocks = 0;
-            region.inspect(disk, |_, _, _| blocks += 1)?;
-            out[k] = blocks - region.buckets;
-        }
-        Ok(out)
+    /// Number of non-empty disk levels.
+    pub fn active_levels(&self) -> usize {
+        self.levels.iter().skip(1).flatten().count()
     }
 
-    /// The deepest non-empty level's region, if any.
-    pub(crate) fn deepest_region(&self) -> Option<&Region> {
-        self.levels.iter().skip(1).rev().flatten().next()
+    /// How the idle part of `m` is split into level filters: derived
+    /// from the configuration, never configured.
+    pub fn filter_plan(&self) -> &FilterPlan {
+        &self.plan
     }
 
-    /// [`LogStructure::within_fill`] on every level: what
-    /// [`LogStructure::has_room`] and [`CoreConfig::fresh_level_buckets`]
+    /// Probes the level filters skipped, and false positives they let
+    /// through, since this table was built — the saving behind its `tq`,
+    /// read beside [`LogMethodTable::disk`]'s I/O counters. The sum of
+    /// [`LogMethodTable::level_filter_stats`].
+    pub fn filter_stats(&self) -> FilterStats {
+        self.filter_stats.iter().copied().sum()
+    }
+
+    /// [`LogMethodTable::filter_stats`] per level: `H_k`'s at index
+    /// `k − 1`, one entry per level the table has reached and at least
+    /// one per level of the [`LogMethodTable::filter_plan`] — each beside
+    /// what [`LogMethodTable::level_filter_held`] designs for it. A level
+    /// past the plan counts only while it holds loans.
+    pub fn level_filter_stats(&self) -> &[FilterStats] {
+        &self.filter_stats[1..]
+    }
+
+    /// What each level's filter holds now, indexed like
+    /// [`LogMethodTable::level_filter_stats`]: its own share's items and
+    /// the items lent to it by the shares of empty shallower levels, and
+    /// the false-positive rate they are designed for at the level's item
+    /// count — the product over its segments ([`HeldFilter::NONE`] for a
+    /// level without a filter).
+    pub fn level_filter_held(&self) -> Vec<HeldFilter> {
+        let held = |(k, f): (usize, &Option<LevelFilter>)| {
+            let items = self.levels.get(k).copied().flatten().map_or(0, |r| r.items);
+            f.as_ref().map_or(HeldFilter::NONE, |f| f.held(k, items))
+        };
+        self.filters.iter().enumerate().skip(1).map(held).collect()
+    }
+
+    /// The underlying disk.
+    pub fn disk(&self) -> &Disk<B> {
+        &self.disk
+    }
+
+    /// Mutable disk access (flush, pool attachment, backend state).
+    pub fn disk_mut(&mut self) -> &mut Disk<B> {
+        &mut self.disk
+    }
+
+    /// The configuration.
+    pub fn config(&self) -> &CoreConfig {
+        &self.cfg
+    }
+
+    /// [`LogMethodTable::within_fill`] on every level: what
+    /// [`LogMethodTable::has_room`] and [`CoreConfig::fresh_level_buckets`]
     /// keep between them.
     #[cfg(test)]
     pub(crate) fn assert_levels_within_fill(&self, when: &str) {
@@ -609,17 +790,13 @@ impl<F: HashFn> LogStructure<F> {
     /// Every key stored in a level — markers and shadowed copies too —
     /// passes that level's filter. Walked behind the I/O accounting.
     #[cfg(test)]
-    pub(crate) fn assert_filters_hold_their_keys<B: StorageBackend>(
-        &self,
-        disk: &mut Disk<B>,
-        when: &str,
-    ) {
+    pub(crate) fn assert_filters_hold_their_keys(&mut self, when: &str) {
         for (k, filter) in self.filters.iter().enumerate() {
             let (Some(f), Some(region)) = (filter, self.levels.get(k).copied().flatten()) else {
                 continue;
             };
             region
-                .inspect(disk, |_, _, blk| {
+                .inspect(&mut self.disk, |_, _, blk| {
                     for it in blk.items() {
                         let passes = f.may_contain(self.hash.hash64(it.key));
                         assert!(passes, "{when}: H{k}'s filter lost key {}", it.key);
@@ -630,330 +807,32 @@ impl<F: HashFn> LogStructure<F> {
     }
 }
 
-/// Lemma 5's dynamic hash table: `tu = O((γ/b)·log(n/m))` amortized
-/// insertions, `tq = O(log_γ(n/m))` lookups.
-///
-/// The lookup bound is the worst case here, not the expectation: the
-/// part of `m` the construction leaves idle holds a Bloom filter share
-/// for each of the first few levels ([`LogMethodTable::filter_plan`]),
-/// lent to a deeper level while its own is empty (one rule, whoever
-/// builds the level), and a probe skips a level whose filter rules the
-/// key out — one read for the level that holds the key, plus one per
-/// false positive and per unfiltered non-empty level above it. Insertion
-/// costs are untouched, `memory_used() ≤ m` includes the filters, and
-/// nothing about them is ever persisted.
-///
-/// ```
-/// use dxh_core::{CoreConfig, LogMethodTable, ExternalDictionary};
-///
-/// let cfg = CoreConfig::lemma5(32, 1024, 2).unwrap();
-/// let mut t = LogMethodTable::new(cfg, 7).unwrap();
-/// for k in 0..10_000u64 {
-///     t.insert(k, k).unwrap();
-/// }
-/// assert_eq!(t.lookup(1234).unwrap(), Some(1234));
-/// let tu = t.total_ios() as f64 / 10_000.0;
-/// assert!(tu < 1.0, "o(1) insertions: {tu}");
-/// ```
-pub struct LogMethodTable<F: HashFn, B: StorageBackend = MemDisk> {
-    disk: Disk<B>,
-    budget: MemoryBudget,
-    log: LogStructure<F>,
-    cfg: CoreConfig,
-}
-
-impl LogMethodTable<dxh_hashfn::IdealFn, MemDisk> {
-    /// Builds a table over a fresh in-memory disk with an ideal hash
-    /// function derived from `seed`.
-    pub fn new(cfg: CoreConfig, seed: u64) -> Result<Self> {
-        Self::with_hash(cfg, dxh_hashfn::IdealFn::from_seed(seed))
-    }
-}
-
-impl<F: HashFn> LogMethodTable<F, MemDisk> {
-    /// Builds a table over a fresh in-memory disk with an explicit hash
-    /// function.
-    pub fn with_hash(cfg: CoreConfig, hash: F) -> Result<Self> {
-        let disk = mem_disk(cfg.b);
-        Self::with_disk(disk, cfg, hash)
-    }
-}
-
-impl<B: StorageBackend> LogMethodTable<dxh_hashfn::IdealFn, B> {
-    /// Builds a table over a caller-provided disk (any backend) with an
-    /// ideal hash function derived from `seed` — the backend-generic twin
-    /// of [`LogMethodTable::new`].
-    pub fn new_on(disk: Disk<B>, cfg: CoreConfig, seed: u64) -> Result<Self> {
-        Self::with_disk(disk, cfg, dxh_hashfn::IdealFn::from_seed(seed))
-    }
-}
-
-impl<F: HashFn, B: StorageBackend> LogMethodTable<F, B> {
-    /// Builds a table over a caller-provided disk.
-    pub fn with_disk(disk: Disk<B>, cfg: CoreConfig, hash: F) -> Result<Self> {
-        cfg.validate()?;
-        if disk.b() != cfg.b {
-            return Err(ExtMemError::BadConfig("disk block size ≠ cfg.b".into()));
-        }
-        let mut budget = MemoryBudget::new(cfg.m);
-        // H0 capacity + the steady-state merge working set (H0 and the
-        // `H1` it meets streaming into a fresh `H1`: one source bucket
-        // buffered, the batch being merged, ≤ 4b + 16 with that bucket
-        // chaining a full block) + metadata. What is left — 1 776 of
-        // 4 096 items at b = 64 — has two tenants. A flush landing in
-        // `H_j` merges at most j disk streams (`H1 … H_j`, the old `H_j`
-        // included when it had room) beside the drained `H0`: each
-        // buffers one source bucket (the sealed fill on average, more
-        // than b items in the ≈ 1 % of buckets that chain) and the batch
-        // being merged holds those items once more — or, where a
-        // region's bucket count does not divide its destination's, the
-        // tail of the stream's previous bucket — so it transiently needs
-        // 2·j·b items (`stream.rs` measures half that with every source
-        // at 48 of 64 to a bucket and one chaining a full block). The
-        // level filters take the rest: the plan sizes one share per
-        // level so that the shares alive while a flush lands in `H_j`
-        // (`j..=L`; the shallower ones died with their levels) plus those
-        // 2·j·b items fit at every `j ≤ L`, and past `L` a flush has the
-        // whole remainder to itself — 13 levels deep at b = 64, m = 4096.
-        // A level borrows idle shares only up to that same bound, less
-        // the buffers of the merge that builds it (`2·k·b` for a flush
-        // into `H_k`; compaction's merge buffers one bucket for each of
-        // the d levels it reads, so `2·max(k, d)·b`), so the plan's full
-        // size, reserved up front, covers the loans too
-        // (`carry_buffers_fit_beside_h0` holds every landing depth to the
-        // bound, loans included; `filter::tests` every occupancy).
-        budget.reserve(cfg.h0_capacity() + 4 * cfg.b + 16)?;
-        let plan = FilterPlan::reserve(&cfg, &mut budget)?;
-        Ok(LogMethodTable { disk, budget, log: LogStructure::new(cfg.clone(), hash, plan), cfg })
-    }
-
-    /// Rebuilds a table around previously persisted state: a reopened
-    /// disk, the disk-level regions a prior instance reported via
-    /// [`LogMethodTable::persisted_levels`], and the image of its `H0`
-    /// that [`LogMethodTable::write_memory_image`] wrote (`None`: `H0`
-    /// was empty). Reading the image back costs one accounted read per
-    /// block, beside those of the filter rebuild. The hash function must
-    /// be the same one the regions were built with — for
-    /// [`dxh_hashfn::IdealFn`] that means the same seed.
-    pub(crate) fn from_parts(
-        disk: Disk<B>,
-        cfg: CoreConfig,
-        hash: F,
-        levels: Vec<Option<Region>>,
-        image: Option<Region>,
-    ) -> Result<Self> {
-        let mut t = Self::with_disk(disk, cfg, hash)?;
-        if !levels.is_empty() {
-            t.log.adopt_levels(&mut t.disk, levels)?;
-        }
-        if let Some(image) = image {
-            t.log.adopt_image(&mut t.disk, image)?;
-        }
-        Ok(t)
-    }
-
-    /// The disk-level regions (`levels[0]` unused), for persistence.
-    pub(crate) fn persisted_levels(&self) -> &[Option<Region>] {
-        &self.log.levels
-    }
-
-    /// Writes `H0` as an image — `⌈|H0|/b⌉` dense blocks, in a fresh
-    /// contiguous run of the disk — and returns where, for persistence
-    /// (`None`, and no I/O, when `H0` is empty). `H0` stays as it is and
-    /// nothing migrates: a commit costs `⌈|H0|/b⌉` block writes, and the
-    /// levels stay those of a table that was never committed. The one
-    /// block buffer comes out of the merge working set reserved at
-    /// [`LogMethodTable::with_disk`], idle while no flush runs.
-    pub(crate) fn write_memory_image(&mut self) -> Result<Option<Region>> {
-        self.log.write_image(&mut self.disk)
-    }
-
-    /// The items of `H0`, in bucket order.
-    #[cfg(test)]
-    pub(crate) fn memory_items(&self) -> Vec<Item> {
-        self.log.h0.iter_in_bucket_order().copied().collect()
-    }
-
-    /// Migrates the memory-resident `H0` into the disk levels (a no-op
-    /// when `H0` is empty): after this returns, every item is on disk.
-    /// Lemma 5 migrates `H0` only once it is full; a persistent store
-    /// makes it durable with an image instead ([`crate::KvStore::sync`])
-    /// and never calls this — only tests do.
-    #[cfg(test)]
-    pub(crate) fn flush_memory(&mut self) -> Result<()> {
-        if self.log.h0.is_empty() {
-            return Ok(());
-        }
-        self.log.flush(&mut self.disk)
-    }
-
-    /// The table merges itself into one level: `H0` and every level
-    /// stream, newest-first, through one [`MergeCursor`] into a fresh
-    /// level-`k` region — deletion markers and shadowed copies purged,
-    /// the destination being by construction the only, hence deepest,
-    /// level — sized by [`CoreConfig::fresh_level_buckets`] for the
-    /// physical item count (the purge only shrinks what lands). As each
-    /// item lands its value goes through `map`, if any, and its key into
-    /// the level's filter — the rule's with nothing above, less the
-    /// buffers of a merge of `max(k, d)` streams for the `d` levels it
-    /// reads — so the new level is written once and never read; every
-    /// source is read once and freed. A purge that leaves
-    /// nothing leaves no level. The engine of [`crate::KvStore::compact`].
-    pub(crate) fn merge_into_level(
-        &mut self,
-        k: usize,
-        map: Option<ValueMap<'_>>,
-    ) -> Result<MergeStats> {
-        if self.log.h0.is_empty() && self.active_levels() == 0 {
-            return Ok(MergeStats::default());
-        }
-        let (landing, streams) = (self.log.items(), k.max(self.active_levels()));
-        let nb = self.cfg.fresh_level_buckets(k as u32, landing);
-        let sources = self.log.take_all_sources();
-        let cursor = MergeCursor::new(&self.log.hash, sources, nb, true);
-        let mut filter = self.log.plan.filter(k, 0, streams, landing);
-        let (region, stats) = build_fresh_region(&mut self.disk, cursor, filter.as_mut(), map)?;
-        if stats.items == 0 {
-            // Buckets nothing was written to: no chain hangs off them.
-            for q in 0..region.buckets {
-                self.disk.free(region.block_of(q))?;
-            }
-            return Ok(stats);
-        }
-        self.log.install(k, region, filter);
-        Ok(stats)
-    }
-
-    /// Rebuilds every level with `buckets(k, region)` buckets — the
-    /// layouts earlier versions wrote (every level at the full geometry;
-    /// later, sealed levels at load 1/2, then at the sealed fill under
-    /// a full-geometry `H1`), which a reopen must keep serving and
-    /// reading into its flushes. Each level's filter is the rule's
-    /// beneath the level above it, as a reopen builds it.
-    #[cfg(test)]
-    pub(crate) fn rebuild_levels(&mut self, buckets: impl Fn(u32, &Region) -> u64) -> Result<()> {
-        for k in 1..self.log.levels.len() {
-            let Some(r) = self.log.levels[k].take() else { continue };
-            let nb = buckets(k as u32, &r);
-            self.log.filters[k] = None;
-            let mut filter = self.log.plan.filter(k, self.log.above(k), k, r.items);
-            let cursor = MergeCursor::new(&self.log.hash, vec![Source::from_region(r)], nb, false);
-            let (region, _) = build_fresh_region(&mut self.disk, cursor, filter.as_mut(), None)?;
-            self.log.install(k, region, filter);
+impl<B: StorageBackend> ExternalDictionary for LogMethodTable<B> {
+    /// Inserts into `H0`; a full `H0` migrates into the levels (the
+    /// paper's "whenever `H_k` is full, migrate its items to `H_{k+1}`",
+    /// costing `O(γ^(k+1)·m/b)` I/Os per migration — see
+    /// `LogMethodTable::flush`).
+    fn insert(&mut self, key: Key, value: Value) -> Result<()> {
+        check_key(key)?;
+        check_value(value)?;
+        let bucket = self.h0_bucket(key);
+        self.h0.upsert(bucket, Item::new(key, value));
+        if self.h0.is_full() {
+            self.flush()?;
         }
         Ok(())
     }
 
-    /// [`ExternalDictionary::delete`] with a `before_mutate` hook: runs
-    /// once presence is confirmed, before the marker is written (never on
-    /// a miss). The persistence layer transitions its dirty state there.
-    pub(crate) fn delete_with_hook(
-        &mut self,
-        key: Key,
-        before_mutate: &mut dyn FnMut() -> Result<()>,
-    ) -> Result<bool> {
-        check_key(key)?;
-        self.log.delete(&mut self.disk, key, before_mutate)
-    }
-
-    /// The smallest level index whose capacity holds `items` items (≥ 1)
-    /// — where a full compaction should land. `items` may safely be the
-    /// physical count (markers and shadowed copies included): the purge
-    /// only shrinks the result, so the chosen level is within one
-    /// γ-factor of the live-data footprint.
-    pub(crate) fn compaction_level(&self, items: usize) -> usize {
-        let mut k = 1;
-        while self.cfg.level_capacity(k as u32) < items {
-            k += 1;
-        }
-        k
-    }
-
-    /// Items per level, `H0` first (diagnostics; drives the Lemma 5
-    /// experiment's table).
-    pub fn level_items(&self) -> Vec<usize> {
-        self.log.level_items()
-    }
-
-    /// `(items, buckets)` per level, `H0` first (an empty level is
-    /// `(0, 0)`): the geometry each level was actually built with,
-    /// sized by its content ([`CoreConfig::fresh_level_buckets`]).
-    pub fn level_geometry(&self) -> Vec<(usize, u64)> {
-        self.log.level_geometry()
-    }
-
-    /// Overflow (chain) blocks per level, `H0` first — beside
-    /// [`LogMethodTable::level_geometry`]'s primaries, every block a level
-    /// occupies: a level chains the rare bucket that drew more than `b`
-    /// items ([`CoreConfig::sealed_fill`]). Diagnostics: walks every
-    /// level behind the I/O accounting.
-    pub fn level_chain_blocks(&mut self) -> Result<Vec<u64>> {
-        self.log.level_chain_blocks(&mut self.disk)
-    }
-
-    /// Number of non-empty disk levels.
-    pub fn active_levels(&self) -> usize {
-        self.log.levels.iter().skip(1).flatten().count()
-    }
-
-    /// How the idle part of `m` is split into level filters: derived
-    /// from the configuration, never configured.
-    pub fn filter_plan(&self) -> &FilterPlan {
-        self.log.filter_plan()
-    }
-
-    /// Probes the level filters skipped, and false positives they let
-    /// through, since this table was built — the saving behind its `tq`,
-    /// read beside [`LogMethodTable::disk`]'s I/O counters. The sum of
-    /// [`LogMethodTable::level_filter_stats`].
-    pub fn filter_stats(&self) -> FilterStats {
-        self.log.filter_stats()
-    }
-
-    /// [`LogMethodTable::filter_stats`] per level: `H_k`'s at index
-    /// `k − 1`, one entry per level the table has reached and at least
-    /// one per level of the [`LogMethodTable::filter_plan`] — each beside
-    /// what [`LogMethodTable::level_filter_held`] designs for it. A level
-    /// past the plan counts only while it holds loans.
-    pub fn level_filter_stats(&self) -> &[FilterStats] {
-        self.log.level_filter_stats()
-    }
-
-    /// What each level's filter holds now, indexed like
-    /// [`LogMethodTable::level_filter_stats`]: its own share's items and
-    /// the items lent to it by the shares of empty shallower levels, and
-    /// the false-positive rate they are designed for at the level's item
-    /// count — the product over its segments ([`HeldFilter::NONE`] for a
-    /// level without a filter).
-    pub fn level_filter_held(&self) -> Vec<HeldFilter> {
-        self.log.level_filter_held()
-    }
-
-    /// The underlying disk.
-    pub fn disk(&self) -> &Disk<B> {
-        &self.disk
-    }
-
-    /// Mutable disk access (flush, pool attachment, backend state).
-    pub fn disk_mut(&mut self) -> &mut Disk<B> {
-        &mut self.disk
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &CoreConfig {
-        &self.cfg
-    }
-}
-
-impl<F: HashFn, B: StorageBackend> ExternalDictionary for LogMethodTable<F, B> {
-    fn insert(&mut self, key: Key, value: Value) -> Result<()> {
-        check_key(key)?;
-        check_value(value)?;
-        self.log.insert(&mut self.disk, key, value)
-    }
-
+    /// Looks up `key` shallow-first (`H0`, `H1`, …): the newest copy wins,
+    /// giving clean upsert semantics. A deletion marker is a hit that
+    /// answers "absent" — it shadows any older live copy in a deeper
+    /// level, so the probe stops there.
     fn lookup(&mut self, key: Key) -> Result<Option<Value>> {
-        self.log.lookup(&mut self.disk, key)
+        if let Some(v) = self.h0.lookup(self.h0_bucket(key), key) {
+            return Ok((v != VALUE_TOMBSTONE).then_some(v));
+        }
+        let newest = self.probe_levels(key, 1..self.levels.len())?;
+        Ok(newest.filter(|&v| v != VALUE_TOMBSTONE))
     }
 
     /// Deletes by writing a deletion marker ([`VALUE_TOMBSTONE`]) into
@@ -965,11 +844,12 @@ impl<F: HashFn, B: StorageBackend> ExternalDictionary for LogMethodTable<F, B> {
         self.delete_with_hook(key, &mut || Ok(()))
     }
 
-    /// Physical item count: shadowed duplicates and not-yet-purged
-    /// deletion markers are included until a deepest-level merge drops
-    /// them (the same physical semantics the upsert path has always had).
+    /// Physical item count (`H0` and every level): shadowed duplicates
+    /// and not-yet-purged deletion markers are included until a
+    /// deepest-level merge drops them (the same physical semantics the
+    /// upsert path has always had).
     fn len(&self) -> usize {
-        self.log.items()
+        self.h0.len() + self.levels.iter().flatten().map(|r| r.items).sum::<usize>()
     }
 
     fn disk_stats(&self) -> IoSnapshot {
@@ -985,20 +865,18 @@ impl<F: HashFn, B: StorageBackend> ExternalDictionary for LogMethodTable<F, B> {
     }
 }
 
-impl<F: HashFn, B: StorageBackend> LayoutInspect for LogMethodTable<F, B> {
+impl<B: StorageBackend> LayoutInspect for LogMethodTable<B> {
     fn layout_snapshot(&mut self) -> Result<LayoutSnapshot> {
-        let mut snap = LayoutSnapshot { memory: self.log.memory_keys(), blocks: Vec::new() };
-        self.log.snapshot_blocks(&mut self.disk, &mut snap.blocks)?;
+        let mut snap = LayoutSnapshot { memory: self.h0.keys(), blocks: Vec::new() };
+        self.snapshot_blocks(&mut snap.blocks)?;
         Ok(snap)
     }
 
     fn address_of(&self, key: Key) -> Option<BlockId> {
         // The best one-I/O address the structure has is the deepest
         // (largest) level's bucket; shallower copies are in the slow zone.
-        self.log.deepest_region().map(|r| {
-            let q = prefix_bucket(self.log.hash.hash64(key), r.buckets);
-            r.block_of(q)
-        })
+        let deepest = self.levels.iter().skip(1).rev().flatten().next();
+        deepest.map(|r| r.block_of(prefix_bucket(self.hash.hash64(key), r.buckets)))
     }
 }
 
@@ -1072,7 +950,7 @@ pub(crate) mod carry_model {
             self.levels.iter_mut().for_each(|level| *level = None);
         }
 
-        /// `[H0, H1, …]`, comparable to `LogStructure::level_items`.
+        /// `[H0, H1, …]`, comparable to `LogMethodTable::level_items`.
         pub(crate) fn level_items(&self) -> Vec<usize> {
             let mut out = vec![self.h0.len()];
             out.extend(self.levels.iter().skip(1).map(|l| l.as_ref().map_or(0, HashMap::len)));
@@ -1096,9 +974,9 @@ mod tests {
 
     /// Blocks (primaries plus chains) of every level, indexed like
     /// `levels`, walked behind the I/O accounting.
-    fn level_blocks(t: &mut LogMethodTable<dxh_hashfn::IdealFn>) -> Vec<u64> {
+    fn level_blocks(t: &mut LogMethodTable) -> Vec<u64> {
         let chains = t.level_chain_blocks().unwrap();
-        let primaries = t.log.levels.iter().map(|slot| slot.map_or(0, |r| r.buckets));
+        let primaries = t.levels.iter().map(|slot| slot.map_or(0, |r| r.buckets));
         primaries.zip(chains).map(|(p, c)| p + c).collect()
     }
 
@@ -1123,7 +1001,7 @@ mod tests {
                     assert_eq!(was, truth.remove(&key).is_some(), "γ = {gamma}, step {step}");
                 }
                 assert_eq!(t.level_items(), model.level_items(), "γ = {gamma}, step {step}");
-                t.log.assert_levels_within_fill(&format!("γ = {gamma}, step {step}"));
+                t.assert_levels_within_fill(&format!("γ = {gamma}, step {step}"));
             }
             assert!(t.active_levels() >= 2, "γ = {gamma}: the stream reached past H1");
             for key in 0..1500u64 {
@@ -1165,7 +1043,7 @@ mod tests {
             let (mut flushes, mut past_h1) = (0, 0);
             let (mut chains_built, mut chains_read) = (0, 0);
             for key in 0..n {
-                if t.log.h0.len() + 1 < c.h0_capacity() {
+                if t.h0.len() + 1 < c.h0_capacity() {
                     t.insert(key, key).unwrap();
                     continue;
                 }
@@ -1236,7 +1114,7 @@ mod tests {
             let k = geometry.len() - 1;
             assert_eq!(geometry[k], (n, n.div_ceil(fill) as u64), "b = {b}: one sealed H{k}");
             assert!(geometry[..k].iter().all(|level| level.0 == 0), "b = {b}: {geometry:?}");
-            let region = t.log.levels[k].expect("occupied");
+            let region = t.levels[k].expect("occupied");
             let mut blocks = vec![0; region.buckets as usize];
             region.inspect(&mut t.disk, |q, _, _| blocks[q as usize] += 1).unwrap();
             let chained = blocks.iter().filter(|&&n| n > 1).count() as u64;
@@ -1271,7 +1149,7 @@ mod tests {
 
     #[test]
     fn carry_buffers_fit_beside_h0() {
-        // The bound stated at `with_disk`: a flush landing in H_j merges
+        // The bound stated at `reserving`: a flush landing in H_j merges
         // at most j disk streams (H1 … H_j, the old H_j among them when
         // it had room) and buffers one source bucket per stream plus the
         // batch being merged, 2·j·b items, beside a drained H0's m/2 and
@@ -1287,13 +1165,13 @@ mod tests {
             let spare = c.m - c.h0_capacity() - (4 * c.b + 16);
             let mut most_lent = 0;
             for key in 0..n {
-                let before = t.log.h0.len();
+                let before = t.h0.len();
                 t.insert(key, key).unwrap();
-                if t.log.h0.len() > before {
+                if t.h0.len() > before {
                     continue;
                 }
-                let j = (1..).find(|&k| t.log.levels[k].is_some()).expect("H0 landed");
-                let held = t.log.held_items();
+                let j = (1..).find(|&k| t.levels[k].is_some()).expect("H0 landed");
+                let held = t.held_items();
                 assert!(
                     held + 2 * j * c.b <= spare,
                     "γ = {gamma}, key {key}: landing in H{j}, filters hold {held} items"
@@ -1304,7 +1182,7 @@ mod tests {
             }
             assert!(most_lent > 0, "γ = {gamma}: no level ever borrowed");
             // `levels` only grows: its last index is the deepest landing so far.
-            let deepest_landing = t.log.levels.len() - 1;
+            let deepest_landing = t.levels.len() - 1;
             assert!(deepest_landing >= deepest, "γ = {gamma}: n/m = 73 reaches H{deepest}");
             let plan = t.filter_plan();
             assert_eq!(plan.levels(), filtered, "γ = {gamma}");
@@ -1344,19 +1222,15 @@ mod tests {
                 t.flush_memory().unwrap();
             }
             if step % 500 == 0 {
-                t.log.assert_filters_follow_the_plan(usize::MAX, &format!("step {step}"));
-                t.log.assert_filters_hold_their_keys(&mut t.disk, &format!("step {step}"));
+                t.assert_filters_follow_the_plan(usize::MAX, &format!("step {step}"));
+                t.assert_filters_hold_their_keys(&format!("step {step}"));
                 for key in 0..universe {
                     assert_eq!(t.lookup(key).unwrap(), truth.get(&key).copied(), "key {key}");
                 }
                 let blocks = level_blocks(&mut t);
-                chained |= t
-                    .log
-                    .levels
-                    .iter()
-                    .zip(&blocks)
-                    .any(|(r, &n)| r.is_some_and(|r| n > r.buckets));
-                deepest = deepest.max(t.log.levels.len() - 1);
+                chained |=
+                    t.levels.iter().zip(&blocks).any(|(r, &n)| r.is_some_and(|r| n > r.buckets));
+                deepest = deepest.max(t.levels.len() - 1);
             }
         }
         assert!(chained, "no bucket ever chained");
@@ -1401,20 +1275,19 @@ mod tests {
                     _ => t.flush_memory().unwrap(),
                 }
                 let when = format!("(b, m, γ) = ({b}, {}, {gamma}), op {i}", c.m);
-                t.log.assert_filters_follow_the_plan(usize::MAX, &when);
-                t.log.assert_filters_hold_their_keys(&mut t.disk, &when);
+                t.assert_filters_follow_the_plan(usize::MAX, &when);
+                t.assert_filters_hold_their_keys(&when);
                 proptest::prop_assert!(t.memory_used() <= c.m);
                 if i % 100 == 99 {
-                    let (filtered, levels) = (t.filter_plan().levels(), t.log.levels.clone());
+                    let (filtered, levels) = (t.filter_plan().levels(), t.levels.clone());
                     let disk = std::mem::replace(&mut t.disk, mem_disk(b));
-                    let hash = dxh_hashfn::IdealFn::from_seed(seed);
-                    let r = LogMethodTable::from_parts(disk, c.clone(), hash, levels, None).unwrap();
-                    r.log.assert_filters_follow_the_plan(filtered, &format!("{when}, rebuilt"));
+                    let r = LogMethodTable::from_parts(disk, c.clone(), seed, levels, None).unwrap();
+                    r.assert_filters_follow_the_plan(filtered, &format!("{when}, rebuilt"));
                     // The same segments. A flush probes each for the
                     // items landing, shadowed copies included, which a
                     // reopen never sees: the probe counts may differ.
                     for k in 1..=filtered {
-                        let held = (t.log.held_and_planned(k).0, r.log.held_and_planned(k).0);
+                        let held = (t.held_and_planned(k).0, r.held_and_planned(k).0);
                         proptest::prop_assert_eq!(held.0, held.1, "{}: H{}", when, k);
                     }
                     t.disk = r.disk;
@@ -1441,22 +1314,21 @@ mod tests {
             t.insert(key, key).unwrap();
         }
         let filtered = t.filter_plan().levels();
-        let occupied: Vec<usize> =
-            (1..t.log.levels.len()).filter(|&k| t.log.levels[k].is_some()).collect();
+        let occupied: Vec<usize> = (1..t.levels.len()).filter(|&k| t.levels[k].is_some()).collect();
         assert_eq!((filtered, &occupied[..]), (4, &[1, 3, 4, 5, 6][..]));
         let (mut total, mut probes) = (0, 0);
         // What each level's filter should count.
         let mut per_level = vec![FilterStats::default(); t.level_filter_stats().len()];
         for key in 0..n {
-            let h = t.log.hash.hash64(key);
+            let h = t.hash.hash64(key);
             // Walk shallow-first behind the accounting: the level that
             // holds the key is probed, and so is each level above it that
             // is unfiltered or whose filter lets the key through; a probe
             // reads down the bucket's chain until it finds the key.
             let mut expect = 0;
-            if t.log.h0.lookup(t.log.h0_bucket(key), key).is_none() {
+            if t.h0.lookup(t.h0_bucket(key), key).is_none() {
                 for &k in &occupied {
-                    let region = t.log.levels[k].expect("occupied");
+                    let region = t.levels[k].expect("occupied");
                     let (mut blocks, mut holds) = (0, false);
                     let (q, hops) = (prefix_bucket(h, region.buckets), t.disk.live_blocks());
                     let read = |id| t.disk.backend_mut().read(id);
@@ -1467,7 +1339,7 @@ mod tests {
                     });
                     probe.unwrap();
                     assert!(blocks <= 2, "H{k}: a chain of {blocks} blocks");
-                    let filter = t.log.filters.get(k).and_then(Option::as_ref);
+                    let filter = t.filters.get(k).and_then(Option::as_ref);
                     assert!(filter.is_some() || k > filtered, "H{k}");
                     let passes = filter.is_none_or(|f| f.may_contain(h));
                     assert!(passes || !holds, "H{k}'s filter lost key {key}");
@@ -1526,8 +1398,7 @@ mod tests {
             let blank = mem_disk(c.b);
             let disk = std::mem::replace(&mut t.disk, blank);
             let epoch = disk.epoch();
-            let hash = dxh_hashfn::IdealFn::from_seed(42);
-            let mut r = LogMethodTable::from_parts(disk, c.clone(), hash, levels, image).unwrap();
+            let mut r = LogMethodTable::from_parts(disk, c.clone(), 42, levels, image).unwrap();
             // No more reads than the filtered levels and the image.
             let filtered_blocks: u64 = level_blocks(&mut r).iter().skip(1).take(filtered).sum();
             let image_blocks = image.map_or(0, |i| i.buckets);
@@ -1536,12 +1407,12 @@ mod tests {
             // loans included; past L the reopen reads nothing and holds
             // nothing.
             for k in 1..=filtered {
-                let held = |t: &LogMethodTable<_>| t.log.held_and_planned(k).0;
+                let held = |t: &LogMethodTable| t.held_and_planned(k).0;
                 assert_eq!(held(&r), held(&t), "n = {n}, H{k}: {:?}", r.level_geometry());
                 loans_seen += held(&r).iter().filter(|&&(i, _)| i != k).count();
             }
-            r.log.assert_filters_follow_the_plan(filtered, &format!("n = {n}"));
-            r.log.assert_filters_hold_their_keys(&mut r.disk, &format!("n = {n}"));
+            r.assert_filters_follow_the_plan(filtered, &format!("n = {n}"));
+            r.assert_filters_hold_their_keys(&format!("n = {n}"));
             let reopened = probe_cost(&mut r, n);
             let lent_past_l = t.level_filter_held()[filtered..].iter().any(|h| h.loaned > 0);
             assert!(
@@ -1582,17 +1453,17 @@ mod tests {
         }
         assert_eq!((t.compaction_level(t.len()), t.active_levels(), step), (2, 3, 2_286));
         t.merge_into_level(2, None).unwrap();
-        let (held, planned) = t.log.held_and_planned(2);
+        let (held, planned) = t.held_and_planned(2);
         assert_eq!((&held[..], &planned[..]), (&[(2, 89), (1, 24)][..], &[(2, 89), (1, 40)][..]));
         assert_eq!(held, t.filter_plan().segments(2, 0, 3));
-        t.log.assert_filters_follow_the_plan(0, "compacted");
+        t.assert_filters_follow_the_plan(0, "compacted");
         for key in 200_000..200_600u64 {
             t.insert(key, key).unwrap();
             truth.insert(key, key);
         }
         assert_eq!(t.level_items()[1..3], [512, 744]);
-        t.log.assert_filters_follow_the_plan(usize::MAX, "a flush above");
-        t.log.assert_filters_hold_their_keys(&mut t.disk, "a flush above");
+        t.assert_filters_follow_the_plan(usize::MAX, "a flush above");
+        t.assert_filters_hold_their_keys("a flush above");
         for (&key, &value) in &truth {
             assert_eq!(t.lookup(key).unwrap(), Some(value), "key {key}");
         }
@@ -1600,7 +1471,7 @@ mod tests {
 
     /// Accounted I/Os of looking every key of `0..n` up (each present,
     /// with value `key`).
-    fn probe_cost(t: &mut LogMethodTable<dxh_hashfn::IdealFn>, n: u64) -> u64 {
+    fn probe_cost(t: &mut LogMethodTable, n: u64) -> u64 {
         let epoch = t.disk.epoch();
         for key in 0..n {
             assert_eq!(t.lookup(key).unwrap(), Some(key), "key {key}");
@@ -1793,7 +1664,7 @@ mod tests {
         use dxh_extmem::{FileDisk, IoCostModel};
         let c = cfg(8, 128, 2);
         let disk = Disk::new(FileDisk::temp(8).unwrap(), 8, IoCostModel::SeekDominated);
-        let mut t = LogMethodTable::with_disk(disk, c, dxh_hashfn::IdealFn::from_seed(10)).unwrap();
+        let mut t = LogMethodTable::new_on(disk, c, 10).unwrap();
         for k in 0..400u64 {
             t.insert(k, k + 9).unwrap();
         }

@@ -4,7 +4,6 @@
 //! blob log; the manifest commit swaps the store over to both.
 
 use dxh_extmem::{BlobLog, Result, Value, BLOB_TAG};
-use dxh_hashfn::IdealFn;
 use dxh_tables::ExternalDictionary;
 
 use super::payload::{blob_file_name, untag};
@@ -13,7 +12,7 @@ use crate::log_method::LogMethodTable;
 use crate::media::{best_effort, StoreMedia};
 use crate::stream::MergeStats;
 
-type Table<M> = LogMethodTable<IdealFn, LevelFiles<M>>;
+type Table<M> = LogMethodTable<LevelFiles<M>>;
 type Log<M> = BlobLog<<M as StoreMedia>::File>;
 
 impl<M: StoreMedia> KvStore<M> {

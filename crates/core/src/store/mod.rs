@@ -94,7 +94,6 @@ use std::path::Path;
 use dxh_extmem::{
     check_key, check_value, BlobLog, Disk, ExtMemError, IoCostModel, IoSnapshot, Key, Result, Value,
 };
-use dxh_hashfn::IdealFn;
 use dxh_tables::ExternalDictionary;
 
 use crate::config::CoreConfig;
@@ -147,7 +146,7 @@ use payload::blob_file_name;
 /// # Ok::<(), dxh_extmem::ExtMemError>(())
 /// ```
 pub struct KvStore<M: StoreMedia = DirMedia> {
-    table: LogMethodTable<IdealFn, LevelFiles<M>>,
+    table: LogMethodTable<LevelFiles<M>>,
     /// The payload blob log — `Some` exactly when the store runs in
     /// **payload mode** ([`KvStore::open_payload`]): the table is then an
     /// index whose value words are `BLOB_TAG | offset` into this log,
@@ -370,7 +369,7 @@ impl<M: StoreMedia> KvStore<M> {
     }
 
     /// The backing table (tq/tu measurement, level diagnostics).
-    pub fn table(&self) -> &LogMethodTable<IdealFn, LevelFiles<M>> {
+    pub fn table(&self) -> &LogMethodTable<LevelFiles<M>> {
         &self.table
     }
 

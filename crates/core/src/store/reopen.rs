@@ -6,7 +6,6 @@
 //! is written or removed.
 
 use dxh_extmem::{BlobLog, Disk, ExtMemError, IoCostModel, Result};
-use dxh_hashfn::IdealFn;
 
 use super::manifest::{corrupt, Manifest};
 use super::payload::blob_file_name;
@@ -83,8 +82,7 @@ impl<M: StoreMedia> KvStore<M> {
         // inside its file.
         let files = LevelFiles::open(media.view(), m.cfg.b, &named)?;
         let disk = Disk::new(files, m.cfg.b, IoCostModel::SeekDominated);
-        let hash = IdealFn::from_seed(m.seed);
-        let table = LogMethodTable::from_parts(disk, m.cfg, hash, m.levels, m.h0)?;
+        let table = LogMethodTable::from_parts(disk, m.cfg, m.seed, m.levels, m.h0)?;
         // The blob log recovers to the committed length the manifest
         // covers: a crash tail (torn or unsynced appends the index never
         // referenced) is truncated away, and the committed prefix is

@@ -8,7 +8,7 @@
 //! synchronized linear pass — the paper's "scanning the two tables in
 //! parallel", generalized. A level migration uses exactly that: `H0`,
 //! every carried level and the level the carry stops at stream into a
-//! fresh destination together (see `LogStructure::flush`), so an item is
+//! fresh destination together (see `LogMethodTable::flush`), so an item is
 //! read once and written once per migration however many levels it skips.
 //!
 //! That pass is written once, as [`MergeCursor`]: it owns the sources,
@@ -39,7 +39,7 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ops::Range;
 
 use dxh_extmem::{Block, BlockId, Disk, ExtMemError, Item, Key, Result, StorageBackend, Value};
-use dxh_hashfn::{prefix_bucket, HashFn};
+use dxh_hashfn::{prefix_bucket, HashFn, IdealFn};
 use dxh_tables::{chain_collect, write_bucket};
 
 use crate::filter::LevelFilter;
@@ -149,10 +149,10 @@ impl DiskStream {
         self.next_bucket as u128 * nb_dst as u128 >= (q + 1) as u128 * self.region.buckets as u128
     }
 
-    fn refill<B: StorageBackend, F: HashFn>(
+    fn refill<B: StorageBackend>(
         &mut self,
         disk: &mut Disk<B>,
-        hash: &F,
+        hash: &IdealFn,
         q: u64,
         nb_dst: u64,
     ) -> Result<()> {
@@ -170,7 +170,7 @@ impl Source {
     /// Builds a memory source from items in bucket order (as produced by
     /// [`crate::MemTable::drain_in_bucket_order`]); re-sorts by full hash
     /// prefix so sub-bucket boundaries are exact for any target count.
-    pub(crate) fn from_memory<F: HashFn>(items: Vec<Item>, hash: &F) -> Self {
+    pub(crate) fn from_memory(items: Vec<Item>, hash: &IdealFn) -> Self {
         let mut items: Vec<Hashed> =
             items.into_iter().map(|it| (hash.hash64(it.key), it)).collect();
         items.sort_by_key(|&(h, _)| h);
@@ -184,10 +184,10 @@ impl Source {
 
     /// Appends all items with target bucket `q` (out of `nb_dst`) to
     /// `out`, reading further source buckets as needed.
-    fn take_bucket<B: StorageBackend, F: HashFn>(
+    fn take_bucket<B: StorageBackend>(
         &mut self,
         disk: &mut Disk<B>,
-        hash: &F,
+        hash: &IdealFn,
         q: u64,
         nb_dst: u64,
         out: &mut Vec<Hashed>,
@@ -294,8 +294,8 @@ type MergedBucket<'a> = (u64, &'a mut [Item], &'a [u64]);
 /// `purge`, a winning deletion marker is dropped instead of yielded —
 /// valid only when the destination is the deepest level, where the
 /// marker has nothing left to shadow.
-pub(crate) struct MergeCursor<'h, F: HashFn> {
-    hash: &'h F,
+pub(crate) struct MergeCursor<'h> {
+    hash: &'h IdealFn,
     sources: Vec<Source>,
     nb_dst: u64,
     purge: bool,
@@ -310,8 +310,8 @@ pub(crate) struct MergeCursor<'h, F: HashFn> {
     pub stats: MergeStats,
 }
 
-impl<'h, F: HashFn> MergeCursor<'h, F> {
-    pub(crate) fn new(hash: &'h F, sources: Vec<Source>, nb_dst: u64, purge: bool) -> Self {
+impl<'h> MergeCursor<'h> {
+    pub(crate) fn new(hash: &'h IdealFn, sources: Vec<Source>, nb_dst: u64, purge: bool) -> Self {
         MergeCursor {
             hash,
             sources,
@@ -389,9 +389,9 @@ impl<'h, F: HashFn> MergeCursor<'h, F> {
 /// Cost: the cursor's source reads plus one write per nonempty target
 /// block — `O(Σ |source regions| / b + nb_dst)` I/Os, none of them a
 /// read of the destination.
-pub(crate) fn build_fresh_region<B: StorageBackend, F: HashFn>(
+pub(crate) fn build_fresh_region<B: StorageBackend>(
     disk: &mut Disk<B>,
-    mut cursor: MergeCursor<'_, F>,
+    mut cursor: MergeCursor<'_>,
     mut filter: Option<&mut LevelFilter>,
     mut map: Option<ValueMap<'_>>,
 ) -> Result<(Region, MergeStats)> {
@@ -422,9 +422,9 @@ pub(crate) fn build_fresh_region<B: StorageBackend, F: HashFn>(
 /// **one combined I/O per bucket that receives items** (read-modify-write
 /// of the primary block), plus the source-region reads — half the cost of
 /// a full rewrite. Buckets receiving nothing are untouched (free).
-pub(crate) fn merge_in_place<B: StorageBackend, F: HashFn>(
+pub(crate) fn merge_in_place<B: StorageBackend>(
     disk: &mut Disk<B>,
-    mut cursor: MergeCursor<'_, F>,
+    mut cursor: MergeCursor<'_>,
     region: &mut Region,
 ) -> Result<MergeStats> {
     debug_assert_eq!(cursor.nb_dst, region.buckets);
@@ -470,7 +470,6 @@ pub(crate) fn merge_in_place<B: StorageBackend, F: HashFn>(
 mod tests {
     use super::*;
     use dxh_extmem::{mem_disk, MemDisk};
-    use dxh_hashfn::IdealFn;
 
     fn hash() -> IdealFn {
         IdealFn::from_seed(77)
@@ -816,7 +815,7 @@ mod tests {
         // of its previous bucket (what lies past the destination bucket
         // being filled) when it reads the next one — under two source
         // buckets, so the `2·j·b` a j-stream carry is budgeted
-        // (`LogMethodTable::with_disk`) holds with the batch counted in.
+        // (`LogMethodTable::reserving`) holds with the batch counted in.
         let (peak, one_bucket_each, ..) = peak_held(0, &[128, 517, 1031], 32, false, 2583);
         assert!(peak <= 2 * one_bucket_each, "held {peak} items > 2 × {one_bucket_each}");
         assert!(2 * one_bucket_each <= 2 * 3 * 64, "2·j·b at j = 3");

@@ -68,7 +68,6 @@ fn main() {
     println!(
         "\nAs c grows, tq approaches 1 like 1 + 1/b^c while tu climbs like\n\
          b^(c-1) toward the chaining point — walking along Figure 1's frontier.\n\
-         (Bound columns fix all hidden constants to 1; the measured/bound gap\n\
-         is the merge machinery's constant ≈ 4, see EXPERIMENTS.md.)"
+         (Bound columns fix all hidden constants to 1.)"
     );
 }

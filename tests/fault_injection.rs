@@ -66,20 +66,18 @@ fn chaining_table_fails_cleanly_at_any_fuse_length() {
 #[test]
 fn bootstrapped_table_fails_cleanly_mid_merge() {
     use dyn_ext_hash::core::{BootstrappedTable, CoreConfig, ExternalDictionary};
-    use dyn_ext_hash::hashfn::IdealFn;
     // Pick fuses that land inside Ĥ merges (the most stateful phase).
     for fuse in [50u64, 200, 500, 1500, 4000] {
         let cfg = CoreConfig::theorem2(8, 128, 0.5).unwrap();
         let sim = SimDisk::new(8);
         sim.env().fail_after(fuse);
         let disk = Disk::new(sim, 8, IoCostModel::SeekDominated);
-        let result =
-            BootstrappedTable::with_disk(disk, cfg, IdealFn::from_seed(2)).and_then(|mut t| {
-                for k in 0..3000u64 {
-                    t.insert(k, k)?;
-                }
-                Ok(())
-            });
+        let result = BootstrappedTable::new_on(disk, cfg, 2).and_then(|mut t| {
+            for k in 0..3000u64 {
+                t.insert(k, k)?;
+            }
+            Ok(())
+        });
         // Either the fuse outlasted the run, or we got a clean error.
         if let Err(e) = result {
             assert!(matches!(e, ExtMemError::Io(_)), "unexpected error kind {e}");

@@ -84,8 +84,8 @@ fn bootstrapped_identical_on_both_backends() {
     let cfg = CoreConfig::theorem2(8, 128, 0.5).unwrap();
     let mem = Disk::new(MemDisk::new(8), 8, IoCostModel::SeekDominated);
     let file = Disk::new(FileDisk::temp(8).unwrap(), 8, IoCostModel::SeekDominated);
-    let mut a = BootstrappedTable::with_disk(mem, cfg.clone(), IdealFn::from_seed(2)).unwrap();
-    let mut b = BootstrappedTable::with_disk(file, cfg, IdealFn::from_seed(2)).unwrap();
+    let mut a = BootstrappedTable::new_on(mem, cfg.clone(), 2).unwrap();
+    let mut b = BootstrappedTable::new_on(file, cfg, 2).unwrap();
     for k in 0..3000u64 {
         a.insert(k, k).unwrap();
         b.insert(k, k).unwrap();
@@ -104,8 +104,8 @@ fn log_method_identical_on_both_backends() {
     let cfg = CoreConfig::lemma5(8, 128, 2).unwrap();
     let mem = Disk::new(MemDisk::new(8), 8, IoCostModel::SeekDominated);
     let file = Disk::new(FileDisk::temp(8).unwrap(), 8, IoCostModel::SeekDominated);
-    let mut a = LogMethodTable::with_disk(mem, cfg.clone(), IdealFn::from_seed(3)).unwrap();
-    let mut b = LogMethodTable::with_disk(file, cfg, IdealFn::from_seed(3)).unwrap();
+    let mut a = LogMethodTable::new_on(mem, cfg.clone(), 3).unwrap();
+    let mut b = LogMethodTable::new_on(file, cfg, 3).unwrap();
     for k in 0..2500u64 {
         a.insert(k, k + 1).unwrap();
         b.insert(k, k + 1).unwrap();
