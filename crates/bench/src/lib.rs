@@ -11,9 +11,11 @@
 //! | `exp_bootstrap` | Theorem 2 (bootstrapped table) |
 //! | `exp_lowerbound` | Theorem 1, tradeoffs 1–3 (adversary harness) |
 //! | `exp_binball` | Lemmas 3 and 4 (bin-ball games) |
+//! | `exp_comparison` | hashing vs the B+-tree: point lookups and range scans |
 //! | `exp_ablation` | A1 cache / A2 hash-family / A3 cost-model ablations |
 //! | `exp_compaction` | KvStore space reclamation: delete churn, crash GC, compact |
 //! | `exp_service` | ShardedKvStore group commit: throughput + syncs-per-op vs writers |
+//! | `exp_blob` | payload store: write/read cost vs payload size, memory gate |
 //!
 //! Every binary accepts `--quick` (smaller n, for smoke runs), prints an
 //! aligned table to stdout, and writes CSV into `results/`.

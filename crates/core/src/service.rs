@@ -815,7 +815,7 @@ fn apply_pending<M: StoreMedia>(shard: &Shard<M>) -> bool {
                     break;
                 }
             }
-            mutant!(COMMITTER_PANICS => mutant::die());
+            mutant!(COMMITTER_PANICS => dxh_sync::model::inject_panic());
         }
         if failure.is_some() {
             // The table holds a partial batch that was reported failed;
@@ -972,15 +972,6 @@ mod mutant {
         guard.pending.clear();
         guard.pending_cell = Default::default();
         guard
-    }
-
-    /// `COMMITTER_PANICS`: a death the model checker expects (outside a
-    /// checker run, a plain panic).
-    pub(super) fn die() {
-        #[cfg(feature = "model")]
-        dxh_sync::model::inject_panic();
-        #[cfg(not(feature = "model"))]
-        panic!("injected committer panic");
     }
 }
 
@@ -2350,18 +2341,20 @@ mod tests {
     }
 }
 
-/// The model checker on the real service (`cargo test -p dxh-core
-/// --features model`): `ShardedKvStore` on `SimMedia`, whose committers,
-/// coordinator and callers all run as tasks of one
+/// The model checker on the real service (`cargo test -p dxh-core --lib
+/// service::model_tests -- --ignored`): `ShardedKvStore` on `SimMedia`,
+/// whose committers, coordinator and callers all run as tasks of one
 /// `dxh_sync::model::Checker` execution, so every lock, wait and notify
-/// of this file is a scheduling point the checker chooses. One instance
-/// is 2 shards, 2 writers and a reader, then a drop, a power cycle and a
+/// of this file is a scheduling point the checker chooses. The tests are
+/// slow in debug builds, so each is `#[ignore]`d and run by CI's
+/// model-check job (the deep sweep by the nightly). One instance is 2
+/// shards, 2 writers and a reader, then a drop, a power cycle and a
 /// reopen — with the simulated machine crashed at a given I/O index, or
 /// not at all. The crash index is a parameter of the instance, not a
 /// scheduler decision: a sweep runs the checker once per index, and a
 /// violation replays with `Checker::replay(trace, instance(.., Some(k),
 /// ..))`.
-#[cfg(all(test, feature = "model"))]
+#[cfg(test)]
 mod model_tests {
     use super::*;
     use crate::SimMedia;
@@ -2658,12 +2651,14 @@ mod model_tests {
     /// schedule)` pairs of the real service between this test and its
     /// twin, none a violation.
     #[test]
+    #[ignore = "model checker, slow in debug: run by CI's model-check job"]
     fn writers_on_one_shard_recover_to_a_batch_boundary_at_every_crash_index() {
         let distinct = sweep(0, 0, 0, WALKS);
         assert!(distinct >= 5_000, "only {distinct} distinct pairs");
     }
 
     #[test]
+    #[ignore = "model checker, slow in debug: run by CI's model-check job"]
     fn writers_on_two_shards_recover_to_a_batch_boundary_at_every_crash_index() {
         let distinct = sweep(0, 1, 0, WALKS);
         assert!(distinct >= 5_000, "only {distinct} distinct pairs");
@@ -2678,6 +2673,7 @@ mod model_tests {
     /// checkpointing instance is swept over crash indices until one
     /// does.
     #[test]
+    #[ignore = "model checker, slow in debug: run by CI's model-check job"]
     fn the_checker_catches_every_seeded_mutant_of_the_commit_path() {
         use ViolationKind::{Deadlock, Panic};
         let keys = keys(0, 0);
@@ -2717,6 +2713,7 @@ mod model_tests {
     /// store lock the dead committer held is observed poisoned and
     /// swallowed — and without the guard the writer is stranded.
     #[test]
+    #[ignore = "model checker, slow in debug: run by CI's model-check job"]
     fn a_committer_panic_fails_the_parked_writer_and_the_drop_returns() {
         let checker = Checker::new().max_schedules(1_000);
         let report = checker

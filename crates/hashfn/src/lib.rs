@@ -9,8 +9,8 @@
 //!   the random oracle in experiments;
 //! * classical families with weaker, *provable* guarantees for the hash
 //!   sensitivity ablation: [`UniversalFamily`] (Carter–Wegman),
-//!   [`MultiplyShiftFamily`] (Dietzfelbinger), [`TabulationFamily`]
-//!   (simple tabulation), and [`PolynomialFamily`] (k-independent).
+//!   [`MultiplyShiftFamily`] (Dietzfelbinger) and [`TabulationFamily`]
+//!   (simple tabulation).
 //!
 //! ## Bucket reduction
 //!
@@ -34,7 +34,6 @@ mod family;
 mod ideal;
 mod mix;
 mod multiply_shift;
-mod poly;
 mod reduction;
 mod tabulation;
 mod universal;
@@ -43,7 +42,6 @@ pub use family::{HashFamily, HashFn};
 pub use ideal::{IdealFamily, IdealFn};
 pub use mix::{fmix64, splitmix64, SplitMix64};
 pub use multiply_shift::{MultiplyShiftFamily, MultiplyShiftFn};
-pub use poly::{PolynomialFamily, PolynomialFn, MERSENNE61};
 pub use reduction::{mask_bucket, prefix_bucket};
 pub use tabulation::{TabulationFamily, TabulationFn};
 pub use universal::{UniversalFamily, UniversalFn};

@@ -3,7 +3,25 @@
 use rand::RngCore;
 
 use crate::family::{HashFamily, HashFn};
-use crate::poly::{mod_mersenne61, MERSENNE61};
+
+/// The Mersenne prime `2^61 − 1` used for fast modular reduction.
+const MERSENNE61: u64 = (1 << 61) - 1;
+
+/// Reduces a value `< 2^122` modulo `2^61 − 1` without division.
+#[inline]
+fn mod_mersenne61(t: u128) -> u64 {
+    // Two folding rounds bring any t < 2^122 below 2^62, then one
+    // conditional subtraction finishes.
+    let p = MERSENNE61 as u128;
+    let r = (t & p) + (t >> 61);
+    let r = (r & p) + (r >> 61);
+    let r = r as u64;
+    if r >= MERSENNE61 {
+        r - MERSENNE61
+    } else {
+        r
+    }
+}
 
 /// `h(x) = ((a·x + b) mod p) · 2^3` scaled back to the full 64-bit range,
 /// with `p = 2^61 − 1`, `a ∈ [1, p)`, `b ∈ [0, p)`.
@@ -65,6 +83,21 @@ mod tests {
     use super::*;
     use crate::reduction::prefix_bucket;
     use rand::SeedableRng;
+
+    #[test]
+    fn mersenne_reduction_matches_plain_modulo() {
+        let cases: [u128; 6] = [
+            0,
+            1,
+            MERSENNE61 as u128,
+            MERSENNE61 as u128 + 1,
+            u64::MAX as u128,
+            u128::MAX >> 6, // < 2^122
+        ];
+        for t in cases {
+            assert_eq!(mod_mersenne61(t) as u128, t % MERSENNE61 as u128, "t = {t}");
+        }
+    }
 
     #[test]
     fn zero_a_is_rejected() {

@@ -2,7 +2,7 @@
 
 use dxh_hashfn::{
     mask_bucket, prefix_bucket, HashFamily, HashFn, IdealFamily, MultiplyShiftFamily,
-    PolynomialFamily, TabulationFamily, UniversalFamily,
+    TabulationFamily, UniversalFamily,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -42,7 +42,6 @@ proptest! {
         check!(UniversalFamily);
         check!(MultiplyShiftFamily);
         check!(TabulationFamily);
-        check!(PolynomialFamily::new(4));
     }
 
     /// Two distinct keys rarely collide under a random ideal function

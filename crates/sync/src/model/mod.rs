@@ -1,5 +1,6 @@
 //! The model checker: schedule exploration over the cooperative
-//! scheduler in [`sched`], plus the model-mode primitives in [`shim`].
+//! scheduler (the private `sched` module), plus the primitives in
+//! [`shim`] that the crate exports and the scheduler drives.
 //!
 //! ```no_run
 //! use dxh_sync::model::Checker;
@@ -152,8 +153,9 @@ fn decode_trace(trace: &str) -> Result<Vec<usize>, String> {
 /// Injects a panic with a payload the model recognizes: the task dies
 /// (dropping its guards, poisoning its std mutexes) but the check does
 /// not fail. This is how dxh-core's service model tests crash a
-/// committer. Panics unconditionally; only meaningful inside a
-/// [`Checker`] execution.
+/// committer. Panics unconditionally; outside a [`Checker`] execution
+/// it is a plain unwind (without the panic hook's line) that the
+/// thread's joiner sees as an ordinary panic.
 pub fn inject_panic() -> ! {
     // resume_unwind keeps the default panic hook silent: the injected
     // death is expected, and a hook line per schedule would drown real
@@ -242,7 +244,7 @@ impl Chooser for ReplayChooser {
 // ---------------------------------------------------------------------------
 // The checker.
 
-/// Explores thread interleavings of a closure built on the model-mode
+/// Explores thread interleavings of a closure built on the `dxh_sync`
 /// primitives. Construct, set bounds, then [`check`](Checker::check)
 /// (exhaustive bounded DFS), [`check_random`](Checker::check_random)
 /// (seeded random walk), or [`replay`](Checker::replay) (one exact

@@ -1,4 +1,4 @@
-//! The cooperative scheduler behind the model backend.
+//! The cooperative scheduler behind a `Checker` run.
 //!
 //! Every model "thread" is a real OS thread, but a token-passing
 //! protocol serializes them: a task runs only while it holds the token
@@ -511,7 +511,7 @@ pub(crate) fn op_register_thread(ctx: &TaskCtx, h: std::thread::JoinHandle<()>) 
     st.threads.push(h);
 }
 
-/// Records a poison-swallow: a model-mode `lock()` observed (and
+/// Records a poison-swallow: a `lock()` under a checker run observed (and
 /// recovered from) std poison left by a panicking prior holder. An
 /// explicit checked event — see `Report::poison_swallows`.
 pub(crate) fn note_poison_swallow(ctx: &TaskCtx) {

@@ -1,6 +1,7 @@
-//! Model-mode primitives: same API as the passthrough backend, but
-//! every operation is a scheduling point reported to the cooperative
-//! scheduler in [`super::sched`].
+//! The primitives `dxh_sync` exports: `std::sync` with poison swallowed
+//! and lock ranks checked. Under a checker run every operation is also a
+//! scheduling point reported to the cooperative scheduler (the private
+//! `model::sched` module).
 //!
 //! Each primitive keeps its protected value inside a real
 //! `std::sync::Mutex` — the scheduler guarantees the std lock is
@@ -11,8 +12,8 @@
 //! ([`crate::rank`]).
 //!
 //! Used from a thread that is *not* a model task (no checker running),
-//! every primitive falls back to plain std behavior, so builds with
-//! the `model` feature unified in still work outside checker tests.
+//! every primitive is plain std behavior: that is every ordinary build,
+//! test and benchmark.
 
 use super::sched::{self, TaskCtx};
 use crate::rank::{Held, Rank};
@@ -60,8 +61,10 @@ impl ResourceCell {
 // ---------------------------------------------------------------------------
 // Mutex
 
-/// Model-mode mutual-exclusion lock; see the passthrough `Mutex` for
-/// the API contract.
+/// A mutual-exclusion lock. Like [`std::sync::Mutex`] except that it
+/// carries a [`Rank`], checked at every acquire ([`crate::rank`]), and
+/// [`lock`](Mutex::lock) returns the guard directly, swallowing poison
+/// instead of propagating it.
 #[derive(Debug)]
 pub struct Mutex<T: ?Sized> {
     rank: Rank,
@@ -166,8 +169,9 @@ impl WaitTimeoutResult {
     }
 }
 
-/// Model-mode condition variable. In a checker run the wait parks at
-/// the scheduler level (never on the std condvar), wakeups are
+/// A condition variable paired with a [`Mutex`]; wait methods swallow
+/// poison, mirroring [`Mutex::lock`]. In a checker run the wait parks
+/// at the scheduler level (never on the std condvar), wakeups are
 /// scheduling choices, and spurious wakeups are injected on purpose.
 #[derive(Debug, Default)]
 pub struct Condvar {
@@ -290,8 +294,11 @@ impl Condvar {
 // ---------------------------------------------------------------------------
 // Threads
 
-/// Model-mode thread spawning and scoped threads. Inside a checker
-/// run, spawns become scheduler tasks; outside, plain std threads.
+/// Thread spawning and scoped threads — `std::thread` re-surfaced so
+/// callers never name `std::thread::spawn` directly (the clippy
+/// disallowed-methods gate in `crates/core/clippy.toml` enforces this
+/// for `dxh-core`). Inside a checker run, spawns become scheduler tasks;
+/// outside, plain std threads.
 pub mod thread {
     use super::super::sched::{self, AbortToken, InjectedPanic, TaskCtx};
     use std::io;
@@ -512,8 +519,10 @@ pub mod thread {
     }
 
     /// Scope for spawning threads that borrow from the enclosing
-    /// frame; mirrors `std::thread::scope` (see the passthrough
-    /// backend for the extra-lifetime note). Under the model, children
+    /// frame; mirrors `std::thread::scope`, except that the closure
+    /// receives `&Scope` (an extra indirection over std's invariant
+    /// `Scope`) because a wrapper cannot reproduce std's exact
+    /// signature — call sites look identical. Under the model, children
     /// are scheduler-joined before the scope closes, and a panic in
     /// the scope body is routed through the scheduler *before* the std
     /// scope joins — otherwise the real join would hang on children
@@ -580,5 +589,53 @@ pub mod thread {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The primitives outside a checker run: plain std behaviour.
+    use super::*;
+
+    #[test]
+    fn wait_timeout_times_out() {
+        let m = Mutex::new(Rank::Coord, ());
+        let cv = Condvar::new();
+        let (_g, r) = cv.wait_timeout(m.lock(), std::time::Duration::from_millis(1));
+        assert!(r.timed_out());
+    }
+
+    #[test]
+    fn poison_is_swallowed() {
+        use std::sync::Arc;
+        let m = Arc::new(Mutex::new(Rank::Store, 41));
+        let m2 = Arc::clone(&m);
+        let h = thread::spawn(move || {
+            let _g = m2.lock();
+            panic!("poison me");
+        });
+        assert!(h.join().is_err());
+        // The poisoned lock still hands out its value.
+        assert_eq!(*m.lock(), 41);
+    }
+
+    #[test]
+    fn scoped_threads_borrow() {
+        let data = [1u64, 2, 3, 4];
+        let total: u64 = thread::scope(|s| {
+            let hs: Vec<_> =
+                data.chunks(2).map(|c| s.spawn(move || c.iter().sum::<u64>())).collect();
+            hs.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        assert_eq!(total, 10);
+    }
+
+    #[test]
+    fn builder_names_thread() {
+        let h = thread::Builder::new()
+            .name("dxh-test".into())
+            .spawn(|| std::thread::current().name().map(str::to_owned))
+            .unwrap();
+        assert_eq!(h.join().unwrap().as_deref(), Some("dxh-test"));
     }
 }

@@ -1,10 +1,9 @@
 //! Lock ranks: the commit path's lock discipline, checked where the code
 //! runs.
 //!
-//! Every [`Mutex`](crate::Mutex) is built with a [`Rank`]. In debug and
-//! `model` builds each thread keeps the rank of the one guard it may
-//! hold in a slot, and two rules are asserted against it; a break
-//! panics:
+//! Every [`Mutex`](crate::Mutex) is built with a [`Rank`]. In every
+//! build each thread keeps the rank of the one guard it may hold in a
+//! slot, and two rules are asserted against it; a break panics:
 //!
 //! 1. **No nesting.** No lock is acquired while another is held, a
 //!    second lock of the same rank included: the inner `lock()` panics
@@ -18,7 +17,9 @@
 //!
 //! The held slot follows the code across function boundaries, so every
 //! test and every schedule the model checker explores runs these checks
-//! on whatever the code really holds. Release builds compile it out.
+//! on whatever the code really holds, release builds included.
+
+use std::cell::Cell;
 
 /// Which lock of the commit path a [`Mutex`](crate::Mutex) is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -33,69 +34,51 @@ pub enum Rank {
     Buf,
 }
 
-#[cfg(any(debug_assertions, feature = "model"))]
-pub(crate) use held::Held;
+thread_local! {
+    /// The rank of the guard this thread holds, if any.
+    static HELD: Cell<Option<Rank>> = const { Cell::new(None) };
+}
+
+/// A guard's claim on its thread's held slot. Dropping it empties the
+/// slot, however the guard goes: an early `drop`, a wrapper guard, an
+/// unwind. No other guard can be in the slot: acquiring one while this
+/// one lives panics.
+#[derive(Debug)]
+pub(crate) struct Held(());
+
+impl Held {
+    /// Asserts that the thread holds no guard, then enters a `rank` lock
+    /// in its held slot.
+    pub(crate) fn acquire(rank: Rank) -> Held {
+        if let Some(outer) = HELD.get() {
+            panic!(
+                "lock order: acquiring a {rank:?} lock while holding a {outer:?} lock \
+                 (no lock nests)"
+            );
+        }
+        HELD.set(Some(rank));
+        Held(())
+    }
+}
+
+impl Drop for Held {
+    fn drop(&mut self) {
+        // `try_with`: a guard dropped during thread teardown may outlive
+        // the slot.
+        let _ = HELD.try_with(|h| h.set(None));
+    }
+}
 
 /// Asserts that the calling thread holds no guard whose rank may not be
 /// held across a physical sync (every rank but [`Rank::Store`]); `site`
-/// names the sync in the panic. A no-op in release builds.
+/// names the sync in the panic.
 pub fn assert_sync_allowed(site: &str) {
-    #[cfg(any(debug_assertions, feature = "model"))]
-    held::assert_sync_allowed(site);
-    #[cfg(not(any(debug_assertions, feature = "model")))]
-    let _ = site;
-}
-
-#[cfg(any(debug_assertions, feature = "model"))]
-mod held {
-    use super::Rank;
-    use std::cell::Cell;
-
-    thread_local! {
-        /// The rank of the guard this thread holds, if any.
-        static HELD: Cell<Option<Rank>> = const { Cell::new(None) };
-    }
-
-    /// A guard's claim on its thread's held slot. Dropping it empties the
-    /// slot, however the guard goes: an early `drop`, a wrapper guard, an
-    /// unwind. No other guard can be in the slot: acquiring one while
-    /// this one lives panics.
-    #[derive(Debug)]
-    pub(crate) struct Held(());
-
-    impl Held {
-        /// Asserts that the thread holds no guard, then enters a `rank`
-        /// lock in its held slot.
-        pub(crate) fn acquire(rank: Rank) -> Held {
-            if let Some(outer) = HELD.get() {
-                panic!(
-                    "lock order: acquiring a {rank:?} lock while holding a {outer:?} lock \
-                     (no lock nests)"
-                );
-            }
-            HELD.set(Some(rank));
-            Held(())
-        }
-    }
-
-    impl Drop for Held {
-        fn drop(&mut self) {
-            // `try_with`: a guard dropped during thread teardown may
-            // outlive the slot.
-            let _ = HELD.try_with(|h| h.set(None));
-        }
-    }
-
-    pub(super) fn assert_sync_allowed(site: &str) {
-        if let Some(hot) = HELD.get().filter(|&r| r != Rank::Store) {
-            panic!(
-                "{site}: a physical sync while holding a {hot:?} lock (only Store may span one)"
-            );
-        }
+    if let Some(hot) = HELD.get().filter(|&r| r != Rank::Store) {
+        panic!("{site}: a physical sync while holding a {hot:?} lock (only Store may span one)");
     }
 }
 
-#[cfg(all(test, any(debug_assertions, feature = "model")))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::Mutex;

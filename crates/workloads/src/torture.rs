@@ -38,9 +38,9 @@
 //! Everything is a pure function of `(spec, crash_at)`: the workload is
 //! generated from the seed, the crash write-survival lottery is seeded
 //! from it, and the environment records a full I/O trace — so a failing
-//! run is replayed exactly by feeding the same seed back (see the
-//! `torture` bench binary and `tests/torture.rs`, which run every seed
-//! in both modes).
+//! run is replayed exactly by feeding the same seed back (see
+//! `tests/torture.rs`, which runs every seed in both modes and prints
+//! the replay command of a failing one).
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};

@@ -13,7 +13,7 @@
 //!   accounting, memory budgets, and an LRU page cache as a backend
 //!   (`Cached`) for the generic-buffering ablation.
 //! * [`hashfn`] — hash function families (ideal PRF, universal,
-//!   multiply-shift, tabulation, k-independent polynomials).
+//!   multiply-shift, tabulation).
 //! * [`tables`] — classic external hash tables: chaining, blocked linear
 //!   probing, extendible hashing, linear hashing.
 //! * [`core`] — the paper's constructions: [`core::LogMethodTable`]
@@ -24,10 +24,10 @@
 //!   bounds, statistics.
 //! * [`workloads`] — generators, traces, sequential and parallel
 //!   runners, and the crash-recovery torture harness.
-//! * [`sync`] — the concurrency seam under the sharded service: std
-//!   primitives in release builds, a loom-style cooperative model
-//!   checker under `--features model`, which runs the real service's
-//!   commit path (`cargo test -p dxh-core --features model`; see
+//! * [`sync`] — the concurrency seam under the sharded service: one set
+//!   of primitives, plain std outside a checker run, which a loom-style
+//!   cooperative model checker drives through the real service's commit
+//!   path (`service::model_tests` in `dxh-core`; see
 //!   `docs/CONCURRENCY.md`).
 //!
 //! ## Quickstart
