@@ -68,8 +68,7 @@ fn ablation_cache(args: &ExpArgs) {
         "tq (meas)",
         "pool hit rate",
     ]);
-    let mut cfg = ChainingConfig::fixed(b, m, (2 * n / b) as u64);
-    cfg.max_load = f64::INFINITY;
+    let cfg = ChainingConfig::fixed(b, m, (2 * n / b) as u64);
     // No cache: the table's own disk counts the transfers.
     let mut plain = ChainingTable::new(cfg.clone(), IdealFn::from_seed(1)).unwrap();
     let (tu_plain, tq) = chaining_costs(&mut plain, n, samples, |t| t.disk_stats());

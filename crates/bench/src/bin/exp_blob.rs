@@ -26,8 +26,7 @@
 //!   `get_bytes` from [`KvStore::blob_io`] — asserted to be exactly
 //!   one, since every record of a sweep has the same length.
 //!
-//! Output: an aligned table, `results/exp_blob.csv`, and
-//! `results/exp_blob.json`.
+//! Output: an aligned table and `results/exp_blob.csv`.
 //!
 //! Run: `cargo run -p dxh-bench --release --bin exp_blob [--quick]
 //! [--seed N]`
@@ -121,10 +120,11 @@ fn memory_gate_child(dir: &Path, seed: u64) {
 }
 
 /// Runs the memory gate in a child process and asserts its verdict;
-/// returns `(baseline, peak)` in KiB, or `None` where `VmHWM` is not
-/// available.
-fn memory_gate(seed: u64) -> Option<(u64, u64)> {
-    vm_hwm_kib()?;
+/// skipped where `VmHWM` is not available.
+fn memory_gate(seed: u64) {
+    if vm_hwm_kib().is_none() {
+        return;
+    }
     let dir = fresh_dir("gate");
     let exe = std::env::current_exe().expect("own path");
     let out = std::process::Command::new(exe)
@@ -153,7 +153,6 @@ fn memory_gate(seed: u64) -> Option<(u64, u64)> {
          VmHWM {baseline} → {peak} KiB (+{} KiB, limit +{GATE_MAX_GROWTH_KIB})",
         peak.saturating_sub(baseline)
     );
-    Some((baseline, peak))
 }
 
 /// One payload size: write churn through a payload-mode store, then
@@ -217,7 +216,7 @@ fn main() {
     if let Some(dir) = args.get("memory-gate-child") {
         return memory_gate_child(Path::new(dir), seed);
     }
-    let gate = memory_gate(seed);
+    memory_gate(seed);
 
     let sizes: &[usize] =
         if args.quick { &[16, 256, 4096] } else { &[16, 64, 256, 1024, 4096, 16384] };
@@ -234,7 +233,6 @@ fn main() {
         "get_bytes µs",
         "preads/get",
     ]);
-    let mut json_rows = Vec::new();
     for &payload in sizes {
         let n = (budget / payload.max(1)).clamp(64, 4096);
         let p = run_once(payload, n, reads, seed);
@@ -254,41 +252,8 @@ fn main() {
             fmt_f(p.read_us, 3),
             fmt_f(p.preads_per_get, 3),
         ]);
-        json_rows.push(format!(
-            "    {{\"payload\": {}, \"items\": {}, \"write_mb_s\": {:.3}, \
-             \"write_kops_s\": {:.3}, \"read_us\": {:.4}, \"preads_per_get\": {:.3}}}",
-            p.payload, p.n, p.write_mb_s, p.write_kops_s, p.read_us, p.preads_per_get
-        ));
     }
     emit("Blob payload path: write and read cost vs payload size", &table, &args, "exp_blob.csv");
 
-    let gate_json = match gate {
-        Some((baseline, peak)) => format!(
-            "{{\"loaded_mib\": {GATE_LOAD_MIB}, \"vm_hwm_baseline_kib\": {baseline}, \
-             \"vm_hwm_peak_kib\": {peak}, \"max_growth_kib\": {GATE_MAX_GROWTH_KIB}}}"
-        ),
-        None => "null".to_string(),
-    };
-    let json = format!(
-        "{{\n  \"bench\": \"exp_blob\",\n  \"command\": \"cargo run -p dxh-bench --release \
-         --bin exp_blob -- --seed {seed}\",\n  \
-         \"note\": \"Payload-mode KvStore on a real directory: writes pay the blob fdatasync \
-         before every index commit (sync every {SYNC_EVERY} puts); a read is one index probe \
-         plus one positional read of the record into the log's single record buffer, checksum \
-         verified (file in the page cache: the sandbox's pread, not a device's). memory_gate: \
-         VmHWM of a fresh process after loading, reopening, reading, compacting and re-reading \
-         the load, against its empty-store baseline (asserted). Wall-clock is \
-         container-local.\",\n  \
-         \"params\": {{\"sync_every\": {SYNC_EVERY}, \"reads\": {reads}, \"seed\": {seed}}},\n  \
-         \"memory_gate\": {gate_json},\n  \"points\": [\n{}\n  ]\n}}\n",
-        json_rows.join(",\n")
-    );
-    let path = args.out_dir.join("exp_blob.json");
-    if let Err(e) =
-        std::fs::create_dir_all(&args.out_dir).and_then(|()| std::fs::write(&path, &json))
-    {
-        eprintln!("[json] failed to write {}: {e}", path.display());
-    } else {
-        println!("[json] {}", path.display());
-    }
+    println!("params: a sync every {SYNC_EVERY} puts, {reads} reads a payload size, seed {seed}");
 }

@@ -11,10 +11,10 @@
 //! in the directory, and the phase's accounted I/O where the counters
 //! are continuous (they restart at reopen).
 //!
-//! Output: an aligned table, `results/exp_compaction.csv`, and
-//! `results/exp_compaction.json`. The key stream and the
-//! store's hash seed both derive from `--seed` (default below), and the
-//! JSON echoes it, so a snapshot names the exact run that produced it.
+//! Output: an aligned table and `results/exp_compaction.csv`. The key
+//! stream and the store's hash seed both derive from `--seed` (default
+//! below), and the run prints it, so its output names the exact run
+//! that produced it.
 //!
 //! Run: `cargo run -p dxh-bench --release --bin exp_compaction [--quick]
 //! [--seed N]`
@@ -65,7 +65,7 @@ fn main() {
     let m = 1024;
     let n = args.scale(120_000, 12_000);
     // One seed drives the key stream and the store's hash function, so
-    // the emitted snapshot is reproducible from its own JSON.
+    // the run is reproducible from the seed it prints.
     let seed: u64 =
         args.get("seed").map(|v| v.parse().expect("--seed takes a number")).unwrap_or(0xC0117EC7);
     let cfg = CoreConfig::lemma5(b, m, 2).expect("config");
@@ -165,7 +165,6 @@ fn main() {
         "I/Os",
         "ms",
     ]);
-    let mut json_rows = Vec::new();
     for p in &phases {
         table.row([
             p.name.to_string(),
@@ -177,11 +176,6 @@ fn main() {
             p.ios.to_string(),
             fmt_f(p.wall_ms, 1),
         ]);
-        json_rows.push(format!(
-            "    {{\"phase\": \"{}\", \"items\": {}, \"level_files\": {}, \"file_bytes\": {}, \
-             \"dir_bytes\": {}, \"live\": {}, \"ios\": {}, \"wall_ms\": {:.3}}}",
-            p.name, p.items, p.files, p.file_bytes, p.dir_bytes, p.live, p.ios, p.wall_ms
-        ));
     }
 
     println!("Space reclamation: b = {b}, m = {m}, n = {n}");
@@ -194,29 +188,7 @@ fn main() {
     );
     emit("KvStore space-reclamation lifecycle", &table, &args, "exp_compaction.csv");
 
-    let json = format!(
-        "{{\n  \"bench\": \"exp_compaction\",\n  \"command\": \"cargo run -p dxh-bench --release --bin exp_compaction -- --seed {seed}\",\n  \
-         \"note\": \"File sizes are exact; wall-clock is container-local (trajectory, not absolutes). I/O counters restart at reopen.\",\n  \
-         \"params\": {{\"b\": {b}, \"m\": {m}, \"n\": {n}, \"seed\": {seed}}},\n  \
-         \"compaction\": {{\"bytes_before\": {}, \"bytes_after\": {}, \"live_items\": {}, \
-         \"purged\": {}, \"shadowed\": {}, \"stray_bytes_removed\": {strays}, \
-         \"level\": {level}, \"region_buckets\": {region_buckets}, \"full_buckets\": {full_buckets}, \
-         \"sealed_fill\": {sealed_fill}}},\n  \"phases\": [\n{}\n  ]\n}}\n",
-        stats.bytes_before,
-        stats.bytes_after,
-        stats.live_items,
-        stats.purged,
-        stats.shadowed,
-        json_rows.join(",\n")
-    );
-    let path = args.out_dir.join("exp_compaction.json");
-    if let Err(e) =
-        std::fs::create_dir_all(&args.out_dir).and_then(|()| std::fs::write(&path, &json))
-    {
-        eprintln!("[json] failed to write {}: {e}", path.display());
-    } else {
-        println!("[json] {}", path.display());
-    }
+    println!("seed {seed}");
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
 }

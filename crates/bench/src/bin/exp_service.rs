@@ -37,8 +37,7 @@
 //! `--quick` (the CI smoke) shortens the workload, asserts batching
 //! materializes, and bounds syncs/op at 8 shards to ≤ 2× at 1 shard at
 //! the same writer count; it prints kops/s without gating on it.
-//! Output: aligned tables,
-//! `results/exp_service.csv`, and `results/exp_service.json`.
+//! Output: aligned tables and `results/exp_service{,_shards,_coalesce}.csv`.
 //!
 //! Run: `cargo run -p dxh-bench --release --bin exp_service [--quick]
 //! [--seed N]`
@@ -265,7 +264,7 @@ fn run_coalesce_once(
     }
 }
 
-fn push_row(table: &mut TextTable, json: &mut Vec<String>, p: &Point) {
+fn push_row(table: &mut TextTable, p: &Point) {
     table.row([
         p.threads.to_string(),
         p.shards.to_string(),
@@ -278,21 +277,6 @@ fn push_row(table: &mut TextTable, json: &mut Vec<String>, p: &Point) {
         fmt_f(p.avg_batch, 2),
         p.largest_batch.to_string(),
     ]);
-    json.push(format!(
-        "    {{\"threads\": {}, \"shards\": {}, \"ops\": {}, \"wall_ms\": {:.3}, \
-         \"kops_per_s\": {:.2}, \"syncs_per_op\": {:.5}, \"sync_rounds\": {}, \
-         \"shard_syncs\": {}, \"avg_batch\": {:.2}, \"largest_batch\": {}}}",
-        p.threads,
-        p.shards,
-        p.ops,
-        p.wall_ms,
-        p.kops_per_s,
-        p.syncs_per_op,
-        p.sync_rounds,
-        p.shard_syncs,
-        p.avg_batch,
-        p.largest_batch
-    ));
 }
 
 fn main() {
@@ -322,8 +306,6 @@ fn main() {
         "avg batch",
         "max",
     ];
-    let mut json_rows = Vec::new();
-
     // Sweep 1: writers vs one shard — the pure group-commit effect.
     let mut threads_table = TextTable::new(header);
     let mut eight_threads: Option<(f64, u64)> = None;
@@ -335,7 +317,7 @@ fn main() {
         if p.threads == 4 {
             four_threads = Some((p.syncs_per_op, p.largest_batch));
         }
-        push_row(&mut threads_table, &mut json_rows, &p);
+        push_row(&mut threads_table, &p);
     }
     emit("Group commit: writer threads vs one shard", &threads_table, &args, "exp_service.csv");
 
@@ -348,7 +330,7 @@ fn main() {
     let shard_points: Vec<Point> =
         sweep(shard_sweep, |shards| run_once(fixed_threads, shards, ops_per_thread, seed));
     for p in &shard_points {
-        push_row(&mut shards_table, &mut json_rows, p);
+        push_row(&mut shards_table, p);
     }
     emit(
         "Group commit: shards vs a fixed writer count",
@@ -437,7 +419,6 @@ fn main() {
         }
         best.into_iter().map(|p| p.expect("TRIALS >= 1")).collect()
     };
-    let mut co_json = Vec::new();
     for p in &co_points {
         coalesce_table.row([
             p.mode.to_string(),
@@ -450,19 +431,6 @@ fn main() {
             p.avg_delta_b.to_string(),
             p.avg_full_b.to_string(),
         ]);
-        co_json.push(format!(
-            "      {{\"mode\": \"{}\", \"ops\": {}, \"wall_ms\": {:.3}, \"kops_per_s\": {:.2}, \
-             \"coalesced_ops\": {}, \"manifest_delta_commits\": {}, \"avg_delta_bytes\": {}, \
-             \"avg_full_manifest_bytes\": {}}}",
-            p.mode,
-            p.ops,
-            p.wall_ms,
-            p.kops_per_s,
-            p.coalesced,
-            p.delta_commits,
-            p.avg_delta_b,
-            p.avg_full_b
-        ));
     }
     emit(
         "Hot-key coalescing: zipf writes vs the uncoalesced distinct twin",
@@ -538,30 +506,9 @@ fn main() {
         );
     }
 
-    let json = format!(
-        "{{\n  \"bench\": \"exp_service\",\n  \"command\": \"cargo run -p dxh-bench --release \
-         --bin exp_service -- --seed {seed}\",\n  \
-         \"note\": \"Real-directory deployment: every sync is a real fsync; wall-clock is \
-         container-local (trajectory, not absolutes; each point is its best of {TRIALS} \
-         interleaved passes). syncs_per_op = sync rounds / acknowledged writes — a round \
-         commits every shard's batches with one fsync of the service-wide commit log; \
-         shard_syncs counts per-shard manifest hardens, paid only by checkpoints.\",\n  \
-         \"params\": {{\"ops_per_thread\": {ops_per_thread}, \"chunk\": {CHUNK}, \"trials\": \
-         {TRIALS}, \"seed\": {seed}}},\n  \"coalescing\": {{\n    \"note\": \"Sweep 3 at \
-         {fixed_threads} writers x 8 shards, a checkpoint every \
-         {COALESCE_CKPT_LOG_BYTES} log bytes: Zipf({ZIPF_THETA}) hot-key writes over \
-         {ZIPF_UNIVERSE} keys/thread vs the all-distinct uncoalesced twin. Gates: zipf-hot \
-         kops/s >= distinct, and avg checkpoint-commit bytes (avg_delta_bytes) and avg \
-         final-manifest bytes <= {MAX_CHECKPOINT_COMMIT_BYTES}.\",\n    \"points\": [\n{}\n    ]\n  }},\n  \"points\": [\n{}\n  ]\n}}\n",
-        co_json.join(",\n"),
-        json_rows.join(",\n")
+    println!(
+        "\nparams: seed {seed}, {ops_per_thread} ops a writer in chunks of {CHUNK}, best of \
+         {TRIALS} passes; coalescing: Zipf({ZIPF_THETA}) over {ZIPF_UNIVERSE} keys a writer, \
+         a checkpoint every {COALESCE_CKPT_LOG_BYTES} log bytes"
     );
-    let path = args.out_dir.join("exp_service.json");
-    if let Err(e) =
-        std::fs::create_dir_all(&args.out_dir).and_then(|()| std::fs::write(&path, &json))
-    {
-        eprintln!("[json] failed to write {}: {e}", path.display());
-    } else {
-        println!("[json] {}", path.display());
-    }
 }

@@ -14,11 +14,13 @@
 //! internal memory footprint is O(1) words (root id, height, counters) —
 //! like the paper's hash tables, the structure itself lives on disk.
 
+use std::ops::ControlFlow::{Break, Continue};
+
 use dxh_extmem::{
     check_key, mem_disk, Block, BlockId, Disk, ExtMemError, IoSnapshot, Item, Key, MemDisk,
     MemoryBudget, Result, StorageBackend, Value,
 };
-use dxh_tables::ExternalDictionary;
+use dxh_tables::{chain_walk, ExternalDictionary};
 
 /// Configuration for [`BPlusTree`].
 #[derive(Clone, Debug)]
@@ -246,20 +248,16 @@ impl<B: StorageBackend> BPlusTree<B> {
             let idx = Self::route(blk.items(), lo);
             node = BlockId(blk.items()[idx].value);
         }
-        // Walk the chain.
-        let mut cur = Some(node);
-        while let Some(id) = cur {
+        // Walk the leaf chain until a leaf ends past `hi`.
+        let mut hops = self.disk.live_blocks();
+        chain_walk(node, &mut hops, |id| {
             let blk = self.disk.read(id)?;
-            for it in blk.items() {
-                if it.key >= lo && it.key <= hi {
-                    out.push(*it);
-                }
-            }
-            if blk.items().last().is_some_and(|it| it.key > hi) {
-                break;
-            }
-            cur = blk.next();
-        }
+            out.extend(blk.items().iter().filter(|it| (lo..=hi).contains(&it.key)));
+            Ok(match blk.next() {
+                Some(next) if blk.items().last().is_none_or(|it| it.key <= hi) => Continue(next),
+                _ => Break(()),
+            })
+        })?;
         Ok(out)
     }
 }

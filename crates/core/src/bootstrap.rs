@@ -30,11 +30,11 @@ use dxh_extmem::{
     mem_disk, BlockId, Disk, ExtMemError, IoSnapshot, Key, MemDisk, Result, StorageBackend, Value,
 };
 use dxh_hashfn::{prefix_bucket, HashFn};
-use dxh_tables::{chain_lookup, ExternalDictionary, LayoutInspect, LayoutSnapshot};
+use dxh_tables::{chain_lookup, ExternalDictionary, LayoutInspect, LayoutSnapshot, Region};
 
 use crate::config::CoreConfig;
 use crate::log_method::LogMethodTable;
-use crate::stream::{build_fresh_region, merge_in_place, MergeCursor, Region, Source};
+use crate::stream::{build_fresh_region, merge_in_place, MergeCursor, Source};
 
 /// Theorem 2's dynamic hash table: a [`LogMethodTable`] — the side
 /// structure, with `H0`, its levels, the one accounted disk and the

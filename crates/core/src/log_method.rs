@@ -98,12 +98,12 @@ use dxh_extmem::{
     MemDisk, MemoryBudget, Result, StorageBackend, Value, VALUE_TOMBSTONE,
 };
 use dxh_hashfn::{prefix_bucket, HashFn, IdealFn};
-use dxh_tables::{chain_lookup, ExternalDictionary, LayoutInspect, LayoutSnapshot};
+use dxh_tables::{chain_lookup, ExternalDictionary, LayoutInspect, LayoutSnapshot, Region};
 
 use crate::config::CoreConfig;
 use crate::filter::{FilterPlan, FilterStats, HeldFilter, LevelFilter, Segments};
 use crate::mem_table::MemTable;
-use crate::stream::{build_fresh_region, MergeCursor, MergeStats, Region, Source, ValueMap};
+use crate::stream::{build_fresh_region, MergeCursor, MergeStats, Source, ValueMap};
 
 /// Lemma 5's dynamic hash table: `tu = O((γ/b)·log(n/m))` amortized
 /// insertions, `tq = O(log_γ(n/m))` lookups.

@@ -48,10 +48,10 @@
 use std::collections::BTreeMap;
 
 use dxh_extmem::{Block, BlockFile, BlockId, ExtMemError, Result, StorageBackend};
+use dxh_tables::Region;
 
 use super::manifest::corrupt;
 use crate::media::{best_effort, older_layout, StoreMedia};
-use crate::stream::Region;
 
 /// Low bits of a block id: the slot inside its file. The bits above are
 /// the file's number.

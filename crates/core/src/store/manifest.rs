@@ -3,11 +3,11 @@
 //! is believed.
 
 use dxh_extmem::{BlockId, ExtMemError, Result};
+use dxh_tables::Region;
 
 use super::KvStore;
 use crate::config::CoreConfig;
 use crate::media::{commit_file_atomic, older_layout, StoreMedia, MANIFEST};
-use crate::stream::Region;
 
 pub(super) const MAGIC: &str = "dxh-store v3";
 

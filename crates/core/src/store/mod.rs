@@ -94,12 +94,11 @@ use std::path::Path;
 use dxh_extmem::{
     check_key, check_value, BlobLog, Disk, ExtMemError, IoCostModel, IoSnapshot, Key, Result, Value,
 };
-use dxh_tables::ExternalDictionary;
+use dxh_tables::{ExternalDictionary, Region};
 
 use crate::config::CoreConfig;
 use crate::log_method::LogMethodTable;
 use crate::media::{read_text, DirMedia, StoreMedia, MANIFEST};
-use crate::stream::Region;
 
 mod compaction;
 mod levels;

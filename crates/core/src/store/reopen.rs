@@ -134,7 +134,7 @@ mod tests {
     use std::fs;
 
     use dxh_extmem::{BlockId, SimDisk, SimEnv, StorageBackend};
-    use dxh_tables::ExternalDictionary;
+    use dxh_tables::{ExternalDictionary, Region};
 
     use super::super::levels::level_file_name;
     use super::super::manifest::MAGIC;
@@ -142,7 +142,6 @@ mod tests {
     use super::*;
     use crate::config::CoreConfig;
     use crate::media::{SimMedia, MANIFEST};
-    use crate::stream::Region;
 
     #[test]
     fn crash_after_unsynced_growth_recovers_to_last_sync_point() {

@@ -30,88 +30,17 @@
 //! a `k`-source merge keeps `k` such buffers, one per disk level it reads.
 //!
 //! Reading a region *without* consuming it — filter rebuilds, layout
-//! snapshots — goes through [`Region::walk`], the
-//! one loop that follows overflow chains, bounded by the blocks the disk
-//! can hold.
+//! snapshots — goes through [`Region::walk`]; that and every chain
+//! operation the merge uses follow overflow chains by
+//! [`dxh_tables::chain_walk`], bounded by the blocks the disk can hold.
 
+use dxh_extmem::{BlockId, Disk, ExtMemError, Item, Key, Result, StorageBackend, Value};
+use dxh_hashfn::{prefix_bucket, HashFn, IdealFn};
+use dxh_tables::{chain_collect, write_bucket, Region};
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::ops::Range;
-
-use dxh_extmem::{Block, BlockId, Disk, ExtMemError, Item, Key, Result, StorageBackend, Value};
-use dxh_hashfn::{prefix_bucket, HashFn, IdealFn};
-use dxh_tables::{chain_collect, write_bucket};
 
 use crate::filter::LevelFilter;
-
-/// A disk-resident hash-table region: `buckets` consecutive primary
-/// blocks starting at `base` (overflow chains hang off them), holding
-/// `items` items.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Region {
-    /// First primary block.
-    pub base: BlockId,
-    /// Number of buckets (= primary blocks).
-    pub buckets: u64,
-    /// Items stored (after the last rebuild/merge).
-    pub items: usize,
-}
-
-impl Region {
-    /// The primary block of bucket `q`.
-    #[inline]
-    pub fn block_of(&self, q: u64) -> BlockId {
-        debug_assert!(q < self.buckets);
-        BlockId(self.base.raw() + q)
-    }
-
-    /// Shows `visit` every block of `buckets` — each bucket's primary,
-    /// then its overflow chain — as `(bucket, id, block)`, fetching
-    /// through `read` so that accounted (`Disk::read`), unaccounted
-    /// (`backend_mut`) and pre-`Disk` (a bare backend) callers
-    /// share the one loop that follows `next` pointers. `hops` is how
-    /// many blocks the walk may meet — the disk's live blocks: a pointer
-    /// rotted into a cycle is [`ExtMemError::Corrupt`]
-    /// after that many reads, never a spin.
-    pub fn walk(
-        &self,
-        buckets: Range<u64>,
-        mut hops: u64,
-        mut read: impl FnMut(BlockId) -> Result<Block>,
-        mut visit: impl FnMut(u64, BlockId, &Block) -> Result<()>,
-    ) -> Result<()> {
-        for q in buckets {
-            let mut cur = Some(self.block_of(q));
-            while let Some(id) = cur {
-                if hops == 0 {
-                    return Err(ExtMemError::Corrupt(format!(
-                        "bucket {q} of {self:?} chains past every block of its disk"
-                    )));
-                }
-                hops -= 1;
-                let blk = read(id)?;
-                visit(q, id, &blk)?;
-                cur = blk.next();
-            }
-        }
-        Ok(())
-    }
-
-    /// [`Region::walk`] over the whole region behind `disk`'s I/O
-    /// accounting: layout snapshots and diagnostics.
-    pub fn inspect<B: StorageBackend>(
-        &self,
-        disk: &mut Disk<B>,
-        mut visit: impl FnMut(u64, BlockId, &Block),
-    ) -> Result<()> {
-        let hops = disk.live_blocks();
-        let read = |id| disk.backend_mut().read(id);
-        self.walk(0..self.buckets, hops, read, |q, id, blk| {
-            visit(q, id, blk);
-            Ok(())
-        })
-    }
-}
 
 /// An item beside its key's `hash64`: a merge hashes each item once, as
 /// it enters, and routes, deduplicates and filters it by that word.
@@ -468,6 +397,8 @@ pub(crate) fn merge_in_place<B: StorageBackend>(
 
 #[cfg(test)]
 mod tests {
+    use std::ops::Range;
+
     use super::*;
     use dxh_extmem::{mem_disk, MemDisk};
 

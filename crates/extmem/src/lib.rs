@@ -40,9 +40,9 @@
 //!   [`MemoryBudget`] of capacity `m`;
 //! * generic page caching is a backend, not a mode of [`Disk`]: a table
 //!   runs on `Disk<Cached<B>>`, where [`Cached`] serves an inner
-//!   accounting disk through an LRU [`BufferPool`] and that inner disk's
-//!   counters are the transfers; the pool's frames are charged against
-//!   the same budget by whoever builds it.
+//!   accounting disk through a write-back LRU cache of blocks and that
+//!   inner disk's counters are the transfers; the cache's frames are
+//!   charged against the same budget by whoever builds it.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -75,7 +75,7 @@ pub use item::{
     check_key, check_value, Item, Key, Value, BLOB_TAG, KEY_TOMBSTONE, MAX_BLOB_OFFSET,
     VALUE_TOMBSTONE,
 };
-pub use pool::{BufferPool, Cached, PoolStats};
+pub use pool::{Cached, PoolStats};
 pub use sim_disk::{FaultPlan, IoEvent, SimBlob, SimEnv};
 pub use stats::{IoCostModel, IoSnapshot, IoStats};
 

@@ -2,7 +2,7 @@
 //!
 //! The paper asks whether internal memory used as a buffer can reduce the
 //! amortized insertion cost of a hash table. [`Cached`] is the *generic*
-//! form of such buffering — a write-back LRU [`BufferPool`] in front of
+//! form of such buffering — a write-back LRU cache of blocks in front of
 //! an accounting [`Disk`] — and the A1 ablation uses it to show that
 //! generic caching cannot beat Theorem 1, while the paper's *structural*
 //! buffering (H0 of the logarithmic method) can, at the price the theorem
@@ -15,7 +15,7 @@ use crate::block::{Block, BlockId};
 use crate::disk::Disk;
 use crate::error::Result;
 
-/// Hit/miss/eviction counters of a [`BufferPool`].
+/// Hit/miss/eviction counters of a [`Cached`] backend.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Lookups satisfied from the pool.
@@ -40,237 +40,41 @@ impl PoolStats {
     }
 }
 
-const NIL: usize = usize::MAX;
-
-/// An intrusive doubly-linked list over slab indices (no per-node
-/// allocation; O(1) link/unlink). Front = most recent.
-struct LinkedOrder {
-    prev: Vec<usize>,
-    next: Vec<usize>,
-    head: usize,
-    tail: usize,
-}
-
-impl LinkedOrder {
-    fn new(capacity: usize) -> Self {
-        LinkedOrder { prev: vec![NIL; capacity], next: vec![NIL; capacity], head: NIL, tail: NIL }
-    }
-
-    fn push_front(&mut self, i: usize) {
-        self.prev[i] = NIL;
-        self.next[i] = self.head;
-        if self.head != NIL {
-            self.prev[self.head] = i;
-        }
-        self.head = i;
-        if self.tail == NIL {
-            self.tail = i;
-        }
-    }
-
-    fn unlink(&mut self, i: usize) {
-        let (p, n) = (self.prev[i], self.next[i]);
-        if p != NIL {
-            self.next[p] = n;
-        } else {
-            self.head = n;
-        }
-        if n != NIL {
-            self.prev[n] = p;
-        } else {
-            self.tail = p;
-        }
-        self.prev[i] = NIL;
-        self.next[i] = NIL;
-    }
-
-    fn move_to_front(&mut self, i: usize) {
-        if self.head == i {
-            return;
-        }
-        self.unlink(i);
-        self.push_front(i);
-    }
-
-    fn back(&self) -> Option<usize> {
-        if self.tail == NIL {
-            None
-        } else {
-            Some(self.tail)
-        }
-    }
-}
-
+/// A cached block: its contents, whether the disk behind lacks them, and
+/// the stamp of its last use.
 struct Frame {
-    id: BlockId,
     block: Block,
     dirty: bool,
-}
-
-/// A fixed-capacity write-back cache of disk blocks that evicts the least
-/// recently used frame.
-///
-/// The pool itself performs no I/O: [`Cached`] drives it and charges the
-/// I/Os (misses → reads, dirty evictions and syncs → writes).
-pub struct BufferPool {
-    capacity: usize,
-    frames: Vec<Frame>,
-    free: Vec<usize>,
-    map: HashMap<BlockId, usize>,
-    order: LinkedOrder,
-    stats: PoolStats,
-}
-
-impl BufferPool {
-    /// A pool holding up to `capacity` frames (must be ≥ 1).
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity >= 1, "buffer pool needs at least one frame");
-        BufferPool {
-            capacity,
-            frames: Vec::with_capacity(capacity),
-            free: Vec::new(),
-            map: HashMap::with_capacity(capacity),
-            order: LinkedOrder::new(capacity),
-            stats: PoolStats::default(),
-        }
-    }
-
-    /// Frame capacity.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Frames currently resident.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether no frames are resident.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Counter snapshot.
-    #[inline]
-    pub fn stats(&self) -> PoolStats {
-        self.stats
-    }
-
-    /// Looks up `id`, counting a hit or miss; on hit returns the cached
-    /// block and updates recency state.
-    pub fn get(&mut self, id: BlockId) -> Option<&Block> {
-        match self.map.get(&id).copied() {
-            Some(idx) => {
-                self.stats.hits += 1;
-                self.order.move_to_front(idx);
-                Some(&self.frames[idx].block)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Inserts (or overwrites) `id`. Returns an evicted dirty block that
-    /// the caller must write back, if any.
-    ///
-    /// Does not count a hit/miss: a miss was already counted by the
-    /// [`BufferPool::get`] that preceded the backend read.
-    pub fn insert(&mut self, id: BlockId, block: Block, dirty: bool) -> Option<(BlockId, Block)> {
-        if let Some(&idx) = self.map.get(&id) {
-            let f = &mut self.frames[idx];
-            f.block = block;
-            f.dirty = f.dirty || dirty;
-            self.order.move_to_front(idx);
-            return None;
-        }
-        let mut writeback = None;
-        if self.map.len() >= self.capacity {
-            writeback = self.evict_one();
-        }
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.frames[i] = Frame { id, block, dirty };
-                i
-            }
-            None => {
-                self.frames.push(Frame { id, block, dirty });
-                self.frames.len() - 1
-            }
-        };
-        self.map.insert(id, idx);
-        self.order.push_front(idx);
-        writeback
-    }
-
-    fn evict_one(&mut self) -> Option<(BlockId, Block)> {
-        let victim = self.order.back().expect("pool full implies nonempty order");
-        self.order.unlink(victim);
-        self.stats.evictions += 1;
-        let frame = &mut self.frames[victim];
-        let id = frame.id;
-        self.map.remove(&id);
-        self.free.push(victim);
-        let dirty = frame.dirty;
-        let block = core::mem::replace(&mut frame.block, Block::new(0));
-        if dirty {
-            self.stats.writebacks += 1;
-            Some((id, block))
-        } else {
-            None
-        }
-    }
-
-    /// Removes `id` without writeback (e.g. the block was freed).
-    pub fn discard(&mut self, id: BlockId) {
-        if let Some(idx) = self.map.remove(&id) {
-            self.order.unlink(idx);
-            self.frames[idx].block = Block::new(0);
-            self.frames[idx].dirty = false;
-            self.free.push(idx);
-        }
-    }
-
-    /// Takes every dirty frame's contents for writeback, marking them clean
-    /// (they stay resident).
-    fn take_dirty(&mut self) -> Vec<(BlockId, Block)> {
-        let mut out = Vec::new();
-        for f in &mut self.frames {
-            if f.dirty && self.map.contains_key(&f.id) {
-                f.dirty = false;
-                out.push((f.id, f.block.clone()));
-            }
-        }
-        out.sort_by_key(|(id, _)| *id);
-        out
-    }
+    used: u64,
 }
 
 /// A [`StorageBackend`] that serves an accounting [`Disk`] through a
-/// write-back LRU [`BufferPool`] of `frames` blocks: generic buffering,
-/// the A1 ablation's configuration.
+/// write-back cache of `frames` blocks that evicts the least recently
+/// used one: generic buffering, the A1 ablation's configuration.
 ///
 /// A table runs on `Disk<Cached<B>>`. The outer disk counts the table's
 /// block accesses; the inner disk ([`Cached::disk`]) counts the
 /// transfers: a hit costs nothing, a miss one read, a dirty eviction or
 /// a [`StorageBackend::sync`] one write per dirty frame, and `free`
-/// drops the pooled copy without writing it.
+/// drops the cached copy without writing it.
 ///
 /// The *caller* charges `frames × b` items to its
-/// [`crate::MemoryBudget`] — the pool is internal memory.
+/// [`crate::MemoryBudget`] — the cache is internal memory.
 pub struct Cached<B> {
     disk: Disk<B>,
-    pool: BufferPool,
+    capacity: usize,
+    resident: HashMap<BlockId, Frame>,
+    /// Stamps uses: the victim is the frame with the smallest `used`.
+    clock: u64,
+    stats: PoolStats,
 }
 
 impl<B: StorageBackend> Cached<B> {
-    /// `disk` behind a pool of `frames` blocks (must be ≥ 1).
+    /// `disk` behind a cache of `frames` blocks (must be ≥ 1).
     pub fn new(disk: Disk<B>, frames: usize) -> Self {
-        Cached { disk, pool: BufferPool::new(frames) }
+        assert!(frames >= 1, "a cache needs at least one frame");
+        let resident = HashMap::with_capacity(frames);
+        Cached { disk, capacity: frames, resident, clock: 0, stats: PoolStats::default() }
     }
 
     /// The disk behind the cache: its counters are the transfers.
@@ -279,19 +83,43 @@ impl<B: StorageBackend> Cached<B> {
     }
 
     /// The disk behind the cache, for tests and verification (bypasses
-    /// the pool — never use on a measurement path).
+    /// the cache — never use on a measurement path).
     pub fn disk_mut(&mut self) -> &mut Disk<B> {
         &mut self.disk
     }
 
-    /// The pool's hit/miss/eviction counters.
+    /// The cache's hit/miss/eviction counters.
     pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
+        self.stats
     }
 
-    /// Caches `block` as `id`, writing back the dirty frame it evicts.
+    /// The next use's stamp.
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    /// Caches `block` as `id`, used now (and dirty if `dirty` or already
+    /// so), writing back the dirty frame it evicts.
     fn insert(&mut self, id: BlockId, block: Block, dirty: bool) -> Result<()> {
-        match self.pool.insert(id, block, dirty) {
+        let used = self.tick();
+        if let Some(f) = self.resident.get_mut(&id) {
+            *f = Frame { block, dirty: f.dirty || dirty, used };
+            return Ok(());
+        }
+        let mut writeback = None;
+        if self.resident.len() >= self.capacity {
+            let lru = self.resident.iter().min_by_key(|(_, f)| f.used).map(|(&id, _)| id);
+            let victim = lru.expect("a full cache holds a frame");
+            let frame = self.resident.remove(&victim).expect("the victim is resident");
+            self.stats.evictions += 1;
+            if frame.dirty {
+                self.stats.writebacks += 1;
+                writeback = Some((victim, frame.block));
+            }
+        }
+        self.resident.insert(id, Frame { block, dirty, used });
+        match writeback {
             Some((victim, blk)) => self.disk.write(victim, &blk),
             None => Ok(()),
         }
@@ -304,9 +132,13 @@ impl<B: StorageBackend> StorageBackend for Cached<B> {
     }
 
     fn read(&mut self, id: BlockId) -> Result<Block> {
-        if let Some(blk) = self.pool.get(id) {
-            return Ok(blk.clone());
+        let used = self.tick();
+        if let Some(f) = self.resident.get_mut(&id) {
+            self.stats.hits += 1;
+            f.used = used;
+            return Ok(f.block.clone());
         }
+        self.stats.misses += 1;
         let blk = self.disk.read(id)?;
         self.insert(id, blk.clone(), false)?;
         Ok(blk)
@@ -325,7 +157,7 @@ impl<B: StorageBackend> StorageBackend for Cached<B> {
     }
 
     fn free(&mut self, id: BlockId) -> Result<()> {
-        self.pool.discard(id);
+        self.resident.remove(&id);
         self.disk.free(id)
     }
 
@@ -333,8 +165,18 @@ impl<B: StorageBackend> StorageBackend for Cached<B> {
         self.disk.live_blocks()
     }
 
+    /// Writes every dirty frame back in block order; the frames stay
+    /// resident, clean.
     fn sync(&mut self) -> Result<()> {
-        for (id, blk) in self.pool.take_dirty() {
+        let dirty = self.resident.iter_mut().filter(|(_, f)| f.dirty);
+        let mut dirty: Vec<_> = dirty
+            .map(|(&id, f)| {
+                f.dirty = false;
+                (id, f.block.clone())
+            })
+            .collect();
+        dirty.sort_by_key(|&(id, _)| id);
+        for (id, blk) in dirty {
             self.disk.write(id, &blk)?;
         }
         self.disk.flush()
@@ -353,117 +195,6 @@ mod tests {
         b
     }
 
-    #[test]
-    fn hit_and_miss_counting() {
-        let mut p = BufferPool::new(2);
-        assert!(p.get(BlockId(1)).is_none());
-        p.insert(BlockId(1), blk(4, 1), false);
-        assert!(p.get(BlockId(1)).is_some());
-        assert_eq!(p.stats().hits, 1);
-        assert_eq!(p.stats().misses, 1);
-    }
-
-    #[test]
-    fn lru_evicts_least_recent() {
-        let mut p = BufferPool::new(2);
-        p.insert(BlockId(1), blk(4, 1), true);
-        p.insert(BlockId(2), blk(4, 2), true);
-        let _ = p.get(BlockId(1)); // 2 is now LRU
-        let wb = p.insert(BlockId(3), blk(4, 3), false);
-        assert_eq!(wb.map(|(id, _)| id), Some(BlockId(2)), "the LRU frame is the victim");
-        assert!(p.get(BlockId(1)).is_some());
-        assert!(p.get(BlockId(3)).is_some());
-    }
-
-    #[test]
-    fn dirty_eviction_returns_writeback() {
-        let mut p = BufferPool::new(1);
-        p.insert(BlockId(1), blk(4, 1), true);
-        let wb = p.insert(BlockId(2), blk(4, 2), false);
-        let (id, b) = wb.expect("dirty block must be written back");
-        assert_eq!(id, BlockId(1));
-        assert!(b.contains(1));
-        assert_eq!(p.stats().writebacks, 1);
-    }
-
-    #[test]
-    fn clean_eviction_needs_no_writeback() {
-        let mut p = BufferPool::new(1);
-        p.insert(BlockId(1), blk(4, 1), false);
-        assert!(p.insert(BlockId(2), blk(4, 2), false).is_none());
-        assert_eq!(p.stats().evictions, 1);
-        assert_eq!(p.stats().writebacks, 0);
-    }
-
-    #[test]
-    fn a_dirty_overwrite_marks_a_clean_frame_dirty() {
-        let mut p = BufferPool::new(1);
-        p.insert(BlockId(1), blk(4, 1), false);
-        let mut edited = p.get(BlockId(1)).unwrap().clone();
-        edited.push(crate::item::Item::key_only(9)).unwrap();
-        p.insert(BlockId(1), edited, true);
-        let wb = p.insert(BlockId(2), blk(4, 2), false);
-        assert!(wb.is_some_and(|(_, b)| b.contains(9)), "mutated frame must be written back");
-    }
-
-    #[test]
-    fn take_dirty_flushes_and_cleans() {
-        let mut p = BufferPool::new(3);
-        p.insert(BlockId(1), blk(4, 1), true);
-        p.insert(BlockId(2), blk(4, 2), false);
-        p.insert(BlockId(3), blk(4, 3), true);
-        let d = p.take_dirty();
-        assert_eq!(d.iter().map(|(id, _)| id.raw()).collect::<Vec<_>>(), vec![1, 3]);
-        assert!(p.take_dirty().is_empty(), "second flush finds nothing dirty");
-        assert_eq!(p.len(), 3, "flush keeps frames resident");
-    }
-
-    #[test]
-    fn discard_drops_without_writeback() {
-        let mut p = BufferPool::new(2);
-        p.insert(BlockId(1), blk(4, 1), true);
-        p.discard(BlockId(1));
-        assert!(p.is_empty());
-        assert!(p.take_dirty().is_empty());
-        // Slot is reusable.
-        p.insert(BlockId(2), blk(4, 2), false);
-        p.insert(BlockId(3), blk(4, 3), false);
-        assert_eq!(p.len(), 2);
-    }
-
-    #[test]
-    fn overwrite_insert_keeps_dirty_sticky() {
-        let mut p = BufferPool::new(2);
-        p.insert(BlockId(1), blk(4, 1), true);
-        p.insert(BlockId(1), blk(4, 10), false); // overwrite with clean data
-        let d = p.take_dirty();
-        assert_eq!(d.len(), 1, "dirtiness is sticky until flushed");
-        assert!(d[0].1.contains(10));
-    }
-
-    #[test]
-    fn hit_ratio() {
-        let mut p = BufferPool::new(2);
-        p.insert(BlockId(1), blk(4, 1), false);
-        let _ = p.get(BlockId(1));
-        let _ = p.get(BlockId(2));
-        assert!((p.stats().hit_ratio() - 0.5).abs() < 1e-12);
-        assert_eq!(PoolStats::default().hit_ratio(), 0.0);
-    }
-
-    #[test]
-    fn heavy_churn_is_consistent() {
-        // Many inserts/gets; pool size must never exceed capacity.
-        let mut p = BufferPool::new(8);
-        for i in 0..1000u64 {
-            let id = BlockId(i % 50);
-            if p.get(id).is_none() {
-                p.insert(id, blk(4, i), i % 3 == 0);
-            }
-            assert!(p.len() <= 8);
-        }
-    }
-
     /// A table's disk over a pool of `frames` blocks in front of a
     /// four-item `MemDisk`, with `n` blocks allocated.
     fn cached(frames: usize, n: usize) -> (Disk<Cached<MemDisk>>, Vec<BlockId>) {
@@ -476,6 +207,133 @@ mod tests {
     /// The transfers: the counters of the disk behind the cache.
     fn transfers(d: &Disk<Cached<MemDisk>>) -> &Disk<MemDisk> {
         d.backend().disk()
+    }
+
+    /// The disk behind the cache, behind its accounting.
+    fn behind(d: &mut Disk<Cached<MemDisk>>) -> &mut MemDisk {
+        d.backend_mut().disk_mut().backend_mut()
+    }
+
+    #[test]
+    fn hit_and_miss_counting() {
+        let (mut d, ids) = cached(2, 1);
+        let _ = d.read(ids[0]).unwrap();
+        let _ = d.read(ids[0]).unwrap();
+        assert_eq!(d.backend().pool_stats().hits, 1);
+        assert_eq!(d.backend().pool_stats().misses, 1);
+    }
+
+    #[test]
+    fn lru_evicts_least_recent() {
+        let (mut d, ids) = cached(2, 3);
+        d.write(ids[0], &blk(4, 1)).unwrap();
+        d.write(ids[1], &blk(4, 2)).unwrap();
+        let _ = d.read(ids[0]).unwrap(); // ids[1] is now LRU
+        d.write(ids[2], &blk(4, 3)).unwrap();
+        assert_eq!(transfers(&d).stats().writes(), 1);
+        assert!(behind(&mut d).read(ids[1]).unwrap().contains(2), "the LRU frame is the victim");
+        assert!(behind(&mut d).read(ids[0]).unwrap().is_empty());
+        let _ = d.read(ids[0]).unwrap();
+        let _ = d.read(ids[2]).unwrap();
+        assert_eq!(d.backend().pool_stats().hits, 3);
+        assert_eq!(transfers(&d).stats().reads(), 0);
+    }
+
+    #[test]
+    fn dirty_eviction_is_written_back() {
+        let (mut d, ids) = cached(1, 2);
+        d.write(ids[0], &blk(4, 1)).unwrap();
+        let _ = d.read(ids[1]).unwrap();
+        assert!(behind(&mut d).read(ids[0]).unwrap().contains(1), "dirty block written back");
+        assert_eq!(d.backend().pool_stats().writebacks, 1);
+    }
+
+    #[test]
+    fn clean_eviction_needs_no_writeback() {
+        let (mut d, ids) = cached(1, 2);
+        let _ = d.read(ids[0]).unwrap();
+        let _ = d.read(ids[1]).unwrap();
+        assert_eq!(d.backend().pool_stats().evictions, 1);
+        assert_eq!(d.backend().pool_stats().writebacks, 0);
+        assert_eq!(transfers(&d).stats().writes(), 0);
+    }
+
+    #[test]
+    fn a_dirty_overwrite_marks_a_clean_frame_dirty() {
+        let (mut d, ids) = cached(1, 2);
+        let mut edited = d.read(ids[0]).unwrap();
+        edited.push(crate::item::Item::key_only(9)).unwrap();
+        d.write(ids[0], &edited).unwrap();
+        let _ = d.read(ids[1]).unwrap();
+        assert!(behind(&mut d).read(ids[0]).unwrap().contains(9), "mutated frame written back");
+    }
+
+    #[test]
+    fn sync_writes_dirty_frames_once_and_keeps_them() {
+        let (mut d, ids) = cached(3, 3);
+        d.write(ids[0], &blk(4, 1)).unwrap();
+        let _ = d.read(ids[1]).unwrap();
+        d.write(ids[2], &blk(4, 3)).unwrap();
+        d.flush().unwrap();
+        assert_eq!(transfers(&d).stats().writes(), 2, "the two dirty frames");
+        d.flush().unwrap();
+        assert_eq!(transfers(&d).stats().writes(), 2, "second sync finds nothing dirty");
+        for &id in &ids {
+            let _ = d.read(id).unwrap();
+        }
+        assert_eq!(transfers(&d).stats().reads(), 1, "sync keeps frames resident");
+    }
+
+    #[test]
+    fn free_releases_the_frame() {
+        let (mut d, ids) = cached(2, 3);
+        d.write(ids[0], &blk(4, 1)).unwrap();
+        d.free(ids[0]).unwrap();
+        let _ = d.read(ids[1]).unwrap();
+        let _ = d.read(ids[2]).unwrap();
+        assert_eq!(d.backend().pool_stats().evictions, 0, "the freed frame is reusable");
+        d.flush().unwrap();
+        assert_eq!(transfers(&d).stats().writes(), 0);
+    }
+
+    #[test]
+    fn a_rewritten_frame_is_written_back_once_with_the_newest_block() {
+        let (mut d, ids) = cached(2, 1);
+        d.write(ids[0], &blk(4, 1)).unwrap();
+        d.write(ids[0], &blk(4, 10)).unwrap();
+        d.flush().unwrap();
+        assert_eq!(transfers(&d).stats().writes(), 1);
+        assert!(behind(&mut d).read(ids[0]).unwrap().contains(10));
+    }
+
+    #[test]
+    fn hit_ratio() {
+        let (mut d, ids) = cached(2, 2);
+        let _ = d.read(ids[0]).unwrap();
+        let _ = d.read(ids[0]).unwrap();
+        assert!((d.backend().pool_stats().hit_ratio() - 0.5).abs() < 1e-12);
+        assert_eq!(PoolStats::default().hit_ratio(), 0.0);
+    }
+
+    #[test]
+    fn heavy_churn_is_consistent() {
+        // Reads and writes over 50 blocks through 8 frames: every read
+        // sees the last write, and after a sync so does the disk behind.
+        let (mut d, ids) = cached(8, 50);
+        let mut model: HashMap<BlockId, u64> = HashMap::new();
+        for i in 0..1000u64 {
+            let id = ids[(i % 50) as usize];
+            if i % 3 == 0 {
+                d.write(id, &blk(4, i)).unwrap();
+                model.insert(id, i);
+            } else if let Some(&k) = model.get(&id) {
+                assert!(d.read(id).unwrap().contains(k));
+            }
+        }
+        d.flush().unwrap();
+        for (&id, &k) in &model {
+            assert!(behind(&mut d).read(id).unwrap().contains(k));
+        }
     }
 
     #[test]

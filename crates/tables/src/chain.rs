@@ -1,7 +1,15 @@
-//! Bucket-chain primitives shared by chaining and linear hashing.
+//! Bucket chains, and the one walk every chain goes through.
 //!
 //! A *bucket* is a primary block plus a singly linked list of overflow
-//! blocks (via the block `next` pointer). Invariants maintained here:
+//! blocks (via the block `next` pointer). Every table the paper prices
+//! — chaining, linear hashing, each level of the logarithmic method and
+//! `Ĥ` — is a run of such buckets, most of them a [`Region`], and the
+//! B+-tree's leaves link the same way. [`chain_walk`] is the only loop
+//! that follows `next`: it owns the hop bound (the disk's live blocks)
+//! and the one [`ExtMemError::Corrupt`] a pointer rotted into a cycle
+//! gives, while each caller says what to do at a block and when to stop.
+//!
+//! Invariants the chain operations maintain:
 //!
 //! * no duplicate keys within a chain (upsert replaces in place);
 //! * new items go to the **tail** (extending it when full), so a
@@ -9,7 +17,102 @@
 //!   combined I/O — the paper's `1 + 1/2^Ω(b)` insert;
 //! * deletion unlinks and frees overflow blocks that become empty.
 
+use std::ops::{ControlFlow, Range};
+
 use dxh_extmem::{Block, BlockId, Disk, ExtMemError, Item, Key, Result, StorageBackend, Value};
+
+use ControlFlow::{Break, Continue};
+
+/// Follows the chain from `head`: hands each block id to `at`, which
+/// does that block's I/O and answers `Continue(next)` to go on or
+/// `Break(t)` to stop with `t`. `hops` is how many blocks the walk may
+/// still meet — the disk's live blocks, shared by the walks of one pass:
+/// a `next` rotted into a cycle is [`ExtMemError::Corrupt`] after that
+/// many, never a spin.
+pub fn chain_walk<T>(
+    head: BlockId,
+    hops: &mut u64,
+    mut at: impl FnMut(BlockId) -> Result<ControlFlow<T, BlockId>>,
+) -> Result<T> {
+    let mut cur = head;
+    loop {
+        *hops = hops.checked_sub(1).ok_or_else(|| {
+            ExtMemError::Corrupt(format!(
+                "the chain of {head:?} is longer than its disk has live blocks"
+            ))
+        })?;
+        match at(cur)? {
+            Continue(next) => cur = next,
+            Break(t) => return Ok(t),
+        }
+    }
+}
+
+/// Where a walk goes after `blk`: on to its `next`, or, at the tail,
+/// stop with `end`.
+pub(crate) fn onward<T>(blk: &Block, end: T) -> ControlFlow<T, BlockId> {
+    blk.next().map_or(Break(end), Continue)
+}
+
+/// A disk-resident hash-table region: `buckets` consecutive primary
+/// blocks starting at `base` (overflow chains hang off them), holding
+/// `items` items.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Region {
+    /// First primary block.
+    pub base: BlockId,
+    /// Number of buckets (= primary blocks).
+    pub buckets: u64,
+    /// Items stored.
+    pub items: usize,
+}
+
+impl Region {
+    /// The primary block of bucket `q`.
+    #[inline]
+    pub fn block_of(&self, q: u64) -> BlockId {
+        debug_assert!(q < self.buckets);
+        BlockId(self.base.raw() + q)
+    }
+
+    /// Shows `visit` every block of `buckets` — each bucket's primary,
+    /// then its overflow chain — as `(bucket, id, block)`, fetching
+    /// through `read` so that accounted (`Disk::read`), unaccounted
+    /// (`backend_mut`) and pre-`Disk` (a bare backend) callers share
+    /// [`chain_walk`]. `hops` is how many blocks the walk may meet — the
+    /// disk's live blocks.
+    pub fn walk(
+        &self,
+        buckets: Range<u64>,
+        mut hops: u64,
+        mut read: impl FnMut(BlockId) -> Result<Block>,
+        mut visit: impl FnMut(u64, BlockId, &Block) -> Result<()>,
+    ) -> Result<()> {
+        for q in buckets {
+            chain_walk(self.block_of(q), &mut hops, |id| {
+                let blk = read(id)?;
+                visit(q, id, &blk)?;
+                Ok(onward(&blk, ()))
+            })?;
+        }
+        Ok(())
+    }
+
+    /// [`Region::walk`] over the whole region behind `disk`'s I/O
+    /// accounting: layout snapshots and diagnostics.
+    pub fn inspect<B: StorageBackend>(
+        &self,
+        disk: &mut Disk<B>,
+        mut visit: impl FnMut(u64, BlockId, &Block),
+    ) -> Result<()> {
+        let hops = disk.live_blocks();
+        let read = |id| disk.backend_mut().read(id);
+        self.walk(0..self.buckets, hops, read, |q, id, blk| {
+            visit(q, id, blk);
+            Ok(())
+        })
+    }
+}
 
 /// What an upsert did.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -18,12 +121,6 @@ pub enum UpsertOutcome {
     Inserted,
     /// The key existed; its value was replaced.
     Replaced,
-}
-
-enum Step {
-    Done(UpsertOutcome),
-    Continue(BlockId),
-    NeedExtend,
 }
 
 /// Inserts or updates `item` in the chain rooted at `head`.
@@ -37,37 +134,30 @@ pub fn chain_upsert<B: StorageBackend>(
     head: BlockId,
     item: Item,
 ) -> Result<UpsertOutcome> {
-    let mut cur = head;
-    loop {
-        let step = disk.update(cur, |blk| {
+    let mut hops = disk.live_blocks();
+    // `Err(tail)`: the key is new and the chain ends in the full `tail`.
+    let placed = chain_walk(head, &mut hops, |id| {
+        disk.update(id, |blk| {
             if blk.replace(item.key, item.value).is_some() {
-                return (true, Step::Done(UpsertOutcome::Replaced));
+                (true, Break(Ok(UpsertOutcome::Replaced)))
+            } else if blk.next().is_some() || blk.is_full() {
+                (false, onward(blk, Err(id)))
+            } else {
+                blk.push(item).expect("checked not full");
+                (true, Break(Ok(UpsertOutcome::Inserted)))
             }
-            match blk.next() {
-                Some(next) => (false, Step::Continue(next)),
-                None => {
-                    if blk.is_full() {
-                        (false, Step::NeedExtend)
-                    } else {
-                        blk.push(item).expect("checked not full");
-                        (true, Step::Done(UpsertOutcome::Inserted))
-                    }
-                }
-            }
-        })?;
-        match step {
-            Step::Done(outcome) => return Ok(outcome),
-            Step::Continue(next) => cur = next,
-            Step::NeedExtend => {
-                let tail = disk.allocate()?;
-                let mut blk = Block::new(disk.b());
-                blk.push(item).expect("fresh block");
-                disk.write(tail, &blk)?;
-                disk.read_modify_write(cur, |b| b.set_next(Some(tail)))?;
-                return Ok(UpsertOutcome::Inserted);
-            }
-        }
-    }
+        })
+    })?;
+    let full = match placed {
+        Ok(outcome) => return Ok(outcome),
+        Err(full) => full,
+    };
+    let tail = disk.allocate()?;
+    let mut blk = Block::new(disk.b());
+    blk.push(item).expect("fresh block");
+    disk.write(tail, &blk)?;
+    disk.read_modify_write(full, |b| b.set_next(Some(tail)))?;
+    Ok(UpsertOutcome::Inserted)
 }
 
 /// Looks `key` up in the chain rooted at `head`.
@@ -79,23 +169,14 @@ pub fn chain_lookup<B: StorageBackend>(
     head: BlockId,
     key: Key,
 ) -> Result<Option<Value>> {
-    let mut cur = head;
-    for _ in 0..disk.live_blocks() {
-        let blk = disk.read(cur)?;
-        if let Some(v) = blk.find(key) {
-            return Ok(Some(v));
-        }
-        match blk.next() {
-            Some(next) => cur = next,
-            None => return Ok(None),
-        }
-    }
-    Err(cyclic(head))
-}
-
-/// A chain that outruns its disk: some `next` pointer rotted into a cycle.
-fn cyclic(head: BlockId) -> ExtMemError {
-    ExtMemError::Corrupt(format!("the chain of {head:?} is longer than its disk has live blocks"))
+    let mut hops = disk.live_blocks();
+    chain_walk(head, &mut hops, |id| {
+        let blk = disk.read(id)?;
+        Ok(match blk.find(key) {
+            Some(v) => Break(Some(v)),
+            None => onward(&blk, None),
+        })
+    })
 }
 
 /// Deletes `key` from the chain rooted at `head`; returns whether it was
@@ -106,37 +187,24 @@ pub fn chain_delete<B: StorageBackend>(
     head: BlockId,
     key: Key,
 ) -> Result<bool> {
-    enum Found {
-        No(Option<BlockId>),
-        Yes { emptied: bool, next: Option<BlockId> },
-    }
-    let mut prev: Option<BlockId> = None;
-    let mut cur = head;
-    loop {
-        let found = disk.update(cur, |blk| {
-            if blk.remove(key).is_some() {
-                (true, Found::Yes { emptied: blk.is_empty(), next: blk.next() })
-            } else {
-                (false, Found::No(blk.next()))
-            }
+    let (mut hops, mut prev) = (disk.live_blocks(), None);
+    // `Some((id, emptied, next))`: the block the key left.
+    let found = chain_walk(head, &mut hops, |id| {
+        let step = disk.update(id, |blk| match blk.remove(key) {
+            Some(_) => (true, Break(Some((id, blk.is_empty(), blk.next())))),
+            None => (false, onward(blk, None)),
         })?;
-        match found {
-            Found::Yes { emptied, next } => {
-                if emptied {
-                    if let Some(p) = prev {
-                        disk.read_modify_write(p, |b| b.set_next(next))?;
-                        disk.free(cur)?;
-                    }
-                }
-                return Ok(true);
-            }
-            Found::No(Some(next)) => {
-                prev = Some(cur);
-                cur = next;
-            }
-            Found::No(None) => return Ok(false),
+        if step.is_continue() {
+            prev = Some(id);
         }
+        Ok(step)
+    })?;
+    let Some((id, emptied, next)) = found else { return Ok(false) };
+    if let (true, Some(prev)) = (emptied, prev) {
+        disk.read_modify_write(prev, |b| b.set_next(next))?;
+        disk.free(id)?;
     }
+    Ok(true)
 }
 
 /// Collects every item of the chain rooted at `head` into `out`,
@@ -153,25 +221,17 @@ pub fn chain_collect<B: StorageBackend>(
     free_head: bool,
     out: &mut Vec<Item>,
 ) -> Result<()> {
-    // Head block.
     let mut hops = disk.live_blocks();
-    let head_blk = disk.read(head)?;
-    out.extend_from_slice(head_blk.items());
-    let mut cur = head_blk.next();
-    if free_head {
-        disk.free(head)?;
-    } else {
-        disk.write(head, &Block::new(disk.b()))?;
-    }
-    // Overflow blocks.
-    while let Some(id) = cur {
-        hops = hops.checked_sub(1).ok_or_else(|| cyclic(head))?;
+    chain_walk(head, &mut hops, |id| {
         let blk = disk.read(id)?;
         out.extend_from_slice(blk.items());
-        cur = blk.next();
-        disk.free(id)?;
-    }
-    Ok(())
+        if id == head && !free_head {
+            disk.write(head, &Block::new(disk.b()))?;
+        } else {
+            disk.free(id)?;
+        }
+        Ok(onward(&blk, ()))
+    })
 }
 
 /// Writes `items` into the bucket whose primary block is `primary`
@@ -186,34 +246,17 @@ pub fn write_bucket<B: StorageBackend>(
     items: &[Item],
 ) -> Result<()> {
     let b = disk.b();
-    if items.len() <= b {
+    let mut next = None;
+    for i in (0..items.len().div_ceil(b).max(1)).rev() {
+        let id = if i == 0 { primary } else { disk.allocate()? };
         let mut blk = Block::new(b);
-        for &it in items {
-            blk.push(it).expect("fits");
-        }
-        disk.write(primary, &blk)?;
-        return Ok(());
-    }
-    // Build the overflow chain back-to-front so every block is written
-    // exactly once with its final next pointer.
-    let chunks: Vec<&[Item]> = items.chunks(b).collect();
-    let mut next: Option<BlockId> = None;
-    for chunk in chunks.iter().skip(1).rev() {
-        let id = disk.allocate()?;
-        let mut blk = Block::new(b);
-        for &it in *chunk {
-            blk.push(it).expect("chunk fits");
+        for &it in &items[i * b..items.len().min((i + 1) * b)] {
+            blk.push(it).expect("a chunk fits a block");
         }
         blk.set_next(next);
         disk.write(id, &blk)?;
         next = Some(id);
     }
-    let mut blk = Block::new(b);
-    for &it in chunks[0] {
-        blk.push(it).expect("chunk fits");
-    }
-    blk.set_next(next);
-    disk.write(primary, &blk)?;
     Ok(())
 }
 

@@ -20,10 +20,14 @@ use dxh_extmem::{
 use dxh_hashfn::{prefix_bucket, HashFn};
 
 use crate::chain::{
-    chain_collect, chain_delete, chain_lookup, chain_upsert, write_bucket, UpsertOutcome,
+    chain_collect, chain_delete, chain_lookup, chain_upsert, write_bucket, Region, UpsertOutcome,
 };
 use crate::dictionary::ExternalDictionary;
 use crate::layout::{LayoutInspect, LayoutSnapshot};
+
+/// A growing table halves when `len < MIN_LOAD · nb · b` and `nb` is
+/// above the floor; a fixed one never shrinks.
+const MIN_LOAD: f64 = 0.05;
 
 /// Configuration for [`ChainingTable`].
 #[derive(Clone, Debug)]
@@ -37,22 +41,19 @@ pub struct ChainingConfig {
     /// Grow (double) when `len > max_load · nb · b`. Use `f64::INFINITY`
     /// for a fixed-size table (Knuth-style experiments).
     pub max_load: f64,
-    /// Shrink (halve) when `len < min_load · nb · b` and `nb` is above the
-    /// floor. `0.0` disables shrinking.
-    pub min_load: f64,
 }
 
 impl ChainingConfig {
     /// Sensible defaults: 4 initial buckets, grow at load 0.8, shrink at
-    /// load 0.05, seek-dominated accounting.
+    /// load 0.05.
     pub fn new(b: usize, m: usize) -> Self {
-        ChainingConfig { b, m, initial_buckets: 4, max_load: 0.8, min_load: 0.05 }
+        ChainingConfig { b, m, initial_buckets: 4, max_load: 0.8 }
     }
 
     /// A fixed-size table with `buckets` buckets (no growth or shrink) —
     /// the configuration Knuth's §6.4 analysis describes.
     pub fn fixed(b: usize, m: usize, buckets: u64) -> Self {
-        ChainingConfig { b, m, initial_buckets: buckets, max_load: f64::INFINITY, min_load: 0.0 }
+        ChainingConfig { b, m, initial_buckets: buckets, max_load: f64::INFINITY }
     }
 
     /// Builder: sets the initial bucket count.
@@ -68,12 +69,9 @@ impl ChainingConfig {
         if self.initial_buckets == 0 {
             return Err(ExtMemError::BadConfig("need at least one bucket".into()));
         }
-        if self.max_load.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return Err(ExtMemError::BadConfig("max_load must be positive".into()));
-        }
-        if self.min_load < 0.0 || self.min_load * 2.0 >= self.max_load.min(1e18) {
+        if self.max_load.partial_cmp(&(2.0 * MIN_LOAD)) != Some(std::cmp::Ordering::Greater) {
             return Err(ExtMemError::BadConfig(
-                "min_load must be ≥ 0 and well below max_load".into(),
+                "max_load must be well above the shrink load 0.05".into(),
             ));
         }
         // Working memory: one bucket's worth of items during redistribution.
@@ -92,9 +90,8 @@ pub struct ChainingTable<F: HashFn, B: StorageBackend = MemDisk> {
     disk: Disk<B>,
     budget: MemoryBudget,
     hash: F,
-    base: BlockId,
-    nb: u64,
-    len: usize,
+    /// The buckets; `items` is the table's length.
+    region: Region,
     cfg: ChainingConfig,
 }
 
@@ -118,17 +115,18 @@ impl<F: HashFn, B: StorageBackend> ChainingTable<F, B> {
         // Working buffers (redistribution scratch) + O(1) metadata words.
         budget.reserve(4 * cfg.b + 8)?;
         let base = disk.allocate_contiguous(cfg.initial_buckets as usize)?;
-        Ok(ChainingTable { disk, budget, hash, base, nb: cfg.initial_buckets, len: 0, cfg })
+        let region = Region { base, buckets: cfg.initial_buckets, items: 0 };
+        Ok(ChainingTable { disk, budget, hash, region, cfg })
     }
 
     /// Current number of buckets.
     pub fn buckets(&self) -> u64 {
-        self.nb
+        self.region.buckets
     }
 
     /// Current load factor `len / (nb · b)`.
     pub fn load_factor(&self) -> f64 {
-        self.len as f64 / (self.nb as f64 * self.cfg.b as f64)
+        self.region.items as f64 / (self.region.buckets as f64 * self.cfg.b as f64)
     }
 
     /// The underlying disk (for pool statistics etc.).
@@ -141,25 +139,22 @@ impl<F: HashFn, B: StorageBackend> ChainingTable<F, B> {
         &mut self.disk
     }
 
+    /// The primary block of `key`'s bucket.
     #[inline]
-    fn bucket_of(&self, key: Key) -> u64 {
-        prefix_bucket(self.hash.hash64(key), self.nb)
-    }
-
-    #[inline]
-    fn block_of_bucket(&self, q: u64) -> BlockId {
-        BlockId(self.base.raw() + q)
+    fn head_of(&self, key: Key) -> BlockId {
+        self.region.block_of(prefix_bucket(self.hash.hash64(key), self.region.buckets))
     }
 
     fn maybe_resize(&mut self) -> Result<()> {
-        let cap = self.nb as f64 * self.cfg.b as f64;
-        if (self.len as f64) > self.cfg.max_load * cap {
-            self.resize(self.nb * 2)
-        } else if self.cfg.min_load > 0.0
-            && self.nb > self.cfg.initial_buckets
-            && (self.len as f64) < self.cfg.min_load * cap
+        let nb = self.region.buckets;
+        let (len, cap) = (self.region.items as f64, nb as f64 * self.cfg.b as f64);
+        if len > self.cfg.max_load * cap {
+            self.resize(nb * 2)
+        } else if self.cfg.max_load.is_finite()
+            && nb > self.cfg.initial_buckets
+            && len < MIN_LOAD * cap
         {
-            self.resize(self.nb / 2)
+            self.resize(nb / 2)
         } else {
             Ok(())
         }
@@ -169,49 +164,31 @@ impl<F: HashFn, B: StorageBackend> ChainingTable<F, B> {
     /// sweep: `O(n/b + nb + new_nb)` I/Os total.
     fn resize(&mut self, new_nb: u64) -> Result<()> {
         debug_assert!(new_nb > 0);
-        let new_base = self.disk.allocate_contiguous(new_nb as usize)?;
+        let (old, base) = (self.region, self.disk.allocate_contiguous(new_nb as usize)?);
+        let new = Region { base, buckets: new_nb, items: old.items };
+        // Growth scatters each old bucket into `new_nb / nb` children,
+        // a shrink gathers `nb / new_nb` old buckets into one.
+        let groups = old.buckets.min(new_nb);
+        let (olds, news) = (old.buckets / groups, new_nb / groups);
+        debug_assert_eq!((olds * groups, news * groups), (old.buckets, new_nb));
         let mut scratch: Vec<Item> = Vec::with_capacity(2 * self.cfg.b);
-        if new_nb >= self.nb {
-            // Growth: each old bucket q scatters into `factor` children.
-            let factor = (new_nb / self.nb) as usize;
-            debug_assert_eq!(new_nb % self.nb, 0);
-            let mut children: Vec<Vec<Item>> = vec![Vec::new(); factor];
-            for q in 0..self.nb {
-                scratch.clear();
-                let head = self.block_of_bucket(q);
-                chain_collect(&mut self.disk, head, true, &mut scratch)?;
-                for c in children.iter_mut() {
-                    c.clear();
-                }
-                for &it in &scratch {
-                    let child = prefix_bucket(self.hash.hash64(it.key), new_nb);
-                    debug_assert!(child / factor as u64 == q);
-                    children[(child - q * factor as u64) as usize].push(it);
-                }
-                for (j, c) in children.iter().enumerate() {
-                    let id = BlockId(new_base.raw() + q * factor as u64 + j as u64);
-                    if !c.is_empty() {
-                        write_bucket(&mut self.disk, id, c)?;
-                    }
-                }
+        let mut children: Vec<Vec<Item>> = vec![Vec::new(); news as usize];
+        for g in 0..groups {
+            for j in 0..olds {
+                chain_collect(&mut self.disk, old.block_of(g * olds + j), true, &mut scratch)?;
             }
-        } else {
-            // Shrink: `factor` old buckets gather into each new bucket.
-            let factor = self.nb / new_nb;
-            debug_assert_eq!(self.nb % new_nb, 0);
-            for q in 0..new_nb {
-                scratch.clear();
-                for j in 0..factor {
-                    let head = self.block_of_bucket(q * factor + j);
-                    chain_collect(&mut self.disk, head, true, &mut scratch)?;
-                }
-                if !scratch.is_empty() {
-                    write_bucket(&mut self.disk, BlockId(new_base.raw() + q), &scratch)?;
+            for it in scratch.drain(..) {
+                let q = prefix_bucket(self.hash.hash64(it.key), new_nb);
+                children[(q - g * news) as usize].push(it);
+            }
+            for (j, c) in children.iter_mut().enumerate() {
+                if !c.is_empty() {
+                    write_bucket(&mut self.disk, new.block_of(g * news + j as u64), c)?;
+                    c.clear();
                 }
             }
         }
-        self.base = new_base;
-        self.nb = new_nb;
+        self.region = new;
         Ok(())
     }
 }
@@ -219,31 +196,31 @@ impl<F: HashFn, B: StorageBackend> ChainingTable<F, B> {
 impl<F: HashFn, B: StorageBackend> ExternalDictionary for ChainingTable<F, B> {
     fn insert(&mut self, key: Key, value: Value) -> Result<()> {
         check_key(key)?;
-        let head = self.block_of_bucket(self.bucket_of(key));
+        let head = self.head_of(key);
         if chain_upsert(&mut self.disk, head, Item::new(key, value))? == UpsertOutcome::Inserted {
-            self.len += 1;
+            self.region.items += 1;
             self.maybe_resize()?;
         }
         Ok(())
     }
 
     fn lookup(&mut self, key: Key) -> Result<Option<Value>> {
-        let head = self.block_of_bucket(self.bucket_of(key));
+        let head = self.head_of(key);
         chain_lookup(&mut self.disk, head, key)
     }
 
     fn delete(&mut self, key: Key) -> Result<bool> {
-        let head = self.block_of_bucket(self.bucket_of(key));
+        let head = self.head_of(key);
         let removed = chain_delete(&mut self.disk, head, key)?;
         if removed {
-            self.len -= 1;
+            self.region.items -= 1;
             self.maybe_resize()?;
         }
         Ok(removed)
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.region.items
     }
 
     fn disk_stats(&self) -> IoSnapshot {
@@ -262,20 +239,14 @@ impl<F: HashFn, B: StorageBackend> ExternalDictionary for ChainingTable<F, B> {
 impl<F: HashFn, B: StorageBackend> LayoutInspect for ChainingTable<F, B> {
     fn layout_snapshot(&mut self) -> Result<LayoutSnapshot> {
         let mut snap = LayoutSnapshot::default();
-        for q in 0..self.nb {
-            let mut cur = Some(self.block_of_bucket(q));
-            while let Some(id) = cur {
-                let blk = self.disk.backend_mut().read(id)?;
-                let keys: Vec<Key> = blk.items().iter().map(|it| it.key).collect();
-                cur = blk.next();
-                snap.blocks.push((id, keys));
-            }
-        }
+        self.region.inspect(&mut self.disk, |_, id, blk| {
+            snap.blocks.push((id, blk.items().iter().map(|it| it.key).collect()));
+        })?;
         Ok(snap)
     }
 
     fn address_of(&self, key: Key) -> Option<BlockId> {
-        Some(self.block_of_bucket(self.bucket_of(key)))
+        Some(self.head_of(key))
     }
 }
 
@@ -439,9 +410,6 @@ mod tests {
         assert!(ChainingConfig::new(8, 0).validate().is_err());
         let mut c = ChainingConfig::new(8, 4096);
         c.initial_buckets = 0;
-        assert!(c.validate().is_err());
-        let mut c = ChainingConfig::new(8, 4096);
-        c.min_load = 0.5; // ≥ max_load / 2
         assert!(c.validate().is_err());
         assert!(ChainingConfig::new(64, 64).validate().is_err(), "m too small for working set");
     }

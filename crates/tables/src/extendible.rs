@@ -19,7 +19,7 @@ use dxh_extmem::{
     check_key, mem_disk, Block, BlockId, Disk, ExtMemError, IoSnapshot, Item, Key, MemDisk,
     MemoryBudget, Result, StorageBackend, Value,
 };
-use dxh_hashfn::{prefix_bucket, HashFn};
+use dxh_hashfn::{prefix_bucket, HashFn, IdealFn};
 
 use crate::dictionary::ExternalDictionary;
 use crate::layout::{LayoutInspect, LayoutSnapshot};
@@ -28,6 +28,10 @@ use crate::layout::{LayoutInspect, LayoutSnapshot};
 /// (2^-60 collision probability per pair under an ideal hash).
 const MAX_DEPTH: u32 = 60;
 
+/// Initial (and minimum) global depth: the table starts with four
+/// buckets.
+const INITIAL_DEPTH: u32 = 2;
+
 /// Configuration for [`ExtendibleTable`].
 #[derive(Clone, Debug)]
 pub struct ExtendibleConfig {
@@ -35,25 +39,20 @@ pub struct ExtendibleConfig {
     pub b: usize,
     /// Internal memory budget in items (must cover the directory).
     pub m: usize,
-    /// Initial (and minimum) global depth; the table starts with
-    /// `2^initial_depth` buckets.
-    pub initial_depth: u32,
 }
 
 impl ExtendibleConfig {
-    /// Defaults: initial depth 2 (four buckets).
+    /// Blocks of `b` items under a budget of `m`; the table starts with
+    /// four buckets.
     pub fn new(b: usize, m: usize) -> Self {
-        ExtendibleConfig { b, m, initial_depth: 2 }
+        ExtendibleConfig { b, m }
     }
 
     fn validate(&self) -> Result<()> {
         if self.b == 0 || self.m == 0 {
             return Err(ExtMemError::BadConfig("b and m must be positive".into()));
         }
-        if self.initial_depth > 28 {
-            return Err(ExtMemError::BadConfig("initial depth too large".into()));
-        }
-        let dir = 1usize << self.initial_depth;
+        let dir = 1usize << INITIAL_DEPTH;
         if self.m < dir + 2 * self.b + 72 {
             return Err(ExtMemError::BadConfig(format!(
                 "extendible hashing needs m ≥ {} for the directory and working set",
@@ -65,10 +64,10 @@ impl ExtendibleConfig {
 }
 
 /// Extendible hashing over an accounting disk.
-pub struct ExtendibleTable<F: HashFn, B: StorageBackend = MemDisk> {
+pub struct ExtendibleTable<B: StorageBackend = MemDisk> {
     disk: Disk<B>,
     budget: MemoryBudget,
-    hash: F,
+    hash: IdealFn,
     dir: Vec<BlockId>,
     g: u32,
     /// `depth_hist[l]` = number of buckets with local depth `l`.
@@ -77,22 +76,22 @@ pub struct ExtendibleTable<F: HashFn, B: StorageBackend = MemDisk> {
     cfg: ExtendibleConfig,
 }
 
-impl<F: HashFn> ExtendibleTable<F, MemDisk> {
+impl ExtendibleTable<MemDisk> {
     /// Builds a table over a fresh in-memory disk.
-    pub fn new(cfg: ExtendibleConfig, hash: F) -> Result<Self> {
+    pub fn new(cfg: ExtendibleConfig, hash: IdealFn) -> Result<Self> {
         let disk = mem_disk(cfg.b);
         Self::with_disk(disk, cfg, hash)
     }
 }
 
-impl<F: HashFn, B: StorageBackend> ExtendibleTable<F, B> {
+impl<B: StorageBackend> ExtendibleTable<B> {
     /// Builds a table over a caller-provided disk.
-    pub fn with_disk(mut disk: Disk<B>, cfg: ExtendibleConfig, hash: F) -> Result<Self> {
+    pub fn with_disk(mut disk: Disk<B>, cfg: ExtendibleConfig, hash: IdealFn) -> Result<Self> {
         cfg.validate()?;
         if disk.b() != cfg.b {
             return Err(ExtMemError::BadConfig("disk block size ≠ cfg.b".into()));
         }
-        let g = cfg.initial_depth;
+        let g = INITIAL_DEPTH;
         let nb = 1usize << g;
         let mut budget = MemoryBudget::new(cfg.m);
         // Directory entries + depth histogram + working blocks + metadata.
@@ -145,7 +144,7 @@ impl<F: HashFn, B: StorageBackend> ExtendibleTable<F, B> {
     }
 
     fn try_halve_directory(&mut self) {
-        while self.g > self.cfg.initial_depth && self.depth_hist[self.g as usize] == 0 {
+        while self.g > INITIAL_DEPTH && self.depth_hist[self.g as usize] == 0 {
             let half: Vec<BlockId> = self.dir.chunks_exact(2).map(|c| c[0]).collect();
             debug_assert!(self.dir.chunks_exact(2).all(|c| c[0] == c[1]));
             self.budget.release(half.len());
@@ -242,7 +241,7 @@ enum Outcome {
     Full,
 }
 
-impl<F: HashFn, B: StorageBackend> ExternalDictionary for ExtendibleTable<F, B> {
+impl<B: StorageBackend> ExternalDictionary for ExtendibleTable<B> {
     fn insert(&mut self, key: Key, value: Value) -> Result<()> {
         check_key(key)?;
         loop {
@@ -307,7 +306,7 @@ impl<F: HashFn, B: StorageBackend> ExternalDictionary for ExtendibleTable<F, B> 
     }
 }
 
-impl<F: HashFn, B: StorageBackend> LayoutInspect for ExtendibleTable<F, B> {
+impl<B: StorageBackend> LayoutInspect for ExtendibleTable<B> {
     fn layout_snapshot(&mut self) -> Result<LayoutSnapshot> {
         let mut snap = LayoutSnapshot::default();
         let mut seen = std::collections::HashSet::new();
@@ -330,7 +329,7 @@ mod tests {
     use super::*;
     use dxh_hashfn::IdealFn;
 
-    fn table(b: usize) -> ExtendibleTable<IdealFn> {
+    fn table(b: usize) -> ExtendibleTable {
         ExtendibleTable::new(ExtendibleConfig::new(b, 1 << 20), IdealFn::from_seed(13)).unwrap()
     }
 
@@ -473,7 +472,5 @@ mod tests {
     fn config_validation() {
         assert!(ExtendibleConfig::new(0, 100).validate().is_err());
         assert!(ExtendibleConfig::new(8, 10).validate().is_err(), "m too small");
-        let deep = ExtendibleConfig { initial_depth: 29, ..ExtendibleConfig::new(8, 1 << 20) };
-        assert!(deep.validate().is_err());
     }
 }

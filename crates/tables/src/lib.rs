@@ -32,7 +32,8 @@ mod linear_hashing;
 mod linear_probing;
 
 pub use chain::{
-    chain_collect, chain_delete, chain_lookup, chain_upsert, write_bucket, UpsertOutcome,
+    chain_collect, chain_delete, chain_lookup, chain_upsert, chain_walk, write_bucket, Region,
+    UpsertOutcome,
 };
 pub use chaining::{ChainingConfig, ChainingTable};
 pub use dictionary::ExternalDictionary;

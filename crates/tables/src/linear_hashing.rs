@@ -9,7 +9,7 @@
 //! cites for load-factor maintenance.
 //!
 //! Physical layout: buckets live in contiguous *segments* of
-//! `initial_buckets` blocks each; the in-memory state is the segment base
+//! [`INITIAL_BUCKETS`] blocks each; the in-memory state is the segment base
 //! table (charged to the budget) plus three words (`level`, `sp`, `len`).
 
 use dxh_extmem::{
@@ -19,7 +19,8 @@ use dxh_extmem::{
 use dxh_hashfn::{mask_bucket, HashFn};
 
 use crate::chain::{
-    chain_collect, chain_delete, chain_lookup, chain_upsert, write_bucket, UpsertOutcome,
+    chain_collect, chain_delete, chain_lookup, chain_upsert, chain_walk, onward, write_bucket,
+    UpsertOutcome,
 };
 use crate::dictionary::ExternalDictionary;
 use crate::layout::{LayoutInspect, LayoutSnapshot};
@@ -31,8 +32,6 @@ pub struct LinearHashConfig {
     pub b: usize,
     /// Internal memory budget in items.
     pub m: usize,
-    /// Buckets at level 0 — must be a power of two; also the segment size.
-    pub initial_buckets: u64,
     /// Split one bucket whenever `len > max_load · buckets · b`.
     pub max_load: f64,
 }
@@ -40,7 +39,7 @@ pub struct LinearHashConfig {
 impl LinearHashConfig {
     /// Defaults: 8 initial buckets, split at load 0.8.
     pub fn new(b: usize, m: usize) -> Self {
-        LinearHashConfig { b, m, initial_buckets: 8, max_load: 0.8 }
+        LinearHashConfig { b, m, max_load: 0.8 }
     }
 
     /// Builder: sets the split-trigger load factor.
@@ -52,9 +51,6 @@ impl LinearHashConfig {
     fn validate(&self) -> Result<()> {
         if self.b == 0 || self.m == 0 {
             return Err(ExtMemError::BadConfig("b and m must be positive".into()));
-        }
-        if !self.initial_buckets.is_power_of_two() {
-            return Err(ExtMemError::BadConfig("initial_buckets must be a power of two".into()));
         }
         if self.max_load.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
             return Err(ExtMemError::BadConfig("max_load must be positive".into()));
@@ -68,15 +64,17 @@ impl LinearHashConfig {
     }
 }
 
+/// Buckets at level 0 (a power of two), and the segment size.
+const INITIAL_BUCKETS: u64 = 8;
+
 /// Litwin linear hashing over an accounting disk.
 pub struct LinearHashTable<F: HashFn, B: StorageBackend = MemDisk> {
     disk: Disk<B>,
     budget: MemoryBudget,
     hash: F,
-    /// Base block id of each segment of `seg_size` buckets.
+    /// Base block id of each segment of [`INITIAL_BUCKETS`] buckets.
     segments: Vec<BlockId>,
-    seg_size: u64,
-    /// Buckets at the current level (`initial_buckets · 2^level`).
+    /// Buckets at the current level (`INITIAL_BUCKETS · 2^level`).
     level_buckets: u64,
     /// Next bucket to split, in `[0, level_buckets)`.
     sp: u64,
@@ -101,14 +99,13 @@ impl<F: HashFn, B: StorageBackend> LinearHashTable<F, B> {
         }
         let mut budget = MemoryBudget::new(cfg.m);
         budget.reserve(4 * cfg.b + 16 + 1)?; // working set + metadata + first segment entry
-        let base = disk.allocate_contiguous(cfg.initial_buckets as usize)?;
+        let base = disk.allocate_contiguous(INITIAL_BUCKETS as usize)?;
         Ok(LinearHashTable {
             disk,
             budget,
             hash,
             segments: vec![base],
-            seg_size: cfg.initial_buckets,
-            level_buckets: cfg.initial_buckets,
+            level_buckets: INITIAL_BUCKETS,
             sp: 0,
             len: 0,
             cfg,
@@ -149,18 +146,18 @@ impl<F: HashFn, B: StorageBackend> LinearHashTable<F, B> {
 
     #[inline]
     fn block_of(&self, bucket: u64) -> BlockId {
-        let seg = (bucket / self.seg_size) as usize;
-        BlockId(self.segments[seg].raw() + bucket % self.seg_size)
+        let seg = (bucket / INITIAL_BUCKETS) as usize;
+        BlockId(self.segments[seg].raw() + bucket % INITIAL_BUCKETS)
     }
 
     /// Splits bucket `sp` into `sp` and `sp + level_buckets`.
     fn split_one(&mut self) -> Result<()> {
         let new_bucket = self.level_buckets + self.sp;
         // Materialize the segment holding the new bucket if needed.
-        let seg = (new_bucket / self.seg_size) as usize;
+        let seg = (new_bucket / INITIAL_BUCKETS) as usize;
         if seg == self.segments.len() {
             self.budget.reserve(1)?;
-            let base = self.disk.allocate_contiguous(self.seg_size as usize)?;
+            let base = self.disk.allocate_contiguous(INITIAL_BUCKETS as usize)?;
             self.segments.push(base);
         }
         let old_block = self.block_of(self.sp);
@@ -232,14 +229,13 @@ impl<F: HashFn, B: StorageBackend> ExternalDictionary for LinearHashTable<F, B> 
 
 impl<F: HashFn, B: StorageBackend> LayoutInspect for LinearHashTable<F, B> {
     fn layout_snapshot(&mut self) -> Result<LayoutSnapshot> {
-        let mut snap = LayoutSnapshot::default();
+        let (mut snap, mut hops) = (LayoutSnapshot::default(), self.disk.live_blocks());
         for q in 0..self.bucket_count() {
-            let mut cur = Some(self.block_of(q));
-            while let Some(id) = cur {
+            chain_walk(self.block_of(q), &mut hops, |id| {
                 let blk = self.disk.backend_mut().read(id)?;
                 snap.blocks.push((id, blk.items().iter().map(|it| it.key).collect()));
-                cur = blk.next();
-            }
+                Ok(onward(&blk, ()))
+            })?;
         }
         Ok(snap)
     }
@@ -253,6 +249,7 @@ impl<F: HashFn, B: StorageBackend> LayoutInspect for LinearHashTable<F, B> {
 mod tests {
     use super::*;
     use dxh_hashfn::IdealFn;
+    use std::ops::ControlFlow::Break;
 
     fn table(b: usize) -> LinearHashTable<IdealFn> {
         LinearHashTable::new(LinearHashConfig::new(b, 1 << 16), IdealFn::from_seed(21)).unwrap()
@@ -368,16 +365,12 @@ mod tests {
         }
         // The key is reachable from its address by a chain walk.
         for k in 0..200u64 {
-            let mut cur = Some(t.address_of(k).unwrap());
-            let mut found = false;
-            while let Some(id) = cur {
-                let blk = t.disk.backend_mut().read(id).unwrap();
-                if blk.contains(k) {
-                    found = true;
-                    break;
-                }
-                cur = blk.next();
-            }
+            let mut hops = t.disk.live_blocks();
+            let found = chain_walk(t.address_of(k).unwrap(), &mut hops, |id| {
+                let blk = t.disk.backend_mut().read(id)?;
+                Ok(if blk.contains(k) { Break(true) } else { onward(&blk, false) })
+            })
+            .unwrap();
             assert!(found, "key {k} reachable from its address");
         }
     }
@@ -385,9 +378,6 @@ mod tests {
     #[test]
     fn config_validation() {
         assert!(LinearHashConfig::new(0, 100).validate().is_err());
-        let mut c = LinearHashConfig::new(8, 1 << 16);
-        c.initial_buckets = 6;
-        assert!(c.validate().is_err(), "non power of two rejected");
         assert!(LinearHashConfig::new(8, 10).validate().is_err(), "m too small");
     }
 }

@@ -16,8 +16,9 @@ use dxh_extmem::{
     check_key, mem_disk, BlockId, Disk, ExtMemError, IoSnapshot, Item, Key, MemDisk, MemoryBudget,
     Result, StorageBackend, Value,
 };
-use dxh_hashfn::{prefix_bucket, HashFn};
+use dxh_hashfn::{prefix_bucket, HashFn, IdealFn};
 
+use crate::chain::Region;
 use crate::dictionary::ExternalDictionary;
 use crate::layout::{LayoutInspect, LayoutSnapshot};
 
@@ -30,23 +31,16 @@ pub struct LinearProbingConfig {
     pub m: usize,
     /// Number of blocks in the probe region.
     pub buckets: u64,
-    /// Rebuild (purging tombstones) when
-    /// `tombstones > tombstone_rebuild_fraction · nb · b`.
-    pub tombstone_rebuild_fraction: f64,
 }
+
+/// Rebuild (purging tombstones) when
+/// `tombstones > TOMBSTONE_REBUILD_FRACTION · nb · b`.
+const TOMBSTONE_REBUILD_FRACTION: f64 = 0.25;
 
 impl LinearProbingConfig {
     /// A region of `buckets` blocks of capacity `b`.
     pub fn new(b: usize, m: usize, buckets: u64) -> Self {
-        LinearProbingConfig { b, m, buckets, tombstone_rebuild_fraction: 0.25 }
-    }
-
-    /// Sizes the region to hold `n` items at load factor `alpha`.
-    #[cfg(test)]
-    fn for_load(b: usize, m: usize, n: usize, alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha < 1.0);
-        let buckets = ((n as f64 / (alpha * b as f64)).ceil() as u64).max(1);
-        Self::new(b, m, buckets)
+        LinearProbingConfig { b, m, buckets }
     }
 
     fn validate(&self) -> Result<()> {
@@ -63,13 +57,12 @@ impl LinearProbingConfig {
 }
 
 /// Blocked linear probing over an accounting disk.
-pub struct LinearProbingTable<F: HashFn, B: StorageBackend = MemDisk> {
+pub struct LinearProbingTable<B: StorageBackend = MemDisk> {
     disk: Disk<B>,
     budget: MemoryBudget,
-    hash: F,
-    base: BlockId,
-    nb: u64,
-    live: usize,
+    hash: IdealFn,
+    /// The probe region; `items` counts the live items.
+    region: Region,
     tombstones: usize,
     cfg: LinearProbingConfig,
 }
@@ -79,17 +72,17 @@ enum ProbeStep<T> {
     Continue,
 }
 
-impl<F: HashFn> LinearProbingTable<F, MemDisk> {
+impl LinearProbingTable<MemDisk> {
     /// Builds a table over a fresh in-memory disk.
-    pub fn new(cfg: LinearProbingConfig, hash: F) -> Result<Self> {
+    pub fn new(cfg: LinearProbingConfig, hash: IdealFn) -> Result<Self> {
         let disk = mem_disk(cfg.b);
         Self::with_disk(disk, cfg, hash)
     }
 }
 
-impl<F: HashFn, B: StorageBackend> LinearProbingTable<F, B> {
+impl<B: StorageBackend> LinearProbingTable<B> {
     /// Builds a table over a caller-provided disk.
-    pub fn with_disk(mut disk: Disk<B>, cfg: LinearProbingConfig, hash: F) -> Result<Self> {
+    pub fn with_disk(mut disk: Disk<B>, cfg: LinearProbingConfig, hash: IdealFn) -> Result<Self> {
         cfg.validate()?;
         if disk.b() != cfg.b {
             return Err(ExtMemError::BadConfig("disk block size ≠ cfg.b".into()));
@@ -97,26 +90,18 @@ impl<F: HashFn, B: StorageBackend> LinearProbingTable<F, B> {
         let mut budget = MemoryBudget::new(cfg.m);
         budget.reserve(2 * cfg.b + 8)?;
         let base = disk.allocate_contiguous(cfg.buckets as usize)?;
-        Ok(LinearProbingTable {
-            disk,
-            budget,
-            hash,
-            base,
-            nb: cfg.buckets,
-            live: 0,
-            tombstones: 0,
-            cfg,
-        })
+        let region = Region { base, buckets: cfg.buckets, items: 0 };
+        Ok(LinearProbingTable { disk, budget, hash, region, tombstones: 0, cfg })
     }
 
     /// Number of blocks in the probe region.
     pub fn buckets(&self) -> u64 {
-        self.nb
+        self.region.buckets
     }
 
     /// Live-item load factor `live / (nb · b)`.
     pub fn load_factor(&self) -> f64 {
-        self.live as f64 / (self.nb as f64 * self.cfg.b as f64)
+        self.region.items as f64 / (self.region.buckets as f64 * self.cfg.b as f64)
     }
 
     /// Tombstones currently occupying slots.
@@ -134,28 +119,23 @@ impl<F: HashFn, B: StorageBackend> LinearProbingTable<F, B> {
         &mut self.disk
     }
 
-    #[inline]
-    fn start_bucket(&self, key: Key) -> u64 {
-        prefix_bucket(self.hash.hash64(key), self.nb)
-    }
-
-    #[inline]
-    fn block_at(&self, q: u64) -> BlockId {
-        BlockId(self.base.raw() + q)
+    /// The blocks `key` probes, in order: its hash bucket's first.
+    fn probes(&self, key: Key) -> impl Iterator<Item = BlockId> {
+        let r = self.region;
+        let start = prefix_bucket(self.hash.hash64(key), r.buckets);
+        (0..r.buckets).map(move |j| r.block_of((start + j) % r.buckets))
     }
 
     /// Rebuilds the region in place (fresh blocks, tombstones dropped).
     /// Costs `nb` reads + ~`n` combined I/Os for reinsertion; triggered
-    /// only by heavy deletion (the fraction in the config).
+    /// only by heavy deletion (tombstones in a quarter of the slots).
     pub fn rebuild(&mut self) -> Result<()> {
-        let old_base = self.base;
-        let old_nb = self.nb;
-        let new_base = self.disk.allocate_contiguous(old_nb as usize)?;
-        self.base = new_base;
-        self.live = 0;
+        let old = self.region;
+        let base = self.disk.allocate_contiguous(old.buckets as usize)?;
+        self.region = Region { base, buckets: old.buckets, items: 0 };
         self.tombstones = 0;
-        for q in 0..old_nb {
-            let old_id = BlockId(old_base.raw() + q);
+        for q in 0..old.buckets {
+            let old_id = old.block_of(q);
             let blk = self.disk.read(old_id)?;
             for &it in blk.items() {
                 if !it.is_tombstone() {
@@ -168,9 +148,7 @@ impl<F: HashFn, B: StorageBackend> LinearProbingTable<F, B> {
     }
 
     fn probe_insert(&mut self, item: Item) -> Result<UpdateKind> {
-        let start = self.start_bucket(item.key);
-        for j in 0..self.nb {
-            let id = self.block_at((start + j) % self.nb);
+        for id in self.probes(item.key) {
             let step = self.disk.update(id, |blk| {
                 if blk.replace(item.key, item.value).is_some() {
                     return (true, ProbeStep::Done(UpdateKind::Replaced));
@@ -183,12 +161,12 @@ impl<F: HashFn, B: StorageBackend> LinearProbingTable<F, B> {
             })?;
             if let ProbeStep::Done(kind) = step {
                 if kind == UpdateKind::Inserted {
-                    self.live += 1;
+                    self.region.items += 1;
                 }
                 return Ok(kind);
             }
         }
-        Err(ExtMemError::CapacityExhausted { len: self.live })
+        Err(ExtMemError::CapacityExhausted { len: self.region.items })
     }
 }
 
@@ -198,7 +176,7 @@ enum UpdateKind {
     Replaced,
 }
 
-impl<F: HashFn, B: StorageBackend> ExternalDictionary for LinearProbingTable<F, B> {
+impl<B: StorageBackend> ExternalDictionary for LinearProbingTable<B> {
     fn insert(&mut self, key: Key, value: Value) -> Result<()> {
         check_key(key)?;
         self.probe_insert(Item::new(key, value))?;
@@ -206,9 +184,7 @@ impl<F: HashFn, B: StorageBackend> ExternalDictionary for LinearProbingTable<F, 
     }
 
     fn lookup(&mut self, key: Key) -> Result<Option<Value>> {
-        let start = self.start_bucket(key);
-        for j in 0..self.nb {
-            let id = self.block_at((start + j) % self.nb);
+        for id in self.probes(key) {
             let blk = self.disk.read(id)?;
             if let Some(v) = blk.find(key) {
                 return Ok(Some(v));
@@ -221,9 +197,7 @@ impl<F: HashFn, B: StorageBackend> ExternalDictionary for LinearProbingTable<F, 
     }
 
     fn delete(&mut self, key: Key) -> Result<bool> {
-        let start = self.start_bucket(key);
-        for j in 0..self.nb {
-            let id = self.block_at((start + j) % self.nb);
+        for id in self.probes(key) {
             let step = self.disk.update(id, |blk| {
                 if let Some(pos) = blk.items().iter().position(|it| it.key == key) {
                     blk.items_mut()[pos] = Item::tombstone();
@@ -236,10 +210,10 @@ impl<F: HashFn, B: StorageBackend> ExternalDictionary for LinearProbingTable<F, 
             })?;
             match step {
                 ProbeStep::Done(true) => {
-                    self.live -= 1;
+                    self.region.items -= 1;
                     self.tombstones += 1;
-                    let cap = self.nb as f64 * self.cfg.b as f64;
-                    if self.tombstones as f64 > self.cfg.tombstone_rebuild_fraction * cap {
+                    let cap = self.region.buckets as f64 * self.cfg.b as f64;
+                    if self.tombstones as f64 > TOMBSTONE_REBUILD_FRACTION * cap {
                         self.rebuild()?;
                     }
                     return Ok(true);
@@ -252,7 +226,7 @@ impl<F: HashFn, B: StorageBackend> ExternalDictionary for LinearProbingTable<F, 
     }
 
     fn len(&self) -> usize {
-        self.live
+        self.region.items
     }
 
     fn disk_stats(&self) -> IoSnapshot {
@@ -268,21 +242,18 @@ impl<F: HashFn, B: StorageBackend> ExternalDictionary for LinearProbingTable<F, 
     }
 }
 
-impl<F: HashFn, B: StorageBackend> LayoutInspect for LinearProbingTable<F, B> {
+impl<B: StorageBackend> LayoutInspect for LinearProbingTable<B> {
     fn layout_snapshot(&mut self) -> Result<LayoutSnapshot> {
         let mut snap = LayoutSnapshot::default();
-        for q in 0..self.nb {
-            let id = self.block_at(q);
-            let blk = self.disk.backend_mut().read(id)?;
-            let keys: Vec<Key> =
-                blk.items().iter().filter(|it| !it.is_tombstone()).map(|it| it.key).collect();
-            snap.blocks.push((id, keys));
-        }
+        self.region.inspect(&mut self.disk, |_, id, blk| {
+            let live = blk.items().iter().filter(|it| !it.is_tombstone());
+            snap.blocks.push((id, live.map(|it| it.key).collect()));
+        })?;
         Ok(snap)
     }
 
     fn address_of(&self, key: Key) -> Option<BlockId> {
-        Some(self.block_at(self.start_bucket(key)))
+        self.probes(key).next()
     }
 }
 
@@ -291,7 +262,16 @@ mod tests {
     use super::*;
     use dxh_hashfn::IdealFn;
 
-    fn table(b: usize, nb: u64) -> LinearProbingTable<IdealFn> {
+    impl LinearProbingConfig {
+        /// Sizes the region to hold `n` items at load factor `alpha`.
+        fn for_load(b: usize, m: usize, n: usize, alpha: f64) -> Self {
+            assert!(alpha > 0.0 && alpha < 1.0);
+            let buckets = ((n as f64 / (alpha * b as f64)).ceil() as u64).max(1);
+            Self::new(b, m, buckets)
+        }
+    }
+
+    fn table(b: usize, nb: u64) -> LinearProbingTable {
         LinearProbingTable::new(LinearProbingConfig::new(b, 4096, nb), IdealFn::from_seed(5))
             .unwrap()
     }

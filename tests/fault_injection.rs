@@ -7,7 +7,9 @@
 //! semantics the old hand-rolled `FailingDisk` wrapper had, now provided
 //! by the crash-simulation backend itself.
 
-use dyn_ext_hash::extmem::{Block, Disk, ExtMemError, IoCostModel, SimDisk};
+use dyn_ext_hash::extmem::{
+    Block, BlockId, Disk, ExtMemError, IoCostModel, SimDisk, StorageBackend,
+};
 
 /// A `Disk` over a [`SimDisk`] whose fuse burns out after `okay`
 /// successful backend calls.
@@ -137,4 +139,99 @@ fn transient_lookup_faults_heal_on_retry() {
         assert_eq!(t.lookup(k).unwrap(), Some(k), "retry answers exactly, key {k}");
     }
     assert_eq!(faulted, 20, "every scheduled transient fault fired exactly once");
+}
+
+/// Runs `case` on a thread and waits a minute for it: a walk that
+/// followed a cyclic `next` forever would hang the suite instead of
+/// failing it.
+fn on_watchdog<T: Send + 'static>(what: &str, case: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let _ = tx.send(case());
+    });
+    let waited = rx.recv_timeout(std::time::Duration::from_secs(60));
+    let answer = waited.unwrap_or_else(|e| panic!("{what} never returned: {e}"));
+    runner.join().expect("the case returned, so its thread ends");
+    answer
+}
+
+/// A second handle on `sim`'s file, to rot blocks the table never
+/// wrote.
+fn second_handle(sim: &SimDisk, b: usize) -> SimDisk {
+    let file = sim.env().open_file("sim.blk").unwrap().expect("the disk's file");
+    SimDisk::from_file(file, b).unwrap()
+}
+
+/// Points the `next` of block `id` of `file` at the block itself.
+fn loop_back(file: &mut SimDisk, id: BlockId) {
+    let mut blk = file.read(id).unwrap();
+    blk.set_next(Some(id));
+    file.write(id, &blk).unwrap();
+}
+
+#[test]
+fn a_next_rotted_into_a_cycle_is_corrupt_to_every_walk() {
+    use dyn_ext_hash::btree::{BPlusTree, BPlusTreeConfig};
+    use dyn_ext_hash::hashfn::IdealFn;
+    use dyn_ext_hash::tables::{
+        ChainingConfig, ChainingTable, ExternalDictionary, LayoutInspect, LinearHashConfig,
+        LinearHashTable,
+    };
+    let corrupt = |what: &str, r: Result<(), ExtMemError>| {
+        assert!(matches!(r, Err(ExtMemError::Corrupt(_))), "{what}: {r:?}");
+    };
+    let b = 4;
+
+    // Chaining: the primary of an absent key's bucket points at itself.
+    let cfg = ChainingConfig::fixed(b, 4096, 4);
+    let mut t =
+        ChainingTable::with_disk(fused_disk(b, u64::MAX), cfg, IdealFn::from_seed(1)).unwrap();
+    for k in 0..8 {
+        t.insert(k, k).unwrap();
+    }
+    let absent = 1_000;
+    loop_back(&mut second_handle(t.disk().backend(), b), t.address_of(absent).unwrap());
+    let (mut t, r) = on_watchdog("insert", move || {
+        let r = t.insert(absent, 1);
+        (t, r)
+    });
+    corrupt("insert", r);
+    let (mut t, r) = on_watchdog("delete", move || {
+        let r = t.delete(absent).map(drop);
+        (t, r)
+    });
+    corrupt("delete", r);
+    let (mut t, r) = on_watchdog("lookup", move || {
+        let r = t.lookup(absent).map(drop);
+        (t, r)
+    });
+    corrupt("lookup", r);
+    let r = on_watchdog("chaining snapshot", move || t.layout_snapshot().map(drop));
+    corrupt("chaining snapshot", r);
+
+    // Linear hashing: a primary points at itself.
+    let cfg = LinearHashConfig::new(b, 1 << 16);
+    let mut t =
+        LinearHashTable::with_disk(fused_disk(b, u64::MAX), cfg, IdealFn::from_seed(2)).unwrap();
+    for k in 0..100 {
+        t.insert(k, k).unwrap();
+    }
+    loop_back(&mut second_handle(t.disk().backend(), b), t.address_of(7).unwrap());
+    let r = on_watchdog("linear-hash snapshot", move || t.layout_snapshot().map(drop));
+    corrupt("linear-hash snapshot", r);
+
+    // B+-tree: a leaf with a right sibling points at itself instead.
+    let cfg = BPlusTreeConfig::new(b, 4096);
+    let mut t = BPlusTree::with_disk(fused_disk(b, u64::MAX), cfg).unwrap();
+    for k in 0..100 {
+        t.insert(k, k).unwrap();
+    }
+    let mut file = second_handle(t.disk().backend(), b);
+    let leaf = (0..file.slots()).map(BlockId).find(|&id| {
+        let blk = file.read(id).unwrap();
+        blk.tag() == 0 && !blk.is_empty() && blk.next().is_some()
+    });
+    loop_back(&mut file, leaf.expect("100 keys fill more than one leaf"));
+    let r = on_watchdog("range", move || t.range(0, 1_000).map(drop));
+    corrupt("range", r);
 }
