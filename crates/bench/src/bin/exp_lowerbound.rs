@@ -9,15 +9,20 @@
 //! * the measured amortized insertion cost;
 //! * the theorem's predicted bound;
 //! * the zones account: max `tq` lower bound and mean slow-zone share
-//!   (Lemma 1's `|S| ≤ m + δk/φ` budget).
+//!   (Lemma 1's `|S| ≤ m + δk/φ` budget);
+//! * whether `(b, m, n)` sit in the paper's parameter range
+//!   `b^(1+2c) < n/m < 2^(b/4)` (`dxh_analysis::params_in_paper_range`).
 //!
 //! Regime 1 and 2 run the chaining table (a structure honoring
-//! `tq ≈ 1`); regime 3 runs the bootstrapped table at the matching `c`
-//! to show the certificate agreeing with the `Θ(b^(c−1))` frontier.
+//! `tq ≈ 1`); regime 3 runs the bootstrapped table at the matching `c`.
+//!
+//! Gate: a row whose certified lower bound exceeds its measured `tu`
+//! panics. The certificate counts blocks that must have been written,
+//! so it can only exceed the count when the accounting is wrong.
 //!
 //! Run: `cargo run -p dxh-bench --release --bin exp_lowerbound -- [--regime 1|2|3] [--quick]`
 
-use dxh_analysis::{table::fmt_f, TextTable};
+use dxh_analysis::{params_in_paper_range, table::fmt_f, TextTable};
 use dxh_bench::{emit, ExpArgs};
 use dxh_core::{BootstrappedTable, CoreConfig};
 use dxh_hashfn::IdealFn;
@@ -38,25 +43,27 @@ fn main() {
         "Thm1 bound",
         "max tq zone LB",
         "slow share",
+        "in paper range",
     ]);
 
     let run_regime = |table: &mut TextTable, regime: Regime, idx: u32| {
-        let (b, n, structure): (usize, usize, &str) = match regime {
-            Regime::Case1 { .. } => (16, args.scale(65_536, 8_192), "chaining"),
-            Regime::Case2 { .. } => (16, args.scale(65_536, 8_192), "chaining"),
-            Regime::Case3 { .. } => (64, args.scale(80_000, 16_000), "bootstrapped"),
+        // `c`: the regime's query exponent (`tq ≤ 1 + O(1/b^c)`).
+        let (b, m, n, c, structure): (usize, usize, usize, f64, &str) = match regime {
+            Regime::Case1 { c } => (16, 4096, args.scale(65_536, 8_192), c, "chaining"),
+            Regime::Case2 { .. } => (16, 4096, args.scale(65_536, 8_192), 1.0, "chaining"),
+            Regime::Case3 { c } => (64, 1024, args.scale(80_000, 16_000), c, "bootstrapped"),
         };
         let params = regime.params(b, n);
         let report = match regime {
             Regime::Case3 { c } => {
-                let cfg = CoreConfig::theorem2(b, 1024, c).expect("config");
+                let cfg = CoreConfig::theorem2(b, m, c).expect("config");
                 let mut t = BootstrappedTable::new(cfg, 0xAD5E ^ idx as u64).expect("table");
                 run_adversary(&mut t, n, &params, 0x1357 + idx as u64).expect("run")
             }
             _ => {
                 // Fixed chaining table at load ≤ 1/2: the tq ≈ 1 regime.
                 let buckets = (2 * n / b) as u64;
-                let cfg = ChainingConfig::fixed(b, 4096, buckets);
+                let cfg = ChainingConfig::fixed(b, m, buckets);
                 let mut t = ChainingTable::new(cfg, IdealFn::from_seed(0xAD5E ^ idx as u64))
                     .expect("table");
                 run_adversary(&mut t, n, &params, 0x1357 + idx as u64).expect("run")
@@ -73,7 +80,14 @@ fn main() {
             fmt_f(regime.tu_lower_bound(b), 4),
             fmt_f(report.max_tq_zone_bound, 4),
             fmt_f(report.mean_slow_share, 4),
+            if params_in_paper_range(b, m, n, c) { "yes" } else { "no" }.to_string(),
         ]);
+        assert!(
+            report.certified_tu_lower <= report.measured_tu,
+            "regime {idx}: certified tu lower bound {} exceeds the measured tu {}",
+            report.certified_tu_lower,
+            report.measured_tu
+        );
     };
 
     let regimes: Vec<(u32, Regime)> = vec![
@@ -89,9 +103,15 @@ fn main() {
     println!("Theorem 1 adversary harness (per-regime parameters from §2 of the paper).");
     emit("Theorem 1 — certified insertion lower bounds", &table, &args, "exp_lowerbound.csv");
     println!(
-        "\nReading: for tq ≈ 1 structures (rows 1–2) the certificate pins tu near 1 —\n\
-         the buffer is useless. Row 3's structure spends its slow-zone budget\n\
-         (1/β of items) to beat 1, landing right at the Θ(b^(c−1)) frontier;\n\
-         its certificate is small BECAUSE its fast-zone traffic is batched."
+        "\nReading: every row's certificate is at most its measured tu (asserted).\n\
+         Rows 1–2, chaining at load ≤ 1/2 with tq ≈ 1, certify 0.88–0.94 block\n\
+         writes an insert against ≈ 1.00 measured: with tq ≈ 1 the buffer saves\n\
+         almost nothing. Theorem 1's unit-constant bound (0.29 / 0.50) sits far\n\
+         below both. Row 3, the bootstrapped table at c = 1/2, measures tu 0.44\n\
+         at --quick and 0.56 at full size, 3.5–4.5× Theorem 1's b^(c−1) = 0.125:\n\
+         it beats 1 by batching its fast-zone writes, which also keeps its\n\
+         certificate small (0.04 / 0.06), but it is not at the frontier. No row\n\
+         is in the paper's range b^(1+2c) < n/m < 2^(b/4): at b = 16 the range\n\
+         is empty, and row 3's n/m (16 / 78) is below 64² = 4096."
     );
 }

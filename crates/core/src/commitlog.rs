@@ -43,21 +43,27 @@ pub(crate) struct CommitLog<M: StoreMedia> {
 }
 
 impl<M: StoreMedia> CommitLog<M> {
-    /// Opens (creating if needed) the log in the service root `root`.
-    pub(crate) fn open(mut root: M) -> Result<Self> {
-        let file = match root.open_file(COMMITLOG)? {
-            Some(file) => file,
-            None => {
-                let file = root.create_file(COMMITLOG)?;
-                // Make the log's dirent durable before anything is
-                // acknowledged through it: without this, a crash could
-                // drop the whole file even though its contents were
-                // fdatasync'd (the fd sync does not cover the name).
-                root.sync_dir()?;
-                file
-            }
-        };
-        Ok(CommitLog { file, poisoned: false })
+    /// Creates the empty log of a new service in the root `root`. The
+    /// caller makes its name durable — with the directory fsync of the
+    /// `SERVICE` commit — before anything is acknowledged through it: a
+    /// file's own sync does not cover its name.
+    pub(crate) fn create(root: &mut M) -> Result<Self> {
+        Ok(CommitLog { file: root.create_file(COMMITLOG)?, poisoned: false })
+    }
+
+    /// Opens the log of an existing service in the root `root`. Nothing
+    /// is acknowledged before `SERVICE` is durable, so a root whose log
+    /// is missing — a file system that kept the rename but not the
+    /// earlier create, or an older build that committed `SERVICE` before
+    /// creating the log — lost no record: it gets an empty log, made
+    /// durable before anything is acknowledged through it.
+    pub(crate) fn open(root: &mut M) -> Result<Self> {
+        if let Some(file) = root.open_file(COMMITLOG)? {
+            return Ok(CommitLog { file, poisoned: false });
+        }
+        let log = Self::create(root)?;
+        root.sync_dir()?;
+        Ok(log)
     }
 
     /// Appends `bytes` and makes everything appended so far durable —
@@ -384,7 +390,7 @@ mod tests {
         f.append(bytes).unwrap();
         f.sync().unwrap();
         env.sync_dir("").unwrap();
-        CommitLog::open(SimMedia::unlocked(env)).unwrap()
+        CommitLog::open(&mut SimMedia::unlocked(env)).unwrap()
     }
 
     /// The positional walk sees what decoding the log's image saw: every
@@ -422,7 +428,7 @@ mod tests {
         use dxh_extmem::FaultPlan;
         for fail_sync in [false, true] {
             let env = SimEnv::new();
-            let mut log = CommitLog::open(SimMedia::unlocked(&env)).unwrap();
+            let mut log = CommitLog::open(&mut SimMedia::unlocked(&env)).unwrap();
             log.commit(&word(0, 1)).unwrap();
             let at = env.ops() + u64::from(fail_sync);
             env.set_plan(FaultPlan { fail_at: vec![at], ..Default::default() });
@@ -434,7 +440,7 @@ mod tests {
             env.set_plan(FaultPlan::crash(env.ops(), 5));
             assert!(env.sync_dir("").is_err());
             env.power_cycle();
-            let mut log = CommitLog::open(SimMedia::unlocked(&env)).unwrap();
+            let mut log = CommitLog::open(&mut SimMedia::unlocked(&env)).unwrap();
             assert_eq!(seqs(&mut log), vec![1, 3], "fail_sync {fail_sync}: after the crash");
         }
     }
@@ -446,7 +452,7 @@ mod tests {
     fn failed_roll_back_poisons_the_log() {
         use dxh_extmem::FaultPlan;
         let env = SimEnv::new();
-        let mut log = CommitLog::open(SimMedia::unlocked(&env)).unwrap();
+        let mut log = CommitLog::open(&mut SimMedia::unlocked(&env)).unwrap();
         log.commit(&word(0, 1)).unwrap();
         // The sync and the truncate that would undo the append both fail.
         let at = env.ops();
@@ -468,12 +474,12 @@ mod tests {
     /// round committed; errors where `env` crashes.
     fn checkpointing(env: &SimEnv, acked: &mut Vec<(usize, Key, u64)>) -> Result<()> {
         let cfg = CoreConfig::lemma5(4, 96, 2).unwrap();
-        let root = SimMedia::unlocked(env);
+        let mut root = SimMedia::unlocked(env);
         let mut stores = Vec::new();
         for si in 0..2 {
             stores.push(KvStore::open_on(root.sub(&format!("shard-{si:03}"))?, cfg.clone(), 7)?);
         }
-        let mut log = CommitLog::open(root)?;
+        let mut log = CommitLog::open(&mut root)?;
         replay_log(&mut log, &mut stores)?;
         for round in 0..9u64 {
             let mut bytes = Vec::new();
@@ -554,7 +560,7 @@ mod tests {
             hardened_not_truncated +=
                 usize::from(!acked.is_empty() && last == Some(&"dir-sync shard-001/"));
 
-            let root = SimMedia::unlocked(&env);
+            let mut root = SimMedia::unlocked(&env);
             let cfg = CoreConfig::lemma5(4, 96, 2).unwrap();
             let mut stores: Vec<_> = (0..2)
                 .map(|si| {
@@ -562,7 +568,7 @@ mod tests {
                     KvStore::open_on(shard, cfg.clone(), 7).unwrap()
                 })
                 .collect();
-            let mut log = CommitLog::open(root).unwrap();
+            let mut log = CommitLog::open(&mut root).unwrap();
             replay_log(&mut log, &mut stores).unwrap();
             for (si, key, v) in acked {
                 assert_eq!(

@@ -182,7 +182,10 @@ fn is_current_inode(_file: &fs::File, _path: &Path) -> bool {
 /// out of the file and deciding liveness ourselves would race: between
 /// the read and the takeover the judged-dead owner's slot can be
 /// re-acquired by a third handle.) The pid written inside is
-/// informational only.
+/// informational only and never synced — open pays for no sync of its
+/// own — so a crash may leave `LOCK` empty: the next acquire takes it
+/// like any unlocked file, and a live owner whose pid was lost is named
+/// `pid unknown`.
 struct DirLock {
     path: PathBuf,
     /// Keeps the OS lock alive; closing the descriptor releases it.
@@ -209,10 +212,13 @@ impl DirLock {
                 Ok(()) => {}
                 Err(fs::TryLockError::WouldBlock) => {
                     let owner = fs::read_to_string(&path).unwrap_or_default();
+                    let owner = match owner.trim() {
+                        "" => "unknown",
+                        pid => pid,
+                    };
                     return Err(ExtMemError::BadConfig(format!(
-                        "store is locked by pid {} (a live handle; the OS releases the \
-                         lock when that process exits)",
-                        owner.trim()
+                        "store is locked by pid {owner} (a live handle; the OS releases the \
+                         lock when that process exits)"
                     )));
                 }
                 Err(fs::TryLockError::Error(e)) => return Err(e.into()),
@@ -223,10 +229,11 @@ impl DirLock {
                 continue;
             }
             file.set_len(0)?;
+            // Written, never synced: the pid is informational only
+            // (ownership is the OS lock), and a crash that loses it
+            // leaves an empty `LOCK`, which the next acquire takes like
+            // any other unlocked file.
             writeln!(&file, "{}", std::process::id())?;
-            // The pid is informational only (ownership is the OS lock);
-            // losing it to a crash costs nothing.
-            best_effort(file.sync_data());
             return Ok(DirLock { path, _file: file });
         }
         Err(ExtMemError::BadConfig(format!("could not acquire {}", path.display())))

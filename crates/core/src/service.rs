@@ -270,8 +270,8 @@ pub struct ServiceStats {
     pub manifest_delta_commits: u64,
     /// Bytes of those commits.
     pub manifest_delta_bytes: u64,
-    /// Every other manifest commit across shards (creation, log replay
-    /// at open, compaction, `sync_all`).
+    /// Every other manifest commit across shards (log replay at open,
+    /// compaction, `sync_all`).
     pub manifest_full_commits: u64,
     /// Bytes of those commits.
     pub manifest_full_bytes: u64,
@@ -1180,23 +1180,30 @@ impl<M: StoreMedia + Send + 'static> ShardedKvStore<M> {
                 KvStore::open_on(shard_media, cfg.clone(), shard_seed)?
             });
         }
-        if fresh {
-            // Committed only after every shard bootstrapped: a failed
-            // first open (one shard's disk full, say) must not bake a
-            // shard count into the root that never produced a working
-            // service. A crash in between is recoverable — the next
-            // open re-runs this create path, and each shard store
-            // reopens from its own already-committed manifest.
+        let mut log = if fresh {
+            // The one commit that makes a service exist, made only after
+            // every shard opened: a failed first open (one shard's disk
+            // full, say) must not bake a shard count into the root that
+            // never produced a working service. No shard has a manifest
+            // yet — an empty store needs none — so a crash anywhere
+            // before the rename leaves a root the next open creates
+            // afresh. The log is created first, so the directory fsync
+            // that makes `SERVICE` durable makes the shard directories
+            // and the log durable with it.
+            let log = CommitLog::create(&mut root)?;
             let mode = if payloads { "payloads 1\n" } else { "" };
             let meta = format!("{SERVICE_MAGIC}\nshards {shards}\nseed {seed}\n{mode}");
             commit_file_atomic(&mut root, SERVICE, &meta)?;
-        }
+            log
+        } else {
+            CommitLog::open(&mut root)?
+        };
         // Reopen-time recovery, phase two: each store recovered itself
-        // to its last manifest above; now the commit log's surviving
-        // records — batches acknowledged through a log round that no
-        // manifest covered yet — are replayed on top, the manifests
-        // brought current, and the log emptied.
-        let mut log = CommitLog::open(root)?;
+        // to its last manifest above (an empty one where it has none);
+        // now the commit log's surviving records — batches acknowledged
+        // through a log round that no manifest covered yet — are
+        // replayed on top, the manifests brought current, and the log
+        // emptied.
         replay_log(&mut log, &mut stores)?;
         let v: Vec<Arc<Shard<M>>> = stores
             .into_iter()
@@ -1691,8 +1698,9 @@ fn parse_service_meta(text: &str) -> Result<ServiceMeta> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::media::MANIFEST;
     use crate::SimMedia;
-    use dxh_extmem::{FaultPlan, SimEnv};
+    use dxh_extmem::{FaultPlan, IoEvent, SimEnv};
     use std::sync::atomic::{AtomicBool, Ordering};
 
     fn cfg() -> CoreConfig {
@@ -2236,6 +2244,114 @@ mod tests {
         let svc = sim_service(&env, 2, 33);
         assert!(svc.put_bytes(1, b"x").is_err());
         assert!(svc.get_bytes(1).is_err());
+    }
+
+    /// The service on `env`'s root, raw or in payload mode.
+    fn open(env: &SimEnv, shards: usize, payloads: bool) -> Result<ShardedKvStore<SimMedia>> {
+        let root = SimMedia::unlocked(env);
+        match payloads {
+            true => ShardedKvStore::open_payload_on(root, shards, cfg(), 35),
+            false => ShardedKvStore::open_on(root, shards, cfg(), 35),
+        }
+    }
+
+    /// The physical syncs in a trace: `(file syncs, directory syncs)`.
+    fn syncs(trace: &[IoEvent]) -> (usize, usize) {
+        let file = trace.iter().filter(|e| matches!(e, IoEvent::Sync { .. })).count();
+        let dir = |e: &&IoEvent| matches!(e, IoEvent::Meta { label, .. } if label.starts_with("dir-sync"));
+        (file, trace.iter().filter(dir).count())
+    }
+
+    /// Open pays for the one commit that makes a service exist:
+    /// `SERVICE.tmp`'s sync and one root directory sync, which makes the
+    /// shard directories and `COMMITLOG` durable with it. No shard
+    /// commits a manifest before it holds something, and a clean reopen
+    /// syncs nothing.
+    #[test]
+    fn a_fresh_open_syncs_once_and_a_clean_reopen_never() {
+        for payloads in [false, true] {
+            let env = SimEnv::new();
+            let svc = open(&env, 4, payloads).unwrap();
+            assert_eq!(syncs(&env.take_trace()), (1, 1), "payloads {payloads}: fresh open");
+            for k in 0..200u64 {
+                svc.put(k, k + 1).unwrap();
+            }
+            drop(svc);
+            env.take_trace();
+            let svc = open(&env, 4, payloads).unwrap();
+            assert_eq!(syncs(&env.take_trace()), (0, 0), "payloads {payloads}: clean reopen");
+            assert_eq!(svc.get(199).unwrap(), Some(200));
+        }
+    }
+
+    /// A crash at every I/O of a fresh open, raw and in payload mode:
+    /// the power-cycled reopen is an empty 2-shard service — creation
+    /// run again where `SERVICE` never became durable — whose root holds
+    /// `SERVICE` and `COMMITLOG` and whose shards hold nothing but a
+    /// payload shard's blob log; it keeps a write across a drop, and the
+    /// whole trace keeps the durability rules.
+    #[test]
+    fn a_crash_anywhere_in_a_fresh_open_reopens_an_empty_service() {
+        for payloads in [false, true] {
+            let env = SimEnv::new();
+            let svc = open(&env, 2, payloads).unwrap();
+            let ios = env.ops();
+            drop(svc);
+            let mut expected = vec!["COMMITLOG".to_string(), "SERVICE".to_string()];
+            if payloads {
+                expected.extend(["shard-000/store.blob".into(), "shard-001/store.blob".into()]);
+            }
+            let mut durable = 0;
+            // `ios` itself: the crash takes the first I/O after the open.
+            for k in 0..=ios {
+                let env = SimEnv::new();
+                env.set_plan(FaultPlan::crash(k, 0xC2EA7E ^ k.rotate_left(9)));
+                let when = format!("payloads {payloads}, crash at {k}");
+                match open(&env, 2, payloads) {
+                    Ok(_) => assert_eq!(k, ios, "{when}: the open outlived its crash"),
+                    Err(e) => assert!(env.crashed(), "{when}: failed with the machine up: {e}"),
+                }
+                env.power_cycle();
+                durable += u64::from(env.read_file("SERVICE").unwrap().is_some());
+                let svc = open(&env, 2, payloads).unwrap();
+                assert_eq!((svc.shard_count(), svc.len()), (2, 0), "{when}");
+                let mut files = env.file_names();
+                files.sort();
+                assert_eq!(files, expected, "{when}");
+                svc.put(7, 70).unwrap();
+                drop(svc);
+                assert_eq!(open(&env, 2, payloads).unwrap().get(7).unwrap(), Some(70), "{when}");
+                let broken = dxh_dura::check_trace(&env.take_trace());
+                assert!(broken.is_empty(), "{when}: {broken:?}");
+            }
+            // Both sides of the commit point were hit.
+            assert!(0 < durable && durable <= ios, "SERVICE durable after {durable} crashes");
+        }
+    }
+
+    /// A batch a log round acknowledged before any checkpoint, then a
+    /// crash: no shard has a manifest yet, and the reopen replays the
+    /// batch into the empty stores.
+    #[test]
+    fn a_logged_batch_is_replayed_into_shards_that_have_no_manifest() {
+        for payloads in [false, true] {
+            let env = SimEnv::new();
+            let svc = open(&env, 2, payloads).unwrap();
+            let ops: Vec<WriteOp> = (0..16u64).map(|k| WriteOp::Put(k, k + 100)).collect();
+            svc.submit(&ops).unwrap();
+            assert!((0..16).any(|k| svc.shard_of(k) == 0) && (0..16).any(|k| svc.shard_of(k) == 1));
+            env.set_plan(FaultPlan::crash(env.ops(), 0x5EED));
+            drop(svc);
+            env.power_cycle();
+            for shard in ["shard-000", "shard-001"] {
+                let manifest = env.read_file(&format!("{shard}/{MANIFEST}")).unwrap();
+                assert!(manifest.is_none(), "payloads {payloads}: {shard} committed");
+            }
+            let svc = open(&env, 2, payloads).unwrap();
+            for k in 0..16u64 {
+                assert_eq!(svc.get(k).unwrap(), Some(k + 100), "payloads {payloads}: key {k}");
+            }
+        }
     }
 
     #[test]

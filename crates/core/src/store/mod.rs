@@ -34,7 +34,11 @@
 //!   file), its bucket and item counts. O(log n) lines, a couple of
 //!   hundred bytes at any table size. Written atomically (tmp + rename,
 //!   then a directory fsync so the rename itself is durable) by every
-//!   commit — the single commit point of the store;
+//!   commit — the single commit point of the store. Open writes none: a
+//!   directory without one is an **empty store**, whose level, image and
+//!   blob files are strays the open removes, and the first commit with
+//!   something to commit writes the first manifest — binding the
+//!   parameters and the mode, which until then are the opener's;
 //! * `store.blob` / `store.<gen>.blob` — payload mode only: the blob log
 //!   the table's value words point into; [`KvStore::compact`] rewrites
 //!   its live part as the next generation, which the manifest names;
@@ -43,7 +47,8 @@
 //!   second live handle fails fast instead of silently overwriting the
 //!   manifest, and the kernel releases a dead process's lock with it —
 //!   a crash can never wedge the store. The pid written inside is
-//!   informational (error messages, humans inspecting the directory).
+//!   informational (error messages, humans inspecting the directory)
+//!   and never synced: a crash may leave the file empty.
 //!
 //! The manifest's first line is `dxh-store v3`. A `dxh-store v2`
 //! manifest — the same lines, never an `h0` one — opens as a store whose
@@ -188,11 +193,12 @@ pub struct KvStore<M: StoreMedia = DirMedia> {
 }
 
 impl KvStore<DirMedia> {
-    /// Opens the store at `dir`, creating it (directory and manifest)
-    /// when no manifest exists. On reopen the **persisted**
-    /// parameters and seed win — they are baked into the block layout —
-    /// and the caller's `cfg`/`seed` are only consulted to reject an
-    /// incompatible `b` (the block size cannot change under a file).
+    /// Opens the store at `dir`, creating it (the directory; the
+    /// manifest waits for the first commit) when no manifest exists. On
+    /// reopen the **persisted** parameters and seed win — they are baked
+    /// into the block layout — and the caller's `cfg`/`seed` are only
+    /// consulted to reject an incompatible `b` (the block size cannot
+    /// change under a file).
     pub fn open(dir: impl AsRef<Path>, cfg: CoreConfig, seed: u64) -> Result<Self> {
         Self::open_on(DirMedia::open(dir)?, cfg, seed)
     }
@@ -264,7 +270,10 @@ impl<M: StoreMedia> KvStore<M> {
                     manifest_len: 0,
                     media,
                 };
-                store.write_manifest(false)?; // a crash before the first sync can still reopen
+                // No manifest: the store is empty, and whatever an
+                // earlier handle left here before its first commit is a
+                // stray. That commit writes the first manifest.
+                store.remove_strays();
                 Ok(store)
             }
         }
@@ -594,14 +603,14 @@ pub(crate) mod tests {
     }
 
     /// The files `s`'s directory holds when nothing is in flight: the
-    /// manifest, one block file per non-empty level, `H0`'s image when
-    /// the last commit found `H0` non-empty and, in payload mode, the
-    /// blob log.
+    /// manifest once a commit wrote one, one block file per non-empty
+    /// level, `H0`'s image when the last commit found `H0` non-empty
+    /// and, in payload mode, the blob log.
     pub(super) fn named_files<M: StoreMedia>(s: &KvStore<M>) -> BTreeSet<String> {
         let regions = s.named_regions().into_iter().flatten();
         let mut files: BTreeSet<String> =
             regions.map(|r| level_file_name(r.base.raw() >> 32)).collect();
-        files.insert(MANIFEST.to_string());
+        files.extend((s.manifest_len > 0).then(|| MANIFEST.to_string()));
         files.extend(s.payload_mode().then(|| blob_file_name(s.data_gen)));
         files
     }
@@ -863,6 +872,25 @@ pub(crate) mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// The pid is written unsynced, so a crash can leave `LOCK` empty:
+    /// a dead owner's empty file is acquired like any other, and a live
+    /// owner whose pid is missing is named `pid unknown`.
+    #[test]
+    fn a_lock_whose_pid_was_lost_is_acquired_and_its_owner_named_unknown() {
+        let dir = tmp_dir("empty-lock");
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join(LOCK), "").unwrap();
+        drop(KvStore::open(&dir, cfg(), 1).unwrap());
+        let held = fs::File::create(dir.join(LOCK)).unwrap();
+        held.try_lock().unwrap();
+        let Err(err) = KvStore::open(&dir, cfg(), 1) else { panic!("a live owner's lock") };
+        assert!(err.to_string().contains("locked by pid unknown ("), "got: {err}");
+        drop(held);
+        drop(KvStore::open(&dir, cfg(), 1).unwrap());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn delete_persists_across_sync_and_reopen() {
         let dir = tmp_dir("delete");
@@ -898,7 +926,7 @@ pub(crate) mod tests {
     fn mismatched_block_size_rejected() {
         let dir = tmp_dir("badb");
         let _ = fs::remove_dir_all(&dir);
-        drop(KvStore::open(&dir, cfg(), 8).unwrap());
+        KvStore::open(&dir, cfg(), 8).unwrap().insert(1, 1).unwrap();
         let other = CoreConfig::lemma5(16, 256, 2).unwrap();
         assert!(KvStore::open(&dir, other, 8).is_err());
         let _ = fs::remove_dir_all(&dir);

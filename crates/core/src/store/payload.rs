@@ -170,13 +170,13 @@ mod tests {
     fn payload_mode_is_a_store_property_checked_at_reopen() {
         let dir = tmp_dir("payload-mode");
         let _ = fs::remove_dir_all(&dir);
-        drop(KvStore::open_payload(&dir, cfg(), 22).unwrap());
+        KvStore::open_payload(&dir, cfg(), 22).unwrap().put_bytes(1, b"x").unwrap();
         let Err(err) = KvStore::open(&dir, cfg(), 22) else {
             panic!("raw open of a payload store must fail");
         };
         assert!(matches!(err, ExtMemError::BadConfig(_)), "got: {err}");
         let _ = fs::remove_dir_all(&dir);
-        drop(KvStore::open(&dir, cfg(), 22).unwrap());
+        KvStore::open(&dir, cfg(), 22).unwrap().insert(1, 1).unwrap();
         let Err(err) = KvStore::open_payload(&dir, cfg(), 22) else {
             panic!("payload open of a raw store must fail");
         };

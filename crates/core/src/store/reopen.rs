@@ -97,23 +97,7 @@ impl<M: StoreMedia> KvStore<M> {
             }
             None => None,
         };
-        // Everything else is a stray, and removing it is all the
-        // recovery there is: a level a flush built but no commit named,
-        // one a commit dropped but whose unlink was lost, what an
-        // interrupted compaction left on either side of its commit.
-        // Best-effort and idempotent — a reopen cut short here is
-        // finished by the next.
-        for name in media.names() {
-            let stray = match &name {
-                n if is_data_file(n) => !table.disk().backend().holds(n),
-                n if is_blob_file(n) => blob.is_some() && *n != blob_name,
-                _ => false,
-            };
-            if stray {
-                best_effort(media.remove(&name));
-            }
-        }
-        Ok(KvStore {
+        let mut store = KvStore {
             table,
             blob,
             seed: m.seed,
@@ -125,7 +109,30 @@ impl<M: StoreMedia> KvStore<M> {
             manifest_io: ManifestIoStats::default(),
             manifest_len: text.len() as u64,
             media,
-        })
+        };
+        store.remove_strays();
+        Ok(store)
+    }
+
+    /// Removes every level, image or blob file the store does not hold,
+    /// and removing them is all the recovery there is: a level a flush
+    /// built but no commit named, one a commit dropped but whose unlink
+    /// was lost, what an interrupted compaction left on either side of
+    /// its commit — and, in a directory with no manifest, everything a
+    /// handle wrote before its first commit. Best-effort and idempotent:
+    /// an open cut short here is finished by the next.
+    pub(super) fn remove_strays(&mut self) {
+        let live_blob = self.blob.is_some().then(|| blob_file_name(self.data_gen));
+        for name in self.media.names() {
+            let stray = match &name {
+                n if is_data_file(n) => !self.table.disk().backend().holds(n),
+                n if is_blob_file(n) => live_blob.as_ref() != Some(n),
+                _ => false,
+            };
+            if stray {
+                best_effort(self.media.remove(&name));
+            }
+        }
     }
 }
 

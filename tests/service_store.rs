@@ -467,11 +467,13 @@ fn dir_service_rejects_shard_count_change() {
         Ok(_) => panic!("shard-count change must be rejected"),
     };
     assert!(err.to_string().contains("4 shards"), "got: {err}");
-    // The original count still opens, and the shard directories exist.
+    // The original count still opens, and the shard directories exist —
+    // with no manifest, for no shard has held anything to commit.
     let svc = ShardedKvStore::open(&dir, 4, cfg(), 9).unwrap();
     assert_eq!(svc.shard_count(), 4);
     for i in 0..4 {
-        assert!(dir.join(format!("shard-{i:03}")).join("MANIFEST").exists(), "shard {i}");
+        let shard = dir.join(format!("shard-{i:03}"));
+        assert!(shard.is_dir() && !shard.join("MANIFEST").exists(), "shard {i}");
     }
     drop(svc);
     let _ = std::fs::remove_dir_all(&dir);
