@@ -5,14 +5,15 @@
 //!
 //! A log round appends one record per acknowledged batch and pays one
 //! physical sync for the lot (see `crate::service`). Records are
-//! `dxh_extmem::frame` frames; only the payload layout is defined here.
+//! `dxh_extmem::frame` frames salted with the record layout's name;
+//! only the payload layout and the salt are defined here.
 
 use std::sync::Arc;
 
-use dxh_extmem::frame::{push_frame, FrameBuf, FRAME_HEADER};
+use dxh_extmem::frame::{push_frame_with, FrameBuf, Salt, FRAME_HEADER};
 use dxh_extmem::{BlobFile, ExtMemError, Key, Result};
 
-use crate::media::StoreMedia;
+use crate::media::{older_layout_fixed_by, StoreMedia};
 use crate::service::{apply_write, Effect};
 use crate::store::KvStore;
 
@@ -58,12 +59,38 @@ impl<M: StoreMedia> CommitLog<M> {
     /// creating the log — lost no record: it gets an empty log, made
     /// durable before anything is acknowledged through it.
     pub(crate) fn open(root: &mut M) -> Result<Self> {
-        if let Some(file) = root.open_file(COMMITLOG)? {
-            return Ok(CommitLog { file, poisoned: false });
+        if let Some(log) = Self::find(root)? {
+            return Ok(log);
         }
         let log = Self::create(root)?;
         root.sync_dir()?;
         Ok(log)
+    }
+
+    /// Opens the log the root `root` holds, writing nothing; `None` when
+    /// it has none. Refuses a log of records in the layout before
+    /// [`encode_log_record`]'s. Only a crash or a wedge of an older
+    /// build leaves one (a clean close empties the log), and its records
+    /// may be in no manifest: replaying them as this layout would fold
+    /// garbage, and skipping them as a torn tail would lose acknowledged
+    /// batches. A log holds the records of one build — an open replays
+    /// and empties what it finds before it appends — so its first frame
+    /// names its layout: one that fails [`LOG_SALT`]'s check but passes
+    /// the older, unsalted one. That costs one read, and only when the
+    /// log is not empty.
+    pub(crate) fn find(root: &mut M) -> Result<Option<Self>> {
+        let Some(file) = root.open_file(COMMITLOG)? else { return Ok(None) };
+        let len = file.len();
+        if FrameBuf::salted(LOG_SALT).read_at(&file, len, 0)?.is_none()
+            && FrameBuf::default().read_at(&file, len, 0)?.is_some()
+        {
+            return Err(older_layout_fixed_by(
+                &format!("fixed-width {COMMITLOG} records"),
+                "open the service with the build at dd34d79 and close it (a clean close \
+                 empties the log), then reopen here",
+            ));
+        }
+        Ok(Some(CommitLog { file, poisoned: false }))
     }
 
     /// Appends `bytes` and makes everything appended so far durable —
@@ -110,7 +137,7 @@ impl<M: StoreMedia> CommitLog<M> {
         &mut self,
         mut visit: impl FnMut(&[u8]) -> Result<bool>,
     ) -> Result<()> {
-        let (mut buf, len, mut at) = (FrameBuf::default(), self.file.len(), 0);
+        let (mut buf, len, mut at) = (FrameBuf::salted(LOG_SALT), self.file.len(), 0);
         while let Some(payload) = buf.read_at(&self.file, len, at)? {
             at += (FRAME_HEADER + payload.len()) as u64;
             if !visit(payload)? {
@@ -129,98 +156,141 @@ impl<M: StoreMedia> CommitLog<M> {
     }
 }
 
-/// Bytes of a record payload before its ops: `shard u32 | seq u64 |
-/// nops u32`.
-const RECORD_HEAD: usize = 16;
-/// The smallest encoded op: `key u64 | tag u8 | len u32`, an empty
-/// byte-payload put (word puts and deletes take 17).
-const MIN_OP: usize = 13;
+/// The salt of every commit-log frame: the name of the record layout
+/// below. The layout before it framed its records unsalted, so one of
+/// its frames fails this check and passes the unsalted one — which is
+/// how [`CommitLog::find`] tells it from a torn tail.
+const LOG_SALT: Salt = Salt::new(b"dxh-commitlog v2");
 
-/// Appends one log record to `out`: a frame whose payload is `shard
-/// u32 | seq u64 | nops u32 | op*`, all little-endian. Each op is `key
-/// u64 | tag u8 | body`: tag `0` (delete) and tag `1` (word put) carry a
-/// fixed 8-byte body — the layout every pre-payload log used, byte for
-/// byte — while tag `2` (byte-payload put) carries `len u32 | bytes`, so
-/// records are variable-stride only when byte ops are present. The
-/// frame checksum makes a torn tail (a crash mid-append on the file
-/// log) detectable, and a batch indivisible: replay takes a record
-/// wholly or not at all. `seq` is the shard's batch sequence number;
-/// replay skips records at or below the shard manifest's watermark, so
-/// a record surviving past its checkpoint (a truncate that failed or a
-/// crash before it) cannot replay stale state over a newer manifest.
+/// Appends one log record to `out`: a frame salted with [`LOG_SALT`]
+/// whose payload is a head of LEB128 varints — `shard | seq | puts |
+/// deletes | byte puts` — then the batch's effects grouped by kind:
+/// each word put as `key u64 | value u64`, each delete as `key u64`,
+/// each byte-payload put as `key u64 | varint len | bytes`, integers
+/// little-endian. A one-put batch logs 33 bytes while its shard and seq
+/// are below 128: 12 of frame, 5 of head, 16 of put. Grouping reorders
+/// the effects, which changes nothing that replay restores: `effects`
+/// is a batch's newest-wins fold, which holds each key once. The frame
+/// checksum makes a torn tail (a crash mid-append on the file log)
+/// detectable, and a batch indivisible: replay takes a record wholly or
+/// not at all. `seq` is the shard's batch sequence number; replay skips
+/// records at or below the shard manifest's watermark, so a record
+/// surviving past its checkpoint (a truncate that failed or a crash
+/// before it) cannot replay stale state over a newer manifest.
 pub(crate) fn encode_log_record(
     out: &mut Vec<u8>,
     shard: u32,
     seq: u64,
     effects: &[(Key, Option<Effect>)],
 ) {
-    let mut payload = Vec::with_capacity(RECORD_HEAD + effects.len() * 17);
-    payload.extend_from_slice(&shard.to_le_bytes());
-    payload.extend_from_slice(&seq.to_le_bytes());
-    payload.extend_from_slice(&(effects.len() as u32).to_le_bytes());
-    for (k, eff) in effects {
-        payload.extend_from_slice(&k.to_le_bytes());
-        match eff {
-            Some(Effect::Word(v)) => {
-                payload.push(1);
-                payload.extend_from_slice(&v.to_le_bytes());
-            }
-            Some(Effect::Bytes(b)) => {
-                payload.push(2);
-                payload.extend_from_slice(&(b.len() as u32).to_le_bytes());
-                payload.extend_from_slice(b);
-            }
-            None => {
-                payload.push(0);
-                payload.extend_from_slice(&0u64.to_le_bytes());
+    let [mut puts, mut deletes, mut byte_puts] = [0u64; 3];
+    for (_, eff) in effects {
+        *match eff {
+            Some(Effect::Word(_)) => &mut puts,
+            None => &mut deletes,
+            Some(Effect::Bytes(_)) => &mut byte_puts,
+        } += 1;
+    }
+    push_frame_with(out, LOG_SALT, |out| {
+        for n in [u64::from(shard), seq, puts, deletes, byte_puts] {
+            push_varint(out, n);
+        }
+        for (k, eff) in effects {
+            if let Some(Effect::Word(v)) = eff {
+                out.extend_from_slice(&k.to_le_bytes());
+                out.extend_from_slice(&v.to_le_bytes());
             }
         }
+        for (k, _) in effects.iter().filter(|(_, eff)| eff.is_none()) {
+            out.extend_from_slice(&k.to_le_bytes());
+        }
+        for (k, eff) in effects {
+            if let Some(Effect::Bytes(b)) = eff {
+                out.extend_from_slice(&k.to_le_bytes());
+                push_varint(out, b.len() as u64);
+                out.extend_from_slice(b);
+            }
+        }
+    });
+}
+
+/// Appends `n` as an LEB128 varint: seven bits a byte, low bits first,
+/// the top bit set on every byte but the last.
+fn push_varint(out: &mut Vec<u8>, mut n: u64) {
+    while n >= 0x80 {
+        out.push(n as u8 | 0x80);
+        n >>= 7;
     }
-    push_frame(out, &payload);
+    out.push(n as u8);
+}
+
+/// Takes the next `n` bytes off the front of `rest`.
+fn take<'a>(rest: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
+    let (head, tail) = rest.split_at_checked(n)?;
+    *rest = tail;
+    Some(head)
+}
+
+fn take_word(rest: &mut &[u8]) -> Option<u64> {
+    Some(u64::from_le_bytes(take(rest, 8)?.try_into().ok()?))
+}
+
+/// Takes one varint off the front of `rest`; `None` when it runs past
+/// the end or past 64 bits.
+fn take_varint(rest: &mut &[u8]) -> Option<u64> {
+    let mut n = 0;
+    for shift in (0..64).step_by(7) {
+        let byte = take(rest, 1)?[0];
+        // The tenth byte holds bit 63 alone and ends the varint.
+        if shift == 63 && byte > 1 {
+            return None;
+        }
+        n |= u64::from(byte & 0x7f) << shift;
+        if byte < 0x80 {
+            return Some(n);
+        }
+    }
+    None
 }
 
 /// One decoded commit-log record: the shard it belongs to, the shard's
 /// batch sequence number, and the batch's per-key effects (`None` =
-/// delete) in application order.
+/// delete), grouped by kind as [`encode_log_record`] wrote them.
 type LogRecord = (u32, u64, Vec<(Key, Option<Effect>)>);
 
 /// Parses one checksum-verified record payload; `None` when the
-/// structure is malformed (a short head, an op count the payload cannot
-/// hold, an unknown tag, a length running past the payload, trailing
-/// bytes — corruption the checksum cannot have produced, so the caller
-/// stops replay there like it does at a torn frame).
+/// structure is malformed (a short head, a varint past 64 bits, a shard
+/// past `u32`, counts the payload cannot hold, a length running past
+/// the payload, trailing bytes — corruption the checksum cannot have
+/// produced, so the caller stops replay there like it does at a torn
+/// frame).
 fn decode_record(payload: &[u8]) -> Option<LogRecord> {
-    let word = |at: usize| Some(u64::from_le_bytes(payload.get(at..at + 8)?.try_into().ok()?));
-    let half = |at: usize| Some(u32::from_le_bytes(payload.get(at..at + 4)?.try_into().ok()?));
-    let (shard, seq, nops) = (half(0)?, word(4)?, half(12)? as usize);
-    // `nops` is input: bound it by what the payload can hold before
-    // reserving for it.
-    if nops > (payload.len() - RECORD_HEAD) / MIN_OP {
+    let mut rest = payload;
+    let shard = u32::try_from(take_varint(&mut rest)?).ok()?;
+    let seq = take_varint(&mut rest)?;
+    let [puts, deletes, byte_puts] =
+        [take_varint(&mut rest)?, take_varint(&mut rest)?, take_varint(&mut rest)?];
+    // The counts are input: bound them by the bytes left — a word put
+    // takes 16, a delete 8, a byte put at least 9 — before reserving
+    // for them.
+    let least = puts.checked_mul(16)?.checked_add(deletes.checked_mul(8)?)?;
+    if least.checked_add(byte_puts.checked_mul(9)?)? > rest.len() as u64 {
         return None;
     }
-    let mut effects = Vec::with_capacity(nops);
-    let mut at = RECORD_HEAD;
-    for _ in 0..nops {
-        let k = word(at)?;
-        let tag = *payload.get(at + 8)?;
-        at += 9;
-        let eff = match tag {
-            0 | 1 => {
-                let v = word(at)?;
-                at += 8;
-                (tag == 1).then_some(Effect::Word(v))
-            }
-            2 => {
-                let len = half(at)? as usize;
-                let bytes = payload.get(at + 4..(at + 4).checked_add(len)?)?;
-                at += 4 + len;
-                Some(Effect::Bytes(Arc::from(bytes)))
-            }
-            _ => return None,
-        };
-        effects.push((k, eff));
+    let mut effects = Vec::with_capacity((puts + deletes + byte_puts) as usize);
+    for _ in 0..puts {
+        let (k, v) = (take_word(&mut rest)?, take_word(&mut rest)?);
+        effects.push((k, Some(Effect::Word(v))));
     }
-    (at == payload.len()).then_some((shard, seq, effects))
+    for _ in 0..deletes {
+        effects.push((take_word(&mut rest)?, None));
+    }
+    for _ in 0..byte_puts {
+        let k = take_word(&mut rest)?;
+        let len = usize::try_from(take_varint(&mut rest)?).ok()?;
+        effects.push((k, Some(Effect::Bytes(Arc::from(take(&mut rest, len)?)))));
+    }
+    rest.is_empty().then_some((shard, seq, effects))
 }
 
 /// Replays every surviving commit-log record over the freshly opened
@@ -277,12 +347,13 @@ mod tests {
     use dxh_extmem::SimEnv;
     use dxh_tables::ExternalDictionary;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     /// Every intact record of a log image, up to the first torn, corrupt
     /// or malformed frame: the in-memory reference the positional walk is
     /// held to.
     fn decode_log_records(bytes: &[u8]) -> Vec<LogRecord> {
-        Frames::new(bytes).map_while(|(_, payload)| decode_record(payload)).collect()
+        Frames::new(bytes, LOG_SALT).map_while(|(_, payload)| decode_record(payload)).collect()
     }
 
     /// What replay would see: the records the positional walk yields.
@@ -302,17 +373,64 @@ mod tests {
         out
     }
 
-    /// A frame around an arbitrary (possibly malformed) record payload.
+    /// A log frame around an arbitrary (possibly malformed) record
+    /// payload.
     fn framed(payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
-        push_frame(&mut out, payload);
+        push_frame_with(&mut out, LOG_SALT, |out| out.extend_from_slice(payload));
         out
     }
 
-    /// The on-disk record format, pinned byte for byte.
+    fn blob(b: &[u8]) -> Option<Effect> {
+        Some(Effect::Bytes(Arc::from(b)))
+    }
+
+    /// The on-disk record format, pinned byte for byte: one effect of
+    /// each kind, handed over out of kind order.
     #[test]
     fn record_bytes_are_pinned() {
-        let rec = record(1, 7, &[(5, Some(Effect::Word(50))), (6, None)]);
+        let rec = record(1, 7, &[(6, None), (9, blob(b"xy")), (5, Some(Effect::Word(50)))]);
+        let mut golden = vec![0x28, 0, 0, 0, 0x53, 0x1e, 0x72, 0xae, 0x40, 0xba, 0x0e, 0x94];
+        golden.extend_from_slice(&[1, 7, 1, 1, 1]); // shard, seq, puts, deletes, byte puts
+        golden.extend_from_slice(&[5, 0, 0, 0, 0, 0, 0, 0, 50, 0, 0, 0, 0, 0, 0, 0]);
+        golden.extend_from_slice(&[6, 0, 0, 0, 0, 0, 0, 0]);
+        golden.extend_from_slice(&[9, 0, 0, 0, 0, 0, 0, 0, 2, b'x', b'y']);
+        assert_eq!(rec, golden);
+        assert_eq!(record(0, 1, &[(1, Some(Effect::Word(1)))]).len(), 33, "a one-op batch");
+    }
+
+    /// The record layout every build before this one wrote — `shard u32
+    /// | seq u64 | nops u32 | (key u64 | tag u8 | body)*` in an unsalted
+    /// frame — kept here only to build the logs an open must refuse.
+    fn fixed_width_record(shard: u32, seq: u64, effects: &[(Key, Option<Effect>)]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&shard.to_le_bytes());
+        payload.extend_from_slice(&seq.to_le_bytes());
+        payload.extend_from_slice(&(effects.len() as u32).to_le_bytes());
+        for (k, eff) in effects {
+            payload.extend_from_slice(&k.to_le_bytes());
+            match eff {
+                Some(Effect::Word(v)) => {
+                    payload.push(1);
+                    payload.extend_from_slice(&v.to_le_bytes());
+                }
+                Some(Effect::Bytes(b)) => {
+                    payload.push(2);
+                    payload.extend_from_slice(&(b.len() as u32).to_le_bytes());
+                    payload.extend_from_slice(b);
+                }
+                None => payload.extend_from_slice(&[0; 9]),
+            }
+        }
+        let mut out = Vec::new();
+        dxh_extmem::frame::push_frame(&mut out, &payload);
+        out
+    }
+
+    /// The helper writes what the older layout's own pinned test held.
+    #[test]
+    fn the_fixed_width_helper_writes_the_older_layout() {
+        let rec = fixed_width_record(1, 7, &[(5, Some(Effect::Word(50))), (6, None)]);
         let mut golden = vec![0x32, 0, 0, 0, 0x41, 0x5a, 0x0d, 0x01, 0x32, 0xd3, 0xe6, 0xe9];
         golden.extend_from_slice(&[1, 0, 0, 0]); // shard
         golden.extend_from_slice(&7u64.to_le_bytes()); // seq
@@ -320,12 +438,13 @@ mod tests {
         golden.extend_from_slice(&[5, 0, 0, 0, 0, 0, 0, 0, 1, 50, 0, 0, 0, 0, 0, 0, 0]);
         golden.extend_from_slice(&[6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
         assert_eq!(rec, golden);
+        assert_eq!(decode_log_records(&rec), [], "it fails this layout's check");
     }
 
     #[test]
     fn records_round_trip_and_a_torn_tail_drops_only_the_last() {
-        let a = vec![(1, Some(Effect::Word(10))), (2, Some(Effect::Bytes(Arc::from(&b"xyz"[..]))))];
-        let b = vec![(1, None), (3, Some(Effect::Bytes(Arc::from(&b""[..]))))];
+        let a = vec![(1, Some(Effect::Word(10))), (2, blob(b"xyz"))];
+        let b = vec![(1, None), (3, blob(b""))];
         let mut log = record(0, 1, &a);
         log.extend(record(3, 9, &b));
         assert_eq!(decode_log_records(&log), vec![(0, 1, a.clone()), (3, 9, b)]);
@@ -334,29 +453,45 @@ mod tests {
         }
     }
 
+    /// A record head: `shard`, `seq` and the three counts, as varints.
+    fn head(fields: [u64; 5]) -> Vec<u8> {
+        let mut out = Vec::new();
+        fields.into_iter().for_each(|n| push_varint(&mut out, n));
+        out
+    }
+
     /// Checksum-valid frames whose payload is not a record stop replay
-    /// exactly like a torn frame — including an op count the payload
-    /// cannot hold, which must be refused *before* reserving for it.
+    /// exactly like a torn frame — including counts the payload cannot
+    /// hold, which must be refused *before* reserving for them.
     #[test]
     fn malformed_records_stop_replay() {
         let good = record(0, 1, &[(1, Some(Effect::Word(1)))]);
-        let mut body = good[12..].to_vec();
-        let mut unknown_tag = body.clone();
-        unknown_tag[24] = 3;
-        let mut trailing = body.clone();
-        trailing.push(0);
-        body[12..16].copy_from_slice(&u32::MAX.to_le_bytes()); // nops the payload cannot hold
-        for bad in [&unknown_tag[..], &trailing, &body, &good[12..20]] {
+        let payload = &good[FRAME_HEADER..];
+        let key = [7u8; 8];
+        let overlong = [0x80; 9].into_iter().chain([2]).collect::<Vec<u8>>();
+        for (why, bad) in [
+            ("trailing bytes", [payload, &[0]].concat()),
+            ("a short head", payload[..3].to_vec()),
+            ("a short word put", payload[..payload.len() - 1].to_vec()),
+            ("a seq past 64 bits", [&[0][..], &overlong, &[0, 0, 0]].concat()),
+            ("a shard past u32", head([1 << 32, 1, 0, 0, 0])),
+            ("puts it cannot hold", [head([0, 1, u64::MAX / 16 + 1, 0, 0]), key.to_vec()].concat()),
+            ("deletes it cannot hold", [head([0, 1, 0, 2, 0]), key.to_vec()].concat()),
+            ("byte puts it cannot hold", [head([0, 1, 0, 0, 1]), key.to_vec()].concat()),
+            ("counts whose sum overflows", head([0, 1, u64::MAX / 16, u64::MAX / 8, 0])),
+            ("a length past the end", [head([0, 1, 0, 0, 1]), key.to_vec(), vec![4, 1]].concat()),
+        ] {
+            assert_eq!(decode_record(&bad), None, "{why}");
             let mut log = good.clone();
-            log.extend(framed(bad));
+            log.extend(framed(&bad));
             log.extend(&good);
-            assert_eq!(decode_log_records(&log).len(), 1, "replay stops at {bad:?}");
+            assert_eq!(decode_log_records(&log).len(), 1, "replay stops at {why}");
         }
     }
 
-    /// The shown abort: a 28-byte checksum-valid log claiming
-    /// `u32::MAX` ops used to die reserving 128 GiB at open. It is a
-    /// malformed record: replay sees nothing and empties the log.
+    /// The shown abort of an older layout: a checksum-valid log claiming
+    /// more ops than its payload holds died reserving for them at open.
+    /// It is a malformed record: replay sees nothing and empties the log.
     #[test]
     fn crafted_op_count_opens_to_an_emptied_log() {
         let env = SimEnv::new();
@@ -365,11 +500,7 @@ mod tests {
             ShardedKvStore::open_on(SimMedia::unlocked(&env), 2, cfg, 1).unwrap()
         };
         open().put(1, 10).unwrap();
-        let mut crafted = vec![0u8; RECORD_HEAD];
-        crafted[4] = 1; // shard 0, seq 1
-        crafted[12..].copy_from_slice(&u32::MAX.to_le_bytes());
-        let crafted = framed(&crafted);
-        assert_eq!(crafted.len(), 28);
+        let crafted = framed(&head([0, 1, u64::MAX, 0, 0])); // shard 0, seq 1
         env.open_file(COMMITLOG).unwrap().unwrap().append(&crafted).unwrap();
         assert_eq!(open().get(1).unwrap(), Some(10));
         assert_eq!(
@@ -401,7 +532,7 @@ mod tests {
         let (r1, r2, r3) = (word(0, 1), word(1, 2), word(0, 3));
         let mut corrupt = r2.clone();
         *corrupt.last_mut().unwrap() ^= 1;
-        let malformed = framed(&r2[12..20]);
+        let malformed = framed(&r2[FRAME_HEADER..FRAME_HEADER + 8]);
         let torn = &r3[..r3.len() - 3];
         for (image, seqs) in [
             ([&r1[..], &r2, &r3].concat(), vec![1, 2, 3]),
@@ -680,10 +811,44 @@ mod tests {
         sealed.append(&record(0, 21, &[(0, Some(Effect::Word(7)))])).unwrap();
         sealed.sync().unwrap();
         env.sync_dir("").unwrap();
-        crate::store::tests::assert_refused(&env, COMMITLOG_OLD, || {
+        crate::store::tests::assert_refused(&env, COMMITLOG_OLD, "a883dab", || {
             let cfg = CoreConfig::lemma5(8, 128, 2).unwrap();
             ShardedKvStore::open_on(SimMedia::unlocked(&env), 2, cfg, 3)
         });
+    }
+
+    /// A service root whose `COMMITLOG` an older build left holding its
+    /// fixed-width records — a crash or a wedge of that build; they may
+    /// be in no manifest — is refused by name before any shard is
+    /// opened, and nothing in the root or its shards changes: the log is
+    /// neither replayed as garbage nor emptied as a torn tail.
+    #[test]
+    fn a_root_with_older_log_records_is_refused_touching_nothing() {
+        use dxh_extmem::{SimDisk, StorageBackend};
+        let env = SimEnv::new();
+        let svc = service(&env);
+        for k in 0..20u64 {
+            svc.put(k, k + 1).unwrap();
+        }
+        drop(svc);
+        let stray = env.create_file("shard-000/level-99.blk").unwrap();
+        let mut stray = SimDisk::from_file(stray, 8).unwrap();
+        stray.allocate_contiguous(4).unwrap();
+        stray.sync().unwrap();
+        env.sync_dir("shard-000/").unwrap();
+        let mut log = env.open_file(COMMITLOG).unwrap().unwrap();
+        log.append(&fixed_width_record(0, 21, &[(0, Some(Effect::Word(7))), (3, None)])).unwrap();
+        log.append(&fixed_width_record(1, 22, &[(1, blob(b"xyz"))])).unwrap();
+        log.sync().unwrap();
+        crate::store::tests::assert_refused(
+            &env,
+            "fixed-width COMMITLOG records",
+            "dd34d79",
+            || {
+                let cfg = CoreConfig::lemma5(8, 128, 2).unwrap();
+                ShardedKvStore::open_on(SimMedia::unlocked(&env), 2, cfg, 3)
+            },
+        );
     }
 
     /// Crash at every I/O of the last round and of a clean close — the
@@ -764,8 +929,9 @@ mod tests {
         use dxh_extmem::{FaultPlan, IoEvent};
         let payload = |k: u64| vec![k as u8; 1 + (k as usize * 37) % 300];
         // A put's commit-log record frames its payload behind the record
-        // head and one op head; its blob frame is shorter.
-        let largest_frame = (FRAME_HEADER + RECORD_HEAD + MIN_OP + 300) as u64;
+        // head and one op head, the longest seq's included; its blob
+        // frame is shorter.
+        let largest_frame = record(1, u64::MAX, &[(0, blob(&[0; 300]))]).len() as u64;
         for crash in [false, true] {
             let env = SimEnv::new();
             let svc = payload_service(&env);
@@ -810,6 +976,35 @@ mod tests {
     }
 
     proptest! {
+        /// A mixed fold — word puts, deletes and byte puts, one effect a
+        /// key — round-trips through its record: the same shard and seq,
+        /// and the same key → effect map.
+        #[test]
+        fn mixed_folds_round_trip(
+            shard in any::<u32>(),
+            seq in any::<u64>(),
+            ops in proptest::collection::vec(
+                (any::<u64>(), 0u8..3, any::<u64>(), proptest::collection::vec(any::<u8>(), 0..300)),
+                0..40,
+            ),
+        ) {
+            let fold: BTreeMap<Key, Option<Effect>> = ops
+                .into_iter()
+                .map(|(k, kind, v, b)| match kind {
+                    0 => (k, Some(Effect::Word(v))),
+                    1 => (k, None),
+                    _ => (k, blob(&b)),
+                })
+                .collect();
+            let effects: Vec<_> = fold.clone().into_iter().collect();
+            let rec = record(shard, seq, &effects);
+            let decoded = decode_log_records(&rec);
+            prop_assert_eq!(decoded.len(), 1);
+            let (s, q, got) = decoded.into_iter().next().unwrap();
+            prop_assert_eq!((s, q), (shard, seq));
+            prop_assert_eq!(got.into_iter().collect::<BTreeMap<_, _>>(), fold);
+        }
+
         /// Arbitrary images, and arbitrary payloads inside valid frames,
         /// never panic the decoder — and the positional walk over them
         /// stops exactly where the image scan does.

@@ -33,9 +33,17 @@ pub(crate) const MANIFEST_DELTA: &str = "MANIFEST.DELTA";
 /// on-disk layout, named by `shape`: the data is intact, this build
 /// just does not read it.
 pub(crate) fn older_layout(shape: &str) -> ExtMemError {
+    older_layout_fixed_by(
+        shape,
+        "open it with the build at a883dab, compact() it, close it, then reopen here",
+    )
+}
+
+/// [`older_layout`] for a shape that `fix` — steps through an older
+/// build — brings into this build's layout.
+pub(crate) fn older_layout_fixed_by(shape: &str, fix: &str) -> ExtMemError {
     ExtMemError::BadConfig(format!(
-        "{shape}: an older on-disk layout, which this build does not read; open it with the \
-         build at a883dab, compact() it, close it, then reopen here"
+        "{shape}: an older on-disk layout, which this build does not read; {fix}"
     ))
 }
 

@@ -523,8 +523,10 @@ impl SyncCoordinator {
 /// checkpoint costs one manifest harden *per shard*, so its price
 /// scales with the shard count while log rounds stay flat — small
 /// enough to bound reopen-time replay work (4 MiB replays in well under
-/// a second even on modest disks; at 25 bytes per logged op that is
-/// ~160k ops between manifest catch-ups).
+/// a second even on modest disks; at the ≈ 18 bytes a logged word op
+/// takes on the benchmark's `ingest` and `hot`, head and frame shared
+/// by a batch of ≈ 10 ops, that is ~230k ops between manifest
+/// catch-ups).
 const CHECKPOINT_LOG_BYTES: u64 = 4 * 1024 * 1024;
 
 /// The coordinator thread body: turn accumulated dirt into sync rounds
@@ -571,10 +573,12 @@ fn coordinator_loop<M: StoreMedia>(
         // `coord.cv` after every apply, and a continuous enqueue stream
         // must not starve durability — but writers park on their acks
         // after each pipelined chunk, so quiet always arrives within a
-        // wave. It pays: on the benchmark (2 clients, 2-core host, ten
-        // interleaved pairs) a round fired at the first dirt costs 1.6×
-        // (`hot`) and 1.7× (`ingest`) the rounds per kop, and 17 % and
-        // 4 % of their write throughput.
+        // wave. It pays in syncs: on the benchmark (2 clients, 2-core
+        // host, ten interleaved pairs) a round fired at the first dirt
+        // costs 1.46× (`hot`) and 1.68× (`ingest`) the rounds per kop,
+        // with 12 % and 16 % smaller batches and 2.3 % and 0.3 % more
+        // `write_amp`; write throughput moved within its run-to-run
+        // spread.
         let mut confirmations = 0u32;
         let mut patience = 32u32;
         loop {
@@ -1108,11 +1112,12 @@ impl<M: StoreMedia + Send + 'static> ShardedKvStore<M> {
     /// baked into the data layout) and the shared commit log; shard `i`
     /// is the store in child directory `shard-00i` ([`StoreMedia::sub`]),
     /// behind its own lock. The root itself takes none: the service
-    /// opens every shard before it touches the log. Each shard's store
-    /// opens (or is created) with an equal share of the deployment: the
-    /// same `cfg` per shard and a per-shard hash seed derived from
-    /// `seed`. Spawns the `N` committer threads and the sync
-    /// coordinator; they join on drop.
+    /// opens every shard before it writes the log (before them it only
+    /// reads the log's first frame, to refuse an older build's records).
+    /// Each shard's store opens (or is created) with an equal share of
+    /// the deployment: the same `cfg` per shard and a per-shard hash
+    /// seed derived from `seed`. Spawns the `N` committer threads and
+    /// the sync coordinator; they join on drop.
     pub fn open_on(root: M, shards: usize, cfg: CoreConfig, seed: u64) -> Result<Self> {
         Self::open_inner(root, shards, cfg, seed, false)
     }
@@ -1167,6 +1172,9 @@ impl<M: StoreMedia + Send + 'static> ShardedKvStore<M> {
             }
             None => (seed, true),
         };
+        // Its records may be in no manifest either: an older build's are
+        // refused before any shard opens.
+        let found = if fresh { None } else { CommitLog::find(&mut root)? };
         let mut stores: Vec<KvStore<M>> = Vec::with_capacity(shards);
         for i in 0..shards {
             // Per-shard hash seeds are derived (not shared): shard
@@ -1180,7 +1188,9 @@ impl<M: StoreMedia + Send + 'static> ShardedKvStore<M> {
                 KvStore::open_on(shard_media, cfg.clone(), shard_seed)?
             });
         }
-        let mut log = if fresh {
+        let mut log = if let Some(log) = found {
+            log
+        } else if fresh {
             // The one commit that makes a service exist, made only after
             // every shard opened: a failed first open (one shard's disk
             // full, say) must not bake a shard count into the root that
@@ -2093,11 +2103,14 @@ mod tests {
         svc.set_checkpoint_log_bytes(1);
         let log_len = || env.read_file("COMMITLOG").unwrap().unwrap().len();
         let (before, logged) = (svc.stats(), log_len());
+        let mut records = Vec::new();
         for v in 0..20 {
-            svc.put(k1, v).unwrap(); // a 45-byte record, each in a round of its own
+            svc.put(k1, v).unwrap(); // one batch, in a round of its own
+            encode_log_record(&mut records, 1, v + 2, &[(k1, Some(Effect::Word(v)))]);
         }
         let after = svc.stats();
-        assert_eq!(log_len(), logged + 20 * 45, "every round past the threshold kept the log");
+        let kept = logged + records.len();
+        assert_eq!(log_len(), kept, "every round past the threshold kept the log");
         assert_eq!(after.shard_syncs, before.shard_syncs, "{after:?}");
         assert_eq!(after.sealed_discards, before.sealed_discards, "{after:?}");
         drop(svc);
@@ -2482,12 +2495,33 @@ mod model_tests {
 
     const SEED: u64 = 42;
     const SHARDS: usize = 2;
-    /// The checkpointing variant's log threshold: a one-op batch logs 45
-    /// bytes, so a checkpoint follows every second round and swept
-    /// crashes land inside hardens.
-    const CKPT_LOG_BYTES: u64 = 64;
+    /// The checkpointing variant's log threshold: above the record of any
+    /// batch of at most two ops, at or below any two records and any
+    /// three-op batch (`the_checkpoint_threshold_splits_the_records`), so
+    /// a checkpoint follows every second one-op round and swept crashes
+    /// land inside hardens.
+    const CKPT_LOG_BYTES: u64 = 50;
     /// Random walks per crash index in the PR gate.
     const WALKS: u64 = 60;
+
+    /// The record sizes [`CKPT_LOG_BYTES`] is chosen between, read off
+    /// the codec: the instance's batches fold at most its three keys,
+    /// `a` at most deleted, and every seq it reaches is one varint byte.
+    #[test]
+    fn the_checkpoint_threshold_splits_the_records() {
+        let len = |effects: &[(Key, Option<Effect>)]| {
+            let mut out = Vec::new();
+            encode_log_record(&mut out, 1, 1, effects);
+            out.len() as u64
+        };
+        let (put, del) = (|k| (k, Some(Effect::Word(2))), |k| (k, None));
+        let largest_pair = len(&[put(1), put(2)]);
+        let smallest_record = len(&[del(1)]);
+        let smallest_triple = len(&[del(1), put(2), put(3)]);
+        assert!(largest_pair < CKPT_LOG_BYTES, "{largest_pair} B");
+        assert!(CKPT_LOG_BYTES <= 2 * smallest_record, "{smallest_record} B");
+        assert!(CKPT_LOG_BYTES <= smallest_triple, "{smallest_triple} B");
+    }
 
     /// Writer A's key, on shard `sa`, then writer B's two keys, on shard
     /// `sb`.

@@ -719,7 +719,7 @@ mod tests {
             heap.sync().unwrap();
             put_file(&env, MANIFEST, text.as_bytes());
             put_file(&env, "CLEAN", b"clean\n");
-            assert_refused(&env, "file 0", || {
+            assert_refused(&env, "file 0", "a883dab", || {
                 SimMedia::open(&env).and_then(|m| KvStore::open_payload_on(m, cfg(), 7))
             });
         }

@@ -216,7 +216,7 @@ mod tests {
         }
         drop(s);
         put_file(&env, MANIFEST, manifest_text(&env).replace(MAGIC, "dxh-store v1").as_bytes());
-        assert_refused(&env, "dxh-store v1", || {
+        assert_refused(&env, "dxh-store v1", "a883dab", || {
             SimMedia::open(&env).and_then(|m| KvStore::open_on(m, cfg(), 84))
         });
     }
@@ -240,7 +240,7 @@ mod tests {
         let mut chain = Vec::new();
         dxh_extmem::frame::push_frame(&mut chain, b"delta 2 1\nwatermark 9\n");
         put_file(&env, MANIFEST_DELTA, &chain);
-        assert_refused(&env, MANIFEST_DELTA, || {
+        assert_refused(&env, MANIFEST_DELTA, "a883dab", || {
             SimMedia::open(&env).and_then(|m| KvStore::open_on(m, cfg(), 84))
         });
     }

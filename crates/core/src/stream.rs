@@ -99,10 +99,14 @@ impl Source {
     /// Builds a memory source from items in bucket order (as produced by
     /// [`crate::MemTable::drain_in_bucket_order`]); re-sorts by full hash
     /// prefix so sub-bucket boundaries are exact for any target count.
+    /// The sort is unstable, in place: a stable one allocates a scratch
+    /// of every item on each drain. The table holds one copy per key, so
+    /// only two keys whose hashes collide tie, and they land in one
+    /// target bucket whichever comes first.
     pub(crate) fn from_memory(items: Vec<Item>, hash: &IdealFn) -> Self {
         let mut items: Vec<Hashed> =
             items.into_iter().map(|it| (hash.hash64(it.key), it)).collect();
-        items.sort_by_key(|&(h, _)| h);
+        items.sort_unstable_by_key(|&(h, _)| h);
         Source::Mem { items, pos: 0 }
     }
 

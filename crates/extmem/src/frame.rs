@@ -2,9 +2,13 @@
 //! workspace: the service's `COMMITLOG` and the payload
 //! [`crate::BlobLog`].
 //!
-//! A frame is `len: u32 LE | fnv1a64(payload): u64 LE | payload`. The
-//! checksum makes a torn tail (a crash mid-append) detectable and a
-//! record indivisible: a reader takes a frame wholly or not at all.
+//! A frame is `len: u32 LE | sum: u64 LE | payload`, where `sum` is
+//! FNV-1a 64 over the log's [`Salt`] and then the payload (plain
+//! `fnv1a64(payload)` for an unsalted log). The checksum makes a torn
+//! tail (a crash mid-append) detectable and a record indivisible: a
+//! reader takes a frame wholly or not at all. The salt names a log's
+//! record layout, so a reader that meets frames of another layout tells
+//! them from a torn tail by the salt they do check under.
 //! What a payload *means* is each log's own business; how it is framed,
 //! checked and walked is defined here and nowhere else — over an image
 //! already in memory ([`Frames`]) and over a file, one record at a time
@@ -16,25 +20,71 @@ use crate::error::Result;
 /// Bytes of framing before each payload.
 pub const FRAME_HEADER: usize = 12;
 
-/// FNV-1a 64 over `bytes`: the frame checksum, and the content fold of
-/// the simulator's trace fingerprints (exported so downstream
-/// fingerprints stay comparable to the trace's).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
+/// FNV-1a 64's state before any byte.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64 continued from the state `h` over `bytes`.
+const fn fnv1a64_from(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut i = 0;
+    while i < bytes.len() {
+        h ^= bytes[i] as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        i += 1;
     }
     h
 }
 
-/// Appends `payload` to `out` as one frame. The caller bounds the
-/// payload below 4 GiB (the length field is a `u32`).
+/// FNV-1a 64 over `bytes`: the unsalted frame checksum, and the content
+/// fold of the simulator's trace fingerprints (exported so downstream
+/// fingerprints stay comparable to the trace's).
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_from(FNV_BASIS, bytes)
+}
+
+/// The bytes a log's frame checksums start from: a frame checks under
+/// the salt it was written with and, but for a 2⁻⁶⁴ chance, under no
+/// other. A log whose record layout changes changes its salt, so a
+/// frame of the older layout fails the new check and passes the old one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Salt(u64);
+
+impl Salt {
+    /// No salt: the checksum is `fnv1a64(payload)`.
+    pub const NONE: Salt = Salt(FNV_BASIS);
+
+    /// The salt `bytes`.
+    pub const fn new(bytes: &[u8]) -> Salt {
+        Salt(fnv1a64_from(FNV_BASIS, bytes))
+    }
+
+    fn sum(self, payload: &[u8]) -> u64 {
+        fnv1a64_from(self.0, payload)
+    }
+}
+
+impl Default for Salt {
+    fn default() -> Self {
+        Salt::NONE
+    }
+}
+
+/// Appends `payload` to `out` as one unsalted frame. The caller bounds
+/// the payload below 4 GiB (the length field is a `u32`).
 pub fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.reserve(FRAME_HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    push_frame_with(out, Salt::NONE, |out| out.extend_from_slice(payload));
+}
+
+/// Appends one frame salted with `salt` to `out`, its payload written
+/// in place by `write` — no payload buffer of its own. `write` only
+/// appends, and keeps the payload below 4 GiB.
+pub fn push_frame_with(out: &mut Vec<u8>, salt: Salt, write: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER]);
+    write(out);
+    let payload = &out[start + FRAME_HEADER..];
+    let (len, sum) = (payload.len() as u32, salt.sum(payload));
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + FRAME_HEADER].copy_from_slice(&sum.to_le_bytes());
 }
 
 /// The payload length and checksum a frame header announces.
@@ -59,12 +109,14 @@ fn split_at(bytes: &[u8], at: usize) -> Option<(u64, &[u8])> {
 pub struct Frames<'a> {
     bytes: &'a [u8],
     at: usize,
+    salt: Salt,
 }
 
 impl<'a> Frames<'a> {
-    /// A scanner over `bytes`, which must start at a frame boundary.
-    pub fn new(bytes: &'a [u8]) -> Self {
-        Frames { bytes, at: 0 }
+    /// A scanner over the frames of `bytes` salted with `salt`; `bytes`
+    /// must start at a frame boundary.
+    pub fn new(bytes: &'a [u8], salt: Salt) -> Self {
+        Frames { bytes, at: 0, salt }
     }
 
     /// Bytes covered by the frames yielded so far — once the scanner is
@@ -80,7 +132,7 @@ impl<'a> Iterator for Frames<'a> {
 
     fn next(&mut self) -> Option<Self::Item> {
         let (sum, payload) = split_at(self.bytes, self.at)?;
-        if fnv1a64(payload) != sum {
+        if self.salt.sum(payload) != sum {
             return None;
         }
         let offset = self.at;
@@ -101,14 +153,21 @@ pub struct FrameBuf {
     bytes: Vec<u8>,
     reads: u64,
     read_bytes: u64,
+    salt: Salt,
 }
 
 impl FrameBuf {
+    /// A buffer over frames salted with `salt` (`default()` is
+    /// unsalted).
+    pub fn salted(salt: Salt) -> Self {
+        FrameBuf { salt, ..Default::default() }
+    }
+
     /// Frames `payload` into the buffer and lends the frame out, ready
     /// for one append. The caller bounds the payload below 4 GiB.
     pub fn frame(&mut self, payload: &[u8]) -> &[u8] {
         self.bytes.clear();
-        push_frame(&mut self.bytes, payload);
+        push_frame_with(&mut self.bytes, self.salt, |out| out.extend_from_slice(payload));
         &self.bytes
     }
 
@@ -145,7 +204,7 @@ impl FrameBuf {
             self.fill(file, offset, guess)?;
         }
         let payload = &self.bytes[FRAME_HEADER..];
-        Ok((fnv1a64(payload) == sum).then_some(payload))
+        Ok((self.salt.sum(payload) == sum).then_some(payload))
     }
 
     /// One positional read: fills `bytes[from..]` from `offset + from`.
@@ -180,7 +239,32 @@ mod tests {
             b'l', b'l', b'o',
         ];
         assert_eq!(out, golden);
-        assert_eq!(Frames::new(&out).collect::<Vec<_>>(), vec![(0, &b"hello"[..])]);
+        assert_eq!(Frames::new(&out, Salt::NONE).collect::<Vec<_>>(), vec![(0, &b"hello"[..])]);
+    }
+
+    /// A salted frame checks under its own salt and no other, in the
+    /// image scan and in the positional read alike; salting moves no
+    /// byte but the checksum's.
+    #[test]
+    fn a_frame_checks_under_its_own_salt_only() {
+        let salt = Salt::new(b"layout 2");
+        let mut salted = Vec::new();
+        push_frame_with(&mut salted, salt, |out| out.extend_from_slice(b"hello"));
+        let mut plain = Vec::new();
+        push_frame(&mut plain, b"hello");
+        assert_eq!((&salted[..4], &salted[FRAME_HEADER..]), (&plain[..4], &plain[FRAME_HEADER..]));
+        assert_ne!(salted[4..FRAME_HEADER], plain[4..FRAME_HEADER]);
+        for (image, own) in [(&salted, salt), (&plain, Salt::NONE)] {
+            let other = if own == salt { Salt::NONE } else { salt };
+            assert_eq!(Frames::new(image, own).count(), 1);
+            assert_eq!(Frames::new(image, other).count(), 0);
+            let file = MemBlob { bytes: image.clone() };
+            let end = image.len() as u64;
+            let read = |s| FrameBuf::salted(s).read_at(&file, end, 0).unwrap().map(<[u8]>::to_vec);
+            assert_eq!(read(own), Some(b"hello".to_vec()));
+            assert_eq!(read(other), None);
+        }
+        assert_eq!(FrameBuf::salted(salt).frame(b"hello"), &salted[..]);
     }
 
     /// Every frame of `bytes` a [`FrameBuf`] yields walking from 0, and
@@ -257,7 +341,7 @@ mod tests {
     /// `valid_len` within bounds, and the yielded payloads re-encode to
     /// exactly the prefix it reports.
     fn scan_checked(bytes: &[u8]) -> Vec<Vec<u8>> {
-        let mut frames = Frames::new(bytes);
+        let mut frames = Frames::new(bytes, Salt::NONE);
         let yielded: Vec<Vec<u8>> = frames.by_ref().map(|(_, p)| p.to_vec()).collect();
         assert!(frames.valid_len() <= bytes.len());
         assert_eq!(encode(&yielded), bytes[..frames.valid_len()]);
