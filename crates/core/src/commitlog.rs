@@ -3,10 +3,10 @@
 //! real directory and under the crash simulator), the record codec and
 //! reopen-time replay.
 //!
-//! A log round appends one record per acknowledged batch and pays one
-//! physical sync for the lot (see `crate::service`). Records are
-//! `dxh_extmem::frame` frames salted with the record layout's name;
-//! only the payload layout and the salt are defined here.
+//! A log round appends one record — one frame, a section per riding
+//! shard — and pays one physical sync for it (see `crate::service`).
+//! Records are `dxh_extmem::frame` frames salted with the record
+//! layout's name; only the payload layout and the salt are defined here.
 
 use std::sync::Arc;
 
@@ -27,8 +27,8 @@ pub(crate) const COMMITLOG_OLD: &str = "COMMITLOG.OLD";
 
 /// The service-wide **commit log** — the shared durability device that
 /// lets `N` shards pay **one** physical fsync per sync round instead of
-/// `N` manifest commits. A log round frames one checksummed record per
-/// acknowledged batch and calls [`CommitLog::commit`]; per-shard
+/// `N` manifest commits. A log round frames its acknowledged batches as
+/// one checksummed record and calls [`CommitLog::commit`]; per-shard
 /// manifests only catch up at checkpoints, after which the log is
 /// truncated. On reopen the surviving records are replayed — in append
 /// order, idempotently (a put is an upsert, a delete of an absent key
@@ -68,27 +68,31 @@ impl<M: StoreMedia> CommitLog<M> {
     }
 
     /// Opens the log the root `root` holds, writing nothing; `None` when
-    /// it has none. Refuses a log of records in the layout before
-    /// [`encode_log_record`]'s. Only a crash or a wedge of an older
-    /// build leaves one (a clean close empties the log), and its records
-    /// may be in no manifest: replaying them as this layout would fold
-    /// garbage, and skipping them as a torn tail would lose acknowledged
-    /// batches. A log holds the records of one build — an open replays
-    /// and empties what it finds before it appends — so its first frame
-    /// names its layout: one that fails [`LOG_SALT`]'s check but passes
-    /// the older, unsalted one. That costs one read, and only when the
-    /// log is not empty.
+    /// it has none. Refuses a log of records in a layout before
+    /// [`RoundRecord`]'s ([`OLDER_LAYOUTS`]). Only a crash or a
+    /// wedge of an older build leaves one (a clean close empties the
+    /// log), and its records may be in no manifest: replaying them as
+    /// this layout would fold garbage, and skipping them as a torn tail
+    /// would lose acknowledged batches. A log holds the records of one
+    /// build — an open replays and empties what it finds before it
+    /// appends — so its first frame names its layout: one that fails
+    /// [`LOG_SALT`]'s check but passes an older layout's. That costs a
+    /// read per layout, and only when the log is not empty.
     pub(crate) fn find(root: &mut M) -> Result<Option<Self>> {
         let Some(file) = root.open_file(COMMITLOG)? else { return Ok(None) };
         let len = file.len();
-        if FrameBuf::salted(LOG_SALT).read_at(&file, len, 0)?.is_none()
-            && FrameBuf::default().read_at(&file, len, 0)?.is_some()
-        {
-            return Err(older_layout_fixed_by(
-                &format!("fixed-width {COMMITLOG} records"),
-                "open the service with the build at dd34d79 and close it (a clean close \
-                 empties the log), then reopen here",
-            ));
+        if FrameBuf::salted(LOG_SALT).read_at(&file, len, 0)?.is_none() {
+            for (salt, shape, build) in OLDER_LAYOUTS {
+                if FrameBuf::salted(salt).read_at(&file, len, 0)?.is_some() {
+                    return Err(older_layout_fixed_by(
+                        &format!("{shape} {COMMITLOG} records"),
+                        &format!(
+                            "open the service with the build at {build} and close it (a clean \
+                             close empties the log), then reopen here"
+                        ),
+                    ));
+                }
+            }
         }
         Ok(Some(CommitLog { file, poisoned: false }))
     }
@@ -126,7 +130,8 @@ impl<M: StoreMedia> CommitLog<M> {
         self.file.len()
     }
 
-    /// Walks the log's records in append order for reopen-time replay.
+    /// Walks the log's records — one a round — in append order for
+    /// reopen-time replay.
     /// Each frame is fetched by position into one record buffer and its
     /// payload handed to `visit` — no more than one record is ever in
     /// memory. The walk stops for good at the first torn or corrupt
@@ -157,61 +162,94 @@ impl<M: StoreMedia> CommitLog<M> {
 }
 
 /// The salt of every commit-log frame: the name of the record layout
-/// below. The layout before it framed its records unsalted, so one of
-/// its frames fails this check and passes the unsalted one — which is
-/// how [`CommitLog::find`] tells it from a torn tail.
-const LOG_SALT: Salt = Salt::new(b"dxh-commitlog v2");
+/// below. Each layout before it framed its records under another salt
+/// ([`OLDER_LAYOUTS`]), so one of their frames fails this check and
+/// passes its own — which is how [`CommitLog::find`] tells an older
+/// build's log from a torn tail.
+const LOG_SALT: Salt = Salt::new(b"dxh-commitlog v3");
 
-/// Appends one log record to `out`: a frame salted with [`LOG_SALT`]
-/// whose payload is a head of LEB128 varints — `shard | seq | puts |
-/// deletes | byte puts` — then the batch's effects grouped by kind:
-/// each word put as `key u64 | value u64`, each delete as `key u64`,
-/// each byte-payload put as `key u64 | varint len | bytes`, integers
-/// little-endian. A one-put batch logs 33 bytes while its shard and seq
-/// are below 128: 12 of frame, 5 of head, 16 of put. Grouping reorders
-/// the effects, which changes nothing that replay restores: `effects`
-/// is a batch's newest-wins fold, which holds each key once. The frame
-/// checksum makes a torn tail (a crash mid-append on the file log)
-/// detectable, and a batch indivisible: replay takes a record wholly or
-/// not at all. `seq` is the shard's batch sequence number; replay skips
-/// records at or below the shard manifest's watermark, so a record
-/// surviving past its checkpoint (a truncate that failed or a crash
-/// before it) cannot replay stale state over a newer manifest.
-pub(crate) fn encode_log_record(
-    out: &mut Vec<u8>,
-    shard: u32,
-    seq: u64,
-    effects: &[(Key, Option<Effect>)],
-) {
-    let [mut puts, mut deletes, mut byte_puts] = [0u64; 3];
-    for (_, eff) in effects {
-        *match eff {
-            Some(Effect::Word(_)) => &mut puts,
-            None => &mut deletes,
-            Some(Effect::Bytes(_)) => &mut byte_puts,
-        } += 1;
-    }
-    push_frame_with(out, LOG_SALT, |out| {
+/// The record layouts before [`LOG_SALT`]'s, newest first: the salt of
+/// their frames, what the refusal calls their records, and the build
+/// that reads them (and empties the log at a clean close).
+/// `dxh-commitlog v2` framed one record per batch — one section, below;
+/// the unsalted layout before it was `shard u32 | seq u64 | nops u32 |
+/// (key u64 | tag u8 | body)*`.
+const OLDER_LAYOUTS: [(Salt, &str, &str); 2] = [
+    (Salt::new(b"dxh-commitlog v2"), "per-batch", "1fdeb22"),
+    (Salt::NONE, "fixed-width", "dd34d79"),
+];
+
+/// One section of a log round, decoded: a shard riding the round, the
+/// seq of its newest batch in the round, and the newest-wins fold of its
+/// batches in the round (`None` = delete), one effect a key.
+pub(crate) type Section = (u32, u64, Vec<(Key, Option<Effect>)>);
+
+/// One log round's record, built a section at a time: a frame salted
+/// with [`LOG_SALT`] whose payload is one section per shard riding the
+/// round. A section is a head of LEB128 varints — `shard | seq | puts |
+/// deletes | byte puts` — then the fold's effects grouped by kind: each
+/// word put as `key u64 | value u64`, each delete as `key u64`, each
+/// byte-payload put as `key u64 | varint len | bytes`, integers
+/// little-endian. A round of one one-put batch logs 33 bytes while its
+/// shard and seq are below 128: 12 of frame, 5 of head, 16 of put; each
+/// further shard adds a head, and each further batch of a shard only the
+/// keys its fold does not already hold. Grouping reorders the effects,
+/// which changes nothing that replay restores: a fold holds each key
+/// once.
+///
+/// The frame checksum makes a torn tail (a crash mid-append on the file
+/// log) detectable, and a round indivisible: replay reads all its
+/// sections or none. `seq` is the shard's batch sequence number; replay
+/// skips a section at or below the shard manifest's watermark, so a
+/// round surviving past its checkpoint (a truncate that failed or a
+/// crash before it) cannot replay stale state over a newer manifest. A
+/// section is the fold of a contiguous run of its shard's batches, so
+/// replaying it over a manifest whose watermark falls inside the run is
+/// exact ([`replay_log`]).
+#[derive(Default)]
+pub(crate) struct RoundRecord {
+    payload: Vec<u8>,
+}
+
+impl RoundRecord {
+    /// Appends the section of shard `shard`: `seq` is the newest of its
+    /// batches in the round, `fold` their newest-wins fold.
+    pub(crate) fn push_section(&mut self, shard: u32, seq: u64, fold: &[(Key, Option<Effect>)]) {
+        let [mut puts, mut deletes, mut byte_puts] = [0u64; 3];
+        for (_, eff) in fold {
+            *match eff {
+                Some(Effect::Word(_)) => &mut puts,
+                None => &mut deletes,
+                Some(Effect::Bytes(_)) => &mut byte_puts,
+            } += 1;
+        }
         for n in [u64::from(shard), seq, puts, deletes, byte_puts] {
-            push_varint(out, n);
+            push_varint(&mut self.payload, n);
         }
-        for (k, eff) in effects {
+        for (k, eff) in fold {
             if let Some(Effect::Word(v)) = eff {
-                out.extend_from_slice(&k.to_le_bytes());
-                out.extend_from_slice(&v.to_le_bytes());
+                self.payload.extend_from_slice(&k.to_le_bytes());
+                self.payload.extend_from_slice(&v.to_le_bytes());
             }
         }
-        for (k, _) in effects.iter().filter(|(_, eff)| eff.is_none()) {
-            out.extend_from_slice(&k.to_le_bytes());
+        for (k, _) in fold.iter().filter(|(_, eff)| eff.is_none()) {
+            self.payload.extend_from_slice(&k.to_le_bytes());
         }
-        for (k, eff) in effects {
+        for (k, eff) in fold {
             if let Some(Effect::Bytes(b)) = eff {
-                out.extend_from_slice(&k.to_le_bytes());
-                push_varint(out, b.len() as u64);
-                out.extend_from_slice(b);
+                self.payload.extend_from_slice(&k.to_le_bytes());
+                push_varint(&mut self.payload, b.len() as u64);
+                self.payload.extend_from_slice(b);
             }
         }
-    });
+    }
+
+    /// The record's frame, ready for one append.
+    pub(crate) fn frame(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(FRAME_HEADER + self.payload.len());
+        push_frame_with(&mut out, LOG_SALT, |out| out.extend_from_slice(&self.payload));
+        out
+    }
 }
 
 /// Appends `n` as an LEB128 varint: seven bits a byte, low bits first,
@@ -253,23 +291,13 @@ fn take_varint(rest: &mut &[u8]) -> Option<u64> {
     None
 }
 
-/// One decoded commit-log record: the shard it belongs to, the shard's
-/// batch sequence number, and the batch's per-key effects (`None` =
-/// delete), grouped by kind as [`encode_log_record`] wrote them.
-type LogRecord = (u32, u64, Vec<(Key, Option<Effect>)>);
-
-/// Parses one checksum-verified record payload; `None` when the
-/// structure is malformed (a short head, a varint past 64 bits, a shard
-/// past `u32`, counts the payload cannot hold, a length running past
-/// the payload, trailing bytes — corruption the checksum cannot have
-/// produced, so the caller stops replay there like it does at a torn
-/// frame).
-fn decode_record(payload: &[u8]) -> Option<LogRecord> {
-    let mut rest = payload;
-    let shard = u32::try_from(take_varint(&mut rest)?).ok()?;
-    let seq = take_varint(&mut rest)?;
-    let [puts, deletes, byte_puts] =
-        [take_varint(&mut rest)?, take_varint(&mut rest)?, take_varint(&mut rest)?];
+/// Takes one section off the front of `rest`; `None` when it is
+/// malformed (a short head, a varint past 64 bits, a shard past `u32`,
+/// counts the bytes left cannot hold, a length running past them).
+fn take_section(rest: &mut &[u8]) -> Option<Section> {
+    let shard = u32::try_from(take_varint(rest)?).ok()?;
+    let seq = take_varint(rest)?;
+    let [puts, deletes, byte_puts] = [take_varint(rest)?, take_varint(rest)?, take_varint(rest)?];
     // The counts are input: bound them by the bytes left — a word put
     // takes 16, a delete 8, a byte put at least 9 — before reserving
     // for them.
@@ -277,35 +305,55 @@ fn decode_record(payload: &[u8]) -> Option<LogRecord> {
     if least.checked_add(byte_puts.checked_mul(9)?)? > rest.len() as u64 {
         return None;
     }
-    let mut effects = Vec::with_capacity((puts + deletes + byte_puts) as usize);
+    let mut fold = Vec::with_capacity((puts + deletes + byte_puts) as usize);
     for _ in 0..puts {
-        let (k, v) = (take_word(&mut rest)?, take_word(&mut rest)?);
-        effects.push((k, Some(Effect::Word(v))));
+        let (k, v) = (take_word(rest)?, take_word(rest)?);
+        fold.push((k, Some(Effect::Word(v))));
     }
     for _ in 0..deletes {
-        effects.push((take_word(&mut rest)?, None));
+        fold.push((take_word(rest)?, None));
     }
     for _ in 0..byte_puts {
-        let k = take_word(&mut rest)?;
-        let len = usize::try_from(take_varint(&mut rest)?).ok()?;
-        effects.push((k, Some(Effect::Bytes(Arc::from(take(&mut rest, len)?)))));
+        let k = take_word(rest)?;
+        let len = usize::try_from(take_varint(rest)?).ok()?;
+        fold.push((k, Some(Effect::Bytes(Arc::from(take(rest, len)?)))));
     }
-    rest.is_empty().then_some((shard, seq, effects))
+    Some((shard, seq, fold))
 }
 
-/// Replays every surviving commit-log record over the freshly opened
-/// shard stores (reopen-time recovery, phase two) — one record decoded
+/// Parses one checksum-verified round payload into its sections, each
+/// fold grouped by kind as [`RoundRecord`] wrote it; `None` when the
+/// structure is malformed — no section, a malformed one, trailing bytes
+/// that are no section: corruption the checksum cannot have produced,
+/// so the caller stops replay there like it does at a torn frame, and
+/// applies no section of the round.
+fn decode_round(payload: &[u8]) -> Option<Vec<Section>> {
+    let mut rest = payload;
+    let mut sections = Vec::new();
+    while !rest.is_empty() {
+        sections.push(take_section(&mut rest)?);
+    }
+    (!sections.is_empty()).then_some(sections)
+}
+
+/// Replays every surviving commit-log round over the freshly opened
+/// shard stores (reopen-time recovery, phase two) — one round decoded
 /// and applied at a time, whatever the log's length — then hardens them
-/// and empties the log. Records at or below a shard manifest's
-/// persisted watermark are skipped: their effects are already in the
+/// and empties the log. A section at or below its shard manifest's
+/// persisted watermark is skipped: its effects are already in the
 /// manifest fold, and the log outlives the manifests that cover it
 /// whenever a crash (or a failed truncate) lands between a checkpoint's
-/// hardens and its truncate, so replaying such a record could fold
+/// hardens and its truncate, so replaying such a section could fold
 /// **stale** state (an old value of a key the shard since rewrote) over
-/// a newer manifest. The watermark is exact — the newest batch the
-/// manifest holds — so every record above it is a batch the manifest
-/// lacks, replayed in the original apply order: the last write per key
-/// still wins.
+/// a newer manifest. A section above the watermark is applied whole, in
+/// the original apply order, so the last write per key still wins —
+/// also when the watermark falls inside the section's run of batches.
+/// That happens when a manifest commit races a round: a harden acks
+/// only batches whose answers are in, and a `sync_all` fence acks
+/// nothing, so a round can log batches a manifest holds beside newer
+/// ones. Applying such a section is exact: the watermark is the newest
+/// batch the manifest holds, so for each key the fold's effect is
+/// either a newer batch's or the one the manifest already holds.
 pub(crate) fn replay_log<M: StoreMedia>(
     log: &mut CommitLog<M>,
     stores: &mut [KvStore<M>],
@@ -315,18 +363,23 @@ pub(crate) fn replay_log<M: StoreMedia>(
     }
     let mut replayed = false;
     log.for_each_record(|payload| {
-        let Some((si, seq, effects)) = decode_record(payload) else { return Ok(false) };
+        let Some(sections) = decode_round(payload) else { return Ok(false) };
         replayed = true;
-        let store = stores.get_mut(si as usize).ok_or_else(|| {
-            ExtMemError::Corrupt("commit log references a shard outside the service".into())
-        })?;
-        if seq <= store.replay_watermark() {
-            return Ok(true);
+        if sections.iter().any(|s| s.0 as usize >= stores.len()) {
+            return Err(ExtMemError::Corrupt(
+                "commit log references a shard outside the service".into(),
+            ));
         }
-        for (k, eff) in effects {
-            apply_write(store, k, eff.as_ref())?;
+        for (si, seq, fold) in sections {
+            let store = &mut stores[si as usize];
+            if seq <= store.replay_watermark() {
+                continue;
+            }
+            for (k, eff) in fold {
+                apply_write(store, k, eff.as_ref())?;
+            }
+            store.set_replay_watermark(seq);
         }
-        store.set_replay_watermark(seq);
         Ok(true)
     })?;
     // A log that held no record — a torn tail — is still emptied, but
@@ -349,31 +402,38 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
-    /// Every intact record of a log image, up to the first torn, corrupt
+    /// Every intact round of a log image, up to the first torn, corrupt
     /// or malformed frame: the in-memory reference the positional walk is
     /// held to.
-    fn decode_log_records(bytes: &[u8]) -> Vec<LogRecord> {
-        Frames::new(bytes, LOG_SALT).map_while(|(_, payload)| decode_record(payload)).collect()
+    fn decode_log_rounds(bytes: &[u8]) -> Vec<Vec<Section>> {
+        Frames::new(bytes, LOG_SALT).map_while(|(_, payload)| decode_round(payload)).collect()
     }
 
-    /// What replay would see: the records the positional walk yields.
-    fn walked(log: &mut CommitLog<SimMedia>) -> Vec<LogRecord> {
+    /// What replay would see: the rounds the positional walk yields.
+    fn walked(log: &mut CommitLog<SimMedia>) -> Vec<Vec<Section>> {
         let mut out = Vec::new();
         log.for_each_record(|payload| {
-            let record = decode_record(payload);
-            Ok(record.map(|r| out.push(r)).is_some())
+            let round = decode_round(payload);
+            Ok(round.map(|r| out.push(r)).is_some())
         })
         .unwrap();
         out
     }
 
-    fn record(shard: u32, seq: u64, effects: &[(Key, Option<Effect>)]) -> Vec<u8> {
-        let mut out = Vec::new();
-        encode_log_record(&mut out, shard, seq, effects);
-        out
+    fn round(sections: &[Section]) -> Vec<u8> {
+        let mut round = RoundRecord::default();
+        for (shard, seq, fold) in sections {
+            round.push_section(*shard, *seq, fold);
+        }
+        round.frame()
     }
 
-    /// A log frame around an arbitrary (possibly malformed) record
+    /// The record of a round one batch rode alone.
+    fn record(shard: u32, seq: u64, effects: &[(Key, Option<Effect>)]) -> Vec<u8> {
+        round(&[(shard, seq, effects.to_vec())])
+    }
+
+    /// A log frame around an arbitrary (possibly malformed) round
     /// payload.
     fn framed(payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
@@ -385,23 +445,54 @@ mod tests {
         Some(Effect::Bytes(Arc::from(b)))
     }
 
-    /// The on-disk record format, pinned byte for byte: one effect of
-    /// each kind, handed over out of kind order.
+    /// The on-disk record format, pinned byte for byte: a round of two
+    /// shards, one effect of each kind handed over out of kind order in
+    /// the first, and a two-byte seq in the second.
     #[test]
     fn record_bytes_are_pinned() {
-        let rec = record(1, 7, &[(6, None), (9, blob(b"xy")), (5, Some(Effect::Word(50)))]);
+        let rec = round(&[
+            (1, 7, vec![(6, None), (9, blob(b"xy")), (5, Some(Effect::Word(50)))]),
+            (3, 200, vec![(4, None)]),
+        ]);
+        let mut golden = vec![0x36, 0, 0, 0, 0xd3, 0x24, 0xe0, 0x0d, 0xa2, 0x6b, 0x50, 0x51];
+        golden.extend_from_slice(&[1, 7, 1, 1, 1]); // shard, seq, puts, deletes, byte puts
+        golden.extend_from_slice(&[5, 0, 0, 0, 0, 0, 0, 0, 50, 0, 0, 0, 0, 0, 0, 0]);
+        golden.extend_from_slice(&[6, 0, 0, 0, 0, 0, 0, 0]);
+        golden.extend_from_slice(&[9, 0, 0, 0, 0, 0, 0, 0, 2, b'x', b'y']);
+        golden.extend_from_slice(&[3, 0xc8, 0x01, 0, 1, 0]); // the second section's head
+        golden.extend_from_slice(&[4, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(rec, golden);
+        assert_eq!(record(0, 1, &[(1, Some(Effect::Word(1)))]).len(), 33, "a one-op round");
+    }
+
+    /// The record layout the build before this one wrote — one frame per
+    /// batch, salted `dxh-commitlog v2`, whose payload is one section —
+    /// kept here only to build the logs an open must refuse.
+    fn per_batch_record(shard: u32, seq: u64, effects: &[(Key, Option<Effect>)]) -> Vec<u8> {
+        let mut section = RoundRecord::default();
+        section.push_section(shard, seq, effects);
+        let mut out = Vec::new();
+        push_frame_with(&mut out, OLDER_LAYOUTS[0].0, |out| out.extend(section.payload));
+        out
+    }
+
+    /// The helper writes what the older layout's own pinned test held.
+    #[test]
+    fn the_per_batch_helper_writes_the_older_layout() {
+        let rec =
+            per_batch_record(1, 7, &[(6, None), (9, blob(b"xy")), (5, Some(Effect::Word(50)))]);
         let mut golden = vec![0x28, 0, 0, 0, 0x53, 0x1e, 0x72, 0xae, 0x40, 0xba, 0x0e, 0x94];
         golden.extend_from_slice(&[1, 7, 1, 1, 1]); // shard, seq, puts, deletes, byte puts
         golden.extend_from_slice(&[5, 0, 0, 0, 0, 0, 0, 0, 50, 0, 0, 0, 0, 0, 0, 0]);
         golden.extend_from_slice(&[6, 0, 0, 0, 0, 0, 0, 0]);
         golden.extend_from_slice(&[9, 0, 0, 0, 0, 0, 0, 0, 2, b'x', b'y']);
         assert_eq!(rec, golden);
-        assert_eq!(record(0, 1, &[(1, Some(Effect::Word(1)))]).len(), 33, "a one-op batch");
+        assert_eq!(decode_log_rounds(&rec), Vec::<Vec<Section>>::new(), "it fails this check");
     }
 
-    /// The record layout every build before this one wrote — `shard u32
-    /// | seq u64 | nops u32 | (key u64 | tag u8 | body)*` in an unsalted
-    /// frame — kept here only to build the logs an open must refuse.
+    /// The record layout before that one — `shard u32 | seq u64 | nops
+    /// u32 | (key u64 | tag u8 | body)*` in an unsalted frame — kept here
+    /// only to build the logs an open must refuse.
     fn fixed_width_record(shard: u32, seq: u64, effects: &[(Key, Option<Effect>)]) -> Vec<u8> {
         let mut payload = Vec::new();
         payload.extend_from_slice(&shard.to_le_bytes());
@@ -438,7 +529,7 @@ mod tests {
         golden.extend_from_slice(&[5, 0, 0, 0, 0, 0, 0, 0, 1, 50, 0, 0, 0, 0, 0, 0, 0]);
         golden.extend_from_slice(&[6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
         assert_eq!(rec, golden);
-        assert_eq!(decode_log_records(&rec), [], "it fails this layout's check");
+        assert_eq!(decode_log_rounds(&rec), Vec::<Vec<Section>>::new(), "it fails this check");
     }
 
     #[test]
@@ -446,33 +537,41 @@ mod tests {
         let a = vec![(1, Some(Effect::Word(10))), (2, blob(b"xyz"))];
         let b = vec![(1, None), (3, blob(b""))];
         let mut log = record(0, 1, &a);
-        log.extend(record(3, 9, &b));
-        assert_eq!(decode_log_records(&log), vec![(0, 1, a.clone()), (3, 9, b)]);
+        log.extend(round(&[(0, 2, b.clone()), (3, 9, a.clone())]));
+        assert_eq!(
+            decode_log_rounds(&log),
+            vec![vec![(0, 1, a.clone())], vec![(0, 2, b), (3, 9, a.clone())]]
+        );
         for cut in 1..=5 {
-            assert_eq!(decode_log_records(&log[..log.len() - cut]), vec![(0, 1, a.clone())]);
+            assert_eq!(decode_log_rounds(&log[..log.len() - cut]), vec![vec![(0, 1, a.clone())]]);
         }
     }
 
-    /// A record head: `shard`, `seq` and the three counts, as varints.
+    /// A section head: `shard`, `seq` and the three counts, as varints.
     fn head(fields: [u64; 5]) -> Vec<u8> {
         let mut out = Vec::new();
         fields.into_iter().for_each(|n| push_varint(&mut out, n));
         out
     }
 
-    /// Checksum-valid frames whose payload is not a record stop replay
+    /// Checksum-valid frames whose payload is not a round stop replay
     /// exactly like a torn frame — including counts the payload cannot
-    /// hold, which must be refused *before* reserving for them.
+    /// hold, which must be refused *before* reserving for them. A round
+    /// is refused whole: a bad section anywhere in it keeps its good
+    /// ones from replay too.
     #[test]
     fn malformed_records_stop_replay() {
         let good = record(0, 1, &[(1, Some(Effect::Word(1)))]);
-        let payload = &good[FRAME_HEADER..];
+        let section = &good[FRAME_HEADER..]; // shard 0
+        let shard_1 = &record(1, 1, &[(2, None)])[FRAME_HEADER..];
         let key = [7u8; 8];
         let overlong = [0x80; 9].into_iter().chain([2]).collect::<Vec<u8>>();
         for (why, bad) in [
-            ("trailing bytes", [payload, &[0]].concat()),
-            ("a short head", payload[..3].to_vec()),
-            ("a short word put", payload[..payload.len() - 1].to_vec()),
+            ("no section", Vec::new()),
+            ("a trailing byte", [section, &[1]].concat()),
+            ("a short head", section[..3].to_vec()),
+            ("a short word put", section[..section.len() - 1].to_vec()),
+            ("a short second section", [section, &shard_1[..shard_1.len() - 1]].concat()),
             ("a seq past 64 bits", [&[0][..], &overlong, &[0, 0, 0]].concat()),
             ("a shard past u32", head([1 << 32, 1, 0, 0, 0])),
             ("puts it cannot hold", [head([0, 1, u64::MAX / 16 + 1, 0, 0]), key.to_vec()].concat()),
@@ -480,12 +579,13 @@ mod tests {
             ("byte puts it cannot hold", [head([0, 1, 0, 0, 1]), key.to_vec()].concat()),
             ("counts whose sum overflows", head([0, 1, u64::MAX / 16, u64::MAX / 8, 0])),
             ("a length past the end", [head([0, 1, 0, 0, 1]), key.to_vec(), vec![4, 1]].concat()),
+            ("a second section's counts", [section, &head([1, 1, 0, 2, 0]), &key].concat()),
         ] {
-            assert_eq!(decode_record(&bad), None, "{why}");
+            assert_eq!(decode_round(&bad), None, "{why}");
             let mut log = good.clone();
             log.extend(framed(&bad));
             log.extend(&good);
-            assert_eq!(decode_log_records(&log).len(), 1, "replay stops at {why}");
+            assert_eq!(decode_log_rounds(&log).len(), 1, "replay stops at {why}");
         }
     }
 
@@ -541,14 +641,14 @@ mod tests {
             ([&r1[..], &malformed, &r2].concat(), vec![1]),
             (Vec::new(), vec![]),
         ] {
-            let records = walked(&mut log_holding(&SimEnv::new(), &image));
-            assert_eq!(records, decode_log_records(&image), "{image:?}");
-            assert_eq!(records.iter().map(|r| r.1).collect::<Vec<_>>(), seqs);
+            let rounds = walked(&mut log_holding(&SimEnv::new(), &image));
+            assert_eq!(rounds, decode_log_rounds(&image), "{image:?}");
+            assert_eq!(rounds.iter().map(|r| r[0].1).collect::<Vec<_>>(), seqs);
         }
     }
 
     fn seqs(log: &mut CommitLog<SimMedia>) -> Vec<u64> {
-        walked(log).iter().map(|r| r.1).collect()
+        walked(log).iter().flatten().map(|section| section.1).collect()
     }
 
     /// The failure path under injection: a round whose append or sync
@@ -613,17 +713,17 @@ mod tests {
         let mut log = CommitLog::open(&mut root)?;
         replay_log(&mut log, &mut stores)?;
         for round in 0..9u64 {
-            let mut bytes = Vec::new();
+            let mut record = RoundRecord::default();
             let mut riding = Vec::new();
             for (si, store) in stores.iter_mut().enumerate() {
                 let (k, v) = (round * 2 + si as u64, round + 100);
                 let seq = store.replay_watermark() + 1;
                 store.insert(k, v)?;
                 store.set_replay_watermark(seq);
-                encode_log_record(&mut bytes, si as u32, seq, &[(k, Some(Effect::Word(v)))]);
+                record.push_section(si as u32, seq, &[(k, Some(Effect::Word(v)))]);
                 riding.push((si, k, v));
             }
-            log.commit(&bytes)?;
+            log.commit(&record.frame())?;
             acked.extend(riding);
             if round % 4 == 2 {
                 for store in &mut stores {
@@ -778,7 +878,7 @@ mod tests {
         assert!(svc.put(k0, 2).is_err(), "the injected fault wedges shard 0");
         svc.put(k1, 2).unwrap();
         let before = log_bytes(&env);
-        assert_eq!(decode_log_records(&before).len(), 3, "k0 → 1, k1 → 1, k1 → 2");
+        assert_eq!(decode_log_rounds(&before).len(), 3, "k0 → 1, k1 → 1, k1 → 2");
         drop(svc);
         assert_eq!(log_bytes(&env), before);
         let svc = service(&env);
@@ -817,13 +917,13 @@ mod tests {
         });
     }
 
-    /// A service root whose `COMMITLOG` an older build left holding its
-    /// fixed-width records — a crash or a wedge of that build; they may
-    /// be in no manifest — is refused by name before any shard is
-    /// opened, and nothing in the root or its shards changes: the log is
-    /// neither replayed as garbage nor emptied as a torn tail.
-    #[test]
-    fn a_root_with_older_log_records_is_refused_touching_nothing() {
+    /// A service root whose `COMMITLOG` an older build left holding
+    /// `records` of its layout — a crash or a wedge of that build; they
+    /// may be in no manifest — is refused by name (`shape`, and the
+    /// `build` that reads it) before any shard is opened, and nothing in
+    /// the root or its shards changes: the log is neither replayed as
+    /// garbage nor emptied as a torn tail.
+    fn assert_older_log_refused(records: &[u8], shape: &str, build: &str) {
         use dxh_extmem::{SimDisk, StorageBackend};
         let env = SimEnv::new();
         let svc = service(&env);
@@ -837,18 +937,31 @@ mod tests {
         stray.sync().unwrap();
         env.sync_dir("shard-000/").unwrap();
         let mut log = env.open_file(COMMITLOG).unwrap().unwrap();
-        log.append(&fixed_width_record(0, 21, &[(0, Some(Effect::Word(7))), (3, None)])).unwrap();
-        log.append(&fixed_width_record(1, 22, &[(1, blob(b"xyz"))])).unwrap();
+        log.append(records).unwrap();
         log.sync().unwrap();
-        crate::store::tests::assert_refused(
-            &env,
-            "fixed-width COMMITLOG records",
-            "dd34d79",
-            || {
-                let cfg = CoreConfig::lemma5(8, 128, 2).unwrap();
-                ShardedKvStore::open_on(SimMedia::unlocked(&env), 2, cfg, 3)
-            },
-        );
+        crate::store::tests::assert_refused(&env, shape, build, || {
+            let cfg = CoreConfig::lemma5(8, 128, 2).unwrap();
+            ShardedKvStore::open_on(SimMedia::unlocked(&env), 2, cfg, 3)
+        });
+    }
+
+    #[test]
+    fn a_root_with_older_log_records_is_refused_touching_nothing() {
+        let records = [
+            fixed_width_record(0, 21, &[(0, Some(Effect::Word(7))), (3, None)]),
+            fixed_width_record(1, 22, &[(1, blob(b"xyz"))]),
+        ];
+        assert_older_log_refused(&records.concat(), "fixed-width COMMITLOG records", "dd34d79");
+    }
+
+    #[test]
+    fn a_root_with_per_batch_log_records_is_refused_touching_nothing() {
+        let records = [
+            per_batch_record(0, 21, &[(0, Some(Effect::Word(7))), (3, None)]),
+            per_batch_record(1, 22, &[(1, blob(b"xyz"))]),
+            per_batch_record(0, 22, &[(3, Some(Effect::Word(8)))]),
+        ];
+        assert_older_log_refused(&records.concat(), "per-batch COMMITLOG records", "1fdeb22");
     }
 
     /// Crash at every I/O of the last round and of a clean close — the
@@ -928,9 +1041,9 @@ mod tests {
     fn a_payload_reopen_reads_its_logs_record_by_record() {
         use dxh_extmem::{FaultPlan, IoEvent};
         let payload = |k: u64| vec![k as u8; 1 + (k as usize * 37) % 300];
-        // A put's commit-log record frames its payload behind the record
-        // head and one op head, the longest seq's included; its blob
-        // frame is shorter.
+        // One put at a time rides each round, so a round's record frames
+        // one payload behind one section head, the longest seq's
+        // included; the put's blob frame is shorter.
         let largest_frame = record(1, u64::MAX, &[(0, blob(&[0; 300]))]).len() as u64;
         for crash in [false, true] {
             let env = SimEnv::new();
@@ -975,34 +1088,165 @@ mod tests {
         }
     }
 
+    /// One round whose sections meet different watermarks: shard 0's
+    /// manifest already holds a newer batch than its section (a crash
+    /// between a checkpoint's hardens and its truncate), shard 1's holds
+    /// none of its section, and shard 2's holds part of it (batches
+    /// 5..=7 over watermark 6: a manifest commit that raced the round).
+    /// Replay skips the first section and applies the other two, each by
+    /// its own shard's watermark; the straddling one lands exactly on
+    /// batch 7's state.
+    #[test]
+    fn each_section_replays_or_skips_by_its_own_shards_watermark() {
+        let env = SimEnv::new();
+        let cfg = CoreConfig::lemma5(4, 96, 2).unwrap();
+        let open = || -> Vec<KvStore<SimMedia>> {
+            let root = SimMedia::unlocked(&env);
+            (0..3)
+                .map(|si| {
+                    let shard = root.sub(&format!("shard-{si:03}")).unwrap();
+                    KvStore::open_on(shard, cfg.clone(), 7).unwrap()
+                })
+                .collect()
+        };
+        let mut stores = open();
+        // Shard 0's manifest holds batches through 6 (key 1 → 60), shard
+        // 1's through 2 (key 2 → 20), shard 2's through 6: batch 5 put
+        // key 5 → 51 and key 6 → 61, batch 6 put key 6 → 62 and deleted
+        // key 9; batch 7, which it lacks, puts key 5 → 52 and key 7 → 70.
+        for (si, writes, seq) in
+            [(0, &[(1, 60)][..], 6), (1, &[(2, 20)][..], 2), (2, &[(5, 51), (6, 62)][..], 6)]
+        {
+            for &(key, value) in writes {
+                stores[si].insert(key, value).unwrap();
+            }
+            stores[si].set_replay_watermark(seq);
+            stores[si].harden().unwrap();
+        }
+        drop(stores);
+        let word = |v| Some(Effect::Word(v));
+        let image = round(&[
+            (0, 5, vec![(1, word(50)), (3, word(30))]), // batches 4..=5: covered
+            (1, 4, vec![(2, word(21)), (4, word(40))]), // batches 3..=4: not
+            // Batches 5..=7 folded newest-wins: 6 and 9 as batch 6 left
+            // them, 5 and 7 as batch 7 did.
+            (2, 7, vec![(5, word(52)), (6, word(62)), (9, None), (7, word(70))]),
+        ]);
+        let mut log = log_holding(&env, &image);
+        let mut stores = open();
+        replay_log(&mut log, &mut stores).unwrap();
+        assert_eq!(stores[0].lookup(1).unwrap(), Some(60), "the covered section is skipped");
+        assert_eq!(stores[0].lookup(3).unwrap(), None);
+        assert_eq!(stores[1].lookup(2).unwrap(), Some(21), "the other is applied");
+        assert_eq!(stores[1].lookup(4).unwrap(), Some(40));
+        let straddled = [5, 6, 7, 9].map(|k| stores[2].lookup(k).unwrap());
+        assert_eq!(straddled, [Some(52), Some(62), Some(70), None], "batch 7's state, exactly");
+        assert_eq!(stores[2].len(), 3, "nothing but batch 7's keys");
+        assert_eq!([0, 1, 2].map(|si| stores[si].replay_watermark()), [6, 4, 7]);
+        assert_eq!(log_bytes(&env), b"", "the replayed log is emptied");
+    }
+
+    /// A committed log round leaves exactly one frame in `COMMITLOG`,
+    /// however many shards and batches ride it: each round's one append
+    /// to the log starts a frame, and every frame starts at one — while
+    /// submits spanning every shard put several shards' sections in one
+    /// frame.
+    #[test]
+    fn the_log_holds_one_frame_per_log_round() {
+        use dxh_extmem::IoEvent;
+        let env = SimEnv::new();
+        let cfg = CoreConfig::lemma5(8, 128, 2).unwrap();
+        let svc = ShardedKvStore::open_on(SimMedia::unlocked(&env), 4, cfg, 3).unwrap();
+        env.take_trace();
+        for call in 0..40u64 {
+            let ops: Vec<_> = (0..16).map(|i| crate::WriteOp::Put(call * 16 + i, i)).collect();
+            svc.submit(&ops).unwrap();
+        }
+        let batches = svc.stats().committed_batches;
+        let appends: Vec<u64> = env
+            .take_trace()
+            .iter()
+            .filter_map(|e| match e {
+                IoEvent::Write { file, offset, .. } if file == COMMITLOG => Some(*offset),
+                _ => None,
+            })
+            .collect();
+        let image = log_bytes(&env);
+        let frames: Vec<(usize, &[u8])> = Frames::new(&image, LOG_SALT).collect();
+        let (at, last) = frames.last().copied().unwrap();
+        assert_eq!(at + FRAME_HEADER + last.len(), image.len(), "the log is whole frames");
+        let starts: Vec<u64> = frames.iter().map(|f| f.0 as u64).collect();
+        assert_eq!(starts, appends, "one frame per round's append");
+        let rounds: Vec<Vec<Section>> = frames.iter().map(|f| decode_round(f.1).unwrap()).collect();
+        let sections: usize = rounds.iter().map(Vec::len).sum();
+        assert!(rounds.iter().any(|r| r.len() > 1), "no round carried two shards");
+        assert!(batches >= sections as u64, "{batches} batches, {sections} sections");
+        assert!(sections > frames.len(), "{sections} sections in {} frames", frames.len());
+    }
+
     proptest! {
-        /// A mixed fold — word puts, deletes and byte puts, one effect a
-        /// key — round-trips through its record: the same shard and seq,
-        /// and the same key → effect map.
+        /// A round of several shards, each with several batches of word
+        /// puts, deletes and byte puts (keys repeat within and across
+        /// batches) round-trips through its record: per shard the newest
+        /// batch's seq, and the key → effect map applying every op in
+        /// order leaves.
         #[test]
         fn mixed_folds_round_trip(
-            shard in any::<u32>(),
-            seq in any::<u64>(),
-            ops in proptest::collection::vec(
-                (any::<u64>(), 0u8..3, any::<u64>(), proptest::collection::vec(any::<u8>(), 0..300)),
-                0..40,
+            shards in proptest::collection::vec(
+                (
+                    any::<u32>(),
+                    any::<u64>(),
+                    proptest::collection::vec(
+                        proptest::collection::vec(
+                            (0u64..24, 0u8..3, any::<u64>(), proptest::collection::vec(any::<u8>(), 0..301)),
+                            0..8,
+                        ),
+                        1..4,
+                    ),
+                ),
+                1..5,
             ),
         ) {
-            let fold: BTreeMap<Key, Option<Effect>> = ops
-                .into_iter()
-                .map(|(k, kind, v, b)| match kind {
-                    0 => (k, Some(Effect::Word(v))),
-                    1 => (k, None),
-                    _ => (k, blob(&b)),
-                })
-                .collect();
-            let effects: Vec<_> = fold.clone().into_iter().collect();
-            let rec = record(shard, seq, &effects);
-            let decoded = decode_log_records(&rec);
+            let mut sections = Vec::new();
+            let mut want: BTreeMap<u32, (u64, BTreeMap<Key, Option<Effect>>)> = BTreeMap::new();
+            for (shard, first_seq, batches) in shards {
+                if want.contains_key(&shard) {
+                    continue;
+                }
+                let mut applied = BTreeMap::new();
+                let folds: Vec<Vec<(Key, Option<Effect>)>> = batches
+                    .into_iter()
+                    .map(|ops| {
+                        let queue: Vec<(Key, Option<Effect>)> = ops
+                            .into_iter()
+                            .map(|(k, kind, v, b)| {
+                                // Half the keys small, half spread over the word.
+                                let k = if k < 12 { k } else { k.wrapping_mul(0x9E37_79B9_7F4A_7C15) };
+                                match kind {
+                                    0 => (k, Some(Effect::Word(v))),
+                                    1 => (k, None),
+                                    _ => (k, blob(&b)),
+                                }
+                            })
+                            .collect();
+                        applied.extend(queue.iter().cloned());
+                        crate::service::fold_newest_wins(&[&queue])
+                    })
+                    .collect();
+                let seq = first_seq.saturating_add(folds.len() as u64 - 1);
+                let runs: Vec<&[_]> = folds.iter().map(Vec::as_slice).collect();
+                sections.push((shard, seq, crate::service::fold_newest_wins(&runs)));
+                want.insert(shard, (seq, applied));
+            }
+            let decoded = decode_log_rounds(&round(&sections));
             prop_assert_eq!(decoded.len(), 1);
-            let (s, q, got) = decoded.into_iter().next().unwrap();
-            prop_assert_eq!((s, q), (shard, seq));
-            prop_assert_eq!(got.into_iter().collect::<BTreeMap<_, _>>(), fold);
+            let mut got = BTreeMap::new();
+            for (shard, seq, fold) in decoded.into_iter().next().unwrap() {
+                let map: BTreeMap<Key, Option<Effect>> = fold.iter().cloned().collect();
+                prop_assert_eq!(map.len(), fold.len(), "one effect a key");
+                got.insert(shard, (seq, map));
+            }
+            prop_assert_eq!(got, want);
         }
 
         /// Arbitrary images, and arbitrary payloads inside valid frames,
@@ -1011,8 +1255,8 @@ mod tests {
         #[test]
         fn decoder_is_total(bytes in proptest::collection::vec(any::<u8>(), 0..120)) {
             for image in [bytes.clone(), framed(&bytes), [word(0, 1), bytes].concat()] {
-                let records = decode_log_records(&image);
-                prop_assert_eq!(walked(&mut log_holding(&SimEnv::new(), &image)), records);
+                let rounds = decode_log_rounds(&image);
+                prop_assert_eq!(walked(&mut log_holding(&SimEnv::new(), &image)), rounds);
             }
         }
     }

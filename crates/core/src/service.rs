@@ -33,7 +33,8 @@
 //!   durability points of all shards into one service-wide **commit
 //!   log**: applied-but-volatile batches are reported as *dirt*, and
 //!   the coordinator runs **sync rounds** — it collects every applied
-//!   batch, appends one checksummed record per batch to the log, and
+//!   batch, appends the round to the log as one checksummed record (a
+//!   section per shard: the newest-wins fold of its batches), and
 //!   makes the whole round durable with the log's **single physical
 //!   fsync**. `N` shards share *one* sync per round instead of paying
 //!   `N` manifest commits (on a journaled filesystem even concurrent
@@ -66,13 +67,19 @@
 //!
 //! ## Batch atomicity
 //!
-//! Each group commit is all-in or all-out per shard: a batch is one
-//! checksummed commit-log record (replay takes it wholly or not at
-//! all), and at checkpoints its effects land between two manifest
-//! commits whose rename is the single commit point. Cross-shard sync
-//! coalescing never weakens this — batches sharing a round's log fsync
-//! are still framed and replayed independently, per shard, in apply
-//! order. With pipelined acks more than one batch can sit
+//! Each group commit is all-in or all-out per shard: a batch rides one
+//! log round, whose record is one checksummed frame (replay takes the
+//! whole round or none of it), and at checkpoints its effects land
+//! between two manifest commits whose rename is the single commit
+//! point. Inside the frame each shard has its own section, the fold of
+//! its batches in the round, which replay applies or skips by that
+//! shard's watermark alone. A section is the fold of a contiguous run
+//! of the shard's batches, so replaying it is exact also when the
+//! manifest's watermark falls inside the run (a harden or a `sync_all`
+//! that committed some of its batches before the round logged them):
+//! the covered part rewrites what the manifest already holds. A round's
+//! sections are durable together, but that is no cross-shard
+//! atomicity: a multi-shard `submit` may straddle two rounds. With pipelined acks more than one batch can sit
 //! applied-but-volatile at a crash; recovery (manifest + log replay)
 //! then lands each shard on the committed fold plus a *prefix* of its
 //! in-flight batches (in application order), each wholly present or
@@ -96,7 +103,7 @@ use dxh_extmem::{check_key, check_value, ExtMemError, Key, Result, Value};
 use dxh_hashfn::{prefix_bucket, HashFn, IdealFn};
 use dxh_tables::ExternalDictionary;
 
-use crate::commitlog::{encode_log_record, replay_log, CommitLog, COMMITLOG_OLD};
+use crate::commitlog::{replay_log, CommitLog, RoundRecord, COMMITLOG_OLD};
 use crate::config::CoreConfig;
 use crate::media::{
     best_effort, commit_file_atomic, older_layout, read_text, DirMedia, StoreMedia,
@@ -290,15 +297,21 @@ impl ServiceStats {
     }
 }
 
-/// `queue` folded newest-wins, in first-touch key order: one `(key,
+/// `runs` — one op queue, or the folds of a shard's batches in seq
+/// order — folded newest-wins, in first-touch key order: one `(key,
 /// newest effect)` per distinct key. It is what the commit log records
 /// and replay refolds — replay is last-write-wins, so folding it leaves
-/// the state that applying every op of the queue in order leaves.
-fn fold_newest_wins(queue: &[(Key, Option<Effect>)]) -> Vec<(Key, Option<Effect>)> {
+/// the state that applying every op of the runs in order leaves. A
+/// batch is its queue's fold, and a log round's section the fold of its
+/// shard's batches' folds.
+pub(crate) fn fold_newest_wins(runs: &[&[(Key, Option<Effect>)]]) -> Vec<(Key, Option<Effect>)> {
     use std::collections::hash_map::Entry;
-    let mut at: HashMap<Key, usize> = HashMap::with_capacity(queue.len());
-    let mut fold: Vec<(Key, Option<Effect>)> = Vec::with_capacity(queue.len());
-    for (k, effect) in queue {
+    // Sized up front: grown from empty, the map's rehashes made a
+    // round's sections cost more than their encoding.
+    let len = runs.iter().map(|run| run.len()).sum();
+    let mut at: HashMap<Key, usize> = HashMap::with_capacity(len);
+    let mut fold: Vec<(Key, Option<Effect>)> = Vec::with_capacity(len);
+    for (k, effect) in runs.iter().copied().flatten() {
         match at.entry(*k) {
             Entry::Occupied(e) => fold[*e.get()].1 = effect.clone(),
             Entry::Vacant(e) => {
@@ -334,13 +347,15 @@ struct Ticket {
 /// point.
 struct Batch {
     cell: Outcome,
-    /// The batch's per-shard sequence number (monotone in apply order),
-    /// framed into its commit-log record so reopen-time replay can skip
-    /// batches the shard's manifest watermark already covers.
+    /// The batch's per-shard sequence number (monotone in apply order);
+    /// the newest one of a round heads the shard's commit-log section,
+    /// so reopen-time replay can skip sections the shard's manifest
+    /// watermark already covers.
     seq: u64,
     /// The batch's newest-wins fold ([`fold_newest_wins`]) — what readers
-    /// see while the batch applies, what a log round frames into the
-    /// commit log, and (when recording) the history entry.
+    /// see while the batch applies, what a log round folds into the
+    /// shard's section of its record, and (when recording) the history
+    /// entry.
     effects: Vec<(Key, Option<Effect>)>,
     /// Every op's answer once the apply finished; `None` while it runs.
     answers: Option<Vec<bool>>,
@@ -523,10 +538,11 @@ impl SyncCoordinator {
 /// checkpoint costs one manifest harden *per shard*, so its price
 /// scales with the shard count while log rounds stay flat — small
 /// enough to bound reopen-time replay work (4 MiB replays in well under
-/// a second even on modest disks; at the ≈ 18 bytes a logged word op
-/// takes on the benchmark's `ingest` and `hot`, head and frame shared
-/// by a batch of ≈ 10 ops, that is ~230k ops between manifest
-/// catch-ups).
+/// a second even on modest disks; at the ≈ 16.6 bytes a logged word op
+/// takes on the benchmark's `ingest` — ≈ 15.3 a logged op on `hot`,
+/// where a delete logs 8 — with one frame and a head per shard shared
+/// by a round of ≈ 8 batches and 44–64 ops, that is ~250k ops between
+/// manifest catch-ups).
 const CHECKPOINT_LOG_BYTES: u64 = 4 * 1024 * 1024;
 
 /// The coordinator thread body: turn accumulated dirt into sync rounds
@@ -623,12 +639,14 @@ fn coordinator_loop<M: StoreMedia>(
 
 /// One **log round** — the service's common durability point. The
 /// coordinator collects every applied-but-unacknowledged batch from the
-/// round's shards, frames one record per batch into the shared commit
-/// log, and makes them all durable with the log's single physical sync;
-/// then the epoch advances and every collected batch's writers are
-/// acknowledged. However many shards are dirty, the round pays one
-/// fsync. The records are encoded from `batches` under the buffer lock,
-/// and the batches stay there until answered. A log failure wedges
+/// round's shards, frames them as **one** record in the shared commit
+/// log — a section per shard: the newest-wins fold of its batches,
+/// headed by the newest one's seq — and makes it durable with the log's
+/// single physical sync; then the epoch advances and every collected
+/// batch's writers are acknowledged. However many shards are dirty, the
+/// round pays one frame and one fsync. Each section is folded from
+/// `batches` under the buffer lock, and the batches stay there until
+/// answered. A log failure wedges
 /// exactly the shards whose batches were riding the round, after
 /// poisoning their stores (the applied-but-uncommitted effects must
 /// never reach a manifest): their writers get errors, and the batches
@@ -641,23 +659,23 @@ fn commit_round<M: StoreMedia>(
 ) {
     // `(shard, newest seq logged)` per shard riding the round.
     let mut riding: Vec<(usize, u64)> = Vec::new();
-    let mut bytes = Vec::new();
+    let mut record = RoundRecord::default();
     for &si in participants {
         let buf = shards[si].buf.lock();
         if buf.wedged.is_some() {
             continue;
         }
-        for b in buf.batches.iter().take_while(|b| b.answers.is_some()) {
-            encode_log_record(&mut bytes, si as u32, b.seq, &b.effects);
-            match riding.last_mut() {
-                Some((s, newest)) if *s == si => *newest = b.seq,
-                _ => riding.push((si, b.seq)),
-            }
-        }
+        let applied = buf.batches.iter().take_while(|b| b.answers.is_some()).count();
+        let applied = &buf.batches[..applied];
+        let Some(newest) = applied.last() else { continue };
+        let runs: Vec<&[_]> = applied.iter().map(|b| b.effects.as_slice()).collect();
+        record.push_section(si as u32, newest.seq, &fold_newest_wins(&runs));
+        riding.push((si, newest.seq));
     }
     if riding.is_empty() {
         return;
     }
+    let bytes = record.frame();
     mutant!(ACK_BEFORE_LOG_COMMIT => for &(si, seq) in &riding {
         ack_through(&shards[si], seq);
     });
@@ -786,7 +804,7 @@ fn committer_loop<M: StoreMedia>(shard: Arc<Shard<M>>, coord: Arc<SyncCoordinato
 /// a wedge finds it whenever it strikes; its newest-wins fold
 /// ([`fold_newest_wins`]) is what readers see while the apply runs and
 /// what the commit log records. Returns whether a batch was applied and
-/// now awaits its epoch (false: nothing pending, shard wedged, or —
+/// now awaits a log round (false: nothing pending, shard wedged, or —
 /// wedging it now — the apply failed).
 fn apply_pending<M: StoreMedia>(shard: &Shard<M>) -> bool {
     let (ops, seq) = {
@@ -800,7 +818,7 @@ fn apply_pending<M: StoreMedia>(shard: &Shard<M>) -> bool {
         mutant!(SPLIT_DRAIN => buf = mutant::relock_and_clear(&shard.buf, buf));
         let seq = buf.next_seq;
         buf.next_seq += 1;
-        let effects = fold_newest_wins(&ops);
+        let effects = fold_newest_wins(&[&ops]);
         buf.coalesced_ops += (ops.len() - effects.len()) as u64;
         buf.batches.push(Batch { cell, seq, effects, answers: None });
         (ops, seq)
@@ -2106,7 +2124,9 @@ mod tests {
         let mut records = Vec::new();
         for v in 0..20 {
             svc.put(k1, v).unwrap(); // one batch, in a round of its own
-            encode_log_record(&mut records, 1, v + 2, &[(k1, Some(Effect::Word(v)))]);
+            let mut round = RoundRecord::default();
+            round.push_section(1, v + 2, &[(k1, Some(Effect::Word(v)))]);
+            records.extend(round.frame());
         }
         let after = svc.stats();
         let kept = logged + records.len();
@@ -2496,23 +2516,27 @@ mod model_tests {
     const SEED: u64 = 42;
     const SHARDS: usize = 2;
     /// The checkpointing variant's log threshold: above the record of any
-    /// batch of at most two ops, at or below any two records and any
-    /// three-op batch (`the_checkpoint_threshold_splits_the_records`), so
-    /// a checkpoint follows every second one-op round and swept crashes
-    /// land inside hardens.
+    /// one-batch round of at most two ops, at or below any two such
+    /// records and any three-op batch's
+    /// (`the_checkpoint_threshold_splits_the_records`), so a checkpoint
+    /// follows every second one-op round and swept crashes land inside
+    /// hardens. A one-batch round's record is the size the per-batch
+    /// layout gave the batch, so the lifecycle the sweep's window is
+    /// sized on checkpoints where it did.
     const CKPT_LOG_BYTES: u64 = 50;
     /// Random walks per crash index in the PR gate.
     const WALKS: u64 = 60;
 
     /// The record sizes [`CKPT_LOG_BYTES`] is chosen between, read off
-    /// the codec: the instance's batches fold at most its three keys,
-    /// `a` at most deleted, and every seq it reaches is one varint byte.
+    /// the codec: the serial lifecycle's rounds carry one batch each, the
+    /// instance's batches fold at most its three keys, `a` at most
+    /// deleted, and every seq it reaches is one varint byte.
     #[test]
     fn the_checkpoint_threshold_splits_the_records() {
         let len = |effects: &[(Key, Option<Effect>)]| {
-            let mut out = Vec::new();
-            encode_log_record(&mut out, 1, 1, effects);
-            out.len() as u64
+            let mut round = RoundRecord::default();
+            round.push_section(1, 1, effects);
+            round.frame().len() as u64
         };
         let (put, del) = (|k| (k, Some(Effect::Word(2))), |k| (k, None));
         let largest_pair = len(&[put(1), put(2)]);

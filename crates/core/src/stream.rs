@@ -707,15 +707,12 @@ mod tests {
                 let live = d.live_blocks();
                 let region = build_region(&mut d, &h, nb, &keys);
                 chained += d.live_blocks() - live - nb;
-                let mut fullest = Vec::new();
-                for q in 0..nb {
-                    let bucket = bucket_items(&mut d, &region, q..q + 1);
-                    if bucket.len() > fullest.len() {
-                        fullest = bucket;
-                    }
-                }
-                one_bucket_each += fullest.len();
-                fullest_of_all = fullest_of_all.max(fullest.len());
+                // One pass over the region counts every bucket's items.
+                let mut held = vec![0; nb as usize];
+                region.inspect(&mut d, |q, _, blk| held[q as usize] += blk.items().len()).unwrap();
+                let fullest = held.into_iter().max().unwrap_or(0);
+                one_bucket_each += fullest;
+                fullest_of_all = fullest_of_all.max(fullest);
                 sources.push(Source::from_region(region));
             }
             let (mut raw, mut peak) = (Vec::new(), 0);
