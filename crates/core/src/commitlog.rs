@@ -348,10 +348,10 @@ fn decode_round(payload: &[u8]) -> Option<Vec<Section>> {
 /// a newer manifest. A section above the watermark is applied whole, in
 /// the original apply order, so the last write per key still wins —
 /// also when the watermark falls inside the section's run of batches.
-/// That happens when a manifest commit races a round: a harden acks
-/// only batches whose answers are in, and a `sync_all` fence acks
-/// nothing, so a round can log batches a manifest holds beside newer
-/// ones. Applying such a section is exact: the watermark is the newest
+/// That happens when a manifest commit races a round: neither a
+/// checkpoint's harden nor a `sync_all` fence acknowledges anything, so
+/// a batch a manifest already holds still rides the next round, beside
+/// newer ones. Applying such a section is exact: the watermark is the newest
 /// batch the manifest holds, so for each key the fold's effect is
 /// either a newer batch's or the one the manifest already holds.
 pub(crate) fn replay_log<M: StoreMedia>(
@@ -1162,7 +1162,7 @@ mod tests {
             let ops: Vec<_> = (0..16).map(|i| crate::WriteOp::Put(call * 16 + i, i)).collect();
             svc.submit(&ops).unwrap();
         }
-        let batches = svc.stats().committed_batches;
+        let stats = svc.stats();
         let appends: Vec<u64> = env
             .take_trace()
             .iter()
@@ -1180,8 +1180,10 @@ mod tests {
         let rounds: Vec<Vec<Section>> = frames.iter().map(|f| decode_round(f.1).unwrap()).collect();
         let sections: usize = rounds.iter().map(Vec::len).sum();
         assert!(rounds.iter().any(|r| r.len() > 1), "no round carried two shards");
+        let batches = stats.committed_batches;
         assert!(batches >= sections as u64, "{batches} batches, {sections} sections");
         assert!(sections > frames.len(), "{sections} sections in {} frames", frames.len());
+        assert_eq!(stats.sync_rounds, frames.len() as u64, "the epoch counts log rounds");
     }
 
     proptest! {
@@ -1247,6 +1249,51 @@ mod tests {
                 got.insert(shard, (seq, map));
             }
             prop_assert_eq!(got, want);
+        }
+
+        /// A round's sections folded from its batches' raw ops frame the
+        /// same bytes as sections folded from each batch's own fold: the
+        /// log does not depend on whether a batch is folded before its
+        /// round. Shards ride with one to three batches whose few keys
+        /// repeat within and across them.
+        #[test]
+        fn raw_and_per_batch_folds_frame_the_same_bytes(
+            shards in proptest::collection::vec(
+                (
+                    0u32..8,
+                    any::<u64>(),
+                    proptest::collection::vec(
+                        proptest::collection::vec(
+                            (0u64..6, 0u8..3, any::<u64>(), proptest::collection::vec(any::<u8>(), 0..20)),
+                            0..10,
+                        ),
+                        1..4,
+                    ),
+                ),
+                1..5,
+            ),
+        ) {
+            use crate::service::fold_newest_wins;
+            let (mut raw, mut refolded) = (RoundRecord::default(), RoundRecord::default());
+            for (shard, seq, batches) in shards {
+                let batches: Vec<Vec<(Key, Option<Effect>)>> = batches
+                    .into_iter()
+                    .map(|ops| {
+                        let effect = |kind, v, b: &[u8]| match kind {
+                            0 => Some(Effect::Word(v)),
+                            1 => None,
+                            _ => blob(b),
+                        };
+                        ops.into_iter().map(|(k, kind, v, b)| (k, effect(kind, v, &b))).collect()
+                    })
+                    .collect();
+                let runs: Vec<&[_]> = batches.iter().map(Vec::as_slice).collect();
+                raw.push_section(shard, seq, &fold_newest_wins(&runs));
+                let folds: Vec<Vec<_>> = batches.iter().map(|b| fold_newest_wins(&[b])).collect();
+                let runs: Vec<&[_]> = folds.iter().map(Vec::as_slice).collect();
+                refolded.push_section(shard, seq, &fold_newest_wins(&runs));
+            }
+            prop_assert_eq!(raw.frame(), refolded.frame());
         }
 
         /// Arbitrary images, and arbitrary payloads inside valid frames,

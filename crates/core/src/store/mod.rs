@@ -443,19 +443,6 @@ impl<M: StoreMedia> Drop for KvStore<M> {
     }
 }
 
-/// The word an 8-byte payload holds — how a payload-mode store, and the
-/// service's overlay above one, answers a word lookup. A payload of any
-/// other length errors: use the byte API.
-pub(crate) fn word_of_payload(key: Key, payload: &[u8]) -> Result<Value> {
-    let bytes: [u8; 8] = payload.try_into().map_err(|_| {
-        ExtMemError::BadConfig(format!(
-            "key {key} holds a {}-byte payload, not a word; use get_bytes",
-            payload.len()
-        ))
-    })?;
-    Ok(u64::from_le_bytes(bytes))
-}
-
 impl<M: StoreMedia> ExternalDictionary for KvStore<M> {
     /// Inserts `key`. The reserved-sentinel checks run **before** the
     /// handle is marked dirty: a rejected insert mutates nothing, so a
@@ -493,7 +480,13 @@ impl<M: StoreMedia> ExternalDictionary for KvStore<M> {
         let Some(payload) = self.get_bytes(key)? else {
             return Ok(None);
         };
-        word_of_payload(key, payload).map(Some)
+        let bytes: [u8; 8] = payload.try_into().map_err(|_| {
+            ExtMemError::BadConfig(format!(
+                "key {key} holds a {}-byte payload, not a word; use get_bytes",
+                payload.len()
+            ))
+        })?;
+        Ok(Some(u64::from_le_bytes(bytes)))
     }
 
     /// Deletes through the log method's deletion-marker path (see

@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Every acknowledged write is already durable; spot-check through
-    // the read path (read-your-writes overlay first, then the shard).
+    // the read path (the owning shard's store, the only thing a get reads).
     for t in 0..threads {
         let k = generation + (t << 40);
         assert_eq!(svc.get(k)?, Some(t * 1_000_000), "thread {t}'s first key");
