@@ -90,11 +90,12 @@
 //! then lands each shard on the committed fold plus a *prefix* of its
 //! in-flight batches (in application order), each wholly present or
 //! wholly absent. If applying or committing a batch fails without a
-//! crash, the affected shard **wedges**: the uncommitted batch is
-//! quarantined behind a poisoned store handle (it can never reach a
-//! manifest — not even through a drop-time sync), every parked and
-//! future caller gets an error, and reopening the service recovers the
-//! shard to its last committed batch. The model tests (`model_tests`)
+//! crash, or its committer dies, the affected shard **wedges**: the
+//! uncommitted batch is quarantined behind a poisoned store handle (it
+//! can never reach a manifest — not even through a drop-time sync),
+//! every caller — writer, reader or `sync_all` — gets the wedge's
+//! error, and reopening the service recovers the shard to its last
+//! committed batch. The model tests (`model_tests`)
 //! crash the simulated machine at every I/O of a service lifecycle,
 //! under every schedule they explore, and check exactly this boundary.
 
@@ -138,12 +139,21 @@ fn shard_name(i: usize) -> String {
     format!("shard-{i:03}")
 }
 
-fn wedged_err(why: &str) -> ExtMemError {
-    ExtMemError::Io(std::io::Error::other(format!(
+/// What a wedge struck by `why` poisons the shard's store with: the text
+/// of every error the shard answers from then on.
+fn wedge_cause(why: &str) -> String {
+    format!(
         "shard wedged by a failed group commit (reopen the service to recover to the last \
          committed batch): {why}"
-    )))
+    )
 }
+
+fn wedged_err(cause: &str) -> ExtMemError {
+    ExtMemError::Io(std::io::Error::other(cause.to_owned()))
+}
+
+/// Why a shard whose committer died wedged.
+const COMMITTER_PANICKED: &str = "committer thread panicked";
 
 /// One write operation of a [`ShardedKvStore`] batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -385,8 +395,8 @@ struct BufState {
     next_seq: u64,
     /// Set by the service's drop: drain and exit.
     shutdown: bool,
-    /// Set when a group commit failed: the shard stops accepting work
-    /// (its store handle is poisoned) until the service is reopened.
+    /// The cause `wedge` poisoned the store with; no work is taken until a
+    /// reopen. Writers read it here, not behind an apply; reads ask the store.
     wedged: Option<String>,
     committed_ops: u64,
     committed_batches: u64,
@@ -453,8 +463,8 @@ struct Shard<M: StoreMedia> {
     /// Wakes parked writers: their batch's outcome was set.
     ack_cv: Condvar,
     /// The persistent store; held by the committer for the length of one
-    /// apply, by the coordinator for one harden, and by readers for one
-    /// lookup.
+    /// apply, by the coordinator for one harden, by `wedge` to poison it,
+    /// and by readers for one lookup.
     store: Mutex<KvStore<M>>,
 }
 
@@ -635,10 +645,10 @@ fn coordinator_loop<M: StoreMedia>(
 /// However many shards are dirty, the round pays one frame and one
 /// fsync. Each section is folded from `batches` under the buffer lock,
 /// and the batches stay there until answered. A log failure wedges
-/// exactly the shards whose batches were riding the round, after
-/// poisoning their stores (the applied-but-uncommitted effects must
-/// never reach a manifest): their writers get errors, and the batches
-/// stay as in-flight candidates.
+/// exactly the shards whose batches were riding the round — `wedge`
+/// poisons all their stores before it wakes any writer, so the
+/// applied-but-uncommitted effects never reach a manifest: their
+/// writers get errors, and the batches stay as in-flight candidates.
 fn commit_round<M: StoreMedia>(
     shards: &[Arc<Shard<M>>],
     coord: &SyncCoordinator,
@@ -679,15 +689,8 @@ fn commit_round<M: StoreMedia>(
     match log.commit(&bytes) {
         Ok(()) => acknowledge(),
         Err(e) => {
-            // Poison every involved store first, and only then wedge:
-            // writers unpark strictly after no store can commit the
-            // round's batches any more.
-            for &(si, _) in &riding {
-                shards[si].store.lock().poison();
-            }
-            for &(si, _) in &riding {
-                wedge(&shards[si], e.to_string());
-            }
+            let struck: Vec<&Shard<M>> = riding.iter().map(|&(si, _)| &*shards[si]).collect();
+            wedge(&struck, &e.to_string());
         }
     }
 }
@@ -735,17 +738,18 @@ fn checkpoint<M: StoreMedia>(
 /// committer that panicked mid-protocol would silently strand every
 /// writer parked on `ack_cv` — the lost-wakeup shape the model checker
 /// hunts. Every batch it drained is in `BufState::batches`, so the
-/// wedge fails it however far its apply got. The wedge also stops
-/// every later checkpoint, so the log keeps whatever the dead
-/// committer's shard acknowledged. Runs during unwind, after the
-/// committer's own guards have been released (locals drop in reverse
-/// declaration order and the guard is declared first).
+/// wedge fails it however far its apply got and poisons the store: no
+/// drop-time sync commits it. The wedge also stops every later
+/// checkpoint, so the log keeps whatever the dead committer's shard
+/// acknowledged. Runs during unwind, after the committer's own guards
+/// are released (locals drop in reverse declaration order and the
+/// guard is declared first).
 struct CommitterPanicGuard<'a, M: StoreMedia>(&'a Shard<M>);
 
 impl<M: StoreMedia> Drop for CommitterPanicGuard<'_, M> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            wedge(self.0, "committer thread panicked".to_string());
+            wedge(&[self.0], COMMITTER_PANICKED);
         }
     }
 }
@@ -759,7 +763,7 @@ struct PoisonOnUnwind<'a, M: StoreMedia>(dxh_sync::MutexGuard<'a, KvStore<M>>);
 impl<M: StoreMedia> Drop for PoisonOnUnwind<'_, M> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.0.poison();
+            self.0.poison(wedge_cause(COMMITTER_PANICKED));
         }
     }
 }
@@ -784,6 +788,7 @@ fn committer_loop<M: StoreMedia>(shard: Arc<Shard<M>>, coord: Arc<SyncCoordinato
             }
         }
         if apply_pending(&shard) {
+            mutant!(COMMITTER_PANICS_AFTER_APPLY => dxh_sync::model::inject_panic());
             coord.mark_dirty(si);
         }
     }
@@ -828,11 +833,11 @@ fn apply_pending<M: StoreMedia>(shard: &Shard<M>) -> bool {
             }
             mutant!(COMMITTER_PANICS => dxh_sync::model::inject_panic());
         }
-        if failure.is_some() {
-            // The table holds a partial batch that was reported failed;
-            // it must never reach a manifest — not even through the
-            // drop-time sync.
-            store.0.poison();
+        if let Some(why) = &failure {
+            // The table holds a partial batch about to be reported failed:
+            // no manifest may commit it, not even a harden's or a
+            // `sync_all`'s that takes the store lock before `wedge` does.
+            store.0.poison(wedge_cause(why));
         } else {
             // The table now holds every batch up to this one and none
             // after it: whichever manifest commits next covers exactly
@@ -851,7 +856,7 @@ fn apply_pending<M: StoreMedia>(shard: &Shard<M>) -> bool {
             buf.wedged.is_none()
         }
         Some(why) => {
-            wedge(shard, why);
+            wedge(&[shard], &why);
             false
         }
     }
@@ -863,30 +868,24 @@ fn apply_pending<M: StoreMedia>(shard: &Shard<M>) -> bool {
 /// apply stamps its batch's seq under the store lock). It acknowledges
 /// nothing: a batch it covered before any round logged it still rides
 /// the next round, whose section replay then skips or rewrites by that
-/// watermark. A failure wedges the shard instead. Returns whether the
-/// harden committed (`false` on a wedged shard).
+/// watermark. A failure wedges the shard; a wedged shard's store
+/// refuses the harden with its cause. Returns whether it committed.
 fn harden_shard<M: StoreMedia>(shard: &Shard<M>) -> bool {
-    if shard.buf.lock().wedged.is_some() {
-        return false;
+    let mut store = shard.store.lock();
+    let hardened = store.harden();
+    if let Err(e) = &hardened {
+        // Poisoned under this hold: no `sync_all` may retry the failed
+        // fsync, or commit unlogged batches, before `wedge` runs.
+        store.poison(wedge_cause(&e.to_string()));
     }
-    let res = {
-        let mut store = shard.store.lock();
-        let r = store.harden();
-        if r.is_err() {
-            // A failed harden may have written part of the batch set
-            // toward disk; poisoning forbids any later manifest from
-            // committing it.
-            store.poison();
-        }
-        r
-    };
-    match res {
+    drop(store);
+    match hardened {
         Ok(()) => {
             shard.buf.lock().hardens += 1;
             true
         }
         Err(e) => {
-            wedge(shard, e.to_string());
+            wedge(&[shard], &e.to_string());
             false
         }
     }
@@ -949,6 +948,9 @@ mod mutant {
     /// The fault, not a mutant: a committer dies mid-apply, after an op,
     /// holding the store lock.
     pub(super) const COMMITTER_PANICS: Switch = Switch(1 << 8);
+    /// The fault, not a mutant: a committer dies after a whole apply,
+    /// before it reports the batch to the coordinator.
+    pub(super) const COMMITTER_PANICS_AFTER_APPLY: Switch = Switch(1 << 10);
     /// A log round acknowledges its riding batches before the log's
     /// append and sync.
     pub(super) const ACK_BEFORE_LOG_COMMIT: Switch = Switch(1 << 9);
@@ -967,25 +969,30 @@ mod mutant {
     }
 }
 
-/// Wedges the shard after a failed apply, round or harden, or a
-/// committer's death: every parked writer — of each drained batch,
-/// applied or mid-apply, and of the ops still queued behind them — gets
-/// the error. The batches stay in place: they are the tests' in-flight
-/// candidates. A shard already wedged keeps its first cause: that wedge
-/// failed every batch, and a wedged shard takes no new one. Called with
-/// no locks held.
-fn wedge<M: StoreMedia>(shard: &Shard<M>, why: String) {
-    {
-        let mut buf = shard.buf.lock();
-        if buf.wedged.is_none() {
-            buf.pending.clear();
-            for cell in buf.batches.iter().map(|b| &b.cell).chain([&buf.pending_cell]) {
-                cell.set(Err(why.clone())).expect("an unanswered batch has no outcome yet");
+/// The one way a shard fails (a failed apply, round or harden, or a
+/// committer's death). Each struck store is poisoned first, under its
+/// lock (waiting out an apply), so reads, `sync_all` and hardens fail
+/// with the cause; only then are the flags set and the writers of every
+/// drained batch and of the queue answered with the store's first
+/// cause. The batches stay as the tests' in-flight candidates. Called
+/// with no locks held.
+fn wedge<M: StoreMedia>(struck: &[&Shard<M>], why: &str) {
+    let why = wedge_cause(why);
+    let causes: Vec<String> =
+        struck.iter().map(|s| s.store.lock().poison(why.clone()).to_owned()).collect();
+    for (shard, cause) in struck.iter().zip(causes) {
+        {
+            let mut buf = shard.buf.lock();
+            if buf.wedged.is_none() {
+                buf.pending.clear();
+                for cell in buf.batches.iter().map(|b| &b.cell).chain([&buf.pending_cell]) {
+                    cell.set(Err(cause.clone())).expect("an unanswered batch has no outcome yet");
+                }
+                buf.wedged = Some(cause);
             }
-            buf.wedged = Some(why);
         }
+        shard.ack_cv.notify_all();
     }
-    shard.ack_cv.notify_all();
 }
 
 /// The routing hash: derived from the deployment seed with a fixed tweak
@@ -1320,15 +1327,16 @@ impl<M: StoreMedia> ShardedKvStore<M> {
         // must be enqueued under ONE lock acquisition, or the committer
         // racing between two enqueues could split it across batches and
         // break the same-shard atomicity documented above.
+        // Shards in the order the ops first name them (in shard order every
+        // client hit shard 0 first, and `hot` wrote 2 % more); a submit
+        // names few shards, so each one's slot is found by a scan.
         let mut by_shard: Vec<(usize, Vec<usize>)> = Vec::new();
-        let mut slot_of: HashMap<usize, usize> = HashMap::new();
         for (pos, &(key, _)) in ops.iter().enumerate() {
             let si = self.shard_of(key);
-            let slot = *slot_of.entry(si).or_insert_with(|| {
-                by_shard.push((si, Vec::new()));
-                by_shard.len() - 1
-            });
-            by_shard[slot].1.push(pos);
+            match by_shard.iter_mut().find(|(s, _)| *s == si) {
+                Some((_, positions)) => positions.push(pos),
+                None => by_shard.push((si, vec![pos])),
+            }
         }
         // Enqueue everything, then drive: ops already queued when a
         // later shard's enqueue fails (wedged) still have to be driven
@@ -1371,10 +1379,10 @@ impl<M: StoreMedia> ShardedKvStore<M> {
     /// acknowledged writes are there (an acknowledged batch is applied);
     /// so is any batch that is applied but still waiting on its log
     /// round — an answer that reflects a write *accepted but not yet
-    /// durable*; see `docs/GUARANTEES.md`.
+    /// durable*; see `docs/GUARANTEES.md`. Takes the store lock alone: a
+    /// wedged shard's store answers with the wedge's error.
     pub fn get(&self, key: Key) -> Result<Option<Value>> {
-        let shard = self.readable(key)?;
-        shard.store.lock().lookup(key)
+        self.shards[self.shard_of(key)].store.lock().lookup(key)
     }
 
     /// Inserts (or upserts) `key` with an arbitrary byte payload —
@@ -1417,27 +1425,16 @@ impl<M: StoreMedia> ShardedKvStore<M> {
     /// buffer and copied out here: the buffer is lent only while the
     /// shard's store lock is held, which a borrowed return would have to
     /// keep open. A failed fetch fails this call alone; it wedges
-    /// nothing. Payload-mode services only.
+    /// nothing. Payload-mode services only. Like [`ShardedKvStore::get`],
+    /// it fails on a wedged shard with the wedge's error.
     pub fn get_bytes(&self, key: Key) -> Result<Option<Vec<u8>>> {
         if !self.payloads {
             return Err(ExtMemError::BadConfig(
                 "byte payloads need a payload-mode service (open_payload)".into(),
             ));
         }
-        let shard = self.readable(key)?;
-        shard.store.lock().get_bytes(key).map(|opt| opt.map(<[u8]>::to_vec))
-    }
-
-    /// The shard owning `key`, unless it is wedged. The buffer lock is
-    /// let go before the caller takes the store lock (no thread holds
-    /// two); a wedge landing in between is benign, since the store it
-    /// poisoned answers the read with an error.
-    fn readable(&self, key: Key) -> Result<&Shard<M>> {
-        let shard = &self.shards[self.shard_of(key)];
-        if let Some(why) = &shard.buf.lock().wedged {
-            return Err(wedged_err(why));
-        }
-        Ok(shard)
+        let store = &self.shards[self.shard_of(key)].store;
+        store.lock().get_bytes(key).map(|opt| opt.map(<[u8]>::to_vec))
     }
 
     /// Syncs every shard's store in turn — a manifest-level durability
@@ -1446,7 +1443,8 @@ impl<M: StoreMedia> ShardedKvStore<M> {
     /// current (applied batches live in the tables, so the stores'
     /// hardens cover them), which is the barrier lower-level
     /// access through [`ShardedKvStore::with_shard`] needs — such
-    /// mutations bypass the group-commit buffer *and* the log.
+    /// mutations bypass the group-commit buffer *and* the log. Fails at
+    /// the first wedged shard with its wedge's error.
     ///
     /// ```
     /// use dxh_core::{CoreConfig, ShardedKvStore, SimMedia};
@@ -1461,9 +1459,6 @@ impl<M: StoreMedia> ShardedKvStore<M> {
     /// ```
     pub fn sync_all(&self) -> Result<()> {
         for shard in &self.shards {
-            if let Some(why) = &shard.buf.lock().wedged {
-                return Err(wedged_err(why));
-            }
             shard.store.lock().sync()?;
         }
         Ok(())
@@ -1495,6 +1490,12 @@ impl<M: StoreMedia> ShardedKvStore<M> {
     /// commit clock's round count.
     pub fn stats(&self) -> ServiceStats {
         let mut out = ServiceStats::default();
+        // The coordinator first: a checkpoint is counted after its hardens.
+        let st = self.coord.state.lock();
+        out.sync_rounds = st.epoch;
+        out.sealed_discards = st.sealed_discards;
+        out.sealed_discard_failures = st.sealed_discard_failures;
+        drop(st);
         for shard in &self.shards {
             {
                 let buf = shard.buf.lock();
@@ -1514,10 +1515,6 @@ impl<M: StoreMedia> ShardedKvStore<M> {
             out.manifest_full_bytes += mio.full_bytes;
         }
         out.manifest_bytes_written = out.manifest_full_bytes + out.manifest_delta_bytes;
-        let st = self.coord.state.lock();
-        out.sync_rounds = st.epoch;
-        out.sealed_discards = st.sealed_discards;
-        out.sealed_discard_failures = st.sealed_discard_failures;
         out
     }
 
@@ -1611,11 +1608,12 @@ impl<M: StoreMedia> Drop for ShardedKvStore<M> {
     /// hardened, then the commit log emptied, so the next open has
     /// nothing to read, decode and watermark-skip and a closed service's
     /// footprint does not depend on where in the checkpoint cycle it
-    /// stopped. No enqueued op is lost. A wedged shard (a failed apply
-    /// or round, or a committer that panicked) cancels that checkpoint,
-    /// and hangs nothing: its store is poisoned and must commit
-    /// nothing, and its acknowledged batches may exist nowhere but in
-    /// the log, which stays byte for byte for reopen-time replay.
+    /// stopped. No enqueued op is lost. A wedged shard (a failed apply,
+    /// round or harden, or a committer that panicked) cancels that
+    /// checkpoint, and hangs nothing: `wedge` poisoned its store, whose
+    /// drop-time sync therefore commits nothing, and its acknowledged
+    /// batches may exist nowhere but in the log, which stays byte for
+    /// byte for reopen-time replay.
     fn drop(&mut self) {
         for shard in &self.shards {
             shard.buf.lock().shutdown = true;
@@ -1827,40 +1825,78 @@ mod tests {
         assert_eq!(stats.wedged_shards, 0, "validation errors never wedge");
     }
 
-    #[test]
-    fn failed_group_commit_wedges_only_that_shard() {
+    /// One failed commit wedges its shard alone, and every call on that
+    /// shard — write, read, `sync_all` — fails with the wedge's own text,
+    /// which reads and `sync_all` get from the poisoned store. `payloads`
+    /// runs it through `put_bytes` / `get_bytes`, whose apply appends to
+    /// the blob log and so is what the fault fails; a raw put's apply
+    /// stays in `H0`, so the fault fails its log round.
+    fn one_failed_commit_wedges_only_its_shard(payloads: bool) {
         let env = SimEnv::new();
-        let svc = sim_service(&env, 2, 15);
+        let media = SimMedia::unlocked(&env);
+        let svc = if payloads {
+            ShardedKvStore::open_payload_on(media, 2, cfg(), 15).unwrap()
+        } else {
+            ShardedKvStore::open_on(media, 2, cfg(), 15).unwrap()
+        };
+        let put = |k, v: u64| match payloads {
+            true => svc.put_bytes(k, &v.to_le_bytes()),
+            false => svc.put(k, v),
+        };
+        let get = |svc: &ShardedKvStore<SimMedia>, k| match payloads {
+            true => svc.get_bytes(k).map(|b| b.map(|b| u64::from_le_bytes(b.try_into().unwrap()))),
+            false => svc.get(k),
+        };
         // Find keys for both shards.
         let k0 = (0..).find(|&k| svc.shard_of(k) == 0).unwrap();
         let k1 = (0..).find(|&k| svc.shard_of(k) == 1).unwrap();
-        svc.put(k0, 1).unwrap();
-        svc.put(k1, 1).unwrap();
+        put(k0, 1).unwrap();
+        put(k1, 1).unwrap();
         // One transient fault at the next I/O: committing k0's second
-        // put fails (at apply or at the round harden) and wedges shard 0.
+        // put fails and wedges shard 0.
         env.set_plan(FaultPlan { fail_at: vec![env.ops()], ..Default::default() });
-        let err = svc.put(k0, 2).unwrap_err();
-        assert!(err.to_string().contains("wedged"), "got: {err}");
+        let wedged = put(k0, 2).unwrap_err().to_string();
+        assert!(wedged.contains("wedged"), "got: {wedged}");
         // The fault was one-shot — the device healed — but the shard
         // must stay wedged: its table may hold an uncommitted batch.
-        assert!(svc.put(k0, 3).is_err(), "wedged shard rejects writes");
-        assert!(svc.get(k0).is_err(), "wedged shard rejects reads");
+        assert_eq!(put(k0, 3).unwrap_err().to_string(), wedged, "wedged shard rejects writes");
+        assert_eq!(get(&svc, k0).unwrap_err().to_string(), wedged, "and reads");
+        assert_eq!(svc.sync_all().unwrap_err().to_string(), wedged, "and the fence");
         assert_eq!(svc.stats().wedged_shards, 1);
         // The sibling shard is untouched.
-        svc.put(k1, 2).unwrap();
-        assert_eq!(svc.get(k1).unwrap(), Some(2));
+        put(k1, 2).unwrap();
+        assert_eq!(get(&svc, k1).unwrap(), Some(2));
         drop(svc); // the poisoned shard's drop must not commit anything
-        let svc = sim_service(&env, 2, 15);
-        assert_eq!(svc.get(k0).unwrap(), Some(1), "shard 0 recovered to its last batch");
-        assert_eq!(svc.get(k1).unwrap(), Some(2));
+        let media = SimMedia::unlocked(&env);
+        let svc = if payloads {
+            ShardedKvStore::open_payload_on(media, 2, cfg(), 15).unwrap()
+        } else {
+            ShardedKvStore::open_on(media, 2, cfg(), 15).unwrap()
+        };
+        assert_eq!(get(&svc, k0).unwrap(), Some(1), "shard 0 recovered to its last batch");
+        assert_eq!(get(&svc, k1).unwrap(), Some(2));
+    }
+
+    #[test]
+    fn failed_group_commit_wedges_only_that_shard() {
+        one_failed_commit_wedges_only_its_shard(false);
+    }
+
+    #[test]
+    fn failed_payload_commit_wedges_only_that_shard() {
+        one_failed_commit_wedges_only_its_shard(true);
     }
 
     /// A failed log round wedges a shard from the coordinator's thread,
-    /// and may do so while the committer is mid-apply. Its writer must
-    /// still get the error instead of parking forever: the batch sits in
-    /// `batches` from its drain, where `wedge` fails it. The interleaving
-    /// is forced: a helper thread holds the store lock the apply needs
-    /// until the shard is wedged.
+    /// and may do so while the committer is mid-apply: the wedge then
+    /// waits for the store lock, so it cannot complete before the apply
+    /// lets the store go. The writer of the drained batch must still get
+    /// the error instead of parking forever: the batch sits in `batches`
+    /// from its drain, where `wedge` fails it. The interleaving is
+    /// forced: a helper thread holds the store lock, so the drained batch
+    /// stays mid-apply while the wedge starts, and another holds the
+    /// coordinator's lock, so no round answers the batch before the
+    /// wedge does.
     #[test]
     fn a_shard_wedged_mid_apply_still_answers_that_batch() {
         use std::sync::mpsc::channel;
@@ -1868,24 +1904,43 @@ mod tests {
         let svc = sim_service(&env, 1, 19);
         let (svc, shard) = (&svc, &svc.shards[0]);
         let (held_tx, held_rx) = channel();
-        let (release_tx, release_rx) = channel::<()>();
+        let (store_release_tx, store_release_rx) = channel::<()>();
+        let (coord_release_tx, coord_release_rx) = channel::<()>();
         let (answer_tx, answer_rx) = channel();
+        let (wedging_tx, wedging_rx) = channel();
         std::thread::scope(|scope| {
+            let store_held = held_tx.clone();
             scope.spawn(move || {
                 let _store = shard.store.lock();
-                held_tx.send(()).unwrap();
-                let _ = release_rx.recv();
+                store_held.send(()).unwrap();
+                let _ = store_release_rx.recv();
             });
+            scope.spawn(move || {
+                let _coord = svc.coord.state.lock();
+                held_tx.send(()).unwrap();
+                let _ = coord_release_rx.recv();
+            });
+            held_rx.recv().unwrap();
             held_rx.recv().unwrap();
             scope.spawn(move || answer_tx.send(svc.put(1, 1)).unwrap());
             while !shard.buf.lock().applying() {
                 std::thread::yield_now();
             }
-            wedge(shard, "log round failed".into());
-            release_tx.send(()).unwrap();
+            scope.spawn(move || {
+                wedging_tx.send(()).unwrap();
+                wedge(&[shard], "log round failed");
+            });
+            wedging_rx.recv().unwrap();
+            // Time for a wedge that did not wait on the store to finish;
+            // one that waits cannot, however long this is.
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert!(shard.buf.lock().wedged.is_none(), "a wedge completed under a held store");
+            assert!(answer_rx.try_recv().is_err(), "answered while the store was held");
+            store_release_tx.send(()).unwrap();
             let answered = answer_rx.recv_timeout(std::time::Duration::from_secs(20));
+            coord_release_tx.send(()).unwrap();
             if answered.is_err() {
-                wedge(shard, "unpark the stranded writer".into());
+                wedge(&[shard], "unpark the stranded writer");
             }
             let answer = answered.expect("the writer of the mid-apply batch was never answered");
             assert!(answer.unwrap_err().to_string().contains("log round failed"));
@@ -1907,6 +1962,23 @@ mod tests {
         assert!(err.to_string().contains("committer thread panicked"), "{err}");
         drop(svc);
         let svc = sim_service(&env, 1, 46);
+        assert_eq!((svc.get(1).unwrap(), svc.get(2).unwrap()), (None, None));
+    }
+
+    /// A committer that dies after a whole apply, before it reports the
+    /// batch, leaves a batch no round will log. The wedge poisons the
+    /// store, so the writer gets the wedge error and the close's
+    /// drop-time sync commits nothing: the reopen serves neither op.
+    #[test]
+    fn a_batch_whose_committer_died_after_its_apply_is_never_durable() {
+        let env = SimEnv::new();
+        mutant::COMMITTER_PANICS_AFTER_APPLY.set(true);
+        let svc = sim_service(&env, 1, 47);
+        mutant::COMMITTER_PANICS_AFTER_APPLY.set(false);
+        let err = svc.submit(&[WriteOp::Put(1, 10), WriteOp::Put(2, 20)]).unwrap_err();
+        assert!(err.to_string().contains("committer thread panicked"), "{err}");
+        drop(svc);
+        let svc = sim_service(&env, 1, 47);
         assert_eq!((svc.get(1).unwrap(), svc.get(2).unwrap()), (None, None));
     }
 

@@ -7,7 +7,7 @@ use dxh_extmem::{BlobLog, Result, Value, BLOB_TAG};
 use dxh_tables::ExternalDictionary;
 
 use super::payload::{blob_file_name, untag};
-use super::{KvStore, LevelFiles};
+use super::{KvStore, LevelFiles, Poison};
 use crate::log_method::LogMethodTable;
 use crate::media::{best_effort, StoreMedia};
 use crate::stream::MergeStats;
@@ -59,7 +59,7 @@ impl<M: StoreMedia> KvStore<M> {
                 // for the store. The committed manifest and every file
                 // it names are untouched and stay authoritative; what
                 // this pass created is a stray.
-                self.poisoned = true;
+                self.poisoned = Some(Poison::Compaction);
                 self.table.disk_mut().backend_mut().unlink_uncommitted();
                 for gen in old_gen + 1..=self.data_gen {
                     best_effort(self.media.remove(&blob_file_name(gen)));
@@ -298,7 +298,8 @@ mod tests {
         // from the drained table would report every synced key absent.
         env.set_plan(dxh_extmem::FaultPlan::default());
         assert!(s.insert(1, 2).is_err(), "insert on poisoned handle");
-        assert!(s.lookup(1).is_err(), "lookup on poisoned handle");
+        let err = s.lookup(1).unwrap_err();
+        assert!(matches!(err, ExtMemError::BadConfig(_)), "lookup on poisoned handle: {err}");
         assert!(s.delete(1).is_err(), "delete on poisoned handle");
         assert!(s.sync().is_err(), "sync on poisoned handle");
         assert!(s.compact().is_err(), "compact on poisoned handle");

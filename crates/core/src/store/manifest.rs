@@ -103,11 +103,11 @@ impl<M: StoreMedia> KvStore<M> {
 /// Cumulative manifest-commit I/O of one [`KvStore`] handle since it
 /// opened. Every commit writes the same manifest — O(log n) level lines
 /// — and the split is by caller: `full_*` counts the commits of
-/// [`KvStore::sync`] and compaction, `delta_*` the checkpoint
-/// hardens of a service's committers. The names predate that: a `full`
-/// commit used to carry the table-sized free list of the block
-/// allocator, and checkpoint commits were once frames appended to a
-/// `MANIFEST.DELTA` chain.
+/// [`KvStore::sync`] and compaction, `delta_*` the checkpoint hardens a
+/// service's coordinator runs. The names predate that: a `full` commit
+/// used to carry the table-sized free list of the block allocator, and
+/// checkpoint commits were once frames appended to a `MANIFEST.DELTA`
+/// chain.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ManifestIoStats {
     /// Bytes written by the manifest commits of sync and compaction.

@@ -166,10 +166,10 @@ pub struct KvStore<M: StoreMedia = DirMedia> {
     /// handle's drop must not rewrite the manifest (it could clobber a
     /// newer sync made through another, later handle).
     dirty: bool,
-    /// Set when a failed compaction drained the in-memory table: the
-    /// handle can no longer represent the store, so sync/drop must not
-    /// commit its state over the intact last manifest. Reopen recovers.
-    poisoned: bool,
+    /// Why the handle no longer represents the store, once it does not.
+    /// Every method then fails, and sync/drop must not commit the
+    /// handle's state over the intact last manifest. Reopen recovers.
+    poisoned: Option<Poison>,
     /// Highest per-shard commit-log sequence number whose effects this
     /// store's manifest covers (0 = none; a store outside a service
     /// never moves it). The service stamps it with every batch it
@@ -263,7 +263,7 @@ impl<M: StoreMedia> KvStore<M> {
                     seed,
                     data_gen: 0,
                     dirty: false,
-                    poisoned: false,
+                    poisoned: None,
                     watermark: 0,
                     image: None,
                     manifest_io: ManifestIoStats::default(),
@@ -290,9 +290,9 @@ impl<M: StoreMedia> KvStore<M> {
         self.commit(false)
     }
 
-    /// [`KvStore::sync`] as the service's committers issue it, once per
-    /// checkpoint round: the same commit, counted apart (the `delta_*`
-    /// half of [`KvStore::manifest_io`]).
+    /// [`KvStore::sync`] as the service's coordinator issues it, once per
+    /// shard and checkpoint: the same commit, counted apart (the
+    /// `delta_*` half of [`KvStore::manifest_io`]).
     pub(crate) fn harden(&mut self) -> Result<()> {
         dxh_sync::assert_sync_allowed("KvStore::harden");
         self.commit(true)
@@ -339,12 +339,11 @@ impl<M: StoreMedia> KvStore<M> {
     }
 
     fn check_poisoned(&self) -> Result<()> {
-        if self.poisoned {
-            return Err(ExtMemError::BadConfig(
-                "store handle poisoned by a failed compaction; drop it and reopen".into(),
-            ));
+        match &self.poisoned {
+            None => Ok(()),
+            Some(Poison::Compaction) => Err(ExtMemError::BadConfig(COMPACTION_POISON.into())),
+            Some(Poison::Wedged(why)) => Err(ExtMemError::Io(std::io::Error::other(why.clone()))),
         }
-        Ok(())
     }
 
     /// Notes, before a mutation, that the next sync has something to
@@ -381,17 +380,33 @@ impl<M: StoreMedia> KvStore<M> {
         &self.table
     }
 
-    /// Poisons the handle: every further method errors, and drop must
-    /// not sync. The group-commit service uses this when a batch fails
-    /// partway through being applied — the in-memory table then holds a
-    /// partial batch that must never reach a manifest (a later sync, or
-    /// the drop's best-effort sync, would commit a durable half-batch
-    /// and break batch atomicity). The last committed manifest stays
-    /// authoritative; reopening the media recovers to it.
-    pub(crate) fn poison(&mut self) {
-        self.poisoned = true;
+    /// Poisons the handle with `why`: every further method fails with
+    /// an `Io` error of that text, and drop must not sync. A handle
+    /// already poisoned keeps its first cause, whose text this returns.
+    /// The group-commit service poisons a shard's store when it wedges
+    /// the shard — its in-memory table then holds batches whose writers
+    /// were told they failed, which must never reach a manifest (a later
+    /// sync, or the drop's best-effort sync, would make them durable).
+    /// The last committed manifest stays authoritative; reopening the
+    /// media recovers to it.
+    pub(crate) fn poison(&mut self, why: String) -> &str {
+        match self.poisoned.get_or_insert(Poison::Wedged(why)) {
+            Poison::Compaction => COMPACTION_POISON,
+            Poison::Wedged(why) => why,
+        }
     }
 }
+
+/// Why a [`KvStore`] handle no longer represents its store.
+enum Poison {
+    /// A failed compaction drained the in-memory table; every method
+    /// fails with a `BadConfig` of [`COMPACTION_POISON`].
+    Compaction,
+    /// The service owning the store wedged its shard with this cause.
+    Wedged(String),
+}
+
+const COMPACTION_POISON: &str = "store handle poisoned by a failed compaction; drop it and reopen";
 
 /// What one level of a [`KvStore`] holds and occupies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -271,7 +271,7 @@ mod tests {
         let err = s.get_bytes(9).unwrap_err();
         assert!(matches!(err, ExtMemError::Corrupt(_)), "{err}");
         others_read(&mut s, 9);
-        assert!(!s.dirty && !s.poisoned, "a failed read changes nothing");
+        assert!(!s.dirty && s.poisoned.is_none(), "a failed read changes nothing");
         // The key is rewritable, and a reopen refuses the rotted prefix.
         s.put_bytes(9, b"rewritten").unwrap();
         assert_eq!(s.get_bytes(9).unwrap(), Some(&b"rewritten"[..]));
@@ -322,7 +322,7 @@ mod tests {
             env.set_plan(FaultPlan { fail_at: vec![env.ops() + probe_ios], ..Default::default() });
             let err = s.get_bytes(k).unwrap_err();
             assert!(matches!(err, ExtMemError::Io(_)), "key {k}: {err}");
-            assert!(!s.dirty && !s.poisoned, "a failed read changes nothing");
+            assert!(!s.dirty && s.poisoned.is_none(), "a failed read changes nothing");
             assert_eq!(s.get_bytes(k).unwrap(), Some(payload_for(k).as_slice()), "the retry");
         }
         assert!(!s.dirty, "reads, failed or not, leave nothing to commit");

@@ -103,7 +103,7 @@ impl<M: StoreMedia> KvStore<M> {
             seed: m.seed,
             data_gen: m.data_gen,
             dirty: false,
-            poisoned: false,
+            poisoned: None,
             watermark: m.watermark,
             image: m.h0,
             manifest_io: ManifestIoStats::default(),
