@@ -7,7 +7,7 @@ use dxh_extmem::{BlobLog, Result, Value, BLOB_TAG};
 use dxh_tables::ExternalDictionary;
 
 use super::payload::{blob_file_name, untag};
-use super::{KvStore, LevelFiles, Poison};
+use super::{KvStore, LevelFiles};
 use crate::log_method::LogMethodTable;
 use crate::media::{best_effort, StoreMedia};
 use crate::stream::MergeStats;
@@ -44,22 +44,29 @@ impl<M: StoreMedia> KvStore<M> {
     /// Crash-safe at every step: the manifest rename is the single
     /// commit point, and an interrupted pass leaves the files the last
     /// manifest names intact (they are read, never written) plus stray
-    /// files that the next reopen removes. If anything before the commit
-    /// fails the handle is poisoned (further use errors) and what the
-    /// pass was building is removed; the directory reopens to the last
-    /// synced state.
+    /// files that the next reopen removes. If the pass or its commit
+    /// fails, the handle is poisoned like after any failed mutation —
+    /// further use errors with an [`dxh_extmem::ExtMemError::Io`] naming
+    /// the failure (it was a `BadConfig` before the store had one poison
+    /// rule) — and what the pass was building is removed; the directory
+    /// reopens to the last synced state.
     pub fn compact(&mut self) -> Result<CompactionStats> {
         self.mark_dirty()?;
+        let compacted = self.compact_dirty();
+        self.poison_on_failure(compacted)
+    }
+
+    /// [`KvStore::compact`] past its `mark_dirty`.
+    fn compact_dirty(&mut self) -> Result<CompactionStats> {
         let bytes_before = self.table.disk().backend().file_bytes(None);
         let old_gen = self.data_gen;
         let stats = match self.merge_levels() {
             Ok(stats) => stats,
             Err(e) => {
-                // The table is drained: the handle can no longer stand
-                // for the store. The committed manifest and every file
-                // it names are untouched and stay authoritative; what
-                // this pass created is a stray.
-                self.poisoned = Some(Poison::Compaction);
+                // The table is drained, and the handle poisoned on the
+                // way out. The committed manifest and every file it names
+                // are untouched and stay authoritative; what this pass
+                // created is a stray.
                 self.table.disk_mut().backend_mut().unlink_uncommitted();
                 for gen in old_gen + 1..=self.data_gen {
                     best_effort(self.media.remove(&blob_file_name(gen)));
@@ -299,7 +306,7 @@ mod tests {
         env.set_plan(dxh_extmem::FaultPlan::default());
         assert!(s.insert(1, 2).is_err(), "insert on poisoned handle");
         let err = s.lookup(1).unwrap_err();
-        assert!(matches!(err, ExtMemError::BadConfig(_)), "lookup on poisoned handle: {err}");
+        assert!(matches!(err, ExtMemError::Io(_)), "lookup on poisoned handle: {err}");
         assert!(s.delete(1).is_err(), "delete on poisoned handle");
         assert!(s.sync().is_err(), "sync on poisoned handle");
         assert!(s.compact().is_err(), "compact on poisoned handle");

@@ -71,6 +71,16 @@
 //! the store syncs best-effort, and a handle that made no modifications
 //! skips the manifest rewrite entirely.
 //!
+//! One poison rule: a mutation (`insert`, `put_bytes`, a delete past
+//! its presence probe, `compact`) or a commit that fails poisons the
+//! handle, because the table may be half changed — a Lemma 5 flush
+//! drains `H0` and takes the levels it merges out of the table before it
+//! writes the level that replaces them. Every later method fails with
+//! an [`ExtMemError::Io`] naming the failure, and no commit, the drop's
+//! included, writes the table over the last manifest: reopen recovers
+//! to it. A validation error (a reserved sentinel, a payload out of
+//! bounds, the wrong mode) and a failed read poison nothing.
+//!
 //! Between syncs nothing a committed manifest names is touched, so a
 //! process that dies there loses exactly what it had not synced: reopen
 //! — after a crash or a clean close, the same code — opens the files
@@ -284,7 +294,10 @@ impl<M: StoreMedia> KvStore<M> {
     /// written since the last commit, and atomically rewrites the
     /// manifest. After `sync` returns, a reopen sees every item inserted
     /// so far. A no-op when nothing changed since the last sync (or
-    /// since the reopen).
+    /// since the reopen). A failed sync poisons the handle: a retry
+    /// could commit a table a half-failed write left behind, or trust an
+    /// fsync that already failed once. Reopen recovers to the last
+    /// commit.
     pub fn sync(&mut self) -> Result<()> {
         dxh_sync::assert_sync_allowed("KvStore::sync");
         self.commit(false)
@@ -309,8 +322,8 @@ impl<M: StoreMedia> KvStore<M> {
         // manifest commits — `H0`'s image among them — point into the
         // log, so a crash must never find committed offsets dangling);
         // the level files' and `H0`'s image's inside the commit.
-        self.blob_sync()?;
-        self.write_manifest(checkpoint)?;
+        let committed = self.blob_sync().and_then(|()| self.write_manifest(checkpoint));
+        self.poison_on_failure(committed)?;
         self.dirty = false;
         Ok(())
     }
@@ -341,8 +354,9 @@ impl<M: StoreMedia> KvStore<M> {
     fn check_poisoned(&self) -> Result<()> {
         match &self.poisoned {
             None => Ok(()),
-            Some(Poison::Compaction) => Err(ExtMemError::BadConfig(COMPACTION_POISON.into())),
-            Some(Poison::Wedged(why)) => Err(ExtMemError::Io(std::io::Error::other(why.clone()))),
+            Some(Poison::Failed(why) | Poison::Wedged(why)) => {
+                Err(ExtMemError::Io(std::io::Error::other(why.clone())))
+            }
         }
     }
 
@@ -352,6 +366,21 @@ impl<M: StoreMedia> KvStore<M> {
         self.check_poisoned()?;
         self.dirty = true;
         Ok(())
+    }
+
+    /// The one poison rule: `result` is what a mutation or a commit
+    /// returned once the handle was dirty, and an error there poisons the
+    /// handle (see the module docs) — its table may no longer stand for
+    /// the store, so nothing may answer from it or commit it. Validation
+    /// errors and reads never come through here.
+    fn poison_on_failure<T>(&mut self, result: Result<T>) -> Result<T> {
+        if let Err(e) = &result {
+            self.poisoned = Some(Poison::Failed(format!(
+                "store handle poisoned by a failed write or commit (drop it and reopen to \
+                 recover the last commit): {e}"
+            )));
+        }
+        result
     }
 
     /// What the store occupies on its media, level by level: one call
@@ -380,33 +409,37 @@ impl<M: StoreMedia> KvStore<M> {
         &self.table
     }
 
-    /// Poisons the handle with `why`: every further method fails with
-    /// an `Io` error of that text, and drop must not sync. A handle
-    /// already poisoned keeps its first cause, whose text this returns.
-    /// The group-commit service poisons a shard's store when it wedges
-    /// the shard — its in-memory table then holds batches whose writers
-    /// were told they failed, which must never reach a manifest (a later
-    /// sync, or the drop's best-effort sync, would make them durable).
-    /// The last committed manifest stays authoritative; reopening the
-    /// media recovers to it.
+    /// Poisons the handle with the wedge cause `why`: every further
+    /// method fails with an `Io` error of that text, and drop must not
+    /// sync. The group-commit service poisons a shard's store when it
+    /// wedges the shard — its in-memory table then holds batches whose
+    /// writers were told they failed, which must never reach a manifest
+    /// (a later sync, or the drop's best-effort sync, would make them
+    /// durable). The cause supersedes the store's own failure, so every
+    /// caller of the shard gets the wedge's text; a handle already
+    /// wedged keeps its first cause, whose text this returns. The last
+    /// committed manifest stays authoritative; reopening the media
+    /// recovers to it.
     pub(crate) fn poison(&mut self, why: String) -> &str {
-        match self.poisoned.get_or_insert(Poison::Wedged(why)) {
-            Poison::Compaction => COMPACTION_POISON,
-            Poison::Wedged(why) => why,
+        let cause = match self.poisoned.take() {
+            Some(Poison::Wedged(first)) => first,
+            _ => why,
+        };
+        match self.poisoned.insert(Poison::Wedged(cause)) {
+            Poison::Failed(cause) | Poison::Wedged(cause) => cause,
         }
     }
 }
 
-/// Why a [`KvStore`] handle no longer represents its store.
+/// Why a [`KvStore`] handle no longer represents its store; every method
+/// then fails with an `Io` error of the text.
 enum Poison {
-    /// A failed compaction drained the in-memory table; every method
-    /// fails with a `BadConfig` of [`COMPACTION_POISON`].
-    Compaction,
+    /// A mutation or a commit of the handle failed (the poison rule,
+    /// `KvStore::poison_on_failure`).
+    Failed(String),
     /// The service owning the store wedged its shard with this cause.
     Wedged(String),
 }
-
-const COMPACTION_POISON: &str = "store handle poisoned by a failed compaction; drop it and reopen";
 
 /// What one level of a [`KvStore`] holds and occupies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -463,7 +496,9 @@ impl<M: StoreMedia> ExternalDictionary for KvStore<M> {
     /// handle is marked dirty: a rejected insert mutates nothing, so a
     /// handle whose every mutation was rejected stays clean, and its
     /// next `sync` (or drop) is a no-op instead of a manifest rewrite
-    /// and a directory fsync.
+    /// and a directory fsync. An insert that fails after them poisons
+    /// the handle: it may have failed inside a flush that had already
+    /// drained `H0`.
     ///
     /// On a payload-mode store the word is stored as its 8-byte
     /// little-endian payload, so the **full** value domain — including
@@ -477,12 +512,13 @@ impl<M: StoreMedia> ExternalDictionary for KvStore<M> {
         check_key(key)?;
         check_value(value)?;
         self.mark_dirty()?;
-        self.table.insert(key, value)
+        let inserted = self.table.insert(key, value);
+        self.poison_on_failure(inserted)
     }
 
-    /// Errors on a handle poisoned by a failed [`KvStore::compact`]:
-    /// the in-memory table was drained into the aborted pass, so
-    /// answering from it would report every synced key as absent.
+    /// Errors on a poisoned handle: a failed mutation may have drained
+    /// the in-memory table (a flush, a compaction), so answering from it
+    /// would report synced keys as absent.
     ///
     /// On a payload-mode store this decodes the 8-byte payload written
     /// by the word-insert above; a payload of any other length errors —
@@ -508,20 +544,27 @@ impl<M: StoreMedia> ExternalDictionary for KvStore<M> {
     /// [`LogMethodTable::delete`]); the key stays absent across sync and
     /// reopen, and its space is reclaimed by level merges and
     /// [`KvStore::compact`]. A miss leaves the handle clean — it is
-    /// marked dirty only once the table confirms it will write a marker.
+    /// marked dirty only once the table confirms it will write a marker —
+    /// and so does a failed presence probe; a failure past it poisons the
+    /// handle (the marker may fill `H0` and start a flush).
     fn delete(&mut self, key: Key) -> Result<bool> {
         self.check_poisoned()?;
-        let dirty = &mut self.dirty;
-        self.table.delete_with_hook(key, &mut || {
-            *dirty = true;
+        let mut marking = false;
+        let deleted = self.table.delete_with_hook(key, &mut || {
+            marking = true;
             Ok(())
-        })
+        });
+        if !marking {
+            return deleted;
+        }
+        self.dirty = true;
+        self.poison_on_failure(deleted)
     }
 
-    /// On a handle poisoned by a failed [`KvStore::compact`] this
-    /// reports the drained in-memory table (typically 0), not the
-    /// store's durable contents — the trait signature cannot error.
-    /// Reopen the directory for the real count.
+    /// On a poisoned handle this reports the in-memory table, which a
+    /// failed flush or compaction may have drained, not the store's
+    /// durable contents — the trait signature cannot error. Reopen the
+    /// directory for the real count.
     fn len(&self) -> usize {
         self.table.len()
     }
@@ -629,7 +672,7 @@ pub(crate) mod tests {
     }
 
     /// The bytes of every file of `env`.
-    fn sim_image(env: &SimEnv) -> BTreeMap<String, Vec<u8>> {
+    pub(crate) fn sim_image(env: &SimEnv) -> BTreeMap<String, Vec<u8>> {
         let image = |name: String| {
             let bytes = env.read_file(&name).unwrap().unwrap();
             (name, bytes)
@@ -804,6 +847,47 @@ pub(crate) mod tests {
             assert!(before == image(&dir), "{tag}: a committed file was written");
             crash(s);
             let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// The poison rule on a standalone store, raw and in payload mode:
+    /// 300 synced keys, then one transient fault at each of the next 12
+    /// I/Os while writing on until a write fails. That write may have
+    /// failed inside a flush that had drained `H0`, so the handle answers
+    /// every synced key with an error (never `None`), refuses to sync,
+    /// and its drop commits nothing: the reopen holds the synced state
+    /// and nothing else.
+    #[test]
+    fn a_failed_write_poisons_the_handle_and_the_reopen_holds_the_synced_state() {
+        for payloads in [false, true] {
+            for offset in 0..12 {
+                let when = format!("payloads {payloads}, fault at +{offset}");
+                let env = SimEnv::new();
+                let open = || match payloads {
+                    true => KvStore::open_payload_on(SimMedia::open(&env).unwrap(), cfg(), 85),
+                    false => KvStore::open_on(SimMedia::open(&env).unwrap(), cfg(), 85),
+                };
+                let mut s = open().unwrap();
+                for k in 0..300u64 {
+                    s.insert(k, k + 1).unwrap();
+                }
+                s.sync().unwrap();
+                env.set_plan(FaultPlan { fail_at: vec![env.ops() + offset], ..Default::default() });
+                let failed = (1000..100_000u64).find(|&k| s.insert(k, k + 1).is_err());
+                let failed = failed.unwrap_or_else(|| panic!("{when}: no write failed"));
+                for k in 0..300u64 {
+                    assert!(s.lookup(k).is_err(), "{when}: synced key {k} answered");
+                }
+                assert!(s.sync().is_err(), "{when}: a poisoned handle synced");
+                drop(s);
+                let mut s = open().unwrap();
+                for k in 0..300u64 {
+                    assert_eq!(s.lookup(k).unwrap(), Some(k + 1), "{when}: synced key {k}");
+                }
+                for k in 1000..=failed {
+                    assert_eq!(s.lookup(k).unwrap(), None, "{when}: unsynced key {k}");
+                }
+            }
         }
     }
 

@@ -46,18 +46,6 @@ impl<M: StoreMedia> KvStore<M> {
         self.blob.as_ref().map_or(0, |log| log.len())
     }
 
-    /// The append choke point of the payload write path — every byte
-    /// entering the blob log goes through here ([`KvStore::blob_sync`]
-    /// is its fsync counterpart).
-    fn blob_append(&mut self, payload: &[u8]) -> Result<u64> {
-        let log = self
-            .blob
-            .as_mut()
-            .ok_or_else(|| ExtMemError::BadConfig("store has no payload log; use insert".into()))?;
-        let (offset, _len) = log.append(payload)?;
-        Ok(offset)
-    }
-
     /// The sync choke point of the payload write path: `fdatasync`s the
     /// blob log (no-op on a raw store). Ordered before every index
     /// commit by [`KvStore::harden`] and [`KvStore::compact`].
@@ -75,17 +63,21 @@ impl<M: StoreMedia> KvStore<M> {
     /// on [`dxh_extmem::VALUE_TOMBSTONE`]); only key `u64::MAX` stays
     /// reserved (it is the slot-level sentinel everywhere). Durability
     /// follows the store's sync points: the payload is crash-recoverable
-    /// after the next [`KvStore::sync`] / harden.
+    /// after the next [`KvStore::sync`] / harden. The mode, the key and
+    /// the payload's bounds are checked first and poison nothing; a put
+    /// that fails after them poisons the handle, like a failed insert.
     pub fn put_bytes(&mut self, key: Key, payload: &[u8]) -> Result<()> {
-        if self.blob.is_none() {
+        let Some(log) = &self.blob else {
             return Err(ExtMemError::BadConfig(
                 "store was opened without payload mode; use insert".into(),
             ));
-        }
+        };
         check_key(key)?;
+        log.frame_len(payload)?;
         self.mark_dirty()?;
-        let offset = self.blob_append(payload)?;
-        self.table.insert(key, BLOB_TAG | offset)
+        let appended = self.blob.as_mut().expect("payload mode checked above").append(payload);
+        let put = appended.and_then(|(offset, _)| self.table.insert(key, BLOB_TAG | offset));
+        self.poison_on_failure(put)
     }
 
     /// Looks up `key`'s payload (payload mode only): one index probe,

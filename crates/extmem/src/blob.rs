@@ -198,21 +198,29 @@ impl<F: BlobFile> BlobLog<F> {
     /// Volatile until [`BlobLog::sync`], readable through this handle at
     /// once.
     pub fn append(&mut self, payload: &[u8]) -> Result<(u64, u32)> {
+        let frame_len = self.frame_len(payload)?;
+        let offset = self.len;
+        self.file.append(self.buf.frame(payload))?;
+        self.len += u64::from(frame_len);
+        self.unsynced += u64::from(frame_len);
+        Ok((offset, frame_len))
+    }
+
+    /// The framed length [`BlobLog::append`] would write for `payload`,
+    /// or the `BadConfig` it refuses `payload` with: the frame bound, or
+    /// the offset bound at the log's current length. Writes nothing.
+    pub fn frame_len(&self, payload: &[u8]) -> Result<u32> {
         let frame_len = FRAME_HEADER
             .checked_add(payload.len())
             .filter(|&n| n <= u32::MAX as usize)
             .ok_or_else(|| {
                 ExtMemError::BadConfig("payload exceeds the 4 GiB frame bound".into())
             })?;
-        let offset = self.len;
-        if offset + frame_len as u64 > MAX_BLOB_OFFSET {
+        if self.len + frame_len as u64 > MAX_BLOB_OFFSET {
             // Offsets must stay below the index word's tag bit headroom.
             return Err(ExtMemError::BadConfig("blob log exceeds the offset bound".into()));
         }
-        self.file.append(self.buf.frame(payload))?;
-        self.len += frame_len as u64;
-        self.unsynced += frame_len as u64;
-        Ok((offset, frame_len as u32))
+        Ok(frame_len as u32)
     }
 
     /// The read path: fetches the record at `offset` into the record
