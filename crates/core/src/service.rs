@@ -754,16 +754,21 @@ impl<M: StoreMedia> Drop for CommitterPanicGuard<'_, M> {
     }
 }
 
-/// The store lock as the committer holds it across an apply: a panic
-/// mid-apply, which fails no op of the store, poisons it before the lock
-/// is let go, so neither a checkpoint harden nor the drop-time sync can
-/// commit the half-applied batch.
-struct PoisonOnUnwind<'a, M: StoreMedia>(dxh_sync::MutexGuard<'a, KvStore<M>>);
+/// The store lock as the committer holds it across an apply. If the
+/// apply stops partway — a panic between two ops, or a failed op, even a
+/// read the store's own rule lets pass (a delete's presence probe) — the
+/// drop poisons the store with the wedge's text before the lock goes: no
+/// harden, `sync_all` or drop-time sync commits the partial batch.
+struct PoisonUnlessWhole<'a, M: StoreMedia> {
+    store: dxh_sync::MutexGuard<'a, KvStore<M>>,
+    failure: Option<String>,
+}
 
-impl<M: StoreMedia> Drop for PoisonOnUnwind<'_, M> {
+impl<M: StoreMedia> Drop for PoisonUnlessWhole<'_, M> {
     fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.poison(wedge_cause(COMMITTER_PANICKED));
+        let panicked = std::thread::panicking().then_some(COMMITTER_PANICKED);
+        if let Some(why) = self.failure.as_deref().or(panicked) {
+            self.store.poison(wedge_cause(why));
         }
     }
 }
@@ -819,29 +824,26 @@ fn apply_pending<M: StoreMedia>(shard: &Shard<M>) -> bool {
     };
 
     let mut answers = Vec::with_capacity(ops.len());
-    let mut failure: Option<String> = None;
-    {
-        let store = shard.store.lock();
-        let mut store = PoisonOnUnwind(store);
+    let failure = {
+        let mut apply = PoisonUnlessWhole { store: shard.store.lock(), failure: None };
         for (k, effect) in ops.iter() {
-            match apply_write(&mut store.0, *k, effect.as_ref()) {
+            match apply_write(&mut apply.store, *k, effect.as_ref()) {
                 Ok(ans) => answers.push(ans),
                 Err(e) => {
-                    failure = Some(e.to_string());
+                    apply.failure = Some(e.to_string());
                     break;
                 }
             }
             mutant!(COMMITTER_PANICS => dxh_sync::model::inject_panic());
         }
-        if failure.is_none() {
+        if apply.failure.is_none() {
             // The table now holds every batch up to this one and none
             // after it: whichever manifest commits next covers exactly
             // that, so replay must skip exactly those records.
-            store.0.set_replay_watermark(seq);
+            apply.store.set_replay_watermark(seq);
         }
-        // Else the store poisoned itself as the op failed, under this
-        // hold: no manifest commits the partial batch, even before `wedge`.
-    }
+        apply.failure.clone()
+    };
 
     match failure {
         None => {
@@ -853,6 +855,7 @@ fn apply_pending<M: StoreMedia>(shard: &Shard<M>) -> bool {
             buf.wedged.is_none()
         }
         Some(why) => {
+            mutant!(SYNC_BEFORE_WEDGE => drop(shard.store.lock().sync()));
             wedge(&[shard], &why);
             false
         }
@@ -946,6 +949,8 @@ mod mutant {
     /// A log round acknowledges its riding batches before the log's
     /// append and sync.
     pub(super) const ACK_BEFORE_LOG_COMMIT: Switch = Switch(1 << 9);
+    /// The race, not a mutant: a `sync_all` between a failed apply and its wedge.
+    pub(super) const SYNC_BEFORE_WEDGE: Switch = Switch(1 << 11);
 
     /// `SPLIT_DRAIN`'s second lock hold. The cleared ops' outcome cell
     /// goes with them, so their writers wait on a cell no batch will set.
@@ -2003,6 +2008,37 @@ mod tests {
         assert_eq!((svc.get(1).unwrap(), svc.get(2).unwrap()), (None, None));
     }
 
+    /// A batch whose put is applied and whose delete then fails in its
+    /// presence probe: a read, so the store's own rule poisons nothing.
+    /// The apply's guard poisons the store before it lets the lock go,
+    /// so a `sync_all` that takes the store between the apply and the
+    /// wedge (`SYNC_BEFORE_WEDGE`) commits nothing, and the reopen
+    /// serves neither op — never the put without the delete.
+    #[test]
+    fn a_batch_whose_delete_probe_fails_is_never_half_durable() {
+        let env = SimEnv::new();
+        mutant::SYNC_BEFORE_WEDGE.set(true);
+        let svc = sim_service(&env, 1, 48);
+        mutant::SYNC_BEFORE_WEDGE.set(false);
+        // No checkpoint's I/O can take the fault meant for the probe.
+        svc.set_checkpoint_log_bytes(u64::MAX);
+        for k in 0..300u64 {
+            svc.put(k, k + 1).unwrap();
+        }
+        svc.sync_all().unwrap();
+        // Key 0 was flushed to a disk level, and one more put leaves
+        // `H0` short of full: the batch's first I/O is the probe's read.
+        let h0 = svc.with_shard(0, |s| s.table().level_items()[0]);
+        assert!(h0 + 1 < cfg().h0_capacity(), "{h0} items in H0");
+        env.set_plan(FaultPlan { fail_at: vec![env.ops()], ..Default::default() });
+        let err = svc.submit(&[WriteOp::Put(1000, 1), WriteOp::Delete(0)]).unwrap_err();
+        assert!(err.to_string().contains("wedged"), "{err}");
+        assert_eq!(svc.get(0).unwrap_err().to_string(), err.to_string(), "a read of the shard");
+        drop(svc);
+        let svc = sim_service(&env, 1, 48);
+        assert_eq!((svc.get(1000).unwrap(), svc.get(0).unwrap()), (None, Some(1)));
+    }
+
     /// Ops enqueued but never driven still commit durably through the
     /// drop-time drain-then-sync handshake — no op is lost.
     #[test]
@@ -2356,19 +2392,23 @@ mod tests {
     }
 
     /// A 2-shard service after a crash: 2 000 keys hardened by
-    /// `sync_all`, 1 000 more acknowledged through the log alone (its
-    /// final checkpoint crashed), as the bytes of every file after the
-    /// power cycle.
+    /// `sync_all`, then acknowledged through the log alone (its final
+    /// checkpoint crashed) 1 000 more keys and, between them, deletes of
+    /// the first 300, whose presence probes read disk levels at replay —
+    /// as the bytes of every file after the power cycle.
     fn crashed_with_a_log_to_replay() -> std::collections::BTreeMap<String, Vec<u8>> {
         let env = SimEnv::new();
         let svc = open(&env, 2, false).unwrap();
-        let put = |keys: std::ops::Range<u64>| {
-            let ops: Vec<WriteOp> = keys.map(|k| WriteOp::Put(k, k + 1)).collect();
+        let submit = |ops: Vec<WriteOp>| {
             ops.chunks(100).for_each(|chunk| drop(svc.submit(chunk).unwrap()));
         };
-        put(0..2000);
+        let put = |keys: std::ops::Range<u64>| keys.map(|k| WriteOp::Put(k, k + 1)).collect();
+        submit(put(0..2000));
         svc.sync_all().unwrap();
-        put(2000..3000);
+        for i in 0..10 {
+            submit(put(2000 + 100 * i..2100 + 100 * i));
+            submit((30 * i..30 * i + 30).map(WriteOp::Delete).collect());
+        }
         env.set_plan(FaultPlan::crash(env.ops(), 0xFA17));
         drop(svc);
         env.power_cycle();
@@ -2377,9 +2417,10 @@ mod tests {
 
     /// A recovering open meets one transient fault at I/O `offset`
     /// of its own: replay may fail inside a flush that drained a store's
-    /// `H0`, and that store's drop must not commit what is left. Whatever
-    /// the failed open leaves, the next clean open serves every
-    /// acknowledged key.
+    /// `H0`, and that store's drop must not commit what is left, or in a
+    /// delete's probe, and that store's drop commits part of a section
+    /// the next replay applies whole. Whatever the failed open leaves,
+    /// the next clean open serves every acknowledged write.
     fn one_fault_in_a_recovering_open(offsets: impl Iterator<Item = u64>) {
         use dxh_extmem::BlobFile;
         let image = crashed_with_a_log_to_replay();
@@ -2393,7 +2434,8 @@ mod tests {
             env.set_plan(FaultPlan::default());
             let svc = open(&env, 2, false).unwrap();
             for k in 0..3000u64 {
-                assert_eq!(svc.get(k).unwrap(), Some(k + 1), "fault at +{offset}: key {k}");
+                let want = (k >= 300).then_some(k + 1);
+                assert_eq!(svc.get(k).unwrap(), want, "fault at +{offset}: key {k}");
             }
         }
     }

@@ -52,21 +52,15 @@ impl<M: StoreMedia> KvStore<M> {
     /// reopens to the last synced state.
     pub fn compact(&mut self) -> Result<CompactionStats> {
         self.mark_dirty()?;
-        let compacted = self.compact_dirty();
-        self.poison_on_failure(compacted)
-    }
-
-    /// [`KvStore::compact`] past its `mark_dirty`.
-    fn compact_dirty(&mut self) -> Result<CompactionStats> {
         let bytes_before = self.table.disk().backend().file_bytes(None);
         let old_gen = self.data_gen;
-        let stats = match self.merge_levels() {
+        let merged = self.merge_levels();
+        let stats = match self.poison_on_failure(merged) {
             Ok(stats) => stats,
             Err(e) => {
-                // The table is drained, and the handle poisoned on the
-                // way out. The committed manifest and every file it names
-                // are untouched and stay authoritative; what this pass
-                // created is a stray.
+                // The table is drained. The committed manifest and every
+                // file it names are untouched and stay authoritative;
+                // what this pass created is a stray.
                 self.table.disk_mut().backend_mut().unlink_uncommitted();
                 for gen in old_gen + 1..=self.data_gen {
                     best_effort(self.media.remove(&blob_file_name(gen)));
@@ -77,7 +71,8 @@ impl<M: StoreMedia> KvStore<M> {
         // Commit point: a crash before this rename leaves the old
         // manifest and its files authoritative (the newer files are
         // strays); after it, the new ones are.
-        self.write_manifest(false)?;
+        let committed = self.write_manifest(false);
+        self.poison_on_failure(committed)?;
         self.dirty = false;
         for gen in old_gen..self.data_gen {
             best_effort(self.media.remove(&blob_file_name(gen)));

@@ -850,6 +850,27 @@ pub(crate) mod tests {
         }
     }
 
+    /// The store on `env`, raw or in payload mode.
+    fn open_sim(env: &SimEnv, payloads: bool) -> KvStore<SimMedia> {
+        let media = SimMedia::open(env).unwrap();
+        match payloads {
+            true => KvStore::open_payload_on(media, cfg(), 85),
+            false => KvStore::open_on(media, cfg(), 85),
+        }
+        .unwrap()
+    }
+
+    /// [`open_sim`], then the synced keys `0..300` (key `k` has value
+    /// `k + 1`).
+    fn with_300_synced(env: &SimEnv, payloads: bool) -> KvStore<SimMedia> {
+        let mut s = open_sim(env, payloads);
+        for k in 0..300u64 {
+            s.insert(k, k + 1).unwrap();
+        }
+        s.sync().unwrap();
+        s
+    }
+
     /// The poison rule on a standalone store, raw and in payload mode:
     /// 300 synced keys, then one transient fault at each of the next 12
     /// I/Os while writing on until a write fails. That write may have
@@ -863,15 +884,7 @@ pub(crate) mod tests {
             for offset in 0..12 {
                 let when = format!("payloads {payloads}, fault at +{offset}");
                 let env = SimEnv::new();
-                let open = || match payloads {
-                    true => KvStore::open_payload_on(SimMedia::open(&env).unwrap(), cfg(), 85),
-                    false => KvStore::open_on(SimMedia::open(&env).unwrap(), cfg(), 85),
-                };
-                let mut s = open().unwrap();
-                for k in 0..300u64 {
-                    s.insert(k, k + 1).unwrap();
-                }
-                s.sync().unwrap();
+                let mut s = with_300_synced(&env, payloads);
                 env.set_plan(FaultPlan { fail_at: vec![env.ops() + offset], ..Default::default() });
                 let failed = (1000..100_000u64).find(|&k| s.insert(k, k + 1).is_err());
                 let failed = failed.unwrap_or_else(|| panic!("{when}: no write failed"));
@@ -880,7 +893,7 @@ pub(crate) mod tests {
                 }
                 assert!(s.sync().is_err(), "{when}: a poisoned handle synced");
                 drop(s);
-                let mut s = open().unwrap();
+                let mut s = open_sim(&env, payloads);
                 for k in 0..300u64 {
                     assert_eq!(s.lookup(k).unwrap(), Some(k + 1), "{when}: synced key {k}");
                 }
@@ -888,6 +901,51 @@ pub(crate) mod tests {
                     assert_eq!(s.lookup(k).unwrap(), None, "{when}: unsynced key {k}");
                 }
             }
+        }
+    }
+
+    /// The rule's delete half, raw and in payload mode: 300 synced keys,
+    /// one transient fault at each of the next 52 I/Os, then deletes of
+    /// the synced keys in order until one fails. Each of the first 20
+    /// deletes probes a disk level (two reads); the 20th marker fills
+    /// `H0`, whose flush starts at the 41st I/O. A fault in a probe is a
+    /// failed read: the handle is not poisoned, answers every key, and
+    /// syncs exactly the deletes that returned. A fault in the flush
+    /// poisons it like a failed insert, and the reopen holds the synced
+    /// state. The sweep meets both.
+    #[test]
+    fn a_failed_delete_poisons_the_handle_only_past_its_presence_probe() {
+        for payloads in [false, true] {
+            let (mut probes, mut flushes) = (0, 0);
+            for offset in 0..52 {
+                let when = format!("payloads {payloads}, fault at +{offset}");
+                let env = SimEnv::new();
+                let mut s = with_300_synced(&env, payloads);
+                env.set_plan(FaultPlan { fail_at: vec![env.ops() + offset], ..Default::default() });
+                let failed = (0..300u64).find(|&k| s.delete(k).is_err());
+                let failed = failed.unwrap_or_else(|| panic!("{when}: no delete failed"));
+                // Keys below `failed` were deleted; a probe's fault left
+                // the rest in place.
+                let after_probe = |k: u64| (k >= failed).then_some(k + 1);
+                let poisoned = s.lookup(failed).is_err();
+                if poisoned {
+                    flushes += 1;
+                    assert!(s.sync().is_err(), "{when}: a poisoned handle synced");
+                } else {
+                    probes += 1;
+                    for k in 0..300u64 {
+                        assert_eq!(s.lookup(k).unwrap(), after_probe(k), "{when}: key {k}");
+                    }
+                    s.sync().unwrap();
+                }
+                drop(s);
+                let mut s = open_sim(&env, payloads);
+                for k in 0..300u64 {
+                    let want = if poisoned { Some(k + 1) } else { after_probe(k) };
+                    assert_eq!(s.lookup(k).unwrap(), want, "{when}: reopened key {k}");
+                }
+            }
+            assert!(probes > 0 && flushes > 0, "payloads {payloads}: {probes} / {flushes}");
         }
     }
 
