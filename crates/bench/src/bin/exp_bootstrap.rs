@@ -7,9 +7,9 @@
 //! 2. the ε-form (`β = Θ(εb)`): measured `tu` against `ε` with
 //!    `tq = 1 + O(1/b)`.
 //!
-//! Also reports the structural invariants the analysis rests on: the
-//! fraction of items in `Ĥ` (must be ≥ 1 − 1/β) and the number of
-//! merges.
+//! Also reports the structural invariants the analysis rests on, and
+//! panics if a trial of the `c` sweep breaks one: the fraction of items
+//! in `Ĥ` (must be ≥ 1 − 1/β) and the number of merges (must be ≥ 1).
 //!
 //! Run: `cargo run -p dxh-bench --release --bin exp_bootstrap [--quick]`
 
@@ -55,6 +55,8 @@ fn main() {
         let mut merges = RunningStats::new();
         let mut beta = 0.0;
         for (a, q, f, mg, bt) in rows {
+            assert!(f >= 1.0 - 1.0 / bt, "c = {c}: Ĥ holds {f:.4} of the items < 1 − 1/β");
+            assert!(mg >= 1, "c = {c}: Ĥ was never merged into");
             tu.push(a);
             tq.push(q);
             frac.push(f);
@@ -108,8 +110,13 @@ fn main() {
     }
     emit("Theorem 2 — ε sweep (the 1 + Θ(1/b) boundary)", &t2, &args, "exp_bootstrap_eps.csv");
     println!(
-        "\nReading: tu falls like b^(c−1) while tq stays pinned at 1 + O(1/b^c);\n\
-         the ε rows show insertion cost dialing down to (a constant times) ε\n\
-         exactly at the boundary query cost 1 + Θ(1/b) — the paper's Theorem 2."
+        "\nReading: at full size (seed 0xB007, 3 trials) tu is 0.305 / 0.523 / 0.821\n\
+         at c = ¼ / ½ / ¾ against b^(c−1) = 0.044 / 0.125 / 0.354 — 6.9× / 4.2× / 2.3×\n\
+         the bound, so it does not fall like b^(c−1): most of it is Ĥ's merges, which\n\
+         keep Ĥ in a ¼–½ load window (ROADMAP items 2 and 15). tq stays near 1, but\n\
+         the c = ½ row's 1.131 is above its 1 + 1/b^c, and the ε rows' tq is not\n\
+         monotone in ε: it depends on where the merge cycle stands when the lookups\n\
+         are sampled. Asserted, in every trial of every c row: Ĥ holds at least\n\
+         1 − 1/β of the items and has been merged into."
     );
 }

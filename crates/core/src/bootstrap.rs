@@ -134,8 +134,7 @@ impl<B: StorageBackend> BootstrappedTable<B> {
         }
         let b = self.side.config().b;
         let needs_rebuild = self.hat.is_none_or(|hat| 2 * total > hat.buckets as usize * b);
-        let mut sources = self.side.take_all_sources();
-        let (hash, disk) = (&self.side.hash, &mut self.side.disk);
+        let (mut sources, hash, disk) = self.side.take_all_sources();
         if needs_rebuild {
             // Fresh region with slack: load 1/4 right after the rebuild.
             let nb_new = (4 * total).div_ceil(b).max(1) as u64;

@@ -187,22 +187,22 @@ impl<B: StorageBackend> LogMethodTable<B> {
         }
         let mut budget = MemoryBudget::new(cfg.m);
         // H0 capacity + the steady-state merge working set (H0 and the
-        // `H1` it meets streaming into a fresh `H1`: one source bucket
-        // buffered, the batch being merged, ≤ 4b + 16 with that bucket
-        // chaining a full block) + metadata. What is left — 1 776 of
-        // 4 096 items at b = 64 — has two tenants. A flush landing in
+        // `H1` it meets streaming into a fresh `H1`: one bucket of each
+        // buffered, the batch being merged, ≤ 4b + 16 with the `H1`
+        // bucket chaining a full block) + metadata. What is left — 1 776
+        // of 4 096 items at b = 64 — has two tenants. A flush landing in
         // `H_j` merges at most j disk streams (`H1 … H_j`, the old `H_j`
-        // included when it had room) beside the drained `H0`: each
-        // buffers one source bucket (the sealed fill on average, more
-        // than b items in the ≈ 1 % of buckets that chain) and the batch
-        // being merged holds those items once more — or, where a
-        // region's bucket count does not divide its destination's, the
-        // tail of the stream's previous bucket — so it transiently needs
-        // 2·j·b items (`stream.rs` measures half that with every source
-        // at 48 of 64 to a bucket and one chaining a full block). The
-        // level filters take the rest: the plan sizes one share per
-        // level so that the shares alive while a flush lands in `H_j`
-        // (`j..=L`; the shallower ones died with their levels) plus those
+        // included when it had room) beside `H0`, which it drains one
+        // bucket at a time: each stream buffers one source bucket (the
+        // sealed fill on average, more than b items in the ≈ 1 % of
+        // buckets that chain) and the batch being merged holds those
+        // items once more, so it transiently needs 2·j·b items
+        // (`stream.rs` measures up to 220 of the 256 at j = 2, `H0`'s
+        // bucket counted in, with every source at 48 of 64 to a bucket
+        // and one chaining a full block). The level filters take the
+        // rest: the plan sizes one share per level so that the shares
+        // alive while a flush lands in `H_j` (`j..=L`; the shallower
+        // ones died with their levels) plus those
         // 2·j·b items fit at every `j ≤ L`, and past `L` a flush has the
         // whole remainder to itself — 13 levels deep at b = 64, m = 4096.
         // A level borrows idle shares only up to that same bound, less
@@ -324,8 +324,9 @@ impl<B: StorageBackend> LogMethodTable<B> {
     /// stops at the first `k` where everything gathered so far fits
     /// (`≤ level_capacity(k)`, [`LogMethodTable::has_room`]) or nothing is
     /// there. Sizes are the physical counts, shadowed copies included, so
-    /// the choice needs no I/O. `[H0, H1, …, H_k]` then stream
-    /// newest-first into a fresh region of
+    /// the choice needs no I/O. `[H0, H1, …, H_k]` then stream, newest
+    /// first and one bucket of each at a time (`H0`'s drained where they
+    /// lie), through one merge in hash order into a fresh region of
     /// [`CoreConfig::fresh_level_buckets`] buckets — `⌈x/λ(b)⌉` for the
     /// `x` items landing, [`CoreConfig::sealed_fill`] — which becomes
     /// `H_k`: each source is read exactly once, no intermediate level is
@@ -340,7 +341,7 @@ impl<B: StorageBackend> LogMethodTable<B> {
     /// left the rule's beneath `H_k`.
     fn flush(&mut self) -> Result<()> {
         let mut landing = self.h0.len();
-        let mut sources = vec![Source::from_memory(self.h0.drain_in_bucket_order(), &self.hash)];
+        let mut sources = Vec::new();
         let mut k = 1usize;
         while let Some(r) = self.levels.get_mut(k).and_then(Option::take) {
             landing += r.items;
@@ -362,6 +363,8 @@ impl<B: StorageBackend> LogMethodTable<B> {
             "H{k} is sized past its capacity or the sealed fill: {landing} items, {nb} buckets"
         );
         let mut filter = self.plan.filter(k, 0, k, landing);
+        // `H0` is the newest source.
+        sources.insert(0, Source::from_memory(&mut self.h0));
         let cursor = MergeCursor::new(&self.hash, sources, nb, purge);
         let (region, _) = build_fresh_region(&mut self.disk, cursor, filter.as_mut(), None)?;
         self.install(k, region, filter);
@@ -431,18 +434,16 @@ impl<B: StorageBackend> LogMethodTable<B> {
         self.probe_levels(key, (1..self.levels.len()).rev())
     }
 
-    /// Drains the entire structure into merge sources, newest first
-    /// (`H0`, `H1`, …, deepest last). Leaves the structure empty, its
-    /// filters included.
-    pub(crate) fn take_all_sources(&mut self) -> Vec<Source> {
+    /// The entire structure as merge sources, newest first (`H0`, `H1`,
+    /// …, deepest last), beside the hash and the disk a merge reads them
+    /// by. The levels and filters go at once; `H0` empties as the merge
+    /// drains it.
+    pub(crate) fn take_all_sources(&mut self) -> (Vec<Source<'_>>, &IdealFn, &mut Disk<B>) {
         self.filters.iter_mut().for_each(|f| *f = None);
-        let mut sources = vec![Source::from_memory(self.h0.drain_in_bucket_order(), &self.hash)];
-        for slot in self.levels.iter_mut().skip(1) {
-            if let Some(r) = slot.take() {
-                sources.push(Source::from_region(r));
-            }
-        }
-        sources
+        let levels = self.levels.iter_mut().skip(1).filter_map(Option::take);
+        let mut sources = vec![Source::from_memory(&mut self.h0)];
+        sources.extend(levels.map(Source::from_region));
+        (sources, &self.hash, &mut self.disk)
     }
 
     /// Adopts persisted `levels` and rebuilds the filter of every
@@ -572,10 +573,10 @@ impl<B: StorageBackend> LogMethodTable<B> {
         }
         let (landing, streams) = (self.len(), k.max(self.active_levels()));
         let nb = self.cfg.fresh_level_buckets(k as u32, landing);
-        let sources = self.take_all_sources();
-        let cursor = MergeCursor::new(&self.hash, sources, nb, true);
         let mut filter = self.plan.filter(k, 0, streams, landing);
-        let (region, stats) = build_fresh_region(&mut self.disk, cursor, filter.as_mut(), map)?;
+        let (sources, hash, disk) = self.take_all_sources();
+        let cursor = MergeCursor::new(hash, sources, nb, true);
+        let (region, stats) = build_fresh_region(disk, cursor, filter.as_mut(), map)?;
         if stats.items == 0 {
             // Buckets nothing was written to: no chain hangs off them.
             for q in 0..region.buckets {
@@ -1152,10 +1153,11 @@ mod tests {
         // The bound stated at `reserving`: a flush landing in H_j merges
         // at most j disk streams (H1 … H_j, the old H_j among them when
         // it had room) and buffers one source bucket per stream plus the
-        // batch being merged, 2·j·b items, beside a drained H0's m/2 and
-        // the filters still alive (H_j's and deeper). `stream.rs` measures
-        // the per-stream half, and the H0 + H1 steady state against the
-        // 4b + 16 reserved for it. At γ = 4 most flushes past H1 stop at
+        // batch being merged, 2·j·b items, beside H0's m/2 (drained into
+        // the merge a bucket at a time) and the filters still alive
+        // (H_j's and deeper). `stream.rs` measures the per-stream half,
+        // and the H0 + H1 steady state against the 4b + 16 reserved for
+        // it. At γ = 4 most flushes past H1 stop at
         // an occupied level. What the filters hold is checked after every
         // flush, loans included: the plan's shares past H_j, wherever they
         // are, H_j's own and the loans it took.

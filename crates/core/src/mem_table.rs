@@ -6,9 +6,9 @@ use dxh_extmem::{Item, Key, Value};
 /// "always resides in memory" and absorbs every insertion for free.
 ///
 /// Buckets are indexed by [`dxh_hashfn::prefix_bucket`] of the item's
-/// hash (computed by the owner), so a sequential walk of the buckets
-/// enumerates items in hash-prefix order — the property the level-merge
-/// streams rely on.
+/// hash (computed by the owner), so each bucket holds one interval of
+/// hashes, in ascending order of bucket — the property the level-merge
+/// streams rely on: a merge drains one bucket at a time and sorts it.
 #[derive(Clone, Debug)]
 pub struct MemTable {
     buckets: Vec<Vec<Item>>,
@@ -91,14 +91,10 @@ impl MemTable {
         self.buckets.iter().flatten()
     }
 
-    /// Drains every item, in bucket order, leaving the table empty.
-    pub fn drain_in_bucket_order(&mut self) -> Vec<Item> {
-        let mut out = Vec::with_capacity(self.len);
-        for b in &mut self.buckets {
-            out.append(b);
-        }
-        self.len = 0;
-        out
+    /// Drains `bucket`, which keeps its allocation for the items to come.
+    pub(crate) fn drain_bucket(&mut self, bucket: usize) -> std::vec::Drain<'_, Item> {
+        self.len -= self.buckets[bucket].len();
+        self.buckets[bucket].drain(..)
     }
 }
 
@@ -137,7 +133,11 @@ mod tests {
         t.upsert(0, Item::key_only(2));
         let iterated: Vec<u64> = t.iter_in_bucket_order().map(|it| it.key).collect();
         assert_eq!(t.len(), 4, "iterating keeps every item");
-        let items: Vec<u64> = t.drain_in_bucket_order().iter().map(|it| it.key).collect();
+        let mut items = Vec::new();
+        for q in 0..t.bucket_count() {
+            items.extend(t.drain_bucket(q).map(|it| it.key));
+            assert_eq!(t.len(), 4 - items.len(), "a drain counts what it takes");
+        }
         assert_eq!(items, iterated);
         assert_eq!(items, vec![1, 2, 10, 20]);
         assert!(t.is_empty());

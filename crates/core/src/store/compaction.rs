@@ -508,7 +508,10 @@ mod tests {
     /// began to image `H0`: the sync before the compaction leaves 1 568
     /// items in `H0`, one more merge source, and the same payloads land
     /// in another order inside their destination buckets (the length is
-    /// unchanged; it was `0xadf4_f999_af5a_69a2`).
-    const BLOB_SINGLE_PASS: (u64, u64) = (1_149_810, 0xe64f_c8fc_8ec8_5db6);
-    const BLOB_TWO_PASSES: (u64, u64) = (287_490, 0xfb60_06eb_97fa_8c22);
+    /// unchanged; it was `0xadf4_f999_af5a_69a2`). Both were re-recorded
+    /// when every merged bucket came out in hash order: the payloads are
+    /// rewritten in the order they land (the lengths are unchanged; they
+    /// were `0xe64f_c8fc_8ec8_5db6` and `0xfb60_06eb_97fa_8c22`).
+    const BLOB_SINGLE_PASS: (u64, u64) = (1_149_810, 0xe162_555a_3e92_de2c);
+    const BLOB_TWO_PASSES: (u64, u64) = (287_490, 0xc906_d3cb_f680_ad6a);
 }

@@ -498,7 +498,7 @@ impl<M: StoreMedia> ExternalDictionary for KvStore<M> {
     /// next `sync` (or drop) is a no-op instead of a manifest rewrite
     /// and a directory fsync. An insert that fails after them poisons
     /// the handle: it may have failed inside a flush that had already
-    /// drained `H0`.
+    /// drained part of `H0`.
     ///
     /// On a payload-mode store the word is stored as its 8-byte
     /// little-endian payload, so the **full** value domain — including
@@ -874,10 +874,10 @@ pub(crate) mod tests {
     /// The poison rule on a standalone store, raw and in payload mode:
     /// 300 synced keys, then one transient fault at each of the next 12
     /// I/Os while writing on until a write fails. That write may have
-    /// failed inside a flush that had drained `H0`, so the handle answers
-    /// every synced key with an error (never `None`), refuses to sync,
-    /// and its drop commits nothing: the reopen holds the synced state
-    /// and nothing else.
+    /// failed inside a flush that had drained part of `H0`, so the handle
+    /// answers every synced key with an error (never `None`), refuses to
+    /// sync, and its drop commits nothing: the reopen holds the synced
+    /// state and nothing else.
     #[test]
     fn a_failed_write_poisons_the_handle_and_the_reopen_holds_the_synced_state() {
         for payloads in [false, true] {

@@ -1,33 +1,37 @@
-//! Bucket-ordered merge streams: the engine behind every level migration,
+//! Hash-ordered merge streams: the engine behind every level migration,
 //! every Ĥ merge and compaction.
 //!
 //! Because [`dxh_hashfn::prefix_bucket`] is monotone in the hash value,
-//! scanning any table's buckets `0, 1, 2, …` yields items in nondecreasing
-//! hash order, hence in nondecreasing *target*-bucket order for any target
-//! bucket count. Merging `k` tables into one region is therefore one
-//! synchronized linear pass — the paper's "scanning the two tables in
-//! parallel", generalized. A level migration uses exactly that: `H0`,
-//! every carried level and the level the carry stops at stream into a
-//! fresh destination together (see `LogMethodTable::flush`), so an item is
-//! read once and written once per migration however many levels it skips.
+//! bucket `p` of a table holds one interval of hashes, and reading the
+//! buckets `0, 1, 2, …`, each sorted as it is read, yields the table's
+//! items in hash order — hence in nondecreasing *target*-bucket order for
+//! any target bucket count. Merging `k` tables into one region is
+//! therefore a plain `k`-way merge of hash-ordered runs, one synchronized
+//! linear pass — the paper's "scanning the two tables in parallel",
+//! generalized. A level migration uses exactly that: `H0`, every carried
+//! level and the level the carry stops at stream into a fresh destination
+//! together (see `LogMethodTable::flush`), so an item is read once and
+//! written once per migration however many levels it skips.
 //!
-//! That pass is written once, as [`MergeCursor`]: it owns the sources,
-//! yields each destination bucket's merged items (newest copy wins,
-//! spent deletion markers purged) and ends by checking that every source
-//! drained. Each item is hashed once, as it enters the merge: that word
-//! routes it, keys the shadow set and feeds the destination's filter.
-//! Two consumers write what it yields: [`build_fresh_region`]
-//! into a fresh region (a flush, an `Ĥ` rebuild, compaction's
-//! `LogMethodTable::merge_into_level`) and [`merge_in_place`] into the
-//! buckets of `Ĥ`.
+//! That pass is written once, as [`MergeCursor`]: it owns the sources and
+//! yields each destination bucket's merged items in `(hash, key)` order,
+//! the newest copy of a key winning and spent deletion markers purged.
+//! Each item is hashed once, as its source bucket is read: that word
+//! orders it, routes it, tells its copies from other keys' and feeds the
+//! destination's filter. Two consumers write what it yields:
+//! [`build_fresh_region`] into a fresh region (a flush, an `Ĥ` rebuild,
+//! compaction's `LogMethodTable::merge_into_level`) and
+//! [`merge_in_place`] into the buckets of `Ĥ`.
 //!
-//! Each disk stream maintains the invariant: after reading source buckets
-//! `0 … p−1`, every item with target bucket `q` such that
-//! `p · nb_dst ≥ (q+1) · nb_src` has been read (the source prefix covers
-//! the whole hash range of `q`). The merge advances `q` through the
-//! target, refilling lagging streams just-in-time, so the per-stream
-//! buffer never holds more than one source bucket past the boundary —
-//! a `k`-source merge keeps `k` such buffers, one per disk level it reads.
+//! A source holds one of its buckets at a time — `H0`'s drained, a disk
+//! region's read and freed — and reads the next only once the merge
+//! reaches that bucket's least hash, so a `k`-source merge buffers `k`
+//! source buckets at most. Each is sorted as it is read, so a bucket
+//! written out of hash order (an `Ĥ` bucket grown by an in-place merge, a
+//! level file of an older build) merges like any other, and an item found
+//! outside the bucket it was read from is [`ExtMemError::Corrupt`] there
+//! and then: its place in the order is lost, and it must not vanish
+//! quietly.
 //!
 //! Reading a region *without* consuming it — filter rebuilds, layout
 //! snapshots — goes through [`Region::walk`]; that and every chain
@@ -37,125 +41,118 @@
 use dxh_extmem::{BlockId, Disk, ExtMemError, Item, Key, Result, StorageBackend, Value};
 use dxh_hashfn::{prefix_bucket, HashFn, IdealFn};
 use dxh_tables::{chain_collect, write_bucket, Region};
-use std::collections::HashSet;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use crate::filter::LevelFilter;
+use crate::mem_table::MemTable;
 
 /// An item beside its key's `hash64`: a merge hashes each item once, as
-/// it enters, and routes, deduplicates and filters it by that word.
+/// its source bucket is read, and orders, routes, deduplicates and
+/// filters it by that word.
 type Hashed = (u64, Item);
 
-/// One input to a merge, in precedence order (earlier sources shadow
-/// later ones on duplicate keys).
-pub(crate) enum Source {
-    /// Memory-resident items already in bucket (hash-prefix) order.
-    Mem {
-        /// Items sorted by hash prefix; consumed front to back.
-        items: Vec<Hashed>,
-        /// Next unconsumed index.
-        pos: usize,
-    },
-    /// A disk region, consumed bucket by bucket; source blocks are freed
-    /// as they are read (a merge never writes into one of its sources).
-    Disk(DiskStream),
+/// Where a source's buckets are.
+enum Buckets<'a> {
+    /// `H0`'s, each drained as the merge reaches it.
+    Mem(&'a mut MemTable),
+    /// A disk region's, each freed as it is read (a merge never writes
+    /// into one of its sources).
+    Disk(Region),
 }
 
-/// Cursor over a [`Region`]'s buckets with the prefix-coverage invariant.
-pub(crate) struct DiskStream {
-    region: Region,
-    next_bucket: u64,
-    buf: Vec<Hashed>,
-    /// The blocks of the source bucket being read, before hashing.
+/// One input to a merge, in precedence order (earlier sources shadow
+/// later ones on duplicate keys): a table read one bucket at a time, in
+/// `(hash, key)` order.
+pub(crate) struct Source<'a> {
+    buckets: Buckets<'a>,
+    /// How many buckets the source has, the next one to read, and the
+    /// least hash that bucket can hold.
+    count: u64,
+    next: u64,
+    least: u64,
+    /// The bucket read last, sorted, and how many of its items are taken.
+    run: Vec<Hashed>,
+    taken: usize,
+    /// A disk bucket's items as read, before hashing.
     read: Vec<Item>,
 }
 
-impl DiskStream {
-    /// Whether target bucket `q` (out of `nb_dst`) is fully covered by the
-    /// source buckets read so far.
-    #[inline]
-    fn covered(&self, q: u64, nb_dst: u64) -> bool {
-        self.next_bucket as u128 * nb_dst as u128 >= (q + 1) as u128 * self.region.buckets as u128
+impl<'a> Source<'a> {
+    /// A source that drains `h0` bucket by bucket.
+    pub(crate) fn from_memory(h0: &'a mut MemTable) -> Self {
+        Source::new(h0.bucket_count() as u64, Buckets::Mem(h0))
     }
 
-    fn refill<B: StorageBackend>(
-        &mut self,
-        disk: &mut Disk<B>,
-        hash: &IdealFn,
-        q: u64,
-        nb_dst: u64,
-    ) -> Result<()> {
-        while !self.covered(q, nb_dst) && self.next_bucket < self.region.buckets {
-            let head = self.region.block_of(self.next_bucket);
-            chain_collect(disk, head, true, &mut self.read)?;
-            self.buf.extend(self.read.drain(..).map(|it| (hash.hash64(it.key), it)));
-            self.next_bucket += 1;
+    /// A source that consumes (and frees) `region`.
+    pub(crate) fn from_region(region: Region) -> Self {
+        Source::new(region.buckets, Buckets::Disk(region))
+    }
+
+    fn new(count: u64, buckets: Buckets<'a>) -> Self {
+        Source { buckets, count, next: 0, least: 0, run: Vec::new(), taken: 0, read: Vec::new() }
+    }
+
+    /// The hash the source goes on from: its next item's, or, while the
+    /// bucket that item is in is unread, the least that bucket can hold;
+    /// `None` once every item is taken.
+    fn head(&self) -> Option<u64> {
+        match self.run.get(self.taken) {
+            Some(&(h, _)) => Some(h),
+            None => (self.next < self.count).then_some(self.least),
         }
+    }
+
+    /// Reads the next bucket into the run, hashed and in `(hash, key)`
+    /// order; an item it holds that hashes to another bucket is
+    /// [`ExtMemError::Corrupt`].
+    fn read_bucket<B: StorageBackend>(&mut self, disk: &mut Disk<B>, hash: &IdealFn) -> Result<()> {
+        let p = self.next;
+        let hashed = |it: Item| (hash.hash64(it.key), it);
+        self.run.clear();
+        match &mut self.buckets {
+            Buckets::Mem(h0) => self.run.extend(h0.drain_bucket(p as usize).map(hashed)),
+            Buckets::Disk(region) => {
+                chain_collect(disk, region.block_of(p), true, &mut self.read)?;
+                self.run.extend(self.read.drain(..).map(hashed));
+            }
+        }
+        // Stable: a key twice in one bucket keeps first the copy a probe
+        // meets first. A bucket a merge wrote is in order already.
+        let at = |&(h, it): &Hashed| (h, it.key);
+        if !self.run.is_sorted_by_key(at) {
+            self.run.sort_by_key(at);
+        }
+        // In hash order, the first and the last item bound the rest.
+        let ends = [self.run.first(), self.run.last()];
+        if ends.into_iter().flatten().any(|&(h, _)| prefix_bucket(h, self.count) != p) {
+            return Err(ExtMemError::Corrupt(format!(
+                "bucket {p} of {} of a merge source holds an item of another bucket",
+                self.count
+            )));
+        }
+        (self.taken, self.next) = (0, p + 1);
+        self.least = ((self.next as u128) << 64).div_ceil(self.count as u128) as u64;
         Ok(())
     }
 }
 
-impl Source {
-    /// Builds a memory source from items in bucket order (as produced by
-    /// [`crate::MemTable::drain_in_bucket_order`]); re-sorts by full hash
-    /// prefix so sub-bucket boundaries are exact for any target count.
-    /// The sort is unstable, in place: a stable one allocates a scratch
-    /// of every item on each drain. The table holds one copy per key, so
-    /// only two keys whose hashes collide tie, and they land in one
-    /// target bucket whichever comes first.
-    pub(crate) fn from_memory(items: Vec<Item>, hash: &IdealFn) -> Self {
-        let mut items: Vec<Hashed> =
-            items.into_iter().map(|it| (hash.hash64(it.key), it)).collect();
-        items.sort_unstable_by_key(|&(h, _)| h);
-        Source::Mem { items, pos: 0 }
+/// Merges the hash-ordered `older` into the hash-ordered `batch`,
+/// through `spare`; on a tie `batch`'s copy, the newer, goes first.
+fn merge_older(batch: &mut Vec<Hashed>, spare: &mut Vec<Hashed>, older: &[Hashed]) {
+    if batch.is_empty() || older.is_empty() {
+        batch.extend_from_slice(older);
+        return;
     }
-
-    /// Builds a disk source that consumes (and frees) `region`.
-    pub(crate) fn from_region(region: Region) -> Self {
-        Source::Disk(DiskStream { region, next_bucket: 0, buf: Vec::new(), read: Vec::new() })
-    }
-
-    /// Appends all items with target bucket `q` (out of `nb_dst`) to
-    /// `out`, reading further source buckets as needed.
-    fn take_bucket<B: StorageBackend>(
-        &mut self,
-        disk: &mut Disk<B>,
-        hash: &IdealFn,
-        q: u64,
-        nb_dst: u64,
-        out: &mut Vec<Hashed>,
-    ) -> Result<()> {
-        match self {
-            Source::Mem { items, pos } => {
-                while *pos < items.len() && prefix_bucket(items[*pos].0, nb_dst) == q {
-                    out.push(items[*pos]);
-                    *pos += 1;
-                }
-                Ok(())
-            }
-            Source::Disk(s) => {
-                s.refill(disk, hash, q, nb_dst)?;
-                // Extract matches; keep the (few) boundary items for later.
-                let mut i = 0;
-                while i < s.buf.len() {
-                    if prefix_bucket(s.buf[i].0, nb_dst) == q {
-                        out.push(s.buf.swap_remove(i));
-                    } else {
-                        i += 1;
-                    }
-                }
-                Ok(())
-            }
+    let at = |&(h, it): &Hashed| (h, it.key);
+    let mut newer = batch.iter().peekable();
+    spare.clear();
+    for o in older {
+        while let Some(&n) = newer.next_if(|n| at(n) <= at(o)) {
+            spare.push(n);
         }
+        spare.push(*o);
     }
-
-    /// Whether every item of the source has been taken.
-    fn drained(&self) -> bool {
-        match self {
-            Source::Mem { items, pos } => *pos == items.len(),
-            Source::Disk(d) => d.next_bucket == d.region.buckets && d.buf.is_empty(),
-        }
-    }
+    spare.extend(newer);
+    std::mem::swap(batch, spare);
 }
 
 /// Statistics of one merge pass.
@@ -174,95 +171,66 @@ pub(crate) struct MergeStats {
 /// the payload remap of [`crate::KvStore::compact`].
 pub(crate) type ValueMap<'a> = &'a mut dyn FnMut(Value) -> Result<Value>;
 
-/// A key in the shadow set of one destination bucket: hashed as its
-/// cached `hash64`, equal when the keys are. The word is rotated so the
-/// set's tag bits come from the hash's low half — every key of the
-/// bucket shares the high bits, its prefix. Keys crafted to collide in
-/// the table's seeded `hash64` would already share a bucket of every
-/// level; the set adds no weakness the table does not have.
-#[derive(Clone, Copy)]
-struct SeenKey(u64, Key);
-
-impl PartialEq for SeenKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.1 == other.1
-    }
-}
-
-impl Eq for SeenKey {}
-
-impl Hash for SeenKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.0.rotate_left(32));
-    }
-}
-
-/// A [`Hasher`] that returns the one word it is given: the shadow set's
-/// keys arrive hashed.
-#[derive(Default)]
-struct PassThrough(u64);
-
-impl Hasher for PassThrough {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("a SeenKey writes one u64");
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = word;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// What [`MergeCursor::next_bucket`] yields: a destination bucket, its
-/// merged items, and their keys' `hash64`s at the same indices.
+/// merged items in `(hash, key)` order, and their keys' `hash64`s at the
+/// same indices.
 type MergedBucket<'a> = (u64, &'a mut [Item], &'a [u64]);
 
 /// The synchronized scan itself: `sources` (precedence order: earlier
 /// wins) merged into `nb_dst` destination buckets, one bucket per
 /// [`MergeCursor::next_bucket`] call. Owns the sources and the scratch
-/// buffers; consumes and frees every disk source as it goes. With
-/// `purge`, a winning deletion marker is dropped instead of yielded —
-/// valid only when the destination is the deepest level, where the
-/// marker has nothing left to shadow.
-pub(crate) struct MergeCursor<'h> {
-    hash: &'h IdealFn,
-    sources: Vec<Source>,
+/// buffers; consumes every source as it goes. With `purge`, a winning
+/// deletion marker is dropped instead of yielded — valid only when the
+/// destination is the deepest level, where the marker has nothing left
+/// to shadow.
+pub(crate) struct MergeCursor<'a> {
+    hash: &'a IdealFn,
+    sources: Vec<Source<'a>>,
     nb_dst: u64,
     purge: bool,
-    /// Next destination bucket to merge.
-    q: u64,
-    raw: Vec<Hashed>,
+    /// What the sources hold for the bucket being merged, every copy,
+    /// in `(hash, key)` order, and the buffer it is merged through.
+    batch: Vec<Hashed>,
+    spare: Vec<Hashed>,
     merged: Vec<Item>,
     /// `hash64` of `merged[i]` at index `i`.
     merged_hashes: Vec<u64>,
-    seen: HashSet<SeenKey, BuildHasherDefault<PassThrough>>,
     /// Items yielded, shadowed copies and spent markers dropped so far.
     pub stats: MergeStats,
 }
 
-impl<'h> MergeCursor<'h> {
-    pub(crate) fn new(hash: &'h IdealFn, sources: Vec<Source>, nb_dst: u64, purge: bool) -> Self {
+impl<'a> MergeCursor<'a> {
+    pub(crate) fn new(
+        hash: &'a IdealFn,
+        sources: Vec<Source<'a>>,
+        nb_dst: u64,
+        purge: bool,
+    ) -> Self {
         MergeCursor {
             hash,
             sources,
             nb_dst,
             purge,
-            q: 0,
-            raw: Vec::new(),
+            batch: Vec::new(),
+            spare: Vec::new(),
             merged: Vec::new(),
             merged_hashes: Vec::new(),
-            seen: HashSet::default(),
             stats: MergeStats::default(),
         }
     }
 
     /// The next destination bucket that receives anything, with its
-    /// items newest-first deduplicated and their keys' `hash64`s at the
-    /// same indices; `None` once all `nb_dst` are done — and only if
-    /// every source drained on the way.
+    /// items newest-first deduplicated, in `(hash, key)` order, and their
+    /// keys' `hash64`s at the same indices; `None` once every source is
+    /// consumed.
+    ///
+    /// The bucket `q` is the one the least head routes to. Each source,
+    /// newest first, gives the hash-ordered prefix of what it has left
+    /// that routes to `q`, reading its next bucket when `q` reaches that
+    /// bucket's least hash, and the prefix is merged into the batch, an
+    /// older copy after a newer one: the copies of a key lie together,
+    /// the newest first, and a copy equal to the one before it is
+    /// shadowed.
     ///
     /// Cost: one read per source block (primary + chain) over the whole
     /// scan, `O(Σ |source regions| / b)` I/Os.
@@ -272,14 +240,27 @@ impl<'h> MergeCursor<'h> {
     ) -> Result<Option<MergedBucket<'_>>> {
         self.merged.clear();
         self.merged_hashes.clear();
-        while self.merged.is_empty() && self.q < self.nb_dst {
-            self.raw.clear();
-            self.seen.clear();
-            for src in self.sources.iter_mut() {
-                src.take_bucket(disk, self.hash, self.q, self.nb_dst, &mut self.raw)?;
+        loop {
+            let heads = self.sources.iter().filter_map(Source::head);
+            let Some(q) = heads.map(|h| prefix_bucket(h, self.nb_dst)).min() else {
+                return Ok(None);
+            };
+            self.batch.clear();
+            for src in &mut self.sources {
+                while src.head().is_some_and(|h| prefix_bucket(h, self.nb_dst) == q) {
+                    if src.taken == src.run.len() {
+                        src.read_bucket(disk, self.hash)?;
+                        continue;
+                    }
+                    let rest = &src.run[src.taken..];
+                    let n = rest.partition_point(|&(h, _)| prefix_bucket(h, self.nb_dst) == q);
+                    merge_older(&mut self.batch, &mut self.spare, &rest[..n]);
+                    src.taken += n;
+                }
             }
-            for &(h, it) in &self.raw {
-                if !self.seen.insert(SeenKey(h, it.key)) {
+            let mut last = None;
+            for &(h, it) in &self.batch {
+                if last == Some((h, it.key)) {
                     self.stats.shadowed += 1;
                 } else if self.purge && it.is_delete_marker() {
                     self.stats.purged += 1;
@@ -287,30 +268,23 @@ impl<'h> MergeCursor<'h> {
                     self.merged.push(it);
                     self.merged_hashes.push(h);
                 }
+                last = Some((h, it.key));
             }
-            self.q += 1;
+            if !self.merged.is_empty() {
+                self.stats.items += self.merged.len();
+                return Ok(Some((q, &mut self.merged, &self.merged_hashes)));
+            }
         }
-        if !self.merged.is_empty() {
-            self.stats.items += self.merged.len();
-            return Ok(Some((self.q - 1, &mut self.merged, &self.merged_hashes)));
-        }
-        // A source of this structure's making is in bucket order and so
-        // fully drained by now. One that is not was read off blocks that
-        // are not what was written there (media that lost a sync): the
-        // items left over belong to buckets already built, and must not
-        // vanish quietly.
-        if !self.sources.iter().all(Source::drained) {
-            return Err(ExtMemError::Corrupt(
-                "a merge source holds items outside their buckets".into(),
-            ));
-        }
-        Ok(None)
     }
 
     /// Whether the bucket just yielded holds `key` — a copy that shadows
-    /// any older one at the destination.
+    /// any older one at the destination. A binary search: the bucket is
+    /// in hash order.
     fn yielded(&self, key: Key) -> bool {
-        self.seen.contains(&SeenKey(self.hash.hash64(key), key))
+        let h = self.hash.hash64(key);
+        let from = self.merged_hashes.partition_point(|&m| m < h);
+        let to = self.merged_hashes.partition_point(|&m| m <= h);
+        self.merged[from..to].iter().any(|it| it.key == key)
     }
 }
 
@@ -401,28 +375,56 @@ pub(crate) fn merge_in_place<B: StorageBackend>(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
     use std::ops::Range;
 
     use super::*;
-    use dxh_extmem::{mem_disk, MemDisk};
+    use dxh_extmem::{mem_disk, MemDisk, VALUE_TOMBSTONE};
 
     fn hash() -> IdealFn {
         IdealFn::from_seed(77)
     }
 
-    /// Builds a region by writing items to their buckets directly.
-    fn build_region(disk: &mut Disk<MemDisk>, h: &IdealFn, nb: u64, keys: &[u64]) -> Region {
-        let base = disk.allocate_contiguous(nb as usize).unwrap();
-        let mut per_bucket: Vec<Vec<Item>> = vec![Vec::new(); nb as usize];
-        for &k in keys {
-            per_bucket[prefix_bucket(h.hash64(k), nb) as usize].push(Item::new(k, k));
+    /// `items` grouped by their bucket of `nb`, each bucket in the order
+    /// the items come — not hash order.
+    fn per_bucket(h: &IdealFn, nb: u64, items: &[Item]) -> Vec<Vec<Item>> {
+        let mut buckets = vec![Vec::new(); nb as usize];
+        for &it in items {
+            buckets[prefix_bucket(h.hash64(it.key), nb) as usize].push(it);
         }
-        for (q, items) in per_bucket.iter().enumerate() {
+        buckets
+    }
+
+    /// A region whose bucket `q` holds `buckets[q]`, written directly.
+    fn write_buckets(disk: &mut Disk<MemDisk>, buckets: &[Vec<Item>]) -> Region {
+        let base = disk.allocate_contiguous(buckets.len()).unwrap();
+        for (q, items) in buckets.iter().enumerate() {
             if !items.is_empty() {
                 write_bucket(disk, BlockId(base.raw() + q as u64), items).unwrap();
             }
         }
-        Region { base, buckets: nb, items: keys.len() }
+        let items = buckets.iter().map(Vec::len).sum();
+        Region { base, buckets: buckets.len() as u64, items }
+    }
+
+    /// Builds a region by writing items to their buckets directly.
+    fn write_region(disk: &mut Disk<MemDisk>, h: &IdealFn, nb: u64, items: &[Item]) -> Region {
+        write_buckets(disk, &per_bucket(h, nb, items))
+    }
+
+    /// [`write_region`] of items whose value is their key.
+    fn build_region(disk: &mut Disk<MemDisk>, h: &IdealFn, nb: u64, keys: &[u64]) -> Region {
+        write_region(disk, h, nb, &keys.iter().map(|&k| Item::new(k, k)).collect::<Vec<_>>())
+    }
+
+    /// An `H0` of `nb` buckets holding `items` (a later copy of a key
+    /// replaces an earlier one).
+    fn h0_of(h: &IdealFn, nb: u64, items: &[Item]) -> MemTable {
+        let mut t = MemTable::new(nb as usize, usize::MAX);
+        for &it in items {
+            t.upsert(prefix_bucket(h.hash64(it.key), nb) as usize, it);
+        }
+        t
     }
 
     /// Every item of buckets `buckets` of `r`, in block order, read behind
@@ -555,11 +557,11 @@ mod tests {
         let mut d = mem_disk(4);
         let h = hash();
         let disk_region = build_region(&mut d, &h, 2, &[100, 101, 102]);
-        let mem_items: Vec<Item> = vec![Item::new(1, 1), Item::new(2, 2)];
+        let mut mem = h0_of(&h, 4, &[Item::new(1, 1), Item::new(2, 2)]);
         let (merged, stats) = compact(
             &mut d,
             &h,
-            vec![Source::from_memory(mem_items, &h), Source::from_region(disk_region)],
+            vec![Source::from_memory(&mut mem), Source::from_region(disk_region)],
             4,
             false,
             None,
@@ -569,6 +571,7 @@ mod tests {
         let mut keys = region_keys(&mut d, &merged);
         keys.sort_unstable();
         assert_eq!(keys, vec![1, 2, 100, 101, 102]);
+        assert!(mem.is_empty(), "H0 drained");
     }
 
     #[test]
@@ -592,8 +595,8 @@ mod tests {
 
     #[test]
     fn shrinking_merge_works_too() {
-        // nb_dst smaller than the source: boundary invariant must still
-        // hold (many source buckets per target bucket).
+        // nb_dst smaller than the source: many source buckets per target
+        // bucket.
         let mut d = mem_disk(4);
         let h = hash();
         let a = build_region(&mut d, &h, 16, &(0..40).collect::<Vec<_>>());
@@ -606,8 +609,8 @@ mod tests {
 
     #[test]
     fn coprime_bucket_counts_merge_correctly() {
-        // 3 → 7 buckets: no divisibility anywhere; the coverage invariant
-        // must carry items across uneven boundaries.
+        // 3 → 7 buckets: no divisibility anywhere; a source bucket's
+        // items must carry across uneven boundaries.
         let mut d = mem_disk(4);
         let h = hash();
         let a = build_region(&mut d, &h, 3, &(0..60).collect::<Vec<_>>());
@@ -626,7 +629,8 @@ mod tests {
         // Incoming: new keys 100..106 plus an update of key 3.
         let mut incoming: Vec<Item> = (100..106).map(|k| Item::new(k, k)).collect();
         incoming.push(Item::new(3, 999));
-        let src = Source::from_memory(incoming, &h);
+        let mut mem = h0_of(&h, 4, &incoming);
+        let src = Source::from_memory(&mut mem);
         let cursor = MergeCursor::new(&h, vec![src], region.buckets, false);
         let stats = merge_in_place(&mut d, cursor, &mut region).unwrap();
         assert_eq!(stats.items, 7);
@@ -653,8 +657,9 @@ mod tests {
         // Half-empty region: every bucket has room.
         let mut region = build_region(&mut d, &h, 16, &(0..32).collect::<Vec<_>>());
         let incoming: Vec<Item> = (1000..1016).map(|k| Item::new(k, k)).collect();
+        let mut mem = h0_of(&h, 4, &incoming);
         let e = d.epoch();
-        let sources = vec![Source::from_memory(incoming, &h)];
+        let sources = vec![Source::from_memory(&mut mem)];
         merge_in_place(&mut d, MergeCursor::new(&h, sources, region.buckets, false), &mut region)
             .unwrap();
         let io = d.since(&e).total();
@@ -669,7 +674,8 @@ mod tests {
         let h = hash();
         let mut region = build_region(&mut d, &h, 2, &(0..4).collect::<Vec<_>>());
         let incoming: Vec<Item> = (100..110).map(|k| Item::new(k, k)).collect();
-        let sources = vec![Source::from_memory(incoming, &h)];
+        let mut mem = h0_of(&h, 4, &incoming);
+        let sources = vec![Source::from_memory(&mut mem)];
         merge_in_place(&mut d, MergeCursor::new(&h, sources, region.buckets, false), &mut region)
             .unwrap();
         assert_eq!(region.items, 14);
@@ -682,20 +688,24 @@ mod tests {
 
     #[test]
     fn k_way_merge_buffers_one_source_bucket_per_stream() {
-        // Streams `h0` memory-resident items and regions of
-        // `source_buckets` (b = 64, `fill` items to a bucket on average;
-        // with `stuffed`, one bucket of the first region is topped up to
-        // a full chain block, 2b items) into `nb_dst` buckets as `compact`
-        // does. Returns the most items held at once — every stream's
-        // buffer plus the batch taken for the current bucket — beside
-        // the sum over disk streams of their fullest bucket, the fullest
-        // bucket of all, and how many buckets chain.
+        // Streams an `H0` of `h0` items (in the deployed geometry's 64
+        // buckets) and regions of `source_buckets` (b = 64, `fill` items
+        // to a bucket on average; with `stuffed`, one bucket of the first
+        // region is topped up to a full chain block, 2b items) into
+        // `nb_dst` buckets as `compact` does. Returns the most items held
+        // at once — what every stream's run of one source bucket, `H0`'s
+        // too, has yet to give, plus the batch gathered for the current
+        // bucket — beside the sum over disk streams of their fullest
+        // bucket, the fullest bucket of all, and how many buckets chain.
+        // A run keeps the items it has given until it reads its next
+        // bucket, and the yielded bucket is a second copy of the batch:
+        // neither is counted.
         let peak_held = |h0: u64, source_buckets: &[u64], fill: u64, stuffed: bool, nb_dst: u64| {
             let mut d = mem_disk(64);
             let h = hash();
             let (mut next_key, mut one_bucket_each, mut chained) = (h0, 0, 0);
-            let drained_h0 = (0..h0).map(|k| Item::new(k, k)).collect();
-            let (mut sources, mut fullest_of_all) = (vec![Source::from_memory(drained_h0, &h)], 0);
+            let mut mem = h0_of(&h, 64, &(0..h0).map(|k| Item::new(k, k)).collect::<Vec<_>>());
+            let (mut sources, mut fullest_of_all) = (vec![Source::from_memory(&mut mem)], 0);
             for (i, &nb) in source_buckets.iter().enumerate() {
                 let mut keys: Vec<u64> = (next_key..next_key + nb * fill).collect();
                 next_key += nb * fill;
@@ -715,38 +725,35 @@ mod tests {
                 fullest_of_all = fullest_of_all.max(fullest);
                 sources.push(Source::from_region(region));
             }
-            let (mut raw, mut peak) = (Vec::new(), 0);
-            for q in 0..nb_dst {
-                raw.clear();
-                for src in sources.iter_mut() {
-                    src.take_bucket(&mut d, &h, q, nb_dst, &mut raw).unwrap();
+            let (mut cursor, mut peak) = (MergeCursor::new(&h, sources, nb_dst, false), 0);
+            loop {
+                let more = cursor.next_bucket(&mut d).unwrap().is_some();
+                let held: usize = cursor.sources.iter().map(|s| s.run.len() - s.taken).sum();
+                peak = peak.max(held + cursor.batch.len());
+                if !more {
+                    break;
                 }
-                let buffered: usize = sources
-                    .iter()
-                    .map(|s| match s {
-                        Source::Disk(s) => s.buf.len(),
-                        Source::Mem { .. } => 0,
-                    })
-                    .sum();
-                peak = peak.max(buffered + raw.len());
             }
             assert_eq!(d.live_blocks(), 0, "every source was drained");
+            assert!(mem.is_empty(), "H0 was drained");
             (peak, one_bucket_each, fullest_of_all, chained)
         };
         // A carry at the benchmark's geometry before levels were sized by
         // content (nb0 = 64, γ = 2, load 1/2): H1…H4 into H5, every source
         // count divides the destination's. Bucket boundaries line up, so a
-        // stream holds one source bucket and nothing of the one before.
+        // stream holds one source bucket and nothing of the one before:
+        // it reads the next only once the merge reaches that bucket's
+        // least hash.
         let (peak, one_bucket_each, _, chained) =
             peak_held(0, &[128, 256, 512, 1024], 32, false, 2048);
         assert!(peak <= one_bucket_each, "held {peak} items > {one_bucket_each}");
         assert!(one_bucket_each <= 4 * 64);
         assert_eq!(chained, 0, "no bucket chains at load 1/2");
         // Content-sized regions end that alignment: no source count here
-        // divides the destination's. A stream then still holds the tail
-        // of its previous bucket (what lies past the destination bucket
-        // being filled) when it reads the next one — under two source
-        // buckets, so the `2·j·b` a j-stream carry is budgeted
+        // divides the destination's. A stream's bucket then straddles
+        // destination buckets, and what lies past the one being filled
+        // waits beside the batch — under two source buckets a stream, so
+        // the `2·j·b` a j-stream carry is budgeted
         // (`LogMethodTable::reserving`) holds with the batch counted in.
         let (peak, one_bucket_each, ..) = peak_held(0, &[128, 517, 1031], 32, false, 2583);
         assert!(peak <= 2 * one_bucket_each, "held {peak} items > 2 × {one_bucket_each}");
@@ -774,15 +781,15 @@ mod tests {
             assert!(one_bucket_each <= 2 * j * 64, "{when}: {one_bucket_each} > 2·j·b at j = {j}");
         }
         // A flush that stops at an `H_j` with room reads it as one more
-        // disk stream — j of them, `H1 … H_j`, beside the drained `H0`,
-        // whose items the batch holds once more. The steady state of the
-        // deployed geometry, `H0` and an `H1` of one `H0` into an `H1` of
-        // two, fits the `4b + 16` reserved for it, with its one stream's
-        // fullest bucket chaining a full block too; deeper (γ = 4: `H1` of
-        // four `H0`s and an `H2` of five or ten into an `H2` of ten or
-        // fifteen; an `H3` of twenty beside them into one of forty) the
-        // j streams and `H0`'s share stay inside `2·j·b` — 92 / 148 items
-        // held of 272; 159 / 207 and 154 / 197 of 256; 203 / 252 of 384.
+        // disk stream — j of them, `H1 … H_j`, beside `H0`, drained one of
+        // its 64 buckets at a time. The steady state of the deployed
+        // geometry, `H0` and an `H1` of one `H0` into an `H1` of two, fits
+        // the `4b + 16` reserved for it, with its one stream's fullest
+        // bucket chaining a full block too; deeper (γ = 4: `H1` of four
+        // `H0`s and an `H2` of five or ten into an `H2` of ten or fifteen;
+        // an `H3` of twenty beside them into one of forty) the j streams
+        // and `H0`'s bucket stay inside `2·j·b` — 114 / 168 items held of
+        // 272; 178 / 220 and 179 / 210 of 256; 232 / 267 of 384.
         for stuffed in [false, true] {
             let (peak, ..) = peak_held(2048, &[43], 48, stuffed, 86);
             assert!(peak <= 4 * 64 + 16, "H0 + H1 into H1, stuffed: {stuffed}: held {peak}");
@@ -802,11 +809,12 @@ mod tests {
         let mut d = mem_disk(4);
         let h = hash();
         let older = build_region(&mut d, &h, 2, &[1, 2, 3]);
-        let markers = vec![Item::delete_marker(2)];
+        let markers = [Item::delete_marker(2)];
+        let mut mem = h0_of(&h, 4, &markers);
         let (merged, stats) = compact(
             &mut d,
             &h,
-            vec![Source::from_memory(markers.clone(), &h), Source::from_region(older)],
+            vec![Source::from_memory(&mut mem), Source::from_region(older)],
             4,
             true,
             None,
@@ -823,10 +831,11 @@ mod tests {
         // has deeper levels to shadow).
         let mut d = mem_disk(4);
         let older = build_region(&mut d, &h, 2, &[1, 2, 3]);
+        let mut mem = h0_of(&h, 4, &markers);
         let (merged, stats) = compact(
             &mut d,
             &h,
-            vec![Source::from_memory(markers, &h), Source::from_region(older)],
+            vec![Source::from_memory(&mut mem), Source::from_region(older)],
             4,
             false,
             None,
@@ -850,7 +859,8 @@ mod tests {
         let h = hash();
         let older = build_region(&mut d, &h, 4, &(0..20).collect::<Vec<_>>());
         let newer: Vec<Item> = (100..120).map(|k| Item::new(k, k)).collect();
-        let sources = vec![Source::from_memory(newer, &h), Source::from_region(older)];
+        let mut mem = h0_of(&h, 4, &newer);
+        let sources = vec![Source::from_memory(&mut mem), Source::from_region(older)];
         let (region, _) = compact(&mut d, &h, sources, 8, false, Some(&mut filter)).unwrap();
         let keys = region_keys(&mut d, &region);
         assert_eq!(keys.len(), 40);
@@ -870,8 +880,8 @@ mod tests {
         let mut filter = plan.filter(1, 0, 1, 21).expect("H1 fits in 64 items");
         let a = build_region(&mut d, &h, 2, &(0..20).collect::<Vec<_>>());
         let source_blocks = d.live_blocks();
-        let markers = vec![Item::delete_marker(5)];
-        let sources = vec![Source::from_memory(markers, &h), Source::from_region(a)];
+        let mut mem = h0_of(&h, 4, &[Item::delete_marker(5)]);
+        let sources = vec![Source::from_memory(&mut mem), Source::from_region(a)];
         let mut mapped = Vec::new();
         let mut map = |v: Value| {
             mapped.push(v);
@@ -912,5 +922,106 @@ mod tests {
         let io = d.since(&e).total();
         // Reads ≈ 32 source blocks (+chains), writes ≤ 64 target blocks.
         assert!(io <= 32 + 20 + 64, "merge I/O {io} should be ~linear in blocks");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random sources merged into a fresh region: an `H0`, then one to
+        /// four regions whose bucket counts mostly do not divide the
+        /// destination's, on blocks of 2 to 5 items so that buckets chain,
+        /// each bucket written in the order its items came (not hash
+        /// order, as an older build or an in-place merge into `Ĥ` leaves
+        /// it) or in hash order; keys from a small range repeat within and
+        /// across sources, and a fifth of the items are deletion markers.
+        /// The region holds what a newest-wins map holds — a source's copy
+        /// is the first one a probe meets there — less the markers when
+        /// purging, each bucket in hash order; every source block is read
+        /// exactly once and `H0` is drained. The same sources with one item
+        /// planted in a bucket it does not hash to are `Corrupt`.
+        #[test]
+        fn a_merge_is_a_newest_wins_k_way_merge_in_hash_order(
+            b in 2usize..6,
+            nb0 in 1u64..6,
+            h0_items in proptest::collection::vec((0u64..64, 0u8..5), 0..40),
+            regions in proptest::collection::vec(
+                (
+                    1u64..12,
+                    proptest::prelude::any::<bool>(),
+                    proptest::collection::vec((0u64..64, 0u8..5), 0..60),
+                ),
+                1..5,
+            ),
+            nb_dst in 1u64..24,
+            purge in proptest::prelude::any::<bool>(),
+            stray in proptest::prelude::any::<u64>(),
+        ) {
+            let h = hash();
+            // Values tell the copies apart: source `s`, position `i`.
+            let item = |s: usize, i: usize, (key, tag): (u64, u8)| match tag {
+                0 => Item::delete_marker(key),
+                _ => Item::new(key, ((s as u64) << 32) | i as u64),
+            };
+            let h0_items: Vec<Item> =
+                h0_items.iter().enumerate().map(|(i, &spec)| item(0, i, spec)).collect();
+            let mut disk_items = Vec::new();
+            for (s, (nb, sorted, specs)) in regions.iter().enumerate() {
+                let items: Vec<Item> =
+                    specs.iter().enumerate().map(|(i, &spec)| item(s + 1, i, spec)).collect();
+                let mut buckets = per_bucket(&h, *nb, &items);
+                if *sorted {
+                    buckets.iter_mut().for_each(|q| q.sort_by_key(|it| (h.hash64(it.key), it.key)));
+                }
+                disk_items.push(buckets);
+            }
+            // The reference: `H0` keeps a key's last upsert, a region the
+            // first copy in its bucket, and a newer source shadows an older.
+            let mut truth = BTreeMap::new();
+            h0_items.iter().for_each(|it| _ = truth.insert(it.key, it.value));
+            let physical = truth.len() + regions.iter().map(|r| r.2.len()).sum::<usize>();
+            for it in disk_items.iter().flatten().flatten() {
+                truth.entry(it.key).or_insert(it.value);
+            }
+            truth.retain(|_, v| !purge || *v != VALUE_TOMBSTONE);
+            let on_disk = |d: &mut Disk<MemDisk>, regions: &[Vec<Vec<Item>>]| {
+                regions.iter().map(|q| Source::from_region(write_buckets(d, q))).collect::<Vec<_>>()
+            };
+
+            let mut d = mem_disk(b);
+            let mut mem = h0_of(&h, nb0, &h0_items);
+            let mut sources = vec![Source::from_memory(&mut mem)];
+            sources.extend(on_disk(&mut d, &disk_items));
+            let (source_blocks, e) = (d.live_blocks(), d.epoch());
+            let (region, stats) = compact(&mut d, &h, sources, nb_dst, purge, None).unwrap();
+            proptest::prop_assert_eq!(d.since(&e).reads, source_blocks, "a block read twice");
+            proptest::prop_assert!(mem.is_empty());
+            proptest::prop_assert_eq!(stats.items, truth.len());
+            proptest::prop_assert_eq!(stats.items + stats.shadowed + stats.purged, physical);
+            let mut landed = BTreeMap::new();
+            for q in 0..nb_dst {
+                let bucket = bucket_items(&mut d, &region, q..q + 1);
+                let order: Vec<(u64, u64)> =
+                    bucket.iter().map(|it| (h.hash64(it.key), it.key)).collect();
+                proptest::prop_assert!(order.windows(2).all(|w| w[0] < w[1]), "bucket {}", q);
+                proptest::prop_assert!(order.iter().all(|&(hk, _)| prefix_bucket(hk, nb_dst) == q));
+                landed.extend(bucket.iter().map(|it| (it.key, it.value)));
+            }
+            proptest::prop_assert_eq!(landed, truth);
+
+            // The same sources, one item planted outside its bucket.
+            let s = stray as usize % regions.len();
+            let nb = regions[s].0;
+            if nb > 1 {
+                let planted = Item::new(1000 + stray % 1000, 1);
+                let home = prefix_bucket(h.hash64(planted.key), nb);
+                disk_items[s][((home + 1) % nb) as usize].push(planted);
+                let mut d = mem_disk(b);
+                let mut mem = h0_of(&h, nb0, &h0_items);
+                let mut sources = vec![Source::from_memory(&mut mem)];
+                sources.extend(on_disk(&mut d, &disk_items));
+                let merged = compact(&mut d, &h, sources, nb_dst, purge, None);
+                proptest::prop_assert!(matches!(merged, Err(ExtMemError::Corrupt(_))));
+            }
+        }
     }
 }
