@@ -1225,36 +1225,43 @@ pub(crate) mod tests {
     /// the second commit, and wherever a second crash then cuts the
     /// reopen itself, the next reopen serves exactly one of the two
     /// committed states and leaves no file the manifest does not name.
+    /// Every crash state is forked from one run.
     #[test]
     fn a_crash_anywhere_in_a_commit_or_in_the_reopen_after_it_recovers_to_a_commit() {
         let clean = SimEnv::new();
         let states = two_commits(&clean);
         let lifecycle_ops = clean.ops();
-        let (mut old, mut new, mut strays_met) = (0, 0, 0);
-        for k in lifecycle_ops - 40..=lifecycle_ops {
-            for reopen_crash in [None, Some(2u64), Some(9), Some(17)] {
-                let env = SimEnv::new();
-                env.set_plan(FaultPlan::crash(k, k ^ 0xC0FFEE));
-                let died = std::panic::catch_unwind(|| two_commits(&env)).is_err();
-                assert_eq!(died || env.crashed(), k < lifecycle_ops, "crash_at {k}");
-                env.power_cycle();
-                strays_met += usize::from(sim_files(&env).contains(CLEAN));
-                if let Some(after) = reopen_crash {
-                    env.set_plan(FaultPlan::crash(env.ops() + after, after));
-                    drop(SimMedia::open(&env).and_then(|m| KvStore::open_on(m, cfg(), 84)));
-                    env.power_cycle();
-                }
-                let mut s = sim_store(&env);
-                let got: Vec<Option<Value>> = (0..900).map(|k| s.lookup(k).unwrap()).collect();
-                let which = states.iter().position(|state| *state == got);
-                let which = which.unwrap_or_else(|| panic!("crash_at {k}: neither commit"));
-                old += usize::from(which == 0);
-                new += usize::from(which == 1);
-                let when = format!("crash_at {k}, reopen crash {reopen_crash:?}");
-                assert_eq!(sim_files(&env), named_files(&s), "{when}");
-                assert!(dxh_dura::check_trace(&env.take_trace()).is_empty(), "{when}");
-            }
+        let (mut old, mut new, mut strays_met, mut checked) = (0, 0, 0, 0);
+        let crashes: Vec<(u64, u64)> =
+            (lifecycle_ops - 40..=lifecycle_ops).map(|k| (k, k ^ 0xC0FFEE)).collect();
+        for reopen_crash in [None, Some(2u64), Some(9), Some(17)] {
+            let env = SimEnv::new();
+            env.sweep_crashes(
+                crashes.clone(),
+                || two_commits(&env),
+                |crash| {
+                    let env = crash.env;
+                    strays_met += usize::from(sim_files(&env).contains(CLEAN));
+                    if let Some(after) = reopen_crash {
+                        env.set_plan(FaultPlan::crash(env.ops() + after, after));
+                        drop(SimMedia::open(&env).and_then(|m| KvStore::open_on(m, cfg(), 84)));
+                        env.power_cycle();
+                    }
+                    let when = format!("crash_at {}, reopen crash {reopen_crash:?}", crash.at);
+                    let mut s = sim_store(&env);
+                    let got: Vec<Option<Value>> = (0..900).map(|k| s.lookup(k).unwrap()).collect();
+                    let which = states.iter().position(|state| *state == got);
+                    let which = which.unwrap_or_else(|| panic!("{when}: neither commit"));
+                    old += usize::from(which == 0);
+                    new += usize::from(which == 1);
+                    assert_eq!(sim_files(&env), named_files(&s), "{when}");
+                    assert!(dxh_dura::check_trace(&env.take_trace()).is_empty(), "{when}");
+                    checked += 1;
+                },
+            );
+            assert!(dxh_dura::check_trace(&env.take_trace()).is_empty(), "the recorded run");
         }
+        assert_eq!(checked, 4 * crashes.len(), "one state per crash index and reopen crash");
         assert!(old > 0 && new > 0, "the sweep straddles the commit point: {old} / {new}");
         assert_eq!(strays_met, 0, "nothing ever writes {CLEAN}");
     }
@@ -1424,29 +1431,34 @@ pub(crate) mod tests {
     /// The rules `check_trace` finds broken in the crash-free run of
     /// [`mutant_lifecycle`] with `switch` armed, and at how many crash
     /// indices (every second one, two crash seeds each) the store does
-    /// not reopen to a commit.
+    /// not reopen to a commit — each crash state forked from one armed
+    /// run, and reopened with no mutant armed.
     fn lifecycle_sweep(
         switch: Option<&'static std::thread::LocalKey<std::cell::Cell<bool>>>,
     ) -> (BTreeSet<&'static str>, usize) {
         let arm = |on: bool| switch.into_iter().for_each(|switch| switch.set(on));
+        let armed = |env: &SimEnv| {
+            arm(true);
+            mutant_lifecycle(env).unwrap();
+            arm(false);
+        };
         let env = SimEnv::new();
-        arm(true);
-        mutant_lifecycle(&env).unwrap();
-        arm(false);
+        armed(&env);
         let rules = dxh_dura::check_trace(&env.take_trace()).iter().map(|v| v.rule).collect();
-        let mut broken = 0;
-        for k in (0..env.ops()).step_by(2) {
-            for seed in [1, 2] {
-                let env = SimEnv::new();
-                env.set_tracing(false);
-                env.set_plan(FaultPlan::crash(k, seed * 0x9e37 + k));
-                arm(true);
-                let _ = mutant_lifecycle(&env);
-                arm(false);
-                env.power_cycle();
-                broken += usize::from(!holds_a_commit(&env));
-            }
-        }
+        let crashes = (0..env.ops()).step_by(2).flat_map(|k| [1, 2].map(|s| (k, s * 0x9e37 + k)));
+        let (mut broken, mut pairs, mut states) = (0, 0, BTreeSet::new());
+        let env = SimEnv::new();
+        env.set_tracing(false);
+        env.sweep_crashes(
+            crashes,
+            || armed(&env),
+            |crash| {
+                pairs += 1;
+                states.insert(crash.state);
+                broken += usize::from(!holds_a_commit(&crash.env));
+            },
+        );
+        println!("{pairs} (crash index, seed) pairs from {} pre-crash states", states.len());
         (rules, broken)
     }
 
@@ -1575,9 +1587,10 @@ pub(crate) mod tests {
 
     /// A crash at every I/O of a commit that replaces a non-empty image
     /// of `H0`, of one that drops it after a migration, and of a
-    /// compaction's: each reopen holds exactly the state of the commit
-    /// before or of the one cut short, and the directory holds the files
-    /// its manifest names — no stray `.blk`, image or level.
+    /// compaction's, each forked from one run: each reopen holds exactly
+    /// the state of the commit before or of the one cut short, and the
+    /// directory holds the files its manifest names — no stray `.blk`,
+    /// image or level.
     #[test]
     fn a_crash_anywhere_in_a_commit_that_replaces_or_drops_the_image_recovers_to_a_commit() {
         let reopened = |env: &SimEnv| {
@@ -1603,22 +1616,67 @@ pub(crate) mod tests {
             let last = reopened(&clean);
             assert_ne!(last, first, "{second:?}");
             let (mut old, mut new) = (0, 0);
-            for k in start..end {
-                let env = SimEnv::new();
-                env.set_plan(FaultPlan::crash(k, k ^ 0x1A6E));
-                // (The commit may return `Ok` with the machine down: the
-                // unlinks after its rename are best-effort.)
-                let _ = image_lifecycle(&env, Some(second));
-                assert!(env.crashed(), "{second:?} at {k}");
-                env.power_cycle();
-                let got = reopened(&env);
-                assert!(got == first || got == last, "{second:?}, crash at {k}: {got:?}");
-                old += usize::from(got == first);
-                new += usize::from(got == last);
-                let when = format!("{second:?}, crash at {k}");
-                assert!(dxh_dura::check_trace(&env.take_trace()).is_empty(), "{when}");
-            }
+            let env = SimEnv::new();
+            let crashes = (start..end).map(|k| (k, k ^ 0x1A6E));
+            env.sweep_crashes(
+                crashes,
+                || image_lifecycle(&env, Some(second)).unwrap(),
+                |crash| {
+                    let got = reopened(&crash.env);
+                    let when = format!("{second:?}, crash at {}", crash.at);
+                    assert!(got == first || got == last, "{when}: {got:?}");
+                    old += usize::from(got == first);
+                    new += usize::from(got == last);
+                    assert!(dxh_dura::check_trace(&crash.env.take_trace()).is_empty(), "{when}");
+                },
+            );
+            assert!(dxh_dura::check_trace(&env.take_trace()).is_empty(), "{second:?}");
             assert!(old > 0 && new > 0, "{second:?}: the sweep straddles the commit: {old}/{new}");
+        }
+    }
+
+    /// A crash state forked from one run of `lifecycle` is the state a
+    /// re-run leaves: at six seeded crash indices, the power-cycled fork
+    /// holds every name and every byte, at the same I/O clock, of a fresh
+    /// machine that re-ran the lifecycle crashed there and power-cycled.
+    fn forks_are_re_runs(name: &str, lifecycle: impl Fn(&SimEnv)) {
+        let state = |env: &SimEnv| (env.ops(), sim_image(env));
+        let clean = SimEnv::new();
+        lifecycle(&clean);
+        let total = clean.ops();
+        let crashes: Vec<(u64, u64)> = (1..=6u64)
+            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ total)
+            .map(|h| (h % total, h))
+            .collect();
+        let (env, mut forked) = (SimEnv::new(), Vec::new());
+        env.sweep_crashes(
+            crashes.clone(),
+            || lifecycle(&env),
+            |crash| {
+                forked.push((crash.at, crash.seed, state(&crash.env)));
+            },
+        );
+        assert_eq!(forked.len(), crashes.len(), "{name}");
+        for (at, seed, forked) in forked {
+            let rerun = SimEnv::new();
+            rerun.set_plan(FaultPlan::crash(at, seed));
+            lifecycle(&rerun);
+            rerun.power_cycle();
+            assert!(state(&rerun) == forked, "{name}: the states a crash at {at} leaves differ");
+        }
+    }
+
+    /// Every lifecycle the store's sweeps fork from forks what a re-run
+    /// leaves ([`forks_are_re_runs`]).
+    #[test]
+    fn a_forked_crash_state_is_the_state_a_re_run_leaves() {
+        forks_are_re_runs("mutant_lifecycle", |env| drop(mutant_lifecycle(env)));
+        forks_are_re_runs("two_commits", |env| {
+            drop(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| two_commits(env))));
+        });
+        for second in [SecondCommit::Replace, SecondCommit::Migrate, SecondCommit::Compact] {
+            let name = format!("image_lifecycle {second:?}");
+            forks_are_re_runs(&name, |env| drop(image_lifecycle(env, Some(second))));
         }
     }
 }

@@ -76,7 +76,7 @@ pub use item::{
     VALUE_TOMBSTONE,
 };
 pub use pool::{Cached, PoolStats};
-pub use sim_disk::{FaultPlan, IoEvent, SimBlob, SimEnv};
+pub use sim_disk::{Crash, FaultPlan, IoEvent, SimBlob, SimEnv};
 pub use stats::{IoCostModel, IoSnapshot, IoStats};
 
 /// Convenience constructor: an accounting [`Disk`] over an in-memory

@@ -59,6 +59,8 @@
 //! appends.
 
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Mutex};
 
 use crate::blob::BlobFile;
@@ -176,7 +178,7 @@ pub(crate) fn get(file: &[u8], offset: u64, buf: &mut [u8]) -> Result<()> {
 
 /// One file of the machine (an inode): what the running process reads,
 /// what the platter holds, and the writes in between.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct SimFile {
     /// The bytes a read sees: `durable` with every unsynced write on top.
     image: Vec<u8>,
@@ -248,6 +250,7 @@ impl SimFile {
 
 /// One namespace operation its directory has not been synced past, with
 /// what a crash needs to undo it.
+#[derive(Clone)]
 enum DirOp {
     /// `name` was created (it named nothing before).
     Create { name: String },
@@ -288,6 +291,7 @@ fn not_found(name: &str) -> ExtMemError {
 }
 
 /// The machine behind a [`SimEnv`] handle.
+#[derive(Default)]
 struct SimEnvState {
     clock: u64,
     plan: FaultPlan,
@@ -313,6 +317,11 @@ struct SimEnvState {
     /// owner's lock.
     lock_epoch: u64,
     power_cycles: u64,
+    /// Ops so far that can change the machine (every op but a read): two
+    /// crash points with one count fork one state.
+    changes: u64,
+    /// The crash sweep running on the machine, if any.
+    sweep: Option<Sweep>,
 }
 
 impl SimEnvState {
@@ -333,6 +342,79 @@ impl SimEnvState {
         let gone = || ExtMemError::Corrupt(format!("sim file {name} vanished"));
         self.inodes.get_mut(&ino).ok_or_else(gone)
     }
+
+    /// An independent machine in the state a crash at `at` leaves once
+    /// power-cycled with `seed`'s lottery: a copy of every name and inode
+    /// — image, durable bytes, unsynced writes — of the undurable
+    /// namespace operations and of the counters, clock at `clock`,
+    /// power-cycled under `FaultPlan::crash(at, seed)`. Its trace holds
+    /// that power cycle alone.
+    fn crash_copy(&self, at: u64, clock: u64, seed: u64) -> SimEnv {
+        let env = SimEnv(Arc::new(Mutex::new(SimEnvState {
+            clock,
+            plan: FaultPlan::crash(at, seed),
+            tracing: self.tracing,
+            names: self.names.clone(),
+            inodes: self.inodes.clone(),
+            next_ino: self.next_ino,
+            undurable: self.undurable.clone(),
+            lock_epoch: self.lock_epoch,
+            power_cycles: self.power_cycles,
+            changes: self.changes,
+            ..Default::default()
+        })));
+        env.power_cycle();
+        env
+    }
+
+    /// The crash states due at the op about to run (all of them once
+    /// `end`: the run is over, and a crash at or past its last op leaves
+    /// the state it ended in), and where to hand them.
+    fn due(&mut self, end: bool) -> Option<(Vec<Crash>, SyncSender<Crash>)> {
+        let sweep = self.sweep.as_mut()?;
+        let points: Vec<(u64, Vec<u64>)> = match end {
+            true => std::mem::take(&mut sweep.points).into_iter().collect(),
+            false => sweep.points.remove_entry(&self.clock).into_iter().collect(),
+        };
+        let to = sweep.to.clone();
+        // A re-run's clock stands one past the op its crash failed.
+        let clock = self.clock + u64::from(!end);
+        let crashes = points
+            .into_iter()
+            .flat_map(|(at, seeds)| seeds.into_iter().map(move |seed| (at, seed)))
+            .map(|(at, seed)| Crash {
+                at,
+                seed,
+                state: self.changes,
+                env: self.crash_copy(at, clock, seed),
+            })
+            .collect();
+        Some((crashes, to))
+    }
+}
+
+/// A running [`SimEnv::sweep_crashes`]: the crash points it has yet to
+/// fork, each I/O index with its lottery seeds, and where it hands them.
+struct Sweep {
+    points: BTreeMap<u64, Vec<u64>>,
+    to: SyncSender<Crash>,
+}
+
+/// One crash state [`SimEnv::sweep_crashes`] forked from its run.
+pub struct Crash {
+    /// The I/O index of the crash: ops `0..at` happened, op `at` failed.
+    pub at: u64,
+    /// The crash seed its power cycle's lottery drew from.
+    pub seed: u64,
+    /// The pre-crash state it forked, as the count of ops before `at`
+    /// that can change a machine: crashes with one `state` differ only in
+    /// their lottery.
+    pub state: u64,
+    /// An independent machine, power-cycled: what a fresh machine holds
+    /// that re-ran the run under `FaultPlan::crash(at, seed)` and then
+    /// power-cycled — every name, every byte, the I/O clock. Its trace
+    /// holds that power cycle alone.
+    pub env: SimEnv,
 }
 
 /// A handle to one simulated machine; cheap to clone, and every clone
@@ -350,20 +432,7 @@ impl Default for SimEnv {
 impl SimEnv {
     /// A fresh machine: empty namespace, fault-free plan, clock at 0.
     pub fn new() -> Self {
-        SimEnv(Arc::new(Mutex::new(SimEnvState {
-            clock: 0,
-            plan: FaultPlan::default(),
-            crashed: false,
-            tracing: true,
-            trace: Vec::new(),
-            names: BTreeMap::new(),
-            inodes: BTreeMap::new(),
-            next_ino: 0,
-            undurable: BTreeMap::new(),
-            locks: BTreeMap::new(),
-            lock_epoch: 0,
-            power_cycles: 0,
-        })))
+        SimEnv(Arc::new(Mutex::new(SimEnvState { tracing: true, ..Default::default() })))
     }
 
     fn state(&self) -> std::sync::MutexGuard<'_, SimEnvState> {
@@ -470,6 +539,7 @@ impl SimEnv {
     /// Release with [`SimEnv::unlock_named`], quoting the name and epoch.
     pub fn lock_named(&self, name: &str) -> Result<u64> {
         self.guarded(
+            false,
             |_| meta(format!("lock {name}")),
             |st| {
                 if st.locks.contains_key(name) {
@@ -515,6 +585,7 @@ impl SimEnv {
     /// until its directory is synced ([`SimEnv::sync_dir`]).
     pub fn create_file(&self, name: &str) -> Result<SimBlob> {
         let ino = self.guarded(
+            false,
             |_| meta(format!("file-create {name}")),
             |st| {
                 let ino = match st.names.get(name) {
@@ -538,6 +609,7 @@ impl SimEnv {
     /// `file-absent`.
     pub fn open_file(&self, name: &str) -> Result<Option<SimBlob>> {
         let ino = self.guarded(
+            true,
             |ino: &Option<_>| {
                 meta(format!("{} {name}", if ino.is_some() { "file-open" } else { "file-absent" }))
             },
@@ -550,6 +622,7 @@ impl SimEnv {
     /// A process reads its own unsynced writes.
     pub fn read_file(&self, name: &str) -> Result<Option<Vec<u8>>> {
         self.guarded(
+            true,
             |img: &Option<_>| {
                 meta(format!("{} {name}", if img.is_some() { "file-read" } else { "file-absent" }))
             },
@@ -567,6 +640,7 @@ impl SimEnv {
             )));
         }
         self.guarded(
+            false,
             |_| meta(format!("file-rename {from} -> {to}")),
             |st| {
                 let ino = st.names.remove(from).ok_or_else(|| not_found(from))?;
@@ -588,6 +662,7 @@ impl SimEnv {
     /// and its last handle is dropped.
     pub fn remove_file(&self, name: &str) -> Result<bool> {
         self.guarded(
+            false,
             |&hit| meta(format!("{} {name}", if hit { "file-remove" } else { "file-absent" })),
             |st| {
                 let ino = st.names.remove(name);
@@ -604,6 +679,7 @@ impl SimEnv {
     /// so far becomes durable.
     pub fn sync_dir(&self, dir: &str) -> Result<()> {
         self.guarded(
+            false,
             |_| meta(format!("dir-sync {dir}")),
             |st| {
                 st.undurable.remove(dir);
@@ -613,16 +689,19 @@ impl SimEnv {
     }
 
     /// The clock-tick-plus-fault-check wrapper every operation goes
-    /// through: assigns the op its index, consults the plan, applies
-    /// `apply` on success, and records the event `event` makes of its
-    /// result. `event` is a closure so untraced runs (the exhaustive
-    /// sweeps) pay no per-op String allocation for events that would be
+    /// through: hands a running sweep the crash states due before the op,
+    /// assigns the op its index, consults the plan, applies `apply` on
+    /// success — counting it a change unless it `reads` — and records the
+    /// event `event` makes of its result. `event` is a closure so untraced
+    /// runs pay no per-op String allocation for events that would be
     /// dropped anyway.
     fn guarded<T>(
         &self,
+        reads: bool,
         event: impl FnOnce(&T) -> IoEvent,
         apply: impl FnOnce(&mut SimEnvState) -> Result<T>,
     ) -> Result<T> {
+        self.hand_over(false);
         let mut st = self.state();
         let st = &mut *st;
         if st.crashed {
@@ -649,10 +728,71 @@ impl SimEnv {
             ))));
         }
         let out = apply(st)?;
+        st.changes += u64::from(!reads);
         if st.tracing {
             st.trace.push(event(&out));
         }
         Ok(out)
+    }
+
+    /// Forks the crash states due (see [`SimEnvState::due`]) and hands
+    /// them to the sweep's check, outside the lock: the check may use any
+    /// machine, this one included.
+    fn hand_over(&self, end: bool) {
+        let Some((crashes, to)) = self.state().due(end) else { return };
+        for crash in crashes {
+            // A check that hung up has failed: the run goes on alone.
+            if to.send(crash).is_err() {
+                break;
+            }
+        }
+    }
+
+    /// The crash sweep driver: runs `run` once on this machine and hands
+    /// `check`, for each `(at, seed)` of `crashes`, the machine a crash at
+    /// I/O index `at` leaves once power-cycled with `seed`'s lottery.
+    ///
+    /// A crash at `at` depends only on the machine before op `at` and on
+    /// the seed: op `at` and every op after it fail and change nothing.
+    /// So just before op `at` runs, the driver copies the machine — its
+    /// names, each inode's image, durable bytes and unsynced writes, the
+    /// namespace operations no directory sync has covered, the counters —
+    /// and power-cycles the copy under `FaultPlan::crash(at, seed)`: every
+    /// name and byte a re-run crashed at `at` holds after its power cycle
+    /// (`sweep_crashes_forks_what_a_re_run_leaves` pins it). A point at
+    /// or past the run's last op forks the state the run ends in. One run
+    /// of `K` ops yields every crash state, where re-running the prefix
+    /// for each costs O(`K²`) ops.
+    ///
+    /// `check` runs on a thread of its own, one crash at a time, while
+    /// the run goes on; at most one crash waits for it. What the run
+    /// itself does after a crash — a failing drop, best-effort cleanup —
+    /// only a re-run exercises. Returns what `run` returns; a panic in
+    /// either closure is the caller's.
+    pub fn sweep_crashes<T>(
+        &self,
+        crashes: impl IntoIterator<Item = (u64, u64)>,
+        run: impl FnOnce() -> T,
+        check: impl FnMut(Crash) + Send,
+    ) -> T {
+        let mut points: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        for (at, seed) in crashes {
+            points.entry(at).or_default().push(seed);
+        }
+        let (to, from) = sync_channel(0);
+        self.state().sweep = Some(Sweep { points, to });
+        std::thread::scope(|scope| {
+            let checker = scope.spawn(move || from.into_iter().for_each(check));
+            let out = catch_unwind(AssertUnwindSafe(run));
+            if out.is_ok() {
+                self.hand_over(true);
+            }
+            self.state().sweep = None;
+            if let Err(panic) = checker.join() {
+                resume_unwind(panic);
+            }
+            out.unwrap_or_else(|panic| resume_unwind(panic))
+        })
     }
 }
 
@@ -679,10 +819,11 @@ impl SimBlob {
     /// clock-and-fault guard.
     fn file_op<T>(
         &self,
+        reads: bool,
         event: impl FnOnce(&T) -> IoEvent,
         apply: impl FnOnce(&mut SimFile) -> Result<T>,
     ) -> Result<T> {
-        self.env.guarded(event, |st| apply(st.held(self.ino, &self.name)?))
+        self.env.guarded(reads, event, |st| apply(st.held(self.ino, &self.name)?))
     }
 }
 
@@ -692,6 +833,7 @@ impl BlobFile for SimBlob {
     fn write_at(&mut self, offset: u64, bytes: &[u8]) -> Result<()> {
         let fp = fnv1a64(bytes);
         self.file_op(
+            false,
             |_| IoEvent::Write { file: self.name.clone(), offset, fingerprint: fp },
             |f| {
                 f.write_at(offset, bytes);
@@ -705,6 +847,7 @@ impl BlobFile for SimBlob {
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
         let len = buf.len() as u64;
         self.file_op(
+            true,
             |_| IoEvent::ReadAt { file: self.name.clone(), offset, len },
             |f| get(&f.image, offset, buf),
         )
@@ -715,6 +858,7 @@ impl BlobFile for SimBlob {
     /// `file-extend` otherwise; the new length is the fingerprint.
     fn set_len(&mut self, len: u64) -> Result<()> {
         self.file_op(
+            false,
             |&shrunk| {
                 let op = if shrunk { "file-truncate" } else { "file-extend" };
                 IoEvent::Meta { label: format!("{op} {}", self.name), fingerprint: len }
@@ -732,6 +876,7 @@ impl BlobFile for SimBlob {
     /// the file's content, not its directory entry.
     fn sync(&mut self) -> Result<()> {
         self.file_op(
+            false,
             |&flushed| IoEvent::Sync { file: self.name.clone(), flushed },
             |f| Ok(f.sync()),
         )
@@ -1227,5 +1372,80 @@ mod tests {
             seen.insert(state);
         }
         assert_eq!(seen.len(), 5, "every prefix length occurs: {seen:?}");
+    }
+
+    /// A lifecycle with every kind of op: creates and appends, synced and
+    /// not, a rename over a file, unlinks and directory syncs, reads.
+    fn churn(env: &SimEnv) -> Result<()> {
+        let mut log = env.create_file("d/LOG")?;
+        log.append(b"synced")?;
+        log.sync()?;
+        env.sync_dir("d/")?;
+        log.append(b" and not")?;
+        let mut tmp = env.create_file("d/NEW.tmp")?;
+        tmp.append(b"new")?;
+        tmp.sync()?;
+        env.rename_file("d/NEW.tmp", "d/LOG")?;
+        log.read_at(0, &mut [0; 6])?;
+        log.append(b" still")?;
+        let mut blocks = env.create_file("d/level-1.blk")?;
+        blocks.set_len(64)?;
+        blocks.write_at(8, b"block")?;
+        env.remove_file("d/level-1.blk")?;
+        env.sync_dir("d/")?;
+        env.read_file("d/LOG")?;
+        env.create_file("e/OTHER")?.append(b"other")
+    }
+
+    /// What a machine holds: its clock, then every name and its bytes.
+    fn held(env: &SimEnv) -> (u64, Vec<(String, Vec<u8>)>) {
+        let clock = env.ops();
+        let files = env.file_names().into_iter().map(|f| (env.read_file(&f), f));
+        (clock, files.map(|(bytes, f)| (f, bytes.unwrap().unwrap())).collect())
+    }
+
+    /// Every crash state the driver forks from one run — at every index,
+    /// under two lotteries, and past the run's end — is the state a fresh
+    /// machine re-run crashed there holds after its power cycle: every
+    /// name, every byte, the clock and what the power cycle undid. A
+    /// crash before a read forks the state the crash before it does.
+    #[test]
+    fn sweep_crashes_forks_what_a_re_run_leaves() {
+        let clean = SimEnv::new();
+        churn(&clean).unwrap();
+        let (end, ops) = (clean.ops(), clean.take_trace());
+        let crashes: Vec<(u64, u64)> = (0..end + 2).flat_map(|k| [(k, k), (k, !k)]).collect();
+        let (env, mut forked) = (SimEnv::new(), Vec::new());
+        let out = env.sweep_crashes(
+            crashes.clone(),
+            || churn(&env),
+            |crash| {
+                let trace = crash.env.take_trace();
+                forked.push((crash.at, crash.seed, crash.state, trace, held(&crash.env)));
+            },
+        );
+        out.unwrap();
+        assert_eq!(forked.len(), crashes.len());
+        let mut undone = 0;
+        for (at, seed, _, trace, held_then) in &forked {
+            let rerun = SimEnv::new();
+            rerun.set_plan(FaultPlan::crash(*at, *seed));
+            assert_eq!(churn(&rerun).is_err(), *at < end);
+            rerun.power_cycle();
+            assert!(rerun.take_trace().ends_with(trace), "crash at {at}: the power cycle");
+            assert_eq!(held(&rerun), *held_then, "crash at {at}, seed {seed}");
+            undone += usize::from(labels(trace).iter().any(|l| l.starts_with("crash-undo")));
+        }
+        assert!(undone > 0, "some crash reverts a namespace operation");
+        let state = |k: u64| forked.iter().find(|f| f.0 == k).expect("forked").2;
+        let read = |op: &IoEvent| match op {
+            IoEvent::Meta { label, .. } => label.starts_with("file-read"),
+            op => matches!(op, IoEvent::ReadAt { .. }),
+        };
+        assert_eq!(ops.iter().filter(|op| read(op)).count(), 2);
+        for k in 1..end {
+            let op = &ops[k as usize - 1];
+            assert_eq!(state(k) == state(k - 1), read(op), "after {op:?}");
+        }
     }
 }

@@ -39,7 +39,8 @@ pub use generator::{
 };
 pub use runner::{measure_tq, measure_tq_unsuccessful, parallel_trials, run_trace, RunReport};
 pub use torture::{
-    sweep_crash_indices, torture_run, torture_run_on, PhaseMarkers, TortureReport, TortureSpec,
+    sweep_crash_indices, torture_run, torture_run_on, PhaseMarkers, SweepReport, TortureReport,
+    TortureSpec, RERUN_STRIDE,
 };
 pub use trace::{Op, Trace};
 pub use zipf::ZipfSampler;

@@ -41,10 +41,37 @@
 //! run is replayed exactly by feeding the same seed back (see
 //! `tests/torture.rs`, which runs every seed in both modes and prints
 //! the replay command of a failing one).
+//!
+//! ## One run per sweep
+//!
+//! A sweep ([`sweep_crash_indices`]) does not re-run the lifecycle for
+//! each crash index. It records one crash-free lifecycle on a machine
+//! that forks a crash state just before each swept op `k`
+//! ([`SimEnv::sweep_crashes`]): a copy of every name and inode — image,
+//! durable bytes, unsynced writes — and of the namespace operations no
+//! directory sync has covered, power-cycled under the lottery a re-run
+//! crashed at `k` draws. Op `k` and everything after it fail in such a
+//! re-run and change nothing durable, so the fork holds every name and
+//! byte the re-run holds after its power cycle (the tests pin this at
+//! seeded indices of both modes). The recorded run notes what a crash at
+//! each index must recover to — the last committed state and the commit
+//! in flight — and steps 3–4 check each fork against those notes, the
+//! same check a re-run ends with. The recorded run's answers and its one
+//! trace are checked once, each fork's reopen trace on its own: the trace
+//! automaton fires every rule at its anchor event, so a prefix breaks no
+//! rule the whole trace does not.
+//!
+//! Only a re-run drives the program's own paths after a crash — a
+//! failing drop, best-effort cleanup, a crash inside a best-effort step
+//! that lets its phase succeed — so every [`RERUN_STRIDE`]th swept index
+//! is also re-run whole ([`torture_run`]). The service's crash sweeps
+//! re-run every index: their threads give them no fixed I/O order to
+//! fork from.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::fmt::Display;
+use std::sync::Mutex;
 
 use dxh_core::{CoreConfig, ExternalDictionary, KvStore, SimMedia, StoreMedia};
 use dxh_extmem::{fnv1a64, FaultPlan, IoEvent, Key, Result, SimEnv, Value};
@@ -247,6 +274,25 @@ fn diff_state<M: StoreMedia>(
     out
 }
 
+/// The models a crash must recover to, from the first I/O index at which
+/// they hold.
+#[derive(Clone)]
+struct Commit {
+    /// The first I/O index at which they hold.
+    from: u64,
+    /// The store as the last successfully committed manifest holds it.
+    committed: Model,
+    /// The state a commit in flight would make durable: the recovered
+    /// store must equal it or `committed` — which one tells on which side
+    /// of the commit point the crash fell.
+    pending: Option<Model>,
+}
+
+/// The lottery seed of a crash at I/O index `k` of `seed`'s scenario.
+fn crash_seed(seed: u64, k: u64) -> u64 {
+    seed ^ k.rotate_left(17)
+}
+
 /// One crash run in progress: the machine it drives and the violations
 /// seen so far.
 struct CrashRun {
@@ -256,15 +302,17 @@ struct CrashRun {
 }
 
 impl CrashRun {
-    /// A fresh machine that crashes at I/O index `crash_at`, if any,
-    /// with a write-survival lottery seeded from `seed` and the index.
+    fn on(env: SimEnv) -> Self {
+        CrashRun { env, violations: RefCell::default() }
+    }
+
+    /// A fresh machine that crashes at I/O index `crash_at`, if any.
     fn new(seed: u64, crash_at: Option<u64>) -> Self {
         let env = SimEnv::new();
-        env.set_tracing(true);
         if let Some(k) = crash_at {
-            env.set_plan(FaultPlan::crash(k, seed ^ k.rotate_left(17)));
+            env.set_plan(FaultPlan::crash(k, crash_seed(seed, k)));
         }
-        CrashRun { env, violations: RefCell::default() }
+        CrashRun::on(env)
     }
 
     /// Records an invariant violation.
@@ -296,8 +344,7 @@ impl CrashRun {
     }
 
     /// Ends the run: its violations, then one for each durability rule
-    /// the whole I/O trace broke (`dxh_dura::check_trace`), and the
-    /// trace.
+    /// its I/O trace broke (`dxh_dura::check_trace`), and the trace.
     fn finish(self) -> (Vec<String>, Vec<IoEvent>) {
         let trace = self.env.take_trace();
         let mut violations = self.violations.into_inner();
@@ -307,124 +354,114 @@ impl CrashRun {
     }
 }
 
-/// Runs one full lifecycle (see the module docs) with an optional crash
-/// index. Never panics: every invariant violation lands in the report.
-/// Every run records its I/O trace — not just as evidence, but because
-/// the report's conformance check (`dxh_dura::check_trace`) validates
-/// it against the durability-protocol rules.
-pub fn torture_run(spec: &TortureSpec, crash_at: Option<u64>) -> TortureReport {
-    torture_run_on(spec, crash_at, SimMedia::open)
-}
-
-/// [`torture_run`] on caller-chosen media over the run's [`SimEnv`]:
-/// `open` is called at every (re)open. The seam that lets a test wrap
-/// [`SimMedia`] in a decorator that breaks a durability primitive and
-/// check that the sweep notices.
-pub fn torture_run_on<M: StoreMedia>(
+/// Steps 1–2 of the module docs on `run`'s machine: replays `spec`'s
+/// workload, checks every answer, and notes in `commits` each change of
+/// what a crash must recover to. Returns the commit windows' markers
+/// (`None` when the machine died first).
+fn lifecycle<M: StoreMedia>(
     spec: &TortureSpec,
-    crash_at: Option<u64>,
-    open: impl Fn(&SimEnv) -> Result<M>,
-) -> TortureReport {
-    let run = CrashRun::new(spec.seed, crash_at);
+    run: &CrashRun,
+    reopen: &dyn Fn() -> Result<KvStore<M>>,
+    commits: &Mutex<Vec<Commit>>,
+) -> Option<PhaseMarkers> {
     let env = &run.env;
     let ops = spec.ops();
     let prefix = spec.prefix.min(ops.len());
     let window_from = ops[..prefix].iter().rposition(|op| matches!(op, Op::Insert(..)));
-    let reopen = || open(env).and_then(|media| spec.open(media));
+    let (mut committed, mut pending, mut live) = (Model::new(), None, Model::new());
+    let note = |committed: &Model, pending: &Option<Model>| {
+        let commit =
+            Commit { from: env.ops(), committed: committed.clone(), pending: pending.clone() };
+        commits.lock().expect("no check panics holding it").push(commit);
+    };
+    note(&committed, &pending);
+    let mut store = run.check("creating the store", reopen())?;
+    // Replay: prefix with periodic syncs, then the final sync, then the
+    // unsynced tail, then the compaction.
+    let (mut s0, mut final_sync) = (0, (0, 0));
+    for (i, op) in ops.iter().enumerate() {
+        if Some(i) == window_from {
+            s0 = env.ops();
+        }
+        let result = match *op {
+            Op::Insert(k, v) => {
+                let bytes = spec.value(v);
+                put(&mut store, k, &bytes).map(|()| {
+                    live.insert(k, bytes);
+                })
+            }
+            Op::Delete(k) => store.delete(k).map(|was| {
+                let expected = live.remove(&k).is_some();
+                if was != expected {
+                    run.violation(format!("delete({k}) reported {was}, model expected {expected}"));
+                }
+            }),
+            Op::Lookup(k) => get(&mut store, k).map(|got| {
+                let want = live.get(&k);
+                if got.as_ref() != want {
+                    run.violation(format!("lookup({k}) answered {got:?}, model says {want:?}"));
+                }
+            }),
+        };
+        run.check(format_args!("op {i}"), result)?;
+        let end_of_prefix = i + 1 == prefix;
+        if (i < prefix && (i + 1) % spec.sync_every == 0) || end_of_prefix {
+            pending = Some(live.clone());
+            note(&committed, &pending);
+            run.check(format_args!("sync after op {i}"), store.sync())?;
+            committed = pending.take().expect("pending set above");
+            note(&committed, &pending);
+            if end_of_prefix {
+                final_sync = (s0, env.ops());
+            }
+        }
+    }
+    let c0 = env.ops();
+    pending = Some(live.clone());
+    note(&committed, &pending);
+    let stats = run.check("compaction", store.compact())?;
+    committed = pending.take().expect("pending set above");
+    note(&committed, &pending);
+    if stats.live_items != committed.len() {
+        run.violation(format!(
+            "compaction kept {} items, model holds {}",
+            stats.live_items,
+            committed.len()
+        ));
+    }
+    // Clean shutdown: compact committed, so the drop is a no-op.
+    Some(PhaseMarkers { final_sync, compact: (c0, env.ops()), total_ops: env.ops() })
+}
 
+/// Steps 3–4 of the module docs on `run`'s power-cycled machine, and the
+/// run's report: reopens the store on media `open` makes and checks it
+/// against `commit` — the recovery check that a re-run and a forked
+/// crash state share.
+fn recover<M: StoreMedia>(
+    spec: &TortureSpec,
+    run: CrashRun,
+    (crash_at, crashed): (Option<u64>, bool),
+    commit: Commit,
+    open: &impl Fn(&SimEnv) -> Result<M>,
+) -> TortureReport {
+    let env = &run.env;
+    let reopen = || open(env).and_then(|m| spec.open(m));
     // Every key the workload mentions, in first-appearance order — the
     // probe set for exact-state comparison (deterministic order).
     let mut seen = HashSet::new();
-    let touched: Vec<Key> = ops
+    let touched: Vec<Key> = spec
+        .ops()
         .iter()
         .map(|op| match *op {
             Op::Insert(k, _) | Op::Lookup(k) | Op::Delete(k) => k,
         })
         .filter(|&k| seen.insert(k))
         .collect();
-
-    // Shadow models. `committed` mirrors the last *successfully
-    // committed* manifest; `pending` is the state a commit in flight at
-    // the crash would have made durable — the recovered store must equal
-    // exactly one of them (which one tells us on which side of the
-    // commit point the crash fell).
-    let mut committed = Model::new();
-    let mut pending: Option<Model> = None;
-    let mut live = Model::new();
-    let mut markers = None;
-
-    'workload: {
-        let Some(mut store) = run.check("creating the store", reopen()) else { break 'workload };
-        // Replay: prefix with periodic syncs, then the final sync, then
-        // the unsynced tail, then the compaction.
-        let mut s0 = 0;
-        for (i, op) in ops.iter().enumerate() {
-            if Some(i) == window_from {
-                s0 = env.ops();
-            }
-            let result = match *op {
-                Op::Insert(k, v) => {
-                    let bytes = spec.value(v);
-                    put(&mut store, k, &bytes).map(|()| {
-                        live.insert(k, bytes);
-                    })
-                }
-                Op::Delete(k) => store.delete(k).map(|was| {
-                    let expected = live.remove(&k).is_some();
-                    if was != expected {
-                        run.violation(format!(
-                            "delete({k}) reported {was}, model expected {expected}"
-                        ));
-                    }
-                }),
-                Op::Lookup(k) => get(&mut store, k).map(|got| {
-                    let want = live.get(&k);
-                    if got.as_ref() != want {
-                        run.violation(format!("lookup({k}) answered {got:?}, model says {want:?}"));
-                    }
-                }),
-            };
-            if run.check(format_args!("op {i}"), result).is_none() {
-                break 'workload;
-            }
-            let end_of_prefix = i + 1 == prefix;
-            if (i < prefix && (i + 1) % spec.sync_every == 0) || end_of_prefix {
-                pending = Some(live.clone());
-                if run.check(format_args!("sync after op {i}"), store.sync()).is_none() {
-                    break 'workload;
-                }
-                committed = pending.take().expect("pending set above");
-                if end_of_prefix {
-                    let final_sync = (s0, env.ops());
-                    markers = Some(PhaseMarkers { final_sync, compact: (0, 0), total_ops: 0 });
-                }
-            }
-        }
-        let c0 = env.ops();
-        pending = Some(live.clone());
-        let Some(stats) = run.check("compaction", store.compact()) else { break 'workload };
-        committed = pending.take().expect("pending set above");
-        if stats.live_items != committed.len() {
-            run.violation(format!(
-                "compaction kept {} items, model holds {}",
-                stats.live_items,
-                committed.len()
-            ));
-        }
-        if let Some(m) = markers.as_mut() {
-            m.compact = (c0, env.ops());
-            m.total_ops = env.ops();
-        }
-        // Clean shutdown: compact committed, so the drop is a no-op.
-    }
-
-    // --- Recovery: power-cycle and reopen, faults cleared. ---
-    let crashed = run.power_cycle();
-    let mut model = committed;
+    let Commit { committed: mut model, pending, .. } = commit;
     'recovery: {
-        // Twice: the first handle recovers and is dropped untouched — a
-        // clean close over whatever the crash left — and everything below
-        // runs on the handle that reopens what that close wrote.
+        // Twice: the first handle recovers and is dropped untouched — a clean
+        // close over whatever the crash left — and everything below runs on
+        // the handle that reopens what that close wrote.
         let reopened = reopen().map(drop).and_then(|()| reopen());
         let Some(mut store) = run.check("reopen after the crash", reopened) else {
             break 'recovery;
@@ -433,7 +470,7 @@ pub fn torture_run_on<M: StoreMedia>(
         // Which side of the commit point did the crash fall on?
         let mismatch = diff_state(&mut store, &model, &touched);
         if !mismatch.is_empty() {
-            match pending.take().map(|p| (diff_state(&mut store, &p, &touched), p)) {
+            match pending.map(|p| (diff_state(&mut store, &p, &touched), p)) {
                 Some((diff, p)) if diff.is_empty() => model = p,
                 Some((diff, _)) => run.violation(format!(
                     "recovered state matches neither the last committed manifest (first \
@@ -521,31 +558,107 @@ pub fn torture_run_on<M: StoreMedia>(
             }
         }
     }
-
     let (violations, trace) = run.finish();
     TortureReport {
         crash_at,
         crashed,
         violations,
         seed: spec.seed,
-        markers,
+        markers: None,
         trace,
         state_fingerprint: state_fingerprint(&model),
         recovered_keys: model.len(),
     }
 }
 
-/// Crashes at every I/O index in `[lo, hi)` and returns the reports that
-/// violated an invariant — a recovered-state mismatch or a durability
-/// trace-conformance violation (empty = the whole window is crash-safe
-/// and every run's I/O trace conformed).
-pub fn sweep_crash_indices(spec: &TortureSpec, lo: u64, hi: u64) -> Vec<TortureReport> {
-    (lo..hi)
-        .filter_map(|k| {
-            let r = torture_run(spec, Some(k));
-            (!r.violations.is_empty()).then_some(r)
-        })
-        .collect()
+/// Runs one full lifecycle (see the module docs) with an optional crash
+/// index. Never panics: every invariant violation lands in the report.
+/// Every run records its I/O trace — not just as evidence, but because
+/// the report's conformance check (`dxh_dura::check_trace`) validates
+/// it against the durability-protocol rules.
+pub fn torture_run(spec: &TortureSpec, crash_at: Option<u64>) -> TortureReport {
+    torture_run_on(spec, crash_at, SimMedia::open)
+}
+
+/// [`torture_run`] on caller-chosen media over the run's [`SimEnv`]:
+/// `open` is called at every (re)open. The seam that lets a test wrap
+/// [`SimMedia`] in a decorator that breaks a durability primitive and
+/// check that the sweep notices.
+pub fn torture_run_on<M: StoreMedia>(
+    spec: &TortureSpec,
+    crash_at: Option<u64>,
+    open: impl Fn(&SimEnv) -> Result<M>,
+) -> TortureReport {
+    let run = CrashRun::new(spec.seed, crash_at);
+    let commits = Mutex::default();
+    let markers = lifecycle(spec, &run, &|| open(&run.env).and_then(|m| spec.open(m)), &commits);
+    let crashed = run.power_cycle();
+    let commit = commits.into_inner().expect("unpoisoned").pop().expect("noted at the start");
+    TortureReport { markers, ..recover(spec, run, (crash_at, crashed), commit, &open) }
+}
+
+/// What one crash sweep checked, and what broke.
+#[derive(Debug, Default)]
+pub struct SweepReport {
+    /// `(crash index, seed)` pairs checked on forked crash states.
+    pub pairs: usize,
+    /// The distinct pre-crash machine states among them: a crash just
+    /// before a read leaves the state a crash before the op ahead of it
+    /// does, under another lottery.
+    pub states: usize,
+    /// Crash indices also re-run whole: every [`RERUN_STRIDE`]th.
+    pub reruns: usize,
+    /// Every report that violated an invariant: a forked state's, a
+    /// re-run's, or (`crash_at: None`) the recorded run's own — its
+    /// answers, its whole I/O trace and its crash-free recovery.
+    pub failures: Vec<TortureReport>,
+}
+
+/// One swept crash index in this many is also re-run whole, as the
+/// reference: only a re-run drives the program's own paths after a
+/// crash — a failing drop, best-effort cleanup, a crash inside a
+/// best-effort step that lets its phase succeed.
+pub const RERUN_STRIDE: usize = 16;
+
+/// Crashes at every I/O index of `indices` on media `open` makes: one
+/// recorded lifecycle, every crash state forked from it
+/// ([`SimEnv::sweep_crashes`]) and checked for recovery with the lottery
+/// a re-run at that index draws, the recorded run checked once as a
+/// crash-free run — and every [`RERUN_STRIDE`]th index re-run whole
+/// ([`torture_run_on`]). An empty `failures` means every crash recovered
+/// and every trace conformed.
+pub fn sweep_crash_indices<M: StoreMedia>(
+    spec: &TortureSpec,
+    indices: impl IntoIterator<Item = u64>,
+    open: impl Fn(&SimEnv) -> Result<M> + Sync,
+) -> SweepReport {
+    let indices: Vec<u64> = indices.into_iter().collect();
+    let run = CrashRun::new(spec.seed, None);
+    let commits = Mutex::default();
+    let (mut states, mut failures) = (HashSet::new(), Vec::new());
+    let crashes = indices.iter().map(|&k| (k, crash_seed(spec.seed, k)));
+    let reopen = || open(&run.env).and_then(|m| spec.open(m));
+    run.env.sweep_crashes(
+        crashes,
+        || lifecycle(spec, &run, &reopen, &commits),
+        |crash| {
+            let fired = crash.env.ops() > crash.at;
+            let commits = commits.lock().expect("unpoisoned");
+            let commit = commits.iter().rfind(|c| c.from <= crash.at).expect("one from 0").clone();
+            drop(commits);
+            states.insert(crash.state);
+            let run = CrashRun::on(crash.env);
+            let report = recover(spec, run, (Some(crash.at), fired), commit, &open);
+            failures.extend((!report.violations.is_empty()).then_some(report));
+        },
+    );
+    run.env.power_cycle();
+    let commit = commits.into_inner().expect("unpoisoned").pop().expect("noted at the start");
+    let reruns: Vec<u64> = indices.iter().copied().step_by(RERUN_STRIDE).collect();
+    let reports = reruns.iter().map(|&k| torture_run_on(spec, Some(k), &open));
+    let recorded = recover(spec, run, (None, false), commit, &open);
+    failures.extend(reports.chain([recorded]).filter(|r| !r.violations.is_empty()));
+    SweepReport { pairs: indices.len(), states: states.len(), reruns: reruns.len(), failures }
 }
 
 #[cfg(test)]
@@ -629,6 +742,46 @@ mod tests {
             assert_eq!(a.state_fingerprint, b.state_fingerprint, "identical recovered state");
             assert_eq!(a.trace, b.trace, "identical I/O trace, event for event");
             assert_eq!(a.violations, b.violations);
+        }
+    }
+
+    /// A crash state forked from one lifecycle is the state a re-run
+    /// leaves: at seeded crash indices of a raw and a payload lifecycle,
+    /// the power-cycled fork holds every name and every byte, at the same
+    /// I/O clock, of a fresh machine that re-ran the lifecycle crashed
+    /// there with the same lottery and power-cycled.
+    #[test]
+    fn a_forked_crash_state_is_the_state_a_re_run_leaves() {
+        let state = |env: &SimEnv| {
+            let clock = env.ops();
+            let files = env.file_names().into_iter().map(|f| (env.read_file(&f), f));
+            (clock, files.map(|(bytes, f)| (f, bytes.unwrap().unwrap())).collect::<Vec<_>>())
+        };
+        let lifecycle_on = |spec: &TortureSpec, run: &CrashRun| {
+            let reopen = || SimMedia::open(&run.env).and_then(|m| spec.open(m));
+            lifecycle(spec, run, &reopen, &Mutex::default())
+        };
+        for spec in [TortureSpec::small(0xF0E1), TortureSpec::small_payload(0xF0E1)] {
+            let total = torture_run(&spec, None).markers.expect("crash-free").total_ops;
+            let points: Vec<u64> = (1..=12u64)
+                .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29) % total)
+                .collect();
+            let (run, mut forked) = (CrashRun::new(spec.seed, None), Vec::new());
+            let crashes = points.iter().map(|&k| (k, crash_seed(spec.seed, k)));
+            run.env.sweep_crashes(
+                crashes,
+                || lifecycle_on(&spec, &run),
+                |crash| {
+                    forked.push((crash.at, state(&crash.env)));
+                },
+            );
+            assert_eq!(forked.len(), points.len());
+            for (k, forked) in forked {
+                let rerun = CrashRun::new(spec.seed, Some(k));
+                lifecycle_on(&spec, &rerun);
+                rerun.power_cycle();
+                assert!(state(&rerun.env) == forked, "payloads {}: crash at {k}", spec.payloads);
+            }
         }
     }
 }

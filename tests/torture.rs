@@ -1,12 +1,12 @@
 //! Recovery torture: exhaustive crash-index sweeps over the persistent
-//! store's commit windows, scattered crashes across whole lifecycles,
+//! store's commit windows and across whole lifecycles,
 //! and byte-identical replay — everything deterministic in one seed, and
 //! every seed run in both store modes: raw words and payload bytes (the
 //! latter sweeps the blob append, its sync and the blob-log rewrite of a
 //! payload compaction).
 //!
-//! Both sweeps — the exhaustive commit windows and the scattered
-//! crashes — run a fixed seed plus `TORTURE_SEEDS` more (4 when unset:
+//! Both sweeps — the exhaustive commit windows and the whole lifecycles —
+//! run a fixed seed plus `TORTURE_SEEDS` more (4 when unset:
 //! PR CI's count; the scheduled long run raises it, see
 //! `.github/workflows/`). A failing sweep prints the seed, mode and
 //! crash index, and the command that replays that one seed through both
@@ -18,7 +18,7 @@
 
 use dyn_ext_hash::core::SimMedia;
 use dyn_ext_hash::workloads::torture::{
-    sweep_crash_indices, torture_run, torture_run_on, TortureReport, TortureSpec,
+    sweep_crash_indices, torture_run, SweepReport, TortureReport, TortureSpec,
 };
 
 mod lying_media;
@@ -99,6 +99,15 @@ fn summarize(failures: &[TortureReport]) -> String {
         .join(", ")
 }
 
+/// Prints what a sweep checked: its `(crash index, seed)` pairs, the
+/// distinct pre-crash states they forked, and its whole re-runs.
+fn checked(what: String, sweep: &SweepReport) {
+    println!(
+        "{what}: {} pairs from {} distinct pre-crash states, {} re-run",
+        sweep.pairs, sweep.states, sweep.reruns
+    );
+}
+
 /// The acceptance gate: crash at **every** I/O index of one small final
 /// sync and one small compaction, in both modes, for `0xD15A57E5` and
 /// `TORTURE_SEEDS` seeds from `0xBAD5_EED0`. The commit-point
@@ -121,14 +130,16 @@ fn exhaustive_crash_sweep_over_one_sync_and_one_compact() {
             );
             let m = clean.markers.expect("crash-free run reports its commit windows");
             for (window, (lo, hi)) in [("sync", m.final_sync), ("compact", m.compact)] {
-                let failures = sweep_crash_indices(&spec, lo, hi);
+                let sweep = sweep_crash_indices(&spec, lo..hi, SimMedia::open);
+                checked(format!("seed {seed:#x} ({mode}) {window} window"), &sweep);
+                assert_eq!(sweep.pairs as u64, hi - lo);
                 assert!(
-                    failures.is_empty(),
+                    sweep.failures.is_empty(),
                     "seed {seed:#x} ({mode}): {} of {} {window}-window crash indices violated \
                      invariants: {}\n{}",
-                    failures.len(),
+                    sweep.failures.len(),
                     hi - lo,
-                    summarize(&failures),
+                    summarize(&sweep.failures),
                     replay(seed)
                 );
             }
@@ -147,20 +158,18 @@ fn sweep_catches_media_that_drop_a_sync() {
         let m = torture_run(&spec, None).markers.expect("markers");
         for lie in [Lie::DirSync, Lie::FileSync] {
             let open = |env: &_| SimMedia::open(env).map(|inner| Lying { inner, lie });
-            let (mut state, mut trace) = (0, 0);
-            for k in (m.final_sync.0..m.final_sync.1).chain(m.compact.0..m.compact.1) {
-                for v in torture_run_on(&spec, Some(k), open).violations {
-                    if v.starts_with("durability trace:") {
-                        trace += 1;
-                    } else {
-                        state += 1;
-                    }
-                }
-            }
+            let windows = (m.final_sync.0..m.final_sync.1).chain(m.compact.0..m.compact.1);
+            let sweep = sweep_crash_indices(&spec, windows, open);
+            let violations = sweep.failures.iter().flat_map(|r| &r.violations);
+            let (trace, state): (Vec<_>, Vec<_>) =
+                violations.partition(|v| v.starts_with("durability trace:"));
             let mode = mode(&spec);
-            assert!(state > 0, "{lie:?} ({mode}): no crash exposed the lie in the recovered state");
             assert!(
-                trace > 0,
+                !state.is_empty(),
+                "{lie:?} ({mode}): no crash exposed the lie in the recovered state"
+            );
+            assert!(
+                !trace.is_empty(),
                 "{lie:?} ({mode}): the trace checker never noticed the missing sync"
             );
         }
@@ -175,26 +184,22 @@ fn a_file_sync_lie_reaches_the_level_files() {
     let spec = TortureSpec::small(0xD15A57E5);
     let m = torture_run(&spec, None).markers.expect("markers");
     let open = |env: &_| SimMedia::open(env).map(|inner| Lying { inner, lie: Lie::FileSync });
-    let mut windows = (m.final_sync.0..m.final_sync.1).chain(m.compact.0..m.compact.1);
-    let named = windows.find_map(|k| {
-        let violations = torture_run_on(&spec, Some(k), open).violations;
-        violations.into_iter().find(|v| {
-            v.starts_with("durability trace:")
-                && v.contains("[rename-after-data-fsync]")
-                && v.contains("level-")
-                && v.contains(".blk")
-        })
+    let windows = (m.final_sync.0..m.final_sync.1).chain(m.compact.0..m.compact.1);
+    let sweep = sweep_crash_indices(&spec, windows, open);
+    let named = sweep.failures.iter().flat_map(|r| &r.violations).any(|v| {
+        v.starts_with("durability trace:")
+            && v.contains("[rename-after-data-fsync]")
+            && v.contains("level-")
+            && v.contains(".blk")
     });
-    assert!(named.is_some(), "no violation of the sweep names a level file");
+    assert!(named, "no violation of the sweep names a level file");
 }
 
-/// Seed-scattered crashes across entire lifecycles — open, churn,
+/// Crashes at every I/O index of entire lifecycles — open, churn,
 /// periodic syncs, tail, compaction — not just the two commit windows:
-/// `TORTURE_SEEDS` seeds from `0x7012_7012`, `TORTURE_POINTS` crashes
-/// each.
+/// `TORTURE_SEEDS` seeds from `0x7012_7012`.
 #[test]
 fn scattered_crashes_across_whole_lifecycles() {
-    let per_seed = env_count("TORTURE_POINTS", 12);
     for seed in sweep_seeds(&[], 0x7012_7012) {
         for spec in both_modes(seed) {
             let mode = mode(&spec);
@@ -206,18 +211,15 @@ fn scattered_crashes_across_whole_lifecycles() {
                 replay(seed)
             );
             let total = clean.markers.expect("markers").total_ops;
-            for p in 0..per_seed {
-                // Deterministic spread with a seed-dependent phase, so
-                // different seeds probe different alignments.
-                let k = (p * total) / per_seed + (seed % (total / per_seed).max(1));
-                let report = torture_run(&spec, Some(k.min(total.saturating_sub(1))));
-                assert!(
-                    report.violations.is_empty(),
-                    "seed {seed:#x} ({mode}) crash_at {k}: {:?}\n{}",
-                    report.violations,
-                    replay(seed)
-                );
-            }
+            let sweep = sweep_crash_indices(&spec, 0..total, SimMedia::open);
+            checked(format!("seed {seed:#x} ({mode}) whole lifecycle"), &sweep);
+            assert!(
+                sweep.failures.is_empty(),
+                "seed {seed:#x} ({mode}): {} of {total} crash indices violated invariants: {}\n{}",
+                sweep.failures.len(),
+                summarize(&sweep.failures),
+                replay(seed)
+            );
         }
     }
 }
