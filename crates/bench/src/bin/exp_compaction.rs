@@ -46,6 +46,25 @@ fn block_file_bytes(dir: &std::path::Path) -> u64 {
     blocks.map(|e| e.metadata().map_or(0, |m| m.len())).sum()
 }
 
+/// Simulates a process crash: Drop never runs. The dead process's lock
+/// on the directory goes with it, but `mem::forget` leaks this live
+/// process's descriptor and its lock, so the directory is recreated
+/// under its own path with a copy of every file the handle left.
+fn crash(store: KvStore) {
+    let dir = store.path().to_path_buf();
+    std::mem::forget(store);
+    let files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("store directory")
+        .map(|e| e.expect("directory entry").path())
+        .map(|path| (path.file_name().expect("a file").to_owned(), std::fs::read(&path)))
+        .collect();
+    std::fs::remove_dir_all(&dir).expect("remove the crashed directory");
+    std::fs::create_dir(&dir).expect("recreate it");
+    for (name, bytes) in files {
+        std::fs::write(dir.join(name), bytes.expect("read a file")).expect("copy a file");
+    }
+}
+
 fn snapshot(name: &'static str, s: &KvStore, ios: u64, wall_ms: f64) -> Phase {
     Phase {
         name,
@@ -100,15 +119,12 @@ fn main() {
     phases.push(snapshot("churn+sync", &store, churn_ios, ms(t0)));
 
     // Phase 3: unsynced churn — fresh keys, enough to cascade flushes
-    // that build levels no manifest names — then crash (Drop never runs;
-    // the dead process's LOCK disappears with it).
+    // that build levels no manifest names — then crash.
     for _ in 0..n / 4 {
         let k = rng.next_u64() >> 1;
         store.insert(k, k).expect("insert");
     }
-    let lock = store.path().join("LOCK");
-    std::mem::forget(store);
-    let _ = std::fs::remove_file(lock);
+    crash(store);
 
     // Phase 4: reopen — opens the files the manifest names and removes
     // every other block file as a stray; nothing is walked.

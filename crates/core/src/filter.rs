@@ -46,11 +46,17 @@ fn bloom_fp(bits: f64, probes: u32) -> f64 {
 }
 
 /// The probe count with the lowest false-positive rate at `bits` bits
-/// per key.
+/// per key, the fewer on a tie. The rate is unimodal in the count, least
+/// at `bits · ln 2`, so the best of `1..=MAX_PROBES` is one of the two
+/// integers around it.
 fn best_probes(bits: f64) -> u32 {
-    (1..=MAX_PROBES)
-        .min_by(|&a, &b| bloom_fp(bits, a).total_cmp(&bloom_fp(bits, b)))
-        .expect("the probe range is not empty")
+    let below = ((bits * std::f64::consts::LN_2) as u32).clamp(1, MAX_PROBES);
+    let above = (below + 1).min(MAX_PROBES);
+    if bloom_fp(bits, above) < bloom_fp(bits, below) {
+        above
+    } else {
+        below
+    }
 }
 
 /// Whether filters of `sizes` items (level `k` at index `k − 1`) fit
@@ -116,6 +122,17 @@ impl FilterPlan {
     /// The plan for `cfg` with `spare` items of memory to spend. Empty
     /// (no level filtered) when not even `H1`'s filter fits beside a
     /// carry's buffers.
+    ///
+    /// The result is exact, not an approximation of a slower search.
+    /// Each level's items are the floor of a nondecreasing function of
+    /// one variable `x`, and the integer test of what fits is monotone
+    /// in `x`, so the bisection for the largest `x` that fits stops as
+    /// soon as its bounds are adjacent doubles: a longer run would end on
+    /// the same one. Each probe count compares only the two counts
+    /// around `bits · ln 2`, where the rate, unimodal in the count, is
+    /// least. The tests keep the exhaustive derivation (100 bisection
+    /// steps, every count from 1 to 16) and check that the two agree bit
+    /// for bit on a grid of configurations and spares.
     pub fn derive(cfg: &CoreConfig, spare: usize) -> Self {
         let mut best = FilterPlan { levels: Vec::new(), spare, b: cfg.b };
         let mut best_score = 0.0;
@@ -238,33 +255,47 @@ impl FilterPlan {
 /// Filter sizes in items for levels of capacities `caps`, at rates
 /// proportional to the capacities and with `λ` as small as
 /// [`fits`] allows; `None` when the deepest level would get no item.
-///
-/// With `x = −ln λ`, level `k` gets `⌊cap_k·(x − ln cap_k) / (ln²2 ·
-/// 128)⌋` items, nondecreasing in `x`, so the largest `x` that fits is
-/// found by bisection: from `x = ln cap_L` (fp 1 at `H_L`, no bits) to
-/// an `x` where `H1`'s filter alone is larger than `spare`.
 fn proportional_sizes(caps: &[usize], b: usize, spare: usize) -> Option<Vec<usize>> {
-    let per_item = std::f64::consts::LN_2.powi(2) * ITEM_BITS as f64;
-    let sizes = |x: f64| -> Vec<usize> {
-        caps.iter()
-            .map(|&cap| (cap as f64 * (x - (cap as f64).ln()) / per_item).max(0.0) as usize)
-            .collect()
-    };
-    let (first, last) = (*caps.first()? as f64, *caps.last()? as f64);
-    let mut lo = last.ln();
-    if !fits(&sizes(lo), b, spare) {
+    let levels: Vec<(f64, f64)> = caps.iter().map(|&cap| (cap as f64, (cap as f64).ln())).collect();
+    let x = largest_fitting_x(&levels, b, spare)?;
+    Some(sizes_at(&levels, x)).filter(|s| !s.contains(&0))
+}
+
+/// `ln²2 · 128`: an optimal Bloom filter over `n` keys at false-positive
+/// rate `λ` takes `n·(−ln λ) / ln²2` bits, `n·(−ln λ) / PER_ITEM` items.
+const PER_ITEM: f64 = std::f64::consts::LN_2 * std::f64::consts::LN_2 * ITEM_BITS as f64;
+
+/// Each level's items at `x = −ln λ`, the level given as `(cap, ln
+/// cap)`: `⌊cap·(x − ln cap) / (ln²2 · 128)⌋`, nondecreasing in `x`.
+fn sizes_at(levels: &[(f64, f64)], x: f64) -> Vec<usize> {
+    levels.iter().map(|&(cap, ln_cap)| (cap * (x - ln_cap) / PER_ITEM).max(0.0) as usize).collect()
+}
+
+/// The largest `x` at which [`sizes_at`] fits, found by bisection: from
+/// `x = ln cap_L` (fp 1 at `H_L`, no bits; `None` if even that does not
+/// fit) to an `x` where `H1`'s filter alone is larger than `spare`.
+/// `lo` always fits and `hi` never does, so once their midpoint is one
+/// of them they are adjacent doubles and `lo` is the last that fits:
+/// the bisection stops there, on the double a longer run would return.
+fn largest_fitting_x(levels: &[(f64, f64)], b: usize, spare: usize) -> Option<f64> {
+    let fits_at = |x: f64| fits(&sizes_at(levels, x), b, spare);
+    let mut lo = levels.last()?.1;
+    if !fits_at(lo) {
         return None;
     }
-    let mut hi = lo + (spare as f64 + 1.0) * per_item / first;
+    let mut hi = lo + (spare as f64 + 1.0) * PER_ITEM / levels.first()?.0;
     for _ in 0..100 {
         let mid = lo + (hi - lo) / 2.0;
-        if fits(&sizes(mid), b, spare) {
+        if mid == lo || mid == hi {
+            break;
+        }
+        if fits_at(mid) {
             lo = mid;
         } else {
             hi = mid;
         }
     }
-    Some(sizes(lo)).filter(|s| !s.contains(&0))
+    Some(lo)
 }
 
 /// Counters of what the level filters did for one table's probes, read
@@ -570,6 +601,127 @@ mod tests {
         (1..=depth).map(fp).sum()
     }
 
+    /// The derivation as it first shipped, kept as the reference the
+    /// fast one must match bit for bit: every probe count from 1 to
+    /// `MAX_PROBES` evaluated, and 100 bisection steps with `ln cap`
+    /// recomputed in each.
+    fn reference_derive(cfg: &CoreConfig, spare: usize) -> FilterPlan {
+        let best_probes = |bits: f64| {
+            (1..=MAX_PROBES)
+                .min_by(|&a, &b| bloom_fp(bits, a).total_cmp(&bloom_fp(bits, b)))
+                .expect("the probe range is not empty")
+        };
+        let proportional_sizes = |caps: &[usize]| -> Option<Vec<usize>> {
+            let per_item = std::f64::consts::LN_2.powi(2) * ITEM_BITS as f64;
+            let sizes = |x: f64| -> Vec<usize> {
+                caps.iter()
+                    .map(|&cap| (cap as f64 * (x - (cap as f64).ln()) / per_item).max(0.0) as usize)
+                    .collect()
+            };
+            let (first, last) = (*caps.first()? as f64, *caps.last()? as f64);
+            let mut lo = last.ln();
+            if !fits(&sizes(lo), cfg.b, spare) {
+                return None;
+            }
+            let mut hi = lo + (spare as f64 + 1.0) * per_item / first;
+            for _ in 0..100 {
+                let mid = lo + (hi - lo) / 2.0;
+                if fits(&sizes(mid), cfg.b, spare) {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            Some(sizes(lo)).filter(|s| !s.contains(&0))
+        };
+        let mut best = FilterPlan { levels: Vec::new(), spare, b: cfg.b };
+        let mut best_score = 0.0;
+        for depth in (1usize..).take_while(|&depth| 2 * depth * cfg.b <= spare) {
+            let caps: Vec<usize> = (1..=depth).map(|k| cfg.level_capacity(k as u32)).collect();
+            let Some(sizes) = proportional_sizes(&caps) else { break };
+            let levels = caps
+                .iter()
+                .zip(sizes)
+                .map(|(&cap, items)| {
+                    let bits_per_key = (items * ITEM_BITS) as f64 / cap as f64;
+                    LevelShare { items, bits_per_key, probes: best_probes(bits_per_key) }
+                })
+                .collect();
+            let plan = FilterPlan { levels, spare, b: cfg.b };
+            let score: f64 = (1..=plan.levels()).map(|k| 1.0 - plan.designed_fp(k)).sum();
+            if score > best_score {
+                best_score = score;
+                best = plan;
+            }
+        }
+        best
+    }
+
+    /// `(cfg, spare)` over a grid of `(b, m, γ)` and of spares from a
+    /// sixteenth to half of `m`, the deployed shard's own spare included.
+    fn grid() -> Vec<(CoreConfig, usize)> {
+        let mut points = Vec::new();
+        for b in [2, 4, 8, 16, 32, 64, 128, 256] {
+            for m in [256, 1024, 4096, 16_384, 65_536] {
+                for gamma in [2, 3, 4, 8] {
+                    let Ok(cfg) = CoreConfig::lemma5(b, m, gamma) else { continue };
+                    for spare in [spare(&cfg), m / 16, m / 8, m / 4, 3 * m / 8, m / 2] {
+                        points.push((cfg.clone(), spare));
+                    }
+                }
+            }
+        }
+        points
+    }
+
+    #[test]
+    fn the_plan_matches_the_exhaustive_derivation_bit_for_bit() {
+        let points = grid();
+        assert!(points.len() >= 700, "{} points", points.len());
+        // Bit for bit: `PartialEq` on `f64` would let a -0.0 stand in for
+        // a 0.0.
+        let bits = |p: &FilterPlan| -> Vec<(usize, u64, u32)> {
+            p.levels.iter().map(|s| (s.items, s.bits_per_key.to_bits(), s.probes)).collect()
+        };
+        for (cfg, spare) in &points {
+            let (fast, exhaustive) =
+                (FilterPlan::derive(cfg, *spare), reference_derive(cfg, *spare));
+            assert_eq!(bits(&fast), bits(&exhaustive), "{cfg:?}, spare {spare}");
+        }
+        // A segment's probe count at any bits per key, loans' fractions
+        // and the unfiltered extremes included.
+        let exhaustive = |bits: f64| {
+            (1..=MAX_PROBES)
+                .min_by(|&a, &b| bloom_fp(bits, a).total_cmp(&bloom_fp(bits, b)))
+                .unwrap()
+        };
+        for i in 0..=40_000 {
+            let bits = f64::from(i) / 1000.0;
+            assert_eq!(best_probes(bits), exhaustive(bits), "{bits} bits a key");
+        }
+    }
+
+    /// Every bisection ends where the exhaustive one does: on the last
+    /// double that fits, whose successor does not.
+    #[test]
+    fn the_bisection_stops_on_the_last_double_that_fits() {
+        let mut checked = 0;
+        for (cfg, spare) in grid() {
+            for depth in (1usize..).take_while(|&depth| 2 * depth * cfg.b <= spare) {
+                let levels: Vec<(f64, f64)> = (1..=depth as u32)
+                    .map(|k| cfg.level_capacity(k) as f64)
+                    .map(|cap| (cap, cap.ln()))
+                    .collect();
+                let Some(x) = largest_fitting_x(&levels, cfg.b, spare) else { break };
+                assert!(fits(&sizes_at(&levels, x), cfg.b, spare));
+                let next = sizes_at(&levels, x.next_up());
+                assert!(!fits(&next, cfg.b, spare), "{cfg:?}, spare {spare}, depth {depth}");
+                checked += 1;
+            }
+        }
+        assert!(checked >= 1000, "{checked} bisections");
+    }
+
     #[test]
     fn the_plan_is_pinned_at_the_deployed_geometries() {
         // The benchmark's shard: four levels share 1 776 idle items, and
@@ -580,9 +732,8 @@ mod tests {
         let probes: Vec<u32> = (1..=4).map(|k| p.probes(k)).collect();
         assert_eq!((&sizes[..], &probes[..]), (&[214, 336, 489, 609][..], &[5, 4, 3, 2][..]));
         assert_eq!(p.items_from(1) + 2 * cfg.b, 1776);
-        for (k, bits) in [(1, 6.69), (2, 5.25), (3, 3.82), (4, 2.38)] {
-            assert!((p.bits_per_key(k) - bits).abs() < 0.005, "H{k}: {}", p.bits_per_key(k));
-        }
+        let bits: Vec<f64> = (1..=4).map(|k| p.bits_per_key(k)).collect();
+        assert_eq!(bits, [6.6875, 5.25, 3.8203125, 2.37890625]);
         let designed = miss_probes(|k| p.designed_fp(k), 4);
         assert!(designed <= 0.62, "Σ fp = {designed}");
         // The uniform split of the same memory: 3.39 bits and 2 probes a

@@ -15,15 +15,12 @@
 //! down to each fsync, rename and unlink.
 
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use dxh_extmem::{BlobFile, ExtMemError, FileBlob, Result};
 
 /// Manifest file name inside a store directory.
 pub(crate) const MANIFEST: &str = "MANIFEST";
-/// Lock file name.
-pub(crate) const LOCK: &str = "LOCK";
 /// The checkpoint chain an older layout appended beside its manifest.
 /// Its frames may commit state no manifest holds, so a store that has
 /// one is refused, never opened without it.
@@ -160,117 +157,54 @@ pub(crate) fn read_text<M: StoreMedia>(media: &mut M, name: &str) -> Result<Opti
     }
 }
 
-/// Whether `file`'s open inode is still the one `path` names — false
-/// when a racer unlinked or replaced the path after we opened it.
-#[cfg(unix)]
-fn is_current_inode(file: &fs::File, path: &Path) -> bool {
-    use std::os::unix::fs::MetadataExt;
-    match (file.metadata(), fs::metadata(path)) {
-        (Ok(a), Ok(b)) => a.dev() == b.dev() && a.ino() == b.ino(),
-        _ => false,
-    }
-}
-
-/// Non-unix has no inode identity to compare — sound only because
-/// [`DirLock`]'s drop never unlinks the file there, so the path always
-/// names the inode that was opened.
-#[cfg(not(unix))]
-fn is_current_inode(_file: &fs::File, _path: &Path) -> bool {
-    true
-}
-
-/// Holds `LOCK` in a store directory for the lifetime of a media handle;
-/// unlinked on drop on unix, left in place elsewhere — see [`DirLock`]'s
-/// `Drop`.
+/// The exclusive lock of a store directory, held for the lifetime of a
+/// media handle: an **OS advisory lock on the directory itself**, taken
+/// on a read-only handle of it. Nothing is created, written or removed
+/// to take it, so an open pays no inode for its lock and a close
+/// unlinks nothing. The kernel releases it when the descriptor closes —
+/// including when the owning process dies — so a crash leaves no lock
+/// to reclaim and no owner to judge.
 ///
-/// Mutual exclusion is the **OS advisory lock** held on the open file,
-/// not the file's existence or contents: the kernel releases it when the
-/// descriptor closes — including when the owning process dies — so a
-/// crash leaves no lock to reclaim and no pid to judge. (Reading a pid
-/// out of the file and deciding liveness ourselves would race: between
-/// the read and the takeover the judged-dead owner's slot can be
-/// re-acquired by a third handle.) The pid written inside is
-/// informational only and never synced — open pays for no sync of its
-/// own — so a crash may leave `LOCK` empty: the next acquire takes it
-/// like any unlocked file, and a live owner whose pid was lost is named
-/// `pid unknown`.
+/// A `LOCK` file an older build left in the directory is ignored, and
+/// left where it is. Such a build locks that file, not the directory, so
+/// it and this build do not exclude each other: close every handle of
+/// the older build before opening the store here.
 struct DirLock {
-    path: PathBuf,
     /// Keeps the OS lock alive; closing the descriptor releases it.
-    _file: fs::File,
+    _dir: fs::File,
 }
 
 impl DirLock {
-    fn acquire(dir: &Path) -> Result<Self> {
-        let path = dir.join(LOCK);
-        // A few attempts: a racing handle's drop may unlink the file
-        // between our open and lock, leaving our lock on an orphaned
-        // inode — detected below; the next attempt opens the fresh file.
-        for _ in 0..8 {
-            // truncate(false): wiping the file before the lock is ours
-            // would erase a live owner's pid; truncation happens via
-            // `set_len` below, after the lock is held.
-            let file = fs::OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(false)
-                .open(&path)?;
-            match file.try_lock() {
-                Ok(()) => {}
-                Err(fs::TryLockError::WouldBlock) => {
-                    let owner = fs::read_to_string(&path).unwrap_or_default();
-                    let owner = match owner.trim() {
-                        "" => "unknown",
-                        pid => pid,
-                    };
-                    return Err(ExtMemError::BadConfig(format!(
-                        "store is locked by pid {owner} (a live handle; the OS releases the \
-                         lock when that process exits)"
-                    )));
-                }
-                Err(fs::TryLockError::Error(e)) => return Err(e.into()),
-            }
-            // The lock lives on the inode we opened, which matters only
-            // while `path` still names it.
-            if !is_current_inode(&file, &path) {
-                continue;
-            }
-            file.set_len(0)?;
-            // Written, never synced: the pid is informational only
-            // (ownership is the OS lock), and a crash that loses it
-            // leaves an empty `LOCK`, which the next acquire takes like
-            // any other unlocked file.
-            writeln!(&file, "{}", std::process::id())?;
-            return Ok(DirLock { path, _file: file });
+    /// Locks `dir`; fails fast while another live handle holds it.
+    /// `None` on a non-unix target, which cannot open a directory as a
+    /// file and takes no lock: there, two handles on one store are not
+    /// excluded.
+    fn acquire(dir: &Path) -> Result<Option<Self>> {
+        if cfg!(not(unix)) {
+            return Ok(None);
         }
-        Err(ExtMemError::BadConfig(format!("could not acquire {}", path.display())))
-    }
-}
-
-impl Drop for DirLock {
-    fn drop(&mut self) {
-        // Unlink first; the descriptor then closes and the OS lock goes
-        // with it. An opener racing this re-checks the inode after
-        // locking, so it never settles on the unlinked file. Where that
-        // re-check has no inode identity to compare (non-unix), the file
-        // stays in place — ownership is the OS lock alone, and a leftover
-        // pidfile is informational, not a lock.
-        #[cfg(unix)]
-        best_effort(fs::remove_file(&self.path));
-        #[cfg(not(unix))]
-        let _ = &self.path;
+        let dir = fs::File::open(dir)?;
+        match dir.try_lock() {
+            Ok(()) => Ok(Some(DirLock { _dir: dir })),
+            Err(fs::TryLockError::WouldBlock) => Err(ExtMemError::BadConfig(
+                "store is locked by a live handle (the OS releases the lock when that process \
+                 exits)"
+                    .into(),
+            )),
+            Err(fs::TryLockError::Error(e)) => Err(e.into()),
+        }
     }
 }
 
 /// The real thing: a directory on the local filesystem, exactly the
 /// on-disk layout documented on [`crate::KvStore`]. [`DirMedia::open`]
-/// acquires the directory lock; dropping the media releases it.
+/// locks the directory itself and creates nothing in it; dropping the
+/// media releases the lock.
 pub struct DirMedia {
     dir: PathBuf,
     /// Held for the media's lifetime; the OS releases it with the
     /// process on a crash. `None` for a service root, whose mutual
-    /// exclusion rides its shards' locks.
+    /// exclusion rides its shards' locks, and on a non-unix target.
     _lock: Option<DirLock>,
 }
 
@@ -279,14 +213,13 @@ impl DirMedia {
     /// Fails fast when another live handle holds the lock.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self> {
         let mut media = Self::unlocked(dir)?;
-        media._lock = Some(DirLock::acquire(&media.dir)?);
+        media._lock = DirLock::acquire(&media.dir)?;
         Ok(media)
     }
 
-    /// A handle on `dir` (created if needed) that takes **no lock** and
-    /// writes no `LOCK` file — a service root: the service opens every
-    /// shard ([`StoreMedia::sub`], each behind its own lock) before it
-    /// touches the root's commit log.
+    /// A handle on `dir` (created if needed) that takes **no lock** — a
+    /// service root: the service opens every shard ([`StoreMedia::sub`],
+    /// each behind its own lock) before it touches the root's commit log.
     pub fn unlocked(dir: impl AsRef<Path>) -> Result<Self> {
         let dir = dir.as_ref();
         fs::create_dir_all(dir)?;

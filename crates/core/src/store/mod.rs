@@ -41,14 +41,14 @@
 //!   parameters and the mode, which until then are the opener's;
 //! * `store.blob` / `store.<gen>.blob` — payload mode only: the blob log
 //!   the table's value words point into; [`KvStore::compact`] rewrites
-//!   its live part as the next generation, which the manifest names;
-//! * `LOCK` — mutual exclusion for the directory. Ownership is an OS
-//!   advisory lock held on the file for the handle's lifetime, so a
-//!   second live handle fails fast instead of silently overwriting the
-//!   manifest, and the kernel releases a dead process's lock with it —
-//!   a crash can never wedge the store. The pid written inside is
-//!   informational (error messages, humans inspecting the directory)
-//!   and never synced: a crash may leave the file empty.
+//!   its live part as the next generation, which the manifest names.
+//!
+//! Nothing else: mutual exclusion is an OS advisory lock on the
+//! directory itself, held for the handle's lifetime, so a second live
+//! handle fails fast instead of silently overwriting the manifest, and
+//! the kernel releases a dead process's lock with it — a crash can
+//! never wedge the store. Taking it creates, writes and syncs no file;
+//! a `LOCK` file an older build left is ignored (docs/GUARANTEES.md G6).
 //!
 //! The manifest's first line is `dxh-store v3`. A `dxh-store v2`
 //! manifest — the same lines, never an `h0` one — opens as a store whose
@@ -593,7 +593,7 @@ pub(crate) mod tests {
     use super::levels::{level_file_name, mutant};
     use super::manifest::Manifest;
     use super::*;
-    use crate::media::{is_data_file, SimMedia, LOCK, MANIFEST};
+    use crate::media::{is_data_file, SimMedia, MANIFEST};
 
     /// The clean-shutdown marker of an older layout; nothing writes it.
     const CLEAN: &str = "CLEAN";
@@ -612,12 +612,23 @@ pub(crate) mod tests {
     /// Simulates a process crash: the handle's Drop never runs. A real
     /// crash also releases the OS lock (the kernel closes the dead
     /// process's descriptors); `mem::forget` instead *leaks* the
-    /// descriptor, so this process would still hold the lock. Unlinking
-    /// the file lets the reopen create and lock a fresh inode.
+    /// descriptor, so this process would still hold the lock on the
+    /// directory. The directory is therefore recreated under its own
+    /// path with a copy of every file the dead handle left: the reopen
+    /// locks the fresh directory and reads what the crash left.
     pub(super) fn crash(s: KvStore) {
-        let lock = s.path().join(LOCK);
+        let dir = s.path().to_path_buf();
         std::mem::forget(s);
-        let _ = fs::remove_file(lock);
+        let files: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .map(|path| (path.file_name().unwrap().to_owned(), fs::read(&path).unwrap()))
+            .collect();
+        fs::remove_dir_all(&dir).unwrap();
+        fs::create_dir(&dir).unwrap();
+        for (name, bytes) in files {
+            fs::write(dir.join(name), bytes).unwrap();
+        }
     }
 
     /// A deterministic payload whose length varies with the key, so a
@@ -720,11 +731,9 @@ pub(crate) mod tests {
         assert!(sim_image(env) == before, "{shape}: a file changed");
     }
 
-    /// Every file of `dir` but the lock.
+    /// Every name in `dir`.
     pub(super) fn dir_files(dir: &std::path::Path) -> BTreeSet<String> {
-        let names =
-            fs::read_dir(dir).unwrap().map(|e| e.unwrap().file_name().into_string().unwrap());
-        names.filter(|name| name != LOCK).collect()
+        fs::read_dir(dir).unwrap().map(|e| e.unwrap().file_name().into_string().unwrap()).collect()
     }
 
     /// Every block (primaries and chains) of every level of `s`, walked
@@ -995,55 +1004,111 @@ pub(crate) mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Locks `dir` as another live handle would: a descriptor of the
+    /// directory itself under an OS lock, released when it drops.
+    fn hold(dir: &std::path::Path) -> fs::File {
+        let held = fs::File::open(dir).unwrap();
+        held.try_lock().unwrap();
+        held
+    }
+
+    fn assert_locked<T>(open: Result<T>) {
+        let Err(err) = open else { panic!("an open beside a live handle must fail") };
+        assert!(err.to_string().contains("locked by a live handle"), "got: {err}");
+    }
+
     #[test]
     fn second_live_handle_fails_fast() {
         let dir = tmp_dir("lock");
         let _ = fs::remove_dir_all(&dir);
         let s = KvStore::open(&dir, cfg(), 1).unwrap();
-        let err = match KvStore::open(&dir, cfg(), 1) {
-            Err(e) => e,
-            Ok(_) => panic!("second live handle must fail"),
-        };
-        assert!(err.to_string().contains("locked by pid"), "got: {err}");
+        assert_locked(KvStore::open(&dir, cfg(), 1));
+        // The store's lock is the directory's: another holder is refused.
+        let other = fs::File::open(&dir).unwrap();
+        assert!(matches!(other.try_lock(), Err(fs::TryLockError::WouldBlock)));
         drop(s);
         // The lock is released with the handle.
+        other.try_lock().unwrap();
+        drop(other);
         drop(KvStore::open(&dir, cfg(), 1).unwrap());
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// The kernel releases a dead process's lock with its descriptors:
+    /// an open is refused while another holder has the directory, and
+    /// succeeds once it lets go — nothing is left behind to reclaim.
     #[test]
-    fn lock_file_of_a_dead_process_is_reclaimed() {
-        let dir = tmp_dir("stale-lock");
+    fn a_held_directory_refuses_an_open_until_its_holder_lets_go() {
+        let dir = tmp_dir("held-lock");
         let _ = fs::remove_dir_all(&dir);
         drop(KvStore::open(&dir, cfg(), 1).unwrap());
-        // A crash leaves the LOCK file behind, but the kernel released
-        // the dead process's OS lock with its descriptors — ownership is
-        // the lock, not the file, so reopening succeeds no matter what
-        // the file says (its pid content is informational only).
-        fs::write(dir.join(LOCK), "4194304999\n").unwrap();
-        drop(KvStore::open(&dir, cfg(), 1).unwrap());
-        fs::write(dir.join(LOCK), "???\n").unwrap();
-        drop(KvStore::open(&dir, cfg(), 1).unwrap());
+        for payloads in [false, true] {
+            let held = hold(&dir);
+            let open = || match payloads {
+                false => KvStore::open(&dir, cfg(), 1),
+                true => KvStore::open_payload(&dir, cfg(), 1),
+            };
+            assert_locked(open());
+            drop(held);
+            drop(open().unwrap());
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// The pid is written unsynced, so a crash can leave `LOCK` empty:
-    /// a dead owner's empty file is acquired like any other, and a live
-    /// owner whose pid is missing is named `pid unknown`.
+    /// A service takes one lock per shard and none at the root: a held
+    /// shard refuses the service's open, a held root does not.
     #[test]
-    fn a_lock_whose_pid_was_lost_is_acquired_and_its_owner_named_unknown() {
-        let dir = tmp_dir("empty-lock");
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join(LOCK), "").unwrap();
-        drop(KvStore::open(&dir, cfg(), 1).unwrap());
-        let held = fs::File::create(dir.join(LOCK)).unwrap();
-        held.try_lock().unwrap();
-        let Err(err) = KvStore::open(&dir, cfg(), 1) else { panic!("a live owner's lock") };
-        assert!(err.to_string().contains("locked by pid unknown ("), "got: {err}");
+    fn a_held_shard_refuses_the_services_open_and_a_held_root_does_not() {
+        let root = tmp_dir("held-shard");
+        let _ = fs::remove_dir_all(&root);
+        drop(crate::ShardedKvStore::open(&root, 4, cfg(), 1).unwrap());
+        let held = hold(&root.join("shard-002"));
+        assert_locked(crate::ShardedKvStore::open(&root, 4, cfg(), 1));
         drop(held);
-        drop(KvStore::open(&dir, cfg(), 1).unwrap());
-        let _ = fs::remove_dir_all(&dir);
+        let held = hold(&root);
+        drop(crate::ShardedKvStore::open(&root, 4, cfg(), 1).unwrap());
+        drop(held);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// The lock creates no name: a fresh store's directory, and a fresh
+    /// service's root and shards, hold what their commits wrote and
+    /// nothing else, while open and after the close.
+    #[test]
+    fn a_fresh_open_creates_no_lock_file() {
+        let names =
+            |items: &[&str]| -> BTreeSet<String> { items.iter().map(|s| s.to_string()).collect() };
+        let shards = ["shard-000", "shard-001", "shard-002", "shard-003"];
+        let root_names = names(&[&["SERVICE", "COMMITLOG"][..], &shards[..]].concat());
+        for payloads in [false, true] {
+            let data = if payloads { names(&["store.blob"]) } else { names(&[]) };
+            let dir = tmp_dir(&format!("no-lock-file-{payloads}"));
+            let _ = fs::remove_dir_all(&dir);
+            let s = match payloads {
+                false => KvStore::open(&dir, cfg(), 1).unwrap(),
+                true => KvStore::open_payload(&dir, cfg(), 1).unwrap(),
+            };
+            assert_eq!(dir_files(&dir), data, "payloads: {payloads}, open");
+            drop(s);
+            assert_eq!(dir_files(&dir), data, "payloads: {payloads}, closed");
+            fs::remove_dir_all(&dir).unwrap();
+
+            let service = |when: &str| {
+                assert_eq!(dir_files(&dir), root_names, "payloads: {payloads}, {when}");
+                for shard in shards {
+                    let held = dir_files(&dir.join(shard));
+                    assert_eq!(held, data, "payloads: {payloads}, {when}: {shard}");
+                }
+            };
+            let svc = match payloads {
+                false => crate::ShardedKvStore::open(&dir, 4, cfg(), 1).unwrap(),
+                true => crate::ShardedKvStore::open_payload(&dir, 4, cfg(), 1).unwrap(),
+            };
+            service("open");
+            drop(svc);
+            service("closed");
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -535,7 +535,7 @@ impl SimEnv {
     /// epoch. One machine hosts many independent stores (a sharded
     /// service locks one name per shard), each with its own exclusive
     /// lock, which errors while another live handle holds it — the
-    /// simulated twin of the directory `LOCK`'s fail-fast behavior.
+    /// simulated twin of a store directory's OS lock, which fails fast.
     /// Release with [`SimEnv::unlock_named`], quoting the name and epoch.
     pub fn lock_named(&self, name: &str) -> Result<u64> {
         self.guarded(

@@ -16,9 +16,6 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("dxh-it-{tag}-{}", std::process::id()))
 }
 
-/// Simulates a process crash: Drop never runs, and the dead process's
-/// LOCK file goes away with the process (same-process tests must remove
-/// it by hand because their own pid is still alive).
 /// Bytes of block files (`*.blk`) in `dir`, whoever names them.
 fn block_file_bytes(dir: &std::path::Path) -> u64 {
     let entries = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap());
@@ -26,10 +23,23 @@ fn block_file_bytes(dir: &std::path::Path) -> u64 {
     blocks.map(|e| e.metadata().unwrap().len()).sum()
 }
 
+/// Simulates a process crash: Drop never runs. The dead process's lock
+/// on the directory goes with it, but `mem::forget` leaks this live
+/// process's descriptor and its lock, so the directory is recreated
+/// under its own path with a copy of every file the handle left.
 fn crash(s: KvStore) {
-    let lock = s.path().join("LOCK");
+    let dir = s.path().to_path_buf();
     std::mem::forget(s);
-    let _ = std::fs::remove_file(lock);
+    let files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .map(|path| (path.file_name().unwrap().to_owned(), std::fs::read(&path).unwrap()))
+        .collect();
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::create_dir(&dir).unwrap();
+    for (name, bytes) in files {
+        std::fs::write(dir.join(name), bytes).unwrap();
+    }
 }
 
 #[test]
@@ -267,4 +277,28 @@ fn compaction_refuses_a_level_holding_an_item_outside_its_bucket() {
     let stats = store.compact().unwrap();
     assert_eq!(stats.live_items, 6_000, "the table the manifest describes compacts");
     assert_eq!(store.lookup(stray.key).unwrap(), Some(stray.value));
+}
+
+/// A store locks its directory itself. A `LOCK` file an older build
+/// left there is neither a lock nor a stray: an open ignores it, leaves
+/// it as it was, and is not excluded by an older build holding it.
+#[test]
+fn an_older_builds_lock_file_is_ignored_and_left_in_place() {
+    let dir = tmp_dir("older-lock");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let lock = dir.join("LOCK");
+    std::fs::write(&lock, "4194304\n").unwrap();
+    let cfg = CoreConfig::lemma5(32, 512, 2).unwrap();
+    let mut store = KvStore::open(&dir, cfg.clone(), 5).unwrap();
+    store.insert(1, 10).unwrap();
+    drop(store);
+    let held = std::fs::File::open(&lock).unwrap();
+    held.try_lock().unwrap();
+    let mut store = KvStore::open(&dir, cfg, 5).unwrap();
+    assert_eq!(store.lookup(1).unwrap(), Some(10));
+    drop(store);
+    drop(held);
+    assert_eq!(std::fs::read_to_string(&lock).unwrap(), "4194304\n");
+    let _ = std::fs::remove_dir_all(&dir);
 }
